@@ -686,17 +686,26 @@ mod tests {
 
     #[test]
     fn foreign_format_version_rejected_cleanly() {
-        let dir = std::env::temp_dir().join(format!("jaguar-futurefmt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut manifest = Vec::new();
-        manifest.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
-        manifest.extend_from_slice(&99u32.to_le_bytes());
-        manifest.extend_from_slice(&0u32.to_le_bytes());
-        std::fs::write(dir.join("catalog.manifest"), manifest).unwrap();
-        let err = Catalog::on_disk(&dir, Config::default()).err().unwrap();
-        assert!(err.to_string().contains("format v99"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
+        // v3 is the previous layout (FNV-1a page checksums): its pages
+        // would all fail verification, so it is refused at the door like
+        // any other foreign version.
+        for version in [3u32, 99] {
+            let dir = std::env::temp_dir()
+                .join(format!("jaguar-foreignfmt{version}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut manifest = Vec::new();
+            manifest.extend_from_slice(&MANIFEST_MAGIC.to_le_bytes());
+            manifest.extend_from_slice(&version.to_le_bytes());
+            manifest.extend_from_slice(&0u32.to_le_bytes());
+            std::fs::write(dir.join("catalog.manifest"), manifest).unwrap();
+            let err = Catalog::on_disk(&dir, Config::default()).err().unwrap();
+            assert!(
+                err.to_string().contains(&format!("format v{version}")),
+                "{err}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

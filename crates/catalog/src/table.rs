@@ -237,21 +237,24 @@ impl Table {
         read_tuple(&mut raw.as_slice())
     }
 
-    /// Delete a row (maintaining indexes).
-    pub fn delete(&self, rid: RecordId) -> Result<()> {
+    /// Delete a row (maintaining indexes). Returns `false` if the row was
+    /// already gone: a concurrent statement deleted it after the caller's
+    /// scan saw it, which leaves nothing for this one to do.
+    pub fn delete(&self, rid: RecordId) -> Result<bool> {
+        let Some(raw) = self.heap.delete(rid)? else {
+            return Ok(false);
+        };
+        self.rows.fetch_sub(1, Ordering::Relaxed);
         let indexes = self.indexes.read();
         if !indexes.is_empty() {
-            let tuple = self.get(rid)?;
+            let tuple = read_tuple(&mut raw.as_slice())?;
             for idx in indexes.iter() {
                 if let Value::Int(k) = tuple.get(idx.column)? {
                     idx.btree.delete(*k, rid)?;
                 }
             }
         }
-        drop(indexes);
-        self.heap.delete(rid)?;
-        self.rows.fetch_sub(1, Ordering::Relaxed);
-        Ok(())
+        Ok(true)
     }
 
     /// Scan all rows in storage order.
@@ -347,8 +350,9 @@ mod tests {
             .insert(Tuple::new(vec![Value::Int(1), Value::Str("x".into())]))
             .unwrap();
         assert_eq!(t.get(rid).unwrap().get(1).unwrap().as_str().unwrap(), "x");
-        t.delete(rid).unwrap();
+        assert!(t.delete(rid).unwrap());
         assert!(t.get(rid).is_err());
+        assert!(!t.delete(rid).unwrap(), "already gone: nothing to do");
         assert_eq!(t.row_count(), 0);
     }
 

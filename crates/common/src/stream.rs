@@ -265,9 +265,9 @@ pub fn read_tuple(r: &mut impl Read) -> Result<Tuple> {
             "implausible tuple arity {n}"
         )));
     }
-    // The arity is untrusted even after the plausibility cap: grow as
-    // values actually decode rather than pre-reserving.
-    let mut values = Vec::new();
+    // The arity is untrusted even after the plausibility cap: reserve for
+    // a realistic row only, and grow past that as values actually decode.
+    let mut values = Vec::with_capacity(n.min(64) as usize);
     for _ in 0..n {
         values.push(read_value(r)?);
     }

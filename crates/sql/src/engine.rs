@@ -342,9 +342,14 @@ impl Engine {
                         victims.push(rid);
                     }
                 }
+                // A victim a concurrent statement deleted since the scan
+                // saw it is gone, which is all this statement wanted of
+                // it: it is skipped and not counted.
+                let mut affected = 0;
                 if let Err(e) = victims.iter().try_for_each(|rid| {
                     token.check()?;
-                    dml.table.delete(*rid)
+                    affected += u64::from(dml.table.delete(*rid)?);
+                    Ok(())
                 }) {
                     return Err(seal_partial_effects(&dml.table, e));
                 }
@@ -352,7 +357,7 @@ impl Engine {
                 self.catalog.maybe_checkpoint()?;
                 let stats = ctx.finish()?;
                 let mut r = QueryResult::empty();
-                r.affected = victims.len() as u64;
+                r.affected = affected;
                 r.stats = stats;
                 Ok(r)
             }
@@ -384,12 +389,16 @@ impl Engine {
                         updates.push((rid, Tuple::new(values)));
                     }
                 }
-                let affected = updates.len() as u64;
+                // As for DELETE: a row that vanished since the scan is
+                // skipped, not replaced.
+                let mut affected = 0;
                 let res = (|| -> Result<()> {
                     for (rid, new_tuple) in updates {
                         token.check()?;
-                        dml.table.delete(rid)?;
-                        dml.table.insert(new_tuple)?;
+                        if dml.table.delete(rid)? {
+                            dml.table.insert(new_tuple)?;
+                            affected += 1;
+                        }
                     }
                     Ok(())
                 })();

@@ -11,7 +11,14 @@
 //! ```
 //!
 //! A pinned page is never evicted; an unpinned dirty page is written back
-//! when its frame is reclaimed or on [`BufferPool::flush_all`].
+//! when its frame is reclaimed or on [`BufferPool::flush_all`]; an unpinned
+//! clean page is simply dropped. Only [`PageHandle::write`] makes a page
+//! dirty: readers take the shared latch and leave no trace.
+//!
+//! Unpinned frames sit on an intrusive LRU list ordered by when their last
+//! pin was released, so a miss takes its victim from the head of the list
+//! instead of sweeping every frame, and reads the new page into the
+//! victim's own buffer.
 //!
 //! ## WAL integration
 //!
@@ -51,19 +58,65 @@ pub trait WalHook: Send + Sync {
     fn before_page_write(&self, page_lsn: u64) -> Result<()>;
 }
 
+/// The part of a frame a [`PageHandle`] shares with the pool. Allocated
+/// once per frame and reused for every page the frame ever holds.
+struct FrameData {
+    bytes: RwLock<Vec<u8>>,
+    dirty: AtomicBool,
+}
+
+/// "No frame": end of the LRU list, or a frame not on it.
+const NIL: usize = usize::MAX;
+
 struct Frame {
     page: PageId,
-    data: Arc<RwLock<Vec<u8>>>,
-    dirty: Arc<AtomicBool>,
+    data: Arc<FrameData>,
     pins: usize,
-    last_used: u64,
+    /// Neighbours on the LRU list (meaningful while `pins == 0`).
+    prev: usize,
+    next: usize,
 }
 
 struct PoolInner {
     frames: Vec<Frame>,
     /// page id -> index into `frames`
     map: HashMap<PageId, usize>,
-    tick: u64,
+    /// Unpinned frames, least recently unpinned first.
+    lru_head: usize,
+    lru_tail: usize,
+}
+
+impl PoolInner {
+    fn lru_unlink(&mut self, idx: usize) {
+        let (prev, next) = (self.frames[idx].prev, self.frames[idx].next);
+        match prev {
+            NIL => self.lru_head = next,
+            p => self.frames[p].next = next,
+        }
+        match next {
+            NIL => self.lru_tail = prev,
+            n => self.frames[n].prev = prev,
+        }
+    }
+
+    fn lru_push_back(&mut self, idx: usize) {
+        let tail = self.lru_tail;
+        self.frames[idx].prev = tail;
+        self.frames[idx].next = NIL;
+        match tail {
+            NIL => self.lru_head = idx,
+            t => self.frames[t].next = idx,
+        }
+        self.lru_tail = idx;
+    }
+
+    /// Pin frame `idx` (taking it off the LRU list on the first pin).
+    fn pin(&mut self, idx: usize) {
+        if self.frames[idx].pins == 0 {
+            self.lru_unlink(idx);
+        }
+        self.frames[idx].pins += 1;
+    }
 }
 
 /// Cache statistics, exposed for the calibration experiments.
@@ -106,7 +159,8 @@ impl BufferPool {
             inner: Mutex::new(PoolInner {
                 frames: Vec::new(),
                 map: HashMap::new(),
-                tick: 0,
+                lru_head: NIL,
+                lru_tail: NIL,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -200,47 +254,36 @@ impl BufferPool {
     /// pins the page until dropped.
     pub fn fetch(self: &Arc<Self>, page: PageId) -> Result<PageHandle> {
         let mut inner = self.latch();
-        inner.tick += 1;
-        let tick = inner.tick;
-
-        if let Some(&idx) = inner.map.get(&page) {
-            let f = &mut inner.frames[idx];
-            f.pins += 1;
-            f.last_used = tick;
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(PageHandle {
-                pool: Arc::clone(self),
-                page,
-                data: Arc::clone(&f.data),
-                dirty: Arc::clone(&f.dirty),
-            });
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-
-        // Load outside any frame lock (we only hold the pool mutex).
-        let mut buf = vec![0u8; self.disk.page_size()];
-        self.disk.read_page(page, &mut buf)?;
-
-        let idx = self.acquire_frame(&mut inner)?;
-        let frame = Frame {
-            page,
-            data: Arc::new(RwLock::new(buf)),
-            dirty: Arc::new(AtomicBool::new(false)),
-            pins: 1,
-            last_used: tick,
+        let frame = match inner.map.get(&page) {
+            Some(&idx) => {
+                inner.pin(idx);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                idx
+            }
+            None => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                // The frame is off the LRU list and unmapped here: if the
+                // read fails it must go back on the list as a free frame.
+                let idx = self.acquire_frame(&mut inner)?;
+                let read = self
+                    .disk
+                    .read_page(page, &mut inner.frames[idx].data.bytes.write());
+                if let Err(e) = read {
+                    inner.frames[idx].page = PageId::INVALID;
+                    inner.lru_push_back(idx);
+                    return Err(e);
+                }
+                inner.frames[idx].page = page;
+                inner.frames[idx].pins = 1;
+                inner.map.insert(page, idx);
+                idx
+            }
         };
-        let (data, dirty) = (Arc::clone(&frame.data), Arc::clone(&frame.dirty));
-        if idx == inner.frames.len() {
-            inner.frames.push(frame);
-        } else {
-            inner.frames[idx] = frame;
-        }
-        inner.map.insert(page, idx);
         Ok(PageHandle {
             pool: Arc::clone(self),
             page,
-            data,
-            dirty,
+            frame,
+            data: Arc::clone(&inner.frames[frame].data),
         })
     }
 
@@ -249,65 +292,87 @@ impl BufferPool {
     pub fn allocate(self: &Arc<Self>) -> Result<PageHandle> {
         let page = self.disk.allocate_page()?;
         let handle = self.fetch(page)?;
-        handle.dirty.store(true, Ordering::Relaxed);
+        handle.data.dirty.store(true, Ordering::Relaxed);
         Ok(handle)
     }
 
-    /// Find a free frame index, evicting the least-recently-used unpinned
-    /// frame if the pool is full. Dirty pages holding unlogged (and hence
-    /// uncommitted) changes are unevictable — the no-steal half of the WAL
-    /// contract.
+    /// Hand out an unmapped, unpinned frame that is on no list: a new one
+    /// while the pool is below capacity, else the least recently unpinned
+    /// frame, written back first if dirty. Dirty pages holding unlogged
+    /// (and hence uncommitted) changes are unevictable — the no-steal half
+    /// of the WAL contract.
     fn acquire_frame(&self, inner: &mut PoolInner) -> Result<usize> {
         if inner.frames.len() < self.capacity {
-            return Ok(inner.frames.len());
+            inner.frames.push(Frame {
+                page: PageId::INVALID,
+                data: Arc::new(FrameData {
+                    bytes: RwLock::new(vec![0u8; self.disk.page_size()]),
+                    dirty: AtomicBool::new(false),
+                }),
+                pins: 0,
+                prev: NIL,
+                next: NIL,
+            });
+            return Ok(inner.frames.len() - 1);
         }
-        let unlogged = if self.track_unlogged.load(Ordering::Acquire) {
-            Some(self.unlogged.lock())
-        } else {
-            None
-        };
-        let victim = inner
-            .frames
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                f.pins == 0 && unlogged.as_ref().is_none_or(|u| !u.contains_key(&f.page))
-            })
-            .min_by_key(|(_, f)| f.last_used)
-            .map(|(i, _)| i)
-            .ok_or_else(|| {
-                JaguarError::Storage(format!(
-                    "buffer pool exhausted: all {} frames pinned or holding \
-                     unlogged changes",
-                    self.capacity
-                ))
-            })?;
-        drop(unlogged);
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        let (vpage, vdata, vdirty) = {
+        // Only a written page can be unlogged, so clean frames (all a read-
+        // only workload ever sees) never consult the set.
+        let mut unlogged = None;
+        let mut victim = inner.lru_head;
+        while victim != NIL {
             let f = &inner.frames[victim];
-            (f.page, Arc::clone(&f.data), Arc::clone(&f.dirty))
-        };
-        if vdirty.load(Ordering::Relaxed) {
-            // WAL-before-data: the victim is unpinned so nobody can mutate
-            // it concurrently; its on-page LSN is final for this image.
-            self.wal_barrier(&vdata.read())?;
-            if vdirty.swap(false, Ordering::Relaxed) {
-                self.writebacks.fetch_add(1, Ordering::Relaxed);
-                let mut buf = vdata.write();
-                self.disk.write_page(vpage, &mut buf)?;
+            let stealable = !f.data.dirty.load(Ordering::Relaxed)
+                || !unlogged
+                    .get_or_insert_with(|| self.unlogged.lock())
+                    .contains_key(&f.page);
+            if stealable {
+                break;
             }
+            victim = f.next;
         }
+        drop(unlogged);
+        if victim == NIL {
+            return Err(JaguarError::Storage(format!(
+                "buffer pool exhausted: all {} frames pinned or holding \
+                 unlogged changes",
+                self.capacity
+            )));
+        }
+        // WAL-before-data: the victim is unpinned so nobody can mutate it
+        // concurrently; its on-page LSN is final for this image.
+        let vpage = inner.frames[victim].page;
+        self.write_back(vpage, &inner.frames[victim].data)?;
+        self.evictions.fetch_add(1, Ordering::Relaxed);
+        inner.lru_unlink(victim);
         inner.map.remove(&vpage);
         Ok(victim)
     }
 
-    fn unpin(&self, page: PageId) {
+    /// Write `page` to disk if its frame is dirty. The flag is cleared
+    /// *before* the bytes are latched, so a writer racing with the flush
+    /// leaves the frame dirty rather than silently unwritten.
+    fn write_back(&self, page: PageId, data: &FrameData) -> Result<()> {
+        if !data.dirty.load(Ordering::Relaxed) {
+            return Ok(());
+        }
+        self.wal_barrier(&data.bytes.read())?;
+        if data.dirty.swap(false, Ordering::Relaxed) {
+            if let Err(e) = self.disk.write_page(page, &mut data.bytes.write()) {
+                data.dirty.store(true, Ordering::Relaxed);
+                return Err(e);
+            }
+            self.writebacks.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    fn unpin(&self, frame: usize) {
         let mut inner = self.latch();
-        if let Some(&idx) = inner.map.get(&page) {
-            let f = &mut inner.frames[idx];
-            debug_assert!(f.pins > 0, "unpin of unpinned page");
-            f.pins = f.pins.saturating_sub(1);
+        let f = &mut inner.frames[frame];
+        debug_assert!(f.pins > 0, "unpin of unpinned page");
+        f.pins = f.pins.saturating_sub(1);
+        if f.pins == 0 {
+            inner.lru_push_back(frame);
         }
     }
 
@@ -317,19 +382,17 @@ impl BufferPool {
     /// their statement, or discarded with the process).
     pub fn flush_all(&self) -> Result<()> {
         let inner = self.latch();
-        let tracking = self.track_unlogged.load(Ordering::Acquire);
+        // Held for the whole flush: a writer's `note_write` waits, so no
+        // page can turn unlogged between its check and its write-back.
+        let unlogged = self
+            .track_unlogged
+            .load(Ordering::Acquire)
+            .then(|| self.unlogged.lock());
         for f in &inner.frames {
-            if tracking && self.unlogged.lock().contains_key(&f.page) {
+            if unlogged.as_ref().is_some_and(|u| u.contains_key(&f.page)) {
                 continue;
             }
-            if f.dirty.load(Ordering::Relaxed) {
-                self.wal_barrier(&f.data.read())?;
-                if f.dirty.swap(false, Ordering::Relaxed) {
-                    self.writebacks.fetch_add(1, Ordering::Relaxed);
-                    let mut buf = f.data.write();
-                    self.disk.write_page(f.page, &mut buf)?;
-                }
-            }
+            self.write_back(f.page, &f.data)?;
         }
         Ok(())
     }
@@ -339,8 +402,9 @@ impl BufferPool {
 pub struct PageHandle {
     pool: Arc<BufferPool>,
     page: PageId,
-    data: Arc<RwLock<Vec<u8>>>,
-    dirty: Arc<AtomicBool>,
+    /// Index of the pinned frame: stable for as long as the pin is held.
+    frame: usize,
+    data: Arc<FrameData>,
 }
 
 impl PageHandle {
@@ -348,9 +412,10 @@ impl PageHandle {
         self.page
     }
 
-    /// Shared read access to the page bytes.
+    /// Shared read access to the page bytes. Leaves the page clean and out
+    /// of the unlogged set: this is the latch every reader takes.
     pub fn read(&self) -> RwLockReadGuard<'_, Vec<u8>> {
-        self.data.read()
+        self.data.bytes.read()
     }
 
     /// Exclusive write access; marks the page dirty and — when a WAL is
@@ -358,8 +423,8 @@ impl PageHandle {
     /// data file before it is logged and committed.
     pub fn write(&self) -> RwLockWriteGuard<'_, Vec<u8>> {
         self.pool.note_write(self.page);
-        self.dirty.store(true, Ordering::Relaxed);
-        self.data.write()
+        self.data.dirty.store(true, Ordering::Relaxed);
+        self.data.bytes.write()
     }
 
     /// Exclusive write access that marks the page dirty but does *not*
@@ -368,14 +433,14 @@ impl PageHandle {
     /// tracked write here would bump the page's generation and keep it in
     /// the unlogged set forever).
     pub fn write_nolog(&self) -> RwLockWriteGuard<'_, Vec<u8>> {
-        self.dirty.store(true, Ordering::Relaxed);
-        self.data.write()
+        self.data.dirty.store(true, Ordering::Relaxed);
+        self.data.bytes.write()
     }
 }
 
 impl Drop for PageHandle {
     fn drop(&mut self) {
-        self.pool.unpin(self.page);
+        self.pool.unpin(self.frame);
     }
 }
 
@@ -448,6 +513,37 @@ mod tests {
         assert_eq!(p.stats().misses, before);
         drop(p.fetch(b).unwrap()); // evicted → miss
         assert_eq!(p.stats().misses, before + 1);
+    }
+
+    #[test]
+    fn clean_pages_are_dropped_and_frames_reused() {
+        let p = pool(2);
+        let ids: Vec<PageId> = (0..4)
+            .map(|i| {
+                let h = p.allocate().unwrap();
+                h.write()[100] = i;
+                h.id()
+            })
+            .collect();
+        p.flush_all().unwrap();
+        let writebacks = p.stats().writebacks;
+        // Cycle through twice as many pages as frames, reading only: each
+        // fetch reuses a victim's buffer and must show the new page's bytes.
+        for _ in 0..3 {
+            for (i, id) in ids.iter().enumerate() {
+                assert_eq!(p.fetch(*id).unwrap().read()[100], i as u8);
+            }
+        }
+        assert_eq!(p.stats().writebacks, writebacks, "reads write nothing back");
+        assert!(p.stats().evictions >= 10);
+    }
+
+    #[test]
+    fn failed_read_leaves_the_frame_usable() {
+        let p = pool(1);
+        let id = p.allocate().unwrap().id();
+        assert!(p.fetch(PageId(99)).is_err(), "no such page");
+        assert_eq!(p.fetch(id).unwrap().id(), id);
     }
 
     #[test]

@@ -295,60 +295,8 @@ impl DiskManager {
 mod tests {
     use super::*;
 
-    /// Fault sites are process-global, so tests that arm them (or do I/O
-    /// that consults them) run serialized.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    #[test]
-    fn injected_transient_read_fault_recovers() {
-        let _g = serial();
-        let dm = DiskManager::in_memory(128);
-        let id = dm.allocate_page().unwrap();
-        fault::arm("storage.disk.read", 1);
-        let mut buf = vec![0u8; 128];
-        // One injected failure; the storage retry policy absorbs it.
-        dm.read_page(id, &mut buf).unwrap();
-        fault::disarm("storage.disk.read");
-    }
-
-    #[test]
-    fn injected_permanent_write_fault_fails_cleanly() {
-        let _g = serial();
-        let dm = DiskManager::in_memory(128);
-        let id = dm.allocate_page().unwrap();
-        let mut buf = vec![0u8; 128];
-        fault::arm("storage.disk.write", fault::ALWAYS);
-        let err = dm.write_page(id, &mut buf).unwrap_err();
-        assert!(err.to_string().contains("injected"), "{err}");
-        fault::disarm("storage.disk.write");
-        // Not poisoned: the identical write now succeeds and reads back.
-        dm.write_page(id, &mut buf).unwrap();
-        let mut back = vec![0u8; 128];
-        dm.read_page(id, &mut back).unwrap();
-    }
-
-    #[test]
-    fn injected_fsync_fault_surfaces_then_clears() {
-        let _g = serial();
-        let dir = std::env::temp_dir().join(format!("jaguar-disk-fs-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("sync.db");
-        let _ = std::fs::remove_file(&path);
-        let dm = DiskManager::open(&path, 256).unwrap();
-        dm.allocate_page().unwrap();
-        fault::arm("storage.disk.fsync", fault::ALWAYS);
-        assert!(dm.sync().is_err());
-        fault::disarm("storage.disk.fsync");
-        dm.sync().unwrap();
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn memory_alloc_write_read() {
-        let _g = serial();
         let dm = DiskManager::in_memory(256);
         let a = dm.allocate_page().unwrap();
         let b = dm.allocate_page().unwrap();
@@ -367,7 +315,6 @@ mod tests {
 
     #[test]
     fn fresh_page_reads_back_clean() {
-        let _g = serial();
         let dm = DiskManager::in_memory(128);
         let id = dm.allocate_page().unwrap();
         let mut buf = vec![0u8; 128];
@@ -377,7 +324,6 @@ mod tests {
 
     #[test]
     fn missing_page_is_error() {
-        let _g = serial();
         let dm = DiskManager::in_memory(128);
         let mut buf = vec![0u8; 128];
         assert!(dm.read_page(PageId(0), &mut buf).is_err());
@@ -386,7 +332,6 @@ mod tests {
 
     #[test]
     fn file_backed_roundtrip_and_reopen() {
-        let _g = serial();
         let dir = std::env::temp_dir().join(format!("jaguar-disk-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.db");
@@ -411,7 +356,6 @@ mod tests {
 
     #[test]
     fn reopen_with_bad_length_is_corruption() {
-        let _g = serial();
         let dir = std::env::temp_dir().join(format!("jaguar-disk2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad.db");
@@ -426,7 +370,6 @@ mod tests {
 
     #[test]
     fn encrypted_roundtrip_keeps_frames_plaintext() {
-        let _g = serial();
         let dir = std::env::temp_dir().join(format!("jaguar-disk-enc-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("enc.db");
@@ -463,7 +406,6 @@ mod tests {
 
     #[test]
     fn wrong_key_and_keyless_reads_fail_cleanly() {
-        let _g = serial();
         let dir = std::env::temp_dir().join(format!("jaguar-disk-enc2-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("enc2.db");
@@ -492,7 +434,6 @@ mod tests {
 
     #[test]
     fn replay_extended_zero_page_tolerated_under_cipher() {
-        let _g = serial();
         let dir = std::env::temp_dir().join(format!("jaguar-disk-enc3-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("enc3.db");
@@ -522,7 +463,6 @@ mod tests {
 
     #[test]
     fn on_disk_corruption_detected() {
-        let _g = serial();
         let dm = DiskManager::in_memory(128);
         let id = dm.allocate_page().unwrap();
         let mut buf = vec![0u8; 128];

@@ -13,6 +13,11 @@
 //!
 //! The scan iterator visits record pages in file order and resolves stubs
 //! transparently, so the executor above sees a stream of full records.
+//!
+//! **Latching.** Readers (`get`, the scan, overflow-chain reads) take a
+//! page's *shared* latch through [`PageHandle::read`](crate::buffer::PageHandle::read)
+//! and leave it clean; only `insert`, `delete` and page allocation take the
+//! exclusive latch, which is what marks a page dirty and unlogged.
 
 use std::sync::Arc;
 
@@ -24,7 +29,7 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::buffer::BufferPool;
 use crate::page::{
     init_overflow, overflow_capacity, page_type, read_overflow, set_page_type, PageType,
-    SlottedPage, COMMON_HEADER, SLOT_SIZE,
+    SlottedPage, SlottedRef, COMMON_HEADER, SLOT_SIZE,
 };
 
 const MAGIC: u32 = 0x4A47_4846; // "JGHF"
@@ -32,6 +37,28 @@ const KIND_INLINE: u8 = 0;
 const KIND_SPILLED: u8 = 1;
 /// Size of a spilled-record stub: kind + total_len (u32) + first page (u32).
 const STUB_LEN: usize = 9;
+
+/// A record as copied out of its slot under the page latch: the payload
+/// itself, or where its overflow chain starts (read after the latch is
+/// released).
+enum Fetched {
+    Inline(Vec<u8>),
+    Spilled { first: PageId, total: usize },
+}
+
+impl Fetched {
+    fn from_framed(framed: &[u8]) -> Result<Fetched> {
+        match framed.first() {
+            Some(&KIND_INLINE) => Ok(Fetched::Inline(framed[1..].to_vec())),
+            Some(&KIND_SPILLED) if framed.len() == STUB_LEN => Ok(Fetched::Spilled {
+                total: u32::from_le_bytes(framed[1..5].try_into().expect("4")) as usize,
+                first: PageId(u32::from_le_bytes(framed[5..9].try_into().expect("4"))),
+            }),
+            Some(&KIND_SPILLED) => Err(JaguarError::Corruption("malformed spill stub".into())),
+            _ => Err(JaguarError::Corruption("empty record frame".into())),
+        }
+    }
+}
 
 /// An unordered record file with overflow support and a page free list.
 pub struct HeapFile {
@@ -276,56 +303,54 @@ impl HeapFile {
         Ok(out)
     }
 
-    fn decode_framed(&self, framed: &[u8]) -> Result<Vec<u8>> {
-        match framed.first() {
-            Some(&KIND_INLINE) => Ok(framed[1..].to_vec()),
-            Some(&KIND_SPILLED) => {
-                if framed.len() != STUB_LEN {
-                    return Err(JaguarError::Corruption("malformed spill stub".into()));
-                }
-                let total = u32::from_le_bytes(framed[1..5].try_into().expect("4")) as usize;
-                let first = PageId(u32::from_le_bytes(framed[5..9].try_into().expect("4")));
-                self.read_overflow_chain(first, total)
-            }
-            _ => Err(JaguarError::Corruption("empty record frame".into())),
+    fn resolve(&self, fetched: Fetched) -> Result<Vec<u8>> {
+        match fetched {
+            Fetched::Inline(record) => Ok(record),
+            Fetched::Spilled { first, total } => self.read_overflow_chain(first, total),
         }
     }
 
     /// Fetch a record by id (resolving overflow chains).
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
-        let handle = self.pool.fetch(rid.page)?;
-        let mut buf = handle.write(); // SlottedPage wants &mut; content unchanged
-        let sp = SlottedPage::open(&mut buf)?;
-        let framed = sp.get(rid.slot)?.to_vec();
-        drop(buf);
-        drop(handle);
-        self.decode_framed(&framed)
+        let fetched = {
+            let handle = self.pool.fetch(rid.page)?;
+            let buf = handle.read();
+            Fetched::from_framed(SlottedRef::open(&buf)?.get(rid.slot)?)?
+        };
+        self.resolve(fetched)
     }
 
     /// Delete a record, releasing any overflow pages to the free list.
-    pub fn delete(&self, rid: RecordId) -> Result<()> {
-        let framed = {
+    /// Returns the record, or `None` if it was already gone — deleted by a
+    /// concurrent statement after the caller's scan saw it.
+    pub fn delete(&self, rid: RecordId) -> Result<Option<Vec<u8>>> {
+        let fetched = {
             let handle = self.pool.fetch(rid.page)?;
             let mut buf = handle.write();
             let mut sp = SlottedPage::open(&mut buf)?;
-            let framed = sp.get(rid.slot)?.to_vec();
-            sp.delete(rid.slot)?;
-            framed
-        };
-        if framed.first() == Some(&KIND_SPILLED) && framed.len() == STUB_LEN {
-            let mut page = PageId(u32::from_le_bytes(framed[5..9].try_into().expect("4")));
-            while page.is_valid() {
-                let next = {
-                    let handle = self.pool.fetch(page)?;
-                    let buf = handle.read();
-                    let (_, next) = read_overflow(&buf)?;
-                    next
-                };
-                self.release_page(page)?;
-                page = next;
+            if !sp.is_live(rid.slot) {
+                return Ok(None);
             }
+            let fetched = Fetched::from_framed(sp.get(rid.slot)?)?;
+            sp.delete(rid.slot)?;
+            fetched
+        };
+        let mut page = match fetched {
+            Fetched::Spilled { first, .. } => first,
+            Fetched::Inline(_) => PageId::INVALID,
+        };
+        let record = self.resolve(fetched)?;
+        while page.is_valid() {
+            let next = {
+                let handle = self.pool.fetch(page)?;
+                let buf = handle.read();
+                let (_, next) = read_overflow(&buf)?;
+                next
+            };
+            self.release_page(page)?;
+            page = next;
         }
-        Ok(())
+        Ok(Some(record))
     }
 
     /// Number of pages currently in the underlying file.
@@ -349,59 +374,67 @@ impl HeapFile {
             heap: Arc::clone(self),
             page: PageId(start.max(1)), // page 0 is the file header
             end,
-            slot: 0,
+            buffered: Vec::new().into_iter(),
             done: false,
         }
     }
 }
 
 /// Forward iterator over all records of a [`HeapFile`].
+///
+/// The scan works a page at a time: it pins and share-latches a page once,
+/// copies every live record out, releases the page, and only then yields
+/// the copies (spilled records are resolved as they are yielded). No latch
+/// or pin is held across `next()`, so whatever runs between two calls — a
+/// predicate, a UDF callback — may re-enter the engine. The records of one
+/// page are therefore a *page-consistent snapshot*: a record deleted after
+/// its page was buffered is still yielded, one inserted onto that page
+/// afterwards is not, and a spilled record deleted in between fails to
+/// resolve.
 pub struct HeapScan {
     heap: Arc<HeapFile>,
+    /// Next page to buffer.
     page: PageId,
     /// First page (exclusive bound) the scan will not visit.
     end: u32,
-    slot: u16,
+    /// Records of the page buffered last that are still to be yielded.
+    buffered: std::vec::IntoIter<(RecordId, Fetched)>,
     done: bool,
 }
 
 impl HeapScan {
-    fn next_record(&mut self) -> Result<Option<(RecordId, Vec<u8>)>> {
-        loop {
-            if self.done
-                || self.page.0 >= self.end
-                || self.page.0 >= self.heap.pool.disk().page_count()
-            {
-                self.done = true;
-                return Ok(None);
-            }
-            let handle = self.heap.pool.fetch(self.page)?;
-            let mut buf = handle.write();
-            // Skip anything that is not a record page — including page
-            // types this module does not know about (index pages share
-            // the file).
-            if buf[4] != PageType::Slotted as u8 {
-                drop(buf);
-                self.page = PageId(self.page.0 + 1);
-                self.slot = 0;
-                continue;
-            }
-            let sp = SlottedPage::open(&mut buf)?;
-            while self.slot < sp.slot_count() {
-                let slot = self.slot;
-                self.slot += 1;
-                if sp.is_live(slot) {
-                    let framed = sp.get(slot)?.to_vec();
-                    let rid = RecordId::new(self.page, slot);
-                    drop(buf);
-                    let record = self.heap.decode_framed(&framed)?;
-                    return Ok(Some((rid, record)));
-                }
-            }
-            drop(buf);
-            self.page = PageId(self.page.0 + 1);
-            self.slot = 0;
+    /// Buffer the live records of the next page; `false` at the end.
+    fn buffer_next_page(&mut self) -> Result<bool> {
+        let page = self.page;
+        if page.0 >= self.end || page.0 >= self.heap.pool.disk().page_count() {
+            return Ok(false);
         }
+        self.page = PageId(page.0 + 1);
+        let handle = self.heap.pool.fetch(page)?;
+        let buf = handle.read();
+        // Skip anything that is not a record page — including page types
+        // this module does not know about (index pages share the file).
+        if buf[4] != PageType::Slotted as u8 {
+            return Ok(true);
+        }
+        let sp = SlottedRef::open(&buf)?;
+        let mut records = Vec::with_capacity(sp.slot_count() as usize);
+        for slot in (0..sp.slot_count()).filter(|&s| sp.is_live(s)) {
+            let fetched = Fetched::from_framed(sp.get(slot)?)?;
+            records.push((RecordId::new(page, slot), fetched));
+        }
+        self.buffered = records.into_iter();
+        Ok(true)
+    }
+
+    fn next_record(&mut self) -> Result<Option<(RecordId, Vec<u8>)>> {
+        while !self.done {
+            if let Some((rid, fetched)) = self.buffered.next() {
+                return Ok(Some((rid, self.heap.resolve(fetched)?)));
+            }
+            self.done = !self.buffer_next_page()?;
+        }
+        Ok(None)
     }
 }
 
@@ -520,9 +553,69 @@ mod tests {
         h.insert(&big).unwrap();
         h.insert(b"small2").unwrap();
         let recs: Vec<_> = h.scan().map(|r| r.unwrap().1).collect();
-        assert_eq!(recs.len(), 3);
-        assert!(recs.iter().any(|r| r == &big));
-        assert!(recs.iter().any(|r| r == b"small"));
+        // Slot order, with the spilled record resolved in its place.
+        assert_eq!(recs, vec![b"small".to_vec(), big, b"small2".to_vec()]);
+    }
+
+    #[test]
+    fn scan_yields_a_page_consistent_snapshot() {
+        let h = heap(512, 16);
+        let a = h.insert(b"a").unwrap();
+        let b = h.insert(b"b").unwrap();
+        let c = h.insert(b"c").unwrap();
+        assert!(a.page == b.page && b.page == c.page, "one page");
+        let mut scan = h.scan();
+        assert_eq!(scan.next().unwrap().unwrap(), (a, b"a".to_vec()));
+        // The page is buffered and unlatched: the scan's consumer may
+        // mutate it. What it deletes or adds now, this scan does not see.
+        h.delete(c).unwrap();
+        let d = h.insert(b"d").unwrap();
+        assert_eq!(d.page, a.page);
+        let rest: Vec<_> = scan.map(|r| r.unwrap().0).collect();
+        assert_eq!(rest, vec![b, c]);
+        let fresh: Vec<_> = h.scan().map(|r| r.unwrap().1).collect();
+        assert_eq!(fresh, vec![b"a".to_vec(), b"b".to_vec(), b"d".to_vec()]);
+    }
+
+    struct NoopHook;
+    impl crate::buffer::WalHook for NoopHook {
+        fn before_page_write(&self, _page_lsn: u64) -> Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Reads through a pool far smaller than the file: every page is
+    /// evicted over and over, and none of that is a write.
+    #[test]
+    fn reads_leave_no_trace() {
+        for hooked in [false, true] {
+            let h = heap(512, 8);
+            if hooked {
+                h.pool().set_wal_hook(Arc::new(NoopHook));
+            }
+            let mut rids = Vec::new();
+            for i in 0..300u32 {
+                rids.push(h.insert(format!("record-{i:0>90}").as_bytes()).unwrap());
+                // "Commit" as the WAL would, so the load itself can evict.
+                h.pool().commit_unlogged(&h.pool().snapshot_unlogged());
+            }
+            rids.push(h.insert(&vec![7u8; 2000]).unwrap()); // spilled
+            h.pool().commit_unlogged(&h.pool().snapshot_unlogged());
+            h.pool().flush_all().unwrap();
+            let before = h.pool().stats();
+
+            for _ in 0..3 {
+                let scanned = h.scan().collect::<Result<Vec<_>>>().unwrap();
+                assert_eq!(scanned.len(), rids.len());
+                for rid in &rids {
+                    h.get(*rid).unwrap();
+                }
+            }
+            let after = h.pool().stats();
+            assert!(after.evictions > before.evictions + 100, "{after:?}");
+            assert_eq!(after.writebacks, before.writebacks, "hooked={hooked}");
+            assert!(h.pool().snapshot_unlogged().is_empty(), "hooked={hooked}");
+        }
     }
 
     #[test]
@@ -530,7 +623,8 @@ mod tests {
         let h = heap(512, 16);
         let a = h.insert(b"keep").unwrap();
         let b = h.insert(b"drop").unwrap();
-        h.delete(b).unwrap();
+        assert_eq!(h.delete(b).unwrap().as_deref(), Some(&b"drop"[..]));
+        assert_eq!(h.delete(b).unwrap(), None, "already gone: not an error");
         assert!(h.get(b).is_err());
         assert_eq!(h.get(a).unwrap(), b"keep");
         let recs: Vec<_> = h.scan().map(|r| r.unwrap().1).collect();
@@ -543,7 +637,7 @@ mod tests {
         let big = vec![4u8; 3000];
         let rid = h.insert(&big).unwrap();
         let pages_after_insert = h.file_pages();
-        h.delete(rid).unwrap();
+        assert_eq!(h.delete(rid).unwrap(), Some(big.clone()));
         // Re-inserting the same record should reuse freed pages rather than
         // growing the file.
         let rid2 = h.insert(&big).unwrap();

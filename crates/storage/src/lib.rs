@@ -8,10 +8,10 @@
 //! from 1 byte to 10,000 bytes. This crate provides that properly rather
 //! than as a toy:
 //!
-//! * [`disk::DiskManager`] — a page-addressed file with FNV-1a page
-//!   checksums verified on every read,
+//! * [`disk::DiskManager`] — a page-addressed file with page checksums
+//!   ([`page::compute_checksum`]) verified on every read,
 //! * [`page`] — slotted record pages with slot reuse and in-place
-//!   compaction,
+//!   compaction, read through a shared-latch view ([`page::SlottedRef`]),
 //! * [`buffer::BufferPool`] — a fixed-size LRU page cache with pin counts
 //!   and dirty write-back,
 //! * [`heap::HeapFile`] — unordered record files with overflow chains for
