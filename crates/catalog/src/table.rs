@@ -1,5 +1,6 @@
 //! A named relation backed by a heap file.
 
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -9,9 +10,9 @@ use jaguar_common::error::JaguarError;
 use jaguar_common::error::Result;
 use jaguar_common::ids::{RecordId, TableId};
 use jaguar_common::schema::{Schema, SchemaRef};
-use jaguar_common::stream::{read_tuple, write_tuple};
+use jaguar_common::stream::{decode_tuple, write_tuple};
 use jaguar_common::DataType;
-use jaguar_common::{Tuple, Value};
+use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_sec::PageCipher;
 use jaguar_storage::{BTree, BufferPool, DiskManager, HeapFile};
 use jaguar_wal::Wal;
@@ -122,7 +123,7 @@ impl Table {
         let wal = Self::bind_wal(wal, path, &pool);
         let heap = Arc::new(HeapFile::open(pool)?);
         let mut rows = 0u64;
-        for item in heap.scan() {
+        for item in heap.scan_range(1, u32::MAX, |_| Ok(())) {
             item?;
             rows += 1;
         }
@@ -188,7 +189,8 @@ impl Table {
             )));
         }
         let btree = BTree::create(Arc::clone(self.heap.pool()))?;
-        for item in self.scan() {
+        let key_only = ColumnSet::of(self.schema.len(), [column]);
+        for item in self.scan_with(&key_only, 1..u32::MAX) {
             let (rid, tuple) = item?;
             if let Value::Int(k) = tuple.get(column)? {
                 btree.insert(*k, rid)?;
@@ -231,10 +233,10 @@ impl Table {
         Ok(rid)
     }
 
-    /// Fetch one row by record id.
-    pub fn get(&self, rid: RecordId) -> Result<Tuple> {
-        let raw = self.heap.get(rid)?;
-        read_tuple(&mut raw.as_slice())
+    /// Fetch one row by record id, decoding the columns in `cols` (the
+    /// others read as NULL).
+    pub fn get(&self, rid: RecordId, cols: &ColumnSet) -> Result<Tuple> {
+        self.heap.get_with(rid, |record| decode_tuple(record, cols))
     }
 
     /// Delete a row (maintaining indexes). Returns `false` if the row was
@@ -247,7 +249,8 @@ impl Table {
         self.rows.fetch_sub(1, Ordering::Relaxed);
         let indexes = self.indexes.read();
         if !indexes.is_empty() {
-            let tuple = read_tuple(&mut raw.as_slice())?;
+            let keys = ColumnSet::of(self.schema.len(), indexes.iter().map(|i| i.column));
+            let tuple = decode_tuple(&raw, &keys)?;
             for idx in indexes.iter() {
                 if let Value::Int(k) = tuple.get(idx.column)? {
                     idx.btree.delete(*k, rid)?;
@@ -257,19 +260,21 @@ impl Table {
         Ok(true)
     }
 
-    /// Scan all rows in storage order.
+    /// Scan all rows, every column, in storage order.
     pub fn scan(&self) -> TableScan {
-        TableScan {
-            inner: self.heap.scan(),
-        }
+        self.scan_with(&ColumnSet::all(), 1..u32::MAX)
     }
 
-    /// Scan rows whose heap page lies in `[start, end)` — the morsel form
-    /// of [`Table::scan`]. Disjoint page ranges partition the table, and
-    /// concatenating them in ascending order reproduces storage order.
-    pub fn scan_range(&self, start: u32, end: u32) -> TableScan {
+    /// Scan the rows whose heap page lies in `pages`, decoding the columns
+    /// in `cols`: each row keeps the schema's arity and a column outside
+    /// `cols` reads as NULL. Disjoint page ranges (morsels) partition the
+    /// table, and concatenating them in ascending order reproduces storage
+    /// order; `1..u32::MAX` is the whole table.
+    pub fn scan_with(&self, cols: &ColumnSet, pages: Range<u32>) -> TableScan {
+        let cols = cols.clone();
+        let decode = Box::new(move |record: &[u8]| decode_tuple(record, &cols));
         TableScan {
-            inner: self.heap.scan_range(start, end),
+            inner: self.heap.scan_range(pages.start, pages.end, decode),
         }
     }
 
@@ -314,17 +319,20 @@ impl Table {
     }
 }
 
-/// Iterator over `(RecordId, Tuple)` pairs of a table.
+/// The heap scan's decode function for a table: record bytes → tuple.
+type DecodeTuple = Box<dyn FnMut(&[u8]) -> Result<Tuple> + Send>;
+
+/// Iterator over `(RecordId, Tuple)` pairs of a table. Tuples are decoded
+/// from their records by the heap scan itself, a page at a time.
 pub struct TableScan {
-    inner: jaguar_storage::heap::HeapScan,
+    inner: jaguar_storage::heap::HeapScan<Tuple, DecodeTuple>,
 }
 
 impl Iterator for TableScan {
     type Item = Result<(RecordId, Tuple)>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let item = self.inner.next()?;
-        Some(item.and_then(|(rid, raw)| Ok((rid, read_tuple(&mut raw.as_slice())?))))
+        self.inner.next()
     }
 }
 
@@ -349,9 +357,18 @@ mod tests {
         let rid = t
             .insert(Tuple::new(vec![Value::Int(1), Value::Str("x".into())]))
             .unwrap();
-        assert_eq!(t.get(rid).unwrap().get(1).unwrap().as_str().unwrap(), "x");
+        let all = ColumnSet::all();
+        assert_eq!(
+            t.get(rid, &all).unwrap().values(),
+            [Value::Int(1), Value::Str("x".into())]
+        );
+        assert_eq!(
+            t.get(rid, &ColumnSet::of(2, [0])).unwrap().values(),
+            [Value::Int(1), Value::Null],
+            "an unwanted column keeps its place and reads as NULL"
+        );
         assert!(t.delete(rid).unwrap());
-        assert!(t.get(rid).is_err());
+        assert!(t.get(rid, &all).is_err());
         assert!(!t.delete(rid).unwrap(), "already gone: nothing to do");
         assert_eq!(t.row_count(), 0);
     }

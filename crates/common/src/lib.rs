@@ -44,5 +44,5 @@ pub mod value;
 pub use cancel::CancelToken;
 pub use error::{JaguarError, Result};
 pub use schema::{Field, Schema};
-pub use tuple::Tuple;
+pub use tuple::{ColumnSet, Tuple};
 pub use value::{ByteArray, DataType, Value};

@@ -27,12 +27,16 @@
 //!
 //! All integers are little-endian; lengths are `u32` (a single attribute
 //! value larger than 4 GiB is rejected rather than silently truncated).
+//!
+//! Real streams (the wire, the IPC pipe) are read through `impl Read`. A
+//! stored record is a byte slice in a page: [`decode_tuple`] reads the same
+//! tagged tuple form in place and builds only the columns its caller wants.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 
 use crate::error::{JaguarError, Result};
 use crate::schema::{Field, Schema};
-use crate::tuple::Tuple;
+use crate::tuple::{ColumnSet, Tuple};
 use crate::value::{ByteArray, DataType, Value};
 
 /// Tag byte for NULL in the tagged form (distinct from all `DataType::tag`s).
@@ -42,6 +46,28 @@ const NULL_TAG: u8 = 0;
 /// corrupt or malicious length prefix from triggering a giant allocation
 /// (one of the denial-of-service vectors the paper worries about).
 pub const MAX_DECLARED_LEN: u32 = 256 * 1024 * 1024;
+
+/// How much of a declared blob length [`read_blob`] reserves before any
+/// byte of the body has arrived.
+const BLOB_RESERVE_CAP: usize = 64 * 1024;
+
+fn check_declared_len(len: u32) -> Result<()> {
+    if len > MAX_DECLARED_LEN {
+        return Err(JaguarError::Protocol(format!(
+            "declared blob length {len} exceeds limit {MAX_DECLARED_LEN}"
+        )));
+    }
+    Ok(())
+}
+
+fn check_arity(n: u32) -> Result<()> {
+    if n > 65_535 {
+        return Err(JaguarError::Protocol(format!(
+            "implausible tuple arity {n}"
+        )));
+    }
+    Ok(())
+}
 
 // ---------------------------------------------------------------------
 // primitive helpers
@@ -124,18 +150,16 @@ pub fn write_blob(w: &mut impl Write, data: &[u8]) -> Result<()> {
 
 /// Read a length-prefixed byte slice, enforcing [`MAX_DECLARED_LEN`].
 ///
-/// The declared length is untrusted: the buffer grows incrementally as
-/// bytes actually arrive (`Read::take` + `read_to_end`), so peak memory is
-/// bounded by what the peer really sent, never by what it *claimed* it
-/// would send. A short frame is a decode error, not a hang or a panic.
+/// The declared length is untrusted: it is believed up to
+/// [`BLOB_RESERVE_CAP`] (one allocation for the usual small value), and
+/// past that the buffer grows as bytes actually arrive (`Read::take` +
+/// `read_to_end`), so peak memory is bounded by what the peer really sent,
+/// never by what it *claimed* it would send. A short frame is a decode
+/// error, not a hang or a panic.
 pub fn read_blob(r: &mut impl Read) -> Result<Vec<u8>> {
     let len = read_u32(r)?;
-    if len > MAX_DECLARED_LEN {
-        return Err(JaguarError::Protocol(format!(
-            "declared blob length {len} exceeds limit {MAX_DECLARED_LEN}"
-        )));
-    }
-    let mut buf = Vec::new();
+    check_declared_len(len)?;
+    let mut buf = Vec::with_capacity((len as usize).min(BLOB_RESERVE_CAP));
     let got = r.take(len as u64).read_to_end(&mut buf)?;
     if got as u64 != len as u64 {
         return Err(JaguarError::Protocol(format!(
@@ -260,16 +284,88 @@ pub fn write_tuple(w: &mut impl Write, t: &Tuple) -> Result<()> {
 /// Read a tuple in tagged form.
 pub fn read_tuple(r: &mut impl Read) -> Result<Tuple> {
     let n = read_u32(r)?;
-    if n > 65_535 {
-        return Err(JaguarError::Protocol(format!(
-            "implausible tuple arity {n}"
-        )));
-    }
+    check_arity(n)?;
     // The arity is untrusted even after the plausibility cap: reserve for
     // a realistic row only, and grow past that as values actually decode.
     let mut values = Vec::with_capacity(n.min(64) as usize);
     for _ in 0..n {
         values.push(read_value(r)?);
+    }
+    Ok(Tuple::new(values))
+}
+
+/// Split `n` bytes off the front of `rec`; running out fails the way a
+/// short `read_exact` does.
+fn take<'a>(rec: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if rec.len() < n {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    let (head, tail) = rec.split_at(n);
+    *rec = tail;
+    Ok(head)
+}
+
+fn take_array<const N: usize>(rec: &mut &[u8]) -> Result<[u8; N]> {
+    Ok(take(rec, N)?.try_into().expect("take returned N bytes"))
+}
+
+/// Decode a stored record — [`write_tuple`]'s form — straight from the
+/// bytes of its page, building only the columns in `cols`.
+///
+/// The result has the stored arity; a column outside `cols` reads as
+/// `Value::Null`, its `Str`/`Bytes` body bounds-checked and stepped over
+/// (not copied, not UTF-8-checked). A wanted body costs one allocation.
+/// Validation and error kinds are [`read_tuple`]'s; in addition the record
+/// must end where the tuple does.
+pub fn decode_tuple(mut rec: &[u8], cols: &ColumnSet) -> Result<Tuple> {
+    let n = u32::from_le_bytes(take_array(&mut rec)?);
+    check_arity(n)?;
+    // `n` is untrusted: reserve for a realistic row, grow as values decode.
+    let mut values = Vec::with_capacity(n.min(64) as usize);
+    for column in 0..n as usize {
+        let wanted = cols.contains(column);
+        let [tag] = take_array(&mut rec)?;
+        let value = if tag == NULL_TAG {
+            Value::Null
+        } else {
+            match DataType::from_tag(tag)? {
+                DataType::Bool => match take_array(&mut rec)? {
+                    [0] => Value::Bool(false),
+                    [1] => Value::Bool(true),
+                    [other] => {
+                        return Err(JaguarError::Protocol(format!("invalid bool byte {other}")))
+                    }
+                },
+                DataType::Int => Value::Int(i64::from_le_bytes(take_array(&mut rec)?)),
+                DataType::Float => Value::Float(f64::from_le_bytes(take_array(&mut rec)?)),
+                ty @ (DataType::Str | DataType::Bytes) => {
+                    let len = u32::from_le_bytes(take_array(&mut rec)?);
+                    check_declared_len(len)?;
+                    let got = rec.len();
+                    let body = take(&mut rec, len as usize).map_err(|_| {
+                        JaguarError::Protocol(format!(
+                            "truncated blob: declared {len} bytes, record ended after {got}"
+                        ))
+                    })?;
+                    if !wanted {
+                        Value::Null
+                    } else if ty == DataType::Bytes {
+                        Value::Bytes(ByteArray::from(body))
+                    } else {
+                        let s = std::str::from_utf8(body)
+                            .map_err(|_| JaguarError::Protocol("invalid utf-8 string".into()))?;
+                        Value::Str(s.to_owned())
+                    }
+                }
+            }
+        };
+        values.push(if wanted { value } else { Value::Null });
+    }
+    if !rec.is_empty() {
+        return Err(JaguarError::Protocol(format!(
+            "{} trailing bytes after tuple",
+            rec.len()
+        )));
     }
     Ok(Tuple::new(values))
 }
@@ -467,5 +563,129 @@ mod tests {
         let mut buf = vec![DataType::Str.tag()];
         write_blob(&mut buf, &[0xff, 0xfe]).unwrap();
         assert!(value_from_slice(&buf).is_err());
+    }
+
+    #[test]
+    fn small_blob_is_read_into_one_exact_allocation() {
+        let mut frame = Vec::new();
+        write_blob(&mut frame, &[9u8; 100]).unwrap();
+        let blob = read_blob(&mut frame.as_slice()).unwrap();
+        assert_eq!((blob.len(), blob.capacity()), (100, 100));
+    }
+
+    fn encode(t: &Tuple) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_tuple(&mut buf, t).unwrap();
+        buf
+    }
+
+    #[test]
+    fn decode_tuple_rejects_what_read_tuple_rejects() {
+        let all = ColumnSet::all();
+        let none = ColumnSet::of(1, []);
+        let record = |body: &[u8]| [&1u32.to_le_bytes()[..], body].concat();
+        let err = |rec: &[u8], cols| decode_tuple(rec, cols).unwrap_err().to_string();
+        let bad_bool = record(&[DataType::Bool.tag(), 7]);
+        let bad_tag = record(&[200]);
+        let mut huge = record(&[DataType::Bytes.tag()]);
+        huge.extend_from_slice(&(1u32 << 30).to_le_bytes());
+        let mut short = record(&[DataType::Bytes.tag()]);
+        short.extend_from_slice(&1024u32.to_le_bytes());
+        short.extend_from_slice(b"only these bytes");
+        for cols in [&all, &none] {
+            assert!(err(&bad_bool, cols).contains("invalid bool byte 7"));
+            assert!(err(&bad_tag, cols).contains("unknown type tag 200"));
+            assert!(err(&huge, cols).contains("exceeds limit"));
+            assert!(err(&short, cols).contains("truncated blob: declared 1024"));
+            assert!(err(&1_000_000u32.to_le_bytes(), cols).contains("implausible tuple arity"));
+            assert!(matches!(
+                decode_tuple(&[1, 0], cols),
+                Err(JaguarError::Io(_))
+            ));
+            let mut trailing = encode(&Tuple::new(vec![Value::Int(5)]));
+            trailing.push(0);
+            assert!(err(&trailing, cols).contains("1 trailing bytes"));
+        }
+        // A string is UTF-8-checked only if it is wanted.
+        let mut bad_str = record(&[DataType::Str.tag()]);
+        write_blob(&mut bad_str, &[0xff, 0xfe]).unwrap();
+        assert!(err(&bad_str, &all).contains("invalid utf-8"));
+        assert_eq!(
+            decode_tuple(&bad_str, &none).unwrap().values(),
+            [Value::Null]
+        );
+    }
+
+    mod decode_props {
+        use super::*;
+        use proptest::prelude::*;
+
+        fn arb_value() -> impl Strategy<Value = Value> {
+            prop_oneof![
+                Just(Value::Null),
+                any::<bool>().prop_map(Value::Bool),
+                any::<i64>().prop_map(Value::Int),
+                any::<f64>().prop_map(Value::Float),
+                ".{0,24}".prop_map(Value::Str),
+                proptest::collection::vec(any::<u8>(), 0..200)
+                    .prop_map(|v| Value::Bytes(ByteArray::new(v))),
+            ]
+        }
+
+        /// A tuple of up to eight values and a column set over it.
+        fn arb_case() -> impl Strategy<Value = (Tuple, ColumnSet)> {
+            (
+                proptest::collection::vec(arb_value(), 0..9),
+                proptest::collection::vec(any::<bool>(), 8..9),
+            )
+                .prop_map(|(values, picks)| {
+                    let wanted = (0..values.len()).filter(|&i| picks[i]);
+                    let cols = ColumnSet::of(values.len(), wanted);
+                    (Tuple::new(values), cols)
+                })
+        }
+
+        proptest! {
+            /// Pruning never changes a value it keeps: the pruned decode is
+            /// the full decode with the unwanted columns nulled, and the
+            /// full decode is `read_tuple`'s. (Compared as re-encoded
+            /// bytes: NaN is not equal to itself.)
+            #[test]
+            fn pruned_decode_is_full_decode_with_unwanted_nulled(case in arb_case()) {
+                let (tuple, cols) = case;
+                let record = encode(&tuple);
+                let full = decode_tuple(&record, &ColumnSet::all()).unwrap();
+                prop_assert_eq!(encode(&full), record.clone());
+                let streamed = read_tuple(&mut record.as_slice()).unwrap();
+                prop_assert_eq!(encode(&streamed), record.clone());
+                let nulled: Vec<Value> = (full.values().iter().enumerate())
+                    .map(|(i, v)| if cols.contains(i) { v.clone() } else { Value::Null })
+                    .collect();
+                let pruned = decode_tuple(&record, &cols).unwrap();
+                prop_assert_eq!(encode(&pruned), encode(&Tuple::new(nulled)));
+            }
+
+            /// A damaged record is an error or some other tuple — never a
+            /// panic or a read past the slice — and a record cut short is
+            /// always an error, whichever columns are wanted.
+            #[test]
+            fn damaged_records_never_panic(case in arb_case()) {
+                let (tuple, cols) = case;
+                let record = encode(&tuple);
+                for cols in [&cols, &ColumnSet::all()] {
+                    for cut in 0..record.len() {
+                        prop_assert!(decode_tuple(&record[..cut], cols).is_err());
+                    }
+                    let mut damaged = record.clone();
+                    for at in 0..record.len() {
+                        for flip in [0x01, 0x80, 0xff] {
+                            damaged[at] = record[at] ^ flip;
+                            let _ = decode_tuple(&damaged, cols);
+                        }
+                        damaged[at] = record[at];
+                    }
+                }
+            }
+        }
     }
 }

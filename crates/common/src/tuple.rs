@@ -87,6 +87,49 @@ impl Tuple {
     }
 }
 
+/// The column positions of a stored tuple that a reader wants decoded.
+///
+/// [`decode_tuple`](crate::stream::decode_tuple) keeps the stored arity and
+/// leaves `Value::Null` in every position outside the set, so bound column
+/// indices stay valid whatever the set.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ColumnSet {
+    /// `None` = every column; otherwise `mask[i]` says whether column `i`
+    /// is wanted (positions past the mask are not).
+    mask: Option<Box<[bool]>>,
+}
+
+impl ColumnSet {
+    /// Every column.
+    pub fn all() -> ColumnSet {
+        ColumnSet::default()
+    }
+
+    /// The given `columns` of a tuple of `arity` columns (positions past
+    /// `arity` are ignored). Naming every column yields [`ColumnSet::all`].
+    pub fn of(arity: usize, columns: impl IntoIterator<Item = usize>) -> ColumnSet {
+        let mut mask = vec![false; arity].into_boxed_slice();
+        for c in columns {
+            if let Some(m) = mask.get_mut(c) {
+                *m = true;
+            }
+        }
+        let mask = Some(mask).filter(|m| m.contains(&false));
+        ColumnSet { mask }
+    }
+
+    pub fn is_all(&self) -> bool {
+        self.mask.is_none()
+    }
+
+    pub fn contains(&self, column: usize) -> bool {
+        match &self.mask {
+            None => true,
+            Some(m) => m.get(column) == Some(&true),
+        }
+    }
+}
+
 impl From<Vec<Value>> for Tuple {
     fn from(values: Vec<Value>) -> Self {
         Tuple::new(values)
@@ -136,6 +179,18 @@ mod tests {
         assert!(t.project(&[5]).is_err());
         let appended = t.with_appended(Value::Bool(true));
         assert_eq!(appended.len(), 4);
+    }
+
+    #[test]
+    fn column_set_membership() {
+        let all = ColumnSet::all();
+        assert!(all.is_all() && all.contains(0) && all.contains(99));
+        let some = ColumnSet::of(4, [1, 3, 7]);
+        assert!(!some.is_all());
+        let got: Vec<bool> = (0..5).map(|i| some.contains(i)).collect();
+        assert_eq!(got, [false, true, false, true, false]);
+        assert_eq!(ColumnSet::of(2, [1, 0, 1]), all, "every column = all");
+        assert!(!ColumnSet::of(3, []).contains(0));
     }
 
     #[test]

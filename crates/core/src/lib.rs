@@ -50,7 +50,7 @@ pub use jaguar_common::error::{JaguarError, Result, VmTrap};
 pub use jaguar_common::obs;
 pub use jaguar_common::obs::MetricsSnapshot;
 pub use jaguar_common::retry;
-pub use jaguar_common::{ByteArray, DataType, Field, Schema, Tuple, Value};
+pub use jaguar_common::{ByteArray, ColumnSet, DataType, Field, Schema, Tuple, Value};
 pub use jaguar_net::{CancelHandle, Client, ClientOptions, Server};
 /// Morsel-driven parallel execution internals: the dispenser, worker
 /// teams, and `par.*` metric handles (see [`Config::dop`]).

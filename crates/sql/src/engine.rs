@@ -334,7 +334,7 @@ impl Engine {
                 // Collect matching rids first, then delete (no scan-while-
                 // mutating hazards).
                 let mut victims = Vec::new();
-                for item in dml.table.scan() {
+                for item in dml.table.scan_with(&dml.scan_cols, 1..u32::MAX) {
                     token.check()?;
                     let (rid, tuple) = item?;
                     ctx.stats.rows_scanned += 1;
@@ -375,9 +375,9 @@ impl Engine {
                 let mut ctx = ExecCtx::for_udfs(&dml.udfs, &mut handler, pool.as_ref())?;
                 ctx.attach_cancel(token);
                 ctx.set_memo(self.memo_for_statement());
-                // Materialise replacements first.
+                // Materialise replacements (whole rows: `scan_cols` is all).
                 let mut updates = Vec::new();
-                for item in dml.table.scan() {
+                for item in dml.table.scan_with(&dml.scan_cols, 1..u32::MAX) {
                     token.check()?;
                     let (rid, tuple) = item?;
                     ctx.stats.rows_scanned += 1;
@@ -641,6 +641,7 @@ impl Engine {
         par_dec: &Option<crate::parallel::ParallelDecision>,
     ) -> Option<String> {
         let mut notes = plan.notes.clone();
+        notes.extend(plan.scan_note());
         match par_dec {
             Some(dec) if dec.clamped => {
                 notes.push("parallel: dop clamped to worker-pool size".to_string());
@@ -972,7 +973,7 @@ mod tests {
         let txt = e
             .explain("SELECT id FROM r WHERE expensive(id) = TRUE AND id < 2")
             .unwrap();
-        assert!(txt.contains("SeqScan r"), "{txt}");
+        assert!(txt.contains("SeqScan r [id] (3 rows)"), "{txt}");
         assert!(txt.contains("expensive[C++]"), "{txt}");
         assert!(e.explain("DROP TABLE r").is_err());
     }
@@ -1166,7 +1167,10 @@ mod tests {
 
         // Plan uses the index …
         let txt = e.explain("SELECT v FROM big WHERE id = 123").unwrap();
-        assert!(txt.contains("IndexScan big via big_id"), "{txt}");
+        assert!(
+            txt.contains("IndexScan big [*] via big_id [123, 124)"),
+            "{txt}"
+        );
 
         // … and produces the same answers as a scan, touching fewer rows.
         let r = e.execute("SELECT v FROM big WHERE id = 123").unwrap();

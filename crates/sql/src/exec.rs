@@ -14,7 +14,8 @@ use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::schema::SchemaRef;
-use jaguar_common::{Tuple, Value};
+use jaguar_common::stream::{read_value, write_value};
+use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_pool::WorkerPool;
 use jaguar_udf::{CircuitBreaker, ScalarUdf};
@@ -902,6 +903,8 @@ pub enum Executor {
     IndexScan {
         table: std::sync::Arc<jaguar_catalog::Table>,
         rids: std::vec::IntoIter<jaguar_common::ids::RecordId>,
+        /// The columns the plan reads (`BoundSelect::scan_cols`).
+        cols: ColumnSet,
     },
     /// The planner proved no row can match.
     EmptyScan,
@@ -997,21 +1000,17 @@ impl Executor {
             }
         };
         let mut node = match &plan.access {
-            AccessPath::FullScan => prof(
-                Executor::SeqScan {
-                    scan: plan.table.scan(),
-                },
-                format!("SeqScan {}", plan.table.name()),
-            ),
-            AccessPath::IndexRange { index, lo, hi } => prof(
-                Executor::IndexScan {
-                    table: std::sync::Arc::clone(&plan.table),
-                    rids: index.btree.range(*lo, *hi)?.into_iter(),
-                },
-                format!("IndexScan {} via {}", plan.table.name(), index.name),
-            ),
-            AccessPath::Empty => prof(Executor::EmptyScan, "EmptyScan".into()),
+            AccessPath::FullScan => Executor::SeqScan {
+                scan: plan.table.scan_with(&plan.scan_cols, 1..u32::MAX),
+            },
+            AccessPath::IndexRange { index, lo, hi } => Executor::IndexScan {
+                table: std::sync::Arc::clone(&plan.table),
+                rids: index.btree.range(*lo, *hi)?.into_iter(),
+                cols: plan.scan_cols.clone(),
+            },
+            AccessPath::Empty => Executor::EmptyScan,
         };
+        node = prof(node, plan.scan_label());
         if !plan.predicates.is_empty() {
             node = prof(
                 Executor::Filter {
@@ -1126,11 +1125,11 @@ impl Executor {
                     Ok(Some(tuple))
                 }
             },
-            Executor::IndexScan { table, rids } => match rids.next() {
+            Executor::IndexScan { table, rids, cols } => match rids.next() {
                 None => Ok(None),
                 Some(rid) => {
                     ctx.stats.rows_scanned += 1;
-                    Ok(Some(table.get(rid)?))
+                    Ok(Some(table.get(rid, cols)?))
                 }
             },
             Executor::EmptyScan => Ok(None),
@@ -1398,24 +1397,8 @@ impl AccState {
                 *sum += s;
                 *n += m;
             }
-            (AccState::MinMax(_), AccState::MinMax(None)) => {}
-            (AccState::MinMax(best), AccState::MinMax(Some(val))) => {
-                let replace = match best {
-                    None => true,
-                    Some(cur) => {
-                        let ord = val.sql_cmp(cur).ok_or_else(|| {
-                            JaguarError::Execution("min/max over incomparable values".into())
-                        })?;
-                        match func {
-                            AggFunc::Min => ord == std::cmp::Ordering::Less,
-                            AggFunc::Max => ord == std::cmp::Ordering::Greater,
-                            _ => unreachable!("MinMax state"),
-                        }
-                    }
-                };
-                if replace {
-                    *best = Some(val);
-                }
+            (mine @ AccState::MinMax(_), AccState::MinMax(best)) => {
+                mine.update(func, best.as_ref())?
             }
             _ => {
                 return Err(JaguarError::Execution(
@@ -1447,16 +1430,53 @@ impl AccState {
 /// and emitted in first-seen order. Merging per-morsel partials in morsel
 /// order therefore reproduces the serial operator's output order exactly:
 /// a group's position is its first occurrence in scan order either way.
+///
+/// An input row that lands in a known group allocates nothing: its key is
+/// encoded into `key`, a buffer this struct owns, and looked up once.
 #[derive(Default)]
 pub(crate) struct GroupedAgg {
-    groups: std::collections::HashMap<Vec<u8>, (Vec<Value>, Vec<AccState>)>,
-    /// Insertion order for deterministic output.
-    order: Vec<Vec<u8>>,
+    /// Encoded group key → position in `groups`. Unused by a global
+    /// aggregation (no GROUP BY), whose one group is `groups[0]`: its key
+    /// would be an empty `Vec`, which never allocates, and comparing two
+    /// of those is a zero-length `memcmp` of dangling pointers — about
+    /// 110 ns on this host's libc (a fully masked vector load from an
+    /// unmapped page) against 2 ns for any real key, per lookup, per row.
+    index: std::collections::HashMap<Vec<u8>, usize>,
+    /// `(group values, accumulators)` per group, in first-seen order.
+    groups: Vec<(Vec<Value>, Vec<AccState>)>,
+    /// The encoded key of the row or partial group being placed.
+    key: Vec<u8>,
 }
 
 impl GroupedAgg {
     pub(crate) fn new() -> GroupedAgg {
         GroupedAgg::default()
+    }
+
+    /// Position of the group whose encoded key is in `self.key`, appended
+    /// with fresh accumulators (and the values `vals` makes of the key) if
+    /// this is its first sight.
+    fn locate(
+        &mut self,
+        plan: &AggregatePlan,
+        vals: impl FnOnce(&[u8]) -> Result<Vec<Value>>,
+    ) -> Result<usize> {
+        let global = plan.group_exprs.is_empty();
+        let known = if global {
+            (!self.groups.is_empty()).then_some(0)
+        } else {
+            self.index.get(self.key.as_slice()).copied()
+        };
+        if let Some(at) = known {
+            return Ok(at);
+        }
+        let at = self.groups.len();
+        let accs = plan.aggs.iter().map(AccState::new).collect();
+        self.groups.push((vals(&self.key)?, accs));
+        if !global {
+            self.index.insert(self.key.clone(), at);
+        }
+        Ok(at)
     }
 
     /// Fold one input tuple into its group.
@@ -1466,22 +1486,21 @@ impl GroupedAgg {
         tuple: &Tuple,
         ctx: &mut ExecCtx<'_>,
     ) -> Result<()> {
-        let mut key_vals = Vec::with_capacity(plan.group_exprs.len());
-        let mut key = Vec::new();
+        self.key.clear();
         for g in &plan.group_exprs {
-            let v = eval(g, tuple, ctx)?;
-            key.extend_from_slice(&jaguar_common::stream::value_to_vec(&v));
-            key_vals.push(v);
+            match g {
+                BExpr::Column(i) => write_value(&mut self.key, tuple.get(*i)?)?,
+                _ => write_value(&mut self.key, &eval(g, tuple, ctx)?)?,
+            }
         }
-        if !self.groups.contains_key(&key) {
-            self.order.push(key.clone());
-            self.groups.insert(
-                key.clone(),
-                (key_vals, plan.aggs.iter().map(AccState::new).collect()),
-            );
-        }
-        let entry = self.groups.get_mut(&key).expect("just inserted");
-        for (spec, acc) in plan.aggs.iter().zip(entry.1.iter_mut()) {
+        // A new group's values are read back out of its key: the group
+        // expressions (UDF calls, possibly) are evaluated once per row.
+        let at = self.locate(plan, |mut key| {
+            (plan.group_exprs.iter())
+                .map(|_| read_value(&mut key))
+                .collect()
+        })?;
+        for (spec, acc) in plan.aggs.iter().zip(self.groups[at].1.iter_mut()) {
             let v = match &spec.arg {
                 Some(e) => Some(eval(e, tuple, ctx)?),
                 None => None,
@@ -1496,20 +1515,16 @@ impl GroupedAgg {
     /// merging partials in morsel order keeps first-seen-in-scan-order
     /// output.
     pub(crate) fn merge(&mut self, plan: &AggregatePlan, other: GroupedAgg) -> Result<()> {
-        let mut other_groups = other.groups;
-        for key in other.order {
-            let (vals, accs) = other_groups.remove(&key).expect("keys from order");
-            match self.groups.get_mut(&key) {
-                Some(entry) => {
-                    for (spec, (mine, theirs)) in plan.aggs.iter().zip(entry.1.iter_mut().zip(accs))
-                    {
-                        mine.merge(spec.func, theirs)?;
-                    }
-                }
-                None => {
-                    self.order.push(key.clone());
-                    self.groups.insert(key, (vals, accs));
-                }
+        for (vals, accs) in other.groups {
+            self.key.clear();
+            for v in &vals {
+                write_value(&mut self.key, v)?;
+            }
+            let at = self.locate(plan, |_| Ok(vals))?;
+            for (spec, (mine, theirs)) in
+                (plan.aggs.iter()).zip(self.groups[at].1.iter_mut().zip(accs))
+            {
+                mine.merge(spec.func, theirs)?;
             }
         }
         Ok(())
@@ -1520,16 +1535,15 @@ impl GroupedAgg {
     /// still yields its single default row.
     pub(crate) fn finish(mut self, plan: &AggregatePlan) -> Vec<Tuple> {
         if plan.group_exprs.is_empty() && self.groups.is_empty() {
-            let accs: Vec<AccState> = plan.aggs.iter().map(AccState::new).collect();
-            return vec![Tuple::new(accs.into_iter().map(AccState::finish).collect())];
+            let accs = plan.aggs.iter().map(AccState::new).collect();
+            self.groups.push((Vec::new(), accs));
         }
-        let mut out = Vec::with_capacity(self.order.len());
-        for key in self.order {
-            let (mut vals, accs) = self.groups.remove(&key).expect("keys from order");
-            vals.extend(accs.into_iter().map(AccState::finish));
-            out.push(Tuple::new(vals));
-        }
-        out
+        (self.groups.into_iter())
+            .map(|(mut vals, accs)| {
+                vals.extend(accs.into_iter().map(AccState::finish));
+                Tuple::new(vals)
+            })
+            .collect()
     }
 }
 

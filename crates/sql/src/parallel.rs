@@ -381,7 +381,8 @@ fn drain_morsels(
         let mut out_rows = Vec::new();
         let mut agg = plan.aggregate.as_ref().map(|_| GroupedAgg::new());
         let mut batcher = batch_spec.map(|s| ProjectionBatcher::new(s, ctx.batch_size()));
-        for item in plan.table.scan_range(m.start_page, m.end_page) {
+        let pages = m.start_page..m.end_page;
+        for item in plan.table.scan_with(&plan.scan_cols, pages) {
             ctx.tick()?;
             let (_, tuple) = item?;
             ctx.stats.rows_scanned += 1;
@@ -503,7 +504,7 @@ mod tests {
         let e = engine_with_rows(4, 2000);
         let txt = e.explain("SELECT id FROM t WHERE id < 10").unwrap();
         assert!(txt.contains("Gather (dop=4)"), "{txt}");
-        assert!(txt.contains("    SeqScan t"), "{txt}");
+        assert!(txt.contains("    SeqScan t [id] (2000 rows)"), "{txt}");
         // Small table: no Gather line.
         let tiny = engine_with_rows(4, 10);
         let txt = tiny.explain("SELECT id FROM t").unwrap();

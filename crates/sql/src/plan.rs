@@ -22,7 +22,7 @@ use jaguar_catalog::{Catalog, Table};
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::schema::{Field, Schema, SchemaRef};
-use jaguar_common::{ByteArray, DataType, Value};
+use jaguar_common::{ByteArray, ColumnSet, DataType, Value};
 use jaguar_sec::{LabelDecision, LabelExpr, LabelValue, SessionContext};
 use jaguar_udf::{UdfDef, UdfImpl};
 
@@ -332,6 +332,11 @@ pub struct BoundSelect {
     pub table: Arc<Table>,
     /// Access path chosen by the optimizer.
     pub access: AccessPath,
+    /// The table columns the statement reads — predicates (the row-label
+    /// filter included), then group expressions and aggregate arguments or
+    /// the projections, UDF arguments inside any of them. The scan decodes
+    /// these and leaves NULL in every other position.
+    pub scan_cols: ColumnSet,
     /// Conjunctive predicates in execution order (cheap → expensive).
     pub predicates: Vec<BExpr>,
     /// Grouping/aggregation step, if this is an aggregate query. When
@@ -360,6 +365,35 @@ pub struct BoundSelect {
     /// Optimizer decision notes (inline verdicts, memoization, reorder,
     /// gating reasons) rendered by EXPLAIN's `-- plan notes:` trailer.
     pub notes: Vec<String>,
+}
+
+impl BoundSelect {
+    /// The scan operator as EXPLAIN and EXPLAIN ANALYZE name it, with the
+    /// columns it decodes: `SeqScan wide [grp, v]`, `IndexScan t [*] via t_id`.
+    pub(crate) fn scan_label(&self) -> String {
+        let table = self.table.name();
+        let cols = (self.decoded_columns()).map_or("*".into(), |names| names.join(", "));
+        match &self.access {
+            AccessPath::FullScan => format!("SeqScan {table} [{cols}]"),
+            AccessPath::IndexRange { index, .. } => {
+                format!("IndexScan {table} [{cols}] via {}", index.name)
+            }
+            AccessPath::Empty => "EmptyScan".into(),
+        }
+    }
+
+    /// Plan note for a scan that skips columns.
+    pub(crate) fn scan_note(&self) -> Option<String> {
+        let (some, all) = (self.decoded_columns()?.len(), self.table.schema().len());
+        Some(format!("scan decodes {some} of {all} columns"))
+    }
+
+    /// Names of the columns in `scan_cols`; `None` if that is all of them.
+    fn decoded_columns(&self) -> Option<Vec<&str>> {
+        let fields = self.table.schema().fields().iter().enumerate();
+        let wanted = fields.filter(|(i, _)| self.scan_cols.contains(*i));
+        (!self.scan_cols.is_all()).then(|| wanted.map(|(_, f)| f.name.as_str()).collect())
+    }
 }
 
 /// Bind and optimize a SELECT against the catalog, enforcing the table's
@@ -497,9 +531,11 @@ pub fn bind_select(
     let output_schema = Arc::new(Schema::new(fields)?);
     let having = bind_output_predicate(&stmt.having, &output_schema)?;
     let order_by = bind_order_by(&stmt.order_by, &output_schema)?;
+    let scan_cols = referenced_columns(&schema, predicates.iter().chain(&projections));
     Ok(BoundSelect {
         table,
         access,
+        scan_cols,
         predicates,
         aggregate: None,
         projections,
@@ -646,7 +682,6 @@ fn bind_aggregate(
     predicates: Vec<BExpr>,
     access: AccessPath,
 ) -> Result<BoundSelect> {
-    let _ = schema;
     let mut plan = AggregatePlan::default();
     for (i, g) in stmt.group_by.iter().enumerate() {
         if expr_mentions_aggregate(g) {
@@ -778,9 +813,18 @@ fn bind_aggregate(
     let output_schema = Arc::new(Schema::new(fields)?);
     let having = bind_output_predicate(&stmt.having, &output_schema)?;
     let order_by = bind_order_by(&stmt.order_by, &output_schema)?;
+    // The projections read the aggregate's output, not the table.
+    let scan_cols = referenced_columns(
+        schema,
+        predicates
+            .iter()
+            .chain(&plan.group_exprs)
+            .chain(plan.aggs.iter().filter_map(|a| a.arg.as_ref())),
+    );
     Ok(BoundSelect {
         table,
         access,
+        scan_cols,
         predicates,
         aggregate: Some(plan),
         projections,
@@ -821,44 +865,55 @@ fn order_conjuncts(ranked: Vec<(u32, usize, bool, BExpr)>) -> Vec<BExpr> {
     grouped.into_iter().map(|(_, _, _, e)| e).collect()
 }
 
-/// Does this expression call a `Volatile` UDF anywhere (including inside
-/// UDF arguments)? Such predicates are exempt from reordering, result
-/// memoization, and batching alike.
-pub(crate) fn expr_has_pinned_udf(e: &BExpr, udfs: &[PlannedUdf]) -> bool {
-    match e {
-        BExpr::Column(_) | BExpr::Literal(_) => false,
-        BExpr::Cmp(_, l, r)
-        | BExpr::And(l, r)
-        | BExpr::Or(l, r)
-        | BExpr::Arith { lhs: l, rhs: r, .. } => {
-            expr_has_pinned_udf(l, udfs) || expr_has_pinned_udf(r, udfs)
-        }
-        BExpr::Not(i) | BExpr::Neg(i) => expr_has_pinned_udf(i, udfs),
-        BExpr::Udf { udf, args } => {
-            udfs[*udf].def.volatility.pinned() || args.iter().any(|a| expr_has_pinned_udf(a, udfs))
-        }
-    }
-}
-
-/// Collect the plan-table indices of every UDF called in `e`.
-pub(crate) fn expr_udfs(e: &BExpr, out: &mut Vec<usize>) {
+/// Visit `e` and every expression under it, UDF arguments included.
+fn walk(e: &BExpr, visit: &mut impl FnMut(&BExpr)) {
+    visit(e);
     match e {
         BExpr::Column(_) | BExpr::Literal(_) => {}
         BExpr::Cmp(_, l, r)
         | BExpr::And(l, r)
         | BExpr::Or(l, r)
         | BExpr::Arith { lhs: l, rhs: r, .. } => {
-            expr_udfs(l, out);
-            expr_udfs(r, out);
+            walk(l, visit);
+            walk(r, visit);
         }
-        BExpr::Not(i) | BExpr::Neg(i) => expr_udfs(i, out),
-        BExpr::Udf { udf, args } => {
-            out.push(*udf);
-            for a in args {
-                expr_udfs(a, out);
-            }
-        }
+        BExpr::Not(i) | BExpr::Neg(i) => walk(i, visit),
+        BExpr::Udf { args, .. } => args.iter().for_each(|a| walk(a, visit)),
     }
+}
+
+/// Does this expression call a `Volatile` UDF anywhere (including inside
+/// UDF arguments)? Such predicates are exempt from reordering, result
+/// memoization, and batching alike.
+pub(crate) fn expr_has_pinned_udf(e: &BExpr, udfs: &[PlannedUdf]) -> bool {
+    let mut called = Vec::new();
+    expr_udfs(e, &mut called);
+    called.iter().any(|&u| udfs[u].def.volatility.pinned())
+}
+
+/// Collect the plan-table indices of every UDF called in `e`.
+pub(crate) fn expr_udfs(e: &BExpr, out: &mut Vec<usize>) {
+    walk(e, &mut |e| {
+        if let BExpr::Udf { udf, .. } = e {
+            out.push(*udf);
+        }
+    });
+}
+
+/// The columns of `schema` that expressions bound over it read.
+fn referenced_columns<'a>(
+    schema: &Schema,
+    exprs: impl IntoIterator<Item = &'a BExpr>,
+) -> ColumnSet {
+    let mut cols = Vec::new();
+    for e in exprs {
+        walk(e, &mut |e| {
+            if let BExpr::Column(i) = e {
+                cols.push(*i);
+            }
+        });
+    }
+    ColumnSet::of(schema.len(), cols)
 }
 
 struct Binder<'a> {
@@ -1130,6 +1185,11 @@ fn choose_access_path(table: &Table, predicates: &[BExpr]) -> AccessPath {
 /// A bound DML predicate + assignments (DELETE/UPDATE).
 pub struct BoundDml {
     pub table: Arc<Table>,
+    /// The columns the statement's scan decodes: what the predicates read
+    /// for DELETE, every column for UPDATE — the row it inserts is the
+    /// scanned tuple with the assigned positions replaced, and a NULL
+    /// placeholder must never be written back as data.
+    pub scan_cols: ColumnSet,
     /// Conjunctive predicates, cost-ordered as in SELECT.
     pub predicates: Vec<BExpr>,
     /// For UPDATE: (column index, value expression) pairs.
@@ -1205,8 +1265,14 @@ pub fn bind_dml(
         }
         bound_assignments.push((idx, bound));
     }
+    let scan_cols = if bound_assignments.is_empty() {
+        referenced_columns(&schema, &predicates)
+    } else {
+        ColumnSet::all()
+    };
     Ok(BoundDml {
         table,
+        scan_cols,
         predicates,
         assignments: bound_assignments,
         udfs: binder.udfs,
@@ -1279,29 +1345,15 @@ fn explain_inner(plan: &BoundSelect, gather_dop: Option<usize>) -> String {
         }
         let _ = writeln!(out, "{frag}Filter[{i}]{tag} {}", describe(p, plan));
     }
-    match &plan.access {
-        AccessPath::FullScan => {
-            let _ = writeln!(
-                out,
-                "{frag}SeqScan {} ({} rows)",
-                plan.table.name(),
-                plan.table.row_count()
-            );
+    let scan = plan.scan_label();
+    let _ = match &plan.access {
+        AccessPath::FullScan => writeln!(out, "{frag}{scan} ({} rows)", plan.table.row_count()),
+        AccessPath::IndexRange { lo, hi, .. } => {
+            let hi = hi.map_or_else(|| "∞".into(), |h| h.to_string());
+            writeln!(out, "{frag}{scan} [{lo}, {hi})")
         }
-        AccessPath::IndexRange { index, lo, hi } => {
-            let _ = writeln!(
-                out,
-                "{frag}IndexScan {} via {} [{}, {})",
-                plan.table.name(),
-                index.name,
-                lo,
-                hi.map(|h| h.to_string()).unwrap_or_else(|| "∞".into())
-            );
-        }
-        AccessPath::Empty => {
-            let _ = writeln!(out, "{frag}EmptyScan (predicate unsatisfiable)");
-        }
-    }
+        AccessPath::Empty => writeln!(out, "{frag}{scan} (predicate unsatisfiable)"),
+    };
     out
 }
 

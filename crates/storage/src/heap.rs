@@ -14,10 +14,19 @@
 //! The scan iterator visits record pages in file order and resolves stubs
 //! transparently, so the executor above sees a stream of full records.
 //!
-//! **Latching.** Readers (`get`, the scan, overflow-chain reads) take a
-//! page's *shared* latch through [`PageHandle::read`](crate::buffer::PageHandle::read)
+//! **Decoding.** This module does not know what a record holds. A reader
+//! (`get_with`, the scan) supplies a *decode function* over `&[u8]`; an
+//! inline record is handed to it in place, inside its page, and only what
+//! the function returns leaves the page. A spilled record has no single
+//! page to be read from: its chain is gathered first and the same function
+//! runs over the gathered bytes.
+//!
+//! **Latching.** Readers (`get_with`, the scan, overflow-chain reads) take
+//! a page's *shared* latch through [`PageHandle::read`](crate::buffer::PageHandle::read)
 //! and leave it clean; only `insert`, `delete` and page allocation take the
-//! exclusive latch, which is what marks a page dirty and unlogged.
+//! exclusive latch, which is what marks a page dirty and unlogged. A decode
+//! function therefore runs under a shared latch and must not re-enter the
+//! heap file.
 
 use std::sync::Arc;
 
@@ -38,18 +47,18 @@ const KIND_SPILLED: u8 = 1;
 /// Size of a spilled-record stub: kind + total_len (u32) + first page (u32).
 const STUB_LEN: usize = 9;
 
-/// A record as copied out of its slot under the page latch: the payload
-/// itself, or where its overflow chain starts (read after the latch is
-/// released).
-enum Fetched {
-    Inline(Vec<u8>),
+/// What leaves a slot under the page latch: the decoded inline record, or
+/// where a spilled record's overflow chain starts (read, then decoded,
+/// after the latch is released).
+enum Fetched<T> {
+    Inline(T),
     Spilled { first: PageId, total: usize },
 }
 
-impl Fetched {
-    fn from_framed(framed: &[u8]) -> Result<Fetched> {
+impl<T> Fetched<T> {
+    fn from_framed(framed: &[u8], decode: impl FnOnce(&[u8]) -> Result<T>) -> Result<Fetched<T>> {
         match framed.first() {
-            Some(&KIND_INLINE) => Ok(Fetched::Inline(framed[1..].to_vec())),
+            Some(&KIND_INLINE) => Ok(Fetched::Inline(decode(&framed[1..])?)),
             Some(&KIND_SPILLED) if framed.len() == STUB_LEN => Ok(Fetched::Spilled {
                 total: u32::from_le_bytes(framed[1..5].try_into().expect("4")) as usize,
                 first: PageId(u32::from_le_bytes(framed[5..9].try_into().expect("4"))),
@@ -303,21 +312,35 @@ impl HeapFile {
         Ok(out)
     }
 
-    fn resolve(&self, fetched: Fetched) -> Result<Vec<u8>> {
+    fn resolve<T>(
+        &self,
+        fetched: Fetched<T>,
+        decode: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<T> {
         match fetched {
-            Fetched::Inline(record) => Ok(record),
-            Fetched::Spilled { first, total } => self.read_overflow_chain(first, total),
+            Fetched::Inline(item) => Ok(item),
+            Fetched::Spilled { first, total } => decode(&self.read_overflow_chain(first, total)?),
         }
     }
 
-    /// Fetch a record by id (resolving overflow chains).
-    pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
+    /// Fetch a record by id (resolving overflow chains) and return what
+    /// `decode` makes of its bytes.
+    pub fn get_with<T>(
+        &self,
+        rid: RecordId,
+        mut decode: impl FnMut(&[u8]) -> Result<T>,
+    ) -> Result<T> {
         let fetched = {
             let handle = self.pool.fetch(rid.page)?;
             let buf = handle.read();
-            Fetched::from_framed(SlottedRef::open(&buf)?.get(rid.slot)?)?
+            Fetched::from_framed(SlottedRef::open(&buf)?.get(rid.slot)?, &mut decode)?
         };
-        self.resolve(fetched)
+        self.resolve(fetched, decode)
+    }
+
+    /// Fetch a copy of a record by id.
+    pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
+        self.get_with(rid, |record| Ok(record.to_vec()))
     }
 
     /// Delete a record, releasing any overflow pages to the free list.
@@ -331,7 +354,7 @@ impl HeapFile {
             if !sp.is_live(rid.slot) {
                 return Ok(None);
             }
-            let fetched = Fetched::from_framed(sp.get(rid.slot)?)?;
+            let fetched = Fetched::from_framed(sp.get(rid.slot)?, |r| Ok(r.to_vec()))?;
             sp.delete(rid.slot)?;
             fetched
         };
@@ -339,7 +362,7 @@ impl HeapFile {
             Fetched::Spilled { first, .. } => first,
             Fetched::Inline(_) => PageId::INVALID,
         };
-        let record = self.resolve(fetched)?;
+        let record = self.resolve(fetched, |r| Ok(r.to_vec()))?;
         while page.is_valid() {
             let next = {
                 let handle = self.pool.fetch(page)?;
@@ -358,51 +381,59 @@ impl HeapFile {
         self.pool.disk().page_count()
     }
 
-    /// Iterate over every live record in file order.
-    pub fn scan(self: &Arc<Self>) -> HeapScan {
-        self.scan_range(1, u32::MAX)
+    /// Iterate over a copy of every live record in file order.
+    pub fn scan(self: &Arc<Self>) -> impl Iterator<Item = Result<(RecordId, Vec<u8>)>> {
+        self.scan_range(1, u32::MAX, |record| Ok(record.to_vec()))
     }
 
-    /// Iterate over live records whose slotted page lies in `[start, end)` —
-    /// the morsel form of [`HeapFile::scan`]. `start` is floored at page 1
-    /// (page 0 is the file header); `end` is additionally bounded by the
-    /// file's live page count at each step, so `u32::MAX` means "to the end
-    /// of the file". Disjoint ranges partition the scan: every record is
-    /// seen by exactly one range.
-    pub fn scan_range(self: &Arc<Self>, start: u32, end: u32) -> HeapScan {
+    /// Iterate over what `decode` makes of each live record whose slotted
+    /// page lies in `[start, end)` — a morsel of the file, or all of it.
+    /// `start` is floored at page 1 (page 0 is the file header); `end` is
+    /// additionally bounded by the file's live page count at each step, so
+    /// `u32::MAX` means "to the end of the file". Disjoint ranges partition
+    /// the scan: every record is seen by exactly one range.
+    pub fn scan_range<T, F>(self: &Arc<Self>, start: u32, end: u32, decode: F) -> HeapScan<T, F>
+    where
+        F: FnMut(&[u8]) -> Result<T>,
+    {
         HeapScan {
             heap: Arc::clone(self),
             page: PageId(start.max(1)), // page 0 is the file header
             end,
+            decode,
             buffered: Vec::new().into_iter(),
             done: false,
         }
     }
 }
 
-/// Forward iterator over all records of a [`HeapFile`].
+/// Forward iterator over the records of a [`HeapFile`], each as decoded by
+/// the function the scan was built with.
 ///
 /// The scan works a page at a time: it pins and share-latches a page once,
-/// copies every live record out, releases the page, and only then yields
-/// the copies (spilled records are resolved as they are yielded). No latch
-/// or pin is held across `next()`, so whatever runs between two calls — a
-/// predicate, a UDF callback — may re-enter the engine. The records of one
-/// page are therefore a *page-consistent snapshot*: a record deleted after
-/// its page was buffered is still yielded, one inserted onto that page
-/// afterwards is not, and a spilled record deleted in between fails to
-/// resolve.
-pub struct HeapScan {
+/// runs the decode function over every live inline record where it lies,
+/// releases the page, and only then yields the decoded items (a spilled
+/// record is gathered from its chain and decoded as it is yielded). No
+/// record is copied out whole, and no latch or pin is held across `next()`,
+/// so whatever runs between two calls — a predicate, a UDF callback — may
+/// re-enter the engine. The records of one page are therefore a
+/// *page-consistent snapshot*: a record deleted after its page was buffered
+/// is still yielded, one inserted onto that page afterwards is not, and a
+/// spilled record deleted in between fails to resolve. A record the decode
+/// function rejects fails its whole page, and that error ends the scan.
+pub struct HeapScan<T, F> {
     heap: Arc<HeapFile>,
     /// Next page to buffer.
     page: PageId,
     /// First page (exclusive bound) the scan will not visit.
     end: u32,
-    /// Records of the page buffered last that are still to be yielded.
-    buffered: std::vec::IntoIter<(RecordId, Fetched)>,
+    decode: F,
+    /// Items of the page buffered last that are still to be yielded.
+    buffered: std::vec::IntoIter<(RecordId, Fetched<T>)>,
     done: bool,
 }
 
-impl HeapScan {
+impl<T, F: FnMut(&[u8]) -> Result<T>> HeapScan<T, F> {
     /// Buffer the live records of the next page; `false` at the end.
     fn buffer_next_page(&mut self) -> Result<bool> {
         let page = self.page;
@@ -418,19 +449,19 @@ impl HeapScan {
             return Ok(true);
         }
         let sp = SlottedRef::open(&buf)?;
-        let mut records = Vec::with_capacity(sp.slot_count() as usize);
+        let mut items = Vec::with_capacity(sp.slot_count() as usize);
         for slot in (0..sp.slot_count()).filter(|&s| sp.is_live(s)) {
-            let fetched = Fetched::from_framed(sp.get(slot)?)?;
-            records.push((RecordId::new(page, slot), fetched));
+            let fetched = Fetched::from_framed(sp.get(slot)?, &mut self.decode)?;
+            items.push((RecordId::new(page, slot), fetched));
         }
-        self.buffered = records.into_iter();
+        self.buffered = items.into_iter();
         Ok(true)
     }
 
-    fn next_record(&mut self) -> Result<Option<(RecordId, Vec<u8>)>> {
+    fn next_record(&mut self) -> Result<Option<(RecordId, T)>> {
         while !self.done {
             if let Some((rid, fetched)) = self.buffered.next() {
-                return Ok(Some((rid, self.heap.resolve(fetched)?)));
+                return Ok(Some((rid, self.heap.resolve(fetched, &mut self.decode)?)));
             }
             self.done = !self.buffer_next_page()?;
         }
@@ -438,8 +469,8 @@ impl HeapScan {
     }
 }
 
-impl Iterator for HeapScan {
-    type Item = Result<(RecordId, Vec<u8>)>;
+impl<T, F: FnMut(&[u8]) -> Result<T>> Iterator for HeapScan<T, F> {
+    type Item = Result<(RecordId, T)>;
 
     fn next(&mut self) -> Option<Self::Item> {
         match self.next_record() {
@@ -535,14 +566,14 @@ mod tests {
         while start < pages {
             let end = (start + 3).min(pages);
             pieced.extend(
-                h.scan_range(start, end)
+                h.scan_range(start, end, |r| Ok(r.to_vec()))
                     .collect::<Result<Vec<_>>>()
                     .unwrap(),
             );
             start = end;
         }
         assert_eq!(pieced, full, "disjoint ranges partition the scan");
-        assert!(h.scan_range(pages, u32::MAX).next().is_none());
+        assert!(h.scan_range(pages, u32::MAX, |_| Ok(())).next().is_none());
     }
 
     #[test]
@@ -575,6 +606,40 @@ mod tests {
         assert_eq!(rest, vec![b, c]);
         let fresh: Vec<_> = h.scan().map(|r| r.unwrap().1).collect();
         assert_eq!(fresh, vec![b"a".to_vec(), b"b".to_vec(), b"d".to_vec()]);
+    }
+
+    /// The decode function sees each record once, in place (inline) or
+    /// gathered (spilled); a record it rejects is the scan's error and its
+    /// end.
+    #[test]
+    fn scan_decodes_each_record_once_and_a_rejected_one_ends_it() {
+        let h = heap(512, 64);
+        let big = vec![3u8; 2000];
+        for rec in [&b"one"[..], b"two", &big] {
+            h.insert(rec).unwrap();
+        }
+        let mut calls = 0;
+        let lens = |calls: &mut u32| -> Vec<std::result::Result<usize, String>> {
+            h.scan_range(1, u32::MAX, |r| {
+                *calls += 1;
+                if r == b"bad" {
+                    return Err(JaguarError::Corruption("rejected".into()));
+                }
+                Ok(r.len())
+            })
+            .map(|item| item.map(|(_, len)| len).map_err(|e| e.to_string()))
+            .collect()
+        };
+        assert_eq!(lens(&mut calls), vec![Ok(3), Ok(3), Ok(2000)]);
+        assert_eq!(calls, 3, "one decode per record");
+        h.insert(b"bad").unwrap();
+        h.insert(b"never reached").unwrap();
+        assert_eq!(lens(&mut calls), vec![Err("corruption: rejected".into())]);
+        // `get_with` decodes the same way, by record id.
+        let rid = h.insert(b"by id").unwrap();
+        assert_eq!(h.get_with(rid, |r| Ok(r.len())).unwrap(), 5);
+        let no = |_: &[u8]| Err::<(), _>(JaguarError::Corruption("no".into()));
+        assert!(h.get_with(rid, no).is_err());
     }
 
     struct NoopHook;

@@ -154,5 +154,5 @@ fn explain_over_the_wire() {
     let server = db.serve("127.0.0.1:0").unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     let plan = client.explain("SELECT id FROM items WHERE id < 2").unwrap();
-    assert!(plan.contains("SeqScan items"), "{plan}");
+    assert!(plan.contains("SeqScan items [id]"), "{plan}");
 }

@@ -47,7 +47,13 @@ fn explain_analyze_row_counts_match_cardinality() {
             .find(|l| l.contains(op) && l.contains("rows="))
             .unwrap_or_else(|| panic!("no profiled {op} in:\n{text}"))
     };
-    assert!(profiled("SeqScan").contains("rows=10"), "{text}");
+    assert!(profiled("SeqScan t [id]").contains("rows=10"), "{text}");
+    // The static plan names the decoded columns too, and says how many.
+    assert!(text.contains("SeqScan t [id] (10 rows)"), "{text}");
+    assert!(
+        text.contains("-- plan notes: scan decodes 1 of 2 columns"),
+        "{text}"
+    );
     assert!(
         profiled("Filter").contains(&format!("rows={expected}")),
         "{text}"
@@ -71,7 +77,11 @@ fn explain_without_analyze_does_not_execute() {
     let db = db_with_rows(3);
     let r = db.execute("EXPLAIN SELECT id FROM t").unwrap();
     let text = string_rows(&r).join("\n");
-    assert!(text.contains("SeqScan t"), "{text}");
+    assert!(text.contains("SeqScan t [id] (3 rows)"), "{text}");
+    let all = db.execute("EXPLAIN SELECT * FROM t").unwrap();
+    let all = string_rows(&all).join("\n");
+    assert!(all.contains("SeqScan t [*] (3 rows)"), "{all}");
+    assert!(!all.contains("scan decodes"), "nothing skipped: {all}");
     // Plain EXPLAIN never runs the query, so no observed row counts.
     assert!(!text.contains("rows="), "{text}");
 }

@@ -364,17 +364,31 @@ fn explain_statement_carries_plan_notes() {
         "EXPLAIN must carry the notes trailer: {joined}"
     );
     assert!(joined.contains("inline noted"), "{joined}");
-    // UDF-free plans stay trailer-free (dop=1 so no parallel note either).
+    // UDF-free plans that read every column stay trailer-free (dop=1 so
+    // no parallel note either); reading fewer is the one thing noted.
     let db = db_with_rows(Config::default().with_dop(1), 20);
-    let r = db.execute("EXPLAIN SELECT a FROM t WHERE a < 3").unwrap();
-    let plain: Vec<String> = r
-        .rows
-        .iter()
-        .map(|t| t.get(0).unwrap().as_str().unwrap().to_string())
-        .collect();
-    assert!(
-        !plain.join("\n").contains("plan notes"),
-        "no notes expected: {plain:?}"
+    let plain = |sql: &str| -> Vec<String> {
+        let r = db.execute(sql).unwrap();
+        (r.rows.iter())
+            .map(|t| t.get(0).unwrap().as_str().unwrap().to_string())
+            .collect()
+    };
+    assert_eq!(
+        plain("EXPLAIN SELECT a, b FROM t WHERE a < 3"),
+        [
+            "Project 2 column(s)",
+            "  Filter[0] (a < 3)",
+            "  SeqScan t [*] (20 rows)"
+        ]
+    );
+    assert_eq!(
+        plain("EXPLAIN SELECT a FROM t WHERE a < 3"),
+        [
+            "Project 1 column(s)",
+            "  Filter[0] (a < 3)",
+            "  SeqScan t [a] (20 rows)",
+            "-- plan notes: scan decodes 1 of 2 columns"
+        ]
     );
 }
 

@@ -86,7 +86,8 @@ fn explain_renders_gather_only_when_parallel() {
     let par = db_with_rows(Config::default().with_dop(4), 1500);
     let txt = par.explain("SELECT id FROM rel WHERE id < 100").unwrap();
     assert!(txt.contains("Gather (dop=4)"), "{txt}");
-    assert!(txt.contains("SeqScan rel"), "{txt}");
+    assert!(txt.contains("    SeqScan rel [id] (1500 rows)"), "{txt}");
+    assert!(txt.contains("scan decodes 1 of 3 columns"), "{txt}");
 
     // dop=1 and tiny tables stay serial.
     let serial = db_with_rows(Config::default().with_dop(1), 1500);
