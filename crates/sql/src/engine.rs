@@ -571,10 +571,13 @@ impl Engine {
             let after = tier_counters();
             if after.iter().zip(&before).any(|(a, b)| a > b) {
                 lines.push(format!(
-                    "VM tier: promotions={} compiled_calls={} interp_fallbacks={}",
+                    "VM tier: promotions={} compiled_calls={} loop_strips={} \
+                     loop_fallbacks={} interp_fallbacks={}",
                     after[0] - before[0],
                     after[1] - before[1],
                     after[2] - before[2],
+                    after[3] - before[3],
+                    after[4] - before[4],
                 ));
             }
         }
@@ -721,15 +724,17 @@ pub(crate) fn matches_all(
     Ok(true)
 }
 
-/// The `vm.tier.*` counters as `[promotions, compiled_hits, fallbacks]`.
-/// The counters are process-global, so a delta taken around a statement
-/// approximates that statement's tier activity (exact when no concurrent
-/// statement drives JagScript UDFs).
-fn tier_counters() -> [u64; 3] {
+/// The `vm.tier.*` counters as `[promotions, compiled_hits, loop_strips,
+/// loop_fallbacks, fallbacks]`. The counters are process-global, so a
+/// delta taken around a statement approximates that statement's tier
+/// activity (exact when no concurrent statement drives JagScript UDFs).
+fn tier_counters() -> [u64; 5] {
     let snap = obs::global().snapshot();
     [
         snap.counter("vm.tier.promotions"),
         snap.counter("vm.tier.compiled_hits"),
+        snap.counter("vm.tier.loop_strips"),
+        snap.counter("vm.tier.loop_fallbacks"),
         snap.counter("vm.tier.fallbacks"),
     ]
 }

@@ -195,10 +195,11 @@ impl ScalarUdf for VmUdf {
 
     /// The vectorized entry point: enter the interpreter once per row but
     /// amortize everything around it across the batch — the function is
-    /// resolved once, and one arena is reset per row instead of being
-    /// reallocated. Results, error text, and per-row resource accounting
-    /// are identical to the per-tuple path; the interpreter's cancel poll
-    /// keeps its per-`CANCEL_CHECK_INTERVAL` cadence inside every row.
+    /// resolved once, and one arena (byte buffers and register stack kept
+    /// across `reset`) and one argument vector serve every row. Results,
+    /// error text, and per-row resource accounting are identical to the
+    /// per-tuple path; the interpreter's cancel poll keeps its
+    /// per-`CANCEL_CHECK_INTERVAL` cadence inside every row.
     fn invoke_batch(
         &mut self,
         batch: &ValueBatch,
@@ -211,12 +212,13 @@ impl ScalarUdf for VmUdf {
         let mut arena = Arena::new(self.interp.limits().memory);
         let mut out = Vec::with_capacity(batch.len());
         let mut args = Vec::with_capacity(batch.arity());
+        let mut vm_args = Vec::with_capacity(batch.arity());
         for i in 0..batch.len() {
             batch.read_row(i, &mut args);
             arena.reset();
+            vm_args.clear();
             let one = (|| -> Result<Value> {
                 self.signature.check_args(&self.name, &args)?;
-                let mut vm_args = Vec::with_capacity(args.len());
                 for a in &args {
                     vm_args.push(value_to_vm(a, &mut arena)?);
                 }
@@ -224,7 +226,7 @@ impl ScalarUdf for VmUdf {
                 let (ret, usage) = self.interp.invoke_resolved(
                     fidx,
                     &self.function,
-                    vm_args,
+                    &vm_args,
                     &mut arena,
                     &mut host,
                 )?;

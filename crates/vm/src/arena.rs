@@ -23,16 +23,20 @@ pub struct BytesRef(pub(crate) u32);
 #[derive(Debug, Default)]
 pub struct Arena {
     objects: Vec<Vec<u8>>,
+    /// Buffers of earlier invocations, kept for the next ones to reuse.
+    spare: Vec<Vec<u8>>,
     allocated: usize,
     limit: Option<usize>,
+    /// The compiled tier's register stack, parked here between
+    /// invocations for the same reason.
+    pub(crate) regs: Vec<u64>,
 }
 
 impl Arena {
     pub fn new(limit: Option<usize>) -> Arena {
         Arena {
-            objects: Vec::new(),
-            allocated: 0,
             limit,
+            ..Arena::default()
         }
     }
 
@@ -41,12 +45,12 @@ impl Arena {
         self.allocated
     }
 
-    /// Reclaim everything, keeping the limit (and the object vector's
-    /// capacity) for the next invocation. Batched execution resets one
-    /// arena per row instead of constructing a fresh one, so the
-    /// accounting stays per-invocation while the allocation is amortized.
+    /// Reclaim everything, keeping the limit and every buffer's capacity
+    /// for the next invocation. Batched execution resets one arena per row
+    /// instead of constructing a fresh one, so the accounting stays
+    /// per-invocation while the allocations are amortized.
     pub fn reset(&mut self) {
-        self.objects.clear();
+        self.spare.append(&mut self.objects);
         self.allocated = 0;
     }
 
@@ -58,16 +62,22 @@ impl Arena {
     /// Allocate a zeroed array. Fails (containably) if the invocation's
     /// memory budget would be exceeded.
     pub fn alloc_zeroed(&mut self, len: usize) -> Result<BytesRef> {
-        self.charge(len)?;
-        self.objects.push(vec![0u8; len]);
-        Ok(BytesRef((self.objects.len() - 1) as u32))
+        self.alloc_with(len, |buf| buf.resize(len, 0))
     }
 
     /// Allocate an array initialised from `data` (argument marshalling —
     /// this copy is the "mapping large bytearrays to Java" cost of Fig. 5).
     pub fn alloc_from(&mut self, data: &[u8]) -> Result<BytesRef> {
-        self.charge(data.len())?;
-        self.objects.push(data.to_vec());
+        self.alloc_with(data.len(), |buf| buf.extend_from_slice(data))
+    }
+
+    /// Charge `len` bytes, then fill the next buffer (a kept one if any).
+    fn alloc_with(&mut self, len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Result<BytesRef> {
+        self.charge(len)?;
+        let mut buf = self.spare.pop().unwrap_or_default();
+        buf.clear();
+        fill(&mut buf);
+        self.objects.push(buf);
         Ok(BytesRef((self.objects.len() - 1) as u32))
     }
 
@@ -109,7 +119,7 @@ impl Arena {
     /// Write one byte, **bounds-checked**.
     #[inline]
     pub fn store(&mut self, r: BytesRef, index: i64, value: u8) -> Result<()> {
-        let obj = self.get_mut(r)?;
+        let obj = self.bytes_mut(r)?;
         if index < 0 || index as usize >= obj.len() {
             let len = obj.len();
             return Err(JaguarError::VmTrap(VmTrap::Bounds { index, len }));
@@ -128,9 +138,12 @@ impl Arena {
             )))
     }
 
-    fn get_mut(&mut self, r: BytesRef) -> Result<&mut Vec<u8>> {
+    /// Borrow the whole array mutably (the compiled tier's per-strip
+    /// resolution of a loop's array).
+    pub(crate) fn bytes_mut(&mut self, r: BytesRef) -> Result<&mut [u8]> {
         self.objects
             .get_mut(r.0 as usize)
+            .map(|v| v.as_mut_slice())
             .ok_or(JaguarError::VmTrap(VmTrap::Type(
                 "dangling bytes reference",
             )))

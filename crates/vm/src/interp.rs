@@ -29,7 +29,7 @@ use crate::arena::{Arena, BytesRef};
 use crate::isa::{Insn, VType};
 use crate::module::VerifiedModule;
 use crate::resources::{ResourceLimits, ResourceUsage};
-use crate::security::{Permission, PermissionSet};
+use crate::security::PermissionSet;
 use crate::tier::{self, ModulePlan};
 
 /// A runtime value on the operand stack or in a local slot.
@@ -151,11 +151,11 @@ pub(crate) enum CmpKind {
 /// sequential-advance amount.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FusedOp {
-    /// A single ordinary instruction.
+    /// A single ordinary instruction. The instructions a fused step
+    /// covers keep their own entries behind it: control only reaches them
+    /// when the step is run unfused (the fuser refuses to fuse across jump
+    /// targets).
     Std(Insn),
-    /// Interior of a fused region; unreachable (the fuser refuses to fuse
-    /// across jump targets), kept as a defensive trap.
-    Interior,
     /// `Load s; ConstI k; AddI|SubI; Store s` → `s += delta`.
     IncLocal { slot: u16, delta: i64, len: u8 },
     /// `Load a; Load b; LtI|LeI|EqI; JmpIfNot t`.
@@ -223,9 +223,6 @@ pub(crate) fn fuse(code: &[Insn]) -> Vec<FusedOp> {
                         idx,
                         len: 6,
                     };
-                    for slot in out.iter_mut().take(i + 6).skip(i + 1) {
-                        *slot = FusedOp::Interior;
-                    }
                     i += 6;
                     continue;
                 }
@@ -247,9 +244,6 @@ pub(crate) fn fuse(code: &[Insn]) -> Vec<FusedOp> {
             ) {
                 if acc == acc2 {
                     out[i] = FusedOp::MulConstAddLocal { acc, k, b, len: 6 };
-                    for slot in out.iter_mut().take(i + 6).skip(i + 1) {
-                        *slot = FusedOp::Interior;
-                    }
                     i += 6;
                     continue;
                 }
@@ -273,9 +267,6 @@ pub(crate) fn fuse(code: &[Insn]) -> Vec<FusedOp> {
                         target: t,
                         len: 4,
                     };
-                    for slot in out.iter_mut().take(i + 4).skip(i + 1) {
-                        *slot = FusedOp::Interior;
-                    }
                     i += 4;
                     continue;
                 }
@@ -294,9 +285,6 @@ pub(crate) fn fuse(code: &[Insn]) -> Vec<FusedOp> {
                         delta,
                         len: 4,
                     };
-                    for slot in out.iter_mut().take(i + 4).skip(i + 1) {
-                        *slot = FusedOp::Interior;
-                    }
                     i += 4;
                     continue;
                 }
@@ -430,7 +418,7 @@ impl Interpreter {
     pub fn invoke_with_arena(
         &self,
         func: &str,
-        args: Vec<VmValue>,
+        args: impl AsRef<[VmValue]>,
         arena: &mut Arena,
         host: &mut dyn HostEnv,
     ) -> Result<(Option<VmValue>, ResourceUsage)> {
@@ -440,14 +428,16 @@ impl Interpreter {
 
     /// Invoke an already-resolved function index. `func` is only used for
     /// error messages, which must stay identical to the per-tuple path's.
+    /// `args` is only read: a batch passes one reused slice per row.
     pub fn invoke_resolved(
         &self,
         fidx: u32,
         func: &str,
-        args: Vec<VmValue>,
+        args: impl AsRef<[VmValue]>,
         arena: &mut Arena,
         host: &mut dyn HostEnv,
     ) -> Result<(Option<VmValue>, ResourceUsage)> {
+        let args = args.as_ref();
         let f = &self.module.functions()[fidx as usize];
         if args.len() != f.sig.params.len() {
             return Err(JaguarError::Udf(format!(
@@ -492,7 +482,7 @@ impl Interpreter {
     fn run(
         &self,
         entry: u32,
-        args: Vec<VmValue>,
+        args: &[VmValue],
         arena: &mut Arena,
         host: &mut dyn HostEnv,
     ) -> Result<(Option<VmValue>, ResourceUsage)> {
@@ -552,13 +542,13 @@ impl Interpreter {
         let mut cancel_left = CANCEL_CHECK_INTERVAL;
 
         let make_locals = |fidx: u32,
-                           args: Vec<VmValue>,
+                           args: &[VmValue],
                            arena: &mut Arena,
                            dl: &mut dyn FnMut(VType, &mut Arena) -> Result<VmValue>|
          -> Result<Vec<VmValue>> {
             let f = &funcs[fidx as usize];
             let mut locals = Vec::with_capacity(f.total_locals());
-            locals.extend(args);
+            locals.extend_from_slice(args);
             for t in &f.local_types {
                 locals.push(dl(*t, arena)?);
             }
@@ -585,7 +575,7 @@ impl Interpreter {
 
         loop {
             let frame = frames.last_mut().expect("at least one frame");
-            let op = match code_plan {
+            let mut op = match code_plan {
                 CodePlan::Fused(plan) => plan[frame.func as usize][frame.pc],
                 CodePlan::Encoded(plan) => {
                     let enc = &plan[frame.func as usize];
@@ -601,13 +591,20 @@ impl Interpreter {
             // before charging, and on exhaustion report `initial_fuel + 1`
             // — the instruction that could not be afforded — whatever the
             // step width (identical to per-instruction accounting).
-            let cost: u64 = match op {
-                FusedOp::Std(_) | FusedOp::Interior => 1,
+            let mut cost: u64 = match op {
+                FusedOp::Std(_) => 1,
                 FusedOp::IncLocal { len, .. }
                 | FusedOp::CmpLocalsJmpIfNot { len, .. }
                 | FusedOp::AccAddALoad { len, .. }
                 | FusedOp::MulConstAddLocal { len, .. } => len as u64,
             };
+            // A fused step the budget cannot cover whole runs as its
+            // separate instructions, so what ends the run — exhaustion, a
+            // trap or a cancel poll just before it — is what Baseline sees.
+            if fuel.is_some_and(|left| left < cost) {
+                op = FusedOp::Std(funcs[frame.func as usize].code[frame.pc]);
+                cost = 1;
+            }
             if let Some(left) = fuel.as_mut() {
                 if *left < cost {
                     usage.instructions += *left + 1;
@@ -632,11 +629,6 @@ impl Interpreter {
 
             let insn = match op {
                 FusedOp::Std(insn) => insn,
-                FusedOp::Interior => {
-                    return Err(JaguarError::VmTrap(VmTrap::Type(
-                        "jump into the interior of a fused region",
-                    )))
-                }
                 FusedOp::IncLocal { slot, delta, len } => {
                     let v = frame
                         .locals
@@ -830,7 +822,7 @@ impl Interpreter {
                     frames.push(Frame {
                         func: fidx,
                         pc: 0,
-                        locals: make_locals(fidx, args, arena, &mut default_local)?,
+                        locals: make_locals(fidx, &args, arena, &mut default_local)?,
                         stack_base: base,
                     });
                     usage.max_depth_seen = usage.max_depth_seen.max(frames.len());
@@ -840,7 +832,7 @@ impl Interpreter {
                         .get(iidx as usize)
                         .ok_or(JaguarError::VmTrap(VmTrap::BadCall(iidx as u32)))?;
                     if let Some(sec) = &self.security {
-                        sec.check(&Permission::HostCall(import.name.clone()))?;
+                        sec.check_host_call(&import.name)?;
                     }
                     let argc = import.sig.params.len();
                     if stack.len() < argc {

@@ -13,12 +13,19 @@
 //! scoped file permissions reproduce the paper's `File`-class example.
 //! Unlike the 1998 JVM the paper criticises for "lack of auditing
 //! capabilities", every denial is recorded in an audit log attributable to
-//! the offending UDF.
+//! the offending UDF. Allowed checks — millions per query — are only
+//! counted: a set lives as long as its UDF is registered, so the log must
+//! stay bounded.
 
+use std::collections::VecDeque;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use jaguar_common::error::{JaguarError, Result};
 use parking_lot::Mutex;
+
+/// Denials the audit log keeps; older ones are dropped first.
+pub const AUDIT_LOG_CAPACITY: usize = 1024;
 
 /// One grantable capability.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,12 +54,11 @@ impl fmt::Display for Permission {
     }
 }
 
-/// An audit-log entry: which principal attempted what, and the verdict.
+/// An audit-log entry: which principal was denied what.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditEvent {
     pub principal: String,
     pub action: String,
-    pub allowed: bool,
 }
 
 /// A least-privilege permission set with an audit trail.
@@ -63,7 +69,8 @@ pub struct AuditEvent {
 pub struct PermissionSet {
     principal: String,
     grants: Vec<Permission>,
-    audit: Mutex<Vec<AuditEvent>>,
+    allowed: AtomicU64,
+    denied: Mutex<VecDeque<AuditEvent>>,
 }
 
 impl PermissionSet {
@@ -71,8 +78,7 @@ impl PermissionSet {
     pub fn deny_all(principal: impl Into<String>) -> PermissionSet {
         PermissionSet {
             principal: principal.into(),
-            grants: Vec::new(),
-            audit: Mutex::new(Vec::new()),
+            ..PermissionSet::default()
         }
     }
 
@@ -91,39 +97,51 @@ impl PermissionSet {
         &self.principal
     }
 
-    /// Check whether `requested` is covered by some grant. Records the
-    /// decision in the audit log either way.
+    /// Check whether `requested` is covered by some grant. A denial is
+    /// recorded in the audit log; an allowed check is counted.
     pub fn check(&self, requested: &Permission) -> Result<()> {
-        let allowed = self.grants.iter().any(|g| covers(g, requested));
-        self.audit.lock().push(AuditEvent {
-            principal: self.principal.clone(),
-            action: requested.to_string(),
-            allowed,
-        });
+        self.decide(self.grants.iter().any(|g| covers(g, requested)), || {
+            requested.to_string()
+        })
+    }
+
+    /// [`PermissionSet::check`] of `Permission::HostCall(name)` without
+    /// building one: the engines call this on every host call.
+    pub fn check_host_call(&self, name: &str) -> Result<()> {
+        let granted = |g: &Permission| matches!(g, Permission::HostCall(n) if n == name);
+        self.decide(self.grants.iter().any(granted), || {
+            Permission::HostCall(name.into()).to_string()
+        })
+    }
+
+    fn decide(&self, allowed: bool, action: impl FnOnce() -> String) -> Result<()> {
         if allowed {
-            Ok(())
-        } else {
-            Err(JaguarError::SecurityViolation(format!(
-                "udf '{}' denied: {requested}",
-                self.principal
-            )))
+            self.allowed.fetch_add(1, Ordering::Relaxed);
+            return Ok(());
         }
+        let action = action();
+        let message = format!("udf '{}' denied: {action}", self.principal);
+        let mut denied = self.denied.lock();
+        if denied.len() == AUDIT_LOG_CAPACITY {
+            denied.pop_front();
+        }
+        denied.push_back(AuditEvent {
+            principal: self.principal.clone(),
+            action,
+        });
+        Err(JaguarError::SecurityViolation(message))
     }
 
-    /// Snapshot of the audit trail.
-    pub fn audit_log(&self) -> Vec<AuditEvent> {
-        self.audit.lock().clone()
+    /// How many checks were allowed since the set was built.
+    pub fn allowed_checks(&self) -> u64 {
+        self.allowed.load(Ordering::Relaxed)
     }
 
-    /// Denied attempts only — what an operator would page through after an
-    /// incident (the auditing capability the paper says Java lacked).
+    /// The latest denied attempts (up to [`AUDIT_LOG_CAPACITY`]), oldest
+    /// first — what an operator pages through after an incident (the
+    /// auditing capability the paper says Java lacked).
     pub fn violations(&self) -> Vec<AuditEvent> {
-        self.audit
-            .lock()
-            .iter()
-            .filter(|e| !e.allowed)
-            .cloned()
-            .collect()
+        self.denied.lock().iter().cloned().collect()
     }
 }
 
@@ -183,11 +201,31 @@ mod tests {
         let s = PermissionSet::udf_default("investval");
         let _ = s.check(&Permission::Callback);
         let _ = s.check(&Permission::SpawnThread);
-        let log = s.audit_log();
-        assert_eq!(log.len(), 2);
-        assert!(log.iter().all(|e| e.principal == "investval"));
-        assert!(log[0].allowed);
-        assert!(!log[1].allowed);
+        assert_eq!(s.allowed_checks(), 1);
+        let log = s.violations();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log[0].principal, "investval");
+        assert_eq!(log[0].action, "spawn-thread");
+    }
+
+    #[test]
+    fn audit_log_is_bounded_and_keeps_the_newest_denials() {
+        let s = PermissionSet::deny_all("noisy").grant(Permission::HostCall("cb".into()));
+        for i in 0..AUDIT_LOG_CAPACITY + 10 {
+            s.check_host_call("cb").unwrap();
+            let e = s.check_host_call(&format!("f{i}")).unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                s.check(&Permission::HostCall(format!("f{i}")))
+                    .unwrap_err()
+                    .to_string()
+            );
+        }
+        assert_eq!(s.allowed_checks(), (AUDIT_LOG_CAPACITY + 10) as u64);
+        let log = s.violations();
+        assert_eq!(log.len(), AUDIT_LOG_CAPACITY);
+        let newest = format!("hostcall(f{})", AUDIT_LOG_CAPACITY + 9);
+        assert_eq!(log.last().unwrap().action, newest);
     }
 
     #[test]

@@ -12,15 +12,16 @@
 //! Three invariants make the compiled tier *observationally identical* to
 //! [`crate::interp::ExecMode::Baseline`]:
 //!
-//! 1. **Safety checks stay inline.** Every array access still goes through
-//!    the [`Arena`] bounds checks, every host call through the security
-//!    manager, every recursion through the call-depth limit. The compiler
+//! 1. **No safety check is skipped.** Every array access is range-checked
+//!    — as it happens, or for a counted loop once per strip, over the whole
+//!    index range the strip will touch —, every host call passes the
+//!    security manager, every recursion the call-depth limit. The compiler
 //!    removes *dispatch*, never *policing*.
 //! 2. **Fuel accounting is instruction-exact.** Infallible runs of source
 //!    instructions are charged in one batch at the next *charge point*
-//!    (any fallible op or block exit), so `usage.instructions` on success
-//!    — and the "fuel exhausted after N instructions" message on
-//!    exhaustion — match the baseline interpreter to the instruction.
+//!    (any fallible op or block exit), and a strip of whole loop trips at
+//!    once, so `usage.instructions` on success — and the "fuel exhausted
+//!    after N instructions" message — match the baseline interpreter.
 //! 3. **Fallback is total.** Any function the compiler cannot prove out
 //!    (or whose call graph escapes the compiled set) simply keeps running
 //!    in the interpreter; `vm.tier.fallbacks` counts how often.
@@ -46,7 +47,6 @@ use crate::interp::{
 use crate::isa::{Insn, VType};
 use crate::module::VerifiedModule;
 use crate::resources::ResourceUsage;
-use crate::security::Permission;
 
 /// Default number of interpreted invocations before a function tiers up.
 /// Low enough that per-statement UDFs over a few hundred rows promote
@@ -130,6 +130,8 @@ pub(crate) struct TierMetrics {
     pub promotions: Arc<obs::Counter>,
     pub compiled_hits: Arc<obs::Counter>,
     pub fallbacks: Arc<obs::Counter>,
+    pub loop_strips: Arc<obs::Counter>,
+    pub loop_fallbacks: Arc<obs::Counter>,
 }
 
 pub(crate) fn metrics() -> &'static TierMetrics {
@@ -140,6 +142,8 @@ pub(crate) fn metrics() -> &'static TierMetrics {
             promotions: registry.counter("vm.tier.promotions"),
             compiled_hits: registry.counter("vm.tier.compiled_hits"),
             fallbacks: registry.counter("vm.tier.fallbacks"),
+            loop_strips: registry.counter("vm.tier.loop_strips"),
+            loop_fallbacks: registry.counter("vm.tier.loop_fallbacks"),
         }
     })
 }
@@ -170,6 +174,27 @@ enum IBinKind {
     Shr,
 }
 
+/// The one table of integer-op semantics: expands `$body` once per kind
+/// with `$f` bound to that kind's function, so a loop inside `$body` is
+/// compiled per op and the kind is matched outside it.
+macro_rules! unswitch {
+    ($kind:expr, $f:ident => $body:expr) => {
+        unswitch!(@arms $kind, $f, $body,
+            Add: i64::wrapping_add, Sub: i64::wrapping_sub, Mul: i64::wrapping_mul,
+            And: |a: i64, b: i64| a & b, Or: |a: i64, b: i64| a | b, Xor: |a: i64, b: i64| a ^ b,
+            Shl: |a: i64, b: i64| a.wrapping_shl(b as u32 & 63),
+            Shr: |a: i64, b: i64| a.wrapping_shr(b as u32 & 63))
+    };
+    (@arms $kind:expr, $f:ident, $body:expr, $($k:ident: $op:expr),+) => {
+        match $kind {
+            $(IBinKind::$k => {
+                let $f = $op;
+                $body
+            })+
+        }
+    };
+}
+
 #[derive(Debug, Clone, Copy)]
 enum FBinKind {
     Add,
@@ -178,7 +203,7 @@ enum FBinKind {
     Div,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum CmpIKind {
     Eq,
     Lt,
@@ -409,6 +434,8 @@ impl Exit {
 struct Block {
     ops: Vec<Op>,
     exit: Exit,
+    /// Set when the block is a counted loop (compile phase 4).
+    counted: Option<Counted>,
 }
 
 /// One compiled function: a register program over `nregs` slots —
@@ -692,6 +719,7 @@ fn compile_fn(
                     code: u32::MAX,
                     charge: 0,
                 },
+                counted: None,
             });
             continue;
         };
@@ -1168,7 +1196,11 @@ fn compile_fn(
                 }
             }
         };
-        blocks.push(Block { ops, exit });
+        blocks.push(Block {
+            ops,
+            exit,
+            counted: None,
+        });
     }
 
     // --- Phase 3: thread `Jmp` exits through empty blocks, folding the
@@ -1195,8 +1227,9 @@ fn compile_fn(
     // --- Phase 4: carry a trailing integer binop into a fused
     // compare-branch exit (the loop-closing `i = i + 1; branch i < n`
     // back-edge threading just created). Pure op motion — the write still
-    // precedes the compare — so it is unconditionally safe.
-    for blk in &mut blocks {
+    // precedes the compare — so it is unconditionally safe. A block that
+    // closes on itself this way by a constant step may be a counted loop.
+    for (head, blk) in blocks.iter_mut().enumerate() {
         if let Exit::BranchCmpI {
             kind,
             a,
@@ -1226,6 +1259,13 @@ fn compile_fn(
                     if_false,
                     charge,
                 };
+                let by = consts
+                    .get((b0 as usize).wrapping_sub(base))
+                    .map(|k| *k as i64);
+                let closes = if_true as usize == head && a0 == d && kind != CmpIKind::Eq;
+                if let (true, Some(by)) = (closes, by) {
+                    blk.counted = Counted::of(blk, d, (k0, by), (kind, a, b), if_false);
+                }
             }
         }
     }
@@ -1235,6 +1275,294 @@ fn compile_fn(
         consts,
         blocks,
     })
+}
+
+// ---------------------------------------------------------------------------
+// Counted loops
+// ---------------------------------------------------------------------------
+
+/// A counted loop: a block that branches back to itself through
+/// `ind ← ind + step; branch ind ⋖ bound` (`bound ⋖ ind` counting down)
+/// and whose straight-line body writes neither `ind` nor `bound` and can
+/// neither call, allocate nor divide. On entry the trips left are known
+/// and each costs `per_trip` fuel, so [`Counted::run`] runs them in strips.
+#[derive(Debug)]
+struct Counted {
+    ind: u16,
+    /// Non-zero, and of the sign the compare's orientation terminates on.
+    step: i64,
+    bound: Src,
+    /// `<=` rather than `<`.
+    le: bool,
+    per_trip: u64,
+    /// The block the loop leaves to.
+    exit: u32,
+    /// The one array the body accesses — always at `[ind]`, never
+    /// reassigned: its bytes are resolved and range-checked per strip.
+    arr: Option<Src>,
+    /// The body as a recurrence kernel, when it is one.
+    chain: Option<Chain>,
+}
+
+/// One step `acc ⊕ x` of a [`Chain`]: the op, then the right operand as a
+/// loop-invariant register, a mask for the induction variable and a mask
+/// for `arr[ind]` (exactly one of the three is set).
+type Step = (IBinKind, Option<Src>, i64, i64);
+
+/// A body that is one integer recurrence of one or two steps,
+/// `acc = (acc ⊕₁ x) ⊕₂ y` — the shape of every sum, xor, checksum and
+/// hash loop. `mid` is the register the first of two steps also writes.
+#[derive(Debug)]
+struct Chain {
+    acc: u16,
+    steps: Vec<Step>,
+    mid: Option<u16>,
+}
+
+impl Counted {
+    /// `blk` ends `d ← d k0 by; branch a kind b` back to itself.
+    fn of(
+        blk: &mut Block,
+        d: u16,
+        (k0, by): (IBinKind, i64),
+        (kind, a, b): (CmpIKind, Src, Src),
+        exit: u32,
+    ) -> Option<Counted> {
+        let step = match k0 {
+            IBinKind::Add => by,
+            IBinKind::Sub => by.checked_neg()?,
+            _ => return None,
+        };
+        let bound = match (a == d, b == d) {
+            (true, false) if step > 0 => b,
+            (false, true) if step < 0 && step != i64::MIN => a,
+            _ => return None,
+        };
+        // The exit's charge covers the branch itself, so `per_trip >= 1`.
+        let mut per_trip = *blk.exit.charge_mut();
+        let mut written: Vec<u16> = Vec::new();
+        let (mut arr, mut hoist) = (None, true);
+        for op in &mut blk.ops {
+            match *op {
+                Op::DivI { .. }
+                | Op::NewArr { .. }
+                | Op::ALen { .. }
+                | Op::Call { .. }
+                | Op::HostCall { .. } => return None,
+                Op::ALoad { arr: r, idx, .. }
+                | Op::ALoadIBin { arr: r, idx, .. }
+                | Op::AStore { arr: r, idx, .. } => {
+                    hoist &= idx == d && *arr.get_or_insert(r) == r;
+                }
+                _ => {}
+            }
+            if let Op::ALoad { charge, .. }
+            | Op::ALoadIBin { charge, .. }
+            | Op::AStore { charge, .. } = *op
+            {
+                per_trip += charge;
+            }
+            written.extend(op.dst_mut().map(|r| *r));
+        }
+        if written.contains(&d) || written.contains(&bound) {
+            return None;
+        }
+        let arr = arr.filter(|r| hoist && !written.contains(r));
+        Some(Counted {
+            ind: d,
+            step,
+            bound,
+            le: kind == CmpIKind::Le,
+            per_trip,
+            exit,
+            arr,
+            chain: Chain::of(&blk.ops, d, arr, &written),
+        })
+    }
+
+    /// Run one strip of trips with nothing metered inside; return how many
+    /// (for the caller to charge at once) and whether the loop is done. The
+    /// strip is what `budget` affords and what stays inside the hoisted
+    /// array: trips the per-op path would have completed without reporting
+    /// anything. `None` means there is no such trip: the caller takes one
+    /// through the per-op path, which reports exhaustion, polls the token
+    /// or traps exactly where it must, and comes back.
+    #[inline(never)] // keeps the 72 kernel loops out of the dispatcher's frame
+    fn run(
+        &self,
+        ops: &[Op],
+        regs: &mut [u64],
+        arena: &mut Arena,
+        budget: u64,
+    ) -> Result<Option<(u64, bool)>> {
+        let i0 = regs[self.ind as usize] as i64;
+        let gap = regs[self.bound as usize] as i64 as i128 - i0 as i128;
+        let gap = gap * self.step.signum() as i128 + self.le as i128;
+        // Nearly every loop steps by one: spare those the hardware divide.
+        let by = self.step.unsigned_abs();
+        let steps_in = |span: u64| if by == 1 { span } else { span / by };
+        let trips = match gap {
+            ..=0 => 1,
+            _ => steps_in((gap - 1) as u64) + 1,
+        };
+        // `ind` must not wrap before the loop ends.
+        if i64::try_from(i0 as i128 + trips as i128 * self.step as i128).is_err() {
+            return Ok(None);
+        }
+        let mut strip = trips;
+        if trips.saturating_mul(self.per_trip) > budget {
+            strip = budget / self.per_trip;
+        }
+        let mut bytes: &mut [u8] = &mut [];
+        if let Some(arr) = self.arr {
+            bytes = arena.bytes_mut(BytesRef(regs[arr as usize] as u32))?;
+            let room = match usize::try_from(i0) {
+                Ok(i) if i < bytes.len() && self.step > 0 => bytes.len() - 1 - i,
+                Ok(i) if i < bytes.len() => i,
+                _ => return Ok(None),
+            };
+            strip = strip.min(steps_in(room as u64) + 1);
+        }
+        if strip == 0 {
+            return Ok(None);
+        }
+        match &self.chain {
+            Some(chain) => chain.run(strip, self.step, i0, regs, bytes),
+            None if self.arr.is_some() => self.run_ops(ops, strip, regs, bytes)?,
+            None => self.run_ops(ops, strip, regs, arena)?,
+        }
+        regs[self.ind as usize] = i0.wrapping_add(strip as i64 * self.step) as u64;
+        Ok(Some((strip, strip == trips)))
+    }
+
+    /// A body that is no kernel: op at a time over the strip's registers.
+    fn run_ops<M: Mem + ?Sized>(
+        &self,
+        ops: &[Op],
+        strip: u64,
+        regs: &mut [u64],
+        mem: &mut M,
+    ) -> Result<()> {
+        for _ in 0..strip {
+            for op in ops {
+                exec_op(op, regs, mem, |_| Ok(()))?;
+            }
+            let i = regs[self.ind as usize] as i64;
+            regs[self.ind as usize] = i.wrapping_add(self.step) as u64;
+        }
+        Ok(())
+    }
+}
+
+impl Chain {
+    /// Read `ops` as links `dst = x ⊕ y`; accept them when each result is
+    /// the next link's left operand (a commutative op may swap), the last
+    /// is the register the first started from, and every other operand is
+    /// loop-invariant, the induction variable or the hoisted array's element.
+    fn of(ops: &[Op], ind: u16, arr: Option<Src>, written: &[u16]) -> Option<Chain> {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Opd {
+            Reg(Src),
+            Elem,
+            Prev,
+        }
+        use Opd::{Elem, Prev, Reg};
+        let mut links: Vec<(IBinKind, Opd, Opd, Option<u16>)> = Vec::new();
+        let ordered = |t_left, t, c| if t_left { (t, Reg(c)) } else { (Reg(c), t) };
+        for op in ops {
+            let (k2, (x, y), dst) = match *op {
+                Op::IBin { kind, dst, a, b } => (kind, (Reg(a), Reg(b)), dst),
+                Op::IBin2 {
+                    k1,
+                    a1,
+                    b1,
+                    k2,
+                    c,
+                    t_left,
+                    dst,
+                } => {
+                    links.push((k1, Reg(a1), Reg(b1), None));
+                    (k2, ordered(t_left, Prev, c), dst)
+                }
+                Op::ALoadIBin {
+                    k2, c, t_left, dst, ..
+                } if arr.is_some() => (k2, ordered(t_left, Elem, c), dst),
+                _ => return None,
+            };
+            links.push((k2, x, y, Some(dst)));
+        }
+        let acc = links.last()?.3?;
+        let mut carried = Reg(acc);
+        let mut steps = Vec::new();
+        for &(kind, x, y, dst) in &links {
+            let commutes = !matches!(kind, IBinKind::Sub | IBinKind::Shl | IBinKind::Shr);
+            let other = match (x == carried, y == carried && commutes) {
+                (true, _) => y,
+                (false, true) => x,
+                _ => return None,
+            };
+            let (reg, ind_mask, elem_mask) = match other {
+                Reg(r) if r == ind => (None, -1, 0),
+                Reg(r) if !written.contains(&r) => (Some(r), 0, 0),
+                Elem => (None, 0, -1),
+                _ => return None,
+            };
+            steps.push((kind, reg, ind_mask, elem_mask));
+            carried = dst.map_or(Prev, Reg);
+        }
+        let mid = links[0].3.filter(|_| steps.len() == 2);
+        (steps.len() <= 2).then_some(Chain { acc, steps, mid })
+    }
+
+    /// `strip` trips of the recurrence with every operand in a local and
+    /// the op kinds matched outside the trip loop.
+    fn run(&self, strip: u64, step: i64, i0: i64, regs: &mut [u64], bytes: &[u8]) {
+        // An ascending walk hands the trip loop its window of the array, so
+        // the element needs no index at all; any other stride indexes
+        // (`get`: a chain that reads no element has no array either).
+        let window = usize::try_from(i0).ok();
+        let window = window.and_then(|lo| bytes.get(lo..)?.get(..strip as usize));
+        let (acc, mid) = match window {
+            Some(window) if step == 1 => {
+                self.fold(regs, window.iter().zip(i0..).map(|(e, i)| (i, *e as i64)))
+            }
+            _ => {
+                let elem = |i: i64| bytes.get(i as usize).map_or(0, |e| *e as i64);
+                let trips = (0..strip as i64).map(|k| i0 + k * step);
+                self.fold(regs, trips.map(|i| (i, elem(i))))
+            }
+        };
+        if let Some(mid_reg) = self.mid {
+            regs[mid_reg as usize] = mid as u64;
+        }
+        regs[self.acc as usize] = acc as u64;
+    }
+
+    /// The trip loop over `(ind, arr[ind])` pairs: returns the accumulator
+    /// and the first step's last result. Masks pick an operand: arithmetic
+    /// beside the recurrence, never a conditional move on it.
+    #[inline(always)]
+    fn fold(&self, regs: &[u64], trips: impl Iterator<Item = (i64, i64)>) -> (i64, i64) {
+        let operand = |(_, reg, ind_mask, elem_mask): Step| {
+            let x = reg.map_or(0, |r: Src| regs[r as usize] as i64);
+            move |(i, e): (i64, i64)| x + (i & ind_mask) + (e & elem_mask)
+        };
+        let (mut acc, mut mid) = (regs[self.acc as usize] as i64, 0);
+        let (s1, x1) = (self.steps[0], operand(self.steps[0]));
+        match self.steps.get(1) {
+            None => unswitch!(s1.0, f1 => for trip in trips {
+                acc = f1(acc, x1(trip));
+            }),
+            Some(&s2) => {
+                let x2 = operand(s2);
+                unswitch!(s1.0, f1 => unswitch!(s2.0, f2 => for trip in trips {
+                    mid = f1(acc, x1(trip));
+                    acc = f2(mid, x2(trip));
+                }))
+            }
+        }
+        (acc, mid)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1257,6 +1585,19 @@ struct Meter<'a> {
     acc: u64,
     cancel: Option<&'a CancelToken>,
     cancel_left: u64,
+    /// Counted-loop strips run and trips handed back to the per-op path;
+    /// published when the run ends, however it ends.
+    loop_strips: u64,
+    loop_fallbacks: u64,
+}
+
+impl Drop for Meter<'_> {
+    fn drop(&mut self) {
+        if self.loop_strips + self.loop_fallbacks > 0 {
+            metrics().loop_strips.add(self.loop_strips);
+            metrics().loop_fallbacks.add(self.loop_fallbacks);
+        }
+    }
 }
 
 impl Meter<'_> {
@@ -1267,6 +1608,11 @@ impl Meter<'_> {
         }
         if let Some(left) = self.fuel.as_mut() {
             if *left < cost {
+                // A cancel poll due within the fuel that is left comes
+                // first, as it does instruction by instruction.
+                if let Some(token) = self.cancel.filter(|_| self.cancel_left <= *left) {
+                    token.check()?;
+                }
                 // Retired-so-far (fuel_initial - left) + remaining + 1,
                 // i.e. the count at which the per-instruction interpreter
                 // discovers exhaustion.
@@ -1289,23 +1635,31 @@ impl Meter<'_> {
         }
         Ok(())
     }
-
-    #[inline]
-    fn retired(&self) -> u64 {
-        match self.fuel {
-            Some(left) => self.fuel_initial - left,
-            None => self.acc,
-        }
-    }
 }
 
-/// Read an operand as raw bits. Register indices are `< nregs` by
+/// Read an operand as an integer. Register indices are `< nregs` by
 /// construction (`canon` never exceeds `nlocals + max_depth`, constant
 /// registers are bounded by the pool length, frames are sized to
 /// `nregs`), so plain indexing suffices.
 #[inline(always)]
-fn rdv(regs: &[u64], s: Src) -> u64 {
-    regs[s as usize]
+fn int(regs: &[u64], s: &Src) -> i64 {
+    regs[*s as usize] as i64
+}
+
+/// Read an operand as a float.
+#[inline(always)]
+fn float(regs: &[u64], s: &Src) -> f64 {
+    f64::from_bits(regs[*s as usize])
+}
+
+/// `t k c` or `c k t`: the second half of a fused pair of ops.
+#[inline(always)]
+fn pair(k: &IBinKind, t: i64, c: i64, t_left: &bool) -> u64 {
+    (if *t_left {
+        ibin(*k, t, c)
+    } else {
+        ibin(*k, c, t)
+    }) as u64
 }
 
 /// Encode a typed value into its register bits.
@@ -1331,16 +1685,7 @@ fn dec(t: VType, bits: u64) -> VmValue {
 
 #[inline(always)]
 fn ibin(kind: IBinKind, a: i64, b: i64) -> i64 {
-    match kind {
-        IBinKind::Add => a.wrapping_add(b),
-        IBinKind::Sub => a.wrapping_sub(b),
-        IBinKind::Mul => a.wrapping_mul(b),
-        IBinKind::And => a & b,
-        IBinKind::Or => a | b,
-        IBinKind::Xor => a ^ b,
-        IBinKind::Shl => a.wrapping_shl(b as u32 & 63),
-        IBinKind::Shr => a.wrapping_shr(b as u32 & 63),
-    }
+    unswitch!(kind, f => f(a, b))
 }
 
 #[inline(always)]
@@ -1352,20 +1697,127 @@ fn cmp_i(kind: CmpIKind, a: i64, b: i64) -> bool {
     }
 }
 
-fn default_local_bits(
-    t: VType,
-    arena: &mut Arena,
-    empty_ref: &mut Option<BytesRef>,
-) -> Result<u64> {
-    Ok(match t {
-        VType::I64 | VType::F64 => 0, // 0.0f64 is all-zero bits too
-        VType::Bytes => {
-            if empty_ref.is_none() {
-                *empty_ref = Some(arena.alloc_zeroed(0)?);
-            }
-            empty_ref.expect("just set").0 as u64
+/// Where [`exec_op`] reads and writes array bytes: the arena (handle
+/// resolved and index checked on every access) or one array's bytes,
+/// resolved and range-checked once for a whole strip.
+trait Mem {
+    fn load(&self, arr: u64, idx: i64) -> Result<u8>;
+    fn store(&mut self, arr: u64, idx: i64, v: u8) -> Result<()>;
+}
+
+impl Mem for Arena {
+    fn load(&self, arr: u64, idx: i64) -> Result<u8> {
+        Arena::load(self, BytesRef(arr as u32), idx)
+    }
+    fn store(&mut self, arr: u64, idx: i64, v: u8) -> Result<()> {
+        Arena::store(self, BytesRef(arr as u32), idx, v)
+    }
+}
+
+impl Mem for [u8] {
+    fn load(&self, _: u64, idx: i64) -> Result<u8> {
+        Ok(self[idx as usize])
+    }
+    fn store(&mut self, _: u64, idx: i64, v: u8) -> Result<()> {
+        self[idx as usize] = v;
+        Ok(())
+    }
+}
+
+/// Execute one op that needs neither the frame stack, the allocator nor
+/// the host. `charge` runs at the op's charge point, before its effect:
+/// the dispatcher meters there, a strip — charged as a whole — does not.
+#[inline(always)]
+fn exec_op<M: Mem + ?Sized>(
+    op: &Op,
+    regs: &mut [u64],
+    mem: &mut M,
+    mut charge: impl FnMut(u64) -> Result<()>,
+) -> Result<()> {
+    match op {
+        Op::Copy { dst, src } => regs[*dst as usize] = regs[*src as usize],
+        Op::IBin { kind, dst, a, b } => {
+            regs[*dst as usize] = ibin(*kind, int(regs, a), int(regs, b)) as u64
         }
-    })
+        Op::IBin2 {
+            k1,
+            a1,
+            b1,
+            k2,
+            c,
+            t_left,
+            dst,
+        } => {
+            let t = ibin(*k1, int(regs, a1), int(regs, b1));
+            regs[*dst as usize] = pair(k2, t, int(regs, c), t_left);
+        }
+        Op::FBin { kind, dst, a, b } => {
+            let (av, bv) = (float(regs, a), float(regs, b));
+            let r = match kind {
+                FBinKind::Add => av + bv,
+                FBinKind::Sub => av - bv,
+                FBinKind::Mul => av * bv,
+                FBinKind::Div => av / bv,
+            };
+            regs[*dst as usize] = r.to_bits();
+        }
+        Op::NegI { dst, src } => regs[*dst as usize] = int(regs, src).wrapping_neg() as u64,
+        Op::NegF { dst, src } => regs[*dst as usize] = (-float(regs, src)).to_bits(),
+        Op::NotI { dst, src } => regs[*dst as usize] = !int(regs, src) as u64,
+        Op::I2F { dst, src } => regs[*dst as usize] = (int(regs, src) as f64).to_bits(),
+        Op::F2I { dst, src } => regs[*dst as usize] = (float(regs, src) as i64) as u64,
+        Op::CmpI { kind, dst, a, b } => {
+            regs[*dst as usize] = cmp_i(*kind, int(regs, a), int(regs, b)) as u64;
+        }
+        Op::CmpF { kind, dst, a, b } => {
+            let (av, bv) = (float(regs, a), float(regs, b));
+            let r = match kind {
+                CmpFKind::Eq => av == bv,
+                CmpFKind::Lt => av < bv,
+                CmpFKind::Le => av <= bv,
+            };
+            regs[*dst as usize] = r as u64;
+        }
+        Op::ALoad {
+            dst,
+            arr,
+            idx,
+            charge: cost,
+        } => {
+            charge(*cost)?;
+            regs[*dst as usize] = mem.load(regs[*arr as usize], int(regs, idx))? as u64;
+        }
+        Op::ALoadIBin {
+            arr,
+            idx,
+            k2,
+            c,
+            t_left,
+            dst,
+            charge: cost,
+        } => {
+            charge(*cost)?;
+            let t = mem.load(regs[*arr as usize], int(regs, idx))? as i64;
+            regs[*dst as usize] = pair(k2, t, int(regs, c), t_left);
+        }
+        Op::AStore {
+            arr,
+            idx,
+            val,
+            charge: cost,
+        } => {
+            charge(*cost)?;
+            mem.store(regs[*arr as usize], int(regs, idx), int(regs, val) as u8)?;
+        }
+        Op::DivI { .. }
+        | Op::NewArr { .. }
+        | Op::ALen { .. }
+        | Op::Call { .. }
+        | Op::HostCall { .. } => {
+            unreachable!("run by the dispatcher itself and never part of a counted loop")
+        }
+    }
+    Ok(())
 }
 
 /// Run `entry` through the compiled tier. Argument arity/types were
@@ -1374,12 +1826,14 @@ fn default_local_bits(
 ///
 /// Calls use heap-allocated frames (like the interpreter), never native
 /// recursion, so the configured `max_call_depth` — however deep — cannot
-/// overflow the host stack.
+/// overflow the host stack. Every frame's registers live in one stack
+/// that the arena keeps between invocations, so the rows of a batch share
+/// one allocation.
 pub(crate) fn run_compiled(
     interp: &Interpreter,
     cm: &CompiledModule,
     entry: u32,
-    args: Vec<VmValue>,
+    args: &[VmValue],
     arena: &mut Arena,
     host: &mut dyn HostEnv,
 ) -> Result<(Option<VmValue>, ResourceUsage)> {
@@ -1393,223 +1847,90 @@ pub(crate) fn run_compiled(
         acc: 0,
         cancel: interp.cancel_ref(),
         cancel_left: CANCEL_CHECK_INTERVAL,
+        loop_strips: 0,
+        loop_fallbacks: 0,
     };
-    let mut empty_ref: Option<BytesRef> = None;
     let functions = interp.module().functions();
     let imports = interp.module().imports();
     let limits = interp.limits();
 
-    // Build a frame: argument registers, then typed local defaults, then
-    // zeroed stack/scratch registers (before any fuel is charged for the
-    // callee, exactly like the interpreter's `make_locals`).
-    let make_frame = |fidx: u32,
-                      ret_dst: Option<u16>,
-                      args: Vec<u64>,
-                      arena: &mut Arena,
-                      empty_ref: &mut Option<BytesRef>|
-     -> Result<CFrame> {
+    // Lay out a frame at `regs[base..]`: zeroed registers, `bytes` locals
+    // pointing at one shared empty array (JSM has no null references) and
+    // the constant pool filled in — before any fuel is charged for the
+    // callee, exactly like the interpreter's `make_locals`. The caller
+    // then writes the arguments.
+    let mut empty_ref: Option<BytesRef> = None;
+    let mut enter = |fidx: u32, base: usize, regs: &mut Vec<u64>, arena: &mut Arena| {
         let cf = cm.funcs[fidx as usize]
             .as_ref()
             .ok_or(JaguarError::VmTrap(VmTrap::BadCall(fidx)))?;
         let f = &functions[fidx as usize];
-        let mut regs: Vec<u64> = Vec::with_capacity(cf.nregs);
-        regs.extend(args);
-        for t in &f.local_types {
-            regs.push(default_local_bits(*t, arena, empty_ref)?);
+        regs.resize(base + cf.nregs, 0);
+        let frame = &mut regs[base..];
+        for (slot, t) in frame[f.sig.params.len()..].iter_mut().zip(&f.local_types) {
+            if *t == VType::Bytes {
+                let empty = match empty_ref {
+                    Some(r) => r,
+                    None => *empty_ref.insert(arena.alloc_zeroed(0)?),
+                };
+                *slot = empty.0 as u64;
+            }
         }
-        regs.resize(cf.nregs - cf.consts.len(), 0);
-        regs.extend_from_slice(&cf.consts);
-        Ok(CFrame {
+        frame[cf.nregs - cf.consts.len()..].copy_from_slice(&cf.consts);
+        Ok::<_, JaguarError>(CFrame {
             fidx,
             block: 0,
             op: 0,
-            regs,
-            ret_dst,
+            base,
+            ret_dst: None,
         })
     };
 
-    let entry_args: Vec<u64> = args.into_iter().map(enc).collect();
-    let mut frames: Vec<CFrame> = Vec::with_capacity(8);
-    frames.push(make_frame(entry, None, entry_args, arena, &mut empty_ref)?);
+    let mut stack = std::mem::take(&mut arena.regs);
+    stack.clear();
+    let mut frame = enter(entry, 0, &mut stack, arena)?;
+    for (slot, v) in stack.iter_mut().zip(args) {
+        *slot = enc(*v);
+    }
+    let mut callers: Vec<CFrame> = Vec::new();
+    let mut host_args: Vec<VmValue> = Vec::new();
 
     /// What ends a frame-execution burst.
-    enum Transfer {
-        Push {
-            fidx: u32,
-            args: Vec<u64>,
-            ret_dst: Option<u16>,
-        },
+    enum Transfer<'a> {
+        Push { fidx: u32, args: &'a [Src] },
         Return(Option<u64>),
     }
 
-    'vm: loop {
-        let depth = frames.len();
+    loop {
         let transfer: Transfer = {
-            let frame = frames.last_mut().expect("at least one frame");
             let cf = cm.funcs[frame.fidx as usize]
                 .as_ref()
                 .ok_or(JaguarError::VmTrap(VmTrap::BadCall(frame.fidx)))?;
+            let regs = &mut stack[frame.base..];
             let mut block = frame.block;
             let mut start = frame.op;
             'burst: loop {
                 let blk = &cf.blocks[block];
                 let mut i = start;
                 start = 0;
-                // Self-loop fast path: a single-op block whose exit is a
-                // fused compare-branch back to itself is a counted source
-                // loop. Running it in a dedicated tight loop keeps every
-                // operand index in a local, so the optimizer hoists the
-                // register bounds checks that the generic dispatch below
-                // re-proves on every op. Op order, charge points, and trap
-                // behaviour are exactly those of the generic arms.
-                'fast: {
-                    if i != 0 || blk.ops.len() != 1 {
-                        break 'fast;
-                    }
-                    let &Exit::IBinBranchCmpI {
-                        k0,
-                        a0,
-                        b0,
-                        d,
-                        kind,
-                        a,
-                        b,
-                        if_true,
-                        if_false,
-                        charge,
-                    } = &blk.exit
-                    else {
-                        break 'fast;
-                    };
-                    if if_true as usize != block {
-                        break 'fast;
-                    }
-                    let regs = &mut frame.regs[..];
-                    match blk.ops[0] {
-                        Op::IBin2 {
-                            k1,
-                            a1,
-                            b1,
-                            k2,
-                            c,
-                            t_left,
-                            dst,
-                        } => loop {
-                            let t = ibin(k1, regs[a1 as usize] as i64, regs[b1 as usize] as i64);
-                            let cv = regs[c as usize] as i64;
-                            let r = if t_left {
-                                ibin(k2, t, cv)
-                            } else {
-                                ibin(k2, cv, t)
-                            };
-                            regs[dst as usize] = r as u64;
-                            let v = ibin(k0, regs[a0 as usize] as i64, regs[b0 as usize] as i64);
-                            regs[d as usize] = v as u64;
-                            m.charge(charge)?;
-                            if !cmp_i(kind, regs[a as usize] as i64, regs[b as usize] as i64) {
-                                block = if_false as usize;
-                                continue 'burst;
+                if let (0, Some(lp)) = (i, &blk.counted) {
+                    // A strip may cost the fuel left, short of the next cancel poll.
+                    let poll = m.cancel.map_or(u64::MAX, |_| m.cancel_left - 1);
+                    let budget = m.fuel.unwrap_or(u64::MAX).min(poll);
+                    match lp.run(&blk.ops, regs, arena, budget)? {
+                        Some((strip, done)) => {
+                            m.charge(strip * lp.per_trip)?;
+                            m.loop_strips += 1;
+                            if done {
+                                block = lp.exit as usize;
                             }
-                        },
-                        Op::ALoadIBin {
-                            arr,
-                            idx,
-                            k2,
-                            c,
-                            t_left,
-                            dst,
-                            charge: lcharge,
-                        } => loop {
-                            m.charge(lcharge)?;
-                            let ix = regs[idx as usize] as i64;
-                            let r = BytesRef(regs[arr as usize] as u32);
-                            let t = arena.load(r, ix)? as i64;
-                            let cv = regs[c as usize] as i64;
-                            let v = if t_left {
-                                ibin(k2, t, cv)
-                            } else {
-                                ibin(k2, cv, t)
-                            };
-                            regs[dst as usize] = v as u64;
-                            let v2 = ibin(k0, regs[a0 as usize] as i64, regs[b0 as usize] as i64);
-                            regs[d as usize] = v2 as u64;
-                            m.charge(charge)?;
-                            if !cmp_i(kind, regs[a as usize] as i64, regs[b as usize] as i64) {
-                                block = if_false as usize;
-                                continue 'burst;
-                            }
-                        },
-                        _ => {}
+                            continue 'burst;
+                        }
+                        None => m.loop_fallbacks += 1,
                     }
                 }
                 while i < blk.ops.len() {
-                    let regs = &mut frame.regs[..];
                     match &blk.ops[i] {
-                        Op::Copy { dst, src } => {
-                            regs[*dst as usize] = rdv(regs, *src);
-                        }
-                        Op::IBin { kind, dst, a, b } => {
-                            let r = ibin(*kind, rdv(regs, *a) as i64, rdv(regs, *b) as i64);
-                            regs[*dst as usize] = r as u64;
-                        }
-                        Op::IBin2 {
-                            k1,
-                            a1,
-                            b1,
-                            k2,
-                            c,
-                            t_left,
-                            dst,
-                        } => {
-                            let t = ibin(*k1, rdv(regs, *a1) as i64, rdv(regs, *b1) as i64);
-                            let cv = rdv(regs, *c) as i64;
-                            let r = if *t_left {
-                                ibin(*k2, t, cv)
-                            } else {
-                                ibin(*k2, cv, t)
-                            };
-                            regs[*dst as usize] = r as u64;
-                        }
-                        Op::FBin { kind, dst, a, b } => {
-                            let av = f64::from_bits(rdv(regs, *a));
-                            let bv = f64::from_bits(rdv(regs, *b));
-                            let r = match kind {
-                                FBinKind::Add => av + bv,
-                                FBinKind::Sub => av - bv,
-                                FBinKind::Mul => av * bv,
-                                FBinKind::Div => av / bv,
-                            };
-                            regs[*dst as usize] = r.to_bits();
-                        }
-                        Op::NegI { dst, src } => {
-                            regs[*dst as usize] = (rdv(regs, *src) as i64).wrapping_neg() as u64;
-                        }
-                        Op::NegF { dst, src } => {
-                            regs[*dst as usize] = (-f64::from_bits(rdv(regs, *src))).to_bits();
-                        }
-                        Op::NotI { dst, src } => {
-                            regs[*dst as usize] = !(rdv(regs, *src) as i64) as u64;
-                        }
-                        Op::I2F { dst, src } => {
-                            regs[*dst as usize] = ((rdv(regs, *src) as i64) as f64).to_bits();
-                        }
-                        Op::F2I { dst, src } => {
-                            regs[*dst as usize] = (f64::from_bits(rdv(regs, *src)) as i64) as u64;
-                        }
-                        Op::CmpI { kind, dst, a, b } => {
-                            let r = cmp_i(*kind, rdv(regs, *a) as i64, rdv(regs, *b) as i64);
-                            regs[*dst as usize] = r as u64;
-                        }
-                        Op::CmpF { kind, dst, a, b } => {
-                            let av = f64::from_bits(rdv(regs, *a));
-                            let bv = f64::from_bits(rdv(regs, *b));
-                            let r = match kind {
-                                CmpFKind::Eq => av == bv,
-                                CmpFKind::Lt => av < bv,
-                                CmpFKind::Le => av <= bv,
-                            };
-                            regs[*dst as usize] = r as u64;
-                        }
                         Op::DivI {
                             rem,
                             dst,
@@ -1618,8 +1939,8 @@ pub(crate) fn run_compiled(
                             charge,
                         } => {
                             m.charge(*charge)?;
-                            let av = rdv(regs, *a) as i64;
-                            let bv = rdv(regs, *b) as i64;
+                            let av = int(regs, a);
+                            let bv = int(regs, b);
                             if bv == 0 {
                                 return Err(JaguarError::VmTrap(VmTrap::DivideByZero));
                             }
@@ -1632,7 +1953,7 @@ pub(crate) fn run_compiled(
                         }
                         Op::NewArr { dst, len, charge } => {
                             m.charge(*charge)?;
-                            let len = rdv(regs, *len) as i64;
+                            let len = int(regs, len);
                             if len < 0 {
                                 return Err(JaguarError::VmTrap(VmTrap::Bounds {
                                     index: len,
@@ -1642,53 +1963,9 @@ pub(crate) fn run_compiled(
                             let r = arena.alloc_zeroed(len as usize)?;
                             regs[*dst as usize] = r.0 as u64;
                         }
-                        Op::ALoad {
-                            dst,
-                            arr,
-                            idx,
-                            charge,
-                        } => {
-                            m.charge(*charge)?;
-                            let idx = rdv(regs, *idx) as i64;
-                            let r = BytesRef(rdv(regs, *arr) as u32);
-                            regs[*dst as usize] = arena.load(r, idx)? as u64;
-                        }
-                        Op::ALoadIBin {
-                            arr,
-                            idx,
-                            k2,
-                            c,
-                            t_left,
-                            dst,
-                            charge,
-                        } => {
-                            m.charge(*charge)?;
-                            let idx = rdv(regs, *idx) as i64;
-                            let r = BytesRef(rdv(regs, *arr) as u32);
-                            let t = arena.load(r, idx)? as i64;
-                            let cv = rdv(regs, *c) as i64;
-                            let v = if *t_left {
-                                ibin(*k2, t, cv)
-                            } else {
-                                ibin(*k2, cv, t)
-                            };
-                            regs[*dst as usize] = v as u64;
-                        }
-                        Op::AStore {
-                            arr,
-                            idx,
-                            val,
-                            charge,
-                        } => {
-                            m.charge(*charge)?;
-                            let val = rdv(regs, *val) as i64;
-                            let idx = rdv(regs, *idx) as i64;
-                            let r = BytesRef(rdv(regs, *arr) as u32);
-                            arena.store(r, idx, val as u8)?;
-                        }
                         Op::ALen { dst, arr, charge } => {
                             m.charge(*charge)?;
-                            let r = BytesRef(rdv(regs, *arr) as u32);
+                            let r = BytesRef(regs[*arr as usize] as u32);
                             regs[*dst as usize] = arena.len(r)? as u64;
                         }
                         Op::Call {
@@ -1698,20 +1975,16 @@ pub(crate) fn run_compiled(
                             charge,
                         } => {
                             m.charge(*charge)?;
-                            if depth >= limits.max_call_depth {
+                            if callers.len() + 1 >= limits.max_call_depth {
                                 return Err(JaguarError::ResourceLimit(format!(
                                     "call depth limit {} exceeded",
                                     limits.max_call_depth
                                 )));
                             }
-                            let argv: Vec<u64> = args.iter().map(|s| rdv(regs, *s)).collect();
                             frame.block = block;
                             frame.op = i + 1;
-                            break 'burst Transfer::Push {
-                                fidx: *fidx,
-                                args: argv,
-                                ret_dst: *dst,
-                            };
+                            frame.ret_dst = *dst;
+                            break 'burst Transfer::Push { fidx: *fidx, args };
                         }
                         Op::HostCall {
                             iidx,
@@ -1724,16 +1997,16 @@ pub(crate) fn run_compiled(
                                 .get(*iidx as usize)
                                 .ok_or(JaguarError::VmTrap(VmTrap::BadCall(*iidx as u32)))?;
                             if let Some(sec) = interp.security_ref() {
-                                sec.check(&Permission::HostCall(import.name.clone()))?;
+                                sec.check_host_call(&import.name)?;
                             }
-                            let argv: Vec<VmValue> = args
-                                .iter()
-                                .zip(&import.sig.params)
-                                .map(|(s, t)| dec(*t, rdv(regs, *s)))
-                                .collect();
+                            host_args.clear();
+                            host_args.extend(
+                                args.iter()
+                                    .zip(&import.sig.params)
+                                    .map(|(s, t)| dec(*t, regs[*s as usize])),
+                            );
                             m.usage.host_calls += 1;
-                            let ret = host.host_call(&import.name, &argv, arena)?;
-                            let regs = &mut frame.regs;
+                            let ret = host.host_call(&import.name, &host_args, arena)?;
                             match (ret, import.sig.ret) {
                                 (Some(v), Some(t)) if v.vtype() == t => {
                                     if let Some(dst) = dst {
@@ -1751,6 +2024,7 @@ pub(crate) fn run_compiled(
                                 }
                             }
                         }
+                        op => exec_op(op, regs, arena, |cost| m.charge(cost))?,
                     }
                     i += 1;
                 }
@@ -1766,7 +2040,7 @@ pub(crate) fn run_compiled(
                         charge,
                     } => {
                         m.charge(*charge)?;
-                        let c = rdv(&frame.regs, *cond) as i64;
+                        let c = int(regs, cond);
                         block = if c != 0 { *if_true } else { *if_false } as usize;
                     }
                     Exit::BranchCmpI {
@@ -1778,8 +2052,7 @@ pub(crate) fn run_compiled(
                         charge,
                     } => {
                         m.charge(*charge)?;
-                        let regs = &frame.regs[..];
-                        let holds = cmp_i(*kind, rdv(regs, *a) as i64, rdv(regs, *b) as i64);
+                        let holds = cmp_i(*kind, int(regs, a), int(regs, b));
                         block = if holds { *if_true } else { *if_false } as usize;
                     }
                     Exit::IBinBranchCmpI {
@@ -1794,17 +2067,15 @@ pub(crate) fn run_compiled(
                         if_false,
                         charge,
                     } => {
-                        let regs = &mut frame.regs[..];
-                        let v = ibin(*k0, rdv(regs, *a0) as i64, rdv(regs, *b0) as i64);
+                        let v = ibin(*k0, int(regs, a0), int(regs, b0));
                         regs[*d as usize] = v as u64;
                         m.charge(*charge)?;
-                        let holds = cmp_i(*kind, rdv(regs, *a) as i64, rdv(regs, *b) as i64);
+                        let holds = cmp_i(*kind, int(regs, a), int(regs, b));
                         block = if holds { *if_true } else { *if_false } as usize;
                     }
                     Exit::Ret { src, charge } => {
                         m.charge(*charge)?;
-                        let v = (*src).map(|s| rdv(&frame.regs, s));
-                        break 'burst Transfer::Return(v);
+                        break 'burst Transfer::Return((*src).map(|s| regs[s as usize]));
                     }
                     Exit::Trap { code, charge } => {
                         m.charge(*charge)?;
@@ -1814,48 +2085,50 @@ pub(crate) fn run_compiled(
             }
         };
         match transfer {
-            Transfer::Push {
-                fidx,
-                args,
-                ret_dst,
-            } => {
-                frames.push(make_frame(fidx, ret_dst, args, arena, &mut empty_ref)?);
-                m.usage.max_depth_seen = m.usage.max_depth_seen.max(frames.len());
+            Transfer::Push { fidx, args } => {
+                // The callee's frame starts right above the caller's, with
+                // the arguments copied in as its first registers.
+                let base = stack.len();
+                let callee = enter(fidx, base, &mut stack, arena)?;
+                for (k, s) in args.iter().enumerate() {
+                    stack[base + k] = stack[frame.base + *s as usize];
+                }
+                callers.push(std::mem::replace(&mut frame, callee));
+                m.usage.max_depth_seen = m.usage.max_depth_seen.max(callers.len() + 1);
             }
             Transfer::Return(v) => {
-                frames.pop().expect("frame");
-                match frames.last_mut() {
-                    None => {
-                        m.usage.instructions = m.retired();
-                        m.usage.bytes_allocated = arena.allocated();
-                        let ret = match (v, functions[entry as usize].sig.ret) {
-                            (Some(bits), Some(t)) => Some(dec(t, bits)),
-                            _ => None,
-                        };
-                        return Ok((ret, m.usage));
-                    }
-                    Some(caller) => {
-                        if let Some(dst) = caller.ret_dst.take() {
-                            let v = v.ok_or(JaguarError::VmTrap(VmTrap::Type(
-                                "call returned no value",
-                            )))?;
-                            caller.regs[dst as usize] = v;
-                        }
-                    }
+                stack.truncate(frame.base);
+                let Some(caller) = callers.pop() else {
+                    arena.regs = stack;
+                    m.usage.instructions = match m.fuel {
+                        Some(left) => m.fuel_initial - left,
+                        None => m.acc,
+                    };
+                    m.usage.bytes_allocated = arena.allocated();
+                    let ret = match (v, functions[entry as usize].sig.ret) {
+                        (Some(bits), Some(t)) => Some(dec(t, bits)),
+                        _ => None,
+                    };
+                    return Ok((ret, m.usage));
+                };
+                frame = caller;
+                if let Some(dst) = frame.ret_dst.take() {
+                    let v = v.ok_or(JaguarError::VmTrap(VmTrap::Type("call returned no value")))?;
+                    stack[frame.base + dst as usize] = v;
                 }
             }
         }
-        continue 'vm;
     }
 }
 
-/// One compiled call frame. `ret_dst` is where the *next* callee's result
-/// lands in this frame's registers (set at `Call`, consumed at return).
+/// One compiled call frame: its registers are `stack[base..]`. `ret_dst`
+/// is where the callee's result lands in *this* frame's registers (set at
+/// `Call`, consumed when the callee returns).
 struct CFrame {
     fidx: u32,
     block: usize,
     op: usize,
-    regs: Vec<u64>,
+    base: usize,
     ret_dst: Option<u16>,
 }
 
@@ -1923,28 +2196,186 @@ mod tests {
         assert!(metrics().compiled_hits.get() > 0);
     }
 
+    /// The generic UDF's data-independent loop, `acc = acc * 31 + i`.
+    fn mul_add_loop_module() -> Arc<VerifiedModule> {
+        let src = "module m\nfunc main(bytes, i64) -> i64\nlocals i64, i64\n\
+                   top:\n  load 2\n  load 1\n  lti\n  jmpifnot done\n\
+                   load 3\n  consti 31\n  muli\n  load 2\n  addi\n  store 3\n\
+                   load 2\n  consti 1\n  addi\n  store 2\n  jmp top\n\
+                   done:\n  load 3\n  ret\nend\n";
+        Arc::new(crate::asm::assemble(src).unwrap().verify().unwrap())
+    }
+
+    /// Everything a caller can see of one invocation.
+    fn outcome(
+        interp: &Interpreter,
+        args: &[ArgValue],
+    ) -> std::result::Result<(Option<VmValue>, ResourceUsage), String> {
+        match interp.invoke("main", args, &mut NoHost) {
+            Ok((ret, usage, _)) => Ok((ret, usage)),
+            Err(e) => Err(e.to_string()),
+        }
+    }
+
+    /// Baseline, fused and compiled outcomes of `main(data, n)` under
+    /// `limits`, asserted identical; returns the common one.
+    fn same_on_every_tier(
+        m: &Arc<VerifiedModule>,
+        limits: ResourceLimits,
+        data: &[u8],
+        n: i64,
+    ) -> std::result::Result<(Option<VmValue>, ResourceUsage), String> {
+        let args = [ArgValue::Bytes(data.to_vec()), ArgValue::I64(n)];
+        let base = Interpreter::new(Arc::clone(m), limits, ExecMode::Baseline);
+        let jit = Interpreter::new(Arc::clone(m), limits, ExecMode::Jit);
+        let tier = Interpreter::new(Arc::clone(m), limits, ExecMode::Jit).with_tier_up(Some(0));
+        let expect = outcome(&base, &args);
+        assert_eq!(outcome(&jit, &args), expect, "fused, {limits:?}");
+        assert_eq!(outcome(&tier, &args), expect, "compiled, {limits:?}");
+        expect
+    }
+
+    /// Both generic-UDF loops are recognised as counted recurrence
+    /// kernels, and a run of either is one strip with no fallback.
+    #[test]
+    fn generic_udf_loops_are_counted_kernels() {
+        for (m, hoisted) in [(sum_loop_module(), true), (mul_add_loop_module(), false)] {
+            let cm = CompiledModule::build(&m);
+            let cf = cm.funcs[0].as_ref().expect("compiles");
+            let loops: Vec<&Counted> = cf
+                .blocks
+                .iter()
+                .filter_map(|b| b.counted.as_ref())
+                .collect();
+            assert_eq!(loops.len(), 1, "{:?}", cf.blocks);
+            assert_eq!(loops[0].step, 1);
+            assert_eq!(loops[0].arr.is_some(), hoisted);
+            assert!(loops[0].chain.is_some(), "{:?}", loops[0]);
+        }
+        let tm = metrics();
+        let (strips, fallbacks) = (tm.loop_strips.get(), tm.loop_fallbacks.get());
+        let tier = Interpreter::new(sum_loop_module(), ResourceLimits::default(), ExecMode::Jit)
+            .with_tier_up(Some(0));
+        let args = [ArgValue::Bytes(vec![1; 50]), ArgValue::I64(50)];
+        tier.invoke("main", &args, &mut NoHost).unwrap();
+        // Other tests in this process may add to the counters, never take away.
+        assert!(tm.loop_strips.get() > strips);
+        assert!(tm.loop_fallbacks.get() >= fallbacks);
+    }
+
     /// Fuel exhaustion reports the same instruction count and text in the
-    /// compiled tier as in the baseline interpreter, for every budget.
+    /// compiled tier as in the interpreters, and a sufficient budget the
+    /// same result and usage: every budget from 1 to past completion, on
+    /// both generic-UDF loops.
     #[test]
     fn fuel_exhaustion_is_tier_independent() {
-        let m = sum_loop_module();
         let data: Vec<u8> = (0..50u8).collect();
-        for fuel in [1u64, 2, 3, 7, 50, 113, 200] {
-            let limits = ResourceLimits::tight(fuel, 1 << 20);
-            let args = [
-                ArgValue::Bytes(data.clone()),
-                ArgValue::I64(data.len() as i64),
-            ];
-            let base = Interpreter::new(Arc::clone(&m), limits, ExecMode::Baseline);
-            let jit = Interpreter::new(Arc::clone(&m), limits, ExecMode::Jit);
-            let tier =
-                Interpreter::new(Arc::clone(&m), limits, ExecMode::Jit).with_tier_up(Some(0));
-            let eb = base.invoke("main", &args, &mut NoHost).unwrap_err();
-            let ej = jit.invoke("main", &args, &mut NoHost).unwrap_err();
-            let et = tier.invoke("main", &args, &mut NoHost).unwrap_err();
-            assert_eq!(eb.to_string(), ej.to_string(), "fuel={fuel}");
-            assert_eq!(eb.to_string(), et.to_string(), "fuel={fuel}");
+        for m in [sum_loop_module(), mul_add_loop_module()] {
+            let unlimited = same_on_every_tier(&m, ResourceLimits::default(), &data, 50);
+            let total = unlimited.expect("completes").1.instructions;
+            let mut completed = 0;
+            for fuel in 1..=total + 2 {
+                let limits = ResourceLimits::tight(fuel, 1 << 20);
+                match same_on_every_tier(&m, limits, &data, 50) {
+                    Ok((_, usage)) => {
+                        assert_eq!(usage.instructions, total);
+                        completed += 1;
+                    }
+                    Err(text) => assert_eq!(
+                        text,
+                        format!(
+                            "resource limit exceeded: fuel exhausted after {} instructions",
+                            fuel + 1
+                        ),
+                    ),
+                }
+            }
+            assert_eq!(completed, 3, "exactly the budgets >= {total} complete");
         }
+    }
+
+    /// A loop that runs off its array traps at the exact trip with the
+    /// exact index and length, after a strip over the part in range; a
+    /// budget that runs out first reports exhaustion instead.
+    #[test]
+    fn counted_loop_traps_exactly_where_the_interpreter_does() {
+        let m = sum_loop_module();
+        let data: Vec<u8> = (0..20u8).collect();
+        let trap = same_on_every_tier(&m, ResourceLimits::default(), &data, 25).unwrap_err();
+        assert!(trap.contains("index 20") && trap.contains("20"), "{trap}");
+        for fuel in 1..400 {
+            let _ = same_on_every_tier(&m, ResourceLimits::tight(fuel, 1 << 20), &data, 25);
+        }
+        // Never in range: empty array, and a bound below the start.
+        same_on_every_tier(&m, ResourceLimits::default(), &[], 3).unwrap_err();
+        same_on_every_tier(&m, ResourceLimits::default(), &data, -4).unwrap();
+    }
+
+    /// The cancel poll keeps its cadence through strips: a pre-cancelled
+    /// token stops a loop of more than `CANCEL_CHECK_INTERVAL` instructions
+    /// on every tier, whatever fuel is left at the poll, and leaves a
+    /// shorter one alone.
+    #[test]
+    fn counted_loop_polls_the_cancel_token_on_cadence() {
+        let m = mul_add_loop_module();
+        let per_trip = 10;
+        for (n, fuel) in [
+            (100, None),
+            (CANCEL_CHECK_INTERVAL as i64, None),
+            (
+                CANCEL_CHECK_INTERVAL as i64,
+                Some(CANCEL_CHECK_INTERVAL - 1),
+            ),
+            (CANCEL_CHECK_INTERVAL as i64, Some(CANCEL_CHECK_INTERVAL)),
+            (
+                CANCEL_CHECK_INTERVAL as i64,
+                Some(CANCEL_CHECK_INTERVAL + per_trip),
+            ),
+        ] {
+            let limits = ResourceLimits {
+                fuel,
+                ..ResourceLimits::default()
+            };
+            let outcomes: Vec<_> = [
+                (ExecMode::Baseline, None),
+                (ExecMode::Jit, None),
+                (ExecMode::Jit, Some(0)),
+            ]
+            .into_iter()
+            .map(|(mode, tier_up)| {
+                let mut interp =
+                    Interpreter::new(Arc::clone(&m), limits, mode).with_tier_up(tier_up);
+                let token = CancelToken::unbounded();
+                token.cancel();
+                interp.set_cancel(token);
+                outcome(&interp, &[ArgValue::Bytes(vec![]), ArgValue::I64(n)])
+            })
+            .collect();
+            assert_eq!(outcomes[1], outcomes[0], "fused, n={n} fuel={fuel:?}");
+            assert_eq!(outcomes[2], outcomes[0], "compiled, n={n} fuel={fuel:?}");
+            assert_eq!(outcomes[0].is_ok(), n == 100, "{:?}", outcomes[0]);
+        }
+    }
+
+    /// A call's result lands in the caller's register — at every depth.
+    #[test]
+    fn compiled_calls_return_values_to_their_callers() {
+        let src = "module m\n\
+                   func main(i64) -> i64\n  consti 1\n  load 0\n  call 1\n  addi\n  consti 3\n  addi\n  ret\nend\n\
+                   func mid(i64) -> i64\n  load 0\n  call 2\n  consti 7\n  addi\n  ret\nend\n\
+                   func leaf(i64) -> i64\n  load 0\n  consti 2\n  muli\n  ret\nend\n";
+        let m = Arc::new(crate::asm::assemble(src).unwrap().verify().unwrap());
+        let args = [ArgValue::I64(5)];
+        let base = Interpreter::new(
+            Arc::clone(&m),
+            ResourceLimits::default(),
+            ExecMode::Baseline,
+        );
+        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
+            .with_tier_up(Some(0));
+        let expect = outcome(&base, &args);
+        assert_eq!(expect.as_ref().unwrap().0, Some(VmValue::I64(21)));
+        assert_eq!(outcome(&tier, &args), expect);
     }
 
     /// A pre-cancelled token stops the compiled tier like the interpreter.

@@ -131,6 +131,28 @@ fn explain_analyze_reports_tier_activity() {
     let plain = db.execute("EXPLAIN SELECT first_byte(b) FROM t").unwrap();
     let text = string_rows(&plain).join("\n");
     assert!(!text.contains("VM tier:"), "{text}");
+
+    // A UDF whose hot loop is a counted loop shows that it ran as strips
+    // and handed nothing back to the per-op path. (The counters are
+    // process-wide, so only their being zero or not is asserted.)
+    db.register_jagscript_udf(
+        "byte_sum",
+        UdfSignature::new(vec![DataType::Bytes], DataType::Int),
+        "fn main(b: bytes) -> i64 {
+            let acc: i64 = 0; let i: i64 = 0; let n: i64 = len(b);
+            while i < n { acc = acc + b[i]; i = i + 1; }
+            return acc;
+        }",
+        jaguar_core::UdfDesign::Sandboxed,
+    )
+    .unwrap();
+    let analyzed = db
+        .execute("EXPLAIN ANALYZE SELECT byte_sum(b) FROM t")
+        .unwrap();
+    let text = string_rows(&analyzed).join("\n");
+    assert!(text.contains(" loop_strips="), "{text}");
+    assert!(!text.contains(" loop_strips=0 "), "{text}");
+    assert!(text.contains(" loop_fallbacks=0 "), "{text}");
 }
 
 #[test]

@@ -448,6 +448,207 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// counted loops through the compiled tier
+// ---------------------------------------------------------------------
+
+const LOOP_OPS: [&str; 8] = ["+", "-", "*", "&", "|", "^", "<<", ">>"];
+
+fn arb_loop_op() -> impl Strategy<Value = &'static str> {
+    (0usize..LOOP_OPS.len()).prop_map(|i| LOOP_OPS[i])
+}
+
+/// A right operand: the induction variable, an invariant, a literal.
+fn arb_loop_operand() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just("i".to_string()),
+        Just("k".to_string()),
+        (-3i64..40).prop_map(|c| format!("({c})")),
+    ]
+}
+
+/// A recurrence the compiled tier runs as a kernel, operands either way
+/// round, through one op or two.
+fn arb_kernel_stmt() -> impl Strategy<Value = String> {
+    let (op, x) = (arb_loop_op, arb_loop_operand);
+    prop_oneof![
+        op().prop_map(|o| format!("acc = acc {o} data[i];")),
+        op().prop_map(|o| format!("acc = data[i] {o} acc;")),
+        (op(), x()).prop_map(|(o, x)| format!("acc = acc {o} {x};")),
+        (op(), x(), op(), x()).prop_map(|(o1, x, o2, y)| format!("acc = (acc {o1} {x}) {o2} {y};")),
+        (op(), x(), op(), x()).prop_map(|(o1, x, o2, y)| format!("acc = {y} {o2} ({x} {o1} acc);")),
+        (op(), x(), op())
+            .prop_map(|(o1, x, o2)| format!("t = acc {o1} {x}; acc = t {o2} data[i];")),
+    ]
+}
+
+/// One statement of a loop body: mostly kernels; otherwise what takes a
+/// loop off the kernel or off array hoisting (stores, a second array, an
+/// index that is not the induction variable, a float op, an array
+/// register the body reassigns) or off the counted path altogether (a
+/// branch, a division, `len`, a body that writes its own bound or
+/// induction variable).
+fn arb_loop_stmt() -> impl Strategy<Value = String> {
+    let fixed =
+        |stmts: &'static [&'static str]| (0..stmts.len()).prop_map(|i| stmts[i].to_string());
+    let unhoisted = || {
+        fixed(&[
+            "data[i] = acc;",
+            "out[i] = data[i] + 1;",
+            "acc = acc + data[i + 1];",
+            "f = f * 1.5 + float(i);",
+            "data = out;",
+        ])
+    };
+    let uncounted = fixed(&[
+        "acc = acc + len(data);",
+        "if acc > 100 { acc = acc - 7; }",
+        "acc = acc / k;",
+        "n = n - 1;",
+        "i = i + 1;",
+    ]);
+    prop_oneof![
+        arb_kernel_stmt(),
+        arb_kernel_stmt(),
+        arb_kernel_stmt(),
+        unhoisted(),
+        unhoisted(),
+        uncounted,
+    ]
+}
+
+/// `while <cond> { <body> i = i <step>; }`, optionally re-entered by an
+/// outer loop, then every observable folded into the result.
+fn loop_program(cond: &str, step: &str, body: &[String], nested: bool) -> String {
+    let inner = format!("while {cond} {{ {} i = i {step}; }}", body.join(" "));
+    let loops = if nested {
+        format!("let p: i64 = 0; while p < 2 {{ i = start + p; {inner} p = p + 1; }}")
+    } else {
+        inner
+    };
+    format!(
+        "fn main(data: bytes, start: i64, bound: i64, k: i64) -> i64 {{
+            let out: bytes = newbytes(12);
+            let acc: i64 = 1; let t: i64 = 0; let f: f64 = 0.5;
+            let n: i64 = bound; let i: i64 = start;
+            {loops}
+            let q: i64 = 0;
+            while q < len(data) {{ acc = acc * 3 + data[q]; q = q + 1; }}
+            q = 0;
+            while q < len(out) {{ acc = acc * 5 + out[q]; q = q + 1; }}
+            return acc + i * 7 + n + t + int(f);
+        }}"
+    )
+}
+
+type LoopOutcome = std::result::Result<(Option<i64>, u64), String>;
+
+/// One run of a loop program: `Ok((result, instructions))` or the error text.
+fn observe_loop(
+    vm: &std::sync::Arc<jaguar_vm::VerifiedModule>,
+    fuel: u64,
+    (mode, tier_up_after): (jaguar_vm::ExecMode, Option<u64>),
+    cancelled: bool,
+    (data, start, bound, k): (&[u8], i64, i64, i64),
+) -> LoopOutcome {
+    use jaguar_vm::ArgValue;
+    let limits = jaguar_vm::ResourceLimits {
+        fuel: Some(fuel),
+        ..jaguar_vm::ResourceLimits::default()
+    };
+    let mut interp = jaguar_vm::Interpreter::new(std::sync::Arc::clone(vm), limits, mode)
+        .with_tier_up(tier_up_after);
+    if cancelled {
+        let token = jaguar_common::cancel::CancelToken::unbounded();
+        token.cancel();
+        interp.set_cancel(token);
+    }
+    let args = [
+        ArgValue::Bytes(data.to_vec()),
+        ArgValue::I64(start),
+        ArgValue::I64(bound),
+        ArgValue::I64(k),
+    ];
+    match interp.invoke("main", &args, &mut jaguar_vm::NoHost) {
+        Ok((v, usage, _)) => Ok((v.map(|v| v.as_i64().unwrap()), usage.instructions)),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Loops reach the compiled tier's counted-loop path — strips, hoisted
+    /// array checks, kernels — and everything it must hand back to the
+    /// per-op path, and stay observationally identical to both
+    /// interpreters: result, `usage.instructions`, and the error text of a
+    /// bounds trap mid-loop (array shorter than, as long as, longer than
+    /// the bound; negative start; empty array), of fuel exhaustion at
+    /// every budget from 1 to past completion, and of a pre-cancelled
+    /// token on a loop long enough to reach a poll.
+    #[test]
+    fn compiled_tier_matches_interpreters_on_loops(
+        body in proptest::collection::vec(arb_loop_stmt(), 1..4),
+        up in any::<bool>(),
+        cmp in 0usize..4,
+        step in prop_oneof![Just(1i64), Just(1), Just(2), Just(3), Just(7)],
+        wrong_way in 0u8..6,
+        nested in any::<bool>(),
+        data in proptest::collection::vec(any::<u8>(), 0..24),
+        low in -2i64..3,
+        high in -3i64..3,
+        k in -2i64..5,
+        long in 0u8..8,
+    ) {
+        use jaguar_vm::ExecMode::{Baseline, Jit};
+        // Four spellings each of "keep counting up" and "keep counting
+        // down". A step the wrong way ends the loop after one trip, or
+        // only when its fuel does.
+        let cond = if up {
+            ["i < n", "i <= n", "n > i", "n >= i"][cmp]
+        } else {
+            ["n < i", "n <= i", "i > n", "i >= n"][cmp]
+        };
+        let step = if up == (wrong_way == 0) { format!("- {step}") } else { format!("+ {step}") };
+        // The walk covers `low ..= len + high`, from whichever end it
+        // starts: inside the array, exactly to its end, or off either end.
+        let high = data.len() as i64 + high;
+        let (start, bound) = if up { (low, high) } else { (high, low) };
+        let src = loop_program(cond, &step, &body, nested);
+        let module = jaguar_lang::compile("p", &src).unwrap();
+        let vm = std::sync::Arc::new(module.verify().unwrap());
+        let tiers = [(Baseline, None), (Jit, None), (Jit, Some(0))];
+
+        // A long loop meets cancel polls: the bound moves ~9,000 trips out.
+        let long = long == 0;
+        let far = if up { start + 9_000 } else { start - 9_000 };
+        let args = (&data[..], start, if long { far } else { bound }, k);
+        let reference = observe_loop(&vm, 500_000, tiers[0], false, args);
+        let budgets: Vec<u64> = match (&reference, long) {
+            (_, true) => vec![500_000, 65_535, 65_536, 65_537, 65_546, 131_072, 131_073],
+            (Ok((_, total)), false) if *total <= 400 => (1..=total + 2).collect(),
+            (Ok((_, total)), false) => (0..=64).map(|s| 1 + s * (total + 1) / 64).collect(),
+            (Err(_), false) => (1..=300).chain([500_000]).collect(),
+        };
+        for fuel in budgets {
+            for cancelled in [false, true] {
+                if cancelled && !long {
+                    continue;
+                }
+                let expect = observe_loop(&vm, fuel, tiers[0], cancelled, args);
+                for tier in &tiers[1..] {
+                    let got = observe_loop(&vm, fuel, *tier, cancelled, args);
+                    prop_assert_eq!(
+                        &got, &expect,
+                        "{:?} diverged at fuel {} cancelled {} args {:?} on {}",
+                        tier, fuel, cancelled, args, src
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
 // generic UDF: native vs sandboxed
 // ---------------------------------------------------------------------
 
