@@ -3,17 +3,19 @@
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use jaguar_common::config::Config;
 use jaguar_common::error::JaguarError;
 use jaguar_common::error::Result;
 use jaguar_common::ids::{RecordId, TableId};
+use jaguar_common::obs;
 use jaguar_common::schema::{Schema, SchemaRef};
 use jaguar_common::stream::{decode_tuple, write_tuple};
 use jaguar_common::DataType;
 use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_sec::PageCipher;
+use jaguar_storage::heap::Updated;
 use jaguar_storage::{BTree, BufferPool, DiskManager, HeapFile};
 use jaguar_wal::Wal;
 use parking_lot::RwLock;
@@ -218,12 +220,22 @@ impl Table {
         self.indexes.read().iter().map(|i| i.name.clone()).collect()
     }
 
-    /// Validate against the schema and store a row (maintaining indexes).
-    pub fn insert(&self, tuple: Tuple) -> Result<RecordId> {
+    /// Validate `tuple` against the schema and encode it as a record.
+    fn encode(&self, tuple: &Tuple) -> Result<Vec<u8>> {
         tuple.check_against(&self.schema)?;
         let mut buf = Vec::with_capacity(32 + tuple.heap_size());
-        write_tuple(&mut buf, &tuple)?;
-        let rid = self.heap.insert(&buf)?;
+        write_tuple(&mut buf, tuple)?;
+        Ok(buf)
+    }
+
+    /// The columns some index is keyed on.
+    fn key_columns(&self, indexes: &[Arc<TableIndex>]) -> ColumnSet {
+        ColumnSet::of(self.schema.len(), indexes.iter().map(|i| i.column))
+    }
+
+    /// Validate against the schema and store a row (maintaining indexes).
+    pub fn insert(&self, tuple: Tuple) -> Result<RecordId> {
+        let rid = self.heap.insert(&self.encode(&tuple)?)?;
         self.rows.fetch_add(1, Ordering::Relaxed);
         for idx in self.indexes.read().iter() {
             if let Value::Int(k) = tuple.get(idx.column)? {
@@ -234,8 +246,8 @@ impl Table {
     }
 
     /// Fetch one row by record id, decoding the columns in `cols` (the
-    /// others read as NULL).
-    pub fn get(&self, rid: RecordId, cols: &ColumnSet) -> Result<Tuple> {
+    /// others read as NULL). `None` if the row is gone.
+    pub fn get(&self, rid: RecordId, cols: &ColumnSet) -> Result<Option<Tuple>> {
         self.heap.get_with(rid, |record| decode_tuple(record, cols))
     }
 
@@ -249,8 +261,7 @@ impl Table {
         self.rows.fetch_sub(1, Ordering::Relaxed);
         let indexes = self.indexes.read();
         if !indexes.is_empty() {
-            let keys = ColumnSet::of(self.schema.len(), indexes.iter().map(|i| i.column));
-            let tuple = decode_tuple(&raw, &keys)?;
+            let tuple = decode_tuple(&raw, &self.key_columns(&indexes))?;
             for idx in indexes.iter() {
                 if let Value::Int(k) = tuple.get(idx.column)? {
                     idx.btree.delete(*k, rid)?;
@@ -258,6 +269,52 @@ impl Table {
             }
         }
         Ok(true)
+    }
+
+    /// Replace the row at `rid` with `new`. The row is rewritten where it
+    /// lies and keeps its id whenever the new version fits its page, and
+    /// then only the indexes whose key changed — judged by the row actually
+    /// replaced, not by what the caller read earlier — are touched. If it
+    /// does not fit, or either version is spilled, the row is deleted and
+    /// re-inserted. `false` if the row was already gone (see
+    /// [`Table::delete`]); nothing is inserted then.
+    pub fn update(&self, rid: RecordId, new: Tuple) -> Result<bool> {
+        let record = self.encode(&new)?;
+        let indexes = self.indexes.read();
+        let keys = self.key_columns(&indexes);
+        // Resolved once: a lookup locks the registry, an increment does not.
+        static COUNTERS: OnceLock<[Arc<obs::Counter>; 2]> = OnceLock::new();
+        let [in_place, moved] = COUNTERS.get_or_init(|| {
+            ["sql.dml.in_place_updates", "sql.dml.moved_updates"].map(|n| obs::global().counter(n))
+        });
+        let seen = |old: &[u8]| decode_tuple(old, &keys);
+        match self.heap.update(rid, &record, seen)? {
+            Updated::InPlace(old) => {
+                for idx in indexes.iter() {
+                    let (was, now) = (old.get(idx.column)?, new.get(idx.column)?);
+                    if was != now {
+                        if let Value::Int(k) = was {
+                            idx.btree.delete(*k, rid)?;
+                        }
+                        if let Value::Int(k) = now {
+                            idx.btree.insert(*k, rid)?;
+                        }
+                    }
+                }
+                in_place.inc();
+                Ok(true)
+            }
+            Updated::Gone => Ok(false),
+            Updated::NoRoom => {
+                drop(indexes);
+                if !self.delete(rid)? {
+                    return Ok(false);
+                }
+                self.insert(new)?;
+                moved.inc();
+                Ok(true)
+            }
+        }
     }
 
     /// Scan all rows, every column, in storage order.
@@ -359,18 +416,58 @@ mod tests {
             .unwrap();
         let all = ColumnSet::all();
         assert_eq!(
-            t.get(rid, &all).unwrap().values(),
+            t.get(rid, &all).unwrap().unwrap().values(),
             [Value::Int(1), Value::Str("x".into())]
         );
         assert_eq!(
-            t.get(rid, &ColumnSet::of(2, [0])).unwrap().values(),
+            t.get(rid, &ColumnSet::of(2, [0]))
+                .unwrap()
+                .unwrap()
+                .values(),
             [Value::Int(1), Value::Null],
             "an unwanted column keeps its place and reads as NULL"
         );
         assert!(t.delete(rid).unwrap());
-        assert!(t.get(rid, &all).is_err());
+        assert!(t.get(rid, &all).unwrap().is_none());
         assert!(!t.delete(rid).unwrap(), "already gone: nothing to do");
         assert_eq!(t.row_count(), 0);
+    }
+
+    #[test]
+    fn update_keeps_the_rid_and_touches_only_changed_keys() {
+        let t = table();
+        t.create_index("t_a", "a").unwrap();
+        let row = |a: i64, b: &str| Tuple::new(vec![Value::Int(a), Value::Str(b.into())]);
+        let index = t.index_on(0).unwrap();
+        let rid = t.insert(row(1, "x")).unwrap();
+        let filler = t.insert(row(2, &"f".repeat(7_000))).unwrap();
+        let all = ColumnSet::all();
+        // Same key: rewritten where it lies, the index untouched.
+        assert!(t.update(rid, row(1, "y")).unwrap());
+        assert_eq!(t.get(rid, &all).unwrap().unwrap(), row(1, "y"));
+        assert_eq!(index.btree.range(1, Some(2)).unwrap(), vec![rid]);
+        // A new key (and a NULL one): the entry follows the row.
+        assert!(t.update(rid, row(5, "y")).unwrap());
+        assert!(index.btree.range(1, Some(2)).unwrap().is_empty());
+        assert_eq!(index.btree.range(5, Some(6)).unwrap(), vec![rid]);
+        assert!(t
+            .update(rid, Tuple::new(vec![Value::Null, Value::Null]))
+            .unwrap());
+        assert_eq!(index.btree.range(i64::MIN, None).unwrap(), vec![filler]);
+        // Too wide for its page: deleted and re-inserted under a new id.
+        assert!(t.update(rid, row(7, &"w".repeat(2_000))).unwrap());
+        assert!(t.get(rid, &all).unwrap().is_none());
+        let moved = index.btree.range(7, Some(8)).unwrap();
+        assert_eq!(moved.len(), 1);
+        assert_eq!(
+            t.get(moved[0], &all).unwrap().unwrap(),
+            row(7, &"w".repeat(2_000))
+        );
+        assert_eq!(t.row_count(), 2);
+        // Gone, or not of this schema: nothing is written.
+        assert!(!t.update(rid, row(9, "late")).unwrap());
+        assert!(t.update(filler, Tuple::new(vec![Value::Int(1)])).is_err());
+        assert_eq!(t.row_count(), 2);
     }
 
     #[test]

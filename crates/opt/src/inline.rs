@@ -9,26 +9,37 @@
 //! in `Ret`, the forked results fold into [`SExpr::If`] nodes and the
 //! whole body becomes one expression over the UDF's arguments.
 //!
+//! An operation that can trap — a division by anything but a non-zero
+//! constant, a byte read — is not left inside the tree, to run when (and
+//! if) its value is first used: it is hoisted into an [`SExpr::Let`] at its
+//! place in program order, and later expressions read its slot like an
+//! argument. A body therefore traps exactly where, and with exactly the
+//! trap, the interpreter would — also when a trapping value is never used,
+//! or when two different traps compete.
+//!
 //! Evaluation then mirrors the interpreter *exactly* — wrapping integer
 //! arithmetic, `& 63` shift masking, IEEE float semantics, comparisons
-//! yielding `0`/`1`, and the same `integer divide by zero` trap — plus
-//! the VM-UDF marshalling rules (`Bool` travels as `i64`, `NULL` is
-//! rejected with the same error text as [`value_to_vm`] would produce).
+//! yielding `0`/`1`, the same `integer divide by zero` and array-bounds
+//! traps — plus the VM-UDF marshalling rules (`Bool` travels as `i64`,
+//! `NULL` is rejected with the same error text as [`value_to_vm`] would
+//! produce, and a byte array the sandbox's memory budget could not hold is
+//! refused with the arena's own text, although nothing is copied here:
+//! `b[i]` and `len(b)` read the argument where it lies).
 //! That is what lets the engine substitute an inlined body for a real
 //! sandbox invocation while keeping rows *and* error text byte-identical.
 //!
 //! Bail-out rules (any of these falls back to the normal call path):
-//! loops (back-edges), `Call` / `HostCall`, array instructions,
-//! bytes-typed parameters or locals, explicit `Trap`s on a reachable
-//! path, reads of never-written locals, bodies over the node/step
-//! budget, and fuel limits tight enough that a real invocation could
+//! loops (back-edges), `Call` / `HostCall`, array stores and allocations,
+//! array reads on anything but a parameter, bytes-typed locals or results,
+//! explicit `Trap`s on a reachable path, reads of never-written locals,
+//! bodies over the node/step budget, and fuel limits tight enough that a real invocation could
 //! plausibly trap where the inline evaluation would not.
 //!
 //! [`value_to_vm`]: https://en.wikipedia.org/wiki/Marshalling_(computer_science)
 
 use jaguar_common::error::{JaguarError, Result, VmTrap};
 use jaguar_common::{DataType, Value};
-use jaguar_vm::{Function, Insn, VType};
+use jaguar_vm::{Function, Insn, ResourceLimits, VType};
 
 /// Hard ceiling on translated expression size, in tree nodes. Bodies
 /// larger than this are cheaper to run in the (tiered) VM anyway.
@@ -74,10 +85,12 @@ pub enum COp {
     Le,
 }
 
-/// A scalar expression over the UDF's arguments — the inlined body.
+/// A scalar expression over the UDF's arguments and the values its block
+/// (and the blocks before it) hoisted.
 #[derive(Debug, Clone)]
 pub enum SExpr {
-    /// Argument `i` of the UDF, in VM representation (`Bool` → `i64`).
+    /// Slot `i`: argument `i` of the UDF in VM representation (`Bool` →
+    /// `i64`), or — from the arity up — a hoisted value.
     Arg(u16),
     ConstI(i64),
     ConstF(f64),
@@ -97,27 +110,43 @@ pub enum SExpr {
         then_: Box<SExpr>,
         else_: Box<SExpr>,
     },
+    /// `b[i]` on bytes argument `b`: `0..=255`, or the VM's bounds trap.
+    ByteAt(u16, Box<SExpr>),
+    /// `len(b)` of bytes argument `b`.
+    Len(u16),
+    /// Evaluate the first expression — one that can trap — into the next
+    /// free slot, then the second, which may read it.
+    Let(Box<SExpr>, Box<SExpr>),
 }
 
-/// A VM value during inline evaluation (bytes never qualify).
+/// A VM value during inline evaluation; a byte array is the argument's own
+/// bytes, never a copy.
 #[derive(Debug, Clone, Copy)]
-enum SVal {
+enum SVal<'a> {
     I(i64),
     F(f64),
+    B(&'a [u8]),
 }
 
-impl SVal {
+impl<'a> SVal<'a> {
     fn as_i(self) -> Result<i64> {
         match self {
             SVal::I(i) => Ok(i),
-            SVal::F(_) => Err(JaguarError::VmTrap(VmTrap::Type("expected i64"))),
+            _ => Err(JaguarError::VmTrap(VmTrap::Type("expected i64"))),
         }
     }
 
     fn as_f(self) -> Result<f64> {
         match self {
             SVal::F(f) => Ok(f),
-            SVal::I(_) => Err(JaguarError::VmTrap(VmTrap::Type("expected f64"))),
+            _ => Err(JaguarError::VmTrap(VmTrap::Type("expected f64"))),
+        }
+    }
+
+    fn as_bytes(self) -> Result<&'a [u8]> {
+        match self {
+            SVal::B(b) => Ok(b),
+            _ => Err(JaguarError::VmTrap(VmTrap::Type("expected bytes"))),
         }
     }
 }
@@ -127,7 +156,12 @@ impl SVal {
 pub struct InlineBody {
     expr: SExpr,
     arity: usize,
+    /// Slots an evaluation can fill: arguments plus hoisted values.
+    slots: usize,
     sql_ret: DataType,
+    /// The sandbox's arena budget, which a real call's argument marshalling
+    /// is held to.
+    memory: Option<usize>,
     /// Tree size, surfaced in plan notes.
     pub nodes: usize,
 }
@@ -139,12 +173,24 @@ impl InlineBody {
     /// as `VmUdf::invoke` does.
     pub fn invoke(&self, args: &[Value]) -> Result<Value> {
         debug_assert_eq!(args.len(), self.arity);
-        let mut vm_args = Vec::with_capacity(args.len());
+        let mut slots = Vec::with_capacity(self.slots);
+        let mut marshalled = 0usize;
         for a in args {
-            vm_args.push(match a {
+            slots.push(match a {
                 Value::Int(i) => SVal::I(*i),
                 Value::Float(f) => SVal::F(*f),
                 Value::Bool(b) => SVal::I(*b as i64),
+                Value::Bytes(b) => {
+                    // Same text as the arena's, which the call path copies
+                    // every byte array into before the body runs.
+                    marshalled = marshalled.saturating_add(b.len());
+                    if let Some(limit) = self.memory.filter(|l| marshalled > *l) {
+                        return Err(JaguarError::ResourceLimit(format!(
+                            "memory: {marshalled} bytes requested, limit {limit}"
+                        )));
+                    }
+                    SVal::B(b.as_slice())
+                }
                 other => {
                     // Same text as vmexec::value_to_vm (NULLs conform to
                     // the signature but cannot cross into the VM).
@@ -152,15 +198,16 @@ impl InlineBody {
                 }
             });
         }
-        match eval(&self.expr, &vm_args)? {
+        match eval(&self.expr, &mut slots)? {
             SVal::I(i) if self.sql_ret == DataType::Bool => Ok(Value::Bool(i != 0)),
             SVal::I(i) => Ok(Value::Int(i)),
             SVal::F(f) => Ok(Value::Float(f)),
+            SVal::B(_) => Err(JaguarError::VmTrap(VmTrap::Type("expected a scalar"))),
         }
     }
 }
 
-fn eval(e: &SExpr, args: &[SVal]) -> Result<SVal> {
+fn eval<'a>(e: &SExpr, args: &mut Vec<SVal<'a>>) -> Result<SVal<'a>> {
     Ok(match e {
         SExpr::Arg(i) => args[*i as usize],
         SExpr::ConstI(i) => SVal::I(*i),
@@ -224,6 +271,17 @@ fn eval(e: &SExpr, args: &[SVal]) -> Result<SVal> {
         SExpr::NotI(x) => SVal::I(!eval(x, args)?.as_i()?),
         SExpr::I2F(x) => SVal::F(eval(x, args)?.as_i()? as f64),
         SExpr::F2I(x) => SVal::I(eval(x, args)?.as_f()? as i64),
+        SExpr::ByteAt(b, i) => {
+            let (bytes, index) = (args[*b as usize].as_bytes()?, eval(i, args)?.as_i()?);
+            match usize::try_from(index).ok().and_then(|i| bytes.get(i)) {
+                Some(byte) => SVal::I(*byte as i64),
+                None => {
+                    let len = bytes.len();
+                    return Err(JaguarError::VmTrap(VmTrap::Bounds { index, len }));
+                }
+            }
+        }
+        SExpr::Len(b) => SVal::I(args[*b as usize].as_bytes()?.len() as i64),
         SExpr::If { cond, then_, else_ } => {
             if eval(cond, args)?.as_i()? != 0 {
                 eval(then_, args)?
@@ -231,30 +289,39 @@ fn eval(e: &SExpr, args: &[SVal]) -> Result<SVal> {
                 eval(else_, args)?
             }
         }
+        SExpr::Let(value, body) => {
+            let v = eval(value, args)?;
+            args.push(v);
+            eval(body, args)?
+        }
     })
 }
 
 /// One symbolic stack/local slot: an expression plus its node count.
 type Sym = (SExpr, usize);
 
-struct Budget {
+/// What every fork of the symbolic machine shares.
+struct Machine<'a> {
+    code: &'a [Insn],
+    params: &'a [VType],
+    /// Instructions left to execute.
     steps: usize,
+    /// Operations hoisted so far.
+    lets: usize,
 }
 
 /// Try to translate `func` into a scalar expression. `sql_ret` is the
 /// SQL-level return type (drives the `Bool` unmarshalling rule) and
-/// `fuel` is the UDF's instruction budget (tight budgets bail — see
-/// [`MIN_INLINE_FUEL`]). Returns the bail-out reason otherwise.
+/// `limits` are the UDF's sandbox budgets: a tight fuel budget bails (see
+/// [`MIN_INLINE_FUEL`]), the memory budget is what byte-array arguments are
+/// held to. Returns the bail-out reason otherwise.
 pub fn try_inline(
     func: &Function,
     sql_ret: DataType,
-    fuel: Option<u64>,
+    limits: &ResourceLimits,
 ) -> std::result::Result<InlineBody, &'static str> {
-    if fuel.is_some_and(|f| f < MIN_INLINE_FUEL) {
+    if limits.fuel.is_some_and(|f| f < MIN_INLINE_FUEL) {
         return Err("fuel budget too tight");
-    }
-    if func.sig.params.contains(&VType::Bytes) {
-        return Err("bytes-typed parameter");
     }
     if func.sig.ret != Some(VType::I64) && func.sig.ret != Some(VType::F64) {
         return Err("non-scalar return");
@@ -270,33 +337,59 @@ pub fn try_inline(
     // Extra locals start unwritten; a Load before a Store bails rather
     // than guessing the VM's zero-init behaviour.
     locals.resize(func.total_locals(), None);
-    let mut budget = Budget { steps: MAX_STEPS };
-    let (expr, nodes) = run(&func.code, 0, Vec::new(), locals, &mut budget, 0)?;
+    let mut m = Machine {
+        code: &func.code,
+        params: &func.sig.params,
+        steps: MAX_STEPS,
+        lets: 0,
+    };
+    let (expr, nodes) = run(&mut m, 0, Vec::new(), locals, arity, 0)?;
     Ok(InlineBody {
         expr,
         arity,
+        slots: arity + m.lets,
         sql_ret,
+        memory: limits.memory,
         nodes,
     })
 }
 
 /// Symbolically execute from `pc` until `Ret`, forking at conditional
-/// jumps. Returns the expression left on top of the stack at `Ret`.
+/// jumps; `base` slots are filled on entry. Returns the expression for the
+/// value left on top of the stack at `Ret`.
 fn run(
-    code: &[Insn],
+    m: &mut Machine<'_>,
     mut pc: usize,
     mut stack: Vec<Sym>,
     mut locals: Vec<Option<Sym>>,
-    budget: &mut Budget,
+    base: usize,
     depth: usize,
 ) -> std::result::Result<Sym, &'static str> {
     if depth > MAX_FORK_DEPTH {
         return Err("conditionals nested too deeply");
     }
+    // The operations hoisted out of this stretch of code, in program order;
+    // they end up wrapped around its result, outermost first.
+    let mut lets: Vec<Sym> = Vec::new();
+    let hoisted = |lets: Vec<Sym>, tail: Sym| {
+        let wrap =
+            |(body, bs), (value, vs)| (SExpr::Let(Box::new(value), Box::new(body)), bs + vs + 1);
+        Some(lets.into_iter().rev().fold(tail, wrap)).filter(|(_, sz)| *sz <= MAX_NODES)
+    };
     macro_rules! pop {
         () => {
             stack.pop().ok_or("operand stack shape")?
         };
+    }
+    // A trapping operation: evaluate it here, in program order, into the
+    // next slot, and leave a read of that slot on the stack.
+    macro_rules! hoist {
+        ($e:expr, $sz:expr) => {{
+            let slot = u16::try_from(base + lets.len()).map_err(|_| "body too large")?;
+            lets.push(($e, $sz));
+            m.lets += 1;
+            stack.push((SExpr::Arg(slot), 1));
+        }};
     }
     macro_rules! bin {
         ($variant:ident, $op:expr) => {{
@@ -319,9 +412,19 @@ fn run(
             stack.push((SExpr::$variant(Box::new(a)), sz));
         }};
     }
+    // The bytes parameter an array instruction reads. Locals and results
+    // are never bytes here, so a bytes value is always an argument slot.
+    macro_rules! bytes_param {
+        () => {
+            match pop!().0 {
+                SExpr::Arg(k) if m.params.get(k as usize) == Some(&VType::Bytes) => k,
+                _ => return Err("array read on a non-parameter"),
+            }
+        };
+    }
     loop {
-        budget.steps = budget.steps.checked_sub(1).ok_or("body too large")?;
-        let insn = *code.get(pc).ok_or("fell off end of code")?;
+        m.steps = m.steps.checked_sub(1).ok_or("body too large")?;
+        let insn = *m.code.get(pc).ok_or("fell off end of code")?;
         match insn {
             Insn::ConstI(i) => stack.push((SExpr::ConstI(i), 1)),
             Insn::ConstF(f) => stack.push((SExpr::ConstF(f), 1)),
@@ -354,8 +457,22 @@ fn run(
             Insn::AddI => bin!(BinI, IOp::Add),
             Insn::SubI => bin!(BinI, IOp::Sub),
             Insn::MulI => bin!(BinI, IOp::Mul),
-            Insn::DivI => bin!(BinI, IOp::Div),
-            Insn::RemI => bin!(BinI, IOp::Rem),
+            Insn::DivI | Insn::RemI => {
+                // Only a non-zero constant divisor cannot trap.
+                let safe = matches!(stack.last(), Some((SExpr::ConstI(c), _)) if *c != 0);
+                bin!(
+                    BinI,
+                    if insn == Insn::DivI {
+                        IOp::Div
+                    } else {
+                        IOp::Rem
+                    }
+                );
+                if !safe {
+                    let (e, sz) = pop!();
+                    hoist!(e, sz);
+                }
+            }
             Insn::And => bin!(BinI, IOp::And),
             Insn::Or => bin!(BinI, IOp::Or),
             Insn::Xor => bin!(BinI, IOp::Xor),
@@ -376,6 +493,15 @@ fn run(
             Insn::Not => un!(NotI),
             Insn::I2F => un!(I2F),
             Insn::F2I => un!(F2I),
+            Insn::ALoad => {
+                let (index, sz) = pop!();
+                let b = bytes_param!();
+                hoist!(SExpr::ByteAt(b, Box::new(index)), sz + 1);
+            }
+            Insn::ALen => {
+                let b = bytes_param!();
+                stack.push((SExpr::Len(b), 1));
+            }
             Insn::Jmp(t) => {
                 let t = t as usize;
                 if t <= pc {
@@ -395,32 +521,20 @@ fn run(
                     Insn::JmpIf(_) => (t, pc + 1),
                     _ => (pc + 1, t),
                 };
-                let (then_e, tsz) = run(
-                    code,
-                    on_true,
-                    stack.clone(),
-                    locals.clone(),
-                    budget,
-                    depth + 1,
-                )?;
-                let (else_e, esz) = run(code, on_false, stack, locals, budget, depth + 1)?;
-                let sz = csz + tsz + esz + 1;
-                if sz > MAX_NODES {
-                    return Err("body too large");
-                }
-                return Ok((
-                    SExpr::If {
-                        cond: Box::new(cond),
-                        then_: Box::new(then_e),
-                        else_: Box::new(else_e),
-                    },
-                    sz,
-                ));
+                let base = base + lets.len();
+                let (then_, tsz) = run(m, on_true, stack.clone(), locals.clone(), base, depth + 1)?;
+                let (else_, esz) = run(m, on_false, stack, locals, base, depth + 1)?;
+                let fork = SExpr::If {
+                    cond: Box::new(cond),
+                    then_: Box::new(then_),
+                    else_: Box::new(else_),
+                };
+                return hoisted(lets, (fork, csz + tsz + esz + 1)).ok_or("body too large");
             }
-            Insn::Ret => return Ok(pop!()),
+            Insn::Ret => return hoisted(lets, pop!()).ok_or("body too large"),
             Insn::Call(_) => return Err("function call"),
             Insn::HostCall(_) => return Err("host callback"),
-            Insn::NewArr | Insn::ALoad | Insn::AStore | Insn::ALen => return Err("array op"),
+            Insn::NewArr | Insn::AStore => return Err("array store or allocation"),
             Insn::Trap(_) => return Err("explicit trap reachable"),
         }
         pc += 1;
@@ -439,16 +553,24 @@ mod tests {
         Arc::new(compile("m", src).unwrap().verify().unwrap())
     }
 
+    fn limits(fuel: Option<u64>, memory: Option<usize>) -> ResourceLimits {
+        ResourceLimits {
+            fuel,
+            memory,
+            ..ResourceLimits::default()
+        }
+    }
+
     fn body(src: &str, ret: DataType) -> InlineBody {
         let m = compiled(src);
         let f = &m.functions()[m.find_function("main").unwrap() as usize];
-        try_inline(f, ret, None).unwrap()
+        try_inline(f, ret, &limits(None, None)).unwrap()
     }
 
     fn bail(src: &str) -> &'static str {
         let m = compiled(src);
         let f = &m.functions()[m.find_function("main").unwrap() as usize];
-        try_inline(f, DataType::Int, None).unwrap_err()
+        try_inline(f, DataType::Int, &limits(None, None)).unwrap_err()
     }
 
     /// Run the same source through the real interpreter for comparison.
@@ -559,9 +681,94 @@ mod tests {
             "host callback"
         );
         assert_eq!(
-            bail("fn main(b: bytes) -> i64 { return len(b); }"),
-            "bytes-typed parameter"
+            bail("fn main(b: bytes) -> i64 { b[0] = 1; return len(b); }"),
+            "array store or allocation"
         );
+        assert_eq!(
+            bail("fn main(n: i64) -> i64 { return len(newbytes(n)); }"),
+            "array store or allocation"
+        );
+    }
+
+    fn bytes(data: &[u8]) -> Value {
+        Value::Bytes(jaguar_common::ByteArray::new(data.to_vec()))
+    }
+
+    /// `b[i]` and `len(b)` on a parameter read the argument where it lies,
+    /// with the arena's results, bounds trap and memory refusal.
+    #[test]
+    fn byte_reads_on_a_parameter_match_the_vm() {
+        let src = "fn main(b: bytes, i: i64) -> i64 { return b[i] * 1000 + len(b); }";
+        let b = body(src, DataType::Int);
+        for data in [&[][..], &[7], &[1, 2, 255, 4]] {
+            for i in [-1i64, 0, 1, 3, 4, i64::MAX] {
+                let want = vm_run(src, &[ArgValue::Bytes(data.to_vec()), ArgValue::I64(i)])
+                    .map(|v| v.as_i64().unwrap())
+                    .map_err(|e| e.to_string());
+                let got = b
+                    .invoke(&[bytes(data), Value::Int(i)])
+                    .map(|v| v.as_int().unwrap())
+                    .map_err(|e| e.to_string());
+                assert_eq!(
+                    got,
+                    want,
+                    "diverged from VM at len {} index {i}",
+                    data.len()
+                );
+            }
+        }
+        let e = b.invoke(&[Value::Null, Value::Int(0)]).unwrap_err();
+        assert!(
+            e.to_string().contains("cannot pass NULL to a VM UDF"),
+            "{e}"
+        );
+        // The call path copies the array into an arena with this budget.
+        let m = compiled(src);
+        let f = &m.functions()[m.find_function("main").unwrap() as usize];
+        let tight = try_inline(f, DataType::Int, &limits(None, Some(3))).unwrap();
+        assert!(tight.invoke(&[bytes(&[1, 2, 3]), Value::Int(0)]).is_ok());
+        let e = tight
+            .invoke(&[bytes(&[1, 2, 3, 4]), Value::Int(0)])
+            .unwrap_err();
+        let mut arena = jaguar_vm::Arena::new(Some(3));
+        let want = arena.alloc_from(&[1, 2, 3, 4]).unwrap_err();
+        assert_eq!(e.to_string(), want.to_string());
+    }
+
+    /// A trap fires where the interpreter would raise it: also when its
+    /// value is never used, and in program order when two kinds compete.
+    #[test]
+    fn traps_fire_in_program_order_even_when_unused() {
+        let dead = "fn main(x: i64) -> i64 { let d: i64 = 10 / x; return 1; }";
+        let e = body(dead, DataType::Int)
+            .invoke(&[Value::Int(0)])
+            .unwrap_err();
+        assert!(
+            matches!(e, JaguarError::VmTrap(VmTrap::DivideByZero)),
+            "{e}"
+        );
+        let two = "fn main(b: bytes, x: i64) -> i64 {
+            let first: i64 = b[5];
+            let second: i64 = 10 / x;
+            if x > 100 { return second; }
+            return second + first;
+        }";
+        let b = body(two, DataType::Int);
+        for (data, x) in [
+            (&[][..], 0i64),
+            (&[1, 2, 3, 4, 5, 6], 0),
+            (&[], 3),
+            (&[9; 6], 200),
+        ] {
+            let want = vm_run(two, &[ArgValue::Bytes(data.to_vec()), ArgValue::I64(x)])
+                .map(|v| v.as_i64().unwrap())
+                .map_err(|e| e.to_string());
+            let got = b
+                .invoke(&[bytes(data), Value::Int(x)])
+                .map(|v| v.as_int().unwrap())
+                .map_err(|e| e.to_string());
+            assert_eq!(got, want, "diverged from VM at len {} x {x}", data.len());
+        }
     }
 
     #[test]
@@ -569,10 +776,10 @@ mod tests {
         let m = compiled("fn main(x: i64) -> i64 { return x; }");
         let f = &m.functions()[m.find_function("main").unwrap() as usize];
         assert_eq!(
-            try_inline(f, DataType::Int, Some(100)).unwrap_err(),
+            try_inline(f, DataType::Int, &limits(Some(100), None)).unwrap_err(),
             "fuel budget too tight"
         );
-        assert!(try_inline(f, DataType::Int, Some(MIN_INLINE_FUEL)).is_ok());
+        assert!(try_inline(f, DataType::Int, &limits(Some(MIN_INLINE_FUEL), None)).is_ok());
     }
 
     #[test]

@@ -11,46 +11,202 @@
 //! re-raised by re-invoking, keeping error text and breaker accounting
 //! on the normal path).
 //!
+//! Layout: one slab of slots. A slot holds the only copy of its key, the
+//! result, and three indices — the next slot of its hash chain and its two
+//! neighbours in the recency list — so a hit relinks a few integers under
+//! the mutex and allocates nothing. Keys come from outside the program (they
+//! are UDF arguments), so they are hashed with a per-cache random SipHash.
+//!
 //! Budget accounting charges each entry its key bytes + the result's
-//! heap footprint + a fixed overhead, and evicts least-recently-used
-//! entries until the total fits. An entry larger than the whole budget
-//! is simply not admitted (it would otherwise flush the entire cache
-//! for one unlikely-to-repeat value).
+//! heap footprint + [`ENTRY_OVERHEAD`], which is derived from the slot
+//! layout so that the accounted size is an upper bound on the bytes the
+//! entry really occupies, and evicts least-recently-used entries until the
+//! total fits. An entry larger than the whole budget is simply not admitted
+//! (it would otherwise flush the entire cache for one unlikely-to-repeat
+//! value).
 //!
 //! Metrics: `opt.memo.{hits,misses,evictions}` counters and an
 //! `opt.memo.bytes` gauge in the process-wide registry.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::hash_map::RandomState;
+#[cfg(test)]
+use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use jaguar_common::obs::{self, Counter, Gauge};
-use jaguar_common::stream::value_to_vec;
+use jaguar_common::stream::write_value;
 use jaguar_common::Value;
 use parking_lot::Mutex;
 
-/// Fixed per-entry overhead charged against the budget (map + order
-/// bookkeeping), so a flood of tiny entries cannot blow past it.
-const ENTRY_OVERHEAD: usize = 64;
+/// Per-entry bytes charged on top of the key and the result: the slot and
+/// its share of the bucket array — both twice, because a growing `Vec` may
+/// hold double what it uses — plus the allocator's header on the key's own
+/// heap chunk. A flood of tiny entries therefore cannot blow past the
+/// budget, in accounted or in real bytes.
+const ENTRY_OVERHEAD: usize = 2 * (size_of::<Slot>() + size_of::<u32>()) + 16;
 
-struct Entry {
+/// "No slot": the end of a chain or of the recency list.
+const NIL: u32 = u32::MAX;
+
+struct Slot {
+    key: Box<[u8]>,
     value: Value,
-    bytes: usize,
-    stamp: u64,
+    hash: u64,
+    /// Next slot in the same hash bucket (or, for a vacant slot, the next
+    /// vacant one).
+    chain: u32,
+    /// Recency-list neighbours.
+    newer: u32,
+    older: u32,
 }
 
-#[derive(Default)]
+impl Slot {
+    fn cost(&self) -> usize {
+        self.key.len() + self.value.heap_size() + ENTRY_OVERHEAD
+    }
+}
+
 struct Inner {
-    map: HashMap<Vec<u8>, Entry>,
-    /// Recency order: stamp → key. Stamps are unique and monotonic.
-    order: BTreeMap<u64, Vec<u8>>,
-    next_stamp: u64,
+    slots: Vec<Slot>,
+    /// Head of each hash chain; the length is zero or a power of two.
+    buckets: Vec<u32>,
+    /// Vacant slots, chained through `Slot::chain`.
+    vacant: u32,
+    newest: u32,
+    oldest: u32,
+    len: usize,
     bytes: usize,
+}
+
+impl Default for Inner {
+    fn default() -> Inner {
+        Inner {
+            slots: Vec::new(),
+            buckets: Vec::new(),
+            vacant: NIL,
+            newest: NIL,
+            oldest: NIL,
+            len: 0,
+            bytes: 0,
+        }
+    }
+}
+
+impl Inner {
+    fn bucket(&self, hash: u64) -> usize {
+        hash as usize & (self.buckets.len() - 1)
+    }
+
+    fn find(&self, key: &[u8], hash: u64) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let mut at = self.buckets[self.bucket(hash)];
+        while at != NIL {
+            let slot = &self.slots[at as usize];
+            if slot.hash == hash && *slot.key == *key {
+                return Some(at);
+            }
+            at = slot.chain;
+        }
+        None
+    }
+
+    /// Take `at` out of the recency list.
+    fn unlink(&mut self, at: u32) {
+        let (newer, older) = (self.slots[at as usize].newer, self.slots[at as usize].older);
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o as usize].newer = newer,
+        }
+    }
+
+    /// Put `at` at the recent end of the recency list.
+    fn link_newest(&mut self, at: u32) {
+        let was = std::mem::replace(&mut self.newest, at);
+        self.slots[at as usize].newer = NIL;
+        self.slots[at as usize].older = was;
+        match was {
+            NIL => self.oldest = at,
+            w => self.slots[w as usize].newer = at,
+        }
+    }
+
+    /// Double the bucket array once every chain would average above one
+    /// slot, relinking the slots (no key is touched).
+    fn grow_buckets(&mut self) {
+        if self.len < self.buckets.len() {
+            return;
+        }
+        self.buckets = vec![NIL; (self.buckets.len() * 2).max(16)];
+        let mut at = self.newest;
+        while at != NIL {
+            let b = self.bucket(self.slots[at as usize].hash);
+            self.slots[at as usize].chain = std::mem::replace(&mut self.buckets[b], at);
+            at = self.slots[at as usize].older;
+        }
+    }
+
+    fn push(&mut self, key: Box<[u8]>, value: Value, hash: u64) {
+        self.grow_buckets();
+        let b = self.bucket(hash);
+        let slot = Slot {
+            key,
+            value,
+            hash,
+            chain: self.buckets[b],
+            newer: NIL,
+            older: NIL,
+        };
+        self.bytes += slot.cost();
+        self.len += 1;
+        let at = match self.vacant {
+            NIL => {
+                self.slots.push(slot);
+                (self.slots.len() - 1) as u32
+            }
+            v => {
+                self.vacant = self.slots[v as usize].chain;
+                self.slots[v as usize] = slot;
+                v
+            }
+        };
+        self.buckets[b] = at;
+        self.link_newest(at);
+    }
+
+    fn remove(&mut self, at: u32) {
+        self.unlink(at);
+        let b = self.bucket(self.slots[at as usize].hash);
+        let next = self.slots[at as usize].chain;
+        if self.buckets[b] == at {
+            self.buckets[b] = next;
+        } else {
+            let mut prev = self.buckets[b];
+            while self.slots[prev as usize].chain != at {
+                prev = self.slots[prev as usize].chain;
+            }
+            self.slots[prev as usize].chain = next;
+        }
+        self.bytes -= self.slots[at as usize].cost();
+        self.len -= 1;
+        let slot = &mut self.slots[at as usize];
+        (slot.key, slot.value) = (Box::default(), Value::Null);
+        slot.chain = std::mem::replace(&mut self.vacant, at);
+    }
 }
 
 /// The shared memo cache. One per engine, wired through every
 /// execution context (serial, parallel workers, DML).
 pub struct MemoCache {
     inner: Mutex<Inner>,
+    hasher: RandomState,
     budget: usize,
     hits: Arc<Counter>,
     misses: Arc<Counter>,
@@ -64,6 +220,7 @@ impl MemoCache {
         let reg = obs::global();
         MemoCache {
             inner: Mutex::new(Inner::default()),
+            hasher: RandomState::new(),
             budget,
             hits: reg.counter("opt.memo.hits"),
             misses: reg.counter("opt.memo.misses"),
@@ -80,64 +237,45 @@ impl MemoCache {
         k.extend_from_slice(udf_name.as_bytes());
         k.push(0);
         for a in args {
-            k.extend_from_slice(&value_to_vec(a));
+            write_value(&mut k, a).expect("writing to a Vec cannot fail");
         }
         k
     }
 
     /// Look up a prior result, refreshing its recency on a hit.
     pub fn get(&self, key: &[u8]) -> Option<Value> {
+        let hash = self.hasher.hash_one(key);
         let mut inner = self.inner.lock();
-        let next = inner.next_stamp;
-        match inner.map.get_mut(key) {
-            Some(e) => {
-                let old = e.stamp;
-                e.stamp = next;
-                let v = e.value.clone();
-                inner.order.remove(&old);
-                inner.order.insert(next, key.to_vec());
-                inner.next_stamp += 1;
-                drop(inner);
-                self.hits.inc();
-                Some(v)
-            }
-            None => {
-                drop(inner);
-                self.misses.inc();
-                None
-            }
+        let hit = inner.find(key, hash).map(|at| {
+            inner.unlink(at);
+            inner.link_newest(at);
+            inner.slots[at as usize].value.clone()
+        });
+        drop(inner);
+        match &hit {
+            Some(_) => self.hits.inc(),
+            None => self.misses.inc(),
         }
+        hit
     }
 
     /// Record a freshly computed result, evicting LRU entries as needed
     /// to stay within the byte budget.
-    pub fn insert(&self, key: Vec<u8>, value: Value) {
-        let cost = key.len() + value.heap_size() + ENTRY_OVERHEAD;
+    pub fn insert(&self, key: impl AsRef<[u8]> + Into<Box<[u8]>>, value: Value) {
+        let cost = key.as_ref().len() + value.heap_size() + ENTRY_OVERHEAD;
         if cost > self.budget {
             return;
         }
+        let hash = self.hasher.hash_one(key.as_ref());
         let mut inner = self.inner.lock();
-        if let Some(old) = inner.map.remove(&key) {
-            inner.order.remove(&old.stamp);
-            inner.bytes -= old.bytes;
+        if let Some(old) = inner.find(key.as_ref(), hash) {
+            inner.remove(old);
         }
-        let stamp = inner.next_stamp;
-        inner.next_stamp += 1;
-        inner.bytes += cost;
-        inner.order.insert(stamp, key.clone());
-        inner.map.insert(
-            key,
-            Entry {
-                value,
-                bytes: cost,
-                stamp,
-            },
-        );
+        inner.push(key.into(), value, hash);
         let mut evicted = 0u64;
         while inner.bytes > self.budget {
-            let (_, victim) = inner.order.pop_first().expect("bytes > 0 implies entries");
-            let e = inner.map.remove(&victim).expect("order and map agree");
-            inner.bytes -= e.bytes;
+            let oldest = inner.oldest;
+            inner.remove(oldest);
             evicted += 1;
         }
         let bytes_now = inner.bytes;
@@ -155,7 +293,7 @@ impl MemoCache {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().len
     }
 
     /// Whether the cache is empty.
@@ -168,22 +306,17 @@ impl MemoCache {
         self.budget
     }
 
-    /// Drop every entry, returning the bytes reclaimed. The overload path
-    /// uses this to hand memoization memory back when the server is
-    /// saturated; the cache refills naturally once pressure drains.
+    /// Drop every entry — and the slab and bucket array with them —
+    /// returning the bytes reclaimed. The overload path uses this to hand
+    /// memoization memory back when the server is saturated; the cache
+    /// refills naturally once pressure drains.
     pub fn clear(&self) -> usize {
-        let mut inner = self.inner.lock();
-        let freed = inner.bytes;
-        let evicted = inner.map.len() as u64;
-        inner.map.clear();
-        inner.order.clear();
-        inner.bytes = 0;
-        drop(inner);
-        if evicted > 0 {
-            self.evictions.add(evicted);
+        let dropped = std::mem::take(&mut *self.inner.lock());
+        if dropped.len > 0 {
+            self.evictions.add(dropped.len as u64);
         }
         self.bytes_gauge.set(0);
-        freed
+        dropped.bytes
     }
 }
 

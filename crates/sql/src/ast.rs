@@ -128,10 +128,11 @@ pub enum Statement {
     },
     /// `EXPLAIN [ANALYZE] SELECT ...` — render the optimized plan;
     /// with `ANALYZE`, also execute the query and annotate every operator
-    /// with observed row counts and wall time.
+    /// with observed row counts and wall time. Plain `EXPLAIN` also takes
+    /// a `DELETE` or an `UPDATE` and renders how it finds its rows.
     Explain {
         analyze: bool,
-        select: SelectStmt,
+        stmt: Box<Statement>,
     },
 }
 

@@ -23,10 +23,10 @@ use jaguar_pool::WorkerPool;
 use jaguar_sec::SessionContext;
 use parking_lot::RwLock;
 
-use crate::ast::{SelectStmt, Statement};
-use crate::exec::{ExecCtx, ExecStats, Executor, OpProfile};
+use crate::ast::Statement;
+use crate::exec::{ExecCtx, ExecStats, Executor, OpProfile, RowSource};
 use crate::parser::parse;
-use crate::plan::{bind_dml, bind_select, explain, BoundSelect};
+use crate::plan::{bind_dml, bind_select, explain, AccessPath, BoundDml, BoundSelect};
 
 /// A server-side callback function.
 pub type CallbackFn = dyn Fn(&[Value]) -> Result<Value> + Send + Sync;
@@ -324,94 +324,8 @@ impl Engine {
                 r.affected = inserted;
                 Ok(r)
             }
-            Statement::Delete { table, predicate } => {
-                let dml = bind_dml(&table, &predicate, &[], &self.catalog, session)?;
-                let mut handler = EngineCallbacks { engine: self };
-                let pool = self.worker_pool();
-                let mut ctx = ExecCtx::for_udfs(&dml.udfs, &mut handler, pool.as_ref())?;
-                ctx.attach_cancel(token);
-                ctx.set_memo(self.memo_for_statement());
-                // Collect matching rids first, then delete (no scan-while-
-                // mutating hazards).
-                let mut victims = Vec::new();
-                for item in dml.table.scan_with(&dml.scan_cols, 1..u32::MAX) {
-                    token.check()?;
-                    let (rid, tuple) = item?;
-                    ctx.stats.rows_scanned += 1;
-                    if matches_all(&dml.predicates, &tuple, &mut ctx)? {
-                        victims.push(rid);
-                    }
-                }
-                // A victim a concurrent statement deleted since the scan
-                // saw it is gone, which is all this statement wanted of
-                // it: it is skipped and not counted.
-                let mut affected = 0;
-                if let Err(e) = victims.iter().try_for_each(|rid| {
-                    token.check()?;
-                    affected += u64::from(dml.table.delete(*rid)?);
-                    Ok(())
-                }) {
-                    return Err(seal_partial_effects(&dml.table, e));
-                }
-                dml.table.commit_durable()?;
-                self.catalog.maybe_checkpoint()?;
-                let stats = ctx.finish()?;
-                let mut r = QueryResult::empty();
-                r.affected = affected;
-                r.stats = stats;
-                Ok(r)
-            }
-            Statement::Update {
-                table,
-                assignments,
-                predicate,
-            } => {
-                if assignments.is_empty() {
-                    return Err(JaguarError::Plan("UPDATE needs SET assignments".into()));
-                }
-                let dml = bind_dml(&table, &predicate, &assignments, &self.catalog, session)?;
-                let mut handler = EngineCallbacks { engine: self };
-                let pool = self.worker_pool();
-                let mut ctx = ExecCtx::for_udfs(&dml.udfs, &mut handler, pool.as_ref())?;
-                ctx.attach_cancel(token);
-                ctx.set_memo(self.memo_for_statement());
-                // Materialise replacements (whole rows: `scan_cols` is all).
-                let mut updates = Vec::new();
-                for item in dml.table.scan_with(&dml.scan_cols, 1..u32::MAX) {
-                    token.check()?;
-                    let (rid, tuple) = item?;
-                    ctx.stats.rows_scanned += 1;
-                    if matches_all(&dml.predicates, &tuple, &mut ctx)? {
-                        let mut values = tuple.values().to_vec();
-                        for (idx, expr) in &dml.assignments {
-                            values[*idx] = crate::exec::eval(expr, &tuple, &mut ctx)?;
-                        }
-                        updates.push((rid, Tuple::new(values)));
-                    }
-                }
-                // As for DELETE: a row that vanished since the scan is
-                // skipped, not replaced.
-                let mut affected = 0;
-                let res = (|| -> Result<()> {
-                    for (rid, new_tuple) in updates {
-                        token.check()?;
-                        if dml.table.delete(rid)? {
-                            dml.table.insert(new_tuple)?;
-                            affected += 1;
-                        }
-                    }
-                    Ok(())
-                })();
-                if let Err(e) = res {
-                    return Err(seal_partial_effects(&dml.table, e));
-                }
-                dml.table.commit_durable()?;
-                self.catalog.maybe_checkpoint()?;
-                let stats = ctx.finish()?;
-                let mut r = QueryResult::empty();
-                r.affected = affected;
-                r.stats = stats;
-                Ok(r)
+            stmt @ (Statement::Delete { .. } | Statement::Update { .. }) => {
+                self.run_dml(&stmt, token, session)
             }
             Statement::ShowTables => {
                 let schema = Arc::new(Schema::of(&[("table_name", jaguar_common::DataType::Str)]));
@@ -484,25 +398,144 @@ impl Engine {
                     stats,
                 })
             }
-            Statement::Explain { analyze, select } => {
-                self.run_explain(analyze, &select, token, session)
+            Statement::Explain { analyze, stmt } => {
+                self.run_explain(analyze, &stmt, token, session)
             }
         }
     }
 
-    /// `EXPLAIN [ANALYZE]` — render the optimized plan as a one-column
-    /// result; with ANALYZE, execute the query and annotate every operator
-    /// with observed row counts and wall time.
-    fn run_explain(
+    /// Bind a DELETE or an UPDATE: its WHERE clause, access path and
+    /// assignments, with straight-line immutable UDFs inlined.
+    fn bind_dml_stmt(
         &self,
-        analyze: bool,
-        select: &SelectStmt,
+        stmt: &Statement,
+        session: Option<&SessionContext>,
+    ) -> Result<BoundDml> {
+        let (table, predicate, set) = match stmt {
+            Statement::Delete { table, predicate } => (table, predicate, &[][..]),
+            Statement::Update {
+                table,
+                assignments,
+                predicate,
+            } => (table, predicate, &assignments[..]),
+            _ => {
+                return Err(JaguarError::Plan(
+                    "EXPLAIN supports only SELECT, DELETE and UPDATE".into(),
+                ))
+            }
+        };
+        let mut dml = bind_dml(table, predicate, set, &self.catalog, session)?;
+        let notes = crate::optimize::inline_pass(&mut dml.udfs);
+        dml.notes.extend(notes);
+        Ok(dml)
+    }
+
+    /// Execute a DELETE or an UPDATE. The statement finds its rows the way
+    /// a SELECT with the same WHERE clause would — one [`RowSource`], every
+    /// predicate re-checked on every row it produces — and collects its
+    /// victims (for UPDATE, with their replacement rows) before the first
+    /// mutation, so it never meets its own writes: not on a heap page, and
+    /// not through an index whose key it assigns. A victim a concurrent
+    /// statement deleted in the meantime is gone, which is all this
+    /// statement wanted of it: it is skipped and not counted.
+    fn run_dml(
+        &self,
+        stmt: &Statement,
         token: &CancelToken,
         session: Option<&SessionContext>,
     ) -> Result<QueryResult> {
+        let dml = self.bind_dml_stmt(stmt, session)?;
+        let mut handler = EngineCallbacks { engine: self };
+        let pool = self.worker_pool();
+        let mut ctx = ExecCtx::for_udfs(&dml.udfs, &mut handler, pool.as_ref())?;
+        ctx.attach_cancel(token);
+        ctx.set_memo(self.memo_for_statement());
+        let scans = match dml.access {
+            AccessPath::FullScan => "sql.dml.full_scans",
+            _ => "sql.dml.index_scans",
+        };
+        obs::global().counter(scans).inc();
+        let mut rows = RowSource::open(&dml.table, &dml.access, &dml.scan_cols)?;
+        let mut victims = Vec::new();
+        while let Some((rid, tuple)) = rows.next(&mut ctx)? {
+            token.check()?;
+            if !matches_all(&dml.predicates, &tuple, &mut ctx)? {
+                continue;
+            }
+            // UPDATE reads whole rows (`scan_cols` is all): the new row is
+            // the old one with the assigned positions replaced.
+            let new = if dml.assignments.is_empty() {
+                None
+            } else {
+                let mut values = tuple.values().to_vec();
+                for (idx, expr) in &dml.assignments {
+                    values[*idx] = crate::exec::eval(expr, &tuple, &mut ctx)?;
+                }
+                Some(Tuple::new(values))
+            };
+            victims.push((rid, new));
+        }
+        let mut affected = 0;
+        let applied = victims.into_iter().try_for_each(|(rid, new)| {
+            token.check()?;
+            affected += u64::from(match new {
+                Some(row) => dml.table.update(rid, row)?,
+                None => dml.table.delete(rid)?,
+            });
+            Ok(())
+        });
+        if let Err(e) = applied {
+            return Err(seal_partial_effects(&dml.table, e));
+        }
+        dml.table.commit_durable()?;
+        self.catalog.maybe_checkpoint()?;
+        let mut r = QueryResult::empty();
+        r.affected = affected;
+        r.stats = ctx.finish()?;
+        Ok(r)
+    }
+
+    /// `EXPLAIN [ANALYZE]` — render the optimized plan as a one-column
+    /// result; with ANALYZE, execute the query and annotate every operator
+    /// with observed row counts and wall time. A DELETE or an UPDATE is
+    /// rendered (not run) with the notes trailer a SELECT gets.
+    fn run_explain(
+        &self,
+        analyze: bool,
+        stmt: &Statement,
+        token: &CancelToken,
+        session: Option<&SessionContext>,
+    ) -> Result<QueryResult> {
+        let schema = Arc::new(Schema::of(&[("plan", jaguar_common::DataType::Str)]));
+        let result = |lines: Vec<String>, stats| QueryResult {
+            schema: Arc::clone(&schema),
+            rows: (lines.into_iter())
+                .map(|l| Tuple::new(vec![Value::Str(l)]))
+                .collect(),
+            affected: 0,
+            stats,
+        };
+        let select = match stmt {
+            Statement::Select(select) => select,
+            _ if analyze => {
+                return Err(JaguarError::Plan(
+                    "EXPLAIN ANALYZE supports only SELECT".into(),
+                ))
+            }
+            dml => {
+                let dml = self.bind_dml_stmt(dml, session)?;
+                let plan = crate::plan::explain_dml(&dml);
+                let mut lines: Vec<String> = plan.lines().map(str::to_string).collect();
+                let mut notes = dml.notes;
+                notes.extend(crate::plan::scan_note(&dml.table, &dml.scan_cols));
+                if !notes.is_empty() {
+                    lines.push(format!("-- plan notes: {}", notes.join("; ")));
+                }
+                return Ok(result(lines, ExecStats::default()));
+            }
+        };
         let mut plan = bind_select(select, &self.catalog, session)?;
         crate::optimize::optimize_select(&mut plan, &self.opt);
-        let schema = Arc::new(Schema::of(&[("plan", jaguar_common::DataType::Str)]));
         let par_dec = crate::parallel::plan_parallel(self, &plan);
         let mut lines: Vec<String> = match &par_dec {
             Some(dec) => crate::plan::explain_parallel(&plan, dec.dop),
@@ -592,18 +625,11 @@ impl Engine {
                 ));
             }
         }
-        Ok(QueryResult {
-            schema,
-            rows: lines
-                .into_iter()
-                .map(|l| Tuple::new(vec![Value::Str(l)]))
-                .collect(),
-            affected: 0,
-            stats,
-        })
+        Ok(result(lines, stats))
     }
 
-    /// Render the optimized plan for a SELECT (EXPLAIN equivalent).
+    /// Render the optimized plan for a SELECT, a DELETE or an UPDATE (the
+    /// rows of the EXPLAIN statement, one per line).
     pub fn explain(&self, sql: &str) -> Result<String> {
         self.explain_as(sql, None)
     }
@@ -612,25 +638,13 @@ impl Engine {
     /// reflects that session's label rewrites (and label denials error
     /// exactly as execution would).
     pub fn explain_as(&self, sql: &str, session: Option<&SessionContext>) -> Result<String> {
-        match parse(sql)? {
-            Statement::Select(stmt) | Statement::Explain { select: stmt, .. } => {
-                let mut plan = bind_select(&stmt, &self.catalog, session)?;
-                crate::optimize::optimize_select(&mut plan, &self.opt);
-                let par_dec = crate::parallel::plan_parallel(self, &plan);
-                let mut txt = match &par_dec {
-                    Some(dec) => crate::plan::explain_parallel(&plan, dec.dop),
-                    None => explain(&plan),
-                };
-                if let Some(trailer) = self.plan_notes_line(&plan, &par_dec) {
-                    if !txt.ends_with('\n') {
-                        txt.push('\n');
-                    }
-                    txt.push_str(&trailer);
-                }
-                Ok(txt)
-            }
-            _ => Err(JaguarError::Plan("EXPLAIN supports only SELECT".into())),
-        }
+        let stmt = match parse(sql)? {
+            Statement::Explain { stmt, .. } => *stmt,
+            other => other,
+        };
+        let plan = self.run_explain(false, &stmt, &CancelToken::unbounded(), session)?;
+        let lines = plan.rows.iter().map(|r| r.get(0)?.as_str());
+        Ok(lines.collect::<Result<Vec<_>>>()?.join("\n"))
     }
 
     /// The `-- plan notes:` trailer for EXPLAIN output: optimizer
@@ -644,7 +658,7 @@ impl Engine {
         par_dec: &Option<crate::parallel::ParallelDecision>,
     ) -> Option<String> {
         let mut notes = plan.notes.clone();
-        notes.extend(plan.scan_note());
+        notes.extend(crate::plan::scan_note(&plan.table, &plan.scan_cols));
         match par_dec {
             Some(dec) if dec.clamped => {
                 notes.push("parallel: dop clamped to worker-pool size".to_string());

@@ -10,8 +10,10 @@
 //! ordering done in `plan`.
 
 use jaguar_catalog::table::TableScan;
+use jaguar_catalog::Table;
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::ids::RecordId;
 use jaguar_common::obs;
 use jaguar_common::schema::SchemaRef;
 use jaguar_common::stream::{read_value, write_value};
@@ -115,9 +117,9 @@ pub struct ExecCtx<'a> {
     /// Engine-scoped memo cache, when enabled ([`ExecCtx::set_memo`]).
     memo: Option<Arc<jaguar_opt::MemoCache>>,
     /// Per-predicate selectivity tallies `(fingerprint, evaluated,
-    /// passed)`, indexed like the plan's predicate list; flushed into
-    /// `sel_sink` by [`ExecCtx::finish`].
-    sel: Vec<(String, u64, u64)>,
+    /// passed)`, indexed like the plan's predicate list (`None` = not
+    /// tallied); flushed into `sel_sink` by [`ExecCtx::finish`].
+    sel: Vec<(Option<String>, u64, u64)>,
     sel_sink: Option<Arc<jaguar_opt::OptState>>,
 }
 
@@ -237,7 +239,7 @@ impl<'a> ExecCtx<'a> {
     /// predicate list; [`ExecCtx::finish`] folds them into `sink`.
     pub fn set_selectivity_probe(
         &mut self,
-        fingerprints: Vec<String>,
+        fingerprints: Vec<Option<String>>,
         sink: Arc<jaguar_opt::OptState>,
     ) {
         self.sel = fingerprints.into_iter().map(|f| (f, 0, 0)).collect();
@@ -299,7 +301,9 @@ impl<'a> ExecCtx<'a> {
     pub fn finish(self) -> Result<ExecStats> {
         if let Some(sink) = &self.sel_sink {
             for (fp, evaluated, passed) in &self.sel {
-                sink.record_selectivity(fp, *evaluated, *passed);
+                if let Some(fp) = fp {
+                    sink.record_selectivity(fp, *evaluated, *passed);
+                }
             }
         }
         let mut stats = self.stats;
@@ -589,7 +593,7 @@ fn invoke_udf_batch_memoized(
             }
         };
         for (&slot, v) in miss_rows.iter().zip(values) {
-            cache.insert(keys[slot].clone(), v.clone());
+            cache.insert(std::mem::take(&mut keys[slot]), v.clone());
             out[slot] = Some(v);
         }
     }
@@ -894,20 +898,63 @@ fn project_batched(
     }
 }
 
-/// The operator tree for a bound SELECT, pulled via [`Executor::next`].
-pub enum Executor {
-    SeqScan {
-        scan: TableScan,
-    },
-    /// Fetch rows by record id from a B+Tree range (plan `AccessPath`).
-    IndexScan {
-        table: std::sync::Arc<jaguar_catalog::Table>,
-        rids: std::vec::IntoIter<jaguar_common::ids::RecordId>,
-        /// The columns the plan reads (`BoundSelect::scan_cols`).
+/// The rows an [`AccessPath`] reaches, with their record ids: the one leaf
+/// under every row pipeline — a SELECT's `SeqScan` / `IndexScan` /
+/// `EmptyScan` operator and the victim collection of DELETE and UPDATE.
+pub enum RowSource {
+    /// Sequential scan of the heap file, a page at a time.
+    Heap(TableScan),
+    /// Rows fetched one by one through a B+Tree range, probed up front.
+    Index {
+        table: Arc<Table>,
+        rids: std::vec::IntoIter<RecordId>,
         cols: ColumnSet,
     },
     /// The planner proved no row can match.
-    EmptyScan,
+    Empty,
+}
+
+impl RowSource {
+    /// Open `access` over `table`, decoding the columns in `cols`.
+    pub(crate) fn open(
+        table: &Arc<Table>,
+        access: &AccessPath,
+        cols: &ColumnSet,
+    ) -> Result<RowSource> {
+        Ok(match access {
+            AccessPath::FullScan => RowSource::Heap(table.scan_with(cols, 1..u32::MAX)),
+            AccessPath::IndexRange { index, lo, hi } => RowSource::Index {
+                table: Arc::clone(table),
+                rids: index.btree.range(*lo, *hi)?.into_iter(),
+                cols: cols.clone(),
+            },
+            AccessPath::Empty => RowSource::Empty,
+        })
+    }
+
+    /// The next row. A rid the index returned whose row is gone by the time
+    /// it is fetched — a concurrent statement deleted it in between — is
+    /// skipped: the row is not there, which is all a scan would have seen.
+    pub(crate) fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Option<(RecordId, Tuple)>> {
+        let row = match self {
+            RowSource::Heap(scan) => scan.next().transpose()?,
+            RowSource::Index { table, rids, cols } => loop {
+                let Some(rid) = rids.next() else { break None };
+                if let Some(tuple) = table.get(rid, cols)? {
+                    break Some((rid, tuple));
+                }
+            },
+            RowSource::Empty => None,
+        };
+        ctx.stats.rows_scanned += u64::from(row.is_some());
+        Ok(row)
+    }
+}
+
+/// The operator tree for a bound SELECT, pulled via [`Executor::next`].
+pub enum Executor {
+    /// The plan's access path (`SeqScan` / `IndexScan` / `EmptyScan`).
+    Scan { rows: RowSource },
     Filter {
         child: Box<Executor>,
         predicates: Vec<BExpr>,
@@ -999,18 +1046,9 @@ impl Executor {
                 node
             }
         };
-        let mut node = match &plan.access {
-            AccessPath::FullScan => Executor::SeqScan {
-                scan: plan.table.scan_with(&plan.scan_cols, 1..u32::MAX),
-            },
-            AccessPath::IndexRange { index, lo, hi } => Executor::IndexScan {
-                table: std::sync::Arc::clone(&plan.table),
-                rids: index.btree.range(*lo, *hi)?.into_iter(),
-                cols: plan.scan_cols.clone(),
-            },
-            AccessPath::Empty => Executor::EmptyScan,
-        };
-        node = prof(node, plan.scan_label());
+        let rows = RowSource::open(&plan.table, &plan.access, &plan.scan_cols)?;
+        let label = crate::plan::scan_label(&plan.table, &plan.access, &plan.scan_cols);
+        let mut node = prof(Executor::Scan { rows }, label);
         if !plan.predicates.is_empty() {
             node = prof(
                 Executor::Filter {
@@ -1106,7 +1144,7 @@ impl Executor {
             | Executor::Having { child, .. }
             | Executor::Sort { child, .. }
             | Executor::Limit { child, .. } => child.collect_profiles(out),
-            Executor::SeqScan { .. } | Executor::IndexScan { .. } | Executor::EmptyScan => {}
+            Executor::Scan { .. } => {}
         }
     }
 
@@ -1117,22 +1155,7 @@ impl Executor {
         // predicates over a huge scan aborts within a few tuples.
         ctx.tick()?;
         match self {
-            Executor::SeqScan { scan } => match scan.next() {
-                None => Ok(None),
-                Some(item) => {
-                    let (_, tuple) = item?;
-                    ctx.stats.rows_scanned += 1;
-                    Ok(Some(tuple))
-                }
-            },
-            Executor::IndexScan { table, rids, cols } => match rids.next() {
-                None => Ok(None),
-                Some(rid) => {
-                    ctx.stats.rows_scanned += 1;
-                    Ok(Some(table.get(rid, cols)?))
-                }
-            },
-            Executor::EmptyScan => Ok(None),
+            Executor::Scan { rows } => Ok(rows.next(ctx)?.map(|(_, tuple)| tuple)),
             Executor::Filter { child, predicates } => loop {
                 let Some(tuple) = child.next(ctx)? else {
                     return Ok(None);

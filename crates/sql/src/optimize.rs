@@ -27,7 +27,6 @@
 use std::sync::Arc;
 
 use jaguar_common::obs;
-use jaguar_udf::UdfImpl;
 
 use crate::engine::Engine;
 use crate::exec::{backend_slug, ExecCtx};
@@ -38,43 +37,37 @@ use crate::plan::{describe, expr_has_pinned_udf, expr_udfs, BoundSelect, Planned
 /// accumulate in `plan.notes` for EXPLAIN's `-- plan notes:` trailer.
 pub(crate) fn optimize_select(plan: &mut BoundSelect, opt: &Arc<jaguar_opt::OptState>) {
     plan.reordered = vec![false; plan.predicates.len()];
-    inline_pass(plan);
+    let notes = inline_pass(&mut plan.udfs);
+    plan.notes.extend(notes);
     reorder_pass(plan, opt);
     memo_notes(plan, opt);
     batch_note(plan);
 }
 
-/// Attempt Froid-style inlining for every JagScript (VM-backed) UDF in
-/// the plan. Only `Immutable` UDFs are candidates: inlining elides the
-/// backend entirely, which a `Stable`/`Volatile` declaration is entitled
-/// to notice (connection state reads, side effects, invocation counts).
-fn inline_pass(plan: &mut BoundSelect) {
+/// Froid-style inlining for every JagScript (VM-backed) UDF of a
+/// statement — a SELECT's or a DML's; returns the plan notes. Only
+/// `Immutable` UDFs are candidates: inlining elides the backend entirely,
+/// which a `Stable`/`Volatile` declaration is entitled to notice
+/// (connection state reads, side effects, invocation counts). The
+/// translation itself happens once per registered UDF
+/// ([`jaguar_udf::UdfDef::inline_body`]); a statement only picks it up.
+pub(crate) fn inline_pass(udfs: &mut [PlannedUdf]) -> Vec<String> {
     let mut notes = Vec::new();
-    for u in plan.udfs.iter_mut() {
-        if !u.def.volatility.memoizable() {
-            continue;
-        }
-        let spec = match &u.def.imp {
-            UdfImpl::Vm(spec) | UdfImpl::IsolatedVm(spec) => spec,
-            _ => continue,
-        };
-        let Some(fidx) = spec.module.find_function(&spec.function) else {
-            continue;
-        };
-        let func = &spec.module.functions()[fidx as usize];
-        match jaguar_opt::try_inline(func, u.def.signature.ret, spec.limits.fuel) {
-            Ok(body) => {
+    for u in udfs.iter_mut() {
+        match u.def.inline_body() {
+            None => {}
+            Some(Ok(body)) => {
                 obs::global().counter("opt.inlined").inc();
                 notes.push(format!(
                     "inline {}: {} node(s), backend elided",
                     u.def.name, body.nodes
                 ));
-                u.inline = Some(Arc::new(body));
+                u.inline = Some(Arc::clone(body));
             }
-            Err(why) => notes.push(format!("inline {} skipped: {why}", u.def.name)),
+            Some(Err(why)) => notes.push(format!("inline {} skipped: {why}", u.def.name)),
         }
     }
-    plan.notes.extend(notes);
+    notes
 }
 
 /// Estimated per-invocation cost (µs) for ranking. Observed per-UDF
@@ -185,12 +178,20 @@ fn batch_note(plan: &mut BoundSelect) {
 /// state: the shared memo cache (withheld while the engine is saturated —
 /// see [`Engine::memo_for_statement`]) and the per-predicate selectivity
 /// probe (fingerprints follow `plan.predicates` order, which is exactly
-/// the order `Filter`/`matches_all` evaluate them in).
+/// the order `Filter`/`matches_all` evaluate them in). Only a predicate
+/// that calls a UDF is probed: the reorder pass reads no other
+/// selectivity, and a tally per distinct `(id = 4711)` would grow the
+/// engine's state with every literal a client ever sent.
 pub(crate) fn install_opt(plan: &BoundSelect, engine: &Engine, ctx: &mut ExecCtx<'_>) {
-    let opt = engine.opt_state();
     ctx.set_memo(engine.memo_for_statement());
-    if !plan.predicates.is_empty() {
-        let fps = plan.predicates.iter().map(|p| describe(p, plan)).collect();
-        ctx.set_selectivity_probe(fps, Arc::clone(opt));
+    if plan.udfs.is_empty() {
+        return;
     }
+    let fingerprint = |p| {
+        let mut called = Vec::new();
+        expr_udfs(p, &mut called);
+        (!called.is_empty()).then(|| describe(p, plan))
+    };
+    let fps = plan.predicates.iter().map(fingerprint).collect();
+    ctx.set_selectivity_probe(fps, Arc::clone(engine.opt_state()));
 }

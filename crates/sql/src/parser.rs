@@ -85,8 +85,15 @@ impl Parser {
                 } else {
                     false
                 };
-                let select = self.select()?;
-                Ok(Statement::Explain { analyze, select })
+                let stmt = match self.peek() {
+                    Tok::Delete => self.delete()?,
+                    Tok::Update => self.update()?,
+                    _ => Statement::Select(self.select()?),
+                };
+                Ok(Statement::Explain {
+                    analyze,
+                    stmt: Box::new(stmt),
+                })
             }
             _ => Err(self.err("expected SELECT, CREATE, INSERT, DELETE, UPDATE, or DROP")),
         }

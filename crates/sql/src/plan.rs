@@ -367,33 +367,45 @@ pub struct BoundSelect {
     pub notes: Vec<String>,
 }
 
-impl BoundSelect {
-    /// The scan operator as EXPLAIN and EXPLAIN ANALYZE name it, with the
-    /// columns it decodes: `SeqScan wide [grp, v]`, `IndexScan t [*] via t_id`.
-    pub(crate) fn scan_label(&self) -> String {
-        let table = self.table.name();
-        let cols = (self.decoded_columns()).map_or("*".into(), |names| names.join(", "));
-        match &self.access {
-            AccessPath::FullScan => format!("SeqScan {table} [{cols}]"),
-            AccessPath::IndexRange { index, .. } => {
-                format!("IndexScan {table} [{cols}] via {}", index.name)
-            }
-            AccessPath::Empty => "EmptyScan".into(),
+/// Names of the columns in `cols`; `None` if that is all of them.
+fn decoded_columns<'a>(table: &'a Table, cols: &ColumnSet) -> Option<Vec<&'a str>> {
+    let fields = table.schema().fields().iter().enumerate();
+    let wanted = fields.filter(|(i, _)| cols.contains(*i));
+    (!cols.is_all()).then(|| wanted.map(|(_, f)| f.name.as_str()).collect())
+}
+
+/// The scan operator as EXPLAIN and EXPLAIN ANALYZE name it, with the
+/// columns it decodes: `SeqScan wide [grp, v]`, `IndexScan t [*] via t_id`.
+pub(crate) fn scan_label(table: &Table, access: &AccessPath, cols: &ColumnSet) -> String {
+    let name = table.name();
+    let cols = decoded_columns(table, cols).map_or("*".into(), |names| names.join(", "));
+    match access {
+        AccessPath::FullScan => format!("SeqScan {name} [{cols}]"),
+        AccessPath::IndexRange { index, .. } => {
+            format!("IndexScan {name} [{cols}] via {}", index.name)
         }
+        AccessPath::Empty => "EmptyScan".into(),
     }
+}
 
-    /// Plan note for a scan that skips columns.
-    pub(crate) fn scan_note(&self) -> Option<String> {
-        let (some, all) = (self.decoded_columns()?.len(), self.table.schema().len());
-        Some(format!("scan decodes {some} of {all} columns"))
+/// The scan's EXPLAIN line: its label plus the rows, key range or verdict
+/// it covers — one rendering for SELECT and DML.
+fn scan_line(table: &Table, access: &AccessPath, cols: &ColumnSet) -> String {
+    let scan = scan_label(table, access, cols);
+    match access {
+        AccessPath::FullScan => format!("{scan} ({} rows)", table.row_count()),
+        AccessPath::IndexRange { lo, hi, .. } => {
+            let hi = hi.map_or_else(|| "∞".into(), |h| h.to_string());
+            format!("{scan} [{lo}, {hi})")
+        }
+        AccessPath::Empty => format!("{scan} (predicate unsatisfiable)"),
     }
+}
 
-    /// Names of the columns in `scan_cols`; `None` if that is all of them.
-    fn decoded_columns(&self) -> Option<Vec<&str>> {
-        let fields = self.table.schema().fields().iter().enumerate();
-        let wanted = fields.filter(|(i, _)| self.scan_cols.contains(*i));
-        (!self.scan_cols.is_all()).then(|| wanted.map(|(_, f)| f.name.as_str()).collect())
-    }
+/// Plan note for a scan that skips columns.
+pub(crate) fn scan_note(table: &Table, cols: &ColumnSet) -> Option<String> {
+    let (some, all) = (decoded_columns(table, cols)?.len(), table.schema().len());
+    Some(format!("scan decodes {some} of {all} columns"))
 }
 
 /// Bind and optimize a SELECT against the catalog, enforcing the table's
@@ -416,45 +428,7 @@ pub fn bind_select(
         principal: &authz.principal,
     };
 
-    // Predicates: split, bind, type-check as boolean, order by cost. The
-    // row-label residual (if any) goes first as a pinned conjunct: it
-    // forms its own leading segment, so every user predicate — including
-    // UDF calls, which would otherwise see unauthorized rows as arguments
-    // — runs strictly after it.
-    let mut ranked: Vec<(u32, usize, bool, BExpr)> = Vec::new();
-    let mut notes = Vec::new();
-    let labeled = if let Some(residual) = &authz.residual {
-        ranked.push((0, 0, true, label_to_bexpr(residual, &schema)?));
-        obs::global()
-            .counter(jaguar_sec::metrics::LABEL_REWRITES)
-            .inc();
-        notes.push(format!(
-            "label: row filter injected for principal '{}'",
-            authz.principal
-        ));
-        Some(0)
-    } else {
-        None
-    };
-    let shift = ranked.len();
-    if let Some(pred) = &stmt.predicate {
-        let conjuncts = pred.clone().conjuncts();
-        for (i, c) in conjuncts.into_iter().enumerate() {
-            let bound = binder.bind(&c)?;
-            let ty = binder.type_of(&bound)?;
-            if ty != Some(DataType::Bool) {
-                return Err(JaguarError::Plan(format!(
-                    "WHERE conjunct {} is not a boolean predicate",
-                    i + 1
-                )));
-            }
-            let cost = binder.cost_rank(&bound);
-            let pinned = expr_has_pinned_udf(&bound, &binder.udfs);
-            ranked.push((cost, i + shift, pinned, bound));
-        }
-    }
-    let predicates = order_conjuncts(ranked);
-
+    let (predicates, labeled, notes) = bind_where(&mut binder, &authz, &stmt.predicate)?;
     let access = choose_access_path(&table, &predicates);
 
     // Aggregate query?
@@ -548,6 +522,48 @@ pub fn bind_select(
         labeled,
         notes,
     })
+}
+
+/// Bind a WHERE clause — SELECT's and DML's alike: split, bind, type-check
+/// as boolean, order by cost. The row-label residual (if any) goes first as
+/// a pinned conjunct: it forms its own leading segment, so every user
+/// predicate — including UDF calls, which would otherwise see unauthorized
+/// rows as arguments — runs strictly after it, and so does the re-check of
+/// every row an index produced. Returns the predicates in execution order
+/// and, when a label filter was injected, its position (0) and plan note.
+fn bind_where(
+    binder: &mut Binder<'_>,
+    authz: &Authz,
+    predicate: &Option<Expr>,
+) -> Result<(Vec<BExpr>, Option<usize>, Vec<String>)> {
+    let mut ranked: Vec<(u32, usize, bool, BExpr)> = Vec::new();
+    let mut notes = Vec::new();
+    if let Some(residual) = &authz.residual {
+        ranked.push((0, 0, true, label_to_bexpr(residual, binder.schema)?));
+        obs::global()
+            .counter(jaguar_sec::metrics::LABEL_REWRITES)
+            .inc();
+        notes.push(format!(
+            "label: row filter injected for principal '{}'",
+            authz.principal
+        ));
+    }
+    let shift = ranked.len();
+    if let Some(pred) = predicate {
+        for (i, c) in pred.clone().conjuncts().into_iter().enumerate() {
+            let bound = binder.bind(&c)?;
+            if binder.type_of(&bound)? != Some(DataType::Bool) {
+                return Err(JaguarError::Plan(format!(
+                    "WHERE conjunct {} is not a boolean predicate",
+                    i + 1
+                )));
+            }
+            let cost = binder.cost_rank(&bound);
+            let pinned = expr_has_pinned_udf(&bound, &binder.udfs);
+            ranked.push((cost, i + shift, pinned, bound));
+        }
+    }
+    Ok((order_conjuncts(ranked), (shift > 0).then_some(0), notes))
 }
 
 /// Bind a HAVING predicate over the output schema, requiring Bool type.
@@ -1185,9 +1201,13 @@ fn choose_access_path(table: &Table, predicates: &[BExpr]) -> AccessPath {
 /// A bound DML predicate + assignments (DELETE/UPDATE).
 pub struct BoundDml {
     pub table: Arc<Table>,
+    /// How the statement reaches its rows: chosen exactly as for a SELECT
+    /// with the same WHERE clause, and every predicate is re-checked on
+    /// each row the path produces.
+    pub access: AccessPath,
     /// The columns the statement's scan decodes: what the predicates read
-    /// for DELETE, every column for UPDATE — the row it inserts is the
-    /// scanned tuple with the assigned positions replaced, and a NULL
+    /// for DELETE, every column for UPDATE — the row it writes is the
+    /// fetched tuple with the assigned positions replaced, and a NULL
     /// placeholder must never be written back as data.
     pub scan_cols: ColumnSet,
     /// Conjunctive predicates, cost-ordered as in SELECT.
@@ -1195,6 +1215,10 @@ pub struct BoundDml {
     /// For UPDATE: (column index, value expression) pairs.
     pub assignments: Vec<(usize, BExpr)>,
     pub udfs: Vec<PlannedUdf>,
+    /// As [`BoundSelect::labeled`].
+    pub labeled: Option<usize>,
+    /// As [`BoundSelect::notes`].
+    pub notes: Vec<String>,
 }
 
 /// Bind the predicate (and, for UPDATE, assignments) of a DML statement,
@@ -1221,30 +1245,8 @@ pub fn bind_dml(
         denied: &authz.denied,
         principal: &authz.principal,
     };
-    let mut ranked: Vec<(u32, usize, bool, BExpr)> = Vec::new();
-    if let Some(residual) = &authz.residual {
-        ranked.push((0, 0, true, label_to_bexpr(residual, &schema)?));
-        obs::global()
-            .counter(jaguar_sec::metrics::LABEL_REWRITES)
-            .inc();
-    }
-    let shift = ranked.len();
-    if let Some(pred) = predicate {
-        let conjuncts = pred.clone().conjuncts();
-        for (i, c) in conjuncts.into_iter().enumerate() {
-            let bound = binder.bind(&c)?;
-            if binder.type_of(&bound)? != Some(DataType::Bool) {
-                return Err(JaguarError::Plan(format!(
-                    "WHERE conjunct {} is not a boolean predicate",
-                    i + 1
-                )));
-            }
-            let cost = binder.cost_rank(&bound);
-            let pinned = expr_has_pinned_udf(&bound, &binder.udfs);
-            ranked.push((cost, i + shift, pinned, bound));
-        }
-    }
-    let predicates = order_conjuncts(ranked);
+    let (predicates, labeled, notes) = bind_where(&mut binder, &authz, predicate)?;
+    let access = choose_access_path(&table, &predicates);
     let mut bound_assignments = Vec::with_capacity(assignments.len());
     for (col, expr) in assignments {
         let idx = schema.resolve(col)?;
@@ -1272,10 +1274,13 @@ pub fn bind_dml(
     };
     Ok(BoundDml {
         table,
+        access,
         scan_cols,
         predicates,
         assignments: bound_assignments,
         udfs: binder.udfs,
+        labeled,
+        notes,
     })
 }
 
@@ -1335,55 +1340,100 @@ fn explain_inner(plan: &BoundSelect, gather_dop: Option<usize>) -> String {
     } else {
         "  "
     };
-    for (i, p) in plan.predicates.iter().enumerate() {
+    let (schema, preds) = (plan.table.schema(), &plan.predicates);
+    write_filters(
+        &mut out,
+        frag,
+        preds,
+        plan.labeled,
+        &plan.reordered,
+        schema,
+        &plan.udfs,
+    );
+    let scan = scan_line(&plan.table, &plan.access, &plan.scan_cols);
+    let _ = writeln!(out, "{frag}{scan}");
+    out
+}
+
+/// One `Filter[i]` line per predicate a plan re-checks on every row its
+/// scan produces, tagged as EXPLAIN tags them.
+fn write_filters(
+    out: &mut String,
+    indent: &str,
+    predicates: &[BExpr],
+    labeled: Option<usize>,
+    reordered: &[bool],
+    schema: &Schema,
+    udfs: &[PlannedUdf],
+) {
+    for (i, p) in predicates.iter().enumerate() {
         let mut tag = String::new();
-        if plan.labeled == Some(i) {
+        if labeled == Some(i) {
             tag.push_str(" [labeled]");
         }
-        if plan.reordered.get(i).copied().unwrap_or(false) {
+        if reordered.get(i).copied().unwrap_or(false) {
             tag.push_str(" [reordered]");
         }
-        let _ = writeln!(out, "{frag}Filter[{i}]{tag} {}", describe(p, plan));
+        let _ = writeln!(
+            out,
+            "{indent}Filter[{i}]{tag} {}",
+            describe_in(p, schema, udfs)
+        );
     }
-    let scan = plan.scan_label();
-    let _ = match &plan.access {
-        AccessPath::FullScan => writeln!(out, "{frag}{scan} ({} rows)", plan.table.row_count()),
-        AccessPath::IndexRange { lo, hi, .. } => {
-            let hi = hi.map_or_else(|| "∞".into(), |h| h.to_string());
-            writeln!(out, "{frag}{scan} [{lo}, {hi})")
-        }
-        AccessPath::Empty => writeln!(out, "{frag}{scan} (predicate unsatisfiable)"),
+}
+
+/// Render a DML statement's plan: the operation and the row source feeding
+/// it on the first line — `Update acct [in place] ← IndexScan acct [*] via
+/// acct_id [7, 8)` — then the predicates re-checked on every row. An UPDATE
+/// assigning only fixed-width columns rewrites each row where it lies;
+/// otherwise a row that outgrows its page is deleted and re-inserted.
+pub fn explain_dml(dml: &BoundDml) -> String {
+    let (table, schema) = (dml.table.name(), dml.table.schema());
+    let fixed = |(col, _): &(usize, BExpr)| {
+        let dtype = schema.field(*col).expect("bound column").dtype;
+        !matches!(dtype, DataType::Str | DataType::Bytes)
     };
+    let op = if dml.assignments.is_empty() {
+        format!("Delete {table}")
+    } else if dml.assignments.iter().all(fixed) {
+        format!("Update {table} [in place]")
+    } else {
+        format!("Update {table} [in place if it fits]")
+    };
+    let scan = scan_line(&dml.table, &dml.access, &dml.scan_cols);
+    let mut out = format!("{op} ← {scan}\n");
+    write_filters(
+        &mut out,
+        "  ",
+        &dml.predicates,
+        dml.labeled,
+        &[],
+        schema,
+        &dml.udfs,
+    );
     out
 }
 
 pub(crate) fn describe(e: &BExpr, plan: &BoundSelect) -> String {
+    describe_in(e, plan.table.schema(), &plan.udfs)
+}
+
+fn describe_in(e: &BExpr, schema: &Schema, udfs: &[PlannedUdf]) -> String {
+    let sub = |e: &BExpr| describe_in(e, schema, udfs);
     match e {
-        BExpr::Column(i) => plan
-            .table
-            .schema()
+        BExpr::Column(i) => schema
             .field(*i)
             .map(|f| f.name.clone())
             .unwrap_or_else(|| format!("#{i}")),
         BExpr::Literal(v) => v.to_string(),
-        BExpr::Cmp(op, l, r) => format!(
-            "({} {} {})",
-            describe(l, plan),
-            op.symbol(),
-            describe(r, plan)
-        ),
-        BExpr::And(l, r) => format!("({} AND {})", describe(l, plan), describe(r, plan)),
-        BExpr::Or(l, r) => format!("({} OR {})", describe(l, plan), describe(r, plan)),
-        BExpr::Not(i) => format!("(NOT {})", describe(i, plan)),
-        BExpr::Neg(i) => format!("(-{})", describe(i, plan)),
-        BExpr::Arith { op, lhs, rhs, .. } => format!(
-            "({} {} {})",
-            describe(lhs, plan),
-            op.symbol(),
-            describe(rhs, plan)
-        ),
+        BExpr::Cmp(op, l, r) => format!("({} {} {})", sub(l), op.symbol(), sub(r)),
+        BExpr::And(l, r) => format!("({} AND {})", sub(l), sub(r)),
+        BExpr::Or(l, r) => format!("({} OR {})", sub(l), sub(r)),
+        BExpr::Not(i) => format!("(NOT {})", sub(i)),
+        BExpr::Neg(i) => format!("(-{})", sub(i)),
+        BExpr::Arith { op, lhs, rhs, .. } => format!("({} {} {})", sub(lhs), op.symbol(), sub(rhs)),
         BExpr::Udf { udf, args } => {
-            let slot = &plan.udfs[*udf];
+            let slot = &udfs[*udf];
             let d = &slot.def;
             let tag = if slot.inline.is_some() {
                 " [inlined]"
@@ -1394,10 +1444,7 @@ pub(crate) fn describe(e: &BExpr, plan: &BoundSelect) -> String {
                 "{}[{}]({}){tag}",
                 d.name,
                 d.imp.design_label(),
-                args.iter()
-                    .map(|a| describe(a, plan))
-                    .collect::<Vec<_>>()
-                    .join(", ")
+                args.iter().map(sub).collect::<Vec<_>>().join(", ")
             )
         }
     }

@@ -9,7 +9,9 @@
 //!   exceed one 8 KiB page) spill into a chain of overflow pages, with a
 //!   9-byte stub left in the slot,
 //! * deleted overflow pages go onto an intra-file free list and are reused
-//!   by later allocations.
+//!   by later allocations,
+//! * slotted pages a delete (or a shrinking update) freed space on are
+//!   remembered in memory and tried again before the file is extended.
 //!
 //! The scan iterator visits record pages in file order and resolves stubs
 //! transparently, so the executor above sees a stream of full records.
@@ -23,8 +25,8 @@
 //!
 //! **Latching.** Readers (`get_with`, the scan, overflow-chain reads) take
 //! a page's *shared* latch through [`PageHandle::read`](crate::buffer::PageHandle::read)
-//! and leave it clean; only `insert`, `delete` and page allocation take the
-//! exclusive latch, which is what marks a page dirty and unlogged. A decode
+//! and leave it clean; only `insert`, `update`, `delete` and page allocation
+//! take the exclusive latch, which is what marks a page dirty and unlogged. A decode
 //! function therefore runs under a shared latch and must not re-enter the
 //! heap file.
 
@@ -69,11 +71,34 @@ impl<T> Fetched<T> {
     }
 }
 
+/// Slotted pages remembered as having free space, at most.
+const MAX_HOLES: usize = 1024;
+/// Remembered pages one insert probes before it extends the file.
+const HOLE_TRIES: usize = 4;
+
+/// What [`HeapFile::update`] did with a record.
+pub enum Updated<T> {
+    /// Rewritten on its page under its old id; carries what the caller's
+    /// function made of the record it replaced.
+    InPlace(T),
+    /// Untouched: its page has no room for the new version, or one of the
+    /// two versions is spilled. The caller deletes and re-inserts.
+    NoRoom,
+    /// Already deleted — by a concurrent statement, after the caller saw it.
+    Gone,
+}
+
 /// An unordered record file with overflow support and a page free list.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     /// Page the last successful insert landed on; tried first next time.
     insert_hint: Mutex<PageId>,
+    /// Slotted pages a delete or a shrinking update freed space on, newest
+    /// last. Bounded, in memory only and never persisted: it is a hint, a
+    /// page on it is probed before use, and after a reopen it simply
+    /// refills as rows are deleted.
+    holes: Mutex<Vec<PageId>>,
+    hole_reuses: Arc<obs::Counter>,
     /// Serialises free-list manipulation (the list head lives on page 0).
     alloc_lock: Mutex<()>,
     /// Ticks when a writer finds `insert_hint` held by another thread.
@@ -112,13 +137,19 @@ impl HeapFile {
                 .copy_from_slice(&PageId::INVALID.0.to_le_bytes());
         }
         drop(header);
-        Ok(HeapFile {
+        Ok(HeapFile::over(pool))
+    }
+
+    fn over(pool: Arc<BufferPool>) -> HeapFile {
+        HeapFile {
             pool,
             insert_hint: Mutex::new(PageId::INVALID),
+            holes: Mutex::new(Vec::new()),
+            hole_reuses: obs::global().counter("storage.heap.hole_reuses"),
             alloc_lock: Mutex::new(()),
             hint_waits: obs::global().counter("storage.heap.insert_hint_waits"),
             alloc_waits: obs::global().counter("storage.heap.alloc_lock_waits"),
-        })
+        }
     }
 
     /// Open an existing heap file, validating the header page.
@@ -142,13 +173,7 @@ impl HeapFile {
                 )));
             }
         }
-        Ok(HeapFile {
-            pool,
-            insert_hint: Mutex::new(PageId::INVALID),
-            alloc_lock: Mutex::new(()),
-            hint_waits: obs::global().counter("storage.heap.insert_hint_waits"),
-            alloc_waits: obs::global().counter("storage.heap.alloc_lock_waits"),
-        })
+        Ok(HeapFile::over(pool))
     }
 
     pub fn pool(&self) -> &Arc<BufferPool> {
@@ -235,16 +260,28 @@ impl HeapFile {
         }
     }
 
-    /// Place an already-framed record onto some slotted page.
+    /// Place an already-framed record onto some slotted page: the hinted
+    /// one, else one remembered as having free space, else a fresh one.
     fn insert_framed(&self, framed: &[u8]) -> Result<RecordId> {
-        // Fast path: the hinted page.
         let hint = *lock_counted(&self.insert_hint, &self.hint_waits);
         if hint.is_valid() {
             if let Some(rid) = self.try_insert_on(hint, framed)? {
                 return Ok(rid);
             }
         }
-        // Slow path: fresh slotted page.
+        for _ in 0..HOLE_TRIES {
+            let Some(page) = self.holes.lock().last().copied() else {
+                break;
+            };
+            if self.has_room(page, framed)? {
+                if let Some(rid) = self.try_insert_on(page, framed)? {
+                    self.hole_reuses.inc();
+                    *lock_counted(&self.insert_hint, &self.hint_waits) = page;
+                    return Ok(rid);
+                }
+            }
+            self.holes.lock().retain(|p| *p != page);
+        }
         let page = self.acquire_page()?;
         let handle = self.pool.fetch(page)?;
         let slot = {
@@ -269,6 +306,23 @@ impl HeapFile {
         }
         let mut sp = SlottedPage::open(&mut buf)?;
         Ok(sp.insert(framed).map(|slot| RecordId::new(page, slot)))
+    }
+
+    /// Does `page` look able to take `framed`? Examined under the shared
+    /// latch, so that a remembered page that is too full stays clean — and
+    /// out of the next commit's log.
+    fn has_room(&self, page: PageId, framed: &[u8]) -> Result<bool> {
+        let handle = self.pool.fetch(page)?;
+        let buf = handle.read();
+        Ok(buf[4] == PageType::Slotted as u8 && SlottedRef::open(&buf)?.fits(framed.len()))
+    }
+
+    /// Remember that `page` has free space now.
+    fn note_hole(&self, page: PageId) {
+        let mut holes = self.holes.lock();
+        if holes.last() != Some(&page) && holes.len() < MAX_HOLES && !holes.contains(&page) {
+            holes.push(page);
+        }
     }
 
     fn write_overflow_chain(&self, record: &[u8]) -> Result<PageId> {
@@ -324,23 +378,67 @@ impl HeapFile {
     }
 
     /// Fetch a record by id (resolving overflow chains) and return what
-    /// `decode` makes of its bytes.
+    /// `decode` makes of its bytes — `None` if no live record has that id:
+    /// it was deleted, perhaps after an index told the caller about it.
     pub fn get_with<T>(
         &self,
         rid: RecordId,
         mut decode: impl FnMut(&[u8]) -> Result<T>,
-    ) -> Result<T> {
+    ) -> Result<Option<T>> {
         let fetched = {
             let handle = self.pool.fetch(rid.page)?;
             let buf = handle.read();
-            Fetched::from_framed(SlottedRef::open(&buf)?.get(rid.slot)?, &mut decode)?
+            let sp = SlottedRef::open(&buf)?;
+            if !sp.is_live(rid.slot) {
+                return Ok(None);
+            }
+            Fetched::from_framed(sp.get(rid.slot)?, &mut decode)?
         };
-        self.resolve(fetched, decode)
+        self.resolve(fetched, decode).map(Some)
     }
 
-    /// Fetch a copy of a record by id.
+    /// Fetch a copy of a record by id; an error if it is not there.
     pub fn get(&self, rid: RecordId) -> Result<Vec<u8>> {
-        self.get_with(rid, |record| Ok(record.to_vec()))
+        self.get_with(rid, |record| Ok(record.to_vec()))?
+            .ok_or_else(|| JaguarError::Storage(format!("no live record at {rid}")))
+    }
+
+    /// Replace an inline record with another inline one on the same page,
+    /// keeping its id; `seen` is handed the record being replaced, in
+    /// place, before it is overwritten. One page is written and nothing
+    /// else, so the change is atomic under the page latch and costs its
+    /// commit one page image.
+    pub fn update<T>(
+        &self,
+        rid: RecordId,
+        record: &[u8],
+        seen: impl FnOnce(&[u8]) -> Result<T>,
+    ) -> Result<Updated<T>> {
+        if record.len() > self.max_inline() {
+            return Ok(Updated::NoRoom);
+        }
+        let handle = self.pool.fetch(rid.page)?;
+        let mut buf = handle.write();
+        let mut sp = SlottedPage::open(&mut buf)?;
+        if !sp.is_live(rid.slot) {
+            return Ok(Updated::Gone);
+        }
+        let old = sp.get(rid.slot)?;
+        if old.first() != Some(&KIND_INLINE) {
+            return Ok(Updated::NoRoom);
+        }
+        let (old_len, seen) = (old.len(), seen(&old[1..])?);
+        let mut framed = Vec::with_capacity(record.len() + 1);
+        framed.push(KIND_INLINE);
+        framed.extend_from_slice(record);
+        if !sp.replace(rid.slot, &framed)? {
+            return Ok(Updated::NoRoom);
+        }
+        drop(buf);
+        if framed.len() < old_len {
+            self.note_hole(rid.page);
+        }
+        Ok(Updated::InPlace(seen))
     }
 
     /// Delete a record, releasing any overflow pages to the free list.
@@ -358,6 +456,7 @@ impl HeapFile {
             sp.delete(rid.slot)?;
             fetched
         };
+        self.note_hole(rid.page);
         let mut page = match fetched {
             Fetched::Spilled { first, .. } => first,
             Fetched::Inline(_) => PageId::INVALID,
@@ -637,7 +736,7 @@ mod tests {
         assert_eq!(lens(&mut calls), vec![Err("corruption: rejected".into())]);
         // `get_with` decodes the same way, by record id.
         let rid = h.insert(b"by id").unwrap();
-        assert_eq!(h.get_with(rid, |r| Ok(r.len())).unwrap(), 5);
+        assert_eq!(h.get_with(rid, |r| Ok(r.len())).unwrap(), Some(5));
         let no = |_: &[u8]| Err::<(), _>(JaguarError::Corruption("no".into()));
         assert!(h.get_with(rid, no).is_err());
     }
@@ -708,6 +807,100 @@ mod tests {
         let rid2 = h.insert(&big).unwrap();
         assert_eq!(h.file_pages(), pages_after_insert);
         assert_eq!(h.get(rid2).unwrap(), big);
+    }
+
+    /// A table under steady churn stays the size of its live rows.
+    #[test]
+    fn space_freed_by_delete_is_reused() {
+        let h = heap(512, 64);
+        let record = |i: u32| format!("record-{i:0>30}").into_bytes();
+        let rids: Vec<_> = (0..600).map(|i| h.insert(&record(i)).unwrap()).collect();
+        let pages = h.file_pages();
+        assert!((40..MAX_HOLES as u32).contains(&pages), "{pages} pages");
+        let reuses = h.hole_reuses.get();
+        for rid in &rids {
+            h.delete(*rid).unwrap();
+        }
+        for i in 0..600 {
+            h.insert(&record(i)).unwrap();
+        }
+        assert_eq!(h.file_pages(), pages, "insert N, delete N, insert N");
+        assert!(h.hole_reuses.get() > reuses);
+        assert_eq!(h.scan().count(), 600);
+    }
+
+    #[test]
+    fn update_rewrites_a_record_where_it_lies() {
+        let h = heap(512, 64);
+        let rid = h.insert(b"before").unwrap();
+        let other = h.insert(&[9u8; 300]).unwrap();
+        let pages = h.file_pages();
+        // The replaced record is shown to the caller in place, first.
+        let seen = h.update(rid, b"after!", |old| Ok(old.to_vec())).unwrap();
+        assert!(matches!(seen, Updated::InPlace(old) if old == b"before"));
+        assert_eq!(h.get(rid).unwrap(), b"after!");
+        // 10,000 same-width updates (and shrinking and growing ones that
+        // still fit the page) move nothing and grow nothing.
+        for i in 0..10_000u32 {
+            let new = format!("{i:06}");
+            let new = &new.as_bytes()[..6 - (i % 3) as usize];
+            assert!(matches!(
+                h.update(rid, new, |_| Ok(())).unwrap(),
+                Updated::InPlace(())
+            ));
+            assert_eq!(h.get(rid).unwrap(), new);
+        }
+        assert_eq!(h.get(other).unwrap(), [9u8; 300]);
+        assert_eq!(h.file_pages(), pages);
+        assert_eq!(h.scan().count(), 2);
+        // No room on the page, a spilled new version, a spilled old one:
+        // nothing is written and the caller moves the record itself.
+        for big in [vec![1u8; 400], vec![1u8; 2000]] {
+            assert!(matches!(
+                h.update(rid, &big, |_| Ok(())).unwrap(),
+                Updated::NoRoom
+            ));
+        }
+        let spilled = h.insert(&vec![2u8; 2000]).unwrap();
+        assert!(matches!(
+            h.update(spilled, b"small", |_| Ok(())).unwrap(),
+            Updated::NoRoom
+        ));
+        assert_eq!(h.get(rid).unwrap(), b"009999");
+        assert_eq!(h.get(spilled).unwrap(), vec![2u8; 2000]);
+        // A record another statement deleted is reported, not an error.
+        h.delete(rid).unwrap();
+        assert!(matches!(
+            h.update(rid, b"late", |_| Ok(())).unwrap(),
+            Updated::Gone
+        ));
+        // A caller that rejects the old record leaves it untouched.
+        let rejected = h.update(other, b"x", |_| {
+            Err::<(), _>(JaguarError::Corruption("no".into()))
+        });
+        assert!(rejected.is_err());
+        assert_eq!(h.get(other).unwrap(), [9u8; 300]);
+    }
+
+    /// A remembered page that turns out to be full is probed under the
+    /// shared latch: it stays clean, so the next commit does not log it.
+    #[test]
+    fn a_full_remembered_page_is_not_dirtied_by_the_insert_that_skips_it() {
+        let h = heap(512, 16);
+        h.pool().set_wal_hook(Arc::new(NoopHook));
+        let first = h.insert(&[1u8; 200]).unwrap();
+        let gone = h.insert(&[2u8; 100]).unwrap();
+        let second = h.insert(&[3u8; 300]).unwrap();
+        assert!(first.page == gone.page && second.page != first.page);
+        h.delete(gone).unwrap(); // `first.page` is remembered…
+        h.pool().commit_unlogged(&h.pool().snapshot_unlogged());
+        let big = h.insert(&[4u8; 300]).unwrap(); // …and too full for this.
+        assert!(big.page != first.page && big.page != second.page);
+        let unlogged = h.pool().snapshot_unlogged();
+        assert!(
+            unlogged.iter().all(|(p, _)| *p != first.page),
+            "{unlogged:?}"
+        );
     }
 
     #[test]

@@ -289,6 +289,35 @@ impl<'a> SlottedRef<'a> {
     pub fn is_live(&self, slot: u16) -> bool {
         slot < self.slot_count() && self.slot_entry(slot).0 != TOMBSTONE
     }
+
+    /// Bytes a compaction would leave free: the page less its header, its
+    /// slot directory and its live records.
+    pub fn total_free(&self) -> usize {
+        let entries = (0..self.slot_count()).map(|s| self.slot_entry(s));
+        let live: usize = entries
+            .filter(|(off, _)| *off != TOMBSTONE)
+            .map(|(_, len)| len as usize)
+            .sum();
+        let used = COMMON_HEADER + self.slot_count() as usize * SLOT_SIZE + live;
+        self.buf.len().saturating_sub(used)
+    }
+
+    /// Would [`SlottedPage::insert`] find room for a record of `len` bytes
+    /// (compacting if it had to)? Lets a writer probe a page under the
+    /// shared latch, so a page that turns out to be full is left clean.
+    pub fn fits(&self, len: usize) -> bool {
+        if len > u16::MAX as usize {
+            return false;
+        }
+        // The usual case — room behind the slot directory for the record
+        // and a new slot — is decided without looking at any slot.
+        let directory = COMMON_HEADER + self.slot_count() as usize * SLOT_SIZE;
+        if self.free_end() as usize - directory >= len + SLOT_SIZE {
+            return true;
+        }
+        let reuse = (0..self.slot_count()).any(|s| self.slot_entry(s).0 == TOMBSTONE);
+        self.total_free() >= len + if reuse { 0 } else { SLOT_SIZE }
+    }
 }
 
 /// A mutable view over a raw page buffer interpreting it as a slotted
@@ -353,22 +382,32 @@ impl<'a> SlottedPage<'a> {
         self.free_end() as usize - (COMMON_HEADER + self.slot_count() as usize * SLOT_SIZE)
     }
 
-    /// Total reclaimable free bytes (contiguous + tombstoned record space).
+    /// Total reclaimable free bytes ([`SlottedRef::total_free`]).
     pub fn total_free(&self) -> usize {
-        let mut free = self.contiguous_free();
-        for s in 0..self.slot_count() {
-            let (off, len) = self.slot_entry(s);
-            if off == TOMBSTONE {
-                free += len as usize; // len preserved at tombstone time
-            }
-        }
-        free
+        self.view().total_free()
     }
 
     /// Largest record this page could accept right now *without* compaction,
     /// assuming a new slot is needed.
     pub fn insertable_now(&self) -> usize {
         self.contiguous_free().saturating_sub(SLOT_SIZE)
+    }
+
+    /// Make `need` contiguous bytes free, compacting if fragmentation (not
+    /// capacity) is the obstacle. `false` if they genuinely do not fit.
+    fn make_room(&mut self, need: usize) -> bool {
+        if self.contiguous_free() < need && self.total_free() >= need {
+            self.compact();
+        }
+        self.contiguous_free() >= need
+    }
+
+    /// Write `record` at the end of the free region and point `slot` at it.
+    fn place(&mut self, slot: u16, record: &[u8]) {
+        let new_end = self.free_end() as usize - record.len();
+        self.buf[new_end..new_end + record.len()].copy_from_slice(record);
+        self.set_free_end(new_end as u16);
+        self.set_slot_entry(slot, new_end as u16, record.len() as u16);
     }
 
     /// Insert a record, reusing a tombstoned slot if available; compacts the
@@ -380,28 +419,39 @@ impl<'a> SlottedPage<'a> {
         }
         let reuse = (0..self.slot_count()).find(|&s| self.slot_entry(s).0 == TOMBSTONE);
         let slot_cost = if reuse.is_some() { 0 } else { SLOT_SIZE };
-        if self.contiguous_free() < record.len() + slot_cost {
-            // Would compaction make room?
-            if self.total_free() >= record.len() + slot_cost {
-                self.compact();
-            }
-            if self.contiguous_free() < record.len() + slot_cost {
-                return None;
-            }
+        if !self.make_room(record.len() + slot_cost) {
+            return None;
         }
-        let new_end = self.free_end() as usize - record.len();
-        self.buf[new_end..new_end + record.len()].copy_from_slice(record);
-        self.set_free_end(new_end as u16);
-        let slot = match reuse {
-            Some(s) => s,
-            None => {
-                let s = self.slot_count();
-                self.set_slot_count(s + 1);
-                s
-            }
-        };
-        self.set_slot_entry(slot, new_end as u16, record.len() as u16);
+        let slot = reuse.unwrap_or_else(|| {
+            let s = self.slot_count();
+            self.set_slot_count(s + 1);
+            s
+        });
+        self.place(slot, record);
         Some(slot)
+    }
+
+    /// Replace a live record where it lies, keeping its slot number (and so
+    /// its `RecordId`). A record no longer than the old one overwrites it; a
+    /// longer one is placed in the page's free space, compacting if it must.
+    /// `Ok(false)` — and an untouched page — if the page cannot hold it.
+    pub fn replace(&mut self, slot: u16, record: &[u8]) -> Result<bool> {
+        self.get(slot)?;
+        let (off, len) = self.slot_entry(slot);
+        if record.len() <= len as usize {
+            let at = off as usize;
+            self.buf[at..at + record.len()].copy_from_slice(record);
+            self.set_slot_entry(slot, off, record.len() as u16);
+            return Ok(true);
+        }
+        // The old bytes count as free space for the new ones.
+        self.set_slot_entry(slot, TOMBSTONE, len);
+        if record.len() > u16::MAX as usize || !self.make_room(record.len()) {
+            self.set_slot_entry(slot, off, len);
+            return Ok(false);
+        }
+        self.place(slot, record);
+        Ok(true)
     }
 
     /// Read a record by slot number.
@@ -415,13 +465,10 @@ impl<'a> SlottedPage<'a> {
         if slot >= self.slot_count() {
             return Err(JaguarError::Storage(format!("slot {slot} out of range")));
         }
-        let (off, len) = self.slot_entry(slot);
-        if off == TOMBSTONE {
+        if self.slot_entry(slot).0 == TOMBSTONE {
             return Err(JaguarError::Storage(format!("slot {slot} already deleted")));
         }
-        // Keep len so total_free() can count reclaimable space.
-        self.set_slot_entry(slot, TOMBSTONE, len);
-        let _ = off;
+        self.set_slot_entry(slot, TOMBSTONE, 0);
         Ok(())
     }
 
@@ -606,6 +653,59 @@ mod tests {
         assert_eq!(page.get(a).unwrap(), b"first");
         assert_eq!(page.get(c).unwrap(), b"third");
         assert!(page.get(b).is_err());
+    }
+
+    #[test]
+    fn replace_keeps_the_slot_and_uses_the_pages_free_space() {
+        let mut buf = fresh();
+        let mut page = SlottedPage::init(&mut buf);
+        let a = page.insert(&[1u8; 100]).unwrap();
+        let b = page.insert(&[2u8; 100]).unwrap();
+        // Same length and shorter: overwritten where it lies.
+        assert!(page.replace(a, &[3u8; 100]).unwrap());
+        assert!(page.replace(b, &[4u8; 60]).unwrap());
+        assert_eq!(page.get(a).unwrap(), &[3u8; 100][..]);
+        assert_eq!(page.get(b).unwrap(), &[4u8; 60][..]);
+        // Longer: placed in the free space; the old bytes become a hole…
+        assert!(page.replace(b, &[5u8; 200]).unwrap());
+        assert_eq!(page.get(b).unwrap(), &[5u8; 200][..]);
+        assert_eq!(page.total_free(), P - COMMON_HEADER - 2 * SLOT_SIZE - 300);
+        // …which compaction hands to a record that needs it: 300 bytes are
+        // live, the new version may take all the rest.
+        let most = P - COMMON_HEADER - 2 * SLOT_SIZE - 100;
+        assert!(page.contiguous_free() < most - 200, "must compact");
+        assert!(page.replace(b, &vec![6u8; most]).unwrap());
+        assert_eq!(page.get(a).unwrap(), &[3u8; 100][..]);
+        assert_eq!(page.get(b).unwrap(), &vec![6u8; most][..]);
+        assert_eq!(page.total_free(), 0);
+        // One byte more does not fit, and the page is as it was.
+        let before = page.buf.to_vec();
+        assert!(!page.replace(a, &[7u8; 101]).unwrap());
+        assert_eq!(page.buf, &before[..]);
+        // A dead or unknown slot is an error, as for `get`.
+        page.delete(a).unwrap();
+        assert!(page.replace(a, b"x").is_err());
+        assert!(page.replace(9, b"x").is_err());
+    }
+
+    #[test]
+    fn fits_predicts_insert() {
+        let mut buf = fresh();
+        let mut page = SlottedPage::init(&mut buf);
+        let mut slots = Vec::new();
+        for len in [40usize, 90, 10, 130, 60, 75, 20] {
+            slots.extend(page.insert(&vec![len as u8; len]));
+        }
+        page.delete(slots[1]).unwrap();
+        page.delete(slots[4]).unwrap();
+        for len in 0..P {
+            let mut copy = page.buf.to_vec();
+            let fits = SlottedRef::open(&copy).unwrap().fits(len);
+            let inserted = SlottedPage::open(&mut copy)
+                .unwrap()
+                .insert(&vec![0u8; len]);
+            assert_eq!(fits, inserted.is_some(), "len {len}");
+        }
     }
 
     #[test]

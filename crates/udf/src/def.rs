@@ -1,7 +1,7 @@
 //! UDF definitions: what the catalog stores, and how the executor turns a
 //! definition into a per-query [`ScalarUdf`] instance.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
@@ -151,7 +151,13 @@ pub struct UdfDef {
     /// Purity declaration; gates vectorized invocation. Defaults to
     /// [`Volatility::Volatile`] (never batched) for safety.
     pub volatility: Volatility,
+    /// The Froid translation of the body (see [`UdfDef::inline_body`]),
+    /// made on first use and shared by every clone of this definition.
+    inline: Arc<OnceLock<InlineVerdict>>,
 }
+
+/// A UDF body as a native expression, or why it has none.
+type InlineVerdict = std::result::Result<Arc<jaguar_opt::InlineBody>, &'static str>;
 
 /// Retry budget for *acquiring* an isolated executor — a pool checkout or
 /// a process spawn, strictly before any UDF code runs. Transient spawn
@@ -194,7 +200,29 @@ impl UdfDef {
             imp,
             breaker: None,
             volatility: Volatility::default(),
+            inline: Arc::default(),
         }
+    }
+
+    /// The body of an `Immutable` JagScript UDF as a native scalar
+    /// expression the executor can evaluate without any backend
+    /// (`jaguar_opt::try_inline`), or the reason it cannot be one. The
+    /// symbolic execution runs once per registered UDF, not per statement:
+    /// everything it depends on — the verified module, the resource limits,
+    /// the SQL return type — is fixed at registration. `None` for native
+    /// designs and for declarations entitled to notice an elided backend.
+    pub fn inline_body(&self) -> Option<&InlineVerdict> {
+        let (UdfImpl::Vm(spec) | UdfImpl::IsolatedVm(spec)) = &self.imp else {
+            return None;
+        };
+        if !self.volatility.memoizable() {
+            return None;
+        }
+        let fidx = spec.module.find_function(&spec.function)?;
+        Some(self.inline.get_or_init(|| {
+            let func = &spec.module.functions()[fidx as usize];
+            jaguar_opt::try_inline(func, self.signature.ret, &spec.limits).map(Arc::new)
+        }))
     }
 
     /// Attach the registry's circuit breaker (see [`UdfDef::breaker`]).

@@ -57,6 +57,9 @@ pub const WAL_FILE: &str = "wal.log";
 
 struct WalInner {
     file: File,
+    /// The frame being appended; kept for its capacity, so a commit's page
+    /// images are encoded into the same buffer one after another.
+    frame: Vec<u8>,
     next_lsn: u64,
     log_bytes: u64,
     commits_since_checkpoint: u64,
@@ -126,6 +129,7 @@ impl Wal {
             checkpoint_every: config.checkpoint_every,
             inner: Mutex::new(WalInner {
                 file,
+                frame: Vec::new(),
                 next_lsn: stats.max_lsn + 1,
                 log_bytes: 0,
                 commits_since_checkpoint: 0,
@@ -171,14 +175,21 @@ impl Wal {
         self.sync_state.lock().durable_lsn
     }
 
-    /// Append one framed record under the append lock; returns its LSN.
-    /// `stamp` runs with the LSN before the frame is encoded, letting the
-    /// commit path write the LSN into the page image it is about to log.
-    fn append_with(&self, make: impl FnOnce(u64) -> Result<WalRecord>) -> Result<u64> {
+    /// Append one record under the append lock; returns its LSN.
+    fn append_record(&self, rec: &WalRecord) -> Result<u64> {
+        let commit = matches!(rec, WalRecord::Commit { .. });
+        self.append_frame(commit, |lsn, buf| record::write_payload(buf, lsn, rec))
+    }
+
+    /// Append one frame under the append lock; returns its LSN. `payload`
+    /// is handed the LSN first — the commit path stamps it into the page
+    /// whose image it is about to log — and writes the payload straight
+    /// into the log's one reused frame buffer.
+    fn append_frame(&self, commit: bool, payload: impl FnOnce(u64, &mut Vec<u8>)) -> Result<u64> {
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
-        let rec = make(lsn)?;
-        let frame = encode_frame(lsn, &rec);
+        let mut frame = std::mem::take(&mut inner.frame);
+        record::frame_into(&mut frame, |buf| payload(lsn, buf));
         // The injected fault fires *before* any byte reaches the file, so a
         // failed append leaves no torn frame: the LSN is not consumed and
         // the log is byte-identical to before the call. Real `write_all`
@@ -193,14 +204,14 @@ impl Wal {
             }
             inner.file.write_all(&frame).map_err(JaguarError::from)
         })?;
+        let bytes = frame.len() as u64;
         inner.next_lsn = lsn + 1;
-        inner.log_bytes += frame.len() as u64;
-        if matches!(rec, WalRecord::Commit { .. }) {
-            inner.commits_since_checkpoint += 1;
-        }
+        inner.log_bytes += bytes;
+        inner.commits_since_checkpoint += u64::from(commit);
+        inner.frame = frame;
         drop(inner);
         self.appended_lsn.fetch_max(lsn, Ordering::AcqRel);
-        obs::global().counter("wal.bytes").add(frame.len() as u64);
+        obs::global().counter("wal.bytes").add(bytes);
         Ok(lsn)
     }
 
@@ -217,7 +228,7 @@ impl Wal {
             eprintln!("jaguar-wal: torn tail simulated, aborting");
             std::process::abort();
         }
-        self.append_with(|_| Ok(WalRecord::Commit { txn }))
+        self.append_record(&WalRecord::Commit { txn })
     }
 
     /// Log and commit every unlogged dirty page of `pool` as one
@@ -242,27 +253,22 @@ impl Wal {
         let span = obs::SpanTimer::new(reg.histogram("wal.commit_latency_us"));
         let result = (|| {
             let txn = self.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
-            self.append_with(|_| Ok(WalRecord::Begin { txn }))?;
+            self.append_record(&WalRecord::Begin { txn })?;
             fault::crash_point("wal.after_begin");
             for (i, (pid, _gen)) in pages.iter().enumerate() {
                 let handle = pool.fetch(*pid)?;
-                let file = file.to_string();
-                self.append_with(|lsn| {
+                self.append_frame(false, |lsn, buf| {
                     let mut guard = handle.write_nolog();
                     set_page_lsn(&mut guard, lsn);
                     // The pool frame stays plaintext; only the logged copy
                     // is sealed, matching what write_page would persist so
                     // replay writes it verbatim.
-                    let mut data = guard.clone();
-                    if let Some(cipher) = &self.cipher {
-                        DiskManager::seal_for_disk(cipher.as_ref(), *pid, &mut data);
-                    }
-                    Ok(WalRecord::PageImage {
-                        txn,
-                        file,
-                        page: pid.0,
-                        data,
-                    })
+                    let seal = |image: &mut [u8]| {
+                        if let Some(cipher) = &self.cipher {
+                            DiskManager::seal_for_disk(cipher.as_ref(), *pid, image);
+                        }
+                    };
+                    record::write_page_image(buf, lsn, txn, file, pid.0, &guard, seal);
                 })?;
                 if i == 0 {
                     fault::crash_point("wal.mid_images");

@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use jaguar_core::wal::fault::{CRASH_POINTS, CRASH_POINT_ENV, TORN_TAIL_ENV};
-use jaguar_core::{Config, Database, SyncMode, Value};
+use jaguar_core::{ColumnSet, Config, Database, SyncMode, Tuple, Value};
 
 const DIR_ENV: &str = "JAGUAR_HARNESS_DIR";
 const PHASE_ENV: &str = "JAGUAR_HARNESS_PHASE";
@@ -19,6 +19,13 @@ const PHASE_ENV: &str = "JAGUAR_HARNESS_PHASE";
 /// passphrase — the same durability matrix, with every page and WAL image
 /// sealed.
 const ENC_ENV: &str = "JAGUAR_HARNESS_ENC";
+
+/// The recovery counters (`wal.recovered_txns`, `wal.replayed_pages`) are
+/// process-global and every test here reopens a database: they take turns.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 fn harness_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("jaguar-crash-{tag}-{}", std::process::id()));
@@ -87,6 +94,28 @@ fn rows(db: &Database) -> Vec<i64> {
     v
 }
 
+/// `(a, b)` of every row of table `u`, sorted.
+fn pairs(db: &Database) -> Vec<(i64, i64)> {
+    let r = db.execute("SELECT a, b FROM u").unwrap();
+    let int = |t: &Tuple, i| t.get(i).unwrap().as_int().unwrap();
+    let mut v: Vec<(i64, i64)> = r.rows.iter().map(|t| (int(t, 0), int(t, 1))).collect();
+    v.sort_unstable();
+    v
+}
+
+/// What `setup` leaves in `u`.
+const U_ROWS: [(i64, i64); 3] = [(1, 10), (2, 20), (3, 30)];
+
+/// The doomed statements: a harness phase, and what the database holds
+/// after recovery if the statement's commit record reached the log —
+/// `t`'s `a` values and `u`'s rows. If it did not, `setup`'s state stands.
+type Scenario = (&'static str, &'static [i64], &'static [(i64, i64)]);
+const SCENARIOS: [Scenario; 3] = [
+    ("crash", &[1, 2], &U_ROWS),
+    ("crash_update", &[1], &[(1, 10), (2, 21), (3, 30)]),
+    ("crash_reuse", &[1], &[(2, 20), (3, 30), (4, 40)]),
+];
+
 /// The victim, spawned by the tests below. Hidden from normal runs.
 #[test]
 #[ignore = "helper: re-executed as the crash victim by the harness tests"]
@@ -101,6 +130,9 @@ fn crash_child() {
         "setup" => {
             db.execute("CREATE TABLE t (a INT)").unwrap();
             db.execute("INSERT INTO t VALUES (1)").unwrap();
+            db.execute("CREATE TABLE u (a INT, b INT)").unwrap();
+            db.execute("INSERT INTO u VALUES (1, 10), (2, 20), (3, 30)")
+                .unwrap();
             db.close().unwrap();
         }
         // The doomed statement: the armed crash point (or torn-tail
@@ -110,6 +142,37 @@ fn crash_child() {
             // Reached only if nothing was armed — a harness bug. Exit with
             // a code (not a signal) so the parent can tell the difference.
             eprintln!("crash_child: insert completed without aborting");
+            std::process::exit(3);
+        }
+        // An index-driven UPDATE that rewrites its row where it lies. The
+        // index is built without a commit (its pages ride in the doomed
+        // one): a `CREATE INDEX` statement would die at the crash point
+        // itself.
+        "crash_update" => {
+            let u = db.catalog().table("u").unwrap();
+            u.create_index("u_a", "a").unwrap();
+            let sql = "UPDATE u SET b = 21 WHERE a = 2";
+            assert!(db.explain(sql).unwrap().contains("[in place] ← IndexScan"));
+            db.execute(sql).unwrap();
+            eprintln!("crash_child: update completed without aborting");
+            std::process::exit(3);
+        }
+        // An INSERT into the space a DELETE freed, both in the doomed
+        // commit: the page image carries a tombstoned slot reused.
+        "crash_reuse" => {
+            let u = db.catalog().table("u").unwrap();
+            let (rid, _) = (u.scan().map(Result::unwrap))
+                .find(|(_, row)| row.get(0).unwrap() == &Value::Int(1))
+                .unwrap();
+            let pages = u.heap_pages();
+            assert!(u.delete(rid).unwrap());
+            let new = u
+                .insert(Tuple::new(vec![Value::Int(4), Value::Int(40)]))
+                .unwrap();
+            assert_eq!((new, u.heap_pages()), (rid, pages), "the hole is reused");
+            assert!(u.get(new, &ColumnSet::all()).unwrap().is_some());
+            u.commit_durable().unwrap();
+            eprintln!("crash_child: commit completed without aborting");
             std::process::exit(3);
         }
         other => panic!("unknown harness phase {other:?}"),
@@ -123,38 +186,49 @@ fn crash_child() {
 /// process already wrote).
 #[test]
 fn every_crash_point_recovers_to_a_consistent_state() {
-    for point in CRASH_POINTS {
-        let dir = harness_dir(&point.replace('.', "-"));
-        let setup = spawn_child(&dir, "setup", &[]);
-        assert!(setup.success(), "{point}: setup child failed");
+    let _turn = serial();
+    for (phase, t_committed, u_committed) in SCENARIOS {
+        for point in CRASH_POINTS {
+            let context = format!("{phase} at {point}");
+            let dir = harness_dir(&format!("{phase}-{}", point.replace('.', "-")));
+            let setup = spawn_child(&dir, "setup", &[]);
+            assert!(setup.success(), "{context}: setup child failed");
 
-        let status = spawn_child(&dir, "crash", &[(CRASH_POINT_ENV, point)]);
-        assert_died_abruptly(status, point);
+            let status = spawn_child(&dir, phase, &[(CRASH_POINT_ENV, point)]);
+            assert_died_abruptly(status, &context);
 
-        let before = jaguar_core::obs::global().snapshot();
-        let db = Database::open(&dir, config()).unwrap();
-        let after = db.metrics();
+            let before = jaguar_core::obs::global().snapshot();
+            let db = Database::open(&dir, config()).unwrap();
+            let after = db.metrics();
 
-        // A process crash preserves everything already written to the log
-        // file, so the commit record's mere write makes the txn visible to
-        // recovery; only points before it lose the in-flight statement.
-        let committed = matches!(*point, "wal.after_commit_write" | "wal.after_commit_sync");
-        let expect = if committed { vec![1, 2] } else { vec![1] };
-        assert_eq!(rows(&db), expect, "{point}: wrong rows after recovery");
+            // A process crash preserves everything already written to the
+            // log file, so the commit record's mere write makes the txn
+            // visible to recovery; only points before it lose the
+            // in-flight statement.
+            let committed = matches!(*point, "wal.after_commit_write" | "wal.after_commit_sync");
+            let (t, u) = if committed {
+                (t_committed, u_committed)
+            } else {
+                (&[1][..], &U_ROWS[..])
+            };
+            assert_eq!(rows(&db), t, "{context}: wrong rows after recovery");
+            assert_eq!(pairs(&db), u, "{context}: wrong rows after recovery");
 
-        let recovered = after.counter("wal.recovered_txns") - before.counter("wal.recovered_txns");
-        assert_eq!(
-            recovered,
-            u64::from(committed),
-            "{point}: wrong wal.recovered_txns delta"
-        );
-        if committed {
-            let replayed =
-                after.counter("wal.replayed_pages") - before.counter("wal.replayed_pages");
-            assert!(replayed >= 1, "{point}: no pages replayed");
+            let recovered =
+                after.counter("wal.recovered_txns") - before.counter("wal.recovered_txns");
+            assert_eq!(
+                recovered,
+                u64::from(committed),
+                "{context}: wrong wal.recovered_txns delta"
+            );
+            if committed {
+                let replayed =
+                    after.counter("wal.replayed_pages") - before.counter("wal.replayed_pages");
+                assert!(replayed >= 1, "{context}: no pages replayed");
+            }
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
         }
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -163,6 +237,7 @@ fn every_crash_point_recovers_to_a_consistent_state() {
 /// scan cleanly and the txn has no commit marker.
 #[test]
 fn torn_commit_record_rolls_back() {
+    let _turn = serial();
     let dir = harness_dir("torn");
     let setup = spawn_child(&dir, "setup", &[]);
     assert!(setup.success(), "setup child failed");
@@ -180,6 +255,7 @@ fn torn_commit_record_rolls_back() {
 /// and recovery is a no-op after the clean close.
 #[test]
 fn clean_close_needs_no_recovery() {
+    let _turn = serial();
     let dir = harness_dir("clean");
     {
         let db = Database::open(&dir, config()).unwrap();
@@ -207,6 +283,7 @@ fn clean_close_needs_no_recovery() {
 /// partial row survives a crash that happens before any later statement.
 #[test]
 fn failed_statement_partial_effects_are_sealed() {
+    let _turn = serial();
     let dir = harness_dir("partial");
     {
         let db = Database::open(&dir, config()).unwrap();
@@ -236,31 +313,44 @@ fn failed_statement_partial_effects_are_sealed() {
 /// replay operating on sealed page images throughout.
 #[test]
 fn every_crash_point_recovers_with_encryption_on() {
+    let _turn = serial();
     const KEY: &str = "crash-harness-passphrase";
-    for point in jaguar_core::wal::fault::CRASH_POINTS {
-        let dir = harness_dir(&format!("enc-{}", point.replace('.', "-")));
-        let setup = spawn_child(&dir, "setup", &[(ENC_ENV, KEY)]);
-        assert!(setup.success(), "{point}: encrypted setup child failed");
+    for (phase, t_committed, u_committed) in SCENARIOS {
+        for point in jaguar_core::wal::fault::CRASH_POINTS {
+            let context = format!("{phase} at {point}");
+            let dir = harness_dir(&format!("enc-{phase}-{}", point.replace('.', "-")));
+            let setup = spawn_child(&dir, "setup", &[(ENC_ENV, KEY)]);
+            assert!(setup.success(), "{context}: encrypted setup child failed");
 
-        let status = spawn_child(&dir, "crash", &[(CRASH_POINT_ENV, point), (ENC_ENV, KEY)]);
-        assert_died_abruptly(status, point);
+            let status = spawn_child(&dir, phase, &[(CRASH_POINT_ENV, point), (ENC_ENV, KEY)]);
+            assert_died_abruptly(status, &context);
 
-        let db = Database::open(
-            &dir,
-            Config::default()
-                .with_sync_mode(SyncMode::Full)
-                .with_encryption_key(KEY),
-        )
-        .unwrap();
-        let committed = matches!(*point, "wal.after_commit_write" | "wal.after_commit_sync");
-        let expect = if committed { vec![1, 2] } else { vec![1] };
-        assert_eq!(
-            rows(&db),
-            expect,
-            "{point}: wrong rows after encrypted recovery"
-        );
-        drop(db);
-        let _ = std::fs::remove_dir_all(&dir);
+            let db = Database::open(
+                &dir,
+                Config::default()
+                    .with_sync_mode(SyncMode::Full)
+                    .with_encryption_key(KEY),
+            )
+            .unwrap();
+            let committed = matches!(*point, "wal.after_commit_write" | "wal.after_commit_sync");
+            let (t, u) = if committed {
+                (t_committed, u_committed)
+            } else {
+                (&[1][..], &U_ROWS[..])
+            };
+            assert_eq!(
+                rows(&db),
+                t,
+                "{context}: wrong rows after encrypted recovery"
+            );
+            assert_eq!(
+                pairs(&db),
+                u,
+                "{context}: wrong rows after encrypted recovery"
+            );
+            drop(db);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
 
@@ -269,6 +359,7 @@ fn every_crash_point_recovers_with_encryption_on() {
 /// replayed, and the original key still opens it afterwards.
 #[test]
 fn wrong_key_fails_cleanly_with_zero_pages_replayed() {
+    let _turn = serial();
     const KEY: &str = "the-right-passphrase";
     let dir = harness_dir("wrongkey");
     let setup = spawn_child(&dir, "setup", &[(ENC_ENV, KEY)]);
@@ -315,6 +406,7 @@ fn wrong_key_fails_cleanly_with_zero_pages_replayed() {
 /// twin database must find the sentinel — proving the scan itself works.
 #[test]
 fn encrypted_files_contain_no_plaintext() {
+    let _turn = serial();
     const SENTINEL: &str = "TOPSECRET_TENANT_ROW_9481";
 
     fn populate(db: &Database) {
@@ -386,6 +478,7 @@ fn encrypted_files_contain_no_plaintext() {
 /// `wal.*` metrics are visible through the public facade.
 #[test]
 fn wal_metrics_are_exposed() {
+    let _turn = serial();
     let dir = harness_dir("metrics");
     let db = Database::open(&dir, config()).unwrap();
     db.execute("CREATE TABLE t (a INT)").unwrap();

@@ -102,6 +102,80 @@ fn dml_touches_only_visible_rows() {
     assert_eq!(left.rows[0].get(0).unwrap(), &Value::Int(20));
 }
 
+/// The index is only an access path: a tenant reaching for another
+/// tenant's row by its indexed key finds the row-label filter first in
+/// the re-check of every row the index produced. Outcomes, contents and
+/// error text are those of the same statements on an unindexed twin.
+#[test]
+fn dml_through_an_index_touches_only_visible_rows() {
+    let (indexed, scanned) = (tenant_db(Config::default()), tenant_db(Config::default()));
+    indexed
+        .execute("CREATE INDEX accts_id ON accts (id)")
+        .unwrap();
+    for db in [&indexed, &scanned] {
+        db.set_column_label("accts", "notes", Some("session.role = 'admin'"))
+            .unwrap();
+    }
+    let everything = |db: &Database| {
+        let r = db.execute("SELECT id, tenant, balance, notes FROM accts");
+        let mut rows: Vec<String> = r.unwrap().rows.iter().map(|t| format!("{t:?}")).collect();
+        rows.sort();
+        rows
+    };
+    let untouched = everything(&indexed);
+    // Row 7 is energy's — bob's. Alice (tech) names it by key.
+    let plan = indexed
+        .explain_as("UPDATE accts SET balance = -1 WHERE id = 7", Some(&alice()))
+        .unwrap();
+    assert!(
+        plan.starts_with("Update accts [in place] ← IndexScan accts [*] via accts_id [7, 8)"),
+        "{plan}"
+    );
+    assert!(plan.contains("Filter[0] [labeled] "), "{plan}");
+    assert!(
+        plan.contains("label: row filter injected for principal 'alice'"),
+        "{plan}"
+    );
+    for (sql, affected) in [
+        ("UPDATE accts SET balance = -1 WHERE id = 7", Some(0)),
+        ("DELETE FROM accts WHERE id = 7", Some(0)),
+        ("DELETE FROM accts WHERE id >= 7 AND id < 8", Some(0)),
+        // A column label denies at plan time, whatever the path.
+        ("UPDATE accts SET notes = 'mine' WHERE id = 6", None),
+        ("DELETE FROM accts WHERE id = 6 AND notes = 'n6'", None),
+    ] {
+        let run = |db: &Database| {
+            let r = db.execute_as(sql, Some(&alice()));
+            r.map(|r| r.affected).map_err(|e| e.to_string())
+        };
+        let (a, b) = (run(&indexed), run(&scanned));
+        assert_eq!(a, b, "{sql}");
+        assert_eq!(a.as_ref().ok(), affected.as_ref(), "{sql}: {a:?}");
+        assert_eq!(everything(&indexed), untouched, "{sql} changed something");
+    }
+    // Her own rows she does reach through the index, and only those.
+    for (sql, affected) in [
+        (
+            "UPDATE accts SET balance = balance + 1 WHERE id >= 5 AND id < 10",
+            2,
+        ),
+        ("UPDATE accts SET id = id + 100 WHERE id >= 30", 5),
+        ("DELETE FROM accts WHERE id <= 3", 2),
+    ] {
+        let run = |db: &Database| db.execute_as(sql, Some(&alice())).unwrap().affected;
+        assert_eq!(
+            (run(&indexed), run(&scanned)),
+            (affected, affected),
+            "{sql}"
+        );
+        assert_eq!(everything(&indexed), everything(&scanned), "{sql}");
+    }
+    let moved = indexed
+        .execute_as("SELECT id FROM accts WHERE id >= 130", Some(&root()))
+        .unwrap();
+    assert_eq!(ids(&moved), vec![130, 132, 134, 136, 138]);
+}
+
 #[test]
 fn insert_must_satisfy_the_row_label() {
     let db = tenant_db(Config::default());

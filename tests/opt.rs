@@ -480,3 +480,209 @@ fn memo_never_wrong_randomized() {
     let b = off.execute("SELECT f(a) FROM t").unwrap();
     assert_eq!(a.rows, b.rows, "memoized results diverged from direct");
 }
+
+// ---------------------------------------------------------------------
+// inlined ≡ called, for bodies that read their byte-array argument
+// ---------------------------------------------------------------------
+
+mod inline_differential {
+    use super::*;
+    use jaguar_core::ByteArray;
+    use proptest::prelude::*;
+
+    /// A random integer expression over `x`, `y`, the locals defined so
+    /// far, `len(b)` and `b[…]`, rendered as JagScript. Divisions and byte
+    /// reads trap on some rows; which trap fires first is part of what must
+    /// match.
+    fn arb_expr(locals: usize, depth: u32) -> BoxedStrategy<String> {
+        let mut leaves = vec![
+            proptest::boxed((-3i64..300).prop_map(|c| format!("({c})"))),
+            proptest::boxed(Just("x".to_string())),
+            proptest::boxed(Just("y".to_string())),
+            proptest::boxed(Just("len(b)".to_string())),
+            proptest::boxed((0i64..3).prop_map(|c| format!("b[{c}]"))),
+        ];
+        for l in 0..locals {
+            leaves.push(proptest::boxed(Just(format!("t{l}"))));
+        }
+        if depth == 0 {
+            return proptest::boxed(proptest::union(leaves));
+        }
+        let sub = || arb_expr(locals, depth - 1);
+        let ops = prop_oneof![
+            Just("+"),
+            Just("-"),
+            Just("*"),
+            Just("/"),
+            Just("%"),
+            Just("/"),
+        ];
+        leaves.push(proptest::boxed(
+            (sub(), ops, sub()).prop_map(|(l, op, r)| format!("({l} {op} {r})")),
+        ));
+        leaves.push(proptest::boxed(sub().prop_map(|i| format!("b[{i}]"))));
+        leaves.push(proptest::boxed(
+            sub().prop_map(|i| format!("b[len(b) - {i}]")),
+        ));
+        proptest::boxed(proptest::union(leaves))
+    }
+
+    /// A straight-line body: two locals (the first possibly never read —
+    /// it must trap all the same), a conditional return, a return.
+    fn arb_body() -> impl Strategy<Value = String> {
+        let cmp = prop_oneof![Just("<"), Just("=="), Just(">="), Just("!=")];
+        (
+            (arb_expr(0, 2), arb_expr(1, 2)),
+            (arb_expr(2, 1), cmp, arb_expr(2, 1)),
+            (arb_expr(2, 2), arb_expr(2, 2)),
+        )
+            .prop_map(|((t0, t1), (l, cmp, r), (then, otherwise))| {
+                format!(
+                    "fn main(b: bytes, x: i64, y: i64) -> i64 {{
+                        let t0: i64 = {t0};
+                        let t1: i64 = {t1};
+                        if {l} {cmp} {r} {{ return {then}; }}
+                        return {otherwise};
+                    }}"
+                )
+            })
+    }
+
+    /// Empty, one-byte and long arrays; indices and divisors around zero
+    /// and around the array bounds.
+    fn rows() -> Vec<(Vec<u8>, i64, i64)> {
+        let long: Vec<u8> = (0..300u32).map(|i| (i * 7 % 251) as u8).collect();
+        let mut rows = Vec::new();
+        for data in [vec![], vec![200u8], long] {
+            for (x, y) in [(0, 0), (1, 2), (-1, 1), (299, -7), (300, 3), (2, 0)] {
+                rows.push((data.clone(), x, y));
+            }
+        }
+        rows
+    }
+
+    fn db(src: &str, isolated: bool) -> Database {
+        // A trap in a worker reaches the engine as a worker error, which the
+        // circuit breaker counts; these bodies trap on purpose, row after row.
+        let mut config = Config::default().with_dop(1).with_pooled_executors(1);
+        config.udf_breaker_threshold = 0;
+        let db = Database::with_config(config);
+        db.execute("CREATE TABLE t (id INT, b BYTEARRAY, x INT, y INT)")
+            .unwrap();
+        let t = db.catalog().table("t").unwrap();
+        for (id, (data, x, y)) in rows().into_iter().enumerate() {
+            t.insert(Tuple::new(vec![
+                Value::Int(id as i64),
+                Value::Bytes(ByteArray::new(data)),
+                Value::Int(x),
+                Value::Int(y),
+            ]))
+            .unwrap();
+        }
+        let sig = || {
+            UdfSignature::new(
+                vec![DataType::Bytes, DataType::Int, DataType::Int],
+                DataType::Int,
+            )
+        };
+        let mut variants = vec![
+            ("inl3", UdfDesign::Sandboxed, Volatility::Immutable),
+            ("vm3", UdfDesign::Sandboxed, Volatility::Stable),
+        ];
+        if isolated {
+            variants.push(("inl4", UdfDesign::SandboxedIsolated, Volatility::Immutable));
+            variants.push(("vm4", UdfDesign::SandboxedIsolated, Volatility::Stable));
+        }
+        for (name, design, volatility) in variants {
+            db.register_jagscript_udf_with_volatility(name, sig(), src, design, volatility)
+                .unwrap();
+        }
+        db
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Row by row, the inlined body (registered under Design 3 and
+        /// under Design 4) returns what the sandbox returns when called
+        /// under Design 3 — value or error text — and what it returns when
+        /// called in a worker under Design 4, whose transport wraps the
+        /// same trap text.
+        #[test]
+        fn inlined_byte_reading_bodies_match_the_called_ones(src in arb_body()) {
+            let isolated = jaguar_ipc::find_worker_binary().is_ok();
+            let db = db(&src, isolated);
+            let plan = db.explain("SELECT inl3(b, x, y) FROM t").unwrap();
+            prop_assert!(plan.contains("inl3[JSM](b, x, y) [inlined]"), "{}\n{}", plan, src);
+            for id in 0..rows().len() {
+                let run = |udf: &str| {
+                    let r = db.execute(&format!("SELECT {udf}(b, x, y) FROM t WHERE id = {id}"));
+                    r.map(|r| (r.rows[0].get(0).unwrap().clone(), r.stats.udf_invocations))
+                        .map_err(|e| e.to_string())
+                };
+                let called = run("vm3");
+                let value = |r: &Result<(Value, u64), String>| r.clone().map(|(v, _)| v);
+                let inlined = run("inl3");
+                prop_assert_eq!(value(&inlined), value(&called), "row {}\n{}", id, &src);
+                prop_assert!(matches!(inlined, Err(_) | Ok((_, 0))), "backend reached");
+                if isolated {
+                    prop_assert_eq!(value(&run("inl4")), value(&called), "row {}\n{}", id, &src);
+                    match (run("vm4"), &called) {
+                        (Ok((v, _)), Ok((want, _))) => prop_assert_eq!(&v, want, "row {}\n{}", id, &src),
+                        (Err(got), Err(want)) => {
+                            let trap = want.strip_prefix("vm trap: ").unwrap_or(want);
+                            prop_assert!(got.contains(trap), "row {}: {} vs {}\n{}", id, got, want, &src)
+                        }
+                        (got, want) => panic!("row {id}: {got:?} vs {want:?}\n{src}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The sandbox refuses an argument its memory budget cannot hold before
+    /// the body runs; the inlined body copies nothing and refuses it with
+    /// the same words. NULL is refused likewise.
+    #[test]
+    fn inlined_body_refuses_what_the_sandbox_would_refuse() {
+        let mut config = Config::default().with_dop(1);
+        config.default_vm_memory = Some(200);
+        let db = Database::with_config(config);
+        db.execute("CREATE TABLE t (id INT, b BYTEARRAY)").unwrap();
+        db.execute(&format!(
+            "INSERT INTO t VALUES (0, X'{}')",
+            "AB".repeat(200)
+        ))
+        .unwrap();
+        db.execute(&format!(
+            "INSERT INTO t VALUES (1, X'{}')",
+            "AB".repeat(201)
+        ))
+        .unwrap();
+        db.execute("INSERT INTO t VALUES (2, NULL)").unwrap();
+        for (name, volatility) in [("inl", Volatility::Immutable), ("vm", Volatility::Stable)] {
+            db.register_jagscript_udf_with_volatility(
+                name,
+                UdfSignature::new(vec![DataType::Bytes], DataType::Int),
+                "fn main(b: bytes) -> i64 { return b[0] + len(b); }",
+                UdfDesign::Sandboxed,
+                volatility,
+            )
+            .unwrap();
+        }
+        let run = |udf: &str, id: i64| {
+            let r = db.execute(&format!("SELECT {udf}(b) FROM t WHERE id = {id}"));
+            r.map(|r| r.rows[0].clone()).map_err(|e| e.to_string())
+        };
+        assert_eq!(run("inl", 0), Ok(Tuple::new(vec![Value::Int(0xAB + 200)])));
+        for id in 0..3 {
+            assert_eq!(run("inl", id), run("vm", id), "row {id}");
+        }
+        assert!(run("inl", 1)
+            .unwrap_err()
+            .contains("memory: 201 bytes requested, limit 200"));
+        assert!(run("inl", 2)
+            .unwrap_err()
+            .contains("cannot pass NULL to a VM UDF"));
+    }
+}
