@@ -51,6 +51,7 @@ pub const MAX_DECLARED_LEN: u32 = 256 * 1024 * 1024;
 /// byte of the body has arrived.
 const BLOB_RESERVE_CAP: usize = 64 * 1024;
 
+#[inline]
 fn check_declared_len(len: u32) -> Result<()> {
     if len > MAX_DECLARED_LEN {
         return Err(JaguarError::Protocol(format!(
@@ -60,6 +61,7 @@ fn check_declared_len(len: u32) -> Result<()> {
     Ok(())
 }
 
+#[inline]
 fn check_arity(n: u32) -> Result<()> {
     if n > 65_535 {
         return Err(JaguarError::Protocol(format!(
@@ -151,7 +153,7 @@ pub fn write_blob(w: &mut impl Write, data: &[u8]) -> Result<()> {
 /// Read a length-prefixed byte slice, enforcing [`MAX_DECLARED_LEN`].
 ///
 /// The declared length is untrusted: it is believed up to
-/// [`BLOB_RESERVE_CAP`] (one allocation for the usual small value), and
+/// `BLOB_RESERVE_CAP` (one allocation for the usual small value), and
 /// past that the buffer grows as bytes actually arrive (`Read::take` +
 /// `read_to_end`), so peak memory is bounded by what the peer really sent,
 /// never by what it *claimed* it would send. A short frame is a decode
@@ -294,19 +296,75 @@ pub fn read_tuple(r: &mut impl Read) -> Result<Tuple> {
     Ok(Tuple::new(values))
 }
 
-/// Split `n` bytes off the front of `rec`; running out fails the way a
-/// short `read_exact` does.
-fn take<'a>(rec: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
-    if rec.len() < n {
-        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
-    }
-    let (head, tail) = rec.split_at(n);
-    *rec = tail;
-    Ok(head)
+/// One column read off the front of a stored record: a fixed-width value,
+/// or the bounds-checked body of a `Str`/`Bytes` one, still in place.
+enum Column<'a> {
+    Fixed(Value),
+    Body(DataType, &'a [u8]),
 }
 
-fn take_array<const N: usize>(rec: &mut &[u8]) -> Result<[u8; N]> {
-    Ok(take(rec, N)?.try_into().expect("take returned N bytes"))
+// Always inlined: returned through memory, the enum is written field by
+// field and read back whole, a stall of 14 ns a column against a 3 ns walk.
+#[inline(always)]
+fn read_column<'a>(rec: &mut &'a [u8]) -> Result<Column<'a>> {
+    let Some((&tag, rest)) = rec.split_first() else {
+        return Err(short_record());
+    };
+    if tag == NULL_TAG {
+        *rec = rest;
+        return Ok(Column::Fixed(Value::Null));
+    }
+    let (value, rest) = match DataType::from_tag(tag)? {
+        DataType::Bool => match rest.split_first() {
+            Some((0, rest)) => (Value::Bool(false), rest),
+            Some((1, rest)) => (Value::Bool(true), rest),
+            Some((other, _)) => {
+                return Err(JaguarError::Protocol(format!("invalid bool byte {other}")))
+            }
+            None => return Err(short_record()),
+        },
+        DataType::Int => match rest.split_first_chunk() {
+            Some((bytes, rest)) => (Value::Int(i64::from_le_bytes(*bytes)), rest),
+            None => return Err(short_record()),
+        },
+        DataType::Float => match rest.split_first_chunk() {
+            Some((bytes, rest)) => (Value::Float(f64::from_le_bytes(*bytes)), rest),
+            None => return Err(short_record()),
+        },
+        ty @ (DataType::Str | DataType::Bytes) => {
+            let Some((len, rest)) = rest.split_first_chunk() else {
+                return Err(short_record());
+            };
+            let len = u32::from_le_bytes(*len);
+            check_declared_len(len)?;
+            let Some((body, rest)) = rest.split_at_checked(len as usize) else {
+                return Err(JaguarError::Protocol(format!(
+                    "truncated blob: declared {len} bytes, record ended after {}",
+                    rest.len()
+                )));
+            };
+            *rec = rest;
+            return Ok(Column::Body(ty, body));
+        }
+    };
+    *rec = rest;
+    Ok(Column::Fixed(value))
+}
+
+/// A record that ends inside a value fails as a short `read_exact` does.
+#[cold]
+fn short_record() -> JaguarError {
+    io::Error::from(io::ErrorKind::UnexpectedEof).into()
+}
+
+/// Build a `Str`/`Bytes` value from its body: one allocation.
+fn build_body(ty: DataType, body: &[u8]) -> Result<Value> {
+    if ty == DataType::Bytes {
+        return Ok(Value::Bytes(ByteArray::from(body)));
+    }
+    let s = std::str::from_utf8(body)
+        .map_err(|_| JaguarError::Protocol("invalid utf-8 string".into()))?;
+    Ok(Value::Str(s.to_owned()))
 }
 
 /// Decode a stored record — [`write_tuple`]'s form — straight from the
@@ -317,49 +375,67 @@ fn take_array<const N: usize>(rec: &mut &[u8]) -> Result<[u8; N]> {
 /// (not copied, not UTF-8-checked). A wanted body costs one allocation.
 /// Validation and error kinds are [`read_tuple`]'s; in addition the record
 /// must end where the tuple does.
-pub fn decode_tuple(mut rec: &[u8], cols: &ColumnSet) -> Result<Tuple> {
-    let n = u32::from_le_bytes(take_array(&mut rec)?);
+pub fn decode_tuple(rec: &[u8], cols: &ColumnSet) -> Result<Tuple> {
+    let mut values = Vec::new();
+    decode_tuple_if(rec, cols, &mut values, 0, |_| Ok(true))?;
+    Ok(Tuple::new(values))
+}
+
+/// [`decode_tuple`] into `out` (cleared first, its capacity reused), for a
+/// record that passes `judge` — which is shown the first `judge_at` columns
+/// (fewer if the record is shorter) as soon as the walk has them, a
+/// `Str`/`Bytes` one among them still NULL. `Ok(false)` is its rejection:
+/// the rest of the record was neither walked nor checked, nothing was
+/// allocated, and `out` holds nothing of use. For a record that passes, the
+/// bodies met before the verdict are built after it.
+pub fn decode_tuple_if(
+    mut rec: &[u8],
+    cols: &ColumnSet,
+    out: &mut Vec<Value>,
+    judge_at: usize,
+    judge: impl FnOnce(&[Value]) -> Result<bool>,
+) -> Result<bool> {
+    let Some((n, columns)) = rec.split_first_chunk() else {
+        return Err(short_record());
+    };
+    let n = u32::from_le_bytes(*n);
     check_arity(n)?;
+    rec = columns;
+    out.clear();
     // `n` is untrusted: reserve for a realistic row, grow as values decode.
-    let mut values = Vec::with_capacity(n.min(64) as usize);
-    for column in 0..n as usize {
-        let wanted = cols.contains(column);
-        let [tag] = take_array(&mut rec)?;
-        let value = if tag == NULL_TAG {
-            Value::Null
-        } else {
-            match DataType::from_tag(tag)? {
-                DataType::Bool => match take_array(&mut rec)? {
-                    [0] => Value::Bool(false),
-                    [1] => Value::Bool(true),
-                    [other] => {
-                        return Err(JaguarError::Protocol(format!("invalid bool byte {other}")))
-                    }
-                },
-                DataType::Int => Value::Int(i64::from_le_bytes(take_array(&mut rec)?)),
-                DataType::Float => Value::Float(f64::from_le_bytes(take_array(&mut rec)?)),
-                ty @ (DataType::Str | DataType::Bytes) => {
-                    let len = u32::from_le_bytes(take_array(&mut rec)?);
-                    check_declared_len(len)?;
-                    let got = rec.len();
-                    let body = take(&mut rec, len as usize).map_err(|_| {
-                        JaguarError::Protocol(format!(
-                            "truncated blob: declared {len} bytes, record ended after {got}"
-                        ))
-                    })?;
-                    if !wanted {
-                        Value::Null
-                    } else if ty == DataType::Bytes {
-                        Value::Bytes(ByteArray::from(body))
-                    } else {
-                        let s = std::str::from_utf8(body)
-                            .map_err(|_| JaguarError::Protocol("invalid utf-8 string".into()))?;
-                        Value::Str(s.to_owned())
-                    }
+    out.reserve(n.min(64) as usize);
+    let (n, head) = (n as usize, rec);
+    let judge_at = judge_at.min(n);
+    let mut bodies_waiting = false;
+    for column in 0..judge_at {
+        out.push(match read_column(&mut rec)? {
+            Column::Fixed(v) if cols.contains(column) => v,
+            Column::Fixed(_) => Value::Null,
+            Column::Body(..) => {
+                bodies_waiting |= cols.contains(column);
+                Value::Null
+            }
+        });
+    }
+    if !judge(out)? {
+        return Ok(false);
+    }
+    if bodies_waiting {
+        let mut again = head;
+        for (column, slot) in out.iter_mut().enumerate() {
+            if let Column::Body(ty, body) = read_column(&mut again)? {
+                if cols.contains(column) {
+                    *slot = build_body(ty, body)?;
                 }
             }
-        };
-        values.push(if wanted { value } else { Value::Null });
+        }
+    }
+    for column in judge_at..n {
+        out.push(match read_column(&mut rec)? {
+            Column::Fixed(v) if cols.contains(column) => v,
+            Column::Body(ty, body) if cols.contains(column) => build_body(ty, body)?,
+            _ => Value::Null,
+        });
     }
     if !rec.is_empty() {
         return Err(JaguarError::Protocol(format!(
@@ -367,7 +443,7 @@ pub fn decode_tuple(mut rec: &[u8], cols: &ColumnSet) -> Result<Tuple> {
             rec.len()
         )));
     }
-    Ok(Tuple::new(values))
+    Ok(true)
 }
 
 /// Write a schema (field count, then name + type tag per field).
@@ -663,6 +739,46 @@ mod tests {
                     .collect();
                 let pruned = decode_tuple(&record, &cols).unwrap();
                 prop_assert_eq!(encode(&pruned), encode(&Tuple::new(nulled)));
+            }
+
+            /// A verdict changes nothing about a row that passes, wherever
+            /// in the record it falls; the judge is shown the fixed-width
+            /// wanted columns before it, and no body; a rejected record
+            /// is `Ok(false)` even if what lies behind the verdict is
+            /// damaged.
+            #[test]
+            fn a_judged_decode_is_the_plain_decode_or_a_rejection(
+                case in arb_case(),
+                judge_at in 0usize..10,
+            ) {
+                let (tuple, cols) = case;
+                let record = encode(&tuple);
+                let plain = decode_tuple(&record, &cols).unwrap();
+                let mut out = vec![Value::Int(7); 3];
+                let mut shown = None;
+                let passed = decode_tuple_if(&record, &cols, &mut out, judge_at, |values| {
+                    shown = Some(values.to_vec());
+                    Ok(true)
+                });
+                prop_assert!(passed.unwrap());
+                prop_assert_eq!(encode(&Tuple::new(out.clone())), encode(&plain));
+                let expect: Vec<Value> = (plain.values().iter())
+                    .take(judge_at)
+                    .map(|v| match v {
+                        Value::Str(_) | Value::Bytes(_) => Value::Null,
+                        fixed => fixed.clone(),
+                    })
+                    .collect();
+                let shown = shown.expect("the judge is always asked");
+                prop_assert_eq!(encode(&Tuple::new(shown)), encode(&Tuple::new(expect)));
+                let mut damaged = record.clone();
+                damaged.push(0);
+                let rejected = decode_tuple_if(&damaged, &cols, &mut out, judge_at, |_| Ok(false));
+                prop_assert!(!rejected.unwrap());
+                let failed = decode_tuple_if(&record, &cols, &mut out, judge_at, |_| {
+                    Err(JaguarError::Execution("no".into()))
+                });
+                prop_assert!(failed.is_err());
             }
 
             /// A damaged record is an error or some other tuple — never a

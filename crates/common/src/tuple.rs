@@ -28,6 +28,13 @@ impl Tuple {
         self.values
     }
 
+    /// The values' buffer, for a reader that refills one tuple row after
+    /// row rather than allocating each.
+    #[inline]
+    pub fn values_mut(&mut self) -> &mut Vec<Value> {
+        &mut self.values
+    }
+
     pub fn len(&self) -> usize {
         self.values.len()
     }
@@ -36,6 +43,7 @@ impl Tuple {
         self.values.is_empty()
     }
 
+    #[inline]
     pub fn get(&self, idx: usize) -> Result<&Value> {
         self.values
             .get(idx)
@@ -122,6 +130,7 @@ impl ColumnSet {
         self.mask.is_none()
     }
 
+    #[inline]
     pub fn contains(&self, column: usize) -> bool {
         match &self.mask {
             None => true,

@@ -36,6 +36,7 @@ impl DataType {
     }
 
     /// Inverse of [`DataType::tag`].
+    #[inline]
     pub fn from_tag(tag: u8) -> Result<Self> {
         Ok(match tag {
             1 => DataType::Bool,
@@ -188,6 +189,7 @@ impl Value {
         }
     }
 
+    #[inline]
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }
@@ -245,6 +247,7 @@ impl Value {
 
     /// Three-valued-logic comparison used by the predicate evaluator:
     /// returns `None` when either side is NULL or the types are unordered.
+    #[inline]
     pub fn sql_cmp(&self, other: &Value) -> Option<std::cmp::Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,

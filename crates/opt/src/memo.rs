@@ -18,7 +18,7 @@
 //! are UDF arguments), so they are hashed with a per-cache random SipHash.
 //!
 //! Budget accounting charges each entry its key bytes + the result's
-//! heap footprint + [`ENTRY_OVERHEAD`], which is derived from the slot
+//! heap footprint + `ENTRY_OVERHEAD`, which is derived from the slot
 //! layout so that the accounted size is an upper bound on the bytes the
 //! entry really occupies, and evicts least-recently-used entries until the
 //! total fits. An entry larger than the whole budget is simply not admitted

@@ -24,7 +24,7 @@ use jaguar_sec::SessionContext;
 use parking_lot::RwLock;
 
 use crate::ast::Statement;
-use crate::exec::{ExecCtx, ExecStats, Executor, OpProfile, RowSource};
+use crate::exec::{eval, matches_all, ExecCtx, ExecStats, Executor, OpProfile, RowSource};
 use crate::parser::parse;
 use crate::plan::{bind_dml, bind_select, explain, AccessPath, BoundDml, BoundSelect};
 
@@ -298,7 +298,7 @@ impl Engine {
                         // admits — otherwise it could plant rows it cannot
                         // see into another tenant's partition.
                         if let Some(res) = &residual {
-                            match crate::exec::eval(res, &tuple, &mut ctx)? {
+                            match eval(res, &tuple, &mut ctx)? {
                                 Value::Bool(true) => {}
                                 _ => {
                                     return Err(crate::plan::deny_insert(
@@ -372,7 +372,7 @@ impl Engine {
             Statement::Select(stmt) => {
                 let mut plan = bind_select(&stmt, &self.catalog, session)?;
                 crate::optimize::optimize_select(&mut plan, &self.opt);
-                if let Some(dec) = crate::parallel::plan_parallel(self, &plan) {
+                if let Ok(dec) = crate::parallel::plan_parallel(self, &plan) {
                     let (rows, stats, _reports) =
                         crate::parallel::parallel_select(self, &plan, token, &dec)?;
                     return Ok(QueryResult {
@@ -455,12 +455,17 @@ impl Engine {
             _ => "sql.dml.index_scans",
         };
         obs::global().counter(scans).inc();
-        let mut rows = RowSource::open(&dml.table, &dml.access, &dml.scan_cols)?;
+        let mut rows = RowSource::open(
+            &dml.table,
+            &dml.access,
+            &dml.scan_cols,
+            1..u32::MAX,
+            &dml.pushed,
+        )?;
         let mut victims = Vec::new();
-        while let Some((rid, tuple)) = rows.next(&mut ctx)? {
-            token.check()?;
-            if !matches_all(&dml.predicates, &tuple, &mut ctx)? {
-                continue;
+        rows.for_each(&mut ctx, |rid, tuple, ctx| {
+            if !matches_all(&dml.predicates, tuple, ctx)? {
+                return Ok(());
             }
             // UPDATE reads whole rows (`scan_cols` is all): the new row is
             // the old one with the assigned positions replaced.
@@ -469,12 +474,13 @@ impl Engine {
             } else {
                 let mut values = tuple.values().to_vec();
                 for (idx, expr) in &dml.assignments {
-                    values[*idx] = crate::exec::eval(expr, &tuple, &mut ctx)?;
+                    values[*idx] = eval(expr, tuple, ctx)?;
                 }
                 Some(Tuple::new(values))
             };
             victims.push((rid, new));
-        }
+            Ok(())
+        })?;
         let mut affected = 0;
         let applied = victims.into_iter().try_for_each(|(rid, new)| {
             token.check()?;
@@ -527,7 +533,11 @@ impl Engine {
                 let plan = crate::plan::explain_dml(&dml);
                 let mut lines: Vec<String> = plan.lines().map(str::to_string).collect();
                 let mut notes = dml.notes;
-                notes.extend(crate::plan::scan_note(&dml.table, &dml.scan_cols));
+                notes.extend(crate::plan::scan_notes(
+                    &dml.table,
+                    &dml.scan_cols,
+                    &dml.pushed,
+                ));
                 if !notes.is_empty() {
                     lines.push(format!("-- plan notes: {}", notes.join("; ")));
                 }
@@ -538,8 +548,8 @@ impl Engine {
         crate::optimize::optimize_select(&mut plan, &self.opt);
         let par_dec = crate::parallel::plan_parallel(self, &plan);
         let mut lines: Vec<String> = match &par_dec {
-            Some(dec) => crate::plan::explain_parallel(&plan, dec.dop),
-            None => explain(&plan),
+            Ok(dec) => crate::plan::explain_parallel(&plan, dec.dop),
+            Err(_) => explain(&plan),
         }
         .lines()
         .map(str::to_string)
@@ -550,7 +560,7 @@ impl Engine {
         let mut stats = ExecStats::default();
         let tier_before = analyze.then(tier_counters);
         let memo_before = analyze.then(memo_counters);
-        if let (true, Some(dec)) = (analyze, &par_dec) {
+        if let (true, Ok(dec)) = (analyze, &par_dec) {
             let started = std::time::Instant::now();
             let (rows, par_stats, reports) =
                 crate::parallel::parallel_select(self, &plan, token, dec)?;
@@ -591,7 +601,7 @@ impl Engine {
             let total_us = started.elapsed().as_micros() as u64;
             stats = ctx.finish()?;
             lines.push(String::new());
-            lines.extend(render_profile(&exec.profile_report()));
+            lines.extend(render_profile(&exec.profile_report(), stats.rows_scanned));
             lines.push(format!(
                 "Total: {produced} row(s) in {} ({} scanned, {} UDF call(s), {} callback(s))",
                 fmt_us(total_us),
@@ -655,18 +665,20 @@ impl Engine {
     fn plan_notes_line(
         &self,
         plan: &BoundSelect,
-        par_dec: &Option<crate::parallel::ParallelDecision>,
+        par_dec: &std::result::Result<crate::parallel::ParallelDecision, &'static str>,
     ) -> Option<String> {
         let mut notes = plan.notes.clone();
-        notes.extend(crate::plan::scan_note(&plan.table, &plan.scan_cols));
+        notes.extend(crate::plan::scan_notes(
+            &plan.table,
+            &plan.scan_cols,
+            &plan.pushed,
+        ));
         match par_dec {
-            Some(dec) if dec.clamped => {
+            Ok(dec) if dec.clamped => {
                 notes.push("parallel: dop clamped to worker-pool size".to_string());
             }
-            None if self.catalog.config().dop >= 2 => {
-                if let Some(reason) = crate::parallel::serial_reason(self, plan) {
-                    notes.push(format!("parallel: serial ({reason})"));
-                }
+            Err(reason) if self.catalog.config().dop >= 2 => {
+                notes.push(format!("parallel: serial ({reason})"));
             }
             _ => {}
         }
@@ -718,26 +730,6 @@ fn seal_partial_effects(table: &jaguar_catalog::Table, err: JaguarError) -> Jagu
     err
 }
 
-/// Evaluate cost-ordered predicates with short-circuit AND. Shared with
-/// the parallel worker fragments, which filter morsel-local tuples with
-/// exactly the serial semantics.
-pub(crate) fn matches_all(
-    predicates: &[crate::plan::BExpr],
-    tuple: &Tuple,
-    ctx: &mut ExecCtx<'_>,
-) -> Result<bool> {
-    for (i, p) in predicates.iter().enumerate() {
-        match crate::exec::eval(p, tuple, ctx)? {
-            Value::Bool(true) => ctx.sel_record(i, true),
-            _ => {
-                ctx.sel_record(i, false);
-                return Ok(false);
-            }
-        }
-    }
-    Ok(true)
-}
-
 /// The `vm.tier.*` counters as `[promotions, compiled_hits, loop_strips,
 /// loop_fallbacks, fallbacks]`. The counters are process-global, so a
 /// delta taken around a statement approximates that statement's tier
@@ -767,8 +759,10 @@ fn memo_counters() -> [u64; 3] {
 /// Render an `EXPLAIN ANALYZE` profile, outermost operator first.
 /// `profiles` lists operators outermost→innermost with *inclusive* wall
 /// time; each operator's self time is its inclusive time minus its
-/// child's (the next entry — the pipeline is linear).
-fn render_profile(profiles: &[OpProfile]) -> Vec<String> {
+/// child's (the next entry — the pipeline is linear). The innermost
+/// operator is the scan: its line says how many rows it visited
+/// (`scanned=`) beside how many passed the conjuncts it judges (`rows=`).
+fn render_profile(profiles: &[OpProfile], scanned: u64) -> Vec<String> {
     profiles
         .iter()
         .enumerate()
@@ -777,8 +771,13 @@ fn render_profile(profiles: &[OpProfile]) -> Vec<String> {
                 .get(i + 1)
                 .map_or(0, |c| p.elapsed_us.min(c.elapsed_us));
             let self_us = p.elapsed_us - child_us;
+            let scanned = if i + 1 == profiles.len() {
+                format!("scanned={scanned} ")
+            } else {
+                String::new()
+            };
             format!(
-                "{:indent$}{}  rows={} time={} self={}",
+                "{:indent$}{}  {scanned}rows={} time={} self={}",
                 "",
                 p.label,
                 p.rows,
@@ -1184,12 +1183,14 @@ mod tests {
         }
         e.execute("CREATE INDEX big_id ON big (id)").unwrap();
 
-        // Plan uses the index …
+        // Plan uses the index (and the fetch re-checks the conjunct on the
+        // record's bytes, so `id` itself is not decoded) …
         let txt = e.explain("SELECT v FROM big WHERE id = 123").unwrap();
         assert!(
-            txt.contains("IndexScan big [*] via big_id [123, 124)"),
+            txt.contains("IndexScan big [v] via big_id [123, 124)"),
             "{txt}"
         );
+        assert!(txt.contains("Filter[0] [at scan] (id = 123)"), "{txt}");
 
         // … and produces the same answers as a scan, touching fewer rows.
         let r = e.execute("SELECT v FROM big WHERE id = 123").unwrap();

@@ -9,7 +9,7 @@
 //! never reaches an expensive UDF — the payoff of the \[Hel95\]-style
 //! ordering done in `plan`.
 
-use jaguar_catalog::table::TableScan;
+use jaguar_catalog::table::{RowPages, RowReader, RowTest};
 use jaguar_catalog::Table;
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
@@ -22,7 +22,9 @@ use jaguar_ipc::proto::CallbackHandler;
 use jaguar_pool::WorkerPool;
 use jaguar_udf::{CircuitBreaker, ScalarUdf};
 use jaguar_vec::{BatchResult, ValueBatch};
-use std::sync::Arc;
+use std::borrow::Cow;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::ast::ArithOp;
@@ -331,30 +333,47 @@ impl CallbackHandler for CountingCallbacks<'_> {
     }
 }
 
+/// The one definition of `l op r`: `None` is SQL's unknown (a NULL on
+/// either side), values of types that have no order are an error. `eval`'s
+/// comparison and the conjuncts a scan judges on record bytes both end here.
+pub(crate) fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<Option<bool>> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let Some(ord) = l.sql_cmp(r) else {
+        if l.is_null() || r.is_null() {
+            return Ok(None);
+        }
+        return Err(JaguarError::Execution(format!(
+            "cannot compare {l} with {r}"
+        )));
+    };
+    Ok(Some(match op {
+        CmpOp::Eq => ord == Equal,
+        CmpOp::Ne => ord != Equal,
+        CmpOp::Lt => ord == Less,
+        CmpOp::Le => ord != Greater,
+        CmpOp::Gt => ord == Greater,
+        CmpOp::Ge => ord != Less,
+    }))
+}
+
+/// [`eval`] for a caller that only looks at the value: a column or a
+/// literal is lent, not cloned.
+fn operand<'a>(e: &'a BExpr, tuple: &'a Tuple, ctx: &mut ExecCtx<'_>) -> Result<Cow<'a, Value>> {
+    Ok(match e {
+        BExpr::Column(i) => Cow::Borrowed(tuple.get(*i)?),
+        BExpr::Literal(v) => Cow::Borrowed(v),
+        _ => Cow::Owned(eval(e, tuple, ctx)?),
+    })
+}
+
 /// Evaluate a bound expression against a tuple.
 pub fn eval(e: &BExpr, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Value> {
     Ok(match e {
         BExpr::Column(i) => tuple.get(*i)?.clone(),
         BExpr::Literal(v) => v.clone(),
         BExpr::Cmp(op, l, r) => {
-            let lv = eval(l, tuple, ctx)?;
-            let rv = eval(r, tuple, ctx)?;
-            match lv.sql_cmp(&rv) {
-                None if lv.is_null() || rv.is_null() => Value::Null,
-                None => {
-                    return Err(JaguarError::Execution(format!(
-                        "cannot compare {lv} with {rv}"
-                    )))
-                }
-                Some(ord) => Value::Bool(match op {
-                    CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-                    CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-                    CmpOp::Lt => ord == std::cmp::Ordering::Less,
-                    CmpOp::Le => ord != std::cmp::Ordering::Greater,
-                    CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-                    CmpOp::Ge => ord != std::cmp::Ordering::Less,
-                }),
-            }
+            let (lv, rv) = (operand(l, tuple, ctx)?, operand(r, tuple, ctx)?);
+            compare(*op, &lv, &rv)?.map_or(Value::Null, Value::Bool)
         }
         BExpr::And(l, r) => {
             // Kleene 3VL with short-circuit on FALSE.
@@ -898,57 +917,213 @@ fn project_batched(
     }
 }
 
+/// The conjuncts of a WHERE clause that its scan judges on the record's
+/// bytes ([`BoundSelect::pushed`]: each a column compared with a literal),
+/// as the table's reader runs them under the page latch, and the columns
+/// they read. Short-circuit AND in conjunct order, as [`matches_all`] does
+/// above the scan: a conjunct that is not true ends it, one that fails is
+/// the row's error.
+fn scan_test(pushed: &[BExpr]) -> (Vec<usize>, RowTest) {
+    fn side<'a>(e: &'a BExpr, values: &'a [Value]) -> Option<&'a Value> {
+        match e {
+            BExpr::Column(c) => values.get(*c),
+            BExpr::Literal(v) => Some(v),
+            _ => None,
+        }
+    }
+    let mut columns = Vec::new();
+    for p in pushed {
+        crate::plan::walk(p, &mut |e| {
+            if let BExpr::Column(c) = e {
+                columns.push(*c);
+            }
+        });
+    }
+    let pushed = pushed.to_vec();
+    let test = move |values: &[Value]| {
+        for p in &pushed {
+            let verdict = match p {
+                BExpr::Cmp(op, l, r) => match (side(l, values), side(r, values)) {
+                    (Some(l), Some(r)) => compare(*op, l, r)?,
+                    _ => None,
+                },
+                _ => None,
+            };
+            if verdict != Some(true) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    };
+    (columns, Box::new(test))
+}
+
+/// Rows a scan or an index fetch visited and rejected on their bytes.
+fn rejected_at_scan() -> &'static obs::Counter {
+    static COUNTER: OnceLock<Arc<obs::Counter>> = OnceLock::new();
+    COUNTER.get_or_init(|| obs::global().counter("sql.scan.rows_rejected_at_scan"))
+}
+
 /// The rows an [`AccessPath`] reaches, with their record ids: the one leaf
 /// under every row pipeline — a SELECT's `SeqScan` / `IndexScan` /
-/// `EmptyScan` operator and the victim collection of DELETE and UPDATE.
+/// `EmptyScan` operator, a morsel of a parallel one, and the victim
+/// collection of DELETE and UPDATE. It yields the rows that pass the
+/// statement's `pushed` conjuncts and counts every row it visited in
+/// `stats.rows_scanned` (a heap page's as the page is batched).
 pub enum RowSource {
-    /// Sequential scan of the heap file, a page at a time.
-    Heap(TableScan),
+    /// Sequential scan of (a page range of) the heap file.
+    Heap(RowPages),
     /// Rows fetched one by one through a B+Tree range, probed up front.
     Index {
         table: Arc<Table>,
         rids: std::vec::IntoIter<RecordId>,
-        cols: ColumnSet,
+        reader: RowReader,
     },
     /// The planner proved no row can match.
     Empty,
 }
 
 impl RowSource {
-    /// Open `access` over `table`, decoding the columns in `cols`.
+    /// Open `access` over `table`, decoding the columns in `cols` of the
+    /// rows that pass `pushed`. `pages` bounds a full scan (`1..u32::MAX`
+    /// is the whole table); the other paths are not carved into morsels.
     pub(crate) fn open(
         table: &Arc<Table>,
         access: &AccessPath,
         cols: &ColumnSet,
+        pages: Range<u32>,
+        pushed: &[BExpr],
     ) -> Result<RowSource> {
+        let (tested, test) = scan_test(pushed);
+        let reader = table.reader(cols, &tested, test);
         Ok(match access {
-            AccessPath::FullScan => RowSource::Heap(table.scan_with(cols, 1..u32::MAX)),
+            AccessPath::FullScan => RowSource::Heap(table.rows(reader, pages)),
             AccessPath::IndexRange { index, lo, hi } => RowSource::Index {
                 table: Arc::clone(table),
                 rids: index.btree.range(*lo, *hi)?.into_iter(),
-                cols: cols.clone(),
+                reader,
             },
             AccessPath::Empty => RowSource::Empty,
         })
     }
 
-    /// The next row. A rid the index returned whose row is gone by the time
-    /// it is fetched — a concurrent statement deleted it in between — is
-    /// skipped: the row is not there, which is all a scan would have seen.
+    /// Batch the next heap page, polling the statement's token once.
+    fn next_page(pages: &mut RowPages, ctx: &mut ExecCtx<'_>) -> Result<bool> {
+        ctx.tick()?;
+        let more = pages.next_page();
+        let (visited, rejected) = pages.take_counts();
+        ctx.stats.rows_scanned += visited;
+        rejected_at_scan().add(rejected);
+        Ok(more)
+    }
+
+    /// The next row, owned. A rid the index returned whose row is gone by
+    /// the time it is fetched — a concurrent statement deleted it in
+    /// between — is skipped: the row is not there, which is all a scan
+    /// would have seen.
     pub(crate) fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Option<(RecordId, Tuple)>> {
-        let row = match self {
-            RowSource::Heap(scan) => scan.next().transpose()?,
-            RowSource::Index { table, rids, cols } => loop {
-                let Some(rid) = rids.next() else { break None };
-                if let Some(tuple) = table.get(rid, cols)? {
-                    break Some((rid, tuple));
+        match self {
+            RowSource::Heap(pages) => loop {
+                if let Some((rid, tuple)) = pages.next_row()? {
+                    return Ok(Some((rid, std::mem::take(tuple))));
+                }
+                if !RowSource::next_page(pages, ctx)? {
+                    return Ok(None);
                 }
             },
-            RowSource::Empty => None,
-        };
-        ctx.stats.rows_scanned += u64::from(row.is_some());
-        Ok(row)
+            RowSource::Index {
+                table,
+                rids,
+                reader,
+            } => {
+                for rid in rids {
+                    let Some(row) = table.fetch(rid, reader)? else {
+                        continue;
+                    };
+                    ctx.stats.rows_scanned += 1;
+                    match row {
+                        Some(tuple) => return Ok(Some((rid, tuple))),
+                        None => rejected_at_scan().inc(),
+                    }
+                }
+                Ok(None)
+            }
+            RowSource::Empty => Ok(None),
+        }
     }
+
+    /// Lend every remaining row to `f` — for a consumer that only looks at
+    /// rows: a heap scan's then stay in their batch, whose tuples the next
+    /// page refills.
+    pub(crate) fn for_each(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        mut f: impl FnMut(RecordId, &Tuple, &mut ExecCtx<'_>) -> Result<()>,
+    ) -> Result<()> {
+        if let RowSource::Heap(pages) = self {
+            loop {
+                while let Some((rid, tuple)) = pages.next_row()? {
+                    ctx.tick()?;
+                    f(rid, tuple, ctx)?;
+                }
+                if !RowSource::next_page(pages, ctx)? {
+                    return Ok(());
+                }
+            }
+        }
+        while let Some((rid, tuple)) = self.next(ctx)? {
+            f(rid, &tuple, ctx)?;
+        }
+        Ok(())
+    }
+}
+
+/// Evaluate cost-ordered predicates with short-circuit AND: a tuple
+/// rejected by a cheap predicate never reaches an expensive UDF. The one
+/// filter above the scan, for SELECT (serial and parallel) and DML alike.
+pub(crate) fn matches_all(
+    predicates: &[BExpr],
+    tuple: &Tuple,
+    ctx: &mut ExecCtx<'_>,
+) -> Result<bool> {
+    for (i, p) in predicates.iter().enumerate() {
+        let passed = matches!(eval(p, tuple, ctx)?, Value::Bool(true));
+        ctx.sel_record(i, passed);
+        if !passed {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// ORDER BY: a stable sort of `rows` on `keys` (`true` = descending),
+/// each key evaluated once per row — the serial `Sort` operator and the
+/// parallel gather share it, so their orders are identical.
+pub(crate) fn sort_rows(
+    mut rows: Vec<Tuple>,
+    keys: &[(BExpr, bool)],
+    ctx: &mut ExecCtx<'_>,
+) -> Result<Vec<Tuple>> {
+    let mut keyed = Vec::with_capacity(rows.len());
+    for (at, row) in rows.iter().enumerate() {
+        ctx.tick()?;
+        let key: Result<Vec<_>> = keys.iter().map(|(e, _)| operand(e, row, ctx)).collect();
+        keyed.push((key?, at));
+    }
+    keyed.sort_by(|(a, _), (b, _)| {
+        for (i, (_, desc)) in keys.iter().enumerate() {
+            let ord = sort_cmp(&a[i], &b[i]);
+            let ord = if *desc { ord.reverse() } else { ord };
+            if ord != std::cmp::Ordering::Equal {
+                return ord;
+            }
+        }
+        std::cmp::Ordering::Equal
+    });
+    let order: Vec<usize> = keyed.into_iter().map(|(_, at)| at).collect();
+    Ok((order.into_iter())
+        .map(|at| std::mem::take(&mut rows[at]))
+        .collect())
 }
 
 /// The operator tree for a bound SELECT, pulled via [`Executor::next`].
@@ -1046,7 +1221,13 @@ impl Executor {
                 node
             }
         };
-        let rows = RowSource::open(&plan.table, &plan.access, &plan.scan_cols)?;
+        let rows = RowSource::open(
+            &plan.table,
+            &plan.access,
+            &plan.scan_cols,
+            1..u32::MAX,
+            &plan.pushed,
+        )?;
         let label = crate::plan::scan_label(&plan.table, &plan.access, &plan.scan_cols);
         let mut node = prof(Executor::Scan { rows }, label);
         if !plan.predicates.is_empty() {
@@ -1160,20 +1341,7 @@ impl Executor {
                 let Some(tuple) = child.next(ctx)? else {
                     return Ok(None);
                 };
-                let mut keep = true;
-                for (i, p) in predicates.iter().enumerate() {
-                    // Short-circuit: later (expensive) predicates are
-                    // skipped as soon as one fails.
-                    match eval(p, &tuple, ctx)? {
-                        Value::Bool(true) => ctx.sel_record(i, true),
-                        _ => {
-                            ctx.sel_record(i, false);
-                            keep = false;
-                            break;
-                        }
-                    }
-                }
-                if keep {
+                if matches_all(predicates, &tuple, ctx)? {
                     return Ok(Some(tuple));
                 }
             },
@@ -1223,37 +1391,8 @@ impl Executor {
                 output,
             } => {
                 if output.is_none() {
-                    let mut rows = Vec::new();
-                    while let Some(t) = child.next(ctx)? {
-                        rows.push(t);
-                    }
-                    // Precompute sort keys so UDF-free key expressions are
-                    // evaluated once per row.
-                    let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::with_capacity(rows.len());
-                    for t in rows {
-                        let mut ks = Vec::with_capacity(keys.len());
-                        for (e, _) in keys.iter() {
-                            ks.push(eval(e, &t, ctx)?);
-                        }
-                        keyed.push((ks, t));
-                    }
-                    keyed.sort_by(|(a, _), (b, _)| {
-                        for (i, (_, desc)) in keys.iter().enumerate() {
-                            let ord = sort_cmp(&a[i], &b[i]);
-                            let ord = if *desc { ord.reverse() } else { ord };
-                            if ord != std::cmp::Ordering::Equal {
-                                return ord;
-                            }
-                        }
-                        std::cmp::Ordering::Equal
-                    });
-                    *output = Some(
-                        keyed
-                            .into_iter()
-                            .map(|(_, t)| t)
-                            .collect::<Vec<_>>()
-                            .into_iter(),
-                    );
+                    let rows = child.collect(ctx)?;
+                    *output = Some(sort_rows(rows, keys, ctx)?.into_iter());
                 }
                 Ok(output.as_mut().expect("sorted").next())
             }
@@ -1284,6 +1423,53 @@ impl Executor {
                     *rows += 1;
                 }
                 out
+            }
+        }
+    }
+
+    /// Lend every remaining row to `f` instead of handing it out owned: the
+    /// aggregate drains its child this way, so that the rows of a scan (and
+    /// of a filter over one) stay in the scan's recycled batch. Any other
+    /// child is pulled.
+    fn for_each(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        f: &mut dyn FnMut(&Tuple, &mut ExecCtx<'_>) -> Result<()>,
+    ) -> Result<()> {
+        match self {
+            Executor::Scan { rows } => rows.for_each(ctx, |_, tuple, ctx| f(tuple, ctx)),
+            Executor::Filter { child, predicates } => child.for_each(ctx, &mut |tuple, ctx| {
+                if matches_all(predicates, tuple, ctx)? {
+                    f(tuple, ctx)?;
+                }
+                Ok(())
+            }),
+            Executor::Profiled {
+                child,
+                rows,
+                nexts,
+                elapsed,
+                ..
+            } => {
+                // The consumer's time is not this operator's: the clock
+                // stops while `f` runs.
+                let mut started = Instant::now();
+                let drained = child.for_each(ctx, &mut |tuple, ctx| {
+                    *elapsed += started.elapsed();
+                    (*rows, *nexts) = (*rows + 1, *nexts + 1);
+                    let fed = f(tuple, ctx);
+                    started = Instant::now();
+                    fed
+                });
+                *elapsed += started.elapsed();
+                *nexts += 1;
+                drained
+            }
+            _ => {
+                while let Some(tuple) = self.next(ctx)? {
+                    f(&tuple, ctx)?;
+                }
+                Ok(())
             }
         }
     }
@@ -1511,10 +1697,7 @@ impl GroupedAgg {
     ) -> Result<()> {
         self.key.clear();
         for g in &plan.group_exprs {
-            match g {
-                BExpr::Column(i) => write_value(&mut self.key, tuple.get(*i)?)?,
-                _ => write_value(&mut self.key, &eval(g, tuple, ctx)?)?,
-            }
+            write_value(&mut self.key, &*operand(g, tuple, ctx)?)?;
         }
         // A new group's values are read back out of its key: the group
         // expressions (UDF calls, possibly) are evaluated once per row.
@@ -1525,10 +1708,10 @@ impl GroupedAgg {
         })?;
         for (spec, acc) in plan.aggs.iter().zip(self.groups[at].1.iter_mut()) {
             let v = match &spec.arg {
-                Some(e) => Some(eval(e, tuple, ctx)?),
+                Some(e) => Some(operand(e, tuple, ctx)?),
                 None => None,
             };
-            acc.update(spec.func, v.as_ref())?;
+            acc.update(spec.func, v.as_deref())?;
         }
         Ok(())
     }
@@ -1577,9 +1760,7 @@ fn run_aggregation(
     ctx: &mut ExecCtx<'_>,
 ) -> Result<Vec<Tuple>> {
     let mut agg = GroupedAgg::new();
-    while let Some(tuple) = child.next(ctx)? {
-        agg.update(plan, &tuple, ctx)?;
-    }
+    child.for_each(ctx, &mut |tuple, ctx| agg.update(plan, tuple, ctx))?;
     Ok(agg.finish(plan))
 }
 

@@ -22,21 +22,24 @@
 //! Cancellation invariant: the statement's [`CancelToken`] is attached
 //! to every worker's context, so a deadline or cancel mid-`Gather`
 //! stops all threads within a few tuples, and the first worker error
-//! aborts the rest of the team via a shared flag.
+//! aborts the rest of the team via a shared flag. Each worker still
+//! finishes the morsel it is on, and the statement fails with the error
+//! met in the lowest morsel: the one the serial scan would have met first.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use jaguar_common::cancel::CancelToken;
-use jaguar_common::error::Result;
+use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::overload::Pressure;
 use jaguar_common::{Tuple, Value};
 use jaguar_par::{morsel_pages_for, run_team, MorselDispenser};
 
-use crate::engine::{matches_all, Engine, EngineCallbacks};
+use crate::engine::{Engine, EngineCallbacks};
 use crate::exec::{
-    eval, plan_batch_spec, sort_cmp, ExecCtx, ExecStats, GroupedAgg, ProjectionBatcher,
+    eval, matches_all, plan_batch_spec, sort_rows, ExecCtx, ExecStats, GroupedAgg,
+    ProjectionBatcher, RowSource,
 };
 use crate::plan::{AccessPath, BoundSelect};
 
@@ -47,7 +50,7 @@ const MIN_DATA_PAGES: u32 = 8;
 
 /// The parallel planner's verdict for one query.
 pub struct ParallelDecision {
-    /// Worker threads to run (≥ 2; `plan_parallel` returns `None` below).
+    /// Worker threads to run (≥ 2; `plan_parallel` says no below).
     pub dop: usize,
     /// Morsel size in heap pages.
     pub morsel_pages: u32,
@@ -67,7 +70,8 @@ pub struct WorkerReport {
     pub busy_us: u64,
 }
 
-/// Decide whether (and how widely) a bound SELECT runs parallel.
+/// Decide whether (and how widely) a bound SELECT runs parallel; `Err` is
+/// the gate that said no, phrased for EXPLAIN's plan-notes trailer.
 ///
 /// A query qualifies when `Config::dop ≥ 2`, the access path is a full
 /// scan, the table has at least `MIN_DATA_PAGES` data pages, and the
@@ -78,25 +82,29 @@ pub struct WorkerReport {
 /// the worker-pool size, so a thread team can never deadlock waiting on
 /// its own checkouts; clamping warns once per query and ticks
 /// `par.dop_clamped`.
-pub(crate) fn plan_parallel(engine: &Engine, plan: &BoundSelect) -> Option<ParallelDecision> {
+pub(crate) fn plan_parallel(
+    engine: &Engine,
+    plan: &BoundSelect,
+) -> std::result::Result<ParallelDecision, &'static str> {
     let config_dop = engine.catalog().config().dop;
     if config_dop < 2 {
-        return None;
+        return Err("dop=1 in config");
     }
     if !matches!(plan.access, AccessPath::FullScan) {
-        return None;
+        return Err("not a full scan");
     }
     if plan.limit.is_some()
         && plan.aggregate.is_none()
         && plan.order_by.is_empty()
         && plan.having.is_none()
     {
-        return None;
+        return Err("bare LIMIT short-circuits serially");
     }
     let data_pages = plan.table.heap_pages().saturating_sub(1);
     if data_pages < MIN_DATA_PAGES {
-        return None;
+        return Err("table too small");
     }
+    // At least 2: `MIN_DATA_PAGES / 2` is.
     let mut dop = config_dop.min((data_pages / 2) as usize);
     let mut clamped = false;
     // Inlined UDFs never draw a pool checkout — their backend is elided —
@@ -134,7 +142,7 @@ pub(crate) fn plan_parallel(engine: &Engine, plan: &BoundSelect) -> Option<Paral
             plan.table.name()
         );
         obs::global().counter("degrade.dop_clamped").inc();
-        return None;
+        return Err("server saturated: degraded to serial");
     }
     let pool_queued = engine.worker_pool().is_some_and(|p| p.waiters() > 0);
     if (pressure >= Pressure::Elevated || pool_queued) && dop > 2 {
@@ -149,45 +157,14 @@ pub(crate) fn plan_parallel(engine: &Engine, plan: &BoundSelect) -> Option<Paral
         clamped = true;
     }
     if dop < 2 {
-        return None;
+        return Err("dop clamped to worker-pool size");
     }
-    Some(ParallelDecision {
+    Ok(ParallelDecision {
         dop,
         morsel_pages: morsel_pages_for(data_pages, dop),
         data_pages,
         clamped,
     })
-}
-
-/// Why `plan_parallel` said no — the same gates, phrased for EXPLAIN's
-/// plan-notes trailer. Returns `None` when the query *does* go parallel.
-pub(crate) fn serial_reason(engine: &Engine, plan: &BoundSelect) -> Option<&'static str> {
-    let config_dop = engine.catalog().config().dop;
-    if config_dop < 2 {
-        return Some("dop=1 in config");
-    }
-    if !matches!(plan.access, AccessPath::FullScan) {
-        return Some("not a full scan");
-    }
-    if plan.limit.is_some()
-        && plan.aggregate.is_none()
-        && plan.order_by.is_empty()
-        && plan.having.is_none()
-    {
-        return Some("bare LIMIT short-circuits serially");
-    }
-    let data_pages = plan.table.heap_pages().saturating_sub(1);
-    if data_pages < MIN_DATA_PAGES {
-        return Some("table too small");
-    }
-    if config_dop.min((data_pages / 2) as usize) < 2 {
-        return Some("dop limited by table size");
-    }
-    if engine.overload().level() >= Pressure::Saturated {
-        return Some("server saturated: degraded to serial");
-    }
-    // The only remaining gate is the pool clamp dropping dop below 2.
-    Some("dop clamped to worker-pool size")
 }
 
 /// What one worker brings back to the gather.
@@ -216,6 +193,7 @@ pub(crate) fn parallel_select(
     let dispenser = MorselDispenser::new(1, plan.table.heap_pages(), dec.morsel_pages);
     let total_morsels = u64::from(dispenser.morsel_count());
     let abort = AtomicBool::new(false);
+    let failed = parking_lot::Mutex::new(None::<(u32, JaguarError)>);
 
     let outs = run_team(dec.dop, |_worker| {
         let mut handler = EngineCallbacks { engine };
@@ -226,7 +204,8 @@ pub(crate) fn parallel_select(
         ctx.set_udf_batch_size(engine.catalog().config().udf_batch_size);
         crate::optimize::install_opt(plan, engine, &mut ctx);
         let started = Instant::now();
-        match drain_morsels(plan, &dispenser, &abort, &mut ctx) {
+        let mut at = 0;
+        match drain_morsels(plan, &dispenser, &abort, &mut ctx, &mut at) {
             Ok((rows, aggs, morsels, produced)) => {
                 let stats = ctx.finish()?;
                 let busy_us = started.elapsed().as_micros() as u64;
@@ -243,14 +222,21 @@ pub(crate) fn parallel_select(
                 })
             }
             Err(e) => {
-                // First error wins; fellow workers stop at their next
-                // morsel boundary. Teardown failures are secondary.
+                // Fellow workers stop at their next morsel boundary;
+                // teardown failures are secondary.
                 abort.store(true, Ordering::Relaxed);
                 let _ = ctx.finish();
-                Err(e)
+                let mut first = failed.lock();
+                if first.as_ref().is_none_or(|(morsel, _)| at < *morsel) {
+                    *first = Some((at, e));
+                }
+                Err(JaguarError::Execution("parallel worker stopped".into()))
             }
         }
     });
+    if let Some((_, first)) = failed.into_inner() {
+        return Err(first);
+    }
 
     let mut workers = Vec::with_capacity(outs.len());
     for r in outs {
@@ -319,28 +305,9 @@ pub(crate) fn parallel_select(
     }
 
     if !plan.order_by.is_empty() {
-        // Same keyed stable sort as the serial Sort operator, so ties
-        // preserve the (already serial-identical) gather order.
-        let mut keyed: Vec<(Vec<Value>, Tuple)> = Vec::with_capacity(rows.len());
-        for t in rows {
-            ctx.tick()?;
-            let mut ks = Vec::with_capacity(plan.order_by.len());
-            for (e, _) in &plan.order_by {
-                ks.push(eval(e, &t, &mut ctx)?);
-            }
-            keyed.push((ks, t));
-        }
-        keyed.sort_by(|(a, _), (b, _)| {
-            for (i, (_, desc)) in plan.order_by.iter().enumerate() {
-                let ord = sort_cmp(&a[i], &b[i]);
-                let ord = if *desc { ord.reverse() } else { ord };
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            std::cmp::Ordering::Equal
-        });
-        rows = keyed.into_iter().map(|(_, t)| t).collect();
+        // The serial Sort operator's sort, so ties preserve the (already
+        // serial-identical) gather order.
+        rows = sort_rows(rows, &plan.order_by, &mut ctx)?;
     }
 
     if let Some(n) = plan.limit {
@@ -353,13 +320,15 @@ pub(crate) fn parallel_select(
 
 /// One worker's fragment: claim morsels until the dispenser runs dry or
 /// the team aborts, running scan → filter → project / partial-aggregate
-/// per morsel. Returns per-morsel results plus morsel/row counts.
+/// per morsel. Returns per-morsel results plus morsel/row counts; `at` is
+/// the index of the morsel it is on, for the caller of one that fails.
 #[allow(clippy::type_complexity)]
 fn drain_morsels(
     plan: &BoundSelect,
     dispenser: &MorselDispenser,
     abort: &AtomicBool,
     ctx: &mut ExecCtx<'_>,
+    at: &mut u32,
 ) -> Result<(Vec<(u32, Vec<Tuple>)>, Vec<(u32, GroupedAgg)>, u64, u64)> {
     let mut rows: Vec<(u32, Vec<Tuple>)> = Vec::new();
     let mut aggs: Vec<(u32, GroupedAgg)> = Vec::new();
@@ -377,24 +346,30 @@ fn drain_morsels(
         if abort.load(Ordering::Relaxed) {
             break;
         }
+        *at = m.index;
         morsels += 1;
         let mut out_rows = Vec::new();
         let mut agg = plan.aggregate.as_ref().map(|_| GroupedAgg::new());
         let mut batcher = batch_spec.map(|s| ProjectionBatcher::new(s, ctx.batch_size()));
+        // A morsel is the statement's row source over a page range.
         let pages = m.start_page..m.end_page;
-        for item in plan.table.scan_with(&plan.scan_cols, pages) {
-            ctx.tick()?;
-            let (_, tuple) = item?;
-            ctx.stats.rows_scanned += 1;
-            if !matches_all(&plan.predicates, &tuple, ctx)? {
-                continue;
+        let mut morsel = RowSource::open(
+            &plan.table,
+            &plan.access,
+            &plan.scan_cols,
+            pages,
+            &plan.pushed,
+        )?;
+        morsel.for_each(ctx, |_, tuple, ctx| {
+            if !matches_all(&plan.predicates, tuple, ctx)? {
+                return Ok(());
             }
             produced += 1;
             match (&plan.aggregate, &mut agg) {
-                (Some(ap), Some(g)) => g.update(ap, &tuple, ctx)?,
+                (Some(ap), Some(g)) => g.update(ap, tuple, ctx)?,
                 _ => match &mut batcher {
                     Some(b) => {
-                        b.push(&plan.projections, &tuple, ctx)?;
+                        b.push(&plan.projections, tuple, ctx)?;
                         if b.is_full() {
                             let flushed = b.flush(ctx)?;
                             ctx.stats.rows_emitted += flushed.len() as u64;
@@ -404,14 +379,15 @@ fn drain_morsels(
                     None => {
                         let mut vals = Vec::with_capacity(plan.projections.len());
                         for e in &plan.projections {
-                            vals.push(eval(e, &tuple, ctx)?);
+                            vals.push(eval(e, tuple, ctx)?);
                         }
                         ctx.stats.rows_emitted += 1;
                         out_rows.push(Tuple::new(vals));
                     }
                 },
             }
-        }
+            Ok(())
+        })?;
         if let Some(b) = &mut batcher {
             let flushed = b.flush(ctx)?;
             ctx.stats.rows_emitted += flushed.len() as u64;
@@ -458,7 +434,7 @@ mod tests {
             panic!("not a select");
         };
         let plan = crate::plan::bind_select(&s, e.catalog(), None).unwrap();
-        plan_parallel(e, &plan)
+        plan_parallel(e, &plan).ok()
     }
 
     #[test]

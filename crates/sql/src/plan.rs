@@ -332,12 +332,17 @@ pub struct BoundSelect {
     pub table: Arc<Table>,
     /// Access path chosen by the optimizer.
     pub access: AccessPath,
-    /// The table columns the statement reads — predicates (the row-label
-    /// filter included), then group expressions and aggregate arguments or
-    /// the projections, UDF arguments inside any of them. The scan decodes
-    /// these and leaves NULL in every other position.
+    /// The table columns the statement reads above its scan — the residual
+    /// predicates (the row-label filter included), then group expressions
+    /// and aggregate arguments or the projections, UDF arguments inside any
+    /// of them. The scan decodes these and leaves NULL in every other
+    /// position; a column only `pushed` conjuncts read is not among them.
     pub scan_cols: ColumnSet,
-    /// Conjunctive predicates in execution order (cheap → expensive).
+    /// The leading conjuncts of the WHERE clause that the scan judges on
+    /// the record's bytes (`pushable`), in execution order.
+    pub pushed: Vec<BExpr>,
+    /// The residual conjuncts, evaluated on the rows the scan produces, in
+    /// execution order (cheap → expensive).
     pub predicates: Vec<BExpr>,
     /// Grouping/aggregation step, if this is an aggregate query. When
     /// present, `projections` reference the aggregate operator's output
@@ -356,11 +361,11 @@ pub struct BoundSelect {
     /// Parallel to `predicates`: true when the cost/selectivity reorder
     /// pass moved the predicate relative to its bind-time position.
     pub reordered: Vec<bool>,
-    /// Index into `predicates` of the row-label filter the authorizer
-    /// injected for this session, if any (always 0: it is pinned into its
-    /// own first segment, ahead of every user predicate, and the reorder
-    /// pass breaks class-0 ties by bind position). EXPLAIN tags it
-    /// `[labeled]`.
+    /// Position in execution order (`pushed`, then `predicates`) of the
+    /// row-label filter the authorizer injected for this session, if any
+    /// (always 0: it is pinned into its own first segment, ahead of every
+    /// user predicate, and the reorder pass breaks class-0 ties by bind
+    /// position). EXPLAIN tags it `[labeled]`.
     pub labeled: Option<usize>,
     /// Optimizer decision notes (inline verdicts, memoization, reorder,
     /// gating reasons) rendered by EXPLAIN's `-- plan notes:` trailer.
@@ -402,10 +407,18 @@ fn scan_line(table: &Table, access: &AccessPath, cols: &ColumnSet) -> String {
     }
 }
 
-/// Plan note for a scan that skips columns.
-pub(crate) fn scan_note(table: &Table, cols: &ColumnSet) -> Option<String> {
-    let (some, all) = (decoded_columns(table, cols)?.len(), table.schema().len());
-    Some(format!("scan decodes {some} of {all} columns"))
+/// Plan notes for a scan that skips columns or judges conjuncts itself.
+pub(crate) fn scan_notes(table: &Table, cols: &ColumnSet, pushed: &[BExpr]) -> Vec<String> {
+    let mut notes = Vec::new();
+    if let Some(some) = decoded_columns(table, cols) {
+        let (some, all) = (some.len(), table.schema().len());
+        notes.push(format!("scan decodes {some} of {all} columns"));
+    }
+    if !pushed.is_empty() {
+        let k = pushed.len();
+        notes.push(format!("scan judges {k} conjunct(s) on record bytes"));
+    }
+    notes
 }
 
 /// Bind and optimize a SELECT against the catalog, enforcing the table's
@@ -428,8 +441,7 @@ pub fn bind_select(
         principal: &authz.principal,
     };
 
-    let (predicates, labeled, notes) = bind_where(&mut binder, &authz, &stmt.predicate)?;
-    let access = choose_access_path(&table, &predicates);
+    let filter = bind_where(&mut binder, &authz, &stmt.predicate, &table)?;
 
     // Aggregate query?
     let is_aggregate = !stmt.group_by.is_empty()
@@ -438,10 +450,7 @@ pub fn bind_select(
             SelectItem::Star => false,
         });
     if is_aggregate {
-        let mut plan = bind_aggregate(stmt, table, &schema, binder, predicates, access)?;
-        plan.labeled = labeled;
-        plan.notes = notes;
-        return Ok(plan);
+        return bind_aggregate(stmt, table, &schema, binder, filter);
     }
 
     // Projections.
@@ -505,12 +514,13 @@ pub fn bind_select(
     let output_schema = Arc::new(Schema::new(fields)?);
     let having = bind_output_predicate(&stmt.having, &output_schema)?;
     let order_by = bind_order_by(&stmt.order_by, &output_schema)?;
-    let scan_cols = referenced_columns(&schema, predicates.iter().chain(&projections));
+    let scan_cols = referenced_columns(&schema, filter.predicates.iter().chain(&projections));
     Ok(BoundSelect {
         table,
-        access,
+        access: filter.access,
         scan_cols,
-        predicates,
+        pushed: filter.pushed,
+        predicates: filter.predicates,
         aggregate: None,
         projections,
         output_schema,
@@ -519,9 +529,36 @@ pub fn bind_select(
         limit: stmt.limit,
         udfs: binder.udfs,
         reordered: Vec::new(),
-        labeled,
-        notes,
+        labeled: filter.labeled,
+        notes: filter.notes,
     })
+}
+
+/// A bound WHERE clause: how its rows are reached and which conjuncts are
+/// judged where (fields as [`BoundSelect`]'s).
+struct BoundWhere {
+    access: AccessPath,
+    pushed: Vec<BExpr>,
+    predicates: Vec<BExpr>,
+    labeled: Option<usize>,
+    notes: Vec<String>,
+}
+
+/// Can the scan judge this conjunct on a record's bytes? Only a comparison
+/// of a fixed-width column with a non-NULL literal, on either side: it
+/// reads tag + 8 (or 1) bytes, calls nothing, and decides with the very
+/// function `eval` compares with ([`crate::exec::compare`]).
+fn pushable(e: &BExpr, schema: &Schema) -> bool {
+    let BExpr::Cmp(_, l, r) = e else { return false };
+    let ((BExpr::Column(c), BExpr::Literal(v)) | (BExpr::Literal(v), BExpr::Column(c))) =
+        (&**l, &**r)
+    else {
+        return false;
+    };
+    let fixed = schema
+        .field(*c)
+        .is_some_and(|f| matches!(f.dtype, DataType::Int | DataType::Float | DataType::Bool));
+    fixed && !v.is_null()
 }
 
 /// Bind a WHERE clause — SELECT's and DML's alike: split, bind, type-check
@@ -529,13 +566,19 @@ pub fn bind_select(
 /// a pinned conjunct: it forms its own leading segment, so every user
 /// predicate — including UDF calls, which would otherwise see unauthorized
 /// rows as arguments — runs strictly after it, and so does the re-check of
-/// every row an index produced. Returns the predicates in execution order
-/// and, when a label filter was injected, its position (0) and plan note.
+/// every row an index produced. The access path is chosen from all the
+/// conjuncts; then the leading run of [`pushable`] ones is split off for
+/// the scan to judge. Only a leading run: a conjunct behind one the scan
+/// cannot judge (a UDF call, a label residual over a string) must not see
+/// rows that one would have rejected or failed on. No later pass moves a
+/// conjunct into or out of the run: the reorder pass keeps UDF-free
+/// conjuncts in bind order, ahead of any that calls a UDF.
 fn bind_where(
     binder: &mut Binder<'_>,
     authz: &Authz,
     predicate: &Option<Expr>,
-) -> Result<(Vec<BExpr>, Option<usize>, Vec<String>)> {
+    table: &Table,
+) -> Result<BoundWhere> {
     let mut ranked: Vec<(u32, usize, bool, BExpr)> = Vec::new();
     let mut notes = Vec::new();
     if let Some(residual) = &authz.residual {
@@ -563,7 +606,17 @@ fn bind_where(
             ranked.push((cost, i + shift, pinned, bound));
         }
     }
-    Ok((order_conjuncts(ranked), (shift > 0).then_some(0), notes))
+    let mut pushed = order_conjuncts(ranked);
+    let access = choose_access_path(table, &pushed);
+    let run = pushed.iter().take_while(|p| pushable(p, binder.schema));
+    let predicates = pushed.split_off(run.count());
+    Ok(BoundWhere {
+        access,
+        pushed,
+        predicates,
+        labeled: (shift > 0).then_some(0),
+        notes,
+    })
 }
 
 /// Bind a HAVING predicate over the output schema, requiring Bool type.
@@ -695,8 +748,7 @@ fn bind_aggregate(
     table: Arc<Table>,
     schema: &Schema,
     mut binder: Binder<'_>,
-    predicates: Vec<BExpr>,
-    access: AccessPath,
+    filter: BoundWhere,
 ) -> Result<BoundSelect> {
     let mut plan = AggregatePlan::default();
     for (i, g) in stmt.group_by.iter().enumerate() {
@@ -832,16 +884,16 @@ fn bind_aggregate(
     // The projections read the aggregate's output, not the table.
     let scan_cols = referenced_columns(
         schema,
-        predicates
-            .iter()
+        (filter.predicates.iter())
             .chain(&plan.group_exprs)
             .chain(plan.aggs.iter().filter_map(|a| a.arg.as_ref())),
     );
     Ok(BoundSelect {
         table,
-        access,
+        access: filter.access,
         scan_cols,
-        predicates,
+        pushed: filter.pushed,
+        predicates: filter.predicates,
         aggregate: Some(plan),
         projections,
         output_schema,
@@ -850,8 +902,8 @@ fn bind_aggregate(
         limit: stmt.limit,
         udfs: binder.udfs,
         reordered: Vec::new(),
-        labeled: None,
-        notes: Vec::new(),
+        labeled: filter.labeled,
+        notes: filter.notes,
     })
 }
 
@@ -882,7 +934,7 @@ fn order_conjuncts(ranked: Vec<(u32, usize, bool, BExpr)>) -> Vec<BExpr> {
 }
 
 /// Visit `e` and every expression under it, UDF arguments included.
-fn walk(e: &BExpr, visit: &mut impl FnMut(&BExpr)) {
+pub(crate) fn walk(e: &BExpr, visit: &mut impl FnMut(&BExpr)) {
     visit(e);
     match e {
         BExpr::Column(_) | BExpr::Literal(_) => {}
@@ -1205,12 +1257,14 @@ pub struct BoundDml {
     /// with the same WHERE clause, and every predicate is re-checked on
     /// each row the path produces.
     pub access: AccessPath,
-    /// The columns the statement's scan decodes: what the predicates read
-    /// for DELETE, every column for UPDATE — the row it writes is the
-    /// fetched tuple with the assigned positions replaced, and a NULL
-    /// placeholder must never be written back as data.
+    /// The columns the statement's scan decodes: what the residual
+    /// predicates read for DELETE, every column for UPDATE — the row it
+    /// writes is the fetched tuple with the assigned positions replaced,
+    /// and a NULL placeholder must never be written back as data.
     pub scan_cols: ColumnSet,
-    /// Conjunctive predicates, cost-ordered as in SELECT.
+    /// As [`BoundSelect::pushed`].
+    pub pushed: Vec<BExpr>,
+    /// The residual conjuncts, cost-ordered as in SELECT.
     pub predicates: Vec<BExpr>,
     /// For UPDATE: (column index, value expression) pairs.
     pub assignments: Vec<(usize, BExpr)>,
@@ -1245,8 +1299,7 @@ pub fn bind_dml(
         denied: &authz.denied,
         principal: &authz.principal,
     };
-    let (predicates, labeled, notes) = bind_where(&mut binder, &authz, predicate)?;
-    let access = choose_access_path(&table, &predicates);
+    let filter = bind_where(&mut binder, &authz, predicate, &table)?;
     let mut bound_assignments = Vec::with_capacity(assignments.len());
     for (col, expr) in assignments {
         let idx = schema.resolve(col)?;
@@ -1268,19 +1321,20 @@ pub fn bind_dml(
         bound_assignments.push((idx, bound));
     }
     let scan_cols = if bound_assignments.is_empty() {
-        referenced_columns(&schema, &predicates)
+        referenced_columns(&schema, &filter.predicates)
     } else {
         ColumnSet::all()
     };
     Ok(BoundDml {
         table,
-        access,
+        access: filter.access,
         scan_cols,
-        predicates,
+        pushed: filter.pushed,
+        predicates: filter.predicates,
         assignments: bound_assignments,
         udfs: binder.udfs,
-        labeled,
-        notes,
+        labeled: filter.labeled,
+        notes: filter.notes,
     })
 }
 
@@ -1340,14 +1394,13 @@ fn explain_inner(plan: &BoundSelect, gather_dop: Option<usize>) -> String {
     } else {
         "  "
     };
-    let (schema, preds) = (plan.table.schema(), &plan.predicates);
     write_filters(
         &mut out,
         frag,
-        preds,
+        (&plan.pushed, &plan.predicates),
         plan.labeled,
         &plan.reordered,
-        schema,
+        plan.table.schema(),
         &plan.udfs,
     );
     let scan = scan_line(&plan.table, &plan.access, &plan.scan_cols);
@@ -1355,23 +1408,27 @@ fn explain_inner(plan: &BoundSelect, gather_dop: Option<usize>) -> String {
     out
 }
 
-/// One `Filter[i]` line per predicate a plan re-checks on every row its
-/// scan produces, tagged as EXPLAIN tags them.
+/// One `Filter[i]` line per conjunct of a plan's WHERE clause in execution
+/// order — the `pushed` ones, which its scan judges, then the residual
+/// ones, checked on every row the scan produces (`reordered` is parallel to
+/// those) — tagged as EXPLAIN tags them.
 fn write_filters(
     out: &mut String,
     indent: &str,
-    predicates: &[BExpr],
+    (pushed, residual): (&[BExpr], &[BExpr]),
     labeled: Option<usize>,
     reordered: &[bool],
     schema: &Schema,
     udfs: &[PlannedUdf],
 ) {
-    for (i, p) in predicates.iter().enumerate() {
+    for (i, p) in pushed.iter().chain(residual).enumerate() {
         let mut tag = String::new();
         if labeled == Some(i) {
             tag.push_str(" [labeled]");
         }
-        if reordered.get(i).copied().unwrap_or(false) {
+        if i < pushed.len() {
+            tag.push_str(" [at scan]");
+        } else if reordered.get(i - pushed.len()).copied().unwrap_or(false) {
             tag.push_str(" [reordered]");
         }
         let _ = writeln!(
@@ -1405,7 +1462,7 @@ pub fn explain_dml(dml: &BoundDml) -> String {
     write_filters(
         &mut out,
         "  ",
-        &dml.predicates,
+        (&dml.pushed, &dml.predicates),
         dml.labeled,
         &[],
         schema,

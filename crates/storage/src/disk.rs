@@ -22,6 +22,7 @@
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
 use jaguar_common::error::{JaguarError, Result};
@@ -63,16 +64,17 @@ enum Backing {
     Memory(Vec<u8>),
 }
 
-struct Inner {
-    backing: Backing,
-    page_count: u32,
-}
-
 /// Thread-safe page-granular storage.
 pub struct DiskManager {
     page_size: usize,
     cipher: Option<Arc<dyn PageCipher>>,
-    inner: Mutex<Inner>,
+    backing: Mutex<Backing>,
+    /// Pages in the file. Written only under `backing`'s mutex, after the
+    /// page it counts is in the backing store (`Release`); read without the
+    /// mutex by [`DiskManager::page_count`] (`Acquire`), so that a scan
+    /// asking how long the file is does not queue behind another thread's
+    /// page read.
+    page_count: AtomicU32,
 }
 
 impl DiskManager {
@@ -105,10 +107,8 @@ impl DiskManager {
         Ok(DiskManager {
             page_size,
             cipher,
-            inner: Mutex::new(Inner {
-                backing: Backing::File(file),
-                page_count: (len / page_size as u64) as u32,
-            }),
+            backing: Mutex::new(Backing::File(file)),
+            page_count: AtomicU32::new((len / page_size as u64) as u32),
         })
     }
 
@@ -118,10 +118,8 @@ impl DiskManager {
         DiskManager {
             page_size,
             cipher: None,
-            inner: Mutex::new(Inner {
-                backing: Backing::Memory(Vec::new()),
-                page_count: 0,
-            }),
+            backing: Mutex::new(Backing::Memory(Vec::new())),
+            page_count: AtomicU32::new(0),
         }
     }
 
@@ -167,14 +165,17 @@ impl DiskManager {
         self.page_size
     }
 
+    /// Pages in the file, read without taking the I/O mutex: every page
+    /// below the count can be read, and a page being appended right now is
+    /// counted once it can be.
     pub fn page_count(&self) -> u32 {
-        self.inner.lock().page_count
+        self.page_count.load(Ordering::Acquire)
     }
 
     /// Append a fresh zeroed page and return its id.
     pub fn allocate_page(&self) -> Result<PageId> {
-        let mut inner = self.inner.lock();
-        let id = inner.page_count;
+        let mut backing = self.backing.lock();
+        let id = self.page_count();
         if id == u32::MAX {
             return Err(JaguarError::Storage("file full: page ids exhausted".into()));
         }
@@ -190,7 +191,7 @@ impl DiskManager {
         // The extension rides the write fault site: an INSERT that grows the
         // file sees the same injected faults as one updating in place.
         with_storage_retry("storage.disk.write", || {
-            match &mut inner.backing {
+            match &mut *backing {
                 Backing::File(f) => {
                     f.seek(SeekFrom::Start(id as u64 * self.page_size as u64))?;
                     f.write_all(&sealed)?;
@@ -199,7 +200,7 @@ impl DiskManager {
             }
             Ok(())
         })?;
-        inner.page_count = id + 1;
+        self.page_count.store(id + 1, Ordering::Release);
         Ok(PageId(id))
     }
 
@@ -207,13 +208,13 @@ impl DiskManager {
     /// its checksum.
     pub fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         assert_eq!(buf.len(), self.page_size);
-        let mut inner = self.inner.lock();
-        if id.0 >= inner.page_count {
+        let mut backing = self.backing.lock();
+        if id.0 >= self.page_count() {
             return Err(JaguarError::Storage(format!("{id} does not exist")));
         }
         let off = id.0 as usize * self.page_size;
         with_storage_retry("storage.disk.read", || {
-            match &mut inner.backing {
+            match &mut *backing {
                 Backing::File(f) => {
                     f.seek(SeekFrom::Start(off as u64))?;
                     f.read_exact(buf)?;
@@ -222,7 +223,7 @@ impl DiskManager {
             }
             Ok(())
         })?;
-        drop(inner);
+        drop(backing);
         verify_checksum(buf)?;
         match &self.cipher {
             Some(c) => DiskManager::open_from_disk(c.as_ref(), id, buf),
@@ -258,13 +259,13 @@ impl DiskManager {
                 buf
             }
         };
-        let mut inner = self.inner.lock();
-        if id.0 >= inner.page_count {
+        let mut backing = self.backing.lock();
+        if id.0 >= self.page_count() {
             return Err(JaguarError::Storage(format!("{id} does not exist")));
         }
         let off = id.0 as usize * self.page_size;
         with_storage_retry("storage.disk.write", || {
-            match &mut inner.backing {
+            match &mut *backing {
                 Backing::File(f) => {
                     f.seek(SeekFrom::Start(off as u64))?;
                     f.write_all(out)?;
@@ -279,8 +280,7 @@ impl DiskManager {
     /// i.e. `fsync`: data *and* metadata, so a freshly extended file keeps
     /// its length across power loss). In-memory backings are a no-op.
     pub fn sync(&self) -> Result<()> {
-        let mut inner = self.inner.lock();
-        if let Backing::File(f) = &mut inner.backing {
+        if let Backing::File(f) = &mut *self.backing.lock() {
             with_storage_retry("storage.disk.fsync", || {
                 f.flush()?;
                 f.sync_all()?;
@@ -469,11 +469,8 @@ mod tests {
         buf[50] = 1;
         dm.write_page(id, &mut buf).unwrap();
         // Corrupt the backing store directly.
-        {
-            let mut inner = dm.inner.lock();
-            if let Backing::Memory(m) = &mut inner.backing {
-                m[60] ^= 0xFF;
-            }
+        if let Backing::Memory(m) = &mut *dm.backing.lock() {
+            m[60] ^= 0xFF;
         }
         let mut back = vec![0u8; 128];
         let err = dm.read_page(id, &mut back).unwrap_err();

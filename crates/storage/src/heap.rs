@@ -17,18 +17,22 @@
 //! transparently, so the executor above sees a stream of full records.
 //!
 //! **Decoding.** This module does not know what a record holds. A reader
-//! (`get_with`, the scan) supplies a *decode function* over `&[u8]`; an
-//! inline record is handed to it in place, inside its page, and only what
-//! the function returns leaves the page. A spilled record has no single
-//! page to be read from: its chain is gathered first and the same function
-//! runs over the gathered bytes.
+//! (`get_with`, a scan's visitor) is a function over `&[u8]`; an inline
+//! record is handed to it in place, inside its page, and only what the
+//! function keeps leaves the page. A spilled record has no single page to
+//! be read from: its chain is gathered first ([`HeapFile::gather`]) and the
+//! same function runs over the gathered bytes.
+//!
+//! **Scanning.** [`PageScan::next_page`] is the one place that pins,
+//! latches and walks a slotted page for a scan; the catalog's row batches
+//! — every statement's scan — sit on it.
 //!
 //! **Latching.** Readers (`get_with`, the scan, overflow-chain reads) take
 //! a page's *shared* latch through [`PageHandle::read`](crate::buffer::PageHandle::read)
 //! and leave it clean; only `insert`, `update`, `delete` and page allocation
 //! take the exclusive latch, which is what marks a page dirty and unlogged. A decode
-//! function therefore runs under a shared latch and must not re-enter the
-//! heap file.
+//! function or visitor therefore runs under a shared latch and must not
+//! re-enter the heap file.
 
 use std::sync::Arc;
 
@@ -49,22 +53,31 @@ const KIND_SPILLED: u8 = 1;
 /// Size of a spilled-record stub: kind + total_len (u32) + first page (u32).
 const STUB_LEN: usize = 9;
 
-/// What leaves a slot under the page latch: the decoded inline record, or
-/// where a spilled record's overflow chain starts (read, then decoded,
-/// after the latch is released).
-enum Fetched<T> {
-    Inline(T),
-    Spilled { first: PageId, total: usize },
+/// Where the bytes of a spilled record are: what a page walk hands out in
+/// place of the record, redeemed with [`HeapFile::gather`] once the page's
+/// latch is released.
+#[derive(Debug, Clone, Copy)]
+pub struct Spill {
+    first: PageId,
+    total: usize,
 }
 
-impl<T> Fetched<T> {
-    fn from_framed(framed: &[u8], decode: impl FnOnce(&[u8]) -> Result<T>) -> Result<Fetched<T>> {
+/// A live record as a page walk meets it in its slot.
+pub enum Stored<'a> {
+    /// The record's bytes, in place in the page.
+    Inline(&'a [u8]),
+    Spilled(Spill),
+}
+
+impl<'a> Stored<'a> {
+    #[inline]
+    fn parse(framed: &'a [u8]) -> Result<Stored<'a>> {
         match framed.first() {
-            Some(&KIND_INLINE) => Ok(Fetched::Inline(decode(&framed[1..])?)),
-            Some(&KIND_SPILLED) if framed.len() == STUB_LEN => Ok(Fetched::Spilled {
+            Some(&KIND_INLINE) => Ok(Stored::Inline(&framed[1..])),
+            Some(&KIND_SPILLED) if framed.len() == STUB_LEN => Ok(Stored::Spilled(Spill {
                 total: u32::from_le_bytes(framed[1..5].try_into().expect("4")) as usize,
                 first: PageId(u32::from_le_bytes(framed[5..9].try_into().expect("4"))),
-            }),
+            })),
             Some(&KIND_SPILLED) => Err(JaguarError::Corruption("malformed spill stub".into())),
             _ => Err(JaguarError::Corruption("empty record frame".into())),
         }
@@ -342,9 +355,11 @@ impl HeapFile {
         Ok(next)
     }
 
-    fn read_overflow_chain(&self, first: PageId, total_len: usize) -> Result<Vec<u8>> {
+    /// Read a spilled record's bytes off its overflow chain.
+    pub fn gather(&self, spill: Spill) -> Result<Vec<u8>> {
+        let total_len = spill.total;
         let mut out = Vec::with_capacity(total_len);
-        let mut page = first;
+        let mut page = spill.first;
         while page.is_valid() {
             let handle = self.pool.fetch(page)?;
             let buf = handle.read();
@@ -366,35 +381,27 @@ impl HeapFile {
         Ok(out)
     }
 
-    fn resolve<T>(
-        &self,
-        fetched: Fetched<T>,
-        decode: impl FnOnce(&[u8]) -> Result<T>,
-    ) -> Result<T> {
-        match fetched {
-            Fetched::Inline(item) => Ok(item),
-            Fetched::Spilled { first, total } => decode(&self.read_overflow_chain(first, total)?),
-        }
-    }
-
     /// Fetch a record by id (resolving overflow chains) and return what
     /// `decode` makes of its bytes — `None` if no live record has that id:
     /// it was deleted, perhaps after an index told the caller about it.
     pub fn get_with<T>(
         &self,
         rid: RecordId,
-        mut decode: impl FnMut(&[u8]) -> Result<T>,
+        decode: impl FnOnce(&[u8]) -> Result<T>,
     ) -> Result<Option<T>> {
-        let fetched = {
+        let spill = {
             let handle = self.pool.fetch(rid.page)?;
             let buf = handle.read();
             let sp = SlottedRef::open(&buf)?;
             if !sp.is_live(rid.slot) {
                 return Ok(None);
             }
-            Fetched::from_framed(sp.get(rid.slot)?, &mut decode)?
+            match Stored::parse(sp.get(rid.slot)?)? {
+                Stored::Inline(record) => return decode(record).map(Some),
+                Stored::Spilled(spill) => spill,
+            }
         };
-        self.resolve(fetched, decode).map(Some)
+        decode(&self.gather(spill)?).map(Some)
     }
 
     /// Fetch a copy of a record by id; an error if it is not there.
@@ -445,23 +452,26 @@ impl HeapFile {
     /// Returns the record, or `None` if it was already gone — deleted by a
     /// concurrent statement after the caller's scan saw it.
     pub fn delete(&self, rid: RecordId) -> Result<Option<Vec<u8>>> {
-        let fetched = {
+        let (inline, spill) = {
             let handle = self.pool.fetch(rid.page)?;
             let mut buf = handle.write();
             let mut sp = SlottedPage::open(&mut buf)?;
             if !sp.is_live(rid.slot) {
                 return Ok(None);
             }
-            let fetched = Fetched::from_framed(sp.get(rid.slot)?, |r| Ok(r.to_vec()))?;
+            let found = match Stored::parse(sp.get(rid.slot)?)? {
+                Stored::Inline(record) => (Some(record.to_vec()), None),
+                Stored::Spilled(spill) => (None, Some(spill)),
+            };
             sp.delete(rid.slot)?;
-            fetched
+            found
         };
         self.note_hole(rid.page);
-        let mut page = match fetched {
-            Fetched::Spilled { first, .. } => first,
-            Fetched::Inline(_) => PageId::INVALID,
+        let Some(spill) = spill else {
+            return Ok(inline);
         };
-        let record = self.resolve(fetched, |r| Ok(r.to_vec()))?;
+        let record = self.gather(spill)?;
+        let mut page = spill.first;
         while page.is_valid() {
             let next = {
                 let handle = self.pool.fetch(page)?;
@@ -480,63 +490,73 @@ impl HeapFile {
         self.pool.disk().page_count()
     }
 
-    /// Iterate over a copy of every live record in file order.
-    pub fn scan(self: &Arc<Self>) -> impl Iterator<Item = Result<(RecordId, Vec<u8>)>> {
-        self.scan_range(1, u32::MAX, |record| Ok(record.to_vec()))
+    /// A copy of every live record, in file order: a convenience for
+    /// tests and tools — a statement scans through [`HeapFile::pages`].
+    pub fn scan(self: &Arc<Self>) -> Result<Vec<(RecordId, Vec<u8>)>> {
+        let (mut pages, mut found) = (self.pages(1, u32::MAX), Vec::new());
+        while pages.next_page(|rid, stored| {
+            found.push(match stored {
+                Stored::Inline(record) => (rid, Ok(record.to_vec())),
+                Stored::Spilled(spill) => (rid, Err(spill)),
+            });
+            Ok(())
+        })? {}
+        let copy = |(rid, record): (_, std::result::Result<_, Spill>)| {
+            Ok((rid, record.or_else(|spill| self.gather(spill))?))
+        };
+        found.into_iter().map(copy).collect()
     }
 
-    /// Iterate over what `decode` makes of each live record whose slotted
-    /// page lies in `[start, end)` — a morsel of the file, or all of it.
-    /// `start` is floored at page 1 (page 0 is the file header); `end` is
-    /// additionally bounded by the file's live page count at each step, so
-    /// `u32::MAX` means "to the end of the file". Disjoint ranges partition
-    /// the scan: every record is seen by exactly one range.
-    pub fn scan_range<T, F>(self: &Arc<Self>, start: u32, end: u32, decode: F) -> HeapScan<T, F>
-    where
-        F: FnMut(&[u8]) -> Result<T>,
-    {
-        HeapScan {
+    /// Walk the slotted pages in `[start, end)` — a morsel of the file, or
+    /// all of it — one [`PageScan::next_page`] at a time. `start` is floored
+    /// at page 1 (page 0 is the file header); `end` is additionally bounded
+    /// by the file's live page count at each step, so `u32::MAX` means "to
+    /// the end of the file". Disjoint ranges partition the scan: every
+    /// record is seen by exactly one range.
+    pub fn pages(self: &Arc<Self>, start: u32, end: u32) -> PageScan {
+        PageScan {
             heap: Arc::clone(self),
-            page: PageId(start.max(1)), // page 0 is the file header
+            page: PageId(start.max(1)),
             end,
-            decode,
-            buffered: Vec::new().into_iter(),
-            done: false,
         }
     }
 }
 
-/// Forward iterator over the records of a [`HeapFile`], each as decoded by
-/// the function the scan was built with.
+/// A cursor over the slotted pages of a range of a [`HeapFile`].
 ///
-/// The scan works a page at a time: it pins and share-latches a page once,
-/// runs the decode function over every live inline record where it lies,
-/// releases the page, and only then yields the decoded items (a spilled
-/// record is gathered from its chain and decoded as it is yielded). No
-/// record is copied out whole, and no latch or pin is held across `next()`,
-/// so whatever runs between two calls — a predicate, a UDF callback — may
-/// re-enter the engine. The records of one page are therefore a
-/// *page-consistent snapshot*: a record deleted after its page was buffered
-/// is still yielded, one inserted onto that page afterwards is not, and a
-/// spilled record deleted in between fails to resolve. A record the decode
-/// function rejects fails its whole page, and that error ends the scan.
-pub struct HeapScan<T, F> {
+/// The scan works a page at a time: [`PageScan::next_page`] pins and
+/// share-latches a page once, shows the visitor every live record where it
+/// lies, and releases the page before it returns. No record is copied out
+/// whole, and no latch or pin is held between two calls, so whatever runs
+/// there — a predicate, a UDF callback — may re-enter the engine. What the
+/// visitor kept of one page is therefore a *page-consistent snapshot*: a
+/// record deleted after its page was walked is still among it, one inserted
+/// onto that page afterwards is not, and a spilled record deleted in
+/// between fails to [`gather`](HeapFile::gather).
+pub struct PageScan {
     heap: Arc<HeapFile>,
-    /// Next page to buffer.
+    /// Next page to walk.
     page: PageId,
     /// First page (exclusive bound) the scan will not visit.
     end: u32,
-    decode: F,
-    /// Items of the page buffered last that are still to be yielded.
-    buffered: std::vec::IntoIter<(RecordId, Fetched<T>)>,
-    done: bool,
 }
 
-impl<T, F: FnMut(&[u8]) -> Result<T>> HeapScan<T, F> {
-    /// Buffer the live records of the next page; `false` at the end.
-    fn buffer_next_page(&mut self) -> Result<bool> {
+impl PageScan {
+    pub fn heap(&self) -> &HeapFile {
+        &self.heap
+    }
+
+    /// Show `visit` the live records of the next page in slot order, under
+    /// the page's shared latch (so it must not re-enter the heap file);
+    /// `false` when the range holds no further page. A page that is not a
+    /// record page has nothing to show. An error — the visitor's included —
+    /// ends the walk of the page where it stands.
+    pub fn next_page(
+        &mut self,
+        mut visit: impl FnMut(RecordId, Stored<'_>) -> Result<()>,
+    ) -> Result<bool> {
         let page = self.page;
-        if page.0 >= self.end || page.0 >= self.heap.pool.disk().page_count() {
+        if page.0 >= self.end || page.0 >= self.heap.file_pages() {
             return Ok(false);
         }
         self.page = PageId(page.0 + 1);
@@ -544,42 +564,13 @@ impl<T, F: FnMut(&[u8]) -> Result<T>> HeapScan<T, F> {
         let buf = handle.read();
         // Skip anything that is not a record page — including page types
         // this module does not know about (index pages share the file).
-        if buf[4] != PageType::Slotted as u8 {
-            return Ok(true);
+        if buf[4] == PageType::Slotted as u8 {
+            let sp = SlottedRef::open(&buf)?;
+            for slot in (0..sp.slot_count()).filter(|&s| sp.is_live(s)) {
+                visit(RecordId::new(page, slot), Stored::parse(sp.get(slot)?)?)?;
+            }
         }
-        let sp = SlottedRef::open(&buf)?;
-        let mut items = Vec::with_capacity(sp.slot_count() as usize);
-        for slot in (0..sp.slot_count()).filter(|&s| sp.is_live(s)) {
-            let fetched = Fetched::from_framed(sp.get(slot)?, &mut self.decode)?;
-            items.push((RecordId::new(page, slot), fetched));
-        }
-        self.buffered = items.into_iter();
         Ok(true)
-    }
-
-    fn next_record(&mut self) -> Result<Option<(RecordId, T)>> {
-        while !self.done {
-            if let Some((rid, fetched)) = self.buffered.next() {
-                return Ok(Some((rid, self.heap.resolve(fetched, &mut self.decode)?)));
-            }
-            self.done = !self.buffer_next_page()?;
-        }
-        Ok(None)
-    }
-}
-
-impl<T, F: FnMut(&[u8]) -> Result<T>> Iterator for HeapScan<T, F> {
-    type Item = Result<(RecordId, T)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self.next_record() {
-            Ok(Some(item)) => Some(Ok(item)),
-            Ok(None) => None,
-            Err(e) => {
-                self.done = true;
-                Some(Err(e))
-            }
-        }
     }
 }
 
@@ -641,7 +632,7 @@ mod tests {
         for i in 0..100u32 {
             rids.push(h.insert(format!("record-{i}").as_bytes()).unwrap());
         }
-        let scanned: Vec<_> = h.scan().collect::<Result<Vec<_>>>().unwrap();
+        let scanned = h.scan().unwrap();
         assert_eq!(scanned.len(), 100);
         // Every inserted rid appears exactly once.
         let mut seen: Vec<_> = scanned.iter().map(|(rid, _)| *rid).collect();
@@ -657,22 +648,59 @@ mod tests {
         for i in 0..200u32 {
             h.insert(format!("rec-{i}").as_bytes()).unwrap();
         }
-        let full: Vec<_> = h.scan().collect::<Result<Vec<_>>>().unwrap();
+        let full = h.scan().unwrap();
         let pages = h.file_pages();
         // Split [1, pages) into 3-page morsels and re-assemble in order.
         let mut pieced = Vec::new();
         let mut start = 1;
         while start < pages {
             let end = (start + 3).min(pages);
-            pieced.extend(
-                h.scan_range(start, end, |r| Ok(r.to_vec()))
-                    .collect::<Result<Vec<_>>>()
-                    .unwrap(),
-            );
+            let mut morsel = h.pages(start, end);
+            while morsel
+                .next_page(|rid, stored| {
+                    let Stored::Inline(record) = stored else {
+                        panic!("nothing spills here");
+                    };
+                    pieced.push((rid, record.to_vec()));
+                    Ok(())
+                })
+                .unwrap()
+            {}
             start = end;
         }
         assert_eq!(pieced, full, "disjoint ranges partition the scan");
-        assert!(h.scan_range(pages, u32::MAX, |_| Ok(())).next().is_none());
+        assert!(!h.pages(pages, u32::MAX).next_page(|_, _| Ok(())).unwrap());
+    }
+
+    /// The file's length is read without the disk mutex: a scan racing
+    /// appends sees the old length or the new one, never a page that
+    /// cannot be read yet.
+    #[test]
+    fn a_scan_concurrent_with_page_allocation_never_walks_past_the_end() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+        const RECORDS: usize = 400;
+        let h = heap(512, 64);
+        let (start, written) = (Barrier::new(2), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for i in 0..RECORDS {
+                    h.insert(format!("record-{i:0>100}").as_bytes()).unwrap();
+                }
+                written.store(true, Ordering::SeqCst);
+            });
+            start.wait();
+            let (mut seen, mut pages) = (0, 0);
+            while seen < RECORDS {
+                let done = written.load(Ordering::SeqCst);
+                let now = h.scan().expect("a counted page can be read").len();
+                assert!(now >= seen && now <= RECORDS, "{seen} then {now}");
+                assert!(h.file_pages() >= pages, "the count only grows");
+                (seen, pages) = (now, h.file_pages());
+                assert!(!done || now == RECORDS, "{now} after the last insert");
+            }
+        });
     }
 
     #[test]
@@ -682,58 +710,57 @@ mod tests {
         let big = vec![3u8; 2000];
         h.insert(&big).unwrap();
         h.insert(b"small2").unwrap();
-        let recs: Vec<_> = h.scan().map(|r| r.unwrap().1).collect();
+        let recs: Vec<_> = h.scan().unwrap().into_iter().map(|r| r.1).collect();
         // Slot order, with the spilled record resolved in its place.
         assert_eq!(recs, vec![b"small".to_vec(), big, b"small2".to_vec()]);
     }
 
+    /// What a visitor kept of a page is a snapshot of it: the page is
+    /// unlatched once `next_page` returns, and may change under the copy.
     #[test]
-    fn scan_yields_a_page_consistent_snapshot() {
+    fn a_walked_page_is_a_snapshot_the_file_may_move_on_from() {
         let h = heap(512, 16);
         let a = h.insert(b"a").unwrap();
         let b = h.insert(b"b").unwrap();
         let c = h.insert(b"c").unwrap();
         assert!(a.page == b.page && b.page == c.page, "one page");
-        let mut scan = h.scan();
-        assert_eq!(scan.next().unwrap().unwrap(), (a, b"a".to_vec()));
-        // The page is buffered and unlatched: the scan's consumer may
-        // mutate it. What it deletes or adds now, this scan does not see.
+        let (mut pages, mut kept) = (h.pages(1, u32::MAX), Vec::new());
+        let more = pages.next_page(|rid, _| {
+            kept.push(rid);
+            Ok(())
+        });
+        assert!(more.unwrap());
+        // No latch or pin is left behind: the walk's consumer may mutate
+        // the page it was shown.
         h.delete(c).unwrap();
         let d = h.insert(b"d").unwrap();
         assert_eq!(d.page, a.page);
-        let rest: Vec<_> = scan.map(|r| r.unwrap().0).collect();
-        assert_eq!(rest, vec![b, c]);
-        let fresh: Vec<_> = h.scan().map(|r| r.unwrap().1).collect();
+        assert_eq!(kept, vec![a, b, c]);
+        let fresh: Vec<_> = h.scan().unwrap().into_iter().map(|r| r.1).collect();
         assert_eq!(fresh, vec![b"a".to_vec(), b"b".to_vec(), b"d".to_vec()]);
     }
 
-    /// The decode function sees each record once, in place (inline) or
-    /// gathered (spilled); a record it rejects is the scan's error and its
-    /// end.
+    /// The visitor sees each live record once, in place (inline) or as the
+    /// chain to gather it from (spilled); its error ends the walk of the
+    /// page where it stands.
     #[test]
-    fn scan_decodes_each_record_once_and_a_rejected_one_ends_it() {
+    fn a_page_walk_shows_each_record_once_and_stops_at_an_error() {
         let h = heap(512, 64);
         let big = vec![3u8; 2000];
-        for rec in [&b"one"[..], b"two", &big] {
+        for rec in [&b"one"[..], b"two", &big, b"bad", b"never reached"] {
             h.insert(rec).unwrap();
         }
-        let mut calls = 0;
-        let lens = |calls: &mut u32| -> Vec<std::result::Result<usize, String>> {
-            h.scan_range(1, u32::MAX, |r| {
-                *calls += 1;
-                if r == b"bad" {
-                    return Err(JaguarError::Corruption("rejected".into()));
-                }
-                Ok(r.len())
-            })
-            .map(|item| item.map(|(_, len)| len).map_err(|e| e.to_string()))
-            .collect()
-        };
-        assert_eq!(lens(&mut calls), vec![Ok(3), Ok(3), Ok(2000)]);
-        assert_eq!(calls, 3, "one decode per record");
-        h.insert(b"bad").unwrap();
-        h.insert(b"never reached").unwrap();
-        assert_eq!(lens(&mut calls), vec![Err("corruption: rejected".into())]);
+        let mut seen = Vec::new();
+        let walked = h.pages(1, 2).next_page(|_, stored| {
+            seen.push(match stored {
+                Stored::Inline(b"bad") => return Err(JaguarError::Corruption("rejected".into())),
+                Stored::Inline(record) => record.len(),
+                Stored::Spilled(spill) => h.gather(spill)?.len(),
+            });
+            Ok(())
+        });
+        assert_eq!(walked.unwrap_err().to_string(), "corruption: rejected");
+        assert_eq!(seen, [3, 3, 2000]);
         // `get_with` decodes the same way, by record id.
         let rid = h.insert(b"by id").unwrap();
         assert_eq!(h.get_with(rid, |r| Ok(r.len())).unwrap(), Some(5));
@@ -769,8 +796,7 @@ mod tests {
             let before = h.pool().stats();
 
             for _ in 0..3 {
-                let scanned = h.scan().collect::<Result<Vec<_>>>().unwrap();
-                assert_eq!(scanned.len(), rids.len());
+                assert_eq!(h.scan().unwrap().len(), rids.len());
                 for rid in &rids {
                     h.get(*rid).unwrap();
                 }
@@ -791,7 +817,7 @@ mod tests {
         assert_eq!(h.delete(b).unwrap(), None, "already gone: not an error");
         assert!(h.get(b).is_err());
         assert_eq!(h.get(a).unwrap(), b"keep");
-        let recs: Vec<_> = h.scan().map(|r| r.unwrap().1).collect();
+        let recs: Vec<_> = h.scan().unwrap().into_iter().map(|r| r.1).collect();
         assert_eq!(recs, vec![b"keep".to_vec()]);
     }
 
@@ -826,7 +852,7 @@ mod tests {
         }
         assert_eq!(h.file_pages(), pages, "insert N, delete N, insert N");
         assert!(h.hole_reuses.get() > reuses);
-        assert_eq!(h.scan().count(), 600);
+        assert_eq!(h.scan().unwrap().len(), 600);
     }
 
     #[test]
@@ -852,7 +878,7 @@ mod tests {
         }
         assert_eq!(h.get(other).unwrap(), [9u8; 300]);
         assert_eq!(h.file_pages(), pages);
-        assert_eq!(h.scan().count(), 2);
+        assert_eq!(h.scan().unwrap().len(), 2);
         // No room on the page, a spilled new version, a spilled old one:
         // nothing is written and the caller moves the record itself.
         for big in [vec![1u8; 400], vec![1u8; 2000]] {

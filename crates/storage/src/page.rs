@@ -214,6 +214,7 @@ pub fn verify_checksum(buf: &[u8]) -> Result<()> {
     Ok(())
 }
 
+#[inline]
 fn get_u16(buf: &[u8], off: usize) -> u16 {
     u16::from_le_bytes(buf[off..off + 2].try_into().expect("2 bytes"))
 }
@@ -254,6 +255,7 @@ impl<'a> SlottedRef<'a> {
         Ok(p)
     }
 
+    #[inline]
     pub fn slot_count(&self) -> u16 {
         get_u16(self.buf, 6)
     }
@@ -262,12 +264,14 @@ impl<'a> SlottedRef<'a> {
         get_u16(self.buf, 8)
     }
 
+    #[inline]
     fn slot_entry(&self, slot: u16) -> (u16, u16) {
         let off = COMMON_HEADER + slot as usize * SLOT_SIZE;
         (get_u16(self.buf, off), get_u16(self.buf, off + 2))
     }
 
     /// Read a record by slot number.
+    #[inline]
     pub fn get(&self, slot: u16) -> Result<&'a [u8]> {
         if slot >= self.slot_count() {
             return Err(JaguarError::Storage(format!("slot {slot} out of range")));
@@ -286,6 +290,7 @@ impl<'a> SlottedRef<'a> {
     }
 
     /// True if the slot exists and is live.
+    #[inline]
     pub fn is_live(&self, slot: u16) -> bool {
         slot < self.slot_count() && self.slot_entry(slot).0 != TOMBSTONE
     }

@@ -133,11 +133,11 @@ fn shapes() -> Vec<Shape> {
             "SeqScan t [id, blob]",
         ),
         shape(
-            "column only in WHERE",
+            "column only in a conjunct the scan judges",
             "SELECT id FROM t",
             Some("score > 10.0"),
             "",
-            "SeqScan t [id, score]",
+            "SeqScan t [id]",
         ),
         shape(
             "columns only as aggregate arguments",
@@ -179,14 +179,14 @@ fn shapes() -> Vec<Shape> {
             "SELECT k, COUNT(*) AS n, SUM(score) AS s FROM t",
             Some("id >= 10"),
             "GROUP BY k HAVING n > 2 ORDER BY n DESC, k",
-            "SeqScan t [id, k, score]",
+            "SeqScan t [k, score]",
         ),
         shape(
             "index range",
             "SELECT id, name FROM t",
             Some("k >= 10 AND k < 20"),
             "",
-            "IndexScan t [id, k, name] via t_k [10, 20)",
+            "IndexScan t [id, name] via t_k [10, 20)",
         ),
         Shape {
             session: Some(tenant()),

@@ -230,14 +230,16 @@ fn explain_names_the_row_source_of_a_dml_statement() {
         plan(&indexed, "UPDATE t SET k = 7 WHERE id = 4"),
         [
             "Update t [in place] ← IndexScan t [*] via t_id [4, 5)",
-            "  Filter[0] (id = 4)"
+            "  Filter[0] [at scan] (id = 4)",
+            "-- plan notes: scan judges 1 conjunct(s) on record bytes"
         ]
     );
     assert_eq!(
         plan(&plain, "UPDATE t SET name = 'x' WHERE id = 4"),
         [
             "Update t [in place if it fits] ← SeqScan t [*] (30 rows)",
-            "  Filter[0] (id = 4)"
+            "  Filter[0] [at scan] (id = 4)",
+            "-- plan notes: scan judges 1 conjunct(s) on record bytes"
         ]
     );
     assert_eq!(
@@ -246,20 +248,22 @@ fn explain_names_the_row_source_of_a_dml_statement() {
             "DELETE FROM t WHERE 10 <= id AND id < 12 AND name = 'n1'"
         ),
         [
-            "Delete t ← IndexScan t [id, name] via t_id [10, 12)",
-            "  Filter[0] (10 <= id)",
-            "  Filter[1] (id < 12)",
+            "Delete t ← IndexScan t [name] via t_id [10, 12)",
+            "  Filter[0] [at scan] (10 <= id)",
+            "  Filter[1] [at scan] (id < 12)",
             "  Filter[2] (name = 'n1')",
-            "-- plan notes: scan decodes 2 of 4 columns"
+            "-- plan notes: scan decodes 1 of 4 columns; \
+             scan judges 2 conjunct(s) on record bytes"
         ]
     );
     assert_eq!(
         plan(&plain, "DELETE FROM t WHERE id > 5 AND id < 3"),
         [
-            "Delete t ← SeqScan t [id] (30 rows)",
-            "  Filter[0] (id > 5)",
-            "  Filter[1] (id < 3)",
-            "-- plan notes: scan decodes 1 of 4 columns"
+            "Delete t ← SeqScan t [] (30 rows)",
+            "  Filter[0] [at scan] (id > 5)",
+            "  Filter[1] [at scan] (id < 3)",
+            "-- plan notes: scan decodes 0 of 4 columns; \
+             scan judges 2 conjunct(s) on record bytes"
         ]
     );
     assert_eq!(
@@ -269,7 +273,7 @@ fn explain_names_the_row_source_of_a_dml_statement() {
     // The string API renders the same plan, and ANALYZE stays SELECT-only.
     let txt = indexed.explain("DELETE FROM t WHERE id = 1").unwrap();
     assert!(
-        txt.starts_with("Delete t ← IndexScan t [id] via t_id [1, 2)"),
+        txt.starts_with("Delete t ← IndexScan t [] via t_id [1, 2)"),
         "{txt}"
     );
     let err = indexed

@@ -246,6 +246,77 @@ fn explain_and_explain_analyze_run_under_the_label() {
     );
 }
 
+/// The scan judges a leading run of conjuncts, and the row label is the
+/// first conjunct: a label over a string column is judged above the scan,
+/// so nothing the user wrote is judged before it; a label over an INT
+/// column is judged at the scan itself and the run goes on behind it.
+#[test]
+fn a_label_residual_bounds_what_the_scan_judges() {
+    let db = tenant_db(Config::default());
+    let sql = "SELECT id FROM accts WHERE id < 10 AND balance >= 20";
+    let plan = db.explain_as(sql, Some(&alice())).unwrap();
+    for line in [
+        "  Filter[0] [labeled] (tenant = 'tech')",
+        "  Filter[1] (id < 10)",
+        "  Filter[2] (balance >= 20)",
+        "  SeqScan accts [id, tenant, balance] (40 rows)",
+    ] {
+        assert!(plan.contains(line), "{line}:\n{plan}");
+    }
+    assert!(!plan.contains("[at scan]"), "{plan}");
+    // The same statement without a label is judged at the scan.
+    let plan = db.explain(sql).unwrap();
+    assert!(
+        plan.contains("Filter[1] [at scan] (balance >= 20)"),
+        "{plan}"
+    );
+    let by = |session: Option<SessionContext>| ids(&db.execute_as(sql, session.as_ref()).unwrap());
+    assert_eq!(by(Some(alice())), [2, 4, 6, 8]);
+    assert_eq!(by(Some(bob())), [3, 5, 7, 9]);
+    assert_eq!(by(None), (2..10).collect::<Vec<_>>());
+
+    db.execute("CREATE TABLE ledger (id INT, org INT, amount INT)")
+        .unwrap();
+    for i in 0..40i64 {
+        db.execute(&format!(
+            "INSERT INTO ledger VALUES ({i}, {}, {})",
+            i % 4,
+            i * 10
+        ))
+        .unwrap();
+    }
+    db.set_table_label("ledger", Some("org = session.org"))
+        .unwrap();
+    let org = |n: &str| SessionContext::new("carol").with_attr("org", n);
+    let seen: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
+    let seen2 = Arc::clone(&seen);
+    let sig = UdfSignature::new(vec![DataType::Int], DataType::Bool);
+    db.register_native_udf_with_volatility("spy", sig, Volatility::Stable, move |args, _| {
+        seen2.lock().unwrap().push(args[0].as_int()?);
+        Ok(Value::Bool(true))
+    });
+    let sql = "SELECT id FROM ledger WHERE spy(org) = TRUE AND amount >= 100";
+    let plan = db.explain_as(sql, Some(&org("3"))).unwrap();
+    for line in [
+        "  Filter[0] [labeled] [at scan] (org = 3)",
+        "  Filter[1] [at scan] (amount >= 100)",
+        "  Filter[2] (spy[C++](org) = true)",
+        "scan judges 2 conjunct(s) on record bytes",
+    ] {
+        assert!(plan.contains(line), "{line}:\n{plan}");
+    }
+    let r = db.execute_as(sql, Some(&org("3"))).unwrap();
+    assert_eq!(ids(&r), [11, 15, 19, 23, 27, 31, 35, 39]);
+    assert_eq!(r.stats.rows_scanned, 40);
+    assert!(seen.lock().unwrap().iter().all(|o| *o == 3), "{seen:?}");
+    // DML is bound by the same label, judged at the same place.
+    let gone = db
+        .execute_as("DELETE FROM ledger WHERE amount < 100", Some(&org("3")))
+        .unwrap();
+    assert_eq!(gone.affected, 2);
+    assert_eq!(db.execute("SELECT id FROM ledger").unwrap().rows.len(), 38);
+}
+
 /// UDF argument flow: a recording UDF run under a tenant session — at
 /// dop=4 with batching enabled — must never observe a foreign tenant's
 /// values, because the label filter is injected *before* every user

@@ -39,30 +39,36 @@ fn explain_analyze_row_counts_match_cardinality() {
     let text = lines.join("\n");
 
     // The output is the static plan followed by the observed profile
-    // (the lines carrying `rows=`). The scan sees every row; the filter
-    // (and everything above it) produces exactly the query's cardinality.
+    // (the lines carrying `rows=`). The scan visits every row and judges
+    // the one conjunct itself, so it — and everything above it — produces
+    // exactly the query's cardinality, and no Filter operator is left.
     let profiled = |op: &str| -> &String {
         lines
             .iter()
             .find(|l| l.contains(op) && l.contains("rows="))
             .unwrap_or_else(|| panic!("no profiled {op} in:\n{text}"))
     };
-    assert!(profiled("SeqScan t [id]").contains("rows=10"), "{text}");
-    // The static plan names the decoded columns too, and says how many.
-    assert!(text.contains("SeqScan t [id] (10 rows)"), "{text}");
+    let scan = profiled("SeqScan t [id]");
     assert!(
-        text.contains("-- plan notes: scan decodes 1 of 2 columns"),
+        scan.contains(&format!("  scanned=10 rows={expected} time=")),
         "{text}"
     );
+    assert!(!lines.iter().any(|l| l.contains("Filter (")), "{text}");
+    // The static plan names the decoded columns too, says how many, and
+    // tags the conjunct the scan judges.
+    assert!(text.contains("Filter[0] [at scan] (id >= 4)"), "{text}");
+    assert!(text.contains("SeqScan t [id] (10 rows)"), "{text}");
     assert!(
-        profiled("Filter").contains(&format!("rows={expected}")),
+        text.contains(
+            "-- plan notes: scan decodes 1 of 2 columns; \
+             scan judges 1 conjunct(s) on record bytes"
+        ),
         "{text}"
     );
     assert!(
         profiled("Project").contains(&format!("rows={expected}")),
         "{text}"
     );
-
     // Every profiled line carries timings; the summary line agrees.
     assert!(text.contains("time="), "{text}");
     assert!(text.contains("self="), "{text}");
@@ -70,6 +76,21 @@ fn explain_analyze_row_counts_match_cardinality() {
         text.contains(&format!("Total: {expected} row(s)")),
         "{text}"
     );
+
+    // A conjunct the scan cannot judge keeps its Filter operator, which
+    // counts the residual conjuncts only.
+    let residual = "SELECT id FROM t WHERE id >= 4 AND id + 0 < 8";
+    let text = db.explain_analyze(residual).unwrap();
+    let line = |op: &str| {
+        (text.lines())
+            .find(|l| l.contains(op) && l.contains("rows="))
+            .unwrap_or_else(|| panic!("no profiled {op} in:\n{text}"))
+    };
+    assert!(
+        line("SeqScan t [id]").contains("scanned=10 rows=6"),
+        "{text}"
+    );
+    assert!(line("Filter (1 predicate(s))").contains("rows=4"), "{text}");
 }
 
 #[test]

@@ -364,8 +364,9 @@ fn explain_statement_carries_plan_notes() {
         "EXPLAIN must carry the notes trailer: {joined}"
     );
     assert!(joined.contains("inline noted"), "{joined}");
-    // UDF-free plans that read every column stay trailer-free (dop=1 so
-    // no parallel note either); reading fewer is the one thing noted.
+    // UDF-free plans that read every column and leave the scan nothing to
+    // judge stay trailer-free (dop=1 so no parallel note either); reading
+    // fewer columns and judging conjuncts at the scan are what is noted.
     let db = db_with_rows(Config::default().with_dop(1), 20);
     let plain = |sql: &str| -> Vec<String> {
         let r = db.execute(sql).unwrap();
@@ -374,20 +375,30 @@ fn explain_statement_carries_plan_notes() {
             .collect()
     };
     assert_eq!(
-        plain("EXPLAIN SELECT a, b FROM t WHERE a < 3"),
+        plain("EXPLAIN SELECT a, b FROM t WHERE a + 0 < 3"),
         [
             "Project 2 column(s)",
-            "  Filter[0] (a < 3)",
+            "  Filter[0] ((a + 0) < 3)",
             "  SeqScan t [*] (20 rows)"
         ]
     );
     assert_eq!(
-        plain("EXPLAIN SELECT a FROM t WHERE a < 3"),
+        plain("EXPLAIN SELECT a FROM t WHERE a + 0 < 3"),
         [
             "Project 1 column(s)",
-            "  Filter[0] (a < 3)",
+            "  Filter[0] ((a + 0) < 3)",
             "  SeqScan t [a] (20 rows)",
             "-- plan notes: scan decodes 1 of 2 columns"
+        ]
+    );
+    assert_eq!(
+        plain("EXPLAIN SELECT a FROM t WHERE a < 3 AND b + 0 > 1"),
+        [
+            "Project 1 column(s)",
+            "  Filter[0] [at scan] (a < 3)",
+            "  Filter[1] ((b + 0) > 1)",
+            "  SeqScan t [*] (20 rows)",
+            "-- plan notes: scan judges 1 conjunct(s) on record bytes"
         ]
     );
 }

@@ -120,10 +120,7 @@ proptest! {
             }
         }
         // Full scan returns exactly the live records.
-        let mut scanned: Vec<_> = heap
-            .scan()
-            .collect::<jaguar_common::Result<Vec<_>>>()
-            .unwrap();
+        let mut scanned = heap.scan().unwrap();
         scanned.sort_by_key(|(rid, _)| *rid);
         let mut expected = live.clone();
         expected.sort_by_key(|(rid, _)| *rid);

@@ -364,3 +364,55 @@ fn embedded_token_cancels_select_promptly() {
         "cancellation must stop the scan early (saw {n} of 200 calls)"
     );
 }
+
+/// A scan that rejects every row on the record's bytes hands nothing to
+/// the operators above it, so the scan itself must poll the statement's
+/// token: a cancelled statement stops at its next page, one past its
+/// deadline within the 64 polls a deadline check is spread over — serial,
+/// parallel and DML alike, having read a sliver of the table.
+#[test]
+fn a_scan_that_rejects_every_row_still_notices_cancel_and_deadline() {
+    use jaguar_core::{CancelToken, Tuple};
+    for dop in [1, 2] {
+        let db = Database::with_config(Config::default().with_dop(dop));
+        db.execute("CREATE TABLE big (id INT, v INT)").unwrap();
+        let big = db.catalog().table("big").unwrap();
+        for id in 0..90_000 {
+            let row = vec![Value::Int(id), Value::Int(id % 1000)];
+            big.insert(Tuple::new(row)).unwrap();
+        }
+        let pages = u64::from(big.heap_pages());
+        assert!(pages > 250, "{pages} pages");
+        let fetched = || {
+            let s = big.pool_stats();
+            s.hits + s.misses
+        };
+        for sql in [
+            "SELECT COUNT(*) FROM big WHERE v < 0",
+            "SELECT id FROM big WHERE v < 0 AND id + 0 > 5",
+            "DELETE FROM big WHERE v < 0",
+            "UPDATE big SET v = 1 WHERE v < 0",
+        ] {
+            let plan = db.explain(sql).unwrap();
+            assert!(plan.contains("[at scan] (v < 0)"), "{plan}");
+            let cancelled = CancelToken::unbounded();
+            cancelled.cancel();
+            let before = fetched();
+            let err = db.execute_cancellable(sql, &cancelled).unwrap_err();
+            assert!(matches!(err, JaguarError::Cancelled(_)), "{sql}: {err}");
+            let read = fetched() - before;
+            assert!(read <= 4, "{sql} (dop {dop}): cancelled after {read} pages");
+
+            let expired = CancelToken::with_deadline(Duration::ZERO);
+            let before = fetched();
+            let err = db.execute_cancellable(sql, &expired).unwrap_err();
+            assert!(matches!(err, JaguarError::Timeout(_)), "{sql}: {err}");
+            let read = fetched() - before;
+            assert!(
+                read <= 64 * dop as u64 + 8,
+                "{sql} (dop {dop}): timed out after {read} of {pages} pages"
+            );
+        }
+        assert_eq!(big.row_count(), 90_000);
+    }
+}
