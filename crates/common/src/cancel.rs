@@ -7,7 +7,7 @@
 //! connection teardown) with an optional absolute deadline
 //! (`Config::statement_timeout_ms`). Cancellation is *cooperative*: each
 //! layer polls [`CancelToken::check`] at its own natural cadence — every
-//! N tuples in a Volcano operator, every K instructions in the VM, before
+//! N rows in the executor, every K instructions in the VM, before
 //! every pooled worker invoke — so a wedged UDF is abandoned at the next
 //! checkpoint rather than preempted.
 //!

@@ -72,7 +72,7 @@ pub struct Config {
     /// more threads than there are warm workers.
     pub dop: usize,
     /// Statement deadline in milliseconds: a query still running past
-    /// this budget is cooperatively aborted (Volcano operators, the VM
+    /// this budget is cooperatively aborted (the executor, the VM
     /// interpreter, and pooled worker invokes all check). `None` (the
     /// default) disables the deadline.
     pub statement_timeout_ms: Option<u64>,

@@ -24,7 +24,7 @@ use jaguar_sec::SessionContext;
 use parking_lot::RwLock;
 
 use crate::ast::Statement;
-use crate::exec::{eval, matches_all, ExecCtx, ExecStats, Executor, OpProfile, RowSource};
+use crate::exec::{eval, fragment, ExecCtx, ExecStats, Profile, RowSource, Sink, Stage};
 use crate::parser::parse;
 use crate::plan::{bind_dml, bind_select, explain, AccessPath, BoundDml, BoundSelect};
 
@@ -197,7 +197,7 @@ impl Engine {
 
     /// Execute one SQL statement under a caller-supplied lifecycle token.
     /// Cancellation (another thread calling `token.cancel()`) or deadline
-    /// expiry aborts the statement cooperatively: operators notice within
+    /// expiry aborts the statement cooperatively: the executor notices within
     /// a few tuples, sandboxed UDFs within a few thousand instructions,
     /// and pooled workers at the next supervisor deadline. Partial DML
     /// effects are sealed through the WAL exactly like any other failed
@@ -372,30 +372,13 @@ impl Engine {
             Statement::Select(stmt) => {
                 let mut plan = bind_select(&stmt, &self.catalog, session)?;
                 crate::optimize::optimize_select(&mut plan, &self.opt);
-                if let Ok(dec) = crate::parallel::plan_parallel(self, &plan) {
-                    let (rows, stats, _reports) =
-                        crate::parallel::parallel_select(self, &plan, token, &dec)?;
-                    return Ok(QueryResult {
-                        schema: Arc::clone(&plan.output_schema),
-                        rows,
-                        affected: 0,
-                        stats,
-                    });
-                }
-                let mut handler = EngineCallbacks { engine: self };
-                let pool = self.worker_pool();
-                let mut ctx = ExecCtx::for_plan(&plan, &mut handler, pool.as_ref())?;
-                ctx.attach_cancel(token);
-                ctx.set_udf_batch_size(self.catalog.config().udf_batch_size);
-                crate::optimize::install_opt(&plan, self, &mut ctx);
-                let mut exec = Executor::build(&plan)?;
-                let rows = exec.collect(&mut ctx)?;
-                let stats = ctx.finish()?;
+                let par = crate::parallel::plan_parallel(self, &plan).ok();
+                let done = crate::parallel::select(self, &plan, token, par.as_ref(), false)?;
                 Ok(QueryResult {
                     schema: Arc::clone(&plan.output_schema),
-                    rows,
+                    rows: done.rows,
                     affected: 0,
-                    stats,
+                    stats: done.stats,
                 })
             }
             Statement::Explain { analyze, stmt } => {
@@ -431,8 +414,9 @@ impl Engine {
     }
 
     /// Execute a DELETE or an UPDATE. The statement finds its rows the way
-    /// a SELECT with the same WHERE clause would — one [`RowSource`], every
-    /// predicate re-checked on every row it produces — and collects its
+    /// a SELECT with the same WHERE clause would — one [`RowSource`] and
+    /// the same [`fragment`], every predicate re-checked on every row the
+    /// source produces — and collects its
     /// victims (for UPDATE, with their replacement rows) before the first
     /// mutation, so it never meets its own writes: not on a heap page, and
     /// not through an index whose key it assigns. A victim a concurrent
@@ -462,25 +446,14 @@ impl Engine {
             1..u32::MAX,
             &dml.pushed,
         )?;
-        let mut victims = Vec::new();
-        rows.for_each(&mut ctx, |rid, tuple, ctx| {
-            if !matches_all(&dml.predicates, tuple, ctx)? {
-                return Ok(());
-            }
-            // UPDATE reads whole rows (`scan_cols` is all): the new row is
-            // the old one with the assigned positions replaced.
-            let new = if dml.assignments.is_empty() {
-                None
-            } else {
-                let mut values = tuple.values().to_vec();
-                for (idx, expr) in &dml.assignments {
-                    values[*idx] = eval(expr, tuple, ctx)?;
-                }
-                Some(Tuple::new(values))
-            };
-            victims.push((rid, new));
-            Ok(())
-        })?;
+        let mut sink = Sink::Victims {
+            assignments: &dml.assignments,
+            rids: Vec::new(),
+        };
+        fragment(&mut rows, &dml.predicates, &mut sink, &mut ctx)?;
+        let Sink::Victims { rids: victims, .. } = sink else {
+            unreachable!("a victim sink stays one")
+        };
         let mut affected = 0;
         let applied = victims.into_iter().try_for_each(|(rid, new)| {
             token.check()?;
@@ -502,7 +475,7 @@ impl Engine {
     }
 
     /// `EXPLAIN [ANALYZE]` — render the optimized plan as a one-column
-    /// result; with ANALYZE, execute the query and annotate every operator
+    /// result; with ANALYZE, execute the query and annotate every stage
     /// with observed row counts and wall time. A DELETE or an UPDATE is
     /// rendered (not run) with the notes trailer a SELECT gets.
     fn run_explain(
@@ -560,50 +533,35 @@ impl Engine {
         let mut stats = ExecStats::default();
         let tier_before = analyze.then(tier_counters);
         let memo_before = analyze.then(memo_counters);
-        if let (true, Ok(dec)) = (analyze, &par_dec) {
+        if analyze {
             let started = std::time::Instant::now();
-            let (rows, par_stats, reports) =
-                crate::parallel::parallel_select(self, &plan, token, dec)?;
+            let par = par_dec.as_ref().ok();
+            let done = crate::parallel::select(self, &plan, token, par, true)?;
             let total_us = started.elapsed().as_micros() as u64;
-            stats = par_stats;
+            stats = done.stats;
             lines.push(String::new());
-            lines.push(format!(
-                "Gather (dop={})  morsels={}",
-                dec.dop,
-                reports.iter().map(|r| r.morsels).sum::<u64>()
-            ));
-            for (i, r) in reports.iter().enumerate() {
-                lines.push(format!(
-                    "  worker {i}: rows={} morsels={} busy={}",
-                    r.rows,
-                    r.morsels,
-                    fmt_us(r.busy_us)
-                ));
+            match par {
+                Some(dec) => {
+                    let reports = &done.reports;
+                    lines.push(format!(
+                        "Gather (dop={})  morsels={}",
+                        dec.dop,
+                        reports.iter().map(|r| r.morsels).sum::<u64>()
+                    ));
+                    for (i, r) in reports.iter().enumerate() {
+                        lines.push(format!(
+                            "  worker {i}: rows={} morsels={} busy={}",
+                            r.rows,
+                            r.morsels,
+                            fmt_us(r.busy_us)
+                        ));
+                    }
+                }
+                None => lines.extend(render_profile(&plan, &done.profile, stats.rows_scanned)),
             }
             lines.push(format!(
                 "Total: {} row(s) in {} ({} scanned, {} UDF call(s), {} callback(s))",
-                rows.len(),
-                fmt_us(total_us),
-                stats.rows_scanned,
-                stats.udf_invocations,
-                stats.udf_callbacks
-            ));
-        } else if analyze {
-            let mut handler = EngineCallbacks { engine: self };
-            let pool = self.worker_pool();
-            let mut ctx = ExecCtx::for_plan(&plan, &mut handler, pool.as_ref())?;
-            ctx.attach_cancel(token);
-            ctx.set_udf_batch_size(self.catalog.config().udf_batch_size);
-            crate::optimize::install_opt(&plan, self, &mut ctx);
-            let mut exec = Executor::build_profiled(&plan)?;
-            let started = std::time::Instant::now();
-            let produced = exec.collect(&mut ctx)?.len();
-            let total_us = started.elapsed().as_micros() as u64;
-            stats = ctx.finish()?;
-            lines.push(String::new());
-            lines.extend(render_profile(&exec.profile_report(), stats.rows_scanned));
-            lines.push(format!(
-                "Total: {produced} row(s) in {} ({} scanned, {} UDF call(s), {} callback(s))",
+                done.rows.len(),
                 fmt_us(total_us),
                 stats.rows_scanned,
                 stats.udf_invocations,
@@ -756,36 +714,52 @@ fn memo_counters() -> [u64; 3] {
     ]
 }
 
-/// Render an `EXPLAIN ANALYZE` profile, outermost operator first.
-/// `profiles` lists operators outermost→innermost with *inclusive* wall
-/// time; each operator's self time is its inclusive time minus its
-/// child's (the next entry — the pipeline is linear). The innermost
-/// operator is the scan: its line says how many rows it visited
-/// (`scanned=`) beside how many passed the conjuncts it judges (`rows=`).
-fn render_profile(profiles: &[OpProfile], scanned: u64) -> Vec<String> {
-    profiles
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let child_us = profiles
-                .get(i + 1)
-                .map_or(0, |c| p.elapsed_us.min(c.elapsed_us));
-            let self_us = p.elapsed_us - child_us;
-            let scanned = if i + 1 == profiles.len() {
-                format!("scanned={scanned} ")
-            } else {
-                String::new()
-            };
-            format!(
-                "{:indent$}{}  {scanned}rows={} time={} self={}",
-                "",
-                p.label,
-                p.rows,
-                fmt_us(p.elapsed_us),
-                fmt_us(self_us),
-                indent = i * 2
-            )
-        })
+/// Render a serial `EXPLAIN ANALYZE` profile, one line per stage of the
+/// plan, outermost first: the rows the stage produced, its wall time
+/// including the stages below it (`time=`) and without them (`self=`).
+/// The innermost stage is the scan: its line says how many rows it
+/// visited (`scanned=`) beside how many passed the conjuncts it judges.
+fn render_profile(plan: &BoundSelect, profile: &Profile, scanned: u64) -> Vec<String> {
+    use Stage::*;
+    // `below`: the time of every stage so far; `under`: that of the stages
+    // up to the last one shown, which a stage's own time excludes.
+    let (mut below, mut under, mut lines) = (std::time::Duration::ZERO, 0, Vec::new());
+    for stage in [Scan, Filter, Aggregate, Project, Having, Sort, Limit] {
+        below += profile.time[stage as usize];
+        let label = match (stage, &plan.aggregate, plan.limit) {
+            (Scan, ..) => crate::plan::scan_label(&plan.table, &plan.access, &plan.scan_cols),
+            (Filter, ..) if !plan.predicates.is_empty() => {
+                format!("Filter ({} predicate(s))", plan.predicates.len())
+            }
+            (Aggregate, Some(agg), _) => format!(
+                "Aggregate ({} group expr(s), {} aggregate(s))",
+                agg.group_exprs.len(),
+                agg.aggs.len()
+            ),
+            (Project, ..) => format!("Project ({} column(s))", plan.projections.len()),
+            (Having, ..) if plan.having.is_some() => "Having".to_string(),
+            (Sort, ..) if !plan.order_by.is_empty() => {
+                format!("Sort ({} key(s))", plan.order_by.len())
+            }
+            (Limit, _, Some(n)) => format!("Limit {n}"),
+            _ => continue,
+        };
+        let scanned = if lines.is_empty() {
+            format!("scanned={scanned} ")
+        } else {
+            String::new()
+        };
+        let time = below.as_micros() as u64;
+        lines.push(format!(
+            "{label}  {scanned}rows={} time={} self={}",
+            profile.rows[stage as usize],
+            fmt_us(time),
+            fmt_us(time - under)
+        ));
+        under = time;
+    }
+    (lines.into_iter().rev().enumerate())
+        .map(|(i, line)| format!("{:indent$}{line}", "", indent = i * 2))
         .collect()
 }
 

@@ -1,13 +1,19 @@
-//! Volcano-style execution.
+//! Push-based execution: one fragment, one tail.
 //!
-//! Operators pull tuples from their child via `next()`. UDF instances and
-//! the callback channel live in the per-query [`ExecCtx`], threaded through
-//! every `next` call so operators stay simple values.
+//! Every statement reads its rows through one [`RowSource`], which lends
+//! each row to [`fragment`]: the residual predicates, then a [`Sink`] —
+//! projection (one UDF crossing per batch when the plan qualifies) and
+//! HAVING, a partial aggregation, or a DML statement's victim list. A
+//! SELECT then runs [`tail`]: aggregate finish, HAVING, ORDER BY, LIMIT.
+//! Serially that is one fragment over the whole access path; in parallel,
+//! one per morsel, gathered in scan order before the same tail (see
+//! `parallel`). UDF instances and the callback channel live in the
+//! per-query [`ExecCtx`], threaded through every stage.
 //!
-//! The Filter operator evaluates its (optimizer-ordered) predicates with
-//! short-circuit AND semantics: a tuple rejected by a cheap predicate
-//! never reaches an expensive UDF — the payoff of the \[Hel95\]-style
-//! ordering done in `plan`.
+//! The predicates (optimizer-ordered) run with short-circuit AND
+//! semantics: a tuple rejected by a cheap predicate never reaches an
+//! expensive UDF — the payoff of the \[Hel95\]-style ordering done in
+//! `plan`.
 
 use jaguar_catalog::table::{RowPages, RowReader, RowTest};
 use jaguar_catalog::Table;
@@ -15,7 +21,6 @@ use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::ids::RecordId;
 use jaguar_common::obs;
-use jaguar_common::schema::SchemaRef;
 use jaguar_common::stream::{read_value, write_value};
 use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_ipc::proto::CallbackHandler;
@@ -43,6 +48,19 @@ pub struct ExecStats {
     pub vm_instructions: u64,
     /// Bytes allocated in sandbox arenas this query.
     pub vm_bytes_allocated: u64,
+}
+
+impl ExecStats {
+    /// Add another context's counters — a parallel worker's, or the
+    /// tail's — to these.
+    pub fn merge(&mut self, other: &ExecStats) {
+        self.rows_scanned += other.rows_scanned;
+        self.rows_emitted += other.rows_emitted;
+        self.udf_invocations += other.udf_invocations;
+        self.udf_callbacks += other.udf_callbacks;
+        self.vm_instructions += other.vm_instructions;
+        self.vm_bytes_allocated += other.vm_bytes_allocated;
+    }
 }
 
 /// Process-wide metric handles for one UDF slot, resolved once at context
@@ -98,8 +116,8 @@ pub struct ExecCtx<'a> {
     /// Parallel to `udfs`: the registry circuit breaker guarding each
     /// slot, if the def came out of a catalog.
     udf_breakers: Vec<Option<Arc<CircuitBreaker>>>,
-    /// The statement's lifecycle token; checked cooperatively by every
-    /// operator `next` (see [`ExecCtx::tick`]).
+    /// The statement's lifecycle token; checked cooperatively once per row
+    /// (see [`ExecCtx::tick`]).
     cancel: CancelToken,
     /// Countdown to the next full deadline check.
     deadline_countdown: u32,
@@ -123,6 +141,8 @@ pub struct ExecCtx<'a> {
     /// tallied); flushed into `sel_sink` by [`ExecCtx::finish`].
     sel: Vec<(Option<String>, u64, u64)>,
     sel_sink: Option<Arc<jaguar_opt::OptState>>,
+    /// Per-stage numbers for `EXPLAIN ANALYZE`; off unless started.
+    pub(crate) profile: Profile,
 }
 
 /// A Froid-inlined UDF slot: the native body plus whatever is needed to
@@ -134,18 +154,9 @@ struct InlineSlot {
 }
 
 impl<'a> ExecCtx<'a> {
-    /// Instantiate every UDF in the plan. With `pool = None` isolated
-    /// designs spawn a fresh worker per query (as in the paper); with a
-    /// pool they check out warm workers instead.
-    pub fn for_plan(
-        plan: &BoundSelect,
-        callbacks: &'a mut dyn CallbackHandler,
-        pool: Option<&Arc<WorkerPool>>,
-    ) -> Result<ExecCtx<'a>> {
-        ExecCtx::for_udfs(&plan.udfs, callbacks, pool)
-    }
-
-    /// Instantiate an explicit UDF list (used by DML execution).
+    /// Instantiate a statement's UDFs. With `pool = None` isolated designs
+    /// spawn a fresh worker per query (as in the paper); with a pool they
+    /// check out warm workers instead.
     pub fn for_udfs(
         udfs: &[crate::plan::PlannedUdf],
         callbacks: &'a mut dyn CallbackHandler,
@@ -229,6 +240,7 @@ impl<'a> ExecCtx<'a> {
             memo: None,
             sel: Vec::new(),
             sel_sink: None,
+            profile: Profile::default(),
         })
     }
 
@@ -248,7 +260,7 @@ impl<'a> ExecCtx<'a> {
         self.sel_sink = Some(sink);
     }
 
-    /// Tally one predicate evaluation (Filter / `matches_all`). Indices
+    /// Tally one predicate evaluation (`matches_all`). Indices
     /// beyond the armed fingerprint list are ignored, so contexts without
     /// a probe (DML, post-gather) cost one bounds check.
     #[inline]
@@ -282,7 +294,8 @@ impl<'a> ExecCtx<'a> {
         }
     }
 
-    /// Cooperative lifecycle check, called from every operator `next`.
+    /// Cooperative lifecycle check, called once per row a source lends,
+    /// per heap page it batches, and per row the tail groups or sorts.
     /// The cancellation flag (one atomic load) is checked every call; the
     /// deadline (an `Instant::now()`) every `DEADLINE_CHECK_INTERVAL` ticks.
     #[inline]
@@ -696,8 +709,8 @@ fn infallible(e: &BExpr) -> bool {
 /// exists to keep the batched output (rows, stats, error positions)
 /// byte-identical to the per-tuple executor:
 ///
-/// * `LIMIT` without `ORDER BY` stays per-tuple: the limit short-circuits
-///   the pull pipeline, and batching would read ahead and over-invoke.
+/// * `LIMIT` without `ORDER BY` stays per-tuple: the limit stops the scan
+///   at its last row, and batching would read ahead and over-invoke.
 ///   (With `ORDER BY`, the sort materialises every projected row anyway.)
 /// * Exactly one projection expression is a top-level UDF call; its
 ///   arguments and every other projection expression are infallible
@@ -706,15 +719,10 @@ fn infallible(e: &BExpr) -> bool {
 /// * The UDF is declared `Immutable` or `Stable` — batching moves its
 ///   invocations across filter short-circuit boundaries, which a
 ///   `Volatile` UDF (the default) is entitled to observe.
-pub(crate) fn plan_batch_spec(plan: &BoundSelect) -> Option<BatchSpec> {
-    batch_spec_or_reason(plan).ok()
-}
-
-/// Same gate, but a rejection names the condition that closed it so
-/// `EXPLAIN`'s plan-notes trailer can surface the decision.
-pub(crate) fn batch_spec_or_reason(
-    plan: &BoundSelect,
-) -> std::result::Result<BatchSpec, &'static str> {
+///
+/// A rejection names the condition that closed the gate, so `EXPLAIN`'s
+/// plan-notes trailer can surface the decision.
+pub(crate) fn batch_spec(plan: &BoundSelect) -> std::result::Result<BatchSpec, &'static str> {
     if plan.limit.is_some() && plan.order_by.is_empty() {
         return Err("LIMIT without ORDER BY short-circuits per-tuple");
     }
@@ -757,9 +765,9 @@ pub(crate) fn batch_spec_or_reason(
     Ok(spec)
 }
 
-/// Accumulates filter-surviving tuples for one batched UDF crossing.
-/// Shared by the serial `Project` operator and the parallel morsel
-/// fragments (a morsel boundary always flushes).
+/// Accumulates filter-surviving tuples for one batched UDF crossing: the
+/// fragment's row sink, serial or per morsel (the end of a fragment
+/// always flushes).
 pub(crate) struct ProjectionBatcher {
     spec: BatchSpec,
     size: usize,
@@ -782,10 +790,6 @@ impl ProjectionBatcher {
 
     pub(crate) fn is_full(&self) -> bool {
         self.outs.len() >= self.size
-    }
-
-    pub(crate) fn is_empty(&self) -> bool {
-        self.outs.is_empty()
     }
 
     /// Evaluate the row's infallible projection expressions and UDF
@@ -842,81 +846,6 @@ impl ProjectionBatcher {
     }
 }
 
-/// Runtime state of a batched `Project` operator: completed tuples not
-/// yet pulled by the parent, plus an error (the child's or the batch's)
-/// to surface once the buffer drains.
-#[derive(Default)]
-pub struct ProjectPending {
-    buffered: std::collections::VecDeque<Tuple>,
-    err: Option<JaguarError>,
-    exhausted: bool,
-}
-
-/// The batched `Project` pull: emit buffered tuples one at a time; when
-/// the buffer drains, accumulate up to one batch of filter-surviving
-/// child tuples and cross the trust boundary once for all of them.
-///
-/// Error ordering mirrors the per-tuple executor exactly: rows that were
-/// accumulated before a child error are flushed (their UDF invocations
-/// would already have happened per-tuple), and a mid-batch UDF error
-/// surfaces in preference to the child error that was discovered later in
-/// the stream.
-fn project_batched(
-    child: &mut Executor,
-    exprs: &[BExpr],
-    spec: BatchSpec,
-    st: &mut ProjectPending,
-    ctx: &mut ExecCtx<'_>,
-) -> Result<Option<Tuple>> {
-    loop {
-        if let Some(t) = st.buffered.pop_front() {
-            ctx.stats.rows_emitted += 1;
-            return Ok(Some(t));
-        }
-        if let Some(e) = st.err.take() {
-            st.exhausted = true;
-            return Err(e);
-        }
-        if st.exhausted {
-            return Ok(None);
-        }
-        let mut batcher = ProjectionBatcher::new(spec, ctx.batch_size());
-        let mut child_err = None;
-        while !batcher.is_full() {
-            match child.next(ctx) {
-                // The gate guarantees push evaluates only infallible
-                // expressions; `?` is plumbing, not a semantic path.
-                Ok(Some(tuple)) => batcher.push(exprs, &tuple, ctx)?,
-                Ok(None) => {
-                    st.exhausted = true;
-                    break;
-                }
-                Err(e) => {
-                    child_err = Some(e);
-                    break;
-                }
-            }
-        }
-        if batcher.is_empty() {
-            if let Some(e) = child_err {
-                st.exhausted = true;
-                return Err(e);
-            }
-            continue;
-        }
-        match batcher.flush(ctx) {
-            Ok(tuples) => {
-                st.buffered.extend(tuples);
-                st.err = child_err;
-            }
-            Err(e) => {
-                st.exhausted = true;
-                return Err(e);
-            }
-        }
-    }
-}
-
 /// The conjuncts of a WHERE clause that its scan judges on the record's
 /// bytes ([`BoundSelect::pushed`]: each a column compared with a literal),
 /// as the table's reader runs them under the page latch, and the columns
@@ -965,11 +894,11 @@ fn rejected_at_scan() -> &'static obs::Counter {
 }
 
 /// The rows an [`AccessPath`] reaches, with their record ids: the one leaf
-/// under every row pipeline — a SELECT's `SeqScan` / `IndexScan` /
-/// `EmptyScan` operator, a morsel of a parallel one, and the victim
-/// collection of DELETE and UPDATE. It yields the rows that pass the
-/// statement's `pushed` conjuncts and counts every row it visited in
-/// `stats.rows_scanned` (a heap page's as the page is batched).
+/// under every [`fragment`] — a serial SELECT's heap or index scan, a
+/// morsel of a parallel one, and the victim collection of DELETE and
+/// UPDATE. It lends out the rows that pass the statement's `pushed`
+/// conjuncts and counts every row it visited in `stats.rows_scanned` (a
+/// heap page's as the page is batched).
 pub enum RowSource {
     /// Sequential scan of (a page range of) the heap file.
     Heap(RowPages),
@@ -1007,28 +936,33 @@ impl RowSource {
         })
     }
 
-    /// Batch the next heap page, polling the statement's token once.
-    fn next_page(pages: &mut RowPages, ctx: &mut ExecCtx<'_>) -> Result<bool> {
-        ctx.tick()?;
-        let more = pages.next_page();
-        let (visited, rejected) = pages.take_counts();
-        ctx.stats.rows_scanned += visited;
-        rejected_at_scan().add(rejected);
-        Ok(more)
-    }
-
-    /// The next row, owned. A rid the index returned whose row is gone by
-    /// the time it is fetched — a concurrent statement deleted it in
-    /// between — is skipped: the row is not there, which is all a scan
-    /// would have seen.
-    pub(crate) fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Option<(RecordId, Tuple)>> {
+    /// Lend every remaining row to `f` until it answers `false` — the one
+    /// way to read a source. A heap scan's rows stay in their batch, whose
+    /// tuples the next page refills. A rid the index returned whose row is
+    /// gone by the time it is fetched — a concurrent statement deleted it
+    /// in between — is skipped: the row is not there, which is all a scan
+    /// would have seen. The statement's token is polled once per row and
+    /// once per heap page.
+    pub(crate) fn for_each(
+        &mut self,
+        ctx: &mut ExecCtx<'_>,
+        mut f: impl FnMut(RecordId, &Tuple, &mut ExecCtx<'_>) -> Result<bool>,
+    ) -> Result<()> {
         match self {
             RowSource::Heap(pages) => loop {
-                if let Some((rid, tuple)) = pages.next_row()? {
-                    return Ok(Some((rid, std::mem::take(tuple))));
+                while let Some((rid, tuple)) = pages.next_row()? {
+                    ctx.tick()?;
+                    if !f(rid, tuple, ctx)? {
+                        return Ok(());
+                    }
                 }
-                if !RowSource::next_page(pages, ctx)? {
-                    return Ok(None);
+                ctx.tick()?;
+                let more = pages.next_page();
+                let (visited, rejected) = pages.take_counts();
+                ctx.stats.rows_scanned += visited;
+                rejected_at_scan().add(rejected);
+                if !more {
+                    return Ok(());
                 }
             },
             RowSource::Index {
@@ -1037,55 +971,30 @@ impl RowSource {
                 reader,
             } => {
                 for rid in rids {
+                    ctx.tick()?;
                     let Some(row) = table.fetch(rid, reader)? else {
                         continue;
                     };
                     ctx.stats.rows_scanned += 1;
-                    match row {
-                        Some(tuple) => return Ok(Some((rid, tuple))),
-                        None => rejected_at_scan().inc(),
+                    let Some(tuple) = row else {
+                        rejected_at_scan().inc();
+                        continue;
+                    };
+                    if !f(rid, &tuple, ctx)? {
+                        break;
                     }
                 }
-                Ok(None)
+                Ok(())
             }
-            RowSource::Empty => Ok(None),
+            RowSource::Empty => Ok(()),
         }
-    }
-
-    /// Lend every remaining row to `f` — for a consumer that only looks at
-    /// rows: a heap scan's then stay in their batch, whose tuples the next
-    /// page refills.
-    pub(crate) fn for_each(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        mut f: impl FnMut(RecordId, &Tuple, &mut ExecCtx<'_>) -> Result<()>,
-    ) -> Result<()> {
-        if let RowSource::Heap(pages) = self {
-            loop {
-                while let Some((rid, tuple)) = pages.next_row()? {
-                    ctx.tick()?;
-                    f(rid, tuple, ctx)?;
-                }
-                if !RowSource::next_page(pages, ctx)? {
-                    return Ok(());
-                }
-            }
-        }
-        while let Some((rid, tuple)) = self.next(ctx)? {
-            f(rid, &tuple, ctx)?;
-        }
-        Ok(())
     }
 }
 
 /// Evaluate cost-ordered predicates with short-circuit AND: a tuple
 /// rejected by a cheap predicate never reaches an expensive UDF. The one
 /// filter above the scan, for SELECT (serial and parallel) and DML alike.
-pub(crate) fn matches_all(
-    predicates: &[BExpr],
-    tuple: &Tuple,
-    ctx: &mut ExecCtx<'_>,
-) -> Result<bool> {
+fn matches_all(predicates: &[BExpr], tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<bool> {
     for (i, p) in predicates.iter().enumerate() {
         let passed = matches!(eval(p, tuple, ctx)?, Value::Bool(true));
         ctx.sel_record(i, passed);
@@ -1096,10 +1005,295 @@ pub(crate) fn matches_all(
     Ok(true)
 }
 
+/// The stages of a SELECT's pipeline, innermost first, as `EXPLAIN
+/// ANALYZE` reports them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Stage {
+    Scan,
+    Filter,
+    Aggregate,
+    Project,
+    Having,
+    Sort,
+    Limit,
+}
+
+/// The per-stage numbers of an analyzed statement, indexed by [`Stage`]:
+/// the rows each stage produced and the wall time spent in it alone. Each
+/// stage hands the clock on as its work ends ([`Profile::lap`]); until
+/// [`Profile::start`] the clock is off and a lap costs one branch.
+#[derive(Debug, Default)]
+pub(crate) struct Profile {
+    clock: Option<Instant>,
+    pub(crate) rows: [u64; 7],
+    pub(crate) time: [Duration; 7],
+}
+
+impl Profile {
+    pub(crate) fn start(&mut self) {
+        self.clock = Some(Instant::now());
+    }
+
+    /// Charge the time since the last lap to `stage`, which produced
+    /// `rows` more rows in it.
+    #[inline]
+    fn lap(&mut self, stage: Stage, rows: u64) {
+        if let Some(last) = &mut self.clock {
+            let now = Instant::now();
+            self.time[stage as usize] += now - *last;
+            self.rows[stage as usize] += rows;
+            *last = now;
+        }
+    }
+}
+
+/// The end of a [`fragment`]: what happens to each row that passes the
+/// residual predicates.
+pub(crate) enum Sink<'p> {
+    /// A SELECT without an aggregate: project each row — one UDF crossing
+    /// per `batcher`-full of rows when the plan qualifies — keep it if
+    /// HAVING holds, and stop the scan once `limit` rows are kept (a bare
+    /// LIMIT: no ORDER BY to wait for).
+    Rows {
+        plan: &'p BoundSelect,
+        batcher: Option<ProjectionBatcher>,
+        limit: Option<u64>,
+        rows: Vec<Tuple>,
+    },
+    /// Fold each row into a (partial) aggregation.
+    Groups {
+        plan: &'p AggregatePlan,
+        agg: GroupedAgg,
+    },
+    /// DELETE / UPDATE: each victim's record id and, for an UPDATE, the
+    /// row that replaces it.
+    Victims {
+        assignments: &'p [(usize, BExpr)],
+        rids: Vec<(RecordId, Option<Tuple>)>,
+    },
+}
+
+impl<'p> Sink<'p> {
+    /// The sink of a SELECT's fragments; `batch_size` is the context's
+    /// rows per UDF crossing.
+    pub(crate) fn select(plan: &'p BoundSelect, batch_size: usize) -> Sink<'p> {
+        match &plan.aggregate {
+            Some(agg) => Sink::Groups {
+                plan: agg,
+                agg: GroupedAgg::default(),
+            },
+            None => Sink::Rows {
+                plan,
+                batcher: (batch_spec(plan).ok())
+                    .filter(|_| batch_size > 1)
+                    .map(|spec| ProjectionBatcher::new(spec, batch_size)),
+                limit: plan.limit.filter(|_| plan.order_by.is_empty()),
+                rows: Vec::new(),
+            },
+        }
+    }
+
+    /// Take one row that passed the residual predicates; `false` stops
+    /// the scan.
+    fn push(&mut self, rid: RecordId, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<bool> {
+        match self {
+            Sink::Rows {
+                plan,
+                batcher: Some(b),
+                ..
+            } => {
+                b.push(&plan.projections, tuple, ctx)?;
+                ctx.profile.lap(Stage::Project, 0);
+                if !b.is_full() {
+                    return Ok(true);
+                }
+            }
+            Sink::Rows {
+                plan,
+                batcher: None,
+                limit,
+                rows,
+            } => {
+                let row = project(&plan.projections, tuple, ctx)?;
+                keep(plan, row, rows, ctx)?;
+                return Ok(limit.is_none_or(|n| (rows.len() as u64) < n));
+            }
+            Sink::Groups { plan, agg } => {
+                agg.update(plan, tuple, ctx)?;
+                ctx.profile.lap(Stage::Aggregate, 0);
+                return Ok(true);
+            }
+            Sink::Victims { assignments, rids } => {
+                // UPDATE reads whole rows (`scan_cols` is all): the new row
+                // is the old one with the assigned positions replaced.
+                let new = if assignments.is_empty() {
+                    None
+                } else {
+                    let mut values = tuple.values().to_vec();
+                    for (idx, expr) in assignments.iter() {
+                        values[*idx] = eval(expr, tuple, ctx)?;
+                    }
+                    Some(Tuple::new(values))
+                };
+                rids.push((rid, new));
+                return Ok(true);
+            }
+        }
+        self.flush(ctx)?;
+        Ok(true)
+    }
+
+    /// Cross the trust boundary once for the rows a batcher holds.
+    fn flush(&mut self, ctx: &mut ExecCtx<'_>) -> Result<()> {
+        if let Sink::Rows {
+            plan,
+            batcher: Some(b),
+            rows,
+            ..
+        } = self
+        {
+            let flushed = b.flush(ctx)?;
+            ctx.stats.rows_emitted += flushed.len() as u64;
+            ctx.profile.lap(Stage::Project, flushed.len() as u64);
+            for row in flushed {
+                keep(plan, row, rows, ctx)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The output so far, leaving this sink empty for the next morsel.
+    pub(crate) fn take(&mut self) -> Sink<'p> {
+        match self {
+            Sink::Rows {
+                plan, limit, rows, ..
+            } => Sink::Rows {
+                plan,
+                batcher: None,
+                limit: *limit,
+                rows: std::mem::take(rows),
+            },
+            Sink::Groups { plan, agg } => Sink::Groups {
+                plan,
+                agg: std::mem::take(agg),
+            },
+            Sink::Victims { .. } => unreachable!("DML runs one fragment"),
+        }
+    }
+
+    /// Append a later morsel's output: its rows after these, its groups
+    /// merged so that first-seen order stays scan order.
+    pub(crate) fn absorb(&mut self, part: Sink<'p>) -> Result<()> {
+        match (self, part) {
+            (Sink::Rows { rows, .. }, Sink::Rows { rows: more, .. }) => rows.extend(more),
+            (Sink::Groups { plan, agg }, Sink::Groups { agg: more, .. }) => {
+                agg.merge(plan, more)?
+            }
+            _ => unreachable!("the morsels of one statement share a sink shape"),
+        }
+        Ok(())
+    }
+}
+
+/// One output row: `exprs` over `tuple`.
+fn project(exprs: &[BExpr], tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Tuple> {
+    let mut out = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        out.push(eval(e, tuple, ctx)?);
+    }
+    ctx.stats.rows_emitted += 1;
+    ctx.profile.lap(Stage::Project, 1);
+    Ok(Tuple::new(out))
+}
+
+/// Keep an output row in `rows` if the plan's HAVING holds for it.
+fn keep(
+    plan: &BoundSelect,
+    row: Tuple,
+    rows: &mut Vec<Tuple>,
+    ctx: &mut ExecCtx<'_>,
+) -> Result<()> {
+    if let Some(having) = &plan.having {
+        let holds = matches!(eval(having, &row, ctx)?, Value::Bool(true));
+        ctx.profile.lap(Stage::Having, u64::from(holds));
+        if !holds {
+            return Ok(());
+        }
+    }
+    rows.push(row);
+    Ok(())
+}
+
+/// The scan-side pipeline of every statement — a serial SELECT's whole
+/// access path, one morsel of a parallel one, a DML statement's victim
+/// search: each row `rows` lends runs the residual `predicates` and, if it
+/// passes, goes into `sink`. The end of the input flushes a pending UDF
+/// batch, and so does an error: those rows came before it, so the batch's
+/// own error wins. Returns how many rows passed.
+pub(crate) fn fragment(
+    rows: &mut RowSource,
+    predicates: &[BExpr],
+    sink: &mut Sink<'_>,
+    ctx: &mut ExecCtx<'_>,
+) -> Result<u64> {
+    let mut passed = 0;
+    let scanned = rows.for_each(ctx, |rid, tuple, ctx| {
+        ctx.profile.lap(Stage::Scan, 1);
+        let pass = matches_all(predicates, tuple, ctx)?;
+        ctx.profile.lap(Stage::Filter, u64::from(pass));
+        if !pass {
+            return Ok(true);
+        }
+        passed += 1;
+        sink.push(rid, tuple, ctx)
+    });
+    ctx.profile.lap(Stage::Scan, 0);
+    sink.flush(ctx)?;
+    scanned.map(|()| passed)
+}
+
+/// Everything after the fragments, for a serial SELECT and a parallel
+/// gather alike: finish the aggregation and project its groups through
+/// HAVING (a row sink has done both for its own rows), then ORDER BY and
+/// LIMIT. No expression here calls a UDF — the output binder admits none
+/// — so any context runs it.
+pub(crate) fn tail(
+    plan: &BoundSelect,
+    gathered: Sink<'_>,
+    ctx: &mut ExecCtx<'_>,
+) -> Result<Vec<Tuple>> {
+    let mut rows = match gathered {
+        Sink::Groups {
+            plan: agg_plan,
+            agg,
+        } => {
+            let groups = agg.finish(agg_plan);
+            ctx.profile.lap(Stage::Aggregate, groups.len() as u64);
+            let mut rows = Vec::with_capacity(groups.len());
+            for group in groups {
+                ctx.tick()?;
+                let row = project(&plan.projections, &group, ctx)?;
+                keep(plan, row, &mut rows, ctx)?;
+            }
+            rows
+        }
+        Sink::Rows { rows, .. } => rows,
+        Sink::Victims { .. } => unreachable!("DML has no tail"),
+    };
+    if !plan.order_by.is_empty() {
+        rows = sort_rows(rows, &plan.order_by, ctx)?;
+        ctx.profile.lap(Stage::Sort, rows.len() as u64);
+    }
+    if let Some(n) = plan.limit {
+        rows.truncate(n as usize);
+        ctx.profile.lap(Stage::Limit, rows.len() as u64);
+    }
+    Ok(rows)
+}
+
 /// ORDER BY: a stable sort of `rows` on `keys` (`true` = descending),
-/// each key evaluated once per row — the serial `Sort` operator and the
-/// parallel gather share it, so their orders are identical.
-pub(crate) fn sort_rows(
+/// each key evaluated once per row.
+fn sort_rows(
     mut rows: Vec<Tuple>,
     keys: &[(BExpr, bool)],
     ctx: &mut ExecCtx<'_>,
@@ -1126,368 +1320,9 @@ pub(crate) fn sort_rows(
         .collect())
 }
 
-/// The operator tree for a bound SELECT, pulled via [`Executor::next`].
-pub enum Executor {
-    /// The plan's access path (`SeqScan` / `IndexScan` / `EmptyScan`).
-    Scan { rows: RowSource },
-    Filter {
-        child: Box<Executor>,
-        predicates: Vec<BExpr>,
-    },
-    /// Hash aggregation: drains its child on first `next`, then yields one
-    /// tuple per group (`group values ++ aggregate results`).
-    Aggregate {
-        child: Box<Executor>,
-        plan: AggregatePlan,
-        output: Option<std::vec::IntoIter<Tuple>>,
-    },
-    Project {
-        child: Box<Executor>,
-        exprs: Vec<BExpr>,
-        /// `Some` when the plan shape qualifies for batched UDF
-        /// invocation (see `plan_batch_spec`); the batched path
-        /// additionally requires the context's batch size to exceed 1.
-        batch: Option<BatchSpec>,
-        /// Runtime buffer for the batched path.
-        pending: ProjectPending,
-    },
-    /// HAVING: a filter over the projected output rows.
-    Having {
-        child: Box<Executor>,
-        predicate: BExpr,
-    },
-    /// ORDER BY: materialises its child, sorts, then streams.
-    Sort {
-        child: Box<Executor>,
-        keys: Vec<(BExpr, bool)>,
-        output: Option<std::vec::IntoIter<Tuple>>,
-    },
-    Limit {
-        child: Box<Executor>,
-        remaining: u64,
-    },
-    /// Instrumentation shim inserted around every operator when the query
-    /// runs under `EXPLAIN ANALYZE`: counts rows and `next` calls and
-    /// accumulates wall time (inclusive of children; the renderer derives
-    /// exclusive time by subtraction).
-    Profiled {
-        label: String,
-        child: Box<Executor>,
-        rows: u64,
-        nexts: u64,
-        elapsed: Duration,
-    },
-}
-
-/// One operator's runtime numbers, reported by [`Executor::profile_report`]
-/// in outermost-first pipeline order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpProfile {
-    /// Operator label as shown in the plan rendering.
-    pub label: String,
-    /// Rows this operator produced.
-    pub rows: u64,
-    /// Times `next` was called on it (rows + the final exhausted call).
-    pub nexts: u64,
-    /// Wall time spent in this operator *and* everything below it.
-    pub elapsed_us: u64,
-}
-
-impl Executor {
-    /// Build the canonical pipeline:
-    /// Scan → Filter → \[Aggregate\] → Project → \[Having\] → \[Sort\] → \[Limit\].
-    pub fn build(plan: &BoundSelect) -> Result<Executor> {
-        Executor::build_inner(plan, false)
-    }
-
-    /// Like [`Executor::build`], but wraps every operator in a
-    /// [`Executor::Profiled`] shim — the `EXPLAIN ANALYZE` path.
-    pub fn build_profiled(plan: &BoundSelect) -> Result<Executor> {
-        Executor::build_inner(plan, true)
-    }
-
-    fn build_inner(plan: &BoundSelect, profile: bool) -> Result<Executor> {
-        // Wrap `node` in a profiling shim when requested.
-        let prof = |node: Executor, label: String| -> Executor {
-            if profile {
-                Executor::Profiled {
-                    label,
-                    child: Box::new(node),
-                    rows: 0,
-                    nexts: 0,
-                    elapsed: Duration::ZERO,
-                }
-            } else {
-                node
-            }
-        };
-        let rows = RowSource::open(
-            &plan.table,
-            &plan.access,
-            &plan.scan_cols,
-            1..u32::MAX,
-            &plan.pushed,
-        )?;
-        let label = crate::plan::scan_label(&plan.table, &plan.access, &plan.scan_cols);
-        let mut node = prof(Executor::Scan { rows }, label);
-        if !plan.predicates.is_empty() {
-            node = prof(
-                Executor::Filter {
-                    child: Box::new(node),
-                    predicates: plan.predicates.clone(),
-                },
-                format!("Filter ({} predicate(s))", plan.predicates.len()),
-            );
-        }
-        if let Some(agg) = &plan.aggregate {
-            node = prof(
-                Executor::Aggregate {
-                    child: Box::new(node),
-                    plan: agg.clone(),
-                    output: None,
-                },
-                format!(
-                    "Aggregate ({} group expr(s), {} aggregate(s))",
-                    agg.group_exprs.len(),
-                    agg.aggs.len()
-                ),
-            );
-        }
-        node = prof(
-            Executor::Project {
-                child: Box::new(node),
-                exprs: plan.projections.clone(),
-                batch: plan_batch_spec(plan),
-                pending: ProjectPending::default(),
-            },
-            format!("Project ({} column(s))", plan.projections.len()),
-        );
-        if let Some(h) = &plan.having {
-            node = prof(
-                Executor::Having {
-                    child: Box::new(node),
-                    predicate: h.clone(),
-                },
-                "Having".into(),
-            );
-        }
-        if !plan.order_by.is_empty() {
-            node = prof(
-                Executor::Sort {
-                    child: Box::new(node),
-                    keys: plan.order_by.clone(),
-                    output: None,
-                },
-                format!("Sort ({} key(s))", plan.order_by.len()),
-            );
-        }
-        if let Some(n) = plan.limit {
-            node = prof(
-                Executor::Limit {
-                    child: Box::new(node),
-                    remaining: n,
-                },
-                format!("Limit {n}"),
-            );
-        }
-        Ok(node)
-    }
-
-    /// Collect the per-operator numbers from a profiled pipeline,
-    /// outermost operator first. Empty when the pipeline was built without
-    /// profiling.
-    pub fn profile_report(&self) -> Vec<OpProfile> {
-        let mut out = Vec::new();
-        self.collect_profiles(&mut out);
-        out
-    }
-
-    fn collect_profiles(&self, out: &mut Vec<OpProfile>) {
-        match self {
-            Executor::Profiled {
-                label,
-                child,
-                rows,
-                nexts,
-                elapsed,
-            } => {
-                out.push(OpProfile {
-                    label: label.clone(),
-                    rows: *rows,
-                    nexts: *nexts,
-                    elapsed_us: elapsed.as_micros().min(u64::MAX as u128) as u64,
-                });
-                child.collect_profiles(out);
-            }
-            Executor::Filter { child, .. }
-            | Executor::Aggregate { child, .. }
-            | Executor::Project { child, .. }
-            | Executor::Having { child, .. }
-            | Executor::Sort { child, .. }
-            | Executor::Limit { child, .. } => child.collect_profiles(out),
-            Executor::Scan { .. } => {}
-        }
-    }
-
-    /// Pull the next tuple, or `None` when exhausted.
-    pub fn next(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Option<Tuple>> {
-        // Cooperative cancellation: every operator polls the statement's
-        // lifecycle token once per pull, so even a pipeline of cheap
-        // predicates over a huge scan aborts within a few tuples.
-        ctx.tick()?;
-        match self {
-            Executor::Scan { rows } => Ok(rows.next(ctx)?.map(|(_, tuple)| tuple)),
-            Executor::Filter { child, predicates } => loop {
-                let Some(tuple) = child.next(ctx)? else {
-                    return Ok(None);
-                };
-                if matches_all(predicates, &tuple, ctx)? {
-                    return Ok(Some(tuple));
-                }
-            },
-            Executor::Aggregate {
-                child,
-                plan,
-                output,
-            } => {
-                if output.is_none() {
-                    *output = Some(run_aggregation(child, plan, ctx)?.into_iter());
-                }
-                Ok(output.as_mut().expect("materialised").next())
-            }
-            Executor::Project {
-                child,
-                exprs,
-                batch,
-                pending,
-            } => {
-                match *batch {
-                    Some(spec) if ctx.batch_size() > 1 => {
-                        return project_batched(child, exprs, spec, pending, ctx)
-                    }
-                    _ => {}
-                }
-                let Some(tuple) = child.next(ctx)? else {
-                    return Ok(None);
-                };
-                let mut out = Vec::with_capacity(exprs.len());
-                for e in exprs.iter() {
-                    out.push(eval(e, &tuple, ctx)?);
-                }
-                ctx.stats.rows_emitted += 1;
-                Ok(Some(Tuple::new(out)))
-            }
-            Executor::Having { child, predicate } => loop {
-                let Some(tuple) = child.next(ctx)? else {
-                    return Ok(None);
-                };
-                if matches!(eval(predicate, &tuple, ctx)?, Value::Bool(true)) {
-                    return Ok(Some(tuple));
-                }
-            },
-            Executor::Sort {
-                child,
-                keys,
-                output,
-            } => {
-                if output.is_none() {
-                    let rows = child.collect(ctx)?;
-                    *output = Some(sort_rows(rows, keys, ctx)?.into_iter());
-                }
-                Ok(output.as_mut().expect("sorted").next())
-            }
-            Executor::Limit { child, remaining } => {
-                if *remaining == 0 {
-                    return Ok(None);
-                }
-                match child.next(ctx)? {
-                    Some(t) => {
-                        *remaining -= 1;
-                        Ok(Some(t))
-                    }
-                    None => Ok(None),
-                }
-            }
-            Executor::Profiled {
-                child,
-                rows,
-                nexts,
-                elapsed,
-                ..
-            } => {
-                let started = Instant::now();
-                let out = child.next(ctx);
-                *elapsed += started.elapsed();
-                *nexts += 1;
-                if matches!(&out, Ok(Some(_))) {
-                    *rows += 1;
-                }
-                out
-            }
-        }
-    }
-
-    /// Lend every remaining row to `f` instead of handing it out owned: the
-    /// aggregate drains its child this way, so that the rows of a scan (and
-    /// of a filter over one) stay in the scan's recycled batch. Any other
-    /// child is pulled.
-    fn for_each(
-        &mut self,
-        ctx: &mut ExecCtx<'_>,
-        f: &mut dyn FnMut(&Tuple, &mut ExecCtx<'_>) -> Result<()>,
-    ) -> Result<()> {
-        match self {
-            Executor::Scan { rows } => rows.for_each(ctx, |_, tuple, ctx| f(tuple, ctx)),
-            Executor::Filter { child, predicates } => child.for_each(ctx, &mut |tuple, ctx| {
-                if matches_all(predicates, tuple, ctx)? {
-                    f(tuple, ctx)?;
-                }
-                Ok(())
-            }),
-            Executor::Profiled {
-                child,
-                rows,
-                nexts,
-                elapsed,
-                ..
-            } => {
-                // The consumer's time is not this operator's: the clock
-                // stops while `f` runs.
-                let mut started = Instant::now();
-                let drained = child.for_each(ctx, &mut |tuple, ctx| {
-                    *elapsed += started.elapsed();
-                    (*rows, *nexts) = (*rows + 1, *nexts + 1);
-                    let fed = f(tuple, ctx);
-                    started = Instant::now();
-                    fed
-                });
-                *elapsed += started.elapsed();
-                *nexts += 1;
-                drained
-            }
-            _ => {
-                while let Some(tuple) = self.next(ctx)? {
-                    f(&tuple, ctx)?;
-                }
-                Ok(())
-            }
-        }
-    }
-
-    /// Drain the pipeline into a vector.
-    pub fn collect(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>> {
-        let mut out = Vec::new();
-        while let Some(t) = self.next(ctx)? {
-            out.push(t);
-        }
-        Ok(out)
-    }
-}
-
 /// Total order used by ORDER BY: NULLs sort after every value (ascending);
-/// cross-type comparisons fall back to a stable type-rank order. Shared
-/// with the parallel gather-then-sort path so both orders are identical.
-pub(crate) fn sort_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
+/// cross-type comparisons fall back to a stable type-rank order.
+fn sort_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
     use std::cmp::Ordering;
     match (a.is_null(), b.is_null()) {
         (true, true) => return Ordering::Equal,
@@ -1631,13 +1466,13 @@ impl AccState {
     }
 }
 
-/// Accumulating grouped-aggregation state, shared by the serial
-/// `Aggregate` operator and the parallel partial-aggregate → combine path.
+/// Accumulating grouped-aggregation state: a fragment's aggregate sink,
+/// serial or one per morsel, and the gather's merge of those partials.
 ///
 /// Groups are keyed by a stable serialisation of the group expressions'
 /// values (keeps the map hashable without imposing `Eq`/`Hash` on `Value`)
 /// and emitted in first-seen order. Merging per-morsel partials in morsel
-/// order therefore reproduces the serial operator's output order exactly:
+/// order therefore reproduces the serial output order exactly:
 /// a group's position is its first occurrence in scan order either way.
 ///
 /// An input row that lands in a known group allocates nothing: its key is
@@ -1658,10 +1493,6 @@ pub(crate) struct GroupedAgg {
 }
 
 impl GroupedAgg {
-    pub(crate) fn new() -> GroupedAgg {
-        GroupedAgg::default()
-    }
-
     /// Position of the group whose encoded key is in `self.key`, appended
     /// with fresh accumulators (and the values `vals` makes of the key) if
     /// this is its first sight.
@@ -1752,17 +1583,3 @@ impl GroupedAgg {
             .collect()
     }
 }
-
-/// Drain `child` and compute the grouped aggregation.
-fn run_aggregation(
-    child: &mut Executor,
-    plan: &AggregatePlan,
-    ctx: &mut ExecCtx<'_>,
-) -> Result<Vec<Tuple>> {
-    let mut agg = GroupedAgg::new();
-    child.for_each(ctx, &mut |tuple, ctx| agg.update(plan, tuple, ctx))?;
-    Ok(agg.finish(plan))
-}
-
-/// Schema of an executor's output (the plan's `output_schema`).
-pub type OutputSchema = SchemaRef;

@@ -13,11 +13,14 @@
 //! * [`optimize`] — post-bind passes over the bound plan: Froid-style
 //!   UDF inlining, cost/selectivity predicate reordering, and memo-cache
 //!   marking (the `jaguar-opt` integration point),
-//! * [`exec`] — Volcano-style iterators (SeqScan → Filter → Project →
-//!   Limit) with per-query UDF instances and callback plumbing (§4.2),
-//! * [`parallel`] — morsel-driven parallel execution: an eligible scan is
-//!   carved into page-range morsels drained by a team of worker threads
-//!   whose results a `Gather` step reassembles in serial order,
+//! * [`exec`] — one push-based pipeline: a row source lends rows to a
+//!   fragment (residual filter → project / partial aggregate / DML
+//!   victims) and a tail (aggregate finish, HAVING, ORDER BY, LIMIT) ends
+//!   a SELECT, with per-query UDF instances and callback plumbing (§4.2),
+//! * [`parallel`] — SELECT execution, serially as a team of one or
+//!   morsel-driven: an eligible scan is carved into page-range morsels
+//!   drained by a team of worker threads whose results a `Gather` step
+//!   reassembles in serial order before the one tail,
 //! * [`engine`] — the embeddable database engine and its sessions.
 //!
 //! The paper's benchmark query runs verbatim:

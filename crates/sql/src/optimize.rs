@@ -167,7 +167,7 @@ fn batch_note(plan: &mut BoundSelect) {
     if plan.udfs.is_empty() {
         return;
     }
-    let note = match crate::exec::batch_spec_or_reason(plan) {
+    let note = match crate::exec::batch_spec(plan) {
         Ok(spec) => format!("batch: eligible ({})", plan.udfs[spec.udf].def.name),
         Err(reason) => format!("batch: per-tuple ({reason})"),
     };
@@ -178,7 +178,7 @@ fn batch_note(plan: &mut BoundSelect) {
 /// state: the shared memo cache (withheld while the engine is saturated —
 /// see [`Engine::memo_for_statement`]) and the per-predicate selectivity
 /// probe (fingerprints follow `plan.predicates` order, which is exactly
-/// the order `Filter`/`matches_all` evaluate them in). Only a predicate
+/// the order `matches_all` evaluates them in). Only a predicate
 /// that calls a UDF is probed: the reorder pass reads no other
 /// selectivity, and a tally per distinct `(id = 4711)` would grow the
 /// engine's state with every literal a client ever sent.

@@ -1,23 +1,24 @@
-//! Morsel-driven parallel SELECT execution — the `Gather` path.
+//! SELECT execution: one fragment per stretch of rows, then one tail.
 //!
-//! An eligible query's heap scan is carved into page-range *morsels*
-//! (see [`jaguar_par::MorselDispenser`]) drained by a team of
-//! `Config::dop` worker threads. Each worker owns a full execution
-//! context — its own UDF instances, meaning its own VM for sandboxed
-//! designs and its own pool checkout (or spawned process) for isolated
-//! ones — and runs the scan → filter → project/partial-aggregate
-//! fragment over whichever morsels it claims. The main thread then
-//! *gathers*: per-morsel results are reassembled in morsel-index order,
-//! so the parallel output is byte-identical to the serial scan order,
-//! and the post-gather operators (aggregate combine, HAVING, ORDER BY,
-//! LIMIT) run exactly as they would serially.
+//! Every SELECT runs [`fragment`] over its rows and [`tail`] over what the
+//! fragments produced. Serially that is a team of one: one fragment over
+//! the statement's whole access path, on the calling thread. An eligible
+//! query's heap scan is instead carved into page-range *morsels* (see
+//! [`jaguar_par::MorselDispenser`]) drained by a team of `Config::dop`
+//! worker threads. Each worker owns a full execution context — its own UDF
+//! instances, meaning its own VM for sandboxed designs and its own pool
+//! checkout (or spawned process) for isolated ones — and runs the fragment
+//! once per morsel it claims. The main thread then *gathers*: per-morsel
+//! outputs are reassembled in morsel-index order, so the parallel output
+//! is byte-identical to the serial scan order, and the tail (aggregate
+//! finish, HAVING, ORDER BY, LIMIT) runs exactly as it does serially.
 //!
 //! What parallelizes: full-table scans of tables with at least
 //! `MIN_DATA_PAGES` data pages, with or without UDFs, aggregation,
 //! HAVING, ORDER BY, or LIMIT-after-ORDER-BY. What stays serial: DML,
 //! index and empty scans, tiny tables, bare-LIMIT queries (where the
-//! serial pipeline's early exit beats a full parallel scan), and
-//! everything when `dop = 1`.
+//! serial fragment stops the scan early instead), and everything when
+//! `dop = 1`.
 //!
 //! Cancellation invariant: the statement's [`CancelToken`] is attached
 //! to every worker's context, so a deadline or cancel mid-`Gather`
@@ -33,14 +34,11 @@ use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::overload::Pressure;
-use jaguar_common::{Tuple, Value};
+use jaguar_common::Tuple;
 use jaguar_par::{morsel_pages_for, run_team, MorselDispenser};
 
 use crate::engine::{Engine, EngineCallbacks};
-use crate::exec::{
-    eval, matches_all, plan_batch_spec, sort_rows, ExecCtx, ExecStats, GroupedAgg,
-    ProjectionBatcher, RowSource,
-};
+use crate::exec::{fragment, tail, ExecCtx, ExecStats, Profile, RowSource, Sink};
 use crate::plan::{AccessPath, BoundSelect};
 
 /// Tables with fewer data pages than this never go parallel: the team
@@ -61,6 +59,7 @@ pub struct ParallelDecision {
 }
 
 /// Per-worker execution summary, surfaced by `EXPLAIN ANALYZE`.
+#[derive(Default)]
 pub struct WorkerReport {
     /// Rows this worker's fragment produced (post-filter).
     pub rows: u64,
@@ -75,8 +74,8 @@ pub struct WorkerReport {
 ///
 /// A query qualifies when `Config::dop ≥ 2`, the access path is a full
 /// scan, the table has at least `MIN_DATA_PAGES` data pages, and the
-/// query is not a bare LIMIT (no aggregate/ORDER BY/HAVING), where the
-/// serial pipeline stops early instead of scanning everything. The dop
+/// query is not a bare LIMIT (no aggregate, no ORDER BY), where the
+/// serial fragment stops early instead of scanning everything. The dop
 /// is capped at half the data pages (each worker should see ≥ 2 pages)
 /// and — when any planned UDF draws a pool checkout per context — at
 /// the worker-pool size, so a thread team can never deadlock waiting on
@@ -93,11 +92,7 @@ pub(crate) fn plan_parallel(
     if !matches!(plan.access, AccessPath::FullScan) {
         return Err("not a full scan");
     }
-    if plan.limit.is_some()
-        && plan.aggregate.is_none()
-        && plan.order_by.is_empty()
-        && plan.having.is_none()
-    {
+    if plan.limit.is_some() && plan.aggregate.is_none() && plan.order_by.is_empty() {
         return Err("bare LIMIT short-circuits serially");
     }
     let data_pages = plan.table.heap_pages().saturating_sub(1);
@@ -167,253 +162,170 @@ pub(crate) fn plan_parallel(
     })
 }
 
-/// What one worker brings back to the gather.
-struct WorkerOut {
-    /// Non-aggregate queries: projected tuples per claimed morsel.
-    rows: Vec<(u32, Vec<Tuple>)>,
-    /// Aggregate queries: a partial aggregation per claimed morsel
-    /// (per-morsel, not per-worker, so the gather can merge partials in
-    /// morsel order and reproduce the serial group insertion order).
-    aggs: Vec<(u32, GroupedAgg)>,
-    stats: ExecStats,
-    report: WorkerReport,
+/// What a SELECT produced.
+pub(crate) struct Selected {
+    pub(crate) rows: Vec<Tuple>,
+    pub(crate) stats: ExecStats,
+    /// One per worker of a parallel run; empty for a serial one.
+    pub(crate) reports: Vec<WorkerReport>,
+    /// The per-stage numbers of an analyzed serial run.
+    pub(crate) profile: Profile,
 }
 
-/// Execute an eligible SELECT with a worker team, returning the final
-/// rows (identical, in content and order, to the serial executor's),
-/// the merged stats, and one [`WorkerReport`] per worker.
-pub(crate) fn parallel_select(
+/// Execute a bound SELECT — with a worker team when `par` says so, else
+/// serially — returning rows identical, in content and order, either way.
+/// `analyze` has a serial run fill its per-stage profile.
+pub(crate) fn select(
     engine: &Engine,
     plan: &BoundSelect,
     token: &CancelToken,
-    dec: &ParallelDecision,
-) -> Result<(Vec<Tuple>, ExecStats, Vec<WorkerReport>)> {
-    let metrics = jaguar_par::metrics();
-    metrics.queries.inc();
-    let dispenser = MorselDispenser::new(1, plan.table.heap_pages(), dec.morsel_pages);
-    let total_morsels = u64::from(dispenser.morsel_count());
-    let abort = AtomicBool::new(false);
-    let failed = parking_lot::Mutex::new(None::<(u32, JaguarError)>);
-
-    let outs = run_team(dec.dop, |_worker| {
-        let mut handler = EngineCallbacks { engine };
-        let pool = engine.worker_pool();
-        let mut ctx = ExecCtx::for_udfs(&plan.udfs, &mut handler, pool.as_ref())
-            .inspect_err(|_| abort.store(true, Ordering::Relaxed))?;
-        ctx.attach_cancel(token);
-        ctx.set_udf_batch_size(engine.catalog().config().udf_batch_size);
-        crate::optimize::install_opt(plan, engine, &mut ctx);
-        let started = Instant::now();
-        let mut at = 0;
-        match drain_morsels(plan, &dispenser, &abort, &mut ctx, &mut at) {
-            Ok((rows, aggs, morsels, produced)) => {
-                let stats = ctx.finish()?;
-                let busy_us = started.elapsed().as_micros() as u64;
-                metrics.worker_busy.observe_us(busy_us);
-                Ok(WorkerOut {
-                    rows,
-                    aggs,
-                    stats,
-                    report: WorkerReport {
-                        rows: produced,
-                        morsels,
-                        busy_us,
-                    },
-                })
-            }
-            Err(e) => {
-                // Fellow workers stop at their next morsel boundary;
-                // teardown failures are secondary.
-                abort.store(true, Ordering::Relaxed);
-                let _ = ctx.finish();
-                let mut first = failed.lock();
-                if first.as_ref().is_none_or(|(morsel, _)| at < *morsel) {
-                    *first = Some((at, e));
-                }
-                Err(JaguarError::Execution("parallel worker stopped".into()))
-            }
-        }
-    });
-    if let Some((_, first)) = failed.into_inner() {
-        return Err(first);
-    }
-
-    let mut workers = Vec::with_capacity(outs.len());
-    for r in outs {
-        workers.push(r?);
-    }
-
-    // Gather: merge stats and reports, account steal imbalance.
-    let mut stats = ExecStats::default();
-    let mut reports = Vec::with_capacity(workers.len());
-    let fair_share = total_morsels / dec.dop as u64;
-    let mut rows_parts: Vec<(u32, Vec<Tuple>)> = Vec::new();
-    let mut agg_parts: Vec<(u32, GroupedAgg)> = Vec::new();
-    for w in workers {
-        merge_stats(&mut stats, &w.stats);
-        metrics
-            .steals
-            .add(w.report.morsels.saturating_sub(fair_share));
-        rows_parts.extend(w.rows);
-        agg_parts.extend(w.aggs);
-        reports.push(w.report);
-    }
-
-    // Post-gather operators run on the main thread. HAVING/ORDER BY
-    // expressions are UDF-free by construction (the output binder
-    // rejects UDFs), so an empty-UDF context suffices.
-    let mut handler = EngineCallbacks { engine };
-    let mut ctx = ExecCtx::for_udfs(&[], &mut handler, None)?;
-    ctx.attach_cancel(token);
-
-    let mut rows: Vec<Tuple> = match &plan.aggregate {
-        Some(ap) => {
-            // Merge partials in morsel order: group insertion order then
-            // matches the serial scan's first-seen order exactly.
-            agg_parts.sort_by_key(|(idx, _)| *idx);
-            let mut merged = GroupedAgg::new();
-            for (_, part) in agg_parts {
-                merged.merge(ap, part)?;
-            }
-            let mut out = Vec::new();
-            for group_row in merged.finish(ap) {
-                ctx.tick()?;
-                let mut vals = Vec::with_capacity(plan.projections.len());
-                for e in &plan.projections {
-                    vals.push(eval(e, &group_row, &mut ctx)?);
-                }
-                ctx.stats.rows_emitted += 1;
-                out.push(Tuple::new(vals));
-            }
-            out
-        }
-        None => {
-            rows_parts.sort_by_key(|(idx, _)| *idx);
-            rows_parts.into_iter().flat_map(|(_, r)| r).collect()
-        }
-    };
-
-    if let Some(h) = &plan.having {
-        let mut kept = Vec::with_capacity(rows.len());
-        for t in rows {
-            ctx.tick()?;
-            if matches!(eval(h, &t, &mut ctx)?, Value::Bool(true)) {
-                kept.push(t);
-            }
-        }
-        rows = kept;
-    }
-
-    if !plan.order_by.is_empty() {
-        // The serial Sort operator's sort, so ties preserve the (already
-        // serial-identical) gather order.
-        rows = sort_rows(rows, &plan.order_by, &mut ctx)?;
-    }
-
-    if let Some(n) = plan.limit {
-        rows.truncate(n as usize);
-    }
-
-    merge_stats(&mut stats, &ctx.finish()?);
-    Ok((rows, stats, reports))
-}
-
-/// One worker's fragment: claim morsels until the dispenser runs dry or
-/// the team aborts, running scan → filter → project / partial-aggregate
-/// per morsel. Returns per-morsel results plus morsel/row counts; `at` is
-/// the index of the morsel it is on, for the caller of one that fails.
-#[allow(clippy::type_complexity)]
-fn drain_morsels(
-    plan: &BoundSelect,
-    dispenser: &MorselDispenser,
-    abort: &AtomicBool,
-    ctx: &mut ExecCtx<'_>,
-    at: &mut u32,
-) -> Result<(Vec<(u32, Vec<Tuple>)>, Vec<(u32, GroupedAgg)>, u64, u64)> {
-    let mut rows: Vec<(u32, Vec<Tuple>)> = Vec::new();
-    let mut aggs: Vec<(u32, GroupedAgg)> = Vec::new();
-    let mut morsels = 0u64;
-    let mut produced = 0u64;
-    // Batched UDF projection composes with morsels: survivors accumulate
-    // into one crossing per `batch_size` rows, and a morsel boundary
-    // always flushes (morsel-index gather order must not interleave).
-    let batch_spec = if plan.aggregate.is_none() && ctx.batch_size() > 1 {
-        plan_batch_spec(plan)
-    } else {
-        None
-    };
-    while let Some(m) = dispenser.next() {
-        if abort.load(Ordering::Relaxed) {
-            break;
-        }
-        *at = m.index;
-        morsels += 1;
-        let mut out_rows = Vec::new();
-        let mut agg = plan.aggregate.as_ref().map(|_| GroupedAgg::new());
-        let mut batcher = batch_spec.map(|s| ProjectionBatcher::new(s, ctx.batch_size()));
-        // A morsel is the statement's row source over a page range.
-        let pages = m.start_page..m.end_page;
-        let mut morsel = RowSource::open(
+    par: Option<&ParallelDecision>,
+    analyze: bool,
+) -> Result<Selected> {
+    // The statement's rows over a page range: all of them serially, one
+    // morsel's in a team.
+    let open = |pages| {
+        RowSource::open(
             &plan.table,
             &plan.access,
             &plan.scan_cols,
             pages,
             &plan.pushed,
-        )?;
-        morsel.for_each(ctx, |_, tuple, ctx| {
-            if !matches_all(&plan.predicates, tuple, ctx)? {
-                return Ok(());
-            }
-            produced += 1;
-            match (&plan.aggregate, &mut agg) {
-                (Some(ap), Some(g)) => g.update(ap, tuple, ctx)?,
-                _ => match &mut batcher {
-                    Some(b) => {
-                        b.push(&plan.projections, tuple, ctx)?;
-                        if b.is_full() {
-                            let flushed = b.flush(ctx)?;
-                            ctx.stats.rows_emitted += flushed.len() as u64;
-                            out_rows.extend(flushed);
-                        }
-                    }
-                    None => {
-                        let mut vals = Vec::with_capacity(plan.projections.len());
-                        for e in &plan.projections {
-                            vals.push(eval(e, tuple, ctx)?);
-                        }
-                        ctx.stats.rows_emitted += 1;
-                        out_rows.push(Tuple::new(vals));
-                    }
-                },
+        )
+    };
+    let Some(dec) = par else {
+        let mut handler = EngineCallbacks { engine };
+        let mut ctx = fragment_ctx(engine, plan, &mut handler, token)?;
+        if analyze {
+            ctx.profile.start();
+        }
+        let mut sink = Sink::select(plan, ctx.batch_size());
+        // LIMIT 0 reads nothing.
+        if plan.limit != Some(0) {
+            fragment(
+                &mut open(1..u32::MAX)?,
+                &plan.predicates,
+                &mut sink,
+                &mut ctx,
+            )?;
+        }
+        let profile = std::mem::take(&mut ctx.profile);
+        let mut done = gather(engine, plan, token, sink, profile)?;
+        done.stats.merge(&ctx.finish()?);
+        return Ok(done);
+    };
+    let metrics = jaguar_par::metrics();
+    metrics.queries.inc();
+    let dispenser = MorselDispenser::new(1, plan.table.heap_pages(), dec.morsel_pages);
+    let fair_share = u64::from(dispenser.morsel_count()) / dec.dop as u64;
+    let abort = AtomicBool::new(false);
+    let failed = parking_lot::Mutex::new(None::<(u32, JaguarError)>);
+
+    let outs = run_team(dec.dop, |_worker| {
+        let mut handler = EngineCallbacks { engine };
+        let mut ctx = fragment_ctx(engine, plan, &mut handler, token)
+            .inspect_err(|_| abort.store(true, Ordering::Relaxed))?;
+        let started = Instant::now();
+        let mut sink = Sink::select(plan, ctx.batch_size());
+        let (mut parts, mut report, mut at) = (Vec::new(), WorkerReport::default(), 0);
+        let mut drain = || -> Result<()> {
+            while let Some(m) = dispenser.next() {
+                if abort.load(Ordering::Relaxed) {
+                    break;
+                }
+                (at, report.morsels) = (m.index, report.morsels + 1);
+                let mut rows = open(m.start_page..m.end_page)?;
+                report.rows += fragment(&mut rows, &plan.predicates, &mut sink, &mut ctx)?;
+                parts.push((m.index, sink.take()));
             }
             Ok(())
-        })?;
-        if let Some(b) = &mut batcher {
-            let flushed = b.flush(ctx)?;
-            ctx.stats.rows_emitted += flushed.len() as u64;
-            out_rows.extend(flushed);
+        };
+        if let Err(e) = drain() {
+            // Fellow workers stop at their next morsel boundary;
+            // teardown failures are secondary.
+            abort.store(true, Ordering::Relaxed);
+            let _ = ctx.finish();
+            let mut first = failed.lock();
+            if first.as_ref().is_none_or(|(morsel, _)| at < *morsel) {
+                *first = Some((at, e));
+            }
+            return Err(JaguarError::Execution("parallel worker stopped".into()));
         }
-        match agg {
-            Some(g) => aggs.push((m.index, g)),
-            None => rows.push((m.index, out_rows)),
-        }
+        report.busy_us = started.elapsed().as_micros() as u64;
+        metrics.worker_busy.observe_us(report.busy_us);
+        Ok((parts, ctx.finish()?, report))
+    });
+    if let Some((_, first)) = failed.into_inner() {
+        return Err(first);
     }
-    Ok((rows, aggs, morsels, produced))
+
+    // Gather: merge stats and reports, account steal imbalance, and lay the
+    // morsels' outputs end to end in scan order.
+    let (mut stats, mut reports, mut parts) = (ExecStats::default(), Vec::new(), Vec::new());
+    for out in outs {
+        let (morsels, worker_stats, report) = out?;
+        stats.merge(&worker_stats);
+        metrics
+            .steals
+            .add(report.morsels.saturating_sub(fair_share));
+        parts.extend(morsels);
+        reports.push(report);
+    }
+    parts.sort_by_key(|(index, _)| *index);
+    let mut gathered = Sink::select(plan, 1);
+    for (_, part) in parts {
+        gathered.absorb(part)?;
+    }
+    let mut done = gather(engine, plan, token, gathered, Profile::default())?;
+    done.stats.merge(&stats);
+    done.reports = reports;
+    Ok(done)
 }
 
-fn merge_stats(into: &mut ExecStats, from: &ExecStats) {
-    into.rows_scanned += from.rows_scanned;
-    into.rows_emitted += from.rows_emitted;
-    into.udf_invocations += from.udf_invocations;
-    into.udf_callbacks += from.udf_callbacks;
-    into.vm_instructions += from.vm_instructions;
-    into.vm_bytes_allocated += from.vm_bytes_allocated;
+/// A fragment's context: the plan's UDFs (checked out of the engine's
+/// worker pool, if any), the statement's token, the configured UDF batch
+/// size and the optimizer's memo cache and selectivity probe.
+fn fragment_ctx<'a>(
+    engine: &Engine,
+    plan: &BoundSelect,
+    handler: &'a mut EngineCallbacks<'_>,
+    token: &CancelToken,
+) -> Result<ExecCtx<'a>> {
+    let mut ctx = ExecCtx::for_udfs(&plan.udfs, handler, engine.worker_pool().as_ref())?;
+    ctx.attach_cancel(token);
+    ctx.set_udf_batch_size(engine.catalog().config().udf_batch_size);
+    crate::optimize::install_opt(plan, engine, &mut ctx);
+    Ok(ctx)
+}
+
+/// Run the tail over the fragments' output on the calling thread, in a
+/// UDF-free context of its own, carrying on the fragments' `profile`.
+fn gather(
+    engine: &Engine,
+    plan: &BoundSelect,
+    token: &CancelToken,
+    gathered: Sink<'_>,
+    profile: Profile,
+) -> Result<Selected> {
+    let mut handler = EngineCallbacks { engine };
+    let mut ctx = ExecCtx::for_udfs(&[], &mut handler, None)?;
+    ctx.attach_cancel(token);
+    ctx.profile = profile;
+    let rows = tail(plan, gathered, &mut ctx)?;
+    let profile = std::mem::take(&mut ctx.profile);
+    Ok(Selected {
+        rows,
+        stats: ctx.finish()?,
+        reports: Vec::new(),
+        profile,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use jaguar_common::config::Config;
+    use jaguar_common::Value;
 
     fn engine_with_rows(dop: usize, rows: usize) -> Engine {
         let e = Engine::in_memory(Config::default().with_dop(dop));

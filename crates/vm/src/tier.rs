@@ -2139,6 +2139,15 @@ mod tests {
     use crate::isa::VType;
     use crate::module::{FuncSig, Function, HostImport, Module};
     use crate::resources::ResourceLimits;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The tier counters are process-wide, so a test that asserts on a
+    /// before/after delta would see the promotions of tests running beside
+    /// it. Every test here holds this guard, which runs them one at a time.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     fn sum_loop_module() -> Arc<VerifiedModule> {
         let src = "module m\nfunc main(bytes, i64) -> i64\nlocals i64, i64\n\
@@ -2153,6 +2162,7 @@ mod tests {
     /// the fuser/encoder/compiler run once per module, not per statement.
     #[test]
     fn interpreters_share_one_plan_per_module() {
+        let _serial = serial();
         let m = sum_loop_module();
         let a = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
         let b = Interpreter::new(
@@ -2176,6 +2186,7 @@ mod tests {
     /// fuel, over a loop that exercises arrays, compares, and branches.
     #[test]
     fn compiled_tier_matches_interpreter_exactly() {
+        let _serial = serial();
         let m = sum_loop_module();
         let data: Vec<u8> = (0..200u8).collect();
         let args = [
@@ -2239,6 +2250,7 @@ mod tests {
     /// kernels, and a run of either is one strip with no fallback.
     #[test]
     fn generic_udf_loops_are_counted_kernels() {
+        let _serial = serial();
         for (m, hoisted) in [(sum_loop_module(), true), (mul_add_loop_module(), false)] {
             let cm = CompiledModule::build(&m);
             let cf = cm.funcs[0].as_ref().expect("compiles");
@@ -2269,6 +2281,7 @@ mod tests {
     /// both generic-UDF loops.
     #[test]
     fn fuel_exhaustion_is_tier_independent() {
+        let _serial = serial();
         let data: Vec<u8> = (0..50u8).collect();
         for m in [sum_loop_module(), mul_add_loop_module()] {
             let unlimited = same_on_every_tier(&m, ResourceLimits::default(), &data, 50);
@@ -2299,6 +2312,7 @@ mod tests {
     /// budget that runs out first reports exhaustion instead.
     #[test]
     fn counted_loop_traps_exactly_where_the_interpreter_does() {
+        let _serial = serial();
         let m = sum_loop_module();
         let data: Vec<u8> = (0..20u8).collect();
         let trap = same_on_every_tier(&m, ResourceLimits::default(), &data, 25).unwrap_err();
@@ -2317,6 +2331,7 @@ mod tests {
     /// shorter one alone.
     #[test]
     fn counted_loop_polls_the_cancel_token_on_cadence() {
+        let _serial = serial();
         let m = mul_add_loop_module();
         let per_trip = 10;
         for (n, fuel) in [
@@ -2360,6 +2375,7 @@ mod tests {
     /// A call's result lands in the caller's register — at every depth.
     #[test]
     fn compiled_calls_return_values_to_their_callers() {
+        let _serial = serial();
         let src = "module m\n\
                    func main(i64) -> i64\n  consti 1\n  load 0\n  call 1\n  addi\n  consti 3\n  addi\n  ret\nend\n\
                    func mid(i64) -> i64\n  load 0\n  call 2\n  consti 7\n  addi\n  ret\nend\n\
@@ -2381,6 +2397,7 @@ mod tests {
     /// A pre-cancelled token stops the compiled tier like the interpreter.
     #[test]
     fn compiled_tier_honours_cancellation() {
+        let _serial = serial();
         let src = "module m\nfunc main() -> i64\n\
                    top:\n  jmp top\n  consti 0\n  ret\nend\n";
         let m = Arc::new(crate::asm::assemble(src).unwrap().verify().unwrap());
@@ -2401,6 +2418,7 @@ mod tests {
     /// call after the threshold takes the compiled tier.
     #[test]
     fn promotion_respects_threshold() {
+        let _serial = serial();
         let m = sum_loop_module();
         let interp = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
             .with_tier_up(Some(3));
@@ -2428,6 +2446,7 @@ mod tests {
     /// native stack overflow.
     #[test]
     fn compiled_recursion_depth_matches_interpreter() {
+        let _serial = serial();
         let f = Function {
             name: "main".into(),
             sig: FuncSig::new(vec![], Some(VType::I64)),
@@ -2461,6 +2480,7 @@ mod tests {
     /// and return-validated exactly like the interpreter.
     #[test]
     fn compiled_host_calls_match_interpreter() {
+        let _serial = serial();
         struct Doubler;
         impl HostEnv for Doubler {
             fn host_call(
@@ -2516,6 +2536,7 @@ mod tests {
     /// by zero, explicit traps, negative allocation.
     #[test]
     fn compiled_traps_match_interpreter() {
+        let _serial = serial();
         let cases: Vec<Vec<Insn>> = vec![
             vec![Insn::ConstI(1), Insn::ConstI(0), Insn::DivI, Insn::Ret],
             vec![Insn::ConstI(-5), Insn::NewArr, Insn::ALen, Insn::Ret],
@@ -2563,6 +2584,7 @@ mod tests {
     /// plans for dead modules).
     #[test]
     fn plan_cache_entries_die_with_their_module() {
+        let _serial = serial();
         let m = sum_loop_module();
         let plan = plan_for(&m);
         let weak_plan = Arc::downgrade(&plan);

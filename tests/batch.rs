@@ -110,6 +110,9 @@ fn batch_gating_end_to_end() {
     let (rows, delta) = run_counted(&db, "SELECT dbl(id) FROM t LIMIT 10");
     assert_eq!(rows.len(), 10);
     assert_eq!(delta, 0, "bare LIMIT must not batch");
+    // ...and stops the scan at its tenth row: no invocation past the limit.
+    let stats = db.execute("SELECT dbl(id) FROM t LIMIT 10").unwrap().stats;
+    assert_eq!(stats.udf_invocations, 10, "bare LIMIT must stop early");
     // ...but LIMIT after a SORT materializes everything first: batchable.
     let (rows, delta) = run_counted(&db, "SELECT dbl(id) AS v FROM t ORDER BY v LIMIT 10");
     assert_eq!(rows, reference[..10].to_vec());

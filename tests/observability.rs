@@ -91,6 +91,37 @@ fn explain_analyze_row_counts_match_cardinality() {
         "{text}"
     );
     assert!(line("Filter (1 predicate(s))").contains("rows=4"), "{text}");
+
+    // The stages after the scan each report what they produce, serially:
+    // ids 0..9 make four groups of `id % 4` (sizes 3, 3, 2, 2), HAVING
+    // keeps two, the sort keeps both and the LIMIT one.
+    let db = Database::with_config(Config::default().with_dop(1));
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    for i in 0..10 {
+        db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+    }
+    let grouped = "SELECT id % 4 AS k, COUNT(*) AS n FROM t GROUP BY id % 4 \
+                   HAVING n > 2 ORDER BY k DESC LIMIT 1";
+    let text = db.explain_analyze(grouped).unwrap();
+    let line = |op: &str| {
+        (text.lines())
+            .find(|l| l.contains(op) && l.contains("rows="))
+            .unwrap_or_else(|| panic!("no profiled {op} in:\n{text}"))
+    };
+    for (op, rows) in [
+        ("SeqScan t", 10),
+        ("Aggregate (", 4),
+        ("Project (", 4),
+        ("Having", 2),
+        ("Sort (", 2),
+        ("Limit 1", 1),
+    ] {
+        assert!(
+            line(op).contains(&format!(" rows={rows} time=")),
+            "{op}: {text}"
+        );
+    }
+    assert!(text.contains("Total: 1 row(s)"), "{text}");
 }
 
 #[test]

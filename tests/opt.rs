@@ -3,7 +3,7 @@
 //! through the SQL engine end to end.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use jaguar_core::{Config, DataType, Database, Tuple, UdfDesign, UdfSignature, Value, Volatility};
 
@@ -33,12 +33,21 @@ fn db_with_rows(config: Config, rows: i64) -> Database {
     db
 }
 
+/// Counters live in one process-wide registry, so a test that asserts on a
+/// before/after delta would see the calls of tests running beside it. Every
+/// test in this file holds this guard, which runs them one at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 /// Tentpole acceptance: an inlinable Immutable JagScript UDF never
 /// instantiates a backend — no VM entry (vm_instructions stays zero), no
 /// sandboxed invocation counters, no worker spawn — and still computes
 /// the right answers.
 #[test]
 fn inlined_udf_never_instantiates_backend() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 50);
     db.register_jagscript_udf_with_volatility(
         "poly_inl",
@@ -85,6 +94,7 @@ fn inlined_udf_never_instantiates_backend() {
 /// traps (integer divide by zero).
 #[test]
 fn inlined_matches_vm_called_rows_and_errors() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 120);
     let sig = UdfSignature::new(vec![DataType::Int, DataType::Int], DataType::Int);
     // Same module, two volatility declarations: Immutable inlines,
@@ -137,6 +147,7 @@ fn inlined_matches_vm_called_rows_and_errors() {
 /// to the call path — noted in the plan, still executed correctly.
 #[test]
 fn unsupported_shapes_bail_to_call_path() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 10);
     db.register_jagscript_udf_with_volatility(
         "loopy",
@@ -164,6 +175,7 @@ fn unsupported_shapes_bail_to_call_path() {
 /// distinct key, and `opt.memo.hits` ticks for the rest.
 #[test]
 fn memo_serves_repeated_keys_without_invoking() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 200);
     let calls = Arc::new(AtomicU64::new(0));
     let c2 = Arc::clone(&calls);
@@ -209,6 +221,7 @@ fn memo_serves_repeated_keys_without_invoking() {
 /// `udf_memo_bytes = 0` disables the cache: every row invokes.
 #[test]
 fn memo_disabled_by_config() {
+    let _serial = serial();
     let db = db_with_rows(Config::default().with_udf_memo_bytes(0), 100);
     let calls = Arc::new(AtomicU64::new(0));
     let c2 = Arc::clone(&calls);
@@ -231,6 +244,7 @@ fn memo_disabled_by_config() {
 /// Stable and Volatile UDFs are never memoized — only Immutable is.
 #[test]
 fn memo_excludes_stable_and_volatile() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 100);
     for (name, vol) in [("st", Volatility::Stable), ("vo", Volatility::Volatile)] {
         let calls = Arc::new(AtomicU64::new(0));
@@ -258,6 +272,7 @@ fn memo_excludes_stable_and_volatile() {
 /// level (the planner-level twin lives in jaguar-sql's plan tests).
 #[test]
 fn volatile_udf_keeps_written_order_end_to_end() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 150);
     let calls = Arc::new(AtomicU64::new(0));
     let c2 = Arc::clone(&calls);
@@ -295,6 +310,7 @@ fn volatile_udf_keeps_written_order_end_to_end() {
 /// equal-cost Stable UDF predicates first (rank = cost / (1 - sel)).
 #[test]
 fn selectivity_reorders_equal_cost_predicates() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 200);
     let rare_calls = Arc::new(AtomicU64::new(0));
     let wide_calls = Arc::new(AtomicU64::new(0));
@@ -343,6 +359,7 @@ fn selectivity_reorders_equal_cost_predicates() {
 /// plan-notes trailer with the optimizer's decisions.
 #[test]
 fn explain_statement_carries_plan_notes() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 20);
     db.register_jagscript_udf_with_volatility(
         "noted",
@@ -406,6 +423,7 @@ fn explain_statement_carries_plan_notes() {
 /// EXPLAIN ANALYZE surfaces memo hit/miss deltas for the statement.
 #[test]
 fn explain_analyze_reports_memo_activity() {
+    let _serial = serial();
     let db = db_with_rows(Config::default(), 120);
     db.register_native_udf_with_volatility(
         "cached",
@@ -429,6 +447,7 @@ fn explain_analyze_reports_memo_activity() {
 /// cache is shared across the worker team and results match serial.
 #[test]
 fn memo_correct_under_parallel_execution() {
+    let _serial = serial();
     let serial = db_with_rows(Config::default().with_dop(1), 2000);
     let parallel = db_with_rows(Config::default().with_dop(4), 2000);
     for db in [&serial, &parallel] {
@@ -455,6 +474,7 @@ fn memo_correct_under_parallel_execution() {
 /// what a memo-off engine computes, row for row.
 #[test]
 fn memo_never_wrong_randomized() {
+    let _serial = serial();
     use jaguar_common::rng::SplitMix64;
     let mut rng = SplitMix64::new(0xC0FFEE);
     let on = Database::with_config(Config::default());
@@ -621,6 +641,7 @@ mod inline_differential {
         /// same trap text.
         #[test]
         fn inlined_byte_reading_bodies_match_the_called_ones(src in arb_body()) {
+            let _serial = serial();
             let isolated = jaguar_ipc::find_worker_binary().is_ok();
             let db = db(&src, isolated);
             let plan = db.explain("SELECT inl3(b, x, y) FROM t").unwrap();
@@ -656,6 +677,7 @@ mod inline_differential {
     /// the same words. NULL is refused likewise.
     #[test]
     fn inlined_body_refuses_what_the_sandbox_would_refuse() {
+        let _serial = serial();
         let mut config = Config::default().with_dop(1);
         config.default_vm_memory = Some(200);
         let db = Database::with_config(config);
