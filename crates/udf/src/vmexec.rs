@@ -20,7 +20,9 @@ use jaguar_common::{ByteArray, DataType, Value};
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_vec::{BatchError, BatchResult, ValueBatch};
 use jaguar_vm::interp::{ExecMode, HostEnv, Interpreter, VmValue};
-use jaguar_vm::{Arena, PermissionSet, ResourceLimits, VType, VerifiedModule};
+use jaguar_vm::{
+    Arena, PermissionSet, ResourceLimits, ResourceUsage, TierTally, VType, VerifiedModule,
+};
 
 use crate::api::{ScalarUdf, UdfResourceUsage, UdfSignature};
 
@@ -165,7 +167,6 @@ impl ScalarUdf for VmUdf {
     fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
         self.signature.check_args(&self.name, args)?;
         let mut arena = Arena::new(self.interp.limits().memory);
-        // (usage recorded below, after the run)
         let mut vm_args = Vec::with_capacity(args.len());
         for a in args {
             vm_args.push(value_to_vm(a, &mut arena)?);
@@ -174,32 +175,18 @@ impl ScalarUdf for VmUdf {
         let (ret, usage) =
             self.interp
                 .invoke_with_arena(&self.function, vm_args, &mut arena, &mut host)?;
-        self.consumed.instructions += usage.instructions;
-        self.consumed.bytes_allocated += arena.allocated() as u64;
-        self.consumed.host_calls += usage.host_calls;
-        match ret {
-            Some(v) => {
-                let out = vm_to_value(v, &arena)?;
-                // Return type fidelity: Bool SQL results come back as i64.
-                if self.signature.ret == DataType::Bool {
-                    return Ok(Value::Bool(out.as_int()? != 0));
-                }
-                Ok(out)
-            }
-            None => Err(JaguarError::Udf(format!(
-                "VM function '{}' returned no value",
-                self.function
-            ))),
-        }
+        self.result(ret, usage, &arena)
     }
 
     /// The vectorized entry point: enter the interpreter once per row but
     /// amortize everything around it across the batch — the function is
-    /// resolved once, and one arena (byte buffers and register stack kept
-    /// across `reset`) and one argument vector serve every row. Results,
-    /// error text, and per-row resource accounting are identical to the
-    /// per-tuple path; the interpreter's cancel poll keeps its
-    /// per-`CANCEL_CHECK_INTERVAL` cadence inside every row.
+    /// resolved once, one arena (byte buffers and register stack kept
+    /// across `reset`) and one argument vector serve every row, arguments
+    /// are read where the batch holds them, and the tier counters are
+    /// published once. Results, error text, the failing row and per-row
+    /// resource accounting are identical to the per-tuple path's; the
+    /// interpreter's cancel poll keeps its per-`CANCEL_CHECK_INTERVAL`
+    /// cadence inside every row.
     fn invoke_batch(
         &mut self,
         batch: &ValueBatch,
@@ -211,41 +198,32 @@ impl ScalarUdf for VmUdf {
         };
         let mut arena = Arena::new(self.interp.limits().memory);
         let mut out = Vec::with_capacity(batch.len());
-        let mut args = Vec::with_capacity(batch.arity());
         let mut vm_args = Vec::with_capacity(batch.arity());
+        let mut host = CallbackHost { callbacks };
+        let mut tally = TierTally::default();
+        let arity = batch.arity();
         for i in 0..batch.len() {
-            batch.read_row(i, &mut args);
             arena.reset();
             vm_args.clear();
+            let arg = |a: usize| &batch.column(a)[i];
             let one = (|| -> Result<Value> {
-                self.signature.check_args(&self.name, &args)?;
-                for a in &args {
-                    vm_args.push(value_to_vm(a, &mut arena)?);
+                // Only a row that fails the check is copied out, for its error.
+                let params = &self.signature.params;
+                if arity != params.len() || (0..arity).any(|a| !arg(a).conforms_to(params[a])) {
+                    self.signature.check_args(&self.name, &batch.row(i))?;
                 }
-                let mut host = CallbackHost { callbacks };
-                let (ret, usage) = self.interp.invoke_resolved(
+                for a in 0..arity {
+                    vm_args.push(value_to_vm(arg(a), &mut arena)?);
+                }
+                let (ret, usage) = self.interp.invoke_tallied(
                     fidx,
                     &self.function,
                     &vm_args,
                     &mut arena,
                     &mut host,
+                    &mut tally,
                 )?;
-                self.consumed.instructions += usage.instructions;
-                self.consumed.bytes_allocated += arena.allocated() as u64;
-                self.consumed.host_calls += usage.host_calls;
-                match ret {
-                    Some(v) => {
-                        let out = vm_to_value(v, &arena)?;
-                        if self.signature.ret == DataType::Bool {
-                            return Ok(Value::Bool(out.as_int()? != 0));
-                        }
-                        Ok(out)
-                    }
-                    None => Err(JaguarError::Udf(format!(
-                        "VM function '{}' returned no value",
-                        self.function
-                    ))),
-                }
+                self.result(ret, usage, &arena)
             })();
             match one {
                 Ok(v) => out.push(v),
@@ -253,6 +231,34 @@ impl ScalarUdf for VmUdf {
             }
         }
         Ok(out)
+    }
+}
+
+impl VmUdf {
+    /// Account one invocation and marshal its result out of `arena`.
+    fn result(
+        &mut self,
+        ret: Option<VmValue>,
+        usage: ResourceUsage,
+        arena: &Arena,
+    ) -> Result<Value> {
+        self.consumed.instructions += usage.instructions;
+        self.consumed.bytes_allocated += arena.allocated() as u64;
+        self.consumed.host_calls += usage.host_calls;
+        match ret {
+            Some(v) => {
+                let out = vm_to_value(v, arena)?;
+                // Return type fidelity: Bool SQL results come back as i64.
+                if self.signature.ret == DataType::Bool {
+                    return Ok(Value::Bool(out.as_int()? != 0));
+                }
+                Ok(out)
+            }
+            None => Err(JaguarError::Udf(format!(
+                "VM function '{}' returned no value",
+                self.function
+            ))),
+        }
     }
 }
 

@@ -54,11 +54,6 @@ impl Arena {
         self.allocated = 0;
     }
 
-    /// Number of live objects.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Allocate a zeroed array. Fails (containably) if the invocation's
     /// memory budget would be exceeded.
     pub fn alloc_zeroed(&mut self, len: usize) -> Result<BytesRef> {
@@ -130,24 +125,26 @@ impl Arena {
 
     /// Borrow the whole array (host-side access for result marshalling).
     pub fn get(&self, r: BytesRef) -> Result<&[u8]> {
-        self.objects
-            .get(r.0 as usize)
-            .map(|v| v.as_slice())
-            .ok_or(JaguarError::VmTrap(VmTrap::Type(
-                "dangling bytes reference",
-            )))
+        match self.objects.get(r.0 as usize) {
+            Some(obj) => Ok(obj),
+            None => Err(dangling()),
+        }
     }
 
     /// Borrow the whole array mutably (the compiled tier's per-strip
     /// resolution of a loop's array).
     pub(crate) fn bytes_mut(&mut self, r: BytesRef) -> Result<&mut [u8]> {
-        self.objects
-            .get_mut(r.0 as usize)
-            .map(|v| v.as_mut_slice())
-            .ok_or(JaguarError::VmTrap(VmTrap::Type(
-                "dangling bytes reference",
-            )))
+        match self.objects.get_mut(r.0 as usize) {
+            Some(obj) => Ok(obj),
+            None => Err(dangling()),
+        }
     }
+}
+
+/// Built only when needed: a lookup that succeeds constructs (and drops) no
+/// error value, which the compiled tier's loop entry would otherwise pay.
+fn dangling() -> JaguarError {
+    JaguarError::VmTrap(VmTrap::Type("dangling bytes reference"))
 }
 
 #[cfg(test)]

@@ -30,7 +30,7 @@ use crate::isa::{Insn, VType};
 use crate::module::VerifiedModule;
 use crate::resources::{ResourceLimits, ResourceUsage};
 use crate::security::PermissionSet;
-use crate::tier::{self, ModulePlan};
+use crate::tier::{self, ModulePlan, TierTally};
 
 /// A runtime value on the operand stack or in a local slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -377,17 +377,8 @@ impl Interpreter {
         &self.module
     }
 
-    pub fn mode(&self) -> ExecMode {
-        self.mode
-    }
-
     pub fn limits(&self) -> ResourceLimits {
         self.limits
-    }
-
-    /// The configured tier-up threshold, if any.
-    pub fn tier_up_after(&self) -> Option<u64> {
-        self.tier_up_after
     }
 
     /// The shared per-module execution plan (exposed so tests and
@@ -437,7 +428,22 @@ impl Interpreter {
         arena: &mut Arena,
         host: &mut dyn HostEnv,
     ) -> Result<(Option<VmValue>, ResourceUsage)> {
-        let args = args.as_ref();
+        let mut tally = TierTally::default();
+        self.invoke_tallied(fidx, func, args.as_ref(), arena, host, &mut tally)
+    }
+
+    /// [`Interpreter::invoke_resolved`] as one call of a run — the rows of
+    /// a batch — whose tier counters add up in `tally` and are published
+    /// when it drops, once for the whole run.
+    pub fn invoke_tallied(
+        &self,
+        fidx: u32,
+        func: &str,
+        args: &[VmValue],
+        arena: &mut Arena,
+        host: &mut dyn HostEnv,
+        tally: &mut TierTally,
+    ) -> Result<(Option<VmValue>, ResourceUsage)> {
         let f = &self.module.functions()[fidx as usize];
         if args.len() != f.sig.params.len() {
             return Err(JaguarError::Udf(format!(
@@ -455,7 +461,7 @@ impl Interpreter {
                 )));
             }
         }
-        self.run(fidx, args, arena, host)
+        self.run(fidx, args, arena, host, tally)
     }
 
     /// Convenience wrapper: creates the arena, marshals owned byte-array
@@ -485,26 +491,30 @@ impl Interpreter {
         args: &[VmValue],
         arena: &mut Arena,
         host: &mut dyn HostEnv,
+        tally: &mut TierTally,
     ) -> Result<(Option<VmValue>, ResourceUsage)> {
         // Tier-up: once a function has been invoked `tier_up_after` times
         // it runs through the compiled tier — if the template compiler
         // covered its whole call graph; otherwise fall back and keep
         // interpreting (observable behaviour is identical either way).
-        if self.mode == ExecMode::Jit {
-            if let Some(n) = self.tier_up_after {
-                let hits = self.plan.hot(entry).fetch_add(1, Ordering::Relaxed) + 1;
-                if hits > n {
-                    let tm = tier::metrics();
-                    if hits == n + 1 {
-                        tm.promotions.inc();
-                    }
-                    let cm = self.plan.compiled(&self.module);
-                    if cm.entry_runnable(entry) {
-                        tm.compiled_hits.inc();
-                        return tier::run_compiled(self, cm, entry, args, arena, host);
-                    }
-                    tm.fallbacks.inc();
+        // Each call counts itself until one is call N+1; from then on the
+        // check is a load, with no write to the shared counter.
+        if let (ExecMode::Jit, Some(n)) = (self.mode, self.tier_up_after) {
+            let hot = self.plan.hot(entry);
+            let promoted = hot.load(Ordering::Relaxed) > n || {
+                let hits = hot.fetch_add(1, Ordering::Relaxed) + 1;
+                if hits == n + 1 {
+                    tier::metrics().promotions.inc();
                 }
+                hits > n
+            };
+            if promoted {
+                let cm = self.plan.compiled(&self.module);
+                if cm.entry_runnable(entry) {
+                    tally.compiled_hits += 1;
+                    return tier::run_compiled(self, cm, entry, args, arena, host, tally);
+                }
+                tally.fallbacks += 1;
             }
         }
 

@@ -61,5 +61,5 @@ pub use loader::Loader;
 pub use module::{FuncSig, Function, HostImport, Module, VerifiedModule};
 pub use resources::{ResourceLimits, ResourceUsage};
 pub use security::{Permission, PermissionSet};
-pub use tier::DEFAULT_TIER_UP_AFTER;
+pub use tier::{TierTally, DEFAULT_TIER_UP_AFTER};
 pub use verifier::verify;

@@ -148,6 +148,34 @@ pub(crate) fn metrics() -> &'static TierMetrics {
     })
 }
 
+/// The `vm.tier.*` counts of a run of invocations — one call, or every
+/// row of a batch — kept by the caller and added to the process-wide
+/// counters once, when it drops: however the run ends, and without a
+/// write to a shared cache line per call.
+#[derive(Debug, Default)]
+pub struct TierTally {
+    pub(crate) compiled_hits: u64,
+    pub(crate) fallbacks: u64,
+    pub(crate) loop_strips: u64,
+    pub(crate) loop_fallbacks: u64,
+}
+
+impl Drop for TierTally {
+    fn drop(&mut self) {
+        let tm = metrics();
+        for (counter, n) in [
+            (&tm.compiled_hits, self.compiled_hits),
+            (&tm.fallbacks, self.fallbacks),
+            (&tm.loop_strips, self.loop_strips),
+            (&tm.loop_fallbacks, self.loop_fallbacks),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Compiled form
 // ---------------------------------------------------------------------------
@@ -1304,10 +1332,17 @@ struct Counted {
     chain: Option<Chain>,
 }
 
-/// One step `acc ⊕ x` of a [`Chain`]: the op, then the right operand as a
-/// loop-invariant register, a mask for the induction variable and a mask
-/// for `arr[ind]` (exactly one of the three is set).
-type Step = (IBinKind, Option<Src>, i64, i64);
+/// A [`Chain`] step's right operand: a loop-invariant register, the
+/// induction variable, or the hoisted array's element at it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Opd {
+    Reg(Src),
+    Ind,
+    Elem,
+}
+
+/// One step `acc ⊕ x` of a [`Chain`].
+type Step = (IBinKind, Opd);
 
 /// A body that is one integer recurrence of one or two steps,
 /// `acc = (acc ⊕₁ x) ⊕₂ y` — the shape of every sum, xor, checksum and
@@ -1317,6 +1352,66 @@ struct Chain {
     acc: u16,
     steps: Vec<Step>,
     mid: Option<u16>,
+    shape: Shape,
+}
+
+/// How a [`Chain`] regroups its trips; only ever in a way that is exact
+/// in wrapping `i64` arithmetic (DESIGN.md §12).
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Shape {
+    /// One step `acc ⊕ x` with ⊕ associative and commutative (Add, Mul,
+    /// And, Or, Xor — Sub as `acc − Σx`): the operands fold in [`LANES`]
+    /// independent lanes, combined into `acc` once.
+    Fold,
+    /// Two steps that are `acc ← acc·c + m·y` with `c` loop-invariant
+    /// (Mul or Shl by an invariant, and Add or Sub, either way round):
+    /// [`LANES`] trips at a time as `acc·cᴸ + Σ m·cᴸ⁻¹⁻ˡ·yₗ`.
+    Affine,
+    /// Anything else — a shift by a varying count, an op that does not
+    /// regroup, a mixed pair: trip by trip.
+    Serial,
+}
+
+/// Trips a lane-split kernel takes at a time.
+const LANES: usize = 8;
+
+/// Bind `$xs` to a function from a chunk number to that chunk's
+/// [`LANES`] operand values, with the operand's kind matched here,
+/// outside the trip loop `$body` runs. An ascending element walk reads a
+/// window of the array, which is what lets the element loop vectorise.
+macro_rules! chunks_of {
+    ($opd:expr, $env:expr, $xs:ident => $body:expr) => {{
+        let (regs, i0, step, bytes, n): (&[u64], i64, i64, &[u8], usize) = $env;
+        // Chunk `ch` starts at `i0 + ch·L·step`; its lanes are offset from there.
+        let offs: [i64; LANES] = std::array::from_fn(|l| (l as i64).wrapping_mul(step));
+        let ind = move |ch: usize| -> [i64; LANES] {
+            let base = i0.wrapping_add(((ch * LANES) as i64).wrapping_mul(step));
+            offs.map(|o| base.wrapping_add(o))
+        };
+        match $opd {
+            Opd::Reg(r) => {
+                let c = regs[r as usize] as i64;
+                let $xs = move |_: usize| [c; LANES];
+                $body
+            }
+            Opd::Ind => {
+                let $xs = ind;
+                $body
+            }
+            Opd::Elem if step == 1 => {
+                let window = &bytes[i0 as usize..][..n];
+                let $xs = move |ch: usize| -> [i64; LANES] {
+                    let c = &window[ch * LANES..][..LANES];
+                    std::array::from_fn(|l| c[l] as i64)
+                };
+                $body
+            }
+            Opd::Elem => {
+                let $xs = move |ch: usize| ind(ch).map(|i| bytes[i as usize] as i64);
+                $body
+            }
+        }
+    }};
 }
 
 impl Counted {
@@ -1387,7 +1482,7 @@ impl Counted {
     /// anything. `None` means there is no such trip: the caller takes one
     /// through the per-op path, which reports exhaustion, polls the token
     /// or traps exactly where it must, and comes back.
-    #[inline(never)] // keeps the 72 kernel loops out of the dispatcher's frame
+    #[inline(never)] // keeps the kernel loops out of the dispatcher's frame
     fn run(
         &self,
         ops: &[Op],
@@ -1396,14 +1491,21 @@ impl Counted {
         budget: u64,
     ) -> Result<Option<(u64, bool)>> {
         let i0 = regs[self.ind as usize] as i64;
-        let gap = regs[self.bound as usize] as i64 as i128 - i0 as i128;
-        let gap = gap * self.step.signum() as i128 + self.le as i128;
+        let bound = regs[self.bound as usize] as i64;
         // Nearly every loop steps by one: spare those the hardware divide.
         let by = self.step.unsigned_abs();
         let steps_in = |span: u64| if by == 1 { span } else { span / by };
-        let trips = match gap {
-            ..=0 => 1,
-            _ => steps_in((gap - 1) as u64) + 1,
+        // The distance to the bound, the way the loop walks: exact in
+        // `u64` once the bound is not behind.
+        let (from, to) = if self.step > 0 {
+            (i0, bound)
+        } else {
+            (bound, i0)
+        };
+        let d = (to as u64).wrapping_sub(from as u64);
+        let trips = match to < from || (d == 0 && !self.le) {
+            true => 1,
+            false => steps_in(d - u64::from(!self.le)) + 1,
         };
         // `ind` must not wrap before the loop ends.
         if i64::try_from(i0 as i128 + trips as i128 * self.step as i128).is_err() {
@@ -1461,13 +1563,13 @@ impl Chain {
     /// loop-invariant, the induction variable or the hoisted array's element.
     fn of(ops: &[Op], ind: u16, arr: Option<Src>, written: &[u16]) -> Option<Chain> {
         #[derive(Clone, Copy, PartialEq)]
-        enum Opd {
+        enum Link {
             Reg(Src),
             Elem,
             Prev,
         }
-        use Opd::{Elem, Prev, Reg};
-        let mut links: Vec<(IBinKind, Opd, Opd, Option<u16>)> = Vec::new();
+        use Link::{Elem, Prev, Reg};
+        let mut links: Vec<(IBinKind, Link, Link, Option<u16>)> = Vec::new();
         let ordered = |t_left, t, c| if t_left { (t, Reg(c)) } else { (Reg(c), t) };
         for op in ops {
             let (k2, (x, y), dst) = match *op {
@@ -1501,68 +1603,152 @@ impl Chain {
                 (false, true) => x,
                 _ => return None,
             };
-            let (reg, ind_mask, elem_mask) = match other {
-                Reg(r) if r == ind => (None, -1, 0),
-                Reg(r) if !written.contains(&r) => (Some(r), 0, 0),
-                Elem => (None, 0, -1),
-                _ => return None,
-            };
-            steps.push((kind, reg, ind_mask, elem_mask));
+            steps.push((
+                kind,
+                match other {
+                    Reg(r) if r == ind => Opd::Ind,
+                    Reg(r) if !written.contains(&r) => Opd::Reg(r),
+                    Elem => Opd::Elem,
+                    _ => return None,
+                },
+            ));
             carried = dst.map_or(Prev, Reg);
         }
+        use IBinKind::{Add, Mul, Shl, Shr, Sub};
+        let scales = |(k, x): Step| matches!((k, x), (Mul | Shl, Opd::Reg(_)));
+        let shape = match steps[..] {
+            [(k, _)] if !matches!(k, Shl | Shr) => Shape::Fold,
+            [s1, s2] if scales(s1) && matches!(s2.0, Add | Sub) => Shape::Affine,
+            [s1, s2] if matches!(s1.0, Add | Sub) && scales(s2) => Shape::Affine,
+            [_] | [_, _] => Shape::Serial,
+            _ => return None,
+        };
         let mid = links[0].3.filter(|_| steps.len() == 2);
-        (steps.len() <= 2).then_some(Chain { acc, steps, mid })
+        Some(Chain {
+            acc,
+            steps,
+            mid,
+            shape,
+        })
     }
 
-    /// `strip` trips of the recurrence with every operand in a local and
-    /// the op kinds matched outside the trip loop.
+    /// `strip` trips of the recurrence from `i0` by `step`, every operand
+    /// in a local.
     fn run(&self, strip: u64, step: i64, i0: i64, regs: &mut [u64], bytes: &[u8]) {
-        // An ascending walk hands the trip loop its window of the array, so
-        // the element needs no index at all; any other stride indexes
-        // (`get`: a chain that reads no element has no array either).
-        let window = usize::try_from(i0).ok();
-        let window = window.and_then(|lo| bytes.get(lo..)?.get(..strip as usize));
-        let (acc, mid) = match window {
-            Some(window) if step == 1 => {
-                self.fold(regs, window.iter().zip(i0..).map(|(e, i)| (i, *e as i64)))
-            }
-            _ => {
-                let elem = |i: i64| bytes.get(i as usize).map_or(0, |e| *e as i64);
-                let trips = (0..strip as i64).map(|k| i0 + k * step);
-                self.fold(regs, trips.map(|i| (i, elem(i))))
+        let n = strip as usize;
+        let env = (&*regs, i0, step, bytes, n);
+        // One trip's operand, for the few trips a kernel leaves over.
+        let at = |(_, x): Step, k: usize| {
+            let i = i0.wrapping_add((k as i64).wrapping_mul(step));
+            match x {
+                Opd::Reg(r) => regs[r as usize] as i64,
+                Opd::Ind => i,
+                Opd::Elem => bytes[i as usize] as i64,
             }
         };
+        let (s1, s2) = (self.steps[0], *self.steps.last().expect("a step"));
+        let (mut acc, mut mid) = (regs[self.acc as usize] as i64, 0);
+        let mut done = 0;
+        // A strip too short to fill the lanes twice is not worth setting up.
+        match Some(self.shape).filter(|_| n >= 2 * LANES) {
+            Some(Shape::Fold) => {
+                // acc ⊕ x₀ ⊕ … ⊕ xₙ₋₁ = acc ⊕ (x₀ ⊕ … ⊕ xₙ₋₁); acc − Σx for Sub.
+                let op = match s1.0 {
+                    IBinKind::Sub => IBinKind::Add,
+                    k => k,
+                };
+                let id = match op {
+                    IBinKind::Mul => 1,
+                    IBinKind::And => -1,
+                    _ => 0,
+                };
+                // The last, partial chunk is left to the tail.
+                let chunks = n / LANES;
+                let total = chunks_of!(s1.1, env, xs => unswitch!(op, f => {
+                    let lane = lanes(chunks, xs, [id; LANES], |lane, v| {
+                        for l in 0..LANES {
+                            lane[l] = f(lane[l], v[l]);
+                        }
+                    });
+                    lane.into_iter().fold(id, f)
+                }));
+                acc = ibin(s1.0, acc, total);
+                done = chunks * LANES;
+            }
+            Some(Shape::Affine) => {
+                // acc·c + m·y: c from the step that scales, m = ±1 when
+                // it comes first, ±c when the add does.
+                let mul_first = matches!(s2.0, IBinKind::Add | IBinKind::Sub);
+                let (scale, add) = if mul_first { (s1, s2) } else { (s2, s1) };
+                let c = match scale.0 {
+                    IBinKind::Shl => 1i64.wrapping_shl(at(scale, 0) as u32),
+                    _ => at(scale, 0),
+                };
+                let sign: i64 = if let IBinKind::Sub = add.0 { -1 } else { 1 };
+                let m = sign.wrapping_mul(if mul_first { 1 } else { c });
+                // pw[l] = m·c^(L−1−l); cl = cᴸ.
+                let mut pw = [m; LANES];
+                for l in (0..LANES - 1).rev() {
+                    pw[l] = pw[l + 1].wrapping_mul(c);
+                }
+                let cl = c.wrapping_pow(LANES as u32);
+                let dot = |v: [i64; LANES]| {
+                    (v.iter().zip(&pw)).fold(0i64, |s, (y, w)| s.wrapping_add(y.wrapping_mul(*w)))
+                };
+                // A `mid` is the last trip's: leave that one to the tail.
+                let chunks = (n - usize::from(self.mid.is_some())) / LANES;
+                acc = if add.1 == Opd::Ind {
+                    // Consecutive chunks' sums differ by L·step·Σpw.
+                    let mut s = dot(std::array::from_fn(|l| at(add, l)));
+                    let sum = pw.iter().fold(0i64, |a, w| a.wrapping_add(*w));
+                    let d = sum.wrapping_mul(step.wrapping_mul(LANES as i64));
+                    for _ in 0..chunks {
+                        acc = acc.wrapping_mul(cl).wrapping_add(s);
+                        s = s.wrapping_add(d);
+                    }
+                    acc
+                } else {
+                    chunks_of!(add.1, env, ys => lanes(chunks, ys, acc, |acc, v| {
+                        *acc = acc.wrapping_mul(cl).wrapping_add(dot(v));
+                    }))
+                };
+                done = chunks * LANES;
+            }
+            _ => {}
+        }
+        // Trip by trip, the ops matched outside the loop: a Serial chain,
+        // and what a kernel left over.
+        if let [_] = self.steps[..] {
+            unswitch!(s1.0, f1 => for k in done..n {
+                acc = f1(acc, at(s1, k));
+            });
+        } else {
+            unswitch!(s1.0, f1 => unswitch!(s2.0, f2 => for k in done..n {
+                mid = f1(acc, at(s1, k));
+                acc = f2(mid, at(s2, k));
+            }));
+        }
         if let Some(mid_reg) = self.mid {
             regs[mid_reg as usize] = mid as u64;
         }
         regs[self.acc as usize] = acc as u64;
     }
+}
 
-    /// The trip loop over `(ind, arr[ind])` pairs: returns the accumulator
-    /// and the first step's last result. Masks pick an operand: arithmetic
-    /// beside the recurrence, never a conditional move on it.
-    #[inline(always)]
-    fn fold(&self, regs: &[u64], trips: impl Iterator<Item = (i64, i64)>) -> (i64, i64) {
-        let operand = |(_, reg, ind_mask, elem_mask): Step| {
-            let x = reg.map_or(0, |r: Src| regs[r as usize] as i64);
-            move |(i, e): (i64, i64)| x + (i & ind_mask) + (e & elem_mask)
-        };
-        let (mut acc, mut mid) = (regs[self.acc as usize] as i64, 0);
-        let (s1, x1) = (self.steps[0], operand(self.steps[0]));
-        match self.steps.get(1) {
-            None => unswitch!(s1.0, f1 => for trip in trips {
-                acc = f1(acc, x1(trip));
-            }),
-            Some(&s2) => {
-                let x2 = operand(s2);
-                unswitch!(s1.0, f1 => unswitch!(s2.0, f2 => for trip in trips {
-                    mid = f1(acc, x1(trip));
-                    acc = f2(mid, x2(trip));
-                }))
-            }
-        }
-        (acc, mid)
+/// Feed `chunks` chunks of operands to `step` over `state`: a kernel's
+/// trip loop, kept out of line so that each operand kind × op is
+/// optimised (and vectorised) on its own.
+#[inline(never)]
+fn lanes<S>(
+    chunks: usize,
+    xs: impl Fn(usize) -> [i64; LANES],
+    mut state: S,
+    step: impl Fn(&mut S, [i64; LANES]),
+) -> S {
+    for ch in 0..chunks {
+        step(&mut state, xs(ch));
     }
+    state
 }
 
 // ---------------------------------------------------------------------------
@@ -1585,46 +1771,18 @@ struct Meter<'a> {
     acc: u64,
     cancel: Option<&'a CancelToken>,
     cancel_left: u64,
-    /// Counted-loop strips run and trips handed back to the per-op path;
-    /// published when the run ends, however it ends.
-    loop_strips: u64,
-    loop_fallbacks: u64,
-}
-
-impl Drop for Meter<'_> {
-    fn drop(&mut self) {
-        if self.loop_strips + self.loop_fallbacks > 0 {
-            metrics().loop_strips.add(self.loop_strips);
-            metrics().loop_fallbacks.add(self.loop_fallbacks);
-        }
-    }
 }
 
 impl Meter<'_> {
-    #[inline]
+    #[inline(always)]
     fn charge(&mut self, cost: u64) -> Result<()> {
         if cost == 0 {
             return Ok(());
         }
-        if let Some(left) = self.fuel.as_mut() {
-            if *left < cost {
-                // A cancel poll due within the fuel that is left comes
-                // first, as it does instruction by instruction.
-                if let Some(token) = self.cancel.filter(|_| self.cancel_left <= *left) {
-                    token.check()?;
-                }
-                // Retired-so-far (fuel_initial - left) + remaining + 1,
-                // i.e. the count at which the per-instruction interpreter
-                // discovers exhaustion.
-                self.usage.instructions = self.fuel_initial + 1;
-                return Err(JaguarError::ResourceLimit(format!(
-                    "fuel exhausted after {} instructions",
-                    self.usage.instructions
-                )));
-            }
-            *left -= cost;
-        } else {
-            self.acc += cost;
+        match self.fuel.as_mut() {
+            Some(left) if *left >= cost => *left -= cost,
+            Some(_) => return self.exhausted(),
+            None => self.acc += cost,
         }
         if let Some(token) = self.cancel {
             self.cancel_left = self.cancel_left.saturating_sub(cost);
@@ -1634,6 +1792,25 @@ impl Meter<'_> {
             }
         }
         Ok(())
+    }
+
+    /// A charge the fuel left cannot cover.
+    #[cold]
+    fn exhausted(&mut self) -> Result<()> {
+        // A cancel poll due within the fuel that is left comes first, as
+        // it does instruction by instruction.
+        let left = self.fuel.unwrap_or(0);
+        if let Some(token) = self.cancel.filter(|_| self.cancel_left <= left) {
+            token.check()?;
+        }
+        // Retired-so-far (fuel_initial - left) + remaining + 1, i.e. the
+        // count at which the per-instruction interpreter discovers
+        // exhaustion.
+        self.usage.instructions = self.fuel_initial + 1;
+        Err(JaguarError::ResourceLimit(format!(
+            "fuel exhausted after {} instructions",
+            self.usage.instructions
+        )))
     }
 }
 
@@ -1836,6 +2013,7 @@ pub(crate) fn run_compiled(
     args: &[VmValue],
     arena: &mut Arena,
     host: &mut dyn HostEnv,
+    tally: &mut TierTally,
 ) -> Result<(Option<VmValue>, ResourceUsage)> {
     let mut m = Meter {
         usage: ResourceUsage {
@@ -1847,8 +2025,6 @@ pub(crate) fn run_compiled(
         acc: 0,
         cancel: interp.cancel_ref(),
         cancel_left: CANCEL_CHECK_INTERVAL,
-        loop_strips: 0,
-        loop_fallbacks: 0,
     };
     let functions = interp.module().functions();
     let imports = interp.module().imports();
@@ -1861,9 +2037,9 @@ pub(crate) fn run_compiled(
     // then writes the arguments.
     let mut empty_ref: Option<BytesRef> = None;
     let mut enter = |fidx: u32, base: usize, regs: &mut Vec<u64>, arena: &mut Arena| {
-        let cf = cm.funcs[fidx as usize]
-            .as_ref()
-            .ok_or(JaguarError::VmTrap(VmTrap::BadCall(fidx)))?;
+        let Some(cf) = cm.funcs[fidx as usize].as_ref() else {
+            return Err(JaguarError::VmTrap(VmTrap::BadCall(fidx)));
+        };
         let f = &functions[fidx as usize];
         regs.resize(base + cf.nregs, 0);
         let frame = &mut regs[base..];
@@ -1903,9 +2079,9 @@ pub(crate) fn run_compiled(
 
     loop {
         let transfer: Transfer = {
-            let cf = cm.funcs[frame.fidx as usize]
-                .as_ref()
-                .ok_or(JaguarError::VmTrap(VmTrap::BadCall(frame.fidx)))?;
+            let Some(cf) = cm.funcs[frame.fidx as usize].as_ref() else {
+                return Err(JaguarError::VmTrap(VmTrap::BadCall(frame.fidx)));
+            };
             let regs = &mut stack[frame.base..];
             let mut block = frame.block;
             let mut start = frame.op;
@@ -1920,13 +2096,13 @@ pub(crate) fn run_compiled(
                     match lp.run(&blk.ops, regs, arena, budget)? {
                         Some((strip, done)) => {
                             m.charge(strip * lp.per_trip)?;
-                            m.loop_strips += 1;
+                            tally.loop_strips += 1;
                             if done {
                                 block = lp.exit as usize;
                             }
                             continue 'burst;
                         }
-                        None => m.loop_fallbacks += 1,
+                        None => tally.loop_fallbacks += 1,
                     }
                 }
                 while i < blk.ops.len() {

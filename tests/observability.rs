@@ -3,10 +3,18 @@
 //! graceful server teardown.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use jaguar_core::{Client, Config, DataType, Database, UdfSignature, Value};
+use jaguar_core::{ByteArray, Client, Config, DataType, Database, Tuple, UdfSignature, Value};
+
+/// The `vm.tier.*` counters are process-wide: a test that asserts on
+/// their deltas holds this guard, and so does every other test here that
+/// runs sandboxed code.
+fn vm_serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn db_with_rows(n: i64) -> Database {
     let db = Database::in_memory();
@@ -158,6 +166,7 @@ fn explain_analyze_convenience_and_limit_short_circuit() {
 /// never executes and so never shows the line.
 #[test]
 fn explain_analyze_reports_tier_activity() {
+    let _serial = vm_serial();
     let db = Database::with_config(Config::default().with_tier_up_after(Some(0)));
     db.execute("CREATE TABLE t (id INT, b BYTEARRAY)").unwrap();
     for i in 0..6 {
@@ -209,6 +218,7 @@ fn explain_analyze_reports_tier_activity() {
 
 #[test]
 fn metrics_count_sandboxed_udf_invocations() {
+    let _serial = vm_serial();
     let db = db_with_rows(5);
     db.register_jagscript_udf(
         "first_byte",
@@ -233,6 +243,90 @@ fn metrics_count_sandboxed_udf_invocations() {
     // The snapshot renders in a stable plain-text format.
     let text = after.to_string();
     assert!(text.contains("udf.invocations.jsm"), "{text}");
+}
+
+/// The tier counters a statement publishes — once per UDF batch, however
+/// the batch ends — add up to the same totals whatever the batch size and
+/// the degree of parallelism: one promotion, one compiled call per row
+/// after the first `tier_up_after`, three strips per compiled call and no
+/// fallback; and, for a statement whose last row traps mid-batch, the
+/// same counts for every row up to and including the trapping one.
+#[test]
+fn tier_counters_are_exact_across_batch_and_dop() {
+    let _serial = vm_serial();
+    const ROWS: u64 = 1_000;
+    const NAMES: [&str; 4] = [
+        "vm.tier.promotions",
+        "vm.tier.compiled_hits",
+        "vm.tier.loop_strips",
+        "vm.tier.loop_fallbacks",
+    ];
+    // A fresh database (and so a fresh module, whose hotness starts at 0)
+    // per run; the trapping UDF divides by zero on the last row.
+    let run = |batch: usize, dop: usize, sql: &str| {
+        let db = Database::with_config(Config::default().with_dop(dop).with_udf_batch_size(batch));
+        db.execute("CREATE TABLE rel (id INT, bytearray BYTEARRAY)")
+            .unwrap();
+        let t = db.catalog().table("rel").unwrap();
+        for i in 0..ROWS {
+            t.insert(Tuple::new(vec![
+                Value::Int(i as i64),
+                Value::Bytes(ByteArray::patterned(100, i)),
+            ]))
+            .unwrap();
+        }
+        db.register_udf(jaguar_udf::generic::def_vm(
+            true,
+            jaguar_vm::ResourceLimits::default(),
+        ));
+        db.register_jagscript_udf_with_volatility(
+            "last_traps",
+            UdfSignature::new(vec![DataType::Bytes, DataType::Int], DataType::Int),
+            &format!(
+                "fn main(data: bytes, id: i64) -> i64 {{
+                    let acc: i64 = 0; let i: i64 = 0;
+                    while i < 200 {{ acc = acc * 31 + i; i = i + 1; }}
+                    let p: i64 = 0;
+                    while p < 2 {{
+                        let j: i64 = 0; let n: i64 = len(data);
+                        while j < n {{ acc = acc + data[j]; j = j + 1; }}
+                        p = p + 1;
+                    }}
+                    return acc / (id - {});
+                }}",
+                ROWS - 1
+            ),
+            jaguar_core::UdfDesign::Sandboxed,
+            jaguar_udf::Volatility::Stable,
+        )
+        .unwrap();
+        let before = db.metrics();
+        let out = db
+            .execute(sql)
+            .map(|r| r.rows.len())
+            .map_err(|e| e.to_string());
+        let after = db.metrics();
+        let parallel = after.counter("par.queries") - before.counter("par.queries");
+        assert_eq!(parallel, u64::from(dop > 1), "{sql} at dop {dop}");
+        (NAMES.map(|n| after.counter(n) - before.counter(n)), out)
+    };
+    let ok = "SELECT generic_vm(bytearray, 200, 2, 0) FROM rel";
+    let traps = "SELECT last_traps(bytearray, id) FROM rel";
+    for (sql, compiled) in [(ok, ROWS - 64), (traps, ROWS - 64)] {
+        let reference = run(1, 1, sql);
+        assert_eq!(
+            reference.0,
+            [1, compiled, 3 * compiled, 0],
+            "{sql}: {reference:?}"
+        );
+        for (batch, dop) in [(256, 1), (1, 2), (256, 2)] {
+            assert_eq!(
+                run(batch, dop, sql),
+                reference,
+                "{sql} at batch {batch}, dop {dop}"
+            );
+        }
+    }
 }
 
 #[test]

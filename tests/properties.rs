@@ -463,18 +463,55 @@ fn arb_loop_operand() -> impl Strategy<Value = String> {
     ]
 }
 
+/// A loop-invariant factor: `k` (which takes 0, ±1, 31, `i64::MIN` and
+/// `i64::MAX` among its values) or a literal, shift counts past 63 included.
+fn arb_factor() -> impl Strategy<Value = &'static str> {
+    const FACTORS: [&str; 9] = [
+        "k",
+        "k",
+        "0",
+        "1",
+        "31",
+        "63",
+        "64",
+        "127",
+        "9223372036854775807",
+    ];
+    (0usize..FACTORS.len()).prop_map(|i| FACTORS[i])
+}
+
+fn arb_add_op() -> impl Strategy<Value = &'static str> {
+    prop_oneof![Just("+"), Just("-")]
+}
+
 /// A recurrence the compiled tier runs as a kernel, operands either way
-/// round, through one op or two.
+/// round, through one op or two: every shape it splits into lanes — one
+/// associative op, or `acc·c ± y` with the multiply or the shift first or
+/// last — and the ones it must keep serial (`x - acc`, shifts, mixed pairs).
 fn arb_kernel_stmt() -> impl Strategy<Value = String> {
     let (op, x) = (arb_loop_op, arb_loop_operand);
     prop_oneof![
         op().prop_map(|o| format!("acc = acc {o} data[i];")),
         op().prop_map(|o| format!("acc = data[i] {o} acc;")),
         (op(), x()).prop_map(|(o, x)| format!("acc = acc {o} {x};")),
+        // The lanes of a product or a mask start from 1 or -1, not 0.
+        (prop_oneof![Just("*"), Just("&")], x()).prop_map(|(o, x)| format!("acc = acc {o} {x};")),
+        x().prop_map(|x| format!("acc = {x} - acc;")),
         (op(), x(), op(), x()).prop_map(|(o1, x, o2, y)| format!("acc = (acc {o1} {x}) {o2} {y};")),
         (op(), x(), op(), x()).prop_map(|(o1, x, o2, y)| format!("acc = {y} {o2} ({x} {o1} acc);")),
         (op(), x(), op())
             .prop_map(|(o1, x, o2)| format!("t = acc {o1} {x}; acc = t {o2} data[i];")),
+        (arb_factor(), arb_add_op(), x()).prop_map(|(c, o, y)| format!("acc = acc * {c} {o} {y};")),
+        (arb_factor(), arb_add_op()).prop_map(|(c, o)| format!("acc = acc * {c} {o} data[i];")),
+        (arb_add_op(), x(), arb_factor())
+            .prop_map(|(o, y, c)| format!("acc = (acc {o} {y}) * {c};")),
+        (arb_add_op(), arb_factor()).prop_map(|(o, c)| format!("acc = (acc {o} data[i]) * {c};")),
+        (arb_factor(), arb_add_op(), x())
+            .prop_map(|(s, o, y)| format!("acc = (acc << {s}) {o} {y};")),
+        (arb_add_op(), x(), arb_factor())
+            .prop_map(|(o, y, s)| format!("acc = (acc {o} {y}) << {s};")),
+        (arb_factor(), arb_add_op(), x())
+            .prop_map(|(c, o, y)| format!("t = acc * {c}; acc = t {o} {y};")),
     ]
 }
 
@@ -571,6 +608,112 @@ fn observe_loop(
     }
 }
 
+/// How a generated loop walks: which way, the compare's spelling, the
+/// step (or a step the wrong way), nested in an outer loop or not, and a
+/// walk long enough (~9,000 trips) to meet cancel polls.
+#[derive(Debug, Clone, Copy)]
+struct Walk {
+    up: bool,
+    cmp: usize,
+    step: i64,
+    wrong_way: bool,
+    nested: bool,
+    long: bool,
+}
+
+fn arb_walk() -> impl Strategy<Value = Walk> {
+    let step = prop_oneof![Just(1i64), Just(1), Just(2), Just(3), Just(7)];
+    (
+        (any::<bool>(), 0usize..4, step),
+        (0u8..6, any::<bool>(), 0u8..8),
+    )
+        .prop_map(|((up, cmp, step), (wrong_way, nested, long))| Walk {
+            up,
+            cmp,
+            step,
+            wrong_way: wrong_way == 0,
+            nested,
+            long: long == 0,
+        })
+}
+
+/// The loop-invariant argument `k`: small values, and the factors a
+/// lane-split affine kernel must get exactly right.
+fn arb_k() -> impl Strategy<Value = i64> {
+    prop_oneof![-2i64..5, Just(31), Just(64), Just(i64::MIN), Just(i64::MAX)]
+}
+
+/// Run `body` as the loop `walk` describes over `data` (the walk covers
+/// `low ..= len + high`) on every tier, at every fuel budget up to 400
+/// and a sample past it, pre-cancelled or not, and assert every outcome
+/// identical to the baseline interpreter's.
+fn assert_tiers_agree_on_loop(
+    body: &[String],
+    walk: Walk,
+    data: &[u8],
+    low: i64,
+    high: i64,
+    k: i64,
+) {
+    use jaguar_vm::ExecMode::{Baseline, Jit};
+    // Four spellings each of "keep counting up" and "keep counting
+    // down". A step the wrong way ends the loop after one trip, or
+    // only when its fuel does.
+    let cond = if walk.up {
+        ["i < n", "i <= n", "n > i", "n >= i"][walk.cmp]
+    } else {
+        ["n < i", "n <= i", "i > n", "i >= n"][walk.cmp]
+    };
+    let step = walk.step;
+    let step = if walk.up == walk.wrong_way {
+        format!("- {step}")
+    } else {
+        format!("+ {step}")
+    };
+    // The walk starts inside the array, exactly at its end, or off
+    // either end.
+    let high = data.len() as i64 + high;
+    let (start, bound) = if walk.up { (low, high) } else { (high, low) };
+    let src = loop_program(cond, &step, body, walk.nested);
+    let module = jaguar_lang::compile("p", &src).unwrap();
+    let vm = std::sync::Arc::new(module.verify().unwrap());
+    let tiers = [(Baseline, None), (Jit, None), (Jit, Some(0))];
+
+    let far = if walk.up {
+        start + 9_000
+    } else {
+        start - 9_000
+    };
+    let args = (data, start, if walk.long { far } else { bound }, k);
+    let reference = observe_loop(&vm, 500_000, tiers[0], false, args);
+    // Strips end at every lane of a kernel's chunk and in its tail.
+    let budgets: Vec<u64> = match (&reference, walk.long) {
+        (_, true) => vec![500_000, 65_535, 65_536, 65_537, 65_546, 131_072, 131_073],
+        (Ok((_, total)), false) if *total <= 400 => (1..=total + 2).collect(),
+        (Ok((_, total)), false) => (1..=400)
+            .chain((0..=64).map(|s| 1 + s * (total + 1) / 64))
+            .chain([total - 1, *total, total + 1])
+            .collect(),
+        (Err(_), false) => (1..=400).chain([500_000]).collect(),
+    };
+    for fuel in budgets {
+        for cancelled in [false, true] {
+            if cancelled && !walk.long {
+                continue;
+            }
+            let expect = observe_loop(&vm, fuel, tiers[0], cancelled, args);
+            for tier in &tiers[1..] {
+                let got = observe_loop(&vm, fuel, *tier, cancelled, args);
+                assert_eq!(
+                    &got, &expect,
+                    "{:?} diverged at fuel {} cancelled {} args {:?} on {}",
+                    tier, fuel, cancelled, args, src
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -585,63 +728,33 @@ proptest! {
     #[test]
     fn compiled_tier_matches_interpreters_on_loops(
         body in proptest::collection::vec(arb_loop_stmt(), 1..4),
-        up in any::<bool>(),
-        cmp in 0usize..4,
-        step in prop_oneof![Just(1i64), Just(1), Just(2), Just(3), Just(7)],
-        wrong_way in 0u8..6,
-        nested in any::<bool>(),
-        data in proptest::collection::vec(any::<u8>(), 0..24),
+        walk in arb_walk(),
+        data in proptest::collection::vec(any::<u8>(), 0..72),
         low in -2i64..3,
         high in -3i64..3,
-        k in -2i64..5,
-        long in 0u8..8,
+        k in arb_k(),
     ) {
-        use jaguar_vm::ExecMode::{Baseline, Jit};
-        // Four spellings each of "keep counting up" and "keep counting
-        // down". A step the wrong way ends the loop after one trip, or
-        // only when its fuel does.
-        let cond = if up {
-            ["i < n", "i <= n", "n > i", "n >= i"][cmp]
-        } else {
-            ["n < i", "n <= i", "i > n", "i >= n"][cmp]
-        };
-        let step = if up == (wrong_way == 0) { format!("- {step}") } else { format!("+ {step}") };
-        // The walk covers `low ..= len + high`, from whichever end it
-        // starts: inside the array, exactly to its end, or off either end.
-        let high = data.len() as i64 + high;
-        let (start, bound) = if up { (low, high) } else { (high, low) };
-        let src = loop_program(cond, &step, &body, nested);
-        let module = jaguar_lang::compile("p", &src).unwrap();
-        let vm = std::sync::Arc::new(module.verify().unwrap());
-        let tiers = [(Baseline, None), (Jit, None), (Jit, Some(0))];
+        assert_tiers_agree_on_loop(&body, walk, &data, low, high, k);
+    }
+}
 
-        // A long loop meets cancel polls: the bound moves ~9,000 trips out.
-        let long = long == 0;
-        let far = if up { start + 9_000 } else { start - 9_000 };
-        let args = (&data[..], start, if long { far } else { bound }, k);
-        let reference = observe_loop(&vm, 500_000, tiers[0], false, args);
-        let budgets: Vec<u64> = match (&reference, long) {
-            (_, true) => vec![500_000, 65_535, 65_536, 65_537, 65_546, 131_072, 131_073],
-            (Ok((_, total)), false) if *total <= 400 => (1..=total + 2).collect(),
-            (Ok((_, total)), false) => (0..=64).map(|s| 1 + s * (total + 1) / 64).collect(),
-            (Err(_), false) => (1..=300).chain([500_000]).collect(),
-        };
-        for fuel in budgets {
-            for cancelled in [false, true] {
-                if cancelled && !long {
-                    continue;
-                }
-                let expect = observe_loop(&vm, fuel, tiers[0], cancelled, args);
-                for tier in &tiers[1..] {
-                    let got = observe_loop(&vm, fuel, *tier, cancelled, args);
-                    prop_assert_eq!(
-                        &got, &expect,
-                        "{:?} diverged at fuel {} cancelled {} args {:?} on {}",
-                        tier, fuel, cancelled, args, src
-                    );
-                }
-            }
-        }
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A body that is one recurrence — every shape the compiled tier
+    /// splits into lanes and every one it keeps serial — over arrays of
+    /// every length up to 71, so a strip ends at each lane of a chunk, in
+    /// the tail, or mid-way when the fuel does.
+    #[test]
+    fn compiled_tier_matches_interpreters_on_lane_kernels(
+        stmt in arb_kernel_stmt(),
+        walk in arb_walk(),
+        data in proptest::collection::vec(any::<u8>(), 0..72),
+        low in -2i64..3,
+        high in -3i64..3,
+        k in arb_k(),
+    ) {
+        assert_tiers_agree_on_loop(&[stmt], walk, &data, low, high, k);
     }
 }
 
