@@ -2,8 +2,7 @@
 //!
 //! * **A1** — SFI-instrumented native vs plain and bounds-checked native
 //!   (§4 expects ≈25 % for instrumented memory access),
-//! * **A2** — pre-decoded "JIT-mode" dispatch vs the re-decoding baseline
-//!   interpreter,
+//! * **A2** — the compiled tier vs the reference interpreter,
 //! * **A3** — the cost of per-instruction resource policing (fuel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

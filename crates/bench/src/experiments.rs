@@ -92,15 +92,15 @@ pub enum Design {
     SfiCpp,
     /// Design 2: native in an isolated process ("IC++").
     ICpp,
-    /// Design 3: sandboxed VM in-process, JIT-mode dispatch ("JSM",
-    /// playing the paper's "JNI").
+    /// Design 3: sandboxed VM in-process, compiled tier ("JSM", playing
+    /// the paper's "JNI").
     Jsm,
-    /// Design 3 with the baseline (re-decoding) interpreter (A2 ablation).
+    /// Design 3 on the reference interpreter (A2 ablation).
     JsmBaseline,
     /// Design 3 without resource policing (A3 ablation).
     JsmNoFuel,
-    /// Baseline interpreter without resource policing (A3 ablation —
-    /// without fusion the fuel check is a per-instruction branch).
+    /// The interpreter without resource policing (A3 ablation — there
+    /// the fuel check is a per-instruction branch).
     JsmBaselineNoFuel,
     /// Design 4: sandboxed VM in an isolated process.
     IJsm,
@@ -569,14 +569,13 @@ impl ExperimentCtx {
         Ok(t)
     }
 
-    /// A2 — JIT-mode (pre-decoded dispatch) vs baseline (re-decoding)
-    /// interpretation.
+    /// A2 — the compiled tier vs the reference interpreter.
     pub fn ablation_jit(&self) -> Result<Table> {
         let card = self.scale.cardinality();
         let bytes = 10_000;
         let mut t = Table::new(
-            "A2 — VM dispatch: JIT-mode vs baseline interpreter (secs)",
-            &["workload", "JSM (jit)", "JSM (baseline)", "speedup"],
+            "A2 — VM engine: interpreter vs compiled (secs)",
+            &["workload", "JSM (compiled)", "JSM (interpreter)", "speedup"],
         );
         for (name, indep, dep) in [
             ("compute(10000)", 10_000i64, 0i64),
@@ -613,8 +612,12 @@ impl ExperimentCtx {
             ("data(10 passes)", 0, 10),
         ] {
             for (dispatch, on, off) in [
-                ("fused", Design::Jsm, Design::JsmNoFuel),
-                ("baseline", Design::JsmBaseline, Design::JsmBaselineNoFuel),
+                ("compiled", Design::Jsm, Design::JsmNoFuel),
+                (
+                    "interpreter",
+                    Design::JsmBaseline,
+                    Design::JsmBaselineNoFuel,
+                ),
             ] {
                 let policed = self.run_net(on, bytes, card, indep, dep, 0)?;
                 let free = self.run_net(off, bytes, card, indep, dep, 0)?;
@@ -632,9 +635,10 @@ impl ExperimentCtx {
             }
         }
         t.note(
-            "fused dispatch charges fuel per superinstruction, so the check \
-             amortises to ~nothing; the baseline interpreter pays a branch \
-             per instruction",
+            "the compiled tier charges fuel once per run of infallible ops \
+             and once per strip of counted-loop trips, so the check \
+             amortises to ~nothing; the interpreter pays a branch per \
+             instruction",
         );
         Ok(t)
     }
@@ -1383,19 +1387,18 @@ impl ExperimentCtx {
         Ok(t)
     }
 
-    /// Tier-up speedup (not in the paper — the jaguar-tier compiler).
-    /// The generic UDF under Design 3 at three execution tiers — the
-    /// baseline (re-decoding) interpreter, the JIT-mode (pre-decoded,
-    /// fused) interpreter, and the compiled register tier forced from the
-    /// first call — against trusted native and the noop baseline. The
-    /// sandbox overhead column is p50 net of the noop-native query
-    /// (§5.2 methodology: that is the cost the tier compiler attacks);
-    /// `overhead speedup` is each tier's overhead relative to the
-    /// JIT-interpreter tier. Rows are verified byte-identical across
-    /// tiers. Writes machine-readable `BENCH_tier.json`.
+    /// Compiled-tier speedup (not in the paper — the jaguar-tier
+    /// compiler). The generic UDF under Design 3 on both engines — the
+    /// reference interpreter and the compiled register tier — against
+    /// trusted native and the noop baseline. The sandbox overhead column
+    /// is p50 net of the noop-native query (§5.2 methodology: that is the
+    /// cost the tier compiler attacks); `overhead speedup` is each row's
+    /// overhead relative to the interpreter. Rows are verified
+    /// byte-identical across engines. Writes machine-readable
+    /// `BENCH_tier.json`.
     pub fn tier(&self) -> Result<Table> {
         use jaguar_core::Config;
-        use jaguar_udf::generic::def_vm_tiered;
+        use jaguar_udf::generic::def_vm;
         let card = self.scale.cardinality();
         let bytes = 100usize;
         let (indep, dep, callbacks) = (1000i64, 2i64, 0i64);
@@ -1411,21 +1414,11 @@ impl ExperimentCtx {
             def.name = "udf".to_string();
             def
         };
-        let variants: [(&str, UdfDef); 5] = [
+        let variants: [(&str, UdfDef); 4] = [
             ("noop-native", def_noop()),
             ("native (C++)", def_for(Design::Cpp)),
-            (
-                "JSM interp (baseline)",
-                named(def_vm_tiered(false, bench_limits(), None)),
-            ),
-            (
-                "JSM interp (jit)",
-                named(def_vm_tiered(true, bench_limits(), None)),
-            ),
-            (
-                "JSM compiled",
-                named(def_vm_tiered(true, bench_limits(), Some(0))),
-            ),
+            ("JSM interp", named(def_vm(false, bench_limits()))),
+            ("JSM compiled", named(def_vm(true, bench_limits()))),
         ];
 
         let mut noop_p50: Option<u64> = None;
@@ -1437,13 +1430,12 @@ impl ExperimentCtx {
             build_relation(&db, bytes, card)?;
             db.register_udf(def);
             let sql = benchmark_query(bytes, card, indep, dep, callbacks);
-            // Warm-up pages in the relation and (for the compiled tier)
-            // promotes the hot function before anything is timed.
+            // Warm-up pages in the relation before anything is timed.
             let warm = db.execute(&sql)?;
             debug_assert_eq!(warm.rows.len(), card);
             if !is_noop {
                 // Every real variant computes the same function: native
-                // and all three JSM tiers must produce identical rows.
+                // and both JSM engines must produce identical rows.
                 match &expected_rows {
                     None => expected_rows = Some(warm.rows),
                     Some(expected) if *expected != warm.rows => {
@@ -1479,15 +1471,14 @@ impl ExperimentCtx {
             measured.push((label, p50, p99, overhead));
         }
 
-        // The JIT-mode interpreter is the reference: every row's
-        // `overhead speedup` is its overhead relative to that tier
-        // (native lands >1, the baseline interpreter <1; the compiled
-        // tier's value is the headline number).
+        // The interpreter is the reference: every row's `overhead speedup`
+        // is its overhead relative to that engine (the compiled tier's
+        // value is the headline number).
         let interp_overhead = measured
             .iter()
-            .find(|(l, ..)| *l == "JSM interp (jit)")
+            .find(|(l, ..)| *l == "JSM interp")
             .map(|(_, _, _, o)| *o as f64)
-            .expect("jit interpreter measured");
+            .expect("interpreter measured");
         let mut json_tiers = Vec::new();
         for (label, p50, p99, overhead) in &measured {
             let speedup = interp_overhead / *overhead as f64;
@@ -1507,13 +1498,13 @@ impl ExperimentCtx {
         let (cores, degraded) = Self::host_profile("tier");
         t.note(format!(
             "{card} invocations, bytearray {bytes}, DataIndepComps={indep}, \
-             DataDepComps={dep}; noop-native baseline p50 {}us; compiled tier \
-             forced from the first call (tier_up_after=0), rows verified \
-             identical across JSM tiers",
+             DataDepComps={dep}; noop-native baseline p50 {}us; the module \
+             is compiled when verified and every call runs compiled; rows \
+             verified identical across JSM engines",
             noop_p50.unwrap_or(0)
         ));
         let json = format!(
-            "{{\n  \"experiment\": \"tier_up\",\n  \
+            "{{\n  \"experiment\": \"tier\",\n  \
              \"cardinality\": {card},\n  \"bytearray_bytes\": {bytes},\n  \
              \"data_indep_comps\": {indep},\n  \"data_dep_comps\": {dep},\n  \
              \"reps\": {reps},\n  \"noop_baseline_p50_us\": {},\n  \

@@ -12,7 +12,7 @@
 //! | Fig 7 | data access | [`ExperimentCtx::fig7`] |
 //! | Fig 8 | callbacks | [`ExperimentCtx::fig8`] |
 //! | A1 | SFI overhead (§4, ≈25 %) | [`ExperimentCtx::ablation_sfi`] |
-//! | A2 | JIT-mode vs baseline interpreter | [`ExperimentCtx::ablation_jit`] |
+//! | A2 | interpreter vs compiled tier | [`ExperimentCtx::ablation_jit`] |
 //! | A3 | resource-policing overhead (§6.2) | [`ExperimentCtx::ablation_fuel`] |
 //!
 //! Each returns an [`report::Table`]; the `run_experiments` binary prints

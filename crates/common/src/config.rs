@@ -40,14 +40,6 @@ pub struct Config {
     pub default_vm_memory: Option<usize>,
     /// Maximum VM call depth (guards against runaway recursion).
     pub max_call_depth: usize,
-    /// Whether sandboxed execution uses the pre-decoded "JIT-mode"
-    /// dispatcher (the paper's JVMs "included a JIT compiler").
-    pub vm_jit_mode: bool,
-    /// Invocations of a JagScript function before it is promoted to the
-    /// compiled register tier (`Some(0)` = compile on first call, `None`
-    /// = never tier up; interpretation only). Has no effect unless
-    /// `vm_jit_mode` is on.
-    pub tier_up_after: Option<u64>,
     /// Whether isolated-process UDF executors are created once per query
     /// (as in the paper) or pooled across queries.
     pub pooled_executors: bool,
@@ -166,10 +158,6 @@ impl Default for Config {
             default_fuel: Some(500_000_000),
             default_vm_memory: Some(64 * 1024 * 1024),
             max_call_depth: 256,
-            vm_jit_mode: true,
-            // Matches jaguar_vm::DEFAULT_TIER_UP_AFTER (vm depends on this
-            // crate, so the constant cannot be referenced here).
-            tier_up_after: Some(64),
             pooled_executors: false,
             pool_size,
             pool_invoke_timeout_ms: Some(30_000),
@@ -222,18 +210,6 @@ impl Config {
 
     pub fn with_buffer_pool_pages(mut self, pages: usize) -> Self {
         self.buffer_pool_pages = pages;
-        self
-    }
-
-    pub fn with_jit_mode(mut self, on: bool) -> Self {
-        self.vm_jit_mode = on;
-        self
-    }
-
-    /// Hotness threshold for the compiled VM tier (`Some(0)` = compile on
-    /// first call, `None` = stay interpreted).
-    pub fn with_tier_up_after(mut self, calls: Option<u64>) -> Self {
-        self.tier_up_after = calls;
         self
     }
 
@@ -386,20 +362,6 @@ mod tests {
         assert!(c.page_size >= 4096);
         assert!(c.buffer_pool_pages > 0);
         assert!(c.default_fuel.is_some());
-        assert!(c.vm_jit_mode);
-        assert_eq!(c.tier_up_after, Some(64), "hot UDFs tier up by default");
-    }
-
-    #[test]
-    fn tier_up_builder() {
-        assert_eq!(
-            Config::default().with_tier_up_after(Some(0)).tier_up_after,
-            Some(0)
-        );
-        assert_eq!(
-            Config::default().with_tier_up_after(None).tier_up_after,
-            None
-        );
     }
 
     #[test]
@@ -407,11 +369,9 @@ mod tests {
         let c = Config::default()
             .with_page_size(4096)
             .with_buffer_pool_pages(8)
-            .with_jit_mode(false)
             .no_resource_limits();
         assert_eq!(c.page_size, 4096);
         assert_eq!(c.buffer_pool_pages, 8);
-        assert!(!c.vm_jit_mode);
         assert_eq!(c.default_fuel, None);
         assert_eq!(c.default_vm_memory, None);
     }

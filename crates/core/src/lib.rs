@@ -426,14 +426,8 @@ impl Database {
                     memory: config.default_vm_memory,
                     max_call_depth: config.max_call_depth,
                 };
-                let spec = jaguar_udf::def::vm_spec(
-                    module,
-                    "main",
-                    limits,
-                    config.vm_jit_mode,
-                    Some(Arc::new(perms)),
-                )?
-                .with_tier_up(config.tier_up_after);
+                let spec =
+                    jaguar_udf::def::vm_spec(module, "main", limits, true, Some(Arc::new(perms)))?;
                 if design == UdfDesign::SandboxedIsolated {
                     UdfImpl::IsolatedVm(spec)
                 } else {

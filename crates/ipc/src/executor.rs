@@ -199,8 +199,6 @@ impl WorkerProcess {
     }
 
     /// Ship a serialised, to-be-verified JSM module (Design 4).
-    /// `tier_up_after` is the compiled-tier hotness threshold (`None` =
-    /// never tier up, carried on the wire as `u64::MAX`).
     pub fn load_vm(
         &mut self,
         module: &[u8],
@@ -208,7 +206,6 @@ impl WorkerProcess {
         jit: bool,
         fuel: Option<u64>,
         memory: Option<usize>,
-        tier_up_after: Option<u64>,
     ) -> Result<()> {
         self.crossings.inc();
         Request::LoadVm {
@@ -217,7 +214,6 @@ impl WorkerProcess {
             jit,
             fuel: fuel.unwrap_or(0),
             memory: memory.unwrap_or(0) as u64,
-            tier_up_after: tier_up_after.unwrap_or(u64::MAX),
         }
         .write(&mut self.output)?;
         self.expect_loaded()

@@ -43,16 +43,13 @@ pub enum Request {
     /// the analogue of the C++ UDF compiled into the remote executor).
     LoadNative { name: String },
     /// Ship a serialised JSM module to run under the worker's sandbox
-    /// (Design 4). `fuel`/`memory` of 0 mean unlimited. `tier_up_after`
-    /// is the compiled-tier hotness threshold: `u64::MAX` means never
-    /// tier up, `0` means compile on the first call.
+    /// (Design 4). `fuel`/`memory` of 0 mean unlimited.
     LoadVm {
         module: Vec<u8>,
         function: String,
         jit: bool,
         fuel: u64,
         memory: u64,
-        tier_up_after: u64,
     },
     /// Invoke the loaded UDF on one argument tuple.
     Invoke { args: Vec<Value> },
@@ -79,7 +76,7 @@ pub enum Request {
 /// message set or the UDF registry semantics; the parent refuses workers
 /// announcing a different version (a stale `jaguar-worker` binary next to
 /// a fresh server otherwise produces silent wrong answers).
-pub const PROTO_VERSION: u32 = 5;
+pub const PROTO_VERSION: u32 = 6;
 
 /// Most rows one `InvokeBatch` frame may carry. The engine never forms
 /// batches above `jaguar_vec::MAX_BATCH` (1024); the cap leaves headroom
@@ -192,7 +189,6 @@ impl Request {
                 jit,
                 fuel,
                 memory,
-                tier_up_after,
             } => {
                 write_u8(w, REQ_LOAD_VM)?;
                 write_blob(w, module)?;
@@ -200,7 +196,6 @@ impl Request {
                 write_u8(w, *jit as u8)?;
                 write_u64(w, *fuel)?;
                 write_u64(w, *memory)?;
-                write_u64(w, *tier_up_after)?;
             }
             Request::Invoke { args } => {
                 write_u8(w, REQ_INVOKE)?;
@@ -231,7 +226,6 @@ impl Request {
                 jit: read_u8(r)? != 0,
                 fuel: read_u64(r)?,
                 memory: read_u64(r)?,
-                tier_up_after: read_u64(r)?,
             },
             REQ_INVOKE => Request::Invoke {
                 args: read_values(r)?,
@@ -358,7 +352,6 @@ mod tests {
             jit: true,
             fuel: 0,
             memory: 1 << 20,
-            tier_up_after: u64::MAX,
         });
         roundtrip_req(Request::Invoke {
             args: vec![

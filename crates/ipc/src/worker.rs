@@ -16,7 +16,7 @@ use std::sync::Arc;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::Value;
 use jaguar_vm::interp::{ExecMode, HostEnv, Interpreter, VmValue};
-use jaguar_vm::{Arena, Module, ResourceLimits};
+use jaguar_vm::{Arena, Module, ResourceLimits, VerifiedModule};
 
 use crate::proto::{CallbackHandler, Request, Response, PROTO_VERSION};
 
@@ -138,13 +138,7 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
     let mut input = BufReader::new(input);
     let mut output = BufWriter::new(output);
     let mut loaded = Loaded::Nothing;
-    // Verified-module cache keyed by the shipped bytes. A pooled worker is
-    // Reset between queries but typically reloaded with the *same* module;
-    // reusing the same `Arc<VerifiedModule>` keeps the module's shared
-    // execution plan (and its tier-up hotness counters) alive across
-    // checkouts instead of re-verifying and re-warming from zero. One
-    // entry suffices: a worker hosts one UDF at a time.
-    let mut module_cache: Option<(Vec<u8>, Arc<jaguar_vm::VerifiedModule>)> = None;
+    let mut module_cache: ModuleCache = None;
 
     Response::Ready {
         proto: PROTO_VERSION,
@@ -190,50 +184,35 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
                 jit,
                 fuel,
                 memory,
-                tier_up_after,
-            } => {
-                let result = match &module_cache {
-                    Some((bytes, verified)) if *bytes == module => Ok(Arc::clone(verified)),
-                    _ => Module::from_bytes(&module)
-                        .and_then(Module::verify)
-                        .map(Arc::new),
-                };
-                match result {
-                    Ok(verified) => {
-                        module_cache = Some((module, Arc::clone(&verified)));
-                        let limits = ResourceLimits {
-                            fuel: if fuel == 0 { None } else { Some(fuel) },
-                            memory: if memory == 0 {
-                                None
-                            } else {
-                                Some(memory as usize)
-                            },
-                            max_call_depth: 256,
-                        };
-                        let mode = if jit {
-                            ExecMode::Jit
-                        } else {
-                            ExecMode::Baseline
-                        };
-                        let tier = if tier_up_after == u64::MAX {
+            } => match verified(&mut module_cache, module) {
+                Ok(verified) => {
+                    let limits = ResourceLimits {
+                        fuel: if fuel == 0 { None } else { Some(fuel) },
+                        memory: if memory == 0 {
                             None
                         } else {
-                            Some(tier_up_after)
-                        };
-                        loaded = Loaded::Vm {
-                            interp: Interpreter::new(verified, limits, mode).with_tier_up(tier),
-                            function,
-                        };
-                        Response::Loaded.write(&mut output)?;
-                    }
-                    Err(e) => {
-                        Response::Error {
-                            message: e.to_string(),
-                        }
-                        .write(&mut output)?;
-                    }
+                            Some(memory as usize)
+                        },
+                        max_call_depth: 256,
+                    };
+                    let mode = if jit {
+                        ExecMode::Jit
+                    } else {
+                        ExecMode::Baseline
+                    };
+                    loaded = Loaded::Vm {
+                        interp: Interpreter::new(verified, limits, mode),
+                        function,
+                    };
+                    Response::Loaded.write(&mut output)?;
                 }
-            }
+                Err(e) => {
+                    Response::Error {
+                        message: e.to_string(),
+                    }
+                    .write(&mut output)?;
+                }
+            },
             Request::CallbackResult { .. } => {
                 Response::Error {
                     message: "unexpected CallbackResult outside an invocation".into(),
@@ -268,6 +247,26 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
             }
         }
     }
+}
+
+/// The last module a worker verified, keyed by the shipped bytes. A pooled
+/// worker is Reset between queries but typically reloaded with the *same*
+/// module; reusing its `Arc<VerifiedModule>` skips re-verifying and
+/// re-compiling it on every checkout. One entry suffices: a worker hosts
+/// one UDF at a time.
+type ModuleCache = Option<(Vec<u8>, Arc<VerifiedModule>)>;
+
+/// Verify (and so compile) `bytes`, or reuse the module verified from
+/// identical bytes last time.
+fn verified(cache: &mut ModuleCache, bytes: Vec<u8>) -> Result<Arc<VerifiedModule>> {
+    if let Some((cached, module)) = cache {
+        if *cached == bytes {
+            return Ok(Arc::clone(module));
+        }
+    }
+    let module = Arc::new(Module::from_bytes(&bytes)?.verify()?);
+    *cache = Some((bytes, Arc::clone(&module)));
+    Ok(module)
 }
 
 fn invoke_loaded<R: Read, W: Write>(
@@ -409,6 +408,14 @@ mod tests {
             .register("echo_callback", |args, cb| cb.callback("lookup", args))
     }
 
+    /// The tier counters are process-wide: every test here that runs VM
+    /// code holds this guard, so the one that counts compiled calls sees
+    /// only its own.
+    fn vm_serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// Drive the serve loop over in-memory buffers: write a scripted set of
     /// requests, collect all responses.
     fn script(requests: &[Request], registry: &WorkerRegistry) -> Vec<Response> {
@@ -508,6 +515,7 @@ mod tests {
 
     #[test]
     fn vm_module_loads_and_runs() {
+        let _serial = vm_serial();
         // main(a: i64) -> i64 { return a * 2 } assembled via jaguar_vm::asm
         let src = "module m\nfunc main(i64) -> i64\n  load 0\n  consti 2\n  muli\n  ret\nend\n";
         let module = jaguar_vm::asm::assemble(src).unwrap();
@@ -519,7 +527,6 @@ mod tests {
                     jit: true,
                     fuel: 0,
                     memory: 0,
-                    tier_up_after: u64::MAX,
                 },
                 Request::Invoke {
                     args: vec![Value::Int(21)],
@@ -551,7 +558,6 @@ mod tests {
                 jit: true,
                 fuel: 0,
                 memory: 0,
-                tier_up_after: u64::MAX,
             }],
             &WorkerRegistry::new(),
         );
@@ -560,6 +566,7 @@ mod tests {
 
     #[test]
     fn vm_fuel_limit_enforced_in_worker() {
+        let _serial = vm_serial();
         let src = "module m\nfunc main() -> i64\nspin:\n  jmp spin\n  consti 0\n  ret\nend\n";
         let module = jaguar_vm::asm::assemble(src).unwrap();
         let rsp = script(
@@ -570,7 +577,6 @@ mod tests {
                     jit: true,
                     fuel: 1000,
                     memory: 0,
-                    tier_up_after: u64::MAX,
                 },
                 Request::Invoke { args: vec![] },
                 Request::Shutdown,
@@ -740,6 +746,7 @@ mod tests {
 
     #[test]
     fn batch_vm_module_amortizes_entry() {
+        let _serial = vm_serial();
         let src = "module m\nfunc main(i64) -> i64\n  load 0\n  consti 2\n  muli\n  ret\nend\n";
         let module = jaguar_vm::asm::assemble(src).unwrap();
         let rsp = script(
@@ -750,7 +757,6 @@ mod tests {
                     jit: true,
                     fuel: 0,
                     memory: 0,
-                    tier_up_after: u64::MAX,
                 },
                 Request::InvokeBatch {
                     rows: (0..5).map(|i| vec![Value::Int(i)]).collect(),
@@ -769,21 +775,16 @@ mod tests {
     }
 
     #[test]
-    fn module_cache_keeps_hotness_across_reset() {
-        // tier_up_after = 1: one invocation per checkout never promotes
-        // unless the hotness counter survives the Reset in between. The
-        // worker's module cache reuses the same verified module across
-        // identical LoadVm requests, so the second checkout's invocation
-        // is call #2 and must promote to the compiled tier.
+    fn first_invoke_runs_compiled_and_reload_reuses_the_module() {
+        let _serial = vm_serial();
         let src = "module m\nfunc main(i64) -> i64\n  load 0\n  consti 2\n  muli\n  ret\nend\n";
         let bytes = jaguar_vm::asm::assemble(src).unwrap().to_bytes();
         let load = Request::LoadVm {
-            module: bytes,
+            module: bytes.clone(),
             function: "main".into(),
             jit: true,
             fuel: 0,
             memory: 0,
-            tier_up_after: 1,
         };
         let before = jaguar_common::obs::global()
             .snapshot()
@@ -804,6 +805,12 @@ mod tests {
             &WorkerRegistry::new(),
         );
         assert_eq!(
+            rsp[2],
+            Response::InvokeResult {
+                value: Value::Int(2)
+            }
+        );
+        assert_eq!(
             rsp[5],
             Response::InvokeResult {
                 value: Value::Int(4)
@@ -814,9 +821,15 @@ mod tests {
             .counter("vm.tier.compiled_hits");
         assert_eq!(
             after - before,
-            1,
-            "hotness must survive Reset via the module cache"
+            2,
+            "the first Invoke after each LoadVm runs compiled"
         );
+
+        // An identical LoadVm after a Reset reuses the verified module.
+        let mut cache = None;
+        let first = verified(&mut cache, bytes.clone()).unwrap();
+        let again = verified(&mut cache, bytes).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
     }
 
     #[test]

@@ -319,7 +319,6 @@ impl Client {
                 ResourceLimits::default(),
                 ExecMode::Jit,
                 None,
-                Some(jaguar_vm::DEFAULT_TIER_UP_AFTER),
             )?;
             local.invoke(args, &mut NoCallbacks)?;
         }
@@ -345,7 +344,6 @@ impl Client {
                     ResourceLimits::default(),
                     ExecMode::Jit,
                     None,
-                    Some(jaguar_vm::DEFAULT_TIER_UP_AFTER),
                 )?;
                 Ok(LocalUdf { inner })
             }

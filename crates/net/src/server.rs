@@ -661,9 +661,8 @@ fn register_udf(
         module_bytes: Arc::new(module_bytes.to_vec()),
         function: function.to_string(),
         limits,
-        jit: config.vm_jit_mode,
+        jit: true,
         permissions: Some(Arc::new(perms)),
-        tier_up_after: config.tier_up_after,
     };
     let imp = if isolated {
         UdfImpl::IsolatedVm(spec)

@@ -1,7 +1,8 @@
 //! jaguar-opt — planner-side UDF optimizations.
 //!
-//! PRs 6–7 attacked the *per-crossing* cost of extension code (batching,
-//! tier-up compilation). This crate attacks the calls themselves, with
+//! Batching and the compiled VM tier attack the *per-crossing* and
+//! per-instruction cost of extension code. This crate attacks the calls
+//! themselves, with
 //! three cooperating passes the SQL engine runs between binding and
 //! execution:
 //!
@@ -11,7 +12,7 @@
 //!    arrays) is translated into a native scalar-expression tree
 //!    ([`SExpr`]) the executor evaluates directly — the sandbox backend
 //!    is never instantiated. Unsupported shapes bail to the normal call
-//!    path, mirroring the tier-up fallback contract.
+//!    path, mirroring the compiled tier's fallback contract.
 //! 2. **Cost-based predicate ranking** ([`cost`]): a per-UDF cost model
 //!    seeded from the per-`(udf, backend)` latency histograms plus online
 //!    selectivity observations; conjunctive WHERE predicates are ordered

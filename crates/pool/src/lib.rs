@@ -559,10 +559,9 @@ impl PooledWorker {
         jit: bool,
         fuel: Option<u64>,
         memory: Option<usize>,
-        tier_up_after: Option<u64>,
     ) -> Result<()> {
         self.worker_mut()
-            .load_vm(module, function, jit, fuel, memory, tier_up_after)
+            .load_vm(module, function, jit, fuel, memory)
     }
 
     /// Invoke the loaded UDF on one argument tuple, under the pool's invoke

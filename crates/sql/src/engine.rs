@@ -572,13 +572,12 @@ impl Engine {
             let after = tier_counters();
             if after.iter().zip(&before).any(|(a, b)| a > b) {
                 lines.push(format!(
-                    "VM tier: promotions={} compiled_calls={} loop_strips={} \
-                     loop_fallbacks={} interp_fallbacks={}",
+                    "VM tier: compiled_calls={} loop_strips={} loop_fallbacks={} \
+                     interp_fallbacks={}",
                     after[0] - before[0],
                     after[1] - before[1],
                     after[2] - before[2],
                     after[3] - before[3],
-                    after[4] - before[4],
                 ));
             }
         }
@@ -688,14 +687,13 @@ fn seal_partial_effects(table: &jaguar_catalog::Table, err: JaguarError) -> Jagu
     err
 }
 
-/// The `vm.tier.*` counters as `[promotions, compiled_hits, loop_strips,
+/// The `vm.tier.*` counters as `[compiled_hits, loop_strips,
 /// loop_fallbacks, fallbacks]`. The counters are process-global, so a
 /// delta taken around a statement approximates that statement's tier
 /// activity (exact when no concurrent statement drives JagScript UDFs).
-fn tier_counters() -> [u64; 5] {
+fn tier_counters() -> [u64; 4] {
     let snap = obs::global().snapshot();
     [
-        snap.counter("vm.tier.promotions"),
         snap.counter("vm.tier.compiled_hits"),
         snap.counter("vm.tier.loop_strips"),
         snap.counter("vm.tier.loop_fallbacks"),

@@ -30,19 +30,6 @@ pub struct VmUdfSpec {
     pub limits: ResourceLimits,
     pub jit: bool,
     pub permissions: Option<Arc<PermissionSet>>,
-    /// Invocations before a function is promoted to the compiled register
-    /// tier (`Some(0)` = first call, `None` = never). Only meaningful with
-    /// `jit`; carried to the worker for Design 4.
-    pub tier_up_after: Option<u64>,
-}
-
-impl VmUdfSpec {
-    /// Override the compiled-tier hotness threshold (see
-    /// [`VmUdfSpec::tier_up_after`]).
-    pub fn with_tier_up(mut self, calls: Option<u64>) -> VmUdfSpec {
-        self.tier_up_after = calls;
-        self
-    }
 }
 
 /// The execution design chosen for a UDF (the paper's Table 1).
@@ -261,7 +248,6 @@ impl UdfDef {
                     ExecMode::Baseline
                 },
                 spec.permissions.clone(),
-                spec.tier_up_after,
             )?)),
             UdfImpl::IsolatedNative { worker_fn } => match pool {
                 Some(pool) => {
@@ -294,7 +280,6 @@ impl UdfDef {
                         spec.jit,
                         spec.limits.fuel,
                         spec.limits.memory,
-                        spec.tier_up_after,
                     )?;
                     Ok(Box::new(PooledIsolatedUdf {
                         name: self.name.clone(),
@@ -311,7 +296,6 @@ impl UdfDef {
                         spec.jit,
                         spec.limits.fuel,
                         spec.limits.memory,
-                        spec.tier_up_after,
                     )?;
                     Ok(Box::new(IsolatedUdf {
                         name: self.name.clone(),
@@ -478,9 +462,7 @@ impl ScalarUdf for PooledIsolatedUdf {
     }
 }
 
-/// Helper: build a [`VmUdfSpec`] from an unverified module. Hot functions
-/// tier up after the default threshold; use [`VmUdfSpec::with_tier_up`] to
-/// override.
+/// Helper: build a [`VmUdfSpec`] from an unverified module.
 pub fn vm_spec(
     module: jaguar_vm::Module,
     function: impl Into<String>,
@@ -497,7 +479,6 @@ pub fn vm_spec(
         limits,
         jit,
         permissions,
-        tier_up_after: Some(jaguar_vm::DEFAULT_TIER_UP_AFTER),
     })
 }
 

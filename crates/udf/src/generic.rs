@@ -259,41 +259,23 @@ pub fn def_isolated() -> UdfDef {
     .with_volatility(Volatility::Stable)
 }
 
-/// Design 3 definition ("JSM"/"JNI"): sandboxed bytecode in-process.
+/// Design 3 definition ("JSM"/"JNI"): sandboxed bytecode in-process,
+/// compiled when `jit`, interpreted otherwise.
 pub fn def_vm(jit: bool, limits: ResourceLimits) -> UdfDef {
-    def_vm_tiered(jit, limits, Some(jaguar_vm::DEFAULT_TIER_UP_AFTER))
-}
-
-/// Design 3 with an explicit compiled-tier threshold (`Some(0)` =
-/// compile on first call, `None` = interpreter only) — the knob the
-/// tier benchmark sweeps.
-pub fn def_vm_tiered(jit: bool, limits: ResourceLimits, tier_up_after: Option<u64>) -> UdfDef {
     let perms = Arc::new(
         PermissionSet::deny_all("generic_vm")
             .grant(jaguar_vm::Permission::HostCall(GENERIC_CALLBACK.into())),
     );
     let spec = vm_spec(generic_module(), "main", limits, jit, Some(perms))
-        .expect("builtin generic UDF must verify")
-        .with_tier_up(tier_up_after);
+        .expect("builtin generic UDF must verify");
     UdfDef::new("generic_vm", generic_signature(), UdfImpl::Vm(spec))
         .with_volatility(Volatility::Stable)
 }
 
 /// Design 4 definition: sandboxed bytecode in a worker process.
 pub fn def_isolated_vm(jit: bool, limits: ResourceLimits) -> UdfDef {
-    def_isolated_vm_tiered(jit, limits, Some(jaguar_vm::DEFAULT_TIER_UP_AFTER))
-}
-
-/// Design 4 with an explicit compiled-tier threshold, shipped over the
-/// wire so the worker-side interpreter applies the same policy.
-pub fn def_isolated_vm_tiered(
-    jit: bool,
-    limits: ResourceLimits,
-    tier_up_after: Option<u64>,
-) -> UdfDef {
     let spec = vm_spec(generic_module(), "main", limits, jit, None)
-        .expect("builtin generic UDF must verify")
-        .with_tier_up(tier_up_after);
+        .expect("builtin generic UDF must verify");
     UdfDef::new(
         "generic_ivm",
         generic_signature(),

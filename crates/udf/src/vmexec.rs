@@ -93,9 +93,6 @@ pub struct VmUdf {
 impl VmUdf {
     /// Build a VM UDF over an already-verified module. Fails if the VM
     /// function's signature cannot carry the SQL signature.
-    /// `tier_up_after` is the hotness threshold for the compiled register
-    /// tier (`None` = stay interpreted; only meaningful in JIT mode).
-    #[allow(clippy::too_many_arguments)] // a constructor mirroring UdfDef's full design space
     pub fn new(
         name: impl Into<String>,
         signature: UdfSignature,
@@ -104,7 +101,6 @@ impl VmUdf {
         limits: ResourceLimits,
         mode: ExecMode,
         permissions: Option<Arc<PermissionSet>>,
-        tier_up_after: Option<u64>,
     ) -> Result<VmUdf> {
         let name = name.into();
         let function = function.into();
@@ -130,7 +126,7 @@ impl VmUdf {
                 "VM function '{function}' return type does not carry the SQL signature"
             )));
         }
-        let mut interp = Interpreter::new(module, limits, mode).with_tier_up(tier_up_after);
+        let mut interp = Interpreter::new(module, limits, mode);
         if let Some(p) = permissions {
             interp = interp.with_security(p);
         }
@@ -279,7 +275,6 @@ mod tests {
             ResourceLimits::default(),
             ExecMode::Jit,
             None,
-            Some(jaguar_vm::DEFAULT_TIER_UP_AFTER),
         )
         .unwrap()
     }
@@ -332,7 +327,6 @@ mod tests {
             ResourceLimits::default(),
             ExecMode::Jit,
             None,
-            None,
         ) {
             Err(e) => e,
             Ok(_) => panic!("signature mismatch must be rejected"),
@@ -352,7 +346,6 @@ mod tests {
             ResourceLimits::default(),
             ExecMode::Jit,
             None,
-            None,
         )
         .is_err());
     }
@@ -368,7 +361,6 @@ mod tests {
             "main",
             ResourceLimits::default(),
             ExecMode::Jit,
-            None,
             None,
         )
         .is_err());
@@ -406,7 +398,6 @@ mod tests {
             ResourceLimits::tight(50_000, 1 << 20),
             ExecMode::Jit,
             None,
-            Some(0),
         )
         .unwrap();
         let e = udf.invoke(&[], &mut NoCallbacks).unwrap_err();
@@ -432,7 +423,6 @@ mod tests {
             },
             ExecMode::Jit,
             None,
-            Some(0),
         )
         .unwrap();
         udf.attach_cancel(CancelToken::with_deadline(

@@ -1,25 +1,26 @@
 //! The JSM execution engine.
 //!
-//! Two execution modes model the two JVMs of the era:
+//! Two engines run a [`VerifiedModule`]:
 //!
-//! * [`ExecMode::Baseline`] re-decodes each instruction from the encoded
-//!   byte stream on every execution — a classic bytecode interpreter,
-//! * [`ExecMode::Jit`] executes pre-decoded instructions with direct
-//!   dispatch — modelling the JIT-compiled execution of the JVM the paper
-//!   used ("In all cases, the JVM included a JIT compiler"). The A2
+//! * [`ExecMode::Baseline`] is the reference interpreter: it executes the
+//!   verified instructions one at a time over an operand stack. It is the
+//!   oracle every differential test compares against.
+//! * [`ExecMode::Jit`] runs the module's compiled register form
+//!   ([`crate::tier`]), which the verifier built once — modelling the JVM
+//!   the paper used ("In all cases, the JVM included a JIT compiler"). A
+//!   function the compiler could not take runs in the interpreter. The A2
 //!   ablation bench quantifies the difference.
 //!
-//! In **both** modes every array access is bounds-checked ([`Arena`]),
+//! In **both** engines every array access is bounds-checked ([`Arena`]),
 //! fuel and memory budgets are enforced ([`ResourceLimits`]), and host
 //! calls pass through the security manager — those are the *semantic*
-//! costs of safety the paper measures; the mode only changes dispatch
+//! costs of safety the paper measures; the engine only changes dispatch
 //! overhead.
 //!
 //! The interpreter only accepts a [`VerifiedModule`], so type errors at
 //! runtime indicate an interpreter bug, not a UDF bug; they still surface
 //! as containable traps rather than panics (defence in depth).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use jaguar_common::cancel::CancelToken;
@@ -30,7 +31,7 @@ use crate::isa::{Insn, VType};
 use crate::module::VerifiedModule;
 use crate::resources::{ResourceLimits, ResourceUsage};
 use crate::security::PermissionSet;
-use crate::tier::{self, ModulePlan, TierTally};
+use crate::tier::{self, TierTally};
 
 /// A runtime value on the operand stack or in a local slot.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -99,36 +100,15 @@ impl HostEnv for NoHost {
     }
 }
 
-/// Dispatch strategy.
+/// Which engine runs a call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Decode each instruction from bytes on every execution.
+    /// The reference interpreter.
     Baseline,
-    /// Execute pre-decoded instructions with **superinstruction fusion**:
-    /// hot multi-instruction patterns (compare-and-branch, local
-    /// increment, array-load-accumulate) collapse into single dispatch
-    /// steps, the closest an interpreter gets to JIT-compiled loops.
-    /// Fuel accounting still charges the original instruction count.
+    /// The compiled tier, from the first call. A function the compiler
+    /// could not take (see [`Interpreter::runs_compiled`]) runs in the
+    /// reference interpreter instead.
     Jit,
-}
-
-/// Per-function pre-encoded form used by baseline mode: the raw bytes and
-/// the byte offset of each instruction (jump targets are insn indices).
-pub(crate) struct EncodedFn {
-    bytes: Vec<u8>,
-    offsets: Vec<u32>,
-}
-
-impl EncodedFn {
-    pub(crate) fn of(f: &crate::module::Function) -> EncodedFn {
-        let mut bytes = Vec::new();
-        let mut offsets = Vec::with_capacity(f.code.len());
-        for insn in &f.code {
-            offsets.push(bytes.len() as u32);
-            insn.encode(&mut bytes);
-        }
-        EncodedFn { bytes, offsets }
-    }
 }
 
 struct Frame {
@@ -136,163 +116,6 @@ struct Frame {
     pc: usize,
     locals: Vec<VmValue>,
     stack_base: usize,
-}
-
-/// Comparison selector for fused compare-and-branch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CmpKind {
-    Lt,
-    Le,
-    Eq,
-}
-
-/// One step of the fused (JIT-mode) execution plan. `len` records how many
-/// original instructions the step covers, for fuel accounting and for the
-/// sequential-advance amount.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum FusedOp {
-    /// A single ordinary instruction. The instructions a fused step
-    /// covers keep their own entries behind it: control only reaches them
-    /// when the step is run unfused (the fuser refuses to fuse across jump
-    /// targets).
-    Std(Insn),
-    /// `Load s; ConstI k; AddI|SubI; Store s` → `s += delta`.
-    IncLocal { slot: u16, delta: i64, len: u8 },
-    /// `Load a; Load b; LtI|LeI|EqI; JmpIfNot t`.
-    CmpLocalsJmpIfNot {
-        a: u16,
-        b: u16,
-        cmp: CmpKind,
-        target: u32,
-        len: u8,
-    },
-    /// `Load acc; Load arr; Load idx; ALoad; AddI; Store acc`
-    /// → `acc += arr[idx]` (bounds-checked, as always).
-    AccAddALoad {
-        acc: u16,
-        arr: u16,
-        idx: u16,
-        len: u8,
-    },
-    /// `Load acc; ConstI k; MulI; Load b; AddI; Store acc`
-    /// → `acc = acc * k + b` (wrapping).
-    MulConstAddLocal { acc: u16, k: i64, b: u16, len: u8 },
-}
-
-/// Build the fused execution plan for one function. Fusion never spans a
-/// jump target: a pattern is only collapsed when control can only enter it
-/// at its first instruction.
-pub(crate) fn fuse(code: &[Insn]) -> Vec<FusedOp> {
-    use std::collections::HashSet;
-    let mut targets: HashSet<usize> = HashSet::new();
-    for insn in code {
-        match insn {
-            Insn::Jmp(t) | Insn::JmpIf(t) | Insn::JmpIfNot(t) => {
-                targets.insert(*t as usize);
-            }
-            _ => {}
-        }
-    }
-    let clear =
-        |from: usize, len: usize| -> bool { (from + 1..from + len).all(|p| !targets.contains(&p)) };
-
-    let mut out: Vec<FusedOp> = code.iter().map(|i| FusedOp::Std(*i)).collect();
-    let mut i = 0;
-    while i < code.len() {
-        // Longest patterns first.
-        if i + 6 <= code.len() && clear(i, 6) {
-            if let (
-                Insn::Load(acc),
-                Insn::Load(arr),
-                Insn::Load(idx),
-                Insn::ALoad,
-                Insn::AddI,
-                Insn::Store(acc2),
-            ) = (
-                code[i],
-                code[i + 1],
-                code[i + 2],
-                code[i + 3],
-                code[i + 4],
-                code[i + 5],
-            ) {
-                if acc == acc2 {
-                    out[i] = FusedOp::AccAddALoad {
-                        acc,
-                        arr,
-                        idx,
-                        len: 6,
-                    };
-                    i += 6;
-                    continue;
-                }
-            }
-            if let (
-                Insn::Load(acc),
-                Insn::ConstI(k),
-                Insn::MulI,
-                Insn::Load(b),
-                Insn::AddI,
-                Insn::Store(acc2),
-            ) = (
-                code[i],
-                code[i + 1],
-                code[i + 2],
-                code[i + 3],
-                code[i + 4],
-                code[i + 5],
-            ) {
-                if acc == acc2 {
-                    out[i] = FusedOp::MulConstAddLocal { acc, k, b, len: 6 };
-                    i += 6;
-                    continue;
-                }
-            }
-        }
-        if i + 4 <= code.len() && clear(i, 4) {
-            if let (Insn::Load(a), Insn::Load(b), cmp_insn, Insn::JmpIfNot(t)) =
-                (code[i], code[i + 1], code[i + 2], code[i + 3])
-            {
-                let cmp = match cmp_insn {
-                    Insn::LtI => Some(CmpKind::Lt),
-                    Insn::LeI => Some(CmpKind::Le),
-                    Insn::EqI => Some(CmpKind::Eq),
-                    _ => None,
-                };
-                if let Some(cmp) = cmp {
-                    out[i] = FusedOp::CmpLocalsJmpIfNot {
-                        a,
-                        b,
-                        cmp,
-                        target: t,
-                        len: 4,
-                    };
-                    i += 4;
-                    continue;
-                }
-            }
-            if let (Insn::Load(slot_a), Insn::ConstI(k), arith, Insn::Store(slot_b)) =
-                (code[i], code[i + 1], code[i + 2], code[i + 3])
-            {
-                let delta = match arith {
-                    Insn::AddI => Some(k),
-                    Insn::SubI => Some(k.wrapping_neg()),
-                    _ => None,
-                };
-                if let (Some(delta), true) = (delta, slot_a == slot_b) {
-                    out[i] = FusedOp::IncLocal {
-                        slot: slot_a,
-                        delta,
-                        len: 4,
-                    };
-                    i += 4;
-                    continue;
-                }
-            }
-        }
-        i += 1;
-    }
-    out
 }
 
 /// An execution engine bound to one verified module.
@@ -305,15 +128,6 @@ pub struct Interpreter {
     limits: ResourceLimits,
     mode: ExecMode,
     security: Option<Arc<PermissionSet>>,
-    /// Shared per-module execution plans (encoded/fused/compiled) and
-    /// hotness counters — one [`ModulePlan`] per live module `Arc`, so
-    /// every statement and pooled worker over the same module reuses the
-    /// same decode/fuse/compile work.
-    plan: Arc<ModulePlan>,
-    /// Interpreted invocations of a function before it is promoted to the
-    /// compiled tier (JIT mode only). `None` disables tier-up entirely;
-    /// `Some(0)` compiles on first call.
-    tier_up_after: Option<u64>,
     /// Statement-lifecycle token, polled every
     /// [`CANCEL_CHECK_INTERVAL`] instructions alongside the fuel check.
     /// `None` (the default) skips the poll entirely.
@@ -328,35 +142,27 @@ pub const CANCEL_CHECK_INTERVAL: u64 = 65_536;
 
 impl Interpreter {
     pub fn new(module: Arc<VerifiedModule>, limits: ResourceLimits, mode: ExecMode) -> Interpreter {
-        let plan = tier::plan_for(&module);
-        // Pre-warm the plan this mode executes from, so the hot path is a
-        // plain load. Both are built at most once per module, however many
-        // interpreters are instantiated over it.
-        match mode {
-            ExecMode::Jit => {
-                plan.fused(&module);
-            }
-            ExecMode::Baseline => {
-                plan.encoded(&module);
-            }
-        }
         Interpreter {
             module,
             limits,
             mode,
             security: None,
-            plan,
-            tier_up_after: None,
             cancel: None,
         }
     }
 
-    /// Enable tier-up: after `n` interpreted invocations a function is
-    /// promoted to the compiled tier (JIT mode only; `Some(0)` compiles
-    /// on first call, `None` — the default — never promotes).
-    pub fn with_tier_up(mut self, tier_up_after: Option<u64>) -> Interpreter {
-        self.tier_up_after = tier_up_after;
+    /// Has no effect: kept only for the benchmark's layer probe, which
+    /// still calls it.
+    #[doc(hidden)]
+    pub fn with_tier_up(self, _calls: Option<u64>) -> Interpreter {
         self
+    }
+
+    /// Does a call of function `fidx` run compiled? True in `Jit` mode for
+    /// every function the compiler took whole, callees included; every
+    /// other call runs in the reference interpreter.
+    pub fn runs_compiled(&self, fidx: u32) -> bool {
+        self.mode == ExecMode::Jit && self.module.compiled().entry_runnable(fidx)
     }
 
     /// Attach a security manager; host calls will be checked against it.
@@ -379,12 +185,6 @@ impl Interpreter {
 
     pub fn limits(&self) -> ResourceLimits {
         self.limits
-    }
-
-    /// The shared per-module execution plan (exposed so tests and
-    /// diagnostics can observe plan sharing across interpreters).
-    pub fn plan(&self) -> &Arc<ModulePlan> {
-        &self.plan
     }
 
     pub(crate) fn security_ref(&self) -> Option<&PermissionSet> {
@@ -493,43 +293,20 @@ impl Interpreter {
         host: &mut dyn HostEnv,
         tally: &mut TierTally,
     ) -> Result<(Option<VmValue>, ResourceUsage)> {
-        // Tier-up: once a function has been invoked `tier_up_after` times
-        // it runs through the compiled tier — if the template compiler
-        // covered its whole call graph; otherwise fall back and keep
-        // interpreting (observable behaviour is identical either way).
-        // Each call counts itself until one is call N+1; from then on the
-        // check is a load, with no write to the shared counter.
-        if let (ExecMode::Jit, Some(n)) = (self.mode, self.tier_up_after) {
-            let hot = self.plan.hot(entry);
-            let promoted = hot.load(Ordering::Relaxed) > n || {
-                let hits = hot.fetch_add(1, Ordering::Relaxed) + 1;
-                if hits == n + 1 {
-                    tier::metrics().promotions.inc();
-                }
-                hits > n
-            };
-            if promoted {
-                let cm = self.plan.compiled(&self.module);
-                if cm.entry_runnable(entry) {
-                    tally.compiled_hits += 1;
-                    return tier::run_compiled(self, cm, entry, args, arena, host, tally);
-                }
-                tally.fallbacks += 1;
-            }
+        // `Jit` runs the compiled tier whenever the compiler covered the
+        // whole call graph; otherwise it falls back to this interpreter
+        // (observable behaviour is identical either way).
+        if self.runs_compiled(entry) {
+            tally.compiled_hits += 1;
+            let cm = self.module.compiled();
+            return tier::run_compiled(self, cm, entry, args, arena, host, tally);
+        }
+        if self.mode == ExecMode::Jit {
+            tally.fallbacks += 1;
         }
 
         let funcs = self.module.functions();
         let imports = self.module.imports();
-
-        /// The per-mode instruction source for this run.
-        enum CodePlan<'a> {
-            Fused(&'a [Vec<FusedOp>]),
-            Encoded(&'a [EncodedFn]),
-        }
-        let code_plan = match self.mode {
-            ExecMode::Jit => CodePlan::Fused(self.plan.fused(&self.module)),
-            ExecMode::Baseline => CodePlan::Encoded(self.plan.encoded(&self.module)),
-        };
 
         // Default value for uninitialised `bytes` locals: one shared empty
         // array (JSM has no null references).
@@ -585,136 +362,32 @@ impl Interpreter {
 
         loop {
             let frame = frames.last_mut().expect("at least one frame");
-            let mut op = match code_plan {
-                CodePlan::Fused(plan) => plan[frame.func as usize][frame.pc],
-                CodePlan::Encoded(plan) => {
-                    let enc = &plan[frame.func as usize];
-                    let off = enc.offsets[frame.pc] as usize;
-                    let mut r = &enc.bytes[off..];
-                    FusedOp::Std(Insn::decode(&mut r)?)
-                }
-            };
+            let insn = funcs[frame.func as usize].code[frame.pc];
 
-            // Resource policing: the per-instruction fuel check (A3).
-            // Fused steps charge the number of instructions they cover, so
-            // fuel semantics are dispatch-strategy independent: check
-            // before charging, and on exhaustion report `initial_fuel + 1`
-            // — the instruction that could not be afforded — whatever the
-            // step width (identical to per-instruction accounting).
-            let mut cost: u64 = match op {
-                FusedOp::Std(_) => 1,
-                FusedOp::IncLocal { len, .. }
-                | FusedOp::CmpLocalsJmpIfNot { len, .. }
-                | FusedOp::AccAddALoad { len, .. }
-                | FusedOp::MulConstAddLocal { len, .. } => len as u64,
-            };
-            // A fused step the budget cannot cover whole runs as its
-            // separate instructions, so what ends the run — exhaustion, a
-            // trap or a cancel poll just before it — is what Baseline sees.
-            if fuel.is_some_and(|left| left < cost) {
-                op = FusedOp::Std(funcs[frame.func as usize].code[frame.pc]);
-                cost = 1;
-            }
+            // Resource policing: the per-instruction fuel check (A3). On
+            // exhaustion report `initial_fuel + 1` — the instruction that
+            // could not be afforded.
             if let Some(left) = fuel.as_mut() {
-                if *left < cost {
-                    usage.instructions += *left + 1;
+                if *left == 0 {
+                    usage.instructions += 1;
                     return Err(JaguarError::ResourceLimit(format!(
                         "fuel exhausted after {} instructions",
                         usage.instructions
                     )));
                 }
-                *left -= cost;
+                *left -= 1;
             }
-            usage.instructions += cost;
+            usage.instructions += 1;
             // Cooperative cancellation: poll the statement token at a
             // coarse cadence so runaway-but-fueled loops still respect
             // deadlines and client cancels.
             if let Some(token) = &self.cancel {
-                cancel_left = cancel_left.saturating_sub(cost);
+                cancel_left -= 1;
                 if cancel_left == 0 {
                     token.check()?;
                     cancel_left = CANCEL_CHECK_INTERVAL;
                 }
             }
-
-            let insn = match op {
-                FusedOp::Std(insn) => insn,
-                FusedOp::IncLocal { slot, delta, len } => {
-                    let v = frame
-                        .locals
-                        .get_mut(slot as usize)
-                        .ok_or(JaguarError::VmTrap(VmTrap::BadLocal(slot)))?;
-                    let old = v.as_i64()?;
-                    *v = VmValue::I64(old.wrapping_add(delta));
-                    frame.pc += len as usize;
-                    continue;
-                }
-                FusedOp::CmpLocalsJmpIfNot {
-                    a,
-                    b,
-                    cmp,
-                    target,
-                    len,
-                } => {
-                    let av = frame
-                        .locals
-                        .get(a as usize)
-                        .ok_or(JaguarError::VmTrap(VmTrap::BadLocal(a)))?
-                        .as_i64()?;
-                    let bv = frame
-                        .locals
-                        .get(b as usize)
-                        .ok_or(JaguarError::VmTrap(VmTrap::BadLocal(b)))?
-                        .as_i64()?;
-                    let holds = match cmp {
-                        CmpKind::Lt => av < bv,
-                        CmpKind::Le => av <= bv,
-                        CmpKind::Eq => av == bv,
-                    };
-                    frame.pc = if holds {
-                        frame.pc + len as usize
-                    } else {
-                        target as usize
-                    };
-                    continue;
-                }
-                FusedOp::AccAddALoad { acc, arr, idx, len } => {
-                    let r = frame
-                        .locals
-                        .get(arr as usize)
-                        .ok_or(JaguarError::VmTrap(VmTrap::BadLocal(arr)))?
-                        .as_bytes()?;
-                    let i = frame
-                        .locals
-                        .get(idx as usize)
-                        .ok_or(JaguarError::VmTrap(VmTrap::BadLocal(idx)))?
-                        .as_i64()?;
-                    let byte = arena.load(r, i)? as i64;
-                    let v = frame
-                        .locals
-                        .get_mut(acc as usize)
-                        .ok_or(JaguarError::VmTrap(VmTrap::BadLocal(acc)))?;
-                    let old = v.as_i64()?;
-                    *v = VmValue::I64(old.wrapping_add(byte));
-                    frame.pc += len as usize;
-                    continue;
-                }
-                FusedOp::MulConstAddLocal { acc, k, b, len } => {
-                    let bv = frame
-                        .locals
-                        .get(b as usize)
-                        .ok_or(JaguarError::VmTrap(VmTrap::BadLocal(b)))?
-                        .as_i64()?;
-                    let v = frame
-                        .locals
-                        .get_mut(acc as usize)
-                        .ok_or(JaguarError::VmTrap(VmTrap::BadLocal(acc)))?;
-                    let old = v.as_i64()?;
-                    *v = VmValue::I64(old.wrapping_mul(k).wrapping_add(bv));
-                    frame.pc += len as usize;
-                    continue;
-                }
-            };
 
             frame.pc += 1;
             match insn {
@@ -1484,130 +1157,5 @@ mod tests {
         let (ret, usage, _) = interp.invoke("main", &[], &mut NoHost).unwrap();
         assert_eq!(ret.unwrap().as_i64().unwrap(), 1000);
         assert!(usage.bytes_allocated >= 1000);
-    }
-}
-
-#[cfg(test)]
-mod fusion_tests {
-    use super::*;
-    use crate::module::{FuncSig, Function, Module};
-
-    fn sum_loop_module() -> Arc<VerifiedModule> {
-        // The canonical hot loop the fuser targets:
-        //   while (j < n) { acc = acc + data[j]; j = j + 1; }
-        let src = "module m\nfunc main(bytes, i64) -> i64\nlocals i64, i64\n\
-                   top:\n  load 2\n  load 1\n  lti\n  jmpifnot done\n\
-                   load 3\n  load 0\n  load 2\n  aload\n  addi\n  store 3\n\
-                   load 2\n  consti 1\n  addi\n  store 2\n  jmp top\n\
-                   done:\n  load 3\n  ret\nend\n";
-        let m = crate::asm::assemble(src).unwrap();
-        Arc::new(m.verify().unwrap())
-    }
-
-    #[test]
-    fn fusion_plan_contains_superinstructions() {
-        let m = sum_loop_module();
-        let plan = fuse(&m.functions()[0].code);
-        assert!(plan
-            .iter()
-            .any(|op| matches!(op, FusedOp::CmpLocalsJmpIfNot { .. })));
-        assert!(plan
-            .iter()
-            .any(|op| matches!(op, FusedOp::AccAddALoad { .. })));
-        assert!(plan.iter().any(|op| matches!(op, FusedOp::IncLocal { .. })));
-    }
-
-    #[test]
-    fn fused_and_baseline_agree_on_results_and_fuel() {
-        let m = sum_loop_module();
-        let data: Vec<u8> = (0..200u8).collect();
-        let args = [
-            ArgValue::Bytes(data.clone()),
-            ArgValue::I64(data.len() as i64),
-        ];
-        let jit = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
-        let base = Interpreter::new(m, ResourceLimits::default(), ExecMode::Baseline);
-        let (rj, uj, _) = jit.invoke("main", &args, &mut NoHost).unwrap();
-        let (rb, ub, _) = base.invoke("main", &args, &mut NoHost).unwrap();
-        assert_eq!(rj.unwrap().as_i64().unwrap(), rb.unwrap().as_i64().unwrap());
-        // Fuel accounting is dispatch-independent.
-        assert_eq!(uj.instructions, ub.instructions);
-    }
-
-    #[test]
-    fn fusion_preserves_bounds_checks() {
-        // Same loop but the bound is longer than the array: the fused
-        // AccAddALoad must still trap.
-        let m = sum_loop_module();
-        let jit = Interpreter::new(m, ResourceLimits::default(), ExecMode::Jit);
-        let e = jit
-            .invoke(
-                "main",
-                &[ArgValue::Bytes(vec![1, 2, 3]), ArgValue::I64(10)],
-                &mut NoHost,
-            )
-            .unwrap_err();
-        assert!(matches!(
-            e,
-            JaguarError::VmTrap(VmTrap::Bounds { index: 3, len: 3 })
-        ));
-    }
-
-    #[test]
-    fn fusion_refuses_to_span_jump_targets() {
-        // A jump lands in the middle of what would otherwise fuse as
-        // IncLocal; the fuser must keep those instructions unfused.
-        let f = Function {
-            name: "main".into(),
-            sig: FuncSig::new(vec![VType::I64], Some(VType::I64)),
-            local_types: vec![],
-            code: vec![
-                // 0: entry — jump into the middle of the would-be pattern
-                Insn::Load(0),  // 0
-                Insn::JmpIf(4), // 1 → target 4 is inside [2..6)
-                // would-be IncLocal pattern at 2: Load 0; ConstI 1; AddI; Store 0
-                Insn::Load(0),   // 2
-                Insn::ConstI(1), // 3
-                Insn::AddI,      // 4  ← jump target! needs a stack value…
-                Insn::Store(0),  // 5
-                Insn::Load(0),   // 6
-                Insn::Ret,       // 7
-            ],
-        };
-        let module = Module {
-            name: "t".into(),
-            imports: vec![],
-            functions: vec![f],
-        };
-        // This module does NOT verify (jumping to 4 with wrong stack), but
-        // the fuser operates pre-verification in tests: check it directly.
-        let plan = fuse(&module.functions[0].code);
-        assert!(
-            plan.iter().all(|op| matches!(op, FusedOp::Std(_))),
-            "no fusion may span the jump target: {plan:?}"
-        );
-    }
-
-    #[test]
-    fn fused_loop_is_faster_than_baseline() {
-        // Not a strict benchmark — just a sanity check that fusion pays.
-        let m = sum_loop_module();
-        let data: Vec<u8> = vec![7; 100_000];
-        let args = [
-            ArgValue::Bytes(data.clone()),
-            ArgValue::I64(data.len() as i64),
-        ];
-        let jit = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
-        let base = Interpreter::new(m, ResourceLimits::default(), ExecMode::Baseline);
-        let t0 = std::time::Instant::now();
-        jit.invoke("main", &args, &mut NoHost).unwrap();
-        let jit_time = t0.elapsed();
-        let t0 = std::time::Instant::now();
-        base.invoke("main", &args, &mut NoHost).unwrap();
-        let base_time = t0.elapsed();
-        assert!(
-            jit_time < base_time,
-            "fused {jit_time:?} should beat baseline {base_time:?}"
-        );
     }
 }

@@ -17,14 +17,15 @@
 //! * [`verifier`] — a dataflow verifier establishing stack/type/jump safety
 //!   *before* execution, so the interpreter never executes unverifiable
 //!   code ([`module::VerifiedModule`] can only be produced by the verifier),
+//!   and compiles each module it accepts, once,
 //! * [`arena`] — the byte-array heap with memory accounting,
 //! * [`security`] — least-privilege [`security::PermissionSet`]s consulted
 //!   on every host call,
 //! * [`resources`] — instruction fuel + memory caps + call-depth limits,
 //!   closing the denial-of-service hole the paper highlights,
-//! * [`interp`] — the execution engine, in two modes: a byte-at-a-time
-//!   **baseline** interpreter and a pre-decoded **JIT-mode** dispatcher
-//!   (the paper's JVM "included a JIT compiler"),
+//! * [`interp`] / [`tier`] — two engines: the reference **interpreter**
+//!   and the **compiled** register tier that `ExecMode::Jit` runs from
+//!   the first call (the paper's JVM "included a JIT compiler"),
 //! * [`loader`] — per-UDF namespaces: a module sees only its own functions
 //!   plus explicitly granted host imports.
 //!
@@ -61,5 +62,7 @@ pub use loader::Loader;
 pub use module::{FuncSig, Function, HostImport, Module, VerifiedModule};
 pub use resources::{ResourceLimits, ResourceUsage};
 pub use security::{Permission, PermissionSet};
-pub use tier::{TierTally, DEFAULT_TIER_UP_AFTER};
+pub use tier::TierTally;
+#[doc(hidden)]
+pub use tier::DEFAULT_TIER_UP_AFTER;
 pub use verifier::verify;

@@ -7,9 +7,9 @@
 //! shipped over the wire, verified at the server, and executed there —
 //! the portability loop of §6.4.
 //!
-//! [`VerifiedModule`] is a newtype that can only be constructed by the
-//! verifier (or by `Module::verify`), so every execution path is forced
-//! through verification — the "only safe code is loaded" property of §6.1.
+//! [`VerifiedModule`] can only be constructed by the verifier (or by
+//! `Module::verify`), so every execution path is forced through
+//! verification — the "only safe code is loaded" property of §6.1.
 
 use std::io::Read;
 
@@ -19,6 +19,7 @@ use jaguar_common::stream::{
 };
 
 use crate::isa::{Insn, VType};
+use crate::tier::CompiledModule;
 
 /// Magic bytes opening a serialised module ("JSM" + format version 1).
 pub const MODULE_MAGIC: [u8; 4] = *b"JSM1";
@@ -225,21 +226,27 @@ fn read_sig(r: &mut impl Read) -> Result<FuncSig> {
     Ok(FuncSig { params, ret })
 }
 
-/// A module that has passed bytecode verification. The interpreter only
-/// accepts this type; there is deliberately no public constructor.
-#[derive(Debug, Clone)]
+/// A module that has passed bytecode verification, with its compiled
+/// form. The interpreter only accepts this type; there is deliberately no
+/// public constructor.
+#[derive(Debug)]
 pub struct VerifiedModule {
     inner: Module,
+    compiled: CompiledModule,
 }
 
 impl VerifiedModule {
     /// Crate-internal: only the verifier creates these.
-    pub(crate) fn new_unchecked(inner: Module) -> VerifiedModule {
-        VerifiedModule { inner }
+    pub(crate) fn new_unchecked(inner: Module, compiled: CompiledModule) -> VerifiedModule {
+        VerifiedModule { inner, compiled }
     }
 
     pub fn module(&self) -> &Module {
         &self.inner
+    }
+
+    pub(crate) fn compiled(&self) -> &CompiledModule {
+        &self.compiled
     }
 
     pub fn name(&self) -> &str {

@@ -1,16 +1,16 @@
-//! Tiered execution: a template compiler for hot JagScript functions.
+//! The compiled tier: a template compiler for verified JagScript modules.
 //!
 //! The paper's JVM "included a JIT compiler" in every measured
-//! configuration; JSM's `ExecMode::Jit` superinstruction fuser only
-//! approximates that. This module finishes the job with a classic
-//! **tier-up template compiler**: after a function has been invoked
-//! [`crate::interp::Interpreter`]-side `tier_up_after` times, its whole
-//! module is compiled — once, basic-block at a time — into a register
+//! configuration. JSM compiles each module exactly once, inside
+//! [`crate::verifier::verify`], basic-block at a time, into a register
 //! program of pre-resolved operations that executes without per-opcode
-//! decode or operand-stack traffic.
+//! decode or operand-stack traffic; [`crate::interp::ExecMode::Jit`] runs
+//! every call through it from the first one. Only verified code is ever
+//! compiled, so every fact the compiler relies on is one the verifier
+//! established.
 //!
 //! Three invariants make the compiled tier *observationally identical* to
-//! [`crate::interp::ExecMode::Baseline`]:
+//! the reference interpreter ([`crate::interp::ExecMode::Baseline`]):
 //!
 //! 1. **No safety check is skipped.** Every array access is range-checked
 //!    — as it happens, or for a counted loop once per strip, over the whole
@@ -22,112 +22,30 @@
 //!    (any fallible op or block exit), and a strip of whole loop trips at
 //!    once, so `usage.instructions` on success — and the "fuel exhausted
 //!    after N instructions" message — match the baseline interpreter.
-//! 3. **Fallback is total.** Any function the compiler cannot prove out
-//!    (or whose call graph escapes the compiled set) simply keeps running
-//!    in the interpreter; `vm.tier.fallbacks` counts how often.
-//!
-//! Compiled plans are cached **per module** behind an `Arc` (the
-//! [`ModulePlan`]), so pooled workers and per-statement instantiation
-//! share one compilation and one set of hotness counters. The same cache
-//! also holds the pre-decoded/fused interpreter plans, fixing the old
-//! per-`Interpreter::new` re-fuse.
+//! 3. **Fallback is total.** A function the compiler cannot prove out (or
+//!    whose call graph escapes the compiled set) runs in the reference
+//!    interpreter instead; `vm.tier.fallbacks` counts how often.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result, VmTrap};
 use jaguar_common::obs;
 
 use crate::arena::{Arena, BytesRef};
-use crate::interp::{
-    fuse, EncodedFn, FusedOp, HostEnv, Interpreter, VmValue, CANCEL_CHECK_INTERVAL,
-};
+use crate::interp::{HostEnv, Interpreter, VmValue, CANCEL_CHECK_INTERVAL};
 use crate::isa::{Insn, VType};
-use crate::module::VerifiedModule;
+use crate::module::Module;
 use crate::resources::ResourceUsage;
 
-/// Default number of interpreted invocations before a function tiers up.
-/// Low enough that per-statement UDFs over a few hundred rows promote
-/// almost immediately; high enough that one-shot administrative calls
-/// never pay compilation.
+/// Has no effect: kept only for the benchmark's layer probe, which still
+/// passes it to [`Interpreter::with_tier_up`].
+#[doc(hidden)]
 pub const DEFAULT_TIER_UP_AFTER: u64 = 64;
-
-// ---------------------------------------------------------------------------
-// Per-module execution plan + cache
-// ---------------------------------------------------------------------------
-
-/// Everything derived from a module's code, built lazily and shared by
-/// every `Interpreter` over the same `Arc<VerifiedModule>`: the baseline
-/// byte encoding, the fused (JIT-mode) plan, the compiled tier, and the
-/// per-function hotness counters that drive promotion.
-pub struct ModulePlan {
-    encoded: OnceLock<Vec<EncodedFn>>,
-    fused: OnceLock<Vec<Vec<FusedOp>>>,
-    compiled: OnceLock<CompiledModule>,
-    hot: Vec<AtomicU64>,
-}
-
-impl ModulePlan {
-    fn new(nfuncs: usize) -> ModulePlan {
-        ModulePlan {
-            encoded: OnceLock::new(),
-            fused: OnceLock::new(),
-            compiled: OnceLock::new(),
-            hot: (0..nfuncs).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    pub(crate) fn encoded(&self, module: &VerifiedModule) -> &[EncodedFn] {
-        self.encoded
-            .get_or_init(|| module.functions().iter().map(EncodedFn::of).collect())
-    }
-
-    pub(crate) fn fused(&self, module: &VerifiedModule) -> &[Vec<FusedOp>] {
-        self.fused
-            .get_or_init(|| module.functions().iter().map(|f| fuse(&f.code)).collect())
-    }
-
-    pub(crate) fn compiled(&self, module: &VerifiedModule) -> &CompiledModule {
-        self.compiled.get_or_init(|| CompiledModule::build(module))
-    }
-
-    /// The promotion counter for one function.
-    pub(crate) fn hot(&self, fidx: u32) -> &AtomicU64 {
-        &self.hot[fidx as usize]
-    }
-}
-
-/// Process-wide plan cache: one [`ModulePlan`] per live `Arc<VerifiedModule>`,
-/// keyed by pointer identity and held weakly so dropping the last module
-/// reference releases its plans. Pointer keys can be reused after a free
-/// (ABA), so a hit must also upgrade + `Arc::ptr_eq` before trusting it.
-type PlanCacheEntry = (usize, Weak<VerifiedModule>, Arc<ModulePlan>);
-static PLAN_CACHE: Mutex<Vec<PlanCacheEntry>> = Mutex::new(Vec::new());
-
-pub(crate) fn plan_for(module: &Arc<VerifiedModule>) -> Arc<ModulePlan> {
-    let key = Arc::as_ptr(module) as usize;
-    let mut cache = PLAN_CACHE.lock().unwrap_or_else(|p| p.into_inner());
-    for (k, weak, plan) in cache.iter() {
-        if *k == key {
-            if let Some(live) = weak.upgrade() {
-                if Arc::ptr_eq(&live, module) {
-                    return Arc::clone(plan);
-                }
-            }
-        }
-    }
-    // Miss (or a dead/ABA entry under this key): sweep and insert fresh.
-    cache.retain(|(k, weak, _)| *k != key && weak.strong_count() > 0);
-    let plan = Arc::new(ModulePlan::new(module.functions().len()));
-    cache.push((key, Arc::downgrade(module), Arc::clone(&plan)));
-    plan
-}
 
 /// Tier telemetry, resolved once from the global registry.
 pub(crate) struct TierMetrics {
-    pub promotions: Arc<obs::Counter>,
     pub compiled_hits: Arc<obs::Counter>,
     pub fallbacks: Arc<obs::Counter>,
     pub loop_strips: Arc<obs::Counter>,
@@ -139,7 +57,6 @@ pub(crate) fn metrics() -> &'static TierMetrics {
     METRICS.get_or_init(|| {
         let registry = obs::global();
         TierMetrics {
-            promotions: registry.counter("vm.tier.promotions"),
             compiled_hits: registry.counter("vm.tier.compiled_hits"),
             fallbacks: registry.counter("vm.tier.fallbacks"),
             loop_strips: registry.counter("vm.tier.loop_strips"),
@@ -470,6 +387,7 @@ struct Block {
 /// locals first, then the canonical operand-stack slots, then one
 /// scratch register for `Swap`, then the function's constant pool
 /// (written once per frame, never a destination).
+#[derive(Debug)]
 pub(crate) struct CompiledFn {
     nregs: usize,
     consts: Vec<u64>,
@@ -480,15 +398,19 @@ pub(crate) struct CompiledFn {
 /// template compiler bailed on function `i`; `runnable[i]` additionally
 /// requires every transitively callable function to be compiled, so a
 /// compiled caller never needs to re-enter the interpreter mid-frame.
+/// Built once per module by the verifier, which owns the result.
+#[derive(Debug)]
 pub struct CompiledModule {
     funcs: Vec<Option<CompiledFn>>,
     runnable: Vec<bool>,
 }
 
 impl CompiledModule {
-    fn build(module: &VerifiedModule) -> CompiledModule {
-        let functions = module.functions();
-        let imports = module.imports();
+    /// Compile every function of a module that has just passed
+    /// verification. Total: a function the compiler cannot take is `None`.
+    pub(crate) fn build(module: &Module) -> CompiledModule {
+        let functions = &module.functions;
+        let imports = &module.imports;
         let funcs: Vec<Option<CompiledFn>> = functions
             .iter()
             .map(|f| compile_fn(f, functions, imports))
@@ -2313,13 +2235,14 @@ mod tests {
     use super::*;
     use crate::interp::{ArgValue, ExecMode, NoHost};
     use crate::isa::VType;
-    use crate::module::{FuncSig, Function, HostImport, Module};
+    use crate::module::{FuncSig, Function, HostImport, Module, VerifiedModule};
     use crate::resources::ResourceLimits;
     use std::sync::{Mutex, MutexGuard};
 
     /// The tier counters are process-wide, so a test that asserts on a
-    /// before/after delta would see the promotions of tests running beside
-    /// it. Every test here holds this guard, which runs them one at a time.
+    /// before/after delta would see the compiled calls of tests running
+    /// beside it. Every test here holds this guard, which runs them one at
+    /// a time.
     fn serial() -> MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -2334,32 +2257,8 @@ mod tests {
         Arc::new(crate::asm::assemble(src).unwrap().verify().unwrap())
     }
 
-    /// Satellite bugfix: two interpreters over one module share one plan —
-    /// the fuser/encoder/compiler run once per module, not per statement.
-    #[test]
-    fn interpreters_share_one_plan_per_module() {
-        let _serial = serial();
-        let m = sum_loop_module();
-        let a = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
-        let b = Interpreter::new(
-            Arc::clone(&m),
-            ResourceLimits::default(),
-            ExecMode::Baseline,
-        );
-        assert!(
-            Arc::ptr_eq(a.plan(), b.plan()),
-            "same module Arc must map to the same ModulePlan"
-        );
-        let other = sum_loop_module();
-        let c = Interpreter::new(other, ResourceLimits::default(), ExecMode::Jit);
-        assert!(
-            !Arc::ptr_eq(a.plan(), c.plan()),
-            "distinct module Arcs keep distinct plans"
-        );
-    }
-
-    /// The compiled tier and both interpreter modes agree on results AND
-    /// fuel, over a loop that exercises arrays, compares, and branches.
+    /// The interpreter and the compiled tier agree on results AND fuel,
+    /// over a loop that exercises arrays, compares, and branches.
     #[test]
     fn compiled_tier_matches_interpreter_exactly() {
         let _serial = serial();
@@ -2374,8 +2273,8 @@ mod tests {
             ResourceLimits::default(),
             ExecMode::Baseline,
         );
-        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
-            .with_tier_up(Some(0));
+        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
+        assert!(tier.runs_compiled(0) && !base.runs_compiled(0));
         let (rb, ub, _) = base.invoke("main", &args, &mut NoHost).unwrap();
         let (rt, ut, _) = tier.invoke("main", &args, &mut NoHost).unwrap();
         assert_eq!(rb, rt);
@@ -2404,9 +2303,9 @@ mod tests {
         }
     }
 
-    /// Baseline, fused and compiled outcomes of `main(data, n)` under
+    /// Interpreted and compiled outcomes of `main(data, n)` under
     /// `limits`, asserted identical; returns the common one.
-    fn same_on_every_tier(
+    fn same_on_both_engines(
         m: &Arc<VerifiedModule>,
         limits: ResourceLimits,
         data: &[u8],
@@ -2414,10 +2313,9 @@ mod tests {
     ) -> std::result::Result<(Option<VmValue>, ResourceUsage), String> {
         let args = [ArgValue::Bytes(data.to_vec()), ArgValue::I64(n)];
         let base = Interpreter::new(Arc::clone(m), limits, ExecMode::Baseline);
-        let jit = Interpreter::new(Arc::clone(m), limits, ExecMode::Jit);
-        let tier = Interpreter::new(Arc::clone(m), limits, ExecMode::Jit).with_tier_up(Some(0));
+        let tier = Interpreter::new(Arc::clone(m), limits, ExecMode::Jit);
+        assert!(tier.runs_compiled(0));
         let expect = outcome(&base, &args);
-        assert_eq!(outcome(&jit, &args), expect, "fused, {limits:?}");
         assert_eq!(outcome(&tier, &args), expect, "compiled, {limits:?}");
         expect
     }
@@ -2428,8 +2326,7 @@ mod tests {
     fn generic_udf_loops_are_counted_kernels() {
         let _serial = serial();
         for (m, hoisted) in [(sum_loop_module(), true), (mul_add_loop_module(), false)] {
-            let cm = CompiledModule::build(&m);
-            let cf = cm.funcs[0].as_ref().expect("compiles");
+            let cf = m.compiled().funcs[0].as_ref().expect("compiles");
             let loops: Vec<&Counted> = cf
                 .blocks
                 .iter()
@@ -2442,8 +2339,7 @@ mod tests {
         }
         let tm = metrics();
         let (strips, fallbacks) = (tm.loop_strips.get(), tm.loop_fallbacks.get());
-        let tier = Interpreter::new(sum_loop_module(), ResourceLimits::default(), ExecMode::Jit)
-            .with_tier_up(Some(0));
+        let tier = Interpreter::new(sum_loop_module(), ResourceLimits::default(), ExecMode::Jit);
         let args = [ArgValue::Bytes(vec![1; 50]), ArgValue::I64(50)];
         tier.invoke("main", &args, &mut NoHost).unwrap();
         // Other tests in this process may add to the counters, never take away.
@@ -2452,7 +2348,7 @@ mod tests {
     }
 
     /// Fuel exhaustion reports the same instruction count and text in the
-    /// compiled tier as in the interpreters, and a sufficient budget the
+    /// compiled tier as in the interpreter, and a sufficient budget the
     /// same result and usage: every budget from 1 to past completion, on
     /// both generic-UDF loops.
     #[test]
@@ -2460,12 +2356,12 @@ mod tests {
         let _serial = serial();
         let data: Vec<u8> = (0..50u8).collect();
         for m in [sum_loop_module(), mul_add_loop_module()] {
-            let unlimited = same_on_every_tier(&m, ResourceLimits::default(), &data, 50);
+            let unlimited = same_on_both_engines(&m, ResourceLimits::default(), &data, 50);
             let total = unlimited.expect("completes").1.instructions;
             let mut completed = 0;
             for fuel in 1..=total + 2 {
                 let limits = ResourceLimits::tight(fuel, 1 << 20);
-                match same_on_every_tier(&m, limits, &data, 50) {
+                match same_on_both_engines(&m, limits, &data, 50) {
                     Ok((_, usage)) => {
                         assert_eq!(usage.instructions, total);
                         completed += 1;
@@ -2491,19 +2387,19 @@ mod tests {
         let _serial = serial();
         let m = sum_loop_module();
         let data: Vec<u8> = (0..20u8).collect();
-        let trap = same_on_every_tier(&m, ResourceLimits::default(), &data, 25).unwrap_err();
+        let trap = same_on_both_engines(&m, ResourceLimits::default(), &data, 25).unwrap_err();
         assert!(trap.contains("index 20") && trap.contains("20"), "{trap}");
         for fuel in 1..400 {
-            let _ = same_on_every_tier(&m, ResourceLimits::tight(fuel, 1 << 20), &data, 25);
+            let _ = same_on_both_engines(&m, ResourceLimits::tight(fuel, 1 << 20), &data, 25);
         }
         // Never in range: empty array, and a bound below the start.
-        same_on_every_tier(&m, ResourceLimits::default(), &[], 3).unwrap_err();
-        same_on_every_tier(&m, ResourceLimits::default(), &data, -4).unwrap();
+        same_on_both_engines(&m, ResourceLimits::default(), &[], 3).unwrap_err();
+        same_on_both_engines(&m, ResourceLimits::default(), &data, -4).unwrap();
     }
 
     /// The cancel poll keeps its cadence through strips: a pre-cancelled
     /// token stops a loop of more than `CANCEL_CHECK_INTERVAL` instructions
-    /// on every tier, whatever fuel is left at the poll, and leaves a
+    /// on both engines, whatever fuel is left at the poll, and leaves a
     /// shorter one alone.
     #[test]
     fn counted_loop_polls_the_cancel_token_on_cadence() {
@@ -2527,23 +2423,17 @@ mod tests {
                 fuel,
                 ..ResourceLimits::default()
             };
-            let outcomes: Vec<_> = [
-                (ExecMode::Baseline, None),
-                (ExecMode::Jit, None),
-                (ExecMode::Jit, Some(0)),
-            ]
-            .into_iter()
-            .map(|(mode, tier_up)| {
-                let mut interp =
-                    Interpreter::new(Arc::clone(&m), limits, mode).with_tier_up(tier_up);
-                let token = CancelToken::unbounded();
-                token.cancel();
-                interp.set_cancel(token);
-                outcome(&interp, &[ArgValue::Bytes(vec![]), ArgValue::I64(n)])
-            })
-            .collect();
-            assert_eq!(outcomes[1], outcomes[0], "fused, n={n} fuel={fuel:?}");
-            assert_eq!(outcomes[2], outcomes[0], "compiled, n={n} fuel={fuel:?}");
+            let outcomes: Vec<_> = [ExecMode::Baseline, ExecMode::Jit]
+                .into_iter()
+                .map(|mode| {
+                    let mut interp = Interpreter::new(Arc::clone(&m), limits, mode);
+                    let token = CancelToken::unbounded();
+                    token.cancel();
+                    interp.set_cancel(token);
+                    outcome(&interp, &[ArgValue::Bytes(vec![]), ArgValue::I64(n)])
+                })
+                .collect();
+            assert_eq!(outcomes[1], outcomes[0], "compiled, n={n} fuel={fuel:?}");
             assert_eq!(outcomes[0].is_ok(), n == 100, "{:?}", outcomes[0]);
         }
     }
@@ -2563,8 +2453,8 @@ mod tests {
             ResourceLimits::default(),
             ExecMode::Baseline,
         );
-        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
-            .with_tier_up(Some(0));
+        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
+        assert!(tier.runs_compiled(0));
         let expect = outcome(&base, &args);
         assert_eq!(expect.as_ref().unwrap().0, Some(VmValue::I64(21)));
         assert_eq!(outcome(&tier, &args), expect);
@@ -2582,7 +2472,8 @@ mod tests {
             memory: Some(1 << 20),
             max_call_depth: 8,
         };
-        let mut interp = Interpreter::new(m, limits, ExecMode::Jit).with_tier_up(Some(0));
+        let mut interp = Interpreter::new(m, limits, ExecMode::Jit);
+        assert!(interp.runs_compiled(0));
         let token = CancelToken::unbounded();
         token.cancel();
         interp.set_cancel(token);
@@ -2590,30 +2481,25 @@ mod tests {
         assert!(matches!(e, JaguarError::Cancelled(_)), "{e}");
     }
 
-    /// Promotion hotness: below the threshold the interpreter runs; the
-    /// call after the threshold takes the compiled tier.
+    /// The module was compiled when it was verified, so the very first
+    /// `Jit` call runs compiled; a `Baseline` call never does.
     #[test]
-    fn promotion_respects_threshold() {
+    fn first_call_runs_compiled() {
         let _serial = serial();
         let m = sum_loop_module();
-        let interp = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
-            .with_tier_up(Some(3));
-        let args = [ArgValue::Bytes(vec![1, 2, 3]), ArgValue::I64(3)];
-        let before = metrics().compiled_hits.get();
-        for _ in 0..3 {
-            interp.invoke("main", &args, &mut NoHost).unwrap();
+        let mut arena = Arena::new(None);
+        let data = arena.alloc_from(&[1, 2, 3]).unwrap();
+        let args = [VmValue::Bytes(data), VmValue::I64(3)];
+        for (mode, compiled) in [(ExecMode::Jit, 1), (ExecMode::Baseline, 0)] {
+            let interp = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), mode);
+            let mut tally = TierTally::default();
+            let (ret, _) = interp
+                .invoke_tallied(0, "main", &args, &mut arena, &mut NoHost, &mut tally)
+                .unwrap();
+            assert_eq!(ret, Some(VmValue::I64(6)));
+            assert_eq!(tally.compiled_hits, compiled, "{mode:?}");
+            assert_eq!(tally.fallbacks, 0, "{mode:?}");
         }
-        assert_eq!(
-            metrics().compiled_hits.get(),
-            before,
-            "first N calls stay interpreted"
-        );
-        interp.invoke("main", &args, &mut NoHost).unwrap();
-        assert_eq!(
-            metrics().compiled_hits.get(),
-            before + 1,
-            "call N+1 must run compiled"
-        );
     }
 
     /// Recursion: the compiled tier enforces the same call-depth limit
@@ -2643,13 +2529,12 @@ mod tests {
             ResourceLimits::default(),
             ExecMode::Baseline,
         );
-        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
-            .with_tier_up(Some(0));
+        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
         let eb = base.invoke("main", &[], &mut NoHost).unwrap_err();
         let et = tier.invoke("main", &[], &mut NoHost).unwrap_err();
         assert_eq!(eb.to_string(), et.to_string());
         assert!(eb.to_string().contains("call depth limit"));
-        assert!(tier.plan().compiled(&m).entry_runnable(0));
+        assert!(tier.runs_compiled(0));
     }
 
     /// Host calls work from the compiled tier: security checked, counted,
@@ -2691,8 +2576,8 @@ mod tests {
             ResourceLimits::default(),
             ExecMode::Baseline,
         );
-        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
-            .with_tier_up(Some(0));
+        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
+        assert!(tier.runs_compiled(0));
         let (rb, ub, _) = base.invoke("main", &[], &mut Doubler).unwrap();
         let (rt, ut, _) = tier.invoke("main", &[], &mut Doubler).unwrap();
         assert_eq!(rb, rt);
@@ -2702,7 +2587,6 @@ mod tests {
         // And the security manager still gates compiled host calls.
         let perms = Arc::new(crate::security::PermissionSet::deny_all("udf"));
         let gated = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
-            .with_tier_up(Some(0))
             .with_security(perms);
         let e = gated.invoke("main", &[], &mut Doubler).unwrap_err();
         assert!(matches!(e, JaguarError::SecurityViolation(_)), "{e}");
@@ -2726,56 +2610,30 @@ mod tests {
             ],
         ];
         for code in cases {
-            let mk = || {
-                Arc::new(
-                    Module {
-                        name: "t".into(),
-                        imports: vec![],
-                        functions: vec![Function {
-                            name: "main".into(),
-                            sig: FuncSig::new(vec![], Some(VType::I64)),
-                            local_types: vec![],
-                            code: code.clone(),
-                        }],
-                    }
-                    .verify()
-                    .unwrap(),
-                )
-            };
-            let m = mk();
+            let m = Arc::new(
+                Module {
+                    name: "t".into(),
+                    imports: vec![],
+                    functions: vec![Function {
+                        name: "main".into(),
+                        sig: FuncSig::new(vec![], Some(VType::I64)),
+                        local_types: vec![],
+                        code: code.clone(),
+                    }],
+                }
+                .verify()
+                .unwrap(),
+            );
             let base = Interpreter::new(
                 Arc::clone(&m),
                 ResourceLimits::default(),
                 ExecMode::Baseline,
             );
-            let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit)
-                .with_tier_up(Some(0));
+            let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
+            assert!(tier.runs_compiled(0), "{code:?}");
             let eb = base.invoke("main", &[], &mut NoHost).unwrap_err();
             let et = tier.invoke("main", &[], &mut NoHost).unwrap_err();
             assert_eq!(eb.to_string(), et.to_string(), "{code:?}");
         }
-    }
-
-    /// Dropping the last module Arc releases its cache entry (no leak of
-    /// plans for dead modules).
-    #[test]
-    fn plan_cache_entries_die_with_their_module() {
-        let _serial = serial();
-        let m = sum_loop_module();
-        let plan = plan_for(&m);
-        let weak_plan = Arc::downgrade(&plan);
-        drop(plan);
-        {
-            let _keep = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
-        }
-        drop(m);
-        // Trigger a sweep by inserting another module.
-        let other = sum_loop_module();
-        let _ = plan_for(&other);
-        let _ = plan_for(&other);
-        assert!(
-            weak_plan.upgrade().is_none() || PLAN_CACHE.lock().unwrap().len() < 64,
-            "dead modules must not accumulate plans"
-        );
     }
 }

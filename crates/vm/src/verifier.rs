@@ -24,13 +24,15 @@ use jaguar_common::error::{JaguarError, Result};
 
 use crate::isa::{Insn, VType};
 use crate::module::{Function, Module, VerifiedModule};
+use crate::tier::CompiledModule;
 
 /// Maximum verified operand-stack depth.
 pub const MAX_STACK: usize = 4096;
 /// Maximum local slots per function.
 pub const MAX_LOCALS: usize = 65_535;
 
-/// Verify a module, producing the only token the interpreter accepts.
+/// Verify a module, producing the only token the interpreter accepts —
+/// with its compiled form, built here, once, from code just proven safe.
 pub fn verify(module: Module) -> Result<VerifiedModule> {
     // Duplicate function names would make name-based dispatch ambiguous.
     for (i, f) in module.functions.iter().enumerate() {
@@ -41,7 +43,8 @@ pub fn verify(module: Module) -> Result<VerifiedModule> {
     for f in &module.functions {
         verify_function(&module, f)?;
     }
-    Ok(VerifiedModule::new_unchecked(module))
+    let compiled = CompiledModule::build(&module);
+    Ok(VerifiedModule::new_unchecked(module, compiled))
 }
 
 fn err(func: &str, pc: usize, msg: impl std::fmt::Display) -> JaguarError {

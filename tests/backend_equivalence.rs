@@ -331,9 +331,9 @@ fn batched_invocation_matches_per_tuple_at_dop_4() {
 }
 
 /// A SQL database with every design registered and the sandboxed designs
-/// pinned to one execution tier: `Some(0)` forces the compiled register
-/// tier from the first call, `None` with `jit=false` is the Baseline
-/// interpreter (the reference the compiled tier must match byte-for-byte).
+/// pinned to one engine: `compiled` runs the compiled register tier from
+/// the first call, otherwise the Baseline interpreter (the reference the
+/// compiled tier must match byte-for-byte).
 fn tiered_db(rows: usize, compiled: bool) -> Database {
     let db = Database::with_config(Config::default().with_dop(1).with_pooled_executors(2));
     db.execute("CREATE TABLE rel (id INT, bytearray BYTEARRAY)")
@@ -346,26 +346,26 @@ fn tiered_db(rows: usize, compiled: bool) -> Database {
         ]))
         .unwrap();
     }
-    use jaguar_udf::generic::{def_isolated_vm_tiered, def_vm_tiered};
     let limits = ResourceLimits::default();
-    let (jit, tier) = if compiled {
-        (true, Some(0))
-    } else {
-        (false, None)
-    };
     db.register_udf(def_native());
     db.register_udf(def_isolated());
-    db.register_udf(def_vm_tiered(jit, limits, tier));
-    db.register_udf(def_isolated_vm_tiered(jit, limits, tier));
+    db.register_udf(def_vm(compiled, limits));
+    db.register_udf(def_isolated_vm(compiled, limits));
     db
 }
 
-/// Tentpole acceptance: forcing the compiled tier must be byte-identical
-/// to the Baseline interpreter at the SQL level, for every design —
-/// same rows in the same order, same public statistics. (The native
-/// designs never tier; they pin that the knob is a no-op for them.)
+/// The compiled tier must be byte-identical to the Baseline interpreter
+/// at the SQL level, for every design — same rows in the same order, same
+/// public statistics. (The native designs have one engine; they pin that
+/// the choice is a no-op for them.)
 #[test]
 fn compiled_tier_is_byte_identical_to_baseline_across_designs() {
+    // Two engines, not one: under `Jit` the generic module runs compiled.
+    let generic = std::sync::Arc::new(jaguar_udf::generic::generic_module().verify().unwrap());
+    let jit =
+        jaguar_vm::Interpreter::new(generic, ResourceLimits::default(), jaguar_vm::ExecMode::Jit);
+    assert!(jit.runs_compiled(jit.resolve("main").unwrap()));
+
     let with_worker = worker_available();
     let baseline = tiered_db(500, false);
     let compiled = tiered_db(500, true);

@@ -161,13 +161,13 @@ fn explain_analyze_convenience_and_limit_short_circuit() {
     assert!(text.contains("rows=8"), "{text}");
 }
 
-/// With tier-up forced to the first call, EXPLAIN ANALYZE of a JagScript
-/// query reports the compiled-tier activity it caused; plain EXPLAIN
-/// never executes and so never shows the line.
+/// EXPLAIN ANALYZE of a JagScript query reports the compiled-tier
+/// activity it caused; plain EXPLAIN never executes and so never shows
+/// the line.
 #[test]
 fn explain_analyze_reports_tier_activity() {
     let _serial = vm_serial();
-    let db = Database::with_config(Config::default().with_tier_up_after(Some(0)));
+    let db = Database::with_config(Config::default());
     db.execute("CREATE TABLE t (id INT, b BYTEARRAY)").unwrap();
     for i in 0..6 {
         db.execute(&format!("INSERT INTO t VALUES ({i}, X'0102')"))
@@ -185,9 +185,9 @@ fn explain_analyze_reports_tier_activity() {
         .execute("EXPLAIN ANALYZE SELECT first_byte(b) FROM t")
         .unwrap();
     let text = string_rows(&analyzed).join("\n");
-    assert!(text.contains("VM tier:"), "{text}");
-    assert!(text.contains("promotions="), "{text}");
+    assert!(text.contains("VM tier: compiled_calls="), "{text}");
     assert!(!text.contains("compiled_calls=0"), "{text}");
+    assert!(text.contains(" interp_fallbacks=0"), "{text}");
 
     let plain = db.execute("EXPLAIN SELECT first_byte(b) FROM t").unwrap();
     let text = string_rows(&plain).join("\n");
@@ -247,22 +247,21 @@ fn metrics_count_sandboxed_udf_invocations() {
 
 /// The tier counters a statement publishes — once per UDF batch, however
 /// the batch ends — add up to the same totals whatever the batch size and
-/// the degree of parallelism: one promotion, one compiled call per row
-/// after the first `tier_up_after`, three strips per compiled call and no
-/// fallback; and, for a statement whose last row traps mid-batch, the
-/// same counts for every row up to and including the trapping one.
+/// the degree of parallelism: one compiled call per row, three strips per
+/// compiled call and no fallback; and, for a statement whose last row
+/// traps mid-batch, the same counts for every row up to and including the
+/// trapping one.
 #[test]
 fn tier_counters_are_exact_across_batch_and_dop() {
     let _serial = vm_serial();
     const ROWS: u64 = 1_000;
-    const NAMES: [&str; 4] = [
-        "vm.tier.promotions",
+    const NAMES: [&str; 3] = [
         "vm.tier.compiled_hits",
         "vm.tier.loop_strips",
         "vm.tier.loop_fallbacks",
     ];
-    // A fresh database (and so a fresh module, whose hotness starts at 0)
-    // per run; the trapping UDF divides by zero on the last row.
+    // A fresh database per run; the trapping UDF divides by zero on the
+    // last row.
     let run = |batch: usize, dop: usize, sql: &str| {
         let db = Database::with_config(Config::default().with_dop(dop).with_udf_batch_size(batch));
         db.execute("CREATE TABLE rel (id INT, bytearray BYTEARRAY)")
@@ -312,13 +311,9 @@ fn tier_counters_are_exact_across_batch_and_dop() {
     };
     let ok = "SELECT generic_vm(bytearray, 200, 2, 0) FROM rel";
     let traps = "SELECT last_traps(bytearray, id) FROM rel";
-    for (sql, compiled) in [(ok, ROWS - 64), (traps, ROWS - 64)] {
+    for sql in [ok, traps] {
         let reference = run(1, 1, sql);
-        assert_eq!(
-            reference.0,
-            [1, compiled, 3 * compiled, 0],
-            "{sql}: {reference:?}"
-        );
+        assert_eq!(reference.0, [ROWS, 3 * ROWS, 0], "{sql}: {reference:?}");
         for (batch, dop) in [(256, 1), (1, 2), (256, 2)] {
             assert_eq!(
                 run(batch, dop, sql),

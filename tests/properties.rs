@@ -373,43 +373,68 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// tiered execution differential testing
+// interpreter vs compiled differential testing
 // ---------------------------------------------------------------------
 
-/// Run a generated program under one execution configuration and return
+type Outcome = std::result::Result<(Option<i64>, u64), String>;
+
+/// Run a generated program's `main` on the engine `mode` names and return
 /// the observable outcome: `Ok((result, instructions))` or the exact
 /// error text. Everything the engine can see of an invocation.
-fn observe(
+///
+/// A differential compares two engines only if `Jit` really ran compiled,
+/// so this asserts it did, for every generated program: the interpreter
+/// says the call runs compiled, and the process-wide count of compiled
+/// calls moved across it.
+fn observe_on(
     vm: &std::sync::Arc<jaguar_vm::VerifiedModule>,
     limits: jaguar_vm::ResourceLimits,
     mode: jaguar_vm::ExecMode,
-    tier_up_after: Option<u64>,
     cancelled: bool,
-    a: i64,
-    b: i64,
-) -> std::result::Result<(Option<i64>, u64), String> {
-    let mut interp = jaguar_vm::Interpreter::new(std::sync::Arc::clone(vm), limits, mode)
-        .with_tier_up(tier_up_after);
+    args: &[jaguar_vm::ArgValue],
+) -> Outcome {
+    let jit = mode == jaguar_vm::ExecMode::Jit;
+    let mut interp = jaguar_vm::Interpreter::new(std::sync::Arc::clone(vm), limits, mode);
+    assert_eq!(
+        interp.runs_compiled(interp.resolve("main").unwrap()),
+        jit,
+        "{mode:?}"
+    );
     if cancelled {
         let token = jaguar_common::cancel::CancelToken::unbounded();
         token.cancel();
         interp.set_cancel(token);
     }
-    match interp.invoke(
-        "main",
-        &[jaguar_vm::ArgValue::I64(a), jaguar_vm::ArgValue::I64(b)],
-        &mut jaguar_vm::NoHost,
-    ) {
+    let compiled_calls = jaguar_common::obs::global().counter("vm.tier.compiled_hits");
+    let before = compiled_calls.get();
+    let outcome = match interp.invoke("main", args, &mut jaguar_vm::NoHost) {
         Ok((v, usage, _)) => Ok((v.map(|v| v.as_i64().unwrap()), usage.instructions)),
         Err(e) => Err(e.to_string()),
-    }
+    };
+    assert!(
+        !jit || compiled_calls.get() > before,
+        "Jit did not run compiled"
+    );
+    outcome
+}
+
+fn observe(
+    vm: &std::sync::Arc<jaguar_vm::VerifiedModule>,
+    limits: jaguar_vm::ResourceLimits,
+    mode: jaguar_vm::ExecMode,
+    cancelled: bool,
+    a: i64,
+    b: i64,
+) -> Outcome {
+    use jaguar_vm::ArgValue::I64;
+    observe_on(vm, limits, mode, cancelled, &[I64(a), I64(b)])
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The compiled register tier must be *observationally identical* to
-    /// both interpreter modes: same results, same fuel accounting
+    /// the interpreter: same results, same fuel accounting
     /// (`usage.instructions`, including the exact instruction count at
     /// which a tight fuel budget exhausts), same error text, and the
     /// same response to a pre-cancelled statement token.
@@ -433,14 +458,9 @@ proptest! {
         };
         let (a, b) = (a as i64, b as i64);
 
-        let baseline = observe(&vm, limits, jaguar_vm::ExecMode::Baseline, None, cancelled, a, b);
-        let jit = observe(&vm, limits, jaguar_vm::ExecMode::Jit, None, cancelled, a, b);
-        // Tier-up after 0 calls: the invocation below runs compiled
-        // (or falls back — either way it must match Baseline exactly).
-        let tiered = observe(&vm, limits, jaguar_vm::ExecMode::Jit, Some(0), cancelled, a, b);
-
-        prop_assert_eq!(&jit, &baseline, "jit vs baseline diverged on {}", src);
-        prop_assert_eq!(&tiered, &baseline, "compiled tier diverged on {}", src);
+        let baseline = observe(&vm, limits, jaguar_vm::ExecMode::Baseline, cancelled, a, b);
+        let compiled = observe(&vm, limits, jaguar_vm::ExecMode::Jit, cancelled, a, b);
+        prop_assert_eq!(&compiled, &baseline, "compiled tier diverged on {}", src);
     }
 }
 
@@ -574,38 +594,26 @@ fn loop_program(cond: &str, step: &str, body: &[String], nested: bool) -> String
     )
 }
 
-type LoopOutcome = std::result::Result<(Option<i64>, u64), String>;
-
-/// One run of a loop program: `Ok((result, instructions))` or the error text.
+/// One run of a loop program under a fuel budget.
 fn observe_loop(
     vm: &std::sync::Arc<jaguar_vm::VerifiedModule>,
     fuel: u64,
-    (mode, tier_up_after): (jaguar_vm::ExecMode, Option<u64>),
+    mode: jaguar_vm::ExecMode,
     cancelled: bool,
     (data, start, bound, k): (&[u8], i64, i64, i64),
-) -> LoopOutcome {
+) -> Outcome {
     use jaguar_vm::ArgValue;
     let limits = jaguar_vm::ResourceLimits {
         fuel: Some(fuel),
         ..jaguar_vm::ResourceLimits::default()
     };
-    let mut interp = jaguar_vm::Interpreter::new(std::sync::Arc::clone(vm), limits, mode)
-        .with_tier_up(tier_up_after);
-    if cancelled {
-        let token = jaguar_common::cancel::CancelToken::unbounded();
-        token.cancel();
-        interp.set_cancel(token);
-    }
     let args = [
         ArgValue::Bytes(data.to_vec()),
         ArgValue::I64(start),
         ArgValue::I64(bound),
         ArgValue::I64(k),
     ];
-    match interp.invoke("main", &args, &mut jaguar_vm::NoHost) {
-        Ok((v, usage, _)) => Ok((v.map(|v| v.as_i64().unwrap()), usage.instructions)),
-        Err(e) => Err(e.to_string()),
-    }
+    observe_on(vm, limits, mode, cancelled, &args)
 }
 
 /// How a generated loop walks: which way, the compare's spelling, the
@@ -644,9 +652,9 @@ fn arb_k() -> impl Strategy<Value = i64> {
 }
 
 /// Run `body` as the loop `walk` describes over `data` (the walk covers
-/// `low ..= len + high`) on every tier, at every fuel budget up to 400
-/// and a sample past it, pre-cancelled or not, and assert every outcome
-/// identical to the baseline interpreter's.
+/// `low ..= len + high`) on both engines, at every fuel budget up to 400
+/// and a sample past it, pre-cancelled or not, and assert every compiled
+/// outcome identical to the interpreter's.
 fn assert_tiers_agree_on_loop(
     body: &[String],
     walk: Walk,
@@ -677,7 +685,6 @@ fn assert_tiers_agree_on_loop(
     let src = loop_program(cond, &step, body, walk.nested);
     let module = jaguar_lang::compile("p", &src).unwrap();
     let vm = std::sync::Arc::new(module.verify().unwrap());
-    let tiers = [(Baseline, None), (Jit, None), (Jit, Some(0))];
 
     let far = if walk.up {
         start + 9_000
@@ -685,7 +692,7 @@ fn assert_tiers_agree_on_loop(
         start - 9_000
     };
     let args = (data, start, if walk.long { far } else { bound }, k);
-    let reference = observe_loop(&vm, 500_000, tiers[0], false, args);
+    let reference = observe_loop(&vm, 500_000, Baseline, false, args);
     // Strips end at every lane of a kernel's chunk and in its tail.
     let budgets: Vec<u64> = match (&reference, walk.long) {
         (_, true) => vec![500_000, 65_535, 65_536, 65_537, 65_546, 131_072, 131_073],
@@ -701,15 +708,13 @@ fn assert_tiers_agree_on_loop(
             if cancelled && !walk.long {
                 continue;
             }
-            let expect = observe_loop(&vm, fuel, tiers[0], cancelled, args);
-            for tier in &tiers[1..] {
-                let got = observe_loop(&vm, fuel, *tier, cancelled, args);
-                assert_eq!(
-                    &got, &expect,
-                    "{:?} diverged at fuel {} cancelled {} args {:?} on {}",
-                    tier, fuel, cancelled, args, src
-                );
-            }
+            let expect = observe_loop(&vm, fuel, Baseline, cancelled, args);
+            let got = observe_loop(&vm, fuel, Jit, cancelled, args);
+            assert_eq!(
+                &got, &expect,
+                "compiled diverged at fuel {} cancelled {} args {:?} on {}",
+                fuel, cancelled, args, src
+            );
         }
     }
 }
@@ -719,8 +724,8 @@ proptest! {
 
     /// Loops reach the compiled tier's counted-loop path — strips, hoisted
     /// array checks, kernels — and everything it must hand back to the
-    /// per-op path, and stay observationally identical to both
-    /// interpreters: result, `usage.instructions`, and the error text of a
+    /// per-op path, and stay observationally identical to the
+    /// interpreter: result, `usage.instructions`, and the error text of a
     /// bounds trap mid-loop (array shorter than, as long as, longer than
     /// the bound; negative start; empty array), of fuel exhaustion at
     /// every budget from 1 to past completion, and of a pre-cancelled

@@ -38,7 +38,6 @@ fn generic_vm(permissions: Option<Arc<PermissionSet>>) -> VmUdf {
         ResourceLimits::default(),
         ExecMode::Jit,
         permissions,
-        Some(0),
     )
     .unwrap()
 }
