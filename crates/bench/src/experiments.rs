@@ -1524,7 +1524,7 @@ impl ExperimentCtx {
     ///
     /// * **inline** — a straight-line JagScript UDF under both sandboxed
     ///   designs, registered `Stable` (backend call path) vs `Immutable`
-    ///   (Froid-style inlining). Inlined runs are verified to compute
+    ///   (an in-engine slot). In-engine runs are verified to compute
     ///   identical rows with **zero** backend invocations.
     /// * **memo** — an `Immutable` generic UDF over a zipf-like (90/10)
     ///   key column, memo cache enabled vs disabled
@@ -1555,7 +1555,7 @@ impl ExperimentCtx {
             (q(0.50), q(0.99))
         };
 
-        // ---- pass 1: Froid-style inlining --------------------------------
+        // ---- pass 1: in-engine slots -------------------------------------
         let poly_src = "fn main(a: i64, b: i64) -> i64 {
             if a < b { return a * 3 + b; }
             return a - b;
@@ -1819,7 +1819,7 @@ impl ExperimentCtx {
              row-identical to its unoptimized twin"
         ));
         t.note(
-            "inline: straight-line JagScript, Stable=call path vs Immutable=inlined \
+            "inline: straight-line JagScript, Stable=call path vs Immutable=in-engine \
              (zero backend invocations enforced); memo: zipf-like 90/10 keys, \
              cache off vs on; reorder: UDF predicate written first, Volatile=pinned \
              vs Stable=reorderable",

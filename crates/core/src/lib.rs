@@ -357,10 +357,9 @@ impl Database {
     }
 
     /// [`Database::register_jagscript_udf`] with an explicit volatility
-    /// class. Declaring `Immutable` additionally makes the UDF a
-    /// candidate for Froid-style inlining: straight-line bodies are
-    /// translated to native scalar expressions and never enter a
-    /// sandbox at all.
+    /// class. Declaring `Immutable` additionally lets a straight-line body
+    /// run in-engine: on the compiled tier in the statement's own arena,
+    /// never checking out a worker or crossing into one.
     pub fn register_jagscript_udf_with_volatility(
         &self,
         name: &str,

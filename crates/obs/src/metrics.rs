@@ -245,29 +245,17 @@ impl Registry {
     /// Get or create the counter with this name. Resolve once, then hold
     /// the `Arc` — the lookup takes a lock, the increments do not.
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Counter::default())),
-        )
+        get_or_create(&self.counters, name)
     }
 
     /// Get or create the gauge with this name.
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::default())),
-        )
+        get_or_create(&self.gauges, name)
     }
 
     /// Get or create the histogram with this name.
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().unwrap_or_else(|p| p.into_inner());
-        Arc::clone(
-            map.entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::default())),
-        )
+        get_or_create(&self.histograms, name)
     }
 
     /// Copy out every metric.
@@ -299,6 +287,16 @@ impl Registry {
             histograms,
         }
     }
+}
+
+/// The metric named `name` in `map`, created on first use. A lookup that
+/// finds it allocates nothing; only a miss copies the name into the map.
+fn get_or_create<T: Default>(map: &Mutex<BTreeMap<String, Arc<T>>>, name: &str) -> Arc<T> {
+    let mut map = map.lock().unwrap_or_else(|p| p.into_inner());
+    if let Some(metric) = map.get(name) {
+        return Arc::clone(metric);
+    }
+    Arc::clone(map.entry(name.to_string()).or_default())
 }
 
 /// The process-wide registry every Jaguar layer reports into.

@@ -388,7 +388,7 @@ impl Engine {
     }
 
     /// Bind a DELETE or an UPDATE: its WHERE clause, access path and
-    /// assignments, with straight-line immutable UDFs inlined.
+    /// assignments, with straight-line immutable UDFs run in-engine.
     fn bind_dml_stmt(
         &self,
         stmt: &Statement,
@@ -615,7 +615,7 @@ impl Engine {
     }
 
     /// The `-- plan notes:` trailer for EXPLAIN output: optimizer
-    /// decisions (inline verdicts, memo marks, reorder moves, batching
+    /// decisions (in-engine verdicts, memo marks, reorder moves, batching
     /// gate) plus the parallel planner's clamp/serial reason when the
     /// configuration asked for parallelism. `None` when there is nothing
     /// worth saying (plain queries stay trailer-free).

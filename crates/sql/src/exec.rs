@@ -111,8 +111,11 @@ pub struct ExecCtx<'a> {
     pub callbacks: &'a mut dyn CallbackHandler,
     pub stats: ExecStats,
     /// Parallel to `udfs`: the global per-backend counters this query's
-    /// invocations feed (a live version of the paper's Table 1).
-    udf_metrics: Vec<UdfMetrics>,
+    /// invocations feed (a live version of the paper's Table 1). `None`
+    /// marks an in-engine slot (see [`crate::plan::PlannedUdf::in_engine`]):
+    /// its instance is a Design-3 VM whatever the design, its breaker is
+    /// never acquired, and it records no invocation, latency or memo lookup.
+    udf_metrics: Vec<Option<UdfMetrics>>,
     /// Parallel to `udfs`: the registry circuit breaker guarding each
     /// slot, if the def came out of a catalog.
     udf_breakers: Vec<Option<Arc<CircuitBreaker>>>,
@@ -125,12 +128,8 @@ pub struct ExecCtx<'a> {
     /// `1` means the classic per-tuple ABI; set from
     /// `Config::udf_batch_size` via [`ExecCtx::set_udf_batch_size`].
     batch_size: usize,
-    /// Parallel to `udfs`: the Froid-inlined native body for slots the
-    /// optimizer folded away. Those slots hold a placeholder box, their
-    /// breakers are never acquired, and no backend is instantiated.
-    udf_inline: Vec<Option<InlineSlot>>,
     /// Parallel to `udfs`: consult the memo cache for this slot
-    /// (`Immutable` volatility and not inlined).
+    /// (`Immutable` volatility and not in-engine).
     udf_memo: Vec<bool>,
     /// Parallel to `udfs`: catalog names, used to key the memo cache.
     udf_names: Vec<String>,
@@ -143,14 +142,6 @@ pub struct ExecCtx<'a> {
     sel_sink: Option<Arc<jaguar_opt::OptState>>,
     /// Per-stage numbers for `EXPLAIN ANALYZE`; off unless started.
     pub(crate) profile: Profile,
-}
-
-/// A Froid-inlined UDF slot: the native body plus whatever is needed to
-/// reproduce the VM call path's argument checking byte-for-byte.
-struct InlineSlot {
-    body: Arc<jaguar_opt::InlineBody>,
-    sig: jaguar_udf::UdfSignature,
-    name: String,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -167,41 +158,28 @@ impl<'a> ExecCtx<'a> {
             .iter()
             .map(|u| {
                 let slug = backend_slug(u.def.imp.design_label());
-                UdfMetrics {
+                (!u.in_engine).then(|| UdfMetrics {
                     invocations: reg.counter(&format!("udf.invocations.{slug}")),
                     latency: reg.histogram(&format!("udf.latency_us.{slug}")),
                     latency_named: reg.histogram(&format!("udf.latency_us.{slug}.{}", u.def.name)),
                     batch_rows: reg.histogram(&format!("udf.batch.rows.{slug}")),
                     batch_crossings: reg.counter(&format!("udf.batch.crossings.{slug}")),
-                }
-            })
-            .collect();
-        let udf_inline: Vec<Option<InlineSlot>> = udfs
-            .iter()
-            .map(|u| {
-                u.inline.clone().map(|body| InlineSlot {
-                    body,
-                    sig: u.def.signature.clone(),
-                    name: u.def.name.clone(),
                 })
             })
             .collect();
         let udf_memo = udfs
             .iter()
-            .map(|u| u.def.volatility.memoizable() && u.inline.is_none())
+            .map(|u| u.def.volatility.memoizable() && !u.in_engine)
             .collect();
         let udf_names = udfs.iter().map(|u| u.def.name.clone()).collect();
         // Breaker gate *before* instantiation: a quarantined UDF fails
         // fast here, without a pool checkout or a worker spawn — that is
-        // the whole point of the breaker (no respawn storm). Inlined
+        // the whole point of the breaker (no respawn storm). In-engine
         // slots never touch their backend, so they bypass the breaker.
         let udf_breakers: Vec<Option<Arc<CircuitBreaker>>> =
             udfs.iter().map(|u| u.def.breaker.clone()).collect();
-        for (b, inl) in udf_breakers.iter().zip(&udf_inline) {
-            if inl.is_some() {
-                continue;
-            }
-            if let Some(b) = b {
+        for (b, u) in udf_breakers.iter().zip(udfs) {
+            if let (Some(b), false) = (b, u.in_engine) {
                 b.try_acquire()?;
             }
         }
@@ -209,10 +187,8 @@ impl<'a> ExecCtx<'a> {
             .iter()
             .zip(&udf_breakers)
             .map(|(u, b)| {
-                if u.inline.is_some() {
-                    // Inlined: the executor evaluates the native body;
-                    // no VM, worker process, or pool checkout exists.
-                    return Ok(Box::new(InlinedUdf) as Box<dyn ScalarUdf>);
+                if u.in_engine {
+                    return u.def.instantiate_in_engine();
                 }
                 u.def.instantiate_with(pool).inspect_err(|e| {
                     // A worker that dies while loading the UDF counts
@@ -234,7 +210,6 @@ impl<'a> ExecCtx<'a> {
             cancel: CancelToken::unbounded(),
             deadline_countdown: DEADLINE_CHECK_INTERVAL,
             batch_size: 1,
-            udf_inline,
             udf_memo,
             udf_names,
             memo: None,
@@ -461,13 +436,12 @@ pub fn eval(e: &BExpr, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Value> {
             for a in args {
                 vals.push(eval(a, tuple, ctx)?);
             }
-            // Froid-inlined body: same argument checking and value
-            // semantics as the VM call path, evaluated natively — no
-            // backend, no crossing, no invocation counted.
-            if let Some(slot) = &ctx.udf_inline[*udf] {
-                slot.sig.check_args(&slot.name, &vals)?;
-                return slot.body.invoke(&vals);
-            }
+            // In-engine: the compiled function on the slot's own arena —
+            // no crossing, no invocation counted, no breaker, memo or
+            // latency sample.
+            let Some(metrics) = &ctx.udf_metrics[*udf] else {
+                return ctx.udfs[*udf].invoke(&vals, &mut *ctx.callbacks);
+            };
             // Immutable UDFs consult the shared memo cache before paying
             // for a crossing; a hit skips the invocation entirely.
             let memo_key = if ctx.udf_memo[*udf] {
@@ -485,7 +459,7 @@ pub fn eval(e: &BExpr, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Value> {
                 None
             };
             ctx.stats.udf_invocations += 1;
-            ctx.udf_metrics[*udf].invocations.inc();
+            metrics.invocations.inc();
             // Split the borrow: take the UDF box out, call, put it back,
             // so the callback counter and the UDF can both borrow ctx.
             let mut u = std::mem::replace(&mut ctx.udfs[*udf], Box::new(PoisonUdf));
@@ -496,8 +470,8 @@ pub fn eval(e: &BExpr, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Value> {
             let started = Instant::now();
             let out = u.invoke(&vals, &mut counting);
             let elapsed = started.elapsed();
-            ctx.udf_metrics[*udf].latency.observe(elapsed);
-            ctx.udf_metrics[*udf].latency_named.observe(elapsed);
+            metrics.latency.observe(elapsed);
+            metrics.latency_named.observe(elapsed);
             ctx.udfs[*udf] = u;
             if let Some(b) = &ctx.udf_breakers[*udf] {
                 match &out {
@@ -530,25 +504,6 @@ impl ScalarUdf for PoisonUdf {
     fn invoke(&mut self, _: &[Value], _: &mut dyn CallbackHandler) -> Result<Value> {
         Err(JaguarError::Execution(
             "re-entrant UDF invocation is not supported".into(),
-        ))
-    }
-}
-
-/// Placeholder occupying a Froid-inlined UDF's slot. `eval` routes those
-/// calls to the native body before ever touching the slot, so invoking
-/// this is a planner/executor disagreement, not a user error.
-struct InlinedUdf;
-
-impl ScalarUdf for InlinedUdf {
-    fn name(&self) -> &str {
-        "<inlined>"
-    }
-    fn signature(&self) -> &jaguar_udf::UdfSignature {
-        unreachable!("inlined udf slot has no backend signature")
-    }
-    fn invoke(&mut self, _: &[Value], _: &mut dyn CallbackHandler) -> Result<Value> {
-        Err(JaguarError::Execution(
-            "inlined UDF slot invoked as a backend".into(),
         ))
     }
 }
@@ -639,10 +594,11 @@ fn invoke_udf_batch_raw(udf: usize, batch: &ValueBatch, ctx: &mut ExecCtx<'_>) -
     if batch.is_empty() {
         return Ok(Vec::new());
     }
-    ctx.udf_metrics[udf]
-        .batch_rows
-        .observe_us(batch.len() as u64);
-    ctx.udf_metrics[udf].batch_crossings.inc();
+    let metrics = ctx.udf_metrics[udf]
+        .as_ref()
+        .expect("a batched slot is a called one");
+    metrics.batch_rows.observe_us(batch.len() as u64);
+    metrics.batch_crossings.inc();
     // Same borrow split as the per-tuple path: take the UDF box out so the
     // callback counter and the UDF can both borrow ctx.
     let mut u = std::mem::replace(&mut ctx.udfs[udf], Box::new(PoisonUdf));
@@ -653,8 +609,8 @@ fn invoke_udf_batch_raw(udf: usize, batch: &ValueBatch, ctx: &mut ExecCtx<'_>) -
     let started = Instant::now();
     let out = u.invoke_batch(batch, &mut counting);
     let elapsed = started.elapsed();
-    ctx.udf_metrics[udf].latency.observe(elapsed);
-    ctx.udf_metrics[udf].latency_named.observe(elapsed);
+    metrics.latency.observe(elapsed);
+    metrics.latency_named.observe(elapsed);
     ctx.udfs[udf] = u;
     let completed = match &out {
         Ok(values) => values.len() as u64,
@@ -663,7 +619,7 @@ fn invoke_udf_batch_raw(udf: usize, batch: &ValueBatch, ctx: &mut ExecCtx<'_>) -
         Err(be) => be.row as u64 + 1,
     };
     ctx.stats.udf_invocations += completed;
-    ctx.udf_metrics[udf].invocations.add(completed);
+    metrics.invocations.add(completed);
     if let Some(b) = &ctx.udf_breakers[udf] {
         match &out {
             Ok(_) => b.record_success(),
@@ -746,10 +702,8 @@ pub(crate) fn batch_spec(plan: &BoundSelect) -> std::result::Result<BatchSpec, &
     }
     let spec = found.ok_or("no UDF in projection")?;
     let slot = &plan.udfs[spec.udf];
-    // An inlined UDF has no backend slot — its calls are native scalar
-    // expressions, so there is no crossing to amortize (and the slot's
-    // placeholder would reject a batched invocation anyway).
-    if slot.inline.is_some() {
+    // An in-engine UDF crosses nothing, so there is nothing to amortize.
+    if slot.in_engine {
         return Err("UDF inlined (no crossing to amortize)");
     }
     let def = &slot.def;

@@ -10,9 +10,10 @@
 //!   column predicates run before UDF predicates, and cheaper UDF designs
 //!   before dearer ones ("cost-based query optimization algorithms have
 //!   been developed to 'place' UDFs within query plans"),
-//! * [`optimize`] — post-bind passes over the bound plan: Froid-style
-//!   UDF inlining, cost/selectivity predicate reordering, and memo-cache
-//!   marking (the `jaguar-opt` integration point),
+//! * [`optimize`] — post-bind passes over the bound plan: in-engine
+//!   slots for straight-line immutable UDFs, cost/selectivity predicate
+//!   reordering, and memo-cache marking (the `jaguar-opt` integration
+//!   point),
 //! * [`exec`] — one push-based pipeline: a row source lends rows to a
 //!   fragment (residual filter → project / partial aggregate / DML
 //!   victims) and a tail (aggregate finish, HAVING, ORDER BY, LIMIT) ends

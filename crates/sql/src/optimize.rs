@@ -2,12 +2,12 @@
 //!
 //! Three passes run between `bind_select` and execution, in this order:
 //!
-//! 1. **Froid-style inlining** — JagScript UDFs whose bodies are
-//!    straight-line arithmetic/comparisons/conditionals are translated
-//!    into native scalar expressions ([`jaguar_opt::try_inline`]). An
-//!    inlined UDF never instantiates a backend: no VM entry, no worker
-//!    checkout, no crossing. Unsupported shapes bail to the call path
-//!    with the reason recorded in the plan notes.
+//! 1. **In-engine slots** — an `Immutable` JagScript UDF whose function is
+//!    straight-line (no back-edge, no call, no host callback) runs
+//!    in-engine: a Design-3 instance on the compiled tier, whatever design
+//!    it was registered under. It never checks out a worker, crosses no
+//!    boundary and counts no invocation; EXPLAIN tags it `[inlined]`. A
+//!    body with a loop or a call stays on the call path, noted in the plan.
 //! 2. **Cost-based predicate reordering** — conjuncts are re-ranked by
 //!    `cost / (1 - selectivity)` where cost comes from per-UDF observed
 //!    latency histograms (static per-design priors before warm-up) and
@@ -15,7 +15,7 @@
 //!    always run before sandbox crossings; `Volatile` UDFs pin their
 //!    written position and fence reordering around it (the segment
 //!    structure is established at bind time and respected here).
-//! 3. **Memoization marking** — `Immutable` UDFs that were not inlined
+//! 3. **Memoization marking** — `Immutable` UDFs that do not run in-engine
 //!    are flagged for the arg-hash result cache consulted by the
 //!    executor ([`jaguar_opt::MemoCache`], byte-budgeted by
 //!    `Config::udf_memo_bytes`).
@@ -44,27 +44,25 @@ pub(crate) fn optimize_select(plan: &mut BoundSelect, opt: &Arc<jaguar_opt::OptS
     batch_note(plan);
 }
 
-/// Froid-style inlining for every JagScript (VM-backed) UDF of a
-/// statement — a SELECT's or a DML's; returns the plan notes. Only
-/// `Immutable` UDFs are candidates: inlining elides the backend entirely,
-/// which a `Stable`/`Volatile` declaration is entitled to notice
-/// (connection state reads, side effects, invocation counts). The
-/// translation itself happens once per registered UDF
-/// ([`jaguar_udf::UdfDef::inline_body`]); a statement only picks it up.
+/// Mark the in-engine slots of a statement — a SELECT's or a DML's — and
+/// return the plan notes. Only `Immutable` UDFs are candidates: an
+/// in-engine slot elides the backend, which a `Stable`/`Volatile`
+/// declaration is entitled to notice (connection state reads, side
+/// effects, invocation counts); see [`jaguar_udf::UdfDef::runs_in_engine`].
 pub(crate) fn inline_pass(udfs: &mut [PlannedUdf]) -> Vec<String> {
     let mut notes = Vec::new();
     for u in udfs.iter_mut() {
-        match u.def.inline_body() {
+        match u.def.runs_in_engine() {
             None => {}
-            Some(Ok(body)) => {
+            Some(true) => {
                 obs::global().counter("opt.inlined").inc();
-                notes.push(format!(
-                    "inline {}: {} node(s), backend elided",
-                    u.def.name, body.nodes
-                ));
-                u.inline = Some(Arc::clone(body));
+                notes.push(format!("inline {}: backend elided", u.def.name));
+                u.in_engine = true;
             }
-            Some(Err(why)) => notes.push(format!("inline {} skipped: {why}", u.def.name)),
+            Some(false) => notes.push(format!(
+                "inline {} skipped: loop, call or host callback",
+                u.def.name
+            )),
         }
     }
     notes
@@ -73,10 +71,10 @@ pub(crate) fn inline_pass(udfs: &mut [PlannedUdf]) -> Vec<String> {
 /// Estimated per-invocation cost (µs) for ranking. Observed per-UDF
 /// latency wins once the named histogram has samples; before warm-up a
 /// static per-design prior keeps the ordering deterministic (priors are
-/// monotone in crossing weight: cpp < jsm < icpp < ijsm). An inlined
-/// UDF is costed as a trusted-native call — it *is* one now.
+/// monotone in crossing weight: cpp < jsm < icpp < ijsm). An in-engine
+/// UDF crosses nothing, so it is costed as a trusted-native call.
 fn udf_cost_us(slot: &PlannedUdf) -> f64 {
-    if slot.inline.is_some() {
+    if slot.in_engine {
         return jaguar_opt::cost::static_cost_us("cpp");
     }
     let slug = backend_slug(slot.def.imp.design_label());
@@ -148,7 +146,7 @@ fn memo_notes(plan: &mut BoundSelect, opt: &Arc<jaguar_opt::OptState>) {
     let enabled = opt.memo().is_some();
     let mut notes = Vec::new();
     for u in &plan.udfs {
-        if u.inline.is_some() || !u.def.volatility.memoizable() {
+        if u.in_engine || !u.def.volatility.memoizable() {
             continue;
         }
         notes.push(if enabled {

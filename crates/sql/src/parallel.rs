@@ -102,12 +102,12 @@ pub(crate) fn plan_parallel(
     // At least 2: `MIN_DATA_PAGES / 2` is.
     let mut dop = config_dop.min((data_pages / 2) as usize);
     let mut clamped = false;
-    // Inlined UDFs never draw a pool checkout — their backend is elided —
-    // so they do not count toward the clamp.
+    // In-engine UDFs never draw a pool checkout, so they do not count
+    // toward the clamp.
     if plan
         .udfs
         .iter()
-        .any(|u| u.inline.is_none() && u.def.imp.needs_worker())
+        .any(|u| !u.in_engine && u.def.imp.needs_worker())
     {
         if let Some(pool) = engine.worker_pool() {
             let cap = pool.capacity().max(1);

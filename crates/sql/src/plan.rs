@@ -57,10 +57,10 @@ pub enum BExpr {
 /// A UDF referenced by the plan (instantiated per execution).
 pub struct PlannedUdf {
     pub def: UdfDef,
-    /// Native scalar body produced by the Froid-style inlining pass
-    /// (`jaguar_opt::try_inline`). When set, the executor evaluates the
-    /// expression directly and never instantiates a backend for this UDF.
-    pub inline: Option<Arc<jaguar_opt::InlineBody>>,
+    /// Set by the optimizer for a UDF the executor runs in-engine
+    /// ([`UdfDef::runs_in_engine`]): on the compiled tier in the statement's
+    /// own arena, with no backend, worker or crossing.
+    pub in_engine: bool,
 }
 
 /// Aggregate functions.
@@ -367,7 +367,7 @@ pub struct BoundSelect {
     /// user predicate, and the reorder pass breaks class-0 ties by bind
     /// position). EXPLAIN tags it `[labeled]`.
     pub labeled: Option<usize>,
-    /// Optimizer decision notes (inline verdicts, memoization, reorder,
+    /// Optimizer decision notes (in-engine verdicts, memoization, reorder,
     /// gating reasons) rendered by EXPLAIN's `-- plan notes:` trailer.
     pub notes: Vec<String>,
 }
@@ -1104,7 +1104,10 @@ impl Binder<'_> {
                     }
                 }
                 let idx = self.udfs.len();
-                self.udfs.push(PlannedUdf { def, inline: None });
+                self.udfs.push(PlannedUdf {
+                    def,
+                    in_engine: false,
+                });
                 BExpr::Udf {
                     udf: idx,
                     args: bound_args,
@@ -1492,11 +1495,7 @@ fn describe_in(e: &BExpr, schema: &Schema, udfs: &[PlannedUdf]) -> String {
         BExpr::Udf { udf, args } => {
             let slot = &udfs[*udf];
             let d = &slot.def;
-            let tag = if slot.inline.is_some() {
-                " [inlined]"
-            } else {
-                ""
-            };
+            let tag = if slot.in_engine { " [inlined]" } else { "" };
             format!(
                 "{}[{}]({}){tag}",
                 d.name,

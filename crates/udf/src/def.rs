@@ -1,7 +1,7 @@
 //! UDF definitions: what the catalog stores, and how the executor turns a
 //! definition into a per-query [`ScalarUdf`] instance.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
@@ -90,7 +90,8 @@ impl UdfImpl {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Volatility {
     /// Pure function of its arguments, forever (`abs`, checksums).
-    /// Safe to batch, memoize, and inline (Froid-style) later.
+    /// Safe to batch and memoize; a straight-line JagScript body runs
+    /// in-engine ([`UdfDef::runs_in_engine`]).
     Immutable,
     /// Fixed within one statement, may vary across statements (catalog
     /// lookups, `now()`-relative logic). Safe to batch within a statement.
@@ -112,14 +113,14 @@ impl Volatility {
     /// Whether the planner must keep this UDF at its written position:
     /// a `Volatile` UDF's per-row evaluation order (and count) is
     /// observable, so it is never reordered, short-circuited past its
-    /// written slot, batched, memoized, or inlined.
+    /// written slot, batched, memoized, or run in-engine.
     pub fn pinned(self) -> bool {
         matches!(self, Volatility::Volatile)
     }
 
     /// Whether results may be served from the cross-statement memo cache
-    /// (and the body inlined): only `Immutable` promises arg-determinism
-    /// beyond a single statement.
+    /// (and a straight-line body run in-engine): only `Immutable` promises
+    /// arg-determinism beyond a single statement.
     pub fn memoizable(self) -> bool {
         matches!(self, Volatility::Immutable)
     }
@@ -138,13 +139,7 @@ pub struct UdfDef {
     /// Purity declaration; gates vectorized invocation. Defaults to
     /// [`Volatility::Volatile`] (never batched) for safety.
     pub volatility: Volatility,
-    /// The Froid translation of the body (see [`UdfDef::inline_body`]),
-    /// made on first use and shared by every clone of this definition.
-    inline: Arc<OnceLock<InlineVerdict>>,
 }
-
-/// A UDF body as a native expression, or why it has none.
-type InlineVerdict = std::result::Result<Arc<jaguar_opt::InlineBody>, &'static str>;
 
 /// Retry budget for *acquiring* an isolated executor — a pool checkout or
 /// a process spawn, strictly before any UDF code runs. Transient spawn
@@ -187,18 +182,17 @@ impl UdfDef {
             imp,
             breaker: None,
             volatility: Volatility::default(),
-            inline: Arc::default(),
         }
     }
 
-    /// The body of an `Immutable` JagScript UDF as a native scalar
-    /// expression the executor can evaluate without any backend
-    /// (`jaguar_opt::try_inline`), or the reason it cannot be one. The
-    /// symbolic execution runs once per registered UDF, not per statement:
-    /// everything it depends on — the verified module, the resource limits,
-    /// the SQL return type — is fixed at registration. `None` for native
-    /// designs and for declarations entitled to notice an elided backend.
-    pub fn inline_body(&self) -> Option<&InlineVerdict> {
+    /// Whether the engine may run this JagScript UDF *in-engine* (see
+    /// [`UdfDef::instantiate_in_engine`]): `Some(true)` for an `Immutable`
+    /// one whose function is straight-line
+    /// ([`jaguar_vm::Function::is_straight_line`]), which depends on its
+    /// arguments alone. `None` for native designs and for declarations
+    /// entitled to notice an elided backend — worker, invocation counts,
+    /// connection state.
+    pub fn runs_in_engine(&self) -> Option<bool> {
         let (UdfImpl::Vm(spec) | UdfImpl::IsolatedVm(spec)) = &self.imp else {
             return None;
         };
@@ -206,10 +200,37 @@ impl UdfDef {
             return None;
         }
         let fidx = spec.module.find_function(&spec.function)?;
-        Some(self.inline.get_or_init(|| {
-            let func = &spec.module.functions()[fidx as usize];
-            jaguar_opt::try_inline(func, self.signature.ret, &spec.limits).map(Arc::new)
-        }))
+        Some(spec.module.functions()[fidx as usize].is_straight_line())
+    }
+
+    /// The in-engine instance of a JagScript UDF: a Design-3 [`VmUdf`]
+    /// built from its spec even when it is registered under Design 4, so it
+    /// never checks out or spawns a worker, and its values, fuel, traps and
+    /// error text are Design 3's.
+    pub fn instantiate_in_engine(&self) -> Result<Box<dyn ScalarUdf>> {
+        match &self.imp {
+            UdfImpl::Vm(spec) | UdfImpl::IsolatedVm(spec) => Ok(Box::new(self.vm_udf(spec)?)),
+            _ => Err(JaguarError::Udf(format!(
+                "udf '{}' has no bytecode to run in-engine",
+                self.name
+            ))),
+        }
+    }
+
+    fn vm_udf(&self, spec: &VmUdfSpec) -> Result<VmUdf> {
+        VmUdf::new(
+            self.name.clone(),
+            self.signature.clone(),
+            Arc::clone(&spec.module),
+            spec.function.clone(),
+            spec.limits,
+            if spec.jit {
+                ExecMode::Jit
+            } else {
+                ExecMode::Baseline
+            },
+            spec.permissions.clone(),
+        )
     }
 
     /// Attach the registry's circuit breaker (see [`UdfDef::breaker`]).
@@ -236,19 +257,7 @@ impl UdfDef {
     pub fn instantiate_with(&self, pool: Option<&Arc<WorkerPool>>) -> Result<Box<dyn ScalarUdf>> {
         match &self.imp {
             UdfImpl::Native(n) => Ok(Box::new(n.clone())),
-            UdfImpl::Vm(spec) => Ok(Box::new(VmUdf::new(
-                self.name.clone(),
-                self.signature.clone(),
-                Arc::clone(&spec.module),
-                spec.function.clone(),
-                spec.limits,
-                if spec.jit {
-                    ExecMode::Jit
-                } else {
-                    ExecMode::Baseline
-                },
-                spec.permissions.clone(),
-            )?)),
+            UdfImpl::Vm(spec) => Ok(Box::new(self.vm_udf(spec)?)),
             UdfImpl::IsolatedNative { worker_fn } => match pool {
                 Some(pool) => {
                     let mut worker = checkout_worker(pool)?;
@@ -522,6 +531,41 @@ mod tests {
             Value::Int(49)
         );
         assert_eq!(def.imp.design_label(), "JSM");
+    }
+
+    #[test]
+    fn straight_line_immutable_bytecode_runs_in_engine() {
+        let def = |src: &str, volatility| {
+            let module = jaguar_lang::compile("m", src).unwrap();
+            let spec = vm_spec(module, "main", ResourceLimits::default(), true, None).unwrap();
+            let sig = UdfSignature::new(vec![DataType::Int], DataType::Int);
+            UdfDef::new("f", sig, UdfImpl::IsolatedVm(spec)).with_volatility(volatility)
+        };
+        let straight = "fn main(x: i64) -> i64 {
+            let b: bytes = newbytes(2); b[1] = x; return b[1] + len(b);
+        }";
+        assert_eq!(
+            def(straight, Volatility::Immutable).runs_in_engine(),
+            Some(true)
+        );
+        assert_eq!(def(straight, Volatility::Stable).runs_in_engine(), None);
+        for src in [
+            "fn main(x: i64) -> i64 { while x > 0 { x = x - 1; } return x; }",
+            "fn g(x: i64) -> i64 { return x; } fn main(x: i64) -> i64 { return g(x); }",
+            "import probe(i64) -> i64; fn main(x: i64) -> i64 { return probe(x); }",
+        ] {
+            let verdict = def(src, Volatility::Immutable).runs_in_engine();
+            assert_eq!(verdict, Some(false), "{src}");
+        }
+        // Registered under Design 4, the in-engine instance is a Design-3 VM.
+        let mut u = def(straight, Volatility::Immutable)
+            .instantiate_in_engine()
+            .unwrap();
+        assert_eq!(
+            u.invoke(&[Value::Int(40)], &mut NoCallbacks).unwrap(),
+            Value::Int(42)
+        );
+        assert!(u.consumed().unwrap().instructions > 0);
     }
 
     #[test]

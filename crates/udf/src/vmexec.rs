@@ -3,7 +3,7 @@
 //! A [`VmUdf`] owns a JSM interpreter over a verified module. Each
 //! invocation:
 //!
-//! 1. marshals SQL [`Value`]s into a fresh VM arena (the JNI-style
+//! 1. marshals SQL [`Value`]s into the VM arena, reset per call (the JNI-style
 //!    "parameters that need to be passed must first be mapped to Java
 //!    objects" cost — a real copy for byte arrays),
 //! 2. executes under fuel/memory limits and the security manager,
@@ -20,9 +20,7 @@ use jaguar_common::{ByteArray, DataType, Value};
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_vec::{BatchError, BatchResult, ValueBatch};
 use jaguar_vm::interp::{ExecMode, HostEnv, Interpreter, VmValue};
-use jaguar_vm::{
-    Arena, PermissionSet, ResourceLimits, ResourceUsage, TierTally, VType, VerifiedModule,
-};
+use jaguar_vm::{Arena, PermissionSet, ResourceLimits, TierTally, VType, VerifiedModule};
 
 use crate::api::{ScalarUdf, UdfResourceUsage, UdfSignature};
 
@@ -82,11 +80,21 @@ fn vtype_of(t: DataType) -> Result<VType> {
 }
 
 /// A sandboxed, in-process UDF (the paper's Design 3).
+///
+/// An instance lives for one statement. Its calls share one arena (byte
+/// buffers and register stack kept across `reset`), one argument vector,
+/// the function index `new` resolved, and one [`TierTally`], published
+/// when the instance drops: a call allocates nothing and writes nothing
+/// shared, while arguments, fuel and memory stay accounted per call.
 pub struct VmUdf {
     name: String,
     signature: UdfSignature,
     function: String,
+    fidx: u32,
     interp: Interpreter,
+    arena: Arena,
+    vm_args: Vec<VmValue>,
+    tally: TierTally,
     consumed: UdfResourceUsage,
 }
 
@@ -111,12 +119,11 @@ impl VmUdf {
             ))
         })?;
         let f = &module.functions()[fidx as usize];
-        let want_params: Vec<VType> = signature
-            .params
-            .iter()
-            .map(|t| vtype_of(*t))
-            .collect::<Result<_>>()?;
-        if f.sig.params != want_params {
+        let mut carried = f.sig.params.len() == signature.params.len();
+        for (i, t) in signature.params.iter().enumerate() {
+            carried &= f.sig.params.get(i) == Some(&vtype_of(*t)?);
+        }
+        if !carried {
             return Err(JaguarError::Udf(format!(
                 "VM function '{function}' parameter types do not carry the SQL signature"
             )));
@@ -131,12 +138,63 @@ impl VmUdf {
             interp = interp.with_security(p);
         }
         Ok(VmUdf {
+            vm_args: Vec::with_capacity(signature.params.len()),
             name,
             signature,
             function,
+            fidx,
             interp,
+            arena: Arena::new(limits.memory),
+            tally: TierTally::default(),
             consumed: UdfResourceUsage::default(),
         })
+    }
+
+    /// One call, on arguments `arg(0..arity)` wherever the caller holds
+    /// them: check them against the signature (only a row that fails is
+    /// copied out, for its error), marshal them into the reset arena, run,
+    /// account, and marshal the result out.
+    fn call<'v>(
+        &mut self,
+        arity: usize,
+        arg: impl Fn(usize) -> &'v Value,
+        callbacks: &mut dyn CallbackHandler,
+    ) -> Result<Value> {
+        let params = &self.signature.params;
+        if arity != params.len() || (0..arity).any(|a| !arg(a).conforms_to(params[a])) {
+            let row: Vec<Value> = (0..arity).map(|a| arg(a).clone()).collect();
+            self.signature.check_args(&self.name, &row)?;
+        }
+        self.arena.reset();
+        self.vm_args.clear();
+        for a in 0..arity {
+            self.vm_args.push(value_to_vm(arg(a), &mut self.arena)?);
+        }
+        let (ret, usage) = self.interp.invoke_tallied(
+            self.fidx,
+            &self.function,
+            &self.vm_args,
+            &mut self.arena,
+            &mut CallbackHost { callbacks },
+            &mut self.tally,
+        )?;
+        self.consumed.instructions += usage.instructions;
+        self.consumed.bytes_allocated += self.arena.allocated() as u64;
+        self.consumed.host_calls += usage.host_calls;
+        let out = match ret {
+            Some(v) => vm_to_value(v, &self.arena)?,
+            None => {
+                return Err(JaguarError::Udf(format!(
+                    "VM function '{}' returned no value",
+                    self.function
+                )))
+            }
+        };
+        // Return type fidelity: Bool SQL results come back as i64.
+        if self.signature.ret == DataType::Bool {
+            return Ok(Value::Bool(out.as_int()? != 0));
+        }
+        Ok(out)
     }
 }
 
@@ -161,100 +219,26 @@ impl ScalarUdf for VmUdf {
     }
 
     fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
-        self.signature.check_args(&self.name, args)?;
-        let mut arena = Arena::new(self.interp.limits().memory);
-        let mut vm_args = Vec::with_capacity(args.len());
-        for a in args {
-            vm_args.push(value_to_vm(a, &mut arena)?);
-        }
-        let mut host = CallbackHost { callbacks };
-        let (ret, usage) =
-            self.interp
-                .invoke_with_arena(&self.function, vm_args, &mut arena, &mut host)?;
-        self.result(ret, usage, &arena)
+        self.call(args.len(), |a| &args[a], callbacks)
     }
 
-    /// The vectorized entry point: enter the interpreter once per row but
-    /// amortize everything around it across the batch — the function is
-    /// resolved once, one arena (byte buffers and register stack kept
-    /// across `reset`) and one argument vector serve every row, arguments
-    /// are read where the batch holds them, and the tier counters are
-    /// published once. Results, error text, the failing row and per-row
-    /// resource accounting are identical to the per-tuple path's; the
-    /// interpreter's cancel poll keeps its per-`CANCEL_CHECK_INTERVAL`
-    /// cadence inside every row.
+    /// The vectorized entry point: one [`VmUdf::invoke`] per row, on the
+    /// arguments where the batch holds them. Results, error text and the
+    /// failing row are the per-tuple path's; the interpreter's cancel poll
+    /// keeps its per-`CANCEL_CHECK_INTERVAL` cadence inside every row.
     fn invoke_batch(
         &mut self,
         batch: &ValueBatch,
         callbacks: &mut dyn CallbackHandler,
     ) -> BatchResult {
-        let fidx = match self.interp.resolve(&self.function) {
-            Ok(f) => f,
-            Err(e) => return Err(BatchError::before_any(e)),
-        };
-        let mut arena = Arena::new(self.interp.limits().memory);
         let mut out = Vec::with_capacity(batch.len());
-        let mut vm_args = Vec::with_capacity(batch.arity());
-        let mut host = CallbackHost { callbacks };
-        let mut tally = TierTally::default();
-        let arity = batch.arity();
         for i in 0..batch.len() {
-            arena.reset();
-            vm_args.clear();
-            let arg = |a: usize| &batch.column(a)[i];
-            let one = (|| -> Result<Value> {
-                // Only a row that fails the check is copied out, for its error.
-                let params = &self.signature.params;
-                if arity != params.len() || (0..arity).any(|a| !arg(a).conforms_to(params[a])) {
-                    self.signature.check_args(&self.name, &batch.row(i))?;
-                }
-                for a in 0..arity {
-                    vm_args.push(value_to_vm(arg(a), &mut arena)?);
-                }
-                let (ret, usage) = self.interp.invoke_tallied(
-                    fidx,
-                    &self.function,
-                    &vm_args,
-                    &mut arena,
-                    &mut host,
-                    &mut tally,
-                )?;
-                self.result(ret, usage, &arena)
-            })();
-            match one {
+            match self.call(batch.arity(), |a| &batch.column(a)[i], callbacks) {
                 Ok(v) => out.push(v),
                 Err(e) => return Err(BatchError::new(i, e)),
             }
         }
         Ok(out)
-    }
-}
-
-impl VmUdf {
-    /// Account one invocation and marshal its result out of `arena`.
-    fn result(
-        &mut self,
-        ret: Option<VmValue>,
-        usage: ResourceUsage,
-        arena: &Arena,
-    ) -> Result<Value> {
-        self.consumed.instructions += usage.instructions;
-        self.consumed.bytes_allocated += arena.allocated() as u64;
-        self.consumed.host_calls += usage.host_calls;
-        match ret {
-            Some(v) => {
-                let out = vm_to_value(v, arena)?;
-                // Return type fidelity: Bool SQL results come back as i64.
-                if self.signature.ret == DataType::Bool {
-                    return Ok(Value::Bool(out.as_int()? != 0));
-                }
-                Ok(out)
-            }
-            None => Err(JaguarError::Udf(format!(
-                "VM function '{}' returned no value",
-                self.function
-            ))),
-        }
     }
 }
 

@@ -74,6 +74,18 @@ impl Function {
             self.local_types.get(i - self.sig.params.len()).copied()
         }
     }
+
+    /// Whether every jump goes forward and nothing leaves the function: no
+    /// back-edge, no `Call`, no `HostCall`. Such a body runs each of its
+    /// instructions at most once, touches nothing outside its own frame
+    /// and arena, and so depends on its arguments alone.
+    pub fn is_straight_line(&self) -> bool {
+        self.code.iter().enumerate().all(|(pc, insn)| match *insn {
+            Insn::Jmp(t) | Insn::JmpIf(t) | Insn::JmpIfNot(t) => t as usize > pc,
+            Insn::Call(_) | Insn::HostCall(_) => false,
+            _ => true,
+        })
+    }
 }
 
 /// An unverified module, as decoded from bytes or built by a compiler.
@@ -342,5 +354,35 @@ mod tests {
         assert_eq!(f.local_type(2), Some(VType::I64)); // extra
         assert_eq!(f.local_type(3), Some(VType::F64)); // extra
         assert_eq!(f.local_type(4), None);
+    }
+
+    #[test]
+    fn straight_line_means_forward_jumps_and_no_calls() {
+        let f = |code: Vec<Insn>| Function {
+            name: "f".into(),
+            sig: FuncSig::new(vec![VType::I64], Some(VType::I64)),
+            local_types: vec![],
+            code,
+        };
+        let forward = [
+            Insn::Load(0),
+            Insn::JmpIfNot(3),
+            Insn::Jmp(3),
+            Insn::Load(0),
+            Insn::Ret,
+        ];
+        assert!(f(forward.to_vec()).is_straight_line());
+        assert!(f(vec![Insn::NewArr, Insn::Trap(1), Insn::Ret]).is_straight_line());
+        for not in [
+            Insn::Jmp(0),
+            Insn::JmpIf(1),
+            Insn::Call(0),
+            Insn::HostCall(0),
+        ] {
+            assert!(
+                !f(vec![Insn::Load(0), not, Insn::Ret]).is_straight_line(),
+                "{not:?}"
+            );
+        }
     }
 }

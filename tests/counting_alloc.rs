@@ -1,6 +1,7 @@
 //! The counting `#[global_allocator]` shared by the allocation-count test
-//! binaries (`scan_allocs.rs`, `vm_allocs.rs`, `crates/opt/tests/memo_allocs.rs`;
-//! each includes this file with `#[path]`). Counts calls and live bytes per
+//! binaries (`scan_allocs.rs`, `vm_allocs.rs`, `crates/opt/tests/memo_allocs.rs`,
+//! `crates/obs/tests/registry_allocs.rs`; each includes this file with
+//! `#[path]`). Counts calls and live bytes per
 //! thread, so the test harness's own threads do not disturb a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -1,6 +1,6 @@
-//! jaguar-opt integration: Froid-style inlining, deterministic result
-//! memoization, and cost/selectivity predicate reordering, exercised
-//! through the SQL engine end to end.
+//! jaguar-opt integration: in-engine slots for straight-line immutable
+//! JagScript UDFs, deterministic result memoization, and cost/selectivity
+//! predicate reordering, exercised through the SQL engine end to end.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -8,7 +8,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use jaguar_core::{Config, DataType, Database, Tuple, UdfDesign, UdfSignature, Value, Volatility};
 
 /// A straight-line JagScript body: arithmetic + comparison + conditional,
-/// no loops, no callbacks — exactly the shape the inliner accepts.
+/// no loops, no callbacks — a shape that runs in-engine.
 const POLY_SRC: &str = "fn main(a: i64, b: i64) -> i64 {
     if a < b { return a * 3 + b; }
     return a - b;
@@ -41,22 +41,29 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Tentpole acceptance: an inlinable Immutable JagScript UDF never
-/// instantiates a backend — no VM entry (vm_instructions stays zero), no
-/// sandboxed invocation counters, no worker spawn — and still computes
-/// the right answers.
+/// An in-engine (`[inlined]`) Immutable JagScript UDF never instantiates a
+/// backend — no sandboxed invocation counted, no worker spawned or checked
+/// out, whether it is registered under Design 3 or Design 4 — and its VM
+/// runs exactly the instructions the `Stable` twin's call path runs, with
+/// the same answers.
 #[test]
 fn inlined_udf_never_instantiates_backend() {
     let _serial = serial();
     let db = db_with_rows(Config::default(), 50);
-    db.register_jagscript_udf_with_volatility(
-        "poly_inl",
-        UdfSignature::new(vec![DataType::Int, DataType::Int], DataType::Int),
-        POLY_SRC,
-        UdfDesign::Sandboxed,
-        Volatility::Immutable,
-    )
-    .unwrap();
+    let sig = UdfSignature::new(vec![DataType::Int, DataType::Int], DataType::Int);
+    for (name, volatility) in [
+        ("poly_inl", Volatility::Immutable),
+        ("poly_vm", Volatility::Stable),
+    ] {
+        db.register_jagscript_udf_with_volatility(
+            name,
+            sig.clone(),
+            POLY_SRC,
+            UdfDesign::Sandboxed,
+            volatility,
+        )
+        .unwrap();
+    }
     let before = db.metrics();
     let r = db.execute("SELECT a, poly_inl(a, b) FROM t").unwrap();
     let after = db.metrics();
@@ -71,7 +78,6 @@ fn inlined_udf_never_instantiates_backend() {
         r.stats.udf_invocations, 0,
         "inlined calls are not backend calls"
     );
-    assert_eq!(r.stats.vm_instructions, 0, "no VM ever ran");
     assert_eq!(
         after.counter("udf.invocations.jsm"),
         before.counter("udf.invocations.jsm"),
@@ -82,22 +88,160 @@ fn inlined_udf_never_instantiates_backend() {
         before.counter("pool.spawns"),
         "a worker was spawned for an inlined UDF"
     );
+    // The same VM ran the same instructions as the call path.
+    let called = db.execute("SELECT a, poly_vm(a, b) FROM t").unwrap();
+    assert_eq!(r.rows, called.rows);
+    assert!(called.stats.vm_instructions > 0);
+    assert_eq!(r.stats.vm_instructions, called.stats.vm_instructions);
     // And the plan says so.
     let txt = db.explain("SELECT poly_inl(a, b) FROM t").unwrap();
     assert!(txt.contains("[inlined]"), "{txt}");
     assert!(txt.contains("-- plan notes:"), "{txt}");
     assert!(txt.contains("inline poly_inl"), "{txt}");
+
+    // Registered under Design 4 beside a warm pool: the in-engine slot is a
+    // Design-3 VM, so no worker is spawned or checked out.
+    if jaguar_ipc::find_worker_binary().is_err() {
+        return;
+    }
+    let pooled = db_with_rows(Config::default().with_pooled_executors(1), 50);
+    pooled
+        .register_jagscript_udf_with_volatility(
+            "poly_ijsm",
+            sig,
+            POLY_SRC,
+            UdfDesign::SandboxedIsolated,
+            Volatility::Immutable,
+        )
+        .unwrap();
+    let pool = pooled.worker_pool().expect("worker pool attached");
+    assert!(pool.wait_ready(std::time::Duration::from_secs(10)));
+    let before = pooled.metrics();
+    let r4 = pooled.execute("SELECT a, poly_ijsm(a, b) FROM t").unwrap();
+    let after = pooled.metrics();
+    assert_eq!(r4.rows, called.rows);
+    assert_eq!(r4.stats.udf_invocations, 0);
+    assert_eq!(r4.stats.vm_instructions, called.stats.vm_instructions);
+    for name in ["pool.spawns", "pool.reuses", "udf.invocations.ijsm"] {
+        assert_eq!(after.counter(name), before.counter(name), "{name} moved");
+    }
 }
 
-/// The inlined expression must be byte-identical to the VM call path:
-/// same rows for every input, and the same error text when the body
-/// traps (integer divide by zero).
+/// Run `sql` with `f` replaced by each of the two twins and return
+/// `(rows or error text, vm_instructions)` for each.
+fn twin_runs(db: &Database, sql: &str, twins: [&str; 2]) -> [(Result<Vec<Tuple>, String>, u64); 2] {
+    twins.map(
+        |udf| match db.execute(&sql.replace("f(", &format!("{udf}("))) {
+            Ok(r) => (Ok(r.rows), r.stats.vm_instructions),
+            Err(e) => (Err(e.to_string()), 0),
+        },
+    )
+}
+
+/// Register `src` as an `Immutable` (`inl`) and a `Stable` (`vm`) Design-3
+/// twin, and check that `probe` (a SELECT calling `inl`) runs it in-engine.
+fn register_twins(db: &Database, sig: UdfSignature, src: &str, probe: &str) {
+    for (name, volatility) in [("inl", Volatility::Immutable), ("vm", Volatility::Stable)] {
+        db.register_jagscript_udf_with_volatility(
+            name,
+            sig.clone(),
+            src,
+            UdfDesign::Sandboxed,
+            volatility,
+        )
+        .unwrap();
+    }
+    let txt = db.explain(probe).unwrap();
+    assert!(txt.contains("[inlined]"), "{txt}");
+}
+
+/// A fuel budget far below what the old tree evaluator required (10,000)
+/// no longer keeps a straight-line body off the in-engine slot: the slot's
+/// VM meters it as the call path does, so a short path completes with the
+/// same instruction count and a long one exhausts with the same text.
+#[test]
+fn inlined_body_under_a_tight_fuel_budget_matches_the_called_one() {
+    let _serial = serial();
+    let mut config = Config::default().with_dop(1);
+    config.default_fuel = Some(24);
+    config.udf_breaker_threshold = 0;
+    let db = db_with_rows(config, 20);
+    let src = "fn main(a: i64) -> i64 {
+        if a < 5 { return a + 1; }
+        let x: i64 = a * 2 + 1;
+        x = x * 3 - a; x = x * x + 7; x = x - a * 5; x = x * 2 + a;
+        x = x * 3 - a; x = x * x + 7; x = x - a * 5; x = x * 2 + a;
+        return x;
+    }";
+    let sig = UdfSignature::new(vec![DataType::Int], DataType::Int);
+    register_twins(&db, sig, src, "SELECT inl(a) FROM t");
+    let [inl, vm] = twin_runs(&db, "SELECT f(a) FROM t WHERE a < 5", ["inl", "vm"]);
+    assert_eq!(inl, vm);
+    assert_eq!(inl.0.as_ref().map(Vec::len), Ok(5), "short path completes");
+    assert!(inl.1 > 0);
+    let [inl, vm] = twin_runs(&db, "SELECT f(a) FROM t", ["inl", "vm"]);
+    assert_eq!(inl, vm);
+    let err = inl.0.unwrap_err();
+    assert!(err.contains("fuel"), "long path exhausts: {err}");
+}
+
+/// Allocating, storing into an array and returning bytes keep a body
+/// straight-line: such bodies now run in-engine too, and match the call
+/// path on rows, traps and instruction counts.
+#[test]
+fn inlined_body_that_allocates_stores_and_returns_bytes_matches_the_called_one() {
+    let _serial = serial();
+    let mut config = Config::default().with_dop(1);
+    config.udf_breaker_threshold = 0;
+    let db = Database::with_config(config);
+    db.execute("CREATE TABLE t (id INT, a INT, b BYTEARRAY)")
+        .unwrap();
+    let t = db.catalog().table("t").unwrap();
+    for (id, (a, data)) in [(3i64, &[7u8, 9][..]), (1, &[255]), (0, &[4]), (2, &[])]
+        .into_iter()
+        .enumerate()
+    {
+        t.insert(Tuple::new(vec![
+            Value::Int(id as i64),
+            Value::Int(a),
+            Value::Bytes(jaguar_core::ByteArray::new(data.to_vec())),
+        ]))
+        .unwrap();
+    }
+    let src = "fn main(b: bytes, n: i64) -> bytes {
+        let out: bytes = newbytes(n);
+        out[0] = b[0] + 1;
+        out[n - 1] = len(b);
+        return out;
+    }";
+    let sig = UdfSignature::new(vec![DataType::Bytes, DataType::Int], DataType::Bytes);
+    register_twins(&db, sig, src, "SELECT inl(b, a) FROM t");
+    for id in 0..4 {
+        let sql = format!("SELECT f(b, a) FROM t WHERE id = {id}");
+        let [inl, vm] = twin_runs(&db, &sql, ["inl", "vm"]);
+        assert_eq!(inl, vm, "row {id}");
+    }
+    let [inl, _] = twin_runs(&db, "SELECT f(b, a) FROM t WHERE id = 0", ["inl", "vm"]);
+    let want = Tuple::new(vec![Value::Bytes(jaguar_core::ByteArray::new(vec![
+        8, 0, 2,
+    ]))]);
+    assert_eq!(inl.0, Ok(vec![want]));
+    let [inl, _] = twin_runs(&db, "SELECT f(b, a) FROM t WHERE id = 2", ["inl", "vm"]);
+    assert!(
+        inl.0.unwrap_err().contains("out of bounds"),
+        "empty b traps"
+    );
+}
+
+/// An in-engine slot must be byte-identical to the VM call path: same
+/// rows for every input, and the same error text when the body traps
+/// (integer divide by zero).
 #[test]
 fn inlined_matches_vm_called_rows_and_errors() {
     let _serial = serial();
     let db = db_with_rows(Config::default(), 120);
     let sig = UdfSignature::new(vec![DataType::Int, DataType::Int], DataType::Int);
-    // Same module, two volatility declarations: Immutable inlines,
+    // Same module, two volatility declarations: Immutable runs in-engine,
     // Stable stays on the VM call path.
     db.register_jagscript_udf_with_volatility(
         "p_inl",
@@ -143,8 +287,8 @@ fn inlined_matches_vm_called_rows_and_errors() {
     assert_eq!(e1.to_string(), e2.to_string(), "trap text diverged");
 }
 
-/// Bodies the inliner cannot prove straight-line (loops, callbacks) bail
-/// to the call path — noted in the plan, still executed correctly.
+/// Bodies that are not straight-line (loops, calls, callbacks) stay on
+/// the call path — noted in the plan, still executed correctly.
 #[test]
 fn unsupported_shapes_bail_to_call_path() {
     let _serial = serial();
@@ -170,7 +314,7 @@ fn unsupported_shapes_bail_to_call_path() {
     assert!(r.stats.udf_invocations > 0, "must run in the sandbox");
 }
 
-/// Memoization: an Immutable (non-inlinable: native) UDF's repeated
+/// Memoization: an Immutable (native, so never in-engine) UDF's repeated
 /// argument values are served from the cache — the closure runs once per
 /// distinct key, and `opt.memo.hits` ticks for the rest.
 #[test]
