@@ -11,7 +11,8 @@ use jaguar_common::error::Result;
 use jaguar_common::ids::{RecordId, TableId};
 use jaguar_common::obs;
 use jaguar_common::schema::{Schema, SchemaRef};
-use jaguar_common::stream::{decode_tuple, decode_tuple_if, write_tuple};
+use jaguar_common::stream::{decode_tuple, decode_tuple_into, record_column, write_tuple};
+use jaguar_common::value::{compare, CmpOp};
 use jaguar_common::DataType;
 use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_sec::PageCipher;
@@ -252,25 +253,17 @@ impl Table {
     }
 
     /// How this table's rows are read when only the columns in `cols` are
-    /// wanted, and only of rows that pass `test`, which looks at the
-    /// `tested` columns. Those must be fixed-width (`INT`, `FLOAT`,
-    /// `BOOL`): a `VARCHAR` or `BYTEARRAY` is not built for a row that may
-    /// be rejected, and reads as NULL to the test.
-    pub fn reader(&self, cols: &ColumnSet, tested: &[usize], test: RowTest) -> RowReader {
-        let wanted = (0..self.schema.len()).filter(|c| cols.contains(*c));
+    /// wanted, and only of rows that pass every one of `tests`, in order.
+    pub fn reader(&self, cols: &ColumnSet, tests: Vec<ScanTest>) -> RowReader {
         RowReader {
-            walk: ColumnSet::of(self.schema.len(), wanted.chain(tested.iter().copied())),
-            unwanted: (tested.iter().copied())
-                .filter(|c| !cols.contains(*c))
-                .collect(),
-            judge_at: tested.iter().map(|c| c + 1).max().unwrap_or(0),
-            test,
+            cols: cols.clone(),
+            tests,
         }
     }
 
     /// [`Table::reader`] with no test: every row passes.
     fn read_all(&self, cols: &ColumnSet) -> RowReader {
-        self.reader(cols, &[], Box::new(|_| Ok(true)))
+        self.reader(cols, Vec::new())
     }
 
     /// Fetch one row by record id as `reader` reads it: `None` if the row
@@ -441,36 +434,46 @@ impl Iterator for TableScan {
     }
 }
 
-/// A test a stored row must pass before a scan or a fetch builds it: the
-/// verdict on a row whose leading columns are the values it is shown. It
-/// runs on the record where it lies, under its page's shared latch, so it
-/// must be pure: no UDF, no callback, nothing that can re-enter the engine.
-pub type RowTest = Box<dyn Fn(&[Value]) -> Result<bool> + Send>;
+/// One conjunct a scan judges on a stored record before it builds the row:
+/// column `column` compared with `literal` by `op` (`literal op column` if
+/// `literal_first`), decided by the executor's own [`compare`]. The column
+/// is read where it lies, under its page's shared latch; a `VARCHAR` or
+/// `BYTEARRAY` one reads as NULL, and a record without the column fails.
+#[derive(Debug, Clone)]
+pub struct ScanTest {
+    pub column: usize,
+    pub op: CmpOp,
+    pub literal: Value,
+    pub literal_first: bool,
+}
 
 /// How a scan or a fetch turns stored records into rows ([`Table::reader`]):
-/// which columns it decodes, and the test a record passes first.
+/// which columns it decodes, and the tests a record passes first.
 pub struct RowReader {
-    /// The columns the walk over a record decodes: the wanted ones and the
-    /// ones the test looks at.
-    walk: ColumnSet,
-    /// Columns only the test looks at; NULL again in a row that passed.
-    unwanted: Vec<usize>,
-    /// The test can run once this many columns are decoded.
-    judge_at: usize,
-    test: RowTest,
+    cols: ColumnSet,
+    tests: Vec<ScanTest>,
 }
 
 impl RowReader {
-    /// Decode `record` into `out` if it passes the test; a rejected record
-    /// allocates nothing (see [`decode_tuple_if`]).
+    /// Decode `record` into `out` if it passes every test, in order: one
+    /// that is not true rejects it — walked only to the tested columns,
+    /// nothing allocated, `out` untouched — and one that fails is its error.
     fn read(&self, record: &[u8], out: &mut Vec<Value>) -> Result<bool> {
-        let passed = decode_tuple_if(record, &self.walk, out, self.judge_at, &self.test)?;
-        if passed {
-            for &column in &self.unwanted {
-                out[column] = Value::Null;
+        for t in &self.tests {
+            let Some(v) = record_column(record, t.column)? else {
+                return Ok(false);
+            };
+            let (l, r) = if t.literal_first {
+                (&t.literal, &v)
+            } else {
+                (&v, &t.literal)
+            };
+            if compare(t.op, l, r)? != Some(true) {
+                return Ok(false);
             }
         }
-        Ok(passed)
+        decode_tuple_into(record, &self.cols, out)?;
+        Ok(true)
     }
 }
 
@@ -657,13 +660,14 @@ mod tests {
         assert_eq!(t.row_count(), 2);
     }
 
-    /// Rows whose `a` is at least `min`; an `a` of 13 is the test's error.
-    fn at_least(min: i64) -> RowTest {
-        Box::new(move |values| match values[0] {
-            Value::Int(13) => Err(JaguarError::Execution("unlucky".into())),
-            Value::Int(a) => Ok(a >= min),
-            _ => Ok(false),
-        })
+    /// Rows whose `a` is at least `min`.
+    fn at_least(min: i64) -> Vec<ScanTest> {
+        vec![ScanTest {
+            column: 0,
+            op: CmpOp::Ge,
+            literal: Value::Int(min),
+            literal_first: false,
+        }]
     }
 
     fn row(a: i64, b: &str) -> Tuple {
@@ -682,7 +686,7 @@ mod tests {
             loop {
                 match pages.next_row() {
                     Ok(Some((_, t))) => rows.push((
-                        t.get(0).unwrap().as_int().unwrap_or(-1),
+                        t.get(0).unwrap().as_float().map_or(-1, |a| a as i64),
                         t.get(1).unwrap().as_str().unwrap_or("").to_string(),
                     )),
                     Ok(None) => break,
@@ -707,7 +711,7 @@ mod tests {
         t.insert(Tuple::new(vec![Value::Null, Value::Null]))
             .unwrap();
         let only_b = ColumnSet::of(2, [1]);
-        let mut pages = t.rows(t.reader(&only_b, &[0], at_least(5)), 1..u32::MAX);
+        let mut pages = t.rows(t.reader(&only_b, at_least(5)), 1..u32::MAX);
         let lent: Vec<_> = drain(&mut pages).into_iter().flat_map(|p| p.0).collect();
         // In storage order, spilled rows in their place; `a` is read by the
         // test only and is NULL again in a row that passed.
@@ -732,22 +736,26 @@ mod tests {
     /// error on a row is raised after the rows before it were lent.
     #[test]
     fn a_batch_is_page_consistent_and_fails_where_its_row_lies() {
-        let t = table();
-        let rids: Vec<_> = [3, 4, 13, 6]
+        let schema = Schema::of(&[("a", DataType::Float), ("b", DataType::Str)]);
+        let t = Table::create_in_memory(TableId(1), "t", schema, &Config::default()).unwrap();
+        let row = |a: f64, b: &str| Tuple::new(vec![Value::Float(a), Value::Str(b.into())]);
+        // A NaN has no order: comparing it is the test's error.
+        let rids: Vec<_> = [3.0, 4.0, f64::NAN, 6.0]
             .iter()
             .map(|a| t.insert(row(*a, "v")).unwrap())
             .collect();
-        let reader = || t.reader(&ColumnSet::all(), &[0], at_least(4));
+        let reader = || t.reader(&ColumnSet::all(), at_least(4));
         let mut pages = t.rows(reader(), 1..u32::MAX);
         assert!(pages.next_page());
         // The page is batched and unlatched: what its consumer deletes or
         // inserts now — onto that very page — this batch does not show.
         assert!(t.delete(rids[1]).unwrap());
-        assert_eq!(t.insert(row(8, "late")).unwrap().page, rids[0].page);
+        assert_eq!(t.insert(row(8.0, "late")).unwrap().page, rids[0].page);
         let (rid, first) = pages.next_row().unwrap().unwrap();
-        assert_eq!((rid, first.clone()), (rids[1], row(4, "v")));
+        assert_eq!((rid, first.clone()), (rids[1], row(4.0, "v")));
         let err = pages.next_row().unwrap_err();
-        assert_eq!(err.to_string(), "execution error: unlucky");
+        let unlucky = "execution error: cannot compare NaN with 4";
+        assert_eq!(err.to_string(), unlucky);
         assert!(pages.next_row().unwrap().is_none());
         assert!(!pages.next_page(), "the error ended the scan");
         // The rows behind the failing one were still counted as visited.
@@ -755,8 +763,8 @@ mod tests {
         // A fresh scan sees the page as it is now (the new row took the
         // freed slot), up to the same error.
         let mut fresh = t.rows(reader(), 1..u32::MAX);
-        let unlucky = Some("execution error: unlucky".to_string());
-        assert_eq!(drain(&mut fresh), [(vec![(8, "late".into())], unlucky)]);
+        let lent = drain(&mut fresh);
+        assert_eq!(lent, [(vec![(8, "late".into())], Some(unlucky.into()))]);
     }
 
     #[test]

@@ -268,6 +268,55 @@ impl Value {
     }
 }
 
+/// Comparison operators.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CmpOp {
+    Eq,
+    Ne,
+    Lt,
+    Le,
+    Gt,
+    Ge,
+}
+
+impl CmpOp {
+    pub fn symbol(self) -> &'static str {
+        match self {
+            CmpOp::Eq => "=",
+            CmpOp::Ne => "<>",
+            CmpOp::Lt => "<",
+            CmpOp::Le => "<=",
+            CmpOp::Gt => ">",
+            CmpOp::Ge => ">=",
+        }
+    }
+}
+
+/// The one definition of `l op r`: `None` is SQL's unknown (a NULL on
+/// either side), values of types that have no order are an error. The
+/// executor's comparison and the conjuncts a scan judges on record bytes
+/// both end here.
+#[inline]
+pub fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<Option<bool>> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let Some(ord) = l.sql_cmp(r) else {
+        if l.is_null() || r.is_null() {
+            return Ok(None);
+        }
+        return Err(JaguarError::Execution(format!(
+            "cannot compare {l} with {r}"
+        )));
+    };
+    Ok(Some(match op {
+        CmpOp::Eq => ord == Equal,
+        CmpOp::Ne => ord != Equal,
+        CmpOp::Lt => ord == Less,
+        CmpOp::Le => ord != Greater,
+        CmpOp::Gt => ord == Greater,
+        CmpOp::Ge => ord != Less,
+    }))
+}
+
 fn type_err(want: &str, got: &Value) -> JaguarError {
     JaguarError::Execution(format!(
         "expected {want}, got {}",

@@ -547,7 +547,7 @@ struct BoundWhere {
 /// Can the scan judge this conjunct on a record's bytes? Only a comparison
 /// of a fixed-width column with a non-NULL literal, on either side: it
 /// reads tag + 8 (or 1) bytes, calls nothing, and decides with the very
-/// function `eval` compares with ([`crate::exec::compare`]).
+/// function `eval` compares with ([`jaguar_common::value::compare`]).
 fn pushable(e: &BExpr, schema: &Schema) -> bool {
     let BExpr::Cmp(_, l, r) = e else { return false };
     let ((BExpr::Column(c), BExpr::Literal(v)) | (BExpr::Literal(v), BExpr::Column(c))) =

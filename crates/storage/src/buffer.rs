@@ -20,6 +20,20 @@
 //! instead of sweeping every frame, and reads the new page into the
 //! victim's own buffer.
 //!
+//! ## Loading a page
+//!
+//! The pool mutex guards the page map, the pins and the LRU list — never
+//! I/O on a page being read in. Under the mutex a miss only *reserves* its
+//! victim: it maps the page, pins the frame, marks it *loading* and takes
+//! the frame's own write latch. It then drops the mutex, reads the page and
+//! verifies its checksum (and decrypts it) in the frame, and publishes by
+//! clearing the mark before it releases the latch. A fetch that finds the
+//! page loading pins the frame and waits on that latch, not on the pool
+//! (`storage.bufferpool.load_waits`). A failed read un-maps the page before
+//! it releases the latch, so no handle ever shows bytes that did not
+//! verify: a waiter that wakes to a frame still marked loading reads the
+//! page itself. A loading frame is pinned, so it is never a victim.
+//!
 //! ## WAL integration
 //!
 //! When a write-ahead log is attached ([`BufferPool::set_wal_hook`]) the
@@ -63,6 +77,10 @@ pub trait WalHook: Send + Sync {
 struct FrameData {
     bytes: RwLock<Vec<u8>>,
     dirty: AtomicBool,
+    /// Set, under the pool mutex, when the frame is reserved for a page
+    /// being read in; cleared by the loader, holding `bytes`' write latch,
+    /// once the page verified. Still set after a failed read.
+    loading: AtomicBool,
 }
 
 /// "No frame": end of the LRU list, or a frame not on it.
@@ -148,6 +166,9 @@ pub struct BufferPool {
     /// Ticks when a fetch/unpin finds the central pool latch held by
     /// another thread — the first place parallel scans bottleneck.
     latch_waits: Arc<obs::Counter>,
+    /// Ticks when a fetch finds its page mapped but still being read in,
+    /// and waits on the frame's latch for the loader to publish it.
+    load_waits: Arc<obs::Counter>,
 }
 
 impl BufferPool {
@@ -170,6 +191,7 @@ impl BufferPool {
             track_unlogged: AtomicBool::new(false),
             unlogged: Mutex::new(HashMap::new()),
             latch_waits: obs::global().counter("storage.bufferpool.latch_waits"),
+            load_waits: obs::global().counter("storage.bufferpool.load_waits"),
         }
     }
 
@@ -251,40 +273,61 @@ impl BufferPool {
     }
 
     /// Fetch a page, reading it from disk on a miss. The returned handle
-    /// pins the page until dropped.
+    /// pins the page until dropped. The read runs outside the pool mutex
+    /// (see the module docs): a fetch of the page meanwhile waits on its
+    /// frame, and every other fetch goes ahead.
     pub fn fetch(self: &Arc<Self>, page: PageId) -> Result<PageHandle> {
-        let mut inner = self.latch();
-        let frame = match inner.map.get(&page) {
-            Some(&idx) => {
-                inner.pin(idx);
+        loop {
+            let mut inner = self.latch();
+            if let Some(&frame) = inner.map.get(&page) {
+                inner.pin(frame);
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                idx
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                // The frame is off the LRU list and unmapped here: if the
-                // read fails it must go back on the list as a free frame.
-                let idx = self.acquire_frame(&mut inner)?;
-                let read = self
-                    .disk
-                    .read_page(page, &mut inner.frames[idx].data.bytes.write());
-                if let Err(e) = read {
-                    inner.frames[idx].page = PageId::INVALID;
-                    inner.lru_push_back(idx);
-                    return Err(e);
+                let handle = self.handle(page, frame, &inner);
+                drop(inner);
+                if !handle.data.loading.load(Ordering::Acquire) {
+                    return Ok(handle);
                 }
-                inner.frames[idx].page = page;
-                inner.frames[idx].pins = 1;
-                inner.map.insert(page, idx);
-                idx
+                self.load_waits.inc();
+                drop(handle.read());
+                if !handle.data.loading.load(Ordering::Acquire) {
+                    return Ok(handle);
+                }
+                // The load failed and un-mapped the page: dropping the
+                // handle unpins the frame, and this fetch reads it itself.
+                continue;
             }
-        };
-        Ok(PageHandle {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            let frame = self.acquire_frame(&mut inner)?;
+            let f = &mut inner.frames[frame];
+            (f.page, f.pins) = (page, 1);
+            inner.map.insert(page, frame);
+            let handle = self.handle(page, frame, &inner);
+            handle.data.loading.store(true, Ordering::Relaxed);
+            // Unpinned and unmapped until now, so no one else holds it.
+            let mut bytes = handle.data.bytes.write();
+            drop(inner);
+            if let Err(e) = self.disk.read_page(page, &mut bytes) {
+                let mut inner = self.latch();
+                inner.map.remove(&page);
+                inner.frames[frame].page = PageId::INVALID;
+                drop(inner);
+                drop(bytes);
+                return Err(e);
+            }
+            handle.data.loading.store(false, Ordering::Release);
+            drop(bytes);
+            return Ok(handle);
+        }
+    }
+
+    /// A handle on pinned frame `frame`, which holds `page`.
+    fn handle(self: &Arc<Self>, page: PageId, frame: usize, inner: &PoolInner) -> PageHandle {
+        PageHandle {
             pool: Arc::clone(self),
             page,
             frame,
             data: Arc::clone(&inner.frames[frame].data),
-        })
+        }
     }
 
     /// Allocate a fresh page on disk and return it pinned (already cached,
@@ -308,6 +351,7 @@ impl BufferPool {
                 data: Arc::new(FrameData {
                     bytes: RwLock::new(vec![0u8; self.disk.page_size()]),
                     dirty: AtomicBool::new(false),
+                    loading: AtomicBool::new(false),
                 }),
                 pins: 0,
                 prev: NIL,

@@ -18,9 +18,16 @@
 //! unaware of it. The first 40 header bytes (checksum, type, slot counts,
 //! LSN, sec fields) stay plaintext: checksums verify and recovery can
 //! extend files without the key.
+//!
+//! Reads share the backing store: a file is read with `pread`
+//! (`read_exact_at`), which moves no file cursor, and the memory store is
+//! copied under a shared lock, so the buffer pool's misses on different
+//! pages proceed side by side. Writes, [`DiskManager::allocate_page`] and
+//! [`DiskManager::sync`] take the store exclusively.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Seek, SeekFrom, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
@@ -30,7 +37,7 @@ use jaguar_common::ids::PageId;
 use jaguar_common::retry::{self, RetryPolicy};
 use jaguar_common::{fault, obs};
 use jaguar_sec::{metrics as sec_metrics, PageCipher};
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use crate::page::{
     seal_checksum, sec_marker, sec_nonce, sec_tag, set_sec_fields, verify_checksum, COMMON_HEADER,
@@ -68,12 +75,12 @@ enum Backing {
 pub struct DiskManager {
     page_size: usize,
     cipher: Option<Arc<dyn PageCipher>>,
-    backing: Mutex<Backing>,
-    /// Pages in the file. Written only under `backing`'s mutex, after the
-    /// page it counts is in the backing store (`Release`); read without the
-    /// mutex by [`DiskManager::page_count`] (`Acquire`), so that a scan
-    /// asking how long the file is does not queue behind another thread's
-    /// page read.
+    backing: RwLock<Backing>,
+    /// Pages in the file. Written only under `backing`'s exclusive lock,
+    /// after the page it counts is in the backing store (`Release`); read
+    /// without the lock by [`DiskManager::page_count`] (`Acquire`), so that
+    /// a scan asking how long the file is does not queue behind another
+    /// thread's write.
     page_count: AtomicU32,
 }
 
@@ -107,7 +114,7 @@ impl DiskManager {
         Ok(DiskManager {
             page_size,
             cipher,
-            backing: Mutex::new(Backing::File(file)),
+            backing: RwLock::new(Backing::File(file)),
             page_count: AtomicU32::new((len / page_size as u64) as u32),
         })
     }
@@ -118,7 +125,7 @@ impl DiskManager {
         DiskManager {
             page_size,
             cipher: None,
-            backing: Mutex::new(Backing::Memory(Vec::new())),
+            backing: RwLock::new(Backing::Memory(Vec::new())),
             page_count: AtomicU32::new(0),
         }
     }
@@ -165,7 +172,7 @@ impl DiskManager {
         self.page_size
     }
 
-    /// Pages in the file, read without taking the I/O mutex: every page
+    /// Pages in the file, read without taking the I/O lock: every page
     /// below the count can be read, and a page being appended right now is
     /// counted once it can be.
     pub fn page_count(&self) -> u32 {
@@ -174,7 +181,7 @@ impl DiskManager {
 
     /// Append a fresh zeroed page and return its id.
     pub fn allocate_page(&self) -> Result<PageId> {
-        let mut backing = self.backing.lock();
+        let mut backing = self.backing.write();
         let id = self.page_count();
         if id == u32::MAX {
             return Err(JaguarError::Storage("file full: page ids exhausted".into()));
@@ -205,20 +212,17 @@ impl DiskManager {
     }
 
     /// Read a page into `buf` (must be exactly one page long), verifying
-    /// its checksum.
+    /// its checksum. Holds the store shared, for the copy only.
     pub fn read_page(&self, id: PageId, buf: &mut [u8]) -> Result<()> {
         assert_eq!(buf.len(), self.page_size);
-        let mut backing = self.backing.lock();
+        let backing = self.backing.read();
         if id.0 >= self.page_count() {
             return Err(JaguarError::Storage(format!("{id} does not exist")));
         }
         let off = id.0 as usize * self.page_size;
         with_storage_retry("storage.disk.read", || {
-            match &mut *backing {
-                Backing::File(f) => {
-                    f.seek(SeekFrom::Start(off as u64))?;
-                    f.read_exact(buf)?;
-                }
+            match &*backing {
+                Backing::File(f) => f.read_exact_at(buf, off as u64)?,
                 Backing::Memory(m) => buf.copy_from_slice(&m[off..off + self.page_size]),
             }
             Ok(())
@@ -259,7 +263,7 @@ impl DiskManager {
                 buf
             }
         };
-        let mut backing = self.backing.lock();
+        let mut backing = self.backing.write();
         if id.0 >= self.page_count() {
             return Err(JaguarError::Storage(format!("{id} does not exist")));
         }
@@ -280,7 +284,7 @@ impl DiskManager {
     /// i.e. `fsync`: data *and* metadata, so a freshly extended file keeps
     /// its length across power loss). In-memory backings are a no-op.
     pub fn sync(&self) -> Result<()> {
-        if let Backing::File(f) = &mut *self.backing.lock() {
+        if let Backing::File(f) = &mut *self.backing.write() {
             with_storage_retry("storage.disk.fsync", || {
                 f.flush()?;
                 f.sync_all()?;
@@ -469,7 +473,7 @@ mod tests {
         buf[50] = 1;
         dm.write_page(id, &mut buf).unwrap();
         // Corrupt the backing store directly.
-        if let Backing::Memory(m) = &mut *dm.backing.lock() {
+        if let Backing::Memory(m) = &mut *dm.backing.write() {
             m[60] ^= 0xFF;
         }
         let mut back = vec![0u8; 128];

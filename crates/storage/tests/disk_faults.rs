@@ -5,10 +5,17 @@
 //! of their own — armed beside the crate's unit tests they made whichever
 //! B+Tree or heap test happened to write a page at that moment fail — and
 //! take turns among themselves.
+//!
+//! The `loading_frame` cases drive the buffer pool's miss path, whose read
+//! runs outside the pool mutex, with the read fault site: a fetch of a page
+//! that is being read in, a read that fails for good, and eviction beside
+//! loads in flight.
 
 use std::sync::Arc;
 
-use jaguar_common::fault;
+use jaguar_common::ids::PageId;
+use jaguar_common::{fault, obs};
+use jaguar_storage::page::verify_checksum;
 use jaguar_storage::{BufferPool, DiskManager};
 
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -77,4 +84,130 @@ fn failed_write_back_keeps_the_page_dirty() {
     // it back, and the byte survives the round trip.
     drop(pool.fetch(b).unwrap());
     assert_eq!(pool.fetch(a).unwrap().read()[100], 7);
+}
+
+/// `pages` pages of 128 bytes, page `i` holding `i + 1` at byte 100.
+fn marked_pages(pages: u8) -> (Arc<DiskManager>, Vec<PageId>) {
+    let disk = Arc::new(DiskManager::in_memory(128));
+    let ids = (0..pages)
+        .map(|i| {
+            let id = disk.allocate_page().unwrap();
+            let mut buf = vec![0u8; 128];
+            buf[100] = i + 1;
+            disk.write_page(id, &mut buf).unwrap();
+            id
+        })
+        .collect();
+    (disk, ids)
+}
+
+/// (a) A fetch of a page whose load is in flight waits for the loader and
+/// sees the page's verified bytes — never the zeros of a fresh frame or
+/// the victim's old page, which the one frame holds until the read lands.
+#[test]
+fn loading_frame_shows_a_concurrent_fetch_only_verified_bytes() {
+    let _g = serial();
+    let (disk, ids) = marked_pages(2);
+    let (page, victim) = (ids[0], ids[1]);
+    let pool = Arc::new(BufferPool::new(disk, 1));
+    let waits = obs::global().counter("storage.bufferpool.load_waits");
+    let injected = obs::global().counter("storage.faults_injected");
+    for _ in 0..50 {
+        drop(pool.fetch(victim).unwrap());
+        let (waited, failed) = (waits.get(), injected.get());
+        // The loader's first two reads fail; it sleeps its backoff between
+        // them holding the frame, and the third read succeeds.
+        fault::arm("storage.disk.read", 2);
+        let loader = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || pool.fetch(page).map(|h| h.read()[100]))
+        };
+        while injected.get() == failed {
+            std::hint::spin_loop();
+        }
+        let handle = pool.fetch(page).unwrap();
+        assert_eq!(handle.read()[100], 1, "the page's own bytes");
+        verify_checksum(&handle.read()).unwrap();
+        drop(handle);
+        assert_eq!(loader.join().unwrap().unwrap(), 1);
+        fault::disarm("storage.disk.read");
+        if waits.get() > waited {
+            return;
+        }
+    }
+    panic!("no fetch met the frame while it was loading");
+}
+
+/// (b) A read that fails for good fails the loader and every fetch that
+/// waited on it, leaves the page unmapped, and frees the frame: failing
+/// fetches of more pages than the pool has frames do not exhaust it.
+#[test]
+fn loading_frame_read_fault_reaches_every_waiter_and_frees_the_frame() {
+    let _g = serial();
+    const FRAMES: usize = 3;
+    let (disk, ids) = marked_pages(FRAMES as u8 + 1);
+    let pool = Arc::new(BufferPool::new(disk, FRAMES));
+    fault::arm("storage.disk.read", fault::ALWAYS);
+    let failed: Vec<String> = std::thread::scope(|s| {
+        let fetches: Vec<_> = (0..4)
+            .map(|_| s.spawn(|| pool.fetch(ids[0]).err().map(|e| e.to_string())))
+            .collect();
+        fetches
+            .into_iter()
+            .map(|f| f.join().unwrap().unwrap())
+            .collect()
+    });
+    assert!(failed.iter().all(|e| e.contains("injected")), "{failed:?}");
+    for id in &ids {
+        assert!(pool.fetch(*id).is_err());
+    }
+    fault::disarm("storage.disk.read");
+    let misses = pool.stats().misses;
+    let held: Vec<_> = ids[..FRAMES]
+        .iter()
+        .map(|id| pool.fetch(*id).unwrap())
+        .collect();
+    for (i, handle) in held.iter().enumerate() {
+        assert_eq!(handle.read()[100], i as u8 + 1);
+    }
+    assert_eq!(
+        pool.stats().misses,
+        misses + FRAMES as u64,
+        "a page whose read failed is not left mapped"
+    );
+}
+
+/// (c) Eviction races loads: two threads fetch pages at random through a
+/// two-frame pool whose reads fail now and then (a retried read sleeps
+/// with its frame reserved). No frame is taken while it is loading, so
+/// every handle shows its own page, checksum intact; a fetch fails only
+/// with the injected fault, never for want of a frame.
+#[test]
+fn loading_frame_is_never_evicted() {
+    let _g = serial();
+    let (disk, ids) = marked_pages(8);
+    let pool = Arc::new(BufferPool::new(disk, 2));
+    fault::arm_probabilistic("storage.disk.read", 0.3, 7);
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let (pool, ids) = (&pool, &ids);
+            s.spawn(move || {
+                let mut x = 0x9E37_79B9_7F4A_7C15 ^ t;
+                for _ in 0..150 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let i = (x % ids.len() as u64) as usize;
+                    match pool.fetch(ids[i]) {
+                        Ok(handle) => {
+                            assert_eq!(handle.read()[100], i as u8 + 1);
+                            verify_checksum(&handle.read()).unwrap();
+                        }
+                        Err(e) => assert!(e.to_string().contains("injected"), "{e}"),
+                    }
+                }
+            });
+        }
+    });
+    fault::disarm("storage.disk.read");
 }

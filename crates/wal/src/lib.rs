@@ -658,22 +658,25 @@ mod tests {
             let wal = Arc::clone(&wal);
             let pool = Arc::clone(&pool);
             threads.push(std::thread::spawn(move || {
+                let mut logged = 0;
                 for _ in 0..10 {
                     let h = pool.allocate().unwrap();
                     h.write()[10] = 7;
                     drop(h);
-                    wal.commit_table("t.jag", &pool).unwrap();
+                    // Another thread's commit may have logged this page
+                    // already, leaving this one nothing to log.
+                    logged += wal.commit_table("t.jag", &pool).unwrap().is_some() as u64;
                 }
+                logged
             }));
         }
-        for t in threads {
-            t.join().unwrap();
-        }
+        let logged: u64 = threads.into_iter().map(|t| t.join().unwrap()).sum();
+        assert!(logged >= 1);
         // With batching, fsyncs can be far fewer than commits; correctness
         // here is that every commit survives a reopen-with-replay.
         drop(wal);
         let (_wal, stats) = Wal::open(&dir, &cfg()).unwrap();
-        assert_eq!(stats.recovered_txns, 40);
+        assert_eq!(stats.recovered_txns, logged);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,8 +12,12 @@
 //!   not per row: its scan judges `v >= k` on the record's bytes and
 //!   decodes the survivors into tuples it refills page after page, and the
 //!   aggregate reads them where they are;
+//! * a statement whose scan rejects every row allocates per page, not per
+//!   row: a rejected record is walked to its tested column and no further;
 //! * a comparison with a VARCHAR allocates the string the decode builds
-//!   and nothing more: `eval` lends its operands.
+//!   and nothing more: `eval` lends its operands;
+//! * so does a GROUP BY over a VARCHAR, past one allocation per group: the
+//!   group is found with the row's string where it lies.
 //!
 //! Before records were decoded in place and pruned, the same scan made 6
 //! allocations per row (a copy of the record, the values, and the blob read
@@ -84,6 +88,9 @@ fn scan_and_aggregate_allocate_per_row_what_they_keep() {
             "{sql}: {total} allocations for {ROWS} rows on {pages} pages"
         );
     }
+    // Rejected at the scan, a row is walked to its `v` and no further: the
+    // statement allocates per page at most, nothing per row.
+    assert!(no <= 2 * pages, "{no} allocations rejecting {ROWS} rows");
 
     // `name = 'x'` is judged above the scan: the decode allocates each
     // row's string, and comparing it allocates nothing.
@@ -109,8 +116,29 @@ fn scan_and_aggregate_allocate_per_row_what_they_keep() {
         (ROWS..=ROWS + ROWS / 20 + 6 * named_pages).contains(&compared),
         "{compared} allocations for {ROWS} strings on {named_pages} pages"
     );
+    // Grouping by a VARCHAR probes with the decoded string where it lies:
+    // past the one string the decode builds per row, a group allocates and
+    // a row does not.
+    let grouped = || {
+        let sql = "SELECT name, COUNT(*) FROM named GROUP BY name";
+        let (n, r) = allocations(|| db.execute(sql).unwrap());
+        assert_eq!(r.rows.len(), 2);
+        n
+    };
+    grouped();
+    let by_name = grouped();
+    assert_eq!(by_name, grouped(), "counts repeat exactly");
+    assert!(
+        (ROWS..=ROWS + ROWS / 20 + 6 * named_pages).contains(&by_name),
+        "{by_name} allocations grouping {ROWS} strings on {named_pages} pages"
+    );
+    assert!(
+        by_name <= compared + 8 * 2,
+        "two groups cost {by_name} allocations against {compared} for a compare"
+    );
     eprintln!(
         "pages {pages}: scan pruned {pruned}, full {full}; statement {every} \
-         (every row passes), {no} (none does); string compare {compared}"
+         (every row passes), {no} (none does); string compare {compared}; \
+         grouped by string {by_name}"
     );
 }
