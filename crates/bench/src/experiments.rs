@@ -8,7 +8,7 @@
 
 use std::time::{Duration, Instant};
 
-use jaguar_core::{Database, JaguarError, Result, UdfDef, UdfImpl, Value};
+use jaguar_core::{Database, JaguarError, Request, Result, UdfDef, UdfImpl, Value};
 use jaguar_udf::generic::{
     def_isolated, def_isolated_vm, def_native, def_native_bc, def_native_sfi, def_vm,
     generic_signature,
@@ -1030,7 +1030,7 @@ impl ExperimentCtx {
                     t2.cancel();
                     at
                 });
-                let out = db.execute_cancellable(sql, &token);
+                let out = db.execute(Request::from(sql).with_token(&token));
                 let returned = Instant::now();
                 let cancelled_at = canceller.join().expect("canceller thread");
                 // Anything else means the statement finished before the
@@ -1101,7 +1101,7 @@ impl ExperimentCtx {
             run_backend(&db, "SELECT bench_spin(a) FROM c")?,
         );
 
-        table.note("latency = token.cancel() to execute_cancellable returning Cancelled");
+        table.note("latency = token.cancel() to execute returning Cancelled");
         let (cores, degraded) = Self::host_profile("cancel");
         let json = format!(
             "{{\n  \"experiment\": \"cancel_to_abort\",\n  \
@@ -1114,7 +1114,7 @@ impl ExperimentCtx {
         Ok(table)
     }
 
-    /// Morsel-parallel scan speedup (not in the paper — the jaguar-par
+    /// Morsel-parallel scan speedup (not in the paper — the `sql::par`
     /// runtime). For each UDF design, run the generic-UDF benchmark query
     /// at dop ∈ {1, 2, 4, 8} on a fresh engine and report latency
     /// quantiles plus speedup vs dop=1. Isolated designs get a worker
@@ -1226,7 +1226,7 @@ impl ExperimentCtx {
         Ok(t)
     }
 
-    /// Batched-invocation speedup (not in the paper — the jaguar-vec
+    /// Batched-invocation speedup (not in the paper — the `udf::batch`
     /// subsystem). For each trust design, run the generic-UDF query over
     /// a dop=1 engine at UDF batch sizes {1, 64, 256, 1024} and report
     /// latency quantiles plus speedup vs batch=1. The UDF does no work
@@ -1519,7 +1519,7 @@ impl ExperimentCtx {
     }
 
     /// E14 — what the query optimizer recovers (not in the paper — the
-    /// jaguar-opt subsystem). Three passes, each measured as an
+    /// `sql::optimize` passes). Three passes, each measured as an
     /// optimized/unoptimized pair on otherwise identical engines:
     ///
     /// * **inline** — a straight-line JagScript UDF under both sandboxed
@@ -1900,11 +1900,12 @@ impl ExperimentCtx {
         let twin_sql = "SELECT id, udf(bytearray, 50, 1, 0) FROM sec_rel \
                         WHERE tenant = 'tech' AND id % 3 <> 1";
         let reference = norm(&db.execute(twin_sql)?.rows); // also the warm-up
-        let _ = db.execute_as(secured_sql, Some(&alice))?;
+        let secured = Request::from(secured_sql).with_session(&alice);
+        let _ = db.execute(secured)?;
         let (mut sec_us, mut twin_us) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
         for _ in 0..reps {
             let start = Instant::now();
-            let r = db.execute_as(secured_sql, Some(&alice))?;
+            let r = db.execute(secured)?;
             sec_us.push(start.elapsed().as_micros() as u64);
             if norm(&r.rows) != reference {
                 return Err(JaguarError::Other(

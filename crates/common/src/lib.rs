@@ -23,16 +23,17 @@
 //! * [`overload`] — the engine-wide overload level driving graceful
 //!   degradation (clamp `dop`, shed the memo) before refusal,
 //! * [`config`] — engine tunables,
+//! * [`obs`] — the observability kernel: log facade, metrics registry,
+//!   span timers, byte-counting I/O adapters,
 //! * [`rng`] — a tiny deterministic generator used by workload builders so
 //!   experiments are reproducible byte-for-byte.
-
-pub use jaguar_obs as obs;
 
 pub mod cancel;
 pub mod config;
 pub mod error;
 pub mod fault;
 pub mod ids;
+pub mod obs;
 pub mod overload;
 pub mod retry;
 pub mod rng;

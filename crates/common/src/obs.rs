@@ -1,10 +1,9 @@
-//! # jaguar-obs — the engine-wide observability kernel
+//! The engine-wide observability kernel.
 //!
 //! The source paper's whole argument is quantitative (its Figures 4–8 are
 //! per-backend cost breakdowns), yet an engine can only be *optimized* for
-//! those costs if it can report them about itself at runtime. This crate is
-//! the zero-dependency substrate every other Jaguar crate leans on for
-//! that:
+//! those costs if it can report them about itself at runtime. This module
+//! is the zero-dependency substrate every Jaguar crate leans on for that:
 //!
 //! * [`log`] — a tiny logging facade: levels, targets, a pluggable
 //!   process-wide sink (stderr by default), and a capture sink for tests.
@@ -21,8 +20,7 @@
 //!
 //! Everything here is `std`-only by design: the observability layer must
 //! never be the reason a build grows a dependency, and it must be usable
-//! from the innermost crates (`jaguar-common` re-exports it as
-//! `jaguar_common::obs`).
+//! from the innermost crates.
 
 pub mod io;
 pub mod log;
@@ -36,3 +34,8 @@ pub use metrics::{
     global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
 };
 pub use span::SpanTimer;
+
+pub use crate::{
+    __obs_debug as debug, __obs_error as error, __obs_info as info, __obs_trace as trace,
+    __obs_warn as warn,
+};

@@ -4,7 +4,7 @@
 //! marshalled bytes without touching any framing code: every successful
 //! read/write adds its byte count to a shared [`Counter`].
 
-use crate::metrics::Counter;
+use crate::obs::metrics::Counter;
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -79,7 +79,7 @@ impl<W: Write> Write for CountingWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use crate::obs::metrics::Registry;
 
     #[test]
     fn counts_bytes_both_ways() {

@@ -2,9 +2,9 @@
 //!
 //! Shaped like the conventional Rust `log` crate (levels, targets, a
 //! process-wide sink) but dependency-free and deliberately small. Call
-//! sites use the [`error!`](crate::error), [`warn!`](crate::warn),
-//! [`info!`](crate::info), [`debug!`](crate::debug), and
-//! [`trace!`](crate::trace) macros; the level check happens before any
+//! sites use the [`error!`](crate::obs::error), [`warn!`](crate::obs::warn),
+//! [`info!`](crate::obs::info), [`debug!`](crate::obs::debug), and
+//! [`trace!`](crate::obs::trace) macros; the level check happens before any
 //! formatting, so disabled records cost one relaxed atomic load.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -65,9 +65,9 @@ impl LogSink for StderrSink {
 /// requested by the facade's consumers.
 ///
 /// ```
-/// use jaguar_obs::CaptureSink;
+/// use jaguar_common::obs::CaptureSink;
 /// let capture = CaptureSink::install();
-/// jaguar_obs::warn!(target: "demo", "something {}", "odd");
+/// jaguar_common::obs::warn!(target: "demo", "something {}", "odd");
 /// assert!(capture.rendered().iter().any(|l| l.contains("something odd")));
 /// ```
 #[derive(Default)]
@@ -155,38 +155,62 @@ pub fn log(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
         .log(&record);
 }
 
-macro_rules! define_level_macro {
-    ($dollar:tt, $name:ident, $level:ident, $doc:expr) => {
-        #[doc = $doc]
-        #[macro_export]
-        macro_rules! $name {
-            (target: $target:expr, $dollar($arg:tt)+) => {
-                if $crate::log::enabled($crate::Level::$level) {
-                    $crate::log::log($crate::Level::$level, $target, format_args!($dollar($arg)+));
-                }
-            };
-            ($dollar($arg:tt)+) => {
-                if $crate::log::enabled($crate::Level::$level) {
-                    $crate::log::log(
-                        $crate::Level::$level,
-                        module_path!(),
-                        format_args!($dollar($arg)+),
-                    );
-                }
-            };
+/// One record at `$level` (a [`Level`] variant), with the call site's
+/// module path as the target unless `target: "..."` comes first. The
+/// level macros expand to this. Every macro here is exported at the crate
+/// root under a hidden name and re-exported as `obs::error!` … `obs::trace!`.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __obs_log {
+    ($level:ident, target: $target:expr, $($arg:tt)+) => {
+        if $crate::obs::log::enabled($crate::obs::Level::$level) {
+            $crate::obs::log::log($crate::obs::Level::$level, $target, format_args!($($arg)+));
         }
+    };
+    ($level:ident, $($arg:tt)+) => {
+        $crate::__obs_log!($level, target: module_path!(), $($arg)+)
     };
 }
 
-define_level_macro!($, error, Error, "Log at ERROR level (optionally `target: \"...\"` first).");
-define_level_macro!($, warn, Warn, "Log at WARN level (optionally `target: \"...\"` first).");
-define_level_macro!($, info, Info, "Log at INFO level (optionally `target: \"...\"` first).");
-define_level_macro!($, debug, Debug, "Log at DEBUG level (optionally `target: \"...\"` first).");
-define_level_macro!($, trace, Trace, "Log at TRACE level (optionally `target: \"...\"` first).");
+/// Log at ERROR level (optionally `target: "..."` first).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __obs_error {
+    ($($arg:tt)+) => { $crate::__obs_log!(Error, $($arg)+) };
+}
+
+/// Log at WARN level (optionally `target: "..."` first).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __obs_warn {
+    ($($arg:tt)+) => { $crate::__obs_log!(Warn, $($arg)+) };
+}
+
+/// Log at INFO level (optionally `target: "..."` first).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __obs_info {
+    ($($arg:tt)+) => { $crate::__obs_log!(Info, $($arg)+) };
+}
+
+/// Log at DEBUG level (optionally `target: "..."` first).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __obs_debug {
+    ($($arg:tt)+) => { $crate::__obs_log!(Debug, $($arg)+) };
+}
+
+/// Log at TRACE level (optionally `target: "..."` first).
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __obs_trace {
+    ($($arg:tt)+) => { $crate::__obs_log!(Trace, $($arg)+) };
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::{info, trace, warn};
 
     /// The sink and max level are process globals; tests that install a
     /// capture sink must not run concurrently with each other.
@@ -226,7 +250,7 @@ mod tests {
         assert!(capture
             .rendered()
             .iter()
-            .any(|l| l.contains("jaguar_obs::log::tests")));
+            .any(|l| l.contains("jaguar_common::obs::log::tests")));
         set_max_level(Level::Info);
     }
 }

@@ -2,16 +2,16 @@
 //! [`Histogram`] on drop.
 //!
 //! ```
-//! let registry = jaguar_obs::Registry::new();
+//! let registry = jaguar_common::obs::Registry::new();
 //! let hist = registry.histogram("demo.latency_us");
 //! {
-//!     let _span = jaguar_obs::SpanTimer::new(hist.clone());
+//!     let _span = jaguar_common::obs::SpanTimer::new(hist.clone());
 //!     // ... timed work ...
 //! }
 //! assert_eq!(hist.snapshot().count, 1);
 //! ```
 
-use crate::metrics::Histogram;
+use crate::obs::metrics::Histogram;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -54,7 +54,7 @@ impl Drop for SpanTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
+    use crate::obs::metrics::Registry;
 
     #[test]
     fn records_on_drop() {

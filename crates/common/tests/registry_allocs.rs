@@ -5,7 +5,7 @@
 //! that finds its metric must allocate nothing: only the first one, which
 //! creates the metric, copies the name into the registry.
 
-use jaguar_obs::Registry;
+use jaguar_common::obs::Registry;
 
 #[path = "../../../tests/counting_alloc.rs"]
 mod counting_alloc;

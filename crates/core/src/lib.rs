@@ -52,14 +52,11 @@ pub use jaguar_common::obs::MetricsSnapshot;
 pub use jaguar_common::retry;
 pub use jaguar_common::{ByteArray, ColumnSet, DataType, Field, Schema, Tuple, Value};
 pub use jaguar_net::{CancelHandle, Client, ClientOptions, Server};
-/// Morsel-driven parallel execution internals: the dispenser, worker
-/// teams, and `par.*` metric handles (see [`Config::dop`]).
-pub use jaguar_par as par;
 pub use jaguar_pool::{PoolConfig, PoolStatsSnapshot, WorkerPool};
 /// Multi-tenant security: session principals, label expressions, and the
 /// page cipher (see [`Config::auth_required`] / [`Config::encryption_key`]).
 pub use jaguar_sec::{LabelExpr, PageCipher, SessionContext};
-pub use jaguar_sql::{ExecStats, QueryResult};
+pub use jaguar_sql::{ExecStats, QueryResult, Request};
 pub use jaguar_udf::{
     BatchError, BatchResult, CallbackHandler, NativeUdf, ScalarUdf, UdfDef, UdfImpl, UdfSignature,
     ValueBatch, Volatility,
@@ -190,36 +187,26 @@ impl Database {
         self.engine.catalog()
     }
 
-    /// Execute one SQL statement. With [`Config::statement_timeout_ms`]
-    /// set, the statement runs under a deadline and aborts with
-    /// [`JaguarError::Timeout`] when it expires.
-    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        self.engine.execute(sql)
-    }
-
-    /// Execute one SQL statement under a caller-supplied lifecycle token
-    /// (see [`Database::statement_token`]): `token.cancel()` from another
-    /// thread aborts the statement cooperatively, sealing any partial DML
-    /// effects through the write-ahead log.
-    pub fn execute_cancellable(&self, sql: &str, token: &CancelToken) -> Result<QueryResult> {
-        self.engine.execute_cancellable(sql, token)
+    /// Execute one SQL statement: a `&str`, or a [`Request`] that names
+    /// the principal and the lifecycle token.
+    ///
+    /// Under a session, security labels set via
+    /// [`Database::set_table_label`] / [`Database::set_column_label`] are
+    /// enforced by planner rewrites: the row label becomes the plan's first
+    /// filter predicate and denied columns are pruned from `*` or rejected
+    /// when named. With [`Config::statement_timeout_ms`] set, the statement
+    /// runs under a deadline and aborts with [`JaguarError::Timeout`] when
+    /// it expires; `token.cancel()` from another thread aborts it
+    /// cooperatively, sealing any partial DML effects through the
+    /// write-ahead log.
+    pub fn execute<'a>(&self, request: impl Into<Request<'a>>) -> Result<QueryResult> {
+        self.engine.execute(request)
     }
 
     /// A fresh lifecycle token carrying the configured statement timeout
-    /// (unbounded when none is set), for use with
-    /// [`Database::execute_cancellable`].
+    /// (unbounded when none is set), for [`Request::with_token`].
     pub fn statement_token(&self) -> CancelToken {
-        self.engine.new_statement_token()
-    }
-
-    /// Execute one SQL statement under `session`'s principal. Security
-    /// labels set via [`Database::set_table_label`] /
-    /// [`Database::set_column_label`] are enforced by planner rewrites:
-    /// the row label becomes the plan's first filter predicate and denied
-    /// columns are pruned from `*` or rejected when named. `None` is the
-    /// trusted system principal (same as [`Database::execute`]).
-    pub fn execute_as(&self, sql: &str, session: Option<&SessionContext>) -> Result<QueryResult> {
-        self.engine.execute_as(sql, session)
+        self.engine.statement_token()
     }
 
     /// Set (or clear, with `None`) the table's row-level security label: a
@@ -244,49 +231,14 @@ impl Database {
         self.catalog().udfs().breaker_states()
     }
 
-    /// Render the optimized plan for a SELECT.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        self.engine.explain(sql)
-    }
-
-    /// Execute the SELECT and render its plan annotated with observed
-    /// per-operator row counts and wall time (`EXPLAIN ANALYZE` output).
-    pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let r = self.engine.execute(&format!("EXPLAIN ANALYZE {sql}"))?;
-        let mut out = String::new();
-        for row in &r.rows {
-            if let Value::Str(line) = row.get(0)? {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        Ok(out)
-    }
-
-    /// [`Database::explain`] under `session`'s principal: the injected
-    /// row-label filter renders with a `[labeled]` tag, and labeled tables
-    /// the session may not read fail here exactly as they do at execution.
-    pub fn explain_as(&self, sql: &str, session: Option<&SessionContext>) -> Result<String> {
-        self.engine.explain_as(sql, session)
-    }
-
-    /// [`Database::explain_analyze`] under `session`'s principal.
-    pub fn explain_analyze_as(
-        &self,
-        sql: &str,
-        session: Option<&SessionContext>,
-    ) -> Result<String> {
-        let r = self
-            .engine
-            .execute_as(&format!("EXPLAIN ANALYZE {sql}"), session)?;
-        let mut out = String::new();
-        for row in &r.rows {
-            if let Value::Str(line) = row.get(0)? {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-        Ok(out)
+    /// Render the optimized plan of a statement, one line per plan row.
+    /// Text that says `EXPLAIN ANALYZE` executes the SELECT and annotates
+    /// every stage with observed row counts and wall time. Under a session,
+    /// the injected row-label filter renders with a `[labeled]` tag, and
+    /// labeled tables the session may not read fail here exactly as they
+    /// do at execution.
+    pub fn explain<'a>(&self, request: impl Into<Request<'a>>) -> Result<String> {
+        self.engine.explain(request)
     }
 
     /// A point-in-time snapshot of the process-wide metrics registry:
@@ -372,25 +324,9 @@ impl Database {
         self.register_module_udf_with_volatility(name, signature, module, design, volatility)
     }
 
-    /// Register an already-compiled (unverified) module as a UDF.
-    pub fn register_module_udf(
-        &self,
-        name: &str,
-        signature: UdfSignature,
-        module: jaguar_vm::Module,
-        design: UdfDesign,
-    ) -> Result<()> {
-        self.register_module_udf_with_volatility(
-            name,
-            signature,
-            module,
-            design,
-            Volatility::Volatile,
-        )
-    }
-
-    /// [`Database::register_module_udf`] with an explicit volatility
-    /// class.
+    /// Register an already-compiled (unverified) module's `main` as a UDF
+    /// with an explicit volatility class. The sandboxed designs go through
+    /// the engine's one import gate ([`Engine::register_sandboxed_udf`]).
     pub fn register_module_udf_with_volatility(
         &self,
         name: &str,
@@ -399,43 +335,21 @@ impl Database {
         design: UdfDesign,
         volatility: Volatility,
     ) -> Result<()> {
-        let imp = match design {
-            UdfDesign::TrustedNative => {
-                return Err(JaguarError::Udf(
-                    "TrustedNative needs a Rust closure; use register_native_udf".into(),
-                ))
+        match design {
+            UdfDesign::TrustedNative => Err(JaguarError::Udf(
+                "TrustedNative needs a Rust closure; use register_native_udf".into(),
+            )),
+            UdfDesign::IsolatedNative(worker_fn) => {
+                let imp = UdfImpl::IsolatedNative { worker_fn };
+                self.register_udf(UdfDef::new(name, signature, imp).with_volatility(volatility));
+                Ok(())
             }
-            UdfDesign::IsolatedNative(worker_fn) => UdfImpl::IsolatedNative { worker_fn },
             UdfDesign::Sandboxed | UdfDesign::SandboxedIsolated => {
-                // Least privilege: grant exactly the declared imports, and
-                // only if the engine offers them.
-                let mut perms = PermissionSet::deny_all(name);
-                for imp in &module.imports {
-                    if !self.engine.has_callback(&imp.name) {
-                        return Err(JaguarError::SecurityViolation(format!(
-                            "udf '{name}' imports '{}' which this database does not offer",
-                            imp.name
-                        )));
-                    }
-                    perms = perms.grant(Permission::HostCall(imp.name.clone()));
-                }
-                let config = self.catalog().config();
-                let limits = ResourceLimits {
-                    fuel: config.default_fuel,
-                    memory: config.default_vm_memory,
-                    max_call_depth: config.max_call_depth,
-                };
-                let spec =
-                    jaguar_udf::def::vm_spec(module, "main", limits, true, Some(Arc::new(perms)))?;
-                if design == UdfDesign::SandboxedIsolated {
-                    UdfImpl::IsolatedVm(spec)
-                } else {
-                    UdfImpl::Vm(spec)
-                }
+                let isolated = design == UdfDesign::SandboxedIsolated;
+                (self.engine)
+                    .register_sandboxed_udf(name, signature, module, "main", isolated, volatility)
             }
-        };
-        self.register_udf(UdfDef::new(name, signature, imp).with_volatility(volatility));
-        Ok(())
+        }
     }
 
     /// Register (or replace) a named server-side callback (§4.2).

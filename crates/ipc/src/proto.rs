@@ -79,7 +79,7 @@ pub enum Request {
 pub const PROTO_VERSION: u32 = 6;
 
 /// Most rows one `InvokeBatch` frame may carry. The engine never forms
-/// batches above `jaguar_vec::MAX_BATCH` (1024); the cap leaves headroom
+/// batches above `jaguar_udf::batch::MAX_BATCH` (1024); the cap leaves headroom
 /// for future growth while still bounding what a hostile peer can make us
 /// buffer.
 pub const MAX_BATCH_ROWS: u32 = 4096;

@@ -241,14 +241,20 @@ impl Client {
         }
     }
 
-    /// Fetch the optimized plan for a SELECT.
+    /// The server's plan for a statement, as
+    /// [`Engine::explain`](jaguar_sql::Engine::explain) renders it: an
+    /// `EXPLAIN` statement executed like any other — under this session's
+    /// principal and the statement timeout, cancellable through a
+    /// [`CancelHandle`]. Text that already starts with `EXPLAIN` (for
+    /// instance `EXPLAIN ANALYZE …`) is sent as it is.
     pub fn explain(&mut self, sql: &str) -> Result<String> {
-        match self.roundtrip_admitted(&ClientMsg::Explain { sql: sql.into() })? {
-            ServerMsg::Plan { text } => Ok(text),
-            other => Err(JaguarError::Protocol(format!(
-                "expected Plan, got {other:?}"
-            ))),
-        }
+        let first = sql.split_whitespace().next().unwrap_or_default();
+        let result = if first.eq_ignore_ascii_case("explain") {
+            self.execute(sql)?
+        } else {
+            self.execute(&format!("EXPLAIN {sql}"))?
+        };
+        jaguar_sql::plan_text(&result.rows)
     }
 
     /// Fetch a snapshot of the server's metrics registry.

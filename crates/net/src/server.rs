@@ -5,16 +5,22 @@
 //! client"). Each thread speaks the [`crate::wire`] protocol against a
 //! shared [`Engine`].
 //!
-//! UDF registration policy (the §6 security posture):
+//! UDF registration policy (the §6 security posture): the uploaded module
+//! is decoded here and handed to the engine's one import gate,
+//! [`Engine::register_sandboxed_udf`], the same one the embedded API uses:
 //!
-//! 1. the uploaded module is decoded and **bytecode-verified here** —
-//!    whatever the client's toolchain claimed is irrelevant (§2.4),
-//! 2. its host imports must all name callbacks the server actually
+//! 1. the module is **bytecode-verified at the server** — whatever the
+//!    client's toolchain claimed is irrelevant (§2.4),
+//! 2. its host imports must all name callbacks the engine actually
 //!    offers; anything else is rejected at registration time (class-loader
 //!    style gating, §6.1),
 //! 3. at runtime it executes under a permission set granting exactly
 //!    those imports (least privilege, \[SS75\]) and under the engine's
 //!    fuel/memory limits (§6.2).
+//!
+//! A statement, EXPLAIN included, is an `Execute`: it runs under the
+//! connection's principal and a lifecycle token carrying the statement
+//! timeout, cancellable by query id.
 
 use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Write};
@@ -28,9 +34,9 @@ use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::{fault, obs};
 use jaguar_sec::SessionContext;
-use jaguar_sql::Engine;
-use jaguar_udf::{UdfDef, UdfImpl, UdfSignature, VmUdfSpec};
-use jaguar_vm::{Module, Permission, PermissionSet, ResourceLimits};
+use jaguar_sql::{Engine, Request};
+use jaguar_udf::{UdfImpl, UdfSignature, Volatility};
+use jaguar_vm::Module;
 
 use crate::admission::{AdmissionGate, Permit, Shed};
 use crate::wire::{ClientMsg, ServerMsg, WireSignature, WireStats};
@@ -347,10 +353,7 @@ impl Inbox {
 fn needs_permit(msg: &ClientMsg) -> bool {
     matches!(
         msg,
-        ClientMsg::Execute { .. }
-            | ClientMsg::Explain { .. }
-            | ClientMsg::RegisterUdf { .. }
-            | ClientMsg::FetchUdf { .. }
+        ClientMsg::Execute { .. } | ClientMsg::RegisterUdf { .. } | ClientMsg::FetchUdf { .. }
     )
 }
 
@@ -407,7 +410,7 @@ fn serve_client(
             }
         }
         let sql_for_log = match &msg {
-            ClientMsg::Execute { sql, .. } | ClientMsg::Explain { sql } => Some(sql.clone()),
+            ClientMsg::Execute { sql, .. } => Some(sql.clone()),
             _ => None,
         };
         let started = Instant::now();
@@ -566,27 +569,33 @@ fn handle(
                 },
             }
         }
-        ClientMsg::Explain { sql } => {
-            let eff = effective_session(engine, session);
-            match engine.explain_as(&sql, eff.as_ref()) {
-                Ok(text) => ServerMsg::Plan { text },
-                Err(e) => ServerMsg::Error {
-                    message: e.to_string(),
-                },
-            }
-        }
         ClientMsg::RegisterUdf {
             name,
             signature,
             module,
             function,
             isolated,
-        } => match register_udf(engine, &name, signature, &module, &function, isolated) {
-            Ok(()) => ServerMsg::Registered,
-            Err(e) => ServerMsg::Error {
-                message: e.to_string(),
-            },
-        },
+        } => {
+            // Decoded here, then verified by the engine's import gate: the
+            // client toolchain is untrusted.
+            let signature = UdfSignature::new(signature.params, signature.ret);
+            let registered = Module::from_bytes(&module).and_then(|module| {
+                engine.register_sandboxed_udf(
+                    &name,
+                    signature,
+                    module,
+                    &function,
+                    isolated,
+                    Volatility::Volatile,
+                )
+            });
+            match registered {
+                Ok(()) => ServerMsg::Registered,
+                Err(e) => ServerMsg::Error {
+                    message: e.to_string(),
+                },
+            }
+        }
         ClientMsg::FetchUdf { name } => match fetch_udf(engine, &name) {
             Ok(m) => m,
             Err(e) => ServerMsg::Error {
@@ -607,7 +616,7 @@ fn execute_tracked(
     query_id: u64,
     session: Option<&SessionContext>,
 ) -> Result<jaguar_sql::QueryResult> {
-    let token = engine.new_statement_token();
+    let token = engine.statement_token();
     let _guard = (query_id != 0).then(|| {
         queries
             .lock()
@@ -618,71 +627,7 @@ fn execute_tracked(
             id: query_id,
         }
     });
-    engine.execute_cancellable_as(sql, &token, session)
-}
-
-fn register_udf(
-    engine: &Engine,
-    name: &str,
-    signature: WireSignature,
-    module_bytes: &[u8],
-    function: &str,
-    isolated: bool,
-) -> Result<()> {
-    // 1. Decode and verify HERE — the client toolchain is untrusted.
-    let module = Module::from_bytes(module_bytes)?;
-
-    // 2. Gate imports against what this server actually offers and build
-    //    the least-privilege permission set.
-    let mut perms = PermissionSet::deny_all(name);
-    for imp in &module.imports {
-        // The engine registers callbacks by lowercase name; "cb" always
-        // exists. Probe by attempting a resolution-only check: we accept
-        // any import for which a callback is registered.
-        if !engine_has_callback(engine, &imp.name) {
-            return Err(JaguarError::SecurityViolation(format!(
-                "udf '{name}' imports '{}' which this server does not offer",
-                imp.name
-            )));
-        }
-        perms = perms.grant(Permission::HostCall(imp.name.clone()));
-    }
-
-    let config = engine.catalog().config().clone();
-    let limits = ResourceLimits {
-        fuel: config.default_fuel,
-        memory: config.default_vm_memory,
-        max_call_depth: config.max_call_depth,
-    };
-    let sig = UdfSignature::new(signature.params, signature.ret);
-    let spec_module = module.verify()?; // step 1's verification
-    let spec = VmUdfSpec {
-        module: Arc::new(spec_module),
-        module_bytes: Arc::new(module_bytes.to_vec()),
-        function: function.to_string(),
-        limits,
-        jit: true,
-        permissions: Some(Arc::new(perms)),
-    };
-    let imp = if isolated {
-        UdfImpl::IsolatedVm(spec)
-    } else {
-        UdfImpl::Vm(spec)
-    };
-    engine
-        .catalog()
-        .udfs()
-        .register(UdfDef::new(name, sig, imp));
-    Ok(())
-}
-
-/// Does the engine offer a callback with this name? The engine API has no
-/// direct query, so probe the registry through a no-op registration check:
-/// we keep a conservative allowlist — the always-present "cb" plus any
-/// name the engine can actually dispatch (tested by calling it with no
-/// arguments inside a catch).
-fn engine_has_callback(engine: &Engine, name: &str) -> bool {
-    engine.has_callback(name)
+    engine.execute(Request::from(sql).with_session(session).with_token(&token))
 }
 
 fn fetch_udf(engine: &Engine, name: &str) -> Result<ServerMsg> {

@@ -91,8 +91,6 @@ pub enum ClientMsg {
     /// necessarily sent on a *different* connection, since the submitting
     /// one is blocked awaiting its result (the Postgres cancel model).
     Cancel { query_id: u64 },
-    /// Return the optimized plan for a SELECT.
-    Explain { sql: String },
     /// Register a UDF from a compiled module. The server verifies the
     /// module; `isolated` selects Design 4 instead of Design 3.
     RegisterUdf {
@@ -121,10 +119,6 @@ pub enum ServerMsg {
         rows: Vec<Tuple>,
         affected: u64,
         stats: WireStats,
-    },
-    /// EXPLAIN output.
-    Plan {
-        text: String,
     },
     /// Registration acknowledged.
     Registered,
@@ -163,7 +157,6 @@ pub enum ServerMsg {
 }
 
 const C_EXECUTE: u8 = 0x01;
-const C_EXPLAIN: u8 = 0x02;
 const C_REGISTER: u8 = 0x03;
 const C_FETCH: u8 = 0x04;
 const C_PING: u8 = 0x05;
@@ -172,7 +165,6 @@ const C_METRICS: u8 = 0x07;
 const C_CANCEL: u8 = 0x08;
 const C_HELLO: u8 = 0x09;
 const S_RESULT: u8 = 0x81;
-const S_PLAN: u8 = 0x82;
 const S_REGISTERED: u8 = 0x83;
 const S_MODULE: u8 = 0x84;
 const S_PONG: u8 = 0x85;
@@ -205,10 +197,6 @@ impl ClientMsg {
             ClientMsg::Cancel { query_id } => {
                 write_u8(w, C_CANCEL)?;
                 write_u64(w, *query_id)?;
-            }
-            ClientMsg::Explain { sql } => {
-                write_u8(w, C_EXPLAIN)?;
-                write_str(w, sql)?;
             }
             ClientMsg::RegisterUdf {
                 name,
@@ -265,7 +253,6 @@ impl ClientMsg {
             C_CANCEL => ClientMsg::Cancel {
                 query_id: read_u64(r)?,
             },
-            C_EXPLAIN => ClientMsg::Explain { sql: read_str(r)? },
             C_REGISTER => ClientMsg::RegisterUdf {
                 name: read_str(r)?,
                 signature: WireSignature::read(r)?,
@@ -308,10 +295,6 @@ impl ServerMsg {
                 for t in rows {
                     write_tuple(w, t)?;
                 }
-            }
-            ServerMsg::Plan { text } => {
-                write_u8(w, S_PLAN)?;
-                write_str(w, text)?;
             }
             ServerMsg::Registered => write_u8(w, S_REGISTERED)?,
             ServerMsg::HelloAck => write_u8(w, S_HELLO_ACK)?,
@@ -381,7 +364,6 @@ impl ServerMsg {
                     stats,
                 }
             }
-            S_PLAN => ServerMsg::Plan { text: read_str(r)? },
             S_REGISTERED => ServerMsg::Registered,
             S_HELLO_ACK => ServerMsg::HelloAck,
             S_MODULE => ServerMsg::Module {
@@ -460,9 +442,6 @@ mod tests {
             query_id: 42,
         });
         roundtrip_c(ClientMsg::Cancel { query_id: 42 });
-        roundtrip_c(ClientMsg::Explain {
-            sql: "SELECT * FROM t".into(),
-        });
         roundtrip_c(ClientMsg::RegisterUdf {
             name: "investval".into(),
             signature: WireSignature {
@@ -499,9 +478,6 @@ mod tests {
                 vm_bytes_allocated: 1024,
             },
         });
-        roundtrip_s(ServerMsg::Plan {
-            text: "SeqScan t".into(),
-        });
         roundtrip_s(ServerMsg::Registered);
         roundtrip_s(ServerMsg::HelloAck);
         roundtrip_s(ServerMsg::Module {
@@ -535,6 +511,10 @@ mod tests {
     fn unknown_tags_rejected() {
         assert!(ClientMsg::read(&mut [0xFFu8].as_slice()).is_err());
         assert!(ServerMsg::read(&mut [0x00u8].as_slice()).is_err());
+        // The retired EXPLAIN request and plan reply tags: EXPLAIN is an
+        // `Execute` like any statement.
+        assert!(ClientMsg::read(&mut [0x02u8, 0, 0, 0, 0].as_slice()).is_err());
+        assert!(ServerMsg::read(&mut [0x82u8, 0, 0, 0, 0].as_slice()).is_err());
     }
 
     #[test]

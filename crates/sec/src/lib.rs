@@ -6,9 +6,9 @@
 //!
 //! * [`session`] — per-connection principals. A [`SessionContext`] carries
 //!   the authenticated principal name plus arbitrary `key=value` attributes
-//!   (tenant id, role, …) established by the wire `Hello` message. Engine
-//!   entry points take `Option<&SessionContext>`; `None` is the trusted
-//!   in-process system principal, so embedded use is unchanged.
+//!   (tenant id, role, …) established by the wire `Hello` message. A
+//!   statement's request carries an `Option<&SessionContext>`; `None` is
+//!   the trusted in-process system principal, so embedded use is unchanged.
 //! * [`label`] — security labels: boolean expressions over session
 //!   attributes and row columns (`tenant = session.tenant OR session.role =
 //!   'admin'`). Labels are parsed once, stored in the catalog manifest, and

@@ -21,6 +21,8 @@ use jaguar_common::{Tuple, Value};
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_pool::WorkerPool;
 use jaguar_sec::SessionContext;
+use jaguar_udf::{UdfDef, UdfImpl, UdfSignature, Volatility};
+use jaguar_vm::{Module, Permission, PermissionSet, ResourceLimits};
 use parking_lot::RwLock;
 
 use crate::ast::Statement;
@@ -57,6 +59,61 @@ impl QueryResult {
     }
 }
 
+/// One statement as the engine receives it: its text, the principal it
+/// runs under, and the token that can cancel it. `&str` and `&String`
+/// convert into a request under the system principal with a fresh token.
+#[derive(Debug, Clone, Copy)]
+pub struct Request<'a> {
+    pub sql: &'a str,
+    /// The principal whose security labels the statement is planned
+    /// under; `None` is the trusted in-process system principal.
+    pub session: Option<&'a SessionContext>,
+    /// The lifecycle token; `None` means a fresh one carrying
+    /// `Config::statement_timeout_ms` (see [`Engine::statement_token`]).
+    pub token: Option<&'a CancelToken>,
+}
+
+impl<'a> Request<'a> {
+    /// This request under `session`'s principal (`None`: the system).
+    pub fn with_session(self, session: impl Into<Option<&'a SessionContext>>) -> Request<'a> {
+        Request {
+            session: session.into(),
+            ..self
+        }
+    }
+
+    /// This request under a caller-supplied lifecycle token.
+    pub fn with_token(self, token: &'a CancelToken) -> Request<'a> {
+        Request {
+            token: Some(token),
+            ..self
+        }
+    }
+}
+
+impl<'a> From<&'a str> for Request<'a> {
+    fn from(sql: &'a str) -> Request<'a> {
+        Request {
+            sql,
+            session: None,
+            token: None,
+        }
+    }
+}
+
+impl<'a> From<&'a String> for Request<'a> {
+    fn from(sql: &'a String) -> Request<'a> {
+        Request::from(sql.as_str())
+    }
+}
+
+/// The rows of an EXPLAIN statement as text: its one column, one line
+/// per row.
+pub fn plan_text(rows: &[Tuple]) -> Result<String> {
+    let lines = rows.iter().map(|r| r.get(0)?.as_str());
+    Ok(lines.collect::<Result<Vec<_>>>()?.join("\n"))
+}
+
 /// The database engine: catalog + SQL execution + callback registry.
 pub struct Engine {
     catalog: Arc<Catalog>,
@@ -68,7 +125,7 @@ pub struct Engine {
     /// (budgeted by `Config::udf_memo_bytes`; 0 disables) and the online
     /// per-predicate selectivity tallies feeding the reorder pass. Shared
     /// across statements and sessions, like the paper's server state.
-    opt: Arc<jaguar_opt::OptState>,
+    opt: Arc<crate::cost::OptState>,
     /// Engine-wide overload level (raised by the server's admission gate
     /// and pool pressure, read at plan time to shed optional work —
     /// parallel fan-out, the memo cache — before anything is refused).
@@ -83,7 +140,7 @@ impl Engine {
 
     /// An engine over an existing catalog.
     pub fn with_catalog(catalog: Arc<Catalog>) -> Engine {
-        let opt = Arc::new(jaguar_opt::OptState::new(catalog.config().udf_memo_bytes));
+        let opt = Arc::new(crate::cost::OptState::new(catalog.config().udf_memo_bytes));
         let engine = Engine {
             catalog,
             callbacks: RwLock::new(HashMap::new()),
@@ -103,7 +160,7 @@ impl Engine {
     }
 
     /// The engine's shared optimizer state (memo cache + selectivity).
-    pub(crate) fn opt_state(&self) -> &Arc<jaguar_opt::OptState> {
+    pub(crate) fn opt_state(&self) -> &Arc<crate::cost::OptState> {
         &self.opt
     }
 
@@ -113,7 +170,7 @@ impl Engine {
     /// back to the allocator. The cache refills naturally once pressure
     /// drains — memoization is an optimisation, never a correctness
     /// dependency, which is what makes it safe to shed first.
-    pub(crate) fn memo_for_statement(&self) -> Option<Arc<jaguar_opt::MemoCache>> {
+    pub(crate) fn memo_for_statement(&self) -> Option<Arc<crate::memo::MemoCache>> {
         use jaguar_common::overload::Pressure;
         let memo = self.opt.memo()?;
         if self.overload.level() >= Pressure::Saturated {
@@ -152,14 +209,6 @@ impl Engine {
         self.pool.read().clone()
     }
 
-    /// Is a callback with this name registered? Used by the network layer
-    /// to gate UDF imports at registration time.
-    pub fn has_callback(&self, name: &str) -> bool {
-        self.callbacks
-            .read()
-            .contains_key(&name.to_ascii_lowercase())
-    }
-
     /// Register (or replace) a named server-side callback.
     pub fn register_callback(
         &self,
@@ -171,53 +220,105 @@ impl Engine {
             .insert(name.to_ascii_lowercase(), Arc::new(f));
     }
 
-    /// Execute one SQL statement under a fresh lifecycle token. With
-    /// `Config::statement_timeout_ms` set, the token carries a deadline
-    /// and the statement aborts with `Timeout` when it expires.
-    pub fn execute(&self, sql: &str) -> Result<QueryResult> {
-        let token = self.new_statement_token();
-        self.execute_cancellable(sql, &token)
+    /// Register a sandboxed UDF (Design 3, or Design 4 when `isolated`)
+    /// from a decoded, not yet verified module. This is the one import
+    /// gate (§6.1): every host import must name a callback this engine
+    /// offers, or the module is rejected before any of its code runs; the
+    /// UDF is granted exactly its imports (least privilege) and the
+    /// configured fuel/memory/call-depth limits, and the module is
+    /// verified once, here.
+    pub fn register_sandboxed_udf(
+        &self,
+        name: &str,
+        signature: UdfSignature,
+        module: Module,
+        function: &str,
+        isolated: bool,
+        volatility: Volatility,
+    ) -> Result<()> {
+        let mut perms = PermissionSet::deny_all(name);
+        for imp in &module.imports {
+            if !self
+                .callbacks
+                .read()
+                .contains_key(&imp.name.to_ascii_lowercase())
+            {
+                return Err(JaguarError::SecurityViolation(format!(
+                    "udf '{name}' imports '{}' which the engine does not offer",
+                    imp.name
+                )));
+            }
+            perms = perms.grant(Permission::HostCall(imp.name.clone()));
+        }
+        let config = self.catalog.config();
+        let limits = ResourceLimits {
+            fuel: config.default_fuel,
+            memory: config.default_vm_memory,
+            max_call_depth: config.max_call_depth,
+        };
+        let spec = jaguar_udf::def::vm_spec(module, function, limits, true, Some(Arc::new(perms)))?;
+        let imp = if isolated {
+            UdfImpl::IsolatedVm(spec)
+        } else {
+            UdfImpl::Vm(spec)
+        };
+        let def = UdfDef::new(name, signature, imp).with_volatility(volatility);
+        self.catalog.udfs().register(def);
+        Ok(())
     }
 
-    /// Execute one SQL statement under `session`'s principal: security
-    /// labels on the referenced table are enforced by planner rewrites
-    /// (row-label filter injection, column pruning/denial). `None` is the
-    /// trusted in-process system principal — identical to [`Engine::execute`].
-    pub fn execute_as(&self, sql: &str, session: Option<&SessionContext>) -> Result<QueryResult> {
-        let token = self.new_statement_token();
-        self.execute_cancellable_as(sql, &token, session)
+    /// Execute one SQL statement. Cancellation of the request's token
+    /// (from another thread) or deadline expiry aborts the statement
+    /// cooperatively: the executor notices within a few tuples, sandboxed
+    /// UDFs within a few thousand instructions, and pooled workers at the
+    /// next supervisor deadline. Partial DML effects are sealed through
+    /// the WAL exactly like any other failed statement.
+    pub fn execute<'a>(&self, request: impl Into<Request<'a>>) -> Result<QueryResult> {
+        self.run(request.into(), false)
+    }
+
+    /// Render the optimized plan of a SELECT, a DELETE or an UPDATE as
+    /// text, one line per row of the EXPLAIN statement. Text that already
+    /// says `EXPLAIN ANALYZE` executes the SELECT and annotates its plan.
+    /// Under a session, the plan carries that session's label rewrites,
+    /// and label denials fail exactly as execution would.
+    pub fn explain<'a>(&self, request: impl Into<Request<'a>>) -> Result<String> {
+        plan_text(&self.run(request.into(), true)?.rows)
     }
 
     /// A lifecycle token honouring the engine's configured statement
-    /// timeout (unbounded when none is set). Hand a clone to another
-    /// thread to cancel the statement executed under it.
-    pub fn new_statement_token(&self) -> CancelToken {
+    /// timeout (unbounded when none is set). Run a statement under it
+    /// with [`Request::with_token`] and hand a clone to another thread to
+    /// cancel it.
+    pub fn statement_token(&self) -> CancelToken {
         CancelToken::from_timeout_ms(self.catalog.config().statement_timeout_ms)
     }
 
-    /// Execute one SQL statement under a caller-supplied lifecycle token.
-    /// Cancellation (another thread calling `token.cancel()`) or deadline
-    /// expiry aborts the statement cooperatively: the executor notices within
-    /// a few tuples, sandboxed UDFs within a few thousand instructions,
-    /// and pooled workers at the next supervisor deadline. Partial DML
-    /// effects are sealed through the WAL exactly like any other failed
-    /// statement.
-    pub fn execute_cancellable(&self, sql: &str, token: &CancelToken) -> Result<QueryResult> {
-        self.execute_cancellable_as(sql, token, None)
-    }
-
-    /// [`Engine::execute_cancellable`] under a session principal (see
-    /// [`Engine::execute_as`]).
-    pub fn execute_cancellable_as(
-        &self,
-        sql: &str,
-        token: &CancelToken,
-        session: Option<&SessionContext>,
-    ) -> Result<QueryResult> {
+    /// Parse and run one request, counted in `sql.*`; with `explain`, a
+    /// statement that is not already an EXPLAIN is rendered, not run.
+    fn run(&self, request: Request<'_>, explain: bool) -> Result<QueryResult> {
         let reg = obs::global();
         reg.counter("sql.queries").inc();
         let span = obs::SpanTimer::new(reg.histogram("sql.query_latency_us"));
-        let out = self.execute_inner(sql, token, session);
+        let fresh;
+        let token = match request.token {
+            Some(token) => token,
+            None => {
+                fresh = self.statement_token();
+                &fresh
+            }
+        };
+        let out = parse(request.sql).and_then(|stmt| {
+            let stmt = match stmt {
+                stmt @ Statement::Explain { .. } => stmt,
+                stmt if explain => Statement::Explain {
+                    analyze: false,
+                    stmt: Box::new(stmt),
+                },
+                stmt => stmt,
+            };
+            self.execute_inner(stmt, token, request.session)
+        });
         if let Err(e) = &out {
             reg.counter("sql.errors").inc();
             match e {
@@ -232,11 +333,11 @@ impl Engine {
 
     fn execute_inner(
         &self,
-        sql: &str,
+        stmt: Statement,
         token: &CancelToken,
         session: Option<&SessionContext>,
     ) -> Result<QueryResult> {
-        match parse(sql)? {
+        match stmt {
             Statement::CreateTable { name, columns } => {
                 let fields = columns
                     .into_iter()
@@ -593,25 +694,6 @@ impl Engine {
             }
         }
         Ok(result(lines, stats))
-    }
-
-    /// Render the optimized plan for a SELECT, a DELETE or an UPDATE (the
-    /// rows of the EXPLAIN statement, one per line).
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        self.explain_as(sql, None)
-    }
-
-    /// [`Engine::explain`] under a session principal: the rendered plan
-    /// reflects that session's label rewrites (and label denials error
-    /// exactly as execution would).
-    pub fn explain_as(&self, sql: &str, session: Option<&SessionContext>) -> Result<String> {
-        let stmt = match parse(sql)? {
-            Statement::Explain { stmt, .. } => *stmt,
-            other => other,
-        };
-        let plan = self.run_explain(false, &stmt, &CancelToken::unbounded(), session)?;
-        let lines = plan.rows.iter().map(|r| r.get(0)?.as_str());
-        Ok(lines.collect::<Result<Vec<_>>>()?.join("\n"))
     }
 
     /// The `-- plan notes:` trailer for EXPLAIN output: optimizer

@@ -1,10 +1,10 @@
 //! Push-based execution: one fragment, one tail.
 //!
 //! Every statement reads its rows through one [`RowSource`], which lends
-//! each row to [`fragment`]: the residual predicates, then a [`Sink`] —
+//! each row to `fragment`: the residual predicates, then a `Sink` —
 //! projection (one UDF crossing per batch when the plan qualifies) and
 //! HAVING, a partial aggregation, or a DML statement's victim list. A
-//! SELECT then runs [`tail`]: aggregate finish, HAVING, ORDER BY, LIMIT.
+//! SELECT then runs `tail`: aggregate finish, HAVING, ORDER BY, LIMIT.
 //! Serially that is one fragment over the whole access path; in parallel,
 //! one per morsel, gathered in scan order before the same tail (see
 //! `parallel`). UDF instances and the callback channel live in the
@@ -25,8 +25,8 @@ use jaguar_common::value::compare;
 use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_pool::WorkerPool;
+use jaguar_udf::{BatchResult, ValueBatch};
 use jaguar_udf::{CircuitBreaker, ScalarUdf};
-use jaguar_vec::{BatchResult, ValueBatch};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -133,12 +133,12 @@ pub struct ExecCtx<'a> {
     /// Parallel to `udfs`: catalog names, used to key the memo cache.
     udf_names: Vec<String>,
     /// Engine-scoped memo cache, when enabled ([`ExecCtx::set_memo`]).
-    memo: Option<Arc<jaguar_opt::MemoCache>>,
+    memo: Option<Arc<crate::memo::MemoCache>>,
     /// Per-predicate selectivity tallies `(fingerprint, evaluated,
     /// passed)`, indexed like the plan's predicate list (`None` = not
     /// tallied); flushed into `sel_sink` by [`ExecCtx::finish`].
     sel: Vec<(Option<String>, u64, u64)>,
-    sel_sink: Option<Arc<jaguar_opt::OptState>>,
+    sel_sink: Option<Arc<crate::cost::OptState>>,
     /// Per-stage numbers for `EXPLAIN ANALYZE`; off unless started.
     pub(crate) profile: Profile,
 }
@@ -219,7 +219,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Attach the engine's memo cache (`None` leaves memoization off).
-    pub fn set_memo(&mut self, memo: Option<Arc<jaguar_opt::MemoCache>>) {
+    pub fn set_memo(&mut self, memo: Option<Arc<crate::memo::MemoCache>>) {
         self.memo = memo;
     }
 
@@ -228,7 +228,7 @@ impl<'a> ExecCtx<'a> {
     pub fn set_selectivity_probe(
         &mut self,
         fingerprints: Vec<Option<String>>,
-        sink: Arc<jaguar_opt::OptState>,
+        sink: Arc<crate::cost::OptState>,
     ) {
         self.sel = fingerprints.into_iter().map(|f| (f, 0, 0)).collect();
         self.sel_sink = Some(sink);
@@ -246,11 +246,11 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Set the UDF batch budget for this query. The request is normalised
-    /// through [`jaguar_vec::effective_batch_size`]: `0`/`1` keep the
+    /// through [`jaguar_udf::batch::effective_batch_size`]: `0`/`1` keep the
     /// per-tuple ABI, anything else is clamped to the supported 64–1024
     /// row window.
     pub fn set_udf_batch_size(&mut self, requested: usize) {
-        self.batch_size = jaguar_vec::effective_batch_size(requested);
+        self.batch_size = jaguar_udf::batch::effective_batch_size(requested);
     }
 
     /// Effective rows per UDF crossing (`1` = per-tuple invocation).
@@ -423,7 +423,7 @@ pub fn eval(e: &BExpr, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Value> {
             let memo_key = if ctx.udf_memo[*udf] {
                 match &ctx.memo {
                     Some(cache) => {
-                        let key = jaguar_opt::MemoCache::key(&ctx.udf_names[*udf], &vals);
+                        let key = crate::memo::MemoCache::key(&ctx.udf_names[*udf], &vals);
                         if let Some(v) = cache.get(&key) {
                             return Ok(v);
                         }
@@ -525,7 +525,7 @@ pub(crate) fn invoke_udf_batch(
 fn invoke_udf_batch_memoized(
     udf: usize,
     batch: &ValueBatch,
-    cache: &Arc<jaguar_opt::MemoCache>,
+    cache: &Arc<crate::memo::MemoCache>,
     ctx: &mut ExecCtx<'_>,
 ) -> BatchResult {
     let n = batch.len();
@@ -535,12 +535,12 @@ fn invoke_udf_batch_memoized(
     let mut miss_rows: Vec<usize> = Vec::new();
     for i in 0..n {
         let args = batch.row(i);
-        let key = jaguar_opt::MemoCache::key(&ctx.udf_names[udf], &args);
+        let key = crate::memo::MemoCache::key(&ctx.udf_names[udf], &args);
         match cache.get(&key) {
             Some(v) => out.push(Some(v)),
             None => {
                 miss.push_row_owned(args)
-                    .map_err(|error| jaguar_vec::BatchError { row: i, error })?;
+                    .map_err(|error| jaguar_udf::BatchError { row: i, error })?;
                 miss_rows.push(i);
                 out.push(None);
             }
@@ -807,7 +807,7 @@ fn rejected_at_scan() -> &'static obs::Counter {
 }
 
 /// The rows an [`AccessPath`] reaches, with their record ids: the one leaf
-/// under every [`fragment`] — a serial SELECT's heap or index scan, a
+/// under every `fragment` — a serial SELECT's heap or index scan, a
 /// morsel of a parallel one, and the victim collection of DELETE and
 /// UPDATE. It lends out the rows that pass the statement's `pushed`
 /// conjuncts and counts every row it visited in `stats.rows_scanned` (a

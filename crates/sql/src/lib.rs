@@ -12,8 +12,7 @@
 //!   been developed to 'place' UDFs within query plans"),
 //! * [`optimize`] — post-bind passes over the bound plan: in-engine
 //!   slots for straight-line immutable UDFs, cost/selectivity predicate
-//!   reordering, and memo-cache marking (the `jaguar-opt` integration
-//!   point),
+//!   reordering ([`cost`]), and memo-cache marking ([`memo`]),
 //! * [`exec`] — one push-based pipeline: a row source lends rows to a
 //!   fragment (residual filter → project / partial aggregate / DML
 //!   victims) and a tail (aggregate finish, HAVING, ORDER BY, LIMIT) ends
@@ -21,7 +20,8 @@
 //! * [`parallel`] — SELECT execution, serially as a team of one or
 //!   morsel-driven: an eligible scan is carved into page-range morsels
 //!   drained by a team of worker threads whose results a `Gather` step
-//!   reassembles in serial order before the one tail,
+//!   reassembles in serial order before the one tail, on the morsel
+//!   dispenser and worker teams of [`par`],
 //! * [`engine`] — the embeddable database engine and its sessions.
 //!
 //! The paper's benchmark query runs verbatim:
@@ -31,13 +31,16 @@
 //! ```
 
 pub mod ast;
+pub mod cost;
 pub mod engine;
 pub mod exec;
 pub mod lexer;
+pub mod memo;
 pub mod optimize;
+pub mod par;
 pub mod parallel;
 pub mod parser;
 pub mod plan;
 
-pub use engine::{Engine, QueryResult};
+pub use engine::{plan_text, Engine, QueryResult, Request};
 pub use exec::ExecStats;

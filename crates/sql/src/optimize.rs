@@ -1,4 +1,10 @@
-//! Post-bind optimization passes (the `jaguar-opt` integration point).
+//! Post-bind optimization passes: planner-side UDF optimizations.
+//!
+//! Batching and the compiled VM tier attack the *per-crossing* and
+//! per-instruction cost of extension code. These passes attack the calls
+//! themselves. The volatility contract gates everything: only `Immutable`
+//! UDFs are memoized or run in-engine, and `Volatile` UDFs are pinned to
+//! their written position.
 //!
 //! Three passes run between `bind_select` and execution, in this order:
 //!
@@ -17,7 +23,7 @@
 //!    structure is established at bind time and respected here).
 //! 3. **Memoization marking** — `Immutable` UDFs that do not run in-engine
 //!    are flagged for the arg-hash result cache consulted by the
-//!    executor ([`jaguar_opt::MemoCache`], byte-budgeted by
+//!    executor ([`crate::memo::MemoCache`], byte-budgeted by
 //!    `Config::udf_memo_bytes`).
 //!
 //! Every pass is equivalence-preserving: rows, error text, and error
@@ -35,7 +41,7 @@ use crate::plan::{describe, expr_has_pinned_udf, expr_udfs, BoundSelect, Planned
 /// Run all optimization passes over a bound SELECT (or the SELECT-shaped
 /// core of a DML statement). Mutates the plan in place; decision notes
 /// accumulate in `plan.notes` for EXPLAIN's `-- plan notes:` trailer.
-pub(crate) fn optimize_select(plan: &mut BoundSelect, opt: &Arc<jaguar_opt::OptState>) {
+pub(crate) fn optimize_select(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
     plan.reordered = vec![false; plan.predicates.len()];
     let notes = inline_pass(&mut plan.udfs);
     plan.notes.extend(notes);
@@ -75,11 +81,11 @@ pub(crate) fn inline_pass(udfs: &mut [PlannedUdf]) -> Vec<String> {
 /// UDF crosses nothing, so it is costed as a trusted-native call.
 fn udf_cost_us(slot: &PlannedUdf) -> f64 {
     if slot.in_engine {
-        return jaguar_opt::cost::static_cost_us("cpp");
+        return crate::cost::static_cost_us("cpp");
     }
     let slug = backend_slug(slot.def.imp.design_label());
-    jaguar_opt::observed_cost_us(&slot.def.name, slug)
-        .unwrap_or_else(|| jaguar_opt::cost::static_cost_us(slug))
+    crate::cost::observed_cost_us(&slot.def.name, slug)
+        .unwrap_or_else(|| crate::cost::static_cost_us(slug))
 }
 
 /// Re-rank conjuncts within their volatile-fenced segments by
@@ -88,7 +94,7 @@ fn udf_cost_us(slot: &PlannedUdf) -> f64 {
 /// UDF-bearing ones (class 1) in a segment; ties (and class 0, whose
 /// bind-time cheap-first order is already right) break on bind position,
 /// so the pass is a no-op until ranks actually diverge.
-fn reorder_pass(plan: &mut BoundSelect, opt: &Arc<jaguar_opt::OptState>) {
+fn reorder_pass(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
     if plan.predicates.len() < 2 {
         return;
     }
@@ -105,7 +111,7 @@ fn reorder_pass(plan: &mut BoundSelect, opt: &Arc<jaguar_opt::OptState>) {
         } else {
             let cost: f64 = uds.iter().map(|&u| udf_cost_us(&plan.udfs[u])).sum();
             let sel = opt.selectivity(&describe(&p, plan));
-            (1u8, jaguar_opt::rank(cost, sel))
+            (1u8, crate::cost::rank(cost, sel))
         };
         if pinned {
             // A pinned predicate is its own segment: nothing crosses it
@@ -142,7 +148,7 @@ fn reorder_pass(plan: &mut BoundSelect, opt: &Arc<jaguar_opt::OptState>) {
 }
 
 /// Record which UDFs the executor will consult the memo cache for.
-fn memo_notes(plan: &mut BoundSelect, opt: &Arc<jaguar_opt::OptState>) {
+fn memo_notes(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
     let enabled = opt.memo().is_some();
     let mut notes = Vec::new();
     for u in &plan.udfs {

@@ -1,10 +1,10 @@
-//! # jaguar-par — the morsel-driven parallel execution runtime
+//! The morsel-driven parallel execution runtime.
 //!
 //! The paper's evaluation applies a generic UDF 10,000× per query, and
 //! PR 1's warm worker pool gives the isolated designs several executors —
 //! yet a serial Volcano pipeline funnels every invocation through one
-//! thread and (for the isolated designs) one pooled worker. This crate is
-//! the substrate the SQL layer's `Gather` path is built on:
+//! thread and (for the isolated designs) one pooled worker. This module is
+//! the substrate [`crate::parallel`]'s `Gather` path is built on:
 //!
 //! * [`MorselDispenser`] — a lock-free dispenser handing out page-range
 //!   *morsels* of a heap scan. Morsel indexes are deterministic, so a
@@ -17,9 +17,8 @@
 //!   (queries, morsels, workers, steals, clamps, per-worker busy time)
 //!   every parallel query reports into the global registry.
 //!
-//! The crate deliberately knows nothing about tables, plans, or UDFs —
-//! it depends only on `jaguar-common` so every higher layer (SQL, bench,
-//! tests) can share one notion of "a team of workers draining morsels".
+//! The module deliberately knows nothing about tables, plans, or UDFs:
+//! it is one notion of "a team of workers draining morsels".
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;

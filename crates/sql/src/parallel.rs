@@ -1,10 +1,10 @@
 //! SELECT execution: one fragment per stretch of rows, then one tail.
 //!
-//! Every SELECT runs [`fragment`] over its rows and [`tail`] over what the
+//! Every SELECT runs `fragment` over its rows and `tail` over what the
 //! fragments produced. Serially that is a team of one: one fragment over
 //! the statement's whole access path, on the calling thread. An eligible
 //! query's heap scan is instead carved into page-range *morsels* (see
-//! [`jaguar_par::MorselDispenser`]) drained by a team of `Config::dop`
+//! [`crate::par::MorselDispenser`]) drained by a team of `Config::dop`
 //! worker threads. Each worker owns a full execution context — its own UDF
 //! instances, meaning its own VM for sandboxed designs and its own pool
 //! checkout (or spawned process) for isolated ones — and runs the fragment
@@ -30,12 +30,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
+use crate::par::{morsel_pages_for, run_team, MorselDispenser};
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::overload::Pressure;
 use jaguar_common::Tuple;
-use jaguar_par::{morsel_pages_for, run_team, MorselDispenser};
 
 use crate::engine::{Engine, EngineCallbacks};
 use crate::exec::{fragment, tail, ExecCtx, ExecStats, Profile, RowSource, Sink};
@@ -117,7 +117,7 @@ pub(crate) fn plan_parallel(
                     "clamping dop {dop} to worker-pool size {cap} for query over '{}'",
                     plan.table.name()
                 );
-                jaguar_par::metrics().dop_clamped.inc();
+                crate::par::metrics().dop_clamped.inc();
                 dop = cap;
                 clamped = true;
             }
@@ -214,7 +214,7 @@ pub(crate) fn select(
         done.stats.merge(&ctx.finish()?);
         return Ok(done);
     };
-    let metrics = jaguar_par::metrics();
+    let metrics = crate::par::metrics();
     metrics.queries.inc();
     let dispenser = MorselDispenser::new(1, plan.table.heap_pages(), dec.morsel_pages);
     let fair_share = u64::from(dispenser.morsel_count()) / dec.dop as u64;

@@ -10,7 +10,7 @@
 //! copied its key and rebalanced a B-tree.
 
 use jaguar_common::Value;
-use jaguar_opt::MemoCache;
+use jaguar_sql::memo::MemoCache;
 
 #[path = "../../../tests/counting_alloc.rs"]
 mod counting_alloc;

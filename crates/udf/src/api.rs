@@ -3,7 +3,8 @@
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::{DataType, Value};
 use jaguar_ipc::proto::CallbackHandler;
-use jaguar_vec::{BatchError, BatchResult, ValueBatch};
+
+use crate::batch::{BatchError, BatchResult, ValueBatch};
 
 /// The SQL-level signature of a scalar UDF.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,7 +71,7 @@ pub trait ScalarUdf: Send {
     /// Apply the UDF to every row of a batch, paying the trust-boundary
     /// crossing once instead of once per tuple.
     ///
-    /// The contract (see `jaguar-vec`): row `i` of the reply must equal a
+    /// The contract (see [`crate::batch`]): row `i` of the reply must equal a
     /// per-tuple `invoke` on row `i`; on failure at row `k`, rows `0..k`
     /// have fully taken effect and the reported error is byte-identical to
     /// the per-tuple one. The default implementation is the per-tuple loop

@@ -1,11 +1,9 @@
-//! # jaguar-vec
-//!
 //! Vectorized UDF invocation: the columnar [`ValueBatch`] carrier and the
 //! batch-size policy shared by every trust design.
 //!
 //! The paper's measurements (and our own BENCH_parallel.json) show that for
 //! sandboxed and isolated designs the *crossing* — VM entry, argument
-//! marshalling, IPC round-trip — dominates per-tuple cost. This crate
+//! marshalling, IPC round-trip — dominates per-tuple cost. This module
 //! defines the ABI that amortizes it: instead of one crossing per tuple,
 //! the executor accumulates filter-surviving tuples into a `ValueBatch`
 //! and pays one crossing per batch. Each backend then loops rows on the

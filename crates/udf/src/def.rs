@@ -10,11 +10,11 @@ use jaguar_common::Value;
 use jaguar_ipc::executor::WorkerProcess;
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_pool::{PooledWorker, WorkerPool};
-use jaguar_vec::{BatchError, BatchResult, ValueBatch};
 use jaguar_vm::interp::ExecMode;
 use jaguar_vm::{PermissionSet, ResourceLimits, VerifiedModule};
 
 use crate::api::{ScalarUdf, UdfSignature};
+use crate::batch::{BatchError, BatchResult, ValueBatch};
 use crate::breaker::CircuitBreaker;
 use crate::native::NativeUdf;
 use crate::vmexec::VmUdf;

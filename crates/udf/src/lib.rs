@@ -23,6 +23,7 @@
 //! `jaguar-worker` binary.
 
 pub mod api;
+pub mod batch;
 pub mod breaker;
 pub mod def;
 pub mod generic;
@@ -31,10 +32,10 @@ pub mod sfi;
 pub mod vmexec;
 
 pub use api::{ScalarUdf, UdfResourceUsage, UdfSignature};
+pub use batch::{BatchError, BatchResult, ValueBatch};
 pub use breaker::CircuitBreaker;
 pub use def::{UdfDef, UdfImpl, VmUdfSpec, Volatility};
 pub use generic::{worker_registry, GenericParams};
 pub use jaguar_ipc::proto::CallbackHandler;
-pub use jaguar_vec::{BatchError, BatchResult, ValueBatch};
 pub use native::NativeUdf;
 pub use vmexec::VmUdf;

@@ -18,11 +18,11 @@ use std::sync::Arc;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::{ByteArray, DataType, Value};
 use jaguar_ipc::proto::CallbackHandler;
-use jaguar_vec::{BatchError, BatchResult, ValueBatch};
 use jaguar_vm::interp::{ExecMode, HostEnv, Interpreter, VmValue};
 use jaguar_vm::{Arena, PermissionSet, ResourceLimits, TierTally, VType, VerifiedModule};
 
 use crate::api::{ScalarUdf, UdfResourceUsage, UdfSignature};
+use crate::batch::{BatchError, BatchResult, ValueBatch};
 
 /// Convert a SQL value into a VM value, allocating byte arrays in `arena`.
 pub fn value_to_vm(v: &Value, arena: &mut Arena) -> Result<VmValue> {

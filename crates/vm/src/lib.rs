@@ -25,9 +25,14 @@
 //!   closing the denial-of-service hole the paper highlights,
 //! * [`interp`] / [`tier`] — two engines: the reference **interpreter**
 //!   and the **compiled** register tier that `ExecMode::Jit` runs from
-//!   the first call (the paper's JVM "included a JIT compiler"),
-//! * [`loader`] — per-UDF namespaces: a module sees only its own functions
-//!   plus explicitly granted host imports.
+//!   the first call (the paper's JVM "included a JIT compiler").
+//!
+//! The class loader's two isolation properties live in two places: a
+//! module's `call` can only name a function of the same module (the
+//! verifier rejects any other call target), so no UDF reaches another's
+//! code; and its host imports are gated when it is registered, by the SQL
+//! engine's `Engine::register_sandboxed_udf`, which grants exactly the
+//! imports the engine offers.
 //!
 //! ```
 //! use jaguar_vm::{asm, ExecMode, Interpreter, ArgValue, NoHost, ResourceLimits};
@@ -48,7 +53,6 @@ pub mod arena;
 pub mod asm;
 pub mod interp;
 pub mod isa;
-pub mod loader;
 pub mod module;
 pub mod resources;
 pub mod security;
@@ -58,7 +62,6 @@ pub mod verifier;
 pub use arena::Arena;
 pub use interp::{ArgValue, ExecMode, HostEnv, Interpreter, NoHost, VmValue};
 pub use isa::{Insn, VType};
-pub use loader::Loader;
 pub use module::{FuncSig, Function, HostImport, Module, VerifiedModule};
 pub use resources::{ResourceLimits, ResourceUsage};
 pub use security::{Permission, PermissionSet};

@@ -38,8 +38,8 @@ impl FuncSig {
 }
 
 /// A host function the module wants to import ("native method").
-/// The loader grants or refuses each import by name; the security manager
-/// additionally gates every call at runtime.
+/// Registration grants or refuses each import by name; the security
+/// manager additionally gates every call at runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HostImport {
     pub name: String,

@@ -38,7 +38,7 @@ fn main() -> jaguar_core::Result<()> {
                WHERE trace_sum(trace) > 300 ORDER BY id LIMIT 5";
 
     println!("=== EXPLAIN ANALYZE {sql}\n");
-    println!("{}", db.explain_analyze(sql)?);
+    println!("{}\n", db.explain(&format!("EXPLAIN ANALYZE {sql}"))?);
 
     println!("=== Database::metrics() snapshot\n");
     let m = db.metrics();

@@ -3,7 +3,7 @@
 //! correctness backbone of the whole performance study — Figures 5-8 only
 //! make sense if the designs compute the same function.
 
-use jaguar_core::{ByteArray, Config, Database, JaguarError, Tuple, Value};
+use jaguar_core::{ByteArray, Config, Database, JaguarError, Request, Tuple, Value};
 use jaguar_ipc::find_worker_binary;
 use jaguar_udf::generic::{
     def_isolated, def_isolated_vm, def_native, def_native_bc, def_native_sfi, def_vm,
@@ -700,9 +700,11 @@ fn label_filtered_queries_agree_across_designs_dop_and_batching() {
                     continue;
                 }
                 let labeled = db
-                    .execute_as(
-                        &format!("SELECT id, {udf}(bytearray, 3, 1, 0) FROM rel WHERE id % 3 <> 1"),
-                        Some(&tech),
+                    .execute(
+                        Request::from(&format!(
+                            "SELECT id, {udf}(bytearray, 3, 1, 0) FROM rel WHERE id % 3 <> 1"
+                        ))
+                        .with_session(&tech),
                     )
                     .unwrap();
                 let twin = db
@@ -748,9 +750,9 @@ fn denied_query_error_text_is_identical_everywhere() {
                     continue;
                 }
                 let err = db
-                    .execute_as(
-                        &format!("SELECT {udf}(bytearray, 1, 0, 0) FROM rel"),
-                        Some(&eve),
+                    .execute(
+                        Request::from(&format!("SELECT {udf}(bytearray, 1, 0, 0) FROM rel"))
+                            .with_session(&eve),
                     )
                     .unwrap_err();
                 texts.insert(err.to_string());

@@ -1,10 +1,10 @@
-//! Vectorized invocation (jaguar-vec): batch-size gating, hostile
+//! Vectorized invocation (`jaguar_udf::batch`): batch-size gating, hostile
 //! batch-frame rejection at the IPC boundary, and circuit-breaker
 //! behaviour when a whole batch fails.
 
 use std::time::Duration;
 
-use jaguar_core::{obs, ByteArray, Config, DataType, Database, JaguarError, Tuple, Value};
+use jaguar_core::{obs, ByteArray, Config, DataType, Database, JaguarError, Request, Tuple, Value};
 use jaguar_ipc::find_worker_binary;
 use jaguar_udf::generic::def_vm;
 use jaguar_udf::{NativeUdf, UdfDef, UdfImpl, UdfSignature, Volatility};
@@ -291,9 +291,9 @@ fn token_cancel_interrupts_a_batch() {
         })
     };
     let err = db
-        .execute_cancellable(
-            "SELECT generic_vm(bytearray, 2000000, 0, 0) FROM rel",
-            &token,
+        .execute(
+            Request::from("SELECT generic_vm(bytearray, 2000000, 0, 0) FROM rel")
+                .with_token(&token),
         )
         .unwrap_err();
     canceller.join().unwrap();

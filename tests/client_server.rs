@@ -1,7 +1,10 @@
 //! Two-tier integration: TCP server, client library, UDF migration in both
 //! directions (paper §2.1 and §6.4).
 
-use jaguar_core::{ByteArray, Client, DataType, Database, UdfSignature, Value};
+use jaguar_core::{
+    ByteArray, Client, DataType, Database, JaguarError, Request, SessionContext, UdfDesign,
+    UdfSignature, Value, Volatility,
+};
 
 fn server_db() -> Database {
     let db = Database::in_memory();
@@ -155,4 +158,93 @@ fn explain_over_the_wire() {
     let mut client = Client::connect(server.addr()).unwrap();
     let plan = client.explain("SELECT id FROM items WHERE id < 2").unwrap();
     assert!(plan.contains("SeqScan items [id]"), "{plan}");
+}
+
+/// The embedded and the wire front door share one import gate: a module
+/// importing a host function the engine does not offer is refused by both,
+/// under either sandboxed design, with the same error, and nothing is
+/// registered.
+#[test]
+fn both_front_doors_refuse_an_unoffered_import_alike() {
+    let db = server_db();
+    let server = db.serve("127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let sig = UdfSignature::new(vec![], DataType::Int);
+    let module = jaguar_lang::compile(
+        "sneaky",
+        "import read_secret(i64) -> i64; fn main() -> i64 { return read_secret(0); }",
+    )
+    .unwrap();
+    for (design, isolated) in [
+        (UdfDesign::Sandboxed, false),
+        (UdfDesign::SandboxedIsolated, true),
+    ] {
+        let embedded = db
+            .register_module_udf_with_volatility(
+                "sneaky",
+                sig.clone(),
+                module.clone(),
+                design,
+                Volatility::Volatile,
+            )
+            .unwrap_err();
+        assert!(
+            matches!(embedded, JaguarError::SecurityViolation(_)),
+            "{embedded}"
+        );
+        let wire = client
+            .register_udf("sneaky", &sig, &module.to_bytes(), "main", isolated)
+            .unwrap_err();
+        assert_eq!(
+            wire.to_string(),
+            JaguarError::Protocol(format!("server: {embedded}")).to_string()
+        );
+    }
+    assert!(db.execute("SELECT sneaky() FROM items").is_err());
+}
+
+/// `Client::explain` is an EXPLAIN statement like any other: under the
+/// connection's principal it renders the same text as `Database::explain`
+/// with that session, a principal the label denies fails with the same
+/// error, and the statement is counted in `sql.queries`.
+#[test]
+fn wire_explain_is_embedded_explain_under_the_session() {
+    let db = server_db();
+    db.execute("CREATE TABLE accts (id INT, tenant VARCHAR)")
+        .unwrap();
+    db.execute("INSERT INTO accts VALUES (1, 'tech'), (2, 'energy'), (3, 'tech')")
+        .unwrap();
+    db.set_table_label("accts", Some("tenant = session.tenant"))
+        .unwrap();
+    let server = db.serve("127.0.0.1:0").unwrap();
+    let sql = "SELECT id FROM accts WHERE id < 3";
+
+    let alice = SessionContext::new("alice").with_attr("tenant", "tech");
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.hello("alice", &[("tenant", "tech")]).unwrap();
+    let before = client.metrics().unwrap().counter("sql.queries");
+    let wire = client.explain(sql).unwrap();
+    let after = client.metrics().unwrap().counter("sql.queries");
+    assert!(after > before, "a wire EXPLAIN is a counted statement");
+    let embedded = db.explain(Request::from(sql).with_session(&alice)).unwrap();
+    assert_eq!(wire, embedded);
+    assert!(wire.contains("[labeled]"), "{wire}");
+    // Text that already says EXPLAIN is sent as it is.
+    assert_eq!(client.explain(&format!("EXPLAIN {sql}")).unwrap(), embedded);
+
+    let eve = SessionContext::new("eve");
+    let mut denied = Client::connect(server.addr()).unwrap();
+    denied.hello("eve", &[]).unwrap();
+    let wire = denied.explain(sql).unwrap_err();
+    let embedded = db
+        .explain(Request::from(sql).with_session(&eve))
+        .unwrap_err();
+    assert!(
+        embedded.to_string().contains("denied for principal 'eve'"),
+        "{embedded}"
+    );
+    assert_eq!(
+        wire.to_string(),
+        JaguarError::Protocol(format!("server: {embedded}")).to_string()
+    );
 }

@@ -9,8 +9,8 @@
 //! enough to spill to overflow pages. DML is checked against a model.
 
 use jaguar_core::{
-    ByteArray, Config, DataType, Database, SessionContext, Tuple, UdfDesign, UdfSignature, Value,
-    Volatility,
+    ByteArray, Config, DataType, Database, Request, SessionContext, Tuple, UdfDesign, UdfSignature,
+    Value, Volatility,
 };
 
 const ROWS: i64 = 400;
@@ -239,16 +239,24 @@ fn every_shape_answers_the_same_pruned_or_not() {
         let mut expect: Option<Vec<u8>> = None;
         for (dop, batch, db) in &dbs {
             let at = format!("{} (dop {dop}, batch {batch})", shape.what);
-            let plan = db.explain_as(&pruned_sql, session).unwrap();
+            let plan = db
+                .explain(Request::from(&pruned_sql).with_session(session))
+                .unwrap();
             assert!(plan.contains(shape.scan), "{at}:\n{plan}");
-            let plan = db.explain_as(&full_sql, full_session).unwrap();
+            let plan = db
+                .explain(Request::from(&full_sql).with_session(full_session))
+                .unwrap();
             assert!(
                 plan.contains(" t [*]"),
                 "{at}: twin must decode all\n{plan}"
             );
 
-            let full = db.execute_as(&full_sql, full_session).unwrap();
-            let pruned = db.execute_as(&pruned_sql, session).unwrap();
+            let full = db
+                .execute(Request::from(&full_sql).with_session(full_session))
+                .unwrap();
+            let pruned = db
+                .execute(Request::from(&pruned_sql).with_session(session))
+                .unwrap();
             assert!(!full.rows.is_empty(), "{at}: vacuous");
             let expect = expect.get_or_insert_with(|| bytes_of(&full.rows));
             assert!(bytes_of(&full.rows) == *expect, "{at}: full scan differs");

@@ -1,6 +1,6 @@
 //! The counting `#[global_allocator]` shared by the allocation-count test
-//! binaries (`scan_allocs.rs`, `vm_allocs.rs`, `crates/opt/tests/memo_allocs.rs`,
-//! `crates/obs/tests/registry_allocs.rs`; each includes this file with
+//! binaries (`scan_allocs.rs`, `vm_allocs.rs`, `crates/sql/tests/memo_allocs.rs`,
+//! `crates/common/tests/registry_allocs.rs`; each includes this file with
 //! `#[path]`). Counts calls and live bytes per
 //! thread, so the test harness's own threads do not disturb a measurement.
 

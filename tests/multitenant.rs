@@ -6,7 +6,8 @@
 use std::sync::{Arc, Mutex};
 
 use jaguar_core::{
-    Config, DataType, Database, JaguarError, SessionContext, UdfSignature, Value, Volatility,
+    Config, DataType, Database, JaguarError, Request, SessionContext, UdfSignature, Value,
+    Volatility,
 };
 
 /// Two tenants plus a free-for-all `notes` column only admins may read.
@@ -65,21 +66,23 @@ fn ids(r: &jaguar_core::QueryResult) -> Vec<i64> {
 fn select_sees_only_the_sessions_tenant() {
     let db = tenant_db(Config::default());
     let a = db
-        .execute_as("SELECT id FROM accts", Some(&alice()))
+        .execute(Request::from("SELECT id FROM accts").with_session(&alice()))
         .unwrap();
     assert_eq!(ids(&a), (0..40).filter(|i| i % 2 == 0).collect::<Vec<_>>());
-    let b = db.execute_as("SELECT id FROM accts", Some(&bob())).unwrap();
+    let b = db
+        .execute(Request::from("SELECT id FROM accts").with_session(&bob()))
+        .unwrap();
     assert_eq!(ids(&b), (0..40).filter(|i| i % 2 == 1).collect::<Vec<_>>());
     // Admins and the in-process system principal see everything.
     let r = db
-        .execute_as("SELECT id FROM accts", Some(&root()))
+        .execute(Request::from("SELECT id FROM accts").with_session(&root()))
         .unwrap();
     assert_eq!(ids(&r).len(), 40);
     let s = db.execute("SELECT id FROM accts").unwrap();
     assert_eq!(ids(&s).len(), 40);
     // The label composes with user predicates, not replaces them.
     let a = db
-        .execute_as("SELECT id FROM accts WHERE id < 10", Some(&alice()))
+        .execute(Request::from("SELECT id FROM accts WHERE id < 10").with_session(&alice()))
         .unwrap();
     assert_eq!(ids(&a), vec![0, 2, 4, 6, 8]);
 }
@@ -88,7 +91,7 @@ fn select_sees_only_the_sessions_tenant() {
 fn dml_touches_only_visible_rows() {
     let db = tenant_db(Config::default());
     let upd = db
-        .execute_as("UPDATE accts SET balance = 0 WHERE id < 10", Some(&alice()))
+        .execute(Request::from("UPDATE accts SET balance = 0 WHERE id < 10").with_session(&alice()))
         .unwrap();
     assert_eq!(upd.affected, 5, "alice owns 5 of the first 10 rows");
     // Bob's rows kept their balances.
@@ -96,7 +99,9 @@ fn dml_touches_only_visible_rows() {
         .execute("SELECT COUNT(*) FROM accts WHERE balance = 0")
         .unwrap();
     assert_eq!(untouched.rows[0].get(0).unwrap(), &Value::Int(5));
-    let del = db.execute_as("DELETE FROM accts", Some(&bob())).unwrap();
+    let del = db
+        .execute(Request::from("DELETE FROM accts").with_session(&bob()))
+        .unwrap();
     assert_eq!(del.affected, 20, "bob can delete only his tenant's rows");
     let left = db.execute("SELECT COUNT(*) FROM accts").unwrap();
     assert_eq!(left.rows[0].get(0).unwrap(), &Value::Int(20));
@@ -125,7 +130,7 @@ fn dml_through_an_index_touches_only_visible_rows() {
     let untouched = everything(&indexed);
     // Row 7 is energy's — bob's. Alice (tech) names it by key.
     let plan = indexed
-        .explain_as("UPDATE accts SET balance = -1 WHERE id = 7", Some(&alice()))
+        .explain(Request::from("UPDATE accts SET balance = -1 WHERE id = 7").with_session(&alice()))
         .unwrap();
     assert!(
         plan.starts_with("Update accts [in place] ← IndexScan accts [*] via accts_id [7, 8)"),
@@ -145,7 +150,7 @@ fn dml_through_an_index_touches_only_visible_rows() {
         ("DELETE FROM accts WHERE id = 6 AND notes = 'n6'", None),
     ] {
         let run = |db: &Database| {
-            let r = db.execute_as(sql, Some(&alice()));
+            let r = db.execute(Request::from(sql).with_session(&alice()));
             r.map(|r| r.affected).map_err(|e| e.to_string())
         };
         let (a, b) = (run(&indexed), run(&scanned));
@@ -162,7 +167,11 @@ fn dml_through_an_index_touches_only_visible_rows() {
         ("UPDATE accts SET id = id + 100 WHERE id >= 30", 5),
         ("DELETE FROM accts WHERE id <= 3", 2),
     ] {
-        let run = |db: &Database| db.execute_as(sql, Some(&alice())).unwrap().affected;
+        let run = |db: &Database| {
+            db.execute(Request::from(sql).with_session(&alice()))
+                .unwrap()
+                .affected
+        };
         assert_eq!(
             (run(&indexed), run(&scanned)),
             (affected, affected),
@@ -171,7 +180,7 @@ fn dml_through_an_index_touches_only_visible_rows() {
         assert_eq!(everything(&indexed), everything(&scanned), "{sql}");
     }
     let moved = indexed
-        .execute_as("SELECT id FROM accts WHERE id >= 130", Some(&root()))
+        .execute(Request::from("SELECT id FROM accts WHERE id >= 130").with_session(&root()))
         .unwrap();
     assert_eq!(ids(&moved), vec![130, 132, 134, 136, 138]);
 }
@@ -180,16 +189,15 @@ fn dml_through_an_index_touches_only_visible_rows() {
 fn insert_must_satisfy_the_row_label() {
     let db = tenant_db(Config::default());
     // Alice can add rows to her own tenant…
-    db.execute_as(
-        "INSERT INTO accts VALUES (100, 'tech', 1, 'x')",
-        Some(&alice()),
+    db.execute(
+        Request::from("INSERT INTO accts VALUES (100, 'tech', 1, 'x')").with_session(&alice()),
     )
     .unwrap();
     // …but cannot plant rows into another tenant.
     let err = db
-        .execute_as(
-            "INSERT INTO accts VALUES (101, 'energy', 1, 'x')",
-            Some(&alice()),
+        .execute(
+            Request::from("INSERT INTO accts VALUES (101, 'energy', 1, 'x')")
+                .with_session(&alice()),
         )
         .unwrap_err();
     assert!(matches!(err, JaguarError::SecurityViolation(_)), "{err}");
@@ -203,9 +211,8 @@ fn insert_must_satisfy_the_row_label() {
         .unwrap();
     assert_eq!(planted.rows[0].get(0).unwrap(), &Value::Int(0));
     // The admin may write anywhere.
-    db.execute_as(
-        "INSERT INTO accts VALUES (102, 'energy', 1, 'x')",
-        Some(&root()),
+    db.execute(
+        Request::from("INSERT INTO accts VALUES (102, 'energy', 1, 'x')").with_session(&root()),
     )
     .unwrap();
 }
@@ -214,7 +221,7 @@ fn insert_must_satisfy_the_row_label() {
 fn explain_and_explain_analyze_run_under_the_label() {
     let db = tenant_db(Config::default());
     let plan = db
-        .explain_as("SELECT id FROM accts WHERE id < 10", Some(&alice()))
+        .explain(Request::from("SELECT id FROM accts WHERE id < 10").with_session(&alice()))
         .unwrap();
     assert!(plan.contains("[labeled]"), "{plan}");
     assert!(
@@ -227,17 +234,17 @@ fn explain_and_explain_analyze_run_under_the_label() {
     assert!(lab < user, "label filter must come first:\n{plan}");
     // EXPLAIN ANALYZE actually executes — under the same label.
     let analyzed = db
-        .explain_analyze_as("SELECT id FROM accts", Some(&alice()))
+        .explain(Request::from("EXPLAIN ANALYZE SELECT id FROM accts").with_session(&alice()))
         .unwrap();
     assert!(analyzed.contains("[labeled]"), "{analyzed}");
     // A session the label denies fails EXPLAIN with the same error text
     // as execution (plan-time enforcement has a single site).
     let eve = SessionContext::new("eve");
     let e1 = db
-        .explain_as("SELECT id FROM accts", Some(&eve))
+        .explain(Request::from("SELECT id FROM accts").with_session(&eve))
         .unwrap_err();
     let e2 = db
-        .execute_as("SELECT id FROM accts", Some(&eve))
+        .execute(Request::from("SELECT id FROM accts").with_session(&eve))
         .unwrap_err();
     assert_eq!(e1.to_string(), e2.to_string());
     assert!(
@@ -254,7 +261,9 @@ fn explain_and_explain_analyze_run_under_the_label() {
 fn a_label_residual_bounds_what_the_scan_judges() {
     let db = tenant_db(Config::default());
     let sql = "SELECT id FROM accts WHERE id < 10 AND balance >= 20";
-    let plan = db.explain_as(sql, Some(&alice())).unwrap();
+    let plan = db
+        .explain(Request::from(sql).with_session(&alice()))
+        .unwrap();
     for line in [
         "  Filter[0] [labeled] (tenant = 'tech')",
         "  Filter[1] (id < 10)",
@@ -270,7 +279,11 @@ fn a_label_residual_bounds_what_the_scan_judges() {
         plan.contains("Filter[1] [at scan] (balance >= 20)"),
         "{plan}"
     );
-    let by = |session: Option<SessionContext>| ids(&db.execute_as(sql, session.as_ref()).unwrap());
+    let by = |session: Option<SessionContext>| {
+        ids(&db
+            .execute(Request::from(sql).with_session(session.as_ref()))
+            .unwrap())
+    };
     assert_eq!(by(Some(alice())), [2, 4, 6, 8]);
     assert_eq!(by(Some(bob())), [3, 5, 7, 9]);
     assert_eq!(by(None), (2..10).collect::<Vec<_>>());
@@ -296,7 +309,9 @@ fn a_label_residual_bounds_what_the_scan_judges() {
         Ok(Value::Bool(true))
     });
     let sql = "SELECT id FROM ledger WHERE spy(org) = TRUE AND amount >= 100";
-    let plan = db.explain_as(sql, Some(&org("3"))).unwrap();
+    let plan = db
+        .explain(Request::from(sql).with_session(&org("3")))
+        .unwrap();
     for line in [
         "  Filter[0] [labeled] [at scan] (org = 3)",
         "  Filter[1] [at scan] (amount >= 100)",
@@ -305,13 +320,15 @@ fn a_label_residual_bounds_what_the_scan_judges() {
     ] {
         assert!(plan.contains(line), "{line}:\n{plan}");
     }
-    let r = db.execute_as(sql, Some(&org("3"))).unwrap();
+    let r = db
+        .execute(Request::from(sql).with_session(&org("3")))
+        .unwrap();
     assert_eq!(ids(&r), [11, 15, 19, 23, 27, 31, 35, 39]);
     assert_eq!(r.stats.rows_scanned, 40);
     assert!(seen.lock().unwrap().iter().all(|o| *o == 3), "{seen:?}");
     // DML is bound by the same label, judged at the same place.
     let gone = db
-        .execute_as("DELETE FROM ledger WHERE amount < 100", Some(&org("3")))
+        .execute(Request::from("DELETE FROM ledger WHERE amount < 100").with_session(&org("3")))
         .unwrap();
     assert_eq!(gone.affected, 2);
     assert_eq!(db.execute("SELECT id FROM ledger").unwrap().rows.len(), 38);
@@ -333,7 +350,7 @@ fn udf_arguments_never_see_foreign_rows_parallel_and_batched() {
         Ok(Value::Int(v))
     });
     let r = db
-        .execute_as("SELECT probe(id) FROM accts", Some(&alice()))
+        .execute(Request::from("SELECT probe(id) FROM accts").with_session(&alice()))
         .unwrap();
     assert_eq!(ids(&r).len(), 20);
     let mut observed = seen.lock().unwrap().clone();
@@ -352,11 +369,11 @@ fn column_label_prunes_star_and_denies_references() {
     db.set_column_label("accts", "notes", Some("session.role = 'admin'"))
         .unwrap();
     let starred = db
-        .execute_as("SELECT * FROM accts WHERE id = 0", Some(&alice()))
+        .execute(Request::from("SELECT * FROM accts WHERE id = 0").with_session(&alice()))
         .unwrap();
     assert_eq!(starred.schema.len(), 3, "notes must be pruned from *");
     let err = db
-        .execute_as("SELECT notes FROM accts", Some(&alice()))
+        .execute(Request::from("SELECT notes FROM accts").with_session(&alice()))
         .unwrap_err();
     assert!(
         err.to_string()
@@ -367,16 +384,16 @@ fn column_label_prunes_star_and_denies_references() {
     let sig = UdfSignature::new(vec![DataType::Str], DataType::Int);
     db.register_native_udf("leak", sig, |_, _| Ok(Value::Int(0)));
     let err = db
-        .execute_as("SELECT leak(notes) FROM accts", Some(&alice()))
+        .execute(Request::from("SELECT leak(notes) FROM accts").with_session(&alice()))
         .unwrap_err();
     assert!(matches!(err, JaguarError::SecurityViolation(_)), "{err}");
     let err = db
-        .execute_as("UPDATE accts SET notes = 'x'", Some(&alice()))
+        .execute(Request::from("UPDATE accts SET notes = 'x'").with_session(&alice()))
         .unwrap_err();
     assert!(matches!(err, JaguarError::SecurityViolation(_)), "{err}");
     // Admins still see the full row.
     let full = db
-        .execute_as("SELECT * FROM accts WHERE id = 0", Some(&root()))
+        .execute(Request::from("SELECT * FROM accts WHERE id = 0").with_session(&root()))
         .unwrap();
     assert_eq!(full.schema.len(), 4);
 }
@@ -385,10 +402,10 @@ fn column_label_prunes_star_and_denies_references() {
 fn denials_and_rewrites_are_metered() {
     let db = tenant_db(Config::default());
     let before = db.metrics();
-    db.execute_as("SELECT id FROM accts", Some(&alice()))
+    db.execute(Request::from("SELECT id FROM accts").with_session(&alice()))
         .unwrap();
     let eve = SessionContext::new("eve");
-    let _ = db.execute_as("SELECT id FROM accts", Some(&eve));
+    let _ = db.execute(Request::from("SELECT id FROM accts").with_session(&eve));
     let after = db.metrics();
     assert!(
         after.counter("sec.label_rewrites") > before.counter("sec.label_rewrites"),

@@ -88,7 +88,7 @@ fn explain_analyze_row_counts_match_cardinality() {
     // A conjunct the scan cannot judge keeps its Filter operator, which
     // counts the residual conjuncts only.
     let residual = "SELECT id FROM t WHERE id >= 4 AND id + 0 < 8";
-    let text = db.explain_analyze(residual).unwrap();
+    let text = db.explain(&format!("EXPLAIN ANALYZE {residual}")).unwrap();
     let line = |op: &str| {
         (text.lines())
             .find(|l| l.contains(op) && l.contains("rows="))
@@ -110,7 +110,7 @@ fn explain_analyze_row_counts_match_cardinality() {
     }
     let grouped = "SELECT id % 4 AS k, COUNT(*) AS n FROM t GROUP BY id % 4 \
                    HAVING n > 2 ORDER BY k DESC LIMIT 1";
-    let text = db.explain_analyze(grouped).unwrap();
+    let text = db.explain(&format!("EXPLAIN ANALYZE {grouped}")).unwrap();
     let line = |op: &str| {
         (text.lines())
             .find(|l| l.contains(op) && l.contains("rows="))
@@ -146,11 +146,24 @@ fn explain_without_analyze_does_not_execute() {
     assert!(!text.contains("rows="), "{text}");
 }
 
+/// `explain` of text that already says EXPLAIN ANALYZE runs the analysis
+/// rather than dropping it; plain EXPLAIN text still only renders.
+#[test]
+fn explain_runs_the_analysis_its_text_asks_for() {
+    let db = db_with_rows(8);
+    let text = db
+        .explain("EXPLAIN ANALYZE SELECT id FROM t WHERE id < 3")
+        .unwrap();
+    assert!(text.contains("Total: 3 row(s)"), "{text}");
+    let plain = db.explain("EXPLAIN SELECT id FROM t WHERE id < 3").unwrap();
+    assert!(!plain.contains("Total:"), "{plain}");
+}
+
 #[test]
 fn explain_analyze_convenience_and_limit_short_circuit() {
     let db = db_with_rows(8);
     let text = db
-        .explain_analyze("SELECT id FROM t ORDER BY id LIMIT 2")
+        .explain("EXPLAIN ANALYZE SELECT id FROM t ORDER BY id LIMIT 2")
         .unwrap();
     // Limit produced exactly 2 rows even though the scan saw all 8.
     let limit_line = text

@@ -1,4 +1,4 @@
-//! jaguar-opt integration: in-engine slots for straight-line immutable
+//! Optimizer integration (`jaguar_sql::optimize`): in-engine slots for straight-line immutable
 //! JagScript UDFs, deterministic result memoization, and cost/selectivity
 //! predicate reordering, exercised through the SQL engine end to end.
 

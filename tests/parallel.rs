@@ -6,7 +6,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use jaguar_core::{ByteArray, Config, DataType, Database, JaguarError, Tuple, UdfSignature, Value};
+use jaguar_core::{
+    ByteArray, Config, DataType, Database, JaguarError, Request, Tuple, UdfSignature, Value,
+};
 use jaguar_ipc::find_worker_binary;
 use jaguar_udf::generic;
 
@@ -52,7 +54,7 @@ const EQUIVALENCE_QUERIES: &[&str] = &[
 fn parallel_results_equal_serial_exactly() {
     let par = db_with_rows(Config::default().with_dop(4), 1500);
     let serial = db_with_rows(Config::default().with_dop(1), 1500);
-    for sql in EQUIVALENCE_QUERIES {
+    for &sql in EQUIVALENCE_QUERIES {
         let a = par.execute(sql).unwrap();
         let b = serial.execute(sql).unwrap();
         assert_eq!(
@@ -108,7 +110,7 @@ fn explain_renders_gather_only_when_parallel() {
 fn explain_analyze_reports_per_worker_stats() {
     let db = db_with_rows(Config::default().with_dop(2), 1500);
     let txt = db
-        .explain_analyze("SELECT id FROM rel WHERE id % 2 = 0")
+        .explain("EXPLAIN ANALYZE SELECT id FROM rel WHERE id % 2 = 0")
         .unwrap();
     assert!(txt.contains("Gather (dop=2)"), "{txt}");
     assert!(txt.contains("worker 0: rows="), "{txt}");
@@ -166,7 +168,7 @@ fn explicit_cancel_stops_the_team() {
     };
     let started = std::time::Instant::now();
     let err = db
-        .execute_cancellable("SELECT slow(id) FROM rel", &token)
+        .execute(Request::from("SELECT slow(id) FROM rel").with_token(&token))
         .unwrap_err();
     canceller.join().unwrap();
     assert!(matches!(err, JaguarError::Cancelled(_)), "{err}");

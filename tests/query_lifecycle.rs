@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jaguar_core::{
-    Client, Config, DataType, Database, JaguarError, UdfDef, UdfDesign, UdfImpl, UdfSignature,
-    Value,
+    Client, Config, DataType, Database, JaguarError, Request, UdfDef, UdfDesign, UdfImpl,
+    UdfSignature, Value,
 };
 use jaguar_ipc::find_worker_binary;
 
@@ -225,7 +225,7 @@ fn cancelled_update_seals_partial_effects() {
         t2.cancel();
     });
     let err = db
-        .execute_cancellable("UPDATE t SET a = slowone(a)", &token)
+        .execute(Request::from("UPDATE t SET a = slowone(a)").with_token(&token))
         .unwrap_err();
     canceller.join().unwrap();
     assert!(matches!(err, JaguarError::Cancelled(_)), "{err}");
@@ -354,7 +354,7 @@ fn embedded_token_cancels_select_promptly() {
         t2.cancel();
     });
     let err = db
-        .execute_cancellable("SELECT tick(a) FROM t", &token)
+        .execute(Request::from("SELECT tick(a) FROM t").with_token(&token))
         .unwrap_err();
     canceller.join().unwrap();
     assert!(matches!(err, JaguarError::Cancelled(_)), "{err}");
@@ -398,14 +398,18 @@ fn a_scan_that_rejects_every_row_still_notices_cancel_and_deadline() {
             let cancelled = CancelToken::unbounded();
             cancelled.cancel();
             let before = fetched();
-            let err = db.execute_cancellable(sql, &cancelled).unwrap_err();
+            let err = db
+                .execute(Request::from(sql).with_token(&cancelled))
+                .unwrap_err();
             assert!(matches!(err, JaguarError::Cancelled(_)), "{sql}: {err}");
             let read = fetched() - before;
             assert!(read <= 4, "{sql} (dop {dop}): cancelled after {read} pages");
 
             let expired = CancelToken::with_deadline(Duration::ZERO);
             let before = fetched();
-            let err = db.execute_cancellable(sql, &expired).unwrap_err();
+            let err = db
+                .execute(Request::from(sql).with_token(&expired))
+                .unwrap_err();
             assert!(matches!(err, JaguarError::Timeout(_)), "{sql}: {err}");
             let read = fetched() - before;
             assert!(
