@@ -47,7 +47,11 @@ pub struct Config {
     /// `pooled_executors` is on).
     pub pool_size: usize,
     /// Deadline in milliseconds for one UDF invocation through a pooled
-    /// worker; the worker is killed when it expires. `None` = no deadline.
+    /// worker; the IPC deadline watchdog kills the worker when it expires
+    /// (`ResourceLimit`). It applies to pooled workers only: a spawned
+    /// per-query worker answers to `statement_timeout_ms` alone, as a
+    /// pooled one does too when that budget is the tighter. `None` = no
+    /// pool deadline.
     pub pool_invoke_timeout_ms: Option<u64>,
     /// How long, in milliseconds, a query waits for a pooled worker to
     /// come free before erroring.
@@ -64,9 +68,10 @@ pub struct Config {
     /// more threads than there are warm workers.
     pub dop: usize,
     /// Statement deadline in milliseconds: a query still running past
-    /// this budget is cooperatively aborted (the executor, the VM
-    /// interpreter, and pooled worker invokes all check). `None` (the
-    /// default) disables the deadline.
+    /// this budget is aborted: the executor and the VM interpreter check
+    /// it cooperatively, and a worker (spawned or pooled) still inside a
+    /// UDF at the deadline is killed. `None` (the default) disables the
+    /// deadline.
     pub statement_timeout_ms: Option<u64>,
     /// Target rows per vectorized UDF invocation: the executor accumulates
     /// this many filter-surviving tuples before crossing into the UDF once

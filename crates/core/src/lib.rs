@@ -51,8 +51,8 @@ pub use jaguar_common::obs;
 pub use jaguar_common::obs::MetricsSnapshot;
 pub use jaguar_common::retry;
 pub use jaguar_common::{ByteArray, ColumnSet, DataType, Field, Schema, Tuple, Value};
+pub use jaguar_ipc::pool::{PoolConfig, PoolStatsSnapshot, WorkerPool};
 pub use jaguar_net::{CancelHandle, Client, ClientOptions, Server};
-pub use jaguar_pool::{PoolConfig, PoolStatsSnapshot, WorkerPool};
 /// Multi-tenant security: session principals, label expressions, and the
 /// page cipher (see [`Config::auth_required`] / [`Config::encryption_key`]).
 pub use jaguar_sec::{LabelExpr, PageCipher, SessionContext};

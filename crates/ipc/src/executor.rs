@@ -19,6 +19,7 @@ use jaguar_common::obs::Counter;
 use jaguar_common::Value;
 
 use crate::proto::{CallbackHandler, Request, Response, PROTO_VERSION};
+use crate::watchdog::Deadline;
 
 /// How long `Drop` waits for an orderly exit after `Shutdown` before killing.
 const DROP_GRACE: Duration = Duration::from_millis(200);
@@ -61,13 +62,12 @@ pub fn find_worker_binary() -> Result<PathBuf> {
 }
 
 /// A running isolated executor (one per UDF per query, as in the paper —
-/// or checked out of a `jaguar-pool` warm pool and reused across queries).
+/// or checked out of a [`crate::pool`] warm pool and reused across queries).
 ///
 /// The child handle lives behind an `Arc<Mutex<..>>` so a
-/// [`WorkerKillHandle`] on another thread (the pool supervisor enforcing an
-/// invoke deadline) can kill a hung worker while this thread is blocked on
-/// the pipe; the blocked read then observes EOF and surfaces the usual
-/// contained "worker process died" error.
+/// [`WorkerKillHandle`] on another thread (the [`crate::watchdog`]
+/// enforcing a round trip's deadline) can kill a hung worker while this
+/// thread is blocked on the pipe; the blocked read then observes EOF.
 pub struct WorkerProcess {
     child: Arc<Mutex<Child>>,
     input: BufReader<CountingReader<ChildStdout>>,
@@ -108,6 +108,15 @@ impl WorkerKillHandle {
     }
 }
 
+/// A [`WorkerProcess::guarded`] round trip outlived its deadline and the
+/// watchdog killed the worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expired;
+
+fn unexpected(reply: Response) -> JaguarError {
+    JaguarError::Protocol(format!("unexpected mid-invoke response {reply:?}"))
+}
+
 impl WorkerProcess {
     /// Spawn a worker from an explicit binary path and wait for `Ready`.
     pub fn spawn_at(path: &Path) -> Result<WorkerProcess> {
@@ -119,9 +128,6 @@ impl WorkerProcess {
                 "spawning {path:?}: injected spawn fault"
             )));
         }
-        // Abnormally-exited workers (crash containment, pool SIGKILL) leak
-        // their scratch directories; tidy them before adding more children.
-        crate::scratch::sweep_stale_once();
         let mut child = Command::new(path)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -178,24 +184,44 @@ impl WorkerProcess {
         })
     }
 
-    fn expect_loaded(&mut self) -> Result<()> {
+    fn send(&mut self, request: Request) -> Result<()> {
+        self.crossings.inc();
+        request.write(&mut self.output)
+    }
+
+    /// Send `request` and expect exactly `want` back.
+    fn expect(&mut self, request: Request, want: Response) -> Result<()> {
+        self.send(request)?;
         match self.read_response()? {
-            Response::Loaded => Ok(()),
+            r if r == want => Ok(()),
             Response::Error { message } => Err(JaguarError::Worker(message)),
             other => Err(JaguarError::Protocol(format!(
-                "expected Loaded, got {other:?}"
+                "expected {want:?}, got {other:?}"
             ))),
+        }
+    }
+
+    /// Send an invocation, answer the UDF's callbacks through `callbacks`
+    /// until the worker replies, and return that reply.
+    fn pump(&mut self, request: Request, callbacks: &mut dyn CallbackHandler) -> Result<Response> {
+        self.send(request)?;
+        loop {
+            match self.read_response()? {
+                Response::CallbackRequest { name, args } => {
+                    self.callbacks.inc();
+                    let value = callbacks.callback(&name, &args)?;
+                    self.send(Request::CallbackResult { value })?;
+                }
+                Response::Error { message } => return Err(JaguarError::Worker(message)),
+                reply => return Ok(reply),
+            }
         }
     }
 
     /// Select a native UDF baked into the worker binary (Design 2).
     pub fn load_native(&mut self, name: &str) -> Result<()> {
-        self.crossings.inc();
-        Request::LoadNative {
-            name: name.to_string(),
-        }
-        .write(&mut self.output)?;
-        self.expect_loaded()
+        let name = name.to_string();
+        self.expect(Request::LoadNative { name }, Response::Loaded)
     }
 
     /// Ship a serialised, to-be-verified JSM module (Design 4).
@@ -207,16 +233,14 @@ impl WorkerProcess {
         fuel: Option<u64>,
         memory: Option<usize>,
     ) -> Result<()> {
-        self.crossings.inc();
-        Request::LoadVm {
+        let request = Request::LoadVm {
             module: module.to_vec(),
             function: function.to_string(),
             jit,
             fuel: fuel.unwrap_or(0),
             memory: memory.unwrap_or(0) as u64,
-        }
-        .write(&mut self.output)?;
-        self.expect_loaded()
+        };
+        self.expect(request, Response::Loaded)
     }
 
     /// Invoke the loaded UDF on one argument tuple. Callbacks the UDF makes
@@ -226,24 +250,9 @@ impl WorkerProcess {
         args: Vec<Value>,
         callbacks: &mut dyn CallbackHandler,
     ) -> Result<Value> {
-        self.crossings.inc();
-        Request::Invoke { args }.write(&mut self.output)?;
-        loop {
-            match self.read_response()? {
-                Response::InvokeResult { value } => return Ok(value),
-                Response::Error { message } => return Err(JaguarError::Worker(message)),
-                Response::CallbackRequest { name, args } => {
-                    self.callbacks.inc();
-                    let value = callbacks.callback(&name, &args)?;
-                    self.crossings.inc();
-                    Request::CallbackResult { value }.write(&mut self.output)?;
-                }
-                other => {
-                    return Err(JaguarError::Protocol(format!(
-                        "unexpected mid-invoke response {other:?}"
-                    )))
-                }
-            }
+        match self.pump(Request::Invoke { args }, callbacks)? {
+            Response::InvokeResult { value } => Ok(value),
+            other => Err(unexpected(other)),
         }
     }
 
@@ -260,54 +269,45 @@ impl WorkerProcess {
         rows: Vec<Vec<Value>>,
         callbacks: &mut dyn CallbackHandler,
     ) -> Result<(Vec<Value>, Option<String>)> {
-        self.crossings.inc();
-        Request::InvokeBatch { rows }.write(&mut self.output)?;
-        loop {
-            match self.read_response()? {
-                Response::BatchReply { values, error } => return Ok((values, error)),
-                Response::Error { message } => return Err(JaguarError::Worker(message)),
-                Response::CallbackRequest { name, args } => {
-                    self.callbacks.inc();
-                    let value = callbacks.callback(&name, &args)?;
-                    self.crossings.inc();
-                    Request::CallbackResult { value }.write(&mut self.output)?;
-                }
-                other => {
-                    return Err(JaguarError::Protocol(format!(
-                        "unexpected mid-invoke response {other:?}"
-                    )))
-                }
-            }
+        match self.pump(Request::InvokeBatch { rows }, callbacks)? {
+            Response::BatchReply { values, error } => Ok((values, error)),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Liveness probe: send `Ping`, expect `Pong`. Any other answer (or a
     /// dead pipe) is an error — the pool supervisor discards the worker.
     pub fn ping(&mut self) -> Result<()> {
-        self.crossings.inc();
-        Request::Ping.write(&mut self.output)?;
-        match self.read_response()? {
-            Response::Pong => Ok(()),
-            Response::Error { message } => Err(JaguarError::Worker(message)),
-            other => Err(JaguarError::Protocol(format!(
-                "expected Pong, got {other:?}"
-            ))),
-        }
+        self.expect(Request::Ping, Response::Pong)
     }
 
     /// Drop all UDF state loaded into the worker so it can serve another
     /// query. Sent by the pool on check-in before the worker goes back to
     /// the idle set.
     pub fn reset(&mut self) -> Result<()> {
-        self.crossings.inc();
-        Request::Reset.write(&mut self.output)?;
-        match self.read_response()? {
-            Response::ResetOk => Ok(()),
-            Response::Error { message } => Err(JaguarError::Worker(message)),
-            other => Err(JaguarError::Protocol(format!(
-                "expected ResetOk, got {other:?}"
-            ))),
+        self.expect(Request::Reset, Response::ResetOk)
+    }
+
+    /// Run one round trip `f` under a deadline: the [`watchdog`] kills this
+    /// worker if `f` has not returned within `timeout` (`None`: no
+    /// deadline, nothing armed). `Err(Expired)` means the deadline fired —
+    /// the worker is dead, and whatever `f` returned is moot.
+    ///
+    /// [`watchdog`]: crate::watchdog
+    pub fn guarded<T>(
+        &mut self,
+        timeout: Option<Duration>,
+        f: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> std::result::Result<Result<T>, Expired> {
+        let Some(timeout) = timeout else {
+            return Ok(f(self));
+        };
+        let deadline = Deadline::arm(Instant::now() + timeout, self.kill_handle());
+        let out = f(self);
+        if deadline.disarm() {
+            return Err(Expired);
         }
+        Ok(out)
     }
 
     /// True while the child process has not exited.

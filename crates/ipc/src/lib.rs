@@ -23,19 +23,22 @@
 //!   stream encoding from `jaguar-common`),
 //! * [`executor`] — the server side: spawn a worker per query, load a UDF
 //!   into it, invoke it per tuple, answer its callbacks, reap it,
+//! * [`watchdog`] — the one deadline mechanism: a process-wide thread that
+//!   kills a worker whose guarded round trip (invoke, batch, reset, ping)
+//!   outlives its deadline,
+//! * [`pool`] — a supervised warm pool of workers checked out per query
+//!   instead of spawned (an extension; the paper spawns per query),
 //! * [`worker`] — the worker side: a serve loop the `jaguar-worker` binary
 //!   runs, parameterised by a registry of native UDFs (the analogue of the
 //!   C++ UDFs compiled into PREDATOR's remote executor) and able to host
-//!   sandboxed VM modules for Design 4,
-//! * [`scratch`] — per-worker scratch directories, reclaimed and swept so
-//!   files leaked by killed workers never fail the next run.
+//!   sandboxed VM modules for Design 4.
 
 pub mod executor;
+pub mod pool;
 pub mod proto;
-pub mod scratch;
+pub mod watchdog;
 pub mod worker;
 
-pub use executor::{find_worker_binary, WorkerKillHandle, WorkerProcess};
+pub use executor::{find_worker_binary, Expired, WorkerKillHandle, WorkerProcess};
 pub use proto::CallbackHandler;
-pub use scratch::{sweep_stale, WorkerScratch};
 pub use worker::{NativeUdfFn, WorkerRegistry};

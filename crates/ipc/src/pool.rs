@@ -1,10 +1,10 @@
-//! # jaguar-pool — supervised warm pool of isolated UDF workers
+//! Supervised warm pool of isolated UDF workers.
 //!
 //! The paper creates one remote executor **per UDF per query** and tears it
 //! down when the query ends; process creation is off the per-invocation path
 //! but still on the per-query path. Under a stream of short queries that
 //! spawn+handshake cost dominates, which the ROADMAP's production north star
-//! cannot afford. This crate amortises process lifetime one level further:
+//! cannot afford. The pool amortises process lifetime one level further:
 //! a fixed-size pool of pre-spawned, handshaked [`WorkerProcess`]es is
 //! checked out per query and returned on completion.
 //!
@@ -16,31 +16,31 @@
 //! * **Crashes are absorbed.** A worker that dies mid-query surfaces the
 //!   usual contained `Worker` error to that query; the supervisor respawns
 //!   a replacement with bounded exponential backoff.
-//! * **Hangs are bounded.** Every pipe round trip a pool client makes
-//!   (invoke, and internally reset/ping) is armed with a deadline; the
-//!   supervisor kills the worker when the deadline expires, converting a
-//!   wedged query into a clean timeout error plus a respawn.
+//! * **Hangs are bounded.** Every pipe round trip through a pooled worker
+//!   (invoke, and internally reset/ping) is [guarded](WorkerProcess::guarded)
+//!   by the [`watchdog`](crate::watchdog), which kills the worker when the
+//!   deadline expires; a killed worker never re-enters the idle set and the
+//!   supervisor spawns its replacement.
 //! * **Saturation pushes back.** When all workers are busy, checkouts queue
 //!   up to a bounded number of waiters and a bounded wait time; beyond
 //!   either bound the caller gets an error instead of unbounded queueing.
 //!
-//! Supervision is split across two background threads: the *supervisor*
-//! owns deadlines and respawning and never blocks on a worker pipe; the
-//! *health checker* pings idle workers, with each ping itself
-//! deadline-armed so a live-but-wedged worker is killed by the supervisor
-//! rather than hanging the checker.
+//! One background thread, the *supervisor*, respawns dead workers and pings
+//! idle ones; each ping is guarded like any other round trip, so a
+//! live-but-wedged worker costs the supervisor one maintenance timeout.
 
 use std::collections::VecDeque;
+use std::ops::{Deref, DerefMut};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use jaguar_common::error::{JaguarError, Result};
-use jaguar_common::Value;
-use jaguar_ipc::proto::CallbackHandler;
-use jaguar_ipc::{find_worker_binary, WorkerKillHandle, WorkerProcess};
+use jaguar_common::obs::Counter;
+
+use crate::executor::{find_worker_binary, WorkerProcess};
 
 /// Deadline for the internal `Reset`/`Ping` round trips. These complete in
 /// microseconds on a healthy worker; a second of silence means wedged.
@@ -67,7 +67,7 @@ pub struct PoolConfig {
     /// Bound on concurrently queued checkouts; checkouts beyond this fail
     /// immediately (backpressure instead of an unbounded queue).
     pub max_waiters: usize,
-    /// How often the health checker pings each idle worker.
+    /// How often the supervisor pings each idle worker.
     pub health_interval: Duration,
     /// Cap on the exponential respawn backoff.
     pub max_respawn_backoff: Duration,
@@ -94,65 +94,50 @@ impl Default for PoolConfig {
 // Stats
 // ---------------------------------------------------------------------
 
-/// Pool counters. Each event is recorded twice: in the pool-local atomics
-/// (so [`WorkerPool::stats`] reflects *this* pool) and in the process-wide
+/// One pool counter, recorded twice: in a pool-local atomic (so
+/// [`WorkerPool::stats`] reflects *this* pool) and in the process-wide
 /// `jaguar_common::obs` registry under `pool.*` (so the engine's metrics
 /// snapshot shows pool activity alongside every other subsystem).
+struct Tally {
+    local: AtomicU64,
+    global: Arc<Counter>,
+}
+
+impl Tally {
+    fn new(name: &str) -> Tally {
+        Tally {
+            local: AtomicU64::new(0),
+            global: jaguar_common::obs::global().counter(name),
+        }
+    }
+
+    fn inc(&self) {
+        self.local.fetch_add(1, Ordering::Relaxed);
+        self.global.inc();
+    }
+
+    fn get(&self) -> u64 {
+        self.local.load(Ordering::Relaxed)
+    }
+}
+
 struct Stats {
-    spawns: AtomicU64,
-    reuses: AtomicU64,
-    crashes: AtomicU64,
-    timeouts: AtomicU64,
-    queue_waits: AtomicU64,
-    g_spawns: Arc<jaguar_common::obs::Counter>,
-    g_reuses: Arc<jaguar_common::obs::Counter>,
-    g_crashes: Arc<jaguar_common::obs::Counter>,
-    g_timeouts: Arc<jaguar_common::obs::Counter>,
-    g_queue_waits: Arc<jaguar_common::obs::Counter>,
+    spawns: Tally,
+    reuses: Tally,
+    crashes: Tally,
+    timeouts: Tally,
+    queue_waits: Tally,
 }
 
 impl Default for Stats {
     fn default() -> Self {
-        let reg = jaguar_common::obs::global();
         Stats {
-            spawns: AtomicU64::new(0),
-            reuses: AtomicU64::new(0),
-            crashes: AtomicU64::new(0),
-            timeouts: AtomicU64::new(0),
-            queue_waits: AtomicU64::new(0),
-            g_spawns: reg.counter("pool.spawns"),
-            g_reuses: reg.counter("pool.reuses"),
-            g_crashes: reg.counter("pool.crashes"),
-            g_timeouts: reg.counter("pool.timeouts"),
-            g_queue_waits: reg.counter("pool.queue_waits"),
+            spawns: Tally::new("pool.spawns"),
+            reuses: Tally::new("pool.reuses"),
+            crashes: Tally::new("pool.crashes"),
+            timeouts: Tally::new("pool.timeouts"),
+            queue_waits: Tally::new("pool.queue_waits"),
         }
-    }
-}
-
-impl Stats {
-    fn record_spawn(&self) {
-        self.spawns.fetch_add(1, Ordering::Relaxed);
-        self.g_spawns.inc();
-    }
-
-    fn record_reuse(&self) {
-        self.reuses.fetch_add(1, Ordering::Relaxed);
-        self.g_reuses.inc();
-    }
-
-    fn record_crash(&self) {
-        self.crashes.fetch_add(1, Ordering::Relaxed);
-        self.g_crashes.inc();
-    }
-
-    fn record_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-        self.g_timeouts.inc();
-    }
-
-    fn record_queue_wait(&self) {
-        self.queue_waits.fetch_add(1, Ordering::Relaxed);
-        self.g_queue_waits.inc();
     }
 }
 
@@ -165,7 +150,7 @@ pub struct PoolStatsSnapshot {
     pub reuses: u64,
     /// Workers discarded because they died or failed reset/ping.
     pub crashes: u64,
-    /// Invocations killed by the deadline enforcer.
+    /// Invocations whose worker the watchdog killed at a deadline.
     pub timeouts: u64,
     /// Checkouts that had to wait for a worker to come free.
     pub queue_waits: u64,
@@ -192,21 +177,12 @@ struct IdleWorker {
     last_checked: Instant,
 }
 
-struct DeadlineEntry {
-    id: u64,
-    at: Instant,
-    kill: WorkerKillHandle,
-    fired: Arc<AtomicBool>,
-}
-
 struct State {
     idle: VecDeque<IdleWorker>,
     /// Workers alive or reserved for spawning (idle + checked out + being
     /// spawned right now). The supervisor keeps this at `config.size`.
     live: usize,
     waiters: usize,
-    deadlines: Vec<DeadlineEntry>,
-    next_deadline_id: u64,
     shutdown: bool,
 }
 
@@ -217,8 +193,8 @@ struct Inner {
     state: Mutex<State>,
     /// Signalled when a worker joins the idle set (or on shutdown).
     available: Condvar,
-    /// Signalled when the supervisor should re-examine the world: a
-    /// deadline was armed, a worker died, shutdown began.
+    /// Signalled when the supervisor should re-examine the world: a worker
+    /// died, shutdown began.
     supervisor_wake: Condvar,
 }
 
@@ -227,53 +203,31 @@ impl Inner {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Arm a deadline: at `at`, the supervisor fires `kill` and sets the
-    /// returned flag. Disarm with [`Inner::disarm`] once the guarded round
-    /// trip completes.
-    fn arm(&self, at: Instant, kill: WorkerKillHandle) -> (u64, Arc<AtomicBool>) {
-        let fired = Arc::new(AtomicBool::new(false));
-        let mut state = self.lock();
-        let id = state.next_deadline_id;
-        state.next_deadline_id += 1;
-        state.deadlines.push(DeadlineEntry {
-            id,
-            at,
-            kill,
-            fired: Arc::clone(&fired),
-        });
-        drop(state);
-        self.supervisor_wake.notify_all();
-        (id, fired)
-    }
-
-    fn disarm(&self, id: u64) {
-        let mut state = self.lock();
-        state.deadlines.retain(|d| d.id != id);
-    }
-
-    /// Run one worker round trip under a deadline. Returns true iff the
-    /// round trip succeeded and the deadline did not fire.
-    fn guarded_roundtrip(
-        &self,
-        worker: &mut WorkerProcess,
-        timeout: Duration,
-        f: impl FnOnce(&mut WorkerProcess) -> Result<()>,
-    ) -> bool {
-        let (id, fired) = self.arm(Instant::now() + timeout, worker.kill_handle());
-        let ok = f(worker).is_ok();
-        self.disarm(id);
-        ok && !fired.load(Ordering::SeqCst)
-    }
-
     /// Note a worker's demise and prod the supervisor to replace it.
     fn discard_worker(&self, counted_as_crash: bool) {
         if counted_as_crash {
-            self.stats.record_crash();
+            self.stats.crashes.inc();
         }
         let mut state = self.lock();
         state.live = state.live.saturating_sub(1);
         drop(state);
         self.supervisor_wake.notify_all();
+    }
+
+    /// Put a healthy worker (back) into the idle set; false (and the
+    /// worker retired) if the pool is shutting down.
+    fn check_in(&self, worker: IdleWorker) -> bool {
+        let mut state = self.lock();
+        if state.shutdown {
+            state.live = state.live.saturating_sub(1);
+            drop(state);
+            drop(worker);
+            return false;
+        }
+        state.idle.push_back(worker);
+        drop(state);
+        self.available.notify_all();
+        true
     }
 }
 
@@ -290,7 +244,6 @@ impl Inner {
 pub struct WorkerPool {
     inner: Arc<Inner>,
     supervisor: Option<JoinHandle<()>>,
-    health: Option<JoinHandle<()>>,
 }
 
 impl WorkerPool {
@@ -310,8 +263,6 @@ impl WorkerPool {
                 idle: VecDeque::new(),
                 live: 0,
                 waiters: 0,
-                deadlines: Vec::new(),
-                next_deadline_id: 0,
                 shutdown: false,
             }),
             available: Condvar::new(),
@@ -324,23 +275,10 @@ impl WorkerPool {
                 .spawn(move || supervisor_loop(&inner))
                 .map_err(|e| JaguarError::Worker(format!("spawning pool supervisor: {e}")))?
         };
-        let health = {
-            let inner = Arc::clone(&inner);
-            std::thread::Builder::new()
-                .name("jaguar-pool-health".into())
-                .spawn(move || health_loop(&inner))
-                .map_err(|e| JaguarError::Worker(format!("spawning pool health checker: {e}")))?
-        };
         Ok(WorkerPool {
             inner,
             supervisor: Some(supervisor),
-            health: Some(health),
         })
-    }
-
-    /// Pool configuration (immutable after construction).
-    pub fn config(&self) -> &PoolConfig {
-        &self.inner.config
     }
 
     /// Number of workers the pool maintains — the most checkouts one query
@@ -354,11 +292,11 @@ impl WorkerPool {
     pub fn stats(&self) -> PoolStatsSnapshot {
         let s = &self.inner.stats;
         PoolStatsSnapshot {
-            spawns: s.spawns.load(Ordering::Relaxed),
-            reuses: s.reuses.load(Ordering::Relaxed),
-            crashes: s.crashes.load(Ordering::Relaxed),
-            timeouts: s.timeouts.load(Ordering::Relaxed),
-            queue_waits: s.queue_waits.load(Ordering::Relaxed),
+            spawns: s.spawns.get(),
+            reuses: s.reuses.get(),
+            crashes: s.crashes.get(),
+            timeouts: s.timeouts.get(),
+            queue_waits: s.queue_waits.get(),
         }
     }
 
@@ -419,7 +357,7 @@ impl WorkerPool {
                     state.waiters -= 1;
                 }
                 if iw.served > 0 {
-                    inner.stats.record_reuse();
+                    inner.stats.reuses.inc();
                 }
                 return Ok(PooledWorker {
                     inner: Arc::clone(inner),
@@ -438,7 +376,7 @@ impl WorkerPool {
                 }
                 state.waiters += 1;
                 queued = true;
-                inner.stats.record_queue_wait();
+                inner.stats.queue_waits.inc();
             }
             let now = Instant::now();
             if now >= deadline {
@@ -465,35 +403,8 @@ impl Drop for WorkerPool {
         }
         self.inner.available.notify_all();
         self.inner.supervisor_wake.notify_all();
+        // A ping in flight is bounded by its guard, so this join is too.
         if let Some(h) = self.supervisor.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.health.take() {
-            // The supervisor is gone, so expired deadlines must be fired
-            // here — otherwise a health ping wedged on a dead-silent worker
-            // would block this join forever.
-            while !h.is_finished() {
-                let now = Instant::now();
-                let expired: Vec<DeadlineEntry> = {
-                    let mut state = self.inner.lock();
-                    let mut out = Vec::new();
-                    let mut i = 0;
-                    while i < state.deadlines.len() {
-                        if state.deadlines[i].at <= now {
-                            out.push(state.deadlines.swap_remove(i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    out
-                };
-                for d in expired {
-                    d.fired.store(true, Ordering::SeqCst);
-                    d.kill.kill();
-                }
-                self.inner.supervisor_wake.notify_all();
-                std::thread::sleep(Duration::from_millis(5));
-            }
             let _ = h.join();
         }
         // Drain idle workers outside the lock; WorkerProcess::drop gives
@@ -510,11 +421,9 @@ impl Drop for WorkerPool {
 // Checkout guard
 // ---------------------------------------------------------------------
 
-/// One worker checked out of a [`WorkerPool`].
-///
-/// Mirrors the [`WorkerProcess`] API for loading and invoking; on drop the
-/// worker is `Reset` and returned to the pool if healthy, or discarded and
-/// replaced by the supervisor if not.
+/// One worker checked out of a [`WorkerPool`]: a guard that derefs to the
+/// [`WorkerProcess`]. On drop the worker is `Reset` and returned to the
+/// pool if healthy, or discarded and replaced by the supervisor if not.
 pub struct PooledWorker {
     inner: Arc<Inner>,
     worker: Option<WorkerProcess>,
@@ -531,147 +440,33 @@ impl std::fmt::Debug for PooledWorker {
     }
 }
 
-impl PooledWorker {
-    fn worker_mut(&mut self) -> &mut WorkerProcess {
+impl Deref for PooledWorker {
+    type Target = WorkerProcess;
+
+    fn deref(&self) -> &WorkerProcess {
+        self.worker.as_ref().expect("worker present until drop")
+    }
+}
+
+impl DerefMut for PooledWorker {
+    fn deref_mut(&mut self) -> &mut WorkerProcess {
         self.worker.as_mut().expect("worker present until drop")
     }
+}
 
-    /// Queries this worker served before the current checkout.
-    pub fn prior_queries(&self) -> u64 {
-        self.served
+impl PooledWorker {
+    /// The pool's deadline for one invocation through this worker.
+    pub fn invoke_timeout(&self) -> Option<Duration> {
+        self.inner.config.invoke_timeout
     }
 
-    /// OS pid of the underlying worker process.
-    pub fn pid(&self) -> u32 {
-        self.worker.as_ref().expect("worker present").pid()
-    }
-
-    /// Select a native UDF baked into the worker binary (Design 2).
-    pub fn load_native(&mut self, name: &str) -> Result<()> {
-        self.worker_mut().load_native(name)
-    }
-
-    /// Ship a serialised JSM module (Design 4).
-    pub fn load_vm(
-        &mut self,
-        module: &[u8],
-        function: &str,
-        jit: bool,
-        fuel: Option<u64>,
-        memory: Option<usize>,
-    ) -> Result<()> {
-        self.worker_mut()
-            .load_vm(module, function, jit, fuel, memory)
-    }
-
-    /// Invoke the loaded UDF on one argument tuple, under the pool's invoke
-    /// deadline. A worker that overruns the deadline is killed and the
-    /// invocation fails with a `ResourceLimit` error; the worker's
-    /// replacement is spawned by the supervisor.
-    pub fn invoke(
-        &mut self,
-        args: Vec<Value>,
-        callbacks: &mut dyn CallbackHandler,
-    ) -> Result<Value> {
-        self.invoke_with_deadline(args, callbacks, None)
-    }
-
-    /// Like [`PooledWorker::invoke`], but the effective deadline is the
-    /// *minimum* of the pool's invoke timeout and `statement_budget` (the
-    /// remaining statement deadline, when one is armed) — so a wedged UDF
-    /// cannot outlive its statement even if the pool timeout is generous.
-    /// A kill whose binding constraint was the statement budget surfaces
-    /// as a `Timeout` error; a pool-timeout kill stays `ResourceLimit`.
-    pub fn invoke_with_deadline(
-        &mut self,
-        args: Vec<Value>,
-        callbacks: &mut dyn CallbackHandler,
-        statement_budget: Option<Duration>,
-    ) -> Result<Value> {
-        let pool_timeout = self.inner.config.invoke_timeout;
-        let timeout = match (pool_timeout, statement_budget) {
-            (Some(p), Some(s)) => Some(p.min(s)),
-            (Some(p), None) => Some(p),
-            (None, Some(s)) => Some(s),
-            (None, None) => None,
-        };
-        let inner = Arc::clone(&self.inner);
-        let worker = self.worker_mut();
-        let Some(timeout) = timeout else {
-            return worker.invoke(args, callbacks);
-        };
-        let (id, fired) = inner.arm(Instant::now() + timeout, worker.kill_handle());
-        let out = worker.invoke(args, callbacks);
-        inner.disarm(id);
-        if fired.load(Ordering::SeqCst) {
+    /// Note that the watchdog killed this worker at a deadline: it counts
+    /// as a pool timeout, not a crash, and never re-enters the idle set.
+    pub fn expired(&mut self) {
+        if !self.timed_out {
             self.timed_out = true;
-            inner.stats.record_timeout();
-            let statement_bound = match (pool_timeout, statement_budget) {
-                (None, Some(_)) => true,
-                (Some(p), Some(s)) => s < p,
-                _ => false,
-            };
-            return Err(if statement_bound {
-                JaguarError::Timeout(format!(
-                    "udf invocation exceeded the statement deadline \
-                     ({timeout:?} remaining); worker killed and replaced"
-                ))
-            } else {
-                JaguarError::ResourceLimit(format!(
-                    "udf invocation exceeded the {timeout:?} pool deadline; \
-                     worker killed and replaced"
-                ))
-            });
+            self.inner.stats.timeouts.inc();
         }
-        out
-    }
-
-    /// Batched counterpart of [`PooledWorker::invoke_with_deadline`]: one
-    /// crossing and one deadline arm cover the whole batch, so the
-    /// supervisor still kills a wedged worker at min(statement budget,
-    /// pool timeout) — it just cannot attribute the kill to a row.
-    pub fn invoke_batch_with_deadline(
-        &mut self,
-        rows: Vec<Vec<Value>>,
-        callbacks: &mut dyn CallbackHandler,
-        statement_budget: Option<Duration>,
-    ) -> Result<(Vec<Value>, Option<String>)> {
-        let pool_timeout = self.inner.config.invoke_timeout;
-        let timeout = match (pool_timeout, statement_budget) {
-            (Some(p), Some(s)) => Some(p.min(s)),
-            (Some(p), None) => Some(p),
-            (None, Some(s)) => Some(s),
-            (None, None) => None,
-        };
-        let inner = Arc::clone(&self.inner);
-        let worker = self.worker_mut();
-        let Some(timeout) = timeout else {
-            return worker.invoke_batch(rows, callbacks);
-        };
-        let (id, fired) = inner.arm(Instant::now() + timeout, worker.kill_handle());
-        let out = worker.invoke_batch(rows, callbacks);
-        inner.disarm(id);
-        if fired.load(Ordering::SeqCst) {
-            self.timed_out = true;
-            inner.stats.record_timeout();
-            let statement_bound = match (pool_timeout, statement_budget) {
-                (None, Some(_)) => true,
-                (Some(p), Some(s)) => s < p,
-                _ => false,
-            };
-            return Err(if statement_bound {
-                JaguarError::Timeout(format!(
-                    "udf invocation exceeded the statement deadline \
-                     ({timeout:?} remaining); worker killed and replaced"
-                ))
-            } else {
-                JaguarError::ResourceLimit(format!(
-                    "udf invocation exceeded the {timeout:?} pool deadline; \
-                     worker killed and replaced"
-                ))
-            });
-        }
-        out
     }
 }
 
@@ -681,79 +476,73 @@ impl Drop for PooledWorker {
         let inner = Arc::clone(&self.inner);
 
         // Health gate for re-entry: the process must be alive and confirm a
-        // deadline-guarded Reset. Everything else is a discard.
-        let healthy = !self.timed_out
-            && worker.is_alive()
-            && inner.guarded_roundtrip(&mut worker, MAINTENANCE_TIMEOUT, |w| w.reset());
+        // guarded Reset. Everything else is a discard.
+        let healthy =
+            !self.timed_out && worker.is_alive() && maintain(&mut worker, WorkerProcess::reset);
 
         if !healthy {
             drop(worker);
-            // Timeouts were already counted by invoke(); everything else
+            // Timeouts were already counted by `expired`; everything else
             // discarded here is a crash (died mid-query or failed reset).
             inner.discard_worker(!self.timed_out);
             return;
         }
-
-        let mut state = inner.lock();
-        if state.shutdown {
-            state.live = state.live.saturating_sub(1);
-            drop(state);
-            drop(worker);
-            return;
-        }
-        state.idle.push_back(IdleWorker {
+        inner.check_in(IdleWorker {
             worker,
             served: self.served + 1,
             last_checked: Instant::now(),
         });
-        drop(state);
-        inner.available.notify_all();
     }
 }
 
+/// One maintenance round trip (`Reset`, `Ping`) under its deadline: true
+/// iff it succeeded in time.
+fn maintain(worker: &mut WorkerProcess, f: fn(&mut WorkerProcess) -> Result<()>) -> bool {
+    matches!(worker.guarded(Some(MAINTENANCE_TIMEOUT), f), Ok(Ok(())))
+}
+
 // ---------------------------------------------------------------------
-// Supervisor: deadlines + respawn
+// Supervisor: respawn and ping
 // ---------------------------------------------------------------------
 
 fn supervisor_loop(inner: &Arc<Inner>) {
+    let interval = inner.config.health_interval;
     let mut backoff = RESPAWN_BACKOFF_BASE;
     let mut next_spawn_allowed = Instant::now();
     loop {
-        let mut expired: Vec<DeadlineEntry> = Vec::new();
-        let mut deficit = 0usize;
-        {
+        let (deficit, due) = {
             let mut state = inner.lock();
             loop {
                 if state.shutdown {
                     return;
                 }
                 let now = Instant::now();
-                let mut i = 0;
-                while i < state.deadlines.len() {
-                    if state.deadlines[i].at <= now {
-                        expired.push(state.deadlines.swap_remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
+                let mut deficit = 0;
                 if state.live < inner.config.size && now >= next_spawn_allowed {
                     deficit = inner.config.size - state.live;
                     // Reserve the slots so concurrent passes don't overfill.
                     state.live = inner.config.size;
                 }
-                if !expired.is_empty() || deficit > 0 {
-                    break;
+                // An idle worker due for a ping leaves the idle set while
+                // probed, so a concurrent checkout can't grab it mid-ping.
+                let due = state
+                    .idle
+                    .iter()
+                    .position(|w| now.duration_since(w.last_checked) >= interval)
+                    .and_then(|i| state.idle.remove(i));
+                if deficit > 0 || due.is_some() {
+                    break (deficit, due);
                 }
-                // Sleep until the nearest deadline, a pending backoff expiry,
-                // or a routine re-check.
-                let mut until = now + inner.config.health_interval;
+                // Sleep until the next ping falls due, a pending backoff
+                // expires, or something wakes us.
+                let mut until = state
+                    .idle
+                    .iter()
+                    .map(|w| w.last_checked + interval)
+                    .min()
+                    .unwrap_or(now + interval);
                 if state.live < inner.config.size && next_spawn_allowed < until {
-                    until = next_spawn_allowed.max(now);
-                }
-                for d in &state.deadlines {
-                    if d.at < until {
-                        until = d.at;
-                    }
+                    until = next_spawn_allowed;
                 }
                 let wait = until
                     .saturating_duration_since(now)
@@ -764,37 +553,34 @@ fn supervisor_loop(inner: &Arc<Inner>) {
                     .unwrap_or_else(|p| p.into_inner());
                 state = s;
             }
+        };
+
+        if let Some(mut iw) = due {
+            if iw.worker.is_alive() && maintain(&mut iw.worker, WorkerProcess::ping) {
+                iw.last_checked = Instant::now();
+                if !inner.check_in(iw) {
+                    return;
+                }
+            } else {
+                drop(iw);
+                inner.discard_worker(true);
+            }
         }
 
-        // Outside the lock: fire expired deadlines...
-        for d in expired {
-            // Order matters: the flag must be set before the kill so the
-            // thread blocked on the pipe always attributes the EOF to us.
-            d.fired.store(true, Ordering::SeqCst);
-            d.kill.kill();
-        }
-
-        // ...and fill the spawn deficit.
         let mut failed = 0usize;
         for _ in 0..deficit {
             match WorkerProcess::spawn_at(&inner.binary) {
                 Ok(worker) => {
-                    inner.stats.record_spawn();
+                    inner.stats.spawns.inc();
                     backoff = RESPAWN_BACKOFF_BASE;
-                    let mut state = inner.lock();
-                    if state.shutdown {
-                        state.live = state.live.saturating_sub(1);
-                        drop(state);
-                        drop(worker);
-                        return;
-                    }
-                    state.idle.push_back(IdleWorker {
+                    let idle = IdleWorker {
                         worker,
                         served: 0,
                         last_checked: Instant::now(),
-                    });
-                    drop(state);
-                    inner.available.notify_all();
+                    };
+                    if !inner.check_in(idle) {
+                        return;
+                    }
                 }
                 Err(_) => failed += 1,
             }
@@ -807,60 +593,6 @@ fn supervisor_loop(inner: &Arc<Inner>) {
             }
             next_spawn_allowed = Instant::now() + backoff;
             backoff = (backoff * 2).min(inner.config.max_respawn_backoff);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Health checker: ping idle workers
-// ---------------------------------------------------------------------
-
-fn health_loop(inner: &Arc<Inner>) {
-    loop {
-        // Find one idle worker due for a check and take it out of the pool
-        // while probing (so a concurrent checkout can't grab it mid-ping).
-        let due = {
-            let mut state = inner.lock();
-            if state.shutdown {
-                return;
-            }
-            let now = Instant::now();
-            let pos = state
-                .idle
-                .iter()
-                .position(|w| now.duration_since(w.last_checked) >= inner.config.health_interval);
-            match pos {
-                Some(i) => state.idle.remove(i),
-                None => {
-                    let (s, _) = inner
-                        .supervisor_wake
-                        .wait_timeout(state, inner.config.health_interval / 2)
-                        .unwrap_or_else(|p| p.into_inner());
-                    drop(s);
-                    continue;
-                }
-            }
-        };
-        let Some(mut iw) = due else { continue };
-
-        let healthy = iw.worker.is_alive()
-            && inner.guarded_roundtrip(&mut iw.worker, MAINTENANCE_TIMEOUT, |w| w.ping());
-
-        if healthy {
-            iw.last_checked = Instant::now();
-            let mut state = inner.lock();
-            if state.shutdown {
-                state.live = state.live.saturating_sub(1);
-                drop(state);
-                drop(iw);
-                return;
-            }
-            state.idle.push_back(iw);
-            drop(state);
-            inner.available.notify_all();
-        } else {
-            drop(iw);
-            inner.discard_worker(true);
         }
     }
 }

@@ -208,7 +208,7 @@ impl Server {
 
     /// Counters of the engine's shared worker pool (one pool across all
     /// client threads), if pooled executors are active.
-    pub fn pool_stats(&self) -> Option<jaguar_pool::PoolStatsSnapshot> {
+    pub fn pool_stats(&self) -> Option<jaguar_ipc::pool::PoolStatsSnapshot> {
         self.engine.worker_pool().map(|p| p.stats())
     }
 

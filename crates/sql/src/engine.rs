@@ -18,8 +18,8 @@ use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::schema::{Schema, SchemaRef};
 use jaguar_common::{Tuple, Value};
+use jaguar_ipc::pool::WorkerPool;
 use jaguar_ipc::proto::CallbackHandler;
-use jaguar_pool::WorkerPool;
 use jaguar_sec::SessionContext;
 use jaguar_udf::{UdfDef, UdfImpl, UdfSignature, Volatility};
 use jaguar_vm::{Module, Permission, PermissionSet, ResourceLimits};

@@ -23,8 +23,8 @@ use jaguar_common::ids::RecordId;
 use jaguar_common::obs;
 use jaguar_common::value::compare;
 use jaguar_common::{ColumnSet, Tuple, Value};
+use jaguar_ipc::pool::WorkerPool;
 use jaguar_ipc::proto::CallbackHandler;
-use jaguar_pool::WorkerPool;
 use jaguar_udf::{BatchResult, ValueBatch};
 use jaguar_udf::{CircuitBreaker, ScalarUdf};
 use std::borrow::Cow;

@@ -1,22 +1,31 @@
 //! The isolated UDF executor process (paper §4.1).
 //!
-//! The server spawns one of these per UDF per query (Design 2/4), loads a
-//! UDF into it over stdin/stdout, and invokes it per tuple. The native UDF
-//! registry baked in here mirrors the C++ UDFs compiled into PREDATOR's
-//! remote executor.
+//! The server spawns one of these per UDF per query (Design 2/4), or keeps
+//! a few warm in its worker pool, loads a UDF into it over stdin/stdout, and
+//! invokes it per tuple. The native UDF registry baked in here mirrors the
+//! C++ UDFs compiled into PREDATOR's remote executor.
+//!
+//! A UDF stuck inside this process is the server's to kill: the server's
+//! deadline watchdog kills the worker when a round trip outlives its
+//! statement budget or the pool's invoke timeout. Should the server itself
+//! die, a UDF that never returns to read the (now closed) pipe would
+//! outlive it; a watcher thread exits the worker once its parent changes.
 
 fn main() {
-    // Private scratch dir, removed again on orderly exit. Creation reclaims
-    // any leftover from a killed predecessor rather than failing; if the
-    // temp dir is unusable the worker still serves (UDFs just have no disk
-    // scratch).
-    let scratch = jaguar_ipc::WorkerScratch::create();
+    #[cfg(unix)]
+    {
+        let parent = std::os::unix::process::parent_id();
+        std::thread::spawn(move || loop {
+            std::thread::sleep(std::time::Duration::from_secs(1));
+            if std::os::unix::process::parent_id() != parent {
+                std::process::exit(1);
+            }
+        });
+    }
     let registry = jaguar_udf::worker_registry();
     let stdin = std::io::stdin().lock();
     let stdout = std::io::stdout().lock();
-    let result = jaguar_ipc::worker::serve(stdin, stdout, &registry);
-    drop(scratch);
-    if let Err(e) = result {
+    if let Err(e) = jaguar_ipc::worker::serve(stdin, stdout, &registry) {
         eprintln!("jaguar-worker: {e}");
         std::process::exit(1);
     }

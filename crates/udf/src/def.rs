@@ -7,9 +7,9 @@ use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::retry::{self, RetryPolicy};
 use jaguar_common::Value;
-use jaguar_ipc::executor::WorkerProcess;
+use jaguar_ipc::pool::{PooledWorker, WorkerPool};
 use jaguar_ipc::proto::CallbackHandler;
-use jaguar_pool::{PooledWorker, WorkerPool};
+use jaguar_ipc::{Expired, WorkerProcess};
 use jaguar_vm::interp::ExecMode;
 use jaguar_vm::{PermissionSet, ResourceLimits, VerifiedModule};
 
@@ -158,20 +158,17 @@ fn acquire_retry() -> RetryPolicy {
     }
 }
 
-fn checkout_worker(pool: &Arc<WorkerPool>) -> Result<PooledWorker> {
-    acquire_retry().run(
-        "udf.pool.checkout",
-        retry::is_transient_worker_acquire,
-        || pool.checkout(),
-    )
-}
-
-fn spawn_worker() -> Result<WorkerProcess> {
-    acquire_retry().run(
-        "udf.worker.spawn",
-        retry::is_transient_worker_acquire,
-        WorkerProcess::spawn,
-    )
+/// Get a worker for one query: a checkout from `pool`, or a spawn.
+fn acquire_worker(pool: Option<&Arc<WorkerPool>>) -> Result<Lease> {
+    let transient = retry::is_transient_worker_acquire;
+    match pool {
+        Some(pool) => acquire_retry()
+            .run("udf.pool.checkout", transient, || pool.checkout())
+            .map(Lease::Pooled),
+        None => acquire_retry()
+            .run("udf.worker.spawn", transient, WorkerProcess::spawn)
+            .map(Lease::Owned),
+    }
 }
 
 impl UdfDef {
@@ -255,65 +252,44 @@ impl UdfDef {
     /// executor from `pool` (a warm worker checked out for the query and
     /// returned at `finish`) instead of spawning a fresh process.
     pub fn instantiate_with(&self, pool: Option<&Arc<WorkerPool>>) -> Result<Box<dyn ScalarUdf>> {
-        match &self.imp {
-            UdfImpl::Native(n) => Ok(Box::new(n.clone())),
-            UdfImpl::Vm(spec) => Ok(Box::new(self.vm_udf(spec)?)),
-            UdfImpl::IsolatedNative { worker_fn } => match pool {
-                Some(pool) => {
-                    let mut worker = checkout_worker(pool)?;
-                    worker.load_native(worker_fn)?;
-                    Ok(Box::new(PooledIsolatedUdf {
-                        name: self.name.clone(),
-                        signature: self.signature.clone(),
-                        worker,
-                        cancel: CancelToken::unbounded(),
-                    }))
-                }
-                None => {
-                    let mut worker = spawn_worker()?;
-                    worker.load_native(worker_fn)?;
-                    Ok(Box::new(IsolatedUdf {
-                        name: self.name.clone(),
-                        signature: self.signature.clone(),
-                        worker,
-                        cancel: CancelToken::unbounded(),
-                    }))
-                }
+        let load: &dyn Fn(&mut WorkerProcess) -> Result<()> = match &self.imp {
+            UdfImpl::Native(n) => return Ok(Box::new(n.clone())),
+            UdfImpl::Vm(spec) => return Ok(Box::new(self.vm_udf(spec)?)),
+            UdfImpl::IsolatedNative { worker_fn } => &|w| w.load_native(worker_fn),
+            UdfImpl::IsolatedVm(spec) => &|w| {
+                let limits = spec.limits;
+                w.load_vm(
+                    &spec.module_bytes,
+                    &spec.function,
+                    spec.jit,
+                    limits.fuel,
+                    limits.memory,
+                )
             },
-            UdfImpl::IsolatedVm(spec) => match pool {
-                Some(pool) => {
-                    let mut worker = checkout_worker(pool)?;
-                    worker.load_vm(
-                        &spec.module_bytes,
-                        &spec.function,
-                        spec.jit,
-                        spec.limits.fuel,
-                        spec.limits.memory,
-                    )?;
-                    Ok(Box::new(PooledIsolatedUdf {
-                        name: self.name.clone(),
-                        signature: self.signature.clone(),
-                        worker,
-                        cancel: CancelToken::unbounded(),
-                    }))
-                }
-                None => {
-                    let mut worker = spawn_worker()?;
-                    worker.load_vm(
-                        &spec.module_bytes,
-                        &spec.function,
-                        spec.jit,
-                        spec.limits.fuel,
-                        spec.limits.memory,
-                    )?;
-                    Ok(Box::new(IsolatedUdf {
-                        name: self.name.clone(),
-                        signature: self.signature.clone(),
-                        worker,
-                        cancel: CancelToken::unbounded(),
-                    }))
-                }
-            },
+        };
+        let mut lease = acquire_worker(pool)?;
+        load(lease.worker())?;
+        Ok(Box::new(IsolatedUdf {
+            name: self.name.clone(),
+            signature: self.signature.clone(),
+            lease,
+            cancel: CancelToken::unbounded(),
+        }))
+    }
+}
+
+/// The worker an [`IsolatedUdf`] runs in: spawned for this query and shut
+/// down at `finish`, or checked out of a pool and checked back in on drop.
+enum Lease {
+    Owned(WorkerProcess),
+    Pooled(PooledWorker),
+}
+
+impl Lease {
+    fn worker(&mut self) -> &mut WorkerProcess {
+        match self {
+            Lease::Owned(w) => w,
+            Lease::Pooled(w) => w,
         }
     }
 }
@@ -322,8 +298,45 @@ impl UdfDef {
 struct IsolatedUdf {
     name: String,
     signature: UdfSignature,
-    worker: WorkerProcess,
+    lease: Lease,
     cancel: CancelToken,
+}
+
+impl IsolatedUdf {
+    /// Run one invocation round trip under the earlier of two deadlines:
+    /// the statement's remaining budget and, for a pooled worker, the
+    /// pool's invoke timeout. The watchdog kills a worker that overruns
+    /// it; a kill bound by the statement budget is a `Timeout`, one bound
+    /// by the pool timeout a `ResourceLimit`, and a killed pooled worker
+    /// is never checked back in.
+    fn guarded<T>(&mut self, f: impl FnOnce(&mut WorkerProcess) -> Result<T>) -> Result<T> {
+        let statement = self.cancel.remaining();
+        let pool = match &self.lease {
+            Lease::Pooled(w) => w.invoke_timeout(),
+            Lease::Owned(_) => None,
+        };
+        let timeout = statement.into_iter().chain(pool).min();
+        match self.lease.worker().guarded(timeout, f) {
+            Ok(out) => out,
+            Err(Expired) => {
+                if let Lease::Pooled(w) = &mut self.lease {
+                    w.expired();
+                }
+                let timeout = timeout.unwrap_or_default();
+                Err(if statement.is_some_and(|s| pool.is_none_or(|p| s < p)) {
+                    JaguarError::Timeout(format!(
+                        "udf invocation exceeded the statement deadline \
+                         ({timeout:?} remaining); worker killed"
+                    ))
+                } else {
+                    JaguarError::ResourceLimit(format!(
+                        "udf invocation exceeded the {timeout:?} pool deadline; \
+                         worker killed and replaced"
+                    ))
+                })
+            }
+        }
+    }
 }
 
 impl ScalarUdf for IsolatedUdf {
@@ -336,13 +349,12 @@ impl ScalarUdf for IsolatedUdf {
     }
 
     fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
-        // Per-query workers have no supervisor to kill them mid-invoke;
-        // the token is still honoured between tuples.
         self.cancel.check()?;
         self.signature.check_args(&self.name, args)?;
         // The argument copy into the pipe is the "copy into shared memory"
         // of the paper's Design 2.
-        self.worker.invoke(args.to_vec(), callbacks)
+        let args = args.to_vec();
+        self.guarded(|w| w.invoke(args, callbacks))
     }
 
     fn invoke_batch(
@@ -354,7 +366,9 @@ impl ScalarUdf for IsolatedUdf {
         if let Err(e) = self.cancel.check() {
             return Err(BatchError::before_any(e));
         }
-        finish_checked(self.worker.invoke_batch(rows, callbacks), bad)
+        // One deadline around the whole batch: the watchdog still kills a
+        // wedged worker in time, it just cannot say which row wedged.
+        finish_checked(self.guarded(|w| w.invoke_batch(rows, callbacks)), bad)
     }
 
     fn attach_cancel(&mut self, token: CancelToken) {
@@ -362,7 +376,12 @@ impl ScalarUdf for IsolatedUdf {
     }
 
     fn finish(self: Box<Self>) -> Result<()> {
-        self.worker.shutdown()
+        match self.lease {
+            Lease::Owned(worker) => worker.shutdown(),
+            // Dropping the guard checks the worker back in (Reset + re-idle)
+            // or, if it died this query, lets the supervisor replace it.
+            Lease::Pooled(_) => Ok(()),
+        }
     }
 }
 
@@ -409,65 +428,6 @@ fn finish_checked(
             Err(BatchError::new(values.len(), JaguarError::Worker(message)))
         }
         Err(e) => Err(BatchError::before_any(e)),
-    }
-}
-
-/// A UDF running in a pool-managed worker process: same designs as
-/// [`IsolatedUdf`], but the executor is borrowed from a [`WorkerPool`] and
-/// returned (reset, ready for the next query) instead of being torn down.
-struct PooledIsolatedUdf {
-    name: String,
-    signature: UdfSignature,
-    worker: PooledWorker,
-    cancel: CancelToken,
-}
-
-impl ScalarUdf for PooledIsolatedUdf {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn signature(&self) -> &UdfSignature {
-        &self.signature
-    }
-
-    fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
-        self.cancel.check()?;
-        self.signature.check_args(&self.name, args)?;
-        // Deadline propagation: the supervisor kills the worker at
-        // min(remaining statement budget, pool invoke timeout), so a
-        // wedged UDF cannot outlive its statement.
-        self.worker
-            .invoke_with_deadline(args.to_vec(), callbacks, self.cancel.remaining())
-    }
-
-    fn invoke_batch(
-        &mut self,
-        batch: &ValueBatch,
-        callbacks: &mut dyn CallbackHandler,
-    ) -> BatchResult {
-        let (rows, bad) = checked_prefix(&self.name, &self.signature, batch);
-        if let Err(e) = self.cancel.check() {
-            return Err(BatchError::before_any(e));
-        }
-        // One deadline arm around the whole batch: the supervisor still
-        // kills a wedged worker at min(statement budget, pool timeout),
-        // it just can no longer distinguish which row wedged.
-        let out = self
-            .worker
-            .invoke_batch_with_deadline(rows, callbacks, self.cancel.remaining());
-        finish_checked(out, bad)
-    }
-
-    fn attach_cancel(&mut self, token: CancelToken) {
-        self.cancel = token;
-    }
-
-    fn finish(self: Box<Self>) -> Result<()> {
-        // Dropping the guard checks the worker back in (Reset + re-idle)
-        // or, if it died this query, lets the supervisor replace it.
-        drop(self.worker);
-        Ok(())
     }
 }
 

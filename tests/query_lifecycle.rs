@@ -126,6 +126,47 @@ fn statement_deadline_kills_hung_pooled_worker() {
     assert_eq!(r.rows.len(), 1);
 }
 
+/// Acceptance (a), per-query IPC backend (the default config, no pool): a
+/// worker-side `hang` is killed when the statement budget expires, just as
+/// a pooled one is. The statement runs on a thread so that a worker nobody
+/// kills fails this test instead of hanging the suite.
+#[test]
+fn statement_deadline_kills_hung_spawned_worker() {
+    if !worker_available() {
+        return;
+    }
+    let db = Arc::new(Database::with_config(
+        Config::default().with_statement_timeout_ms(Some(400)),
+    ));
+    assert!(db.worker_pool().is_none(), "the default config spawns");
+    db.execute("CREATE TABLE t (a INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.register_udf(UdfDef::new(
+        "whang",
+        UdfSignature::new(vec![], DataType::Int),
+        UdfImpl::IsolatedNative {
+            worker_fn: "hang".to_string(),
+        },
+    ));
+
+    let (tx, rx) = std::sync::mpsc::channel();
+    let runner = Arc::clone(&db);
+    std::thread::spawn(move || {
+        let _ = tx.send(runner.execute("SELECT whang() FROM t").map(|_| ()));
+    });
+    let err = rx
+        .recv_timeout(Duration::from_secs(5))
+        .expect("a 400ms statement deadline must end a hung spawned worker within 5s")
+        .unwrap_err();
+    assert!(
+        matches!(err, JaguarError::Timeout(_)),
+        "statement-budget kill must surface as a timeout, got: {err}"
+    );
+
+    let r = db.execute("SELECT a FROM t").unwrap();
+    assert_eq!(r.rows.len(), 1);
+}
+
 /// Acceptance (b): a client cancels a long scan out-of-band; the query
 /// aborts with a cancellation error, the connection stays usable, and
 /// after closing and reopening the database the data is untouched.
