@@ -35,6 +35,7 @@
 //! record by.
 
 use std::io::{self, Read, Write};
+use std::ops::Range;
 
 use crate::error::{JaguarError, Result};
 use crate::schema::{Field, Schema};
@@ -161,16 +162,26 @@ pub fn write_blob(w: &mut impl Write, data: &[u8]) -> Result<()> {
 /// never by what it *claimed* it would send. A short frame is a decode
 /// error, not a hang or a panic.
 pub fn read_blob(r: &mut impl Read) -> Result<Vec<u8>> {
+    let mut buf = Vec::new();
+    append_blob(r, &mut buf)?;
+    Ok(buf)
+}
+
+/// [`read_blob`] onto the end of `buf`, returning the body's range in it:
+/// many bodies can share one reused buffer. The same caps apply, and `buf`
+/// grows only as bytes actually arrive.
+pub fn append_blob(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<Range<usize>> {
     let len = read_u32(r)?;
     check_declared_len(len)?;
-    let mut buf = Vec::with_capacity((len as usize).min(BLOB_RESERVE_CAP));
-    let got = r.take(len as u64).read_to_end(&mut buf)?;
+    buf.reserve((len as usize).min(BLOB_RESERVE_CAP));
+    let start = buf.len();
+    let got = r.take(len as u64).read_to_end(buf)?;
     if got as u64 != len as u64 {
         return Err(JaguarError::Protocol(format!(
             "truncated blob: declared {len} bytes, stream ended after {got}"
         )));
     }
-    Ok(buf)
+    Ok(start..buf.len())
 }
 
 pub fn write_str(w: &mut impl Write, s: &str) -> Result<()> {

@@ -18,7 +18,7 @@ use jaguar_common::obs::io::{CountingReader, CountingWriter};
 use jaguar_common::obs::Counter;
 use jaguar_common::Value;
 
-use crate::proto::{CallbackHandler, Request, Response, PROTO_VERSION};
+use crate::proto::{write_batch, CallbackHandler, Request, Response, PROTO_VERSION};
 use crate::watchdog::Deadline;
 
 /// How long `Drop` waits for an orderly exit after `Shutdown` before killing.
@@ -113,9 +113,24 @@ impl WorkerKillHandle {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Expired;
 
-fn unexpected(reply: Response) -> JaguarError {
-    JaguarError::Protocol(format!("unexpected mid-invoke response {reply:?}"))
+/// Check a worker's reply to a batch of `rows` rows. The worker is the
+/// untrusted side: it must answer every row, or the rows before a failing
+/// one. Any other count is a protocol violation, not a result.
+fn batch_reply(rows: usize, values: Vec<Value>, error: Option<String>) -> BatchOutcome {
+    match error {
+        None if values.len() == rows => Ok((values, None)),
+        Some(e) if values.len() < rows => Ok((values, Some(e))),
+        e => Err(JaguarError::Protocol(format!(
+            "worker replied {} values (error: {}) to {rows} rows",
+            values.len(),
+            e.is_some()
+        ))),
+    }
 }
+
+/// The values of a batch's completed rows, and the failing row's rendered
+/// error if one failed (see [`WorkerProcess::invoke_batch`]).
+type BatchOutcome = Result<(Vec<Value>, Option<String>)>;
 
 impl WorkerProcess {
     /// Spawn a worker from an explicit binary path and wait for `Ready`.
@@ -157,7 +172,7 @@ impl WorkerProcess {
             callbacks: reg.counter("ipc.callbacks"),
             reaped: false,
         };
-        match wp.read_response()? {
+        match wp.read_response(0)? {
             Response::Ready { proto } if proto == PROTO_VERSION => Ok(wp),
             Response::Ready { proto } => Err(JaguarError::Worker(format!(
                 "worker speaks protocol v{proto}, server expects v{PROTO_VERSION} — \
@@ -174,8 +189,8 @@ impl WorkerProcess {
         Self::spawn_at(&find_worker_binary()?)
     }
 
-    fn read_response(&mut self) -> Result<Response> {
-        Response::read(&mut self.input).map_err(|e| match e {
+    fn read_response(&mut self, batch_rows: usize) -> Result<Response> {
+        Response::read(&mut self.input, batch_rows).map_err(|e| match e {
             // EOF here means the worker died — the crash-containment path.
             JaguarError::Io(ref io) if io.kind() == std::io::ErrorKind::UnexpectedEof => {
                 JaguarError::Worker("worker process died (crash contained by isolation)".into())
@@ -192,7 +207,7 @@ impl WorkerProcess {
     /// Send `request` and expect exactly `want` back.
     fn expect(&mut self, request: Request, want: Response) -> Result<()> {
         self.send(request)?;
-        match self.read_response()? {
+        match self.read_response(0)? {
             r if r == want => Ok(()),
             Response::Error { message } => Err(JaguarError::Worker(message)),
             other => Err(JaguarError::Protocol(format!(
@@ -201,12 +216,11 @@ impl WorkerProcess {
         }
     }
 
-    /// Send an invocation, answer the UDF's callbacks through `callbacks`
-    /// until the worker replies, and return that reply.
-    fn pump(&mut self, request: Request, callbacks: &mut dyn CallbackHandler) -> Result<Response> {
-        self.send(request)?;
+    /// Answer the UDF's callbacks through `callbacks` until the worker
+    /// replies to the batch of `rows` rows just sent, and return that reply.
+    fn pump(&mut self, rows: usize, callbacks: &mut dyn CallbackHandler) -> Result<Response> {
         loop {
-            match self.read_response()? {
+            match self.read_response(rows)? {
                 Response::CallbackRequest { name, args } => {
                     self.callbacks.inc();
                     let value = callbacks.callback(&name, &args)?;
@@ -243,35 +257,39 @@ impl WorkerProcess {
         self.expect(request, Response::Loaded)
     }
 
-    /// Invoke the loaded UDF on one argument tuple. Callbacks the UDF makes
-    /// are answered through `callbacks` before the result returns.
-    pub fn invoke(
-        &mut self,
-        args: Vec<Value>,
-        callbacks: &mut dyn CallbackHandler,
-    ) -> Result<Value> {
-        match self.pump(Request::Invoke { args }, callbacks)? {
-            Response::InvokeResult { value } => Ok(value),
-            other => Err(unexpected(other)),
+    /// Invoke the loaded UDF on one argument tuple, as a batch of one row.
+    pub fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
+        match self.invoke_batch(1, args.len(), |_, a| &args[a], callbacks)? {
+            // `batch_reply` let through exactly one value for the one row.
+            (mut values, None) => Ok(values.swap_remove(0)),
+            (_, Some(message)) => Err(JaguarError::Worker(message)),
         }
     }
 
-    /// Invoke the loaded UDF once per batch row in one crossing (the
-    /// vectorized ABI). Callbacks interleave exactly as for [`Self::invoke`].
+    /// Invoke the loaded UDF once per row in one crossing (the vectorized
+    /// ABI): `rows` rows of `arity` arguments, `arg(row, a)` being argument
+    /// `a` of row `row`, written into the pipe from wherever the caller
+    /// holds them. Callbacks interleave with the rows.
     ///
     /// `Ok((values, None))` means every row completed; `Ok((values,
     /// Some(message)))` means row `values.len()` failed with the rendered
     /// error (rows before it completed, with their side effects). `Err` is
     /// a transport-level failure (dead worker, protocol violation) with no
     /// row attribution.
-    pub fn invoke_batch(
+    pub fn invoke_batch<'v>(
         &mut self,
-        rows: Vec<Vec<Value>>,
+        rows: usize,
+        arity: usize,
+        arg: impl Fn(usize, usize) -> &'v Value,
         callbacks: &mut dyn CallbackHandler,
-    ) -> Result<(Vec<Value>, Option<String>)> {
-        match self.pump(Request::InvokeBatch { rows }, callbacks)? {
-            Response::BatchReply { values, error } => Ok((values, error)),
-            other => Err(unexpected(other)),
+    ) -> BatchOutcome {
+        self.crossings.inc();
+        write_batch(&mut self.output, rows, arity, arg)?;
+        match self.pump(rows, callbacks)? {
+            Response::BatchReply { values, error } => batch_reply(rows, values, error),
+            other => Err(JaguarError::Protocol(format!(
+                "unexpected mid-invoke response {other:?}"
+            ))),
         }
     }
 
@@ -415,6 +433,25 @@ mod tests {
         drop(child);
         // Worker dropped entirely: upgrade fails, still a no-op.
         assert!(!handle.kill());
+    }
+
+    #[test]
+    fn batch_reply_must_answer_the_rows_sent() {
+        let ints = |n: i64| (0..n).map(Value::Int).collect::<Vec<_>>();
+        let fails = |n, error: Option<&str>| {
+            let e = batch_reply(3, ints(n), error.map(String::from)).unwrap_err();
+            assert!(matches!(e, JaguarError::Protocol(_)), "{e}");
+        };
+        // Short with no error would drop result rows; long would leave
+        // values no row asked for; a failing row must be one that was sent.
+        fails(2, None);
+        fails(4, None);
+        fails(3, Some("boom"));
+        fails(4, Some("boom"));
+        assert_eq!(batch_reply(3, ints(3), None).unwrap(), (ints(3), None));
+        let failed = batch_reply(3, ints(1), Some("boom".into())).unwrap();
+        assert_eq!(failed, (ints(1), Some("boom".into())));
+        assert!(batch_reply(0, vec![], None).is_ok());
     }
 
     #[test]

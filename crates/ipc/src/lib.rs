@@ -22,7 +22,8 @@
 //! * [`proto`] — the framed message protocol (built on the §6.4 value
 //!   stream encoding from `jaguar-common`),
 //! * [`executor`] — the server side: spawn a worker per query, load a UDF
-//!   into it, invoke it per tuple, answer its callbacks, reap it,
+//!   into it, invoke it a batch of rows at a time (a tuple is a batch of
+//!   one), answer its callbacks, reap it,
 //! * [`watchdog`] — the one deadline mechanism: a process-wide thread that
 //!   kills a worker whose guarded round trip (invoke, batch, reset, ping)
 //!   outlives its deadline,

@@ -3,18 +3,26 @@
 //! Every message is a tag byte followed by tag-specific fields encoded with
 //! the `jaguar-common` stream primitives. The protocol is strictly
 //! request/response from the parent's point of view, with one twist: while
-//! an `Invoke` is outstanding, the worker may interleave any number of
-//! `CallbackRequest`s (the §4.2 callback channel), each of which the parent
-//! answers with `CallbackResult` before the final `InvokeResult` arrives.
+//! an invocation batch is outstanding, the worker may interleave any number
+//! of `CallbackRequest`s (the §4.2 callback channel), each of which the
+//! parent answers with `CallbackResult` before the final `BatchReply`
+//! arrives.
+//!
+//! Every invocation is a batch frame, a per-tuple one a batch of one row.
+//! The parent writes the frame straight from the arguments where it holds
+//! them ([`write_batch`]); the worker decodes it into one reused
+//! [`BatchFrame`]. That write is the one copy of the arguments a crossing
+//! makes — the paper's copy into shared memory.
 
 use std::io::{Read, Write};
+use std::ops::Range;
 
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::stream::{
-    read_blob, read_str, read_u32, read_u64, read_u8, read_value, write_blob, write_str, write_u32,
-    write_u64, write_u8, write_value,
+    append_blob, read_blob, read_f64, read_i64, read_str, read_u32, read_u64, read_u8, read_value,
+    write_blob, write_str, write_u32, write_u64, write_u8, write_value,
 };
-use jaguar_common::Value;
+use jaguar_common::{ByteArray, DataType, Value};
 
 /// Answers callbacks a UDF makes to the database server.
 ///
@@ -51,14 +59,13 @@ pub enum Request {
         fuel: u64,
         memory: u64,
     },
-    /// Invoke the loaded UDF on one argument tuple.
-    Invoke { args: Vec<Value> },
     /// Invoke the loaded UDF once per row of a batch, paying one pipe
     /// round-trip for the whole batch (the vectorized ABI). The worker
     /// stops at the first failing row and reports its index via
-    /// [`Response::BatchReply`]; callbacks interleave exactly as they do
-    /// for `Invoke`.
-    InvokeBatch { rows: Vec<Vec<Value>> },
+    /// [`Response::BatchReply`]. The frame is written by [`write_batch`],
+    /// and [`Request::read`] decodes its rows into the caller's
+    /// [`BatchFrame`].
+    InvokeBatch,
     /// Answer to an outstanding `CallbackRequest`.
     CallbackResult { value: Value },
     /// Orderly shutdown (end of query — executors live for one query).
@@ -76,7 +83,7 @@ pub enum Request {
 /// message set or the UDF registry semantics; the parent refuses workers
 /// announcing a different version (a stale `jaguar-worker` binary next to
 /// a fresh server otherwise produces silent wrong answers).
-pub const PROTO_VERSION: u32 = 6;
+pub const PROTO_VERSION: u32 = 7;
 
 /// Most rows one `InvokeBatch` frame may carry. The engine never forms
 /// batches above `jaguar_udf::batch::MAX_BATCH` (1024); the cap leaves headroom
@@ -91,13 +98,10 @@ pub enum Response {
     Ready { proto: u32 },
     /// A `Load*` request succeeded.
     Loaded,
-    /// The result of an `Invoke`.
-    InvokeResult { value: Value },
     /// The result of an `InvokeBatch`: one value per completed row. When
     /// `error` is set, the failing row's index is `values.len()` (rows
     /// before it completed, with their side effects) and the message is a
-    /// rendered `JaguarError`, exactly as `Error` would carry for the
-    /// per-tuple path.
+    /// rendered `JaguarError`.
     BatchReply {
         values: Vec<Value>,
         error: Option<String>,
@@ -115,7 +119,6 @@ pub enum Response {
 
 const REQ_LOAD_NATIVE: u8 = 0x01;
 const REQ_LOAD_VM: u8 = 0x02;
-const REQ_INVOKE: u8 = 0x03;
 const REQ_CALLBACK_RESULT: u8 = 0x04;
 const REQ_SHUTDOWN: u8 = 0x05;
 const REQ_PING: u8 = 0x06;
@@ -123,7 +126,6 @@ const REQ_RESET: u8 = 0x07;
 const REQ_INVOKE_BATCH: u8 = 0x08;
 const RSP_READY: u8 = 0x81;
 const RSP_LOADED: u8 = 0x82;
-const RSP_INVOKE_RESULT: u8 = 0x83;
 const RSP_CALLBACK_REQUEST: u8 = 0x84;
 const RSP_ERROR: u8 = 0x85;
 const RSP_PONG: u8 = 0x86;
@@ -138,42 +140,153 @@ fn write_values(w: &mut impl Write, vals: &[Value]) -> Result<()> {
     Ok(())
 }
 
-fn read_values(r: &mut impl Read) -> Result<Vec<Value>> {
+/// Most arguments (or callback arguments) one row may carry.
+const MAX_ARGS: usize = 65_535;
+
+/// Read a count-prefixed list of values, refusing a count above `most`.
+/// The count is untrusted (it crosses the process boundary): the vector is
+/// reserved at `reserve`, a size the reader chose, and grows past it only
+/// as values actually decode.
+fn read_values(r: &mut impl Read, most: usize, reserve: usize) -> Result<Vec<Value>> {
     let n = read_u32(r)?;
-    if n > 65_535 {
-        return Err(JaguarError::Protocol(format!("implausible arg count {n}")));
+    if n as usize > most {
+        let e = format!("implausible value count {n} (at most {most})");
+        return Err(JaguarError::Protocol(e));
     }
-    // The count prefix is untrusted (it crosses the process boundary from
-    // a possibly-compromised worker): grow as values actually decode.
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(reserve);
     for _ in 0..n {
         out.push(read_value(r)?);
     }
     Ok(out)
 }
 
-fn write_rows(w: &mut impl Write, rows: &[Vec<Value>]) -> Result<()> {
-    write_u32(w, rows.len() as u32)?;
-    for row in rows {
-        write_values(w, row)?;
+/// Write one `InvokeBatch` frame straight from the caller's arguments:
+/// `rows` rows of `arity` arguments each, `arg(row, a)` being argument `a`
+/// of row `row`.
+pub fn write_batch<'v>(
+    w: &mut impl Write,
+    rows: usize,
+    arity: usize,
+    arg: impl Fn(usize, usize) -> &'v Value,
+) -> Result<()> {
+    write_u8(w, REQ_INVOKE_BATCH)?;
+    write_u32(w, rows as u32)?;
+    for row in 0..rows {
+        write_u32(w, arity as u32)?;
+        for a in 0..arity {
+            write_value(w, arg(row, a))?;
+        }
     }
+    w.flush()?;
     Ok(())
 }
 
-fn read_rows(r: &mut impl Read) -> Result<Vec<Vec<Value>>> {
-    let n = read_u32(r)?;
-    if n > MAX_BATCH_ROWS {
-        return Err(JaguarError::Protocol(format!(
-            "implausible batch row count {n}"
-        )));
+/// One argument of a decoded [`BatchFrame`]: a scalar in place, or the
+/// range of a string or byte body in the frame's one byte buffer.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Arg {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    /// A VARCHAR body, checked to be UTF-8 when decoded.
+    Str(Range<usize>),
+    Bytes(Range<usize>),
+}
+
+/// An `InvokeBatch` frame as the worker decodes it, into buffers it keeps
+/// from batch to batch: every string and byte body in one `Vec<u8>`, every
+/// argument a small [`Arg`], and where each row ends. Decoding a batch
+/// allocates nothing once the buffers have grown to the batch size.
+#[derive(Debug, Default)]
+pub struct BatchFrame {
+    bytes: Vec<u8>,
+    args: Vec<Arg>,
+    row_ends: Vec<usize>,
+}
+
+impl BatchFrame {
+    /// Decode the body of an `InvokeBatch` frame (what follows its tag),
+    /// replacing the frame's rows. The row and argument counts and every
+    /// declared length are untrusted: each is capped, and the buffers grow
+    /// only as rows, arguments and bytes actually arrive.
+    fn read(&mut self, r: &mut impl Read) -> Result<()> {
+        self.bytes.clear();
+        self.args.clear();
+        self.row_ends.clear();
+        let n = read_u32(r)?;
+        if n > MAX_BATCH_ROWS {
+            return Err(JaguarError::Protocol(format!(
+                "implausible batch row count {n}"
+            )));
+        }
+        for _ in 0..n {
+            let arity = read_u32(r)?;
+            if arity as usize > MAX_ARGS {
+                let e = format!("implausible arg count {arity}");
+                return Err(JaguarError::Protocol(e));
+            }
+            for _ in 0..arity {
+                let arg = self.read_arg(r)?;
+                self.args.push(arg);
+            }
+            self.row_ends.push(self.args.len());
+        }
+        Ok(())
     }
-    // Same discipline as `read_values`: the count prefix is untrusted, so
-    // memory grows only as rows actually decode.
-    let mut out = Vec::new();
-    for _ in 0..n {
-        out.push(read_values(r)?);
+
+    /// One tagged value, in the form `jaguar_common::stream::write_value`
+    /// writes it.
+    fn read_arg(&mut self, r: &mut impl Read) -> Result<Arg> {
+        let tag = read_u8(r)?;
+        if tag == 0 {
+            return Ok(Arg::Null);
+        }
+        Ok(match DataType::from_tag(tag)? {
+            DataType::Bool => match read_u8(r)? {
+                0 => Arg::Bool(false),
+                1 => Arg::Bool(true),
+                other => return Err(JaguarError::Protocol(format!("invalid bool byte {other}"))),
+            },
+            DataType::Int => Arg::Int(read_i64(r)?),
+            DataType::Float => Arg::Float(read_f64(r)?),
+            DataType::Str => {
+                let body = append_blob(r, &mut self.bytes)?;
+                if std::str::from_utf8(&self.bytes[body.clone()]).is_err() {
+                    return Err(JaguarError::Protocol("invalid utf-8 string".into()));
+                }
+                Arg::Str(body)
+            }
+            DataType::Bytes => Arg::Bytes(append_blob(r, &mut self.bytes)?),
+        })
     }
-    Ok(out)
+
+    /// The arguments of each row, in order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = &[Arg]> {
+        let mut start = 0;
+        self.row_ends.iter().map(move |&end| {
+            let row = &self.args[start..end];
+            start = end;
+            row
+        })
+    }
+
+    /// The body a [`Arg::Str`] or [`Arg::Bytes`] names.
+    pub fn body(&self, range: &Range<usize>) -> &[u8] {
+        &self.bytes[range.clone()]
+    }
+
+    /// `arg` as an owned SQL value (copying its body out, if it has one).
+    pub fn value(&self, arg: &Arg) -> Value {
+        match arg {
+            Arg::Null => Value::Null,
+            Arg::Bool(b) => Value::Bool(*b),
+            Arg::Int(i) => Value::Int(*i),
+            Arg::Float(x) => Value::Float(*x),
+            Arg::Str(r) => Value::Str(String::from_utf8_lossy(self.body(r)).into_owned()),
+            Arg::Bytes(r) => Value::Bytes(ByteArray::from(self.body(r))),
+        }
+    }
 }
 
 impl Request {
@@ -197,13 +310,9 @@ impl Request {
                 write_u64(w, *fuel)?;
                 write_u64(w, *memory)?;
             }
-            Request::Invoke { args } => {
-                write_u8(w, REQ_INVOKE)?;
-                write_values(w, args)?;
-            }
-            Request::InvokeBatch { rows } => {
-                write_u8(w, REQ_INVOKE_BATCH)?;
-                write_rows(w, rows)?;
+            Request::InvokeBatch => {
+                let e = "an InvokeBatch frame is written by proto::write_batch";
+                return Err(JaguarError::Protocol(e.into()));
             }
             Request::CallbackResult { value } => {
                 write_u8(w, REQ_CALLBACK_RESULT)?;
@@ -217,7 +326,9 @@ impl Request {
         Ok(())
     }
 
-    pub fn read(r: &mut impl Read) -> Result<Request> {
+    /// Read the next request. An `InvokeBatch` is decoded into `batch`,
+    /// which keeps its buffers from one batch to the next.
+    pub fn read(r: &mut impl Read, batch: &mut BatchFrame) -> Result<Request> {
         Ok(match read_u8(r)? {
             REQ_LOAD_NATIVE => Request::LoadNative { name: read_str(r)? },
             REQ_LOAD_VM => Request::LoadVm {
@@ -227,12 +338,10 @@ impl Request {
                 fuel: read_u64(r)?,
                 memory: read_u64(r)?,
             },
-            REQ_INVOKE => Request::Invoke {
-                args: read_values(r)?,
-            },
-            REQ_INVOKE_BATCH => Request::InvokeBatch {
-                rows: read_rows(r)?,
-            },
+            REQ_INVOKE_BATCH => {
+                batch.read(r)?;
+                Request::InvokeBatch
+            }
             REQ_CALLBACK_RESULT => Request::CallbackResult {
                 value: read_value(r)?,
             },
@@ -256,10 +365,6 @@ impl Response {
                 write_u32(w, *proto)?;
             }
             Response::Loaded => write_u8(w, RSP_LOADED)?,
-            Response::InvokeResult { value } => {
-                write_u8(w, RSP_INVOKE_RESULT)?;
-                write_value(w, value)?;
-            }
             Response::BatchReply { values, error } => {
                 write_u8(w, RSP_BATCH_REPLY)?;
                 write_values(w, values)?;
@@ -287,17 +392,18 @@ impl Response {
         Ok(())
     }
 
-    pub fn read(r: &mut impl Read) -> Result<Response> {
+    /// Read the next response. `batch_rows` is the row count of the batch
+    /// the reader has outstanding (0 if none): a `BatchReply` may carry at
+    /// most that many values, and its vector is reserved at that size,
+    /// never at the count the worker claims.
+    pub fn read(r: &mut impl Read, batch_rows: usize) -> Result<Response> {
         Ok(match read_u8(r)? {
             RSP_READY => Response::Ready {
                 proto: read_u32(r)?,
             },
             RSP_LOADED => Response::Loaded,
-            RSP_INVOKE_RESULT => Response::InvokeResult {
-                value: read_value(r)?,
-            },
             RSP_BATCH_REPLY => {
-                let values = read_values(r)?;
+                let values = read_values(r, batch_rows, batch_rows)?;
                 let error = match read_u8(r)? {
                     0 => None,
                     _ => Some(read_str(r)?),
@@ -306,7 +412,7 @@ impl Response {
             }
             RSP_CALLBACK_REQUEST => Response::CallbackRequest {
                 name: read_str(r)?,
-                args: read_values(r)?,
+                args: read_values(r, MAX_ARGS, 0)?,
             },
             RSP_ERROR => Response::Error {
                 message: read_str(r)?,
@@ -325,20 +431,38 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaguar_common::ByteArray;
 
     fn roundtrip_req(req: Request) {
         let mut buf = Vec::new();
         req.write(&mut buf).unwrap();
-        let back = Request::read(&mut buf.as_slice()).unwrap();
+        let back = Request::read(&mut buf.as_slice(), &mut BatchFrame::default()).unwrap();
         assert_eq!(back, req);
     }
 
     fn roundtrip_rsp(rsp: Response) {
         let mut buf = Vec::new();
         rsp.write(&mut buf).unwrap();
-        let back = Response::read(&mut buf.as_slice()).unwrap();
+        let back = Response::read(&mut buf.as_slice(), 2).unwrap();
         assert_eq!(back, rsp);
+    }
+
+    /// A batch frame of `rows`, as the parent writes it.
+    fn batch_bytes(rows: &[Vec<Value>]) -> Vec<u8> {
+        let arity = rows.first().map_or(0, Vec::len);
+        let mut buf = Vec::new();
+        write_batch(&mut buf, rows.len(), arity, |i, a| &rows[i][a]).unwrap();
+        buf
+    }
+
+    /// Decode a batch frame back into rows of values.
+    fn decode_batch(bytes: &[u8]) -> Result<Vec<Vec<Value>>> {
+        let mut frame = BatchFrame::default();
+        let req = Request::read(&mut &bytes[..], &mut frame)?;
+        assert_eq!(req, Request::InvokeBatch);
+        Ok(frame
+            .rows()
+            .map(|row| row.iter().map(|a| frame.value(a)).collect())
+            .collect())
     }
 
     #[test]
@@ -353,26 +477,34 @@ mod tests {
             fuel: 0,
             memory: 1 << 20,
         });
-        roundtrip_req(Request::Invoke {
-            args: vec![
-                Value::Int(1),
-                Value::Bytes(ByteArray::patterned(100, 5)),
-                Value::Null,
-            ],
-        });
         roundtrip_req(Request::CallbackResult {
             value: Value::Float(2.5),
         });
         roundtrip_req(Request::Shutdown);
         roundtrip_req(Request::Ping);
         roundtrip_req(Request::Reset);
-        roundtrip_req(Request::InvokeBatch {
-            rows: vec![
+        for rows in [
+            vec![
                 vec![Value::Int(1), Value::Bytes(ByteArray::patterned(16, 1))],
                 vec![Value::Int(2), Value::Null],
             ],
-        });
-        roundtrip_req(Request::InvokeBatch { rows: vec![] });
+            vec![vec![
+                Value::Int(1),
+                Value::Bytes(ByteArray::patterned(100, 5)),
+                Value::Null,
+            ]],
+            vec![],
+        ] {
+            assert_eq!(decode_batch(&batch_bytes(&rows)).unwrap(), rows);
+        }
+        // A reused frame holds only the latest batch.
+        let mut frame = BatchFrame::default();
+        for rows in [vec![vec![Value::Str("ab".into())]; 3], vec![vec![]]] {
+            Request::read(&mut batch_bytes(&rows).as_slice(), &mut frame).unwrap();
+            assert_eq!(frame.rows().len(), rows.len());
+        }
+        assert!(frame.rows().all(<[Arg]>::is_empty));
+        assert!(Request::InvokeBatch.write(&mut Vec::new()).is_err());
     }
 
     #[test]
@@ -381,9 +513,6 @@ mod tests {
             proto: PROTO_VERSION,
         });
         roundtrip_rsp(Response::Loaded);
-        roundtrip_rsp(Response::InvokeResult {
-            value: Value::Int(42),
-        });
         roundtrip_rsp(Response::CallbackRequest {
             name: "clip".into(),
             args: vec![Value::Int(3), Value::Int(4)],
@@ -403,41 +532,126 @@ mod tests {
         });
     }
 
+    /// The bytes of one mixed batch frame and of its reply, as protocol v6
+    /// wrote them. A codec change that moves a byte here changes the wire
+    /// format, and must bump `PROTO_VERSION` on purpose.
+    #[test]
+    fn batch_frame_and_reply_bytes_are_pinned() {
+        let rows = vec![
+            vec![
+                Value::Null,
+                Value::Bool(true),
+                Value::Int(-2),
+                Value::Float(1.5),
+                Value::Str("hé".into()),
+                Value::Bytes(ByteArray::from(&[7u8, 8, 9][..])),
+                Value::Bytes(ByteArray::from(&[][..])),
+            ],
+            vec![
+                Value::Int(3),
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Bool(false),
+            ],
+        ];
+        let mut want = vec![0x08];
+        want.extend(2u32.to_le_bytes());
+        want.extend(7u32.to_le_bytes());
+        want.push(0); // NULL
+        want.extend([1, 1]); // BOOL true
+        want.push(2);
+        want.extend((-2i64).to_le_bytes());
+        want.push(3);
+        want.extend(1.5f64.to_le_bytes());
+        want.push(4);
+        want.extend(3u32.to_le_bytes());
+        want.extend("hé".as_bytes());
+        want.push(5);
+        want.extend(3u32.to_le_bytes());
+        want.extend([7, 8, 9]);
+        want.push(5);
+        want.extend(0u32.to_le_bytes());
+        want.extend(7u32.to_le_bytes());
+        want.push(2);
+        want.extend(3i64.to_le_bytes());
+        want.extend([0, 0, 0, 0, 0]);
+        want.extend([1, 0]); // BOOL false
+        assert_eq!(batch_bytes(&rows), want);
+        assert_eq!(decode_batch(&want).unwrap(), rows);
+
+        let mut reply = Vec::new();
+        Response::BatchReply {
+            values: vec![Value::Int(5), Value::Null],
+            error: Some("boom".into()),
+        }
+        .write(&mut reply)
+        .unwrap();
+        let mut want = vec![0x88];
+        want.extend(2u32.to_le_bytes());
+        want.push(2);
+        want.extend(5i64.to_le_bytes());
+        want.push(0);
+        want.push(1);
+        want.extend(4u32.to_le_bytes());
+        want.extend(b"boom");
+        assert_eq!(reply, want);
+    }
+
     #[test]
     fn unknown_tags_rejected() {
-        assert!(Request::read(&mut [0xEEu8].as_slice()).is_err());
-        assert!(Response::read(&mut [0x00u8].as_slice()).is_err());
+        let mut frame = BatchFrame::default();
+        assert!(Request::read(&mut [0xEEu8].as_slice(), &mut frame).is_err());
+        assert!(Response::read(&mut [0x00u8].as_slice(), 0).is_err());
+        // Protocol v6's per-tuple request and reply tags are retired: a
+        // per-tuple call is a one-row batch.
+        let err = Request::read(&mut [0x03u8, 0, 0, 0, 0].as_slice(), &mut frame).unwrap_err();
+        assert!(err.to_string().contains("unknown request tag"), "{err}");
+        let err = Response::read(&mut [0x83u8, 0].as_slice(), 1).unwrap_err();
+        assert!(err.to_string().contains("unknown response tag"), "{err}");
     }
 
     #[test]
     fn hostile_declared_lengths_rejected() {
+        let mut batch = BatchFrame::default();
         // LoadVm whose module blob declares 1 GB: rejected by the declared
         // length cap before any allocation.
         let mut frame = vec![0x02u8]; // REQ_LOAD_VM
         frame.extend_from_slice(&(1u32 << 30).to_le_bytes());
-        let err = Request::read(&mut frame.as_slice()).unwrap_err();
+        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
         assert!(err.to_string().contains("exceeds limit"), "{err}");
 
-        // Invoke declaring u32::MAX arguments: rejected by the arg cap.
-        let mut frame = vec![0x03u8]; // REQ_INVOKE
+        // A one-row batch declaring u32::MAX arguments: rejected by the arg
+        // cap.
+        let mut frame = vec![0x08u8, 1, 0, 0, 0]; // REQ_INVOKE_BATCH, 1 row
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = Request::read(&mut frame.as_slice()).unwrap_err();
+        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
         assert!(err.to_string().contains("implausible arg count"), "{err}");
 
         // A plausible arg count with no payload behind it: decode error on
         // EOF, memory bounded by what actually arrived.
-        let mut frame = vec![0x03u8];
+        let mut frame = vec![0x08u8, 1, 0, 0, 0];
         frame.extend_from_slice(&60_000u32.to_le_bytes());
-        assert!(Request::read(&mut frame.as_slice()).is_err());
+        assert!(Request::read(&mut frame.as_slice(), &mut batch).is_err());
+
+        // A byte argument declaring 1 GB: the declared length cap again,
+        // now on the batch frame's shared buffer.
+        let mut frame = vec![0x08u8, 1, 0, 0, 0, 1, 0, 0, 0, 5];
+        frame.extend_from_slice(&(1u32 << 30).to_le_bytes());
+        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
+        assert!(err.to_string().contains("exceeds limit"), "{err}");
     }
 
     #[test]
     fn hostile_batch_frames_rejected() {
+        let mut batch = BatchFrame::default();
         // InvokeBatch declaring u32::MAX rows: rejected by the row cap
         // before any allocation.
         let mut frame = vec![0x08u8]; // REQ_INVOKE_BATCH
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = Request::read(&mut frame.as_slice()).unwrap_err();
+        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
         assert!(
             err.to_string().contains("implausible batch row count"),
             "{err}"
@@ -446,38 +660,57 @@ mod tests {
         // A row count just over the cap is also rejected.
         let mut frame = vec![0x08u8];
         frame.extend_from_slice(&(MAX_BATCH_ROWS + 1).to_le_bytes());
-        assert!(Request::read(&mut frame.as_slice()).is_err());
+        assert!(Request::read(&mut frame.as_slice(), &mut batch).is_err());
 
         // A plausible row count with no payload: EOF during decode, memory
         // bounded by what actually arrived.
         let mut frame = vec![0x08u8];
         frame.extend_from_slice(&1024u32.to_le_bytes());
-        assert!(Request::read(&mut frame.as_slice()).is_err());
+        assert!(Request::read(&mut frame.as_slice(), &mut batch).is_err());
 
         // A row inside the batch declaring an implausible arg count is
         // caught by the per-row value cap.
         let mut frame = vec![0x08u8];
         frame.extend_from_slice(&1u32.to_le_bytes());
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = Request::read(&mut frame.as_slice()).unwrap_err();
+        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
         assert!(err.to_string().contains("implausible arg count"), "{err}");
 
+        // A truncated byte body, an invalid bool byte and a VARCHAR that is
+        // not UTF-8: each a protocol error, before any row runs.
+        let one_arg = |arg: &[u8]| {
+            let mut frame = vec![0x08u8, 1, 0, 0, 0, 1, 0, 0, 0];
+            frame.extend_from_slice(arg);
+            Request::read(&mut frame.as_slice(), &mut BatchFrame::default()).unwrap_err()
+        };
+        for (arg, text) in [
+            (&[5u8, 4, 0, 0, 0, 1, 2][..], "truncated blob"),
+            (&[1u8, 2][..], "invalid bool byte"),
+            (&[4u8, 2, 0, 0, 0, 0xC3, 0x28][..], "invalid utf-8"),
+        ] {
+            let err = one_arg(arg);
+            assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
+            assert!(err.to_string().contains(text), "{err}");
+        }
+
         // BatchReply from a compromised worker declaring u32::MAX result
-        // values: same cap, parent side.
+        // values, or one more than the rows it was sent: refused by the
+        // parent before any value decodes.
         let mut frame = vec![0x88u8]; // RSP_BATCH_REPLY
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(Response::read(&mut frame.as_slice()).is_err());
+        let rows = MAX_BATCH_ROWS as usize;
+        assert!(Response::read(&mut frame.as_slice(), rows).is_err());
+        let mut frame = vec![0x88u8];
+        frame.extend_from_slice(&3u32.to_le_bytes());
+        let err = Response::read(&mut frame.as_slice(), 2).unwrap_err();
+        assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
     }
 
     #[test]
     fn truncated_message_is_error() {
-        let mut buf = Vec::new();
-        Request::Invoke {
-            args: vec![Value::Int(5)],
-        }
-        .write(&mut buf)
-        .unwrap();
-        assert!(Request::read(&mut buf[..buf.len() - 2].as_ref()).is_err());
+        let buf = batch_bytes(&[vec![Value::Int(5)]]);
+        let mut frame = BatchFrame::default();
+        assert!(Request::read(&mut buf[..buf.len() - 2].as_ref(), &mut frame).is_err());
     }
 
     #[test]
@@ -486,18 +719,23 @@ mod tests {
         Request::LoadNative { name: "a".into() }
             .write(&mut buf)
             .unwrap();
-        Request::Invoke { args: vec![] }.write(&mut buf).unwrap();
+        buf.extend(batch_bytes(&[vec![Value::Int(1)]]));
         Request::Shutdown.write(&mut buf).unwrap();
         let mut r = buf.as_slice();
+        let mut frame = BatchFrame::default();
         assert!(matches!(
-            Request::read(&mut r).unwrap(),
+            Request::read(&mut r, &mut frame).unwrap(),
             Request::LoadNative { .. }
         ));
-        assert!(matches!(
-            Request::read(&mut r).unwrap(),
-            Request::Invoke { .. }
-        ));
-        assert!(matches!(Request::read(&mut r).unwrap(), Request::Shutdown));
+        assert_eq!(
+            Request::read(&mut r, &mut frame).unwrap(),
+            Request::InvokeBatch
+        );
+        assert!(frame.rows().eq([&[Arg::Int(1)][..]]));
+        assert_eq!(
+            Request::read(&mut r, &mut frame).unwrap(),
+            Request::Shutdown
+        );
         assert!(r.is_empty());
     }
 }

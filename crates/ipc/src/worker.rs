@@ -3,8 +3,9 @@
 //! A worker process runs [`serve`] over its stdin/stdout. The parent loads
 //! exactly one UDF into it (native, from the registry baked into the worker
 //! binary; or a sandboxed VM module shipped over the pipe) and then invokes
-//! it once per tuple. A UDF's callbacks are proxied back to the parent as
-//! `CallbackRequest` messages.
+//! it one batch of rows at a time (a per-tuple call is a batch of one). A
+//! UDF's callbacks are proxied back to the parent as `CallbackRequest`
+//! messages.
 //!
 //! The worker is deliberately *crashable*: a native UDF that panics takes
 //! the worker process down, not the server — which is the entire point of
@@ -16,9 +17,9 @@ use std::sync::Arc;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::Value;
 use jaguar_vm::interp::{ExecMode, HostEnv, Interpreter, VmValue};
-use jaguar_vm::{Arena, Module, ResourceLimits, VerifiedModule};
+use jaguar_vm::{Arena, Module, ResourceLimits, TierTally, VerifiedModule};
 
-use crate::proto::{CallbackHandler, Request, Response, PROTO_VERSION};
+use crate::proto::{Arg, BatchFrame, CallbackHandler, Request, Response, PROTO_VERSION};
 
 /// A native UDF as hosted by the worker: arguments in, callbacks available,
 /// one value out. Mirrors the shape of a C++ UDF compiled into PREDATOR's
@@ -62,9 +63,14 @@ impl WorkerRegistry {
 enum Loaded {
     Nothing,
     Native(NativeUdfFn),
+    /// A sandboxed module, with the arena and argument vector its rows
+    /// reuse: made at load under that load's limits, so a Reset or a
+    /// reload always starts a fresh arena.
     Vm {
         interp: Interpreter,
         function: String,
+        arena: Arena,
+        vm_args: Vec<VmValue>,
     },
 }
 
@@ -83,7 +89,9 @@ impl<R: Read, W: Write> CallbackHandler for WireCallbacks<'_, R, W> {
             args: args.to_vec(),
         }
         .write(self.output)?;
-        match Request::read(self.input)? {
+        // Only a CallbackResult is expected: a batch frame here is decoded
+        // into a scratch frame, to keep the stream in step, and refused.
+        match Request::read(self.input, &mut BatchFrame::default())? {
             Request::CallbackResult { value } => Ok(value),
             other => Err(JaguarError::Protocol(format!(
                 "expected CallbackResult, got {other:?}"
@@ -139,6 +147,7 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
     let mut output = BufWriter::new(output);
     let mut loaded = Loaded::Nothing;
     let mut module_cache: ModuleCache = None;
+    let mut frame = BatchFrame::default();
 
     Response::Ready {
         proto: PROTO_VERSION,
@@ -146,7 +155,7 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
     .write(&mut output)?;
 
     loop {
-        let req = match Request::read(&mut input) {
+        let req = match Request::read(&mut input, &mut frame) {
             Ok(r) => r,
             // Parent hung up (end of query / parent died): exit quietly.
             Err(JaguarError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
@@ -203,6 +212,8 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
                     loaded = Loaded::Vm {
                         interp: Interpreter::new(verified, limits, mode),
                         function,
+                        arena: Arena::new(limits.memory),
+                        vm_args: Vec::new(),
                     };
                     Response::Loaded.write(&mut output)?;
                 }
@@ -219,27 +230,13 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
                 }
                 .write(&mut output)?;
             }
-            Request::Invoke { args } => {
-                let outcome = invoke_loaded(&mut loaded, &args, &mut input, &mut output);
+            Request::InvokeBatch => {
+                let (values, error) =
+                    invoke_loaded_batch(&mut loaded, &frame, &mut input, &mut output);
                 // Fault site: die after doing the work but before the
                 // reply — the parent sees EOF mid-protocol and must
-                // contain it as a worker failure, not corrupt state.
-                if jaguar_common::fault::should_fail("ipc.worker.drop_mid_reply") {
-                    std::process::abort();
-                }
-                match outcome {
-                    Ok(value) => Response::InvokeResult { value }.write(&mut output)?,
-                    Err(e) => Response::Error {
-                        message: e.to_string(),
-                    }
-                    .write(&mut output)?,
-                }
-            }
-            Request::InvokeBatch { rows } => {
-                let (values, error) =
-                    invoke_loaded_batch(&mut loaded, &rows, &mut input, &mut output);
-                // Same fault site as Invoke: one per batch, since the
-                // batch is one crossing.
+                // contain it as a worker failure, not corrupt state. One
+                // per batch, since the batch is one crossing.
                 if jaguar_common::fault::should_fail("ipc.worker.drop_mid_reply") {
                     std::process::abort();
                 }
@@ -269,130 +266,73 @@ fn verified(cache: &mut ModuleCache, bytes: Vec<u8>) -> Result<Arc<VerifiedModul
     Ok(module)
 }
 
-fn invoke_loaded<R: Read, W: Write>(
-    loaded: &mut Loaded,
-    args: &[Value],
-    input: &mut BufReader<R>,
-    output: &mut BufWriter<W>,
-) -> Result<Value> {
-    match loaded {
-        Loaded::Nothing => Err(JaguarError::Worker("invoke before load".into())),
-        Loaded::Native(f) => {
-            let f = Arc::clone(f);
-            let mut cb = WireCallbacks { input, output };
-            f(args, &mut cb)
-        }
-        Loaded::Vm { interp, function } => {
-            // Marshal SQL values into the VM arena, run, read the result
-            // back — the in-worker equivalent of the JNI argument mapping.
-            let mut arena = Arena::new(interp.limits().memory);
-            let mut vm_args = Vec::with_capacity(args.len());
-            for a in args {
-                vm_args.push(match a {
-                    Value::Int(v) => VmValue::I64(*v),
-                    Value::Float(v) => VmValue::F64(*v),
-                    Value::Bytes(b) => VmValue::Bytes(arena.alloc_from(b.as_slice())?),
-                    other => {
-                        return Err(JaguarError::Udf(format!(
-                            "unsupported VM argument type: {other}"
-                        )))
-                    }
-                });
-            }
-            let mut host = VmWireHost {
-                cb: WireCallbacks { input, output },
-            };
-            let (ret, _usage) =
-                interp.invoke_with_arena(function, vm_args, &mut arena, &mut host)?;
-            Ok(match ret {
-                None => Value::Null,
-                Some(VmValue::I64(v)) => Value::Int(v),
-                Some(VmValue::F64(v)) => Value::Float(v),
-                Some(VmValue::Bytes(r)) => {
-                    Value::Bytes(jaguar_common::ByteArray::new(arena.get(r)?.to_vec()))
-                }
-            })
-        }
-    }
-}
-
-/// Run the loaded UDF once per batch row, inside the worker — the whole
-/// point of the vectorized ABI: the parent paid one pipe crossing for all
-/// of these rows. Stops at the first failing row; the reply carries the
-/// completed prefix, and the error's row index is the prefix length.
+/// Run the loaded UDF once per row of `frame`, inside the worker — the
+/// whole point of the vectorized ABI: the parent paid one pipe crossing
+/// for all of these rows. Stops at the first failing row; the reply
+/// carries the completed prefix, and the error's row index is the prefix
+/// length.
 ///
-/// The VM case amortizes per-invocation setup across the batch: the entry
-/// function is resolved once and one arena is reset (not reallocated) per
-/// row. Resource accounting and error text stay identical to the
-/// per-tuple path.
+/// A native UDF gets each row as `Value`s built from the frame. A VM row
+/// reuses the load's arena and argument vector, and a byte argument goes
+/// from the frame into the arena in one copy; the function is resolved and
+/// the tier counters published once per batch.
 fn invoke_loaded_batch<R: Read, W: Write>(
     loaded: &mut Loaded,
-    rows: &[Vec<Value>],
+    frame: &BatchFrame,
     input: &mut BufReader<R>,
     output: &mut BufWriter<W>,
 ) -> (Vec<Value>, Option<String>) {
-    match loaded {
-        Loaded::Nothing => (
-            Vec::new(),
-            Some(JaguarError::Worker("invoke before load".into()).to_string()),
-        ),
+    let mut values = Vec::with_capacity(frame.rows().len());
+    let outcome = match loaded {
+        Loaded::Nothing => Err(JaguarError::Worker("invoke before load".into())),
         Loaded::Native(f) => {
-            let f = Arc::clone(f);
             let mut cb = WireCallbacks { input, output };
-            let mut values = Vec::with_capacity(rows.len());
-            for row in rows {
-                match f(row, &mut cb) {
-                    Ok(v) => values.push(v),
-                    Err(e) => return (values, Some(e.to_string())),
-                }
-            }
-            (values, None)
+            let mut args = Vec::new();
+            frame.rows().try_for_each(|row| {
+                args.clear();
+                args.extend(row.iter().map(|a| frame.value(a)));
+                values.push(f(&args, &mut cb)?);
+                Ok(())
+            })
         }
-        Loaded::Vm { interp, function } => {
-            let fidx = match interp.resolve(function) {
-                Ok(f) => f,
-                Err(e) => return (Vec::new(), Some(e.to_string())),
+        Loaded::Vm {
+            interp,
+            function,
+            arena,
+            vm_args,
+        } => interp.resolve(function).and_then(|fidx| {
+            let mut host = VmWireHost {
+                cb: WireCallbacks { input, output },
             };
-            let mut arena = Arena::new(interp.limits().memory);
-            let mut values = Vec::with_capacity(rows.len());
-            for row in rows {
+            let mut tally = TierTally::default();
+            frame.rows().try_for_each(|row| {
                 arena.reset();
-                let one = (|| -> Result<Value> {
-                    let mut vm_args = Vec::with_capacity(row.len());
-                    for a in row {
-                        vm_args.push(match a {
-                            Value::Int(v) => VmValue::I64(*v),
-                            Value::Float(v) => VmValue::F64(*v),
-                            Value::Bytes(b) => VmValue::Bytes(arena.alloc_from(b.as_slice())?),
-                            other => {
-                                return Err(JaguarError::Udf(format!(
-                                    "unsupported VM argument type: {other}"
-                                )))
-                            }
-                        });
-                    }
-                    let mut host = VmWireHost {
-                        cb: WireCallbacks { input, output },
-                    };
-                    let (ret, _usage) =
-                        interp.invoke_resolved(fidx, function, vm_args, &mut arena, &mut host)?;
-                    Ok(match ret {
-                        None => Value::Null,
-                        Some(VmValue::I64(v)) => Value::Int(v),
-                        Some(VmValue::F64(v)) => Value::Float(v),
-                        Some(VmValue::Bytes(r)) => {
-                            Value::Bytes(jaguar_common::ByteArray::new(arena.get(r)?.to_vec()))
+                vm_args.clear();
+                for a in row {
+                    vm_args.push(match a {
+                        Arg::Int(v) => VmValue::I64(*v),
+                        Arg::Float(v) => VmValue::F64(*v),
+                        Arg::Bytes(r) => VmValue::Bytes(arena.alloc_from(frame.body(r))?),
+                        other => {
+                            let other = frame.value(other);
+                            let e = format!("unsupported VM argument type: {other}");
+                            return Err(JaguarError::Udf(e));
                         }
-                    })
-                })();
-                match one {
-                    Ok(v) => values.push(v),
-                    Err(e) => return (values, Some(e.to_string())),
+                    });
                 }
-            }
-            (values, None)
-        }
-    }
+                let (ret, _usage) =
+                    interp.invoke_tallied(fidx, function, vm_args, arena, &mut host, &mut tally)?;
+                values.push(match ret {
+                    None => Value::Null,
+                    Some(VmValue::I64(v)) => Value::Int(v),
+                    Some(VmValue::F64(v)) => Value::Float(v),
+                    Some(VmValue::Bytes(r)) => Value::Bytes(arena.get(r)?.into()),
+                });
+                Ok(())
+            })
+        }),
+    };
+    (values, outcome.err().map(|e| e.to_string()))
 }
 
 #[cfg(test)]
@@ -416,19 +356,38 @@ mod tests {
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// Drive the serve loop over in-memory buffers: write a scripted set of
-    /// requests, collect all responses.
-    fn script(requests: &[Request], registry: &WorkerRegistry) -> Vec<Response> {
-        let mut inbuf = Vec::new();
-        for r in requests {
-            r.write(&mut inbuf).unwrap();
+    /// The bytes of one request.
+    fn req(request: Request) -> Vec<u8> {
+        let mut buf = Vec::new();
+        request.write(&mut buf).unwrap();
+        buf
+    }
+
+    /// The bytes of one batch frame over `rows`.
+    fn batch(rows: &[Vec<Value>]) -> Vec<u8> {
+        let arity = rows.first().map_or(0, Vec::len);
+        let mut buf = Vec::new();
+        crate::proto::write_batch(&mut buf, rows.len(), arity, |i, a| &rows[i][a]).unwrap();
+        buf
+    }
+
+    /// A batch reply.
+    fn reply(values: Vec<Value>, error: Option<&str>) -> Response {
+        Response::BatchReply {
+            values,
+            error: error.map(String::from),
         }
+    }
+
+    /// Drive the serve loop over in-memory buffers: write a scripted set of
+    /// messages, collect all responses.
+    fn script(messages: &[Vec<u8>], registry: &WorkerRegistry) -> Vec<Response> {
         let mut out = Vec::new();
-        serve(Cursor::new(inbuf), &mut out, registry).unwrap();
+        serve(Cursor::new(messages.concat()), &mut out, registry).unwrap();
         let mut rsp = Vec::new();
         let mut r = out.as_slice();
         while !r.is_empty() {
-            rsp.push(Response::read(&mut r).unwrap());
+            rsp.push(Response::read(&mut r, crate::proto::MAX_BATCH_ROWS as usize).unwrap());
         }
         rsp
     }
@@ -437,11 +396,9 @@ mod tests {
     fn load_and_invoke_native() {
         let rsp = script(
             &[
-                Request::LoadNative { name: "add".into() },
-                Request::Invoke {
-                    args: vec![Value::Int(20), Value::Int(22)],
-                },
-                Request::Shutdown,
+                req(Request::LoadNative { name: "add".into() }),
+                batch(&[vec![Value::Int(20), Value::Int(22)]]),
+                req(Request::Shutdown),
             ],
             &demo_registry(),
         );
@@ -452,9 +409,7 @@ mod tests {
                     proto: PROTO_VERSION
                 },
                 Response::Loaded,
-                Response::InvokeResult {
-                    value: Value::Int(42)
-                }
+                reply(vec![Value::Int(42)], None),
             ]
         );
     }
@@ -462,9 +417,9 @@ mod tests {
     #[test]
     fn unknown_native_is_error_response() {
         let rsp = script(
-            &[Request::LoadNative {
+            &[req(Request::LoadNative {
                 name: "missing".into(),
-            }],
+            })],
             &demo_registry(),
         );
         assert!(matches!(rsp[1], Response::Error { .. }));
@@ -472,8 +427,9 @@ mod tests {
 
     #[test]
     fn invoke_before_load_is_error_response() {
-        let rsp = script(&[Request::Invoke { args: vec![] }], &demo_registry());
-        assert!(matches!(rsp[1], Response::Error { .. }));
+        let rsp = script(&[batch(&[vec![]])], &demo_registry());
+        let message = JaguarError::Worker("invoke before load".into()).to_string();
+        assert_eq!(rsp[1], reply(vec![], Some(&message)));
     }
 
     #[test]
@@ -481,17 +437,15 @@ mod tests {
         // The scripted input answers the callback inline.
         let rsp = script(
             &[
-                Request::LoadNative {
+                req(Request::LoadNative {
                     name: "echo_callback".into(),
-                },
-                Request::Invoke {
-                    args: vec![Value::Int(7)],
-                },
+                }),
+                batch(&[vec![Value::Int(7)]]),
                 // This CallbackResult is consumed *inside* the invoke.
-                Request::CallbackResult {
+                req(Request::CallbackResult {
                     value: Value::Int(77),
-                },
-                Request::Shutdown,
+                }),
+                req(Request::Shutdown),
             ],
             &demo_registry(),
         );
@@ -506,32 +460,32 @@ mod tests {
                     name: "lookup".into(),
                     args: vec![Value::Int(7)],
                 },
-                Response::InvokeResult {
-                    value: Value::Int(77)
-                }
+                reply(vec![Value::Int(77)], None),
             ]
         );
     }
 
+    fn load_vm(src: &str, fuel: u64, memory: u64) -> Vec<u8> {
+        req(Request::LoadVm {
+            module: jaguar_vm::asm::assemble(src).unwrap().to_bytes(),
+            function: "main".into(),
+            jit: true,
+            fuel,
+            memory,
+        })
+    }
+
+    const DOUBLE: &str =
+        "module m\nfunc main(i64) -> i64\n  load 0\n  consti 2\n  muli\n  ret\nend\n";
+
     #[test]
     fn vm_module_loads_and_runs() {
         let _serial = vm_serial();
-        // main(a: i64) -> i64 { return a * 2 } assembled via jaguar_vm::asm
-        let src = "module m\nfunc main(i64) -> i64\n  load 0\n  consti 2\n  muli\n  ret\nend\n";
-        let module = jaguar_vm::asm::assemble(src).unwrap();
         let rsp = script(
             &[
-                Request::LoadVm {
-                    module: module.to_bytes(),
-                    function: "main".into(),
-                    jit: true,
-                    fuel: 0,
-                    memory: 0,
-                },
-                Request::Invoke {
-                    args: vec![Value::Int(21)],
-                },
-                Request::Shutdown,
+                load_vm(DOUBLE, 0, 0),
+                batch(&[vec![Value::Int(21)]]),
+                req(Request::Shutdown),
             ],
             &WorkerRegistry::new(),
         );
@@ -542,9 +496,7 @@ mod tests {
                     proto: PROTO_VERSION
                 },
                 Response::Loaded,
-                Response::InvokeResult {
-                    value: Value::Int(42)
-                }
+                reply(vec![Value::Int(42)], None),
             ]
         );
     }
@@ -552,13 +504,13 @@ mod tests {
     #[test]
     fn malformed_vm_module_rejected() {
         let rsp = script(
-            &[Request::LoadVm {
+            &[req(Request::LoadVm {
                 module: b"garbage".to_vec(),
                 function: "main".into(),
                 jit: true,
                 fuel: 0,
                 memory: 0,
-            }],
+            })],
             &WorkerRegistry::new(),
         );
         assert!(matches!(rsp[1], Response::Error { .. }));
@@ -568,30 +520,65 @@ mod tests {
     fn vm_fuel_limit_enforced_in_worker() {
         let _serial = vm_serial();
         let src = "module m\nfunc main() -> i64\nspin:\n  jmp spin\n  consti 0\n  ret\nend\n";
-        let module = jaguar_vm::asm::assemble(src).unwrap();
         let rsp = script(
             &[
-                Request::LoadVm {
-                    module: module.to_bytes(),
-                    function: "main".into(),
-                    jit: true,
-                    fuel: 1000,
-                    memory: 0,
-                },
-                Request::Invoke { args: vec![] },
-                Request::Shutdown,
+                load_vm(src, 1000, 0),
+                batch(&[vec![]]),
+                req(Request::Shutdown),
             ],
             &WorkerRegistry::new(),
         );
-        let Response::Error { message } = &rsp[2] else {
-            panic!("expected error, got {:?}", rsp[2]);
+        let Response::BatchReply {
+            values,
+            error: Some(message),
+        } = &rsp[2]
+        else {
+            panic!("expected a failed row, got {:?}", rsp[2]);
         };
+        assert!(values.is_empty());
         assert!(message.contains("fuel"), "{message}");
+    }
+
+    /// The arena a batch runs in belongs to the load: after a Reset, a
+    /// reload of the same module runs under the new load's memory limit,
+    /// not the one the worker's first load set.
+    #[test]
+    fn reload_runs_under_the_new_loads_limits() {
+        let _serial = vm_serial();
+        // main(n) allocates an n-byte array and returns its length.
+        let src = "module m\nfunc main(i64) -> i64\n  load 0\n  newarr\n  alen\n  ret\nend\n";
+        let rows = vec![vec![Value::Int(64 << 10)]; 4];
+        let rsp = script(
+            &[
+                load_vm(src, 0, 1 << 20),
+                batch(&rows),
+                req(Request::Reset),
+                load_vm(src, 0, 16 << 10),
+                batch(&rows),
+                req(Request::Shutdown),
+            ],
+            &WorkerRegistry::new(),
+        );
+        assert_eq!(rsp[2], reply(vec![Value::Int(64 << 10); 4], None));
+        assert_eq!(rsp[3], Response::ResetOk);
+        let Response::BatchReply {
+            values,
+            error: Some(message),
+        } = &rsp[5]
+        else {
+            panic!("expected row 0 to fail, got {:?}", rsp[5]);
+        };
+        assert!(values.is_empty(), "row 0 fails");
+        let limit = JaguarError::ResourceLimit("memory: 65536 bytes requested, limit 16384".into());
+        assert_eq!(message, &limit.to_string());
     }
 
     #[test]
     fn ping_answers_pong() {
-        let rsp = script(&[Request::Ping, Request::Shutdown], &demo_registry());
+        let rsp = script(
+            &[req(Request::Ping), req(Request::Shutdown)],
+            &demo_registry(),
+        );
         assert_eq!(
             rsp,
             vec![
@@ -607,15 +594,13 @@ mod tests {
     fn reset_drops_loaded_state() {
         let rsp = script(
             &[
-                Request::LoadNative { name: "add".into() },
-                Request::Invoke {
-                    args: vec![Value::Int(20), Value::Int(22)],
-                },
-                Request::Reset,
+                req(Request::LoadNative { name: "add".into() }),
+                batch(&[vec![Value::Int(20), Value::Int(22)]]),
+                req(Request::Reset),
                 // After a reset the worker must behave exactly like a fresh
-                // one: invoking without a load is an error response.
-                Request::Invoke { args: vec![] },
-                Request::Shutdown,
+                // one: invoking without a load is an error.
+                batch(&[vec![]]),
+                req(Request::Shutdown),
             ],
             &demo_registry(),
         );
@@ -626,29 +611,25 @@ mod tests {
             }
         );
         assert_eq!(rsp[1], Response::Loaded);
-        assert_eq!(
-            rsp[2],
-            Response::InvokeResult {
-                value: Value::Int(42)
-            }
-        );
+        assert_eq!(rsp[2], reply(vec![Value::Int(42)], None));
         assert_eq!(rsp[3], Response::ResetOk);
-        assert!(matches!(rsp[4], Response::Error { .. }));
+        let Response::BatchReply { error, .. } = &rsp[4] else {
+            panic!("expected BatchReply, got {:?}", rsp[4]);
+        };
+        assert!(error.as_deref().unwrap().contains("invoke before load"));
     }
 
     #[test]
     fn batch_invoke_native() {
         let rsp = script(
             &[
-                Request::LoadNative { name: "add".into() },
-                Request::InvokeBatch {
-                    rows: vec![
-                        vec![Value::Int(1), Value::Int(2)],
-                        vec![Value::Int(10), Value::Int(20)],
-                        vec![Value::Int(100), Value::Int(200)],
-                    ],
-                },
-                Request::Shutdown,
+                req(Request::LoadNative { name: "add".into() }),
+                batch(&[
+                    vec![Value::Int(1), Value::Int(2)],
+                    vec![Value::Int(10), Value::Int(20)],
+                    vec![Value::Int(100), Value::Int(200)],
+                ]),
+                req(Request::Shutdown),
             ],
             &demo_registry(),
         );
@@ -656,10 +637,7 @@ mod tests {
             rsp[1..],
             [
                 Response::Loaded,
-                Response::BatchReply {
-                    values: vec![Value::Int(3), Value::Int(30), Value::Int(300)],
-                    error: None,
-                }
+                reply(vec![Value::Int(3), Value::Int(30), Value::Int(300)], None),
             ]
         );
     }
@@ -669,15 +647,13 @@ mod tests {
         // Row 1's Null argument makes `add` fail; rows before it complete.
         let rsp = script(
             &[
-                Request::LoadNative { name: "add".into() },
-                Request::InvokeBatch {
-                    rows: vec![
-                        vec![Value::Int(1), Value::Int(2)],
-                        vec![Value::Null, Value::Int(20)],
-                        vec![Value::Int(100), Value::Int(200)],
-                    ],
-                },
-                Request::Shutdown,
+                req(Request::LoadNative { name: "add".into() }),
+                batch(&[
+                    vec![Value::Int(1), Value::Int(2)],
+                    vec![Value::Null, Value::Int(20)],
+                    vec![Value::Int(100), Value::Int(200)],
+                ]),
+                req(Request::Shutdown),
             ],
             &demo_registry(),
         );
@@ -692,20 +668,18 @@ mod tests {
     fn batch_callbacks_interleave() {
         let rsp = script(
             &[
-                Request::LoadNative {
+                req(Request::LoadNative {
                     name: "echo_callback".into(),
-                },
-                Request::InvokeBatch {
-                    rows: vec![vec![Value::Int(1)], vec![Value::Int(2)]],
-                },
+                }),
+                batch(&[vec![Value::Int(1)], vec![Value::Int(2)]]),
                 // Consumed inside the batch, one per row.
-                Request::CallbackResult {
+                req(Request::CallbackResult {
                     value: Value::Int(11),
-                },
-                Request::CallbackResult {
+                }),
+                req(Request::CallbackResult {
                     value: Value::Int(22),
-                },
-                Request::Shutdown,
+                }),
+                req(Request::Shutdown),
             ],
             &demo_registry(),
         );
@@ -721,10 +695,7 @@ mod tests {
                     name: "lookup".into(),
                     args: vec![Value::Int(2)],
                 },
-                Response::BatchReply {
-                    values: vec![Value::Int(11), Value::Int(22)],
-                    error: None,
-                }
+                reply(vec![Value::Int(11), Value::Int(22)], None),
             ]
         );
     }
@@ -732,9 +703,7 @@ mod tests {
     #[test]
     fn batch_before_load_is_error_reply() {
         let rsp = script(
-            &[Request::InvokeBatch {
-                rows: vec![vec![Value::Int(1)]],
-            }],
+            &[batch(&[vec![Value::Int(1)], vec![Value::Int(2)]])],
             &demo_registry(),
         );
         let Response::BatchReply { values, error } = &rsp[1] else {
@@ -747,85 +716,47 @@ mod tests {
     #[test]
     fn batch_vm_module_amortizes_entry() {
         let _serial = vm_serial();
-        let src = "module m\nfunc main(i64) -> i64\n  load 0\n  consti 2\n  muli\n  ret\nend\n";
-        let module = jaguar_vm::asm::assemble(src).unwrap();
+        let rows: Vec<_> = (0..5).map(|i| vec![Value::Int(i)]).collect();
         let rsp = script(
-            &[
-                Request::LoadVm {
-                    module: module.to_bytes(),
-                    function: "main".into(),
-                    jit: true,
-                    fuel: 0,
-                    memory: 0,
-                },
-                Request::InvokeBatch {
-                    rows: (0..5).map(|i| vec![Value::Int(i)]).collect(),
-                },
-                Request::Shutdown,
-            ],
+            &[load_vm(DOUBLE, 0, 0), batch(&rows), req(Request::Shutdown)],
             &WorkerRegistry::new(),
         );
         assert_eq!(
             rsp[2],
-            Response::BatchReply {
-                values: (0..5).map(|i| Value::Int(i * 2)).collect(),
-                error: None,
-            }
+            reply((0..5).map(|i| Value::Int(i * 2)).collect(), None)
         );
     }
 
     #[test]
     fn first_invoke_runs_compiled_and_reload_reuses_the_module() {
         let _serial = vm_serial();
-        let src = "module m\nfunc main(i64) -> i64\n  load 0\n  consti 2\n  muli\n  ret\nend\n";
-        let bytes = jaguar_vm::asm::assemble(src).unwrap().to_bytes();
-        let load = Request::LoadVm {
-            module: bytes.clone(),
-            function: "main".into(),
-            jit: true,
-            fuel: 0,
-            memory: 0,
-        };
         let before = jaguar_common::obs::global()
             .snapshot()
             .counter("vm.tier.compiled_hits");
         let rsp = script(
             &[
-                load.clone(),
-                Request::Invoke {
-                    args: vec![Value::Int(1)],
-                },
-                Request::Reset,
-                load,
-                Request::Invoke {
-                    args: vec![Value::Int(2)],
-                },
-                Request::Shutdown,
+                load_vm(DOUBLE, 0, 0),
+                batch(&[vec![Value::Int(1)]]),
+                req(Request::Reset),
+                load_vm(DOUBLE, 0, 0),
+                batch(&[vec![Value::Int(2)]]),
+                req(Request::Shutdown),
             ],
             &WorkerRegistry::new(),
         );
-        assert_eq!(
-            rsp[2],
-            Response::InvokeResult {
-                value: Value::Int(2)
-            }
-        );
-        assert_eq!(
-            rsp[5],
-            Response::InvokeResult {
-                value: Value::Int(4)
-            }
-        );
+        assert_eq!(rsp[2], reply(vec![Value::Int(2)], None));
+        assert_eq!(rsp[5], reply(vec![Value::Int(4)], None));
         let after = jaguar_common::obs::global()
             .snapshot()
             .counter("vm.tier.compiled_hits");
         assert_eq!(
             after - before,
             2,
-            "the first Invoke after each LoadVm runs compiled"
+            "the first invocation after each LoadVm runs compiled"
         );
 
         // An identical LoadVm after a Reset reuses the verified module.
+        let bytes = jaguar_vm::asm::assemble(DOUBLE).unwrap().to_bytes();
         let mut cache = None;
         let first = verified(&mut cache, bytes.clone()).unwrap();
         let again = verified(&mut cache, bytes).unwrap();

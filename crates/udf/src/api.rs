@@ -20,14 +20,25 @@ impl UdfSignature {
 
     /// Validate an argument tuple against this signature (NULLs conform).
     pub fn check_args(&self, name: &str, args: &[Value]) -> Result<()> {
-        if args.len() != self.params.len() {
+        self.check_args_with(name, args.len(), |a| &args[a])
+    }
+
+    /// [`UdfSignature::check_args`] on arguments `arg(0..arity)` wherever
+    /// the caller holds them, e.g. a row of a batch's columns.
+    pub fn check_args_with<'v>(
+        &self,
+        name: &str,
+        arity: usize,
+        arg: impl Fn(usize) -> &'v Value,
+    ) -> Result<()> {
+        if arity != self.params.len() {
             return Err(JaguarError::Udf(format!(
-                "udf '{name}' expects {} arguments, got {}",
+                "udf '{name}' expects {} arguments, got {arity}",
                 self.params.len(),
-                args.len()
             )));
         }
-        for (i, (a, p)) in args.iter().zip(&self.params).enumerate() {
+        for (i, p) in self.params.iter().enumerate() {
+            let a = arg(i);
             if !a.conforms_to(*p) {
                 return Err(JaguarError::Udf(format!(
                     "udf '{name}' argument {}: expected {}, got {}",

@@ -351,24 +351,33 @@ impl ScalarUdf for IsolatedUdf {
     fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
         self.cancel.check()?;
         self.signature.check_args(&self.name, args)?;
-        // The argument copy into the pipe is the "copy into shared memory"
-        // of the paper's Design 2.
-        let args = args.to_vec();
         self.guarded(|w| w.invoke(args, callbacks))
     }
 
+    /// Ship the rows before the first one failing the signature check,
+    /// straight from the batch's columns: as per tuple, they run (with
+    /// their side effects) before the check error surfaces at its row.
     fn invoke_batch(
         &mut self,
         batch: &ValueBatch,
         callbacks: &mut dyn CallbackHandler,
     ) -> BatchResult {
-        let (rows, bad) = checked_prefix(&self.name, &self.signature, batch);
+        let arity = batch.arity();
+        let arg = |row: usize, a: usize| &batch.column(a)[row];
+        let bad = (0..batch.len()).find_map(|row| {
+            let checked = self
+                .signature
+                .check_args_with(&self.name, arity, |a| arg(row, a));
+            checked.err().map(|e| (row, e))
+        });
+        let valid = bad.as_ref().map_or(batch.len(), |(row, _)| *row);
         if let Err(e) = self.cancel.check() {
             return Err(BatchError::before_any(e));
         }
         // One deadline around the whole batch: the watchdog still kills a
         // wedged worker in time, it just cannot say which row wedged.
-        finish_checked(self.guarded(|w| w.invoke_batch(rows, callbacks)), bad)
+        let out = self.guarded(|w| w.invoke_batch(valid, arity, arg, callbacks));
+        finish_checked(out, bad)
     }
 
     fn attach_cancel(&mut self, token: CancelToken) {
@@ -383,28 +392,6 @@ impl ScalarUdf for IsolatedUdf {
             Lease::Pooled(_) => Ok(()),
         }
     }
-}
-
-/// Split a batch at the first row whose arguments fail the signature
-/// check: per-tuple semantics demand that rows before the bad one still
-/// execute (with their side effects) before the check error surfaces, so
-/// the isolated designs ship the valid prefix and report the check error
-/// at its true row index afterwards.
-fn checked_prefix(
-    name: &str,
-    signature: &UdfSignature,
-    batch: &ValueBatch,
-) -> (Vec<Vec<Value>>, Option<(usize, JaguarError)>) {
-    let mut rows = Vec::with_capacity(batch.len());
-    let mut args = Vec::with_capacity(batch.arity());
-    for i in 0..batch.len() {
-        batch.read_row(i, &mut args);
-        if let Err(e) = signature.check_args(name, &args) {
-            return (rows, Some((i, e)));
-        }
-        rows.push(std::mem::take(&mut args));
-    }
-    (rows, None)
 }
 
 /// Combine a worker's batch reply with a deferred signature-check error.

@@ -160,11 +160,7 @@ impl VmUdf {
         arg: impl Fn(usize) -> &'v Value,
         callbacks: &mut dyn CallbackHandler,
     ) -> Result<Value> {
-        let params = &self.signature.params;
-        if arity != params.len() || (0..arity).any(|a| !arg(a).conforms_to(params[a])) {
-            let row: Vec<Value> = (0..arity).map(|a| arg(a).clone()).collect();
-            self.signature.check_args(&self.name, &row)?;
-        }
+        self.signature.check_args_with(&self.name, arity, &arg)?;
         self.arena.reset();
         self.vm_args.clear();
         for a in 0..arity {

@@ -26,7 +26,7 @@ fn orphan_parent() {
     worker.load_native("hang").expect("loading hang");
     let pid = worker.pid();
     std::thread::spawn(move || {
-        let _ = worker.invoke(vec![], &mut NoCallbacks);
+        let _ = worker.invoke(&[], &mut NoCallbacks);
     });
     // Let the invoke reach the worker, so that `hang` (not a read of the
     // pipe that closes with this process) is what it is doing at our exit.

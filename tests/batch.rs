@@ -170,30 +170,31 @@ fn trusted_native_stays_per_tuple() {
 /// reply).
 #[test]
 fn hostile_batch_frames_are_rejected() {
-    use jaguar_ipc::proto::{Request, Response, MAX_BATCH_ROWS};
+    use jaguar_ipc::proto::{BatchFrame, Request, Response, MAX_BATCH_ROWS};
+    let mut batch = BatchFrame::default();
 
     // An InvokeBatch frame declaring one row more than the wire cap.
     let mut frame = vec![0x08u8];
     frame.extend_from_slice(&(MAX_BATCH_ROWS + 1).to_le_bytes());
-    let err = Request::read(&mut frame.as_slice()).unwrap_err();
+    let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
     assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
 
     // ...and one declaring u32::MAX rows (allocation-bomb attempt).
     let mut frame = vec![0x08u8];
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
-    let err = Request::read(&mut frame.as_slice()).unwrap_err();
+    let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
     assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
 
     // A truncated frame claiming the cap exactly but carrying no rows:
     // decoding must fail cleanly (EOF), not hang or pre-allocate 4096 rows.
     let mut frame = vec![0x08u8];
     frame.extend_from_slice(&MAX_BATCH_ROWS.to_le_bytes());
-    assert!(Request::read(&mut frame.as_slice()).is_err());
+    assert!(Request::read(&mut frame.as_slice(), &mut batch).is_err());
 
     // A BatchReply from a compromised worker declaring u32::MAX values.
     let mut frame = vec![0x88u8];
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
-    let err = Response::read(&mut frame.as_slice()).unwrap_err();
+    let err = Response::read(&mut frame.as_slice(), MAX_BATCH_ROWS as usize).unwrap_err();
     assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
 }
 

@@ -1,0 +1,104 @@
+//! Allocation counts around an isolated (Design 4) batch crossing.
+//!
+//! A timing cannot gate in tier-1; an allocation count can, because it
+//! repeats exactly. This binary installs the counting allocator it shares
+//! with `vm_allocs.rs` and pins that a batch of generic-UDF invocations
+//! allocates per *batch*, not per row, on both sides of the pipe:
+//!
+//! * the parent writes the batch frame straight from the `ValueBatch`
+//!   columns, without copying any row out of them;
+//! * the worker decodes the frame into buffers it keeps from batch to
+//!   batch, and runs every row in the arena and argument vector of its
+//!   load.
+
+use std::io::Cursor;
+
+use jaguar_core::{ByteArray, ResourceLimits, Value};
+use jaguar_ipc::proto::{write_batch, Request, Response};
+use jaguar_ipc::{find_worker_binary, worker};
+use jaguar_udf::generic::{self, GenericParams, IdentityCallbacks};
+use jaguar_udf::ValueBatch;
+
+#[path = "counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
+
+const ROWS: usize = 1_000;
+
+/// `ROWS` rows of the generic UDF doing no work: a 100-byte array and
+/// three zero INTs, an INT result.
+fn rows() -> Vec<Vec<Value>> {
+    (0..ROWS as u64)
+        .map(|i| GenericParams::default().args(ByteArray::patterned(100, i)))
+        .collect()
+}
+
+#[test]
+fn an_isolated_batch_allocates_per_batch_in_the_parent() {
+    if find_worker_binary().is_err() {
+        eprintln!("skipping: jaguar-worker not built (cargo build --workspace)");
+        return;
+    }
+    let batch = ValueBatch::from_rows(&rows()).unwrap();
+    let mut udf = generic::def_isolated_vm(true, ResourceLimits::default())
+        .instantiate()
+        .unwrap();
+    udf.invoke_batch(&batch, &mut IdentityCallbacks).unwrap();
+    let (allocs, out) = allocations(|| udf.invoke_batch(&batch, &mut IdentityCallbacks));
+    assert_eq!(out.unwrap(), vec![Value::Int(0); ROWS]);
+    udf.finish().unwrap();
+    // The reply vector — not one allocation per row.
+    assert!(
+        allocs <= ROWS as u64 / 10,
+        "{allocs} allocations over {ROWS} rows"
+    );
+}
+
+#[test]
+fn an_isolated_batch_allocates_per_batch_in_the_worker() {
+    let rows = rows();
+    let mut load = Vec::new();
+    Request::LoadVm {
+        module: generic::generic_module().to_bytes(),
+        function: "main".into(),
+        jit: true,
+        fuel: 0,
+        memory: 0,
+    }
+    .write(&mut load)
+    .unwrap();
+    let mut frame = Vec::new();
+    write_batch(&mut frame, ROWS, 4, |i, a| &rows[i][a]).unwrap();
+    let registry = generic::worker_registry();
+
+    // Allocations of a worker serving one load and then `batches` batches,
+    // with its input and output buffers made beforehand.
+    let serve = |batches: usize| {
+        let input = [load.clone(), frame.repeat(batches)].concat();
+        let mut output = Vec::with_capacity(64 + batches * 16 * ROWS);
+        let (allocs, served) =
+            allocations(|| worker::serve(Cursor::new(input), &mut output, &registry));
+        served.unwrap();
+        let mut replies = output.as_slice();
+        for _ in 0..2 {
+            Response::read(&mut replies, 0).unwrap(); // Ready, Loaded
+        }
+        for _ in 0..batches {
+            let reply = Response::read(&mut replies, ROWS).unwrap();
+            let want = Response::BatchReply {
+                values: vec![Value::Int(0); ROWS],
+                error: None,
+            };
+            assert_eq!(reply, want);
+        }
+        allocs
+    };
+    serve(1); // warm-up: the process-wide counters and fault sites
+    let (few, more) = (serve(2), serve(6));
+    let per_batch = more.saturating_sub(few) / 4;
+    // The reply vector — not one allocation per row or per argument.
+    assert!(
+        per_batch <= ROWS as u64 / 10,
+        "{per_batch} allocations per batch of {ROWS} rows ({few} for 2 batches, {more} for 6)"
+    );
+}
