@@ -14,8 +14,8 @@
 //! ```
 //!
 //! Exits non-zero when the run violates the jaguar-guard acceptance gate
-//! (any non-busy error, a starved control plane, a poisoned engine, or a
-//! breaker trip), so CI can gate on it directly.
+//! (any non-busy error, a starved control plane, a poisoned engine, or no
+//! completed statement), so CI can gate on it directly.
 
 use jaguar_bench::{run_load, LoadConfig};
 

@@ -103,26 +103,17 @@ pub struct Catalog {
 impl Catalog {
     /// A catalog whose tables live in memory.
     pub fn in_memory(config: Config) -> Catalog {
-        let udfs = Self::udf_catalog_for(&config);
         Catalog {
             config,
             storage: Storage::Memory,
             next_table_id: AtomicU32::new(1),
             tables: RwLock::new(HashMap::new()),
-            udfs,
+            udfs: UdfCatalog::new(),
             wal: None,
             cipher: None,
             wrapped_key: None,
             labels: RwLock::new(HashMap::new()),
         }
-    }
-
-    /// UDF registry honouring the config's circuit-breaker policy.
-    fn udf_catalog_for(config: &Config) -> UdfCatalog {
-        UdfCatalog::with_breaker_policy(
-            config.udf_breaker_threshold,
-            std::time::Duration::from_millis(config.udf_breaker_cooldown_ms),
-        )
     }
 
     /// A catalog whose tables are files under `dir` (created if absent).
@@ -143,13 +134,12 @@ impl Catalog {
         // partway through recovery.
         let (cipher, wrapped_key, key_is_fresh) = Self::resolve_key(&dir, &config)?;
         let (wal, _stats) = Wal::open_with_cipher(&dir, &config, cipher.clone())?;
-        let udfs = Self::udf_catalog_for(&config);
         let cat = Catalog {
             config,
             storage: Storage::Directory(dir.clone()),
             next_table_id: AtomicU32::new(1),
             tables: RwLock::new(HashMap::new()),
-            udfs,
+            udfs: UdfCatalog::new(),
             wal: Some(wal),
             cipher,
             wrapped_key,

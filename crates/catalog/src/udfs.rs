@@ -5,37 +5,20 @@
 //! an isolated process, or under the sandboxed VM — whichever design the
 //! registration chose. This is the knob the paper's experiments turn.
 //!
-//! The registry also owns one [`CircuitBreaker`] per UDF name: the engine
-//! records worker crashes and deadline kills against it, and a tripped
-//! breaker makes later queries fail fast with `UdfQuarantined` instead of
-//! paying a worker respawn per tuple. Re-registering a UDF installs a
-//! fresh breaker — uploading a fixed module clears the quarantine.
+//! The registry holds definitions only. A UDF's failure costs the
+//! statement it happened in and is not remembered here: the next
+//! statement that calls the UDF instantiates it afresh.
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
 
 use jaguar_common::error::{JaguarError, Result};
-use jaguar_udf::{CircuitBreaker, UdfDef};
+use jaguar_udf::UdfDef;
 use parking_lot::RwLock;
 
 /// Registered UDFs, keyed case-insensitively by SQL name.
+#[derive(Default)]
 pub struct UdfCatalog {
-    udfs: RwLock<HashMap<String, (UdfDef, Arc<CircuitBreaker>)>>,
-    /// Consecutive failures before a breaker opens (0 disables breakers).
-    breaker_threshold: u32,
-    /// Open → half-open cooldown.
-    breaker_cooldown: Duration,
-}
-
-impl Default for UdfCatalog {
-    fn default() -> Self {
-        let c = jaguar_common::config::Config::default();
-        UdfCatalog::with_breaker_policy(
-            c.udf_breaker_threshold,
-            Duration::from_millis(c.udf_breaker_cooldown_ms),
-        )
-    }
+    udfs: RwLock<HashMap<String, UdfDef>>,
 }
 
 impl UdfCatalog {
@@ -43,37 +26,19 @@ impl UdfCatalog {
         UdfCatalog::default()
     }
 
-    /// A registry with an explicit circuit-breaker policy
-    /// (`Config::udf_breaker_threshold` / `udf_breaker_cooldown_ms`).
-    pub fn with_breaker_policy(threshold: u32, cooldown: Duration) -> UdfCatalog {
-        UdfCatalog {
-            udfs: RwLock::new(HashMap::new()),
-            breaker_threshold: threshold,
-            breaker_cooldown: cooldown,
-        }
-    }
-
     /// Register a UDF. Re-registering a name replaces the definition —
-    /// the client-side develop/test/migrate loop (§6.4) re-uploads freely
-    /// — and installs a fresh (closed) circuit breaker.
+    /// the client-side develop/test/migrate loop (§6.4) re-uploads freely.
     pub fn register(&self, def: UdfDef) {
         let key = def.name.to_ascii_lowercase();
-        let breaker = Arc::new(CircuitBreaker::new(
-            key.clone(),
-            self.breaker_threshold,
-            self.breaker_cooldown,
-        ));
-        self.udfs.write().insert(key, (def, breaker));
+        self.udfs.write().insert(key, def);
     }
 
-    /// Resolve a UDF by SQL name. The returned definition carries the
-    /// registry's circuit breaker so the executor can gate and record
-    /// invocations against it.
+    /// Resolve a UDF by SQL name.
     pub fn get(&self, name: &str) -> Result<UdfDef> {
         self.udfs
             .read()
             .get(&name.to_ascii_lowercase())
-            .map(|(def, breaker)| def.clone().with_breaker(Arc::clone(breaker)))
+            .cloned()
             .ok_or_else(|| JaguarError::Catalog(format!("unknown function '{name}'")))
     }
 
@@ -92,27 +57,13 @@ impl UdfCatalog {
         v.sort();
         v
     }
-
-    /// `(name, breaker state)` for every registered UDF, sorted by name —
-    /// the human-readable half of breaker observability (the
-    /// `udf.breaker.state.*` gauges are the machine-readable half).
-    pub fn breaker_states(&self) -> Vec<(String, &'static str)> {
-        let mut v: Vec<_> = self
-            .udfs
-            .read()
-            .iter()
-            .map(|(name, (_, breaker))| (name.clone(), breaker.state_name()))
-            .collect();
-        v.sort();
-        v
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use jaguar_common::{DataType, Value};
-    use jaguar_udf::{NativeUdf, UdfImpl, UdfSignature};
+    use jaguar_udf::{NativeUdf, UdfImpl, UdfSignature, Volatility};
 
     fn def(name: &str) -> UdfDef {
         UdfDef::new(
@@ -146,34 +97,11 @@ mod tests {
     }
 
     #[test]
-    fn get_attaches_the_registry_breaker() {
-        let cat = UdfCatalog::with_breaker_policy(2, Duration::from_secs(60));
+    fn reregistration_installs_the_new_definition() {
+        let cat = UdfCatalog::new();
         cat.register(def("f"));
-        let d1 = cat.get("f").unwrap();
-        let d2 = cat.get("F").unwrap();
-        let b1 = d1.breaker.expect("breaker attached");
-        let b2 = d2.breaker.expect("breaker attached");
-        // Same breaker across lookups: failures recorded through one
-        // query's def are visible to the next.
-        b1.record_failure();
-        b1.record_failure();
-        assert_eq!(b2.state_name(), "open");
-        assert_eq!(cat.breaker_states(), vec![("f".to_string(), "open")]);
-    }
-
-    #[test]
-    fn reregistration_clears_quarantine() {
-        let cat = UdfCatalog::with_breaker_policy(1, Duration::from_secs(60));
-        cat.register(def("f"));
-        cat.get("f").unwrap().breaker.unwrap().record_failure();
-        assert_eq!(cat.breaker_states(), vec![("f".to_string(), "open")]);
-        cat.register(def("f"));
-        assert_eq!(cat.breaker_states(), vec![("f".to_string(), "closed")]);
-        cat.get("f")
-            .unwrap()
-            .breaker
-            .unwrap()
-            .try_acquire()
-            .unwrap();
+        assert_eq!(cat.get("f").unwrap().volatility, Volatility::Volatile);
+        cat.register(def("F").with_volatility(Volatility::Immutable));
+        assert_eq!(cat.get("f").unwrap().volatility, Volatility::Immutable);
     }
 }

@@ -85,14 +85,6 @@ pub struct Config {
     /// served without invoking the backend, shared across statements.
     /// `0` disables memoization entirely.
     pub udf_memo_bytes: usize,
-    /// Consecutive crash/timeout failures before a UDF's circuit breaker
-    /// opens (subsequent queries fail fast with `UdfQuarantined` instead
-    /// of burning a worker respawn per tuple). `0` disables breakers.
-    pub udf_breaker_threshold: u32,
-    /// How long an open breaker waits before letting one half-open probe
-    /// invocation through; a success closes the breaker, a failure
-    /// re-opens it for another cooldown.
-    pub udf_breaker_cooldown_ms: u64,
     /// Client-side connect timeout in milliseconds for `net::Client`.
     pub client_connect_timeout_ms: u64,
     /// Client-side read timeout in milliseconds (how long to wait for a
@@ -172,8 +164,6 @@ impl Default for Config {
             statement_timeout_ms: None,
             udf_batch_size: 256,
             udf_memo_bytes: 1 << 20,
-            udf_breaker_threshold: 3,
-            udf_breaker_cooldown_ms: 10_000,
             client_connect_timeout_ms: 5_000,
             client_read_timeout_ms: Some(30_000),
             client_write_timeout_ms: Some(10_000),
@@ -263,14 +253,6 @@ impl Config {
     /// Byte budget for the Immutable-UDF result memo cache (`0` disables).
     pub fn with_udf_memo_bytes(mut self, bytes: usize) -> Self {
         self.udf_memo_bytes = bytes;
-        self
-    }
-
-    /// Consecutive-failure threshold for per-UDF circuit breakers
-    /// (`0` disables breakers) and the open→half-open cooldown.
-    pub fn with_udf_breaker(mut self, threshold: u32, cooldown_ms: u64) -> Self {
-        self.udf_breaker_threshold = threshold;
-        self.udf_breaker_cooldown_ms = cooldown_ms;
         self
     }
 
@@ -432,17 +414,12 @@ mod tests {
     fn lifecycle_builders_compose() {
         let c = Config::default();
         assert_eq!(c.statement_timeout_ms, None, "no deadline by default");
-        assert_eq!(c.udf_breaker_threshold, 3);
-        assert!(c.udf_breaker_cooldown_ms > 0);
         assert!(c.client_connect_timeout_ms > 0);
         assert!(c.client_read_timeout_ms.is_some());
         let c = c
             .with_statement_timeout_ms(Some(250))
-            .with_udf_breaker(5, 1_000)
             .with_client_timeouts_ms(100, Some(200), None);
         assert_eq!(c.statement_timeout_ms, Some(250));
-        assert_eq!(c.udf_breaker_threshold, 5);
-        assert_eq!(c.udf_breaker_cooldown_ms, 1_000);
         assert_eq!(c.client_connect_timeout_ms, 100);
         assert_eq!(c.client_read_timeout_ms, Some(200));
         assert_eq!(c.client_write_timeout_ms, None);

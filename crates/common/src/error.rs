@@ -49,11 +49,6 @@ pub enum JaguarError {
     /// socket timeout, or a pooled-invoke deadline bound by the
     /// statement budget).
     Timeout(String),
-    /// The UDF's circuit breaker is open: recent invocations crashed or
-    /// timed out consecutively, so calls fail fast instead of burning a
-    /// worker respawn per tuple. Clears after the cooldown via a
-    /// successful half-open probe, or on re-registration.
-    UdfQuarantined(String),
     /// The server shed this request at admission (queue full or the
     /// deadline-bounded wait expired). Retryable: the statement never
     /// started executing, and `retry_after_ms` is the server's backoff
@@ -125,7 +120,6 @@ impl fmt::Display for JaguarError {
             JaguarError::Udf(m) => write!(f, "udf error: {m}"),
             JaguarError::Cancelled(m) => write!(f, "cancelled: {m}"),
             JaguarError::Timeout(m) => write!(f, "timeout: {m}"),
-            JaguarError::UdfQuarantined(m) => write!(f, "udf quarantined: {m}"),
             JaguarError::ServerBusy { retry_after_ms } => {
                 write!(
                     f,
@@ -172,18 +166,6 @@ impl JaguarError {
                 | JaguarError::Verification(_)
                 | JaguarError::Cancelled(_)
                 | JaguarError::Timeout(_)
-                | JaguarError::UdfQuarantined(_)
-        )
-    }
-
-    /// True if this error means the statement was abandoned by the query
-    /// lifecycle layer (client cancel or statement deadline) rather than
-    /// failing on its own. Lifecycle aborts must not count against a
-    /// UDF's circuit breaker — the UDF did nothing wrong.
-    pub fn is_lifecycle_abort(&self) -> bool {
-        matches!(
-            self,
-            JaguarError::Cancelled(_) | JaguarError::Timeout(_) | JaguarError::UdfQuarantined(_)
         )
     }
 }
@@ -210,10 +192,13 @@ mod tests {
     #[test]
     fn server_busy_is_neither_containable_nor_lifecycle() {
         // A shed request never executed: it is not a UDF containment
-        // event and must not count against any circuit breaker.
+        // event, nor a cancel or deadline of a statement that started.
         let e = JaguarError::ServerBusy { retry_after_ms: 10 };
         assert!(!e.is_containable());
-        assert!(!e.is_lifecycle_abort());
+        assert!(!matches!(
+            e,
+            JaguarError::Cancelled(_) | JaguarError::Timeout(_)
+        ));
     }
 
     #[test]
@@ -223,15 +208,9 @@ mod tests {
         assert!(JaguarError::Worker("crash".into()).is_containable());
         assert!(!JaguarError::Storage("pool".into()).is_containable());
         assert!(!JaguarError::Parse("bad".into()).is_containable());
-        // Lifecycle aborts are containable (the server keeps running) …
+        // Lifecycle aborts are containable: the server keeps running.
         assert!(JaguarError::Cancelled("c".into()).is_containable());
         assert!(JaguarError::Timeout("t".into()).is_containable());
-        assert!(JaguarError::UdfQuarantined("q".into()).is_containable());
-        // … and are classified apart from genuine UDF failures.
-        assert!(JaguarError::Cancelled("c".into()).is_lifecycle_abort());
-        assert!(JaguarError::Timeout("t".into()).is_lifecycle_abort());
-        assert!(!JaguarError::Worker("crash".into()).is_lifecycle_abort());
-        assert!(!JaguarError::ResourceLimit("fuel".into()).is_lifecycle_abort());
     }
 
     #[test]

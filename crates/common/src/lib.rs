@@ -20,8 +20,6 @@
 //!   the chaos/crash-recovery harnesses,
 //! * [`retry`] — the shared bounded-backoff retry policy and the
 //!   transient/permanent failure classifiers,
-//! * [`overload`] — the engine-wide overload level driving graceful
-//!   degradation (clamp `dop`, shed the memo) before refusal,
 //! * [`config`] — engine tunables,
 //! * [`obs`] — the observability kernel: log facade, metrics registry,
 //!   span timers, byte-counting I/O adapters,
@@ -34,7 +32,6 @@ pub mod error;
 pub mod fault;
 pub mod ids;
 pub mod obs;
-pub mod overload;
 pub mod retry;
 pub mod rng;
 pub mod schema;

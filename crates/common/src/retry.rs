@@ -13,13 +13,11 @@
 //! BENCH artifacts reproducible while still decorrelating concurrent
 //! retriers (each site hashes differently).
 //!
-//! Classification is the retry layer's contract with the PR 4 circuit
-//! breakers: only *pre-execution* infrastructure failures (queue shed,
-//! connect timeout, worker spawn/checkout) are transient. A failure
-//! *inside* a UDF invocation — worker crash mid-call, deadline kill,
-//! [`JaguarError::UdfQuarantined`] — is never retried here, so retries
-//! cannot mask a breaker trip: the breaker sees every invocation failure
-//! exactly as often as it did before this module existed.
+//! Classification: only *pre-execution* infrastructure failures (queue
+//! shed, connect timeout, worker spawn/checkout) are transient. A failure
+//! *inside* a UDF invocation — worker crash mid-call, deadline kill — is
+//! never retried here: UDF code already ran, and the failure belongs to
+//! the statement that called it, which fails with that error.
 
 use std::io;
 use std::time::Duration;
@@ -193,9 +191,9 @@ pub fn is_retryable_net(e: &JaguarError) -> bool {
 
 /// IPC-side classifier for *acquiring* a worker (pool checkout or process
 /// spawn) — failures strictly before any UDF code runs. Invocation
-/// failures (worker crash, deadline kill, quarantine) are deliberately
-/// excluded: those belong to the circuit breaker, and retrying them here
-/// would hide consecutive infra failures from it.
+/// failures (worker crash, deadline kill) are deliberately excluded:
+/// they fail their statement, and retrying them here would run the
+/// failing UDF code again behind the caller's back.
 pub fn is_transient_worker_acquire(e: &JaguarError) -> bool {
     match e {
         JaguarError::Worker(m) => m.starts_with("spawning"),
@@ -294,17 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn classifiers_respect_the_breaker_boundary() {
+    fn classifiers_retry_only_before_udf_code_runs() {
         // Acquisition failures are transient …
         assert!(is_transient_worker_acquire(&JaguarError::Worker(
             "spawning \"/bin/worker\": text file busy".into()
         )));
-        // … invocation failures and quarantine are NOT (breaker territory).
+        // … invocation failures are NOT: they fail their statement.
         assert!(!is_transient_worker_acquire(&JaguarError::Worker(
             "worker died mid-invoke".into()
-        )));
-        assert!(!is_transient_worker_acquire(&JaguarError::UdfQuarantined(
-            "f".into()
         )));
         assert!(!is_transient_worker_acquire(&JaguarError::Timeout(
             "invoke deadline".into()

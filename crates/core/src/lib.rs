@@ -225,12 +225,6 @@ impl Database {
         self.catalog().set_column_label(table, column, label)
     }
 
-    /// `(name, circuit-breaker state)` for every registered UDF —
-    /// `"closed"`, `"open"` (quarantined), or `"half-open"` (probing).
-    pub fn udf_breaker_states(&self) -> Vec<(String, &'static str)> {
-        self.catalog().udfs().breaker_states()
-    }
-
     /// Render the optimized plan of a statement, one line per plan row.
     /// Text that says `EXPLAIN ANALYZE` executes the SELECT and annotates
     /// every stage with observed row counts and wall time. Under a session,

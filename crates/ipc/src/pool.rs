@@ -305,14 +305,6 @@ impl WorkerPool {
         self.inner.lock().idle.len()
     }
 
-    /// Checkouts currently blocked waiting for an idle worker — a live
-    /// pressure signal: the parallel planner clamps a new query's dop
-    /// when anyone is already queued, shedding optional parallelism
-    /// before checkouts start timing out.
-    pub fn waiters(&self) -> usize {
-        self.inner.lock().waiters
-    }
-
     /// Block until the pool is fully warm (`size` workers idle) or the
     /// timeout passes. Returns whether it became warm.
     pub fn wait_ready(&self, timeout: Duration) -> bool {

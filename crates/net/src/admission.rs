@@ -19,17 +19,15 @@
 //! connection-count gating, the out-of-band cancel connection itself
 //! could be refused exactly when it was needed most.
 //!
-//! The gate also drives the engine's overload ladder
-//! ([`jaguar_common::overload`]): every occupancy change re-derives the
-//! pressure level, so the planner starts shedding optional work (dop,
-//! memo) as soon as sessions begin to queue.
+//! Admission only queues and sheds: it never reaches into the planner.
+//! A statement's plan depends on its text, the catalog and `Config`,
+//! never on how many other sessions are connected.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use jaguar_common::obs;
-use jaguar_common::overload::OverloadState;
 
 /// Why a session was not admitted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,16 +56,10 @@ pub struct AdmissionGate {
     timeout: Duration,
     inner: Mutex<GateInner>,
     cv: Condvar,
-    overload: Arc<OverloadState>,
 }
 
 impl AdmissionGate {
-    pub fn new(
-        capacity: usize,
-        depth: usize,
-        timeout: Duration,
-        overload: Arc<OverloadState>,
-    ) -> Arc<AdmissionGate> {
+    pub fn new(capacity: usize, depth: usize, timeout: Duration) -> Arc<AdmissionGate> {
         Arc::new(AdmissionGate {
             capacity: capacity.max(1),
             depth,
@@ -79,7 +71,6 @@ impl AdmissionGate {
                 closed: false,
             }),
             cv: Condvar::new(),
-            overload: Arc::clone(&overload),
         })
     }
 
@@ -105,7 +96,6 @@ impl AdmissionGate {
         // Fast path: a free slot and nobody queued ahead of us.
         if inner.active < self.capacity && inner.queue.is_empty() {
             inner.active += 1;
-            self.note(&inner);
             drop(inner);
             return Ok(Permit {
                 gate: Arc::clone(self),
@@ -115,7 +105,6 @@ impl AdmissionGate {
         if inner.queue.len() >= self.depth {
             reg.counter("net.admission.shed").inc();
             reg.counter("net.rejected_busy").inc();
-            self.note(&inner);
             return Err(Shed::QueueFull);
         }
         // Queue in FIFO order, bounded by the admission deadline.
@@ -123,7 +112,6 @@ impl AdmissionGate {
         inner.next_ticket += 1;
         inner.queue.push_back(ticket);
         reg.counter("net.admission.queued").inc();
-        self.note(&inner);
         let enqueued = Instant::now();
         let deadline = enqueued + self.timeout;
         loop {
@@ -137,7 +125,6 @@ impl AdmissionGate {
                 inner.active += 1;
                 reg.histogram("net.admission.wait_us")
                     .observe(enqueued.elapsed());
-                self.note(&inner);
                 // Another slot may be free too (capacity can grow by
                 // several releases between wakeups): pass the baton.
                 self.cv.notify_all();
@@ -153,7 +140,6 @@ impl AdmissionGate {
                 reg.counter("net.rejected_busy").inc();
                 reg.histogram("net.admission.wait_us")
                     .observe(enqueued.elapsed());
-                self.note(&inner);
                 // Our departure may make a successor the new front.
                 self.cv.notify_all();
                 return Err(Shed::DeadlineExpired);
@@ -185,19 +171,9 @@ impl AdmissionGate {
             .len()
     }
 
-    /// Re-derive the overload ladder from current occupancy.
-    fn note(&self, inner: &GateInner) {
-        self.overload.observe_admission(
-            inner.queue.len(),
-            self.depth,
-            inner.active >= self.capacity,
-        );
-    }
-
     fn release(&self) {
         let mut inner = self.inner.lock().unwrap_or_else(|p| p.into_inner());
         inner.active = inner.active.saturating_sub(1);
-        self.note(&inner);
         drop(inner);
         self.cv.notify_all();
     }
@@ -226,12 +202,7 @@ mod tests {
     use super::*;
 
     fn gate(capacity: usize, depth: usize, timeout_ms: u64) -> Arc<AdmissionGate> {
-        AdmissionGate::new(
-            capacity,
-            depth,
-            Duration::from_millis(timeout_ms),
-            Arc::new(OverloadState::new()),
-        )
+        AdmissionGate::new(capacity, depth, Duration::from_millis(timeout_ms))
     }
 
     #[test]
@@ -327,19 +298,5 @@ mod tests {
         assert_eq!(g.queued(), 0);
         // New arrivals also shed cleanly.
         assert_eq!(g.acquire().unwrap_err(), Shed::Closed);
-    }
-
-    #[test]
-    fn overload_ladder_follows_occupancy() {
-        let overload = Arc::new(OverloadState::new());
-        let g = AdmissionGate::new(1, 2, Duration::from_millis(10), Arc::clone(&overload));
-        use jaguar_common::overload::Pressure;
-        assert_eq!(overload.level(), Pressure::Normal);
-        let p = g.acquire().unwrap();
-        assert_eq!(overload.level(), Pressure::Elevated, "at capacity");
-        // One queued waiter (deadline expires): saturated while queued.
-        assert_eq!(g.acquire().unwrap_err(), Shed::DeadlineExpired);
-        drop(p);
-        assert_eq!(overload.level(), Pressure::Normal, "pressure drained");
     }
 }

@@ -110,7 +110,6 @@ impl Server {
             config.max_connections,
             config.admission_queue_depth,
             Duration::from_millis(config.admission_timeout_ms),
-            Arc::clone(engine.overload()),
         );
         // Last-resort flood guard on raw connection threads: generous
         // enough that shed data-plane sessions and control-plane

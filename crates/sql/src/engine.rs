@@ -126,10 +126,6 @@ pub struct Engine {
     /// per-predicate selectivity tallies feeding the reorder pass. Shared
     /// across statements and sessions, like the paper's server state.
     opt: Arc<crate::cost::OptState>,
-    /// Engine-wide overload level (raised by the server's admission gate
-    /// and pool pressure, read at plan time to shed optional work —
-    /// parallel fan-out, the memo cache — before anything is refused).
-    overload: Arc<jaguar_common::overload::OverloadState>,
 }
 
 impl Engine {
@@ -146,7 +142,6 @@ impl Engine {
             callbacks: RwLock::new(HashMap::new()),
             pool: RwLock::new(None),
             opt,
-            overload: Arc::new(jaguar_common::overload::OverloadState::new()),
         };
         // The paper's experiment callback: identity, no data transferred.
         engine.register_callback("cb", |args| {
@@ -162,39 +157,6 @@ impl Engine {
     /// The engine's shared optimizer state (memo cache + selectivity).
     pub(crate) fn opt_state(&self) -> &Arc<crate::cost::OptState> {
         &self.opt
-    }
-
-    /// The memo handle a new statement should wire into its context,
-    /// degraded under overload: at `Saturated` the statement runs
-    /// unmemoized and the resident cache is dropped, handing its budget
-    /// back to the allocator. The cache refills naturally once pressure
-    /// drains — memoization is an optimisation, never a correctness
-    /// dependency, which is what makes it safe to shed first.
-    pub(crate) fn memo_for_statement(&self) -> Option<Arc<crate::memo::MemoCache>> {
-        use jaguar_common::overload::Pressure;
-        let memo = self.opt.memo()?;
-        if self.overload.level() >= Pressure::Saturated {
-            let freed = memo.clear();
-            if freed > 0 {
-                jaguar_common::obs::global()
-                    .counter("degrade.memo_dropped")
-                    .inc();
-                jaguar_common::obs::warn!(
-                    target: "jaguar-sql",
-                    "server saturated: dropped {freed} memo byte(s); \
-                     statements run unmemoized until pressure drains"
-                );
-            }
-            return None;
-        }
-        Some(Arc::clone(memo))
-    }
-
-    /// The engine-wide overload level. The network layer's admission gate
-    /// writes it; the planner reads it to degrade gracefully (clamp `dop`,
-    /// shed the memo) before any request is refused.
-    pub fn overload(&self) -> &Arc<jaguar_common::overload::OverloadState> {
-        &self.overload
     }
 
     /// Attach (or detach, with `None`) the warm worker pool used by
@@ -534,7 +496,7 @@ impl Engine {
         let pool = self.worker_pool();
         let mut ctx = ExecCtx::for_udfs(&dml.udfs, &mut handler, pool.as_ref())?;
         ctx.attach_cancel(token);
-        ctx.set_memo(self.memo_for_statement());
+        ctx.set_memo(self.opt.memo().cloned());
         let scans = match dml.access {
             AccessPath::FullScan => "sql.dml.full_scans",
             _ => "sql.dml.index_scans",

@@ -25,8 +25,8 @@ use jaguar_common::value::compare;
 use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_ipc::pool::WorkerPool;
 use jaguar_ipc::proto::CallbackHandler;
+use jaguar_udf::ScalarUdf;
 use jaguar_udf::{BatchResult, ValueBatch};
-use jaguar_udf::{CircuitBreaker, ScalarUdf};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -96,14 +96,6 @@ pub(crate) fn backend_slug(design_label: &str) -> &'static str {
 /// deadline a syscall on some platforms.
 const DEADLINE_CHECK_INTERVAL: u32 = 64;
 
-/// Whether a UDF failure should count against its circuit breaker: only
-/// infrastructure faults (a dead worker, a blown resource/pool deadline)
-/// do. Deterministic errors from the UDF's own logic and statement
-/// lifecycle aborts (cancel/timeout) say nothing about the UDF's health.
-fn breaker_counts(e: &JaguarError) -> bool {
-    matches!(e, JaguarError::Worker(_) | JaguarError::ResourceLimit(_)) && !e.is_lifecycle_abort()
-}
-
 /// Per-query execution context: instantiated UDFs + callback channel.
 pub struct ExecCtx<'a> {
     pub udfs: Vec<Box<dyn ScalarUdf>>,
@@ -112,12 +104,9 @@ pub struct ExecCtx<'a> {
     /// Parallel to `udfs`: the global per-backend counters this query's
     /// invocations feed (a live version of the paper's Table 1). `None`
     /// marks an in-engine slot (see [`crate::plan::PlannedUdf::in_engine`]):
-    /// its instance is a Design-3 VM whatever the design, its breaker is
-    /// never acquired, and it records no invocation, latency or memo lookup.
+    /// its instance is a Design-3 VM whatever the design, and it records
+    /// no invocation, latency or memo lookup.
     udf_metrics: Vec<Option<UdfMetrics>>,
-    /// Parallel to `udfs`: the registry circuit breaker guarding each
-    /// slot, if the def came out of a catalog.
-    udf_breakers: Vec<Option<Arc<CircuitBreaker>>>,
     /// The statement's lifecycle token; checked cooperatively once per row
     /// (see [`ExecCtx::tick`]).
     cancel: CancelToken,
@@ -171,33 +160,14 @@ impl<'a> ExecCtx<'a> {
             .map(|u| u.def.volatility.memoizable() && !u.in_engine)
             .collect();
         let udf_names = udfs.iter().map(|u| u.def.name.clone()).collect();
-        // Breaker gate *before* instantiation: a quarantined UDF fails
-        // fast here, without a pool checkout or a worker spawn — that is
-        // the whole point of the breaker (no respawn storm). In-engine
-        // slots never touch their backend, so they bypass the breaker.
-        let udf_breakers: Vec<Option<Arc<CircuitBreaker>>> =
-            udfs.iter().map(|u| u.def.breaker.clone()).collect();
-        for (b, u) in udf_breakers.iter().zip(udfs) {
-            if let (Some(b), false) = (b, u.in_engine) {
-                b.try_acquire()?;
-            }
-        }
         let udfs = udfs
             .iter()
-            .zip(&udf_breakers)
-            .map(|(u, b)| {
+            .map(|u| {
                 if u.in_engine {
-                    return u.def.instantiate_in_engine();
+                    u.def.instantiate_in_engine()
+                } else {
+                    u.def.instantiate_with(pool)
                 }
-                u.def.instantiate_with(pool).inspect_err(|e| {
-                    // A worker that dies while loading the UDF counts
-                    // against the breaker just like an invoke crash.
-                    if let Some(b) = b {
-                        if breaker_counts(e) {
-                            b.record_failure();
-                        }
-                    }
-                })
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(ExecCtx {
@@ -205,7 +175,6 @@ impl<'a> ExecCtx<'a> {
             callbacks,
             stats: ExecStats::default(),
             udf_metrics,
-            udf_breakers,
             cancel: CancelToken::unbounded(),
             deadline_countdown: DEADLINE_CHECK_INTERVAL,
             batch_size: 1,
@@ -413,8 +382,8 @@ pub fn eval(e: &BExpr, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Value> {
                 vals.push(eval(a, tuple, ctx)?);
             }
             // In-engine: the compiled function on the slot's own arena —
-            // no crossing, no invocation counted, no breaker, memo or
-            // latency sample.
+            // no crossing, no invocation counted, no memo or latency
+            // sample.
             let Some(metrics) = &ctx.udf_metrics[*udf] else {
                 return ctx.udfs[*udf].invoke(&vals, &mut *ctx.callbacks);
             };
@@ -449,13 +418,6 @@ pub fn eval(e: &BExpr, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Value> {
             metrics.latency.observe(elapsed);
             metrics.latency_named.observe(elapsed);
             ctx.udfs[*udf] = u;
-            if let Some(b) = &ctx.udf_breakers[*udf] {
-                match &out {
-                    Ok(_) => b.record_success(),
-                    Err(e) if breaker_counts(e) => b.record_failure(),
-                    Err(_) => {}
-                }
-            }
             let v = out?;
             if let (Some(key), Some(cache)) = (memo_key, &ctx.memo) {
                 cache.insert(key, v.clone());
@@ -485,15 +447,12 @@ impl ScalarUdf for PoisonUdf {
 }
 
 /// Invoke one UDF slot over a whole batch — the batched mirror of
-/// `eval`'s `BExpr::Udf` arm, with the same stats, metrics, and breaker
-/// accounting the per-tuple path would have produced:
+/// `eval`'s `BExpr::Udf` arm, with the same stats and metrics the
+/// per-tuple path would have produced:
 ///
-/// * success: `udf_invocations += rows`, one (idempotent) breaker
-///   `record_success`;
+/// * success: `udf_invocations += rows`;
 /// * error at batch row `k`: `udf_invocations += k + 1` (rows before the
-///   failure completed, with their side effects intact), a
-///   `record_success` for the completed prefix, then `record_failure` iff
-///   the error is an infrastructure fault.
+///   failure completed, with their side effects intact).
 ///
 /// Latency is observed once per crossing rather than once per row — that
 /// is the point of batching, and the new `udf.batch.rows` /
@@ -596,22 +555,6 @@ fn invoke_udf_batch_raw(udf: usize, batch: &ValueBatch, ctx: &mut ExecCtx<'_>) -
     };
     ctx.stats.udf_invocations += completed;
     metrics.invocations.add(completed);
-    if let Some(b) = &ctx.udf_breakers[udf] {
-        match &out {
-            Ok(_) => b.record_success(),
-            Err(be) => {
-                // `record_success` is idempotent, so one call for the
-                // completed prefix leaves the breaker in the same state as
-                // the per-tuple path's k successes would have.
-                if be.row > 0 {
-                    b.record_success();
-                }
-                if breaker_counts(&be.error) {
-                    b.record_failure();
-                }
-            }
-        }
-    }
     out
 }
 

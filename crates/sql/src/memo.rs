@@ -8,8 +8,7 @@
 //! key does not include the trust design: all four designs are
 //! byte-identical by contract, so a hit produced under `Vm` may serve
 //! a query running `IsolatedVm`. Errors are never cached (a trap is
-//! re-raised by re-invoking, keeping error text and breaker accounting
-//! on the normal path).
+//! re-raised by re-invoking, keeping error text on the normal path).
 //!
 //! Layout: one slab of slots. A slot holds the only copy of its key, the
 //! result, and three indices — the next slot of its hash chain and its two
@@ -304,19 +303,6 @@ impl MemoCache {
     /// The configured byte budget.
     pub fn budget(&self) -> usize {
         self.budget
-    }
-
-    /// Drop every entry — and the slab and bucket array with them —
-    /// returning the bytes reclaimed. The overload path uses this to hand
-    /// memoization memory back when the server is saturated; the cache
-    /// refills naturally once pressure drains.
-    pub fn clear(&self) -> usize {
-        let dropped = std::mem::take(&mut *self.inner.lock());
-        if dropped.len > 0 {
-            self.evictions.add(dropped.len as u64);
-        }
-        self.bytes_gauge.set(0);
-        dropped.bytes
     }
 }
 

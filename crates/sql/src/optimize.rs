@@ -179,15 +179,14 @@ fn batch_note(plan: &mut BoundSelect) {
 }
 
 /// Wire a freshly built execution context to the engine's optimizer
-/// state: the shared memo cache (withheld while the engine is saturated —
-/// see [`Engine::memo_for_statement`]) and the per-predicate selectivity
+/// state: the shared memo cache and the per-predicate selectivity
 /// probe (fingerprints follow `plan.predicates` order, which is exactly
 /// the order `matches_all` evaluates them in). Only a predicate
 /// that calls a UDF is probed: the reorder pass reads no other
 /// selectivity, and a tally per distinct `(id = 4711)` would grow the
 /// engine's state with every literal a client ever sent.
 pub(crate) fn install_opt(plan: &BoundSelect, engine: &Engine, ctx: &mut ExecCtx<'_>) {
-    ctx.set_memo(engine.memo_for_statement());
+    ctx.set_memo(engine.opt_state().memo().cloned());
     if plan.udfs.is_empty() {
         return;
     }

@@ -34,7 +34,6 @@ use crate::par::{morsel_pages_for, run_team, MorselDispenser};
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
-use jaguar_common::overload::Pressure;
 use jaguar_common::Tuple;
 
 use crate::engine::{Engine, EngineCallbacks};
@@ -122,34 +121,6 @@ pub(crate) fn plan_parallel(
                 clamped = true;
             }
         }
-    }
-    // Graceful degradation: parallelism is the first optional work shed
-    // under overload. At `Saturated` (admission queue half full) the query
-    // runs serially — worker threads are exactly what a saturated server
-    // has none to spare. At `Elevated` (at capacity, or sessions queueing,
-    // or checkouts already waiting on the pool) the dop is halved, so the
-    // team's footprint shrinks before the pool starts timing out.
-    let pressure = engine.overload().level();
-    if pressure >= Pressure::Saturated {
-        obs::warn!(
-            target: "jaguar-par",
-            "server saturated: query over '{}' degraded to serial",
-            plan.table.name()
-        );
-        obs::global().counter("degrade.dop_clamped").inc();
-        return Err("server saturated: degraded to serial");
-    }
-    let pool_queued = engine.worker_pool().is_some_and(|p| p.waiters() > 0);
-    if (pressure >= Pressure::Elevated || pool_queued) && dop > 2 {
-        let shed = (dop / 2).max(2);
-        obs::warn!(
-            target: "jaguar-par",
-            "overload pressure: clamping dop {dop} to {shed} for query over '{}'",
-            plan.table.name()
-        );
-        obs::global().counter("degrade.dop_clamped").inc();
-        dop = shed;
-        clamped = true;
     }
     if dop < 2 {
         return Err("dop clamped to worker-pool size");

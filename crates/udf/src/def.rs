@@ -15,7 +15,6 @@ use jaguar_vm::{PermissionSet, ResourceLimits, VerifiedModule};
 
 use crate::api::{ScalarUdf, UdfSignature};
 use crate::batch::{BatchError, BatchResult, ValueBatch};
-use crate::breaker::CircuitBreaker;
 use crate::native::NativeUdf;
 use crate::vmexec::VmUdf;
 
@@ -132,10 +131,6 @@ pub struct UdfDef {
     pub name: String,
     pub signature: UdfSignature,
     pub imp: UdfImpl,
-    /// The registry-owned circuit breaker guarding this UDF, populated by
-    /// `UdfCatalog::get` so it rides along into the executor with no
-    /// extra plumbing. `None` for defs built outside a catalog.
-    pub breaker: Option<Arc<CircuitBreaker>>,
     /// Purity declaration; gates vectorized invocation. Defaults to
     /// [`Volatility::Volatile`] (never batched) for safety.
     pub volatility: Volatility,
@@ -146,9 +141,9 @@ pub struct UdfDef {
 /// failures (EAGAIN under fork pressure, a momentarily-busy binary) are
 /// worth a short backoff; pool-saturation timeouts are not retried (the
 /// checkout already waited its configured budget, and doubling it here
-/// would just deepen the overload). Because nothing in this path is an
-/// invocation, retrying cannot mask a circuit-breaker trip: the breaker
-/// counts invoke failures, which pass through untouched.
+/// would just deepen the overload). Nothing in this path is an
+/// invocation: invoke failures pass through untouched and fail their
+/// statement.
 fn acquire_retry() -> RetryPolicy {
     RetryPolicy {
         max_attempts: 3,
@@ -177,7 +172,6 @@ impl UdfDef {
             name: name.into(),
             signature,
             imp,
-            breaker: None,
             volatility: Volatility::default(),
         }
     }
@@ -228,12 +222,6 @@ impl UdfDef {
             },
             spec.permissions.clone(),
         )
-    }
-
-    /// Attach the registry's circuit breaker (see [`UdfDef::breaker`]).
-    pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> UdfDef {
-        self.breaker = Some(breaker);
-        self
     }
 
     /// Declare the UDF's volatility class (see [`Volatility`]).

@@ -311,9 +311,9 @@ pub fn worker_registry() -> WorkerRegistry {
         .register("hang", |_args, _cb| loop {
             std::thread::sleep(std::time::Duration::from_secs(3600));
         })
-        // Crashes only for positive arguments: lets circuit-breaker tests
-        // trip the breaker with crashing inputs, then prove the half-open
-        // probe recovers with a benign one.
+        // Crashes only for positive arguments: lets containment tests
+        // crash the worker with one statement, then prove the next
+        // statement runs a benign one at once.
         .register("crash_if_positive", |args, _cb| {
             let v = args.first().map(|a| a.as_int()).transpose()?.unwrap_or(0);
             if v > 0 {

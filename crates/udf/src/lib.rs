@@ -24,7 +24,6 @@
 
 pub mod api;
 pub mod batch;
-pub mod breaker;
 pub mod def;
 pub mod generic;
 pub mod native;
@@ -33,7 +32,6 @@ pub mod vmexec;
 
 pub use api::{ScalarUdf, UdfResourceUsage, UdfSignature};
 pub use batch::{BatchError, BatchResult, ValueBatch};
-pub use breaker::CircuitBreaker;
 pub use def::{UdfDef, UdfImpl, VmUdfSpec, Volatility};
 pub use generic::{worker_registry, GenericParams};
 pub use jaguar_ipc::proto::CallbackHandler;

@@ -35,12 +35,7 @@ fn worker_death_mid_reply_is_contained_and_recovered() {
     // Arm before the pool spawns, so workers inherit the site. Each worker
     // process consumes its own single armed shot on its first invoke.
     std::env::set_var(SITES_ENV, format!("{WORKER_SITE}=1"));
-    let db = Database::with_config(
-        Config::default()
-            .with_pooled_executors(1)
-            // Chaos, not quarantine, is under test here.
-            .with_udf_breaker(0, 0),
-    );
+    let db = Database::with_config(Config::default().with_pooled_executors(1));
     db.execute("CREATE TABLE t (a INT)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
     db.register_udf(UdfDef::new(

@@ -2,7 +2,7 @@
 //! admission capacity and assert the degradation contract end to end —
 //! zero panics or poisoned engines, sheds bounded by the admission
 //! window, a control plane that keeps answering throughout, and a
-//! post-load engine that serves queries with every breaker closed.
+//! post-load engine that serves queries immediately.
 //!
 //! The full harness with latency quantiles and the `BENCH_load.json`
 //! artifact lives in `jaguar-bench` (`cargo run -p jaguar-bench --bin
@@ -40,8 +40,8 @@ fn overload_at_4x_capacity_degrades_gracefully() {
         db.execute(&format!("INSERT INTO load VALUES ({i}, X'2a17')"))
             .unwrap();
     }
-    // A sandboxed JagScript UDF keeps the VM (and its breaker) in the
-    // loop without needing the worker binary.
+    // A sandboxed JagScript UDF keeps the VM in the loop without needing
+    // the worker binary.
     db.register_jagscript_udf(
         "lb",
         UdfSignature::new(vec![DataType::Bytes], DataType::Int),
@@ -106,7 +106,7 @@ fn overload_at_4x_capacity_degrades_gracefully() {
                             max_shed = max_shed.max(start.elapsed());
                         }
                         // Anything else — a protocol error, a poisoned
-                        // engine, a breaker trip — fails the test.
+                        // engine — fails the test.
                         Err(e) => panic!("session {s} statement {i} failed hard: {e}"),
                     }
                 }
@@ -152,11 +152,9 @@ fn overload_at_4x_capacity_degrades_gracefully() {
     assert_eq!(r.rows[0].get(0).unwrap(), &Value::Int(0x2a));
     server.stop();
 
-    // Overload is not failure: the storm tripped no breaker and the
-    // admission path (not errors) absorbed the excess.
+    // Overload is not failure: the admission path (not errors) absorbed
+    // the excess.
     let after = db.metrics();
-    let trips = after.counter("udf.breaker.trips") - before.counter("udf.breaker.trips");
-    assert_eq!(trips, 0, "overload must not trip UDF breakers");
     let rejected = after.counter("net.rejected_busy") - before.counter("net.rejected_busy");
     let queued = after.counter("net.admission.queued") - before.counter("net.admission.queued");
     assert!(

@@ -164,7 +164,6 @@ fn inlined_body_under_a_tight_fuel_budget_matches_the_called_one() {
     let _serial = serial();
     let mut config = Config::default().with_dop(1);
     config.default_fuel = Some(24);
-    config.udf_breaker_threshold = 0;
     let db = db_with_rows(config, 20);
     let src = "fn main(a: i64) -> i64 {
         if a < 5 { return a + 1; }
@@ -191,9 +190,7 @@ fn inlined_body_under_a_tight_fuel_budget_matches_the_called_one() {
 #[test]
 fn inlined_body_that_allocates_stores_and_returns_bytes_matches_the_called_one() {
     let _serial = serial();
-    let mut config = Config::default().with_dop(1);
-    config.udf_breaker_threshold = 0;
-    let db = Database::with_config(config);
+    let db = Database::with_config(Config::default().with_dop(1));
     db.execute("CREATE TABLE t (id INT, a INT, b BYTEARRAY)")
         .unwrap();
     let t = db.catalog().table("t").unwrap();
@@ -737,11 +734,7 @@ mod inline_differential {
     }
 
     fn db(src: &str, isolated: bool) -> Database {
-        // A trap in a worker reaches the engine as a worker error, which the
-        // circuit breaker counts; these bodies trap on purpose, row after row.
-        let mut config = Config::default().with_dop(1).with_pooled_executors(1);
-        config.udf_breaker_threshold = 0;
-        let db = Database::with_config(config);
+        let db = Database::with_config(Config::default().with_dop(1).with_pooled_executors(1));
         db.execute("CREATE TABLE t (id INT, b BYTEARRAY, x INT, y INT)")
             .unwrap();
         let t = db.catalog().table("t").unwrap();

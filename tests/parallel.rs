@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use jaguar_core::{
-    ByteArray, Config, DataType, Database, JaguarError, Request, Tuple, UdfSignature, Value,
+    ByteArray, Client, Config, DataType, Database, JaguarError, Request, Tuple, UdfSignature, Value,
 };
 use jaguar_ipc::find_worker_binary;
 use jaguar_udf::generic;
@@ -182,8 +182,7 @@ fn explicit_cancel_stops_the_team() {
 
 /// Satellite regression: `dop > pool size` must degrade to clean queueing
 /// — dop is clamped to the pool size, concurrent parallel queries queue
-/// on checkouts (`pool.queue_waits` ticks), nothing deadlocks, and no
-/// circuit breaker trips.
+/// on checkouts (`pool.queue_waits` ticks), and nothing deadlocks.
 #[test]
 fn pool_saturation_clamps_dop_and_queues_cleanly() {
     if !worker_available() {
@@ -193,8 +192,7 @@ fn pool_saturation_clamps_dop_and_queues_cleanly() {
         Config::default()
             .with_dop(4)
             .with_pooled_executors(2)
-            .with_pool_checkout_timeout_ms(10_000)
-            .with_udf_breaker(3, 60_000),
+            .with_pool_checkout_timeout_ms(10_000),
         1500,
     ));
     let pool = db.worker_pool().expect("pool attached");
@@ -228,9 +226,36 @@ fn pool_saturation_clamps_dop_and_queues_cleanly() {
         stats.queue_waits > 0,
         "concurrent checkouts must have queued: {stats}"
     );
-    for (name, state) in db.udf_breaker_states() {
-        assert_eq!(state, "closed", "breaker for {name} must not trip");
-    }
+}
+
+/// A statement's plan depends on its text, the catalog and `Config` —
+/// never on what other sessions are doing. With one admission slot held
+/// by an idle client, `EXPLAIN` of the same text is byte-identical to the
+/// one taken while the server was idle, at the configured dop.
+#[test]
+fn plan_does_not_depend_on_other_sessions() {
+    let db = db_with_rows(
+        Config {
+            max_connections: 1,
+            ..Config::default()
+        }
+        .with_dop(4),
+        1500,
+    );
+    let sql = "SELECT id FROM rel WHERE id % 2 = 0";
+    let mut server = db.serve("127.0.0.1:0").unwrap();
+    let idle = db.explain(sql).unwrap();
+    assert!(idle.contains("Gather (dop=4)"), "{idle}");
+
+    // One client connects and runs a statement: it holds the only permit
+    // for as long as its session lasts.
+    let mut client = Client::connect(server.addr()).unwrap();
+    client.execute("SELECT id FROM rel WHERE id = 1").unwrap();
+    let busy = db.explain(sql).unwrap();
+    assert_eq!(busy, idle, "a held permit must not change the plan");
+
+    drop(client);
+    server.stop();
 }
 
 #[test]
