@@ -178,8 +178,8 @@ impl UdfDef {
 
     /// Whether the engine may run this JagScript UDF *in-engine* (see
     /// [`UdfDef::instantiate_in_engine`]): `Some(true)` for an `Immutable`
-    /// one whose function is straight-line
-    /// ([`jaguar_vm::Function::is_straight_line`]), which depends on its
+    /// one whose function the verifier found straight-line
+    /// ([`jaguar_vm::Cfg::straight_line`]), which depends on its
     /// arguments alone. `None` for native designs and for declarations
     /// entitled to notice an elided backend — worker, invocation counts,
     /// connection state.
@@ -191,7 +191,7 @@ impl UdfDef {
             return None;
         }
         let fidx = spec.module.find_function(&spec.function)?;
-        Some(spec.module.functions()[fidx as usize].is_straight_line())
+        Some(spec.module.cfg(fidx).straight_line)
     }
 
     /// The in-engine instance of a JagScript UDF: a Design-3 [`VmUdf`]

@@ -68,4 +68,4 @@ pub use security::{Permission, PermissionSet};
 pub use tier::TierTally;
 #[doc(hidden)]
 pub use tier::DEFAULT_TIER_UP_AFTER;
-pub use verifier::verify;
+pub use verifier::{verify, Cfg};

@@ -20,6 +20,7 @@ use jaguar_common::stream::{
 
 use crate::isa::{Insn, VType};
 use crate::tier::CompiledModule;
+use crate::verifier::Cfg;
 
 /// Magic bytes opening a serialised module ("JSM" + format version 1).
 pub const MODULE_MAGIC: [u8; 4] = *b"JSM1";
@@ -74,18 +75,6 @@ impl Function {
             self.local_types.get(i - self.sig.params.len()).copied()
         }
     }
-
-    /// Whether every jump goes forward and nothing leaves the function: no
-    /// back-edge, no `Call`, no `HostCall`. Such a body runs each of its
-    /// instructions at most once, touches nothing outside its own frame
-    /// and arena, and so depends on its arguments alone.
-    pub fn is_straight_line(&self) -> bool {
-        self.code.iter().enumerate().all(|(pc, insn)| match *insn {
-            Insn::Jmp(t) | Insn::JmpIf(t) | Insn::JmpIfNot(t) => t as usize > pc,
-            Insn::Call(_) | Insn::HostCall(_) => false,
-            _ => true,
-        })
-    }
 }
 
 /// An unverified module, as decoded from bytes or built by a compiler.
@@ -111,6 +100,15 @@ impl Module {
             .iter()
             .position(|f| f.name == name)
             .map(|i| i as u32)
+    }
+
+    /// The signature a `call` or `host_call` invokes, if it names one.
+    pub(crate) fn callee_sig(&self, insn: Insn) -> Option<&FuncSig> {
+        match insn {
+            Insn::Call(i) => self.functions.get(i as usize).map(|f| &f.sig),
+            Insn::HostCall(i) => self.imports.get(i as usize).map(|h| &h.sig),
+            _ => None,
+        }
     }
 
     /// Run the verifier, consuming this module into a [`VerifiedModule`].
@@ -238,19 +236,34 @@ fn read_sig(r: &mut impl Read) -> Result<FuncSig> {
     Ok(FuncSig { params, ret })
 }
 
-/// A module that has passed bytecode verification, with its compiled
-/// form. The interpreter only accepts this type; there is deliberately no
-/// public constructor.
+/// A module that has passed bytecode verification, with the control flow
+/// the verifier proved and the compiled form built from it. The
+/// interpreter only accepts this type; there is deliberately no public
+/// constructor.
 #[derive(Debug)]
 pub struct VerifiedModule {
     inner: Module,
+    cfgs: Vec<Cfg>,
     compiled: CompiledModule,
 }
 
 impl VerifiedModule {
     /// Crate-internal: only the verifier creates these.
-    pub(crate) fn new_unchecked(inner: Module, compiled: CompiledModule) -> VerifiedModule {
-        VerifiedModule { inner, compiled }
+    pub(crate) fn new_unchecked(
+        inner: Module,
+        cfgs: Vec<Cfg>,
+        compiled: CompiledModule,
+    ) -> VerifiedModule {
+        VerifiedModule {
+            inner,
+            cfgs,
+            compiled,
+        }
+    }
+
+    /// The verified control flow of function `fidx`.
+    pub fn cfg(&self, fidx: u32) -> &Cfg {
+        &self.cfgs[fidx as usize]
     }
 
     pub fn module(&self) -> &Module {
@@ -354,35 +367,5 @@ mod tests {
         assert_eq!(f.local_type(2), Some(VType::I64)); // extra
         assert_eq!(f.local_type(3), Some(VType::F64)); // extra
         assert_eq!(f.local_type(4), None);
-    }
-
-    #[test]
-    fn straight_line_means_forward_jumps_and_no_calls() {
-        let f = |code: Vec<Insn>| Function {
-            name: "f".into(),
-            sig: FuncSig::new(vec![VType::I64], Some(VType::I64)),
-            local_types: vec![],
-            code,
-        };
-        let forward = [
-            Insn::Load(0),
-            Insn::JmpIfNot(3),
-            Insn::Jmp(3),
-            Insn::Load(0),
-            Insn::Ret,
-        ];
-        assert!(f(forward.to_vec()).is_straight_line());
-        assert!(f(vec![Insn::NewArr, Insn::Trap(1), Insn::Ret]).is_straight_line());
-        for not in [
-            Insn::Jmp(0),
-            Insn::JmpIf(1),
-            Insn::Call(0),
-            Insn::HostCall(0),
-        ] {
-            assert!(
-                !f(vec![Insn::Load(0), not, Insn::Ret]).is_straight_line(),
-                "{not:?}"
-            );
-        }
     }
 }

@@ -6,8 +6,11 @@
 //! program of pre-resolved operations that executes without per-opcode
 //! decode or operand-stack traffic; [`crate::interp::ExecMode::Jit`] runs
 //! every call through it from the first one. Only verified code is ever
-//! compiled, so every fact the compiler relies on is one the verifier
-//! established.
+//! compiled, and every fact the compiler relies on is one the verifier
+//! established, by signature: `compile_fn(&Function, &Cfg, &Module)` takes
+//! its blocks, their entry stack depths, the maximum depth and which
+//! blocks are reachable from the verifier's [`Cfg`], and re-derives none
+//! of them (the module is read only for the signatures calls invoke).
 //!
 //! Three invariants make the compiled tier *observationally identical* to
 //! the reference interpreter ([`crate::interp::ExecMode::Baseline`]):
@@ -22,9 +25,10 @@
 //!    (any fallible op or block exit), and a strip of whole loop trips at
 //!    once, so `usage.instructions` on success — and the "fuel exhausted
 //!    after N instructions" message — match the baseline interpreter.
-//! 3. **Fallback is total.** A function the compiler cannot prove out (or
-//!    whose call graph escapes the compiled set) runs in the reference
-//!    interpreter instead; `vm.tier.fallbacks` counts how often.
+//! 3. **Fallback is total.** A function the compiler cannot take — one
+//!    whose register program would need more than `u16::MAX` registers —
+//!    or whose call graph reaches one runs in the reference interpreter
+//!    instead; `vm.tier.fallbacks` counts how often.
 
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -36,8 +40,9 @@ use jaguar_common::obs;
 use crate::arena::{Arena, BytesRef};
 use crate::interp::{HostEnv, Interpreter, VmValue, CANCEL_CHECK_INTERVAL};
 use crate::isa::{Insn, VType};
-use crate::module::Module;
+use crate::module::{Function, Module};
 use crate::resources::ResourceUsage;
+use crate::verifier::Cfg;
 
 /// Has no effect: kept only for the benchmark's layer probe, which still
 /// passes it to [`Interpreter::with_tier_up`].
@@ -379,7 +384,7 @@ impl Exit {
 struct Block {
     ops: Vec<Op>,
     exit: Exit,
-    /// Set when the block is a counted loop (compile phase 4).
+    /// Set when the block is a counted loop (compile phase 3).
     counted: Option<Counted>,
 }
 
@@ -407,50 +412,34 @@ pub struct CompiledModule {
 
 impl CompiledModule {
     /// Compile every function of a module that has just passed
-    /// verification. Total: a function the compiler cannot take is `None`.
-    pub(crate) fn build(module: &Module) -> CompiledModule {
-        let functions = &module.functions;
-        let imports = &module.imports;
-        let funcs: Vec<Option<CompiledFn>> = functions
+    /// verification, from the control flow the verifier proved for it.
+    /// Total: a function the compiler cannot take is `None`.
+    pub(crate) fn build(module: &Module, cfgs: &[Cfg]) -> CompiledModule {
+        let funcs: Vec<Option<CompiledFn>> = module
+            .functions
             .iter()
-            .map(|f| compile_fn(f, functions, imports))
+            .zip(cfgs)
+            .map(|(f, cfg)| compile_fn(f, cfg, module))
             .collect();
 
-        // Direct call edges from the original code.
-        let callees: Vec<Vec<u32>> = functions
-            .iter()
-            .map(|f| {
-                let mut out: Vec<u32> = f
-                    .code
-                    .iter()
-                    .filter_map(|i| match i {
-                        Insn::Call(t) => Some(*t),
-                        _ => None,
-                    })
-                    .collect();
-                out.sort_unstable();
-                out.dedup();
-                out
-            })
-            .collect();
-
-        // runnable: compiled AND all transitive callees compiled
-        // (fixpoint: only ever removes, so it converges).
-        let mut runnable: Vec<bool> = funcs.iter().map(|f| f.is_some()).collect();
-        loop {
-            let mut changed = false;
-            for i in 0..runnable.len() {
-                if runnable[i]
-                    && !callees[i]
-                        .iter()
-                        .all(|c| runnable.get(*c as usize).copied().unwrap_or(false))
-                {
-                    runnable[i] = false;
-                    changed = true;
+        // Runnable: compiled, and so is everything it calls, transitively.
+        // A function that is not makes each of its callers not runnable.
+        let mut callers: Vec<Vec<usize>> = vec![Vec::new(); funcs.len()];
+        for (i, f) in module.functions.iter().enumerate() {
+            for insn in &f.code {
+                if let Insn::Call(t) = insn {
+                    callers[*t as usize].push(i);
                 }
             }
-            if !changed {
-                break;
+        }
+        let mut runnable: Vec<bool> = funcs.iter().map(Option::is_some).collect();
+        let mut lost: Vec<usize> = (0..funcs.len()).filter(|i| !runnable[*i]).collect();
+        while let Some(callee) = lost.pop() {
+            for &i in &callers[callee] {
+                if runnable[i] {
+                    runnable[i] = false;
+                    lost.push(i);
+                }
             }
         }
 
@@ -467,55 +456,6 @@ impl CompiledModule {
 // The template compiler
 // ---------------------------------------------------------------------------
 
-/// Net stack effect of one instruction: (pops, pushes).
-fn stack_effect(
-    insn: &Insn,
-    functions: &[crate::module::Function],
-    imports: &[crate::module::HostImport],
-) -> Option<(usize, usize)> {
-    Some(match insn {
-        Insn::ConstI(_) | Insn::ConstF(_) | Insn::Load(_) => (0, 1),
-        Insn::Store(_) | Insn::Pop | Insn::JmpIf(_) | Insn::JmpIfNot(_) => (1, 0),
-        Insn::Dup => (1, 2),
-        Insn::Swap => (2, 2),
-        Insn::AddI
-        | Insn::SubI
-        | Insn::MulI
-        | Insn::DivI
-        | Insn::RemI
-        | Insn::AddF
-        | Insn::SubF
-        | Insn::MulF
-        | Insn::DivF
-        | Insn::And
-        | Insn::Or
-        | Insn::Xor
-        | Insn::Shl
-        | Insn::Shr
-        | Insn::EqI
-        | Insn::LtI
-        | Insn::LeI
-        | Insn::EqF
-        | Insn::LtF
-        | Insn::LeF
-        | Insn::ALoad => (2, 1),
-        Insn::NegI | Insn::NegF | Insn::Not | Insn::I2F | Insn::F2I | Insn::NewArr | Insn::ALen => {
-            (1, 1)
-        }
-        Insn::AStore => (3, 0),
-        Insn::Jmp(_) | Insn::Trap(_) => (0, 0),
-        Insn::Call(f) => {
-            let sig = &functions.get(*f as usize)?.sig;
-            (sig.params.len(), usize::from(sig.ret.is_some()))
-        }
-        Insn::HostCall(i) => {
-            let sig = &imports.get(*i as usize)?.sig;
-            (sig.params.len(), usize::from(sig.ret.is_some()))
-        }
-        Insn::Ret => (0, 0), // return value handled by the terminator itself
-    })
-}
-
 /// A symbolic operand-stack entry during block compilation. `Slot` means
 /// "the value already lives in its canonical register" (canonical slot
 /// for stack position `p` is register `nlocals + p`); the others are
@@ -528,109 +468,20 @@ enum Sym {
     CF(f64),
 }
 
-/// Compile one function to a register program, or `None` if any shape the
-/// template compiler does not support appears (the caller then keeps
-/// interpreting this function — fallback, never failure).
-fn compile_fn(
-    f: &crate::module::Function,
-    functions: &[crate::module::Function],
-    imports: &[crate::module::HostImport],
-) -> Option<CompiledFn> {
+/// Pop a symbolic entry the verifier proved is there.
+fn pop(ss: &mut Vec<Sym>) -> Sym {
+    ss.pop().expect("verified: the stack does not underflow")
+}
+
+/// Compile one verified function to a register program. Where blocks
+/// start, how deep the stack is on entry to each and at most, and which
+/// blocks no path reaches all come from `cfg`; `module` is read only for
+/// the signatures calls invoke. `None` only when the program would need
+/// more registers than a `u16` names (the function then keeps running in
+/// the interpreter — fallback, never failure).
+fn compile_fn(f: &Function, cfg: &Cfg, module: &Module) -> Option<CompiledFn> {
     let code = &f.code;
-    if code.is_empty() {
-        return None;
-    }
     let nlocals = f.total_locals();
-
-    // --- Block discovery: leaders are insn 0, every jump target, and the
-    // instruction after every terminator.
-    let mut leader = vec![false; code.len()];
-    leader[0] = true;
-    for (i, insn) in code.iter().enumerate() {
-        match insn {
-            Insn::Jmp(t) | Insn::JmpIf(t) | Insn::JmpIfNot(t) => {
-                let t = *t as usize;
-                if t >= code.len() {
-                    return None;
-                }
-                leader[t] = true;
-                if i + 1 < code.len() {
-                    leader[i + 1] = true;
-                }
-            }
-            Insn::Ret | Insn::Trap(_) if i + 1 < code.len() => leader[i + 1] = true,
-            _ => {}
-        }
-    }
-    let starts: Vec<usize> = (0..code.len()).filter(|i| leader[*i]).collect();
-    let block_of: HashMap<usize, u32> = starts
-        .iter()
-        .enumerate()
-        .map(|(b, s)| (*s, b as u32))
-        .collect();
-    let range_of = |b: usize| -> (usize, usize) {
-        let start = starts[b];
-        let end = starts.get(b + 1).copied().unwrap_or(code.len());
-        (start, end)
-    };
-
-    // --- Phase 1: entry stack depth per block (worklist dataflow), plus
-    // the maximum operand-stack depth anywhere in the function.
-    let mut entry_depth: Vec<Option<usize>> = vec![None; starts.len()];
-    entry_depth[0] = Some(0);
-    let mut max_depth = 0usize;
-    let mut work = vec![0usize];
-    while let Some(b) = work.pop() {
-        let (start, end) = range_of(b);
-        let mut depth = entry_depth[b]?;
-        max_depth = max_depth.max(depth);
-        let mut merge = |target: u32, depth: usize, work: &mut Vec<usize>| -> Option<()> {
-            let t = target as usize;
-            match entry_depth[t] {
-                None => {
-                    entry_depth[t] = Some(depth);
-                    work.push(t);
-                }
-                Some(d) if d != depth => return None, // inconsistent: bail
-                Some(_) => {}
-            }
-            Some(())
-        };
-        let mut terminated = false;
-        for (i, insn) in code.iter().enumerate().take(end).skip(start) {
-            let (pops, pushes) = stack_effect(insn, functions, imports)?;
-            if depth < pops {
-                return None;
-            }
-            depth = depth - pops + pushes;
-            max_depth = max_depth.max(depth);
-            match insn {
-                Insn::Jmp(t) => {
-                    merge(*block_of.get(&(*t as usize))?, depth, &mut work)?;
-                    terminated = true;
-                }
-                Insn::JmpIf(t) | Insn::JmpIfNot(t) => {
-                    merge(*block_of.get(&(*t as usize))?, depth, &mut work)?;
-                    merge(*block_of.get(&(i + 1))?, depth, &mut work)?;
-                    terminated = true;
-                }
-                Insn::Ret => {
-                    if f.sig.ret.is_some() && depth < 1 {
-                        return None;
-                    }
-                    terminated = true;
-                }
-                Insn::Trap(_) => terminated = true,
-                _ => {}
-            }
-        }
-        if !terminated {
-            // Fall-through into the next block; falling off the end of the
-            // function is unreachable in verified code — bail if seen.
-            let next = *block_of.get(&end)?;
-            merge(next, depth, &mut work)?;
-        }
-    }
 
     // Constant pool: every distinct literal gets a dedicated register past
     // the scratch slot, written once per frame — operand reads are then
@@ -649,7 +500,7 @@ fn compile_fn(
         });
     }
 
-    let base = nlocals + max_depth + 1; // +1 scratch for Swap
+    let base = nlocals + cfg.max_depth + 1; // +1 scratch for Swap
     let nregs = base + consts.len();
     if nregs > u16::MAX as usize {
         return None;
@@ -658,9 +509,9 @@ fn compile_fn(
     let scratch = (base - 1) as u16;
     let cr = |bits: u64| -> u16 { (base + cmap[&bits] as usize) as u16 };
 
-    // --- Phase 2: compile each reachable block.
-    let mut blocks = Vec::with_capacity(starts.len());
-    for (b, entry) in entry_depth.iter().enumerate() {
+    // --- Phase 1: compile each reachable block.
+    let mut blocks = Vec::with_capacity(cfg.leaders.len());
+    for (b, entry) in cfg.entry_depth.iter().enumerate() {
         let Some(depth0) = *entry else {
             // Unreachable block: emit a defensive dead-end (never entered).
             blocks.push(Block {
@@ -673,8 +524,7 @@ fn compile_fn(
             });
             continue;
         };
-        let (start, end) = range_of(b);
-        let mut ss: Vec<Sym> = vec![Sym::Slot; depth0];
+        let mut ss: Vec<Sym> = vec![Sym::Slot; depth0 as usize];
         let mut ops: Vec<Op> = Vec::new();
         let mut pend: u64 = 0;
 
@@ -702,23 +552,15 @@ fn compile_fn(
         };
 
         let mut exit: Option<Exit> = None;
-        for i in start..end {
+        for i in cfg.block(b) {
             let insn = code[i];
             pend += 1;
             match insn {
                 Insn::ConstI(v) => ss.push(Sym::CI(v)),
                 Insn::ConstF(v) => ss.push(Sym::CF(v)),
-                Insn::Load(l) => {
-                    if l as usize >= nlocals {
-                        return None;
-                    }
-                    ss.push(Sym::Local(l));
-                }
+                Insn::Load(l) => ss.push(Sym::Local(l)),
                 Insn::Store(l) => {
-                    if l as usize >= nlocals {
-                        return None;
-                    }
-                    let v = ss.pop()?;
+                    let v = pop(&mut ss);
                     // Entries still referring to the old value of local
                     // `l` must capture it before the overwrite.
                     for (pos, sym) in ss.iter_mut().enumerate() {
@@ -759,10 +601,10 @@ fn compile_fn(
                     }
                 }
                 Insn::Pop => {
-                    ss.pop()?;
+                    pop(&mut ss);
                 }
                 Insn::Dup => {
-                    let top = *ss.last()?;
+                    let top = ss[ss.len() - 1];
                     match top {
                         Sym::Slot => {
                             let p = ss.len();
@@ -777,9 +619,6 @@ fn compile_fn(
                 }
                 Insn::Swap => {
                     let len = ss.len();
-                    if len < 2 {
-                        return None;
-                    }
                     if ss[len - 1] == Sym::Slot || ss[len - 2] == Sym::Slot {
                         for (pos, sym) in ss.iter_mut().enumerate().skip(len - 2) {
                             if *sym != Sym::Slot {
@@ -822,8 +661,8 @@ fn compile_fn(
                         Insn::Shl => IBinKind::Shl,
                         _ => IBinKind::Shr,
                     };
-                    let b2 = ss.pop()?;
-                    let a2 = ss.pop()?;
+                    let b2 = pop(&mut ss);
+                    let a2 = pop(&mut ss);
                     let p = ss.len();
                     let a = src_of(a2, p);
                     let b = src_of(b2, p + 1);
@@ -890,8 +729,8 @@ fn compile_fn(
                     ss.push(Sym::Slot);
                 }
                 Insn::DivI | Insn::RemI => {
-                    let b2 = ss.pop()?;
-                    let a2 = ss.pop()?;
+                    let b2 = pop(&mut ss);
+                    let a2 = pop(&mut ss);
                     let p = ss.len();
                     ops.push(Op::DivI {
                         rem: matches!(insn, Insn::RemI),
@@ -909,8 +748,8 @@ fn compile_fn(
                         Insn::MulF => FBinKind::Mul,
                         _ => FBinKind::Div,
                     };
-                    let b2 = ss.pop()?;
-                    let a2 = ss.pop()?;
+                    let b2 = pop(&mut ss);
+                    let a2 = pop(&mut ss);
                     let p = ss.len();
                     ops.push(Op::FBin {
                         kind,
@@ -921,7 +760,7 @@ fn compile_fn(
                     ss.push(Sym::Slot);
                 }
                 Insn::NegI | Insn::NegF | Insn::Not | Insn::I2F | Insn::F2I => {
-                    let v = ss.pop()?;
+                    let v = pop(&mut ss);
                     let p = ss.len();
                     let src = src_of(v, p);
                     let dst = canon(p);
@@ -940,8 +779,8 @@ fn compile_fn(
                         Insn::LtI => CmpIKind::Lt,
                         _ => CmpIKind::Le,
                     };
-                    let b2 = ss.pop()?;
-                    let a2 = ss.pop()?;
+                    let b2 = pop(&mut ss);
+                    let a2 = pop(&mut ss);
                     let p = ss.len();
                     ops.push(Op::CmpI {
                         kind,
@@ -957,8 +796,8 @@ fn compile_fn(
                         Insn::LtF => CmpFKind::Lt,
                         _ => CmpFKind::Le,
                     };
-                    let b2 = ss.pop()?;
-                    let a2 = ss.pop()?;
+                    let b2 = pop(&mut ss);
+                    let a2 = pop(&mut ss);
                     let p = ss.len();
                     ops.push(Op::CmpF {
                         kind,
@@ -971,17 +810,17 @@ fn compile_fn(
                 Insn::Jmp(t) => {
                     materialize_all(&mut ss, &mut ops);
                     exit = Some(Exit::Jmp {
-                        target: *block_of.get(&(t as usize))?,
+                        target: cfg.block_of[t as usize],
                         charge: std::mem::take(&mut pend),
                     });
                     break;
                 }
                 Insn::JmpIf(t) | Insn::JmpIfNot(t) => {
-                    let cond_sym = ss.pop()?;
+                    let cond_sym = pop(&mut ss);
                     let cond = src_of(cond_sym, ss.len());
                     materialize_all(&mut ss, &mut ops);
-                    let taken = *block_of.get(&(t as usize))?;
-                    let fall = *block_of.get(&(i + 1))?;
+                    let taken = cfg.block_of[t as usize];
+                    let fall = b as u32 + 1;
                     let (if_true, if_false) = match insn {
                         Insn::JmpIf(_) => (taken, fall),
                         _ => (fall, taken),
@@ -1019,49 +858,31 @@ fn compile_fn(
                     });
                     break;
                 }
-                Insn::Call(fidx) => {
-                    let callee = functions.get(fidx as usize)?;
-                    let argc = callee.sig.params.len();
-                    if ss.len() < argc {
-                        return None;
-                    }
-                    let arg_syms = ss.split_off(ss.len() - argc);
+                Insn::Call(_) | Insn::HostCall(_) => {
+                    let sig = module.callee_sig(insn).expect("verified call target");
+                    let arg_syms = ss.split_off(ss.len() - sig.params.len());
                     let base = ss.len();
                     let args: Vec<Src> = arg_syms
                         .iter()
                         .enumerate()
                         .map(|(k, s)| src_of(*s, base + k))
                         .collect();
-                    let dst = callee.sig.ret.map(|_| canon(ss.len()));
-                    ops.push(Op::Call {
-                        fidx,
-                        args,
-                        dst,
-                        charge: std::mem::take(&mut pend),
-                    });
-                    if dst.is_some() {
-                        ss.push(Sym::Slot);
-                    }
-                }
-                Insn::HostCall(iidx) => {
-                    let import = imports.get(iidx as usize)?;
-                    let argc = import.sig.params.len();
-                    if ss.len() < argc {
-                        return None;
-                    }
-                    let arg_syms = ss.split_off(ss.len() - argc);
-                    let base = ss.len();
-                    let args: Vec<Src> = arg_syms
-                        .iter()
-                        .enumerate()
-                        .map(|(k, s)| src_of(*s, base + k))
-                        .collect();
-                    let dst = import.sig.ret.map(|_| canon(ss.len()));
-                    ops.push(Op::HostCall {
-                        iidx,
-                        args,
-                        dst,
-                        charge: std::mem::take(&mut pend),
+                    let dst = sig.ret.map(|_| canon(base));
+                    let charge = std::mem::take(&mut pend);
+                    ops.push(match insn {
+                        Insn::Call(fidx) => Op::Call {
+                            fidx,
+                            args,
+                            dst,
+                            charge,
+                        },
+                        Insn::HostCall(iidx) => Op::HostCall {
+                            iidx,
+                            args,
+                            dst,
+                            charge,
+                        },
+                        _ => unreachable!("matched above"),
                     });
                     if dst.is_some() {
                         ss.push(Sym::Slot);
@@ -1070,7 +891,7 @@ fn compile_fn(
                 Insn::Ret => {
                     let src = match f.sig.ret {
                         Some(_) => {
-                            let v = ss.pop()?;
+                            let v = pop(&mut ss);
                             Some(src_of(v, ss.len()))
                         }
                         None => None,
@@ -1082,7 +903,7 @@ fn compile_fn(
                     break;
                 }
                 Insn::NewArr => {
-                    let v = ss.pop()?;
+                    let v = pop(&mut ss);
                     let p = ss.len();
                     ops.push(Op::NewArr {
                         dst: canon(p),
@@ -1092,8 +913,8 @@ fn compile_fn(
                     ss.push(Sym::Slot);
                 }
                 Insn::ALoad => {
-                    let idx = ss.pop()?;
-                    let arr = ss.pop()?;
+                    let idx = pop(&mut ss);
+                    let arr = pop(&mut ss);
                     let p = ss.len();
                     ops.push(Op::ALoad {
                         dst: canon(p),
@@ -1104,9 +925,9 @@ fn compile_fn(
                     ss.push(Sym::Slot);
                 }
                 Insn::AStore => {
-                    let val = ss.pop()?;
-                    let idx = ss.pop()?;
-                    let arr = ss.pop()?;
+                    let val = pop(&mut ss);
+                    let idx = pop(&mut ss);
+                    let arr = pop(&mut ss);
                     let p = ss.len();
                     ops.push(Op::AStore {
                         arr: src_of(arr, p),
@@ -1116,7 +937,7 @@ fn compile_fn(
                     });
                 }
                 Insn::ALen => {
-                    let v = ss.pop()?;
+                    let v = pop(&mut ss);
                     let p = ss.len();
                     ops.push(Op::ALen {
                         dst: canon(p),
@@ -1139,9 +960,8 @@ fn compile_fn(
             None => {
                 // Implicit fall-through into the next block.
                 materialize_all(&mut ss, &mut ops);
-                let next = *block_of.get(&end)?;
                 Exit::Jmp {
-                    target: next,
+                    target: b as u32 + 1,
                     charge: std::mem::take(&mut pend),
                 }
             }
@@ -1153,7 +973,7 @@ fn compile_fn(
         });
     }
 
-    // --- Phase 3: thread `Jmp` exits through empty blocks, folding the
+    // --- Phase 2: thread `Jmp` exits through empty blocks, folding the
     // bypassed exit's charge into the jump's (check-then-charge fuel makes
     // consecutive charges with no intervening effect associative, so the
     // exhaustion report is unchanged). Loop rotation falls out: a body's
@@ -1174,7 +994,7 @@ fn compile_fn(
         }
     }
 
-    // --- Phase 4: carry a trailing integer binop into a fused
+    // --- Phase 3: carry a trailing integer binop into a fused
     // compare-branch exit (the loop-closing `i = i + 1; branch i < n`
     // back-edge threading just created). Pure op motion — the write still
     // precedes the compare — so it is unconditionally safe. A block that
@@ -2535,6 +2355,47 @@ mod tests {
         assert_eq!(eb.to_string(), et.to_string());
         assert!(eb.to_string().contains("call depth limit"));
         assert!(tier.runs_compiled(0));
+    }
+
+    /// The one bail left: a function whose register program needs more
+    /// registers than a `u16` names runs in the interpreter, and so does
+    /// every function that reaches it through calls; one that does not
+    /// still runs compiled.
+    #[test]
+    fn register_overflow_falls_back_with_its_callers() {
+        let _serial = serial();
+        let f = |name: &str, code: Vec<Insn>| Function {
+            name: name.into(),
+            sig: FuncSig::new(vec![], Some(VType::I64)),
+            local_types: vec![],
+            code,
+        };
+        let mut wide: Vec<Insn> = (0..=i64::from(u16::MAX))
+            .flat_map(|v| [Insn::ConstI(v), Insn::Pop])
+            .collect();
+        wide.extend([Insn::ConstI(0), Insn::Ret]);
+        let m = Arc::new(
+            Module {
+                name: "t".into(),
+                imports: vec![],
+                functions: vec![
+                    f("outer", vec![Insn::Call(1), Insn::Ret]),
+                    f("inner", vec![Insn::Call(2), Insn::Ret]),
+                    f("wide", wide),
+                    f("alone", vec![Insn::ConstI(7), Insn::Ret]),
+                ],
+            }
+            .verify()
+            .unwrap(),
+        );
+        assert!(m.compiled().funcs[2].is_none());
+        let tier = Interpreter::new(Arc::clone(&m), ResourceLimits::default(), ExecMode::Jit);
+        let runs: Vec<bool> = (0..4).map(|i| tier.runs_compiled(i)).collect();
+        assert_eq!(runs, [false, false, false, true]);
+        let base = Interpreter::new(m, ResourceLimits::default(), ExecMode::Baseline);
+        let (rt, ut, _) = tier.invoke("outer", &[], &mut NoHost).unwrap();
+        let (rb, ub, _) = base.invoke("outer", &[], &mut NoHost).unwrap();
+        assert_eq!((rt, ut), (rb, ub));
     }
 
     /// Host calls work from the compiled tier: security checked, counted,

@@ -10,15 +10,24 @@
 //!
 //! The algorithm is abstract interpretation over the operand stack:
 //! a worklist propagates the stack *type* state through the control-flow
-//! graph; merge points require identical states (JSM has no subtyping, so
-//! equality is the join). A function verifies iff:
+//! graph, one basic block at a time; merge points require identical states
+//! (JSM has no subtyping, so equality is the join). A function verifies
+//! iff:
 //!
 //! * every instruction is structurally sound (local indices in range,
 //!   jump targets inside the function, call targets existing),
 //! * no path underflows the stack or exceeds [`MAX_STACK`],
 //! * every operand has the exact type its instruction requires,
 //! * control cannot fall off the end of the code,
-//! * every `ret` leaves exactly the declared return value on the stack.
+//! * every `ret` leaves exactly the declared return value on the stack,
+//! * the stack states it hands along control-flow edges fit in
+//!   [`STATE_BUDGET`].
+//!
+//! What the pass proves about control flow it hands on as one [`Cfg`] per
+//! function: the compiled tier builds its register programs from those
+//! facts and asks no structural question of its own.
+
+use std::ops::Range;
 
 use jaguar_common::error::{JaguarError, Result};
 
@@ -30,6 +39,43 @@ use crate::tier::CompiledModule;
 pub const MAX_STACK: usize = 4096;
 /// Maximum local slots per function.
 pub const MAX_LOCALS: usize = 65_535;
+/// Most operand-stack slots the verifier hands along one function's
+/// control-flow edges, summed (one byte each). Stack types are kept at
+/// block entries only, so a straight-line function costs its code and one
+/// stack; a function past the budget — a chain of jumps at a deep stack —
+/// is refused rather than stored once per jump.
+pub const STATE_BUDGET: usize = 1 << 20;
+
+/// The control-flow facts the verifier proved for one function, and the
+/// only structural input the compiled tier takes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cfg {
+    /// First pc of each basic block, ascending: pc 0, every jump target,
+    /// and the pc after every jump, `ret` and `trap`.
+    pub leaders: Vec<u32>,
+    /// The block each pc belongs to.
+    pub block_of: Vec<u32>,
+    /// Operand-stack depth on entry to each block; `None` for a block no
+    /// path reaches.
+    pub entry_depth: Vec<Option<u32>>,
+    /// Deepest operand stack on any path.
+    pub max_depth: usize,
+    /// No back-edge, `call` or `host_call` anywhere in the code: every
+    /// instruction runs at most once and nothing outside the frame and its
+    /// arena is touched, so the result depends on the arguments alone.
+    pub straight_line: bool,
+}
+
+impl Cfg {
+    /// The pcs of block `b`.
+    pub(crate) fn block(&self, b: usize) -> Range<usize> {
+        let end = self
+            .leaders
+            .get(b + 1)
+            .map_or(self.block_of.len(), |e| *e as usize);
+        self.leaders[b] as usize..end
+    }
+}
 
 /// Verify a module, producing the only token the interpreter accepts —
 /// with its compiled form, built here, once, from code just proven safe.
@@ -40,33 +86,44 @@ pub fn verify(module: Module) -> Result<VerifiedModule> {
             return Err(err(&f.name, 0, "duplicate function name"));
         }
     }
-    for f in &module.functions {
-        verify_function(&module, f)?;
-    }
-    let compiled = CompiledModule::build(&module);
-    Ok(VerifiedModule::new_unchecked(module, compiled))
+    let cfgs = module
+        .functions
+        .iter()
+        .map(|f| verify_function(&module, f))
+        .collect::<Result<Vec<Cfg>>>()?;
+    let compiled = CompiledModule::build(&module, &cfgs);
+    Ok(VerifiedModule::new_unchecked(module, cfgs, compiled))
 }
 
 fn err(func: &str, pc: usize, msg: impl std::fmt::Display) -> JaguarError {
     JaguarError::Verification(format!("function '{func}' @{pc}: {msg}"))
 }
 
-fn verify_function(module: &Module, f: &Function) -> Result<()> {
+fn verify_function(module: &Module, f: &Function) -> Result<Cfg> {
     if f.total_locals() > MAX_LOCALS {
         return Err(err(&f.name, 0, "too many locals"));
     }
     if f.code.is_empty() {
         return Err(err(&f.name, 0, "empty code: control falls off the end"));
     }
+    let n = f.code.len();
 
-    // Pass 1: structural checks on every instruction, reachable or not.
+    // Pass 1: structural checks on every instruction, reachable or not;
+    // the same scan finds the block leaders and the straight-line flag.
+    let mut leader = vec![false; n];
+    leader[0] = true;
+    let mut straight_line = true;
     for (pc, insn) in f.code.iter().enumerate() {
         match *insn {
             Insn::Load(i) | Insn::Store(i) if (i as usize) >= f.total_locals() => {
                 return Err(err(&f.name, pc, format!("local {i} out of range")));
             }
-            Insn::Jmp(t) | Insn::JmpIf(t) | Insn::JmpIfNot(t) if (t as usize) >= f.code.len() => {
-                return Err(err(&f.name, pc, format!("jump target {t} out of range")));
+            Insn::Jmp(t) | Insn::JmpIf(t) | Insn::JmpIfNot(t) => {
+                if t as usize >= n {
+                    return Err(err(&f.name, pc, format!("jump target {t} out of range")));
+                }
+                leader[t as usize] = true;
+                straight_line &= t as usize > pc;
             }
             Insn::Call(idx) if (idx as usize) >= module.functions.len() => {
                 return Err(err(&f.name, pc, format!("call target {idx} undefined")));
@@ -74,207 +131,201 @@ fn verify_function(module: &Module, f: &Function) -> Result<()> {
             Insn::HostCall(idx) if (idx as usize) >= module.imports.len() => {
                 return Err(err(&f.name, pc, format!("host import {idx} undeclared")));
             }
+            Insn::Call(_) | Insn::HostCall(_) => straight_line = false,
             _ => {}
         }
+        let ends_block = matches!(
+            insn,
+            Insn::Jmp(_) | Insn::JmpIf(_) | Insn::JmpIfNot(_) | Insn::Ret | Insn::Trap(_)
+        );
+        if ends_block && pc + 1 < n {
+            leader[pc + 1] = true;
+        }
     }
+    let mut cfg = Cfg {
+        leaders: (0..n as u32).filter(|pc| leader[*pc as usize]).collect(),
+        block_of: leader
+            .iter()
+            .scan(0u32, |b, l| {
+                *b += u32::from(*l);
+                Some(*b - 1)
+            })
+            .collect(),
+        entry_depth: Vec::new(),
+        max_depth: 0,
+        straight_line,
+    };
 
-    // Pass 2: dataflow over the reachable CFG.
-    let mut states: Vec<Option<Vec<VType>>> = vec![None; f.code.len()];
+    // Pass 2: dataflow over the reachable blocks, depth first. The first
+    // stack state to reach a block is its entry state, and the block is
+    // walked once, from it; every later arrival must carry the same state.
+    // Only entry states are kept, and the states handed along edges count
+    // against `STATE_BUDGET`.
+    let mut entry: Vec<Option<Vec<VType>>> = vec![None; cfg.leaders.len()];
+    let mut stored = 0usize;
     let mut worklist: Vec<(usize, Vec<VType>)> = vec![(0, Vec::new())];
+    let mut s: Vec<VType> = Vec::new();
 
-    while let Some((pc, stack)) = worklist.pop() {
-        match &states[pc] {
-            Some(existing) => {
-                if *existing != stack {
-                    return Err(err(
-                        &f.name,
-                        pc,
-                        format!("inconsistent stack at merge point: {existing:?} vs {stack:?}"),
-                    ));
-                }
-                continue; // already analysed with this state
+    while let Some((b, state)) = worklist.pop() {
+        if let Some(existing) = &entry[b] {
+            if *existing != state {
+                return Err(err(
+                    &f.name,
+                    cfg.leaders[b] as usize,
+                    format!("inconsistent stack at merge point: {existing:?} vs {state:?}"),
+                ));
             }
-            None => states[pc] = Some(stack.clone()),
+            continue; // already walked from this state
         }
+        s.clone_from(&state);
+        entry[b] = Some(state);
+        let block = cfg.block(b);
+        for pc in block.clone() {
+            let insn = f.code[pc];
+            // Helper macros for pops/pushes with typed errors.
+            macro_rules! pop {
+                ($want:expr) => {{
+                    let got = s.pop().ok_or_else(|| err(&f.name, pc, "stack underflow"))?;
+                    if got != $want {
+                        return Err(err(
+                            &f.name,
+                            pc,
+                            format!("expected {} on stack, found {}", $want.name(), got.name()),
+                        ));
+                    }
+                }};
+            }
+            macro_rules! pop_any {
+                () => {{
+                    s.pop().ok_or_else(|| err(&f.name, pc, "stack underflow"))?
+                }};
+            }
+            macro_rules! push {
+                ($t:expr) => {{
+                    if s.len() >= MAX_STACK {
+                        return Err(err(&f.name, pc, "operand stack too deep"));
+                    }
+                    s.push($t);
+                }};
+            }
 
-        let mut s = stack;
-        let insn = f.code[pc];
-        // Helper closures for pops/pushes with typed errors.
-        macro_rules! pop {
-            ($want:expr) => {{
-                let got = s.pop().ok_or_else(|| err(&f.name, pc, "stack underflow"))?;
-                if got != $want {
-                    return Err(err(
-                        &f.name,
-                        pc,
-                        format!("expected {} on stack, found {}", $want.name(), got.name()),
-                    ));
+            match insn {
+                Insn::Load(i) => push!(f.local_type(i as usize).expect("checked in pass 1")),
+                Insn::Store(i) => pop!(f.local_type(i as usize).expect("checked in pass 1")),
+                Insn::Pop => {
+                    pop_any!();
                 }
-            }};
-        }
-        macro_rules! pop_any {
-            () => {{
-                s.pop().ok_or_else(|| err(&f.name, pc, "stack underflow"))?
-            }};
-        }
-        macro_rules! push {
-            ($t:expr) => {{
-                if s.len() >= MAX_STACK {
-                    return Err(err(&f.name, pc, "operand stack too deep"));
+                Insn::Dup => {
+                    let t = pop_any!();
+                    push!(t);
+                    push!(t);
                 }
-                s.push($t);
-            }};
-        }
-
-        // `succ` collects the (target, state) pairs this insn flows into.
-        let mut next: Vec<(usize, Vec<VType>)> = Vec::with_capacity(2);
-        let mut fallthrough = true;
-
-        match insn {
-            Insn::ConstI(_) => push!(VType::I64),
-            Insn::ConstF(_) => push!(VType::F64),
-            Insn::Load(i) => {
-                let t = f.local_type(i as usize).expect("checked in pass 1");
-                push!(t);
-            }
-            Insn::Store(i) => {
-                let t = f.local_type(i as usize).expect("checked in pass 1");
-                pop!(t);
-            }
-            Insn::Pop => {
-                pop_any!();
-            }
-            Insn::Dup => {
-                let t = *s
-                    .last()
-                    .ok_or_else(|| err(&f.name, pc, "stack underflow"))?;
-                push!(t);
-            }
-            Insn::Swap => {
-                let a = pop_any!();
-                let b = pop_any!();
-                push!(a);
-                push!(b);
-            }
-            Insn::AddI | Insn::SubI | Insn::MulI | Insn::DivI | Insn::RemI => {
-                pop!(VType::I64);
-                pop!(VType::I64);
-                push!(VType::I64);
-            }
-            Insn::NegI | Insn::Not => {
-                pop!(VType::I64);
-                push!(VType::I64);
-            }
-            Insn::AddF | Insn::SubF | Insn::MulF | Insn::DivF => {
-                pop!(VType::F64);
-                pop!(VType::F64);
-                push!(VType::F64);
-            }
-            Insn::NegF => {
-                pop!(VType::F64);
-                push!(VType::F64);
-            }
-            Insn::And | Insn::Or | Insn::Xor | Insn::Shl | Insn::Shr => {
-                pop!(VType::I64);
-                pop!(VType::I64);
-                push!(VType::I64);
-            }
-            Insn::I2F => {
-                pop!(VType::I64);
-                push!(VType::F64);
-            }
-            Insn::F2I => {
-                pop!(VType::F64);
-                push!(VType::I64);
-            }
-            Insn::EqI | Insn::LtI | Insn::LeI => {
-                pop!(VType::I64);
-                pop!(VType::I64);
-                push!(VType::I64);
-            }
-            Insn::EqF | Insn::LtF | Insn::LeF => {
-                pop!(VType::F64);
-                pop!(VType::F64);
-                push!(VType::I64);
-            }
-            Insn::Jmp(t) => {
-                next.push((t as usize, s.clone()));
-                fallthrough = false;
-            }
-            Insn::JmpIf(t) | Insn::JmpIfNot(t) => {
-                pop!(VType::I64);
-                next.push((t as usize, s.clone()));
-            }
-            Insn::Call(idx) => {
-                let callee = &module.functions[idx as usize].sig;
-                for p in callee.params.iter().rev() {
-                    pop!(*p);
+                Insn::Swap => {
+                    let a = pop_any!();
+                    let b = pop_any!();
+                    push!(a);
+                    push!(b);
                 }
-                if let Some(r) = callee.ret {
-                    push!(r);
+                Insn::Ret => {
+                    if let Some(t) = f.sig.ret {
+                        pop!(t);
+                    }
+                    if !s.is_empty() {
+                        return Err(err(
+                            &f.name,
+                            pc,
+                            format!("{} residual stack values at return", s.len()),
+                        ));
+                    }
+                }
+                _ => {
+                    let (operands, result) = match module.callee_sig(insn) {
+                        Some(sig) => (&sig.params[..], sig.ret),
+                        None => fixed_typing(insn),
+                    };
+                    for t in operands.iter().rev() {
+                        pop!(*t);
+                    }
+                    if let Some(r) = result {
+                        push!(r);
+                    }
                 }
             }
-            Insn::HostCall(idx) => {
-                let sig = &module.imports[idx as usize].sig;
-                for p in sig.params.iter().rev() {
-                    pop!(*p);
-                }
-                if let Some(r) = sig.ret {
-                    push!(r);
-                }
-            }
-            Insn::Ret => {
-                if let Some(t) = f.sig.ret {
-                    pop!(t);
-                }
-                if !s.is_empty() {
-                    return Err(err(
-                        &f.name,
-                        pc,
-                        format!("{} residual stack values at return", s.len()),
-                    ));
-                }
-                fallthrough = false;
-            }
-            Insn::NewArr => {
-                pop!(VType::I64);
-                push!(VType::Bytes);
-            }
-            Insn::ALoad => {
-                pop!(VType::I64);
-                pop!(VType::Bytes);
-                push!(VType::I64);
-            }
-            Insn::AStore => {
-                pop!(VType::I64); // value
-                pop!(VType::I64); // index
-                pop!(VType::Bytes); // ref
-            }
-            Insn::ALen => {
-                pop!(VType::Bytes);
-                push!(VType::I64);
-            }
-            Insn::Trap(_) => {
-                fallthrough = false;
-            }
+            cfg.max_depth = cfg.max_depth.max(s.len());
         }
 
-        if fallthrough {
-            if pc + 1 >= f.code.len() {
-                return Err(err(&f.name, pc, "control falls off the end of the code"));
-            }
-            next.push((pc + 1, s));
+        // Only a block's last instruction transfers control.
+        let (last, end) = (block.end - 1, block.end);
+        let (taken, falls) = match f.code[last] {
+            Insn::Jmp(t) => (Some(t as usize), false),
+            Insn::JmpIf(t) | Insn::JmpIfNot(t) => (Some(t as usize), true),
+            Insn::Ret | Insn::Trap(_) => (None, false),
+            _ => (None, true),
+        };
+        if falls && end == n {
+            return Err(err(&f.name, last, "control falls off the end of the code"));
         }
-        worklist.extend(next);
+        for target in taken.into_iter().chain(falls.then_some(end)) {
+            stored += s.len();
+            if stored > STATE_BUDGET {
+                return Err(err(
+                    &f.name,
+                    target,
+                    format!("stack states exceed the state budget of {STATE_BUDGET} slots"),
+                ));
+            }
+            worklist.push((cfg.block_of[target] as usize, s.clone()));
+        }
     }
 
-    Ok(())
+    cfg.entry_depth = entry
+        .iter()
+        .map(|s| s.as_ref().map(|s| s.len() as u32))
+        .collect();
+    Ok(cfg)
+}
+
+/// The operand types an instruction of fixed typing pops (listed bottom
+/// to top) and the type it pushes. `jmp` and `trap` touch no operand; the
+/// instructions typed by their locals, the stack or a signature are typed
+/// by the walk itself.
+fn fixed_typing(insn: Insn) -> (&'static [VType], Option<VType>) {
+    use VType::{Bytes, F64, I64};
+    match insn {
+        Insn::ConstI(_) => (&[], Some(I64)),
+        Insn::ConstF(_) => (&[], Some(F64)),
+        Insn::AddI
+        | Insn::SubI
+        | Insn::MulI
+        | Insn::DivI
+        | Insn::RemI
+        | Insn::And
+        | Insn::Or
+        | Insn::Xor
+        | Insn::Shl
+        | Insn::Shr
+        | Insn::EqI
+        | Insn::LtI
+        | Insn::LeI => (&[I64, I64], Some(I64)),
+        Insn::NegI | Insn::Not => (&[I64], Some(I64)),
+        Insn::AddF | Insn::SubF | Insn::MulF | Insn::DivF => (&[F64, F64], Some(F64)),
+        Insn::NegF => (&[F64], Some(F64)),
+        Insn::EqF | Insn::LtF | Insn::LeF => (&[F64, F64], Some(I64)),
+        Insn::I2F => (&[I64], Some(F64)),
+        Insn::F2I => (&[F64], Some(I64)),
+        Insn::NewArr => (&[I64], Some(Bytes)),
+        Insn::ALoad => (&[Bytes, I64], Some(I64)),
+        Insn::AStore => (&[Bytes, I64, I64], None),
+        Insn::ALen => (&[Bytes], Some(I64)),
+        Insn::JmpIf(_) | Insn::JmpIfNot(_) => (&[I64], None),
+        _ => (&[], None),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::module::FuncSig;
+    use crate::module::{FuncSig, HostImport};
 
     fn module_with(f: Function) -> Module {
         Module {
@@ -536,5 +587,90 @@ mod tests {
         assert!(e.to_string().contains("expected i64"), "{e}");
 
         ok(vec![Insn::ConstI(1), Insn::Dup, Insn::AddI, Insn::Ret]).unwrap();
+    }
+
+    #[test]
+    fn straight_line_means_forward_jumps_and_no_calls() {
+        let verified = |code: Vec<Insn>| {
+            let mut m = module_with(func(
+                FuncSig::new(vec![VType::I64], Some(VType::I64)),
+                vec![],
+                code,
+            ));
+            m.imports.push(HostImport {
+                name: "h".into(),
+                sig: FuncSig::new(vec![VType::I64], Some(VType::I64)),
+            });
+            verify(m).unwrap()
+        };
+        let forward = vec![
+            Insn::Load(0),
+            Insn::JmpIfNot(3),
+            Insn::Jmp(3),
+            Insn::Load(0),
+            Insn::Ret,
+        ];
+        assert!(verified(forward).cfg(0).straight_line);
+        let trapping = vec![Insn::Load(0), Insn::NewArr, Insn::Trap(1), Insn::Ret];
+        assert!(verified(trapping).cfg(0).straight_line);
+        for not in [
+            vec![
+                Insn::Load(0),
+                Insn::JmpIfNot(3),
+                Insn::Jmp(0),
+                Insn::Load(0),
+                Insn::Ret,
+            ],
+            vec![Insn::Load(0), Insn::JmpIf(0), Insn::Load(0), Insn::Ret],
+            vec![Insn::Load(0), Insn::Call(0), Insn::Ret],
+            vec![Insn::Load(0), Insn::HostCall(0), Insn::Ret],
+        ] {
+            assert!(!verified(not.clone()).cfg(0).straight_line, "{not:?}");
+        }
+    }
+
+    #[test]
+    fn cfg_has_the_leaders_entry_depths_and_max_depth() {
+        // return p0 ? p0 * 2 : p0 + 7, with p0 live across the branch and
+        // a dead trap after the return.
+        let f = func(
+            FuncSig::new(vec![VType::I64], Some(VType::I64)),
+            vec![],
+            vec![
+                Insn::Load(0),     // 0  depth 1
+                Insn::Load(0),     // 1  depth 2
+                Insn::JmpIfNot(6), // 2  depth 1
+                Insn::ConstI(2),   // 3  depth 2
+                Insn::MulI,        // 4  depth 1
+                Insn::Jmp(8),      // 5
+                Insn::ConstI(7),   // 6  depth 2
+                Insn::AddI,        // 7  depth 1, falls into 8
+                Insn::Ret,         // 8
+                Insn::Trap(1),     // 9  unreachable
+            ],
+        );
+        let m = verify(module_with(f)).unwrap();
+        let cfg = m.cfg(0);
+        assert_eq!(cfg.leaders, [0, 3, 6, 8, 9]);
+        assert_eq!(cfg.block_of, [0, 0, 0, 1, 1, 1, 2, 2, 3, 4]);
+        assert_eq!(cfg.entry_depth, [Some(0), Some(1), Some(1), Some(1), None]);
+        assert_eq!(cfg.max_depth, 2);
+        assert_eq!(cfg.block(1), 3..6);
+        assert!(cfg.straight_line);
+    }
+
+    #[test]
+    fn entry_states_past_the_budget_are_refused() {
+        // A deep stack carried through a chain of jumps would be stored
+        // once per jump target.
+        let depth = 1_000;
+        let jumps = STATE_BUDGET / depth + 1;
+        let mut code: Vec<Insn> = vec![Insn::ConstI(0); depth];
+        code.extend((0..jumps).map(|k| Insn::Jmp((depth + k + 1) as u32)));
+        code.extend(vec![Insn::Pop; depth]);
+        code.push(Insn::Ret);
+        let f = func(FuncSig::new(vec![], None), vec![], code);
+        let e = verify(module_with(f)).unwrap_err();
+        assert!(e.to_string().contains("state budget"), "{e}");
     }
 }

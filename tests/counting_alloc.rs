@@ -1,8 +1,8 @@
 //! The counting `#[global_allocator]` shared by the allocation-count test
 //! binaries (`scan_allocs.rs`, `vm_allocs.rs`, `crates/sql/tests/memo_allocs.rs`,
 //! `crates/common/tests/registry_allocs.rs`; each includes this file with
-//! `#[path]`). Counts calls and live bytes per
-//! thread, so the test harness's own threads do not disturb a measurement.
+//! `#[path]`). Counts calls, live bytes and their peak per thread, so the
+//! test harness's own threads do not disturb a measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,10 +13,15 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread allocated less bytes it freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since `peak_live_bytes` last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 fn grow(bytes: i64) {
-    let _ = LIVE.try_with(|n| n.set(n.get() + bytes));
+    let _ = LIVE.try_with(|n| {
+        n.set(n.get() + bytes);
+        let _ = PEAK.try_with(|p| p.set(p.get().max(n.get())));
+    });
 }
 
 // SAFETY: defers every operation to `System` unchanged; the counter is a
@@ -56,4 +61,14 @@ pub fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
 #[allow(dead_code)]
 pub fn live_bytes() -> i64 {
     LIVE.with(Cell::get)
+}
+
+/// The most bytes this thread held live while `f` ran, above what it held
+/// when `f` started.
+#[allow(dead_code)]
+pub fn peak_live_bytes<T>(f: impl FnOnce() -> T) -> (i64, T) {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(base));
+    let out = f();
+    (PEAK.with(Cell::get) - base, out)
 }

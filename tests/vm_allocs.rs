@@ -12,18 +12,22 @@
 //! * an allowed host call costs the security manager no allocation and no
 //!   audit-log entry, however many are made — the log used to grow by one
 //!   entry (two `String`s) per call, for as long as the UDF stayed
-//!   registered.
+//!   registered;
+//! * verifying an uploaded module holds memory in proportion to the module,
+//!   not to its code times its stack depth: the verifier keeps stack types
+//!   at block entries only, within `STATE_BUDGET`.
 
 use std::sync::Arc;
 
+use jaguar_common::error::JaguarError;
 use jaguar_core::{ByteArray, PermissionSet, ResourceLimits, ScalarUdf, Value};
 use jaguar_udf::generic::{self, GenericParams, IdentityCallbacks, GENERIC_CALLBACK};
 use jaguar_udf::{ValueBatch, VmUdf};
-use jaguar_vm::{ExecMode, Permission};
+use jaguar_vm::{ExecMode, FuncSig, Function, Insn, Module, Permission};
 
 #[path = "counting_alloc.rs"]
 mod counting_alloc;
-use counting_alloc::allocations;
+use counting_alloc::{allocations, peak_live_bytes};
 
 const ROWS: usize = 1_000;
 
@@ -102,4 +106,53 @@ fn allowed_host_calls_leave_the_audit_log_and_the_allocator_alone() {
     assert_eq!(allocs, 0);
     assert_eq!(perms.allowed_checks(), 1_000_000);
     assert!(perms.violations().is_empty());
+}
+
+/// The bytes of a module whose `main` pushes 4,000 constants, appends
+/// `filler(pc)` 200,000 times at that depth, then pops them and returns.
+fn deep_stack_module(filler: impl Fn(usize) -> Vec<Insn>) -> Vec<u8> {
+    const DEPTH: usize = 4_000;
+    let mut code: Vec<Insn> = (0..DEPTH as i64).map(Insn::ConstI).collect();
+    for _ in 0..200_000 {
+        code.extend(filler(code.len()));
+    }
+    code.extend([Insn::Pop; DEPTH]);
+    code.push(Insn::Ret);
+    let main = Function {
+        name: "main".into(),
+        sig: FuncSig::new(vec![], None),
+        local_types: vec![],
+        code,
+    };
+    Module {
+        name: "deep".into(),
+        imports: vec![],
+        functions: vec![main],
+    }
+    .to_bytes()
+}
+
+#[test]
+fn verifying_an_uploaded_module_is_bounded_in_memory() {
+    // 440 KB: `dup; pop` at depth 4,000 — one block, one stack.
+    let straight = deep_stack_module(|_| vec![Insn::Dup, Insn::Pop]);
+    // 1 MB: `jmp next` at depth 4,000 — a block entry per jump.
+    let chain = deep_stack_module(|pc| vec![Insn::Jmp(pc as u32 + 1)]);
+    for (bytes, verifies) in [(straight, true), (chain, false)] {
+        let (peak, verified) =
+            peak_live_bytes(|| Module::from_bytes(&bytes).and_then(Module::verify));
+        assert!(
+            peak < 64 << 20,
+            "{peak} bytes live verifying a {}-byte module",
+            bytes.len()
+        );
+        match verified {
+            Ok(_) => assert!(verifies, "the jump chain verified"),
+            Err(e) => {
+                assert!(!verifies, "{e}");
+                assert!(matches!(e, JaguarError::Verification(_)), "{e}");
+                assert!(e.to_string().contains("state budget"), "{e}");
+            }
+        }
+    }
 }
