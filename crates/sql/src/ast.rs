@@ -133,7 +133,7 @@ pub struct SelectStmt {
 impl Expr {
     /// Split a conjunctive predicate into its top-level conjuncts
     /// (the units the optimizer orders).
-    pub fn conjuncts(self) -> Vec<Expr> {
+    pub fn conjuncts(&self) -> Vec<&Expr> {
         match self {
             Expr::And(l, r) => {
                 let mut out = l.conjuncts();

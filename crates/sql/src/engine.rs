@@ -28,7 +28,9 @@ use parking_lot::RwLock;
 use crate::ast::Statement;
 use crate::exec::{eval, fragment, ExecCtx, ExecStats, Profile, RowSource, Sink, Stage};
 use crate::parser::parse;
-use crate::plan::{bind_dml, bind_select, explain, AccessPath, BoundDml, BoundSelect};
+use crate::plan::{
+    bind_dml, bind_insert, bind_select, explain, values_literal, AccessPath, BoundDml, BoundSelect,
+};
 
 /// A server-side callback function.
 pub type CallbackFn = dyn Fn(&[Value]) -> Result<Value> + Send + Sync;
@@ -331,19 +333,8 @@ impl Engine {
                 Ok(QueryResult::empty())
             }
             Statement::Insert { table, rows } => {
-                let t = self.catalog.table(&table)?;
-                let authz = crate::plan::authorize(&self.catalog, &t, session)?;
-                // A session barred from any column may not write rows at
-                // all — an INSERT supplies every column.
-                if let Some(&idx) = authz.denied.iter().min() {
-                    let name = &t.schema().field(idx).expect("denied index valid").name;
-                    return Err(crate::plan::deny_column(name, t.name(), &authz.principal));
-                }
-                let residual = authz
-                    .residual
-                    .as_ref()
-                    .map(|r| crate::plan::label_to_bexpr(r, t.schema()))
-                    .transpose()?;
+                let insert = bind_insert(&table, &self.catalog, session)?;
+                let t = &insert.table;
                 let mut handler = EngineCallbacks { engine: self };
                 let mut ctx = ExecCtx::for_udfs(&[], &mut handler, None)?;
                 let mut inserted = 0;
@@ -353,22 +344,13 @@ impl Engine {
                         // inserted are sealed via the WAL on cancellation.
                         token.check()?;
                         let mut values = Vec::with_capacity(row.len());
-                        for e in row {
-                            values.push(literal_value(&e)?);
+                        for e in &row {
+                            values.push(values_literal(e)?);
                         }
                         let tuple = Tuple::new(values);
-                        // A tenant may only insert rows its own row label
-                        // admits — otherwise it could plant rows it cannot
-                        // see into another tenant's partition.
-                        if let Some(res) = &residual {
-                            match eval(res, &tuple, &mut ctx)? {
-                                Value::Bool(true) => {}
-                                _ => {
-                                    return Err(crate::plan::deny_insert(
-                                        t.name(),
-                                        &authz.principal,
-                                    ))
-                                }
+                        if let Some(check) = &insert.check {
+                            if !matches!(eval(check, &tuple, &mut ctx)?, Value::Bool(true)) {
+                                return Err(insert.refusal());
                             }
                         }
                         t.insert(tuple)?;
@@ -377,7 +359,7 @@ impl Engine {
                     Ok(())
                 })();
                 if let Err(e) = res {
-                    return Err(seal_partial_effects(&t, e));
+                    return Err(seal_partial_effects(t, e));
                 }
                 // Statement-level transaction: all rows of this INSERT
                 // become durable together (or not at all after a crash).
@@ -816,33 +798,6 @@ fn fmt_us(us: u64) -> String {
     }
 }
 
-/// Evaluate a literal-only expression (INSERT VALUES).
-fn literal_value(e: &crate::ast::Expr) -> Result<Value> {
-    use crate::ast::Expr;
-    Ok(match e {
-        Expr::Int(v) => Value::Int(*v),
-        Expr::Float(v) => Value::Float(*v),
-        Expr::Str(s) => Value::Str(s.clone()),
-        Expr::Blob(b) => Value::Bytes(jaguar_common::ByteArray::new(b.clone())),
-        Expr::Bool(b) => Value::Bool(*b),
-        Expr::Null => Value::Null,
-        Expr::Neg(inner) => match literal_value(inner)? {
-            Value::Int(v) => Value::Int(-v),
-            Value::Float(v) => Value::Float(-v),
-            other => {
-                return Err(JaguarError::Plan(format!(
-                    "cannot negate {other} in VALUES"
-                )))
-            }
-        },
-        other => {
-            return Err(JaguarError::Plan(format!(
-                "VALUES requires literals, found {other:?}"
-            )))
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -917,6 +872,36 @@ mod tests {
         assert!(e.execute("INSERT INTO r VALUES ('x', 'y', X'00')").is_err()); // type
         assert!(e.execute("CREATE TABLE r (a INT)").is_err()); // duplicate
         assert!(e.execute("DROP TABLE ghost").is_err());
+    }
+
+    #[test]
+    fn boolean_operators_need_boolean_operands() {
+        let e = engine_with_data();
+        // Each was a silent wrong answer or a run-time error that depended
+        // on the rows: an INT operand of OR/AND read as UNKNOWN, NOT failed
+        // on the first row.
+        for (sql, text) in [
+            (
+                "SELECT id FROM r WHERE id OR name = 'one'",
+                "'OR' needs a BOOL operand, got INT",
+            ),
+            (
+                "SELECT id AND true FROM r",
+                "'AND' needs a BOOL operand, got INT",
+            ),
+            (
+                "SELECT id FROM r WHERE NOT id",
+                "'NOT' needs a BOOL operand, got INT",
+            ),
+        ] {
+            match e.execute(sql) {
+                Err(JaguarError::Plan(got)) => assert_eq!(got, text, "{sql}"),
+                other => panic!("{sql} gave {other:?}"),
+            }
+        }
+        // An untyped NULL is still an operand.
+        let r = e.execute("SELECT id FROM r WHERE NULL OR id = 1").unwrap();
+        assert_eq!(r.int_column(0).unwrap(), vec![1]);
     }
 
     fn register_counting_udf(e: &Engine) -> Arc<AtomicU64> {

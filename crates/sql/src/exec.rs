@@ -1110,8 +1110,8 @@ pub(crate) fn fragment(
 /// Everything after the fragments, for a serial SELECT and a parallel
 /// gather alike: finish the aggregation and project its groups through
 /// HAVING (a row sink has done both for its own rows), then ORDER BY and
-/// LIMIT. No expression here calls a UDF — the output binder admits none
-/// — so any context runs it.
+/// LIMIT. No expression here calls a UDF — the binder's output scope
+/// refuses UDF calls in HAVING and ORDER BY — so any context runs it.
 pub(crate) fn tail(
     plan: &BoundSelect,
     gathered: Sink<'_>,

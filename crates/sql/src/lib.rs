@@ -5,7 +5,9 @@
 //! clause, CREATE TABLE, INSERT, DROP), implemented end-to-end:
 //!
 //! * [`lexer`] / [`parser`] → AST,
-//! * [`plan`] — name binding, type derivation, and the \[Hel95\]-style
+//! * [`plan`] — one binder for every clause of SELECT, UPDATE, DELETE and
+//!   INSERT: name resolution and typing in a table scope and an output
+//!   scope (HAVING, ORDER BY), label enforcement, and the \[Hel95\]-style
 //!   *expensive-predicate ordering*: WHERE conjuncts are ranked so cheap
 //!   column predicates run before UDF predicates, and cheaper UDF designs
 //!   before dearer ones ("cost-based query optimization algorithms have

@@ -1,17 +1,29 @@
-//! Binding, typing, and optimization.
+//! Binding and typing: names resolved, expressions typed and labels
+//! enforced, for every statement, before anything runs.
 //!
-//! Binding resolves column names to indices and UDF names to catalog
-//! definitions; the result is a [`BoundSelect`] the executor can run
-//! without further name lookups.
+//! One `Binder` binds every clause, in one of two scopes. The **table
+//! scope** (WHERE, SELECT items, GROUP BY, UPDATE SET, UDF arguments)
+//! resolves the columns of the statement's table — a qualifier must name
+//! the table or its alias — refuses the columns the session's labels deny,
+//! and binds UDF calls. The **output scope** (HAVING, ORDER BY) resolves
+//! the SELECT list's output columns and refuses qualified names, UDF calls,
+//! aggregates and `COUNT(*)`, so no output expression calls a UDF.
 //!
-//! The optimizer implements the paper's §2.2 point that *"cost-based query
-//! optimization algorithms have been developed to 'place' UDFs within
-//! query plans [Hel95, Jhi88]"*: WHERE conjuncts are ordered so that
-//! cheap column predicates run first and UDF predicates are deferred,
+//! The type rules are the same in both: `+ - * / %` need numeric operands
+//! (`%` integer ones; a FLOAT operand makes the result FLOAT), unary minus
+//! a numeric operand, AND, OR and NOT BOOL operands, and a UDF argument its
+//! parameter's type; an untyped NULL satisfies each. A WHERE conjunct and
+//! HAVING must be BOOL.
+//!
+//! Binding also places UDFs, the paper's §2.2 point that *"cost-based
+//! query optimization algorithms have been developed to 'place' UDFs
+//! within query plans [Hel95, Jhi88]"*: WHERE conjuncts are ordered so
+//! that cheap column predicates run first and UDF predicates are deferred,
 //! cheaper execution designs before dearer ones. With short-circuit
 //! conjunction in the Filter operator, an expensive UDF then runs only on
 //! the tuples that survive the cheap predicates — the reason server-side
-//! UDF placement matters at all (§2.2).
+//! UDF placement matters at all (§2.2). The passes that refine a bound
+//! plan live in [`crate::optimize`].
 
 use std::collections::HashSet;
 use std::fmt::Write as _;
@@ -88,14 +100,10 @@ impl AggFunc {
 }
 
 fn agg_func_of(name: &str) -> Option<AggFunc> {
-    match name.to_ascii_lowercase().as_str() {
-        "count" => Some(AggFunc::Count),
-        "sum" => Some(AggFunc::Sum),
-        "avg" => Some(AggFunc::Avg),
-        "min" => Some(AggFunc::Min),
-        "max" => Some(AggFunc::Max),
-        _ => None,
-    }
+    use AggFunc::*;
+    [Count, Sum, Avg, Min, Max]
+        .into_iter()
+        .find(|f| f.name().eq_ignore_ascii_case(name))
 }
 
 fn expr_mentions_aggregate(e: &Expr) -> bool {
@@ -105,7 +113,7 @@ fn expr_mentions_aggregate(e: &Expr) -> bool {
             agg_func_of(name).is_some() || args.iter().any(expr_mentions_aggregate)
         }
         Expr::Neg(i) | Expr::Not(i) => expr_mentions_aggregate(i),
-        Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) => {
+        Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) | Expr::Arith(_, l, r) => {
             expr_mentions_aggregate(l) || expr_mentions_aggregate(r)
         }
         _ => false,
@@ -184,79 +192,20 @@ pub enum AccessPath {
     Empty,
 }
 
-/// Plan-time authorization decision for one (table, session) pair,
-/// computed from the catalog's security labels before any binding
-/// happens. Denials are raised *here*, at plan time, so the error text is
-/// byte-identical across all four trust designs, serial and parallel,
-/// batched and per-tuple — the executor never sees an unauthorized plan.
-#[derive(Default)]
-pub(crate) struct Authz {
-    /// Row-label residual for this session, still in label form; the
-    /// binder turns it into the plan's first (pinned) filter predicate.
-    pub(crate) residual: Option<LabelExpr>,
-    /// Column indices this session may not reference (column label
-    /// evaluated to deny).
-    pub(crate) denied: HashSet<usize>,
-    /// Principal name for error messages ("" for the system principal).
-    pub(crate) principal: String,
-}
-
-/// Evaluate the table's security labels against the caller's session.
-/// `None` is the trusted in-process system principal: no checks, no
-/// rewrites — embedded single-tenant use pays nothing.
-pub(crate) fn authorize(
-    catalog: &Catalog,
-    table: &Table,
-    session: Option<&SessionContext>,
-) -> Result<Authz> {
-    let Some(session) = session else {
-        return Ok(Authz::default());
-    };
-    let mut authz = Authz {
-        residual: None,
-        denied: HashSet::new(),
-        principal: session.principal().to_string(),
-    };
-    let labels = catalog.table_labels(table.name());
-    if let Some(spec) = &labels.row {
-        match spec.expr.evaluate(Some(session)) {
-            LabelDecision::Allow => {}
-            LabelDecision::Deny => return Err(deny_table(table.name(), &authz.principal)),
-            LabelDecision::Residual(expr) => authz.residual = Some(expr),
-        }
-    }
-    for (col, spec) in &labels.columns {
-        if !matches!(spec.expr.evaluate(Some(session)), LabelDecision::Allow) {
-            authz.denied.insert(table.schema().resolve(col)?);
-        }
-    }
-    Ok(authz)
-}
-
-pub(crate) fn deny_table(table: &str, principal: &str) -> JaguarError {
+/// A label denial, counted in `sec.auth_denied`. Denials are raised here,
+/// at plan time, so the error text is byte-identical across all four trust
+/// designs, serial and parallel, batched and per-tuple — the executor never
+/// sees an unauthorized plan.
+fn denial(message: String) -> JaguarError {
     obs::global()
         .counter(jaguar_sec::metrics::AUTH_DENIED)
         .inc();
-    JaguarError::SecurityViolation(format!(
+    JaguarError::SecurityViolation(message)
+}
+
+fn deny_table(table: &str, principal: &str) -> JaguarError {
+    denial(format!(
         "access to table '{table}' denied for principal '{principal}'"
-    ))
-}
-
-pub(crate) fn deny_column(column: &str, table: &str, principal: &str) -> JaguarError {
-    obs::global()
-        .counter(jaguar_sec::metrics::AUTH_DENIED)
-        .inc();
-    JaguarError::SecurityViolation(format!(
-        "access to column '{column}' of table '{table}' denied for principal '{principal}'"
-    ))
-}
-
-pub(crate) fn deny_insert(table: &str, principal: &str) -> JaguarError {
-    obs::global()
-        .counter(jaguar_sec::metrics::AUTH_DENIED)
-        .inc();
-    JaguarError::SecurityViolation(format!(
-        "INSERT into table '{table}' violates its row label for principal '{principal}'"
     ))
 }
 
@@ -266,7 +215,7 @@ pub(crate) fn deny_insert(table: &str, principal: &str) -> JaguarError {
 /// column coerce an integer literal back to its string spelling: the
 /// label evaluator promotes int-parseable session attributes to Int, which
 /// is right for INT columns and undone here for string ones.
-pub(crate) fn label_to_bexpr(e: &LabelExpr, schema: &Schema) -> Result<BExpr> {
+fn label_to_bexpr(e: &LabelExpr, schema: &Schema) -> Result<BExpr> {
     Ok(match e {
         LabelExpr::Column(name) => BExpr::Column(schema.resolve(name)?),
         LabelExpr::Lit(v) => BExpr::Literal(label_value(v)),
@@ -428,20 +377,8 @@ pub fn bind_select(
     catalog: &Catalog,
     session: Option<&SessionContext>,
 ) -> Result<BoundSelect> {
-    let table = catalog.table(&stmt.table)?;
-    let schema = Arc::clone(table.schema());
-    let authz = authorize(catalog, &table, session)?;
-    let mut binder = Binder {
-        catalog,
-        schema: &schema,
-        table_name: &stmt.table,
-        alias: stmt.alias.as_deref(),
-        udfs: Vec::new(),
-        denied: &authz.denied,
-        principal: &authz.principal,
-    };
-
-    let filter = bind_where(&mut binder, &authz, &stmt.predicate, &table)?;
+    let mut binder = Binder::for_table(catalog, &stmt.table, stmt.alias.as_deref(), session)?;
+    let filter = bind_where(&mut binder, &stmt.predicate)?;
 
     // Aggregate query?
     let is_aggregate = !stmt.group_by.is_empty()
@@ -449,79 +386,94 @@ pub fn bind_select(
             SelectItem::Expr { expr, .. } => expr_mentions_aggregate(expr),
             SelectItem::Star => false,
         });
-    if is_aggregate {
-        return bind_aggregate(stmt, table, &schema, binder, filter);
+    let mut aggregate = is_aggregate.then(AggregatePlan::default);
+    if let Some(plan) = &mut aggregate {
+        for (i, g) in stmt.group_by.iter().enumerate() {
+            if expr_mentions_aggregate(g) {
+                return Err(JaguarError::Plan(format!(
+                    "GROUP BY expression {} contains an aggregate",
+                    i + 1
+                )));
+            }
+            plan.group_exprs.push(binder.bind(g)?);
+        }
     }
 
-    // Projections.
+    // The SELECT list. In a grouped query each item reads the aggregation's
+    // output: it is an aggregate call or one of the GROUP BY expressions.
     let mut projections = Vec::new();
     let mut fields = Vec::new();
     for (i, item) in stmt.items.iter().enumerate() {
-        match item {
+        let (expr, alias) = match item {
+            SelectItem::Expr { expr, alias } => (expr, alias),
+            SelectItem::Star if aggregate.is_some() => {
+                return Err(JaguarError::Plan(
+                    "SELECT * cannot be combined with aggregation".into(),
+                ))
+            }
             SelectItem::Star => {
                 // Star expansion sees only the session's visible columns;
                 // a star over a fully denied table is a table denial.
                 let before = projections.len();
+                let schema = binder.table.schema();
                 for (idx, f) in schema.fields().iter().enumerate() {
-                    if authz.denied.contains(&idx) {
-                        continue;
+                    if !binder.denied.contains(&idx) {
+                        projections.push(BExpr::Column(idx));
+                        fields.push(f.clone());
                     }
-                    projections.push(BExpr::Column(idx));
-                    fields.push(f.clone());
                 }
                 if projections.len() == before && !schema.fields().is_empty() {
-                    return Err(deny_table(&stmt.table, &authz.principal));
+                    return Err(deny_table(&stmt.table, &binder.principal));
                 }
+                continue;
             }
-            SelectItem::Expr { expr, alias } => {
+        };
+        let (bound, ty) = match &mut aggregate {
+            Some(plan) => binder.bind_aggregate(plan, expr, i)?,
+            None => {
                 let bound = binder.bind(expr)?;
-                let ty = binder.type_of(&bound)?.ok_or_else(|| {
+                let ty = binder.type_of(&bound).ok_or_else(|| {
                     JaguarError::Plan(format!("projection {} has no type (NULL literal)", i + 1))
                 })?;
-                let name = match alias {
-                    Some(a) => a.clone(),
-                    None => match expr {
-                        Expr::Column { name, .. } => name.clone(),
-                        Expr::Func { name, .. } => name.to_ascii_lowercase(),
-                        _ => format!("col{}", i + 1),
-                    },
-                };
-                projections.push(bound);
-                fields.push(Field::new(name, ty));
+                (bound, ty)
             }
-        }
+        };
+        let name = match alias {
+            Some(a) => a.clone(),
+            None => item_name(expr, i, aggregate.is_some()),
+        };
+        projections.push(bound);
+        fields.push(Field::new(name, ty));
     }
     if projections.is_empty() {
         return Err(JaguarError::Plan("empty SELECT list".into()));
     }
-    // Output columns may repeat names (e.g. `SELECT a, a`); build without
-    // the uniqueness check by deduplicating on the fly.
-    let mut seen: Vec<String> = Vec::new();
-    let fields = fields
-        .into_iter()
-        .map(|mut f| {
-            let base = f.name.clone();
-            let mut n = 1;
-            while seen.iter().any(|s| s.eq_ignore_ascii_case(&f.name)) {
-                n += 1;
-                f.name = format!("{base}_{n}");
-            }
-            seen.push(f.name.clone());
-            f
-        })
-        .collect();
-
+    dedupe_names(&mut fields);
     let output_schema = Arc::new(Schema::new(fields)?);
-    let having = bind_output_predicate(&stmt.having, &output_schema)?;
-    let order_by = bind_order_by(&stmt.order_by, &output_schema)?;
-    let scan_cols = referenced_columns(&schema, filter.predicates.iter().chain(&projections));
+
+    // A grouped query's projections read the aggregation, not the table.
+    let (inputs, aggs): (&[BExpr], &[AggSpec]) = match &aggregate {
+        Some(plan) => (&plan.group_exprs, &plan.aggs),
+        None => (&projections, &[]),
+    };
+    let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+    let scan_cols = referenced_columns(
+        binder.table.schema(),
+        filter.predicates.iter().chain(inputs).chain(args),
+    );
+
+    binder.output = Some(Arc::clone(&output_schema));
+    let having = (stmt.having.as_ref())
+        .map(|h| binder.predicate(h, || "HAVING must be a boolean predicate".into()))
+        .transpose()?;
+    let order_by = bind_order_by(&mut binder, &stmt.order_by)?;
     Ok(BoundSelect {
-        table,
+        table: binder.table,
         access: filter.access,
         scan_cols,
         pushed: filter.pushed,
         predicates: filter.predicates,
-        aggregate: None,
+        aggregate,
         projections,
         output_schema,
         having,
@@ -532,6 +484,39 @@ pub fn bind_select(
         labeled: filter.labeled,
         notes: filter.notes,
     })
+}
+
+/// An unaliased SELECT item's output name: a column's name, an aggregate's
+/// (or, in an ungrouped query, a UDF's) lower-cased name, else `col<N>`
+/// for the N-th item.
+fn item_name(expr: &Expr, i: usize, grouped: bool) -> String {
+    match expr {
+        Expr::Column { name, .. } => name.clone(),
+        Expr::CountStar => "count".into(),
+        Expr::Func { name, .. } if !grouped || agg_func_of(name).is_some() => {
+            name.to_ascii_lowercase()
+        }
+        _ => format!("col{}", i + 1),
+    }
+}
+
+/// Output columns may repeat names (`SELECT a, a`): a repeat is renamed
+/// `a_2`, `a_3`, … — the first no earlier column has taken.
+fn dedupe_names(fields: &mut [Field]) {
+    for k in 1..fields.len() {
+        let (earlier, rest) = fields.split_at_mut(k);
+        let field = &mut rest[0];
+        let taken = |name: &str| earlier.iter().any(|f| f.name.eq_ignore_ascii_case(name));
+        if !taken(&field.name) {
+            continue;
+        }
+        let base = field.name.clone();
+        let mut n = 1;
+        while taken(&field.name) {
+            n += 1;
+            field.name = format!("{base}_{n}");
+        }
+    }
 }
 
 /// A bound WHERE clause: how its rows are reached and which conjuncts are
@@ -573,42 +558,34 @@ fn pushable(e: &BExpr, schema: &Schema) -> bool {
 /// rows that one would have rejected or failed on. No later pass moves a
 /// conjunct into or out of the run: the reorder pass keeps UDF-free
 /// conjuncts in bind order, ahead of any that calls a UDF.
-fn bind_where(
-    binder: &mut Binder<'_>,
-    authz: &Authz,
-    predicate: &Option<Expr>,
-    table: &Table,
-) -> Result<BoundWhere> {
+fn bind_where(binder: &mut Binder<'_>, predicate: &Option<Expr>) -> Result<BoundWhere> {
     let mut ranked: Vec<(u32, usize, bool, BExpr)> = Vec::new();
     let mut notes = Vec::new();
-    if let Some(residual) = &authz.residual {
-        ranked.push((0, 0, true, label_to_bexpr(residual, binder.schema)?));
+    if let Some(residual) = binder.residual.take() {
+        ranked.push((0, 0, true, residual));
         obs::global()
             .counter(jaguar_sec::metrics::LABEL_REWRITES)
             .inc();
         notes.push(format!(
             "label: row filter injected for principal '{}'",
-            authz.principal
+            binder.principal
         ));
     }
     let shift = ranked.len();
     if let Some(pred) = predicate {
-        for (i, c) in pred.clone().conjuncts().into_iter().enumerate() {
-            let bound = binder.bind(&c)?;
-            if binder.type_of(&bound)? != Some(DataType::Bool) {
-                return Err(JaguarError::Plan(format!(
-                    "WHERE conjunct {} is not a boolean predicate",
-                    i + 1
-                )));
-            }
+        for (i, c) in pred.conjuncts().into_iter().enumerate() {
+            let bound = binder.predicate(c, || {
+                format!("WHERE conjunct {} is not a boolean predicate", i + 1)
+            })?;
             let cost = binder.cost_rank(&bound);
             let pinned = expr_has_pinned_udf(&bound, &binder.udfs);
             ranked.push((cost, i + shift, pinned, bound));
         }
     }
     let mut pushed = order_conjuncts(ranked);
-    let access = choose_access_path(table, &pushed);
-    let run = pushed.iter().take_while(|p| pushable(p, binder.schema));
+    let access = choose_access_path(&binder.table, &pushed);
+    let schema = binder.table.schema();
+    let run = pushed.iter().take_while(|p| pushable(p, schema));
     let predicates = pushed.split_off(run.count());
     Ok(BoundWhere {
         access,
@@ -619,292 +596,24 @@ fn bind_where(
     })
 }
 
-/// Bind a HAVING predicate over the output schema, requiring Bool type.
-fn bind_output_predicate(having: &Option<Expr>, schema: &Schema) -> Result<Option<BExpr>> {
-    match having {
-        None => Ok(None),
-        Some(e) => {
-            let bound = bind_output_expr(e, schema)?;
-            if output_type_of(&bound, schema)? != Some(DataType::Bool) {
-                return Err(JaguarError::Plan(
-                    "HAVING must be a boolean predicate".into(),
-                ));
-            }
-            Ok(Some(bound))
-        }
-    }
-}
-
-/// Bind ORDER BY keys over the output schema. A bare integer literal at
-/// the top level is a 1-based output position, as in classic SQL.
-fn bind_order_by(keys: &[(Expr, bool)], schema: &Schema) -> Result<Vec<(BExpr, bool)>> {
+/// Bind ORDER BY keys in the output scope. A bare integer literal at the
+/// top level is a 1-based output position, as in classic SQL.
+fn bind_order_by(binder: &mut Binder<'_>, keys: &[(Expr, bool)]) -> Result<Vec<(BExpr, bool)>> {
+    let width = binder.schema().len();
     keys.iter()
         .map(|(e, desc)| {
             let bound = match e {
-                Expr::Int(k) if *k >= 1 && (*k as usize) <= schema.len() => {
-                    BExpr::Column(*k as usize - 1)
-                }
+                Expr::Int(k) if *k >= 1 && (*k as usize) <= width => BExpr::Column(*k as usize - 1),
                 Expr::Int(k) => {
                     return Err(JaguarError::Plan(format!(
-                        "ORDER BY position {k} out of range 1..={}",
-                        schema.len()
+                        "ORDER BY position {k} out of range 1..={width}"
                     )))
                 }
-                other => bind_output_expr(other, schema)?,
+                other => binder.bind(other)?,
             };
             Ok((bound, *desc))
         })
         .collect()
-}
-
-/// Bind an expression over the *output* columns (HAVING / ORDER BY).
-/// UDF and aggregate calls are not allowed here — refer to their result
-/// column by alias or position instead.
-fn bind_output_expr(e: &Expr, schema: &Schema) -> Result<BExpr> {
-    Ok(match e {
-        Expr::Column { qualifier, name } => {
-            if qualifier.is_some() {
-                return Err(JaguarError::Plan(
-                    "qualified names are not valid for output columns".into(),
-                ));
-            }
-            BExpr::Column(schema.resolve(name)?)
-        }
-        Expr::Int(v) => BExpr::Literal(Value::Int(*v)),
-        Expr::Float(v) => BExpr::Literal(Value::Float(*v)),
-        Expr::Str(v) => BExpr::Literal(Value::Str(v.clone())),
-        Expr::Blob(b) => BExpr::Literal(Value::Bytes(ByteArray::new(b.clone()))),
-        Expr::Bool(b) => BExpr::Literal(Value::Bool(*b)),
-        Expr::Null => BExpr::Literal(Value::Null),
-        Expr::Neg(inner) => BExpr::Neg(Box::new(bind_output_expr(inner, schema)?)),
-        Expr::Not(inner) => BExpr::Not(Box::new(bind_output_expr(inner, schema)?)),
-        Expr::Cmp(op, l, r) => BExpr::Cmp(
-            *op,
-            Box::new(bind_output_expr(l, schema)?),
-            Box::new(bind_output_expr(r, schema)?),
-        ),
-        Expr::And(l, r) => BExpr::And(
-            Box::new(bind_output_expr(l, schema)?),
-            Box::new(bind_output_expr(r, schema)?),
-        ),
-        Expr::Or(l, r) => BExpr::Or(
-            Box::new(bind_output_expr(l, schema)?),
-            Box::new(bind_output_expr(r, schema)?),
-        ),
-        Expr::Arith(op, l, r) => {
-            let lb = bind_output_expr(l, schema)?;
-            let rb = bind_output_expr(r, schema)?;
-            let float = output_type_of(&lb, schema)? == Some(DataType::Float)
-                || output_type_of(&rb, schema)? == Some(DataType::Float);
-            if float && *op == ArithOp::Rem {
-                return Err(JaguarError::Plan("'%' is integer-only".into()));
-            }
-            BExpr::Arith {
-                op: *op,
-                float,
-                lhs: Box::new(lb),
-                rhs: Box::new(rb),
-            }
-        }
-        Expr::Func { name, .. } => {
-            return Err(JaguarError::Plan(format!(
-                "'{name}(..)' cannot appear in HAVING/ORDER BY; name its result                  column (alias) or use its position instead"
-            )))
-        }
-        Expr::CountStar => {
-            return Err(JaguarError::Plan(
-                "COUNT(*) cannot appear in HAVING/ORDER BY; alias it in the                  SELECT list and refer to the alias"
-                    .into(),
-            ))
-        }
-    })
-}
-
-/// Static type of an output-bound expression.
-fn output_type_of(e: &BExpr, schema: &Schema) -> Result<Option<DataType>> {
-    Ok(match e {
-        BExpr::Column(i) => Some(
-            schema
-                .field(*i)
-                .ok_or_else(|| JaguarError::Plan(format!("output index {i} out of range")))?
-                .dtype,
-        ),
-        BExpr::Literal(v) => v.data_type(),
-        BExpr::Cmp(..) | BExpr::And(..) | BExpr::Or(..) | BExpr::Not(..) => Some(DataType::Bool),
-        BExpr::Arith { float, .. } => Some(if *float {
-            DataType::Float
-        } else {
-            DataType::Int
-        }),
-        BExpr::Neg(inner) => output_type_of(inner, schema)?,
-        BExpr::Udf { .. } => unreachable!("output binder rejects UDFs"),
-    })
-}
-
-/// Bind the aggregation form of a SELECT: every item must be either an
-/// aggregate call or one of the GROUP BY expressions.
-fn bind_aggregate(
-    stmt: &SelectStmt,
-    table: Arc<Table>,
-    schema: &Schema,
-    mut binder: Binder<'_>,
-    filter: BoundWhere,
-) -> Result<BoundSelect> {
-    let mut plan = AggregatePlan::default();
-    for (i, g) in stmt.group_by.iter().enumerate() {
-        if expr_mentions_aggregate(g) {
-            return Err(JaguarError::Plan(format!(
-                "GROUP BY expression {} contains an aggregate",
-                i + 1
-            )));
-        }
-        let bound = binder.bind(g)?;
-        plan.group_exprs.push(bound);
-    }
-
-    let mut projections = Vec::new();
-    let mut fields = Vec::new();
-    for (i, item) in stmt.items.iter().enumerate() {
-        let SelectItem::Expr { expr, alias } = item else {
-            return Err(JaguarError::Plan(
-                "SELECT * cannot be combined with aggregation".into(),
-            ));
-        };
-        // Aggregates at the item's top level.
-        let (bexpr, ty, default_name): (BExpr, DataType, String) = match expr {
-            Expr::CountStar => {
-                plan.aggs.push(AggSpec {
-                    func: AggFunc::CountStar,
-                    arg: None,
-                    out_ty: DataType::Int,
-                });
-                (
-                    BExpr::Column(plan.group_exprs.len() + plan.aggs.len() - 1),
-                    DataType::Int,
-                    "count".to_string(),
-                )
-            }
-            Expr::Func { name, args } if agg_func_of(name).is_some() => {
-                let func = agg_func_of(name).expect("checked");
-                if args.len() != 1 {
-                    return Err(JaguarError::Plan(format!(
-                        "aggregate '{name}' takes exactly one argument"
-                    )));
-                }
-                if expr_mentions_aggregate(&args[0]) {
-                    return Err(JaguarError::Plan(
-                        "nested aggregates are not allowed".into(),
-                    ));
-                }
-                let arg = binder.bind(&args[0])?;
-                let arg_ty = binder.type_of(&arg)?;
-                let out_ty = match func {
-                    AggFunc::Count | AggFunc::CountStar => DataType::Int,
-                    AggFunc::Avg => match arg_ty {
-                        Some(DataType::Int) | Some(DataType::Float) => DataType::Float,
-                        other => {
-                            return Err(JaguarError::Plan(format!(
-                                "avg() needs a numeric argument, got {other:?}"
-                            )))
-                        }
-                    },
-                    AggFunc::Sum => match arg_ty {
-                        Some(t @ DataType::Int) | Some(t @ DataType::Float) => t,
-                        other => {
-                            return Err(JaguarError::Plan(format!(
-                                "sum() needs a numeric argument, got {other:?}"
-                            )))
-                        }
-                    },
-                    AggFunc::Min | AggFunc::Max => arg_ty.ok_or_else(|| {
-                        JaguarError::Plan(format!("{name}() argument has no type"))
-                    })?,
-                };
-                plan.aggs.push(AggSpec {
-                    func,
-                    arg: Some(arg),
-                    out_ty,
-                });
-                (
-                    BExpr::Column(plan.group_exprs.len() + plan.aggs.len() - 1),
-                    out_ty,
-                    name.to_ascii_lowercase(),
-                )
-            }
-            other => {
-                // Must match a GROUP BY expression.
-                let bound = binder.bind(other)?;
-                let idx = plan
-                    .group_exprs
-                    .iter()
-                    .position(|g| bexpr_eq(g, &bound, &binder.udfs))
-                    .ok_or_else(|| {
-                        JaguarError::Plan(format!(
-                            "SELECT item {} is neither an aggregate nor in GROUP BY",
-                            i + 1
-                        ))
-                    })?;
-                let ty = binder
-                    .type_of(&bound)?
-                    .ok_or_else(|| JaguarError::Plan("GROUP BY expression has no type".into()))?;
-                let name = match other {
-                    Expr::Column { name, .. } => name.clone(),
-                    _ => format!("col{}", i + 1),
-                };
-                (BExpr::Column(idx), ty, name)
-            }
-        };
-        let name = alias.clone().unwrap_or(default_name);
-        projections.push(bexpr);
-        fields.push(Field::new(name, ty));
-        let _ = ty;
-    }
-    if projections.is_empty() {
-        return Err(JaguarError::Plan("empty SELECT list".into()));
-    }
-    // Deduplicate output names as in the scalar path.
-    let mut seen: Vec<String> = Vec::new();
-    let fields: Vec<Field> = fields
-        .into_iter()
-        .map(|mut f| {
-            let base = f.name.clone();
-            let mut n = 1;
-            while seen.iter().any(|s| s.eq_ignore_ascii_case(&f.name)) {
-                n += 1;
-                f.name = format!("{base}_{n}");
-            }
-            seen.push(f.name.clone());
-            f
-        })
-        .collect();
-
-    let output_schema = Arc::new(Schema::new(fields)?);
-    let having = bind_output_predicate(&stmt.having, &output_schema)?;
-    let order_by = bind_order_by(&stmt.order_by, &output_schema)?;
-    // The projections read the aggregate's output, not the table.
-    let scan_cols = referenced_columns(
-        schema,
-        (filter.predicates.iter())
-            .chain(&plan.group_exprs)
-            .chain(plan.aggs.iter().filter_map(|a| a.arg.as_ref())),
-    );
-    Ok(BoundSelect {
-        table,
-        access: filter.access,
-        scan_cols,
-        pushed: filter.pushed,
-        predicates: filter.predicates,
-        aggregate: Some(plan),
-        projections,
-        output_schema,
-        having,
-        order_by,
-        limit: stmt.limit,
-        udfs: binder.udfs,
-        reordered: Vec::new(),
-        labeled: filter.labeled,
-        notes: filter.notes,
-    })
 }
 
 /// Order WHERE conjuncts for execution: cheap → expensive by static cost
@@ -984,46 +693,121 @@ fn referenced_columns<'a>(
     ColumnSet::of(schema.len(), cols)
 }
 
+/// Resolves and types the expressions of one statement over one table, in
+/// the scopes and by the type rules of the module doc, under the session's
+/// label decisions for that table.
 struct Binder<'a> {
     catalog: &'a Catalog,
-    schema: &'a Schema,
-    table_name: &'a str,
+    table: Arc<Table>,
+    /// The table's name as the statement spells it.
+    name: &'a str,
     alias: Option<&'a str>,
+    /// The scope names resolve in: `None` is the table scope, `Some` the
+    /// output scope over the SELECT list's columns.
+    output: Option<SchemaRef>,
+    /// The UDFs bound so far, indexed by `BExpr::Udf::udf`.
     udfs: Vec<PlannedUdf>,
+    /// The session's row-label residual over the table's columns: a WHERE
+    /// clause's first, pinned conjunct, and the check on every row an
+    /// INSERT writes.
+    residual: Option<BExpr>,
     /// Column indices denied to the session by column labels: any explicit
-    /// reference — projection, predicate, UDF argument, aggregate input —
-    /// is a plan-time security violation.
-    denied: &'a HashSet<usize>,
-    principal: &'a str,
+    /// reference — projection, predicate, UDF argument, aggregate input,
+    /// assignment target — is a plan-time security violation.
+    denied: HashSet<usize>,
+    /// Principal name for error messages ("" for the system principal).
+    principal: String,
 }
 
-impl Binder<'_> {
+impl<'a> Binder<'a> {
+    /// The one way to a binder: look the table up and evaluate its security
+    /// labels against `session`. `None` is the trusted in-process system
+    /// principal: no checks, no rewrites — embedded single-tenant use pays
+    /// nothing.
+    fn for_table(
+        catalog: &'a Catalog,
+        name: &'a str,
+        alias: Option<&'a str>,
+        session: Option<&SessionContext>,
+    ) -> Result<Binder<'a>> {
+        let mut binder = Binder {
+            catalog,
+            table: catalog.table(name)?,
+            name,
+            alias,
+            output: None,
+            udfs: Vec::new(),
+            residual: None,
+            denied: HashSet::new(),
+            principal: String::new(),
+        };
+        let Some(session) = session else {
+            return Ok(binder);
+        };
+        binder.principal = session.principal().to_string();
+        let (table, schema) = (binder.table.name(), binder.table.schema());
+        let labels = catalog.table_labels(table);
+        if let Some(spec) = &labels.row {
+            match spec.expr.evaluate(Some(session)) {
+                LabelDecision::Allow => {}
+                LabelDecision::Deny => return Err(deny_table(table, &binder.principal)),
+                LabelDecision::Residual(expr) => {
+                    binder.residual = Some(label_to_bexpr(&expr, schema)?)
+                }
+            }
+        }
+        for (col, spec) in &labels.columns {
+            if !matches!(spec.expr.evaluate(Some(session)), LabelDecision::Allow) {
+                binder.denied.insert(schema.resolve(col)?);
+            }
+        }
+        Ok(binder)
+    }
+
+    /// The columns that names resolve against in the current scope.
+    fn schema(&self) -> &Schema {
+        self.output.as_deref().unwrap_or(self.table.schema())
+    }
+
+    /// Resolve a column reference in the current scope.
+    fn column(&self, qualifier: Option<&str>, name: &str) -> Result<usize> {
+        if let Some(q) = qualifier {
+            if self.output.is_some() {
+                return Err(JaguarError::Plan(
+                    "qualified names are not valid for output columns".into(),
+                ));
+            }
+            let matches_alias = self.alias.is_some_and(|a| a.eq_ignore_ascii_case(q));
+            if !matches_alias && !self.name.eq_ignore_ascii_case(q) {
+                return Err(JaguarError::Plan(format!("unknown table qualifier '{q}'")));
+            }
+        }
+        let idx = self.schema().resolve(name)?;
+        if self.output.is_none() && self.denied.contains(&idx) {
+            return Err(self.deny_column(idx, self.name));
+        }
+        Ok(idx)
+    }
+
+    /// The denial of a reference to column `idx` of the table, which the
+    /// message calls `table`.
+    fn deny_column(&self, idx: usize, table: &str) -> JaguarError {
+        let column = &self.table.schema().field(idx).expect("resolved").name;
+        denial(format!(
+            "access to column '{column}' of table '{table}' denied for principal '{}'",
+            self.principal
+        ))
+    }
+
     fn bind(&mut self, e: &Expr) -> Result<BExpr> {
+        let output = self.output.is_some();
         Ok(match e {
             Expr::Column { qualifier, name } => {
-                if let Some(q) = qualifier {
-                    let matches_alias = self.alias.is_some_and(|a| a.eq_ignore_ascii_case(q));
-                    let matches_table = self.table_name.eq_ignore_ascii_case(q);
-                    if !matches_alias && !matches_table {
-                        return Err(JaguarError::Plan(format!("unknown table qualifier '{q}'")));
-                    }
-                }
-                let idx = self.schema.resolve(name)?;
-                if self.denied.contains(&idx) {
-                    let canonical = &self.schema.field(idx).expect("resolved").name;
-                    return Err(deny_column(canonical, self.table_name, self.principal));
-                }
-                BExpr::Column(idx)
+                BExpr::Column(self.column(qualifier.as_deref(), name)?)
             }
-            Expr::Int(v) => BExpr::Literal(Value::Int(*v)),
-            Expr::Float(v) => BExpr::Literal(Value::Float(*v)),
-            Expr::Str(s) => BExpr::Literal(Value::Str(s.clone())),
-            Expr::Blob(b) => BExpr::Literal(Value::Bytes(ByteArray::new(b.clone()))),
-            Expr::Bool(b) => BExpr::Literal(Value::Bool(*b)),
-            Expr::Null => BExpr::Literal(Value::Null),
             Expr::Neg(inner) => {
                 let b = self.bind(inner)?;
-                match (&b, self.type_of(&b)?) {
+                match (&b, self.type_of(&b)) {
                     // Fold literal negation so `-5` stays a literal.
                     (BExpr::Literal(Value::Int(v)), _) => BExpr::Literal(Value::Int(-v)),
                     (BExpr::Literal(Value::Float(v)), _) => BExpr::Literal(Value::Float(-v)),
@@ -1041,10 +825,10 @@ impl Binder<'_> {
             Expr::Arith(op, l, r) => {
                 let lb = self.bind(l)?;
                 let rb = self.bind(r)?;
-                let lt = self.type_of(&lb)?;
-                let rt = self.type_of(&rb)?;
+                let lt = self.type_of(&lb);
+                let rt = self.type_of(&rb);
                 let numeric = |t: &Option<DataType>| {
-                    matches!(t, None | Some(DataType::Int) | Some(DataType::Float))
+                    matches!(t, None | Some(DataType::Int | DataType::Float))
                 };
                 if !numeric(&lt) || !numeric(&rt) {
                     return Err(JaguarError::Plan(format!(
@@ -1066,15 +850,34 @@ impl Binder<'_> {
             Expr::Cmp(op, l, r) => {
                 BExpr::Cmp(*op, Box::new(self.bind(l)?), Box::new(self.bind(r)?))
             }
-            Expr::And(l, r) => BExpr::And(Box::new(self.bind(l)?), Box::new(self.bind(r)?)),
-            Expr::Or(l, r) => BExpr::Or(Box::new(self.bind(l)?), Box::new(self.bind(r)?)),
-            Expr::Not(inner) => BExpr::Not(Box::new(self.bind(inner)?)),
+            Expr::And(l, r) => BExpr::And(
+                Box::new(self.boolean("AND", l)?),
+                Box::new(self.boolean("AND", r)?),
+            ),
+            Expr::Or(l, r) => BExpr::Or(
+                Box::new(self.boolean("OR", l)?),
+                Box::new(self.boolean("OR", r)?),
+            ),
+            Expr::Not(inner) => BExpr::Not(Box::new(self.boolean("NOT", inner)?)),
+            Expr::Func { name, .. } if output => {
+                return Err(JaguarError::Plan(format!(
+                    "'{name}(..)' cannot appear in HAVING/ORDER BY; name its result \
+                     column (alias) or use its position instead"
+                )))
+            }
+            Expr::CountStar if output => {
+                return Err(JaguarError::Plan(
+                    "COUNT(*) cannot appear in HAVING/ORDER BY; alias it in the \
+                     SELECT list and refer to the alias"
+                        .into(),
+                ))
+            }
             Expr::CountStar => {
                 return Err(JaguarError::Plan(
                     "COUNT(*) is only allowed in the SELECT list".into(),
                 ))
             }
-            Expr::Func { name, args } if agg_func_of(name).is_some() => {
+            Expr::Func { name, .. } if agg_func_of(name).is_some() => {
                 return Err(JaguarError::Plan(format!(
                     "aggregate '{name}' is only allowed at the top level of the SELECT list"
                 )))
@@ -1092,7 +895,7 @@ impl Binder<'_> {
                 }
                 // Static type check where derivable.
                 for (i, (a, want)) in bound_args.iter().zip(&def.signature.params).enumerate() {
-                    if let Some(got) = self.type_of(a)? {
+                    if let Some(got) = self.type_of(a) {
                         if got != *want {
                             return Err(JaguarError::Plan(format!(
                                 "udf '{name}' argument {}: expected {}, got {}",
@@ -1113,30 +916,122 @@ impl Binder<'_> {
                     args: bound_args,
                 }
             }
+            leaf => BExpr::Literal(literal(leaf).expect("every other expression is a literal")),
+        })
+    }
+
+    /// Bind an operand of AND, OR or NOT: BOOL or an untyped NULL.
+    fn boolean(&mut self, op: &str, e: &Expr) -> Result<BExpr> {
+        let bound = self.bind(e)?;
+        match self.type_of(&bound) {
+            None | Some(DataType::Bool) => Ok(bound),
+            Some(other) => Err(JaguarError::Plan(format!(
+                "'{op}' needs a BOOL operand, got {}",
+                other.sql_name()
+            ))),
+        }
+    }
+
+    /// Bind a WHERE conjunct or HAVING, which must be BOOL; `message` is
+    /// the error text when it is not.
+    fn predicate(&mut self, e: &Expr, message: impl FnOnce() -> String) -> Result<BExpr> {
+        let bound = self.bind(e)?;
+        if self.type_of(&bound) != Some(DataType::Bool) {
+            return Err(JaguarError::Plan(message()));
+        }
+        Ok(bound)
+    }
+
+    /// Bind one SELECT item of a grouped query to its column of the
+    /// aggregation's output (groups first, then aggregates): a top-level
+    /// aggregate call adds an aggregate, anything else must be one of the
+    /// GROUP BY expressions.
+    fn bind_aggregate(
+        &mut self,
+        plan: &mut AggregatePlan,
+        expr: &Expr,
+        i: usize,
+    ) -> Result<(BExpr, DataType)> {
+        let spec = match expr {
+            Expr::CountStar => AggSpec {
+                func: AggFunc::CountStar,
+                arg: None,
+                out_ty: DataType::Int,
+            },
+            Expr::Func { name, args } if agg_func_of(name).is_some() => {
+                self.aggregate_call(name, args)?
+            }
+            other => {
+                let bound = self.bind(other)?;
+                let idx = (plan.group_exprs.iter())
+                    .position(|g| bexpr_eq(g, &bound, &self.udfs))
+                    .ok_or_else(|| {
+                        JaguarError::Plan(format!(
+                            "SELECT item {} is neither an aggregate nor in GROUP BY",
+                            i + 1
+                        ))
+                    })?;
+                let ty = self
+                    .type_of(&bound)
+                    .ok_or_else(|| JaguarError::Plan("GROUP BY expression has no type".into()))?;
+                return Ok((BExpr::Column(idx), ty));
+            }
+        };
+        let (col, ty) = (plan.group_exprs.len() + plan.aggs.len(), spec.out_ty);
+        plan.aggs.push(spec);
+        Ok((BExpr::Column(col), ty))
+    }
+
+    /// Bind the aggregate call `name(args)` of a SELECT item.
+    fn aggregate_call(&mut self, name: &str, args: &[Expr]) -> Result<AggSpec> {
+        let func = agg_func_of(name).expect("an aggregate name");
+        let [arg] = args else {
+            return Err(JaguarError::Plan(format!(
+                "aggregate '{name}' takes exactly one argument"
+            )));
+        };
+        if expr_mentions_aggregate(arg) {
+            return Err(JaguarError::Plan(
+                "nested aggregates are not allowed".into(),
+            ));
+        }
+        let arg = self.bind(arg)?;
+        let arg_ty = self.type_of(&arg);
+        let numeric = matches!(arg_ty, Some(DataType::Int | DataType::Float));
+        let out_ty = match func {
+            AggFunc::Count | AggFunc::CountStar => DataType::Int,
+            AggFunc::Avg if numeric => DataType::Float,
+            AggFunc::Sum if numeric => arg_ty.expect("numeric"),
+            AggFunc::Avg | AggFunc::Sum => {
+                return Err(JaguarError::Plan(format!(
+                    "{}() needs a numeric argument, got {arg_ty:?}",
+                    func.name()
+                )))
+            }
+            AggFunc::Min | AggFunc::Max => {
+                arg_ty.ok_or_else(|| JaguarError::Plan(format!("{name}() argument has no type")))?
+            }
+        };
+        Ok(AggSpec {
+            func,
+            arg: Some(arg),
+            out_ty,
         })
     }
 
     /// Static result type; `None` for the NULL literal.
-    fn type_of(&self, e: &BExpr) -> Result<Option<DataType>> {
-        Ok(match e {
-            BExpr::Column(i) => Some(
-                self.schema
-                    .field(*i)
-                    .expect("bound column index valid")
-                    .dtype,
-            ),
+    fn type_of(&self, e: &BExpr) -> Option<DataType> {
+        match e {
+            BExpr::Column(i) => Some(self.schema().field(*i).expect("bound column").dtype),
             BExpr::Literal(v) => v.data_type(),
             BExpr::Cmp(..) | BExpr::And(..) | BExpr::Or(..) | BExpr::Not(..) => {
                 Some(DataType::Bool)
             }
-            BExpr::Arith { float, .. } => Some(if *float {
-                DataType::Float
-            } else {
-                DataType::Int
-            }),
-            BExpr::Neg(inner) => self.type_of(inner)?,
+            BExpr::Arith { float: true, .. } => Some(DataType::Float),
+            BExpr::Arith { .. } => Some(DataType::Int),
+            BExpr::Neg(inner) => self.type_of(inner),
             BExpr::Udf { udf, .. } => Some(self.udfs[*udf].def.signature.ret),
-        })
+        }
     }
 
     /// Cost rank for predicate ordering: 0 = plain column/literal work,
@@ -1290,29 +1185,14 @@ pub fn bind_dml(
     catalog: &Catalog,
     session: Option<&SessionContext>,
 ) -> Result<BoundDml> {
-    let table = catalog.table(table_name)?;
-    let schema = Arc::clone(table.schema());
-    let authz = authorize(catalog, &table, session)?;
-    let mut binder = Binder {
-        catalog,
-        schema: &schema,
-        table_name,
-        alias: None,
-        udfs: Vec::new(),
-        denied: &authz.denied,
-        principal: &authz.principal,
-    };
-    let filter = bind_where(&mut binder, &authz, predicate, &table)?;
+    let mut binder = Binder::for_table(catalog, table_name, None, session)?;
+    let filter = bind_where(&mut binder, predicate)?;
     let mut bound_assignments = Vec::with_capacity(assignments.len());
     for (col, expr) in assignments {
-        let idx = schema.resolve(col)?;
-        if authz.denied.contains(&idx) {
-            let canonical = &schema.field(idx).expect("resolved").name;
-            return Err(deny_column(canonical, table_name, &authz.principal));
-        }
+        let idx = binder.column(None, col)?;
         let bound = binder.bind(expr)?;
-        let want = schema.field(idx).expect("resolved").dtype;
-        if let Some(got) = binder.type_of(&bound)? {
+        let want = binder.table.schema().field(idx).expect("resolved").dtype;
+        if let Some(got) = binder.type_of(&bound) {
             if got != want {
                 return Err(JaguarError::Plan(format!(
                     "cannot assign {} to column '{col}' of type {}",
@@ -1324,12 +1204,12 @@ pub fn bind_dml(
         bound_assignments.push((idx, bound));
     }
     let scan_cols = if bound_assignments.is_empty() {
-        referenced_columns(&schema, &filter.predicates)
+        referenced_columns(binder.table.schema(), &filter.predicates)
     } else {
         ColumnSet::all()
     };
     Ok(BoundDml {
-        table,
+        table: binder.table,
         access: filter.access,
         scan_cols,
         pushed: filter.pushed,
@@ -1339,6 +1219,75 @@ pub fn bind_dml(
         labeled: filter.labeled,
         notes: filter.notes,
     })
+}
+
+/// A bound INSERT: its table and the row-label check every row it writes
+/// must pass.
+pub struct BoundInsert {
+    pub table: Arc<Table>,
+    /// The session's row-label residual (`None`: every row passes). A tenant
+    /// may only insert rows its own row label admits, or it could plant rows
+    /// it cannot see into another tenant's partition.
+    pub check: Option<BExpr>,
+    principal: String,
+}
+
+impl BoundInsert {
+    /// The error for a row [`BoundInsert::check`] does not hold for.
+    pub fn refusal(&self) -> JaguarError {
+        denial(format!(
+            "INSERT into table '{}' violates its row label for principal '{}'",
+            self.table.name(),
+            self.principal
+        ))
+    }
+}
+
+/// Bind an INSERT into `table`, enforcing its security labels for
+/// `session`. A session barred from any column may not write rows at all —
+/// an INSERT supplies every column.
+pub fn bind_insert(
+    table: &str,
+    catalog: &Catalog,
+    session: Option<&SessionContext>,
+) -> Result<BoundInsert> {
+    let binder = Binder::for_table(catalog, table, None, session)?;
+    if let Some(&idx) = binder.denied.iter().min() {
+        return Err(binder.deny_column(idx, binder.table.name()));
+    }
+    Ok(BoundInsert {
+        table: binder.table,
+        check: binder.residual,
+        principal: binder.principal,
+    })
+}
+
+/// The value of a literal leaf; `None` for any other expression. The one
+/// mapping from SQL literals to values, for expressions and VALUES alike.
+fn literal(e: &Expr) -> Option<Value> {
+    Some(match e {
+        Expr::Int(v) => Value::Int(*v),
+        Expr::Float(v) => Value::Float(*v),
+        Expr::Str(s) => Value::Str(s.clone()),
+        Expr::Blob(b) => Value::Bytes(ByteArray::new(b.clone())),
+        Expr::Bool(b) => Value::Bool(*b),
+        Expr::Null => Value::Null,
+        _ => return None,
+    })
+}
+
+/// One value of an INSERT's VALUES row: a literal, or a negated one.
+pub(crate) fn values_literal(e: &Expr) -> Result<Value> {
+    if let Expr::Neg(inner) = e {
+        return match values_literal(inner)? {
+            Value::Int(v) => Ok(Value::Int(-v)),
+            Value::Float(v) => Ok(Value::Float(-v)),
+            other => Err(JaguarError::Plan(format!(
+                "cannot negate {other} in VALUES"
+            ))),
+        };
+    }
+    literal(e).ok_or_else(|| JaguarError::Plan(format!("VALUES requires literals, found {e:?}")))
 }
 
 /// Render a human-readable plan (used by tests and the EXPLAIN-style API).
@@ -1746,5 +1695,125 @@ mod tests {
         let root = SessionContext::new("root").with_attr("role", "admin");
         let plan = bind_as(&cat, "SELECT * FROM stocks", Some(&root)).unwrap();
         assert_eq!(plan.output_schema.len(), 3);
+    }
+
+    /// An engine over `r (id INT, name VARCHAR)` holding `rows` rows, with
+    /// `upper`, a UDF over INT, so that `upper(name)` is ill-typed.
+    fn matrix_engine(rows: usize) -> crate::engine::Engine {
+        let e = crate::engine::Engine::in_memory(Config::default());
+        e.execute("CREATE TABLE r (id INT, name VARCHAR)").unwrap();
+        for (id, name) in [(1, "one"), (2, "two")].into_iter().take(rows) {
+            e.execute(&format!("INSERT INTO r VALUES ({id}, '{name}')"))
+                .unwrap();
+        }
+        let sig = UdfSignature::new(vec![DataType::Int], DataType::Int);
+        e.catalog().udfs().register(UdfDef::new(
+            "upper",
+            sig.clone(),
+            UdfImpl::Native(NativeUdf::new("upper", sig, |a, _| Ok(a[0].clone()))),
+        ));
+        e
+    }
+
+    /// Each clause an expression can stand in, as a statement around `{}`.
+    const POSITIONS: [(&str, &str); 7] = [
+        ("WHERE", "SELECT id FROM r WHERE {}"),
+        ("SELECT item", "SELECT {} FROM r"),
+        ("GROUP BY", "SELECT count(*) FROM r GROUP BY {}"),
+        (
+            "HAVING",
+            "SELECT id, name FROM r GROUP BY id, name HAVING {}",
+        ),
+        ("ORDER BY", "SELECT id, name FROM r ORDER BY {}"),
+        ("UPDATE SET", "UPDATE r SET id = {}"),
+        ("UDF argument", "SELECT upper({}) FROM r"),
+    ];
+
+    /// Every ill-typed input is a plan error with one text in every clause,
+    /// on an empty table and on a full one alike — except where a scope
+    /// refuses the input on purpose, with that scope's text. `None`: the
+    /// input is well-typed in that clause.
+    #[test]
+    fn clause_matrix_types_every_clause_alike() {
+        const UDF_OUT: &str = "'upper(..)' cannot appear in HAVING/ORDER BY; name its \
+                               result column (alias) or use its position instead";
+        const COUNT_OUT: &str = "COUNT(*) cannot appear in HAVING/ORDER BY; alias it in \
+                                 the SELECT list and refer to the alias";
+        const COUNT: &str = "COUNT(*) is only allowed in the SELECT list";
+        const QUALIFIED: &str = "qualified names are not valid for output columns";
+        let same = |text| [Some(text); 7];
+        let cases: [(&str, [Option<&str>; 7]); 7] = [
+            ("name + 1", same("'+' needs numeric operands")),
+            (
+                "-name",
+                same("unary minus needs a numeric operand, got VARCHAR"),
+            ),
+            ("NOT id", same("'NOT' needs a BOOL operand, got INT")),
+            ("id OR true", same("'OR' needs a BOOL operand, got INT")),
+            ("upper(name)", {
+                let udf = Some("udf 'upper' argument 1: expected INT, got VARCHAR");
+                [udf, udf, udf, Some(UDF_OUT), Some(UDF_OUT), udf, udf]
+            }),
+            ("count(*)", {
+                let group = Some("GROUP BY expression 1 contains an aggregate");
+                let c = Some(COUNT);
+                [c, None, group, Some(COUNT_OUT), Some(COUNT_OUT), c, c]
+            }),
+            ("r.id", {
+                let q = Some(QUALIFIED);
+                [None, None, None, q, q, None, None]
+            }),
+        ];
+        for rows in [0, 2] {
+            let e = matrix_engine(rows);
+            for (input, texts) in &cases {
+                for ((position, template), want) in POSITIONS.iter().zip(texts) {
+                    let Some(want) = want else { continue };
+                    let sql = template.replace("{}", input);
+                    match e.execute(&sql) {
+                        Err(JaguarError::Plan(got)) => {
+                            assert_eq!(got, *want, "{input} in {position}, {rows} rows: {sql}")
+                        }
+                        other => panic!("{input} in {position}, {rows} rows: {sql} gave {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One well-typed input per clause binds and runs, so the matrix above
+    /// cannot pass by refusing everything.
+    #[test]
+    fn clause_matrix_admits_well_typed_inputs() {
+        let inputs = [
+            "NOT id > 1 OR name = 'one'",
+            "-id + 1",
+            "id % 2",
+            "NOT id > 1 OR name = 'one'",
+            "-id + 1",
+            "id * 2",
+            "id + 1",
+        ];
+        for rows in [0, 2] {
+            let e = matrix_engine(rows);
+            for ((position, template), input) in POSITIONS.iter().zip(inputs) {
+                let sql = template.replace("{}", input);
+                if let Err(err) = e.execute(&sql) {
+                    panic!("{input} in {position}, {rows} rows: {sql} failed: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn aggregates_under_arithmetic_are_aggregates() {
+        let cat = setup();
+        for group_by in ["-sum(id)", "id + sum(id)"] {
+            let sql = format!("SELECT count(*) FROM stocks GROUP BY {group_by}");
+            let Err(JaguarError::Plan(err)) = bind(&cat, &sql) else {
+                panic!("{sql} must be a plan error");
+            };
+            assert_eq!(err, "GROUP BY expression 1 contains an aggregate");
+        }
     }
 }
