@@ -1,47 +1,40 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```sh
-//! # everything, quick scale (1,000-tuple relations):
+//! # everything, at the paper's scale (10,000-tuple relations):
 //! cargo run --release -p jaguar-bench --bin run_experiments
 //!
-//! # one experiment at the paper's 10,000-tuple scale:
-//! cargo run --release -p jaguar-bench --bin run_experiments -- fig7 --paper
+//! # one experiment at quick scale (1,000-tuple relations):
+//! cargo run --release -p jaguar-bench --bin run_experiments -- fig7 --quick
 //!
 //! # markdown output (for EXPERIMENTS.md):
-//! cargo run --release -p jaguar-bench --bin run_experiments -- all --markdown
+//! cargo run --release -p jaguar-bench --bin run_experiments -- fig5 fig6 --markdown
 //! ```
 //!
-//! Build the worker binary first (`cargo build --release --workspace`) or
-//! the isolated designs (IC++/IJSM) are skipped with a note.
+//! Every experiment also writes `BENCH_<id>.json`. Build the worker binary
+//! first (`cargo build --release --workspace`) or the isolated designs
+//! (IC++/IJSM) are skipped with a note.
 
-use jaguar_bench::{ExperimentCtx, Scale};
+use jaguar_bench::{ExperimentCtx, Scale, EXPERIMENTS};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut names: Vec<String> = Vec::new();
-    let mut scale = Scale::Quick;
+    let mut ids: Vec<String> = Vec::new();
+    let mut scale = Scale::Paper;
     let mut markdown = false;
-    for a in &args {
+    for a in std::env::args().skip(1) {
         match a.as_str() {
-            "--paper" => scale = Scale::Paper,
-            "--quick" | "--smoke" => scale = Scale::Quick,
+            "--quick" => scale = Scale::Quick,
             "--markdown" => markdown = true,
-            other => names.push(other.to_string()),
+            _ => ids.push(a),
         }
     }
-    if names.is_empty() || names.iter().any(|n| n == "all") {
-        names = vec![
-            "table1", "fig4", "fig5", "fig6", "fig7", "fig8", "sfi", "jit", "fuel", "index",
-            "pool", "shipping", "wal",
-        ]
-        .into_iter()
-        .map(String::from)
-        .collect();
+    if ids.is_empty() {
+        ids = EXPERIMENTS.iter().map(|(id, _)| id.to_string()).collect();
     }
 
     eprintln!(
-        "building workload at {:?} scale ({} tuples per relation)...",
-        scale,
+        "building workload at {} scale ({} tuples per relation)...",
+        scale.name(),
         scale.cardinality()
     );
     let ctx = match ExperimentCtx::new(scale) {
@@ -51,26 +44,16 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if !ctx.worker_available() {
-        eprintln!(
-            "note: jaguar-worker binary not found; isolated designs will be skipped \
-             (build with `cargo build --workspace`)"
-        );
-    }
-
-    for name in &names {
-        match ctx.by_name(name) {
-            Ok(table) => {
-                if markdown {
-                    println!("{}", table.render_markdown());
-                } else {
-                    println!("{}", table.render());
-                }
-            }
+    for id in &ids {
+        let started = std::time::Instant::now();
+        match ctx.by_name(id) {
+            Ok(table) if markdown => println!("{}", table.render_markdown()),
+            Ok(table) => println!("{}", table.render()),
             Err(e) => {
-                eprintln!("experiment '{name}' failed: {e}");
+                eprintln!("experiment '{id}' failed: {e}");
                 std::process::exit(1);
             }
         }
+        eprintln!("{id}: {:.1} s wall", started.elapsed().as_secs_f64());
     }
 }

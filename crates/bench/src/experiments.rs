@@ -1,30 +1,66 @@
 //! The paper's experiments (Section 5) and the DESIGN.md ablations.
 //!
-//! Methodology follows §5.2: a calibration pass first measures the "basic
-//! system cost" of running the query with a trivial integrated native UDF
-//! (Figure 4); later figures report measured time **net of** that baseline,
-//! exactly as the paper does ("these numbers represent the basic system
-//! costs that we subtract from the later measured timings").
+//! Methodology follows §5.2: a calibration query with a trivial integrated
+//! native UDF measures the "basic system cost" (Figure 4), and later
+//! figures report time **net of** it ("these numbers represent the basic
+//! system costs that we subtract from the later measured timings").
+//!
+//! Every timed cell comes from paired rounds ([`REPS`] of them, after one
+//! untimed warm-up round): a round runs the baseline and then every design
+//! of the cell once, so a net time is per round (raw minus that round's
+//! baseline, not clamped) and so is a ratio. Cells report the median and
+//! quartiles of those per-round values.
 
 use std::time::{Duration, Instant};
 
-use jaguar_core::{Database, JaguarError, Request, Result, UdfDef, UdfImpl, Value};
+use jaguar_core::{
+    Config, Database, JaguarError, QueryResult, Request, Result, SessionContext, SyncMode, UdfDef,
+    UdfImpl, Value,
+};
 use jaguar_udf::generic::{
     def_isolated, def_isolated_vm, def_native, def_native_bc, def_native_sfi, def_vm,
-    generic_signature,
+    generic_signature, GenericParams, IdentityCallbacks,
 };
 use jaguar_udf::NativeUdf;
 use jaguar_vm::ResourceLimits;
 
-use crate::report::{ratio, secs, Table};
+use crate::report::{Cell, Table};
 use crate::workload::{benchmark_query, build_relation, build_standard, REL_SIZES};
+
+/// Timed repetitions behind every cell.
+pub const REPS: usize = 9;
+
+/// An experiment: its id and how to run it.
+pub type Experiment = (&'static str, fn(&ExperimentCtx) -> Result<Table>);
+
+/// Every experiment, in paper order: the one list `run_experiments`,
+/// [`ExperimentCtx::by_name`] and [`ExperimentCtx::all`] read.
+pub const EXPERIMENTS: &[Experiment] = &[
+    ("table1", ExperimentCtx::table1),
+    ("fig4", ExperimentCtx::fig4),
+    ("fig5", ExperimentCtx::fig5),
+    ("fig6", ExperimentCtx::fig6),
+    ("fig7", ExperimentCtx::fig7),
+    ("fig8", ExperimentCtx::fig8),
+    ("sfi", ExperimentCtx::ablation_sfi),
+    ("jit", ExperimentCtx::ablation_jit),
+    ("fuel", ExperimentCtx::ablation_fuel),
+    ("index", ExperimentCtx::ablation_index),
+    ("pool", ExperimentCtx::pool),
+    ("shipping", ExperimentCtx::shipping),
+    ("wal", ExperimentCtx::wal),
+    ("cancel", ExperimentCtx::cancel),
+    ("parallel", ExperimentCtx::parallel),
+    ("batch", ExperimentCtx::batch),
+    ("tier", ExperimentCtx::tier),
+    ("opt", ExperimentCtx::opt),
+    ("sec", ExperimentCtx::sec),
+];
 
 /// Workload scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// The paper's setup: 10,000-tuple relations. The full suite takes a
-    /// long time (the paper's own JNI runs did too — it skipped the most
-    /// expensive cell).
+    /// The paper's setup: 10,000-tuple relations.
     Paper,
     /// 1,000-tuple relations; minutes for the whole suite, same shapes.
     Quick,
@@ -38,48 +74,30 @@ impl Scale {
         }
     }
 
-    /// `NumDataIndepComps` sweep (Figure 6). The top point is large enough
-    /// that the native time rises clearly above timer noise, so the
-    /// relative column is meaningful.
-    fn indep_sweep(self) -> Vec<i64> {
+    pub fn name(self) -> &'static str {
         match self {
-            Scale::Paper => vec![0, 10, 100, 1000, 10_000, 100_000],
-            Scale::Quick => vec![0, 10, 100, 1000, 10_000, 100_000],
+            Scale::Paper => "paper",
+            Scale::Quick => "quick",
         }
-    }
-
-    /// `NumDataDepComps` sweep (Figure 7).
-    fn dep_sweep(self) -> Vec<i64> {
-        match self {
-            Scale::Paper => vec![0, 1, 10, 100, 1000],
-            Scale::Quick => vec![0, 1, 10, 100],
-        }
-    }
-
-    /// The paper did not run JNI at NumDataDepComps = 1000 "because of the
-    /// large time involved"; we mirror that for the sandbox at the top of
-    /// each scale's sweep.
-    fn vm_dep_cap(self) -> i64 {
-        match self {
-            Scale::Paper => 100,
-            Scale::Quick => 10,
-        }
-    }
-
-    /// `NumCallbacks` sweep (Figure 8).
-    fn callback_sweep(self) -> Vec<i64> {
-        vec![0, 1, 10, 100]
-    }
-
-    /// Invocation-count sweep (Figure 4).
-    fn invocation_sweep(self) -> Vec<usize> {
-        let card = self.cardinality();
-        [1usize, 10, 100, 1000, 10_000]
-            .into_iter()
-            .filter(|&n| n <= card)
-            .collect()
     }
 }
+
+/// `NumDataIndepComps` sweep (Figure 6). The top point is large enough
+/// that the native time rises clearly above timer noise.
+const INDEP_SWEEP: [i64; 6] = [0, 10, 100, 1000, 10_000, 100_000];
+/// `NumDataDepComps` sweep (Figure 7). The paper went on to 1,000 passes
+/// and omitted JNI there "because of the large time involved"; this sweep
+/// stops at 100 and runs every design at every point.
+const DEP_SWEEP: [i64; 4] = [0, 1, 10, 100];
+/// `NumCallbacks` sweep (Figure 8).
+const CALLBACK_SWEEP: [i64; 4] = [0, 1, 10, 100];
+
+/// The WAL sync modes, named as `BENCH_wal.json` and `BENCH_sec.json` name them.
+const SYNC_MODES: [(SyncMode, &str); 3] = [
+    (SyncMode::Off, "off"),
+    (SyncMode::Normal, "normal"),
+    (SyncMode::Full, "full"),
+];
 
 /// The UDF execution designs measured, in the paper's vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,8 +155,7 @@ fn bench_limits() -> ResourceLimits {
     }
 }
 
-/// Build the `udf` definition for a design (shared with the criterion
-/// benches).
+/// Build the `udf` definition for a design.
 pub fn def_for(design: Design) -> UdfDef {
     let mut def = match design {
         Design::Cpp => def_native(),
@@ -165,116 +182,258 @@ pub fn def_noop() -> UdfDef {
     )
 }
 
+/// One timed statement of a round.
+struct Run<'a> {
+    label: String,
+    db: &'a Database,
+    /// Registered as `udf` before every execution, so runs on one
+    /// database can alternate designs.
+    def: Option<UdfDef>,
+    sql: String,
+    session: Option<&'a SessionContext>,
+    /// The row count every execution must return.
+    rows: Option<usize>,
+}
+
+impl<'a> Run<'a> {
+    fn new(label: impl Into<String>, db: &'a Database, sql: impl Into<String>) -> Run<'a> {
+        Run {
+            label: label.into(),
+            db,
+            def: None,
+            sql: sql.into(),
+            session: None,
+            rows: None,
+        }
+    }
+
+    fn def(self, def: UdfDef) -> Run<'a> {
+        Run {
+            def: Some(def),
+            ..self
+        }
+    }
+
+    fn rows(self, rows: usize) -> Run<'a> {
+        Run {
+            rows: Some(rows),
+            ..self
+        }
+    }
+}
+
+/// Paired rounds: one untimed warm-up round, then [`REPS`] timed ones,
+/// each running every run once in order. Returns each run's times in
+/// seconds and its warm-up result. A wrong row count is an error naming
+/// the cell and the run.
+fn rounds(cell: &str, runs: &[Run]) -> Result<(Vec<Vec<f64>>, Vec<QueryResult>)> {
+    let mut times = vec![Vec::with_capacity(REPS); runs.len()];
+    let mut warm = Vec::with_capacity(runs.len());
+    for round in 0..=REPS {
+        for (run, times) in runs.iter().zip(&mut times) {
+            if let Some(def) = &run.def {
+                run.db.register_udf(def.clone());
+            }
+            let mut request = Request::from(&run.sql);
+            if let Some(session) = run.session {
+                request = request.with_session(session);
+            }
+            let start = Instant::now();
+            let result = run.db.execute(request)?;
+            let secs = start.elapsed().as_secs_f64();
+            if let Some(want) = run.rows.filter(|&n| n != result.rows.len()) {
+                return Err(JaguarError::Verification(format!(
+                    "{cell}, {}: {} rows, expected {want}",
+                    run.label,
+                    result.rows.len()
+                )));
+            }
+            if round == 0 {
+                warm.push(result);
+            } else {
+                times.push(secs);
+            }
+        }
+    }
+    Ok((times, warm))
+}
+
+/// Every result returns the first one's rows, or an error naming the cell
+/// and the run that diverged.
+fn agree(cell: &str, runs: &[Run], results: &[QueryResult]) -> Result<()> {
+    match results.iter().position(|r| r.rows != results[0].rows) {
+        Some(i) => Err(JaguarError::Verification(format!(
+            "{cell}: {}'s rows diverge from {}'s",
+            runs[i].label, runs[0].label
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Per-round differences `a[i] - b[i]`.
+fn minus(a: &[f64], b: &[f64]) -> Vec<f64> {
+    a.iter().zip(b).map(|(a, b)| a - b).collect()
+}
+
+fn series(s: &Option<Vec<f64>>) -> Cell {
+    s.clone().map_or_else(|| Cell::text("—"), Cell::series)
+}
+
+fn ratio(num: &Option<Vec<f64>>, den: &Option<Vec<f64>>) -> Cell {
+    match (num, den) {
+        (Some(n), Some(d)) => Cell::ratio(n, d),
+        _ => Cell::text("—"),
+    }
+}
+
+/// A temporary on-disk database directory, removed on drop.
+struct TempDir(std::path::PathBuf);
+
+impl TempDir {
+    fn new(name: &str) -> Result<TempDir> {
+        let dir = std::env::temp_dir().join(format!("jaguar-bench-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir)?;
+        Ok(TempDir(dir))
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// An engine holding `rel100` with `card` rows and, for the isolated
+/// designs, a warm pool of `pool` workers.
+fn engine(config: Config, design: Design, pool: usize, card: usize) -> Result<Database> {
+    let db = Database::with_config(match design.needs_worker() {
+        true => config.with_pooled_executors(pool),
+        false => config,
+    });
+    build_relation(&db, 100, card)?;
+    if let Some(pool) = db.worker_pool() {
+        pool.wait_ready(Duration::from_secs(30));
+    }
+    Ok(db)
+}
+
 /// Shared state for one experiment session: the database with the three
-/// standard relations loaded, plus memoised calibration baselines.
+/// standard relations loaded.
 pub struct ExperimentCtx {
     db: Database,
     scale: Scale,
+    /// Tuples per standard relation.
+    card: usize,
     worker_available: bool,
-    /// Baseline (noop-UDF) time per (bytearray size, invocations).
-    baselines: std::cell::RefCell<Vec<((usize, usize), Duration)>>,
 }
 
 impl ExperimentCtx {
     /// Build the workload. This is the expensive setup step; reuse one
     /// context for all experiments.
     pub fn new(scale: Scale) -> Result<ExperimentCtx> {
-        // The paper's figures measure single-threaded scans; pin dop=1 so
-        // the morsel-parallel Gather path never engages here. The
-        // `parallel` experiment builds its own engines per dop.
-        let db = Database::with_config(jaguar_core::Config::default().with_dop(1));
-        build_standard(&db, scale.cardinality())?;
-        let worker_available = jaguar_ipc::find_worker_binary().is_ok();
+        Self::with_cardinality(scale, scale.cardinality())
+    }
+
+    fn with_cardinality(scale: Scale, card: usize) -> Result<ExperimentCtx> {
+        // The paper's figures measure single-threaded scans that invoke the
+        // UDF once per tuple, as PREDATOR did: pin dop 1 and batch size 1.
+        // `parallel` and `batch` build their own engines for those.
+        let db = Database::with_config(Config::default().with_dop(1).with_udf_batch_size(1));
+        build_standard(&db, card)?;
         Ok(ExperimentCtx {
             db,
             scale,
-            worker_available,
-            baselines: std::cell::RefCell::new(Vec::new()),
+            card,
+            worker_available: jaguar_ipc::find_worker_binary().is_ok(),
         })
     }
 
-    pub fn scale(&self) -> Scale {
-        self.scale
-    }
-
-    pub fn worker_available(&self) -> bool {
-        self.worker_available
-    }
-
-    /// Register `design` as the SQL function `udf` and time one run of the
-    /// benchmark query. Returns the raw wall-clock time.
-    fn run_raw(
-        &self,
-        design: Option<Design>,
-        bytes: usize,
-        invocations: usize,
-        indep: i64,
-        dep: i64,
-        callbacks: i64,
-    ) -> Result<Duration> {
-        match design {
-            Some(d) => self.db.register_udf(def_for(d)),
-            None => self.db.register_udf(def_noop()),
+    /// A count that grows with the scale.
+    fn pick(&self, paper: usize, quick: usize) -> usize {
+        match self.scale {
+            Scale::Paper => paper,
+            Scale::Quick => quick,
         }
-        let sql = benchmark_query(bytes, invocations, indep, dep, callbacks);
-        // Repeat fast runs and keep the minimum: short queries are noise-
-        // dominated and the later baseline subtraction would amplify it.
-        let mut best: Option<Duration> = None;
-        for rep in 0..5 {
-            let start = Instant::now();
-            let result = self.db.execute(&sql)?;
-            let elapsed = start.elapsed();
-            debug_assert!(result.rows.len() <= invocations);
-            best = Some(best.map_or(elapsed, |b: Duration| b.min(elapsed)));
-            // One run is enough once the measurement is comfortably above
-            // timer noise.
-            if elapsed > Duration::from_millis(250) && rep >= 1 {
-                break;
-            }
-        }
-        Ok(best.expect("at least one run"))
     }
 
-    /// Calibration baseline for a given relation and invocation count
-    /// (trivial native UDF), memoised.
-    fn baseline(&self, bytes: usize, invocations: usize) -> Result<Duration> {
-        if let Some((_, d)) = self
-            .baselines
-            .borrow()
+    fn runs(&self, design: Design) -> bool {
+        !design.needs_worker() || self.worker_available
+    }
+
+    /// The four trust designs this host can run.
+    fn trust_designs(&self) -> impl Iterator<Item = Design> + '_ {
+        [Design::Cpp, Design::Jsm, Design::ICpp, Design::IJsm]
+            .into_iter()
+            .filter(|&d| self.runs(d))
+    }
+
+    /// Paired rounds of the noop baseline and `designs` on one query over
+    /// the standard relations that must return one row per tuple. Returns
+    /// the baseline's times and each design's raw times (`None` for a
+    /// design skipped for want of a worker binary). Every design must
+    /// return the same rows.
+    fn paired(&self, cell: &str, sql: &str, designs: &[Design]) -> Result<Paired> {
+        let live: Vec<Design> = designs.iter().copied().filter(|&d| self.runs(d)).collect();
+        let run =
+            |label: &str, def: UdfDef| Run::new(label, &self.db, sql).def(def).rows(self.card);
+        let runs: Vec<Run> = std::iter::once(run("baseline", def_noop()))
+            .chain(live.iter().map(|&d| run(d.label(), def_for(d))))
+            .collect();
+        let (mut times, warm) = rounds(cell, &runs)?;
+        agree(cell, &runs[1..], &warm[1..])?;
+        let base = times.remove(0);
+        let mut times = times.into_iter();
+        let raw = designs
             .iter()
-            .find(|(k, _)| *k == (bytes, invocations))
-        {
-            return Ok(*d);
-        }
-        let d = self.run_raw(None, bytes, invocations, 0, 0, 0)?;
-        self.baselines.borrow_mut().push(((bytes, invocations), d));
-        Ok(d)
+            .map(|&d| if self.runs(d) { times.next() } else { None })
+            .collect();
+        Ok(Paired { base, raw })
     }
 
-    /// Time a design on the benchmark query, **net of** the calibration
-    /// baseline (clamped at zero), as in the paper.
-    fn run_net(
+    /// One figure row after its parameter: each design's net time, then
+    /// each `(num, den)` ratio of two designs' net times.
+    fn net_row(
         &self,
-        design: Design,
-        bytes: usize,
-        invocations: usize,
-        indep: i64,
-        dep: i64,
-        callbacks: i64,
-    ) -> Result<Duration> {
-        let base = self.baseline(bytes, invocations)?;
-        let raw = self.run_raw(Some(design), bytes, invocations, indep, dep, callbacks)?;
-        Ok(raw.saturating_sub(base))
+        cell: &str,
+        sql: &str,
+        designs: &[Design],
+        ratios: &[(usize, usize)],
+    ) -> Result<Vec<Cell>> {
+        let p = self.paired(cell, sql, designs)?;
+        let nets: Vec<_> = (0..designs.len()).map(|i| p.net(i)).collect();
+        Ok(nets
+            .iter()
+            .map(series)
+            .chain(ratios.iter().map(|&(a, b)| ratio(&nets[a], &nets[b])))
+            .collect())
     }
 
-    fn skip_reason(&self, design: Design) -> Option<String> {
-        if design.needs_worker() && !self.worker_available {
-            return Some(format!(
-                "{} skipped: jaguar-worker binary not found (cargo build --workspace)",
-                design.label()
-            ));
+    /// A figure whose rows sweep one parameter of the benchmark query.
+    fn sweep(
+        &self,
+        t: &mut Table,
+        points: &[i64],
+        query: impl Fn(i64) -> String,
+        designs: &[Design],
+        ratios: &[(usize, usize)],
+    ) -> Result<()> {
+        for &x in points {
+            let cell = format!("{} {x}", t.header[0]);
+            let mut row = vec![Cell::from(x as u64)];
+            row.extend(self.net_row(&cell, &query(x), designs, ratios)?);
+            t.row(row);
         }
-        None
+        Ok(())
+    }
+
+    fn per_tuple_note(&self, t: &mut Table, bytes: &str) {
+        t.note(format!(
+            "{} invocations over bytearray {bytes}, one UDF call per tuple (dop 1, batch \
+             size 1); each cell is the median [q1–q3] of {REPS} paired rounds, each running \
+             the noop baseline and then every design",
+            self.card
+        ));
     }
 
     // ------------------------------------------------------------------
@@ -285,17 +444,31 @@ impl ExperimentCtx {
     /// native UDF; invocation count on the X axis, one series per relation.
     pub fn fig4(&self) -> Result<Table> {
         let mut t = Table::new(
-            "Figure 4 — calibration: table access costs (secs)",
+            "Figure 4 — calibration: table access costs",
             &["#invocations", "Rel1", "Rel100", "Rel10000"],
         );
-        for n in self.scale.invocation_sweep() {
-            let mut cells = vec![n.to_string()];
-            for bytes in REL_SIZES {
-                cells.push(secs(self.run_raw(None, bytes, n, 0, 0, 0)?));
+        for n in [1usize, 10, 100, 1000, 10_000] {
+            if n > self.card {
+                continue;
             }
-            t.row(cells);
+            let runs: Vec<Run> = REL_SIZES
+                .iter()
+                .map(|&b| {
+                    let sql = benchmark_query(b, n, 0, 0, 0);
+                    Run::new(format!("Rel{b}"), &self.db, sql)
+                        .def(def_noop())
+                        .rows(n)
+                })
+                .collect();
+            let (times, _) = rounds(&format!("fig4 n={n}"), &runs)?;
+            let mut row = vec![Cell::from(n)];
+            row.extend(times.into_iter().map(Cell::series));
+            t.row(row);
         }
-        t.note(format!("cardinality {}", self.scale.cardinality()));
+        t.note(format!(
+            "cardinality {}; median [q1–q3] of {REPS} rounds, each running all three relations",
+            self.card
+        ));
         Ok(t)
     }
 
@@ -304,41 +477,31 @@ impl ExperimentCtx {
     /// sizes. Reported **raw** (as the paper plots them): the paper's
     /// conclusion is that invocation overhead is "insignificant compared
     /// to the overall cost of the queries", which needs the query cost in
-    /// view. The per-invocation microcosts live in the `invocation`
-    /// criterion bench.
+    /// view.
     pub fn fig5(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
+        let card = self.card;
         let designs = [Design::Cpp, Design::ICpp, Design::Jsm];
         let mut t = Table::new(
-            "Figure 5 — calibration: function invocation costs, raw (secs)",
+            "Figure 5 — calibration: function invocation costs, raw",
             &["bytearray", "baseline", "C++", "IC++", "JSM"],
         );
         for bytes in REL_SIZES {
-            let mut cells = vec![bytes.to_string(), secs(self.baseline(bytes, card)?)];
-            for d in designs {
-                if let Some(reason) = self.skip_reason(d) {
-                    t.note(reason);
-                    cells.push("—".into());
-                    continue;
-                }
-                cells.push(secs(self.run_raw(Some(d), bytes, card, 0, 0, 0)?));
-            }
-            t.row(cells);
+            let sql = benchmark_query(bytes, card, 0, 0, 0);
+            let p = self.paired(&format!("fig5 bytes={bytes}"), &sql, &designs)?;
+            let mut row = vec![Cell::from(bytes), Cell::series(p.base)];
+            row.extend(p.raw.iter().map(series));
+            t.row(row);
         }
-        t.note(format!(
-            "{card} invocations of a no-work UDF; 'baseline' is the Figure 4 \
-             trivial-native-UDF query cost"
-        ));
+        self.per_tuple_note(&mut t, "1 / 100 / 10000");
+        t.note("raw times of a no-work UDF; 'baseline' is the Figure 4 query in the same round");
         Ok(t)
     }
 
     /// Figure 6 — effect of computation (`NumDataIndepComps`).
     pub fn fig6(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
-        let bytes = 10_000;
-        let designs = [Design::Cpp, Design::ICpp, Design::Jsm];
+        let card = self.card;
         let mut t = Table::new(
-            "Figure 6 — pure computation, net of baseline (secs; relative to C++)",
+            "Figure 6 — pure computation, net of baseline (relative to C++)",
             &[
                 "DataIndepComps",
                 "C++",
@@ -348,44 +511,19 @@ impl ExperimentCtx {
                 "JSM/C++",
             ],
         );
-        for indep in self.scale.indep_sweep() {
-            let mut times: Vec<Option<Duration>> = Vec::new();
-            for d in designs {
-                if let Some(reason) = self.skip_reason(d) {
-                    t.note(reason);
-                    times.push(None);
-                    continue;
-                }
-                times.push(Some(self.run_net(d, bytes, card, indep, 0, 0)?));
-            }
-            // A base below timer resolution would make ratios meaningless.
-            let base = times[0].map(|d| d.as_secs_f64()).filter(|&b| b > 1e-3);
-            let rel = |i: usize| -> Option<f64> {
-                match (times[i], base) {
-                    (Some(t), Some(b)) => Some(t.as_secs_f64() / b),
-                    _ => None,
-                }
-            };
-            t.row(vec![
-                indep.to_string(),
-                times[0].map(secs).unwrap_or_else(|| "—".into()),
-                times[1].map(secs).unwrap_or_else(|| "—".into()),
-                times[2].map(secs).unwrap_or_else(|| "—".into()),
-                ratio(rel(1)),
-                ratio(rel(2)),
-            ]);
-        }
-        t.note(format!("{card} invocations, bytearray size {bytes}"));
+        let designs = [Design::Cpp, Design::ICpp, Design::Jsm];
+        let query = |x| benchmark_query(10_000, card, x, 0, 0);
+        self.sweep(&mut t, &INDEP_SWEEP, query, &designs, &[(1, 0), (2, 0)])?;
+        self.per_tuple_note(&mut t, "10000");
         Ok(t)
     }
 
     /// Figure 7 — effect of data access (`NumDataDepComps`), including the
     /// §5.4 bounds-checked native variant.
     pub fn fig7(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
-        let bytes = 10_000;
+        let card = self.card;
         let mut t = Table::new(
-            "Figure 7 — data access, net of baseline (secs; relative to C++)",
+            "Figure 7 — data access, net of baseline (relative to C++)",
             &[
                 "DataDepComps",
                 "C++",
@@ -397,137 +535,86 @@ impl ExperimentCtx {
                 "JSM/BC",
             ],
         );
-        for dep in self.scale.dep_sweep() {
-            let cpp = self.run_net(Design::Cpp, bytes, card, 0, dep, 0)?;
-            let bc = self.run_net(Design::BcCpp, bytes, card, 0, dep, 0)?;
-            let icpp = match self.skip_reason(Design::ICpp) {
-                Some(reason) => {
-                    t.note(reason);
-                    None
-                }
-                None => Some(self.run_net(Design::ICpp, bytes, card, 0, dep, 0)?),
-            };
-            let jsm = if dep > self.scale.vm_dep_cap() {
-                t.note(format!(
-                    "JSM omitted at DataDepComps={dep} (as the paper omitted JNI at 1000: \
-                     'because of the large time involved')"
-                ));
-                None
-            } else {
-                Some(self.run_net(Design::Jsm, bytes, card, 0, dep, 0)?)
-            };
-            let f = |d: Duration| d.as_secs_f64();
-            let guarded = |num: Option<f64>, den: f64| -> Option<f64> {
-                if den > 1e-3 {
-                    num.map(|n| n / den)
-                } else {
-                    None
-                }
-            };
-            t.row(vec![
-                dep.to_string(),
-                secs(cpp),
-                secs(bc),
-                icpp.map(secs).unwrap_or_else(|| "—".into()),
-                jsm.map(secs).unwrap_or_else(|| "—".into()),
-                ratio(guarded(Some(f(bc)), f(cpp))),
-                ratio(guarded(jsm.map(f), f(cpp))),
-                ratio(guarded(jsm.map(f), f(bc))),
-            ]);
-        }
-        t.note(format!("{card} invocations, bytearray size {bytes}"));
+        let designs = [Design::Cpp, Design::BcCpp, Design::ICpp, Design::Jsm];
+        let query = |x| benchmark_query(10_000, card, 0, x, 0);
+        self.sweep(
+            &mut t,
+            &DEP_SWEEP,
+            query,
+            &designs,
+            &[(1, 0), (3, 0), (3, 1)],
+        )?;
+        self.per_tuple_note(&mut t, "10000");
+        t.note(
+            "BC-C++ is native code with a bounds check on every byte access that \
+             nothing hoists; the paper's sweep went on to 1,000 passes",
+        );
         Ok(t)
     }
 
     /// Figure 8 — effect of callbacks (`NumCallbacks`). The UDFs perform
     /// no computation; each callback crosses the UDF↔server boundary.
     pub fn fig8(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
-        let bytes = 1; // isolate the callback cost (no data transferred)
-        let designs = [Design::Cpp, Design::ICpp, Design::Jsm];
+        let card = self.card;
         let mut t = Table::new(
-            "Figure 8 — callbacks, net of baseline (secs; relative to C++)",
+            "Figure 8 — callbacks, net of baseline (relative to C++)",
             &["Callbacks", "C++", "IC++", "JSM", "IC++/C++", "JSM/C++"],
         );
-        for n in self.scale.callback_sweep() {
-            let mut times: Vec<Option<Duration>> = Vec::new();
-            for d in designs {
-                if let Some(reason) = self.skip_reason(d) {
-                    t.note(reason);
-                    times.push(None);
-                    continue;
-                }
-                times.push(Some(self.run_net(d, bytes, card, 0, 0, n)?));
-            }
-            // A base below timer resolution would make ratios meaningless.
-            let base = times[0].map(|d| d.as_secs_f64()).filter(|&b| b > 1e-3);
-            let rel = |i: usize| -> Option<f64> {
-                match (times[i], base) {
-                    (Some(t), Some(b)) => Some(t.as_secs_f64() / b),
-                    _ => None,
-                }
-            };
-            t.row(vec![
-                n.to_string(),
-                times[0].map(secs).unwrap_or_else(|| "—".into()),
-                times[1].map(secs).unwrap_or_else(|| "—".into()),
-                times[2].map(secs).unwrap_or_else(|| "—".into()),
-                ratio(rel(1)),
-                ratio(rel(2)),
-            ]);
-        }
-        t.note(format!("{card} invocations of a no-work UDF per row"));
+        let designs = [Design::Cpp, Design::ICpp, Design::Jsm];
+        // Bytearray 1 isolates the callback cost (no data transferred).
+        let query = |x| benchmark_query(1, card, 0, 0, x);
+        self.sweep(&mut t, &CALLBACK_SWEEP, query, &designs, &[(1, 0), (2, 0)])?;
+        self.per_tuple_note(&mut t, "1");
         Ok(t)
     }
 
     /// Table 1 — the design space, annotated with a measured
     /// per-invocation overhead (bytearray 100, no work, net of baseline).
     pub fn table1(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
+        let card = self.card;
         let mut t = Table::new(
             "Table 1 — design space for server-side UDFs (measured per-invocation overhead)",
-            &["design", "language", "process", "safety", "µs/invocation"],
+            &["design", "language", "process", "safety", "per invocation"],
         );
-        let rows: [(Design, &str, &str, &str); 4] = [
-            (Design::Cpp, "native", "same", "none (trusted)"),
+        let rows: [(Design, u8, &str, &str, &str); 4] = [
+            (Design::Cpp, 1, "native", "same", "none (trusted)"),
             (
                 Design::ICpp,
+                2,
                 "native",
                 "isolated",
                 "crash/memory containment",
             ),
             (
                 Design::Jsm,
+                3,
                 "portable bytecode",
                 "same",
                 "verified + bounds + fuel + security mgr",
             ),
             (
                 Design::IJsm,
+                4,
                 "portable bytecode",
                 "isolated",
                 "all of the above + process",
             ),
         ];
-        for (d, lang, proc, safety) in rows {
-            let cell = match self.skip_reason(d) {
-                Some(reason) => {
-                    t.note(reason);
-                    "—".to_string()
-                }
-                None => {
-                    let net = self.run_net(d, 100, card, 0, 0, 0)?;
-                    format!("{:.2}", net.as_secs_f64() * 1e6 / card as f64)
-                }
-            };
+        let designs = rows.map(|r| r.0);
+        let p = self.paired("table1", &benchmark_query(100, card, 0, 0, 0), &designs)?;
+        for (i, (d, number, lang, proc, safety)) in rows.into_iter().enumerate() {
             t.row(vec![
-                format!("Design {} ({})", design_number(d), d.label()),
+                Cell::text(format!("Design {number} ({})", d.label())),
                 lang.into(),
                 proc.into(),
                 safety.into(),
-                cell,
+                series(
+                    &p.net(i)
+                        .map(|n| n.iter().map(|x| x / card as f64).collect()),
+                ),
             ]);
         }
+        self.per_tuple_note(&mut t, "100");
         Ok(t)
     }
 
@@ -538,102 +625,86 @@ impl ExperimentCtx {
     /// A1 — SFI overhead on a data-access-heavy UDF (§4 expects ≈25 %
     /// over plain native for instrumented memory access).
     pub fn ablation_sfi(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
-        let bytes = 10_000;
-        let dep = 10;
+        let (card, dep) = (self.card, 10);
         let mut t = Table::new(
-            "A1 — software fault isolation overhead (secs; relative to C++)",
+            "A1 — software fault isolation overhead (relative to C++)",
             &["variant", "time", "vs C++"],
         );
-        let cpp = self.run_net(Design::Cpp, bytes, card, 0, dep, 0)?;
-        let base = cpp.as_secs_f64();
-        for (d, name) in [
-            (Design::Cpp, "C++ (unchecked)"),
-            (Design::BcCpp, "BC-C++ (explicit bounds checks)"),
-            (Design::SfiCpp, "SFI-C++ (masked sandbox access)"),
-        ] {
-            let time = self.run_net(d, bytes, card, 0, dep, 0)?;
-            t.row(vec![
-                name.into(),
-                secs(time),
-                ratio(if base > 1e-3 {
-                    Some(time.as_secs_f64() / base)
-                } else {
-                    None
-                }),
-            ]);
+        let designs = [Design::Cpp, Design::BcCpp, Design::SfiCpp];
+        let sql = benchmark_query(10_000, card, 0, dep, 0);
+        let p = self.paired("sfi", &sql, &designs)?;
+        let cpp = p.net(0);
+        for (i, name) in [
+            "C++ (unchecked)",
+            "BC-C++ (explicit bounds checks)",
+            "SFI-C++ (masked sandbox access)",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let net = p.net(i);
+            t.row(vec![name.into(), series(&net), ratio(&net, &cpp)]);
         }
-        t.note(format!(
-            "{card} invocations, bytearray {bytes}, DataDepComps={dep}"
-        ));
+        self.per_tuple_note(&mut t, "10000");
+        t.note(format!("DataDepComps={dep}"));
         Ok(t)
     }
 
     /// A2 — the compiled tier vs the reference interpreter.
     pub fn ablation_jit(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
-        let bytes = 10_000;
+        let card = self.card;
         let mut t = Table::new(
-            "A2 — VM engine: interpreter vs compiled (secs)",
+            "A2 — VM engine: interpreter vs compiled",
             &["workload", "JSM (compiled)", "JSM (interpreter)", "speedup"],
         );
+        let designs = [Design::Jsm, Design::JsmBaseline];
         for (name, indep, dep) in [
             ("compute(10000)", 10_000i64, 0i64),
             ("data(1 pass)", 0, 1),
             ("data(10 passes)", 0, 10),
         ] {
-            let jit = self.run_net(Design::Jsm, bytes, card, indep, dep, 0)?;
-            let base = self.run_net(Design::JsmBaseline, bytes, card, indep, dep, 0)?;
-            t.row(vec![
-                name.into(),
-                secs(jit),
-                secs(base),
-                ratio(if jit.as_secs_f64() > 1e-3 {
-                    Some(base.as_secs_f64() / jit.as_secs_f64())
-                } else {
-                    None
-                }),
-            ]);
+            let sql = benchmark_query(10_000, card, indep, dep, 0);
+            let mut row = vec![Cell::from(name)];
+            row.extend(self.net_row(&format!("jit {name}"), &sql, &designs, &[(1, 0)])?);
+            t.row(row);
         }
+        self.per_tuple_note(&mut t, "10000");
         Ok(t)
     }
 
     /// A3 — what the per-instruction resource policing costs (§6.2 says
     /// databases need it; 1998 JVMs lacked it).
     pub fn ablation_fuel(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
-        let bytes = 10_000;
+        let card = self.card;
         let mut t = Table::new(
-            "A3 — resource-policing (fuel) overhead in the sandbox (secs)",
-            &["workload", "dispatch", "policed", "no limits", "overhead"],
+            "A3 — resource-policing (fuel) overhead in the sandbox",
+            &[
+                "workload",
+                "compiled, policed",
+                "compiled, no limits",
+                "interpreter, policed",
+                "interpreter, no limits",
+                "compiled overhead",
+                "interpreter overhead",
+            ],
         );
+        let designs = [
+            Design::Jsm,
+            Design::JsmNoFuel,
+            Design::JsmBaseline,
+            Design::JsmBaselineNoFuel,
+        ];
         for (name, indep, dep) in [
             ("compute(10000)", 10_000i64, 0i64),
             ("data(10 passes)", 0, 10),
         ] {
-            for (dispatch, on, off) in [
-                ("compiled", Design::Jsm, Design::JsmNoFuel),
-                (
-                    "interpreter",
-                    Design::JsmBaseline,
-                    Design::JsmBaselineNoFuel,
-                ),
-            ] {
-                let policed = self.run_net(on, bytes, card, indep, dep, 0)?;
-                let free = self.run_net(off, bytes, card, indep, dep, 0)?;
-                t.row(vec![
-                    name.into(),
-                    dispatch.into(),
-                    secs(policed),
-                    secs(free),
-                    ratio(if free.as_secs_f64() > 1e-3 {
-                        Some(policed.as_secs_f64() / free.as_secs_f64())
-                    } else {
-                        None
-                    }),
-                ]);
-            }
+            let sql = benchmark_query(10_000, card, indep, dep, 0);
+            let mut row = vec![Cell::from(name)];
+            let cell = format!("fuel {name}");
+            row.extend(self.net_row(&cell, &sql, &designs, &[(0, 1), (2, 3)])?);
+            t.row(row);
         }
+        self.per_tuple_note(&mut t, "10000");
         t.note(
             "the compiled tier charges fuel once per run of infallible ops \
              and once per strip of counted-loop trips, so the check \
@@ -650,7 +721,7 @@ impl ExperimentCtx {
     /// placement changes.
     pub fn shipping(&self) -> Result<Table> {
         use jaguar_core::Client;
-        let server = self.db.serve("127.0.0.1:0")?;
+        let mut server = self.db.serve("127.0.0.1:0")?;
 
         // Register the generic UDF as shippable bytecode so the client can
         // fetch it (native server code cannot migrate).
@@ -661,83 +732,81 @@ impl ExperimentCtx {
         // Byte sums over 10,000 uniform bytes: mean 1.275e6, σ≈7.4e3;
         // mean + ~0.8σ keeps roughly a quarter of the rows.
         let threshold: i64 = 1_281_000;
+        let params = GenericParams {
+            data_dep_comps: 1,
+            ..GenericParams::default()
+        };
         let mut t = Table::new(
             "E9 — query shipping vs data shipping (extension; paper §3.1)",
-            &["strategy", "rows out", "MB shipped", "secs"],
+            &["strategy", "rows out", "bytes shipped", "time"],
         );
-
-        let wire_size = |rows: &[jaguar_common::Tuple]| -> Result<f64> {
+        let wire_size = |rows: &[jaguar_common::Tuple]| -> Result<usize> {
             let mut buf = Vec::new();
             for r in rows {
                 jaguar_common::stream::write_tuple(&mut buf, r)?;
             }
-            Ok(buf.len() as f64 / (1024.0 * 1024.0))
+            Ok(buf.len())
         };
-
-        // Strategy 1: query shipping — the UDF filters at the server.
         let mut client = Client::connect(server.addr())?;
         let sql =
             format!("SELECT id FROM rel10000 R WHERE shipudf(R.bytearray, 0, 1, 0) > {threshold}");
-        let start = Instant::now();
-        let server_side = client
-            .execute(&sql)
-            .map_err(|e| JaguarError::Other(format!("query shipping failed: {e}")))?;
-        let qs_time = start.elapsed();
-        t.row(vec![
-            "query shipping (UDF at server)".into(),
-            server_side.rows.len().to_string(),
-            format!("{:.3}", wire_size(&server_side.rows)?),
-            secs(qs_time),
-        ]);
-
-        // Strategy 2: data shipping — fetch everything, filter at client
-        // with the identical bytecode.
-        let start = Instant::now();
-        let all_rows = client
-            .execute("SELECT id, bytearray FROM rel10000")
-            .map_err(|e| JaguarError::Other(format!("data shipping failed: {e}")))?;
-        let mut local = client
-            .fetch_udf("shipudf")
-            .map_err(|e| JaguarError::Other(format!("udf migration failed: {e}")))?;
-        let mut kept = Vec::new();
-        for row in &all_rows.rows {
-            let args = vec![
-                row.get(1)?.clone(),
-                Value::Int(0),
-                Value::Int(1),
-                Value::Int(0),
-            ];
-            if local
-                .invoke_with_callbacks(&args, &mut jaguar_udf::generic::IdentityCallbacks)?
-                .as_int()?
-                > threshold
-            {
-                kept.push(row.get(0)?.clone());
+        let (mut qs, mut ds) = (Vec::new(), Vec::new());
+        let (mut server_side, mut all_rows, mut kept) = (Vec::new(), Vec::new(), Vec::new());
+        for round in 0..=REPS {
+            // Query shipping: the UDF filters at the server.
+            let start = Instant::now();
+            server_side = client.execute(&sql)?.rows;
+            let qs_time = start.elapsed().as_secs_f64();
+            // Data shipping: fetch everything, filter at the client with
+            // the identical bytecode.
+            let start = Instant::now();
+            all_rows = client.execute("SELECT id, bytearray FROM rel10000")?.rows;
+            let mut local = client.fetch_udf("shipudf")?;
+            kept.clear();
+            for row in &all_rows {
+                let mut args = params.args(Default::default());
+                args[0] = row.get(1)?.clone();
+                if local
+                    .invoke_with_callbacks(&args, &mut IdentityCallbacks)?
+                    .as_int()?
+                    > threshold
+                {
+                    kept.push(row.get(0)?.clone());
+                }
+            }
+            if round > 0 {
+                qs.push(qs_time);
+                ds.push(start.elapsed().as_secs_f64());
+            }
+            if kept.len() != server_side.len() {
+                return Err(JaguarError::Verification(format!(
+                    "shipping: placement changed the answer: server {} rows vs client {}",
+                    server_side.len(),
+                    kept.len()
+                )));
             }
         }
-        let ds_time = start.elapsed();
+        server.stop();
+        t.row(vec![
+            "query shipping (UDF at server)".into(),
+            Cell::from(server_side.len()),
+            Cell::from(wire_size(&server_side)?),
+            Cell::series(qs),
+        ]);
         t.row(vec![
             "data shipping (UDF at client)".into(),
-            kept.len().to_string(),
-            format!("{:.3}", wire_size(&all_rows.rows)?),
-            secs(ds_time),
+            Cell::from(kept.len()),
+            Cell::from(wire_size(&all_rows)?),
+            Cell::series(ds),
         ]);
-
-        if kept.len() != server_side.rows.len() {
-            return Err(JaguarError::Other(format!(
-                "placement changed the answer: server {} rows vs client {}",
-                server_side.rows.len(),
-                kept.len()
-            )));
-        }
         t.note(
             "identical verified bytecode at both sites; only placement differs. \
-             Loopback TCP hides network latency — the MB column is the cost a \
+             Loopback TCP hides network latency — the bytes column is the cost a \
              real network would charge (the paper's §3.1 argument).",
         );
         t.note(format!(
             "cardinality {}, 10,000-byte tuples, ~20% selectivity",
-            self.scale.cardinality()
+            self.card
         ));
         Ok(t)
     }
@@ -746,7 +815,7 @@ impl ExperimentCtx {
     /// work): the same point/range query through a sequential scan vs a
     /// B+Tree index.
     pub fn ablation_index(&self) -> Result<Table> {
-        let card = self.scale.cardinality();
+        let card = self.card;
         // A dedicated table so the standard relations stay index-free (the
         // paper's figures measure full scans).
         self.db
@@ -759,55 +828,43 @@ impl ExperimentCtx {
             ]))?;
         }
         let mut table = Table::new(
-            "A4 — B+Tree index vs sequential scan (extension; secs)",
+            "A4 — B+Tree index vs sequential scan (extension)",
             &["query", "seq scan", "rows touched", "index", "rows touched"],
         );
+        let half = card / 2;
         let queries = [
-            (
-                "point (id = k)",
-                format!("SELECT payload FROM idxbench WHERE id = {}", card / 2),
-            ),
+            ("point (id = k)", format!("id = {half}"), 1),
             (
                 "1% range",
-                format!(
-                    "SELECT payload FROM idxbench WHERE id >= {} AND id < {}",
-                    card / 2,
-                    card / 2 + card / 100
-                ),
+                format!("id >= {half} AND id < {}", half + card / 100),
+                card / 100,
             ),
-            (
-                "50% range",
-                format!("SELECT payload FROM idxbench WHERE id < {}", card / 2),
-            ),
+            ("50% range", format!("id < {half}"), half),
         ];
-        let time_query = |sql: &str| -> Result<(Duration, u64)> {
-            let mut best: Option<(Duration, u64)> = None;
-            for _ in 0..5 {
-                let start = Instant::now();
-                let r = self.db.execute(sql)?;
-                let d = start.elapsed();
-                let touched = r.stats.rows_scanned;
-                best = Some(match best {
-                    None => (d, touched),
-                    Some((bd, bt)) => (bd.min(d), bt.max(touched)),
-                });
-            }
-            Ok(best.expect("ran"))
-        };
-        let mut seq: Vec<(Duration, u64)> = Vec::new();
-        for (_, sql) in &queries {
-            seq.push(time_query(sql)?);
-        }
+        let runs: Vec<Run> = queries
+            .iter()
+            .map(|(name, pred, rows)| {
+                let sql = format!("SELECT payload FROM idxbench WHERE {pred}");
+                Run::new(*name, &self.db, sql).rows(*rows)
+            })
+            .collect();
+        let (seq, seq_warm) = rounds("index, seq scan", &runs)?;
         self.db
             .execute("CREATE INDEX idxbench_id ON idxbench (id)")?;
-        for ((name, sql), (seq_d, seq_rows)) in queries.iter().zip(seq) {
-            let (idx_d, idx_rows) = time_query(sql)?;
+        let (idx, idx_warm) = rounds("index, B+Tree", &runs)?;
+        for (i, (seq, idx)) in seq.into_iter().zip(idx).enumerate() {
+            if seq_warm[i].rows != idx_warm[i].rows {
+                return Err(JaguarError::Verification(format!(
+                    "index, {}: the index scan's rows diverge from the seq scan's",
+                    runs[i].label
+                )));
+            }
             table.row(vec![
-                name.to_string(),
-                secs(seq_d),
-                seq_rows.to_string(),
-                secs(idx_d),
-                idx_rows.to_string(),
+                runs[i].label.as_str().into(),
+                Cell::series(seq),
+                Cell::from(seq_warm[i].stats.rows_scanned),
+                Cell::series(idx),
+                Cell::from(idx_warm[i].stats.rows_scanned),
             ]);
         }
         table.note(format!("{card}-row table, 100-byte payloads"));
@@ -831,172 +888,97 @@ impl ExperimentCtx {
 
         let mut t = Table::new(
             "P1 — isolated executor acquisition: per-query spawn vs warm pool (extension)",
-            &["strategy", "queries", "total", "µs/query", "worker spawns"],
+            &[
+                "strategy",
+                "queries",
+                "per query",
+                "vs warm pool",
+                "worker spawns",
+            ],
         );
         if !self.worker_available {
-            t.note("skipped: jaguar-worker binary not found (cargo build --workspace)");
             return Ok(t);
         }
-
         let queries = 50usize;
         let def = def_for(Design::ICpp);
-        let args = vec![
-            Value::Bytes(jaguar_common::ByteArray::patterned(100, 7)),
-            Value::Int(0),
-            Value::Int(1),
-            Value::Int(0),
-        ];
-        let per_query_us = |d: Duration| format!("{:.1}", d.as_secs_f64() * 1e6 / queries as f64);
-
-        // Strategy 1: the paper's model — spawn, handshake, load, invoke,
-        // tear down, once per query.
-        let start = Instant::now();
-        for _ in 0..queries {
-            let mut u = def.instantiate()?;
-            u.invoke(&args, &mut jaguar_udf::generic::IdentityCallbacks)?;
-            u.finish()?;
-        }
-        let cold = start.elapsed();
-        t.row(vec![
-            "per-query spawn (paper)".into(),
-            queries.to_string(),
-            secs(cold),
-            per_query_us(cold),
-            queries.to_string(),
-        ]);
-
-        // Strategy 2: warm pool — the same queries check workers out of a
-        // two-worker pool and return them with a Reset.
+        let params = GenericParams {
+            data_dep_comps: 1,
+            ..GenericParams::default()
+        };
+        let args = params.args(jaguar_common::ByteArray::patterned(100, 7));
         let pool = Arc::new(WorkerPool::new(PoolConfig {
             size: 2,
             ..PoolConfig::default()
         })?);
         pool.wait_ready(Duration::from_secs(10));
-        let start = Instant::now();
+        // Alternate the two strategies so each pair shares the host's state.
+        let (mut cold, mut warm) = (Vec::new(), Vec::new());
         for _ in 0..queries {
-            let mut u = def.instantiate_with(Some(&pool))?;
-            u.invoke(&args, &mut jaguar_udf::generic::IdentityCallbacks)?;
-            u.finish()?;
+            for (source, times) in [(None, &mut cold), (Some(&pool), &mut warm)] {
+                let start = Instant::now();
+                let mut u = def.instantiate_with(source)?;
+                u.invoke(&args, &mut IdentityCallbacks)?;
+                u.finish()?;
+                times.push(start.elapsed().as_secs_f64());
+            }
         }
-        let pooled = start.elapsed();
         let stats = pool.stats();
         t.row(vec![
-            "warm pool (size 2)".into(),
-            queries.to_string(),
-            secs(pooled),
-            per_query_us(pooled),
-            stats.spawns.to_string(),
+            "per-query spawn (paper)".into(),
+            Cell::from(queries),
+            Cell::series(cold.clone()),
+            Cell::ratio(&cold, &warm),
+            Cell::from(queries),
         ]);
-
+        t.row(vec![
+            "warm pool (size 2)".into(),
+            Cell::from(queries),
+            Cell::series(warm.clone()),
+            Cell::ratio(&warm, &warm),
+            Cell::from(stats.spawns),
+        ]);
         t.note(format!(
-            "pool reuses: {}, crashes: {}; speedup {}",
-            stats.reuses,
-            stats.crashes,
-            ratio(if pooled.as_secs_f64() > 1e-6 {
-                Some(cold.as_secs_f64() / pooled.as_secs_f64())
-            } else {
-                None
-            }),
+            "pool reuses: {}, crashes: {}; each query does one IC++ invocation over a \
+             100-byte bytearray, so the difference is almost pure executor acquisition cost",
+            stats.reuses, stats.crashes
         ));
-        t.note(
-            "each query does one IC++ invocation over a 100-byte bytearray, so \
-             the difference is almost pure executor acquisition cost",
-        );
         Ok(t)
-    }
-
-    /// Host-core count plus the degraded-host stamp every timing-oriented
-    /// `BENCH_*.json` carries. Latency quantiles and speedups measured on
-    /// a single-core host are unrepresentative (workers, canceller
-    /// threads, and the engine all contend for one core), so the flag
-    /// travels with the data and the run warns loudly.
-    fn host_profile(experiment: &str) -> (usize, bool) {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let degraded = cores == 1;
-        if degraded {
-            eprintln!(
-                "WARNING: experiment '{experiment}' is running on a single-core host; \
-                 latencies and speedups will be unrepresentative. Stamping \
-                 \"degraded_host\": true into the JSON output."
-            );
-        }
-        (cores, degraded)
     }
 
     /// WAL commit latency per sync mode (not in the paper — the durability
     /// subsystem replaces what PREDATOR inherited from Shore). For each
     /// [`jaguar_core::SyncMode`], run N single-row INSERT statements
     /// against an on-disk database and report per-statement commit latency
-    /// quantiles plus the observed fsync count. Also writes the results as
-    /// machine-readable `BENCH_wal.json` in the working directory.
+    /// plus the observed fsync count.
     pub fn wal(&self) -> Result<Table> {
-        use jaguar_core::{Config, SyncMode};
-        let inserts = match self.scale {
-            Scale::Paper => 2_000usize,
-            Scale::Quick => 200,
-        };
+        let inserts = self.pick(2_000, 200);
         let mut table = Table::new(
             "WAL commit latency by sync mode",
-            &["sync", "p50", "p99", "mean", "fsyncs", "commits"],
+            &["sync", "commit latency", "fsyncs", "commits"],
         );
-        let mut json_modes = Vec::new();
-        for (mode, label) in [
-            (SyncMode::Off, "off"),
-            (SyncMode::Normal, "normal"),
-            (SyncMode::Full, "full"),
-        ] {
-            let dir = std::env::temp_dir()
-                .join(format!("jaguar-bench-wal-{label}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir)?;
-            let config = Config::default().with_sync_mode(mode);
-            let db = Database::open(&dir, config)?;
+        for (mode, label) in SYNC_MODES {
+            let dir = TempDir::new(&format!("wal-{label}"))?;
+            let db = Database::open(&dir.0, Config::default().with_sync_mode(mode))?;
             db.execute("CREATE TABLE events (id INT, payload BYTEARRAY)")?;
-            let before = jaguar_common::obs::global().snapshot();
-            let mut lat_us: Vec<u64> = Vec::with_capacity(inserts);
+            let before = db.metrics();
+            let mut lat = Vec::with_capacity(inserts);
             for i in 0..inserts {
                 let sql = format!("INSERT INTO events VALUES ({i}, X'0102030405060708')");
                 let start = Instant::now();
                 db.execute(&sql)?;
-                lat_us.push(start.elapsed().as_micros() as u64);
+                lat.push(start.elapsed().as_secs_f64());
             }
             let after = db.metrics();
-            drop(db);
-            let _ = std::fs::remove_dir_all(&dir);
-            lat_us.sort_unstable();
-            let q = |p: f64| -> u64 {
-                let rank = ((p * lat_us.len() as f64).ceil() as usize).clamp(1, lat_us.len());
-                lat_us[rank - 1]
-            };
-            let mean = lat_us.iter().sum::<u64>() / lat_us.len() as u64;
-            let fsyncs = after.counter("wal.fsyncs") - before.counter("wal.fsyncs");
-            let commits = after.counter("wal.commits") - before.counter("wal.commits");
+            let delta = |name: &str| after.counter(name) - before.counter(name);
             table.row(vec![
-                label.to_string(),
-                format!("{}us", q(0.50)),
-                format!("{}us", q(0.99)),
-                format!("{mean}us"),
-                fsyncs.to_string(),
-                commits.to_string(),
+                label.into(),
+                Cell::series(lat),
+                Cell::from(delta("wal.fsyncs")),
+                Cell::from(delta("wal.commits")),
             ]);
-            json_modes.push(format!(
-                "    {{\"sync_mode\": \"{label}\", \"p50_us\": {}, \"p99_us\": {}, \
-                 \"mean_us\": {mean}, \"fsyncs\": {fsyncs}, \"commits\": {commits}}}",
-                q(0.50),
-                q(0.99),
-            ));
         }
         table.note(format!("{inserts} single-row INSERT statements per mode"));
         table.note("full = fsync per commit; normal = fsync at checkpoint; off = never");
-        let (cores, degraded) = Self::host_profile("wal");
-        let json = format!(
-            "{{\n  \"experiment\": \"wal_commit_latency\",\n  \
-             \"host_cores\": {cores},\n  \"degraded_host\": {degraded},\n  \
-             \"inserts_per_mode\": {inserts},\n  \"modes\": [\n{}\n  ]\n}}\n",
-            json_modes.join(",\n")
-        );
-        std::fs::write("BENCH_wal.json", json)?;
-        table.note("machine-readable copy written to BENCH_wal.json");
         Ok(table)
     }
 
@@ -1005,23 +987,18 @@ impl ExperimentCtx {
     /// mid-scan and we measure how long the executor takes to notice and
     /// return `Cancelled`, per backend: a native UDF scan (per-tuple
     /// cooperative check) and a VM UDF scan (instruction-budget poll).
-    /// Also writes machine-readable `BENCH_cancel.json`.
     pub fn cancel(&self) -> Result<Table> {
         use jaguar_common::cancel::CancelToken;
         use jaguar_core::{DataType, UdfSignature};
 
-        let iters = match self.scale {
-            Scale::Paper => 60usize,
-            Scale::Quick => 12,
-        };
+        let iters = self.pick(60, 12);
         let mut table = Table::new(
             "Cancel-to-abort latency by backend (extension)",
-            &["backend", "iters", "p50", "p99", "mean"],
+            &["backend", "cancel latency"],
         );
-
-        let run_backend = |db: &Database, sql: &str| -> Result<Vec<u64>> {
-            let mut lat_us = Vec::with_capacity(iters);
-            while lat_us.len() < iters {
+        let run_backend = |db: &Database, sql: &str| -> Vec<f64> {
+            let mut lat = Vec::with_capacity(iters);
+            while lat.len() < iters {
                 let token = CancelToken::unbounded();
                 let t2 = token.clone();
                 let canceller = std::thread::spawn(move || {
@@ -1036,34 +1013,10 @@ impl ExperimentCtx {
                 // Anything else means the statement finished before the
                 // cancel landed (or failed some other way): not a sample.
                 if let Err(JaguarError::Cancelled(_)) = out {
-                    lat_us.push(returned.duration_since(cancelled_at).as_micros() as u64);
+                    lat.push(returned.duration_since(cancelled_at).as_secs_f64());
                 }
             }
-            Ok(lat_us)
-        };
-
-        let mut json_rows = Vec::new();
-        let mut report = |label: &str, mut lat_us: Vec<u64>| {
-            lat_us.sort_unstable();
-            let q = |p: f64| -> u64 {
-                let rank = ((p * lat_us.len() as f64).ceil() as usize).clamp(1, lat_us.len());
-                lat_us[rank - 1]
-            };
-            let mean = lat_us.iter().sum::<u64>() / lat_us.len() as u64;
-            table.row(vec![
-                label.to_string(),
-                lat_us.len().to_string(),
-                format!("{}us", q(0.50)),
-                format!("{}us", q(0.99)),
-                format!("{mean}us"),
-            ]);
-            json_rows.push(format!(
-                "    {{\"backend\": \"{label}\", \"iters\": {}, \"p50_us\": {}, \
-                 \"p99_us\": {}, \"mean_us\": {mean}}}",
-                lat_us.len(),
-                q(0.50),
-                q(0.99),
-            ));
+            lat
         };
 
         // Backend 1: native UDF scan. Each tuple costs ~2ms, so the
@@ -1081,10 +1034,8 @@ impl ExperimentCtx {
                 Ok(args[0].clone())
             },
         );
-        report(
-            "native scan (2ms/tuple)",
-            run_backend(&db, "SELECT bench_nap(a) FROM c")?,
-        );
+        let native = run_backend(&db, "SELECT bench_nap(a) FROM c");
+        table.row(vec!["native scan (2ms/tuple)".into(), Cell::series(native)]);
 
         // Backend 2: in-process VM scan. Each tuple burns ~1.5M
         // interpreted instructions, so cancel latency is bounded by the
@@ -1096,558 +1047,231 @@ impl ExperimentCtx {
              while i < 500000 { i = i + 1; } return x; }",
             jaguar_core::UdfDesign::Sandboxed,
         )?;
-        report(
-            "vm scan (~1.5M insns/tuple)",
-            run_backend(&db, "SELECT bench_spin(a) FROM c")?,
-        );
-
-        table.note("latency = token.cancel() to execute returning Cancelled");
-        let (cores, degraded) = Self::host_profile("cancel");
-        let json = format!(
-            "{{\n  \"experiment\": \"cancel_to_abort\",\n  \
-             \"host_cores\": {cores},\n  \"degraded_host\": {degraded},\n  \
-             \"iters_per_backend\": {iters},\n  \"backends\": [\n{}\n  ]\n}}\n",
-            json_rows.join(",\n")
-        );
-        std::fs::write("BENCH_cancel.json", json)?;
-        table.note("machine-readable copy written to BENCH_cancel.json");
+        let vm = run_backend(&db, "SELECT bench_spin(a) FROM c");
+        table.row(vec!["vm scan (~1.5M insns/tuple)".into(), Cell::series(vm)]);
+        table.note(format!(
+            "{iters} cancels per backend; latency = token.cancel() to execute returning Cancelled"
+        ));
         Ok(table)
     }
 
     /// Morsel-parallel scan speedup (not in the paper — the `sql::par`
     /// runtime). For each UDF design, run the generic-UDF benchmark query
-    /// at dop ∈ {1, 2, 4, 8} on a fresh engine and report latency
-    /// quantiles plus speedup vs dop=1. Isolated designs get a worker
-    /// pool sized to the dop so the planner never clamps. Also writes
-    /// machine-readable `BENCH_parallel.json`.
+    /// at dop ∈ {1, 2, 4, 8}, one engine per dop, in paired rounds, and
+    /// report the time and the speedup vs dop=1. Isolated designs get a
+    /// worker pool sized to the dop so the planner never clamps.
     pub fn parallel(&self) -> Result<Table> {
-        use jaguar_core::Config;
-        let card = self.scale.cardinality();
+        let card = self.card;
         let bytes = 100usize;
         // Enough per-row UDF work that the scan itself is not the
         // bottleneck; speedup then tracks available cores.
         let (indep, dep) = (5_000i64, 2i64);
-        let reps = 5usize;
-        let dops = [1usize, 2, 4, 8];
-        let designs: [(Design, &str); 4] = [
-            (Design::Cpp, "TrustedNative"),
-            (Design::Jsm, "Sandboxed"),
-            (Design::ICpp, "IsolatedNative"),
-            (Design::IJsm, "SandboxedIsolated"),
-        ];
-        // Profile the host *before* measuring: on a single-core runner the
-        // warning should precede minutes of unrepresentative timing, and
-        // speedup is reported (stamped degraded) rather than asserted.
-        let (cores, degraded) = Self::host_profile("parallel");
         let mut t = Table::new(
             "Parallel scan speedup by design and dop (extension)",
-            &["design", "dop", "p50", "p99", "speedup vs dop=1"],
+            &["design", "dop", "time", "speedup vs dop=1"],
         );
-        if degraded {
-            t.note(
-                "single-core host: parallel speedups are unrepresentative; \
-                 figures stamped \"degraded_host\": true, no speedup asserted",
-            );
-        }
-        let mut json_designs = Vec::new();
-        for (d, backend) in designs {
-            if let Some(reason) = self.skip_reason(d) {
-                t.note(reason);
-                continue;
-            }
-            let mut base_p50: Option<f64> = None;
-            let mut json_points = Vec::new();
-            for dop in dops {
-                let mut config = Config::default().with_dop(dop);
-                if d.needs_worker() {
-                    config = config.with_pooled_executors(dop);
-                }
-                let db = Database::with_config(config);
-                build_relation(&db, bytes, card)?;
-                if let Some(pool) = db.worker_pool() {
-                    pool.wait_ready(Duration::from_secs(30));
-                }
-                db.register_udf(def_for(d));
-                let sql = benchmark_query(bytes, card, indep, dep, 0);
-                db.execute(&sql)?; // warm-up: page in the relation
-                let mut lat_us: Vec<u64> = Vec::with_capacity(reps);
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    let r = db.execute(&sql)?;
-                    lat_us.push(start.elapsed().as_micros() as u64);
-                    debug_assert_eq!(r.rows.len(), card);
-                }
-                lat_us.sort_unstable();
-                let q = |p: f64| -> u64 {
-                    let rank = ((p * lat_us.len() as f64).ceil() as usize).clamp(1, lat_us.len());
-                    lat_us[rank - 1]
-                };
-                let (p50, p99) = (q(0.50), q(0.99));
-                let speedup = match base_p50 {
-                    None => {
-                        base_p50 = Some(p50 as f64);
-                        1.0
-                    }
-                    Some(b) => b / (p50 as f64).max(1.0),
-                };
+        let sql = benchmark_query(bytes, card, indep, dep, 0);
+        for d in self.trust_designs() {
+            let dops = [1usize, 2, 4, 8];
+            let dbs = dops
+                .iter()
+                .map(|&dop| {
+                    let db = engine(Config::default().with_dop(dop), d, dop, card)?;
+                    db.register_udf(def_for(d));
+                    Ok(db)
+                })
+                .collect::<Result<Vec<_>>>()?;
+            let runs: Vec<Run> = dops
+                .iter()
+                .zip(&dbs)
+                .map(|(dop, db)| Run::new(format!("dop {dop}"), db, &sql).rows(card))
+                .collect();
+            let (times, _) = rounds(&format!("parallel {}", d.label()), &runs)?;
+            for (dop, time) in dops.iter().zip(&times) {
                 t.row(vec![
-                    format!("{} ({backend})", d.label()),
-                    dop.to_string(),
-                    format!("{p50}us"),
-                    format!("{p99}us"),
-                    format!("{speedup:.2}x"),
+                    d.label().into(),
+                    Cell::from(*dop),
+                    Cell::series(time.clone()),
+                    Cell::ratio(&times[0], time),
                 ]);
-                json_points.push(format!(
-                    "        {{\"dop\": {dop}, \"p50_us\": {p50}, \"p99_us\": {p99}, \
-                     \"speedup_vs_dop1\": {speedup:.3}}}"
-                ));
             }
-            json_designs.push(format!(
-                "    {{\"design\": \"{}\", \"backend\": \"{backend}\", \"points\": [\n{}\n    ]}}",
-                d.label(),
-                json_points.join(",\n")
-            ));
         }
         t.note(format!(
             "{card} invocations, bytearray {bytes}, DataIndepComps={indep}, \
-             DataDepComps={dep}; {cores} core(s) available — speedup is \
-             bounded by the host's core count"
+             DataDepComps={dep}; speedup is bounded by the host's core count"
         ));
-        let json = format!(
-            "{{\n  \"experiment\": \"parallel_scan_speedup\",\n  \
-             \"cardinality\": {card},\n  \"bytearray_bytes\": {bytes},\n  \
-             \"data_indep_comps\": {indep},\n  \"data_dep_comps\": {dep},\n  \
-             \"reps\": {reps},\n  \"host_cores\": {cores},\n  \
-             \"degraded_host\": {degraded},\n  \"designs\": [\n{}\n  ]\n}}\n",
-            json_designs.join(",\n")
-        );
-        std::fs::write("BENCH_parallel.json", json)?;
-        t.note("machine-readable copy written to BENCH_parallel.json");
         Ok(t)
     }
 
     /// Batched-invocation speedup (not in the paper — the `udf::batch`
-    /// subsystem). For each trust design, run the generic-UDF query over
-    /// a dop=1 engine at UDF batch sizes {1, 64, 256, 1024} and report
-    /// latency quantiles plus speedup vs batch=1. The UDF does no work
-    /// (`NumDataIndepComps = NumDataDepComps = 0`), so the measurement
-    /// isolates exactly what batching amortises: the per-invocation
-    /// trust-boundary crossing. Every batched run's rows are checked
-    /// byte-identical to the per-tuple (batch=1) rows — a divergence
-    /// fails the experiment. Writes machine-readable `BENCH_batch.json`.
+    /// subsystem): a no-work UDF per trust design at batch sizes {1, 64,
+    /// 256, 1024}, so what batching amortises, the crossing, is all there
+    /// is. 'crossing speedup' compares times net of the noop baseline run
+    /// in the same round (§5.2); batched rows must equal per-tuple rows.
     pub fn batch(&self) -> Result<Table> {
-        use jaguar_core::Config;
-        let card = self.scale.cardinality();
+        let card = self.card;
         let bytes = 100usize;
-        let reps = 5usize;
         let sizes = [1usize, 64, 256, 1024];
-        let designs: [(Design, &str); 4] = [
-            (Design::Cpp, "TrustedNative"),
-            (Design::Jsm, "Sandboxed"),
-            (Design::ICpp, "IsolatedNative"),
-            (Design::IJsm, "SandboxedIsolated"),
-        ];
         let mut t = Table::new(
             "Batched UDF invocation: one crossing per batch (extension)",
             &[
                 "design",
                 "batch",
-                "p50",
-                "p99",
+                "time",
                 "speedup vs batch=1",
-                "xing speedup",
+                "crossing speedup",
             ],
         );
-        // §5.2 methodology: the noop-native query measures the basic
-        // system cost (scan + filter + projection plumbing); what remains
-        // after subtracting it is the per-design invocation overhead that
-        // batching actually amortises ("xing" = crossing).
-        let noop_p50: u64 = {
-            let db = Database::with_config(Config::default().with_dop(1));
-            build_relation(&db, bytes, card)?;
-            db.register_udf(def_noop());
-            let sql = benchmark_query(bytes, card, 0, 0, 0);
-            db.execute(&sql)?; // warm-up
-            let mut lat: Vec<u64> = (0..reps)
-                .map(|_| -> Result<u64> {
-                    let start = Instant::now();
-                    db.execute(&sql)?;
-                    Ok(start.elapsed().as_micros() as u64)
-                })
-                .collect::<Result<_>>()?;
-            lat.sort_unstable();
-            lat[(lat.len() - 1) / 2]
-        };
-        let mut json_designs = Vec::new();
-        for (d, backend) in designs {
-            if let Some(reason) = self.skip_reason(d) {
-                t.note(reason);
-                continue;
-            }
-            let mut baseline_rows: Option<Vec<jaguar_common::Tuple>> = None;
-            let mut base_p50: Option<f64> = None;
-            let mut base_overhead: Option<f64> = None;
-            let mut json_points = Vec::new();
-            for size in sizes {
-                let mut config = Config::default().with_dop(1).with_udf_batch_size(size);
-                if d.needs_worker() {
-                    // A warm pool keeps process-spawn noise out of the
-                    // measurement; the spawn cost is the `pool` experiment.
-                    config = config.with_pooled_executors(2);
-                }
-                let db = Database::with_config(config);
-                build_relation(&db, bytes, card)?;
-                if let Some(pool) = db.worker_pool() {
-                    pool.wait_ready(Duration::from_secs(30));
-                }
-                db.register_udf(def_for(d));
-                let sql = benchmark_query(bytes, card, 0, 0, 0);
-                let warm = db.execute(&sql)?; // warm-up: page in the relation
-                debug_assert_eq!(warm.rows.len(), card);
-                match &baseline_rows {
-                    None => baseline_rows = Some(warm.rows),
-                    Some(expected) if *expected != warm.rows => {
-                        return Err(JaguarError::Verification(format!(
-                            "{}: batched output (batch={size}) diverges from per-tuple rows",
-                            d.label()
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                let mut lat_us: Vec<u64> = Vec::with_capacity(reps);
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    let r = db.execute(&sql)?;
-                    lat_us.push(start.elapsed().as_micros() as u64);
-                    debug_assert_eq!(r.rows.len(), card);
-                }
-                lat_us.sort_unstable();
-                let q = |p: f64| -> u64 {
-                    let rank = ((p * lat_us.len() as f64).ceil() as usize).clamp(1, lat_us.len());
-                    lat_us[rank - 1]
-                };
-                let (p50, p99) = (q(0.50), q(0.99));
-                let speedup = match base_p50 {
-                    None => {
-                        base_p50 = Some(p50 as f64);
-                        1.0
-                    }
-                    Some(b) => b / (p50 as f64).max(1.0),
-                };
-                // Invocation overhead net of the noop baseline, clamped
-                // at 1µs so ratios stay finite when a design's overhead
-                // disappears into timer noise (C++ typically does).
-                let overhead = p50.saturating_sub(noop_p50).max(1);
-                let xing_speedup = match base_overhead {
-                    None => {
-                        base_overhead = Some(overhead as f64);
-                        1.0
-                    }
-                    Some(b) => b / overhead as f64,
-                };
+        let sql = benchmark_query(bytes, card, 0, 0, 0);
+        for d in self.trust_designs() {
+            let config = |size| Config::default().with_dop(1).with_udf_batch_size(size);
+            // A warm pool keeps process-spawn noise out of the measurement;
+            // the spawn cost is the `pool` experiment.
+            let dbs = sizes
+                .iter()
+                .map(|&size| engine(config(size), d, 2, card))
+                .collect::<Result<Vec<_>>>()?;
+            let runs: Vec<Run> =
+                std::iter::once(Run::new("baseline", &dbs[0], &sql).def(def_noop()))
+                    .chain(sizes.iter().zip(&dbs).map(|(size, db)| {
+                        Run::new(format!("{} batch={size}", d.label()), db, &sql).def(def_for(d))
+                    }))
+                    .map(|r| r.rows(card))
+                    .collect();
+            let cell = format!("batch {}", d.label());
+            let (times, warm) = rounds(&cell, &runs)?;
+            agree(&cell, &runs[1..], &warm[1..])?;
+            let net: Vec<Vec<f64>> = times[1..].iter().map(|x| minus(x, &times[0])).collect();
+            for (i, size) in sizes.iter().enumerate() {
                 t.row(vec![
-                    format!("{} ({backend})", d.label()),
-                    size.to_string(),
-                    format!("{p50}us"),
-                    format!("{p99}us"),
-                    format!("{speedup:.2}x"),
-                    format!("{xing_speedup:.2}x"),
+                    d.label().into(),
+                    Cell::from(*size),
+                    Cell::series(times[i + 1].clone()),
+                    Cell::ratio(&times[1], &times[i + 1]),
+                    Cell::ratio(&net[0], &net[i]),
                 ]);
-                json_points.push(format!(
-                    "        {{\"batch_size\": {size}, \"p50_us\": {p50}, \"p99_us\": {p99}, \
-                     \"speedup_vs_batch1\": {speedup:.3}, \"overhead_p50_us\": {overhead}, \
-                     \"overhead_speedup_vs_batch1\": {xing_speedup:.3}}}"
-                ));
             }
-            json_designs.push(format!(
-                "    {{\"design\": \"{}\", \"backend\": \"{backend}\", \"points\": [\n{}\n    ]}}",
-                d.label(),
-                json_points.join(",\n")
-            ));
         }
-        let (cores, degraded) = Self::host_profile("batch");
         t.note(format!(
             "{card} invocations of a no-work UDF, bytearray {bytes}, dop=1; \
-             every batched run verified byte-identical to batch=1"
+             every batched run verified identical to batch=1"
         ));
-        t.note(format!(
-            "noop-native baseline p50 {noop_p50}us; 'xing speedup' compares \
-             invocation overhead net of that baseline (§5.2 methodology)"
-        ));
-        let json = format!(
-            "{{\n  \"experiment\": \"batched_invocation\",\n  \
-             \"cardinality\": {card},\n  \"bytearray_bytes\": {bytes},\n  \
-             \"reps\": {reps},\n  \"noop_baseline_p50_us\": {noop_p50},\n  \
-             \"host_cores\": {cores},\n  \
-             \"degraded_host\": {degraded},\n  \"designs\": [\n{}\n  ]\n}}\n",
-            json_designs.join(",\n")
-        );
-        std::fs::write("BENCH_batch.json", json)?;
-        t.note("machine-readable copy written to BENCH_batch.json");
         Ok(t)
     }
 
     /// Compiled-tier speedup (not in the paper — the jaguar-tier
     /// compiler). The generic UDF under Design 3 on both engines — the
     /// reference interpreter and the compiled register tier — against
-    /// trusted native and the noop baseline. The sandbox overhead column
-    /// is p50 net of the noop-native query (§5.2 methodology: that is the
-    /// cost the tier compiler attacks); `overhead speedup` is each row's
-    /// overhead relative to the interpreter. Rows are verified
-    /// byte-identical across engines. Writes machine-readable
-    /// `BENCH_tier.json`.
+    /// trusted native, each net of the noop baseline in the same round
+    /// (§5.2 methodology: that is the cost the tier compiler attacks).
+    /// Rows are verified identical across engines.
     pub fn tier(&self) -> Result<Table> {
-        use jaguar_core::Config;
-        use jaguar_udf::generic::def_vm;
-        let card = self.scale.cardinality();
-        let bytes = 100usize;
-        let (indep, dep, callbacks) = (1000i64, 2i64, 0i64);
-        let reps = 5usize;
-
+        let card = self.card;
+        let (indep, dep) = (1000i64, 2i64);
         let mut t = Table::new(
             "Tiered JagScript execution: interpreter vs compiled register tier (extension)",
-            &["tier", "p50", "p99", "overhead p50", "overhead speedup"],
+            &["C++", "JSM interp", "JSM compiled", "compiled speedup"],
         );
-
-        // Renamed to `udf` so the shared benchmark query template applies.
-        let named = |mut def: UdfDef| {
-            def.name = "udf".to_string();
-            def
-        };
-        let variants: [(&str, UdfDef); 4] = [
-            ("noop-native", def_noop()),
-            ("native (C++)", def_for(Design::Cpp)),
-            ("JSM interp", named(def_vm(false, bench_limits()))),
-            ("JSM compiled", named(def_vm(true, bench_limits()))),
-        ];
-
-        let mut noop_p50: Option<u64> = None;
-        let mut expected_rows: Option<Vec<jaguar_common::Tuple>> = None;
-        let mut measured: Vec<(&str, u64, u64, u64)> = Vec::new();
-        for (label, def) in variants {
-            let is_noop = label == "noop-native";
-            let db = Database::with_config(Config::default().with_dop(1));
-            build_relation(&db, bytes, card)?;
-            db.register_udf(def);
-            let sql = benchmark_query(bytes, card, indep, dep, callbacks);
-            // Warm-up pages in the relation before anything is timed.
-            let warm = db.execute(&sql)?;
-            debug_assert_eq!(warm.rows.len(), card);
-            if !is_noop {
-                // Every real variant computes the same function: native
-                // and both JSM engines must produce identical rows.
-                match &expected_rows {
-                    None => expected_rows = Some(warm.rows),
-                    Some(expected) if *expected != warm.rows => {
-                        return Err(JaguarError::Verification(format!(
-                            "{label}: output diverges from the reference rows"
-                        )));
-                    }
-                    Some(_) => {}
-                }
-            }
-            let mut lat_us: Vec<u64> = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let start = Instant::now();
-                let r = db.execute(&sql)?;
-                lat_us.push(start.elapsed().as_micros() as u64);
-                debug_assert_eq!(r.rows.len(), card);
-            }
-            lat_us.sort_unstable();
-            let q = |p: f64| -> u64 {
-                let rank = ((p * lat_us.len() as f64).ceil() as usize).clamp(1, lat_us.len());
-                lat_us[rank - 1]
-            };
-            let (p50, p99) = (q(0.50), q(0.99));
-            if is_noop {
-                noop_p50 = Some(p50);
-                continue; // the baseline itself has no overhead row
-            }
-            // Overhead net of the noop baseline, clamped at 1µs so the
-            // ratio stays finite when it disappears into timer noise.
-            let overhead = p50
-                .saturating_sub(noop_p50.expect("noop measured first"))
-                .max(1);
-            measured.push((label, p50, p99, overhead));
-        }
-
-        // The interpreter is the reference: every row's `overhead speedup`
-        // is its overhead relative to that engine (the compiled tier's
-        // value is the headline number).
-        let interp_overhead = measured
-            .iter()
-            .find(|(l, ..)| *l == "JSM interp")
-            .map(|(_, _, _, o)| *o as f64)
-            .expect("interpreter measured");
-        let mut json_tiers = Vec::new();
-        for (label, p50, p99, overhead) in &measured {
-            let speedup = interp_overhead / *overhead as f64;
-            t.row(vec![
-                label.to_string(),
-                format!("{p50}us"),
-                format!("{p99}us"),
-                format!("{overhead}us"),
-                format!("{speedup:.2}x"),
-            ]);
-            json_tiers.push(format!(
-                "    {{\"tier\": \"{label}\", \"p50_us\": {p50}, \"p99_us\": {p99}, \
-                 \"overhead_p50_us\": {overhead}, \
-                 \"overhead_speedup_vs_interp\": {speedup:.3}}}"
-            ));
-        }
-        let (cores, degraded) = Self::host_profile("tier");
+        let designs = [Design::Cpp, Design::JsmBaseline, Design::Jsm];
+        let sql = benchmark_query(100, card, indep, dep, 0);
+        t.row(self.net_row("tier", &sql, &designs, &[(1, 2)])?);
+        self.per_tuple_note(&mut t, "100");
         t.note(format!(
-            "{card} invocations, bytearray {bytes}, DataIndepComps={indep}, \
-             DataDepComps={dep}; noop-native baseline p50 {}us; the module \
-             is compiled when verified and every call runs compiled; rows \
-             verified identical across JSM engines",
-            noop_p50.unwrap_or(0)
+            "DataIndepComps={indep}, DataDepComps={dep}; the module is compiled \
+             when verified and every call runs compiled"
         ));
-        let json = format!(
-            "{{\n  \"experiment\": \"tier\",\n  \
-             \"cardinality\": {card},\n  \"bytearray_bytes\": {bytes},\n  \
-             \"data_indep_comps\": {indep},\n  \"data_dep_comps\": {dep},\n  \
-             \"reps\": {reps},\n  \"noop_baseline_p50_us\": {},\n  \
-             \"host_cores\": {cores},\n  \"degraded_host\": {degraded},\n  \
-             \"tiers\": [\n{}\n  ]\n}}\n",
-            noop_p50.unwrap_or(0),
-            json_tiers.join(",\n")
-        );
-        std::fs::write("BENCH_tier.json", json)?;
-        t.note("machine-readable copy written to BENCH_tier.json");
         Ok(t)
     }
 
     /// E14 — what the query optimizer recovers (not in the paper — the
-    /// `sql::optimize` passes). Three passes, each measured as an
-    /// optimized/unoptimized pair on otherwise identical engines:
-    ///
-    /// * **inline** — a straight-line JagScript UDF under both sandboxed
-    ///   designs, registered `Stable` (backend call path) vs `Immutable`
-    ///   (an in-engine slot). In-engine runs are verified to compute
-    ///   identical rows with **zero** backend invocations.
-    /// * **memo** — an `Immutable` generic UDF over a zipf-like (90/10)
-    ///   key column, memo cache enabled vs disabled
-    ///   (`udf_memo_bytes = 0`), for all four trust designs.
-    /// * **reorder** — a UDF predicate written before a cheap native
-    ///   predicate, `Volatile` registration (pinned to written order) vs
-    ///   `Stable` (reorderable past it).
-    ///
-    /// Writes machine-readable `BENCH_opt.json`.
+    /// `sql::optimize` passes), each pass an unoptimized/optimized pair of
+    /// otherwise identical engines with the pair's rows verified identical:
+    /// **inline** (a straight-line JagScript UDF `Stable` vs `Immutable`,
+    /// which must make zero backend invocations), **memo** (an `Immutable`
+    /// generic UDF over zipf-like keys, memo cache off vs on) and
+    /// **reorder** (a UDF predicate written first, `Volatile` vs `Stable`).
     pub fn opt(&self) -> Result<Table> {
         use jaguar_common::rng::SplitMix64;
-        use jaguar_core::{Config, DataType, UdfDesign, UdfSignature};
+        use jaguar_core::{DataType, Tuple, UdfDesign, UdfSignature};
         use jaguar_udf::Volatility;
-        let card = self.scale.cardinality();
-        let reps = 5usize;
+        let card = self.card;
         let mut t = Table::new(
             "E14 — optimizer passes: inlining, memoization, predicate reordering (extension)",
-            &["pass", "design", "variant", "p50", "p99", "speedup"],
+            &["pass", "design", "variant", "time", "speedup"],
         );
-        let mut json_passes: Vec<String> = Vec::new();
-
-        let quantiles = |lat_us: &mut Vec<u64>| -> (u64, u64) {
-            lat_us.sort_unstable();
-            let q = |p: f64| -> u64 {
-                let rank = ((p * lat_us.len() as f64).ceil() as usize).clamp(1, lat_us.len());
-                lat_us[rank - 1]
-            };
-            (q(0.50), q(0.99))
+        // One unoptimized/optimized pair of dop-1 engines, each holding
+        // `rel100` and set up by `setup(db, variant)`: paired rounds,
+        // identical rows, one table row per variant. Returns the warm-up
+        // results.
+        let mut pair = |pass: &str,
+                        d: Design,
+                        variants: [(&str, Config); 2],
+                        setup: &dyn Fn(&Database, usize) -> Result<()>,
+                        sql: &str| {
+            let mut dbs = Vec::new();
+            for (i, (_, config)) in variants.iter().enumerate() {
+                let db = engine(config.clone().with_dop(1), d, 2, card)?;
+                setup(&db, i)?;
+                dbs.push(db);
+            }
+            let runs = [0, 1].map(|i| Run::new(variants[i].0, &dbs[i], sql));
+            let cell = format!("{pass}/{}", d.label());
+            let (times, warm) = rounds(&cell, &runs)?;
+            agree(&cell, &runs, &warm)?;
+            for (run, time) in runs.iter().zip(&times) {
+                t.row(vec![
+                    pass.into(),
+                    d.label().into(),
+                    run.label.as_str().into(),
+                    Cell::series(time.clone()),
+                    Cell::ratio(&times[0], time),
+                ]);
+            }
+            Ok::<_, JaguarError>(warm)
         };
+        let plain = || [Config::default(), Config::default()];
 
         // ---- pass 1: in-engine slots -------------------------------------
-        let poly_src = "fn main(a: i64, b: i64) -> i64 {
-            if a < b { return a * 3 + b; }
-            return a - b;
-        }";
-        for (design, dlabel, needs_worker) in [
-            (UdfDesign::Sandboxed, "JSM", false),
-            (UdfDesign::SandboxedIsolated, "IJSM", true),
+        for (design, d) in [
+            (UdfDesign::Sandboxed, Design::Jsm),
+            (UdfDesign::SandboxedIsolated, Design::IJsm),
         ] {
-            if needs_worker && !self.worker_available {
-                t.note(format!(
-                    "inline/{dlabel} skipped: jaguar-worker binary not found"
-                ));
+            if !self.runs(d) {
                 continue;
             }
-            let mut expected_rows: Option<Vec<jaguar_common::Tuple>> = None;
-            let mut base_p50: Option<f64> = None;
-            let mut json_points = Vec::new();
-            for (variant, vol) in [
-                ("called", Volatility::Stable),
-                ("inlined", Volatility::Immutable),
-            ] {
-                let mut config = Config::default().with_dop(1);
-                if needs_worker {
-                    config = config.with_pooled_executors(2);
-                }
-                let db = Database::with_config(config);
+            let setup = |db: &Database, variant: usize| {
                 db.execute("CREATE TABLE nums (a INT, b INT)")?;
                 let table = db.catalog().table("nums")?;
                 for i in 0..card as i64 {
-                    table.insert(jaguar_common::Tuple::new(vec![
-                        Value::Int(i),
-                        Value::Int(i % 97),
-                    ]))?;
-                }
-                if let Some(pool) = db.worker_pool() {
-                    pool.wait_ready(Duration::from_secs(30));
+                    table.insert(Tuple::new(vec![Value::Int(i), Value::Int(i % 97)]))?;
                 }
                 db.register_jagscript_udf_with_volatility(
                     "udf_poly",
                     UdfSignature::new(vec![DataType::Int, DataType::Int], DataType::Int),
-                    poly_src,
+                    "fn main(a: i64, b: i64) -> i64 {
+                        if a < b { return a * 3 + b; }
+                        return a - b;
+                    }",
                     design.clone(),
-                    vol,
-                )?;
-                let sql = "SELECT a, udf_poly(a, b) FROM nums";
-                let warm = db.execute(sql)?;
-                match &expected_rows {
-                    None => expected_rows = Some(warm.rows),
-                    Some(expected) if *expected != warm.rows => {
-                        return Err(JaguarError::Verification(format!(
-                            "inline/{dlabel}: {variant} rows diverge from the call path"
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                if variant == "inlined" && warm.stats.udf_invocations != 0 {
-                    return Err(JaguarError::Verification(format!(
-                        "inline/{dlabel}: inlined run still invoked the backend {} time(s)",
-                        warm.stats.udf_invocations
-                    )));
-                }
-                let mut lat_us: Vec<u64> = Vec::with_capacity(reps);
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    db.execute(sql)?;
-                    lat_us.push(start.elapsed().as_micros() as u64);
-                }
-                let (p50, p99) = quantiles(&mut lat_us);
-                let speedup = match base_p50 {
-                    None => {
-                        base_p50 = Some(p50 as f64);
-                        1.0
-                    }
-                    Some(b) => b / (p50 as f64).max(1.0),
-                };
-                t.row(vec![
-                    "inline".into(),
-                    dlabel.into(),
-                    variant.into(),
-                    format!("{p50}us"),
-                    format!("{p99}us"),
-                    format!("{speedup:.2}x"),
-                ]);
-                json_points.push(format!(
-                    "        {{\"variant\": \"{variant}\", \"p50_us\": {p50}, \
-                     \"p99_us\": {p99}, \"speedup_vs_baseline\": {speedup:.3}}}"
-                ));
+                    [Volatility::Stable, Volatility::Immutable][variant],
+                )
+            };
+            let [a, b] = plain();
+            let variants = [("called", a), ("inlined", b)];
+            let warm = pair(
+                "inline",
+                d,
+                variants,
+                &setup,
+                "SELECT a, udf_poly(a, b) FROM nums",
+            )?;
+            if warm[1].stats.udf_invocations != 0 {
+                return Err(JaguarError::Verification(format!(
+                    "inline/{}: inlined run still invoked the backend {} time(s)",
+                    d.label(),
+                    warm[1].stats.udf_invocations
+                )));
             }
-            json_passes.push(format!(
-                "    {{\"pass\": \"inline\", \"design\": \"{dlabel}\", \"points\": [\n{}\n    ]}}",
-                json_points.join(",\n")
-            ));
         }
 
         // ---- pass 2: deterministic memoization on zipf-like keys ---------
@@ -1655,28 +1279,8 @@ impl ExperimentCtx {
         // uniform tail of 1024 — an Immutable UDF re-sees hot arguments
         // constantly, which is exactly what the memo cache amortises.
         let (indep, dep) = (3000i64, 2i64);
-        let memo_designs: [(Design, &str); 4] = [
-            (Design::Cpp, "C++"),
-            (Design::Jsm, "JSM"),
-            (Design::ICpp, "IC++"),
-            (Design::IJsm, "IJSM"),
-        ];
-        for (d, dlabel) in memo_designs {
-            if let Some(reason) = self.skip_reason(d) {
-                t.note(format!("memo/{dlabel} skipped: {reason}"));
-                continue;
-            }
-            let mut expected_rows: Option<Vec<jaguar_common::Tuple>> = None;
-            let mut base_p50: Option<f64> = None;
-            let mut json_points = Vec::new();
-            for (variant, memo_bytes) in [("memo off", 0usize), ("memo on", 1usize << 20)] {
-                let mut config = Config::default()
-                    .with_dop(1)
-                    .with_udf_memo_bytes(memo_bytes);
-                if d.needs_worker() {
-                    config = config.with_pooled_executors(2);
-                }
-                let db = Database::with_config(config);
+        for d in self.trust_designs() {
+            let setup = |db: &Database, _| {
                 db.execute("CREATE TABLE zipf (id INT, bytearray BYTEARRAY)")?;
                 let table = db.catalog().table("zipf")?;
                 let mut rng = SplitMix64::new(0x21F);
@@ -1686,57 +1290,18 @@ impl ExperimentCtx {
                     } else {
                         8 + rng.next_below(1024)
                     };
-                    table.insert(jaguar_common::Tuple::new(vec![
+                    table.insert(Tuple::new(vec![
                         Value::Int(i as i64),
                         Value::Bytes(jaguar_common::ByteArray::patterned(100, key)),
                     ]))?;
                 }
-                if let Some(pool) = db.worker_pool() {
-                    pool.wait_ready(Duration::from_secs(30));
-                }
                 db.register_udf(def_for(d).with_volatility(Volatility::Immutable));
-                let sql = format!("SELECT udf(Z.bytearray, {indep}, {dep}, 0) FROM zipf Z");
-                let warm = db.execute(&sql)?;
-                match &expected_rows {
-                    None => expected_rows = Some(warm.rows),
-                    Some(expected) if *expected != warm.rows => {
-                        return Err(JaguarError::Verification(format!(
-                            "memo/{dlabel}: cached rows diverge from uncached rows"
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                let mut lat_us: Vec<u64> = Vec::with_capacity(reps);
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    db.execute(&sql)?;
-                    lat_us.push(start.elapsed().as_micros() as u64);
-                }
-                let (p50, p99) = quantiles(&mut lat_us);
-                let speedup = match base_p50 {
-                    None => {
-                        base_p50 = Some(p50 as f64);
-                        1.0
-                    }
-                    Some(b) => b / (p50 as f64).max(1.0),
-                };
-                t.row(vec![
-                    "memo".into(),
-                    dlabel.into(),
-                    variant.into(),
-                    format!("{p50}us"),
-                    format!("{p99}us"),
-                    format!("{speedup:.2}x"),
-                ]);
-                json_points.push(format!(
-                    "        {{\"variant\": \"{variant}\", \"p50_us\": {p50}, \
-                     \"p99_us\": {p99}, \"speedup_vs_baseline\": {speedup:.3}}}"
-                ));
-            }
-            json_passes.push(format!(
-                "    {{\"pass\": \"memo\", \"design\": \"{dlabel}\", \"points\": [\n{}\n    ]}}",
-                json_points.join(",\n")
-            ));
+                Ok(())
+            };
+            let memo = |bytes| Config::default().with_udf_memo_bytes(bytes);
+            let variants = [("memo off", memo(0)), ("memo on", memo(1 << 20))];
+            let sql = format!("SELECT udf(Z.bytearray, {indep}, {dep}, 0) FROM zipf Z");
+            pair("memo", d, variants, &setup, &sql)?;
         }
 
         // ---- pass 3: cost-based predicate reordering ---------------------
@@ -1745,78 +1310,23 @@ impl ExperimentCtx {
         // written position (every row pays a crossing); Stable lets the
         // optimizer run the free predicate first.
         let keep = (card / 20).max(1);
-        for (d, dlabel) in memo_designs {
-            if let Some(reason) = self.skip_reason(d) {
-                t.note(format!("reorder/{dlabel} skipped: {reason}"));
-                continue;
-            }
-            let mut expected_rows: Option<Vec<jaguar_common::Tuple>> = None;
-            let mut base_p50: Option<f64> = None;
-            let mut json_points = Vec::new();
-            for (variant, vol) in [
-                ("pinned (Volatile)", Volatility::Volatile),
-                ("reordered (Stable)", Volatility::Stable),
-            ] {
-                let mut config = Config::default().with_dop(1);
-                if d.needs_worker() {
-                    config = config.with_pooled_executors(2);
-                }
-                let db = Database::with_config(config);
-                build_relation(&db, 100, card)?;
-                if let Some(pool) = db.worker_pool() {
-                    pool.wait_ready(Duration::from_secs(30));
-                }
+        for d in self.trust_designs() {
+            let setup = |db: &Database, variant: usize| {
+                let vol = [Volatility::Volatile, Volatility::Stable][variant];
                 db.register_udf(def_for(d).with_volatility(vol));
-                let sql = format!(
-                    "SELECT R.id FROM rel100 R WHERE udf(R.bytearray, 50, 0, 0) >= 0 AND R.id < {keep}"
-                );
-                let warm = db.execute(&sql)?;
-                match &expected_rows {
-                    None => expected_rows = Some(warm.rows),
-                    Some(expected) if *expected != warm.rows => {
-                        return Err(JaguarError::Verification(format!(
-                            "reorder/{dlabel}: reordered rows diverge from written order"
-                        )));
-                    }
-                    Some(_) => {}
-                }
-                let mut lat_us: Vec<u64> = Vec::with_capacity(reps);
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    db.execute(&sql)?;
-                    lat_us.push(start.elapsed().as_micros() as u64);
-                }
-                let (p50, p99) = quantiles(&mut lat_us);
-                let speedup = match base_p50 {
-                    None => {
-                        base_p50 = Some(p50 as f64);
-                        1.0
-                    }
-                    Some(b) => b / (p50 as f64).max(1.0),
-                };
-                t.row(vec![
-                    "reorder".into(),
-                    dlabel.into(),
-                    variant.into(),
-                    format!("{p50}us"),
-                    format!("{p99}us"),
-                    format!("{speedup:.2}x"),
-                ]);
-                json_points.push(format!(
-                    "        {{\"variant\": \"{variant}\", \"p50_us\": {p50}, \
-                     \"p99_us\": {p99}, \"speedup_vs_baseline\": {speedup:.3}}}"
-                ));
-            }
-            json_passes.push(format!(
-                "    {{\"pass\": \"reorder\", \"design\": \"{dlabel}\", \"points\": [\n{}\n    ]}}",
-                json_points.join(",\n")
-            ));
+                Ok(())
+            };
+            let [a, b] = plain();
+            let variants = [("pinned (Volatile)", a), ("reordered (Stable)", b)];
+            let sql = format!(
+                "SELECT R.id FROM rel100 R WHERE udf(R.bytearray, 50, 0, 0) >= 0 AND R.id < {keep}"
+            );
+            pair("reorder", d, variants, &setup, &sql)?;
         }
 
-        let (cores, degraded) = Self::host_profile("opt");
         t.note(format!(
-            "{card}-row relations, dop=1; every optimized run verified \
-             row-identical to its unoptimized twin"
+            "{card}-row relations, dop=1, isolated designs on a 2-worker pool; every \
+             optimized run verified row-identical to its unoptimized twin"
         ));
         t.note(
             "inline: straight-line JagScript, Stable=call path vs Immutable=in-engine \
@@ -1824,69 +1334,34 @@ impl ExperimentCtx {
              cache off vs on; reorder: UDF predicate written first, Volatile=pinned \
              vs Stable=reorderable",
         );
-        let json = format!(
-            "{{\n  \"experiment\": \"opt_passes\",\n  \
-             \"cardinality\": {card},\n  \"reps\": {reps},\n  \
-             \"memo_data_indep_comps\": {indep},\n  \"memo_data_dep_comps\": {dep},\n  \
-             \"reorder_keep_rows\": {keep},\n  \
-             \"host_cores\": {cores},\n  \"degraded_host\": {degraded},\n  \
-             \"passes\": [\n{}\n  ]\n}}\n",
-            json_passes.join(",\n")
-        );
-        std::fs::write("BENCH_opt.json", json)?;
-        t.note("machine-readable copy written to BENCH_opt.json");
         Ok(t)
     }
 
-    /// Security overhead (not in the paper — the jaguar-sec subsystem):
-    /// label enforcement and encryption at rest, each measured against an
-    /// unsecured twin computing the same result.
-    ///
-    /// * **labels** — a labeled scan with a generic-UDF projection run as
-    ///   a tenant principal, against the system principal running the same
-    ///   query with the tenant predicate written by hand (the twin carries
-    ///   exactly the predicate the rewrite injects, so the delta is
-    ///   authorization + rewrite cost, not filtering cost). Every secured
-    ///   rep's rows are verified equal to the twin's; any divergence fails
-    ///   the experiment.
-    /// * **encryption** — per [`jaguar_core::SyncMode`], the WAL insert
-    ///   workload plus a cold-reopen full scan, encrypted vs plaintext,
-    ///   with the row sets verified identical across the pair.
-    ///
-    /// Writes machine-readable `BENCH_sec.json`.
+    /// Security overhead (not in the paper — the jaguar-sec subsystem),
+    /// each against an unsecured twin computing the same rows: a labeled
+    /// scan run as a tenant vs the same query with the tenant predicate
+    /// written by hand (so the delta is authorization + rewrite, not
+    /// filtering), and per sync mode, INSERTs into an encrypted vs a
+    /// plaintext database, each then reopened cold and scanned.
     pub fn sec(&self) -> Result<Table> {
-        use jaguar_core::{Config, SessionContext, SyncMode, Tuple};
-        let card = self.scale.cardinality();
-        let reps = 9usize;
-        let (cores, degraded) = Self::host_profile("sec");
+        use jaguar_core::Tuple;
+        let card = self.card;
         let mut t = Table::new(
             "Security overhead: labels and encryption at rest (extension)",
-            &["measurement", "secured p50", "unsecured p50", "overhead"],
+            &["measurement", "secured", "unsecured", "overhead"],
         );
-        let quantile = |lat: &mut Vec<u64>, p: f64| -> u64 {
-            lat.sort_unstable();
-            let rank = ((p * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-            lat[rank - 1]
-        };
-        let norm = |rows: &[Tuple]| -> Vec<String> {
-            let mut v: Vec<String> = rows.iter().map(|r| format!("{r:?}")).collect();
-            v.sort();
-            v
-        };
 
         // --- label enforcement ---------------------------------------
         let db = Database::with_config(Config::default().with_dop(1));
         db.execute("CREATE TABLE sec_rel (id INT, tenant VARCHAR, bytearray BYTEARRAY)")?;
-        {
-            let rel = db.catalog().table("sec_rel")?;
-            for i in 0..card {
-                let tenant = if i % 2 == 0 { "tech" } else { "energy" };
-                rel.insert(Tuple::new(vec![
-                    Value::Int(i as i64),
-                    Value::Str(tenant.into()),
-                    Value::Bytes(jaguar_core::ByteArray::patterned(100, i as u64)),
-                ]))?;
-            }
+        let rel = db.catalog().table("sec_rel")?;
+        for i in 0..card {
+            let tenant = if i % 2 == 0 { "tech" } else { "energy" };
+            rel.insert(Tuple::new(vec![
+                Value::Int(i as i64),
+                Value::Str(tenant.into()),
+                Value::Bytes(jaguar_core::ByteArray::patterned(100, i as u64)),
+            ]))?;
         }
         db.register_udf(def_for(Design::Cpp));
         db.set_table_label(
@@ -1896,195 +1371,124 @@ impl ExperimentCtx {
         let alice = SessionContext::new("alice")
             .with_attr("tenant", "tech")
             .with_attr("role", "member");
-        let secured_sql = "SELECT id, udf(bytearray, 50, 1, 0) FROM sec_rel WHERE id % 3 <> 1";
-        let twin_sql = "SELECT id, udf(bytearray, 50, 1, 0) FROM sec_rel \
-                        WHERE tenant = 'tech' AND id % 3 <> 1";
-        let reference = norm(&db.execute(twin_sql)?.rows); // also the warm-up
-        let secured = Request::from(secured_sql).with_session(&alice);
-        let _ = db.execute(secured)?;
-        let (mut sec_us, mut twin_us) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-        for _ in 0..reps {
-            let start = Instant::now();
-            let r = db.execute(secured)?;
-            sec_us.push(start.elapsed().as_micros() as u64);
-            if norm(&r.rows) != reference {
-                return Err(JaguarError::Other(
-                    "label-secured rows diverged from the unsecured twin".into(),
-                ));
-            }
-            let start = Instant::now();
-            db.execute(twin_sql)?;
-            twin_us.push(start.elapsed().as_micros() as u64);
-        }
-        let (sec_p50, sec_p99) = (quantile(&mut sec_us, 0.50), quantile(&mut sec_us, 0.99));
-        let (twin_p50, twin_p99) = (quantile(&mut twin_us, 0.50), quantile(&mut twin_us, 0.99));
-        let label_overhead_pct =
-            (sec_p50 as f64 - twin_p50 as f64) * 100.0 / (twin_p50 as f64).max(1.0);
+        let secured = Run {
+            session: Some(&alice),
+            ..Run::new(
+                "row label",
+                &db,
+                "SELECT id, udf(bytearray, 50, 1, 0) FROM sec_rel WHERE id % 3 <> 1",
+            )
+        };
+        let twin = Run::new(
+            "hand-filtered twin",
+            &db,
+            "SELECT id, udf(bytearray, 50, 1, 0) FROM sec_rel \
+             WHERE tenant = 'tech' AND id % 3 <> 1",
+        );
+        let runs = [secured, twin];
+        let (times, warm) = rounds("sec labels", &runs)?;
+        agree("sec labels", &runs, &warm)?;
         t.row(vec![
             "row label (rewrite + filter)".into(),
-            format!("{sec_p50}us"),
-            format!("{twin_p50}us"),
-            format!("{label_overhead_pct:.1}%"),
+            Cell::series(times[0].clone()),
+            Cell::series(times[1].clone()),
+            Cell::ratio(&times[0], &times[1]),
         ]);
 
         // --- encryption at rest --------------------------------------
-        let inserts = match self.scale {
-            Scale::Paper => 1_000usize,
-            Scale::Quick => 200,
-        };
-        let mut json_modes = Vec::new();
-        for (mode, label) in [
-            (SyncMode::Off, "off"),
-            (SyncMode::Normal, "normal"),
-            (SyncMode::Full, "full"),
-        ] {
-            // (insert p50, insert p99, cold scan us, normalized rows)
-            let mut pair: Vec<(u64, u64, u64, Vec<String>)> = Vec::new();
-            for encrypted in [false, true] {
-                let dir = std::env::temp_dir().join(format!(
-                    "jaguar-bench-sec-{label}-{}-{}",
-                    if encrypted { "enc" } else { "plain" },
-                    std::process::id()
-                ));
-                let _ = std::fs::remove_dir_all(&dir);
-                std::fs::create_dir_all(&dir)?;
-                let mut config = Config::default().with_sync_mode(mode);
-                if encrypted {
-                    config = config.with_encryption_key("bench-passphrase");
-                }
-                let db = Database::open(&dir, config.clone())?;
+        let inserts = self.pick(1_000, 200);
+        for (mode, label) in SYNC_MODES {
+            let plain = Config::default().with_sync_mode(mode);
+            let configs = [plain.clone(), plain.with_encryption_key("bench-passphrase")];
+            let mut twins = Vec::new();
+            for (config, variant) in configs.iter().zip(["plain", "enc"]) {
+                let dir = TempDir::new(&format!("sec-{label}-{variant}"))?;
+                let db = Database::open(&dir.0, config.clone())?;
                 db.execute("CREATE TABLE events (id INT, payload BYTEARRAY)")?;
-                let mut lat_us = Vec::with_capacity(inserts);
-                for i in 0..inserts {
-                    let sql = format!(
-                        "INSERT INTO events VALUES ({i}, X'0102030405060708090A0B0C0D0E0F10')"
-                    );
+                twins.push((dir, db, Vec::with_capacity(inserts)));
+            }
+            // Alternate the twins, so insert i of each shares the host's state.
+            for i in 0..inserts {
+                let sql =
+                    format!("INSERT INTO events VALUES ({i}, X'0102030405060708090A0B0C0D0E0F10')");
+                for (_, db, lat) in &mut twins {
                     let start = Instant::now();
                     db.execute(&sql)?;
-                    lat_us.push(start.elapsed().as_micros() as u64);
+                    lat.push(start.elapsed().as_secs_f64());
                 }
+            }
+            let (mut rows, mut lat) = (Vec::new(), Vec::new());
+            for ((dir, db, times), config) in twins.into_iter().zip(configs) {
                 db.checkpoint()?;
                 drop(db);
                 // Cold reopen: the scan pays the page-open (decrypt) cost.
-                let db = Database::open(&dir, config)?;
-                let start = Instant::now();
-                let r = db.execute("SELECT id FROM events")?;
-                let scan_us = start.elapsed().as_micros() as u64;
-                drop(db);
-                let _ = std::fs::remove_dir_all(&dir);
-                pair.push((
-                    quantile(&mut lat_us, 0.50),
-                    quantile(&mut lat_us, 0.99),
-                    scan_us,
-                    norm(&r.rows),
-                ));
+                rows.push(
+                    Database::open(&dir.0, config)?
+                        .execute("SELECT id FROM events")?
+                        .rows,
+                );
+                lat.push(times);
             }
-            let (plain, enc) = (&pair[0], &pair[1]);
-            if plain.3 != enc.3 {
-                return Err(JaguarError::Other(format!(
-                    "encrypted rows diverged from the plaintext twin (sync={label})"
+            if rows[0] != rows[1] {
+                return Err(JaguarError::Verification(format!(
+                    "sec encryption: encrypted rows diverged from the plaintext twin (sync={label})"
                 )));
             }
-            let insert_overhead_pct =
-                (enc.0 as f64 - plain.0 as f64) * 100.0 / (plain.0 as f64).max(1.0);
             t.row(vec![
-                format!("page encryption, insert (sync={label})"),
-                format!("{}us", enc.0),
-                format!("{}us", plain.0),
-                format!("{insert_overhead_pct:.1}%"),
+                Cell::text(format!("page encryption, insert (sync={label})")),
+                Cell::series(lat[1].clone()),
+                Cell::series(lat[0].clone()),
+                Cell::ratio(&lat[1], &lat[0]),
             ]);
-            json_modes.push(format!(
-                "      {{\"sync_mode\": \"{label}\", \"plain_insert_p50_us\": {}, \
-                 \"plain_insert_p99_us\": {}, \"encrypted_insert_p50_us\": {}, \
-                 \"encrypted_insert_p99_us\": {}, \"insert_overhead_pct\": {:.2}, \
-                 \"plain_cold_scan_us\": {}, \"encrypted_cold_scan_us\": {}, \
-                 \"rows_verified\": true}}",
-                plain.0, plain.1, enc.0, enc.1, insert_overhead_pct, plain.2, enc.2
-            ));
         }
         t.note(format!(
-            "label run: {card}-row relation, {reps} reps, rows verified against the \
-             hand-filtered twin every rep; target overhead < 10%"
+            "label run: {card}-row relation, {REPS} paired rounds, rows verified against the \
+             hand-filtered twin; target overhead < 1.10"
         ));
         t.note(format!(
-            "encryption run: {inserts} single-row INSERTs per sync mode + cold-reopen scan, \
-             encrypted vs plaintext twins row-verified"
+            "encryption run: {inserts} single-row INSERTs per sync mode, alternating encrypted \
+             and plaintext; each then reopened cold and its rows verified identical"
         ));
-        let json = format!(
-            "{{\n  \"experiment\": \"security_overhead\",\n  \"cardinality\": {card},\n  \
-             \"reps\": {reps},\n  \"host_cores\": {cores},\n  \"degraded_host\": {degraded},\n  \
-             \"label\": {{\"secured_p50_us\": {sec_p50}, \"secured_p99_us\": {sec_p99}, \
-             \"unsecured_p50_us\": {twin_p50}, \"unsecured_p99_us\": {twin_p99}, \
-             \"overhead_pct\": {label_overhead_pct:.2}, \"target_pct\": 10.0, \
-             \"rows_verified\": true}},\n  \
-             \"encryption\": {{\"inserts_per_mode\": {inserts}, \"modes\": [\n{}\n  ]}}\n}}\n",
-            json_modes.join(",\n")
-        );
-        std::fs::write("BENCH_sec.json", json)?;
-        t.note("machine-readable copy written to BENCH_sec.json");
         Ok(t)
     }
 
     /// Every experiment, in paper order.
     pub fn all(&self) -> Result<Vec<Table>> {
-        Ok(vec![
-            self.table1()?,
-            self.fig4()?,
-            self.fig5()?,
-            self.fig6()?,
-            self.fig7()?,
-            self.fig8()?,
-            self.ablation_sfi()?,
-            self.ablation_jit()?,
-            self.ablation_fuel()?,
-            self.ablation_index()?,
-            self.pool()?,
-            self.shipping()?,
-            self.wal()?,
-            self.cancel()?,
-            self.parallel()?,
-            self.batch()?,
-            self.tier()?,
-            self.opt()?,
-            self.sec()?,
-        ])
+        EXPERIMENTS.iter().map(|(id, _)| self.by_name(id)).collect()
     }
 
-    /// Run one experiment by id.
+    /// Run one experiment by id and write its `BENCH_<id>.json`.
     pub fn by_name(&self, name: &str) -> Result<Table> {
-        match name {
-            "table1" => self.table1(),
-            "fig4" => self.fig4(),
-            "fig5" => self.fig5(),
-            "fig6" => self.fig6(),
-            "fig7" => self.fig7(),
-            "fig8" => self.fig8(),
-            "sfi" => self.ablation_sfi(),
-            "jit" => self.ablation_jit(),
-            "fuel" => self.ablation_fuel(),
-            "index" => self.ablation_index(),
-            "pool" => self.pool(),
-            "shipping" => self.shipping(),
-            "wal" => self.wal(),
-            "cancel" => self.cancel(),
-            "parallel" => self.parallel(),
-            "batch" => self.batch(),
-            "tier" => self.tier(),
-            "opt" => self.opt(),
-            "sec" => self.sec(),
-            other => Err(JaguarError::Other(format!(
-                "unknown experiment '{other}' (try table1, fig4..fig8, sfi, jit, fuel, index, pool, shipping, wal, cancel, parallel, batch, tier, opt, sec)"
-            ))),
+        let Some((id, run)) = EXPERIMENTS.iter().find(|(id, _)| *id == name) else {
+            let ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+            return Err(JaguarError::Other(format!(
+                "unknown experiment '{name}' (try {})",
+                ids.join(", ")
+            )));
+        };
+        let mut table = run(self)?;
+        if !self.worker_available {
+            table.note(
+                "IC++ and IJSM skipped: jaguar-worker binary not found (cargo build --workspace)",
+            );
         }
+        let path = table.write_json(id, self.scale.name(), REPS)?;
+        table.note(format!("machine-readable copy written to {path}"));
+        Ok(table)
     }
 }
 
-fn design_number(d: Design) -> u8 {
-    match d {
-        Design::Cpp | Design::BcCpp | Design::SfiCpp => 1,
-        Design::ICpp => 2,
-        Design::Jsm | Design::JsmBaseline | Design::JsmNoFuel | Design::JsmBaselineNoFuel => 3,
-        Design::IJsm => 4,
+/// Paired rounds of a baseline and some designs on one query.
+#[derive(Debug)]
+struct Paired {
+    base: Vec<f64>,
+    raw: Vec<Option<Vec<f64>>>,
+}
+
+impl Paired {
+    /// Design `i`'s per-round time net of that round's baseline.
+    fn net(&self, i: usize) -> Option<Vec<f64>> {
+        self.raw[i].as_ref().map(|raw| minus(raw, &self.base))
     }
 }
 
@@ -2092,16 +1496,9 @@ fn design_number(d: Design) -> u8 {
 mod tests {
     use super::*;
 
-    /// A tiny scale used only by these self-tests.
+    /// 20-tuple relations, used only by these self-tests.
     fn tiny_ctx() -> ExperimentCtx {
-        let db = Database::in_memory();
-        build_standard(&db, 20).unwrap();
-        ExperimentCtx {
-            db,
-            scale: Scale::Quick,
-            worker_available: jaguar_ipc::find_worker_binary().is_ok(),
-            baselines: std::cell::RefCell::new(Vec::new()),
-        }
+        ExperimentCtx::with_cardinality(Scale::Quick, 20).unwrap()
     }
 
     #[test]
@@ -2114,6 +1511,7 @@ mod tests {
             Design::Jsm,
             Design::JsmBaseline,
             Design::JsmNoFuel,
+            Design::JsmBaselineNoFuel,
             Design::IJsm,
         ]
         .iter()
@@ -2123,39 +1521,64 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), labels.len());
+        assert_eq!(labels.len(), 9);
     }
 
     #[test]
-    fn run_raw_counts_invocations() {
+    fn paired_cells_have_reps_samples_and_net_is_per_round() {
         let ctx = tiny_ctx();
-        // 20-row relations; ask for 5 invocations.
-        let d = ctx.run_raw(Some(Design::Cpp), 100, 5, 3, 1, 0).unwrap();
-        assert!(d.as_nanos() > 0);
+        let sql = benchmark_query(100, 20, 3, 1, 0);
+        let designs = [Design::Cpp, Design::Jsm, Design::JsmBaseline];
+        let p = ctx.paired("test", &sql, &designs).unwrap();
+        assert_eq!(p.base.len(), REPS);
+        for i in 0..designs.len() {
+            let raw = p.raw[i].as_ref().unwrap();
+            let net = p.net(i).unwrap();
+            assert_eq!(net.len(), REPS);
+            for ((n, r), b) in net.iter().zip(raw).zip(&p.base) {
+                assert_eq!(*n, r - b);
+            }
+        }
     }
 
     #[test]
-    fn net_time_clamps_at_zero() {
+    fn a_wrong_row_count_is_an_error_naming_the_cell() {
         let ctx = tiny_ctx();
-        // Noop work: net time may round to zero but must not underflow.
-        let net = ctx.run_net(Design::Cpp, 1, 5, 0, 0, 0).unwrap();
-        let _ = net;
+        // 20-row relations: a figure cell wants 20 rows, not 7.
+        let sql = benchmark_query(1, 7, 0, 0, 0);
+        let err = ctx.paired("cell-x", &sql, &[Design::Cpp]).unwrap_err();
+        let text = err.to_string();
+        assert!(text.contains("cell-x") && text.contains("7 rows"), "{text}");
     }
 
     #[test]
-    fn vm_designs_run_in_experiments() {
+    fn a_figure_cell_invokes_per_tuple() {
         let ctx = tiny_ctx();
-        let d = ctx.run_net(Design::Jsm, 100, 10, 100, 1, 2).unwrap();
-        let _ = d;
-        let d = ctx
-            .run_net(Design::JsmBaseline, 100, 10, 100, 1, 0)
+        let crossings = || {
+            jaguar_common::obs::global()
+                .snapshot()
+                .sum_counters("udf.batch.crossings.")
+        };
+        let invocations = || {
+            jaguar_common::obs::global()
+                .snapshot()
+                .sum_counters("udf.invocations.")
+        };
+        let (xing, calls) = (crossings(), invocations());
+        let sql = benchmark_query(100, 20, 0, 0, 0);
+        ctx.paired("per-tuple", &sql, &[Design::Cpp, Design::Jsm])
             .unwrap();
-        let _ = d;
+        assert_eq!(crossings(), xing, "a figure cell crossed in batches");
+        assert!(invocations() > calls);
     }
 
     #[test]
     fn unknown_experiment_name_errors() {
         let ctx = tiny_ctx();
-        assert!(ctx.by_name("fig99").is_err());
+        let err = ctx.by_name("fig99").unwrap_err().to_string();
+        for (id, _) in EXPERIMENTS {
+            assert!(err.contains(id), "{err} lacks {id}");
+        }
     }
 
     #[test]
@@ -2163,5 +1586,11 @@ mod tests {
         let ctx = tiny_ctx();
         let t = ctx.table1().unwrap();
         assert_eq!(t.rows.len(), 4);
+        let timed = t
+            .rows
+            .iter()
+            .filter(|r| matches!(&r[4], Cell::Series(s) if s.n() == REPS));
+        let expected = if ctx.worker_available { 4 } else { 2 };
+        assert_eq!(timed.count(), expected);
     }
 }
