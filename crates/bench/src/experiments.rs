@@ -466,7 +466,8 @@ impl ExperimentCtx {
             t.row(row);
         }
         t.note(format!(
-            "cardinality {}; median [q1–q3] of {REPS} rounds, each running all three relations",
+            "cardinality {}, one UDF call per tuple (dop 1, batch size 1); median [q1–q3] \
+             of {REPS} rounds, each running all three relations",
             self.card
         ));
         Ok(t)
