@@ -56,9 +56,6 @@ pub struct Config {
     /// How long, in milliseconds, a query waits for a pooled worker to
     /// come free before erroring.
     pub pool_checkout_timeout_ms: u64,
-    /// Bound on queued pool checkouts; beyond this, checkouts fail fast
-    /// (backpressure instead of an unbounded queue).
-    pub pool_max_waiters: usize,
     /// Degree of intra-query parallelism: the number of threads a
     /// parallelizable `SELECT` may fan out to (a morsel-driven team, each
     /// thread with its own VM instance / pool checkout). `1` disables
@@ -159,7 +156,6 @@ impl Default for Config {
             pool_size,
             pool_invoke_timeout_ms: Some(30_000),
             pool_checkout_timeout_ms: 5_000,
-            pool_max_waiters: 64,
             dop: cores.min(pool_size).max(1),
             statement_timeout_ms: None,
             udf_batch_size: 256,
@@ -223,11 +219,6 @@ impl Config {
 
     pub fn with_pool_checkout_timeout_ms(mut self, ms: u64) -> Self {
         self.pool_checkout_timeout_ms = ms;
-        self
-    }
-
-    pub fn with_pool_max_waiters(mut self, n: usize) -> Self {
-        self.pool_max_waiters = n;
         self
     }
 
@@ -368,13 +359,11 @@ mod tests {
         let c = Config::default()
             .with_pooled_executors(4)
             .with_pool_invoke_timeout_ms(Some(100))
-            .with_pool_checkout_timeout_ms(250)
-            .with_pool_max_waiters(8);
+            .with_pool_checkout_timeout_ms(250);
         assert!(c.pooled_executors);
         assert_eq!(c.pool_size, 4);
         assert_eq!(c.pool_invoke_timeout_ms, Some(100));
         assert_eq!(c.pool_checkout_timeout_ms, 250);
-        assert_eq!(c.pool_max_waiters, 8);
         // Defaults keep the paper's per-query executor model.
         assert!(!Config::paper_1998().pooled_executors);
     }

@@ -146,7 +146,6 @@ impl Database {
                 .pool_invoke_timeout_ms
                 .map(std::time::Duration::from_millis),
             checkout_timeout: std::time::Duration::from_millis(config.pool_checkout_timeout_ms),
-            max_waiters: config.pool_max_waiters,
             ..PoolConfig::default()
         };
         match WorkerPool::new(pool_config) {

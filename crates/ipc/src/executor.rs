@@ -24,6 +24,11 @@ use crate::watchdog::Deadline;
 /// How long `Drop` waits for an orderly exit after `Shutdown` before killing.
 const DROP_GRACE: Duration = Duration::from_millis(200);
 
+/// Deadline for the round trips no statement budget covers: the spawn's
+/// `Ready` handshake and the pool's check-in `Reset`. A healthy worker
+/// answers within milliseconds; a second of silence means wedged.
+pub(crate) const MAINTENANCE_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// Environment variable overriding worker binary discovery.
 pub const WORKER_ENV: &str = "JAGUAR_WORKER_BIN";
 
@@ -133,7 +138,9 @@ fn batch_reply(rows: usize, values: Vec<Value>, error: Option<String>) -> BatchO
 type BatchOutcome = Result<(Vec<Value>, Option<String>)>;
 
 impl WorkerProcess {
-    /// Spawn a worker from an explicit binary path and wait for `Ready`.
+    /// Spawn a worker from an explicit binary path and wait for `Ready`,
+    /// at most one second: a binary that never answers is killed and fails
+    /// the spawn.
     pub fn spawn_at(path: &Path) -> Result<WorkerProcess> {
         // Chaos hook: simulate a transient spawn failure (fork pressure,
         // momentarily busy binary). The error shape matches a real spawn
@@ -172,7 +179,14 @@ impl WorkerProcess {
             callbacks: reg.counter("ipc.callbacks"),
             reaped: false,
         };
-        match wp.read_response(0)? {
+        let ready = wp
+            .guarded(Some(MAINTENANCE_TIMEOUT), |wp| wp.read_response(0))
+            .map_err(|Expired| {
+                JaguarError::Worker(format!(
+                    "spawning {path:?}: no Ready within {MAINTENANCE_TIMEOUT:?}"
+                ))
+            })??;
+        match ready {
             Response::Ready { proto } if proto == PROTO_VERSION => Ok(wp),
             Response::Ready { proto } => Err(JaguarError::Worker(format!(
                 "worker speaks protocol v{proto}, server expects v{PROTO_VERSION} — \
@@ -293,12 +307,6 @@ impl WorkerProcess {
         }
     }
 
-    /// Liveness probe: send `Ping`, expect `Pong`. Any other answer (or a
-    /// dead pipe) is an error — the pool supervisor discards the worker.
-    pub fn ping(&mut self) -> Result<()> {
-        self.expect(Request::Ping, Response::Pong)
-    }
-
     /// Drop all UDF state loaded into the worker so it can serve another
     /// query. Sent by the pool on check-in before the worker goes back to
     /// the idle set.
@@ -390,13 +398,13 @@ impl Drop for WorkerProcess {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     /// Serializes every test that mutates `JAGUAR_WORKER_BIN`: the process
     /// environment is global, so parallel test threads would otherwise race
     /// on it and observe each other's overrides.
-    static ENV_LOCK: Mutex<()> = Mutex::new(());
+    pub(crate) static ENV_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn discovery_respects_env_override_errors() {
@@ -461,5 +469,21 @@ mod tests {
             Ok(_) => panic!("spawn of missing binary must fail"),
         };
         assert!(matches!(e, JaguarError::Worker(_)));
+    }
+
+    #[test]
+    fn spawn_at_silent_binary_times_out_the_handshake() {
+        // `cat` starts and waits on its stdin: it never says Ready.
+        let start = Instant::now();
+        let e = match WorkerProcess::spawn_at(Path::new("/bin/cat")) {
+            Err(e) => e,
+            Ok(_) => panic!("a binary that never says Ready must not spawn"),
+        };
+        let waited = start.elapsed();
+        assert!(waited < Duration::from_secs(2), "{waited:?}");
+        let JaguarError::Worker(m) = &e else {
+            panic!("expected a worker error, got {e}");
+        };
+        assert!(m.starts_with("spawning") && m.contains("no Ready"), "{m}");
     }
 }

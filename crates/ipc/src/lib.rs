@@ -25,10 +25,11 @@
 //!   into it, invoke it a batch of rows at a time (a tuple is a batch of
 //!   one), answer its callbacks, reap it,
 //! * [`watchdog`] — the one deadline mechanism: a process-wide thread that
-//!   kills a worker whose guarded round trip (invoke, batch, reset, ping)
-//!   outlives its deadline,
-//! * [`pool`] — a supervised warm pool of workers checked out per query
-//!   instead of spawned (an extension; the paper spawns per query),
+//!   kills a worker whose guarded round trip (spawn handshake, invoke,
+//!   batch, reset) outlives its deadline,
+//! * [`pool`] — a warm pool of workers checked out per query instead of
+//!   spawned (an extension; the paper spawns per query); a checkout spawns
+//!   what the pool lacks, and no pool thread loops,
 //! * [`worker`] — the worker side: a serve loop the `jaguar-worker` binary
 //!   runs, parameterised by a registry of native UDFs (the analogue of the
 //!   C++ UDFs compiled into PREDATOR's remote executor) and able to host

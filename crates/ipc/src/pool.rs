@@ -1,4 +1,4 @@
-//! Supervised warm pool of isolated UDF workers.
+//! Warm pool of isolated UDF workers.
 //!
 //! The paper creates one remote executor **per UDF per query** and tears it
 //! down when the query ends; process creation is off the per-invocation path
@@ -14,20 +14,23 @@
 //!   request and only re-enters the idle set once it confirms `ResetOk`, so
 //!   one query's loaded UDF can never leak into the next.
 //! * **Crashes are absorbed.** A worker that dies mid-query surfaces the
-//!   usual contained `Worker` error to that query; the supervisor respawns
-//!   a replacement with bounded exponential backoff.
+//!   usual contained `Worker` error to that query and gives its slot back;
+//!   an idle worker found dead at checkout is discarded the same way.
 //! * **Hangs are bounded.** Every pipe round trip through a pooled worker
-//!   (invoke, and internally reset/ping) is [guarded](WorkerProcess::guarded)
+//!   (invoke, and internally reset) is [guarded](WorkerProcess::guarded)
 //!   by the [`watchdog`](crate::watchdog), which kills the worker when the
-//!   deadline expires; a killed worker never re-enters the idle set and the
-//!   supervisor spawns its replacement.
+//!   deadline expires; a killed worker never re-enters the idle set.
 //! * **Saturation pushes back.** When all workers are busy, checkouts queue
 //!   up to a bounded number of waiters and a bounded wait time; beyond
 //!   either bound the caller gets an error instead of unbounded queueing.
 //!
-//! One background thread, the *supervisor*, respawns dead workers and pings
-//! idle ones; each ping is guarded like any other round trip, so a
-//! live-but-wedged worker costs the supervisor one maintenance timeout.
+//! No pool thread loops. Construction starts one *filler* thread that
+//! spawns the initial workers off the constructing thread and exits. After
+//! that, a checkout that finds no idle worker while fewer than `size` are
+//! alive spawns one itself, outside the pool lock, so the statement after a
+//! crash pays for the replacement. A failed spawn gives its slot back and
+//! surfaces as the caller's `Worker("spawning …")` error, which the
+//! caller's acquisition retry already handles.
 
 use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
@@ -40,14 +43,7 @@ use std::time::{Duration, Instant};
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs::Counter;
 
-use crate::executor::{find_worker_binary, WorkerProcess};
-
-/// Deadline for the internal `Reset`/`Ping` round trips. These complete in
-/// microseconds on a healthy worker; a second of silence means wedged.
-const MAINTENANCE_TIMEOUT: Duration = Duration::from_secs(1);
-
-/// First retry delay after a failed spawn; doubles per consecutive failure.
-const RESPAWN_BACKOFF_BASE: Duration = Duration::from_millis(10);
+use crate::executor::{find_worker_binary, WorkerProcess, MAINTENANCE_TIMEOUT};
 
 // ---------------------------------------------------------------------
 // Configuration
@@ -67,10 +63,6 @@ pub struct PoolConfig {
     /// Bound on concurrently queued checkouts; checkouts beyond this fail
     /// immediately (backpressure instead of an unbounded queue).
     pub max_waiters: usize,
-    /// How often the supervisor pings each idle worker.
-    pub health_interval: Duration,
-    /// Cap on the exponential respawn backoff.
-    pub max_respawn_backoff: Duration,
     /// Explicit worker binary path; `None` uses the standard discovery
     /// (`$JAGUAR_WORKER_BIN`, then next to the current executable).
     pub worker_binary: Option<PathBuf>,
@@ -83,8 +75,6 @@ impl Default for PoolConfig {
             invoke_timeout: Some(Duration::from_secs(30)),
             checkout_timeout: Duration::from_secs(5),
             max_waiters: 64,
-            health_interval: Duration::from_millis(500),
-            max_respawn_backoff: Duration::from_secs(2),
             worker_binary: None,
         }
     }
@@ -144,11 +134,12 @@ impl Default for Stats {
 /// Point-in-time counter snapshot, cheap to copy around.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PoolStatsSnapshot {
-    /// Worker processes spawned (initial fill + respawns).
+    /// Worker processes spawned (initial fill + replacements).
     pub spawns: u64,
     /// Checkouts served by a worker that had already served a query.
     pub reuses: u64,
-    /// Workers discarded because they died or failed reset/ping.
+    /// Workers discarded because they died (mid-query or while idle) or
+    /// failed their check-in reset.
     pub crashes: u64,
     /// Invocations whose worker the watchdog killed at a deadline.
     pub timeouts: u64,
@@ -174,13 +165,12 @@ struct IdleWorker {
     worker: WorkerProcess,
     /// Queries this worker has already served (0 = fresh spawn).
     served: u64,
-    last_checked: Instant,
 }
 
 struct State {
     idle: VecDeque<IdleWorker>,
-    /// Workers alive or reserved for spawning (idle + checked out + being
-    /// spawned right now). The supervisor keeps this at `config.size`.
+    /// Slots taken: workers idle, checked out, or being spawned right now.
+    /// Never above `config.size`; a spawn reserves its slot here first.
     live: usize,
     waiters: usize,
     shutdown: bool,
@@ -191,11 +181,9 @@ struct Inner {
     binary: PathBuf,
     stats: Stats,
     state: Mutex<State>,
-    /// Signalled when a worker joins the idle set (or on shutdown).
+    /// Signalled when a worker joins the idle set, a slot comes free, or
+    /// shutdown begins.
     available: Condvar,
-    /// Signalled when the supervisor should re-examine the world: a worker
-    /// died, shutdown began.
-    supervisor_wake: Condvar,
 }
 
 impl Inner {
@@ -203,15 +191,26 @@ impl Inner {
         self.state.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Note a worker's demise and prod the supervisor to replace it.
-    fn discard_worker(&self, counted_as_crash: bool) {
-        if counted_as_crash {
-            self.stats.crashes.inc();
+    /// Give a slot back and wake the queued checkouts; the first to run
+    /// spawns into it.
+    fn release_slot(&self) {
+        self.lock().live -= 1;
+        self.available.notify_all();
+    }
+
+    /// Spawn a worker into a slot already reserved in `live`. A failed
+    /// spawn gives the slot back.
+    fn spawn_into_slot(&self) -> Result<WorkerProcess> {
+        match WorkerProcess::spawn_at(&self.binary) {
+            Ok(worker) => {
+                self.stats.spawns.inc();
+                Ok(worker)
+            }
+            Err(e) => {
+                self.release_slot();
+                Err(e)
+            }
         }
-        let mut state = self.lock();
-        state.live = state.live.saturating_sub(1);
-        drop(state);
-        self.supervisor_wake.notify_all();
     }
 
     /// Put a healthy worker (back) into the idle set; false (and the
@@ -219,7 +218,7 @@ impl Inner {
     fn check_in(&self, worker: IdleWorker) -> bool {
         let mut state = self.lock();
         if state.shutdown {
-            state.live = state.live.saturating_sub(1);
+            state.live -= 1;
             drop(state);
             drop(worker);
             return false;
@@ -231,11 +230,32 @@ impl Inner {
     }
 }
 
+/// The filler thread: spawn workers into free slots until the pool is full,
+/// shutting down, or a spawn fails (the next checkout then spawns and
+/// reports the failure), then exit.
+fn fill(inner: &Inner) {
+    loop {
+        {
+            let mut state = inner.lock();
+            if state.shutdown || state.live >= inner.config.size {
+                return;
+            }
+            state.live += 1;
+        }
+        let Ok(worker) = inner.spawn_into_slot() else {
+            return;
+        };
+        if !inner.check_in(IdleWorker { worker, served: 0 }) {
+            return;
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The pool
 // ---------------------------------------------------------------------
 
-/// A supervised warm pool of isolated UDF worker processes.
+/// A warm pool of isolated UDF worker processes.
 ///
 /// Construction pre-spawns `config.size` workers (asynchronously — use
 /// [`WorkerPool::wait_ready`] for deterministic warm-up). Clone-free by
@@ -243,13 +263,13 @@ impl Inner {
 /// every client thread of a server.
 pub struct WorkerPool {
     inner: Arc<Inner>,
-    supervisor: Option<JoinHandle<()>>,
+    filler: Option<JoinHandle<()>>,
 }
 
 impl WorkerPool {
     /// Create a pool. Fails early if no worker binary can be discovered
     /// (an explicit `config.worker_binary` is trusted as-is; spawn failures
-    /// then surface through respawn backoff and checkout timeouts).
+    /// then surface at checkout).
     pub fn new(config: PoolConfig) -> Result<WorkerPool> {
         let binary = match &config.worker_binary {
             Some(p) => p.clone(),
@@ -266,18 +286,17 @@ impl WorkerPool {
                 shutdown: false,
             }),
             available: Condvar::new(),
-            supervisor_wake: Condvar::new(),
         });
-        let supervisor = {
+        let filler = {
             let inner = Arc::clone(&inner);
             std::thread::Builder::new()
-                .name("jaguar-pool-supervisor".into())
-                .spawn(move || supervisor_loop(&inner))
-                .map_err(|e| JaguarError::Worker(format!("spawning pool supervisor: {e}")))?
+                .name("jaguar-pool-filler".into())
+                .spawn(move || fill(&inner))
+                .map_err(|e| JaguarError::Worker(format!("spawning pool filler: {e}")))?
         };
         Ok(WorkerPool {
             inner,
-            supervisor: Some(supervisor),
+            filler: Some(filler),
         })
     }
 
@@ -306,7 +325,10 @@ impl WorkerPool {
     }
 
     /// Block until the pool is fully warm (`size` workers idle) or the
-    /// timeout passes. Returns whether it became warm.
+    /// timeout passes. Returns whether it became warm. Nothing refills a
+    /// slot in the background once the initial fill is done: after a crash
+    /// the pool is warm again only when a checkout has spawned the
+    /// replacement.
     pub fn wait_ready(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut state = self.inner.lock();
@@ -327,7 +349,8 @@ impl WorkerPool {
         }
     }
 
-    /// Check a warm worker out of the pool.
+    /// Check a warm worker out of the pool, or spawn one into a free slot
+    /// when none is idle.
     ///
     /// Waits up to `checkout_timeout` when all workers are busy; fails
     /// immediately once `max_waiters` checkouts are already queued. The
@@ -337,30 +360,27 @@ impl WorkerPool {
         let deadline = Instant::now() + inner.config.checkout_timeout;
         let mut state = inner.lock();
         let mut queued = false;
-        loop {
+        // `Ok(None)`: a slot is reserved for a spawn outside the lock.
+        let got = loop {
             if state.shutdown {
-                if queued {
-                    state.waiters -= 1;
-                }
-                return Err(JaguarError::Worker("worker pool is shut down".into()));
+                break Err(JaguarError::Worker("worker pool is shut down".into()));
             }
-            if let Some(iw) = state.idle.pop_front() {
-                if queued {
-                    state.waiters -= 1;
+            if let Some(mut iw) = state.idle.pop_front() {
+                if iw.worker.is_alive() {
+                    break Ok(Some(iw));
                 }
-                if iw.served > 0 {
-                    inner.stats.reuses.inc();
-                }
-                return Ok(PooledWorker {
-                    inner: Arc::clone(inner),
-                    worker: Some(iw.worker),
-                    served: iw.served,
-                    timed_out: false,
-                });
+                // Died while idle: discard it, freeing its slot.
+                state.live -= 1;
+                inner.stats.crashes.inc();
+                continue;
+            }
+            if state.live < inner.config.size {
+                state.live += 1;
+                break Ok(None);
             }
             if !queued {
                 if state.waiters >= inner.config.max_waiters {
-                    return Err(JaguarError::Worker(format!(
+                    break Err(JaguarError::Worker(format!(
                         "worker pool saturated: {} checkouts already queued \
                          (max_waiters = {})",
                         state.waiters, inner.config.max_waiters
@@ -372,10 +392,11 @@ impl WorkerPool {
             }
             let now = Instant::now();
             if now >= deadline {
-                state.waiters -= 1;
-                return Err(JaguarError::ResourceLimit(format!(
+                break Err(JaguarError::ResourceLimit(format!(
                     "timed out waiting {:?} for a pooled worker ({} busy, {} queued)",
-                    inner.config.checkout_timeout, state.live, state.waiters
+                    inner.config.checkout_timeout,
+                    state.live,
+                    state.waiters - 1
                 )));
             }
             let (s, _) = inner
@@ -383,28 +404,41 @@ impl WorkerPool {
                 .wait_timeout(state, deadline - now)
                 .unwrap_or_else(|p| p.into_inner());
             state = s;
+        };
+        if queued {
+            state.waiters -= 1;
         }
+        drop(state);
+        let (worker, served) = match got? {
+            Some(iw) => {
+                if iw.served > 0 {
+                    inner.stats.reuses.inc();
+                }
+                (iw.worker, iw.served)
+            }
+            None => (inner.spawn_into_slot()?, 0),
+        };
+        Ok(PooledWorker {
+            inner: Arc::clone(inner),
+            worker: Some(worker),
+            served,
+            timed_out: false,
+        })
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        {
-            let mut state = self.inner.lock();
-            state.shutdown = true;
-        }
+        self.inner.lock().shutdown = true;
         self.inner.available.notify_all();
-        self.inner.supervisor_wake.notify_all();
-        // A ping in flight is bounded by its guard, so this join is too.
-        if let Some(h) = self.supervisor.take() {
+        // The filler stops before its next spawn; the one in flight is
+        // bounded by the handshake deadline, so this join is too.
+        if let Some(h) = self.filler.take() {
             let _ = h.join();
         }
         // Drain idle workers outside the lock; WorkerProcess::drop gives
         // each an orderly Shutdown with a bounded grace period.
-        let drained: Vec<IdleWorker> = {
-            let mut state = self.inner.lock();
-            state.idle.drain(..).collect()
-        };
+        let drained: Vec<IdleWorker> = self.inner.lock().idle.drain(..).collect();
         drop(drained);
     }
 }
@@ -415,7 +449,8 @@ impl Drop for WorkerPool {
 
 /// One worker checked out of a [`WorkerPool`]: a guard that derefs to the
 /// [`WorkerProcess`]. On drop the worker is `Reset` and returned to the
-/// pool if healthy, or discarded and replaced by the supervisor if not.
+/// pool if healthy, or discarded, freeing its slot for the next checkout
+/// to spawn into, if not.
 pub struct PooledWorker {
     inner: Arc<Inner>,
     worker: Option<WorkerProcess>,
@@ -465,127 +500,30 @@ impl PooledWorker {
 impl Drop for PooledWorker {
     fn drop(&mut self) {
         let mut worker = self.worker.take().expect("worker present until drop");
-        let inner = Arc::clone(&self.inner);
 
         // Health gate for re-entry: the process must be alive and confirm a
         // guarded Reset. Everything else is a discard.
-        let healthy =
-            !self.timed_out && worker.is_alive() && maintain(&mut worker, WorkerProcess::reset);
+        let healthy = !self.timed_out
+            && worker.is_alive()
+            && matches!(
+                worker.guarded(Some(MAINTENANCE_TIMEOUT), WorkerProcess::reset),
+                Ok(Ok(()))
+            );
 
         if !healthy {
             drop(worker);
             // Timeouts were already counted by `expired`; everything else
             // discarded here is a crash (died mid-query or failed reset).
-            inner.discard_worker(!self.timed_out);
+            if !self.timed_out {
+                self.inner.stats.crashes.inc();
+            }
+            self.inner.release_slot();
             return;
         }
-        inner.check_in(IdleWorker {
+        self.inner.check_in(IdleWorker {
             worker,
             served: self.served + 1,
-            last_checked: Instant::now(),
         });
-    }
-}
-
-/// One maintenance round trip (`Reset`, `Ping`) under its deadline: true
-/// iff it succeeded in time.
-fn maintain(worker: &mut WorkerProcess, f: fn(&mut WorkerProcess) -> Result<()>) -> bool {
-    matches!(worker.guarded(Some(MAINTENANCE_TIMEOUT), f), Ok(Ok(())))
-}
-
-// ---------------------------------------------------------------------
-// Supervisor: respawn and ping
-// ---------------------------------------------------------------------
-
-fn supervisor_loop(inner: &Arc<Inner>) {
-    let interval = inner.config.health_interval;
-    let mut backoff = RESPAWN_BACKOFF_BASE;
-    let mut next_spawn_allowed = Instant::now();
-    loop {
-        let (deficit, due) = {
-            let mut state = inner.lock();
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                let now = Instant::now();
-                let mut deficit = 0;
-                if state.live < inner.config.size && now >= next_spawn_allowed {
-                    deficit = inner.config.size - state.live;
-                    // Reserve the slots so concurrent passes don't overfill.
-                    state.live = inner.config.size;
-                }
-                // An idle worker due for a ping leaves the idle set while
-                // probed, so a concurrent checkout can't grab it mid-ping.
-                let due = state
-                    .idle
-                    .iter()
-                    .position(|w| now.duration_since(w.last_checked) >= interval)
-                    .and_then(|i| state.idle.remove(i));
-                if deficit > 0 || due.is_some() {
-                    break (deficit, due);
-                }
-                // Sleep until the next ping falls due, a pending backoff
-                // expires, or something wakes us.
-                let mut until = state
-                    .idle
-                    .iter()
-                    .map(|w| w.last_checked + interval)
-                    .min()
-                    .unwrap_or(now + interval);
-                if state.live < inner.config.size && next_spawn_allowed < until {
-                    until = next_spawn_allowed;
-                }
-                let wait = until
-                    .saturating_duration_since(now)
-                    .max(Duration::from_millis(1));
-                let (s, _) = inner
-                    .supervisor_wake
-                    .wait_timeout(state, wait)
-                    .unwrap_or_else(|p| p.into_inner());
-                state = s;
-            }
-        };
-
-        if let Some(mut iw) = due {
-            if iw.worker.is_alive() && maintain(&mut iw.worker, WorkerProcess::ping) {
-                iw.last_checked = Instant::now();
-                if !inner.check_in(iw) {
-                    return;
-                }
-            } else {
-                drop(iw);
-                inner.discard_worker(true);
-            }
-        }
-
-        let mut failed = 0usize;
-        for _ in 0..deficit {
-            match WorkerProcess::spawn_at(&inner.binary) {
-                Ok(worker) => {
-                    inner.stats.spawns.inc();
-                    backoff = RESPAWN_BACKOFF_BASE;
-                    let idle = IdleWorker {
-                        worker,
-                        served: 0,
-                        last_checked: Instant::now(),
-                    };
-                    if !inner.check_in(idle) {
-                        return;
-                    }
-                }
-                Err(_) => failed += 1,
-            }
-        }
-        if failed > 0 {
-            // Give the reserved slots back and retry after the backoff.
-            {
-                let mut state = inner.lock();
-                state.live = state.live.saturating_sub(failed);
-            }
-            next_spawn_allowed = Instant::now() + backoff;
-            backoff = (backoff * 2).min(inner.config.max_respawn_backoff);
-        }
     }
 }
 
@@ -602,6 +540,29 @@ mod tests {
             max_waiters: 1,
             ..PoolConfig::default()
         }
+    }
+
+    /// A pool of `size` real workers, warm; `None` (the test skips) when
+    /// the worker binary is not built.
+    fn warm_pool(size: usize) -> Option<WorkerPool> {
+        let found = {
+            let _env = crate::executor::tests::ENV_LOCK
+                .lock()
+                .unwrap_or_else(|p| p.into_inner());
+            find_worker_binary()
+        };
+        let Ok(binary) = found else {
+            eprintln!("skipping: jaguar-worker not built (cargo build --workspace)");
+            return None;
+        };
+        let pool = WorkerPool::new(PoolConfig {
+            size,
+            worker_binary: Some(binary),
+            ..PoolConfig::default()
+        })
+        .unwrap();
+        assert!(pool.wait_ready(Duration::from_secs(10)));
+        Some(pool)
     }
 
     #[test]
@@ -649,17 +610,80 @@ mod tests {
     }
 
     #[test]
-    fn respawn_backoff_survives_unspawnable_binary() {
-        // A pool pointed at a nonexistent binary must keep retrying with
-        // backoff (and stay usable for shutdown), not panic or spin-fail.
+    fn unspawnable_binary_fails_checkout_at_once() {
+        // Nothing retries in the background: the checkout spawns into a
+        // free slot, fails, and reports the spawn error itself.
         let cfg = PoolConfig {
             size: 2,
+            checkout_timeout: Duration::from_secs(5),
             ..binaryless_config()
         };
-        let pool = Arc::new(WorkerPool::new(cfg).unwrap());
-        assert!(!pool.wait_ready(Duration::from_millis(100)));
+        let pool = WorkerPool::new(cfg).unwrap();
+        let start = Instant::now();
+        let err = pool.checkout().unwrap_err();
+        assert!(start.elapsed() < Duration::from_secs(1), "{err}");
+        assert!(
+            matches!(&err, JaguarError::Worker(m) if m.starts_with("spawning")),
+            "{err}"
+        );
         assert_eq!(pool.stats().spawns, 0);
         assert_eq!(pool.idle_count(), 0);
         drop(pool); // must not hang
+    }
+
+    #[test]
+    fn idle_worker_found_dead_is_replaced_at_checkout() {
+        let Some(pool) = warm_pool(1) else { return };
+        let w = pool.checkout().unwrap();
+        let (pid, kill) = (w.pid(), w.kill_handle());
+        drop(w);
+        let before = pool.stats();
+        assert!(kill.kill(), "the idle worker was running");
+
+        let w = pool.checkout().unwrap();
+        assert_ne!(w.pid(), pid);
+        let after = pool.stats();
+        assert_eq!(after.crashes, before.crashes + 1, "{after}");
+        assert_eq!(after.spawns, before.spawns + 1, "{after}");
+        assert_eq!(after.queue_waits, before.queue_waits, "{after}");
+    }
+
+    #[test]
+    fn queued_checkout_spawns_into_a_discarded_slot() {
+        let Some(pool) = warm_pool(1) else { return };
+        let mut held = pool.checkout().unwrap();
+        let pid = held.pid();
+        std::thread::scope(|s| {
+            let queued = s.spawn(|| {
+                let start = Instant::now();
+                let w = pool.checkout().unwrap();
+                (w.pid(), start.elapsed())
+            });
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while pool.inner.lock().waiters == 0 {
+                assert!(Instant::now() < deadline, "the checkout never queued");
+                std::thread::yield_now();
+            }
+            held.expired();
+            drop(held);
+            let (fresh, waited) = queued.join().unwrap();
+            assert_ne!(fresh, pid);
+            assert!(waited < Duration::from_secs(1), "{waited:?}");
+        });
+        let stats = pool.stats();
+        assert_eq!((stats.timeouts, stats.crashes), (1, 0), "{stats}");
+        assert_eq!(stats.spawns, 2, "{stats}");
+    }
+
+    #[test]
+    fn serial_checkouts_never_queue() {
+        let Some(pool) = warm_pool(1) else { return };
+        for _ in 0..1_000 {
+            drop(pool.checkout().unwrap());
+        }
+        let stats = pool.stats();
+        assert_eq!(stats.queue_waits, 0, "{stats}");
+        assert_eq!(stats.spawns, 1, "{stats}");
+        assert_eq!(stats.reuses, 999, "{stats}");
     }
 }

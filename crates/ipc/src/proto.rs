@@ -70,9 +70,6 @@ pub enum Request {
     CallbackResult { value: Value },
     /// Orderly shutdown (end of query — executors live for one query).
     Shutdown,
-    /// Liveness probe. A healthy idle worker answers `Pong` immediately;
-    /// the pool supervisor uses this to detect wedged workers.
-    Ping,
     /// Drop all loaded UDF state so the worker can serve a new query. The
     /// warm-pool reuse path sends this on check-in; the worker answers
     /// `ResetOk` once it is back to its just-started state.
@@ -83,7 +80,7 @@ pub enum Request {
 /// message set or the UDF registry semantics; the parent refuses workers
 /// announcing a different version (a stale `jaguar-worker` binary next to
 /// a fresh server otherwise produces silent wrong answers).
-pub const PROTO_VERSION: u32 = 7;
+pub const PROTO_VERSION: u32 = 8;
 
 /// Most rows one `InvokeBatch` frame may carry. The engine never forms
 /// batches above `jaguar_udf::batch::MAX_BATCH` (1024); the cap leaves headroom
@@ -111,8 +108,6 @@ pub enum Response {
     CallbackRequest { name: String, args: Vec<Value> },
     /// Anything failed. The message is a rendered `JaguarError`.
     Error { message: String },
-    /// Answer to `Request::Ping`: the worker is alive and responsive.
-    Pong,
     /// Answer to `Request::Reset`: loaded UDF state has been dropped.
     ResetOk,
 }
@@ -121,14 +116,12 @@ const REQ_LOAD_NATIVE: u8 = 0x01;
 const REQ_LOAD_VM: u8 = 0x02;
 const REQ_CALLBACK_RESULT: u8 = 0x04;
 const REQ_SHUTDOWN: u8 = 0x05;
-const REQ_PING: u8 = 0x06;
 const REQ_RESET: u8 = 0x07;
 const REQ_INVOKE_BATCH: u8 = 0x08;
 const RSP_READY: u8 = 0x81;
 const RSP_LOADED: u8 = 0x82;
 const RSP_CALLBACK_REQUEST: u8 = 0x84;
 const RSP_ERROR: u8 = 0x85;
-const RSP_PONG: u8 = 0x86;
 const RSP_RESET_OK: u8 = 0x87;
 const RSP_BATCH_REPLY: u8 = 0x88;
 
@@ -319,7 +312,6 @@ impl Request {
                 write_value(w, value)?;
             }
             Request::Shutdown => write_u8(w, REQ_SHUTDOWN)?,
-            Request::Ping => write_u8(w, REQ_PING)?,
             Request::Reset => write_u8(w, REQ_RESET)?,
         }
         w.flush()?;
@@ -346,7 +338,6 @@ impl Request {
                 value: read_value(r)?,
             },
             REQ_SHUTDOWN => Request::Shutdown,
-            REQ_PING => Request::Ping,
             REQ_RESET => Request::Reset,
             other => {
                 return Err(JaguarError::Protocol(format!(
@@ -385,7 +376,6 @@ impl Response {
                 write_u8(w, RSP_ERROR)?;
                 write_str(w, message)?;
             }
-            Response::Pong => write_u8(w, RSP_PONG)?,
             Response::ResetOk => write_u8(w, RSP_RESET_OK)?,
         }
         w.flush()?;
@@ -417,7 +407,6 @@ impl Response {
             RSP_ERROR => Response::Error {
                 message: read_str(r)?,
             },
-            RSP_PONG => Response::Pong,
             RSP_RESET_OK => Response::ResetOk,
             other => {
                 return Err(JaguarError::Protocol(format!(
@@ -481,7 +470,6 @@ mod tests {
             value: Value::Float(2.5),
         });
         roundtrip_req(Request::Shutdown);
-        roundtrip_req(Request::Ping);
         roundtrip_req(Request::Reset);
         for rows in [
             vec![
@@ -520,7 +508,6 @@ mod tests {
         roundtrip_rsp(Response::Error {
             message: "kaboom".into(),
         });
-        roundtrip_rsp(Response::Pong);
         roundtrip_rsp(Response::ResetOk);
         roundtrip_rsp(Response::BatchReply {
             values: vec![Value::Int(1), Value::Int(2)],
@@ -610,6 +597,11 @@ mod tests {
         let err = Request::read(&mut [0x03u8, 0, 0, 0, 0].as_slice(), &mut frame).unwrap_err();
         assert!(err.to_string().contains("unknown request tag"), "{err}");
         let err = Response::read(&mut [0x83u8, 0].as_slice(), 1).unwrap_err();
+        assert!(err.to_string().contains("unknown response tag"), "{err}");
+        // Protocol v7's liveness probe is retired too.
+        let err = Request::read(&mut [0x06u8].as_slice(), &mut frame).unwrap_err();
+        assert!(err.to_string().contains("unknown request tag"), "{err}");
+        let err = Response::read(&mut [0x86u8].as_slice(), 0).unwrap_err();
         assert!(err.to_string().contains("unknown response tag"), "{err}");
     }
 

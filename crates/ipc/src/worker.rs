@@ -165,7 +165,6 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
         };
         match req {
             Request::Shutdown => return Ok(()),
-            Request::Ping => Response::Pong.write(&mut output)?,
             Request::Reset => {
                 // Back to the just-started state: pooled reuse must not leak
                 // one query's UDF (or its interpreter state) into the next.
@@ -574,20 +573,20 @@ mod tests {
     }
 
     #[test]
-    fn ping_answers_pong() {
-        let rsp = script(
-            &[req(Request::Ping), req(Request::Shutdown)],
-            &demo_registry(),
-        );
+    fn retired_ping_tag_is_refused() {
+        // Protocol v7's `Ping` (tag 0x06): the worker answers nothing and
+        // stops serving with a protocol error.
+        let mut out = Vec::new();
+        let err = serve(Cursor::new(vec![0x06u8]), &mut out, &demo_registry()).unwrap_err();
+        assert!(err.to_string().contains("unknown request tag"), "{err}");
+        let ready = Response::read(&mut out.as_slice(), 0).unwrap();
         assert_eq!(
-            rsp,
-            vec![
-                Response::Ready {
-                    proto: PROTO_VERSION
-                },
-                Response::Pong
-            ]
+            ready,
+            Response::Ready {
+                proto: PROTO_VERSION
+            }
         );
+        assert_eq!(out.len(), 5, "nothing after Ready");
     }
 
     #[test]

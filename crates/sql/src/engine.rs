@@ -234,8 +234,8 @@ impl Engine {
     /// Execute one SQL statement. Cancellation of the request's token
     /// (from another thread) or deadline expiry aborts the statement
     /// cooperatively: the executor notices within a few tuples, sandboxed
-    /// UDFs within a few thousand instructions, and pooled workers at the
-    /// next supervisor deadline. Partial DML effects are sealed through
+    /// UDFs within a few thousand instructions, and isolated workers when
+    /// the IPC watchdog kills them at the deadline. Partial DML effects are sealed through
     /// the WAL exactly like any other failed statement.
     pub fn execute<'a>(&self, request: impl Into<Request<'a>>) -> Result<QueryResult> {
         self.run(request.into(), false)

@@ -29,7 +29,7 @@ use jaguar_common::Value;
 pub const MIN_BATCH: usize = 64;
 
 /// Largest batch the engine will form. Caps carrier memory and bounds how
-/// long an isolated worker goes between supervisor-visible replies.
+/// long an isolated worker goes between replies the parent sees.
 pub const MAX_BATCH: usize = 1024;
 
 /// Resolve a configured batch size against the engine's fixed budget.

@@ -376,7 +376,8 @@ impl ScalarUdf for IsolatedUdf {
         match self.lease {
             Lease::Owned(worker) => worker.shutdown(),
             // Dropping the guard checks the worker back in (Reset + re-idle)
-            // or, if it died this query, lets the supervisor replace it.
+            // or, if it died this query, frees its slot for the next
+            // checkout to spawn into.
             Lease::Pooled(_) => Ok(()),
         }
     }

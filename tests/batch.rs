@@ -199,9 +199,10 @@ fn hostile_batch_frames_are_rejected() {
 }
 
 /// When a worker dies mid-batch the whole batch fails as one Worker
-/// error, and that error costs exactly its own statement: each crash
-/// costs at most the one respawn of the worker it killed, and right after
-/// three all-fail batches the same UDF answers a harmless batch at once.
+/// error, and that error costs exactly its own statement: right after
+/// each all-fail batch the same UDF answers a harmless batch at once, and
+/// the two statements together cost exactly the one respawn of the
+/// worker the crash killed.
 #[test]
 fn whole_batch_crash_fails_only_its_own_statement() {
     if !worker_available() {
@@ -240,21 +241,20 @@ fn whole_batch_crash_fails_only_its_own_statement() {
             matches!(err, JaguarError::Worker(_)),
             "round {round}: expected a worker crash, got: {err}"
         );
-        assert!(pool.wait_ready(Duration::from_secs(10)));
+        // No cooldown: a harmless batch through the same UDF runs now.
+        let r = db.execute("SELECT wcrash(a - 1) FROM t").unwrap();
+        assert_eq!(r.rows.len(), 100);
+        assert!(r.rows.iter().all(|t| t.get(0).unwrap() == &Value::Int(0)));
         let spawned = db.pool_stats().unwrap().spawns - spawns_before;
-        assert!(
-            spawned <= 1,
-            "round {round}: one crashing statement spawned {spawned} workers"
+        assert_eq!(
+            spawned, 1,
+            "round {round}: a crash and the statement after it spawned {spawned} workers"
         );
     }
     assert!(
         obs::global().snapshot().counter("udf.batch.crossings.icpp") >= before + 3,
         "the crashing statements must have gone through the batched path"
     );
-    // No cooldown: a harmless batch through the same UDF runs now.
-    let r = db.execute("SELECT wcrash(a - 1) FROM t").unwrap();
-    assert_eq!(r.rows.len(), 100);
-    assert!(r.rows.iter().all(|t| t.get(0).unwrap() == &Value::Int(0)));
     // Statements not touching the UDF keep working.
     let r = db.execute("SELECT COUNT(*) FROM t").unwrap();
     assert_eq!(r.rows[0].get(0).unwrap(), &Value::Int(100));

@@ -1,7 +1,7 @@
 //! Integration tests for the warm worker pool: reuse across queries,
 //! timeout-kill-respawn of hung workers, and crash containment with
-//! recovery — the supervision properties the per-query-spawn model of the
-//! paper never needed, but a long-lived pooled server does.
+//! recovery — the properties the per-query-spawn model of the paper never
+//! needed, but a long-lived pooled server does.
 
 use std::time::Duration;
 
@@ -97,7 +97,7 @@ fn hung_worker_is_killed_and_replaced() {
     let stats = db.pool_stats().unwrap();
     assert!(stats.timeouts >= 1, "{stats}");
 
-    // The supervisor replaces the killed worker; the next query succeeds.
+    // The next checkout replaces the killed worker; the next query succeeds.
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
@@ -140,7 +140,7 @@ fn crashed_worker_is_contained_and_pool_recovers() {
     let stats = db.pool_stats().unwrap();
     assert!(stats.crashes >= 1, "{stats}");
 
-    // Recovery: the supervisor respawns and the next query succeeds.
+    // Recovery: the next checkout respawns and the next query succeeds.
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
@@ -182,7 +182,15 @@ fn saturated_pool_times_out_checkout_and_recovers() {
     // 2s invoke deadline eventually).
     std::thread::scope(|s| {
         let hog = s.spawn(|| db.execute("SELECT whang() FROM t"));
-        std::thread::sleep(Duration::from_millis(400));
+        // Nothing but the hog takes a worker out of the idle set.
+        let waiting = std::time::Instant::now();
+        while pool.idle_count() != 0 {
+            assert!(
+                waiting.elapsed() < Duration::from_secs(10),
+                "hog never checked out"
+            );
+            std::thread::yield_now();
+        }
 
         // A second query now queues for a worker and must give up after
         // the 150ms checkout timeout — cleanly, with the wait counted.

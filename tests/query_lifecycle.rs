@@ -114,7 +114,7 @@ fn statement_deadline_kills_hung_pooled_worker() {
          timeout; took {elapsed:?}"
     );
 
-    // The supervisor replaces the killed worker; the engine stays usable.
+    // The next checkout replaces the killed worker; the engine stays usable.
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
@@ -295,9 +295,9 @@ fn cancelled_update_seals_partial_effects() {
 
 /// Acceptance (c): a UDF crash costs exactly the statement it happened
 /// in. Each statement whose argument crashes the worker fails with
-/// `Worker` and costs at most the one respawn of the worker it killed;
-/// the very next statement that calls the same UDF with a harmless
-/// argument succeeds at once, with no cooldown.
+/// `Worker`; the very next statement that calls the same UDF with a
+/// harmless argument succeeds at once, with no cooldown, and the two
+/// together cost exactly the one respawn of the worker the crash killed.
 #[test]
 fn crashing_udf_fails_only_its_own_statement() {
     if !worker_available() {
@@ -316,7 +316,8 @@ fn crashing_udf_fails_only_its_own_statement() {
     let pool = db.worker_pool().expect("pool attached");
     assert!(pool.wait_ready(Duration::from_secs(10)));
 
-    // Three worker crashes in a row (argument 1 aborts the worker).
+    // Three worker crashes (argument 1 aborts the worker), each followed
+    // by a harmless call (argument 0) that runs at once.
     for round in 0..3 {
         let spawns_before = db.pool_stats().unwrap().spawns;
         let err = db.execute("SELECT wflaky(a) FROM t").unwrap_err();
@@ -324,19 +325,14 @@ fn crashing_udf_fails_only_its_own_statement() {
             matches!(err, JaguarError::Worker(_)),
             "round {round}: expected a worker crash, got: {err}"
         );
-        // Let the supervisor replace the dead worker before counting.
-        assert!(pool.wait_ready(Duration::from_secs(10)));
+        let r = db.execute("SELECT wflaky(b) FROM t").unwrap();
+        assert_eq!(r.rows[0].get(0).unwrap(), &Value::Int(0));
         let spawned = db.pool_stats().unwrap().spawns - spawns_before;
-        assert!(
-            spawned <= 1,
-            "round {round}: one crashing statement spawned {spawned} workers"
+        assert_eq!(
+            spawned, 1,
+            "round {round}: a crash and the statement after it spawned {spawned} workers"
         );
     }
-
-    // No cooldown: the next call with a harmless argument runs now.
-    let r = db.execute("SELECT wflaky(b) FROM t").unwrap();
-    assert_eq!(r.rows[0].get(0).unwrap(), &Value::Int(0));
-    db.execute("SELECT wflaky(b) FROM t").unwrap();
 }
 
 /// A UDF's own deterministic error — here fuel exhaustion on every row —
