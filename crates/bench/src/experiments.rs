@@ -955,7 +955,13 @@ impl ExperimentCtx {
         let inserts = self.pick(2_000, 200);
         let mut table = Table::new(
             "WAL commit latency by sync mode",
-            &["sync", "commit latency", "fsyncs", "commits"],
+            &[
+                "sync",
+                "commit latency",
+                "fsyncs",
+                "commits",
+                "log bytes / commit",
+            ],
         );
         for (mode, label) in SYNC_MODES {
             let dir = TempDir::new(&format!("wal-{label}"))?;
@@ -976,9 +982,14 @@ impl ExperimentCtx {
                 Cell::series(lat),
                 Cell::from(delta("wal.fsyncs")),
                 Cell::from(delta("wal.commits")),
+                Cell::from(delta("wal.bytes") / delta("wal.commits").max(1)),
             ]);
         }
         table.note(format!("{inserts} single-row INSERT statements per mode"));
+        table.note(
+            "log bytes / commit: a page's first record after a checkpoint is its full \
+             image, later ones a delta of the bytes that changed",
+        );
         table.note("full = fsync per commit; normal = fsync at checkpoint; off = never");
         Ok(table)
     }

@@ -21,6 +21,7 @@ use std::sync::Arc;
 
 use jaguar_common::config::Config;
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::fs::read_existing;
 use jaguar_common::ids::TableId;
 use jaguar_common::schema::Schema;
 use jaguar_sec::{
@@ -201,7 +202,7 @@ impl Catalog {
     /// `check_format` already validated the header.
     fn read_wrapped_key(dir: &std::path::Path) -> Result<Option<Vec<u8>>> {
         use jaguar_common::stream::{read_blob, read_u32};
-        let Ok(raw) = std::fs::read(Self::manifest_path(dir)) else {
+        let Some(raw) = read_existing(&Self::manifest_path(dir))? else {
             return Ok(None);
         };
         let mut r = raw.as_slice();
@@ -222,7 +223,7 @@ impl Catalog {
     /// than 8-bytes-shifted reads of every slotted page.
     fn check_format(dir: &std::path::Path) -> Result<()> {
         use jaguar_common::stream::read_u32;
-        let Ok(raw) = std::fs::read(Self::manifest_path(dir)) else {
+        let Some(raw) = read_existing(&Self::manifest_path(dir))? else {
             return Ok(());
         };
         let mut r = raw.as_slice();
@@ -296,7 +297,7 @@ impl Catalog {
     fn recover(&self, dir: &std::path::Path) -> Result<()> {
         use jaguar_common::stream::{read_blob, read_schema, read_str, read_u32};
         let path = Self::manifest_path(dir);
-        let Ok(raw) = std::fs::read(&path) else {
+        let Some(raw) = read_existing(&path)? else {
             return Ok(()); // fresh directory
         };
         let mut r = raw.as_slice();
@@ -676,10 +677,11 @@ mod tests {
 
     #[test]
     fn foreign_format_version_rejected_cleanly() {
-        // v3 is the previous layout (FNV-1a page checksums): its pages
-        // would all fail verification, so it is refused at the door like
-        // any other foreign version.
-        for version in [3u32, 99] {
+        // v3 (FNV-1a page checksums: every page would fail verification)
+        // and v4 (a log of full images only, read by a build that would
+        // take a delta for a torn tail) are refused at the door like any
+        // other foreign version.
+        for version in [3u32, 4, 99] {
             let dir = std::env::temp_dir()
                 .join(format!("jaguar-foreignfmt{version}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);

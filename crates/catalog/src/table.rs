@@ -143,11 +143,11 @@ impl Table {
 
     fn bind_wal(wal: Option<&Arc<Wal>>, path: &Path, pool: &Arc<BufferPool>) -> Option<WalBinding> {
         let wal = wal?;
-        wal.attach(pool);
         let file = path
             .file_name()
             .map(|f| f.to_string_lossy().into_owned())
             .unwrap_or_default();
+        wal.attach(pool, &file);
         Some(WalBinding {
             wal: Arc::clone(wal),
             file,

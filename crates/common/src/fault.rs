@@ -5,14 +5,15 @@
 //! injected failure — without inventing its own plumbing. Two kinds:
 //!
 //! * **Crash points** ([`crash_point`]): the process dies abruptly
-//!   (`abort()`, no destructors, no buffered-write flushing). Armed by
-//!   environment variable so a harness can re-exec itself as the victim:
-//!   `JAGUAR_CRASH_POINT=wal.before_commit`.
+//!   (`abort()`, no destructors, no buffered-write flushing). Armed like
+//!   any fault site, so a harness that re-execs itself as the victim arms
+//!   the point in the child — with [`arm`], right before the doomed
+//!   operation, or from the start with `JAGUAR_FAULT_SITES`.
 //! * **Fault sites** ([`should_fail`]): the call site consults the
 //!   injector and simulates its own failure (drop a connection, abort a
 //!   reply, fail an fsync) while the test process keeps running.
 //!
-//! A site can be armed with four trigger shapes:
+//! A site can be armed with five trigger shapes:
 //!
 //! | trigger        | programmatic                  | env grammar  |
 //! |----------------|-------------------------------|--------------|
@@ -20,6 +21,7 @@
 //! | every hit      | `arm(name, ALWAYS)`           | `name`       |
 //! | probability p  | `arm_probabilistic(name, p, seed)` | `name=p0.25` |
 //! | every Nth hit  | `arm_every_nth(name, n)`      | `name=n5`    |
+//! | N hits after K | `arm_after(name, k, n)`       | —            |
 //!
 //! Counted arming models a *transient* fault (a retry that consults the
 //! site again eventually succeeds); `ALWAYS` models a *permanent* one
@@ -39,8 +41,6 @@ use std::sync::{Mutex, OnceLock};
 use crate::obs;
 use crate::rng::SplitMix64;
 
-/// Environment variable naming the crash point to arm.
-pub const CRASH_POINT_ENV: &str = "JAGUAR_CRASH_POINT";
 /// Environment variable arming fault sites (comma-separated entries:
 /// `name`, `name=count`, `name=pPROB`, or `name=nSTRIDE`) — the
 /// cross-process equivalent of [`arm`] and friends.
@@ -49,16 +49,9 @@ pub const FAULT_SITES_ENV: &str = "JAGUAR_FAULT_SITES";
 /// Sentinel count for "fire on every hit, never disarm".
 pub const ALWAYS: u32 = u32::MAX;
 
-fn armed_crash_point() -> Option<&'static str> {
-    static ARMED: OnceLock<Option<String>> = OnceLock::new();
-    ARMED
-        .get_or_init(|| std::env::var(CRASH_POINT_ENV).ok())
-        .as_deref()
-}
-
-/// Die here if this crash point is armed (via [`CRASH_POINT_ENV`]).
+/// Die here if this crash point is armed (as a fault site).
 pub fn crash_point(name: &str) {
-    if armed_crash_point() == Some(name) {
+    if should_fail(name) {
         // abort(), not exit(): no atexit handlers, no Drop, no flush.
         eprintln!("jaguar fault: crash point '{name}' armed, aborting");
         std::process::abort();
@@ -75,6 +68,8 @@ enum Trigger {
     Probability { p: f64, rng: SplitMix64 },
     /// Fire on every `n`-th hit (the 1st, `n+1`-th, ... of the arming).
     EveryNth { n: u32, seen: u32 },
+    /// Let `skip` hits pass, then fire as `Count(count)`.
+    After { skip: u32, count: u32 },
 }
 
 impl Trigger {
@@ -91,6 +86,14 @@ impl Trigger {
                 let fire = *seen % (*n).max(1) == 0;
                 *seen = seen.wrapping_add(1);
                 fire
+            }
+            Trigger::After { skip: 0, count } => {
+                *self = Trigger::Count(*count);
+                self.fire()
+            }
+            Trigger::After { skip, .. } => {
+                *skip -= 1;
+                false
             }
         }
     }
@@ -175,6 +178,13 @@ pub fn arm_every_nth(name: &str, n: u32) {
     );
 }
 
+/// Arm a fault site to let the next `skip` hits pass, then fire as
+/// [`arm`] with `count` — so a test can fail the k-th of a sequence of
+/// hits on one site.
+pub fn arm_after(name: &str, skip: u32, count: u32) {
+    install(name, Trigger::After { skip, count });
+}
+
 /// Disarm a fault site (a no-op if it was not armed).
 pub fn disarm(name: &str) {
     sites().lock().unwrap().remove(name);
@@ -254,6 +264,14 @@ mod tests {
     }
 
     #[test]
+    fn after_trigger_skips_then_counts() {
+        arm_after("test.site.after", 2, 1);
+        let fired: Vec<bool> = (0..5).map(|_| should_fail("test.site.after")).collect();
+        assert_eq!(fired, [false, false, true, false, false]);
+        disarm("test.site.after");
+    }
+
+    #[test]
     fn probabilistic_trigger_is_seeded_and_proportional() {
         // Same seed => same firing pattern (reproducible chaos).
         arm_probabilistic("test.site.prob", 0.5, 42);
@@ -288,8 +306,7 @@ mod tests {
 
     #[test]
     fn unarmed_crash_point_is_a_noop() {
-        // The test process has no JAGUAR_CRASH_POINT set; surviving this
-        // call is the assertion.
+        // Nothing arms this point; surviving this call is the assertion.
         crash_point("not.a.point");
     }
 }

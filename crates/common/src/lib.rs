@@ -18,6 +18,7 @@
 //!   deadline every layer polls cooperatively,
 //! * [`fault`] — named crash points and fault-injection sites shared by
 //!   the chaos/crash-recovery harnesses,
+//! * [`fs`] — reads that tell a missing file from a failed one,
 //! * [`retry`] — the shared bounded-backoff retry policy and the
 //!   transient/permanent failure classifiers,
 //! * [`config`] — engine tunables,
@@ -30,6 +31,7 @@ pub mod cancel;
 pub mod config;
 pub mod error;
 pub mod fault;
+pub mod fs;
 pub mod ids;
 pub mod obs;
 pub mod retry;

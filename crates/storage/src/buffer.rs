@@ -42,16 +42,22 @@
 //! - **No-steal.** Every mutation through [`PageHandle::write`] records the
 //!   page in an *unlogged* set; unlogged dirty pages are never evicted or
 //!   flushed, so uncommitted data cannot reach a data file. The commit path
-//!   snapshots the set ([`BufferPool::snapshot_unlogged`]), logs the images
+//!   snapshots the set ([`BufferPool::snapshot_unlogged`]), logs the pages
 //!   (stamping LSNs through [`PageHandle::write_nolog`]), and retires the
 //!   snapshot only once the commit is durable
 //!   ([`BufferPool::commit_unlogged`]) — pages keep their no-steal
 //!   protection for the whole commit window.
+//! - **Bases.** A page joining the unlogged set leaves a copy of itself as
+//!   it was before that first mutation — taken under the page's exclusive
+//!   latch, if the hook [`WalHook::wants_base`] — so the commit path can
+//!   log only the bytes that changed since ([`BufferPool::page_base`],
+//!   [`PageBase`]). The copy goes when the page is retired.
 //! - **WAL-before-data.** Before a (logged) dirty page is written back, the
 //!   hook is invoked with the page's on-page LSN so the log can be made
 //!   durable at least that far first.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -61,7 +67,7 @@ use jaguar_common::obs;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::disk::DiskManager;
-use crate::page::page_lsn;
+use crate::page::{page_lsn, LSN_OFFSET};
 
 /// Write-ahead-log callback invoked before a dirty page is written back to
 /// its data file. Implemented by `jaguar-wal`; the trait lives here so the
@@ -70,6 +76,12 @@ pub trait WalHook: Send + Sync {
     /// Make the log durable at least up to `page_lsn` (the LSN stamped on
     /// the page about to be written). Erroring aborts the write-back.
     fn before_page_write(&self, page_lsn: u64) -> Result<()>;
+
+    /// Should `page`, joining the unlogged set, leave a [`PageBase`]? Only
+    /// a page the log may write a delta for needs one.
+    fn wants_base(&self, _page: PageId) -> bool {
+        false
+    }
 }
 
 /// The part of a frame a [`PageHandle`] shares with the pool. Allocated
@@ -137,6 +149,74 @@ impl PoolInner {
     }
 }
 
+/// A page of the unlogged set.
+struct Unlogged {
+    /// Bumped on every tracked write.
+    gen: u64,
+    base: Option<PageBase>,
+}
+
+/// An unlogged page as it was before its first unlogged mutation, and the
+/// byte ranges the records logged for it since then have carried.
+pub struct PageBase {
+    bytes: Box<[u8]>,
+    /// Sorted, disjoint, never shrinking until the page is retired.
+    carried: Vec<Range<usize>>,
+}
+
+/// Bytes `0..ALWAYS_CARRIED` change without a tracked write — the checksum
+/// when the page is written back, the page LSN when a record is logged —
+/// so every record carries them.
+const ALWAYS_CARRIED: usize = LSN_OFFSET + 8;
+
+/// Two changed ranges at most this far apart are carried as one: a range
+/// costs eight bytes of framing.
+const RANGE_GAP: usize = 8;
+
+impl PageBase {
+    /// Add to the carried ranges every byte where `page` differs from the
+    /// base, and return them all. A record carrying the current bytes of
+    /// every returned range, replayed over the last committed record of the
+    /// page, yields `page` — whichever of the records logged since the base
+    /// was taken committed.
+    pub fn carry(&mut self, page: &[u8]) -> &[Range<usize>] {
+        let mut before = std::mem::take(&mut self.carried).into_iter().peekable();
+        let carried = &mut self.carried;
+        // Ranges come in ascending order of start, from the scan below and
+        // from what was carried before: merged as they come.
+        let mut add = |r: Range<usize>| {
+            while let Some(b) = before.next_if(|b| b.start <= r.start) {
+                merge_into(carried, b);
+            }
+            merge_into(carried, r);
+        };
+        add(0..ALWAYS_CARRIED);
+        // Equal 64-byte blocks are skipped whole; within a block that
+        // differs, ranges are found a word at a time.
+        for (b, (old, new)) in self.bytes.chunks(64).zip(page.chunks(64)).enumerate() {
+            if old != new {
+                for (w, (o, n)) in old.chunks(8).zip(new.chunks(8)).enumerate() {
+                    if o != n {
+                        let start = b * 64 + w * 8;
+                        add(start..start + n.len());
+                    }
+                }
+            }
+        }
+        before.for_each(|b| merge_into(carried, b));
+        &self.carried
+    }
+}
+
+/// Append `r` to the sorted, disjoint `ranges`, joining the last one when
+/// the gap between them is at most [`RANGE_GAP`].
+fn merge_into(ranges: &mut Vec<Range<usize>>, r: Range<usize>) {
+    match ranges.last_mut() {
+        Some(last) if r.start <= last.end + RANGE_GAP => last.end = last.end.max(r.end),
+        _ => ranges.push(r),
+    }
+}
+
 /// Cache statistics, exposed for the calibration experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
@@ -162,7 +242,7 @@ pub struct BufferPool {
     /// Dirty pages whose latest mutation has not been logged yet, each with
     /// a generation counter bumped on every tracked write. These are
     /// pinned-in-spirit: never evicted, never flushed (no-steal).
-    unlogged: Mutex<HashMap<PageId, u64>>,
+    unlogged: Mutex<HashMap<PageId, Unlogged>>,
     /// Ticks when a fetch/unpin finds the central pool latch held by
     /// another thread — the first place parallel scans bottleneck.
     latch_waits: Arc<obs::Counter>,
@@ -222,27 +302,51 @@ impl BufferPool {
     /// with [`BufferPool::commit_unlogged`].
     pub fn snapshot_unlogged(&self) -> Vec<(PageId, u64)> {
         let set = self.unlogged.lock();
-        let mut pages: Vec<(PageId, u64)> = set.iter().map(|(p, g)| (*p, *g)).collect();
+        let mut pages: Vec<(PageId, u64)> = set.iter().map(|(p, u)| (*p, u.gen)).collect();
         pages.sort_by_key(|(p, _)| p.0);
         pages
     }
 
     /// Retire a durably committed snapshot: each page leaves the unlogged
-    /// set only if its generation is unchanged, i.e. no new mutation raced
-    /// with the commit. A page mutated after its image was logged keeps its
-    /// protection and is logged again by the next commit.
+    /// set, and drops its base, only if its generation is unchanged, i.e.
+    /// no new mutation raced with the commit. A page mutated after it was
+    /// logged keeps its protection and is logged again by the next commit.
     pub fn commit_unlogged(&self, pages: &[(PageId, u64)]) {
         let mut set = self.unlogged.lock();
         for (page, gen) in pages {
-            if set.get(page) == Some(gen) {
+            if set.get(page).is_some_and(|u| u.gen == *gen) {
                 set.remove(page);
             }
         }
     }
 
-    fn note_write(&self, page: PageId) {
+    /// Run `f` on the base of `page` (`None` if it has none, or a commit
+    /// has retired it) under the unlogged set's lock. Called by the commit
+    /// path under the page's exclusive latch.
+    pub fn page_base<R>(&self, page: PageId, f: impl FnOnce(Option<&mut PageBase>) -> R) -> R {
+        f(self
+            .unlogged
+            .lock()
+            .get_mut(&page)
+            .and_then(|u| u.base.as_mut()))
+    }
+
+    /// Count a tracked write of `page`, whose bytes — not yet mutated —
+    /// are `bytes`, held under its exclusive latch.
+    fn note_write(&self, page: PageId, bytes: &[u8]) {
         if self.track_unlogged.load(Ordering::Acquire) {
-            *self.unlogged.lock().entry(page).or_insert(0) += 1;
+            let mut set = self.unlogged.lock();
+            let entry = set.entry(page).or_insert_with(|| {
+                let hook = self.wal_hook.lock();
+                Unlogged {
+                    gen: 0,
+                    base: (hook.as_ref().is_some_and(|h| h.wants_base(page))).then(|| PageBase {
+                        bytes: bytes.into(),
+                        carried: Vec::new(),
+                    }),
+                }
+            });
+            entry.gen += 1;
         }
     }
 
@@ -392,16 +496,21 @@ impl BufferPool {
         Ok(victim)
     }
 
-    /// Write `page` to disk if its frame is dirty. The flag is cleared
-    /// *before* the bytes are latched, so a writer racing with the flush
-    /// leaves the frame dirty rather than silently unwritten.
+    /// Write `page` to disk if its frame is dirty and it holds no unlogged
+    /// change. The exclusive latch is held from the check to the write: a
+    /// writer joins the unlogged set only under it, so the page cannot turn
+    /// unlogged in between.
     fn write_back(&self, page: PageId, data: &FrameData) -> Result<()> {
         if !data.dirty.load(Ordering::Relaxed) {
             return Ok(());
         }
-        self.wal_barrier(&data.bytes.read())?;
+        let mut bytes = data.bytes.write();
+        if self.track_unlogged.load(Ordering::Acquire) && self.unlogged.lock().contains_key(&page) {
+            return Ok(());
+        }
+        self.wal_barrier(&bytes)?;
         if data.dirty.swap(false, Ordering::Relaxed) {
-            if let Err(e) = self.disk.write_page(page, &mut data.bytes.write()) {
+            if let Err(e) = self.disk.write_page(page, &mut bytes) {
                 data.dirty.store(true, Ordering::Relaxed);
                 return Err(e);
             }
@@ -424,21 +533,24 @@ impl BufferPool {
     /// unlogged changes are skipped: they hold uncommitted data that must
     /// not reach the data file (they are flushed by the commit following
     /// their statement, or discarded with the process).
-    pub fn flush_all(&self) -> Result<()> {
-        let inner = self.latch();
-        // Held for the whole flush: a writer's `note_write` waits, so no
-        // page can turn unlogged between its check and its write-back.
-        let unlogged = self
-            .track_unlogged
-            .load(Ordering::Acquire)
-            .then(|| self.unlogged.lock());
-        for f in &inner.frames {
-            if unlogged.as_ref().is_some_and(|u| u.contains_key(&f.page)) {
-                continue;
-            }
-            self.write_back(f.page, &f.data)?;
+    pub fn flush_all(self: &Arc<Self>) -> Result<()> {
+        // One dirty frame at a time is pinned and the pool let go before its
+        // latch is taken: a writer may hold a latch while it fetches, and
+        // every other frame stays a victim for a concurrent miss.
+        let mut next = 0;
+        loop {
+            let mut inner = self.latch();
+            let Some(i) = (next..inner.frames.len())
+                .find(|&i| inner.frames[i].data.dirty.load(Ordering::Relaxed))
+            else {
+                return Ok(());
+            };
+            inner.pin(i);
+            let h = self.handle(inner.frames[i].page, i, &inner);
+            drop(inner);
+            self.write_back(h.page, &h.data)?;
+            next = i + 1;
         }
-        Ok(())
     }
 }
 
@@ -466,9 +578,10 @@ impl PageHandle {
     /// attached — records it as unlogged so the mutation cannot reach the
     /// data file before it is logged and committed.
     pub fn write(&self) -> RwLockWriteGuard<'_, Vec<u8>> {
-        self.pool.note_write(self.page);
+        let bytes = self.data.bytes.write();
+        self.pool.note_write(self.page, &bytes);
         self.data.dirty.store(true, Ordering::Relaxed);
-        self.data.bytes.write()
+        bytes
     }
 
     /// Exclusive write access that marks the page dirty but does *not*
@@ -701,6 +814,59 @@ mod tests {
         assert_eq!(again.len(), 1, "re-mutated page must stay unlogged");
         p.commit_unlogged(&again);
         assert!(p.snapshot_unlogged().is_empty());
+    }
+
+    /// A delta carries the header, each changed word (neighbours closer
+    /// than a range's framing merged), and every range carried before —
+    /// a byte put back to its base value included.
+    #[test]
+    fn page_base_carries_changes_and_keeps_what_it_carried() {
+        let mut base = PageBase {
+            bytes: vec![0u8; 256].into(),
+            carried: Vec::new(),
+        };
+        let mut page = vec![0u8; 256];
+        page[100] = 1;
+        page[110] = 1; // the next word: one range
+        page[125] = 1; // one unchanged word between: within RANGE_GAP
+        page[200] = 1;
+        assert_eq!(base.carry(&page), &[0..20, 96..128, 200..208]);
+        page[100] = 0; // restored: still carried
+        page[250] = 1;
+        assert_eq!(base.carry(&page), &[0..20, 96..128, 200..208, 248..256]);
+    }
+
+    /// A writer may hold a page's latch while it fetches another page, and
+    /// a concurrent miss needs a victim: `flush_all` waiting on that latch
+    /// must hold neither the pool nor the frames it already wrote.
+    #[test]
+    fn flush_all_holds_one_frame_and_not_the_pool() {
+        let p = pool(4);
+        let missing = p.allocate().unwrap().id();
+        // Four new dirty pages fill the pool and evict `missing` to disk.
+        let mut pages: Vec<PageHandle> = (0..4).map(|_| p.allocate().unwrap()).collect();
+        let last = pages.swap_remove(pages.iter().position(|h| h.frame == 3).unwrap());
+        drop(pages);
+        let latched = last.read();
+        let flusher = {
+            let p = Arc::clone(&p);
+            std::thread::spawn(move || p.flush_all().unwrap())
+        };
+        // The flusher has written frames 0 to 2 once it pins frame 3 too.
+        let mut spins = 0;
+        while p.latch().frames[3].pins < 2 {
+            assert!(spins < 10_000_000, "flush_all never reached frame 3");
+            spins += 1;
+            std::thread::yield_now();
+        }
+        // Deadlocks if the flusher holds the pool; finds no victim if it
+        // still pins the frames it wrote.
+        drop(p.fetch(missing).unwrap());
+        drop(latched);
+        flusher.join().unwrap();
+        drop(last);
+        let dirty = |f: &Frame| f.data.dirty.load(Ordering::Relaxed);
+        assert!(!p.latch().frames.iter().any(dirty));
     }
 
     #[test]

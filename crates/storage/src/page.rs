@@ -42,17 +42,19 @@ use jaguar_common::ids::PageId;
 /// common page header from 12 to 20 bytes to carry the page LSN; v3 grew
 /// it to 40 to carry the encryption marker/nonce/tag and added the wrapped
 /// data-key blob to the manifest; v4 replaced the byte-serial FNV-1a page
-/// checksum with the word-wide hash of [`compute_checksum`]. The catalog
+/// checksum with the word-wide hash of [`compute_checksum`]; v5 lets the
+/// write-ahead log hold page deltas (record kind 5), which an older reader
+/// would take for a torn tail, dropping every commit after it. The catalog
 /// stamps this into
 /// `catalog.manifest` and refuses to open a database directory written
 /// under any other version, so an old file is a clean "incompatible
 /// format" error instead of silently shifted reads.
-pub const ON_DISK_FORMAT_VERSION: u32 = 4;
+pub const ON_DISK_FORMAT_VERSION: u32 = 5;
 
 /// Size of the common header present on every page.
 pub const COMMON_HEADER: usize = 40;
 /// Offset of the page LSN within the common header.
-const LSN_OFFSET: usize = 12;
+pub(crate) const LSN_OFFSET: usize = 12;
 /// Offset of the encryption marker within the common header.
 const SEC_MARKER_OFFSET: usize = 20;
 /// Offset of the per-write encryption nonce.

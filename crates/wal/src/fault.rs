@@ -1,37 +1,37 @@
 //! Fault injection for crash-recovery testing.
 //!
-//! The generic machinery — env-armed named crash points and in-process
-//! fault sites — lives in [`jaguar_common::fault`] (it grew out of this
-//! module and is now shared by `ipc` and `net` chaos tests). This module
-//! keeps the WAL-specific pieces: the canonical crash-point list the
-//! recovery harness iterates, and torn-tail simulation:
+//! The generic machinery — named crash points and in-process fault sites —
+//! lives in [`jaguar_common::fault`] (it grew out of this module and is now
+//! shared by `ipc` and `net` chaos tests). This module keeps the
+//! WAL-specific pieces: the canonical crash-point list the recovery harness
+//! iterates, and torn-tail simulation. Both are fault sites; a victim
+//! process arms one right before its doomed commit:
 //!
 //! ```text
-//! JAGUAR_CRASH_POINT=wal.before_commit  → abort() when that point is hit
-//! JAGUAR_TORN_TAIL=1                    → the next commit record is half-
-//!                                         written (then abort), simulating
-//!                                         a torn sector on the log tail
+//! arm("wal.before_commit", 1)  → abort() when that point is hit
+//! arm(TORN_TAIL_SITE, 1)       → the next commit record is half-written
+//!                                (then abort), simulating a torn sector
+//!                                on the log tail
 //! ```
 //!
-//! In production neither variable is set and every check is one cached
-//! comparison.
+//! In production nothing is armed and every check is one relaxed atomic
+//! load.
 
-use std::sync::OnceLock;
+pub use jaguar_common::fault::{arm, crash_point};
 
-pub use jaguar_common::fault::{crash_point, CRASH_POINT_ENV};
-
-/// Environment variable arming torn-tail simulation on the next commit.
-pub const TORN_TAIL_ENV: &str = "JAGUAR_TORN_TAIL";
+/// Fault site arming torn-tail simulation on the next commit.
+pub const TORN_TAIL_SITE: &str = "wal.torn_tail";
 
 /// Every named crash point in the commit path, in execution order. The
 /// crash-recovery harness iterates this list; keep it in sync with the
 /// `crash_point` call sites.
 pub const CRASH_POINTS: &[&str] = &[
-    // After the Begin record is appended, before any page image.
+    // After the Begin record is appended, before any page record.
     "wal.after_begin",
-    // After the first page image, with later images still unwritten.
+    // After the first page record (image or delta), with later ones still
+    // unwritten.
     "wal.mid_images",
-    // All page images written, Commit record not yet written.
+    // All page records written, Commit record not yet written.
     "wal.before_commit",
     // Commit record written but not yet fsynced.
     "wal.after_commit_write",
@@ -39,10 +39,9 @@ pub const CRASH_POINTS: &[&str] = &[
     "wal.after_commit_sync",
 ];
 
-/// Is torn-tail simulation armed? (Checked once per process.)
+/// Is torn-tail simulation armed?
 pub fn torn_tail_armed() -> bool {
-    static ARMED: OnceLock<bool> = OnceLock::new();
-    *ARMED.get_or_init(|| std::env::var(TORN_TAIL_ENV).is_ok())
+    jaguar_common::fault::should_fail(TORN_TAIL_SITE)
 }
 
 #[cfg(test)]
@@ -51,8 +50,7 @@ mod tests {
 
     #[test]
     fn unarmed_crash_point_is_a_noop() {
-        // The test process has no JAGUAR_CRASH_POINT set; surviving this
-        // call is the assertion.
+        // Nothing arms these points; surviving the calls is the assertion.
         for p in CRASH_POINTS {
             crash_point(p);
         }

@@ -4,9 +4,15 @@
 //! is the equivalent substrate for `jaguar-storage`. It implements an
 //! ARIES-lite, redo-only protocol:
 //!
-//! - **Physical redo.** Each committed statement logs the full after-image
-//!   of every page it touched ([`record::WalRecord::PageImage`]), bracketed
-//!   by `Begin`/`Commit` markers. Recovery replays images of *committed*
+//! - **Physical redo.** Each committed statement logs every page it
+//!   touched, bracketed by `Begin`/`Commit` markers. A page's first record
+//!   after a checkpoint (or open) is its full after-image
+//!   ([`record::WalRecord::PageImage`]); once that image is committed, later
+//!   records of the page carry only the byte ranges that changed since the
+//!   page last left the unlogged set ([`record::WalRecord::PageDelta`],
+//!   diffed against the pool's [`jaguar_storage::buffer::PageBase`]). An
+//!   encrypted database logs only sealed full images, so the log never
+//!   holds plaintext. Recovery replays the records of *committed*
 //!   transactions in LSN order and discards the rest.
 //! - **No-steal, so no undo.** The buffer pool refuses to evict a dirty
 //!   page whose latest mutation has not been logged (see
@@ -34,6 +40,7 @@ pub mod fault;
 pub mod record;
 pub mod recover;
 
+use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -42,6 +49,7 @@ use std::sync::Arc;
 
 use jaguar_common::config::{Config, SyncMode};
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::ids::PageId;
 use jaguar_common::obs;
 use jaguar_common::retry::{self, RetryPolicy};
 use jaguar_sec::PageCipher;
@@ -92,8 +100,11 @@ pub struct Wal {
     /// When set, logged page images are transformed into their on-disk
     /// sealed (encrypted) form before hitting the log, so the log never
     /// carries plaintext row data and recovery can replay the bytes
-    /// verbatim without the key.
+    /// verbatim without the key. No deltas are logged then.
     cipher: Option<Arc<dyn PageCipher>>,
+    /// Per data file, the pages with a committed image in the current log:
+    /// only these may be logged as deltas. Emptied when the log is.
+    imaged: Mutex<HashMap<String, HashSet<u32>>>,
 }
 
 impl Wal {
@@ -144,6 +155,7 @@ impl Wal {
             txn_gate: RwLock::new(()),
             next_txn: AtomicU64::new(0),
             cipher,
+            imaged: Mutex::new(HashMap::new()),
         });
         // Everything replayed is in synced data files: start from an empty
         // log (plus a Checkpoint marker) rather than replaying again.
@@ -151,6 +163,8 @@ impl Wal {
         let reg = obs::global();
         reg.counter("wal.recovered_txns").add(stats.recovered_txns);
         reg.counter("wal.replayed_pages").add(stats.replayed_pages);
+        reg.counter("wal.replayed_deltas")
+            .add(stats.replayed_deltas);
         Ok((wal, stats))
     }
 
@@ -159,10 +173,25 @@ impl Wal {
         &self.path
     }
 
-    /// Register this log as the buffer pool's WAL-before-data hook and
-    /// enable unlogged-page tracking (no-steal) on the pool.
-    pub fn attach(self: &Arc<Self>, pool: &BufferPool) {
-        pool.set_wal_hook(Arc::new(PoolHook(Arc::clone(self))));
+    /// Register this log as the WAL-before-data hook of `pool`, the pool
+    /// of data file `file`, and enable unlogged-page tracking (no-steal) on
+    /// it. The file's pages start over with full images: images logged for
+    /// an earlier file of that name (dropped, its checkpoint failed) are no
+    /// base for a delta.
+    pub fn attach(self: &Arc<Self>, pool: &BufferPool, file: &str) {
+        self.imaged.lock().remove(file);
+        pool.set_wal_hook(Arc::new(PoolHook {
+            wal: Arc::clone(self),
+            file: file.to_owned(),
+        }));
+    }
+
+    /// Does `page` of `file` have a committed image in this log?
+    fn imaged(&self, file: &str, page: PageId) -> bool {
+        let imaged = self.imaged.lock();
+        imaged
+            .get(file)
+            .is_some_and(|pages| pages.contains(&page.0))
     }
 
     /// Current log size in bytes.
@@ -237,29 +266,64 @@ impl Wal {
     ///
     /// This is the WAL half of a statement commit: snapshot the pool's
     /// unlogged set, stamp each page with its record's LSN, append the
-    /// images between `Begin`/`Commit` markers, make the commit durable
+    /// records between `Begin`/`Commit` markers, make the commit durable
     /// per the configured [`SyncMode`], and only then retire the snapshot.
     /// The pages stay in the unlogged set — and therefore keep their
     /// no-steal protection — for the whole commit window, so a concurrent
     /// query can never evict one of them to a data file before the commit
-    /// record is on stable storage.
+    /// record is on stable storage. A failed commit retires nothing.
     pub fn commit_table(&self, file: &str, pool: &Arc<BufferPool>) -> Result<Option<u64>> {
         let _gate = self.txn_gate.read();
         let pages = pool.snapshot_unlogged();
         if pages.is_empty() {
             return Ok(None);
         }
+        let span = obs::SpanTimer::new(obs::global().histogram("wal.commit_latency_us"));
+        let txn = self.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
+        let result = self
+            .log_pages(txn, file, pool, &pages)
+            .and_then(|()| self.commit(txn));
+        drop(span);
+        let lsn = result?;
+        self.retire(file, pool, &pages);
+        Ok(Some(lsn))
+    }
+
+    /// Append `Begin` and one record per page of `pages`. A page is logged
+    /// as a delta when it has a committed image earlier in this log and a
+    /// base in the pool, and the ranges it must carry come to at most half
+    /// a page; as its full image otherwise.
+    fn log_pages(
+        &self,
+        txn: u64,
+        file: &str,
+        pool: &Arc<BufferPool>,
+        pages: &[(PageId, u64)],
+    ) -> Result<()> {
+        self.append_record(&WalRecord::Begin { txn })?;
+        fault::crash_point("wal.after_begin");
         let reg = obs::global();
-        let span = obs::SpanTimer::new(reg.histogram("wal.commit_latency_us"));
-        let result = (|| {
-            let txn = self.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
-            self.append_record(&WalRecord::Begin { txn })?;
-            fault::crash_point("wal.after_begin");
-            for (i, (pid, _gen)) in pages.iter().enumerate() {
-                let handle = pool.fetch(*pid)?;
-                self.append_frame(false, |lsn, buf| {
-                    let mut guard = handle.write_nolog();
-                    set_page_lsn(&mut guard, lsn);
+        for (i, (pid, _gen)) in pages.iter().enumerate() {
+            let handle = pool.fetch(*pid)?;
+            let imaged = self.imaged(file, *pid);
+            let mut delta = false;
+            self.append_frame(false, |lsn, buf| {
+                let mut guard = handle.write_nolog();
+                set_page_lsn(&mut guard, lsn);
+                pool.page_base(*pid, |base| {
+                    // Carried even when an image is logged: a later delta
+                    // must cover what this record may have committed.
+                    let Some(ranges) = base.map(|b| b.carry(&guard)) else {
+                        return;
+                    };
+                    let carried: usize = ranges.iter().map(|r| r.len()).sum();
+                    if imaged && carried <= guard.len() / 2 {
+                        let ranges = ranges.iter().map(|r| (r.start as u32, &guard[r.clone()]));
+                        record::write_page_delta(buf, lsn, txn, file, pid.0, ranges);
+                        delta = true;
+                    }
+                });
+                if !delta {
                     // The pool frame stays plaintext; only the logged copy
                     // is sealed, matching what write_page would persist so
                     // replay writes it verbatim.
@@ -269,33 +333,43 @@ impl Wal {
                         }
                     };
                     record::write_page_image(buf, lsn, txn, file, pid.0, &guard, seal);
-                })?;
-                if i == 0 {
-                    fault::crash_point("wal.mid_images");
                 }
+            })?;
+            reg.counter(if delta {
+                "wal.page_deltas"
+            } else {
+                "wal.page_images"
+            })
+            .inc();
+            if i == 0 {
+                fault::crash_point("wal.mid_images");
             }
-            fault::crash_point("wal.before_commit");
-            let lsn = self.append_commit(txn)?;
-            fault::crash_point("wal.after_commit_write");
-            self.ensure_durable(lsn)?;
-            fault::crash_point("wal.after_commit_sync");
-            reg.counter("wal.commits").inc();
-            Ok(lsn)
-        })();
-        drop(span);
-        match result {
-            Ok(lsn) => {
-                // With the commit durable, the pages may give up their
-                // no-steal protection. A page mutated since its image was
-                // logged keeps it (its generation moved on) and is logged
-                // again by the next commit.
-                pool.commit_unlogged(&pages);
-                Ok(Some(lsn))
-            }
-            // The pages never left the unlogged set, so their no-steal
-            // protection is intact; nothing to restore.
-            Err(e) => Err(e),
         }
+        fault::crash_point("wal.before_commit");
+        Ok(())
+    }
+
+    /// Append `txn`'s `Commit` record and make it durable per the sync
+    /// mode; returns its LSN.
+    fn commit(&self, txn: u64) -> Result<u64> {
+        let lsn = self.append_commit(txn)?;
+        fault::crash_point("wal.after_commit_write");
+        self.ensure_durable(lsn)?;
+        fault::crash_point("wal.after_commit_sync");
+        obs::global().counter("wal.commits").inc();
+        Ok(lsn)
+    }
+
+    /// After the commit that logged `pages`: each now has a committed image
+    /// in this log, and leaves the unlogged set unless it was mutated since
+    /// the snapshot was taken.
+    fn retire(&self, file: &str, pool: &BufferPool, pages: &[(PageId, u64)]) {
+        if self.cipher.is_none() {
+            let mut imaged = self.imaged.lock();
+            let imaged = imaged.entry(file.to_owned()).or_default();
+            imaged.extend(pages.iter().map(|(p, _)| p.0));
+        }
+        pool.commit_unlogged(pages);
     }
 
     /// Block until the log is durable at least up to `lsn` (group commit:
@@ -387,6 +461,7 @@ impl Wal {
 
     /// Reset the log to a single Checkpoint record.
     fn truncate_log(&self) -> Result<()> {
+        self.imaged.lock().clear();
         let mut inner = self.inner.lock();
         inner.file.set_len(0)?;
         inner.file.seek(SeekFrom::Start(0))?;
@@ -406,12 +481,22 @@ impl Wal {
     }
 }
 
-/// Adapter giving the buffer pool WAL-before-data enforcement.
-struct PoolHook(Arc<Wal>);
+/// Adapter giving the pool of one data file WAL-before-data enforcement,
+/// and page bases where the log may write deltas.
+struct PoolHook {
+    wal: Arc<Wal>,
+    file: String,
+}
 
 impl WalHook for PoolHook {
     fn before_page_write(&self, page_lsn: u64) -> Result<()> {
-        self.0.barrier_durable(page_lsn)
+        self.wal.barrier_durable(page_lsn)
+    }
+
+    /// Only a page with a committed image in the log can be logged as a
+    /// delta; bulk-loaded pages, new since the checkpoint, keep no base.
+    fn wants_base(&self, page: PageId) -> bool {
+        self.wal.imaged(&self.file, page)
     }
 }
 
@@ -434,7 +519,6 @@ pub(crate) fn validate_file_id(file: &str) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jaguar_common::ids::PageId;
     use jaguar_storage::DiskManager;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -460,7 +544,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, &config).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(disk, 8));
-        wal.attach(&pool);
+        wal.attach(&pool, "t.jag");
         let h = pool.allocate().unwrap();
         h.write()[10] = 1;
         drop(h);
@@ -481,7 +565,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, &config).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(disk, 8));
-        wal.attach(&pool);
+        wal.attach(&pool, "t.jag");
         let h = pool.allocate().unwrap();
         h.write()[10] = 2;
         drop(h);
@@ -507,7 +591,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, &cfg()).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(disk, 8));
-        wal.attach(&pool);
+        wal.attach(&pool, "t.jag");
         let h = pool.allocate().unwrap();
         h.write()[10] = 3;
         drop(h);
@@ -534,7 +618,7 @@ mod tests {
             assert_eq!(stats.recovered_txns, 0);
             let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
             let pool = Arc::new(BufferPool::new(disk, 8));
-            wal.attach(&pool);
+            wal.attach(&pool, "t.jag");
             let h = pool.allocate().unwrap();
             h.write()[64] = 42;
             drop(h);
@@ -601,7 +685,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, &cfg()).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(Arc::clone(&disk), 8));
-        wal.attach(&pool);
+        wal.attach(&pool, "t.jag");
         for _ in 0..5 {
             let h = pool.allocate().unwrap();
             h.write()[10] = 1;
@@ -631,7 +715,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, &config).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(disk, 8));
-        wal.attach(&pool);
+        wal.attach(&pool, "t.jag");
         assert!(!wal.should_checkpoint());
         for _ in 0..2 {
             let h = pool.allocate().unwrap();
@@ -652,7 +736,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, &config).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(disk, 64));
-        wal.attach(&pool);
+        wal.attach(&pool, "t.jag");
         let mut threads = Vec::new();
         for _ in 0..4 {
             let wal = Arc::clone(&wal);
@@ -689,7 +773,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, &config).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(disk, 8));
-        wal.attach(&pool);
+        wal.attach(&pool, "t.jag");
         let h = pool.allocate().unwrap();
         h.write()[10] = 3;
         drop(h);
@@ -710,7 +794,7 @@ mod tests {
         let (wal, _) = Wal::open(&dir, &cfg()).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(disk, 8));
-        wal.attach(&pool);
+        wal.attach(&pool, "t.jag");
         let h = pool.allocate().unwrap();
         h.write()[10] = 1;
         drop(h);
@@ -719,6 +803,228 @@ mod tests {
         assert_eq!(pool.snapshot_unlogged().len(), 1);
         wal.commit_table("t.jag", &pool).unwrap().unwrap();
         assert!(pool.snapshot_unlogged().is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Fail `txn`'s commit at its `Commit` record, after its page records
+    /// reached the log.
+    fn fail_commit(wal: &Wal, txn: u64) {
+        jaguar_common::fault::arm("wal.append", jaguar_common::fault::ALWAYS);
+        assert!(wal.commit(txn).is_err());
+        jaguar_common::fault::disarm("wal.append");
+    }
+
+    /// Log the pool's unlogged pages as a new transaction, without its
+    /// `Commit`; returns the transaction, its snapshot and each page's
+    /// bytes as logged.
+    fn log_only(wal: &Wal, pool: &Arc<BufferPool>) -> (u64, Vec<(PageId, u64)>, Vec<Vec<u8>>) {
+        let pages = pool.snapshot_unlogged();
+        let txn = wal.next_txn.fetch_add(1, Ordering::Relaxed) + 1;
+        wal.log_pages(txn, "t.jag", pool, &pages).unwrap();
+        let bytes = pages
+            .iter()
+            .map(|(p, _)| pool.fetch(*p).unwrap().read().clone())
+            .collect();
+        (txn, pages, bytes)
+    }
+
+    /// Replay `dir`'s log and read back every page of `t.jag`.
+    fn recover_pages(dir: &Path) -> (RecoveryStats, Vec<Vec<u8>>) {
+        let stats = recover::replay(dir, 256).unwrap();
+        let disk = DiskManager::open(&dir.join("t.jag"), 256).unwrap();
+        let pages = (0..disk.page_count())
+            .map(|p| {
+                let mut buf = vec![0u8; 256];
+                disk.read_page(PageId(p), &mut buf).unwrap();
+                buf
+            })
+            .collect();
+        (stats, pages)
+    }
+
+    /// Bytes 0..20 are the checksum, which a write-back reseals, and the
+    /// page LSN, which an uncommitted record may have stamped on a page
+    /// that another commit retired: neither is part of what a commit wrote.
+    const USER: usize = 20;
+
+    /// Two commits of one page interleave: the first changes bytes `x` and
+    /// `y`, a write between them restores `x`, the second logs the page
+    /// again. Whichever of the two commits, replay lands the bytes of the
+    /// later committed record — the restored `x` included.
+    #[test]
+    fn interleaved_commits_of_one_page_replay_right_in_every_outcome() {
+        let _g = serial();
+        let (x, y) = (100, 200);
+        for (ok1, ok2) in [(true, true), (true, false), (false, true), (false, false)] {
+            let dir = tmpdir("interleave");
+            let mut config = cfg();
+            config.sync_mode = SyncMode::Off;
+            let (wal, _) = Wal::open(&dir, &config).unwrap();
+            let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
+            let pool = Arc::new(BufferPool::new(disk, 4));
+            wal.attach(&pool, "t.jag");
+            let h = pool.allocate().unwrap();
+            h.write()[x] = 1;
+            wal.commit_table("t.jag", &pool).unwrap().unwrap(); // the image
+            {
+                let mut page = h.write();
+                page[x] = 2;
+                page[y] = 2;
+            }
+            let (t1, snap1, _) = log_only(&wal, &pool);
+            h.write()[x] = 1;
+            let (t2, snap2, _) = log_only(&wal, &pool);
+            for (txn, snap, ok) in [(t1, &snap1, ok1), (t2, &snap2, ok2)] {
+                match ok {
+                    true => {
+                        wal.commit(txn).unwrap();
+                        wal.retire("t.jag", &pool, snap);
+                    }
+                    false => fail_commit(&wal, txn),
+                }
+            }
+            drop((h, pool, wal));
+            let (stats, pages) = recover_pages(&dir);
+            let want = match (ok1, ok2) {
+                (_, true) => (1, 2),
+                (true, false) => (2, 2),
+                (false, false) => (1, 0),
+            };
+            let outcome = format!("t1 {ok1}, t2 {ok2}");
+            assert_eq!((pages[0][x], pages[0][y]), want, "{outcome}");
+            assert_eq!(
+                stats.replayed_deltas,
+                u64::from(ok1) + u64::from(ok2),
+                "{outcome}"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Seeded sequences of byte writes on a four-frame pool over up to
+    /// eight pages — commits, commits failed before their records and after
+    /// them, interleaved commits of the same pages, evictions and
+    /// checkpoints — then a crash (the pool dropped unflushed) and replay:
+    /// every page of the data file must hold the bytes its last committed
+    /// record logged.
+    #[test]
+    fn replay_lands_every_page_on_its_last_committed_bytes() {
+        let _g = serial();
+        let deltas_before = obs::global().counter("wal.page_deltas").get();
+        let mut replayed_deltas = 0;
+        let dir = tmpdir("differential");
+        for case in 0..256u64 {
+            let mut rng = jaguar_common::rng::SplitMix64::new(0xD17A + case);
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut config = cfg();
+            config.sync_mode = SyncMode::Off;
+            let (wal, _) = Wal::open(&dir, &config).unwrap();
+            let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
+            let pool = Arc::new(BufferPool::new(Arc::clone(&disk), 4));
+            wal.attach(&pool, "t.jag");
+            // The model: each page's bytes as its last committed record
+            // logged them.
+            let mut committed: Vec<Vec<u8>> = Vec::new();
+            let commit = |pool: &Arc<BufferPool>, committed: &mut Vec<Vec<u8>>| {
+                let pages = pool.snapshot_unlogged();
+                wal.commit_table("t.jag", pool).unwrap();
+                for (p, _) in pages {
+                    committed[p.0 as usize] = pool.fetch(p).unwrap().read().clone();
+                }
+            };
+            for _ in 0..30 {
+                match rng.next_below(10) {
+                    // Allocate a page, or write one to three bytes of one,
+                    // some of them back to their committed values.
+                    0..=4 => {
+                        if committed.len() < 8 && rng.next_below(4) == 0 {
+                            let h = pool.allocate().unwrap();
+                            committed.push(h.read().clone());
+                            continue;
+                        }
+                        if committed.is_empty() {
+                            continue;
+                        }
+                        let p = PageId(rng.next_below(committed.len() as u64) as u32);
+                        let unlogged = pool.snapshot_unlogged();
+                        if unlogged.len() >= 3 && unlogged.iter().all(|(u, _)| *u != p) {
+                            commit(&pool, &mut committed); // keep a frame free
+                        }
+                        let h = pool.fetch(p).unwrap();
+                        let mut page = h.write();
+                        for _ in 0..=rng.next_below(3) {
+                            let at = USER + rng.next_below((256 - USER) as u64) as usize;
+                            page[at] = match rng.next_below(3) {
+                                0 => committed[p.0 as usize][at],
+                                _ => rng.next_u64() as u8,
+                            };
+                        }
+                    }
+                    5 | 6 => commit(&pool, &mut committed),
+                    // A commit that fails at its Begin record.
+                    7 => {
+                        jaguar_common::fault::arm("wal.append", jaguar_common::fault::ALWAYS);
+                        let failed = wal.commit_table("t.jag", &pool);
+                        jaguar_common::fault::disarm("wal.append");
+                        assert!(failed.is_err() || pool.snapshot_unlogged().is_empty());
+                    }
+                    // Two commits of the unlogged pages, with a write between
+                    // them restoring a byte the first changed; each commits
+                    // or not, in either order. (A commit failing at its
+                    // Commit record leaves the log as one never finished:
+                    // the injected fault fires before any byte is written.)
+                    8 => {
+                        let (t1, snap1, bytes1) = log_only(&wal, &pool);
+                        if let Some((p, _)) = snap1.first() {
+                            let h = pool.fetch(*p).unwrap();
+                            let mut page = h.write();
+                            let was = &committed[p.0 as usize];
+                            if let Some(at) = (USER..256).find(|&i| page[i] != was[i]) {
+                                page[at] = was[at];
+                            }
+                        }
+                        let (t2, snap2, bytes2) = log_only(&wal, &pool);
+                        let (ok1, ok2) = (rng.next_below(2) == 0, rng.next_below(2) == 0);
+                        let mut finish = [(t1, &snap1, ok1), (t2, &snap2, ok2)];
+                        if rng.next_below(2) == 0 {
+                            finish.reverse();
+                        }
+                        for (txn, snap, _) in finish.into_iter().filter(|f| f.2) {
+                            wal.commit(txn).unwrap();
+                            wal.retire("t.jag", &pool, snap);
+                        }
+                        // Log order decides: t2's records follow t1's.
+                        for (snap, bytes, ok) in [(&snap1, bytes1, ok1), (&snap2, bytes2, ok2)] {
+                            for ((p, _), b) in snap.iter().zip(bytes).filter(|_| ok) {
+                                committed[p.0 as usize] = b;
+                            }
+                        }
+                    }
+                    // A checkpoint, with nothing left unlogged.
+                    _ => {
+                        commit(&pool, &mut committed);
+                        wal.checkpoint(|| {
+                            pool.flush_all()?;
+                            disk.sync()
+                        })
+                        .unwrap();
+                    }
+                }
+            }
+            drop((pool, disk, wal));
+            let (stats, pages) = recover_pages(&dir);
+            replayed_deltas += stats.replayed_deltas;
+            assert_eq!(pages.len(), committed.len(), "case {case}");
+            for (p, (got, want)) in pages.iter().zip(&committed).enumerate() {
+                assert_eq!(got[USER..], want[USER..], "case {case}, page {p}");
+            }
+        }
+        let deltas = obs::global().counter("wal.page_deltas").get() - deltas_before;
+        assert!(
+            deltas > 250 && replayed_deltas > 50,
+            "{deltas} {replayed_deltas}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

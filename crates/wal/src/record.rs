@@ -44,12 +44,23 @@ pub enum WalRecord {
     /// All prior records are reflected in synced data files; written as the
     /// first record of a freshly truncated log.
     Checkpoint,
+    /// Byte ranges of one page's after-image, `(offset, bytes)` in offset
+    /// order, to be laid over the page as the log's earlier records of it
+    /// left it (physical redo). Logged only for a page with a committed
+    /// [`WalRecord::PageImage`] earlier in the same log.
+    PageDelta {
+        txn: u64,
+        file: String,
+        page: u32,
+        ranges: Vec<(u32, Vec<u8>)>,
+    },
 }
 
 const KIND_BEGIN: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 const KIND_PAGE_IMAGE: u8 = 3;
 const KIND_CHECKPOINT: u8 = 4;
+const KIND_PAGE_DELTA: u8 = 5;
 
 /// Slice-by-8 lookup tables: `CRC_TABLES[0]` is the classic byte-at-a-time
 /// table, `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero bytes.
@@ -128,6 +139,15 @@ pub(crate) fn write_payload(buf: &mut Vec<u8>, lsn: u64, rec: &WalRecord) {
             data,
         } => return write_page_image(buf, lsn, *txn, file, *page, data, |_| {}),
         WalRecord::Checkpoint => (KIND_CHECKPOINT, None),
+        WalRecord::PageDelta {
+            txn,
+            file,
+            page,
+            ranges,
+        } => {
+            let ranges = ranges.iter().map(|(at, bytes)| (*at, bytes.as_slice()));
+            return write_page_delta(buf, lsn, *txn, file, *page, ranges);
+        }
     };
     // Writes to a Vec cannot fail.
     write_u64(buf, lsn).expect("vec write");
@@ -160,6 +180,28 @@ pub fn write_page_image(
     seal(&mut buf[image..]);
 }
 
+/// Append a [`WalRecord::PageDelta`] payload to `buf`, copying each range
+/// from wherever it lies — typically the latched pool frame.
+pub fn write_page_delta<'a>(
+    buf: &mut Vec<u8>,
+    lsn: u64,
+    txn: u64,
+    file: &str,
+    page: u32,
+    ranges: impl ExactSizeIterator<Item = (u32, &'a [u8])>,
+) {
+    write_u64(buf, lsn).expect("vec write");
+    write_u8(buf, KIND_PAGE_DELTA).expect("vec write");
+    write_u64(buf, txn).expect("vec write");
+    write_str(buf, file).expect("vec write");
+    write_u32(buf, page).expect("vec write");
+    write_u32(buf, ranges.len() as u32).expect("vec write");
+    for (at, bytes) in ranges {
+        write_u32(buf, at).expect("vec write");
+        write_blob(buf, bytes).expect("vec write");
+    }
+}
+
 /// Decode one payload produced by [`encode_payload`].
 pub fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord)> {
     let mut r = payload;
@@ -179,6 +221,19 @@ pub fn decode_payload(payload: &[u8]) -> Result<(u64, WalRecord)> {
             data: read_blob(&mut r)?,
         },
         KIND_CHECKPOINT => WalRecord::Checkpoint,
+        KIND_PAGE_DELTA => WalRecord::PageDelta {
+            txn: read_u64(&mut r)?,
+            file: read_str(&mut r)?,
+            page: read_u32(&mut r)?,
+            ranges: {
+                let n = read_u32(&mut r)?;
+                // Each range takes at least eight bytes, so a forged count
+                // fails on the bytes it lacks, not on an allocation.
+                (0..n)
+                    .map(|_| Ok((read_u32(&mut r)?, read_blob(&mut r)?)))
+                    .collect::<Result<_>>()?
+            },
+        },
         other => {
             return Err(JaguarError::Corruption(format!(
                 "unknown wal record kind {other}"
@@ -269,6 +324,12 @@ mod tests {
                 page: 3,
                 data: vec![0xAB; 256],
             },
+            WalRecord::PageDelta {
+                txn: 7,
+                file: "events.jag".into(),
+                page: 3,
+                ranges: vec![(0, vec![1; 20]), (100, vec![2, 3])],
+            },
             WalRecord::Commit { txn: 7 },
             WalRecord::Checkpoint,
         ]
@@ -341,7 +402,7 @@ mod tests {
         }
         let scan = scan_log(&log);
         assert_eq!(scan.valid_len, log.len());
-        assert_eq!(scan.records.len(), 4);
+        assert_eq!(scan.records.len(), 5);
         assert_eq!(scan.records[1].0, 2);
         assert_eq!(scan.records[1].1, sample_records()[1]);
     }
@@ -357,7 +418,7 @@ mod tests {
         // and must return only whole valid records.
         for cut in 1..=full.min(80) {
             let scan = scan_log(&log[..full - cut]);
-            assert!(scan.records.len() <= 4);
+            assert!(scan.records.len() <= 5);
             assert!(scan.valid_len <= full - cut);
         }
     }

@@ -1,25 +1,30 @@
 //! The redo pass.
 //!
 //! Recovery scans the log with the torn-tolerant reader, collects the set
-//! of committed transactions, and replays their page images — in LSN order
-//! — straight through [`DiskManager`] into the data files, extending files
-//! as needed. Uncommitted transactions (no `Commit` record inside the valid
-//! prefix) are discarded, which together with the pool's no-steal policy
-//! yields statement atomicity without an undo pass.
+//! of committed transactions, and replays their page records in LSN order.
+//! Each page is built in memory — its full image first, then its deltas —
+//! and written once through [`DiskManager`] into its data file, extending
+//! the file as needed. Uncommitted transactions (no `Commit` record inside
+//! the valid prefix) are discarded, which together with the pool's
+//! no-steal policy yields statement atomicity without an undo pass.
 //!
 //! Replaying unconditionally (no page-LSN comparison) is correct because
-//! every checkpoint truncates the log only after the data files are synced:
-//! any image still in the log is at least as new as the corresponding data
-//! page could legitimately be, and replaying in LSN order lands every page
-//! on its final committed state. It also means recovery never needs to
-//! *read* a data page — important, because a torn data-page write would
-//! fail its checksum on read, but is simply overwritten here.
+//! every checkpoint truncates the log only after the data files are synced,
+//! and because the first record of a page after a checkpoint (or open) is
+//! always a full image: the log holds at most one chain of records per page
+//! since the data file last had the page, starting from an image. So
+//! recovery never needs to *read* a data page — important, because a torn
+//! data-page write would fail its checksum on read, but is simply
+//! overwritten here. A committed delta with no committed image before it,
+//! or with ranges that do not fit the page, is corruption, and the pass
+//! fails before it writes anything.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::Path;
-use std::sync::Arc;
 
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::fs::read_existing;
 use jaguar_common::ids::PageId;
 use jaguar_storage::DiskManager;
 
@@ -31,8 +36,10 @@ use crate::{validate_file_id, WAL_FILE};
 pub struct RecoveryStats {
     /// Committed transactions whose effects were replayed.
     pub recovered_txns: u64,
-    /// Page images written back into data files.
+    /// Committed page images replayed.
     pub replayed_pages: u64,
+    /// Committed page deltas replayed.
+    pub replayed_deltas: u64,
     /// Valid records scanned from the log (all kinds).
     pub scanned_records: u64,
     /// Bytes of torn/corrupt tail discarded.
@@ -42,10 +49,11 @@ pub struct RecoveryStats {
 }
 
 /// Replay the log under `dir` into its data files. Missing log = fresh
-/// database = all-zero stats. Data files touched are synced before return.
+/// database = all-zero stats; a log that cannot be read is an error. Data
+/// files touched are synced before return.
 pub fn replay(dir: &Path, page_size: usize) -> Result<RecoveryStats> {
     let mut stats = RecoveryStats::default();
-    let Ok(raw) = std::fs::read(dir.join(WAL_FILE)) else {
+    let Some(raw) = read_existing(&dir.join(WAL_FILE))? else {
         return Ok(stats);
     };
     let scan = scan_log(&raw);
@@ -63,45 +71,76 @@ pub fn replay(dir: &Path, page_size: usize) -> Result<RecoveryStats> {
         .collect();
     let mut replayed_txns: HashSet<u64> = HashSet::new();
 
-    let mut disks: HashMap<String, Arc<DiskManager>> = HashMap::new();
-    for (_lsn, rec) in &scan.records {
-        let WalRecord::PageImage {
-            txn,
-            file,
-            page,
-            data,
-        } = rec
-        else {
-            continue;
-        };
-        if !committed.contains(txn) {
-            continue;
+    // (file, page) -> the page as the committed records so far leave it.
+    let mut pages: BTreeMap<(String, u32), Vec<u8>> = BTreeMap::new();
+    for (_lsn, rec) in scan.records {
+        match rec {
+            WalRecord::PageImage {
+                txn,
+                file,
+                page,
+                data,
+            } if committed.contains(&txn) => {
+                validate_file_id(&file)?;
+                if data.len() != page_size {
+                    return Err(JaguarError::Corruption(format!(
+                        "wal image for {file} page {page} is {} bytes but the \
+                         configured page size is {page_size}",
+                        data.len()
+                    )));
+                }
+                pages.insert((file, page), data);
+                stats.replayed_pages += 1;
+                replayed_txns.insert(txn);
+            }
+            WalRecord::PageDelta {
+                txn,
+                file,
+                page,
+                ranges,
+            } if committed.contains(&txn) => {
+                validate_file_id(&file)?;
+                let corrupt = |what: &str| {
+                    JaguarError::Corruption(format!("wal delta for {file} page {page} {what}"))
+                };
+                let Some(image) = pages.get_mut(&(file.clone(), page)) else {
+                    return Err(corrupt("has no committed image before it"));
+                };
+                // A failure leaves this page half-built, but the pass
+                // returns before it writes any page.
+                let mut end = 0;
+                for (at, bytes) in &ranges {
+                    let at = *at as usize;
+                    if at < end {
+                        return Err(corrupt("has overlapping or unsorted ranges"));
+                    }
+                    end = at + bytes.len();
+                    if end > page_size {
+                        return Err(corrupt("has a range past the end of the page"));
+                    }
+                    image[at..end].copy_from_slice(bytes);
+                }
+                stats.replayed_deltas += 1;
+                replayed_txns.insert(txn);
+            }
+            _ => {}
         }
-        validate_file_id(file)?;
-        if data.len() != page_size {
-            return Err(JaguarError::Corruption(format!(
-                "wal image for {file} page {page} is {} bytes but the \
-                 configured page size is {page_size}",
-                data.len()
-            )));
-        }
-        let disk = match disks.get(file) {
-            Some(d) => Arc::clone(d),
-            None => {
-                let d = Arc::new(DiskManager::open(&dir.join(file), page_size)?);
-                disks.insert(file.clone(), Arc::clone(&d));
-                d
+    }
+    let mut disks: HashMap<String, DiskManager> = HashMap::new();
+    for ((file, page), mut data) in pages {
+        let disk = match disks.entry(file) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                let d = DiskManager::open(&dir.join(e.key()), page_size)?;
+                e.insert(d)
             }
         };
-        // The image may lie past the current end of a file whose extension
+        // The page may lie past the current end of a file whose extension
         // never reached disk; re-extend first.
-        while disk.page_count() <= *page {
+        while disk.page_count() <= page {
             disk.allocate_page()?;
         }
-        let mut buf = data.clone();
-        disk.write_page(PageId(*page), &mut buf)?;
-        stats.replayed_pages += 1;
-        replayed_txns.insert(*txn);
+        disk.write_page(PageId(page), &mut data)?;
     }
     for disk in disks.values() {
         disk.sync()?;

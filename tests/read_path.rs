@@ -7,7 +7,7 @@ use std::sync::Mutex;
 
 use jaguar_core::{Config, Database, SyncMode, Tuple, Value};
 
-/// `wal.bytes` is a process-global counter: the tests here take turns.
+/// The `wal.*` counters are process-global: the tests here take turns.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -113,7 +113,6 @@ fn reads_add_nothing_to_the_next_commit() {
     let _g = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
     let dir = fresh_dir("wal");
     let config = Config::default().with_sync_mode(SyncMode::Normal);
-    let page_size = config.page_size as u64;
     let db = Database::open(&dir, config).unwrap();
     load_big(&db, 2_000);
 
@@ -132,9 +131,11 @@ fn reads_add_nothing_to_the_next_commit() {
         assert!(!db.execute(&sql).unwrap().rows.is_empty(), "{sql}");
     }
 
-    // A page image is the page plus well under 128 bytes of framing, and
-    // the Begin/Commit markers are a few dozen bytes: whole pages logged.
-    let images = |logged: u64| logged / page_size;
+    // Each page a commit logs is one record, its full image or a delta.
+    let logged_pages = |db: &Database| {
+        let m = db.metrics();
+        m.counter("wal.page_images") + m.counter("wal.page_deltas")
+    };
     for (dml, at_least, at_most) in [
         // Heap page and index leaf, either of which may have just split.
         ("INSERT INTO big VALUES (5000, 1, 'new')", 1, 4),
@@ -144,12 +145,12 @@ fn reads_add_nothing_to_the_next_commit() {
         // The row's page and its index leaf (which may merge).
         ("DELETE FROM big WHERE id = 1234", 1, 3),
     ] {
-        let before = db.metrics().counter("wal.bytes");
+        let before = logged_pages(&db);
         assert_eq!(db.execute(dml).unwrap().affected, 1, "{dml}");
-        let logged = db.metrics().counter("wal.bytes") - before;
+        let logged = logged_pages(&db) - before;
         assert!(
-            (at_least..=at_most).contains(&images(logged)) && logged % page_size < 512,
-            "{dml} logged {logged} bytes: not {at_least} to {at_most} page images"
+            (at_least..=at_most).contains(&logged),
+            "{dml} logged {logged} pages: not {at_least} to {at_most}"
         );
     }
     drop(db);
