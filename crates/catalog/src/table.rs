@@ -11,7 +11,7 @@ use jaguar_common::error::Result;
 use jaguar_common::ids::{RecordId, TableId};
 use jaguar_common::obs;
 use jaguar_common::schema::{Schema, SchemaRef};
-use jaguar_common::stream::{decode_tuple, decode_tuple_into, record_column, write_tuple};
+use jaguar_common::stream::{decode_tuple, write_tuple, RecordView};
 use jaguar_common::value::{compare, CmpOp};
 use jaguar_common::DataType;
 use jaguar_common::{ColumnSet, Tuple, Value};
@@ -216,11 +216,6 @@ impl Table {
             .cloned()
     }
 
-    /// Names of all indexes.
-    pub fn index_names(&self) -> Vec<String> {
-        self.indexes.read().iter().map(|i| i.name.clone()).collect()
-    }
-
     /// Validate `tuple` against the schema and encode it as a record.
     fn encode(&self, tuple: &Tuple) -> Result<Vec<u8>> {
         tuple.check_against(&self.schema)?;
@@ -249,7 +244,7 @@ impl Table {
     /// Fetch one row by record id, decoding the columns in `cols` (the
     /// others read as NULL). `None` if the row is gone.
     pub fn get(&self, rid: RecordId, cols: &ColumnSet) -> Result<Option<Tuple>> {
-        Ok(self.fetch(rid, &self.read_all(cols))?.flatten())
+        Ok(self.fetch(rid, &mut self.read_all(cols))?.flatten())
     }
 
     /// How this table's rows are read when only the columns in `cols` are
@@ -258,6 +253,7 @@ impl Table {
         RowReader {
             cols: cols.clone(),
             tests,
+            starts: Vec::new(),
         }
     }
 
@@ -268,7 +264,7 @@ impl Table {
 
     /// Fetch one row by record id as `reader` reads it: `None` if the row
     /// is gone, `Some(None)` if it is there and fails the reader's test.
-    pub fn fetch(&self, rid: RecordId, reader: &RowReader) -> Result<Option<Option<Tuple>>> {
+    pub fn fetch(&self, rid: RecordId, reader: &mut RowReader) -> Result<Option<Option<Tuple>>> {
         self.heap.get_with(rid, |record| {
             let mut tuple = Tuple::default();
             Ok(reader.read(record, tuple.values_mut())?.then_some(tuple))
@@ -448,32 +444,44 @@ pub struct ScanTest {
 }
 
 /// How a scan or a fetch turns stored records into rows ([`Table::reader`]):
-/// which columns it decodes, and the tests a record passes first.
+/// which columns it decodes, and the tests a record passes first, judged
+/// and decoded (or folded) from one walk of the record ([`RecordView`]).
 pub struct RowReader {
     cols: ColumnSet,
     tests: Vec<ScanTest>,
+    /// The view's column starts, recycled from record to record.
+    starts: Vec<usize>,
 }
 
 impl RowReader {
-    /// Decode `record` into `out` if it passes every test, in order: one
-    /// that is not true rejects it — walked only to the tested columns,
-    /// nothing allocated, `out` untouched — and one that fails is its error.
-    fn read(&self, record: &[u8], out: &mut Vec<Value>) -> Result<bool> {
+    /// Hand `record` to `then` if it passes every test, in order: one that
+    /// is not true rejects it — walked only to the tested columns, nothing
+    /// allocated — and one that fails is its error.
+    fn pass(
+        &mut self,
+        record: &[u8],
+        then: impl FnOnce(RecordView, &ColumnSet) -> Result<()>,
+    ) -> Result<bool> {
+        let mut view = RecordView::new(record, &mut self.starts)?;
         for t in &self.tests {
-            let Some(v) = record_column(record, t.column)? else {
+            let Some(column) = view.column(t.column)? else {
                 return Ok(false);
             };
-            let (l, r) = if t.literal_first {
-                (&t.literal, &v)
-            } else {
-                (&v, &t.literal)
+            let v = column.fixed()?;
+            let (l, r) = match t.literal_first {
+                true => (&t.literal, &v),
+                false => (&v, &t.literal),
             };
             if compare(t.op, l, r)? != Some(true) {
                 return Ok(false);
             }
         }
-        decode_tuple_into(record, &self.cols, out)?;
-        Ok(true)
+        then(view, &self.cols).map(|()| true)
+    }
+
+    /// Decode `record` into `out` if it passes every test.
+    fn read(&mut self, record: &[u8], out: &mut Vec<Value>) -> Result<bool> {
+        self.pass(record, |view, cols| view.decode_into(cols, out))
     }
 }
 
@@ -488,6 +496,7 @@ impl RowReader {
 /// between two rows. A batch is the page-consistent snapshot [`PageScan`]
 /// describes. A spilled row is gathered, judged and decoded as it is lent
 /// and dropped as the next one is: at most one is in memory at a time.
+/// [`RowPages::fold_page`] folds records instead, batching only spilled ones.
 pub struct RowPages {
     pages: PageScan,
     reader: RowReader,
@@ -512,11 +521,24 @@ impl RowPages {
     /// Batch the next page; `false` at the end of the range. What goes
     /// wrong on the way is [`RowPages::next_row`]'s to report.
     pub fn next_page(&mut self) -> bool {
+        self.walk_page(None::<fn(&RecordView) -> Result<()>>)
+    }
+
+    /// [`RowPages::next_page`] that hands `fold`, under the page's latch,
+    /// each inline record that passes the tests, walked to its end and
+    /// checked as its decode would be. From the page's first spilled record
+    /// on, records are batched and lent as `next_page` does, in storage
+    /// order. An error `fold` returns ends the scan as a failing record does.
+    pub fn fold_page(&mut self, fold: impl FnMut(&RecordView) -> Result<()>) -> bool {
+        self.walk_page(Some(fold))
+    }
+
+    fn walk_page(&mut self, mut fold: Option<impl FnMut(&RecordView) -> Result<()>>) -> bool {
         (self.len, self.at, self.held) = (0, 0, None);
         if self.done {
             return false;
         }
-        let (rows, len, reader) = (&mut self.rows, &mut self.len, &self.reader);
+        let (rows, len, reader) = (&mut self.rows, &mut self.len, &mut self.reader);
         let (counts, failed) = (&mut self.counts, &mut self.failed);
         let walked = self.pages.next_page(|rid, stored| {
             counts.0 += 1;
@@ -530,9 +552,19 @@ impl RowPages {
                 rows.push((rid, Tuple::default(), None));
             }
             let row = &mut rows[*len];
-            let kept = match stored {
-                Stored::Inline(record) => reader.read(record, row.1.values_mut()),
-                Stored::Spilled(spill) => {
+            let kept = match (stored, &mut fold) {
+                // Folded where it lies, while nothing is batched ahead of it.
+                (Stored::Inline(record), Some(fold)) if *len == 0 => {
+                    match reader.pass(record, |mut view, cols| {
+                        view.check(cols)?;
+                        fold(&view)
+                    }) {
+                        Ok(true) => return Ok(()),
+                        rejected => rejected,
+                    }
+                }
+                (Stored::Inline(record), _) => reader.read(record, row.1.values_mut()),
+                (Stored::Spilled(spill), _) => {
                     row.2 = Some(spill);
                     Ok(true)
                 }
@@ -564,7 +596,7 @@ impl RowPages {
             self.at += 1;
             if let Some(spill) = self.rows[at].2.take() {
                 let record = self.pages.heap().gather(spill)?;
-                if !(self.reader).read(&record, self.rows[at].1.values_mut())? {
+                if !self.reader.read(&record, self.rows[at].1.values_mut())? {
                     self.counts.1 += 1;
                     continue;
                 }
@@ -765,6 +797,103 @@ mod tests {
         let mut fresh = t.rows(reader(), 1..u32::MAX);
         let lent = drain(&mut fresh);
         assert_eq!(lent, [(vec![(8, "late".into())], Some(unlucky.into()))]);
+    }
+
+    /// Drain `pages` folding at the scan: how many records and lent rows
+    /// reached the fold, and the error that ended it, if any.
+    fn fold_all(pages: &mut RowPages) -> (usize, Option<String>) {
+        let mut folded = 0;
+        loop {
+            loop {
+                match pages.next_row() {
+                    Ok(Some(_)) => folded += 1,
+                    Ok(None) => break,
+                    Err(e) => return (folded, Some(e.to_string())),
+                }
+            }
+            let fold = |_: &RecordView| {
+                folded += 1;
+                Ok(())
+            };
+            if !pages.fold_page(fold) {
+                return (folded, None);
+            }
+        }
+    }
+
+    /// A record that passes its tests and folds is checked as a decode of
+    /// it would be, and fails in the same words, however it is damaged past
+    /// the columns the fold reads. One a test rejects is walked no further
+    /// than the tested column, damaged or not, in both paths.
+    #[test]
+    fn a_folded_record_fails_as_its_decode_does() {
+        let schema = Schema::of(&[
+            ("k", DataType::Int),
+            ("v", DataType::Int),
+            ("flag", DataType::Bool),
+            ("s", DataType::Str),
+        ]);
+        let encoded = |v: i64| {
+            let row = vec![
+                Value::Int(1),
+                Value::Int(v),
+                Value::Bool(true),
+                Value::Str("x".into()),
+            ];
+            let mut rec = Vec::new();
+            write_tuple(&mut rec, &Tuple::new(row)).unwrap();
+            rec
+        };
+        // The arity, then `k` and `v` (a tag and 8 bytes each): `flag`'s tag.
+        const FLAG: usize = 4 + 9 + 9;
+        let bad_tag = |mut rec: Vec<u8>| {
+            rec[FLAG] = 200;
+            rec
+        };
+        let trailing = |mut rec: Vec<u8>| {
+            rec.push(0);
+            rec
+        };
+        let bool_of_2 = |mut rec: Vec<u8>| {
+            rec[FLAG + 1] = 2;
+            rec
+        };
+        type Damage = fn(Vec<u8>) -> Vec<u8>;
+        let cases: [(Damage, &str); 3] = [
+            (bad_tag, "unknown type tag 200"),
+            (trailing, "1 trailing bytes after tuple"),
+            (bool_of_2, "invalid bool byte 2"),
+        ];
+        let v_at_least_0 = || ScanTest {
+            column: 1,
+            op: CmpOp::Ge,
+            literal: Value::Int(0),
+            literal_first: false,
+        };
+        for (damage, words) in cases {
+            let t = Table::create_in_memory(TableId(1), "t", schema.clone(), &Config::default())
+                .unwrap();
+            for rec in [encoded(5), damage(encoded(5)), encoded(5)] {
+                t.heap.insert(&rec).unwrap();
+            }
+            let reader = || t.reader(&ColumnSet::of(4, [0, 1]), vec![v_at_least_0()]);
+            let lent = drain(&mut t.rows(reader(), 1..u32::MAX));
+            let lent_err = lent[0].1.clone().expect("the decode fails");
+            assert!(lent_err.contains(words), "{lent_err}");
+            let folded = fold_all(&mut t.rows(reader(), 1..u32::MAX));
+            assert_eq!(folded, (1, Some(lent_err)));
+            // Rejected by `v >= 0` before the walk reaches the damage.
+            let t = Table::create_in_memory(TableId(2), "r", schema.clone(), &Config::default())
+                .unwrap();
+            for rec in [encoded(5), damage(encoded(-1)), encoded(6)] {
+                t.heap.insert(&rec).unwrap();
+            }
+            let mut pages = t.rows(reader(), 1..u32::MAX);
+            assert_eq!(fold_all(&mut pages), (2, None));
+            assert_eq!(pages.take_counts(), (3, 1));
+            let lent = drain(&mut t.rows(reader(), 1..u32::MAX));
+            assert_eq!((lent[0].0.len(), lent[0].1.clone()), (2, None));
+        }
     }
 
     #[test]

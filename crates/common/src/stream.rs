@@ -18,21 +18,16 @@
 //! * by `jaguar-udf` to marshal arguments into the sandboxed VM (the
 //!   analogue of JNI argument mapping in Design 3).
 //!
-//! Two forms exist:
-//!
-//! * **tagged** — self-describing, one type-tag byte per value; used on the
-//!   wire where the receiver may not know the schema,
-//! * **typed** — tag-free, reader supplies the [`DataType`]; used inside
-//!   pages where the schema is known, saving a byte per value.
-//!
-//! All integers are little-endian; lengths are `u32` (a single attribute
+//! Every value is self-describing: one type-tag byte, then its payload —
+//! on the wire, where the receiver may not know the schema, and inside
+//! pages alike. All integers are little-endian; lengths are `u32` (a single attribute
 //! value larger than 4 GiB is rejected rather than silently truncated).
 //!
 //! Real streams (the wire, the IPC pipe) are read through `impl Read`. A
-//! stored record is a byte slice in a page: [`decode_tuple`] reads the same
-//! tagged tuple form in place and builds only the columns its caller wants,
-//! and [`record_column`] shows a scan one fixed-width column to judge the
-//! record by.
+//! stored record is a byte slice in a page: a [`RecordView`] walks the same
+//! tagged tuple form in place, once, showing a scan the columns it judges
+//! and folds by their bytes, and [`decode_tuple`] builds only the columns
+//! its caller wants.
 
 use std::io::{self, Read, Write};
 use std::ops::Range;
@@ -197,7 +192,7 @@ pub fn read_str(r: &mut impl Read) -> Result<String> {
 // values
 // ---------------------------------------------------------------------
 
-/// Write a value in the **tagged** (self-describing) form.
+/// Write a value in its tagged (self-describing) form.
 pub fn write_value(w: &mut impl Write, v: &Value) -> Result<()> {
     match v {
         Value::Null => write_u8(w, NULL_TAG),
@@ -224,51 +219,13 @@ pub fn write_value(w: &mut impl Write, v: &Value) -> Result<()> {
     }
 }
 
-/// Read a value in the **tagged** form.
+/// Read a value in its tagged form.
 pub fn read_value(r: &mut impl Read) -> Result<Value> {
     let tag = read_u8(r)?;
     if tag == NULL_TAG {
         return Ok(Value::Null);
     }
-    read_value_body(r, DataType::from_tag(tag)?)
-}
-
-/// Write a value in the **typed** (tag-free) form. NULL is encoded as a
-/// one-byte presence flag so the reader still needs no schema-level null
-/// bitmap. Fails if the value does not conform to `ty`.
-pub fn write_value_typed(w: &mut impl Write, v: &Value, ty: DataType) -> Result<()> {
-    if !v.conforms_to(ty) {
-        return Err(JaguarError::Protocol(format!(
-            "value {v} does not conform to {ty}"
-        )));
-    }
-    if v.is_null() {
-        return write_u8(w, 0);
-    }
-    write_u8(w, 1)?;
-    match v {
-        Value::Bool(b) => write_u8(w, *b as u8),
-        Value::Int(i) => write_i64(w, *i),
-        Value::Float(x) => write_f64(w, *x),
-        Value::Str(s) => write_str(w, s),
-        Value::Bytes(b) => write_blob(w, b.as_slice()),
-        Value::Null => unreachable!("handled above"),
-    }
-}
-
-/// Read a value in the **typed** form.
-pub fn read_value_typed(r: &mut impl Read, ty: DataType) -> Result<Value> {
-    match read_u8(r)? {
-        0 => Ok(Value::Null),
-        1 => read_value_body(r, ty),
-        other => Err(JaguarError::Protocol(format!(
-            "invalid null-presence byte {other}"
-        ))),
-    }
-}
-
-fn read_value_body(r: &mut impl Read, ty: DataType) -> Result<Value> {
-    Ok(match ty {
+    Ok(match DataType::from_tag(tag)? {
         DataType::Bool => match read_u8(r)? {
             0 => Value::Bool(false),
             1 => Value::Bool(true),
@@ -387,64 +344,171 @@ fn short_record() -> JaguarError {
 /// must end where the tuple does.
 pub fn decode_tuple(rec: &[u8], cols: &ColumnSet) -> Result<Tuple> {
     let mut values = Vec::new();
-    decode_tuple_into(rec, cols, &mut values)?;
+    RecordView::new(rec, &mut Vec::new())?.decode_into(cols, &mut values)?;
     Ok(Tuple::new(values))
 }
 
-/// [`decode_tuple`] into a recycled `out`: each value is assigned into the
-/// slot the last record left (a quarter of the cost of clear-and-push), and
-/// `out` grows only as values decode — the arity is untrusted.
-pub fn decode_tuple_into(rec: &[u8], cols: &ColumnSet, out: &mut Vec<Value>) -> Result<()> {
-    let (n, mut rec) = record_arity(rec)?;
-    out.truncate(n);
-    for column in 0..n {
-        let (ty, payload) = read_column(&mut rec)?;
-        let value = match cols.contains(column) {
-            true => build_column(ty, payload)?,
-            false => Value::Null,
+/// One column of a stored record, in place, as a [`RecordView`] walked and
+/// checked it: its tagged encoding, as [`write_value`] writes it.
+#[derive(Clone, Copy)]
+pub struct Column<'a>(&'a [u8]);
+
+impl<'a> Column<'a> {
+    #[inline]
+    pub fn encoded(&self) -> &'a [u8] {
+        self.0
+    }
+
+    #[inline]
+    pub fn is_null(&self) -> bool {
+        self.0[0] == NULL_TAG
+    }
+
+    /// The stored type (`None` for NULL) and the payload.
+    #[inline(always)]
+    fn parts(&self) -> Result<(Option<DataType>, &'a [u8])> {
+        let ty = match self.0[0] {
+            NULL_TAG => None,
+            tag => Some(DataType::from_tag(tag)?),
         };
-        match out.get_mut(column) {
-            Some(slot) => *slot = value,
-            None => out.push(value),
+        let blob = matches!(ty, Some(DataType::Str | DataType::Bytes));
+        Ok((ty, &self.0[if blob { 5 } else { 1 }..]))
+    }
+
+    /// The value, as a decode builds it.
+    #[inline]
+    pub fn value(&self) -> Result<Value> {
+        let (ty, payload) = self.parts()?;
+        build_column(ty, payload)
+    }
+
+    /// A fixed-width value, or NULL for a `Str`/`Bytes` one: what a scan
+    /// judges a record by.
+    #[inline]
+    pub fn fixed(&self) -> Result<Value> {
+        match self.parts()? {
+            (Some(DataType::Str | DataType::Bytes), _) => Ok(Value::Null),
+            (ty, payload) => build_column(ty, payload),
         }
     }
-    if !rec.is_empty() {
-        return Err(JaguarError::Protocol(format!(
-            "{} trailing bytes after tuple",
-            rec.len()
-        )));
-    }
-    Ok(())
 }
 
-/// A stored record's arity, checked as [`read_tuple`] checks it, and the
-/// bytes of its columns.
-fn record_arity(rec: &[u8]) -> Result<(usize, &[u8])> {
-    let Some((n, columns)) = rec.split_first_chunk() else {
-        return Err(short_record());
-    };
-    let n = u32::from_le_bytes(*n);
-    check_arity(n)?;
-    Ok((n as usize, columns))
+/// A stored record walked front to back only as far as its reader asks,
+/// with every check a decode makes, keeping where each column it passed
+/// starts (in a buffer the caller recycles) to read it where it lies.
+pub struct RecordView<'a, 's> {
+    arity: usize,
+    /// The bytes of the columns, after the arity.
+    columns: &'a [u8],
+    /// Where each column walked starts in `columns`, and the next one.
+    starts: &'s mut Vec<usize>,
+    walked: usize,
 }
 
-/// Column `c` of a stored record, walked to over the tags before it: a
-/// fixed-width value built on the stack, or NULL for a `Str`/`Bytes` one
-/// (its body stepped over); `None` if the record has no column `c`. What a
-/// scan judges a pushed conjunct on; errors are [`decode_tuple`]'s.
-#[inline]
-pub fn record_column(rec: &[u8], c: usize) -> Result<Option<Value>> {
-    let (n, mut rec) = record_arity(rec)?;
-    if c >= n {
-        return Ok(None);
+impl<'a, 's> RecordView<'a, 's> {
+    /// View `rec`, its arity checked as [`read_tuple`] checks it.
+    #[inline]
+    pub fn new(rec: &'a [u8], starts: &'s mut Vec<usize>) -> Result<RecordView<'a, 's>> {
+        let Some((n, columns)) = rec.split_first_chunk() else {
+            return Err(short_record());
+        };
+        let arity = u32::from_le_bytes(*n);
+        check_arity(arity)?;
+        starts.clear();
+        Ok(RecordView {
+            arity: arity as usize,
+            columns,
+            starts,
+            walked: 0,
+        })
     }
-    for _ in 0..c {
-        read_column(&mut rec)?;
+
+    /// Column `c`, walked to if the walk has not passed it yet; `None` if
+    /// the record has no column `c`. Errors are [`decode_tuple`]'s.
+    #[inline(always)]
+    pub fn column(&mut self, c: usize) -> Result<Option<Column<'a>>> {
+        if c >= self.arity {
+            return Ok(None);
+        }
+        while self.starts.len() <= c {
+            let mut rest = &self.columns[self.walked..];
+            read_column(&mut rest)?;
+            self.starts.push(self.walked);
+            self.walked = self.columns.len() - rest.len();
+        }
+        Ok(self.walked(c))
     }
-    Ok(Some(match read_column(&mut rec)? {
-        (Some(DataType::Str | DataType::Bytes), _) => Value::Null,
-        (fixed, payload) => build_column(fixed, payload)?,
-    }))
+
+    /// Column `c` if the walk has passed it.
+    #[inline(always)]
+    pub fn walked(&self, c: usize) -> Option<Column<'a>> {
+        let start = *self.starts.get(c)?;
+        let end = self.starts.get(c + 1).unwrap_or(&self.walked);
+        Some(Column(&self.columns[start..*end]))
+    }
+
+    /// Hand `each` every column's type and payload; the record must end
+    /// where the tuple does. With `keep` the walk goes on, keeping starts;
+    /// without, it starts over: re-reading beats looking columns up.
+    #[inline(always)]
+    fn each_column(
+        &mut self,
+        keep: bool,
+        mut each: impl FnMut(usize, Option<DataType>, &'a [u8]) -> Result<()>,
+    ) -> Result<()> {
+        let first = if keep { self.starts.len() } else { 0 };
+        for c in 0..first {
+            let (ty, payload) = self.walked(c).expect("walked").parts()?;
+            each(c, ty, payload)?;
+        }
+        let mut rest = &self.columns[if keep { self.walked } else { 0 }..];
+        for c in first..self.arity {
+            if keep {
+                self.starts.push(self.columns.len() - rest.len());
+            }
+            let (ty, payload) = read_column(&mut rest)?;
+            each(c, ty, payload)?;
+        }
+        self.walked = self.columns.len() - rest.len();
+        match rest.len() {
+            0 => Ok(()),
+            trailing => Err(JaguarError::Protocol(format!(
+                "{trailing} trailing bytes after tuple"
+            ))),
+        }
+    }
+
+    /// Walk the record to its end with every check that decoding the
+    /// columns in `cols` makes (a wanted `Str` is UTF-8-checked).
+    #[inline]
+    pub fn check(&mut self, cols: &ColumnSet) -> Result<()> {
+        self.each_column(true, |c, ty, payload| match ty {
+            Some(DataType::Str) if cols.contains(c) => std::str::from_utf8(payload)
+                .map(drop)
+                .map_err(|_| JaguarError::Protocol("invalid utf-8 string".into())),
+            _ => Ok(()),
+        })
+    }
+
+    /// [`decode_tuple`] into a recycled `out`: each value is assigned into
+    /// the slot the last record left (a quarter of the cost of
+    /// clear-and-push), and `out` grows only as values decode — the arity
+    /// is untrusted. It ends the view.
+    #[inline]
+    pub fn decode_into(mut self, cols: &ColumnSet, out: &mut Vec<Value>) -> Result<()> {
+        out.truncate(self.arity);
+        self.each_column(false, |c, ty, payload| {
+            let value = match cols.contains(c) {
+                true => build_column(ty, payload)?,
+                false => Value::Null,
+            };
+            match out.get_mut(c) {
+                Some(slot) => *slot = value,
+                None => out.push(value),
+            }
+            Ok(())
+        })
+    }
 }
 
 /// Write a schema (field count, then name + type tag per field).
@@ -527,29 +591,6 @@ mod tests {
             Value::Float(x) => assert!(x.is_nan()),
             other => panic!("expected float, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn typed_roundtrip_with_nulls() {
-        for (v, ty) in [
-            (Value::Int(42), DataType::Int),
-            (Value::Null, DataType::Int),
-            (Value::Bytes(ByteArray::zeroed(9)), DataType::Bytes),
-            (Value::Null, DataType::Bytes),
-            (Value::Str("x".into()), DataType::Str),
-        ] {
-            let mut buf = Vec::new();
-            write_value_typed(&mut buf, &v, ty).unwrap();
-            let mut r = buf.as_slice();
-            assert_eq!(read_value_typed(&mut r, ty).unwrap(), v);
-            assert!(r.is_empty());
-        }
-    }
-
-    #[test]
-    fn typed_write_rejects_mismatch() {
-        let mut buf = Vec::new();
-        assert!(write_value_typed(&mut buf, &Value::Int(1), DataType::Str).is_err());
     }
 
     #[test]
@@ -661,7 +702,13 @@ mod tests {
         let all = ColumnSet::all();
         let none = ColumnSet::of(1, []);
         let record = |body: &[u8]| [&1u32.to_le_bytes()[..], body].concat();
-        let err = |rec: &[u8], cols| decode_tuple(rec, cols).unwrap_err().to_string();
+        // A view's check fails as the decode does, in the same words.
+        let err = |rec: &[u8], cols| {
+            let decoded = decode_tuple(rec, cols).unwrap_err().to_string();
+            let viewed = RecordView::new(rec, &mut Vec::new()).and_then(|mut v| v.check(cols));
+            assert_eq!(viewed.unwrap_err().to_string(), decoded);
+            decoded
+        };
         let bad_bool = record(&[DataType::Bool.tag(), 7]);
         let bad_tag = record(&[200]);
         let mut huge = record(&[DataType::Bytes.tag()]);
@@ -691,6 +738,50 @@ mod tests {
             decode_tuple(&bad_str, &none).unwrap().values(),
             [Value::Null]
         );
+        let mut view_starts = Vec::new();
+        let mut view = RecordView::new(&bad_str, &mut view_starts).unwrap();
+        view.check(&none).unwrap();
+    }
+
+    /// A view walks a record once, as far as it is asked: a column behind
+    /// the walk is read where it lies, and a damaged column past the last
+    /// one asked for is not seen until the record is walked to its end.
+    #[test]
+    fn a_view_walks_as_far_as_it_is_asked() {
+        let mut rec = encode(&Tuple::new(vec![
+            Value::Int(1),
+            Value::Str("ab".into()),
+            Value::Float(2.5),
+            Value::Bool(true),
+        ]));
+        let last = rec.len() - 1;
+        rec[last] = 2; // a Bool byte of 2
+        let mut starts = Vec::new();
+        let mut view = RecordView::new(&rec, &mut starts).unwrap();
+        let third = view.column(2).unwrap().unwrap();
+        assert_eq!(third.fixed().unwrap(), Value::Float(2.5));
+        assert_eq!(third.encoded(), value_to_vec(&Value::Float(2.5)));
+        let second = view.column(1).unwrap().unwrap();
+        assert_eq!(
+            second.fixed().unwrap(),
+            Value::Null,
+            "a string is not judged"
+        );
+        assert_eq!(second.value().unwrap(), Value::Str("ab".into()));
+        assert_eq!(
+            view.column(0).unwrap().unwrap().value().unwrap(),
+            Value::Int(1)
+        );
+        assert!(view.column(4).unwrap().is_none());
+        assert_eq!(view.starts.len(), 3, "walked to column 2 and no further");
+        let err = view.check(&ColumnSet::all()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            decode_tuple(&rec, &ColumnSet::all())
+                .unwrap_err()
+                .to_string()
+        );
+        assert!(err.to_string().contains("invalid bool byte 2"), "{err}");
     }
 
     mod decode_props {
@@ -744,7 +835,10 @@ mod tests {
 
             /// A column a scan judges is the one the decode builds, or NULL
             /// for a `Str`/`Bytes` one; past the record's end there is none.
-            /// Decoding into a recycled tuple is the plain decode.
+            /// Asked for in any order, a column's bytes are its tagged
+            /// encoding, and the record is walked no further than the last
+            /// column asked for. Decoding into a recycled tuple, after the
+            /// view judged those columns, is the plain decode.
             #[test]
             fn a_judged_column_is_the_decoded_column(
                 case in arb_case(),
@@ -753,16 +847,24 @@ mod tests {
                 let (tuple, cols) = case;
                 let record = encode(&tuple);
                 let full = decode_tuple(&record, &ColumnSet::all()).unwrap();
-                for c in asked {
-                    let got = record_column(&record, c).unwrap();
-                    let want = full.values().get(c).map(|v| match v {
-                        Value::Str(_) | Value::Bytes(_) => Value::Null,
-                        fixed => fixed.clone(),
-                    });
-                    prop_assert_eq!(got.map(|v| value_to_vec(&v)), want.map(|v| value_to_vec(&v)));
+                let mut starts = vec![3, 1];
+                let mut view = RecordView::new(&record, &mut starts).unwrap();
+                for &c in &asked {
+                    let got = view.column(c).unwrap();
+                    let want = full.values().get(c);
+                    prop_assert_eq!(
+                        got.map(|col| value_to_vec(&col.fixed().unwrap())),
+                        want.map(|v| value_to_vec(match v {
+                            Value::Str(_) | Value::Bytes(_) => &Value::Null,
+                            fixed => fixed,
+                        }))
+                    );
+                    prop_assert_eq!(got.map(|col| col.encoded().to_vec()), want.map(value_to_vec));
                 }
+                let deepest = asked.iter().filter(|&&c| c < full.len()).max();
+                prop_assert_eq!(view.starts.len(), deepest.map_or(0, |c| c + 1));
                 let mut out = vec![Value::Int(7); 3];
-                decode_tuple_into(&record, &cols, &mut out).unwrap();
+                view.decode_into(&cols, &mut out).unwrap();
                 let plain = decode_tuple(&record, &cols).unwrap();
                 prop_assert_eq!(encode(&Tuple::new(out)), encode(&plain));
             }
@@ -783,7 +885,11 @@ mod tests {
                         for flip in [0x01, 0x80, 0xff] {
                             damaged[at] = record[at] ^ flip;
                             let _ = decode_tuple(&damaged, cols);
-                            (0..9).for_each(|c| drop(record_column(&damaged, c)));
+                            let mut starts = Vec::new();
+                            if let Ok(mut view) = RecordView::new(&damaged, &mut starts) {
+                                (0..9).rev().for_each(|c| drop(view.column(c)));
+                                let _ = view.check(cols);
+                            }
                         }
                         damaged[at] = record[at];
                     }

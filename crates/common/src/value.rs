@@ -44,7 +44,7 @@ impl DataType {
             3 => DataType::Float,
             4 => DataType::Str,
             5 => DataType::Bytes,
-            other => return Err(JaguarError::Corruption(format!("unknown type tag {other}"))),
+            other => return Err(unknown_tag(other)),
         })
     }
 
@@ -315,6 +315,11 @@ pub fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<Option<bool>> {
         CmpOp::Gt => ord == Greater,
         CmpOp::Ge => ord != Less,
     }))
+}
+
+#[cold]
+fn unknown_tag(tag: u8) -> JaguarError {
+    JaguarError::Corruption(format!("unknown type tag {tag}"))
 }
 
 fn type_err(want: &str, got: &Value) -> JaguarError {

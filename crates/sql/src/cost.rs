@@ -123,15 +123,6 @@ impl OptState {
             .and_then(|s| s.estimate())
             .unwrap_or(DEFAULT_SELECTIVITY)
     }
-
-    /// Raw stats for a fingerprint (tests, plan notes).
-    pub fn selectivity_stats(&self, fingerprint: &str) -> SelectivityStats {
-        self.selectivity
-            .read()
-            .get(fingerprint)
-            .copied()
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]

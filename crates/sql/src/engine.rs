@@ -756,9 +756,10 @@ fn render_profile(plan: &BoundSelect, profile: &Profile, scanned: u64) -> Vec<St
                 format!("Filter ({} predicate(s))", plan.predicates.len())
             }
             (Aggregate, Some(agg), _) => format!(
-                "Aggregate ({} group expr(s), {} aggregate(s))",
+                "Aggregate ({} group expr(s), {} aggregate(s)){}",
                 agg.group_exprs.len(),
-                agg.aggs.len()
+                agg.aggs.len(),
+                crate::plan::aggregate_tag(plan)
             ),
             (Project, ..) => format!("Project ({} column(s))", plan.projections.len()),
             (Having, ..) if plan.having.is_some() => "Having".to_string(),

@@ -3,8 +3,9 @@
 //! Every statement reads its rows through one [`RowSource`], which lends
 //! each row to `fragment`: the residual predicates, then a `Sink` —
 //! projection (one UDF crossing per batch when the plan qualifies) and
-//! HAVING, a partial aggregation, or a DML statement's victim list. A
-//! SELECT then runs `tail`: aggregate finish, HAVING, ORDER BY, LIMIT.
+//! HAVING, a partial aggregation (fed records when it folds at the scan),
+//! or a DML statement's victim list. A SELECT then runs `tail`: aggregate
+//! finish, HAVING, ORDER BY, LIMIT.
 //! Serially that is one fragment over the whole access path; in parallel,
 //! one per morsel, gathered in scan order before the same tail (see
 //! `parallel`). UDF instances and the callback channel live in the
@@ -21,6 +22,7 @@ use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::ids::RecordId;
 use jaguar_common::obs;
+use jaguar_common::stream::{read_value, write_value, RecordView};
 use jaguar_common::value::compare;
 use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_ipc::pool::WorkerPool;
@@ -753,8 +755,8 @@ fn rejected_at_scan() -> &'static obs::Counter {
 /// under every `fragment` — a serial SELECT's heap or index scan, a
 /// morsel of a parallel one, and the victim collection of DELETE and
 /// UPDATE. It lends out the rows that pass the statement's `pushed`
-/// conjuncts and counts every row it visited in `stats.rows_scanned` (a
-/// heap page's as the page is batched).
+/// conjuncts (or `Scanned` records) and counts every row it visited in
+/// `stats.rows_scanned` (a heap page's as the page is walked).
 pub enum RowSource {
     /// Sequential scan of (a page range of) the heap file.
     Heap(RowPages),
@@ -793,26 +795,34 @@ impl RowSource {
 
     /// Lend every remaining row to `f` until it answers `false` — the one
     /// way to read a source. A heap scan's rows stay in their batch, whose
-    /// tuples the next page refills. A rid the index returned whose row is
+    /// tuples the next page refills (`at_scan`, it shows `f` the records
+    /// [`RowPages::fold_page`] does). A rid the index returned whose row is
     /// gone by the time it is fetched — a concurrent statement deleted it
     /// in between — is skipped: the row is not there, which is all a scan
-    /// would have seen. The statement's token is polled once per row and
-    /// once per heap page.
+    /// would have seen. The statement's token is polled once per row or
+    /// record and once per heap page.
     pub(crate) fn for_each(
         &mut self,
         ctx: &mut ExecCtx<'_>,
-        mut f: impl FnMut(RecordId, &Tuple, &mut ExecCtx<'_>) -> Result<bool>,
+        at_scan: bool,
+        mut f: impl FnMut(Scanned<'_, '_, '_>, &mut ExecCtx<'_>) -> Result<bool>,
     ) -> Result<()> {
         match self {
             RowSource::Heap(pages) => loop {
                 while let Some((rid, tuple)) = pages.next_row()? {
                     ctx.tick()?;
-                    if !f(rid, tuple, ctx)? {
+                    if !f(Scanned::Row(rid, tuple), ctx)? {
                         return Ok(());
                     }
                 }
                 ctx.tick()?;
-                let more = pages.next_page();
+                let more = match at_scan {
+                    false => pages.next_page(),
+                    true => pages.fold_page(|record| {
+                        ctx.tick()?;
+                        f(Scanned::Record(record), ctx).map(drop)
+                    }),
+                };
                 let (visited, rejected) = pages.take_counts();
                 ctx.stats.rows_scanned += visited;
                 rejected_at_scan().add(rejected);
@@ -835,7 +845,7 @@ impl RowSource {
                         rejected_at_scan().inc();
                         continue;
                     };
-                    if !f(rid, &tuple, ctx)? {
+                    if !f(Scanned::Row(rid, &tuple), ctx)? {
                         break;
                     }
                 }
@@ -844,6 +854,12 @@ impl RowSource {
             RowSource::Empty => Ok(()),
         }
     }
+}
+
+/// A row a [`RowSource`] lends, or a record it shows an aggregate.
+pub(crate) enum Scanned<'r, 'a, 's> {
+    Row(RecordId, &'r Tuple),
+    Record(&'r RecordView<'a, 's>),
 }
 
 /// Evaluate cost-ordered predicates with short-circuit AND: a tuple
@@ -1092,15 +1108,29 @@ pub(crate) fn fragment(
     ctx: &mut ExecCtx<'_>,
 ) -> Result<u64> {
     let mut passed = 0;
-    let scanned = rows.for_each(ctx, |rid, tuple, ctx| {
+    // `plan::folds_at_scan`; an index source lends rows all the same.
+    let at_scan =
+        predicates.is_empty() && matches!(sink, Sink::Groups { plan, .. } if plan.folds());
+    let scanned = rows.for_each(ctx, at_scan, |row, ctx| {
         ctx.profile.lap(Stage::Scan, 1);
-        let pass = matches_all(predicates, tuple, ctx)?;
+        let pass = match &row {
+            Scanned::Row(_, tuple) => matches_all(predicates, tuple, ctx)?,
+            Scanned::Record(_) => true,
+        };
         ctx.profile.lap(Stage::Filter, u64::from(pass));
         if !pass {
             return Ok(true);
         }
         passed += 1;
-        sink.push(rid, tuple, ctx)
+        match (row, &mut *sink) {
+            (Scanned::Row(rid, tuple), sink) => sink.push(rid, tuple, ctx),
+            (Scanned::Record(record), Sink::Groups { plan, agg, .. }) => {
+                agg.fold(plan, record)?;
+                ctx.profile.lap(Stage::Aggregate, 0);
+                Ok(true)
+            }
+            _ => unreachable!("only an aggregate folds at its scan"),
+        }
     });
     ctx.profile.lap(Stage::Scan, 0);
     sink.flush(ctx)?;
@@ -1121,8 +1151,9 @@ pub(crate) fn tail(
         Sink::Groups {
             plan: agg_plan,
             agg,
+            ..
         } => {
-            let groups = agg.finish(agg_plan);
+            let groups = agg.finish(agg_plan)?;
             ctx.profile.lap(Stage::Aggregate, groups.len() as u64);
             let mut rows = Vec::with_capacity(groups.len());
             for group in groups {
@@ -1198,7 +1229,9 @@ pub(crate) enum AccState {
     Count(i64),
     SumI(Option<i64>),
     SumF(Option<f64>),
-    Avg { sum: f64, n: i64 },
+    /// An AVG's INT values' exact sum, its FLOAT values' sum in scan order
+    /// (a FLOAT AVG stays serial: `parallel::plan_parallel`), their count.
+    Avg(i128, f64, i64),
     MinMax(Option<Value>),
 }
 
@@ -1210,7 +1243,7 @@ impl AccState {
                 jaguar_common::DataType::Float => AccState::SumF(None),
                 _ => AccState::SumI(None),
             },
-            AggFunc::Avg => AccState::Avg { sum: 0.0, n: 0 },
+            AggFunc::Avg => AccState::Avg(0, 0.0, 0),
             AggFunc::Min | AggFunc::Max => AccState::MinMax(None),
         }
     }
@@ -1241,14 +1274,11 @@ impl AccState {
                     }
                 }
             }
-            AccState::Avg { sum, n } => {
-                if let Some(val) = v {
-                    if !val.is_null() {
-                        *sum += val.as_float()?;
-                        *n += 1;
-                    }
-                }
-            }
+            AccState::Avg(ints, floats, n) => match v {
+                Some(Value::Int(x)) => (*ints, *n) = (*ints + i128::from(*x), *n + 1),
+                Some(val) if !val.is_null() => (*floats, *n) = (*floats + val.as_float()?, *n + 1),
+                _ => {}
+            },
             AccState::MinMax(best) => {
                 if let Some(val) = v {
                     if !val.is_null() {
@@ -1292,9 +1322,8 @@ impl AccState {
                     *acc = Some(acc.unwrap_or(0.0) + x);
                 }
             }
-            (AccState::Avg { sum, n }, AccState::Avg { sum: s, n: m }) => {
-                *sum += s;
-                *n += m;
+            (AccState::Avg(ints, floats, n), AccState::Avg(i, f, m)) => {
+                (*ints, *floats, *n) = (*ints + i, *floats + f, *n + m)
             }
             (mine @ AccState::MinMax(_), AccState::MinMax(best)) => {
                 mine.update(func, best.as_ref())?
@@ -1314,8 +1343,8 @@ impl AccState {
             AccState::SumI(None) | AccState::SumF(None) | AccState::MinMax(None) => Value::Null,
             AccState::SumI(Some(x)) => Value::Int(x),
             AccState::SumF(Some(x)) => Value::Float(x),
-            AccState::Avg { n: 0, .. } => Value::Null,
-            AccState::Avg { sum, n } => Value::Float(sum / n as f64),
+            AccState::Avg(.., 0) => Value::Null,
+            AccState::Avg(ints, floats, n) => Value::Float((ints as f64 + floats) / n as f64),
             AccState::MinMax(Some(v)) => v,
         }
     }
@@ -1328,46 +1357,56 @@ impl AccState {
 /// morsel order therefore reproduces the serial output order exactly: a
 /// group's position is its first occurrence in scan order either way.
 ///
-/// A group is found by its values: [`GroupIndex`] is probed with the row's
-/// group values where they lie (a column in the row, another expression's
-/// value in `scratch`), so a row of a known group allocates and encodes
-/// nothing. Two keys are one group when every value has the same type and
-/// bits ([`same_value`]), i.e. equal tagged encodings: `0.0` ≠ `-0.0`, a NaN
-/// matches only the same bits, `1` ≠ `1.0`, a VARCHAR ≠ a BYTEARRAY of the
-/// same bytes, and NULL groups with NULL.
+/// A group is keyed by its group values' tagged encodings, back to back:
+/// two keys are one group exactly when those bytes are equal — `0.0` ≠
+/// `-0.0`, a NaN matches only the same bits, `1` ≠ `1.0`, a VARCHAR ≠ a
+/// BYTEARRAY of the same bytes, and NULL groups with NULL. A folded record
+/// passes its key bytes as they lie; a lent row encodes its group values.
+/// Each group's values are decoded once, by [`GroupedAgg::finish`].
 #[derive(Default)]
 pub(crate) struct GroupedAgg {
-    /// `(group values, accumulators)` per group, in first-seen order.
-    groups: Vec<(Vec<Value>, Vec<AccState>)>,
-    /// The groups by their values' hash; unused without a GROUP BY, whose
-    /// one group is `groups[0]` (a probe per row would cost a global
-    /// aggregate a fifth of its time).
+    /// Every group's key, in first-seen order, ending at `key_ends[g]`.
+    keys: Vec<u8>,
+    key_ends: Vec<usize>,
+    /// Every group's accumulators, one per aggregate, group after group.
+    accs: Vec<AccState>,
+    /// The groups by their keys' hash; a global aggregate's one group is
+    /// found without a probe (which would cost it a fifth of its time).
     index: GroupIndex,
-    /// The row's value of each group expression but a column or literal.
-    scratch: Vec<Value>,
+    /// The key of the row being folded.
+    key: Vec<u8>,
+}
+
+/// Group `g`'s key among `keys` that end at `ends`.
+fn key_of<'k>(keys: &'k [u8], ends: &[usize], g: usize) -> &'k [u8] {
+    let start = g.checked_sub(1).map_or(0, |p| ends[p]);
+    &keys[start..ends[g]]
 }
 
 impl GroupedAgg {
-    /// The group the row's values `key` make, appended with fresh
-    /// accumulators (and a copy of the values) on its first sight.
-    fn locate<'v>(
-        groups: &mut Vec<(Vec<Value>, Vec<AccState>)>,
-        index: &mut GroupIndex,
-        plan: &AggregatePlan,
-        hash: u64,
-        key: impl Fn(usize) -> &'v Value,
-    ) -> usize {
-        let n = plan.group_exprs.len();
-        let slot = index.probe(hash, |at| {
-            (0..n).all(|i| same_value(&groups[at].0[i], key(i)))
-        });
-        if let Some(at) = index.slots[slot].checked_sub(1) {
-            return at as usize;
-        }
-        index.insert(slot, hash);
-        let accs = plan.aggs.iter().map(AccState::new).collect();
-        groups.push(((0..n).map(|i| key(i).clone()).collect(), accs));
-        groups.len() - 1
+    /// The group keyed `key` (or the key in `self.key`), appended with
+    /// fresh accumulators on its first sight; its accumulators.
+    fn locate(&mut self, plan: &AggregatePlan, key: Option<&[u8]>) -> &mut [AccState] {
+        let (n, key) = (plan.aggs.len(), key.unwrap_or(&self.key));
+        let (keys, ends) = (&self.keys, &self.key_ends);
+        let g = match plan.group_exprs.is_empty() && !ends.is_empty() {
+            true => 0,
+            false => {
+                let hash = key_hash(key);
+                let slot = self.index.probe(hash, |g| key_of(keys, ends, g) == key);
+                match self.index.slots[slot].checked_sub(1) {
+                    Some(g) => g as usize,
+                    None => {
+                        self.index.insert(slot, hash);
+                        self.keys.extend_from_slice(key);
+                        self.key_ends.push(self.keys.len());
+                        self.accs.extend(plan.aggs.iter().map(AccState::new));
+                        self.key_ends.len() - 1
+                    }
+                }
+            }
+        };
+        &mut self.accs[g * n..(g + 1) * n]
     }
 
     /// Fold one input tuple into its group.
@@ -1377,34 +1416,12 @@ impl GroupedAgg {
         tuple: &Tuple,
         ctx: &mut ExecCtx<'_>,
     ) -> Result<()> {
-        let exprs = &plan.group_exprs;
-        let at = if exprs.is_empty() {
-            if self.groups.is_empty() {
-                let accs = plan.aggs.iter().map(AccState::new).collect();
-                self.groups.push((Vec::new(), accs));
-            }
-            0
-        } else {
-            // Each group expression is evaluated once per row, in order; a
-            // column is only checked to exist, and then read where it lies.
-            self.scratch.resize(exprs.len(), Value::Null);
-            for (g, slot) in exprs.iter().zip(&mut self.scratch) {
-                match g {
-                    BExpr::Column(c) => drop(tuple.get(*c)?),
-                    BExpr::Literal(_) => {}
-                    e => *slot = eval(e, tuple, ctx)?,
-                }
-            }
-            let scratch = &self.scratch;
-            let key = |i: usize| match &exprs[i] {
-                BExpr::Column(c) => &tuple.values()[*c],
-                BExpr::Literal(v) => v,
-                _ => &scratch[i],
-            };
-            let hash = key_hash((0..exprs.len()).map(key));
-            GroupedAgg::locate(&mut self.groups, &mut self.index, plan, hash, key)
-        };
-        for (spec, acc) in plan.aggs.iter().zip(self.groups[at].1.iter_mut()) {
+        // Each group expression is evaluated once per row, in order.
+        self.key.clear();
+        for g in &plan.group_exprs {
+            write_value(&mut self.key, &*operand(g, tuple, ctx)?)?;
+        }
+        for (spec, acc) in plan.aggs.iter().zip(self.locate(plan, None)) {
             let v = match &spec.arg {
                 Some(e) => Some(operand(e, tuple, ctx)?),
                 None => None,
@@ -1414,28 +1431,48 @@ impl GroupedAgg {
         Ok(())
     }
 
+    /// Fold a record walked to its end as [`GroupedAgg::update`] folds its
+    /// row ([`AggregatePlan::folds`]): a key is its columns' bytes, an
+    /// argument a `Value` on the stack (COUNT sees only NULL or not).
+    pub(crate) fn fold(&mut self, plan: &AggregatePlan, record: &RecordView) -> Result<()> {
+        let read = |e: &BExpr| match e {
+            BExpr::Column(c) => (record.walked(*c))
+                .ok_or_else(|| JaguarError::Execution(format!("tuple index {c} out of range"))),
+            _ => unreachable!("a plan that folds at its scan reads plain columns"),
+        };
+        let key = match plan.group_exprs.as_slice() {
+            [only] => Some(read(only)?.encoded()),
+            exprs => {
+                self.key.clear();
+                for e in exprs {
+                    self.key.extend_from_slice(read(e)?.encoded());
+                }
+                None
+            }
+        };
+        for (spec, acc) in plan.aggs.iter().zip(self.locate(plan, key)) {
+            let v = match &spec.arg {
+                Some(e) => match read(e)? {
+                    stored if spec.func == AggFunc::Count && !stored.is_null() => Value::Bool(true),
+                    stored => stored.value()?,
+                },
+                None => Value::Null,
+            };
+            acc.update(spec.func, spec.arg.as_ref().map(|_| &v))?;
+        }
+        Ok(())
+    }
+
     /// Fold another partial aggregation — a later morsel's — into this
     /// one. Groups first seen by `other` append after this one's, so
     /// merging partials in morsel order keeps first-seen-in-scan-order
     /// output.
     pub(crate) fn merge(&mut self, plan: &AggregatePlan, other: GroupedAgg) -> Result<()> {
-        let hashes = other.index.hashes;
-        for (g, (vals, accs)) in other.groups.into_iter().enumerate() {
-            let at = match plan.group_exprs.is_empty() {
-                true if self.groups.is_empty() => {
-                    self.groups.push((vals, accs));
-                    continue;
-                }
-                true => 0,
-                false => {
-                    let key = |i: usize| &vals[i];
-                    GroupedAgg::locate(&mut self.groups, &mut self.index, plan, hashes[g], key)
-                }
-            };
-            for (spec, (mine, theirs)) in
-                (plan.aggs.iter()).zip(self.groups[at].1.iter_mut().zip(accs))
-            {
-                mine.merge(spec.func, theirs)?;
+        let mut theirs = other.accs.into_iter();
+        for g in 0..other.key_ends.len() {
+            let key = key_of(&other.keys, &other.key_ends, g);
+            for (spec, mine) in plan.aggs.iter().zip(self.locate(plan, Some(key))) {
+                mine.merge(spec.func, theirs.next().expect("one state per aggregate"))?;
             }
         }
         Ok(())
@@ -1444,30 +1481,22 @@ impl GroupedAgg {
     /// Emit one output tuple per group (group values ++ aggregate results)
     /// in first-seen order. A global aggregation over zero input rows
     /// still yields its single default row.
-    pub(crate) fn finish(mut self, plan: &AggregatePlan) -> Vec<Tuple> {
-        if plan.group_exprs.is_empty() && self.groups.is_empty() {
-            let accs = plan.aggs.iter().map(AccState::new).collect();
-            self.groups.push((Vec::new(), accs));
+    pub(crate) fn finish(mut self, plan: &AggregatePlan) -> Result<Vec<Tuple>> {
+        if plan.group_exprs.is_empty() && self.key_ends.is_empty() {
+            self.locate(plan, Some(&[]));
         }
-        (self.groups.into_iter())
-            .map(|(mut vals, accs)| {
-                vals.extend(accs.into_iter().map(AccState::finish));
-                Tuple::new(vals)
+        let mut accs = self.accs.into_iter();
+        let mut keys = &self.keys[..];
+        (0..self.key_ends.len())
+            .map(|_| {
+                let mut values = Vec::with_capacity(plan.group_exprs.len() + plan.aggs.len());
+                for _ in &plan.group_exprs {
+                    values.push(read_value(&mut keys)?);
+                }
+                values.extend(accs.by_ref().take(plan.aggs.len()).map(AccState::finish));
+                Ok(Tuple::new(values))
             })
             .collect()
-    }
-}
-
-/// Two group values are the same group: the same type and the same bits.
-fn same_value(a: &Value, b: &Value) -> bool {
-    match (a, b) {
-        (Value::Null, Value::Null) => true,
-        (Value::Bool(x), Value::Bool(y)) => x == y,
-        (Value::Int(x), Value::Int(y)) => x == y,
-        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
-        (Value::Str(x), Value::Str(y)) => x == y,
-        (Value::Bytes(x), Value::Bytes(y)) => x.as_slice() == y.as_slice(),
-        _ => false,
     }
 }
 
@@ -1476,39 +1505,26 @@ fn same_value(a: &Value, b: &Value) -> bool {
 /// by 2^12, 2^20, 2^40 or 2^52, each reach ≥ 90 % of 4,096 home slots.
 const HASH_MUL: u64 = 0x26d1_075c_a7e1_85b1;
 
-/// A multiply-fold hash of a group key, consistent with [`same_value`]:
-/// each value's tag and bits are folded in with one multiplication, and
-/// [`GroupIndex`] takes its slot from the top bits, which every bit of the
-/// key reaches — keys differing only in high bits spread too. Seeded once
-/// per process (after the multiply: a seed permutes slots, not spread).
-fn key_hash<'v>(values: impl Iterator<Item = &'v Value>) -> u64 {
+/// A multiply-fold hash of a group key's bytes: its last whole words are
+/// folded in with a multiplication each, the bytes before them (a
+/// one-column key's tag) multiplied on their own and XORed in. The top
+/// bits, [`GroupIndex`]'s slot, are reached by every bit of the key. A
+/// one-column FLOAT key that is an `i64` hashes as that integer. Seeded
+/// once per process (after the multiply: a seed permutes slots, not spread).
+fn key_hash(key: &[u8]) -> u64 {
     static SEED: OnceLock<u64> = OnceLock::new();
     let seed = *SEED.get_or_init(|| {
         use std::hash::BuildHasher;
         std::collections::hash_map::RandomState::new().hash_one(0u64)
     });
     let fold = |h: u64, word: u64| (h.rotate_left(23) ^ word).wrapping_mul(HASH_MUL);
-    let mut h = 0;
-    for v in values {
-        let (tag, word, body): (u64, u64, &[u8]) = match v {
-            Value::Null => (0, 0, &[]),
-            Value::Bool(b) => (1, u64::from(*b), &[]),
-            Value::Int(i) => (2, *i as u64, &[]),
-            // A float that is an `i64` hashes as that integer, so integral
-            // float keys spread as integer ones do.
-            Value::Float(x) if (*x as i64) as f64 == *x => (3, *x as i64 as u64, &[]),
-            Value::Float(x) => (3, x.to_bits(), &[]),
-            Value::Str(s) => (4, s.len() as u64, s.as_bytes()),
-            Value::Bytes(b) => (5, b.len() as u64, b.as_slice()),
-        };
-        h = fold(h, word) ^ tag;
-        for chunk in body.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            h = fold(h, u64::from_le_bytes(word));
-        }
-    }
-    h ^ seed
+    let (head, words) = key.split_at(key.len() % 8);
+    let head = head.iter().rev().fold(0, |w, &b| w << 8 | u64::from(b));
+    let float = head == u64::from(jaguar_common::DataType::Float.tag()) && words.len() == 8;
+    let integral = |x: f64| (float && (x as i64) as f64 == x).then_some(x as i64 as u64);
+    let words = (words.chunks_exact(8)).map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")));
+    let words = words.map(|w| integral(f64::from_bits(w)).unwrap_or(w));
+    words.fold(0, fold) ^ fold(0, head) ^ seed
 }
 
 /// Group positions in an open-addressed table, probed linearly from the
@@ -1562,7 +1578,6 @@ impl GroupIndex {
 mod tests {
     use super::*;
     use crate::plan::AggSpec;
-    use jaguar_common::stream::write_value;
     use jaguar_common::{ByteArray, DataType};
     use jaguar_ipc::proto::NoCallbacks;
     use proptest::prelude::*;
@@ -1596,31 +1611,46 @@ mod tests {
                 AggSpec {
                     func: AggFunc::CountStar,
                     arg: None,
+                    arg_ty: None,
                     out_ty: DataType::Int,
                 },
                 AggSpec {
                     func: AggFunc::Sum,
                     arg: Some(BExpr::Column(width)),
+                    arg_ty: Some(DataType::Int),
                     out_ty: DataType::Int,
                 },
             ],
         }
     }
 
-    /// `rows` aggregated in `parts` morsels, merged in order.
-    fn aggregate(plan: &AggregatePlan, rows: &[Tuple], parts: &[&[Tuple]]) -> Vec<u8> {
+    /// `rows` aggregated in `parts` morsels, merged in order: lent as rows,
+    /// or with `folded` shown as the records they are stored as.
+    fn aggregate(
+        plan: &AggregatePlan,
+        rows: &[Tuple],
+        parts: &[&[Tuple]],
+        folded: bool,
+    ) -> Vec<u8> {
         let mut callbacks = NoCallbacks;
         let mut ctx = ExecCtx::for_udfs(&[], &mut callbacks, None).unwrap();
-        let mut merged = GroupedAgg::default();
+        let (mut merged, mut starts) = (GroupedAgg::default(), Vec::new());
         for part in parts {
             let mut agg = GroupedAgg::default();
             for row in *part {
-                agg.update(plan, row, &mut ctx).unwrap();
+                if folded {
+                    let record = encoded(std::slice::from_ref(row));
+                    let mut view = RecordView::new(&record, &mut starts).unwrap();
+                    view.check(&jaguar_common::ColumnSet::all()).unwrap();
+                    agg.fold(plan, &view).unwrap();
+                } else {
+                    agg.update(plan, row, &mut ctx).unwrap();
+                }
             }
             merged.merge(plan, agg).unwrap();
         }
         assert_eq!(parts.iter().map(|p| p.len()).sum::<usize>(), rows.len());
-        encoded(&merged.finish(plan))
+        encoded(&merged.finish(plan).unwrap())
     }
 
     fn encoded(rows: &[Tuple]) -> Vec<u8> {
@@ -1660,7 +1690,8 @@ mod tests {
 
         /// Two keys are one group exactly when their tagged encodings are
         /// equal, and groups come out in first-seen order — aggregated in
-        /// one morsel or in two merged in order.
+        /// one morsel or in two merged in order, from lent rows or from the
+        /// records they are stored as.
         #[test]
         fn group_key_equality_is_encoded_key_equality(
             width in 1usize..4,
@@ -1680,9 +1711,11 @@ mod tests {
                 .collect();
             let plan = grouped(width);
             let want = reference(width, &rows);
-            prop_assert_eq!(aggregate(&plan, &rows, &[&rows]), want.clone());
             let (front, back) = rows.split_at(split.min(rows.len()));
-            prop_assert_eq!(aggregate(&plan, &rows, &[front, back]), want);
+            for folded in [false, true] {
+                prop_assert_eq!(aggregate(&plan, &rows, &[&rows], folded), want.clone());
+                prop_assert_eq!(aggregate(&plan, &rows, &[front, back], folded), want.clone());
+            }
         }
     }
 
@@ -1708,7 +1741,8 @@ mod tests {
         for (name, key) in families {
             let mut home = vec![false; 4096];
             for i in 0..4096 {
-                home[GroupIndex::home(key_hash([&key(i)].into_iter()), 4096)] = true;
+                let encoded = jaguar_common::stream::value_to_vec(&key(i));
+                home[GroupIndex::home(key_hash(&encoded), 4096)] = true;
             }
             let covered = home.iter().filter(|h| **h).count();
             assert!(covered * 10 >= 4096 * 9, "{name}: {covered} of 4096 slots");

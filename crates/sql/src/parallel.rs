@@ -17,7 +17,8 @@
 //! `MIN_DATA_PAGES` data pages, with or without UDFs, aggregation,
 //! HAVING, ORDER BY, or LIMIT-after-ORDER-BY. What stays serial: DML,
 //! index and empty scans, tiny tables, bare-LIMIT queries (where the
-//! serial fragment stops the scan early instead), and everything when
+//! serial fragment stops the scan early instead), a FLOAT `SUM`/`AVG` (its
+//! per-morsel partial sums would round otherwise), and everything when
 //! `dop = 1`.
 //!
 //! Cancellation invariant: the statement's [`CancelToken`] is attached
@@ -34,11 +35,11 @@ use crate::par::{morsel_pages_for, run_team, MorselDispenser};
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
-use jaguar_common::Tuple;
+use jaguar_common::{DataType, Tuple};
 
 use crate::engine::{Engine, EngineCallbacks};
 use crate::exec::{fragment, tail, ExecCtx, ExecStats, Profile, RowSource, Sink};
-use crate::plan::{AccessPath, BoundSelect};
+use crate::plan::{AccessPath, AggFunc, AggSpec, BoundSelect};
 
 /// Tables with fewer data pages than this never go parallel: the team
 /// setup (thread spawns, per-worker UDF instantiation) costs more than
@@ -93,6 +94,12 @@ pub(crate) fn plan_parallel(
     }
     if plan.limit.is_some() && plan.aggregate.is_none() && plan.order_by.is_empty() {
         return Err("bare LIMIT short-circuits serially");
+    }
+    // Floating-point addition is not associative: keep the serial sum.
+    let sums = |a: &AggSpec| matches!(a.func, AggFunc::Sum | AggFunc::Avg);
+    let adds_floats = |a: &AggSpec| a.arg_ty == Some(DataType::Float) && sums(a);
+    if (plan.aggregate.iter()).any(|agg| agg.aggs.iter().any(adds_floats)) {
+        return Err("FLOAT SUM/AVG adds in scan order");
     }
     let data_pages = plan.table.heap_pages().saturating_sub(1);
     if data_pages < MIN_DATA_PAGES {

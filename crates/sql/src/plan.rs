@@ -126,6 +126,8 @@ pub struct AggSpec {
     pub func: AggFunc,
     /// Input expression (absent for `COUNT(*)`).
     pub arg: Option<BExpr>,
+    /// The input's type (`None` for `COUNT(*)` or a NULL literal).
+    pub arg_ty: Option<DataType>,
     pub out_ty: DataType,
 }
 
@@ -135,6 +137,22 @@ pub struct AggSpec {
 pub struct AggregatePlan {
     pub group_exprs: Vec<BExpr>,
     pub aggs: Vec<AggSpec>,
+}
+
+impl AggregatePlan {
+    /// Can it fold a record from its bytes? Grouped by plain columns, with
+    /// `COUNT(*)`, `COUNT(col)`, `SUM`/`AVG`/`MIN`/`MAX` of a fixed-width one.
+    pub(crate) fn folds(&self) -> bool {
+        let column = |e: &BExpr| matches!(e, BExpr::Column(_));
+        let fixed = |ty| matches!(ty, Some(DataType::Int | DataType::Float | DataType::Bool));
+        let folds = |a: &AggSpec| match a.func {
+            AggFunc::CountStar => true,
+            func => {
+                a.arg.as_ref().is_some_and(column) && (func == AggFunc::Count || fixed(a.arg_ty))
+            }
+        };
+        self.group_exprs.iter().all(column) && self.aggs.iter().all(folds)
+    }
 }
 
 /// Structural equality of bound expressions (used to match SELECT items
@@ -319,6 +337,19 @@ pub struct BoundSelect {
     /// Optimizer decision notes (in-engine verdicts, memoization, reorder,
     /// gating reasons) rendered by EXPLAIN's `-- plan notes:` trailer.
     pub notes: Vec<String>,
+}
+
+/// Does this SELECT fold each record that passes its pushed conjuncts from
+/// the record's bytes, with no row decoded or lent? EXPLAIN: `[at scan]`.
+pub(crate) fn folds_at_scan(plan: &BoundSelect) -> bool {
+    (plan.aggregate.as_ref()).is_some_and(AggregatePlan::folds)
+        && matches!(plan.access, AccessPath::FullScan)
+        && plan.predicates.is_empty()
+}
+
+/// How EXPLAIN tags the aggregate of a plan that [`folds_at_scan`].
+pub(crate) fn aggregate_tag(plan: &BoundSelect) -> &'static str {
+    ["", " [at scan]"][usize::from(folds_at_scan(plan))]
 }
 
 /// Names of the columns in `cols`; `None` if that is all of them.
@@ -956,6 +987,7 @@ impl<'a> Binder<'a> {
             Expr::CountStar => AggSpec {
                 func: AggFunc::CountStar,
                 arg: None,
+                arg_ty: None,
                 out_ty: DataType::Int,
             },
             Expr::Func { name, args } if agg_func_of(name).is_some() => {
@@ -1015,6 +1047,7 @@ impl<'a> Binder<'a> {
         Ok(AggSpec {
             func,
             arg: Some(arg),
+            arg_ty,
             out_ty,
         })
     }
@@ -1328,14 +1361,15 @@ fn explain_inner(plan: &BoundSelect, gather_dop: Option<usize>) -> String {
     if let Some(agg) = &plan.aggregate {
         let _ = writeln!(
             out,
-            "  Aggregate {} group expr(s), {} aggregate(s) [{}]",
+            "  Aggregate {} group expr(s), {} aggregate(s) [{}]{}",
             agg.group_exprs.len(),
             agg.aggs.len(),
             agg.aggs
                 .iter()
                 .map(|a| a.func.name())
                 .collect::<Vec<_>>()
-                .join(", ")
+                .join(", "),
+            aggregate_tag(plan)
         );
     }
     // The scan/filter fragment runs inside each Gather worker, so it

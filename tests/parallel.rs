@@ -285,3 +285,52 @@ fn par_metrics_and_contention_counters_surface() {
         );
     }
 }
+
+/// SUM and AVG give the same bits at every dop. Floating-point addition is
+/// not associative, so per-morsel partial sums of a FLOAT would round
+/// differently from the serial running sum: such a plan stays serial. An
+/// INT AVG adds exactly and divides once, so it goes parallel.
+#[test]
+fn sum_and_avg_are_bit_identical_at_every_dop() {
+    let build = |dop: usize| {
+        let db = Database::with_config(Config::default().with_dop(dop));
+        db.execute("CREATE TABLE f (id INT, g INT, x FLOAT, big INT)")
+            .unwrap();
+        let t = db.catalog().table("f").unwrap();
+        for id in 0..20_000i64 {
+            t.insert(Tuple::new(vec![
+                Value::Int(id),
+                Value::Int(id % 7),
+                Value::Float(id as f64 * 1.37 + 1e9 / (id as f64 + 0.5)),
+                Value::Int((1 << 60) + id * 7_919),
+            ]))
+            .unwrap();
+        }
+        assert!(t.heap_pages() > 8, "{} pages", t.heap_pages());
+        db
+    };
+    let serial_float = "parallel: serial (FLOAT SUM/AVG adds in scan order)";
+    let queries = [
+        ("SELECT SUM(x), AVG(x) FROM f", true),
+        ("SELECT g, SUM(x), AVG(x) FROM f GROUP BY g", true),
+        ("SELECT AVG(big) FROM f", false),
+        ("SELECT g, AVG(big), SUM(big) FROM f GROUP BY g", false),
+    ];
+    let bits = |db: &Database, sql: &str| {
+        let mut out = Vec::new();
+        for row in db.execute(sql).unwrap().rows {
+            jaguar_common::stream::write_tuple(&mut out, &row).unwrap();
+        }
+        out
+    };
+    let serial = build(1);
+    for dop in [2, 4] {
+        let par = build(dop);
+        for (sql, floats) in queries {
+            let plan = par.explain(sql).unwrap();
+            assert_eq!(plan.contains(serial_float), floats, "{plan}");
+            assert_eq!(plan.contains("Gather"), !floats, "{plan}");
+            assert_eq!(bits(&par, sql), bits(&serial, sql), "dop {dop}: {sql}");
+        }
+    }
+}

@@ -10,10 +10,14 @@
 //! at dop 1 and at dop 2. A conjunct that is not pushable either way — an
 //! arithmetic one, a negated one, or a call of the generic UDF under one of
 //! the paper's four designs — sits before, between or after the pushable
-//! ones. Each statement (SELECT: plain, bare LIMIT, grouped, global
-//! aggregate, ORDER BY + LIMIT; DELETE; UPDATE) must give the two spellings
-//! the same rows in the same order, `affected`, `stats.rows_scanned`,
-//! `stats.udf_invocations` and error text, and leave the tables equal.
+//! ones. Each statement (SELECT: plain, bare LIMIT, grouped by INT, by
+//! FLOAT and BOOL, by VARCHAR and by BOOL, global aggregate, ORDER BY + LIMIT;
+//! DELETE; UPDATE) must give the two spellings the same rows in the same
+//! order, `affected`, `stats.rows_scanned`, `stats.udf_invocations` and
+//! error text, and leave the tables equal. An aggregate whose WHERE the
+//! scan judges entirely folds each record into its group from the record's
+//! bytes (`[at scan]`); its twin, which keeps a residual conjunct, folds
+//! decoded rows: the two paths are compared here.
 
 use jaguar_core::{ByteArray, Config, Database, QueryResult, Tuple, Value};
 use jaguar_ipc::find_worker_binary;
@@ -159,6 +163,11 @@ fn arb_statement() -> impl Strategy<Value = &'static str> {
         Just("SELECT id, f FROM t WHERE {where} LIMIT 3"),
         Just("SELECT i, COUNT(*), SUM(f), MIN(id) FROM t WHERE {where} GROUP BY i"),
         Just("SELECT COUNT(*), COUNT(f), MAX(i), SUM(id) FROM t WHERE {where}"),
+        Just(
+            "SELECT f, b, COUNT(*), COUNT(name), AVG(i), MAX(f) FROM t WHERE {where} GROUP BY f, b"
+        ),
+        Just("SELECT name, COUNT(*), MIN(i) FROM t WHERE {where} GROUP BY name"),
+        Just("SELECT b, COUNT(name), COUNT(f), SUM(i), AVG(i), MAX(b) FROM t WHERE {where} GROUP BY b"),
         Just("SELECT id, i, name FROM t WHERE {where} ORDER BY i DESC, id LIMIT 5"),
         Just("DELETE FROM t WHERE {where}"),
         Just("UPDATE t SET i = i + 1, f = 1.5 WHERE {where}"),
@@ -283,6 +292,17 @@ fn the_shapes_under_test_push_spill_fail_and_go_parallel() {
         "scan judges 2 conjunct(s) on record bytes",
     ] {
         assert!(plan.contains(line), "{line}:\n{plan}");
+    }
+    // A grouped shape aggregates at the scan, in each morsel of a Gather.
+    let grouped = db
+        .explain("SELECT name, COUNT(*), MIN(i) FROM t WHERE i >= 0 GROUP BY name")
+        .unwrap();
+    for line in [
+        "  Aggregate 1 group expr(s), 2 aggregate(s) [count(*), min] [at scan]",
+        "  Gather (dop=2)",
+        "    Filter[0] [at scan] (i >= 0)",
+    ] {
+        assert!(grouped.contains(line), "{line}:\n{grouped}");
     }
     let spilled = db.execute("SELECT blob FROM t WHERE i >= 2").unwrap();
     assert!(spilled.rows.iter().any(|r| r.heap_size() == 2_500));
