@@ -11,7 +11,7 @@ use jaguar_common::error::Result;
 use jaguar_common::ids::{RecordId, TableId};
 use jaguar_common::obs;
 use jaguar_common::schema::{Schema, SchemaRef};
-use jaguar_common::stream::{decode_tuple, write_tuple, RecordView};
+use jaguar_common::stream::{decode_tuple, write_tuple, Column, RecordView};
 use jaguar_common::value::{compare, CmpOp};
 use jaguar_common::DataType;
 use jaguar_common::{ColumnSet, Tuple, Value};
@@ -244,7 +244,7 @@ impl Table {
     /// Fetch one row by record id, decoding the columns in `cols` (the
     /// others read as NULL). `None` if the row is gone.
     pub fn get(&self, rid: RecordId, cols: &ColumnSet) -> Result<Option<Tuple>> {
-        Ok(self.fetch(rid, &mut self.read_all(cols))?.flatten())
+        Ok(self.fetch(rid, &self.read_all(cols))?.flatten())
     }
 
     /// How this table's rows are read when only the columns in `cols` are
@@ -253,7 +253,6 @@ impl Table {
         RowReader {
             cols: cols.clone(),
             tests,
-            starts: Vec::new(),
         }
     }
 
@@ -264,7 +263,7 @@ impl Table {
 
     /// Fetch one row by record id as `reader` reads it: `None` if the row
     /// is gone, `Some(None)` if it is there and fails the reader's test.
-    pub fn fetch(&self, rid: RecordId, reader: &mut RowReader) -> Result<Option<Option<Tuple>>> {
+    pub fn fetch(&self, rid: RecordId, reader: &RowReader) -> Result<Option<Option<Tuple>>> {
         self.heap.get_with(rid, |record| {
             let mut tuple = Tuple::default();
             Ok(reader.read(record, tuple.values_mut())?.then_some(tuple))
@@ -432,9 +431,11 @@ impl Iterator for TableScan {
 
 /// One conjunct a scan judges on a stored record before it builds the row:
 /// column `column` compared with `literal` by `op` (`literal op column` if
-/// `literal_first`), decided by the executor's own [`compare`]. The column
-/// is read where it lies, under its page's shared latch; a `VARCHAR` or
-/// `BYTEARRAY` one reads as NULL, and a record without the column fails.
+/// `literal_first`), decided as the executor's own [`compare`] decides it.
+/// The column is read where it lies, under its page's shared latch; a
+/// `VARCHAR` or `BYTEARRAY` one reads as NULL, and a record without the
+/// column fails. An INT literal against a column stored as INT is judged
+/// on the two integers; every other pair goes through [`compare`].
 #[derive(Debug, Clone)]
 pub struct ScanTest {
     pub column: usize,
@@ -443,14 +444,31 @@ pub struct ScanTest {
     pub literal_first: bool,
 }
 
+impl ScanTest {
+    /// Whether `column` passes: `Some(false)` and `None` (unknown) reject.
+    #[inline(always)]
+    fn judge(&self, column: Column) -> Result<Option<bool>> {
+        if let (Value::Int(k), Some(x)) = (&self.literal, column.int()) {
+            let ord = match self.literal_first {
+                true => k.cmp(&x),
+                false => x.cmp(k),
+            };
+            return Ok(Some(self.op.holds(ord)));
+        }
+        let v = column.fixed()?;
+        match self.literal_first {
+            true => compare(self.op, &self.literal, &v),
+            false => compare(self.op, &v, &self.literal),
+        }
+    }
+}
+
 /// How a scan or a fetch turns stored records into rows ([`Table::reader`]):
 /// which columns it decodes, and the tests a record passes first, judged
 /// and decoded (or folded) from one walk of the record ([`RecordView`]).
 pub struct RowReader {
     cols: ColumnSet,
     tests: Vec<ScanTest>,
-    /// The view's column starts, recycled from record to record.
-    starts: Vec<usize>,
 }
 
 impl RowReader {
@@ -458,21 +476,16 @@ impl RowReader {
     /// is not true rejects it — walked only to the tested columns, nothing
     /// allocated — and one that fails is its error.
     fn pass(
-        &mut self,
+        &self,
         record: &[u8],
         then: impl FnOnce(RecordView, &ColumnSet) -> Result<()>,
     ) -> Result<bool> {
-        let mut view = RecordView::new(record, &mut self.starts)?;
+        let mut view = RecordView::new(record)?;
         for t in &self.tests {
             let Some(column) = view.column(t.column)? else {
                 return Ok(false);
             };
-            let v = column.fixed()?;
-            let (l, r) = match t.literal_first {
-                true => (&t.literal, &v),
-                false => (&v, &t.literal),
-            };
-            if compare(t.op, l, r)? != Some(true) {
+            if t.judge(column)? != Some(true) {
                 return Ok(false);
             }
         }
@@ -480,7 +493,7 @@ impl RowReader {
     }
 
     /// Decode `record` into `out` if it passes every test.
-    fn read(&mut self, record: &[u8], out: &mut Vec<Value>) -> Result<bool> {
+    fn read(&self, record: &[u8], out: &mut Vec<Value>) -> Result<bool> {
         self.pass(record, |view, cols| view.decode_into(cols, out))
     }
 }
@@ -894,6 +907,81 @@ mod tests {
             let lent = drain(&mut t.rows(reader(), 1..u32::MAX));
             assert_eq!((lent[0].0.len(), lent[0].1.clone()), (2, None));
         }
+    }
+
+    /// A test judged on a column's stored integer decides what [`compare`]
+    /// decides on the values, for every stored tag, literal type, operator
+    /// and side: the same verdict, the same unknown, the same error text.
+    #[test]
+    fn a_typed_judge_decides_what_compare_decides() {
+        use jaguar_common::ByteArray;
+        let ints = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let floats = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            -1.5,
+            1.0,
+            i64::MIN as f64,
+            i64::MAX as f64,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut values = vec![Value::Null, Value::Bool(false), Value::Bool(true)];
+        values.extend(ints.map(Value::Int));
+        values.extend(floats.map(Value::Float));
+        let blobs = [
+            Value::Str("7".into()),
+            Value::Bytes(ByteArray::new(vec![7])),
+        ];
+        let ops = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        let mut typed = 0;
+        for stored in values.iter().chain(&blobs) {
+            let mut record = Vec::new();
+            write_tuple(
+                &mut record,
+                &Tuple::new(vec![Value::Int(3), stored.clone()]),
+            )
+            .unwrap();
+            let mut view = RecordView::new(&record).unwrap();
+            let column = view.column(1).unwrap().unwrap();
+            // A VARCHAR or BYTEARRAY column is judged as NULL.
+            let judged = match stored {
+                Value::Str(_) | Value::Bytes(_) => &Value::Null,
+                fixed => fixed,
+            };
+            for literal in values.iter().chain(&blobs) {
+                for op in ops {
+                    for literal_first in [false, true] {
+                        let t = ScanTest {
+                            column: 1,
+                            op,
+                            literal: literal.clone(),
+                            literal_first,
+                        };
+                        let (l, r) = match literal_first {
+                            true => (literal, judged),
+                            false => (judged, literal),
+                        };
+                        let want = compare(op, l, r).map_err(|e| e.to_string());
+                        let got = t.judge(column).map_err(|e| e.to_string());
+                        assert_eq!(got, want, "{l} {} {r}", op.symbol());
+                        typed += usize::from(matches!(
+                            (stored, literal),
+                            (Value::Int(_), Value::Int(_))
+                        ));
+                    }
+                }
+            }
+        }
+        assert_eq!(typed, ints.len() * ints.len() * ops.len() * 2);
     }
 
     #[test]

@@ -344,7 +344,7 @@ fn short_record() -> JaguarError {
 /// must end where the tuple does.
 pub fn decode_tuple(rec: &[u8], cols: &ColumnSet) -> Result<Tuple> {
     let mut values = Vec::new();
-    RecordView::new(rec, &mut Vec::new())?.decode_into(cols, &mut values)?;
+    RecordView::new(rec)?.decode_into(cols, &mut values)?;
     Ok(Tuple::new(values))
 }
 
@@ -375,6 +375,17 @@ impl<'a> Column<'a> {
         Ok((ty, &self.0[if blob { 5 } else { 1 }..]))
     }
 
+    /// The payload of an INT column; `None` for any other tag.
+    #[inline(always)]
+    pub fn int(&self) -> Option<i64> {
+        match self.0 {
+            [tag, payload @ ..] if *tag == DataType::Int.tag() => {
+                Some(i64::from_le_bytes(payload.try_into().ok()?))
+            }
+            _ => None,
+        }
+    }
+
     /// The value, as a decode builds it.
     #[inline]
     pub fn value(&self) -> Result<Value> {
@@ -393,32 +404,38 @@ impl<'a> Column<'a> {
     }
 }
 
+/// How many column starts a [`RecordView`] keeps: a column past the last
+/// kept one is found again by walking on from the last kept start.
+const KEPT: usize = 8;
+
 /// A stored record walked front to back only as far as its reader asks,
-/// with every check a decode makes, keeping where each column it passed
-/// starts (in a buffer the caller recycles) to read it where it lies.
-pub struct RecordView<'a, 's> {
+/// with every check a decode makes, keeping where each of its first
+/// eight walked columns starts to read it where it lies.
+pub struct RecordView<'a> {
     arity: usize,
     /// The bytes of the columns, after the arity.
     columns: &'a [u8],
-    /// Where each column walked starts in `columns`, and the next one.
-    starts: &'s mut Vec<usize>,
+    /// Where each of the first `count.min(KEPT)` columns starts.
+    starts: [usize; KEPT],
+    /// Columns walked, and where the walk stands.
+    count: usize,
     walked: usize,
 }
 
-impl<'a, 's> RecordView<'a, 's> {
+impl<'a> RecordView<'a> {
     /// View `rec`, its arity checked as [`read_tuple`] checks it.
     #[inline]
-    pub fn new(rec: &'a [u8], starts: &'s mut Vec<usize>) -> Result<RecordView<'a, 's>> {
+    pub fn new(rec: &'a [u8]) -> Result<RecordView<'a>> {
         let Some((n, columns)) = rec.split_first_chunk() else {
             return Err(short_record());
         };
         let arity = u32::from_le_bytes(*n);
         check_arity(arity)?;
-        starts.clear();
         Ok(RecordView {
             arity: arity as usize,
             columns,
-            starts,
+            starts: [0; KEPT],
+            count: 0,
             walked: 0,
         })
     }
@@ -430,10 +447,13 @@ impl<'a, 's> RecordView<'a, 's> {
         if c >= self.arity {
             return Ok(None);
         }
-        while self.starts.len() <= c {
+        while self.count <= c {
             let mut rest = &self.columns[self.walked..];
             read_column(&mut rest)?;
-            self.starts.push(self.walked);
+            if let Some(start) = self.starts.get_mut(self.count) {
+                *start = self.walked;
+            }
+            self.count += 1;
             self.walked = self.columns.len() - rest.len();
         }
         Ok(self.walked(c))
@@ -442,34 +462,50 @@ impl<'a, 's> RecordView<'a, 's> {
     /// Column `c` if the walk has passed it.
     #[inline(always)]
     pub fn walked(&self, c: usize) -> Option<Column<'a>> {
-        let start = *self.starts.get(c)?;
-        let end = self.starts.get(c + 1).unwrap_or(&self.walked);
-        Some(Column(&self.columns[start..*end]))
+        if c >= self.count {
+            return None;
+        }
+        let start = match self.starts.get(c) {
+            Some(&start) => start,
+            None => self.skip(self.starts[KEPT - 1], c + 1 - KEPT),
+        };
+        let end = match self.starts.get(c + 1) {
+            _ if c + 1 == self.count => self.walked,
+            Some(&next) => next,
+            None => self.skip(start, 1),
+        };
+        Some(Column(&self.columns[start..end]))
     }
 
-    /// Hand `each` every column's type and payload; the record must end
-    /// where the tuple does. With `keep` the walk goes on, keeping starts;
-    /// without, it starts over: re-reading beats looking columns up.
+    /// Where the column `n` columns after the walked one at `at` starts.
+    fn skip(&self, at: usize, n: usize) -> usize {
+        let mut rest = &self.columns[at..self.walked];
+        for _ in 0..n {
+            read_column(&mut rest).expect("a walked column reads as it did");
+        }
+        self.walked - rest.len()
+    }
+
+    /// Hand `each` every column's type and payload, walking from column 0;
+    /// the record must end where the tuple does. With `keep` the walk is
+    /// kept: every column counts as walked.
     #[inline(always)]
     fn each_column(
         &mut self,
         keep: bool,
         mut each: impl FnMut(usize, Option<DataType>, &'a [u8]) -> Result<()>,
     ) -> Result<()> {
-        let first = if keep { self.starts.len() } else { 0 };
-        for c in 0..first {
-            let (ty, payload) = self.walked(c).expect("walked").parts()?;
-            each(c, ty, payload)?;
-        }
-        let mut rest = &self.columns[if keep { self.walked } else { 0 }..];
-        for c in first..self.arity {
-            if keep {
-                self.starts.push(self.columns.len() - rest.len());
+        let mut rest = self.columns;
+        for c in 0..self.arity {
+            if let (true, Some(start)) = (keep, self.starts.get_mut(c)) {
+                *start = self.columns.len() - rest.len();
             }
             let (ty, payload) = read_column(&mut rest)?;
             each(c, ty, payload)?;
         }
-        self.walked = self.columns.len() - rest.len();
+        if keep {
+            (self.count, self.walked) = (self.arity, self.columns.len() - rest.len());
+        }
         match rest.len() {
             0 => Ok(()),
             trailing => Err(JaguarError::Protocol(format!(
@@ -705,7 +741,7 @@ mod tests {
         // A view's check fails as the decode does, in the same words.
         let err = |rec: &[u8], cols| {
             let decoded = decode_tuple(rec, cols).unwrap_err().to_string();
-            let viewed = RecordView::new(rec, &mut Vec::new()).and_then(|mut v| v.check(cols));
+            let viewed = RecordView::new(rec).and_then(|mut v| v.check(cols));
             assert_eq!(viewed.unwrap_err().to_string(), decoded);
             decoded
         };
@@ -738,8 +774,7 @@ mod tests {
             decode_tuple(&bad_str, &none).unwrap().values(),
             [Value::Null]
         );
-        let mut view_starts = Vec::new();
-        let mut view = RecordView::new(&bad_str, &mut view_starts).unwrap();
+        let mut view = RecordView::new(&bad_str).unwrap();
         view.check(&none).unwrap();
     }
 
@@ -756,8 +791,7 @@ mod tests {
         ]));
         let last = rec.len() - 1;
         rec[last] = 2; // a Bool byte of 2
-        let mut starts = Vec::new();
-        let mut view = RecordView::new(&rec, &mut starts).unwrap();
+        let mut view = RecordView::new(&rec).unwrap();
         let third = view.column(2).unwrap().unwrap();
         assert_eq!(third.fixed().unwrap(), Value::Float(2.5));
         assert_eq!(third.encoded(), value_to_vec(&Value::Float(2.5)));
@@ -773,7 +807,7 @@ mod tests {
             Value::Int(1)
         );
         assert!(view.column(4).unwrap().is_none());
-        assert_eq!(view.starts.len(), 3, "walked to column 2 and no further");
+        assert_eq!(view.count, 3, "walked to column 2 and no further");
         let err = view.check(&ColumnSet::all()).unwrap_err();
         assert_eq!(
             err.to_string(),
@@ -800,11 +834,12 @@ mod tests {
             ]
         }
 
-        /// A tuple of up to eight values and a column set over it.
+        /// A tuple of up to twelve values — past the starts a view keeps —
+        /// and a column set over it.
         fn arb_case() -> impl Strategy<Value = (Tuple, ColumnSet)> {
             (
-                proptest::collection::vec(arb_value(), 0..9),
-                proptest::collection::vec(any::<bool>(), 8..9),
+                proptest::collection::vec(arb_value(), 0..13),
+                proptest::collection::vec(any::<bool>(), 12..13),
             )
                 .prop_map(|(values, picks)| {
                     let wanted = (0..values.len()).filter(|&i| picks[i]);
@@ -837,18 +872,19 @@ mod tests {
             /// for a `Str`/`Bytes` one; past the record's end there is none.
             /// Asked for in any order, a column's bytes are its tagged
             /// encoding, and the record is walked no further than the last
-            /// column asked for. Decoding into a recycled tuple, after the
-            /// view judged those columns, is the plain decode.
+            /// column asked for; an INT one's payload is its integer. Walked
+            /// to its end, the view shows every column, past the starts it
+            /// keeps too. Decoding into a recycled tuple, after the view
+            /// judged those columns, is the plain decode.
             #[test]
             fn a_judged_column_is_the_decoded_column(
                 case in arb_case(),
-                asked in proptest::collection::vec(0usize..10, 0..6),
+                asked in proptest::collection::vec(0usize..14, 0..6),
             ) {
                 let (tuple, cols) = case;
                 let record = encode(&tuple);
                 let full = decode_tuple(&record, &ColumnSet::all()).unwrap();
-                let mut starts = vec![3, 1];
-                let mut view = RecordView::new(&record, &mut starts).unwrap();
+                let mut view = RecordView::new(&record).unwrap();
                 for &c in &asked {
                     let got = view.column(c).unwrap();
                     let want = full.values().get(c);
@@ -860,9 +896,20 @@ mod tests {
                         }))
                     );
                     prop_assert_eq!(got.map(|col| col.encoded().to_vec()), want.map(value_to_vec));
+                    let int = |v: &Value| match v {
+                        Value::Int(x) => Some(*x),
+                        _ => None,
+                    };
+                    prop_assert_eq!(got.and_then(|col| col.int()), want.and_then(int));
                 }
                 let deepest = asked.iter().filter(|&&c| c < full.len()).max();
-                prop_assert_eq!(view.starts.len(), deepest.map_or(0, |c| c + 1));
+                prop_assert_eq!(view.count, deepest.map_or(0, |c| c + 1));
+                // Checked to its end, every column reads where it lies.
+                view.check(&cols).unwrap();
+                for (c, v) in full.values().iter().enumerate() {
+                    prop_assert_eq!(view.walked(c).map(|col| col.encoded().to_vec()), Some(value_to_vec(v)));
+                }
+                prop_assert!(view.walked(full.len()).is_none());
                 let mut out = vec![Value::Int(7); 3];
                 view.decode_into(&cols, &mut out).unwrap();
                 let plain = decode_tuple(&record, &cols).unwrap();
@@ -885,9 +932,8 @@ mod tests {
                         for flip in [0x01, 0x80, 0xff] {
                             damaged[at] = record[at] ^ flip;
                             let _ = decode_tuple(&damaged, cols);
-                            let mut starts = Vec::new();
-                            if let Ok(mut view) = RecordView::new(&damaged, &mut starts) {
-                                (0..9).rev().for_each(|c| drop(view.column(c)));
+                            if let Ok(mut view) = RecordView::new(&damaged) {
+                                (0..13).rev().for_each(|c| drop(view.column(c)));
                                 let _ = view.check(cols);
                             }
                         }

@@ -290,6 +290,20 @@ impl CmpOp {
             CmpOp::Ge => ">=",
         }
     }
+
+    /// Whether `l op r` holds when `l` is `ord` to `r`.
+    #[inline(always)]
+    pub fn holds(self, ord: std::cmp::Ordering) -> bool {
+        use std::cmp::Ordering::{Equal, Greater, Less};
+        match self {
+            CmpOp::Eq => ord == Equal,
+            CmpOp::Ne => ord != Equal,
+            CmpOp::Lt => ord == Less,
+            CmpOp::Le => ord != Greater,
+            CmpOp::Gt => ord == Greater,
+            CmpOp::Ge => ord != Less,
+        }
+    }
 }
 
 /// The one definition of `l op r`: `None` is SQL's unknown (a NULL on
@@ -298,7 +312,6 @@ impl CmpOp {
 /// both end here.
 #[inline]
 pub fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<Option<bool>> {
-    use std::cmp::Ordering::{Equal, Greater, Less};
     let Some(ord) = l.sql_cmp(r) else {
         if l.is_null() || r.is_null() {
             return Ok(None);
@@ -307,14 +320,7 @@ pub fn compare(op: CmpOp, l: &Value, r: &Value) -> Result<Option<bool>> {
             "cannot compare {l} with {r}"
         )));
     };
-    Ok(Some(match op {
-        CmpOp::Eq => ord == Equal,
-        CmpOp::Ne => ord != Equal,
-        CmpOp::Lt => ord == Less,
-        CmpOp::Le => ord != Greater,
-        CmpOp::Gt => ord == Greater,
-        CmpOp::Ge => ord != Less,
-    }))
+    Ok(Some(op.holds(ord)))
 }
 
 #[cold]

@@ -805,7 +805,7 @@ impl RowSource {
         &mut self,
         ctx: &mut ExecCtx<'_>,
         at_scan: bool,
-        mut f: impl FnMut(Scanned<'_, '_, '_>, &mut ExecCtx<'_>) -> Result<bool>,
+        mut f: impl FnMut(Scanned<'_, '_>, &mut ExecCtx<'_>) -> Result<bool>,
     ) -> Result<()> {
         match self {
             RowSource::Heap(pages) => loop {
@@ -857,9 +857,9 @@ impl RowSource {
 }
 
 /// A row a [`RowSource`] lends, or a record it shows an aggregate.
-pub(crate) enum Scanned<'r, 'a, 's> {
+pub(crate) enum Scanned<'r, 'a> {
     Row(RecordId, &'r Tuple),
-    Record(&'r RecordView<'a, 's>),
+    Record(&'r RecordView<'a>),
 }
 
 /// Evaluate cost-ordered predicates with short-circuit AND: a tuple
@@ -1307,6 +1307,24 @@ impl AccState {
         Ok(())
     }
 
+    /// [`AccState::update`] with `Some(&Value::Int(x))`, the value unbuilt.
+    #[inline(always)]
+    fn update_int(&mut self, func: AggFunc, x: i64) -> Result<()> {
+        match self {
+            AccState::Count(n) => *n += 1,
+            AccState::SumI(acc) => *acc = Some(acc.unwrap_or(0).wrapping_add(x)),
+            AccState::SumF(acc) => *acc = Some(acc.unwrap_or(0.0) + x as f64),
+            AccState::Avg(ints, _, n) => (*ints, *n) = (*ints + i128::from(x), *n + 1),
+            AccState::MinMax(Some(Value::Int(best))) => {
+                if (func == AggFunc::Min && x < *best) || (func == AggFunc::Max && x > *best) {
+                    *best = x;
+                }
+            }
+            AccState::MinMax(_) => self.update(func, Some(&Value::Int(x)))?,
+        }
+        Ok(())
+    }
+
     /// Fold another accumulator of the same shape — a parallel worker's
     /// partial state for the same group — into this one.
     fn merge(&mut self, func: AggFunc, other: AccState) -> Result<()> {
@@ -1432,8 +1450,9 @@ impl GroupedAgg {
     }
 
     /// Fold a record walked to its end as [`GroupedAgg::update`] folds its
-    /// row ([`AggregatePlan::folds`]): a key is its columns' bytes, an
-    /// argument a `Value` on the stack (COUNT sees only NULL or not).
+    /// row ([`AggregatePlan::folds`]): a key is its columns' bytes; COUNT
+    /// sees only NULL or not, an argument stored as INT is folded as its
+    /// integer, any other a `Value` on the stack.
     pub(crate) fn fold(&mut self, plan: &AggregatePlan, record: &RecordView) -> Result<()> {
         let read = |e: &BExpr| match e {
             BExpr::Column(c) => (record.walked(*c))
@@ -1451,14 +1470,17 @@ impl GroupedAgg {
             }
         };
         for (spec, acc) in plan.aggs.iter().zip(self.locate(plan, key)) {
-            let v = match &spec.arg {
-                Some(e) => match read(e)? {
-                    stored if spec.func == AggFunc::Count && !stored.is_null() => Value::Bool(true),
-                    stored => stored.value()?,
+            let stored = spec.arg.as_ref().map(read).transpose()?;
+            match (acc, stored) {
+                (AccState::Count(n), stored) => {
+                    *n += i64::from(stored.is_none_or(|c| !c.is_null()))
+                }
+                (acc, Some(stored)) => match stored.int() {
+                    Some(x) => acc.update_int(spec.func, x)?,
+                    None => acc.update(spec.func, Some(&stored.value()?))?,
                 },
-                None => Value::Null,
-            };
-            acc.update(spec.func, spec.arg.as_ref().map(|_| &v))?;
+                (acc, None) => acc.update(spec.func, None)?,
+            }
         }
         Ok(())
     }
@@ -1634,13 +1656,13 @@ mod tests {
     ) -> Vec<u8> {
         let mut callbacks = NoCallbacks;
         let mut ctx = ExecCtx::for_udfs(&[], &mut callbacks, None).unwrap();
-        let (mut merged, mut starts) = (GroupedAgg::default(), Vec::new());
+        let mut merged = GroupedAgg::default();
         for part in parts {
             let mut agg = GroupedAgg::default();
             for row in *part {
                 if folded {
                     let record = encoded(std::slice::from_ref(row));
-                    let mut view = RecordView::new(&record, &mut starts).unwrap();
+                    let mut view = RecordView::new(&record).unwrap();
                     view.check(&jaguar_common::ColumnSet::all()).unwrap();
                     agg.fold(plan, &view).unwrap();
                 } else {

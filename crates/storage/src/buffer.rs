@@ -20,6 +20,11 @@
 //! instead of sweeping every frame, and reads the new page into the
 //! victim's own buffer.
 //!
+//! A page a scan read in ([`BufferPool::fetch_scan`]) goes to the *head*
+//! instead, the next victim, unless a plain fetch took it meanwhile: a
+//! scan larger than the pool recycles a frame instead of flushing the
+//! pool, and never demotes a page it found resident.
+//!
 //! ## Loading a page
 //!
 //! The pool mutex guards the page map, the pins and the LRU list — never
@@ -102,6 +107,9 @@ struct Frame {
     page: PageId,
     data: Arc<FrameData>,
     pins: usize,
+    /// Read in by a scan and wanted by no other fetch since: released to
+    /// the head of the LRU list.
+    scan_load: bool,
     /// Neighbours on the LRU list (meaningful while `pins == 0`).
     prev: usize,
     next: usize,
@@ -129,15 +137,22 @@ impl PoolInner {
         }
     }
 
-    fn lru_push_back(&mut self, idx: usize) {
-        let tail = self.lru_tail;
-        self.frames[idx].prev = tail;
-        self.frames[idx].next = NIL;
-        match tail {
+    /// Put frame `idx` on the list: at its tail, or at its head — the
+    /// next victim — if `first`.
+    fn lru_push(&mut self, idx: usize, first: bool) {
+        let (prev, next) = match first {
+            true => (NIL, self.lru_head),
+            false => (self.lru_tail, NIL),
+        };
+        (self.frames[idx].prev, self.frames[idx].next) = (prev, next);
+        match prev {
             NIL => self.lru_head = idx,
-            t => self.frames[t].next = idx,
+            p => self.frames[p].next = idx,
         }
-        self.lru_tail = idx;
+        match next {
+            NIL => self.lru_tail = idx,
+            n => self.frames[n].prev = idx,
+        }
     }
 
     /// Pin frame `idx` (taking it off the LRU list on the first pin).
@@ -249,6 +264,8 @@ pub struct BufferPool {
     /// Ticks when a fetch finds its page mapped but still being read in,
     /// and waits on the frame's latch for the loader to publish it.
     load_waits: Arc<obs::Counter>,
+    /// Ticks when a page a scan read in is released as the next victim.
+    scan_loads: Arc<obs::Counter>,
 }
 
 impl BufferPool {
@@ -272,6 +289,7 @@ impl BufferPool {
             unlogged: Mutex::new(HashMap::new()),
             latch_waits: obs::global().counter("storage.bufferpool.latch_waits"),
             load_waits: obs::global().counter("storage.bufferpool.load_waits"),
+            scan_loads: obs::global().counter("storage.bufferpool.scan_loads"),
         }
     }
 
@@ -381,10 +399,21 @@ impl BufferPool {
     /// (see the module docs): a fetch of the page meanwhile waits on its
     /// frame, and every other fetch goes ahead.
     pub fn fetch(self: &Arc<Self>, page: PageId) -> Result<PageHandle> {
+        self.fetch_as(page, false)
+    }
+
+    /// [`BufferPool::fetch`] for a scan: a page this fetch reads in is
+    /// released to the head of the LRU list (see the module docs).
+    pub fn fetch_scan(self: &Arc<Self>, page: PageId) -> Result<PageHandle> {
+        self.fetch_as(page, true)
+    }
+
+    fn fetch_as(self: &Arc<Self>, page: PageId, scan: bool) -> Result<PageHandle> {
         loop {
             let mut inner = self.latch();
             if let Some(&frame) = inner.map.get(&page) {
                 inner.pin(frame);
+                inner.frames[frame].scan_load &= scan;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 let handle = self.handle(page, frame, &inner);
                 drop(inner);
@@ -403,7 +432,7 @@ impl BufferPool {
             self.misses.fetch_add(1, Ordering::Relaxed);
             let frame = self.acquire_frame(&mut inner)?;
             let f = &mut inner.frames[frame];
-            (f.page, f.pins) = (page, 1);
+            (f.page, f.pins, f.scan_load) = (page, 1, scan);
             inner.map.insert(page, frame);
             let handle = self.handle(page, frame, &inner);
             handle.data.loading.store(true, Ordering::Relaxed);
@@ -413,7 +442,8 @@ impl BufferPool {
             if let Err(e) = self.disk.read_page(page, &mut bytes) {
                 let mut inner = self.latch();
                 inner.map.remove(&page);
-                inner.frames[frame].page = PageId::INVALID;
+                let f = &mut inner.frames[frame];
+                (f.page, f.scan_load) = (PageId::INVALID, false);
                 drop(inner);
                 drop(bytes);
                 return Err(e);
@@ -458,6 +488,7 @@ impl BufferPool {
                     loading: AtomicBool::new(false),
                 }),
                 pins: 0,
+                scan_load: false,
                 prev: NIL,
                 next: NIL,
             });
@@ -525,7 +556,11 @@ impl BufferPool {
         debug_assert!(f.pins > 0, "unpin of unpinned page");
         f.pins = f.pins.saturating_sub(1);
         if f.pins == 0 {
-            inner.lru_push_back(frame);
+            let first = std::mem::take(&mut f.scan_load);
+            if first {
+                self.scan_loads.inc();
+            }
+            inner.lru_push(frame, first);
         }
     }
 
@@ -867,6 +902,103 @@ mod tests {
         drop(last);
         let dirty = |f: &Frame| f.data.dirty.load(Ordering::Relaxed);
         assert!(!p.latch().frames.iter().any(dirty));
+    }
+
+    /// `n` pages written through a pool and flushed, behind a fresh pool of
+    /// `frames` frames: every fetch starts cold.
+    fn cold(n: usize, frames: usize) -> (Arc<BufferPool>, Vec<PageId>) {
+        let disk = Arc::new(DiskManager::in_memory(128));
+        let warm = Arc::new(BufferPool::new(Arc::clone(&disk), frames));
+        let ids = (0..n).map(|_| warm.allocate().unwrap().id()).collect();
+        warm.flush_all().unwrap();
+        (Arc::new(BufferPool::new(disk, frames)), ids)
+    }
+
+    /// Fetch each of `pages` as a scan does, one pin at a time; the hits.
+    fn scan(p: &Arc<BufferPool>, pages: &[PageId]) -> u64 {
+        let hits = p.stats().hits;
+        for &id in pages {
+            drop(p.fetch_scan(id).unwrap());
+        }
+        p.stats().hits - hits
+    }
+
+    fn resident(p: &BufferPool, page: PageId) -> bool {
+        p.latch().map.contains_key(&page)
+    }
+
+    /// A scan of three times the pool recycles the frames of the pages it
+    /// reads in: the pages it filled the pool with stay for the next scan.
+    #[test]
+    fn a_looping_scan_keeps_a_pool_of_itself_resident() {
+        let (p, ids) = cold(24, 8);
+        assert_eq!(scan(&p, &ids), 0, "cold");
+        for _ in 0..3 {
+            assert!(scan(&p, &ids) >= 8 - 2);
+        }
+        assert_eq!(p.stats().hits + p.stats().misses, 4 * 24);
+    }
+
+    /// A page a point fetch read in just before a scan outlives it, and
+    /// the next scan too.
+    #[test]
+    fn a_point_fetch_before_a_scan_stays_resident() {
+        let (p, ids) = cold(25, 8);
+        let (point, table) = ids.split_first().unwrap();
+        drop(p.fetch(*point).unwrap());
+        scan(&p, table);
+        assert!(resident(&p, *point));
+        scan(&p, table);
+        assert!(resident(&p, *point));
+    }
+
+    /// A page someone else keeps hot that a scan finds resident is unpinned
+    /// as any hit is, not queued as the next victim; so is a page a scan
+    /// read in that a point fetch took while the scan held it.
+    #[test]
+    fn a_page_a_scan_found_resident_is_not_demoted() {
+        let (p, ids) = cold(30, 8);
+        let (hot, table) = ids.split_at(8);
+        for &id in hot {
+            drop(p.fetch(id).unwrap());
+        }
+        // The most recent of the hot pages is the first page the scan reads.
+        let table = [&hot[7..], &table[..16]].concat();
+        scan(&p, &table);
+        assert!(resident(&p, hot[7]));
+        assert!(
+            !resident(&p, hot[0]),
+            "the least recent hot page was the victim"
+        );
+        assert!(hot[1..7].iter().all(|&id| resident(&p, id)));
+        // Read in by a scan, and fetched by a point read before its release.
+        let shared = ids[29];
+        let scanning = p.fetch_scan(shared).unwrap();
+        drop(p.fetch(shared).unwrap());
+        drop(scanning);
+        let inner = p.latch();
+        assert_eq!(inner.lru_tail, inner.map[&shared], "released as a hit is");
+    }
+
+    /// A page holding unlogged changes is no victim even at the head of the
+    /// list, where a scan that read it in left it.
+    #[test]
+    fn an_unlogged_page_is_never_a_scan_victim() {
+        let (p, ids) = cold(24, 8);
+        p.set_wal_hook(Arc::new(RecordingHook {
+            calls: Mutex::new(Vec::new()),
+        }));
+        let written = ids[0];
+        p.fetch_scan(written).unwrap().write()[100] = 9;
+        let inner = p.latch();
+        assert_eq!(inner.lru_head, inner.map[&written]);
+        drop(inner);
+        scan(&p, &ids[1..]);
+        scan(&p, &ids[1..]);
+        assert!(resident(&p, written));
+        let mut raw = vec![0u8; 128];
+        p.disk().read_page(written, &mut raw).unwrap();
+        assert_eq!(raw[100], 0, "uncommitted byte must not reach disk");
     }
 
     #[test]

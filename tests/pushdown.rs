@@ -2,9 +2,10 @@
 //! from one evaluated on the decoded row.
 //!
 //! Every case builds one random table — INT, FLOAT and BOOL columns with
-//! NULLs (NaN, ±0.0 and infinities in the FLOAT one), a VARCHAR, byte
-//! arrays wide enough to spill on the 1 KiB pages used here, and slots left
-//! dead by deletes — four times: for the statement *as written* and for its
+//! NULLs (`i64::MIN` and `i64::MAX` in the INT one, NaN, ±0.0 and
+//! infinities in the FLOAT one), a VARCHAR, byte arrays wide enough to
+//! spill on the 1 KiB pages used here, and slots left dead by deletes —
+//! four times: for the statement *as written* and for its
 //! *twin*, in which every conjunct the scan could judge is re-spelt so that
 //! it cannot (`f >= 2` becomes `NOT (f < 2)`, `i = 3` becomes `i + 0 = 3`),
 //! at dop 1 and at dop 2. A conjunct that is not pushable either way — an
@@ -52,12 +53,10 @@ fn arb_row() -> impl Strategy<Value = Row> {
         (-4i64..5).prop_map(|x| x as f64),
     ];
     let blob = prop_oneof![Just(0usize), Just(30), Just(200), Just(200), Just(2_500)];
+    // The extremes: a comparison that subtracts overflows on them.
+    let int = prop_oneof![-3..4i64, -3..4i64, Just(i64::MIN), Just(i64::MAX)];
     // (The stand-in proptest has tuple strategies of up to four.)
-    let fixed = (
-        (0..6i64, -3..4i64),
-        (0..6i64, float),
-        (0..5i64, any::<bool>()),
-    );
+    let fixed = ((0..6i64, int), (0..6i64, float), (0..5i64, any::<bool>()));
     (fixed, (0..5i64, 0..3u8), blob, 0..7i64).prop_map(|((i, f, b), name, blob, deleted)| Row {
         i: (i.0 != 0).then_some(i.1),
         f: (f.0 != 0).then_some(f.1),
@@ -85,8 +84,11 @@ const OPS: [(&str, &str); 6] = [
 ];
 
 fn arb_pushable() -> impl Strategy<Value = Pushable> {
+    // `i64::MIN` has no literal (its digits overflow before the minus
+    // applies): `i64::MIN + 1` is the least one, and rows do hold MIN.
+    let int = prop_oneof![-3i64..4, Just(0), Just(i64::MIN + 1), Just(i64::MAX)];
     let literal = prop_oneof![
-        (-3i64..4).prop_map(|k| k.to_string()),
+        int.prop_map(|k| k.to_string()),
         (-4i64..5).prop_map(|k| format!("{:?}", k as f64 * 0.5)),
         Just("TRUE".to_string()),
         Just("FALSE".to_string()),
