@@ -1311,7 +1311,6 @@ impl AccState {
     #[inline(always)]
     fn update_int(&mut self, func: AggFunc, x: i64) -> Result<()> {
         match self {
-            AccState::Count(n) => *n += 1,
             AccState::SumI(acc) => *acc = Some(acc.unwrap_or(0).wrapping_add(x)),
             AccState::SumF(acc) => *acc = Some(acc.unwrap_or(0.0) + x as f64),
             AccState::Avg(ints, _, n) => (*ints, *n) = (*ints + i128::from(x), *n + 1),
@@ -1320,7 +1319,7 @@ impl AccState {
                     *best = x;
                 }
             }
-            AccState::MinMax(_) => self.update(func, Some(&Value::Int(x)))?,
+            AccState::Count(_) | AccState::MinMax(_) => self.update(func, Some(&Value::Int(x)))?,
         }
         Ok(())
     }

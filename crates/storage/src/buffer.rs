@@ -20,10 +20,12 @@
 //! instead of sweeping every frame, and reads the new page into the
 //! victim's own buffer.
 //!
-//! A page a scan read in ([`BufferPool::fetch_scan`]) goes to the *head*
-//! instead, the next victim, unless a plain fetch took it meanwhile: a
-//! scan larger than the pool recycles a frame instead of flushing the
-//! pool, and never demotes a page it found resident.
+//! A page a scan read in ([`BufferPool::fetch_scan`]) while the pool's file
+//! outgrows the pool goes to the *head* instead, the next victim, unless a
+//! plain fetch took it meanwhile: a scan larger than the pool recycles a
+//! frame instead of flushing the pool, and never demotes a page it found
+//! resident. A file that fits the pool never needs a victim, so its scan
+//! fetches as any reader does and plain LRU keeps it whole.
 //!
 //! ## Loading a page
 //!
@@ -402,10 +404,11 @@ impl BufferPool {
         self.fetch_as(page, false)
     }
 
-    /// [`BufferPool::fetch`] for a scan: a page this fetch reads in is
-    /// released to the head of the LRU list (see the module docs).
+    /// [`BufferPool::fetch`] for a scan: while the file holds more pages
+    /// than the pool has frames, a page this fetch reads in is released to
+    /// the head of the LRU list (see the module docs).
     pub fn fetch_scan(self: &Arc<Self>, page: PageId) -> Result<PageHandle> {
-        self.fetch_as(page, true)
+        self.fetch_as(page, self.disk.page_count() as usize > self.capacity)
     }
 
     fn fetch_as(self: &Arc<Self>, page: PageId, scan: bool) -> Result<PageHandle> {
@@ -937,6 +940,21 @@ mod tests {
             assert!(scan(&p, &ids) >= 8 - 2);
         }
         assert_eq!(p.stats().hits + p.stats().misses, 4 * 24);
+    }
+
+    /// A file that fits the pool never needs a victim: its scan releases
+    /// each page read in as any fetch does, and every later scan of the
+    /// full pool hits the whole file.
+    #[test]
+    fn a_scan_of_a_file_that_fits_the_pool_is_plain_lru() {
+        let (p, ids) = cold(8, 8);
+        assert_eq!(scan(&p, &ids), 0, "cold");
+        let inner = p.latch();
+        assert_eq!(inner.lru_tail, inner.map[&ids[7]], "released as a hit is");
+        assert!(inner.frames.iter().all(|f| !f.scan_load));
+        drop(inner);
+        assert_eq!(scan(&p, &ids), 8);
+        assert_eq!(scan(&p, &ids), 8);
     }
 
     /// A page a point fetch read in just before a scan outlives it, and
