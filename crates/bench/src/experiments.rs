@@ -1349,21 +1349,18 @@ impl ExperimentCtx {
         Ok(t)
     }
 
-    /// Security overhead (not in the paper — the jaguar-sec subsystem),
-    /// each against an unsecured twin computing the same rows: a labeled
-    /// scan run as a tenant vs the same query with the tenant predicate
-    /// written by hand (so the delta is authorization + rewrite, not
-    /// filtering), and per sync mode, INSERTs into an encrypted vs a
-    /// plaintext database, each then reopened cold and scanned.
+    /// Security overhead (not in the paper — the jaguar-sec subsystem)
+    /// against an unsecured twin computing the same rows: a labeled scan
+    /// run as a tenant vs the same query with the tenant predicate written
+    /// by hand (so the delta is authorization + rewrite, not filtering).
     pub fn sec(&self) -> Result<Table> {
         use jaguar_core::Tuple;
         let card = self.card;
         let mut t = Table::new(
-            "Security overhead: labels and encryption at rest (extension)",
+            "Security overhead: row labels (extension)",
             &["measurement", "secured", "unsecured", "overhead"],
         );
 
-        // --- label enforcement ---------------------------------------
         let db = Database::with_config(Config::default().with_dop(1));
         db.execute("CREATE TABLE sec_rel (id INT, tenant VARCHAR, bytearray BYTEARRAY)")?;
         let rel = db.catalog().table("sec_rel")?;
@@ -1406,60 +1403,9 @@ impl ExperimentCtx {
             Cell::series(times[1].clone()),
             Cell::ratio(&times[0], &times[1]),
         ]);
-
-        // --- encryption at rest --------------------------------------
-        let inserts = self.pick(1_000, 200);
-        for (mode, label) in SYNC_MODES {
-            let plain = Config::default().with_sync_mode(mode);
-            let configs = [plain.clone(), plain.with_encryption_key("bench-passphrase")];
-            let mut twins = Vec::new();
-            for (config, variant) in configs.iter().zip(["plain", "enc"]) {
-                let dir = TempDir::new(&format!("sec-{label}-{variant}"))?;
-                let db = Database::open(&dir.0, config.clone())?;
-                db.execute("CREATE TABLE events (id INT, payload BYTEARRAY)")?;
-                twins.push((dir, db, Vec::with_capacity(inserts)));
-            }
-            // Alternate the twins, so insert i of each shares the host's state.
-            for i in 0..inserts {
-                let sql =
-                    format!("INSERT INTO events VALUES ({i}, X'0102030405060708090A0B0C0D0E0F10')");
-                for (_, db, lat) in &mut twins {
-                    let start = Instant::now();
-                    db.execute(&sql)?;
-                    lat.push(start.elapsed().as_secs_f64());
-                }
-            }
-            let (mut rows, mut lat) = (Vec::new(), Vec::new());
-            for ((dir, db, times), config) in twins.into_iter().zip(configs) {
-                db.checkpoint()?;
-                drop(db);
-                // Cold reopen: the scan pays the page-open (decrypt) cost.
-                rows.push(
-                    Database::open(&dir.0, config)?
-                        .execute("SELECT id FROM events")?
-                        .rows,
-                );
-                lat.push(times);
-            }
-            if rows[0] != rows[1] {
-                return Err(JaguarError::Verification(format!(
-                    "sec encryption: encrypted rows diverged from the plaintext twin (sync={label})"
-                )));
-            }
-            t.row(vec![
-                Cell::text(format!("page encryption, insert (sync={label})")),
-                Cell::series(lat[1].clone()),
-                Cell::series(lat[0].clone()),
-                Cell::ratio(&lat[1], &lat[0]),
-            ]);
-        }
         t.note(format!(
             "label run: {card}-row relation, {REPS} paired rounds, rows verified against the \
              hand-filtered twin; target overhead < 1.10"
-        ));
-        t.note(format!(
-            "encryption run: {inserts} single-row INSERTs per sync mode, alternating encrypted \
-             and plaintext; each then reopened cold and its rows verified identical"
         ));
         Ok(t)
     }

@@ -24,9 +24,7 @@ use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::fs::read_existing;
 use jaguar_common::ids::TableId;
 use jaguar_common::schema::Schema;
-use jaguar_sec::{
-    generate_data_key, unwrap_data_key, wrap_data_key, JaguarAead, LabelExpr, PageCipher,
-};
+use jaguar_sec::LabelExpr;
 use jaguar_wal::Wal;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -91,12 +89,6 @@ pub struct Catalog {
     udfs: UdfCatalog,
     /// Write-ahead log shared by every on-disk table (None in memory).
     wal: Option<Arc<Wal>>,
-    /// Page cipher shared by every table file and the WAL (None =
-    /// plaintext database).
-    cipher: Option<Arc<dyn PageCipher>>,
-    /// The data key wrapped under the configured master key, persisted in
-    /// the manifest so reopening can unwrap it.
-    wrapped_key: Option<Vec<u8>>,
     /// Security labels by lower-case table name.
     labels: RwLock<HashMap<String, TableLabels>>,
 }
@@ -111,8 +103,6 @@ impl Catalog {
             tables: RwLock::new(HashMap::new()),
             udfs: UdfCatalog::new(),
             wal: None,
-            cipher: None,
-            wrapped_key: None,
             labels: RwLock::new(HashMap::new()),
         }
     }
@@ -130,11 +120,7 @@ impl Catalog {
         // Refuse incompatible layouts before WAL replay runs, so recovery
         // never writes current-format pages into old-format data files.
         Self::check_format(&dir)?;
-        // Resolve the encryption key *before* WAL replay: a wrong master
-        // key must fail here, cleanly, with zero pages replayed — never
-        // partway through recovery.
-        let (cipher, wrapped_key, key_is_fresh) = Self::resolve_key(&dir, &config)?;
-        let (wal, _stats) = Wal::open_with_cipher(&dir, &config, cipher.clone())?;
+        let (wal, _stats) = Wal::open(&dir, &config)?;
         let cat = Catalog {
             config,
             storage: Storage::Directory(dir.clone()),
@@ -142,74 +128,10 @@ impl Catalog {
             tables: RwLock::new(HashMap::new()),
             udfs: UdfCatalog::new(),
             wal: Some(wal),
-            cipher,
-            wrapped_key,
             labels: RwLock::new(HashMap::new()),
         };
         cat.recover(&dir)?;
-        if key_is_fresh {
-            // Persist the wrapped data key immediately so a database that
-            // crashes before its first CREATE TABLE still reopens under
-            // the same key.
-            cat.persist_manifest()?;
-        }
         Ok(cat)
-    }
-
-    /// Envelope-key resolution (see `jaguar_sec::crypto`): match the
-    /// configured master key against the wrapped data key persisted in the
-    /// manifest. Returns (cipher, wrapped blob to persist, blob-is-new).
-    #[allow(clippy::type_complexity)]
-    fn resolve_key(
-        dir: &std::path::Path,
-        config: &Config,
-    ) -> Result<(Option<Arc<dyn PageCipher>>, Option<Vec<u8>>, bool)> {
-        let persisted = Self::read_wrapped_key(dir)?;
-        let manifest_exists = Self::manifest_path(dir).is_file();
-        match (&config.encryption_key, persisted) {
-            (None, None) => Ok((None, None, false)),
-            (None, Some(_)) => Err(JaguarError::SecurityViolation(
-                "database is encrypted; opening it requires the encryption_key \
-                 it was created with"
-                    .into(),
-            )),
-            (Some(_), None) if manifest_exists => Err(JaguarError::SecurityViolation(
-                "database was created without encryption; an encryption_key \
-                 cannot be added after the fact (recreate and import)"
-                    .into(),
-            )),
-            (Some(master), None) => {
-                let data_key = generate_data_key();
-                Ok((
-                    Some(Arc::new(JaguarAead::new(data_key)) as Arc<dyn PageCipher>),
-                    Some(wrap_data_key(master, &data_key)),
-                    true,
-                ))
-            }
-            (Some(master), Some(blob)) => {
-                let data_key = unwrap_data_key(master, &blob)?;
-                Ok((
-                    Some(Arc::new(JaguarAead::new(data_key)) as Arc<dyn PageCipher>),
-                    Some(blob),
-                    false,
-                ))
-            }
-        }
-    }
-
-    /// Read the wrapped data-key blob out of the manifest (`None` when the
-    /// manifest is missing or the database is unencrypted). Assumes
-    /// `check_format` already validated the header.
-    fn read_wrapped_key(dir: &std::path::Path) -> Result<Option<Vec<u8>>> {
-        use jaguar_common::stream::{read_blob, read_u32};
-        let Some(raw) = read_existing(&Self::manifest_path(dir))? else {
-            return Ok(None);
-        };
-        let mut r = raw.as_slice();
-        let _magic = read_u32(&mut r)?;
-        let _version = read_u32(&mut r)?;
-        let blob = read_blob(&mut r)?;
-        Ok((!blob.is_empty()).then_some(blob))
     }
 
     fn manifest_path(dir: &std::path::Path) -> PathBuf {
@@ -258,14 +180,12 @@ impl Catalog {
         let Storage::Directory(dir) = &self.storage else {
             return Ok(());
         };
-        use jaguar_common::stream::{write_blob, write_schema, write_str, write_u32};
+        use jaguar_common::stream::{write_schema, write_str, write_u32};
         let tables = self.tables.read();
         let labels = self.labels.read();
         let mut buf = Vec::new();
         write_u32(&mut buf, MANIFEST_MAGIC)?;
         write_u32(&mut buf, jaguar_storage::ON_DISK_FORMAT_VERSION)?;
-        // v3: wrapped data key (empty blob = unencrypted database).
-        write_blob(&mut buf, self.wrapped_key.as_deref().unwrap_or(&[]))?;
         write_u32(&mut buf, tables.len() as u32)?;
         // Sorted for deterministic files.
         let mut entries: Vec<_> = tables.values().collect();
@@ -295,7 +215,7 @@ impl Catalog {
 
     /// Reopen every table recorded in the manifest.
     fn recover(&self, dir: &std::path::Path) -> Result<()> {
-        use jaguar_common::stream::{read_blob, read_schema, read_str, read_u32};
+        use jaguar_common::stream::{read_schema, read_str, read_u32};
         let path = Self::manifest_path(dir);
         let Some(raw) = read_existing(&path)? else {
             return Ok(()); // fresh directory
@@ -304,7 +224,6 @@ impl Catalog {
         // Format header already validated by check_format() in on_disk().
         let _magic = read_u32(&mut r)?;
         let _version = read_u32(&mut r)?;
-        let _wrapped_key = read_blob(&mut r)?;
         let n = read_u32(&mut r)?;
         let mut tables = self.tables.write();
         let mut labels = self.labels.write();
@@ -314,15 +233,7 @@ impl Catalog {
             let key = name.to_ascii_lowercase();
             let file = dir.join(format!("{key}.jag"));
             let id = TableId(self.next_table_id.fetch_add(1, Ordering::Relaxed));
-            let table = Table::open_at(
-                id,
-                &name,
-                schema,
-                &file,
-                &self.config,
-                self.wal.as_ref(),
-                self.cipher.clone(),
-            )?;
+            let table = Table::open_at(id, &name, schema, &file, &self.config, self.wal.as_ref())?;
             tables.insert(key.clone(), Arc::new(table));
             let mut tl = TableLabels::default();
             let row_src = read_str(&mut r)?;
@@ -364,15 +275,7 @@ impl Catalog {
             Storage::Memory => Table::create_in_memory(id, name, schema, &self.config)?,
             Storage::Directory(dir) => {
                 let path = dir.join(format!("{key}.jag"));
-                Table::create_at(
-                    id,
-                    name,
-                    schema,
-                    &path,
-                    &self.config,
-                    self.wal.as_ref(),
-                    self.cipher.clone(),
-                )?
+                Table::create_at(id, name, schema, &path, &self.config, self.wal.as_ref())?
             }
         };
         let table = Arc::new(table);
@@ -677,11 +580,11 @@ mod tests {
 
     #[test]
     fn foreign_format_version_rejected_cleanly() {
-        // v3 (FNV-1a page checksums: every page would fail verification)
-        // and v4 (a log of full images only, read by a build that would
-        // take a delta for a torn tail) are refused at the door like any
-        // other foreign version.
-        for version in [3u32, 4, 99] {
+        // v3 (FNV-1a page checksums: every page would fail verification),
+        // v4 (a log of full images only, read by a build that would take a
+        // delta for a torn tail) and v5 (a 40-byte page header) are refused
+        // at the door like any other foreign version.
+        for version in [3u32, 4, 5, 99] {
             let dir = std::env::temp_dir()
                 .join(format!("jaguar-foreignfmt{version}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
@@ -752,49 +655,6 @@ mod tests {
         cat.set_table_label("t", None).unwrap();
         cat.set_column_label("t", "payload", None).unwrap();
         assert!(!cat.has_labels());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn encrypted_catalog_reopens_and_rejects_wrong_key() {
-        let dir = std::env::temp_dir().join(format!("jaguar-enccat-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = || Config::default().with_encryption_key("s3cret");
-        {
-            let cat = Catalog::on_disk(&dir, cfg()).unwrap();
-            let t = cat.create_table("e", schema()).unwrap();
-            t.insert(Tuple::new(vec![Value::Int(5), Value::Null]))
-                .unwrap();
-            cat.checkpoint().unwrap();
-        }
-        // Same key: data comes back.
-        {
-            let cat = Catalog::on_disk(&dir, cfg()).unwrap();
-            assert_eq!(cat.table("e").unwrap().row_count(), 1);
-        }
-        // Wrong key fails at key-unwrap, before any page is touched.
-        let err = Catalog::on_disk(&dir, Config::default().with_encryption_key("nope"))
-            .err()
-            .unwrap();
-        assert!(err.to_string().contains("does not match"), "{err}");
-        // No key at all names the requirement.
-        let err = Catalog::on_disk(&dir, Config::default()).err().unwrap();
-        assert!(err.to_string().contains("encryption_key"), "{err}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn encryption_cannot_be_added_to_plain_database() {
-        let dir = std::env::temp_dir().join(format!("jaguar-encadd-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let cat = Catalog::on_disk(&dir, Config::default()).unwrap();
-            cat.create_table("p", schema()).unwrap();
-        }
-        let err = Catalog::on_disk(&dir, Config::default().with_encryption_key("late"))
-            .err()
-            .unwrap();
-        assert!(err.to_string().contains("without encryption"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

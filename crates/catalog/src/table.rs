@@ -15,7 +15,6 @@ use jaguar_common::stream::{decode_tuple, write_tuple, Column, RecordView};
 use jaguar_common::value::{compare, CmpOp};
 use jaguar_common::DataType;
 use jaguar_common::{ColumnSet, Tuple, Value};
-use jaguar_sec::PageCipher;
 use jaguar_storage::heap::{PageScan, Spill, Stored, Updated};
 use jaguar_storage::{BTree, BufferPool, DiskManager, HeapFile};
 use jaguar_wal::Wal;
@@ -70,8 +69,7 @@ impl Table {
     }
 
     /// Create a table backed by a file on disk, logging through `wal` if
-    /// the catalog has one and encrypting pages with `cipher` if the
-    /// database has one.
+    /// the catalog has one.
     pub fn create_at(
         id: TableId,
         name: &str,
@@ -79,14 +77,9 @@ impl Table {
         path: &Path,
         config: &Config,
         wal: Option<&Arc<Wal>>,
-        cipher: Option<Arc<dyn PageCipher>>,
     ) -> Result<Table> {
         let _ = std::fs::remove_file(path);
-        let disk = Arc::new(DiskManager::open_with_cipher(
-            path,
-            config.page_size,
-            cipher,
-        )?);
+        let disk = Arc::new(DiskManager::open(path, config.page_size)?);
         let pool = Arc::new(BufferPool::new(disk, config.buffer_pool_pages));
         let wal = Self::bind_wal(wal, path, &pool);
         let heap = Arc::new(HeapFile::create(pool)?);
@@ -115,13 +108,8 @@ impl Table {
         path: &Path,
         config: &Config,
         wal: Option<&Arc<Wal>>,
-        cipher: Option<Arc<dyn PageCipher>>,
     ) -> Result<Table> {
-        let disk = Arc::new(DiskManager::open_with_cipher(
-            path,
-            config.page_size,
-            cipher,
-        )?);
+        let disk = Arc::new(DiskManager::open(path, config.page_size)?);
         let pool = Arc::new(BufferPool::new(disk, config.buffer_pool_pages));
         let wal = Self::bind_wal(wal, path, &pool);
         let heap = Arc::new(HeapFile::open(pool)?);

@@ -120,12 +120,6 @@ pub struct Config {
     /// In-process (embedded) calls are the trusted system principal and are
     /// unaffected.
     pub auth_required: bool,
-    /// Master passphrase for encryption at rest. When set at database
-    /// creation, a per-database data key is generated, wrapped under this
-    /// key, and every data page and WAL page image is stored encrypted;
-    /// re-opening requires the same passphrase. `None` (default) stores
-    /// plaintext pages. In-memory databases ignore it.
-    pub encryption_key: Option<String>,
     /// Whether observability surfaces (the server's slow-query log) may
     /// include full SQL text. Off by default: literals are redacted so
     /// tenant data cannot leak through logs.
@@ -170,7 +164,6 @@ impl Default for Config {
             client_retry_attempts: 3,
             client_retry_base_ms: 25,
             auth_required: false,
-            encryption_key: None,
             log_query_text: false,
             sync_mode: SyncMode::Full,
             wal_segment_bytes: 16 * 1024 * 1024,
@@ -295,12 +288,6 @@ impl Config {
     /// principal).
     pub fn with_auth_required(mut self, on: bool) -> Self {
         self.auth_required = on;
-        self
-    }
-
-    /// Master passphrase for encryption at rest (`None` = plaintext pages).
-    pub fn with_encryption_key(mut self, key: impl Into<String>) -> Self {
-        self.encryption_key = Some(key.into());
         self
     }
 
@@ -431,14 +418,9 @@ mod tests {
     fn security_builders_compose() {
         let c = Config::default();
         assert!(!c.auth_required, "embedded use stays open by default");
-        assert!(c.encryption_key.is_none(), "plaintext pages by default");
         assert!(!c.log_query_text, "query text redacted by default");
-        let c = c
-            .with_auth_required(true)
-            .with_encryption_key("hunter2")
-            .with_log_query_text(true);
+        let c = c.with_auth_required(true).with_log_query_text(true);
         assert!(c.auth_required);
-        assert_eq!(c.encryption_key.as_deref(), Some("hunter2"));
         assert!(c.log_query_text);
     }
 

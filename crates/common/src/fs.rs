@@ -2,8 +2,8 @@
 //!
 //! On open, a missing log or manifest means a fresh database; any other
 //! read error (EIO, EMFILE, EACCES) must stop the open. Treating the two
-//! alike would truncate a log that was never replayed, or open an
-//! encrypted database as if it had no key.
+//! alike would truncate a log that was never replayed, or open a database
+//! as if it had no tables.
 
 use std::path::Path;
 

@@ -53,9 +53,9 @@ pub use jaguar_common::retry;
 pub use jaguar_common::{ByteArray, ColumnSet, DataType, Field, Schema, Tuple, Value};
 pub use jaguar_ipc::pool::{PoolConfig, PoolStatsSnapshot, WorkerPool};
 pub use jaguar_net::{CancelHandle, Client, ClientOptions, Server};
-/// Multi-tenant security: session principals, label expressions, and the
-/// page cipher (see [`Config::auth_required`] / [`Config::encryption_key`]).
-pub use jaguar_sec::{LabelExpr, PageCipher, SessionContext};
+/// Multi-tenant security: session principals and label expressions (see
+/// [`Config::auth_required`]).
+pub use jaguar_sec::{LabelExpr, SessionContext};
 pub use jaguar_sql::{ExecStats, QueryResult, Request};
 pub use jaguar_udf::{
     BatchError, BatchResult, CallbackHandler, NativeUdf, ScalarUdf, UdfDef, UdfImpl, UdfSignature,

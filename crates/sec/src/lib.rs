@@ -1,8 +1,8 @@
 //! jaguar-sec — the multi-tenant security subsystem.
 //!
 //! The paper secures the *execution* of extensions (four trust designs for
-//! running untrusted UDFs); this crate secures the *data* those extensions
-//! run over, along three axes:
+//! running untrusted UDFs); this crate decides which *data* a session may
+//! see, along two axes:
 //!
 //! * [`session`] — per-connection principals. A [`SessionContext`] carries
 //!   the authenticated principal name plus arbitrary `key=value` attributes
@@ -16,22 +16,12 @@
 //!   session-only part folds to allow/deny, the column-dependent *residual*
 //!   is handed to the planner for predicate injection — enforcement is a
 //!   planner rewrite, never app-side filtering.
-//! * [`crypto`] — per-page authenticated encryption for the storage layer
-//!   and WAL, with envelope keying: a master key (from configuration) wraps
-//!   a per-database random data key persisted in the manifest. The cipher
-//!   is a vendored, dependency-free SipHash-based stream cipher + MAC kept
-//!   behind the [`PageCipher`] trait so a production AEAD can slot in.
 //!
 //! Metric names emitted by the enforcement sites live in [`metrics`].
 
-pub mod crypto;
 pub mod label;
 pub mod session;
 
-pub use crypto::{
-    derive_master_key, generate_data_key, unwrap_data_key, wrap_data_key, JaguarAead, PageCipher,
-    KEY_LEN, WRAPPED_KEY_LEN,
-};
 pub use label::{CmpOp, LabelDecision, LabelExpr, LabelValue};
 pub use session::SessionContext;
 
@@ -43,8 +33,4 @@ pub mod metrics {
     pub const AUTH_DENIED: &str = "sec.auth_denied";
     /// Plans into which a residual label predicate was injected.
     pub const LABEL_REWRITES: &str = "sec.label_rewrites";
-    /// Pages sealed by the encrypting DiskManager on write.
-    pub const PAGES_ENCRYPTED: &str = "sec.pages_encrypted";
-    /// Pages opened by the encrypting DiskManager on read.
-    pub const PAGES_DECRYPTED: &str = "sec.pages_decrypted";
 }

@@ -7,7 +7,9 @@ use jaguar_common::error::{JaguarError, Result};
 pub enum Tok {
     // literals & names
     Ident(String),
-    Int(i64),
+    /// An integer's digits. A minus sign is the parser's, which makes
+    /// `-9223372036854775808` `i64::MIN`; alone, 2^63 is too large.
+    Int(u64),
     Float(f64),
     Str(String),
     /// `X'0A1B'` hex byte-array literal.
@@ -99,7 +101,7 @@ pub fn lex(src: &str) -> Result<Vec<Tok>> {
                         .map_err(|e| JaguarError::Parse(format!("bad float: {e}")))?;
                     out.push(Tok::Float(v));
                 } else {
-                    let v: i64 = src[start..i]
+                    let v: u64 = src[start..i]
                         .parse()
                         .map_err(|e| JaguarError::Parse(format!("bad integer: {e}")))?;
                     out.push(Tok::Int(v));

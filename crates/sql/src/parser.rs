@@ -293,7 +293,7 @@ impl Parser {
         let limit = if *self.peek() == Tok::Limit {
             self.bump();
             match self.bump() {
-                Tok::Int(n) if n >= 0 => Some(n as u64),
+                Tok::Int(n) => Some(n),
                 _ => return Err(self.err("LIMIT needs a non-negative integer")),
             }
         } else {
@@ -396,6 +396,8 @@ impl Parser {
     fn primary(&mut self) -> Result<Expr> {
         match self.peek().clone() {
             Tok::Int(v) => {
+                let v = i64::try_from(v)
+                    .map_err(|_| self.err(format!("bad integer: {v} is too large")))?;
                 self.bump();
                 Ok(Expr::Int(v))
             }
@@ -425,6 +427,12 @@ impl Parser {
             }
             Tok::Minus => {
                 self.bump();
+                if let Tok::Int(v) = *self.peek() {
+                    if v == i64::MIN.unsigned_abs() {
+                        self.bump();
+                        return Ok(Expr::Int(i64::MIN));
+                    }
+                }
                 let e = self.primary()?;
                 Ok(Expr::Neg(Box::new(e)))
             }
@@ -533,6 +541,27 @@ mod tests {
         assert_eq!(rows[0][3], Expr::Null);
         assert!(matches!(rows[0][4], Expr::Neg(_)));
         assert_eq!(rows[1][3], Expr::Bool(true));
+    }
+
+    /// `i64::MIN` has a literal; its magnitude alone is out of range.
+    #[test]
+    fn least_integer_literal() {
+        let Statement::Select(s) =
+            parse("SELECT * FROM t WHERE v >= -9223372036854775808").unwrap()
+        else {
+            panic!()
+        };
+        let Some(Expr::Cmp(_, _, rhs)) = s.predicate else {
+            panic!("{:?}", s.predicate)
+        };
+        assert_eq!(*rhs, Expr::Int(i64::MIN));
+        for sql in [
+            "SELECT * FROM t WHERE v >= 9223372036854775808",
+            "SELECT * FROM t WHERE v >= -9223372036854775809",
+        ] {
+            let err = parse(sql).unwrap_err().to_string();
+            assert!(err.contains("bad integer"), "{sql}: {err}");
+        }
     }
 
     #[test]

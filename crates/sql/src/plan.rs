@@ -840,7 +840,9 @@ impl<'a> Binder<'a> {
                 let b = self.bind(inner)?;
                 match (&b, self.type_of(&b)) {
                     // Fold literal negation so `-5` stays a literal.
-                    (BExpr::Literal(Value::Int(v)), _) => BExpr::Literal(Value::Int(-v)),
+                    (BExpr::Literal(Value::Int(v)), _) => {
+                        BExpr::Literal(Value::Int(v.wrapping_neg()))
+                    }
                     (BExpr::Literal(Value::Float(v)), _) => BExpr::Literal(Value::Float(-v)),
                     (_, Some(DataType::Int)) | (_, Some(DataType::Float)) | (_, None) => {
                         BExpr::Neg(Box::new(b))
@@ -1313,7 +1315,7 @@ fn literal(e: &Expr) -> Option<Value> {
 pub(crate) fn values_literal(e: &Expr) -> Result<Value> {
     if let Expr::Neg(inner) = e {
         return match values_literal(inner)? {
-            Value::Int(v) => Ok(Value::Int(-v)),
+            Value::Int(v) => Ok(Value::Int(v.wrapping_neg())),
             Value::Float(v) => Ok(Value::Float(-v)),
             other => Err(JaguarError::Plan(format!(
                 "cannot negate {other} in VALUES"
@@ -1670,6 +1672,10 @@ mod tests {
         let plan = bind(&cat, "SELECT id FROM stocks WHERE id > -5").unwrap();
         let txt = explain(&plan);
         assert!(txt.contains("(id > -5)"), "{txt}");
+        // Negating i64::MIN wraps, as evaluating `-x` does.
+        let sql = "SELECT id FROM stocks WHERE id > -(-9223372036854775808)";
+        let txt = explain(&bind(&cat, sql).unwrap());
+        assert!(txt.contains("(id > -9223372036854775808)"), "{txt}");
     }
 
     #[test]

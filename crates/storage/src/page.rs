@@ -1,6 +1,6 @@
 //! Page layouts.
 //!
-//! Every page starts with a 40-byte common header:
+//! Every page starts with a 20-byte common header:
 //!
 //! ```text
 //! offset 0  u32  checksum   (four-lane word hash over bytes[4..], see
@@ -12,17 +12,7 @@
 //! offset 10 u16  h2         }
 //! offset 12 u64  page_lsn   (LSN of the WAL record carrying this page's
 //!                            latest logged image; 0 = never logged)
-//! offset 20 u32  sec_marker (0 = plaintext body; "JGSE" = bytes 40.. are
-//!                            ciphertext; maintained by DiskManager at I/O
-//!                            time — always 0 on in-memory frames)
-//! offset 24 u64  sec_nonce  (per-write AEAD nonce when encrypted)
-//! offset 32 u64  sec_tag    (authentication tag over the ciphertext)
 //! ```
-//!
-//! Bytes `0..40` stay plaintext on disk (checksum verification, recovery,
-//! and WAL-replay page extension all work without the key); everything an
-//! application stores lives at `40..` and is what the encrypting
-//! DiskManager seals.
 //!
 //! **Slotted pages** hold variable-length records addressed by slot number.
 //! The slot directory grows forward from the header; record bytes grow
@@ -40,29 +30,22 @@ use jaguar_common::ids::PageId;
 /// Version of the on-disk layout (common page header, heap-file layout,
 /// catalog manifest). Bumped on every incompatible change — v2 grew the
 /// common page header from 12 to 20 bytes to carry the page LSN; v3 grew
-/// it to 40 to carry the encryption marker/nonce/tag and added the wrapped
-/// data-key blob to the manifest; v4 replaced the byte-serial FNV-1a page
-/// checksum with the word-wide hash of [`compute_checksum`]; v5 lets the
-/// write-ahead log hold page deltas (record kind 5), which an older reader
-/// would take for a torn tail, dropping every commit after it. The catalog
-/// stamps this into
+/// it to 40 to carry a marker, nonce and tag for sealed page bodies and
+/// added a key blob to the manifest; v4 replaced the byte-serial FNV-1a
+/// page checksum with the word-wide hash of [`compute_checksum`]; v5 lets
+/// the write-ahead log hold page deltas (record kind 5), which an older
+/// reader would take for a torn tail, dropping every commit after it; v6
+/// took the sealed bodies out again, shrinking the header back to 20 bytes
+/// and dropping the manifest's key blob. The catalog stamps this into
 /// `catalog.manifest` and refuses to open a database directory written
 /// under any other version, so an old file is a clean "incompatible
 /// format" error instead of silently shifted reads.
-pub const ON_DISK_FORMAT_VERSION: u32 = 5;
+pub const ON_DISK_FORMAT_VERSION: u32 = 6;
 
 /// Size of the common header present on every page.
-pub const COMMON_HEADER: usize = 40;
+pub const COMMON_HEADER: usize = 20;
 /// Offset of the page LSN within the common header.
 pub(crate) const LSN_OFFSET: usize = 12;
-/// Offset of the encryption marker within the common header.
-const SEC_MARKER_OFFSET: usize = 20;
-/// Offset of the per-write encryption nonce.
-const SEC_NONCE_OFFSET: usize = 24;
-/// Offset of the authentication tag.
-const SEC_TAG_OFFSET: usize = 32;
-/// `sec_marker` value declaring the page body encrypted ("JGSE").
-pub const SEC_MARKER_ENCRYPTED: u32 = 0x4A47_5345;
 /// Size of one slot directory entry (u16 offset + u16 length).
 pub const SLOT_SIZE: usize = 4;
 /// Slot offset sentinel marking a deleted (tombstoned) slot.
@@ -109,48 +92,6 @@ pub fn page_lsn(buf: &[u8]) -> u64 {
 /// image is copied into the log.
 pub fn set_page_lsn(buf: &mut [u8], lsn: u64) {
     buf[LSN_OFFSET..LSN_OFFSET + 8].copy_from_slice(&lsn.to_le_bytes());
-}
-
-/// Read the encryption marker (0 = plaintext body,
-/// [`SEC_MARKER_ENCRYPTED`] = encrypted).
-pub fn sec_marker(buf: &[u8]) -> u32 {
-    u32::from_le_bytes(
-        buf[SEC_MARKER_OFFSET..SEC_MARKER_OFFSET + 4]
-            .try_into()
-            .expect("4 bytes"),
-    )
-}
-
-/// Read the per-write encryption nonce.
-pub fn sec_nonce(buf: &[u8]) -> u64 {
-    u64::from_le_bytes(
-        buf[SEC_NONCE_OFFSET..SEC_NONCE_OFFSET + 8]
-            .try_into()
-            .expect("8 bytes"),
-    )
-}
-
-/// Read the authentication tag.
-pub fn sec_tag(buf: &[u8]) -> u64 {
-    u64::from_le_bytes(
-        buf[SEC_TAG_OFFSET..SEC_TAG_OFFSET + 8]
-            .try_into()
-            .expect("8 bytes"),
-    )
-}
-
-/// Stamp the encryption fields. Called by the disk manager while sealing a
-/// page for write; never set on in-memory frames.
-pub fn set_sec_fields(buf: &mut [u8], marker: u32, nonce: u64, tag: u64) {
-    buf[SEC_MARKER_OFFSET..SEC_MARKER_OFFSET + 4].copy_from_slice(&marker.to_le_bytes());
-    buf[SEC_NONCE_OFFSET..SEC_NONCE_OFFSET + 8].copy_from_slice(&nonce.to_le_bytes());
-    buf[SEC_TAG_OFFSET..SEC_TAG_OFFSET + 8].copy_from_slice(&tag.to_le_bytes());
-}
-
-/// Zero the encryption fields (after decrypting on read, so in-memory
-/// frames are indistinguishable from the plaintext configuration).
-pub fn clear_sec_fields(buf: &mut [u8]) {
-    buf[SEC_MARKER_OFFSET..SEC_TAG_OFFSET + 8].fill(0);
 }
 
 const CK_MUL: u64 = 0x9E37_79B1_85EB_CA87;

@@ -10,10 +10,9 @@
 //!   ([`record::WalRecord::PageImage`]); once that image is committed, later
 //!   records of the page carry only the byte ranges that changed since the
 //!   page last left the unlogged set ([`record::WalRecord::PageDelta`],
-//!   diffed against the pool's [`jaguar_storage::buffer::PageBase`]). An
-//!   encrypted database logs only sealed full images, so the log never
-//!   holds plaintext. Recovery replays the records of *committed*
-//!   transactions in LSN order and discards the rest.
+//!   diffed against the pool's [`jaguar_storage::buffer::PageBase`]).
+//!   Recovery replays the records of *committed* transactions in LSN order
+//!   and discards the rest.
 //! - **No-steal, so no undo.** The buffer pool refuses to evict a dirty
 //!   page whose latest mutation has not been logged (see
 //!   [`jaguar_storage::WalHook`] and the unlogged-page tracking in
@@ -52,9 +51,8 @@ use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::ids::PageId;
 use jaguar_common::obs;
 use jaguar_common::retry::{self, RetryPolicy};
-use jaguar_sec::PageCipher;
 use jaguar_storage::page::set_page_lsn;
-use jaguar_storage::{BufferPool, DiskManager, WalHook};
+use jaguar_storage::{BufferPool, WalHook};
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use record::{encode_frame, WalRecord};
@@ -97,11 +95,6 @@ pub struct Wal {
     /// so a log truncation can never delete half of an in-flight txn.
     txn_gate: RwLock<()>,
     next_txn: AtomicU64,
-    /// When set, logged page images are transformed into their on-disk
-    /// sealed (encrypted) form before hitting the log, so the log never
-    /// carries plaintext row data and recovery can replay the bytes
-    /// verbatim without the key. No deltas are logged then.
-    cipher: Option<Arc<dyn PageCipher>>,
     /// Per data file, the pages with a committed image in the current log:
     /// only these may be logged as deltas. Emptied when the log is.
     imaged: Mutex<HashMap<String, HashSet<u32>>>,
@@ -113,17 +106,6 @@ impl Wal {
     /// data files are synced, and the log is truncated. Returns the live
     /// log plus what recovery did (also mirrored to `wal.*` metrics).
     pub fn open(dir: &Path, config: &Config) -> Result<(Arc<Wal>, RecoveryStats)> {
-        Wal::open_with_cipher(dir, config, None)
-    }
-
-    /// [`Wal::open`] for an encrypted database: future page images are
-    /// sealed with `cipher` before being logged. Recovery itself needs no
-    /// key — replayed images are already in on-disk form.
-    pub fn open_with_cipher(
-        dir: &Path,
-        config: &Config,
-        cipher: Option<Arc<dyn PageCipher>>,
-    ) -> Result<(Arc<Wal>, RecoveryStats)> {
         let stats = recover::replay(dir, config.page_size)?;
         let path = dir.join(WAL_FILE);
         let file = OpenOptions::new()
@@ -154,7 +136,6 @@ impl Wal {
             sync_cv: Condvar::new(),
             txn_gate: RwLock::new(()),
             next_txn: AtomicU64::new(0),
-            cipher,
             imaged: Mutex::new(HashMap::new()),
         });
         // Everything replayed is in synced data files: start from an empty
@@ -324,15 +305,7 @@ impl Wal {
                     }
                 });
                 if !delta {
-                    // The pool frame stays plaintext; only the logged copy
-                    // is sealed, matching what write_page would persist so
-                    // replay writes it verbatim.
-                    let seal = |image: &mut [u8]| {
-                        if let Some(cipher) = &self.cipher {
-                            DiskManager::seal_for_disk(cipher.as_ref(), *pid, image);
-                        }
-                    };
-                    record::write_page_image(buf, lsn, txn, file, pid.0, &guard, seal);
+                    record::write_page_image(buf, lsn, txn, file, pid.0, &guard);
                 }
             })?;
             reg.counter(if delta {
@@ -364,11 +337,10 @@ impl Wal {
     /// in this log, and leaves the unlogged set unless it was mutated since
     /// the snapshot was taken.
     fn retire(&self, file: &str, pool: &BufferPool, pages: &[(PageId, u64)]) {
-        if self.cipher.is_none() {
-            let mut imaged = self.imaged.lock();
-            let imaged = imaged.entry(file.to_owned()).or_default();
-            imaged.extend(pages.iter().map(|(p, _)| p.0));
-        }
+        // `imaged` is released before the pool's unlogged set is locked:
+        // the pool's `note_write` takes the two in the other order.
+        (self.imaged.lock().entry(file.to_owned()).or_default())
+            .extend(pages.iter().map(|(p, _)| p.0));
         pool.commit_unlogged(pages);
     }
 

@@ -137,7 +137,7 @@ pub(crate) fn write_payload(buf: &mut Vec<u8>, lsn: u64, rec: &WalRecord) {
             file,
             page,
             data,
-        } => return write_page_image(buf, lsn, *txn, file, *page, data, |_| {}),
+        } => return write_page_image(buf, lsn, *txn, file, *page, data),
         WalRecord::Checkpoint => (KIND_CHECKPOINT, None),
         WalRecord::PageDelta {
             txn,
@@ -158,26 +158,14 @@ pub(crate) fn write_payload(buf: &mut Vec<u8>, lsn: u64, rec: &WalRecord) {
 }
 
 /// Append a [`WalRecord::PageImage`] payload to `buf`, copying the page
-/// from `data` — typically the latched pool frame — exactly once. `seal`
-/// may still transform the copy in place (encrypt it) before the frame's
-/// CRC is taken over it.
-pub fn write_page_image(
-    buf: &mut Vec<u8>,
-    lsn: u64,
-    txn: u64,
-    file: &str,
-    page: u32,
-    data: &[u8],
-    seal: impl FnOnce(&mut [u8]),
-) {
+/// from `data` — typically the latched pool frame — exactly once.
+pub fn write_page_image(buf: &mut Vec<u8>, lsn: u64, txn: u64, file: &str, page: u32, data: &[u8]) {
     write_u64(buf, lsn).expect("vec write");
     write_u8(buf, KIND_PAGE_IMAGE).expect("vec write");
     write_u64(buf, txn).expect("vec write");
     write_str(buf, file).expect("vec write");
     write_u32(buf, page).expect("vec write");
     write_blob(buf, data).expect("vec write");
-    let image = buf.len() - data.len();
-    seal(&mut buf[image..]);
 }
 
 /// Append a [`WalRecord::PageDelta`] payload to `buf`, copying each range
@@ -372,23 +360,20 @@ mod tests {
         }
     }
 
-    /// A page image framed from a borrowed page, sealed in place, is the
-    /// frame `encode_frame` builds from the owned, already-sealed record.
+    /// A page image framed from a borrowed page is the frame
+    /// `encode_frame` builds from the owned record.
     #[test]
     fn page_image_framed_in_place_equals_the_owned_encoding() {
         let page = vec![0x5Au8; 512];
-        let seal = |image: &mut [u8]| image.iter_mut().for_each(|b| *b ^= 0xFF);
         let mut frame = vec![1, 2, 3]; // stale contents must not survive
         frame_into(&mut frame, |buf| {
-            write_page_image(buf, 9, 4, "t.jag", 6, &page, seal)
+            write_page_image(buf, 9, 4, "t.jag", 6, &page)
         });
-        let mut sealed = page.clone();
-        seal(&mut sealed);
         let owned = WalRecord::PageImage {
             txn: 4,
             file: "t.jag".into(),
             page: 6,
-            data: sealed,
+            data: page,
         };
         assert_eq!(frame, encode_frame(9, &owned));
         assert_eq!(scan_log(&frame).records, vec![(9, owned)]);

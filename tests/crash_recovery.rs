@@ -18,11 +18,6 @@ const PHASE_ENV: &str = "JAGUAR_HARNESS_PHASE";
 /// The crash point (or [`TORN_TAIL_SITE`]) a victim child arms in
 /// process, after the commits that precede its doomed one.
 const CRASH_POINT_ENV: &str = "JAGUAR_HARNESS_CRASH_POINT";
-/// When set, harness children open the database with this encryption
-/// passphrase — the same durability matrix, with every page and WAL image
-/// sealed.
-const ENC_ENV: &str = "JAGUAR_HARNESS_ENC";
-
 /// The recovery counters (`wal.recovered_txns`, `wal.replayed_pages`) are
 /// process-global and every test here reopens a database: they take turns.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -38,11 +33,7 @@ fn harness_dir(tag: &str) -> PathBuf {
 }
 
 fn config() -> Config {
-    let c = Config::default().with_sync_mode(SyncMode::Full);
-    match std::env::var(ENC_ENV) {
-        Ok(key) => c.with_encryption_key(key),
-        Err(_) => c,
-    }
+    Config::default().with_sync_mode(SyncMode::Full)
 }
 
 /// Re-exec this test binary, running only the `crash_child` helper with the
@@ -53,8 +44,7 @@ fn spawn_child(dir: &Path, phase: &str, extra_env: &[(&str, &str)]) -> std::proc
     cmd.args(["crash_child", "--exact", "--ignored", "--test-threads=1"])
         .env(DIR_ENV, dir)
         .env(PHASE_ENV, phase)
-        .env_remove(CRASH_POINT_ENV)
-        .env_remove(ENC_ENV);
+        .env_remove(CRASH_POINT_ENV);
     for (k, v) in extra_env {
         cmd.env(k, v);
     }
@@ -257,47 +247,34 @@ fn recover_and_check(dir: &Path, config: Config, want: State, context: &str) -> 
     after.counter("wal.replayed_deltas") - before.counter("wal.replayed_deltas")
 }
 
-/// The crash matrix on pages already logged since the last checkpoint, in
-/// a plaintext and an encrypted database: every crash point and the torn
-/// tail recover to the state before or after the doomed statement. When
-/// the doomed commit is kept, a plaintext recovery replays at least one
-/// delta; an encrypted one logs none.
+/// The crash matrix on pages already logged since the last checkpoint:
+/// every crash point and the torn tail recover to the state before or
+/// after the doomed statement. When the doomed commit is kept, recovery
+/// replays at least one delta.
 #[test]
 fn every_crash_point_recovers_delta_scenarios() {
     let _turn = serial();
-    const KEY: &str = "delta-harness-passphrase";
     let arms = CRASH_POINTS.iter().copied().chain([TORN_TAIL_SITE]);
-    for enc in [None, Some(KEY)] {
-        let enc_env: Vec<(&str, &str)> = enc.map(|k| (ENC_ENV, k)).into_iter().collect();
-        let config = match enc {
-            Some(k) => Config::default()
-                .with_sync_mode(SyncMode::Full)
-                .with_encryption_key(k),
-            None => Config::default().with_sync_mode(SyncMode::Full),
-        };
-        for (phase, before, after) in DELTA_SCENARIOS {
-            for arm in arms.clone() {
-                let context = format!("{phase} at {arm}, encrypted {}", enc.is_some());
-                let dir = harness_dir(&format!("{phase}-{}", arm.replace('.', "-")));
-                assert!(
-                    spawn_child(&dir, "setup", &enc_env).success(),
-                    "{context}: setup"
-                );
-                let env: Vec<_> = (enc_env.iter().copied())
-                    .chain([(CRASH_POINT_ENV, arm)])
-                    .collect();
-                assert_died_abruptly(spawn_child(&dir, phase, &env), &context);
+    for (phase, before, after) in DELTA_SCENARIOS {
+        for arm in arms.clone() {
+            let context = format!("{phase} at {arm}");
+            let dir = harness_dir(&format!("{phase}-{}", arm.replace('.', "-")));
+            assert!(
+                spawn_child(&dir, "setup", &[]).success(),
+                "{context}: setup"
+            );
+            assert_died_abruptly(
+                spawn_child(&dir, phase, &[(CRASH_POINT_ENV, arm)]),
+                &context,
+            );
 
-                let kept = matches!(arm, "wal.after_commit_write" | "wal.after_commit_sync");
-                let want = if kept { after } else { before };
-                let deltas = recover_and_check(&dir, config.clone(), want, &context);
-                if kept && enc.is_none() {
-                    assert!(deltas >= 1, "{context}: no delta replayed");
-                } else if enc.is_some() {
-                    assert_eq!(deltas, 0, "{context}: an encrypted log holds no deltas");
-                }
-                let _ = std::fs::remove_dir_all(&dir);
+            let kept = matches!(arm, "wal.after_commit_write" | "wal.after_commit_sync");
+            let want = if kept { after } else { before };
+            let deltas = recover_and_check(&dir, config(), want, &context);
+            if kept {
+                assert!(deltas >= 1, "{context}: no delta replayed");
             }
+            let _ = std::fs::remove_dir_all(&dir);
         }
     }
 }
@@ -433,174 +410,6 @@ fn failed_statement_partial_effects_are_sealed() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The durability matrix again, with encryption at rest switched on: every
-/// crash point must recover to the same consistent state it does for a
-/// plaintext database — committed stays, uncommitted vanishes — with WAL
-/// replay operating on sealed page images throughout.
-#[test]
-fn every_crash_point_recovers_with_encryption_on() {
-    let _turn = serial();
-    const KEY: &str = "crash-harness-passphrase";
-    for (phase, t_committed, u_committed) in SCENARIOS {
-        for point in jaguar_core::wal::fault::CRASH_POINTS {
-            let context = format!("{phase} at {point}");
-            let dir = harness_dir(&format!("enc-{phase}-{}", point.replace('.', "-")));
-            let setup = spawn_child(&dir, "setup", &[(ENC_ENV, KEY)]);
-            assert!(setup.success(), "{context}: encrypted setup child failed");
-
-            let status = spawn_child(&dir, phase, &[(CRASH_POINT_ENV, point), (ENC_ENV, KEY)]);
-            assert_died_abruptly(status, &context);
-
-            let db = Database::open(
-                &dir,
-                Config::default()
-                    .with_sync_mode(SyncMode::Full)
-                    .with_encryption_key(KEY),
-            )
-            .unwrap();
-            let committed = matches!(*point, "wal.after_commit_write" | "wal.after_commit_sync");
-            let (t, u) = if committed {
-                (t_committed, u_committed)
-            } else {
-                (&[1][..], &U_ROWS[..])
-            };
-            assert_eq!(
-                rows(&db),
-                t,
-                "{context}: wrong rows after encrypted recovery"
-            );
-            assert_eq!(
-                pairs(&db),
-                u,
-                "{context}: wrong rows after encrypted recovery"
-            );
-            drop(db);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-}
-
-/// Opening an encrypted database with the wrong passphrase (or none) must
-/// fail cleanly before any WAL replay touches a page — zero pages
-/// replayed, and the original key still opens it afterwards.
-#[test]
-fn wrong_key_fails_cleanly_with_zero_pages_replayed() {
-    let _turn = serial();
-    const KEY: &str = "the-right-passphrase";
-    let dir = harness_dir("wrongkey");
-    let setup = spawn_child(&dir, "setup", &[(ENC_ENV, KEY)]);
-    assert!(setup.success(), "encrypted setup child failed");
-    // Crash mid-commit so a reopen genuinely has WAL work pending.
-    let status = spawn_child(
-        &dir,
-        "crash",
-        &[(CRASH_POINT_ENV, "wal.after_commit_write"), (ENC_ENV, KEY)],
-    );
-    assert_died_abruptly(status, "wrong-key harness");
-
-    let base = Config::default().with_sync_mode(SyncMode::Full);
-    let before = jaguar_core::obs::global().snapshot();
-    let Err(err) = Database::open(&dir, base.clone().with_encryption_key("not-the-key")) else {
-        panic!("wrong key must not open the database");
-    };
-    assert!(
-        err.to_string().contains("encryption_key"),
-        "wrong key must name the key problem: {err}"
-    );
-    let Err(err) = Database::open(&dir, base.clone()) else {
-        panic!("missing key must not open the database");
-    };
-    assert!(
-        err.to_string().contains("encryption_key"),
-        "missing key must name the key problem: {err}"
-    );
-    let after = jaguar_core::obs::global().snapshot();
-    assert_eq!(
-        after.counter("wal.replayed_pages"),
-        before.counter("wal.replayed_pages"),
-        "a failed key check must not replay a single page"
-    );
-    // The right key still recovers the crashed commit.
-    let db = Database::open(&dir, base.with_encryption_key(KEY)).unwrap();
-    assert_eq!(rows(&db), vec![1, 2]);
-    drop(db);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Acceptance byte-scan: with encryption on, no data file and no WAL
-/// segment may contain row plaintext. The same scan against a plaintext
-/// twin database must find the sentinel — proving the scan itself works.
-#[test]
-fn encrypted_files_contain_no_plaintext() {
-    let _turn = serial();
-    const SENTINEL: &str = "TOPSECRET_TENANT_ROW_9481";
-
-    fn populate(db: &Database) {
-        db.execute("CREATE TABLE docs (id INT, body VARCHAR)")
-            .unwrap();
-        for i in 0..50 {
-            db.execute(&format!("INSERT INTO docs VALUES ({i}, '{SENTINEL}')"))
-                .unwrap();
-        }
-        // Leave WAL content behind too: checkpoint flushes pages, then one
-        // more insert lands in the live log segment.
-        db.checkpoint().unwrap();
-        db.execute(&format!("INSERT INTO docs VALUES (999, '{SENTINEL}')"))
-            .unwrap();
-    }
-
-    fn scan_files(dir: &Path, needle: &[u8]) -> Vec<PathBuf> {
-        let mut hits = Vec::new();
-        let mut stack = vec![dir.to_path_buf()];
-        while let Some(d) = stack.pop() {
-            for entry in std::fs::read_dir(&d).unwrap() {
-                let path = entry.unwrap().path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else {
-                    let bytes = std::fs::read(&path).unwrap();
-                    if bytes.windows(needle.len()).any(|w| w == needle) {
-                        hits.push(path);
-                    }
-                }
-            }
-        }
-        hits
-    }
-
-    let enc_dir = harness_dir("scan-enc");
-    {
-        let db = Database::open(
-            &enc_dir,
-            Config::default().with_encryption_key("scan-passphrase"),
-        )
-        .unwrap();
-        populate(&db);
-        std::mem::forget(db); // no clean close: WAL tail stays on disk
-    }
-    let hits = scan_files(&enc_dir, SENTINEL.as_bytes());
-    assert!(
-        hits.is_empty(),
-        "plaintext sentinel found in encrypted files: {hits:?}"
-    );
-
-    // Control: the identical workload without encryption must be visible
-    // to the same scan, or the assertion above proves nothing.
-    let plain_dir = harness_dir("scan-plain");
-    {
-        let db = Database::open(&plain_dir, Config::default()).unwrap();
-        populate(&db);
-        std::mem::forget(db);
-    }
-    let hits = scan_files(&plain_dir, SENTINEL.as_bytes());
-    assert!(
-        !hits.is_empty(),
-        "control scan found nothing — the byte-scan is broken"
-    );
-    let _ = std::fs::remove_dir_all(&enc_dir);
-    let _ = std::fs::remove_dir_all(&plain_dir);
-}
-
 /// `wal.*` metrics are visible through the public facade.
 #[test]
 fn wal_metrics_are_exposed() {
@@ -676,89 +485,60 @@ fn delta_for_a_one_int_update_is_at_most_512_log_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every `PageDelta` record in `dir`'s live log.
-fn logged_deltas(dir: &Path) -> usize {
-    let raw = std::fs::read(dir.join(jaguar_core::wal::WAL_FILE)).unwrap();
-    let scan = jaguar_core::wal::record::scan_log(&raw);
-    (scan.records.iter())
-        .filter(|(_, r)| matches!(r, jaguar_core::wal::record::WalRecord::PageDelta { .. }))
-        .count()
-}
-
-/// An encrypted database logs sealed full images only: not one delta,
-/// where its plaintext twin logs them for the same statements.
+/// A database written under format v4, whose log may hold only full
+/// images, or v5, whose pages carry a 40-byte header, is refused with the
+/// version error before recovery touches a byte of it: the log and the
+/// data files are as they were.
 #[test]
-fn delta_records_never_reach_an_encrypted_log() {
+fn delta_format_v4_and_v5_databases_are_refused_untouched() {
     let _turn = serial();
-    for key in [None, Some("delta-passphrase")] {
-        let dir = harness_dir("delta-enc");
-        let config = match key {
-            Some(k) => config().with_encryption_key(k),
-            None => config(),
-        };
-        let before = jaguar_core::obs::global().snapshot();
-        let db = Database::open(&dir, config).unwrap();
+    for version in [4u32, 5] {
+        let dir = harness_dir(&format!("format-v{version}"));
+        let db = Database::open(&dir, config()).unwrap();
         db.execute("CREATE TABLE t (a INT)").unwrap();
-        for i in 0..5 {
-            db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
-        }
-        db.execute("UPDATE t SET a = 9 WHERE a = 2").unwrap();
-        let m = db.metrics();
-        std::mem::forget(db);
-        let deltas = m.counter("wal.page_deltas") - before.counter("wal.page_deltas");
-        match key {
-            Some(_) => assert_eq!((deltas, logged_deltas(&dir)), (0, 0)),
-            None => assert!(deltas >= 5 && logged_deltas(&dir) >= 5, "{deltas}"),
-        }
+        db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+        std::mem::forget(db); // the committed insert is still in the log
+        let manifest = dir.join("catalog.manifest");
+        let mut raw = std::fs::read(&manifest).unwrap();
+        raw[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&manifest, raw).unwrap();
+        let files = |dir: &Path| {
+            let mut all: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+                .collect();
+            all.sort();
+            all
+        };
+        let before = files(&dir);
+        let err = Database::open(&dir, config())
+            .err()
+            .unwrap_or_else(|| panic!("v{version} must be refused"));
+        assert!(
+            err.to_string().contains(&format!("format v{version}")),
+            "{err}"
+        );
+        assert!(
+            before == files(&dir),
+            "v{version}: a refused open must change no file"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
-/// A database written under format v4, whose log may hold only full
-/// images, is refused with the version error before recovery touches a
-/// byte of it: the log and the data files are as they were.
-#[test]
-fn delta_format_v4_database_is_refused_untouched() {
-    let _turn = serial();
-    let dir = harness_dir("delta-v4");
-    let db = Database::open(&dir, config()).unwrap();
-    db.execute("CREATE TABLE t (a INT)").unwrap();
-    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
-    std::mem::forget(db); // the committed insert is still in the log
-    let manifest = dir.join("catalog.manifest");
-    let mut raw = std::fs::read(&manifest).unwrap();
-    raw[4..8].copy_from_slice(&4u32.to_le_bytes());
-    std::fs::write(&manifest, raw).unwrap();
-    let files = |dir: &Path| {
-        let mut all: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .map(|p| (p.clone(), std::fs::read(p).unwrap()))
-            .collect();
-        all.sort();
-        all
-    };
-    let before = files(&dir);
-    let err = Database::open(&dir, config())
-        .err()
-        .expect("v4 must be refused");
-    assert!(err.to_string().contains("format v4"), "{err}");
-    assert!(before == files(&dir), "a refused open must change no file");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Opening reads four files in turn: the manifest's format header, its
-/// wrapped key, the log, then the manifest's tables. Whichever of them
-/// fails to read, the open fails and loses nothing: the manifest and — for
-/// the three read before replay — the log are byte-identical afterwards,
-/// and an open that can read them recovers every committed row.
+/// Opening reads three files in turn: the manifest's format header, the
+/// log, then the manifest's tables. Whichever of them fails to read, the
+/// open fails and loses nothing: the manifest and — for the two read
+/// before replay — the log are byte-identical afterwards, and an open that
+/// can read them recovers every committed row.
 #[test]
 fn an_unreadable_log_or_manifest_fails_the_open_and_loses_nothing() {
     use jaguar_common::fault;
     use jaguar_common::fs::READ_EXISTING_SITE;
     let _turn = serial();
     const MANIFEST: &str = "catalog.manifest";
-    let files = [MANIFEST, MANIFEST, jaguar_core::wal::WAL_FILE, MANIFEST];
+    let files = [MANIFEST, jaguar_core::wal::WAL_FILE, MANIFEST];
     for (reader, file) in files.into_iter().enumerate() {
         let dir = harness_dir(&format!("unreadable-{reader}"));
         let db = Database::open(&dir, config()).unwrap();
@@ -778,9 +558,9 @@ fn an_unreadable_log_or_manifest_fails_the_open_and_loses_nothing() {
             "{context}: {err}"
         );
         assert!(read(MANIFEST) == manifest, "{context}: manifest changed");
-        // The log is replayed and truncated before the fourth read.
+        // The log is replayed and truncated before the third read.
         assert!(
-            reader == 3 || read(jaguar_core::wal::WAL_FILE) == log,
+            reader == 2 || read(jaguar_core::wal::WAL_FILE) == log,
             "{context}"
         );
 

@@ -84,9 +84,13 @@ const OPS: [(&str, &str); 6] = [
 ];
 
 fn arb_pushable() -> impl Strategy<Value = Pushable> {
-    // `i64::MIN` has no literal (its digits overflow before the minus
-    // applies): `i64::MIN + 1` is the least one, and rows do hold MIN.
-    let int = prop_oneof![-3i64..4, Just(0), Just(i64::MIN + 1), Just(i64::MAX)];
+    let int = prop_oneof![
+        -3i64..4,
+        Just(0),
+        Just(i64::MIN),
+        Just(i64::MIN + 1),
+        Just(i64::MAX)
+    ];
     let literal = prop_oneof![
         int.prop_map(|k| k.to_string()),
         (-4i64..5).prop_map(|k| format!("{:?}", k as f64 * 0.5)),
