@@ -25,7 +25,7 @@ use jaguar_udf::{ScalarUdf, UdfSignature, VmUdf};
 use jaguar_vm::interp::ExecMode;
 use jaguar_vm::{Module, ResourceLimits};
 
-use crate::wire::{ClientMsg, ServerMsg, WireSignature, WireStats};
+use crate::wire::{ClientMsg, Polled, ServerMsg, WireSignature, WireStats};
 
 /// A client-side result set.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,8 +89,12 @@ static NEXT_QUERY_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A connection to a Jaguar server.
 pub struct Client {
-    reader: BufReader<TcpStream>,
+    reader: Polled,
     writer: BufWriter<TcpStream>,
+    /// The first roundtrip that failed in transport or decoding. It may
+    /// have left a late reply or the rest of a frame in the socket, so
+    /// every later reply read here could be some other statement's.
+    broken: Option<String>,
     /// The server address, kept for out-of-band cancel connections.
     server_addr: SocketAddr,
     options: ClientOptions,
@@ -136,8 +140,9 @@ impl Client {
         stream.set_write_timeout(options.write_timeout)?;
         let id_prefix = u64::from(stream.local_addr().map(|a| a.port()).unwrap_or(0)) << 48;
         Ok(Client {
-            reader: BufReader::new(stream.try_clone()?),
+            reader: Polled::new(stream.try_clone()?, "net.polled_replies"),
             writer: BufWriter::new(stream),
+            broken: None,
             server_addr,
             options,
             id_prefix,
@@ -145,9 +150,20 @@ impl Client {
         })
     }
 
+    /// One request and its reply. A failure to send the request or to
+    /// read its reply whole breaks the connection: every later call fails
+    /// at once, naming that failure, and reconnecting is the caller's job.
+    /// `Error` and `Busy` frames arrive whole and break nothing.
     fn roundtrip(&mut self, msg: &ClientMsg) -> Result<ServerMsg> {
-        msg.write(&mut self.writer)?;
-        let reply = ServerMsg::read(&mut self.reader)?;
+        if let Some(first) = &self.broken {
+            return Err(JaguarError::Protocol(format!(
+                "connection out of step since an earlier failure ({first}); reconnect"
+            )));
+        }
+        let reply = msg
+            .write(&mut self.writer)
+            .and_then(|()| self.reader.read(ServerMsg::read))
+            .inspect_err(|e| self.broken = Some(e.to_string()))?;
         match &reply {
             ServerMsg::Error { message } => {
                 Err(JaguarError::Protocol(format!("server: {message}")))
@@ -462,5 +478,120 @@ impl LocalUdf {
         callbacks: &mut dyn CallbackHandler,
     ) -> Result<Value> {
         self.inner.invoke(args, callbacks)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::ErrorKind;
+    use std::sync::{mpsc, Mutex};
+    use std::time::Instant;
+
+    use jaguar_common::{fault, obs, DataType};
+    use jaguar_sql::Engine;
+    use jaguar_udf::{NativeUdf, UdfDef, UdfImpl, Volatility};
+
+    use super::*;
+    use crate::Server;
+
+    fn native(
+        engine: &Engine,
+        name: &str,
+        f: impl Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync + 'static,
+    ) {
+        let sig = UdfSignature::new(vec![DataType::Int], DataType::Int);
+        let imp = UdfImpl::Native(NativeUdf::new(name, sig.clone(), f));
+        let def = UdfDef::new(name, sig, imp).with_volatility(Volatility::Volatile);
+        engine.catalog().udfs().register(def);
+    }
+
+    /// The client waits for its reply through the session's reader: the
+    /// reply arrives whole whether it was polled for or blocked on, a
+    /// statement slower than two windows ends the polling, a pre-armed
+    /// poll still lets the read timeout fire, and a reply cut off mid-frame
+    /// is a clean error that breaks the connection for every later call.
+    #[test]
+    fn client_waits_for_its_reply_through_the_shared_reader() {
+        let engine = Arc::new(Engine::in_memory(Config::default()));
+        // `spin` works ten windows; `gate` holds its statement until
+        // released.
+        native(&engine, "spin", |args, _| {
+            let start = Instant::now();
+            while start.elapsed() < Duration::from_millis(1) {}
+            Ok(args[0].clone())
+        });
+        let (release, held) = mpsc::channel::<()>();
+        let held = Mutex::new(held);
+        native(&engine, "gate", move |args, _| {
+            let _ = held.lock().unwrap().recv();
+            Ok(args[0].clone())
+        });
+        let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+        let options = ClientOptions {
+            read_timeout: Some(Duration::from_millis(250)),
+            ..ClientOptions::default().no_retry()
+        };
+        let mut client = Client::connect_with(server.addr(), options).unwrap();
+        client.execute("CREATE TABLE t (a INT)").unwrap();
+        client
+            .execute("INSERT INTO t VALUES (1), (2), (3)")
+            .unwrap();
+        let replies = || obs::global().snapshot().counter("net.polled_replies");
+
+        // Blocked on or polled for, the same rows.
+        client.reader.poll = false;
+        let blocked = client.execute("SELECT a FROM t").unwrap();
+        let before = replies();
+        client.reader.poll = true;
+        let polled = client.execute("SELECT a FROM t").unwrap();
+        assert_eq!(polled, blocked);
+        assert_eq!(polled.rows.len(), 3);
+        assert!(replies() > before, "the read polled");
+        client.reader.poll = true;
+        client.ping().unwrap();
+
+        // A statement slower than two windows is one to block on.
+        client.reader.poll = true;
+        let slow = client.execute("SELECT spin(a) FROM t").unwrap();
+        assert_eq!(slow.rows, blocked.rows);
+        assert!(!client.reader.poll, "a 1 ms statement ends the polling");
+
+        // A reply cut off mid-frame: a clean decode error, then refusals
+        // that name it. Armed while no other session can answer, since
+        // the site takes the next reply any session writes.
+        let mut cut_off = Client::connect_with(server.addr(), options).unwrap();
+        fault::arm("net.server.drop_mid_response", 1);
+        cut_off.reader.poll = true;
+        let cut = cut_off.execute("SELECT a FROM t").unwrap_err();
+        fault::disarm("net.server.drop_mid_response");
+        assert!(
+            matches!(&cut, JaguarError::Io(e) if e.kind() == ErrorKind::UnexpectedEof),
+            "{cut}"
+        );
+        let refused = cut_off.execute("SELECT a FROM t").unwrap_err();
+        assert!(
+            matches!(&refused, JaguarError::Protocol(m) if m.contains(&cut.to_string())),
+            "{refused}"
+        );
+        let mut fresh = Client::connect_with(server.addr(), options).unwrap();
+        assert_eq!(fresh.execute("SELECT a FROM t").unwrap(), blocked);
+
+        // Polling, the read timeout still fires: the read behind the poll
+        // blocks for it instead of failing at once.
+        client.reader.poll = true;
+        let start = Instant::now();
+        let timed_out = client.execute("SELECT gate(a) FROM t").unwrap_err();
+        assert!(start.elapsed() >= Duration::from_millis(225), "{timed_out}");
+        assert!(
+            matches!(&timed_out, JaguarError::Io(e)
+                if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+            "{timed_out}"
+        );
+        drop(release);
+        let refused = client.ping().unwrap_err();
+        assert!(
+            matches!(&refused, JaguarError::Protocol(m) if m.contains(&timed_out.to_string())),
+            "{refused}"
+        );
     }
 }

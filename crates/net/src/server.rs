@@ -23,7 +23,7 @@
 //! timeout, cancellable by query id.
 
 use std::collections::HashMap;
-use std::io::{BufReader, ErrorKind, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,7 +39,7 @@ use jaguar_udf::{UdfImpl, UdfSignature, Volatility};
 use jaguar_vm::Module;
 
 use crate::admission::{AdmissionGate, Permit, Shed};
-use crate::wire::{ClientMsg, ServerMsg, WireSignature, WireStats};
+use crate::wire::{ClientMsg, Polled, ServerMsg, WireSignature, WireStats};
 
 /// Log target for everything the server emits.
 const TARGET: &str = "jaguar-net";
@@ -275,76 +275,6 @@ fn refuse_busy(stream: TcpStream, retry_after_ms: u64) {
     let _ = ServerMsg::Busy { retry_after_ms }.write(&mut writer);
 }
 
-/// How long a session polls its socket for the client's next message
-/// before it blocks on it.
-const POLL_WINDOW: Duration = Duration::from_micros(100);
-
-/// A blocking wait this short had no wake-up worth saving in it.
-const CHEAP_WAIT: Duration = Duration::from_micros(20);
-
-/// A poll that needed no more yields than this was answered by a client
-/// that ran *because* the session yielded: the two share a core.
-const SHARED_CORE_MISSES: u32 = 2;
-
-/// A session's incoming messages. A thread blocked in `recv` is woken by
-/// its peer's send, and what that costs is the scheduler's draw: next to
-/// nothing when client and session share a core, an inter-processor
-/// interrupt into an idle (on a guest: halted) core when they do not —
-/// over loopback the session of a closed-loop client then waits 60 µs for
-/// a request that follows its reply by 8 µs on a shared core, two thirds
-/// of an indexed read's latency, for as long as the placement lasts. So
-/// once a blocking wait was neither cheap nor long, the next message is
-/// polled for (non-blocking `peek`, the core yielded on every miss) for up
-/// to [`POLL_WINDOW`] before the blocking read, and the request finds the
-/// session awake. Polling goes on while it is what keeps this core awake
-/// for a client on another one; it ends with the first message that took
-/// two windows to come (a client that thinks) or that came after at most
-/// [`SHARED_CORE_MISSES`] yields (a client on this core, which polling
-/// would only drive off it), and the read blocks at once, as it always did.
-struct Inbox {
-    reader: BufReader<TcpStream>,
-    poll: bool,
-    m_polled: Arc<obs::Counter>,
-}
-
-impl Inbox {
-    fn new(stream: TcpStream) -> Inbox {
-        Inbox {
-            reader: BufReader::new(stream),
-            poll: false,
-            m_polled: obs::global().counter("net.polled_reads"),
-        }
-    }
-
-    /// The next message. A socket error met while polling is left for the
-    /// blocking read to report.
-    fn next(&mut self) -> Result<ClientMsg> {
-        let start = Instant::now();
-        let mut misses = 0;
-        let stream = self.reader.get_ref();
-        if self.poll && self.reader.buffer().is_empty() && stream.set_nonblocking(true).is_ok() {
-            self.m_polled.inc();
-            let mut byte = [0u8; 1];
-            while matches!(stream.peek(&mut byte), Err(e) if e.kind() == ErrorKind::WouldBlock)
-                && start.elapsed() < POLL_WINDOW
-            {
-                misses += 1;
-                std::thread::yield_now();
-            }
-            stream.set_nonblocking(false)?;
-        }
-        let msg = ClientMsg::read(&mut self.reader);
-        let waited = start.elapsed();
-        self.poll = waited < 2 * POLL_WINDOW
-            && if self.poll {
-                misses > SHARED_CORE_MISSES
-            } else {
-                waited >= CHEAP_WAIT
-            };
-        msg
-    }
-}
-
 /// Does this message need an admission permit? Execution and UDF
 /// management are the data plane; Cancel/Metrics/Ping/Quit are the
 /// control plane and must work even on a saturated server (a cancel that
@@ -363,7 +293,7 @@ fn serve_client(
     gate: &Arc<AdmissionGate>,
 ) -> Result<()> {
     stream.set_nodelay(true)?;
-    let mut inbox = Inbox::new(stream.try_clone()?);
+    let mut inbox = Polled::new(stream.try_clone()?, "net.polled_reads");
     let mut writer = std::io::BufWriter::new(stream);
     let reg = obs::global();
     let m_requests = reg.counter("net.requests");
@@ -380,7 +310,7 @@ fn serve_client(
     let mut session: Option<SessionContext> = None;
 
     loop {
-        let msg = match inbox.next() {
+        let msg = match inbox.read(ClientMsg::read) {
             Ok(m) => m,
             Err(JaguarError::Io(e)) if e.kind() == ErrorKind::UnexpectedEof => {
                 return Ok(()); // client hung up (or the server shut the read half)
@@ -649,58 +579,6 @@ fn fetch_udf(engine: &Engine, name: &str) -> Result<ServerMsg> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Polled for or blocked on, a message arrives whole and the socket is
-    /// back in blocking mode; a message that was there already, one that
-    /// took more than two windows and a closed socket all end the polling.
-    #[test]
-    fn inbox_delivers_alike_polling_or_blocking() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let near = listener.accept().unwrap().0;
-        let mut inbox = Inbox::new(near.try_clone().unwrap());
-        let ping = |far: &mut TcpStream| ClientMsg::Ping.write(far).unwrap();
-        assert!(!inbox.poll, "a session starts by blocking");
-
-        // Blocking, the message sent before the read.
-        ping(&mut far);
-        assert_eq!(inbox.next().unwrap(), ClientMsg::Ping);
-
-        // Polling, the message there at the first look: no miss, so the
-        // wait was as cheap as a wait gets.
-        ping(&mut far);
-        inbox.poll = true;
-        assert_eq!(inbox.next().unwrap(), ClientMsg::Ping);
-        assert!(!inbox.poll);
-
-        // Polling, the message later than the window: the blocking read
-        // behind the poll delivers it.
-        inbox.poll = true;
-        let late = std::thread::spawn(move || {
-            std::thread::sleep(30 * POLL_WINDOW);
-            ping(&mut far);
-            far
-        });
-        assert_eq!(inbox.next().unwrap(), ClientMsg::Ping);
-        assert!(!inbox.poll, "a 3 ms wait is a client that thinks");
-        let far = late.join().unwrap();
-
-        // Blocking mode: with nothing to read, a timed read takes its
-        // time-out to fail where a non-blocking one fails at once.
-        near.set_read_timeout(Some(Duration::from_millis(30)))
-            .unwrap();
-        let start = Instant::now();
-        assert!(inbox.next().is_err());
-        assert!(start.elapsed() >= Duration::from_millis(25));
-
-        drop(far);
-        inbox.poll = true;
-        let eof = inbox.next().unwrap_err();
-        assert!(
-            matches!(&eof, JaguarError::Io(e) if e.kind() == ErrorKind::UnexpectedEof),
-            "{eof}"
-        );
-    }
 
     #[test]
     fn redaction_strips_literals_but_keeps_shape() {

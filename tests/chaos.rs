@@ -5,13 +5,13 @@
 //! Fault sites are process-global (and, for worker faults, inherited via
 //! the environment), so every test in this binary serialises on one mutex.
 
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use jaguar_common::fault;
 use jaguar_core::{
     Client, ClientOptions, Config, DataType, Database, JaguarError, SyncMode, UdfDef, UdfImpl,
-    UdfSignature, Value,
+    UdfSignature, Value, Volatility,
 };
 use jaguar_ipc::find_worker_binary;
 
@@ -126,6 +126,46 @@ fn client_read_timeout_survives_half_open_server() {
         "read timeout must fire promptly, took {elapsed:?} ({err})"
     );
     silent.join().unwrap();
+}
+
+/// A read that timed out leaves its statement's reply on the way: the
+/// connection is out of step, and the next statement fails instead of
+/// taking that late reply for its own. The first statement is held at a
+/// gate until the client's read timeout has fired, then let go.
+#[test]
+fn a_timed_out_read_never_hands_its_late_reply_to_the_next_statement() {
+    let _guard = CHAOS.lock().unwrap_or_else(|p| p.into_inner());
+    let db = Database::in_memory();
+    db.execute("CREATE TABLE t (a INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    let (release, held) = mpsc::channel::<()>();
+    let held = Mutex::new(held);
+    db.register_native_udf_with_volatility(
+        "gate",
+        UdfSignature::new(vec![DataType::Int], DataType::Int),
+        Volatility::Volatile,
+        move |_, _| {
+            let _ = held.lock().unwrap().recv();
+            Ok(Value::Int(-1))
+        },
+    );
+    let server = db.serve("127.0.0.1:0").unwrap();
+    let options = ClientOptions {
+        read_timeout: Some(Duration::from_millis(200)),
+        ..ClientOptions::default().no_retry()
+    };
+    let mut client = Client::connect_with(server.addr(), options).unwrap();
+    let timed_out = client
+        .execute("SELECT gate(a) FROM t")
+        .expect_err("the gate holds the statement past the read timeout");
+    release.send(()).unwrap();
+    match client.execute("SELECT a FROM t") {
+        Ok(stale) => panic!("the next statement got a late reply: {:?}", stale.rows),
+        Err(e) => assert!(e.to_string().contains(&timed_out.to_string()), "{e}"),
+    }
+    let mut fresh = Client::connect_with(server.addr(), options).unwrap();
+    let r = fresh.execute("SELECT a FROM t").unwrap();
+    assert_eq!(r.rows, vec![vec![Value::Int(1)].into()]);
 }
 
 /// A synchronized connection flood at 2x (capacity + queue depth): every
