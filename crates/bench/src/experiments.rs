@@ -1349,7 +1349,7 @@ impl ExperimentCtx {
         Ok(t)
     }
 
-    /// Security overhead (not in the paper — the jaguar-sec subsystem)
+    /// Security overhead (not in the paper — `sql::label`'s row labels)
     /// against an unsecured twin computing the same rows: a labeled scan
     /// run as a tenant vs the same query with the tenant predicate written
     /// by hand (so the delta is authorization + rewrite, not filtering).

@@ -24,7 +24,6 @@ use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::fs::read_existing;
 use jaguar_common::ids::TableId;
 use jaguar_common::schema::Schema;
-use jaguar_sec::LabelExpr;
 use jaguar_wal::Wal;
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -32,31 +31,15 @@ use std::collections::HashMap;
 pub use table::Table;
 pub use udfs::UdfCatalog;
 
-/// A parsed security label plus the source text it round-trips through the
-/// manifest as.
-#[derive(Debug, PartialEq, Eq)]
-pub struct LabelSpec {
-    pub source: String,
-    pub expr: LabelExpr,
-}
-
-impl LabelSpec {
-    fn parse(source: &str) -> Result<LabelSpec> {
-        Ok(LabelSpec {
-            source: source.to_string(),
-            expr: LabelExpr::parse(source)?,
-        })
-    }
-}
-
-/// Security labels attached to one table: an optional row label (rows are
-/// visible to a session only where it holds) and per-column labels
-/// (sessions failing one cannot project or reference that column).
+/// Security labels attached to one table, as their source text: an
+/// optional row label (rows are visible to a session only where it holds)
+/// and per-column labels (sessions failing one cannot project or reference
+/// that column). The SQL engine parses, checks and evaluates them.
 #[derive(Default, Clone)]
 pub struct TableLabels {
-    pub row: Option<Arc<LabelSpec>>,
+    pub row: Option<String>,
     /// Keyed by lower-case column name.
-    pub columns: HashMap<String, Arc<LabelSpec>>,
+    pub columns: HashMap<String, String>,
 }
 
 impl TableLabels {
@@ -193,18 +176,18 @@ impl Catalog {
         for t in entries {
             write_str(&mut buf, t.name())?;
             write_schema(&mut buf, t.schema())?;
-            // v3: security labels (source text; reparsed on recovery).
+            // v3: security labels, as source text.
             let tl = labels.get(&t.name().to_ascii_lowercase());
-            let row = tl.and_then(|l| l.row.as_ref());
-            write_str(&mut buf, row.map(|l| l.source.as_str()).unwrap_or(""))?;
+            let row = tl.and_then(|l| l.row.as_deref());
+            write_str(&mut buf, row.unwrap_or(""))?;
             let mut cols: Vec<_> = tl
                 .map(|l| l.columns.iter().collect::<Vec<_>>())
                 .unwrap_or_default();
             cols.sort_by_key(|(name, _)| name.to_string());
             write_u32(&mut buf, cols.len() as u32)?;
-            for (name, spec) in cols {
+            for (name, source) in cols {
                 write_str(&mut buf, name)?;
-                write_str(&mut buf, &spec.source)?;
+                write_str(&mut buf, source)?;
             }
         }
         let tmp = Self::manifest_path(dir).with_extension("manifest.tmp");
@@ -238,13 +221,12 @@ impl Catalog {
             let mut tl = TableLabels::default();
             let row_src = read_str(&mut r)?;
             if !row_src.is_empty() {
-                tl.row = Some(Arc::new(LabelSpec::parse(&row_src)?));
+                tl.row = Some(row_src);
             }
             let cols = read_u32(&mut r)?;
             for _ in 0..cols {
                 let col = read_str(&mut r)?;
-                let src = read_str(&mut r)?;
-                tl.columns.insert(col, Arc::new(LabelSpec::parse(&src)?));
+                tl.columns.insert(col, read_str(&mut r)?);
             }
             if !tl.is_empty() {
                 labels.insert(key, tl);
@@ -343,9 +325,8 @@ impl Catalog {
         }
     }
 
-    /// Checkpoint only if the log has outgrown the configured thresholds
-    /// (`wal_segment_bytes` / `checkpoint_every`). The SQL engine calls
-    /// this after every DML statement.
+    /// Checkpoint only if the log has outgrown `wal_segment_bytes`. The
+    /// SQL engine calls this after every DML statement.
     pub fn maybe_checkpoint(&self) -> Result<()> {
         if let Some(wal) = &self.wal {
             if wal.should_checkpoint() {
@@ -355,74 +336,31 @@ impl Catalog {
         Ok(())
     }
 
-    /// Attach (or clear, with `None`) the row security label of a table.
-    /// Every row column the label references must exist in the table's
-    /// schema; session attributes are free-form. Persisted in the manifest.
+    /// Store (or clear, with `None`) the source text of a table's row
+    /// label, unchecked: `Engine::set_table_label` checks a label before it
+    /// calls this. Persisted in the manifest.
     pub fn set_table_label(&self, table: &str, label: Option<&str>) -> Result<()> {
-        let t = self.table(table)?;
-        let key = table.to_ascii_lowercase();
-        let spec = match label {
-            None => None,
-            Some(src) => {
-                let spec = LabelSpec::parse(src)?;
-                for col in spec.expr.columns() {
-                    if t.schema().index_of(&col).is_none() {
-                        return Err(JaguarError::Catalog(format!(
-                            "label references column '{col}', which table \
-                             '{table}' does not have"
-                        )));
-                    }
-                }
-                Some(Arc::new(spec))
-            }
-        };
-        let mut labels = self.labels.write();
-        let tl = labels.entry(key.clone()).or_default();
-        tl.row = spec;
-        if tl.is_empty() {
-            labels.remove(&key);
-        }
-        drop(labels);
-        self.persist_manifest()
+        self.update_labels(table, |tl| tl.row = label.map(str::to_string))
     }
 
-    /// Attach (or clear) the security label of one column. Column labels
-    /// decide *visibility* of the column per session, so they may reference
-    /// only session attributes, never row columns.
+    /// Store (or clear) the source text of one column's label, unchecked
+    /// like [`Catalog::set_table_label`].
     pub fn set_column_label(&self, table: &str, column: &str, label: Option<&str>) -> Result<()> {
-        let t = self.table(table)?;
-        let key = table.to_ascii_lowercase();
         let col = column.to_ascii_lowercase();
-        if t.schema().index_of(&col).is_none() {
-            return Err(JaguarError::Catalog(format!(
-                "table '{table}' has no column '{column}'"
-            )));
-        }
-        let spec = match label {
-            None => None,
-            Some(src) => {
-                let spec = LabelSpec::parse(src)?;
-                let cols = spec.expr.columns();
-                if !cols.is_empty() {
-                    return Err(JaguarError::Catalog(format!(
-                        "column labels may reference only session attributes; \
-                         '{}' is a row column (did you mean session.{}?)",
-                        cols[0], cols[0]
-                    )));
-                }
-                Some(Arc::new(spec))
-            }
-        };
+        self.update_labels(table, |tl| {
+            match label {
+                Some(src) => tl.columns.insert(col, src.to_string()),
+                None => tl.columns.remove(&col),
+            };
+        })
+    }
+
+    fn update_labels(&self, table: &str, update: impl FnOnce(&mut TableLabels)) -> Result<()> {
+        self.table(table)?;
+        let key = table.to_ascii_lowercase();
         let mut labels = self.labels.write();
         let tl = labels.entry(key.clone()).or_default();
-        match spec {
-            Some(s) => {
-                tl.columns.insert(col, s);
-            }
-            None => {
-                tl.columns.remove(&col);
-            }
-        }
+        update(tl);
         if tl.is_empty() {
             labels.remove(&key);
         }
@@ -620,41 +558,6 @@ mod tests {
         // And a versioned directory reopens fine.
         let cat = Catalog::on_disk(&dir, Config::default()).unwrap();
         assert_eq!(cat.table_names(), vec!["v".to_string()]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn labels_validate_and_persist_across_restart() {
-        let dir = std::env::temp_dir().join(format!("jaguar-labels-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        {
-            let cat = Catalog::on_disk(&dir, Config::default()).unwrap();
-            cat.create_table("t", schema()).unwrap();
-            // Unknown column in a row label is rejected.
-            let err = cat.set_table_label("t", Some("missing = 1")).unwrap_err();
-            assert!(err.to_string().contains("does not have"), "{err}");
-            // Row column in a column label is rejected.
-            let err = cat
-                .set_column_label("t", "payload", Some("id = 1"))
-                .unwrap_err();
-            assert!(err.to_string().contains("session attributes"), "{err}");
-            cat.set_table_label("t", Some("id = session.tenant"))
-                .unwrap();
-            cat.set_column_label("t", "payload", Some("session.role = 'admin'"))
-                .unwrap();
-        }
-        let cat = Catalog::on_disk(&dir, Config::default()).unwrap();
-        let labels = cat.table_labels("t");
-        assert_eq!(labels.row.as_ref().unwrap().source, "id = session.tenant");
-        assert_eq!(
-            labels.columns.get("payload").unwrap().source,
-            "session.role = 'admin'"
-        );
-        assert!(cat.has_labels());
-        // Clearing both removes the entry entirely.
-        cat.set_table_label("t", None).unwrap();
-        cat.set_column_label("t", "payload", None).unwrap();
-        assert!(!cat.has_labels());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -127,11 +127,9 @@ pub struct Config {
     /// Commit durability level for on-disk databases (see [`SyncMode`]).
     pub sync_mode: SyncMode,
     /// Checkpoint (flush data files + truncate the log) once the
-    /// write-ahead log grows past this many bytes.
+    /// write-ahead log grows past this many bytes, which also bounds the
+    /// replay work after a crash.
     pub wal_segment_bytes: u64,
-    /// Checkpoint after this many commits even if the log is still small,
-    /// bounding replay work after a crash.
-    pub checkpoint_every: u64,
 }
 
 impl Default for Config {
@@ -167,7 +165,6 @@ impl Default for Config {
             log_query_text: false,
             sync_mode: SyncMode::Full,
             wal_segment_bytes: 16 * 1024 * 1024,
-            checkpoint_every: 1_000,
         }
     }
 }
@@ -309,12 +306,6 @@ impl Config {
         self.wal_segment_bytes = bytes;
         self
     }
-
-    /// Commit count that triggers an automatic checkpoint.
-    pub fn with_checkpoint_every(mut self, commits: u64) -> Self {
-        self.checkpoint_every = commits;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -429,13 +420,10 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.sync_mode, SyncMode::Full, "durable by default");
         assert!(c.wal_segment_bytes >= 1024 * 1024);
-        assert!(c.checkpoint_every > 0);
         let c = c
             .with_sync_mode(SyncMode::Normal)
-            .with_wal_segment_bytes(4096)
-            .with_checkpoint_every(3);
+            .with_wal_segment_bytes(4096);
         assert_eq!(c.sync_mode, SyncMode::Normal);
         assert_eq!(c.wal_segment_bytes, 4096);
-        assert_eq!(c.checkpoint_every, 3);
     }
 }

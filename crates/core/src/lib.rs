@@ -53,9 +53,9 @@ pub use jaguar_common::retry;
 pub use jaguar_common::{ByteArray, ColumnSet, DataType, Field, Schema, Tuple, Value};
 pub use jaguar_ipc::pool::{PoolConfig, PoolStatsSnapshot, WorkerPool};
 pub use jaguar_net::{CancelHandle, Client, ClientOptions, Server};
-/// Multi-tenant security: session principals and label expressions (see
-/// [`Config::auth_required`]).
-pub use jaguar_sec::{LabelExpr, SessionContext};
+/// Multi-tenant security: the principal a statement runs under and the
+/// attributes its security labels read (see [`Config::auth_required`]).
+pub use jaguar_sql::SessionContext;
 pub use jaguar_sql::{ExecStats, QueryResult, Request};
 pub use jaguar_udf::{
     BatchError, BatchResult, CallbackHandler, NativeUdf, ScalarUdf, UdfDef, UdfImpl, UdfSignature,
@@ -118,8 +118,8 @@ impl Database {
 
     /// Checkpoint now: make the log durable, flush and sync every data
     /// file to stable storage, and truncate the write-ahead log. Runs
-    /// automatically when the log outgrows [`Config::wal_segment_bytes`] /
-    /// [`Config::checkpoint_every`], at [`Database::close`], and on drop.
+    /// automatically when the log outgrows [`Config::wal_segment_bytes`],
+    /// at [`Database::close`], and on drop.
     pub fn checkpoint(&self) -> Result<()> {
         self.engine.catalog().checkpoint()
     }
@@ -209,19 +209,21 @@ impl Database {
     }
 
     /// Set (or clear, with `None`) the table's row-level security label: a
-    /// boolean expression over row columns and `session.*` attributes,
-    /// e.g. `tenant = session.tenant OR session.role = 'admin'`. Persisted
-    /// in the catalog manifest and enforced for every session-scoped
+    /// SQL predicate over row columns and `session.*` attributes, e.g.
+    /// `tenant = session.tenant OR session.role = 'admin'`, using only
+    /// string, integer and boolean literals, `=`, `!=`, AND, OR, NOT and
+    /// parentheses; any other label is refused. Persisted as its text in
+    /// the catalog manifest and enforced for every session-scoped
     /// statement — SELECT, DML, EXPLAIN, serial or parallel.
     pub fn set_table_label(&self, table: &str, label: Option<&str>) -> Result<()> {
-        self.catalog().set_table_label(table, label)
+        self.engine.set_table_label(table, label)
     }
 
     /// Set (or clear) a column-level security label; it may reference only
     /// `session.*` attributes. A session for which it does not evaluate to
     /// true cannot read or write the column.
     pub fn set_column_label(&self, table: &str, column: &str, label: Option<&str>) -> Result<()> {
-        self.catalog().set_column_label(table, column, label)
+        self.engine.set_column_label(table, column, label)
     }
 
     /// Render the optimized plan of a statement, one line per plan row.

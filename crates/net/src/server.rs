@@ -33,8 +33,7 @@ use std::time::{Duration, Instant};
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::{fault, obs};
-use jaguar_sec::SessionContext;
-use jaguar_sql::{Engine, Request};
+use jaguar_sql::{Engine, Request, SessionContext};
 use jaguar_udf::{UdfImpl, UdfSignature, Volatility};
 use jaguar_vm::Module;
 

@@ -20,17 +20,18 @@ use jaguar_common::schema::{Schema, SchemaRef};
 use jaguar_common::{Tuple, Value};
 use jaguar_ipc::pool::WorkerPool;
 use jaguar_ipc::proto::CallbackHandler;
-use jaguar_sec::SessionContext;
 use jaguar_udf::{UdfDef, UdfImpl, UdfSignature, Volatility};
 use jaguar_vm::{Module, Permission, PermissionSet, ResourceLimits};
 use parking_lot::RwLock;
 
 use crate::ast::Statement;
 use crate::exec::{eval, fragment, ExecCtx, ExecStats, Profile, RowSource, Sink, Stage};
+use crate::label;
 use crate::parser::parse;
 use crate::plan::{
     bind_dml, bind_insert, bind_select, explain, values_literal, AccessPath, BoundDml, BoundSelect,
 };
+use crate::session::SessionContext;
 
 /// A server-side callback function.
 pub type CallbackFn = dyn Fn(&[Value]) -> Result<Value> + Send + Sync;
@@ -229,6 +230,44 @@ impl Engine {
         let def = UdfDef::new(name, signature, imp).with_volatility(volatility);
         self.catalog.udfs().register(def);
         Ok(())
+    }
+
+    /// Set (or clear, with `None`) a table's row label. It must parse as a
+    /// label (see [`crate::label`]) and read only columns the table has;
+    /// otherwise it is refused and the catalog is left as it was.
+    pub fn set_table_label(&self, table: &str, label: Option<&str>) -> Result<()> {
+        if let Some(source) = label {
+            let t = self.catalog.table(table)?;
+            for col in label::columns(&label::parse(source)?) {
+                if t.schema().index_of(&col).is_none() {
+                    return Err(JaguarError::Catalog(format!(
+                        "label references column '{col}', which table '{table}' does not have"
+                    )));
+                }
+            }
+        }
+        self.catalog.set_table_label(table, label)
+    }
+
+    /// Set (or clear) the label of one column. A column label decides the
+    /// column's visibility per session, so it may read only session
+    /// attributes, never row columns.
+    pub fn set_column_label(&self, table: &str, column: &str, label: Option<&str>) -> Result<()> {
+        let t = self.catalog.table(table)?;
+        if t.schema().index_of(column).is_none() {
+            return Err(JaguarError::Catalog(format!(
+                "table '{table}' has no column '{column}'"
+            )));
+        }
+        if let Some(source) = label {
+            if let Some(col) = label::columns(&label::parse(source)?).first() {
+                return Err(JaguarError::Catalog(format!(
+                    "column labels may reference only session attributes; \
+                     '{col}' is a row column (did you mean session.{col}?)"
+                )));
+            }
+        }
+        self.catalog.set_column_label(table, column, label)
     }
 
     /// Execute one SQL statement. Cancellation of the request's token

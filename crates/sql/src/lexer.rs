@@ -108,14 +108,15 @@ pub fn lex(src: &str) -> Result<Vec<Tok>> {
                 }
             }
             '\'' => {
-                // string literal with '' escaping
+                // string literal with '' escaping, UTF-8 kept whole: it
+                // is split only at ASCII quotes
                 i += 1;
-                let mut s = String::new();
+                let mut s = Vec::new();
                 loop {
                     match bytes.get(i) {
                         None => return Err(JaguarError::Parse("unterminated string".into())),
                         Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
-                            s.push('\'');
+                            s.push(b'\'');
                             i += 2;
                         }
                         Some(b'\'') => {
@@ -123,12 +124,14 @@ pub fn lex(src: &str) -> Result<Vec<Tok>> {
                             break;
                         }
                         Some(&b) => {
-                            s.push(b as char);
+                            s.push(b);
                             i += 1;
                         }
                     }
                 }
-                out.push(Tok::Str(s));
+                out.push(Tok::Str(
+                    String::from_utf8(s).expect("split at ASCII quotes"),
+                ));
             }
             'a'..='z' | 'A'..='Z' | '_' => {
                 // X'..' blob literal?
@@ -165,6 +168,12 @@ pub fn lex(src: &str) -> Result<Vec<Tok>> {
                     i += 1;
                 }
                 let word = &src[start..i];
+                // After a qualifier's dot every word is a name, so a
+                // column or `session.<attr>` may be spelled like a keyword.
+                if out.last() == Some(&Tok::Dot) {
+                    out.push(Tok::Ident(word.to_string()));
+                    continue;
+                }
                 out.push(match word.to_ascii_uppercase().as_str() {
                     "SELECT" => Tok::Select,
                     "FROM" => Tok::From,
@@ -317,6 +326,10 @@ mod tests {
             vec![Tok::Str("it's".into()), Tok::Eof]
         );
         assert!(lex("'open").is_err());
+        assert_eq!(
+            lex("'café'").unwrap(),
+            vec![Tok::Str("café".into()), Tok::Eof]
+        );
     }
 
     #[test]
@@ -328,6 +341,19 @@ mod tests {
         assert!(lex("X'0'").is_err());
         assert!(lex("X'zz'").is_err());
         assert!(lex("X'00").is_err());
+    }
+
+    #[test]
+    fn a_word_after_a_dot_is_a_name() {
+        assert_eq!(
+            lex("s.group").unwrap(),
+            vec![
+                Tok::Ident("s".into()),
+                Tok::Dot,
+                Tok::Ident("group".into()),
+                Tok::Eof
+            ]
+        );
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! clause, CREATE TABLE, INSERT, DROP), implemented end-to-end:
 //!
 //! * [`lexer`] / [`parser`] → AST,
+//! * [`session`] / [`label`] — multi-tenant security: a [`SessionContext`]
+//!   names the principal a statement runs under, with `key=value`
+//!   attributes; a security label is a SQL predicate over row columns and
+//!   `session.<attr>`, parsed by [`parser`] and partially evaluated per
+//!   session at plan time,
 //! * [`plan`] — one binder for every clause of SELECT, UPDATE, DELETE and
 //!   INSERT: name resolution and typing in a table scope and an output
 //!   scope (HAVING, ORDER BY), label enforcement, and the \[Hel95\]-style
@@ -36,6 +41,7 @@ pub mod ast;
 pub mod cost;
 pub mod engine;
 pub mod exec;
+pub mod label;
 pub mod lexer;
 pub mod memo;
 pub mod optimize;
@@ -43,6 +49,8 @@ pub mod par;
 pub mod parallel;
 pub mod parser;
 pub mod plan;
+pub mod session;
 
 pub use engine::{plan_text, Engine, QueryResult, Request};
 pub use exec::ExecStats;
+pub use session::SessionContext;

@@ -18,6 +18,15 @@ pub fn parse(sql: &str) -> Result<Statement> {
     Ok(stmt)
 }
 
+/// Parse one expression that is the whole text (a security label).
+pub fn parse_expr(text: &str) -> Result<Expr> {
+    let tokens = lex(text)?;
+    let mut p = Parser { tokens, pos: 0 };
+    let expr = p.expr()?;
+    p.expect(Tok::Eof, "end of expression")?;
+    Ok(expr)
+}
+
 struct Parser {
     tokens: Vec<Tok>,
     pos: usize,

@@ -35,10 +35,11 @@ use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::schema::{Field, Schema, SchemaRef};
 use jaguar_common::{ByteArray, ColumnSet, DataType, Value};
-use jaguar_sec::{LabelDecision, LabelExpr, LabelValue, SessionContext};
 use jaguar_udf::{UdfDef, UdfImpl};
 
 use crate::ast::{ArithOp, CmpOp, Expr, SelectItem, SelectStmt};
+use crate::label::{self, Decision};
+use crate::session::SessionContext;
 
 /// A bound (name-resolved) expression.
 #[derive(Debug, Clone)]
@@ -215,9 +216,7 @@ pub enum AccessPath {
 /// designs, serial and parallel, batched and per-tuple — the executor never
 /// sees an unauthorized plan.
 fn denial(message: String) -> JaguarError {
-    obs::global()
-        .counter(jaguar_sec::metrics::AUTH_DENIED)
-        .inc();
+    obs::global().counter(label::AUTH_DENIED).inc();
     JaguarError::SecurityViolation(message)
 }
 
@@ -227,69 +226,42 @@ fn deny_table(table: &str, principal: &str) -> JaguarError {
     ))
 }
 
-/// Lower a row-label residual (columns and literals only — session
-/// attributes were substituted away by partial evaluation) into a bound
-/// predicate over the table's columns. Comparisons against a VARCHAR
-/// column coerce an integer literal back to its string spelling: the
-/// label evaluator promotes int-parseable session attributes to Int, which
-/// is right for INT columns and undone here for string ones.
-fn label_to_bexpr(e: &LabelExpr, schema: &Schema) -> Result<BExpr> {
+/// Lower a row-label residual (columns and literals only: partial
+/// evaluation substituted every session attribute) to a predicate over the
+/// table's columns. An INT literal compared with a VARCHAR column is
+/// respelled as a string: the evaluator substitutes an int-parseable
+/// session attribute as INT, which is right for INT columns and undone
+/// here for string ones.
+fn lower_label(e: &Expr, schema: &Schema) -> Result<BExpr> {
+    let lower = |e: &Expr| lower_label(e, schema).map(Box::new);
     Ok(match e {
-        LabelExpr::Column(name) => BExpr::Column(schema.resolve(name)?),
-        LabelExpr::Lit(v) => BExpr::Literal(label_value(v)),
-        LabelExpr::Cmp(op, l, r) => {
-            let op = match op {
-                jaguar_sec::CmpOp::Eq => CmpOp::Eq,
-                jaguar_sec::CmpOp::Ne => CmpOp::Ne,
-            };
-            let mut lb = label_to_bexpr(l, schema)?;
-            let mut rb = label_to_bexpr(r, schema)?;
-            coerce_str_cmp(&mut lb, &mut rb, schema);
-            BExpr::Cmp(op, Box::new(lb), Box::new(rb))
+        Expr::Column {
+            qualifier: None,
+            name,
+        } => BExpr::Column(schema.resolve(name)?),
+        Expr::Cmp(op, l, r) => {
+            let (mut l, mut r) = (lower(l)?, lower(r)?);
+            respell(&mut l, &r, schema);
+            respell(&mut r, &l, schema);
+            BExpr::Cmp(*op, l, r)
         }
-        LabelExpr::And(l, r) => BExpr::And(
-            Box::new(label_to_bexpr(l, schema)?),
-            Box::new(label_to_bexpr(r, schema)?),
-        ),
-        LabelExpr::Or(l, r) => BExpr::Or(
-            Box::new(label_to_bexpr(l, schema)?),
-            Box::new(label_to_bexpr(r, schema)?),
-        ),
-        LabelExpr::Not(i) => BExpr::Not(Box::new(label_to_bexpr(i, schema)?)),
-        LabelExpr::SessionAttr(a) => {
-            // Partial evaluation either substitutes every session
-            // attribute or denies outright; a residual can't contain one.
-            return Err(JaguarError::Plan(format!(
-                "internal: unresolved session attribute '{a}' in label residual"
-            )));
+        Expr::And(l, r) => BExpr::And(lower(l)?, lower(r)?),
+        Expr::Or(l, r) => BExpr::Or(lower(l)?, lower(r)?),
+        Expr::Not(inner) => BExpr::Not(lower(inner)?),
+        leaf => {
+            BExpr::Literal(literal(leaf).ok_or_else(|| {
+                JaguarError::Plan(format!("internal: {leaf:?} in a label residual"))
+            })?)
         }
     })
 }
 
-fn label_value(v: &LabelValue) -> Value {
-    match v {
-        LabelValue::Str(s) => Value::Str(s.clone()),
-        LabelValue::Int(i) => Value::Int(*i),
-        LabelValue::Bool(b) => Value::Bool(*b),
-    }
-}
-
-/// If one comparison side is a VARCHAR column and the other an Int
-/// literal, respell the literal as a string so the comparison types line
-/// up (see [`label_to_bexpr`]).
-fn coerce_str_cmp(l: &mut BExpr, r: &mut BExpr, schema: &Schema) {
-    let is_str_col = |e: &BExpr| {
-        matches!(e, BExpr::Column(i)
-            if schema.field(*i).map(|f| f.dtype) == Some(DataType::Str))
-    };
-    if is_str_col(l) {
-        if let BExpr::Literal(Value::Int(k)) = r {
-            *r = BExpr::Literal(Value::Str(k.to_string()));
-        }
-    }
-    if is_str_col(r) {
-        if let BExpr::Literal(Value::Int(k)) = l {
-            *l = BExpr::Literal(Value::Str(k.to_string()));
+/// Respell `lit`, an INT literal, as a string when `other` is a VARCHAR
+/// column (see [`lower_label`]).
+fn respell(lit: &mut BExpr, other: &BExpr, schema: &Schema) {
+    if let (BExpr::Literal(Value::Int(k)), BExpr::Column(i)) = (&*lit, other) {
+        if schema.field(*i).map(|f| f.dtype) == Some(DataType::Str) {
+            *lit = BExpr::Literal(Value::Str(k.to_string()));
         }
     }
 }
@@ -594,9 +566,7 @@ fn bind_where(binder: &mut Binder<'_>, predicate: &Option<Expr>) -> Result<Bound
     let mut notes = Vec::new();
     if let Some(residual) = binder.residual.take() {
         ranked.push((0, 0, true, residual));
-        obs::global()
-            .counter(jaguar_sec::metrics::LABEL_REWRITES)
-            .inc();
+        obs::global().counter(label::LABEL_REWRITES).inc();
         notes.push(format!(
             "label: row filter injected for principal '{}'",
             binder.principal
@@ -777,18 +747,20 @@ impl<'a> Binder<'a> {
         };
         binder.principal = session.principal().to_string();
         let (table, schema) = (binder.table.name(), binder.table.schema());
+        // A stored label that does not parse denies every session.
+        let decide = |source: &str| {
+            label::parse(source).map_or(Decision::Deny, |l| label::evaluate(&l, Some(session)))
+        };
         let labels = catalog.table_labels(table);
-        if let Some(spec) = &labels.row {
-            match spec.expr.evaluate(Some(session)) {
-                LabelDecision::Allow => {}
-                LabelDecision::Deny => return Err(deny_table(table, &binder.principal)),
-                LabelDecision::Residual(expr) => {
-                    binder.residual = Some(label_to_bexpr(&expr, schema)?)
-                }
+        if let Some(source) = &labels.row {
+            match decide(source) {
+                Decision::Allow => {}
+                Decision::Deny => return Err(deny_table(table, &binder.principal)),
+                Decision::Residual(expr) => binder.residual = Some(lower_label(&expr, schema)?),
             }
         }
-        for (col, spec) in &labels.columns {
-            if !matches!(spec.expr.evaluate(Some(session)), LabelDecision::Allow) {
+        for (col, source) in &labels.columns {
+            if decide(source) != Decision::Allow {
                 binder.denied.insert(schema.resolve(col)?);
             }
         }

@@ -68,7 +68,6 @@ struct WalInner {
     frame: Vec<u8>,
     next_lsn: u64,
     log_bytes: u64,
-    commits_since_checkpoint: u64,
 }
 
 struct SyncState {
@@ -83,7 +82,6 @@ pub struct Wal {
     path: PathBuf,
     sync_mode: SyncMode,
     segment_bytes: u64,
-    checkpoint_every: u64,
     inner: Mutex<WalInner>,
     /// Duplicated fd for fsync, so group commit never blocks appenders.
     sync_file: File,
@@ -119,13 +117,11 @@ impl Wal {
             path,
             sync_mode: config.sync_mode,
             segment_bytes: config.wal_segment_bytes,
-            checkpoint_every: config.checkpoint_every,
             inner: Mutex::new(WalInner {
                 file,
                 frame: Vec::new(),
                 next_lsn: stats.max_lsn + 1,
                 log_bytes: 0,
-                commits_since_checkpoint: 0,
             }),
             sync_file,
             appended_lsn: AtomicU64::new(stats.max_lsn),
@@ -187,15 +183,14 @@ impl Wal {
 
     /// Append one record under the append lock; returns its LSN.
     fn append_record(&self, rec: &WalRecord) -> Result<u64> {
-        let commit = matches!(rec, WalRecord::Commit { .. });
-        self.append_frame(commit, |lsn, buf| record::write_payload(buf, lsn, rec))
+        self.append_frame(|lsn, buf| record::write_payload(buf, lsn, rec))
     }
 
     /// Append one frame under the append lock; returns its LSN. `payload`
     /// is handed the LSN first — the commit path stamps it into the page
     /// whose image it is about to log — and writes the payload straight
     /// into the log's one reused frame buffer.
-    fn append_frame(&self, commit: bool, payload: impl FnOnce(u64, &mut Vec<u8>)) -> Result<u64> {
+    fn append_frame(&self, payload: impl FnOnce(u64, &mut Vec<u8>)) -> Result<u64> {
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
         let mut frame = std::mem::take(&mut inner.frame);
@@ -217,7 +212,6 @@ impl Wal {
         let bytes = frame.len() as u64;
         inner.next_lsn = lsn + 1;
         inner.log_bytes += bytes;
-        inner.commits_since_checkpoint += u64::from(commit);
         inner.frame = frame;
         drop(inner);
         self.appended_lsn.fetch_max(lsn, Ordering::AcqRel);
@@ -288,7 +282,7 @@ impl Wal {
             let handle = pool.fetch(*pid)?;
             let imaged = self.imaged(file, *pid);
             let mut delta = false;
-            self.append_frame(false, |lsn, buf| {
+            self.append_frame(|lsn, buf| {
                 let mut guard = handle.write_nolog();
                 set_page_lsn(&mut guard, lsn);
                 pool.page_base(*pid, |base| {
@@ -409,11 +403,9 @@ impl Wal {
     }
 
     /// Should the caller run a checkpoint? True once the log outgrows the
-    /// configured segment size or enough commits have accumulated.
+    /// configured segment size.
     pub fn should_checkpoint(&self) -> bool {
-        let inner = self.inner.lock();
-        inner.log_bytes >= self.segment_bytes
-            || inner.commits_since_checkpoint >= self.checkpoint_every
+        self.inner.lock().log_bytes >= self.segment_bytes
     }
 
     /// Checkpoint: make the log durable, have `flush` write and sync every
@@ -442,7 +434,6 @@ impl Wal {
         let frame = encode_frame(lsn, &WalRecord::Checkpoint);
         inner.file.write_all(&frame)?;
         inner.log_bytes = frame.len() as u64;
-        inner.commits_since_checkpoint = 0;
         if self.sync_mode != SyncMode::Off {
             inner.file.sync_data()?;
         }
@@ -678,24 +669,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The log's size alone triggers a checkpoint, however few commits
+    /// made it, and the checkpoint resets the trigger.
     #[test]
-    fn should_checkpoint_by_commit_count() {
+    fn should_checkpoint_by_log_size() {
         let _g = serial();
         let dir = tmpdir("every");
         let mut config = cfg();
-        config.checkpoint_every = 2;
+        config.wal_segment_bytes = 3 * 256;
         let (wal, _) = Wal::open(&dir, &config).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 8));
+        let pool = Arc::new(BufferPool::new(disk.clone(), 8));
         wal.attach(&pool, "t.jag");
         assert!(!wal.should_checkpoint());
-        for _ in 0..2 {
+        // A commit of one page image logs a little over 256 bytes.
+        for commits in 1..=3 {
             let h = pool.allocate().unwrap();
             h.write()[10] = 1;
             drop(h);
             wal.commit_table("t.jag", &pool).unwrap();
+            let bytes = wal.log_bytes();
+            assert_eq!(wal.should_checkpoint(), commits == 3, "{bytes} bytes");
         }
-        assert!(wal.should_checkpoint());
+        wal.checkpoint(|| {
+            pool.flush_all()?;
+            disk.sync()
+        })
+        .unwrap();
+        assert!(!wal.should_checkpoint());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -417,6 +417,136 @@ fn denials_and_rewrites_are_metered() {
     );
 }
 
+/// An integer-parseable attribute substitutes as INT: it matches an INT
+/// column by value, and against a VARCHAR column the INT is respelled as
+/// the string it was, as is an INT literal written in the label.
+#[test]
+fn an_integer_attribute_matches_int_and_varchar_columns() {
+    let db = Database::in_memory();
+    db.execute("CREATE TABLE t (id INT, code VARCHAR)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, '1'), (2, '2'), (3, '02'), (4, '2')")
+        .unwrap();
+    let s = SessionContext::new("u").with_attr("n", "2");
+    let seen = |label: &str| {
+        db.set_table_label("t", Some(label)).unwrap();
+        let r = db.execute(Request::from("SELECT id FROM t").with_session(&s));
+        ids(&r.unwrap())
+    };
+    assert_eq!(seen("code = session.n"), vec![2, 4]);
+    assert_eq!(seen("id = session.n"), vec![2]);
+    assert_eq!(seen("code != 2"), vec![1, 3]);
+    db.set_table_label("t", Some("session.n = code")).unwrap();
+    let plan = db
+        .explain(Request::from("SELECT id FROM t").with_session(&s))
+        .unwrap();
+    assert!(plan.contains("('2' = code)"), "{plan}");
+}
+
+/// A label is a SQL predicate from a small subset; any other predicate is
+/// refused when it is set, and the refusal leaves the stored catalog, the
+/// manifest's bytes included, exactly as it was.
+#[test]
+fn a_label_outside_the_subset_is_refused_and_the_manifest_is_unchanged() {
+    let dir = std::env::temp_dir().join(format!("jaguar-label-subset-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let db = Database::open(&dir, Config::default()).unwrap();
+    db.execute("CREATE TABLE accts (id INT, tenant VARCHAR, notes VARCHAR)")
+        .unwrap();
+    db.set_table_label("accts", Some("tenant = session.tenant"))
+        .unwrap();
+    db.set_column_label("accts", "notes", Some("session.role = 'admin'"))
+        .unwrap();
+    let manifest = || std::fs::read(dir.join("catalog.manifest")).unwrap();
+    let before = manifest();
+    let outside = [
+        ("<", "id < 5", "session.role < 'b'"),
+        ("+", "id + 1 = 2", "session.n + 1 = 2"),
+        (
+            "a function call",
+            "f(tenant) = 'x'",
+            "f(session.role) = 'x'",
+        ),
+        ("NULL", "tenant = NULL", "session.role = NULL"),
+        ("a blob literal", "tenant = X'00'", "session.role = X'00'"),
+        ("a qualifier", "other.tenant = 'x'", "other.role = 'x'"),
+        ("a bare session", "session = 'x'", "session = 'x'"),
+    ];
+    for (what, row, column) in outside {
+        let err = db.set_table_label("accts", Some(row)).unwrap_err();
+        assert!(err.to_string().contains("label"), "{what}: {err}");
+        let err = db
+            .set_column_label("accts", "notes", Some(column))
+            .unwrap_err();
+        assert!(err.to_string().contains("label"), "{what}: {err}");
+        assert_eq!(manifest(), before, "{what} changed the manifest");
+    }
+    let labels = db.catalog().table_labels("accts");
+    assert_eq!(labels.row.as_deref(), Some("tenant = session.tenant"));
+    assert_eq!(
+        labels.columns.get("notes").map(String::as_str),
+        Some("session.role = 'admin'")
+    );
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A stored label that does not parse as a label (here written past the
+/// check, through the catalog) refuses every session but the system's on
+/// SELECT, EXPLAIN and DML, and no row ever leaves.
+#[test]
+fn a_stored_label_that_does_not_parse_refuses_every_session() {
+    let anonymous = SessionContext::anonymous();
+    let sessions = [
+        alice(),
+        bob(),
+        root(),
+        SessionContext::new("eve"),
+        anonymous,
+    ];
+    let statements = [
+        "SELECT id FROM accts",
+        "SELECT COUNT(*) FROM accts",
+        "EXPLAIN SELECT id FROM accts",
+        "EXPLAIN ANALYZE SELECT id FROM accts",
+        "UPDATE accts SET balance = 0",
+        "DELETE FROM accts",
+        "INSERT INTO accts VALUES (99, 'tech', 0, 'x')",
+    ];
+    for stored in ["tenant = = session.tenant", "tenant < session.tenant"] {
+        let db = tenant_db(Config::default());
+        db.catalog().set_table_label("accts", Some(stored)).unwrap();
+        for s in &sessions {
+            for sql in statements {
+                let r = db.execute(Request::from(sql).with_session(s));
+                let Err(err) = r else {
+                    panic!("{stored:?}: {sql} ran for '{}'", s.principal());
+                };
+                assert!(
+                    matches!(err, JaguarError::SecurityViolation(_)),
+                    "{stored:?}: {sql}: {err}"
+                );
+            }
+        }
+        // The system principal is not subject to labels, and nothing moved.
+        let all = db.execute("SELECT id FROM accts").unwrap();
+        assert_eq!(ids(&all), (0..40).collect::<Vec<_>>());
+    }
+    // A column label that does not parse hides its column from everyone.
+    let db = tenant_db(Config::default());
+    db.set_table_label("accts", None).unwrap();
+    db.catalog()
+        .set_column_label("accts", "notes", Some("session.role ="))
+        .unwrap();
+    for s in &sessions {
+        let r = db.execute(Request::from("SELECT * FROM accts").with_session(s));
+        assert_eq!(r.unwrap().schema.len(), 3, "notes stays hidden");
+        let err = db
+            .execute(Request::from("SELECT notes FROM accts").with_session(s))
+            .unwrap_err();
+        assert!(matches!(err, JaguarError::SecurityViolation(_)), "{err}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Over the wire: principals arrive via Hello; auth_required default-denies
 // sessions that never authenticate.
