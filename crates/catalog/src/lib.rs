@@ -243,8 +243,15 @@ impl Catalog {
         &self.udfs
     }
 
+    /// Refuse DDL once a storage error stopped the log: it would change
+    /// files and the manifest beside a log that can commit nothing.
+    fn check_log(&self) -> Result<()> {
+        self.wal.as_ref().map_or(Ok(()), |wal| wal.check_poison())
+    }
+
     /// Create a table. Names are case-insensitive and must be unique.
     pub fn create_table(&self, name: &str, schema: Schema) -> Result<Arc<Table>> {
+        self.check_log()?;
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
         if tables.contains_key(&key) {
@@ -278,6 +285,7 @@ impl Catalog {
 
     /// Drop a table (and, on disk, its file).
     pub fn drop_table(&self, name: &str) -> Result<()> {
+        self.check_log()?;
         let key = name.to_ascii_lowercase();
         let removed = self.tables.write().remove(&key);
         match removed {
@@ -356,6 +364,7 @@ impl Catalog {
     }
 
     fn update_labels(&self, table: &str, update: impl FnOnce(&mut TableLabels)) -> Result<()> {
+        self.check_log()?;
         self.table(table)?;
         let key = table.to_ascii_lowercase();
         let mut labels = self.labels.write();

@@ -13,23 +13,23 @@
 //!   injector and simulates its own failure (drop a connection, abort a
 //!   reply, fail an fsync) while the test process keeps running.
 //!
-//! A site can be armed with five trigger shapes:
+//! A site can be armed with four trigger shapes:
 //!
-//! | trigger        | programmatic                  | env grammar  |
-//! |----------------|-------------------------------|--------------|
-//! | next N hits    | `arm(name, n)`                | `name=3`     |
-//! | every hit      | `arm(name, ALWAYS)`           | `name`       |
-//! | probability p  | `arm_probabilistic(name, p, seed)` | `name=p0.25` |
-//! | every Nth hit  | `arm_every_nth(name, n)`      | `name=n5`    |
-//! | N hits after K | `arm_after(name, k, n)`       | —            |
+//! | trigger        | programmatic                       | env grammar |
+//! |----------------|------------------------------------|-------------|
+//! | next N hits    | `arm(name, n)`                     | `name=3`    |
+//! | every hit      | `arm(name, ALWAYS)`                | `name`      |
+//! | probability p  | `arm_probabilistic(name, p, seed)` | —           |
+//! | N hits after K | `arm_after(name, k, n)`            | —           |
 //!
-//! Counted arming models a *transient* fault (a retry that consults the
-//! site again eventually succeeds); `ALWAYS` models a *permanent* one
-//! (retries exhaust and the error surfaces). Probabilistic triggers draw
-//! from a seeded [`SplitMix64`] stream so chaos runs stay reproducible.
+//! A fired site fails the one operation that consulted it ([`check`]
+//! builds its error); nothing retries it. Counted arming fails that many
+//! operations and then lets the next ones through; `ALWAYS` fails every
+//! one until [`disarm`]. Probabilistic triggers draw from a seeded
+//! [`SplitMix64`] stream so chaos runs stay reproducible.
 //!
 //! Cross-process arming uses `JAGUAR_FAULT_SITES=site.a,site.b=3` (comma-
-//! separated entries in the table grammar above). In production nothing
+//! separated entries in the env grammar above). In production nothing
 //! is armed and both checks are one relaxed atomic load. Fault names are
 //! dot-namespaced by crate and path, e.g. `ipc.worker.drop_mid_reply`,
 //! `storage.disk.fsync`.
@@ -42,8 +42,7 @@ use crate::obs;
 use crate::rng::SplitMix64;
 
 /// Environment variable arming fault sites (comma-separated entries:
-/// `name`, `name=count`, `name=pPROB`, or `name=nSTRIDE`) — the
-/// cross-process equivalent of [`arm`] and friends.
+/// `name` or `name=count`) — the cross-process equivalent of [`arm`].
 pub const FAULT_SITES_ENV: &str = "JAGUAR_FAULT_SITES";
 
 /// Sentinel count for "fire on every hit, never disarm".
@@ -66,8 +65,6 @@ enum Trigger {
     /// Fire each hit independently with probability `p`, drawing from a
     /// seeded deterministic stream.
     Probability { p: f64, rng: SplitMix64 },
-    /// Fire on every `n`-th hit (the 1st, `n+1`-th, ... of the arming).
-    EveryNth { n: u32, seen: u32 },
     /// Let `skip` hits pass, then fire as `Count(count)`.
     After { skip: u32, count: u32 },
 }
@@ -82,11 +79,6 @@ impl Trigger {
                 true
             }
             Trigger::Probability { p, rng } => rng.next_f64() < *p,
-            Trigger::EveryNth { n, seen } => {
-                let fire = *seen % (*n).max(1) == 0;
-                *seen = seen.wrapping_add(1);
-                fire
-            }
             Trigger::After { skip: 0, count } => {
                 *self = Trigger::Count(*count);
                 self.fire()
@@ -101,22 +93,7 @@ impl Trigger {
 
 fn parse_entry(entry: &str) -> (String, Trigger) {
     let (name, trigger) = match entry.split_once('=') {
-        Some((n, spec)) => {
-            let t = if let Some(p) = spec.strip_prefix('p') {
-                Trigger::Probability {
-                    p: p.parse().unwrap_or(1.0),
-                    rng: SplitMix64::new(0xFA17),
-                }
-            } else if let Some(s) = spec.strip_prefix('n') {
-                Trigger::EveryNth {
-                    n: s.parse().unwrap_or(1),
-                    seen: 0,
-                }
-            } else {
-                Trigger::Count(spec.parse().unwrap_or(1))
-            };
-            (n, t)
-        }
+        Some((n, count)) => (n, Trigger::Count(count.parse().unwrap_or(1))),
         None => (entry, Trigger::Count(ALWAYS)),
     };
     (name.to_string(), trigger)
@@ -166,18 +143,6 @@ pub fn arm_probabilistic(name: &str, p: f64, seed: u64) {
     );
 }
 
-/// Arm a fault site to fire on every `n`-th hit, starting with the first
-/// hit after arming (`n` is floored at 1, which fires on every hit).
-pub fn arm_every_nth(name: &str, n: u32) {
-    install(
-        name,
-        Trigger::EveryNth {
-            n: n.max(1),
-            seen: 0,
-        },
-    );
-}
-
 /// Arm a fault site to let the next `skip` hits pass, then fire as
 /// [`arm`] with `count` — so a test can fail the k-th of a sequence of
 /// hits on one site.
@@ -192,10 +157,9 @@ pub fn disarm(name: &str) {
 
 /// Should this hit of the named site inject its failure?
 ///
-/// Consults the site's trigger (counting down, rolling the probability
-/// die, or advancing the stride) and records a `fault.injected` metric
-/// when firing. Unarmed sites — the production case — cost one relaxed
-/// atomic load.
+/// Consults the site's trigger (counting down or rolling the probability
+/// die) and records a `fault.injected` metric when firing. Unarmed sites
+/// — the production case — cost one relaxed atomic load.
 pub fn should_fail(name: &str) -> bool {
     // The env var is only scanned inside `sites()`; force that scan once
     // so a child process armed purely via [`FAULT_SITES_ENV`] (no in-
@@ -219,6 +183,16 @@ pub fn should_fail(name: &str) -> bool {
         obs::warn!(target: "jaguar-fault", "injecting fault at site '{name}'");
     }
     fire
+}
+
+/// Fail with the site's injected I/O error if this hit of `name` fires:
+/// `injected fault at {name}`, the one error every storage fault site
+/// returns in place of its operation.
+pub fn check(name: &str) -> std::io::Result<()> {
+    if should_fail(name) {
+        return Err(std::io::Error::other(format!("injected fault at {name}")));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -250,17 +224,6 @@ mod tests {
         arm("test.site.a", 1);
         assert!(!should_fail("test.site.b"));
         disarm("test.site.a");
-    }
-
-    #[test]
-    fn every_nth_trigger_strides() {
-        arm_every_nth("test.site.nth", 3);
-        let fired: Vec<bool> = (0..9).map(|_| should_fail("test.site.nth")).collect();
-        assert_eq!(
-            fired,
-            [true, false, false, true, false, false, true, false, false]
-        );
-        disarm("test.site.nth");
     }
 
     #[test]
@@ -298,10 +261,6 @@ mod tests {
         assert!(matches!(t, Trigger::Count(ALWAYS)));
         let (_, t) = parse_entry("a.site=3");
         assert!(matches!(t, Trigger::Count(3)));
-        let (_, t) = parse_entry("a.site=p0.25");
-        assert!(matches!(t, Trigger::Probability { p, .. } if (p - 0.25).abs() < 1e-9));
-        let (_, t) = parse_entry("a.site=n5");
-        assert!(matches!(t, Trigger::EveryNth { n: 5, seen: 0 }));
     }
 
     #[test]

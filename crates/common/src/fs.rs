@@ -14,18 +14,15 @@ use crate::fault;
 pub const READ_EXISTING_SITE: &str = "fs.read_existing";
 
 /// The whole file at `path`, or `None` if there is no such file. Every
-/// other error is returned.
+/// other error is returned, naming the file.
 pub fn read_existing(path: &Path) -> Result<Option<Vec<u8>>> {
-    if fault::should_fail(READ_EXISTING_SITE) {
-        return Err(JaguarError::Io(std::io::Error::other(format!(
-            "injected fault at {READ_EXISTING_SITE} reading {}",
-            path.display()
-        ))));
-    }
-    match std::fs::read(path) {
+    match fault::check(READ_EXISTING_SITE).and_then(|()| std::fs::read(path)) {
         Ok(raw) => Ok(Some(raw)),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e.into()),
+        Err(e) => Err(JaguarError::Io(std::io::Error::new(
+            e.kind(),
+            format!("{e} reading {}", path.display()),
+        ))),
     }
 }
 

@@ -1,10 +1,9 @@
 //! Bounded retry with exponential backoff and deterministic jitter.
 //!
-//! One shared [`RetryPolicy`] so every layer that retries — the network
+//! One shared [`RetryPolicy`] so both layers that retry — the network
 //! client on [`JaguarError::ServerBusy`] and connect timeouts, the IPC
-//! layer on transient worker-spawn/checkout failures, the storage/WAL
-//! paths on injected transient I/O faults — backs off the same way and
-//! reports through the same `retry.*` metrics.
+//! layer on transient worker-spawn/checkout failures — back off the same
+//! way and report through the same `retry.*` metrics.
 //!
 //! Jitter is *deterministic*: it is derived with [`SplitMix64`] from the
 //! policy seed, the site name, and the attempt number, never from a
@@ -17,7 +16,9 @@
 //! shed, connect timeout, worker spawn/checkout) are transient. A failure
 //! *inside* a UDF invocation — worker crash mid-call, deadline kill — is
 //! never retried here: UDF code already ran, and the failure belongs to
-//! the statement that called it, which fails with that error.
+//! the statement that called it, which fails with that error. Storage
+//! I/O is not retried at all: a failed log append or sync stops the log
+//! (`jaguar_wal::Wal`), and std already re-drives `EINTR`.
 
 use std::io;
 use std::time::Duration;
@@ -58,18 +59,6 @@ impl RetryPolicy {
             base_delay_ms: 0,
             max_delay_ms: 0,
             seed: 0,
-        }
-    }
-
-    /// Short fuse for in-process storage faults: cheap operations, so
-    /// retries are nearly free and the backoff only has to outlast a
-    /// transient injected fault, not a remote server.
-    pub fn storage() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_delay_ms: 1,
-            max_delay_ms: 20,
-            ..RetryPolicy::default()
         }
     }
 
@@ -202,20 +191,6 @@ pub fn is_transient_worker_acquire(e: &JaguarError) -> bool {
     }
 }
 
-/// Storage classifier: injected faults (the chaos harness) and
-/// interrupted syscalls. Real media errors (`NotFound`,
-/// `PermissionDenied`, short reads surfacing as `UnexpectedEof`) are
-/// permanent and surface as clean statement failures.
-pub fn is_transient_storage(e: &JaguarError) -> bool {
-    match e {
-        JaguarError::Io(io) => {
-            io.kind() == io::ErrorKind::Interrupted
-                || (io.kind() == io::ErrorKind::Other && io.to_string().contains("injected"))
-        }
-        _ => false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,18 +290,6 @@ mod tests {
         ))));
         assert!(!is_retryable_net(&JaguarError::Execution("boom".into())));
         assert!(!is_retryable_net(&JaguarError::Cancelled("c".into())));
-
-        // Storage: injected faults retry, real media errors do not.
-        assert!(is_transient_storage(&JaguarError::Io(io::Error::other(
-            "injected read fault at storage.disk.read"
-        ))));
-        assert!(!is_transient_storage(&JaguarError::Io(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "short read"
-        ))));
-        assert!(!is_transient_storage(&JaguarError::Corruption(
-            "crc".into()
-        )));
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //! copied under a shared lock, so the buffer pool's misses on different
 //! pages proceed side by side. Writes, [`DiskManager::allocate_page`] and
 //! [`DiskManager::sync`] take the store exclusively.
+//!
+//! Each read, write and sync first consults its fault site
+//! (`storage.disk.read`, `storage.disk.write`, `storage.disk.fsync`); a
+//! fired site fails that one operation with its injected error.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -23,34 +27,11 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::fault;
 use jaguar_common::ids::PageId;
-use jaguar_common::retry::{self, RetryPolicy};
-use jaguar_common::{fault, obs};
 use parking_lot::RwLock;
 
 use crate::page::{seal_checksum, verify_checksum};
-
-/// Run one fault-injectable I/O step under the storage retry policy.
-///
-/// Every attempt consults the named fault site first, so the chaos harness
-/// can model both *transient* faults (`site=1`: the first attempt fails,
-/// the retry recovers, the statement succeeds) and *permanent* ones (a
-/// bare always-on `site`: retries exhaust and the statement fails cleanly,
-/// never poisoning the engine). Only injected faults and `Interrupted`
-/// syscalls are transient; real media errors surface on the first attempt,
-/// and `read_exact`/`write_all` absorb `Interrupted` internally, so a real
-/// partial transfer is never re-driven.
-fn with_storage_retry<T>(site: &str, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-    RetryPolicy::storage().run(site, retry::is_transient_storage, || {
-        if fault::should_fail(site) {
-            obs::global().counter("storage.faults_injected").inc();
-            return Err(JaguarError::Io(std::io::Error::other(format!(
-                "injected fault at {site}"
-            ))));
-        }
-        op()
-    })
-}
 
 enum Backing {
     File(File),
@@ -126,16 +107,14 @@ impl DiskManager {
         seal_checksum(&mut sealed);
         // The extension rides the write fault site: an INSERT that grows the
         // file sees the same injected faults as one updating in place.
-        with_storage_retry("storage.disk.write", || {
-            match &mut *backing {
-                Backing::File(f) => {
-                    f.seek(SeekFrom::Start(id as u64 * self.page_size as u64))?;
-                    f.write_all(&sealed)?;
-                }
-                Backing::Memory(m) => m.extend_from_slice(&sealed),
+        fault::check("storage.disk.write")?;
+        match &mut *backing {
+            Backing::File(f) => {
+                f.seek(SeekFrom::Start(id as u64 * self.page_size as u64))?;
+                f.write_all(&sealed)?;
             }
-            Ok(())
-        })?;
+            Backing::Memory(m) => m.extend_from_slice(&sealed),
+        }
         self.page_count.store(id + 1, Ordering::Release);
         Ok(PageId(id))
     }
@@ -149,13 +128,11 @@ impl DiskManager {
             return Err(JaguarError::Storage(format!("{id} does not exist")));
         }
         let off = id.0 as usize * self.page_size;
-        with_storage_retry("storage.disk.read", || {
-            match &*backing {
-                Backing::File(f) => f.read_exact_at(buf, off as u64)?,
-                Backing::Memory(m) => buf.copy_from_slice(&m[off..off + self.page_size]),
-            }
-            Ok(())
-        })?;
+        fault::check("storage.disk.read")?;
+        match &*backing {
+            Backing::File(f) => f.read_exact_at(buf, off as u64)?,
+            Backing::Memory(m) => buf.copy_from_slice(&m[off..off + self.page_size]),
+        }
         drop(backing);
         verify_checksum(buf)
     }
@@ -169,16 +146,15 @@ impl DiskManager {
             return Err(JaguarError::Storage(format!("{id} does not exist")));
         }
         let off = id.0 as usize * self.page_size;
-        with_storage_retry("storage.disk.write", || {
-            match &mut *backing {
-                Backing::File(f) => {
-                    f.seek(SeekFrom::Start(off as u64))?;
-                    f.write_all(buf)?;
-                }
-                Backing::Memory(m) => m[off..off + self.page_size].copy_from_slice(buf),
+        fault::check("storage.disk.write")?;
+        match &mut *backing {
+            Backing::File(f) => {
+                f.seek(SeekFrom::Start(off as u64))?;
+                f.write_all(buf)?;
             }
-            Ok(())
-        })
+            Backing::Memory(m) => m[off..off + self.page_size].copy_from_slice(buf),
+        }
+        Ok(())
     }
 
     /// Flush file-backed data all the way to stable storage (`sync_all`,
@@ -186,11 +162,9 @@ impl DiskManager {
     /// its length across power loss). In-memory backings are a no-op.
     pub fn sync(&self) -> Result<()> {
         if let Backing::File(f) = &mut *self.backing.write() {
-            with_storage_retry("storage.disk.fsync", || {
-                f.flush()?;
-                f.sync_all()?;
-                Ok(())
-            })?;
+            fault::check("storage.disk.fsync")?;
+            f.flush()?;
+            f.sync_all()?;
         }
         Ok(())
     }

@@ -6,10 +6,10 @@
 //! B+Tree or heap test happened to write a page at that moment fail — and
 //! take turns among themselves.
 //!
-//! The `loading_frame` cases drive the buffer pool's miss path, whose read
-//! runs outside the pool mutex, with the read fault site: a fetch of a page
-//! that is being read in, a read that fails for good, and eviction beside
-//! loads in flight.
+//! A fired site fails the one operation that consulted it; nothing retries
+//! it. The `loading_frame` cases drive the buffer pool's miss path, whose
+//! read runs outside the pool mutex: a fetch of a page that is being read
+//! in, a read that fails for good, and eviction beside loads in flight.
 
 use std::sync::Arc;
 
@@ -23,6 +23,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// A counted fault fails that read, and the next read succeeds.
 #[test]
 fn injected_transient_read_fault_recovers() {
     let _g = serial();
@@ -30,7 +31,10 @@ fn injected_transient_read_fault_recovers() {
     let id = dm.allocate_page().unwrap();
     fault::arm("storage.disk.read", 1);
     let mut buf = vec![0u8; 128];
-    // One injected failure; the storage retry policy absorbs it.
+    let err = dm.read_page(id, &mut buf).unwrap_err();
+    assert!(err
+        .to_string()
+        .contains("injected fault at storage.disk.read"));
     dm.read_page(id, &mut buf).unwrap();
     fault::disarm("storage.disk.read");
 }
@@ -86,13 +90,13 @@ fn failed_write_back_keeps_the_page_dirty() {
     assert_eq!(pool.fetch(a).unwrap().read()[100], 7);
 }
 
-/// `pages` pages of 128 bytes, page `i` holding `i + 1` at byte 100.
-fn marked_pages(pages: u8) -> (Arc<DiskManager>, Vec<PageId>) {
-    let disk = Arc::new(DiskManager::in_memory(128));
+/// `pages` pages of `size` bytes, page `i` holding `i + 1` at byte 100.
+fn marked_pages(pages: u8, size: usize) -> (Arc<DiskManager>, Vec<PageId>) {
+    let disk = Arc::new(DiskManager::in_memory(size));
     let ids = (0..pages)
         .map(|i| {
             let id = disk.allocate_page().unwrap();
-            let mut buf = vec![0u8; 128];
+            let mut buf = vec![0u8; size];
             buf[100] = i + 1;
             disk.write_page(id, &mut buf).unwrap();
             id
@@ -104,25 +108,25 @@ fn marked_pages(pages: u8) -> (Arc<DiskManager>, Vec<PageId>) {
 /// (a) A fetch of a page whose load is in flight waits for the loader and
 /// sees the page's verified bytes — never the zeros of a fresh frame or
 /// the victim's old page, which the one frame holds until the read lands.
+/// The pages are 8 MiB, so the loader's copy and checksum take
+/// milliseconds: the window the second fetch has to meet.
 #[test]
 fn loading_frame_shows_a_concurrent_fetch_only_verified_bytes() {
     let _g = serial();
-    let (disk, ids) = marked_pages(2);
+    let (disk, ids) = marked_pages(2, 8 << 20);
     let (page, victim) = (ids[0], ids[1]);
     let pool = Arc::new(BufferPool::new(disk, 1));
     let waits = obs::global().counter("storage.bufferpool.load_waits");
-    let injected = obs::global().counter("storage.faults_injected");
     for _ in 0..50 {
         drop(pool.fetch(victim).unwrap());
-        let (waited, failed) = (waits.get(), injected.get());
-        // The loader's first two reads fail; it sleeps its backoff between
-        // them holding the frame, and the third read succeeds.
-        fault::arm("storage.disk.read", 2);
+        let (waited, missed) = (waits.get(), pool.stats().misses);
         let loader = {
             let pool = Arc::clone(&pool);
             std::thread::spawn(move || pool.fetch(page).map(|h| h.read()[100]))
         };
-        while injected.get() == failed {
+        // The miss is counted under the pool mutex that the loader holds
+        // until the page is mapped and marked loading.
+        while pool.stats().misses == missed {
             std::hint::spin_loop();
         }
         let handle = pool.fetch(page).unwrap();
@@ -130,7 +134,6 @@ fn loading_frame_shows_a_concurrent_fetch_only_verified_bytes() {
         verify_checksum(&handle.read()).unwrap();
         drop(handle);
         assert_eq!(loader.join().unwrap().unwrap(), 1);
-        fault::disarm("storage.disk.read");
         if waits.get() > waited {
             return;
         }
@@ -145,7 +148,7 @@ fn loading_frame_shows_a_concurrent_fetch_only_verified_bytes() {
 fn loading_frame_read_fault_reaches_every_waiter_and_frees_the_frame() {
     let _g = serial();
     const FRAMES: usize = 3;
-    let (disk, ids) = marked_pages(FRAMES as u8 + 1);
+    let (disk, ids) = marked_pages(FRAMES as u8 + 1, 128);
     let pool = Arc::new(BufferPool::new(disk, FRAMES));
     fault::arm("storage.disk.read", fault::ALWAYS);
     let failed: Vec<String> = std::thread::scope(|s| {
@@ -178,14 +181,13 @@ fn loading_frame_read_fault_reaches_every_waiter_and_frees_the_frame() {
 }
 
 /// (c) Eviction races loads: two threads fetch pages at random through a
-/// two-frame pool whose reads fail now and then (a retried read sleeps
-/// with its frame reserved). No frame is taken while it is loading, so
-/// every handle shows its own page, checksum intact; a fetch fails only
-/// with the injected fault, never for want of a frame.
+/// two-frame pool whose reads fail now and then. No frame is taken while
+/// it is loading, so every handle shows its own page, checksum intact; a
+/// fetch fails only with the injected fault, never for want of a frame.
 #[test]
 fn loading_frame_is_never_evicted() {
     let _g = serial();
-    let (disk, ids) = marked_pages(8);
+    let (disk, ids) = marked_pages(8, 128);
     let pool = Arc::new(BufferPool::new(disk, 2));
     fault::arm_probabilistic("storage.disk.read", 0.3, 7);
     std::thread::scope(|s| {

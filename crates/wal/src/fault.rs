@@ -17,7 +17,7 @@
 //! In production nothing is armed and every check is one relaxed atomic
 //! load.
 
-pub use jaguar_common::fault::{arm, crash_point};
+pub use jaguar_common::fault::{arm, check, crash_point};
 
 /// Fault site arming torn-tail simulation on the next commit.
 pub const TORN_TAIL_SITE: &str = "wal.torn_tail";

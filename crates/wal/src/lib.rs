@@ -30,6 +30,10 @@
 //! - **Checkpoint = flush + truncate.** A checkpoint syncs the log, flushes
 //!   and syncs every data file, then truncates the log to a single
 //!   `Checkpoint` record — bounding both log size and recovery time.
+//! - **A storage error stops the log.** The first failed log append, log
+//!   sync or checkpoint is recorded, and from then on every commit, sync
+//!   and checkpoint is refused, naming it ([`Wal::check_poison`]).
+//!   Reopening, which replays and truncates the log, is the only way back.
 //!
 //! The log format and torn-tail-tolerant reader live in [`record`]; named
 //! crash points and torn-write simulation for the recovery harness live in
@@ -41,16 +45,15 @@ pub mod recover;
 
 use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use jaguar_common::config::{Config, SyncMode};
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::ids::PageId;
 use jaguar_common::obs;
-use jaguar_common::retry::{self, RetryPolicy};
 use jaguar_storage::page::set_page_lsn;
 use jaguar_storage::{BufferPool, WalHook};
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -96,22 +99,27 @@ pub struct Wal {
     /// Per data file, the pages with a committed image in the current log:
     /// only these may be logged as deltas. Emptied when the log is.
     imaged: Mutex<HashMap<String, HashSet<u32>>>,
+    /// The first failed log append, log sync or checkpoint. A failed fsync
+    /// may drop the log pages it could not write, and a later fsync that
+    /// succeeds would then acknowledge commits behind that hole (Rebello
+    /// et al., ATC 2020); a failed append may leave a torn frame that
+    /// replay stops at. So once set, the log takes nothing more.
+    poison: OnceLock<String>,
 }
 
 impl Wal {
     /// Open the log for `dir`, first running crash recovery: committed page
-    /// images in the existing log are replayed into the data files, the
-    /// data files are synced, and the log is truncated. Returns the live
-    /// log plus what recovery did (also mirrored to `wal.*` metrics).
+    /// records in the existing log are replayed into the data files, the
+    /// data files are synced, and a log that held more than its Checkpoint
+    /// record is truncated. Returns the live log plus what recovery did
+    /// (also mirrored to `wal.*` metrics).
     pub fn open(dir: &Path, config: &Config) -> Result<(Arc<Wal>, RecoveryStats)> {
         let stats = recover::replay(dir, config.page_size)?;
         let path = dir.join(WAL_FILE);
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(&path)?;
+        // Every write lands at the end of the file, wherever open or the
+        // last truncation left it.
+        let file = OpenOptions::new().append(true).create(true).open(&path)?;
+        let log_bytes = file.metadata()?.len();
         let sync_file = file.try_clone()?;
         let wal = Arc::new(Wal {
             path,
@@ -121,7 +129,7 @@ impl Wal {
                 file,
                 frame: Vec::new(),
                 next_lsn: stats.max_lsn + 1,
-                log_bytes: 0,
+                log_bytes,
             }),
             sync_file,
             appended_lsn: AtomicU64::new(stats.max_lsn),
@@ -133,10 +141,16 @@ impl Wal {
             txn_gate: RwLock::new(()),
             next_txn: AtomicU64::new(0),
             imaged: Mutex::new(HashMap::new()),
+            poison: OnceLock::new(),
         });
-        // Everything replayed is in synced data files: start from an empty
-        // log (plus a Checkpoint marker) rather than replaying again.
-        wal.truncate_log()?;
+        // A log that is missing, empty or only the Checkpoint record every
+        // truncation starts it with (a clean close leaves one) is kept as it
+        // is, so opening writes and syncs nothing. Any other log is in the
+        // synced data files now: start over from a Checkpoint record rather
+        // than replay it again.
+        if stats.scanned_records > 1 || stats.torn_bytes > 0 {
+            wal.truncate_log()?;
+        }
         let reg = obs::global();
         reg.counter("wal.recovered_txns").add(stats.recovered_txns);
         reg.counter("wal.replayed_pages").add(stats.replayed_pages);
@@ -152,11 +166,8 @@ impl Wal {
 
     /// Register this log as the WAL-before-data hook of `pool`, the pool
     /// of data file `file`, and enable unlogged-page tracking (no-steal) on
-    /// it. The file's pages start over with full images: images logged for
-    /// an earlier file of that name (dropped, its checkpoint failed) are no
-    /// base for a delta.
+    /// it.
     pub fn attach(self: &Arc<Self>, pool: &BufferPool, file: &str) {
-        self.imaged.lock().remove(file);
         pool.set_wal_hook(Arc::new(PoolHook {
             wal: Arc::clone(self),
             file: file.to_owned(),
@@ -181,6 +192,25 @@ impl Wal {
         self.sync_state.lock().durable_lsn
     }
 
+    /// Fail if a storage error stopped this log, naming that first error.
+    pub fn check_poison(&self) -> Result<()> {
+        match self.poison.get() {
+            None => Ok(()),
+            Some(first) => Err(JaguarError::Storage(format!(
+                "the log stopped at an earlier storage error ({first}); \
+                 reopen the database to recover"
+            ))),
+        }
+    }
+
+    /// Pass `res` through; an error first stops the log, if nothing has.
+    fn poison_on<T>(&self, res: Result<T>) -> Result<T> {
+        if let Err(e) = &res {
+            self.poison.get_or_init(|| e.to_string());
+        }
+        res
+    }
+
     /// Append one record under the append lock; returns its LSN.
     fn append_record(&self, rec: &WalRecord) -> Result<u64> {
         self.append_frame(|lsn, buf| record::write_payload(buf, lsn, rec))
@@ -192,23 +222,16 @@ impl Wal {
     /// into the log's one reused frame buffer.
     fn append_frame(&self, payload: impl FnOnce(u64, &mut Vec<u8>)) -> Result<u64> {
         let mut inner = self.inner.lock();
+        self.check_poison()?;
         let lsn = inner.next_lsn;
         let mut frame = std::mem::take(&mut inner.frame);
         record::frame_into(&mut frame, |buf| payload(lsn, buf));
-        // The injected fault fires *before* any byte reaches the file, so a
-        // failed append leaves no torn frame: the LSN is not consumed and
-        // the log is byte-identical to before the call. Real `write_all`
-        // errors are never retried — the frame may be partially on disk,
-        // and re-driving it would interleave two copies (the torn-tail
-        // reader in `record` then stops at the first bad frame anyway).
-        RetryPolicy::storage().run("wal.append", retry::is_transient_storage, || {
-            if jaguar_common::fault::should_fail("wal.append") {
-                return Err(JaguarError::Io(std::io::Error::other(
-                    "injected fault at wal.append",
-                )));
-            }
-            inner.file.write_all(&frame).map_err(JaguarError::from)
-        })?;
+        // The injected fault fires *before* any byte reaches the file, so
+        // the log is byte-identical to before the call. A real `write_all`
+        // error may leave part of the frame in the file, and replay stops
+        // at a torn frame, so either failure stops the log.
+        let written = fault::check("wal.append").and_then(|()| inner.file.write_all(&frame));
+        self.poison_on(written.map_err(JaguarError::from))?;
         let bytes = frame.len() as u64;
         inner.next_lsn = lsn + 1;
         inner.log_bytes += bytes;
@@ -249,6 +272,7 @@ impl Wal {
     /// record is on stable storage. A failed commit retires nothing.
     pub fn commit_table(&self, file: &str, pool: &Arc<BufferPool>) -> Result<Option<u64>> {
         let _gate = self.txn_gate.read();
+        self.check_poison()?;
         let pages = pool.snapshot_unlogged();
         if pages.is_empty() {
             return Ok(None);
@@ -365,9 +389,15 @@ impl Wal {
     }
 
     /// Group-commit sync loop shared by the commit path and the barrier.
+    /// Refused once the log is stopped: a waiter woken by a failed sync
+    /// must not elect itself leader and sync over the lost log pages.
     fn sync_to(&self, lsn: u64) -> Result<()> {
         let mut st = self.sync_state.lock();
-        while st.durable_lsn < lsn {
+        loop {
+            self.check_poison()?;
+            if st.durable_lsn >= lsn {
+                return Ok(());
+            }
             if st.syncing {
                 self.sync_cv.wait(&mut st);
                 continue;
@@ -376,21 +406,7 @@ impl Wal {
             drop(st);
             // Everything appended before this load rides along.
             let target = self.appended_lsn.load(Ordering::Acquire);
-            // Fault-injectable group-commit fsync. The site is consulted on
-            // every attempt: armed with a count, it models a transient
-            // glitch the retry recovers from (the commit succeeds); armed
-            // always-on, retries exhaust and the commit fails cleanly —
-            // `durable_lsn` is not advanced, `syncing` is reset below, and
-            // the next commit elects a fresh leader and succeeds.
-            let res = RetryPolicy::storage().run("wal.fsync", retry::is_transient_storage, || {
-                if jaguar_common::fault::should_fail("wal.fsync") {
-                    return Err(JaguarError::Io(std::io::Error::other(
-                        "injected fault at wal.fsync",
-                    )));
-                }
-                self.sync_file.sync_data().map_err(JaguarError::from)
-            });
-            obs::global().counter("wal.fsyncs").inc();
+            let res = self.sync_log();
             st = self.sync_state.lock();
             st.syncing = false;
             if res.is_ok() && target > st.durable_lsn {
@@ -399,7 +415,14 @@ impl Wal {
             self.sync_cv.notify_all();
             res?;
         }
-        Ok(())
+    }
+
+    /// One `fdatasync` of the log, at fault site `wal.fsync`. A failure
+    /// stops the log.
+    fn sync_log(&self) -> Result<()> {
+        let res = fault::check("wal.fsync").and_then(|()| self.sync_file.sync_data());
+        obs::global().counter("wal.fsyncs").inc();
+        self.poison_on(res.map_err(JaguarError::from))
     }
 
     /// Should the caller run a checkpoint? True once the log outgrows the
@@ -410,15 +433,20 @@ impl Wal {
 
     /// Checkpoint: make the log durable, have `flush` write and sync every
     /// data file, then truncate the log. `flush` runs with new transactions
-    /// excluded, so truncation can never orphan half a commit.
+    /// excluded, so truncation can never orphan half a commit. Any failure
+    /// stops the log: a data file whose write or sync failed may have lost
+    /// pages that only the log still holds.
     pub fn checkpoint(&self, flush: impl FnOnce() -> Result<()>) -> Result<()> {
         let _gate = self.txn_gate.write();
-        if self.sync_mode != SyncMode::Off {
-            self.sync_file.sync_data()?;
-            obs::global().counter("wal.fsyncs").inc();
-        }
-        flush()?;
-        self.truncate_log()?;
+        self.check_poison()?;
+        let res = (|| {
+            if self.sync_mode != SyncMode::Off {
+                self.sync_log()?;
+            }
+            flush()?;
+            self.truncate_log()
+        })();
+        self.poison_on(res)?;
         obs::global().counter("wal.checkpoints").inc();
         Ok(())
     }
@@ -428,14 +456,13 @@ impl Wal {
         self.imaged.lock().clear();
         let mut inner = self.inner.lock();
         inner.file.set_len(0)?;
-        inner.file.seek(SeekFrom::Start(0))?;
         let lsn = inner.next_lsn;
         inner.next_lsn = lsn + 1;
         let frame = encode_frame(lsn, &WalRecord::Checkpoint);
         inner.file.write_all(&frame)?;
         inner.log_bytes = frame.len() as u64;
         if self.sync_mode != SyncMode::Off {
-            inner.file.sync_data()?;
+            self.sync_log()?;
         }
         drop(inner);
         self.appended_lsn.fetch_max(lsn, Ordering::AcqRel);
@@ -498,52 +525,46 @@ mod tests {
         LOCK.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    #[test]
-    fn injected_transient_fsync_recovers_within_commit() {
-        let _g = serial();
-        let dir = tmpdir("fsync-transient");
-        let mut config = cfg();
-        config.sync_mode = SyncMode::Full;
-        let (wal, _) = Wal::open(&dir, &config).unwrap();
+    /// A log, a data file `t.jag` and its pool with one unlogged page.
+    fn one_page(dir: &Path, config: &Config) -> (Arc<Wal>, Arc<BufferPool>) {
+        let (wal, _) = Wal::open(dir, config).unwrap();
         let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
         let pool = Arc::new(BufferPool::new(disk, 8));
         wal.attach(&pool, "t.jag");
-        let h = pool.allocate().unwrap();
-        h.write()[10] = 1;
-        drop(h);
-        jaguar_common::fault::arm("wal.fsync", 1);
-        // One injected fsync failure; the retry recovers and the commit
-        // lands durably.
-        let lsn = wal.commit_table("t.jag", &pool).unwrap().unwrap();
-        jaguar_common::fault::disarm("wal.fsync");
-        assert!(wal.durable_lsn() >= lsn);
+        pool.allocate().unwrap().write()[10] = 2;
+        (wal, pool)
     }
 
+    /// One failed fsync stops the log: the next commit, sync and checkpoint
+    /// are refused, naming it, even though the disk works again. The reopen
+    /// replays the failed commit, whose records reached the file before the
+    /// fsync failed: it was in doubt, not lost.
     #[test]
-    fn injected_permanent_fsync_fails_commit_cleanly_then_next_succeeds() {
+    fn a_failed_fsync_stops_the_log_until_reopen() {
         let _g = serial();
-        let dir = tmpdir("fsync-permanent");
+        let dir = tmpdir("fsync-stop");
         let mut config = cfg();
         config.sync_mode = SyncMode::Full;
-        let (wal, _) = Wal::open(&dir, &config).unwrap();
-        let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 8));
-        wal.attach(&pool, "t.jag");
-        let h = pool.allocate().unwrap();
-        h.write()[10] = 2;
-        drop(h);
-        jaguar_common::fault::arm("wal.fsync", jaguar_common::fault::ALWAYS);
-        let err = wal.commit_table("t.jag", &pool).unwrap_err();
-        assert!(err.to_string().contains("injected"), "{err}");
-        jaguar_common::fault::disarm("wal.fsync");
-        // Clean failure: the page kept its no-steal protection and the next
-        // commit elects a fresh sync leader and succeeds.
-        assert_eq!(pool.snapshot_unlogged().len(), 1);
-        wal.commit_table("t.jag", &pool).unwrap().unwrap();
-        // The log is consistent: a reopen-with-replay sees committed txns.
-        drop(wal);
-        let (_wal, stats) = Wal::open(&dir, &cfg()).unwrap();
-        assert!(stats.recovered_txns >= 1);
+        let (wal, pool) = one_page(&dir, &config);
+        jaguar_common::fault::arm("wal.fsync", 1);
+        let err = wal.commit_table("t.jag", &pool).unwrap_err().to_string();
+        assert!(err.contains("injected fault at wal.fsync"), "{err}");
+        assert_eq!(pool.snapshot_unlogged().len(), 1, "no-steal kept");
+        let refusals = [
+            wal.commit_table("t.jag", &pool).map(|_| ()),
+            wal.barrier_durable(1),
+            wal.checkpoint(|| Ok(())),
+        ];
+        for refused in refusals {
+            let refused = refused.unwrap_err().to_string();
+            assert!(
+                refused.contains("stopped") && refused.contains(&err),
+                "{refused}"
+            );
+        }
+        drop((pool, wal));
+        let (_wal, stats) = Wal::open(&dir, &config).unwrap();
+        assert_eq!(stats.recovered_txns, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -551,20 +572,15 @@ mod tests {
     fn injected_append_fault_leaves_log_untorn() {
         let _g = serial();
         let dir = tmpdir("append-fault");
-        let (wal, _) = Wal::open(&dir, &cfg()).unwrap();
-        let disk = Arc::new(DiskManager::open(&dir.join("t.jag"), 256).unwrap());
-        let pool = Arc::new(BufferPool::new(disk, 8));
-        wal.attach(&pool, "t.jag");
-        let h = pool.allocate().unwrap();
-        h.write()[10] = 3;
-        drop(h);
+        let (wal, pool) = one_page(&dir, &cfg());
         let bytes_before = wal.log_bytes();
-        jaguar_common::fault::arm("wal.append", jaguar_common::fault::ALWAYS);
-        assert!(wal.commit_table("t.jag", &pool).is_err());
-        jaguar_common::fault::disarm("wal.append");
+        jaguar_common::fault::arm("wal.append", 1);
+        let err = wal.commit_table("t.jag", &pool).unwrap_err().to_string();
         // The fault fires before any byte reaches the file: no torn frame.
         assert_eq!(wal.log_bytes(), bytes_before);
-        wal.commit_table("t.jag", &pool).unwrap().unwrap();
+        assert_eq!(std::fs::metadata(wal.path()).unwrap().len(), bytes_before);
+        let refused = wal.commit_table("t.jag", &pool).unwrap_err().to_string();
+        assert!(refused.contains(&err), "{refused}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -823,7 +839,8 @@ mod tests {
     /// Two commits of one page interleave: the first changes bytes `x` and
     /// `y`, a write between them restores `x`, the second logs the page
     /// again. Whichever of the two commits, replay lands the bytes of the
-    /// later committed record — the restored `x` included.
+    /// later committed record — the restored `x` included. A failed commit
+    /// stops the log, so the successful one finishes first.
     #[test]
     fn interleaved_commits_of_one_page_replay_right_in_every_outcome() {
         let _g = serial();
@@ -847,7 +864,9 @@ mod tests {
             let (t1, snap1, _) = log_only(&wal, &pool);
             h.write()[x] = 1;
             let (t2, snap2, _) = log_only(&wal, &pool);
-            for (txn, snap, ok) in [(t1, &snap1, ok1), (t2, &snap2, ok2)] {
+            let mut finish = [(t1, &snap1, ok1), (t2, &snap2, ok2)];
+            finish.sort_by_key(|f| !f.2);
+            for (txn, snap, ok) in finish {
                 match ok {
                     true => {
                         wal.commit(txn).unwrap();
@@ -875,11 +894,12 @@ mod tests {
     }
 
     /// Seeded sequences of byte writes on a four-frame pool over up to
-    /// eight pages — commits, commits failed before their records and after
-    /// them, interleaved commits of the same pages, evictions and
-    /// checkpoints — then a crash (the pool dropped unflushed) and replay:
-    /// every page of the data file must hold the bytes its last committed
-    /// record logged.
+    /// eight pages — commits, commits never finished after their records,
+    /// interleaved commits of the same pages, evictions and checkpoints —
+    /// then a crash (the pool dropped unflushed) and replay: every page of
+    /// the data file must hold the bytes its last committed record logged.
+    /// A commit that fails at its Begin record stops the log, so it ends
+    /// its sequence: the crash and replay follow.
     #[test]
     fn replay_lands_every_page_on_its_last_committed_bytes() {
         let _g = serial();
@@ -906,7 +926,7 @@ mod tests {
                     committed[p.0 as usize] = pool.fetch(p).unwrap().read().clone();
                 }
             };
-            for _ in 0..30 {
+            for _ in 0..40 {
                 match rng.next_below(10) {
                     // Allocate a page, or write one to three bytes of one,
                     // some of them back to their committed values.
@@ -937,16 +957,16 @@ mod tests {
                     5 | 6 => commit(&pool, &mut committed),
                     // A commit that fails at its Begin record.
                     7 => {
-                        jaguar_common::fault::arm("wal.append", jaguar_common::fault::ALWAYS);
+                        jaguar_common::fault::arm("wal.append", 1);
                         let failed = wal.commit_table("t.jag", &pool);
                         jaguar_common::fault::disarm("wal.append");
-                        assert!(failed.is_err() || pool.snapshot_unlogged().is_empty());
+                        if failed.is_err() {
+                            break;
+                        }
                     }
                     // Two commits of the unlogged pages, with a write between
                     // them restoring a byte the first changed; each commits
-                    // or not, in either order. (A commit failing at its
-                    // Commit record leaves the log as one never finished:
-                    // the injected fault fires before any byte is written.)
+                    // or is never finished, in either order.
                     8 => {
                         let (t1, snap1, bytes1) = log_only(&wal, &pool);
                         if let Some((p, _)) = snap1.first() {

@@ -257,12 +257,14 @@ fn connection_flood_sheds_cleanly_and_leaks_no_threads() {
     assert_eq!(probe.execute("SELECT id FROM t").unwrap().rows.len(), 1);
 }
 
-/// An injected fsync failure during group commit surfaces as a clean
-/// statement error — the engine is not poisoned, the log is not torn —
-/// and once the fault clears the next commit succeeds and recovery
-/// replays a consistent table.
+/// An injected fsync failure during group commit fails its statement and
+/// stops the log: reads keep working, every later commit, DDL statement
+/// and `close` is refused, naming the fsync error, and only a reopen
+/// (which replays the log) brings the database back. The failed commit's
+/// row is in doubt, like any commit whose reply was lost; nothing after
+/// it survives.
 #[test]
-fn injected_fsync_failure_during_commit_is_clean_and_recoverable() {
+fn injected_fsync_failure_stops_the_log_until_reopen() {
     let _guard = CHAOS.lock().unwrap_or_else(|p| p.into_inner());
     let dir = std::env::temp_dir().join(format!("jaguar-chaos-fsync-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -272,27 +274,32 @@ fn injected_fsync_failure_during_commit_is_clean_and_recoverable() {
     db.execute("CREATE TABLE t (id INT)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
 
-    // Permanent fault: the storage retry budget exhausts and the commit
-    // fails. The retried transient flavour is covered by the WAL's own
-    // unit tests; here the whole engine path is under test.
-    fault::arm("wal.fsync", fault::ALWAYS);
+    // One failed fsync; the disk works again at once.
+    fault::arm("wal.fsync", 1);
     let err = db
         .execute("INSERT INTO t VALUES (2)")
-        .expect_err("commit cannot succeed with fsync failing");
+        .expect_err("commit cannot succeed with fsync failing")
+        .to_string();
     fault::disarm("wal.fsync");
-    assert!(err.to_string().contains("injected"), "{err}");
+    assert!(err.contains("injected fault at wal.fsync"), "{err}");
 
-    // Not poisoned: reads still work, and the failed statement's row is
-    // visible in memory under no-steal protection (it was inserted before
-    // the commit failed and will ride along with the next transaction).
+    // Reads still work: row 2 is in memory, under no-steal protection.
     assert_eq!(db.execute("SELECT id FROM t").unwrap().rows.len(), 2);
 
-    // Next commit succeeds and makes everything durable.
-    db.execute("INSERT INTO t VALUES (3)").unwrap();
-    assert_eq!(db.execute("SELECT id FROM t").unwrap().rows.len(), 3);
-    db.close().unwrap();
+    let refused = |what: &str, res: Result<(), JaguarError>| {
+        let refusal = res.expect_err(what).to_string();
+        assert!(
+            refusal.contains("stopped") && refusal.contains(&err),
+            "{what}: {refusal}"
+        );
+    };
+    let run = |sql| db.execute(sql).map(|_| ());
+    refused("insert", run("INSERT INTO t VALUES (3)"));
+    refused("create", run("CREATE TABLE u (id INT)"));
+    refused("drop", run("DROP TABLE t"));
+    refused("label", db.set_table_label("t", Some("TRUE")));
+    refused("close", db.close());
 
-    // The log was never torn: recovery replays a consistent table.
     let db = Database::open(&dir, Config::default().with_sync_mode(SyncMode::Full)).unwrap();
     let r = db.execute("SELECT id FROM t ORDER BY id").unwrap();
     let ids: Vec<i64> = r
@@ -303,7 +310,7 @@ fn injected_fsync_failure_during_commit_is_clean_and_recoverable() {
             other => panic!("expected int, got {other:?}"),
         })
         .collect();
-    assert_eq!(ids, vec![1, 2, 3]);
+    assert!(ids == [1] || ids == [1, 2], "{ids:?}");
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -18,6 +18,9 @@ const PHASE_ENV: &str = "JAGUAR_HARNESS_PHASE";
 /// The crash point (or [`TORN_TAIL_SITE`]) a victim child arms in
 /// process, after the commits that precede its doomed one.
 const CRASH_POINT_ENV: &str = "JAGUAR_HARNESS_CRASH_POINT";
+/// The commit, counted from 1 in the `fsync_stop` child, whose log fsync
+/// fails.
+const FAIL_AT_ENV: &str = "JAGUAR_HARNESS_FAIL_AT";
 /// The recovery counters (`wal.recovered_txns`, `wal.replayed_pages`) are
 /// process-global and every test here reopens a database: they take turns.
 fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -93,6 +96,17 @@ fn pairs(db: &Database) -> Vec<(i64, i64)> {
     let mut v: Vec<(i64, i64)> = r.rows.iter().map(|t| (int(t, 0), int(t, 1))).collect();
     v.sort_unstable();
     v
+}
+
+/// Every file in `dir` with its bytes, sorted by path.
+fn files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+    let mut all: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .map(|p| (p.clone(), std::fs::read(p).unwrap()))
+        .collect();
+    all.sort();
+    all
 }
 
 /// What `setup` leaves in `u`.
@@ -231,6 +245,26 @@ fn crash_child() {
             eprintln!("crash_child: commit completed without aborting");
             std::process::exit(3);
         }
+        // Commit k inserts row k + 1. The log fsync fails from commit n on:
+        // commit n fails with it, and commit n + 1 is refused with that
+        // error, without a sync of its own. Then the process dies.
+        "fsync_stop" => {
+            use jaguar_common::fault;
+            let n: i64 = std::env::var(FAIL_AT_ENV).unwrap().parse().unwrap();
+            fault::arm_after("wal.fsync", n as u32 - 1, fault::ALWAYS);
+            let insert = |k: i64| db.execute(&format!("INSERT INTO t VALUES ({})", k + 1));
+            for k in 1..n {
+                insert(k).unwrap();
+            }
+            let err = insert(n).unwrap_err().to_string();
+            assert!(err.contains("injected fault at wal.fsync"), "{err}");
+            let refused = insert(n + 1).unwrap_err().to_string();
+            assert!(
+                refused.contains("stopped") && refused.contains(&err),
+                "{refused}"
+            );
+            std::process::abort();
+        }
         other => panic!("unknown harness phase {other:?}"),
     }
 }
@@ -354,8 +388,34 @@ fn torn_commit_record_rolls_back() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Fail-stop: the log fsync fails at commit n, the next commit is refused
+/// and the process dies. The reopen has every commit before n, commit n
+/// whole or not at all (its reply was an error, so it is in doubt), and
+/// nothing after it.
+#[test]
+fn a_failed_fsync_refuses_every_later_commit() {
+    let _turn = serial();
+    for n in [1i64, 3] {
+        let context = format!("fsync fails at commit {n}");
+        let dir = harness_dir(&format!("fsync-stop-{n}"));
+        assert!(spawn_child(&dir, "setup", &[]).success(), "{context}");
+        let fail_at = n.to_string();
+        let status = spawn_child(&dir, "fsync_stop", &[(FAIL_AT_ENV, &fail_at)]);
+        assert_died_abruptly(status, &context);
+        let db = Database::open(&dir, config()).unwrap();
+        let (got, acked) = (rows(&db), (1..=n).collect::<Vec<_>>());
+        let with_n = (1..=n + 1).collect::<Vec<_>>();
+        assert!(got == acked || got == with_n, "{context}: {got:?}");
+        assert_eq!(pairs(&db), U_ROWS, "{context}");
+        drop(db);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// Without any fault armed, a kill-free double-open round-trips all data
-/// and recovery is a no-op after the clean close.
+/// and recovery is a no-op after the clean close: the open and a read
+/// write and sync nothing, and leave every file byte-identical, `wal.log`
+/// included.
 #[test]
 fn clean_close_needs_no_recovery() {
     let _turn = serial();
@@ -366,15 +426,45 @@ fn clean_close_needs_no_recovery() {
         db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
         db.close().unwrap();
     }
+    let closed = files(&dir);
+    let before = jaguar_core::obs::global().snapshot();
+    let db = Database::open(&dir, config()).unwrap();
+    assert_eq!(rows(&db), vec![1, 2, 3]);
+    let after = db.metrics();
+    for counter in ["wal.recovered_txns", "wal.bytes", "wal.fsyncs"] {
+        assert_eq!(
+            after.counter(counter),
+            before.counter(counter),
+            "clean close must leave nothing to recover: {counter}"
+        );
+    }
+    assert!(files(&dir) == closed, "the open changed a file");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An open that keeps the clean log appends after its Checkpoint record:
+/// a commit made then survives a crash and replays.
+#[test]
+fn a_commit_after_a_clean_open_survives_a_crash() {
+    let _turn = serial();
+    let dir = harness_dir("clean-append");
+    let db = Database::open(&dir, config()).unwrap();
+    db.execute("CREATE TABLE t (a INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    db.close().unwrap();
+    let log = dir.join(jaguar_core::wal::WAL_FILE);
+    let clean = std::fs::read(&log).unwrap();
+    let db = Database::open(&dir, config()).unwrap();
+    db.execute("INSERT INTO t VALUES (2)").unwrap();
+    std::mem::forget(db); // a crash: row 2 lives only in the log
+    assert!(std::fs::read(&log).unwrap().starts_with(&clean));
     let before = jaguar_core::obs::global().snapshot();
     let db = Database::open(&dir, config()).unwrap();
     let after = db.metrics();
-    assert_eq!(rows(&db), vec![1, 2, 3]);
-    assert_eq!(
-        after.counter("wal.recovered_txns"),
-        before.counter("wal.recovered_txns"),
-        "clean close must leave nothing to recover"
-    );
+    assert_eq!(rows(&db), vec![1, 2]);
+    let recovered = after.counter("wal.recovered_txns") - before.counter("wal.recovered_txns");
+    assert_eq!(recovered, 1);
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -502,15 +592,6 @@ fn delta_format_v4_and_v5_databases_are_refused_untouched() {
         let mut raw = std::fs::read(&manifest).unwrap();
         raw[4..8].copy_from_slice(&version.to_le_bytes());
         std::fs::write(&manifest, raw).unwrap();
-        let files = |dir: &Path| {
-            let mut all: Vec<(PathBuf, Vec<u8>)> = std::fs::read_dir(dir)
-                .unwrap()
-                .map(|e| e.unwrap().path())
-                .map(|p| (p.clone(), std::fs::read(p).unwrap()))
-                .collect();
-            all.sort();
-            all
-        };
         let before = files(&dir);
         let err = Database::open(&dir, config())
             .err()
@@ -571,9 +652,10 @@ fn an_unreadable_log_or_manifest_fails_the_open_and_loses_nothing() {
     }
 }
 
-/// A table dropped while its checkpoint fails leaves its committed images
-/// in the log. A new table of the same name logs full images, not deltas
-/// over those: recovery after a crash reads back the new table's row.
+/// A DROP whose checkpoint fails stops the log, so the CREATE of a new
+/// table of that name that follows is refused. The reopen replays the
+/// dropped table's committed rows into a file the manifest no longer
+/// names: `keep` reads back, and `t` is an unknown table.
 #[test]
 fn a_table_recreated_after_a_failed_drop_recovers_its_own_rows() {
     use jaguar_common::fault;
@@ -581,17 +663,32 @@ fn a_table_recreated_after_a_failed_drop_recovers_its_own_rows() {
     let dir = harness_dir("recreate");
     let db = Database::open(&dir, config()).unwrap();
     db.execute("CREATE TABLE keep (a INT)").unwrap();
+    db.execute("INSERT INTO keep VALUES (5)").unwrap();
     db.execute("CREATE TABLE t (a INT)").unwrap();
     db.execute("INSERT INTO t VALUES (-1)").unwrap();
     fault::arm("storage.disk.fsync", fault::ALWAYS);
     let dropped = db.execute("DROP TABLE t");
     fault::disarm("storage.disk.fsync");
-    assert!(dropped.is_err(), "the drop's checkpoint must fail");
-    db.execute("CREATE TABLE t (a INT)").unwrap();
-    db.execute("INSERT INTO t VALUES (0)").unwrap();
-    std::mem::forget(db); // a crash: the new rows live only in the log
+    let err = dropped
+        .expect_err("the drop's checkpoint must fail")
+        .to_string();
+    let refused = db
+        .execute("CREATE TABLE t (a INT)")
+        .unwrap_err()
+        .to_string();
+    assert!(
+        refused.contains("stopped") && refused.contains(&err),
+        "{refused}"
+    );
+    std::mem::forget(db); // a crash
     let db = Database::open(&dir, config()).unwrap();
-    assert_eq!(rows(&db), vec![0]);
+    let keep = db.execute("SELECT a FROM keep").unwrap();
+    assert_eq!(keep.rows[0].get(0).unwrap(), &Value::Int(5));
+    // The DROP removed `t` from the manifest before its log records were
+    // gone, so replay brings back an orphan `t.jag` that no table names.
+    let t = db.execute("SELECT a FROM t").unwrap_err().to_string();
+    assert!(t.contains("unknown table 't'"), "{t}");
+    assert!(dir.join("t.jag").exists());
     drop(db);
     let _ = std::fs::remove_dir_all(&dir);
 }
