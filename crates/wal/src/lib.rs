@@ -535,21 +535,21 @@ mod tests {
         (wal, pool)
     }
 
-    /// One failed fsync stops the log: the next commit, sync and checkpoint
-    /// are refused, naming it, even though the disk works again. The reopen
-    /// replays the failed commit, whose records reached the file before the
-    /// fsync failed: it was in doubt, not lost.
+    /// A transient (one-shot) fsync fault is not retried within the
+    /// commit: the commit fails and stops the log, and the next commit,
+    /// sync and checkpoint are refused, naming it, even though the disk
+    /// works again. The reopen recovers the failed commit, whose records
+    /// reached the file before the fsync failed: it was in doubt, not lost.
     #[test]
-    fn a_failed_fsync_stops_the_log_until_reopen() {
+    fn injected_transient_fsync_recovers_within_commit() {
         let _g = serial();
-        let dir = tmpdir("fsync-stop");
+        let dir = tmpdir("fsync-transient");
         let mut config = cfg();
         config.sync_mode = SyncMode::Full;
         let (wal, pool) = one_page(&dir, &config);
         jaguar_common::fault::arm("wal.fsync", 1);
         let err = wal.commit_table("t.jag", &pool).unwrap_err().to_string();
         assert!(err.contains("injected fault at wal.fsync"), "{err}");
-        assert_eq!(pool.snapshot_unlogged().len(), 1, "no-steal kept");
         let refusals = [
             wal.commit_table("t.jag", &pool).map(|_| ()),
             wal.barrier_durable(1),
@@ -565,6 +565,40 @@ mod tests {
         drop((pool, wal));
         let (_wal, stats) = Wal::open(&dir, &config).unwrap();
         assert_eq!(stats.recovered_txns, 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A permanent fsync fault fails the commit cleanly: the page keeps
+    /// its no-steal protection and the log stops, so the next commit in
+    /// this process is refused without reaching the fault site. Once the
+    /// fault clears, the next commit after a reopen succeeds durably.
+    #[test]
+    fn injected_permanent_fsync_fails_commit_cleanly_then_next_succeeds() {
+        let _g = serial();
+        let dir = tmpdir("fsync-permanent");
+        let mut config = cfg();
+        config.sync_mode = SyncMode::Full;
+        let (wal, pool) = one_page(&dir, &config);
+        jaguar_common::fault::arm("wal.fsync", jaguar_common::fault::ALWAYS);
+        let err = wal.commit_table("t.jag", &pool).unwrap_err().to_string();
+        assert!(err.contains("injected fault at wal.fsync"), "{err}");
+        assert_eq!(pool.snapshot_unlogged().len(), 1, "no-steal kept");
+        let refused = wal.commit_table("t.jag", &pool).unwrap_err().to_string();
+        jaguar_common::fault::disarm("wal.fsync");
+        assert!(
+            refused.contains("stopped") && refused.contains(&err),
+            "{refused}"
+        );
+        drop((pool, wal));
+        let (wal, stats) = Wal::open(&dir, &config).unwrap();
+        assert_eq!(stats.recovered_txns, 1, "the failed commit was in doubt");
+        drop(wal);
+        let (wal, pool) = one_page(&dir, &config);
+        let lsn = wal.commit_table("t.jag", &pool).unwrap().unwrap();
+        assert!(wal.durable_lsn() >= lsn);
+        drop((pool, wal));
+        let (_wal, stats) = Wal::open(&dir, &config).unwrap();
+        assert_eq!(stats.recovered_txns, 1, "the commit after the reopen");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
