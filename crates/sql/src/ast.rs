@@ -157,24 +157,6 @@ impl Expr {
             _ => false,
         }
     }
-
-    /// Collect the names of all UDFs referenced.
-    pub fn udf_names(&self, out: &mut Vec<String>) {
-        match self {
-            Expr::Func { name, args } => {
-                out.push(name.clone());
-                for a in args {
-                    a.udf_names(out);
-                }
-            }
-            Expr::Neg(e) | Expr::Not(e) => e.udf_names(out),
-            Expr::Cmp(_, l, r) | Expr::And(l, r) | Expr::Or(l, r) | Expr::Arith(_, l, r) => {
-                l.udf_names(out);
-                r.udf_names(out);
-            }
-            _ => {}
-        }
-    }
 }
 
 #[cfg(test)]
@@ -210,8 +192,5 @@ mod tests {
         let e = Expr::Cmp(CmpOp::Gt, Box::new(f), Box::new(Expr::Float(0.7)));
         assert!(e.contains_udf());
         assert!(!col("x").contains_udf());
-        let mut names = Vec::new();
-        e.udf_names(&mut names);
-        assert_eq!(names, vec!["redness".to_string()]);
     }
 }

@@ -11,6 +11,11 @@
 //! `parallel`). UDF instances and the callback channel live in the
 //! per-query [`ExecCtx`], threaded through every stage.
 //!
+//! A UDF that crosses is called one way, per tuple from `eval` (the one-row
+//! case) or per batch from the projection's batcher: `ExecCtx::call`, the
+//! one memo lookup and the one crossing, which keeps every count. An
+//! in-engine UDF crosses nothing: `eval` invokes it directly.
+//!
 //! The predicates (optimizer-ordered) run with short-circuit AND
 //! semantics: a tuple rejected by a cheap predicate never reaches an
 //! expensive UDF — the payoff of the \[Hel95\]-style ordering done in
@@ -28,13 +33,14 @@ use jaguar_common::{ColumnSet, Tuple, Value};
 use jaguar_ipc::pool::WorkerPool;
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_udf::ScalarUdf;
-use jaguar_udf::{BatchResult, ValueBatch};
+use jaguar_udf::{BatchError, ValueBatch};
 use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::ast::ArithOp;
+use crate::memo::MemoCache;
 use crate::plan::{AccessPath, AggFunc, AggregatePlan, BExpr, BoundSelect};
 
 /// Counters accumulated during one query execution.
@@ -64,20 +70,24 @@ impl ExecStats {
     }
 }
 
-/// Process-wide metric handles for one UDF slot, resolved once at context
-/// construction so the per-tuple invocation path touches only atomics.
-struct UdfMetrics {
+/// One UDF of a statement: its instance and, unless it is in-engine (see
+/// [`crate::plan::PlannedUdf::in_engine`]: a Design-3 VM whatever the
+/// design, with no metric or memo lookup), what its crossings record.
+struct UdfSlot {
+    udf: Box<dyn ScalarUdf>,
+    called: Option<Called>,
+}
+
+/// A called slot's process-wide metric handles (a live version of the
+/// paper's Table 1), resolved once at context construction so a call
+/// touches only atomics, and its memo-cache name (`Immutable` UDFs only).
+/// [`ExecCtx::call`] says what each handle records.
+struct Called {
+    memo_name: Option<String>,
     invocations: Arc<obs::Counter>,
     latency: Arc<obs::Histogram>,
-    /// Per-`(udf, backend)` latency (`udf.latency_us.{slug}.{name}`),
-    /// recorded alongside the per-backend aggregate above. This is what
-    /// seeds the optimizer's observed cost model.
     latency_named: Arc<obs::Histogram>,
-    /// Rows per batched crossing (a value histogram, recorded in "µs"
-    /// buckets — the registry's histograms are unit-agnostic).
     batch_rows: Arc<obs::Histogram>,
-    /// Batched trust-boundary crossings: one per `invoke_batch`, however
-    /// many rows it carried.
     batch_crossings: Arc<obs::Counter>,
 }
 
@@ -100,15 +110,10 @@ const DEADLINE_CHECK_INTERVAL: u32 = 64;
 
 /// Per-query execution context: instantiated UDFs + callback channel.
 pub struct ExecCtx<'a> {
-    pub udfs: Vec<Box<dyn ScalarUdf>>,
+    /// Indexed like the plan's UDF list.
+    slots: Vec<UdfSlot>,
     pub callbacks: &'a mut dyn CallbackHandler,
     pub stats: ExecStats,
-    /// Parallel to `udfs`: the global per-backend counters this query's
-    /// invocations feed (a live version of the paper's Table 1). `None`
-    /// marks an in-engine slot (see [`crate::plan::PlannedUdf::in_engine`]):
-    /// its instance is a Design-3 VM whatever the design, and it records
-    /// no invocation, latency or memo lookup.
-    udf_metrics: Vec<Option<UdfMetrics>>,
     /// The statement's lifecycle token; checked cooperatively once per row
     /// (see [`ExecCtx::tick`]).
     cancel: CancelToken,
@@ -118,13 +123,11 @@ pub struct ExecCtx<'a> {
     /// `1` means the classic per-tuple ABI; set from
     /// `Config::udf_batch_size` via [`ExecCtx::set_udf_batch_size`].
     batch_size: usize,
-    /// Parallel to `udfs`: consult the memo cache for this slot
-    /// (`Immutable` volatility and not in-engine).
-    udf_memo: Vec<bool>,
-    /// Parallel to `udfs`: catalog names, used to key the memo cache.
-    udf_names: Vec<String>,
     /// Engine-scoped memo cache, when enabled ([`ExecCtx::set_memo`]).
-    memo: Option<Arc<crate::memo::MemoCache>>,
+    memo: Option<Arc<MemoCache>>,
+    /// The rows of the current call that missed the memo cache, with their
+    /// keys; kept from call to call so a call allocates no list.
+    misses: Vec<(usize, Vec<u8>)>,
     /// Per-predicate selectivity tallies `(fingerprint, evaluated,
     /// passed)`, indexed like the plan's predicate list (`None` = not
     /// tallied); flushed into `sel_sink` by [`ExecCtx::finish`].
@@ -144,45 +147,31 @@ impl<'a> ExecCtx<'a> {
         pool: Option<&Arc<WorkerPool>>,
     ) -> Result<ExecCtx<'a>> {
         let reg = obs::global();
-        let udf_metrics = udfs
-            .iter()
-            .map(|u| {
-                let slug = backend_slug(u.def.imp.design_label());
-                (!u.in_engine).then(|| UdfMetrics {
-                    invocations: reg.counter(&format!("udf.invocations.{slug}")),
-                    latency: reg.histogram(&format!("udf.latency_us.{slug}")),
-                    latency_named: reg.histogram(&format!("udf.latency_us.{slug}.{}", u.def.name)),
-                    batch_rows: reg.histogram(&format!("udf.batch.rows.{slug}")),
-                    batch_crossings: reg.counter(&format!("udf.batch.crossings.{slug}")),
-                })
-            })
-            .collect();
-        let udf_memo = udfs
-            .iter()
-            .map(|u| u.def.volatility.memoizable() && !u.in_engine)
-            .collect();
-        let udf_names = udfs.iter().map(|u| u.def.name.clone()).collect();
-        let udfs = udfs
-            .iter()
-            .map(|u| {
-                if u.in_engine {
-                    u.def.instantiate_in_engine()
-                } else {
-                    u.def.instantiate_with(pool)
-                }
-            })
-            .collect::<Result<Vec<_>>>()?;
+        let slot = |u: &crate::plan::PlannedUdf| {
+            let slug = backend_slug(u.def.imp.design_label());
+            let called = (!u.in_engine).then(|| Called {
+                memo_name: u.def.volatility.memoizable().then(|| u.def.name.clone()),
+                invocations: reg.counter(&format!("udf.invocations.{slug}")),
+                latency: reg.histogram(&format!("udf.latency_us.{slug}")),
+                latency_named: reg.histogram(&format!("udf.latency_us.{slug}.{}", u.def.name)),
+                batch_rows: reg.histogram(&format!("udf.batch.rows.{slug}")),
+                batch_crossings: reg.counter(&format!("udf.batch.crossings.{slug}")),
+            });
+            let udf = match called {
+                Some(_) => u.def.instantiate_with(pool)?,
+                None => u.def.instantiate_in_engine()?,
+            };
+            Ok(UdfSlot { udf, called })
+        };
         Ok(ExecCtx {
-            udfs,
+            slots: udfs.iter().map(slot).collect::<Result<_>>()?,
             callbacks,
             stats: ExecStats::default(),
-            udf_metrics,
             cancel: CancelToken::unbounded(),
             deadline_countdown: DEADLINE_CHECK_INTERVAL,
             batch_size: 1,
-            udf_memo,
-            udf_names,
             memo: None,
+            misses: Vec::new(),
             sel: Vec::new(),
             sel_sink: None,
             profile: Profile::default(),
@@ -190,7 +179,7 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Attach the engine's memo cache (`None` leaves memoization off).
-    pub fn set_memo(&mut self, memo: Option<Arc<crate::memo::MemoCache>>) {
+    pub fn set_memo(&mut self, memo: Option<Arc<MemoCache>>) {
         self.memo = memo;
     }
 
@@ -234,8 +223,8 @@ impl<'a> ExecCtx<'a> {
     /// backends can honour it mid-invocation too.
     pub fn attach_cancel(&mut self, token: &CancelToken) {
         self.cancel = token.clone();
-        for u in &mut self.udfs {
-            u.attach_cancel(token.clone());
+        for slot in &mut self.slots {
+            slot.udf.attach_cancel(token.clone());
         }
     }
 
@@ -267,14 +256,123 @@ impl<'a> ExecCtx<'a> {
             }
         }
         let mut stats = self.stats;
-        for u in self.udfs {
-            if let Some(c) = u.consumed() {
+        for slot in self.slots {
+            if let Some(c) = slot.udf.consumed() {
                 stats.vm_instructions += c.instructions;
                 stats.vm_bytes_allocated += c.bytes_allocated;
             }
-            u.finish()?;
+            slot.udf.finish()?;
         }
         Ok(stats)
+    }
+
+    /// Call the called slot `udf` on `rows` and hand row `i`'s result to
+    /// `put(i, v)`: the executor's one crossing into a UDF, per tuple (the
+    /// one-row case) or batched. A memoized slot serves its hits from the
+    /// cache and crosses only for the misses (all of `rows`, or a batch of
+    /// the missed rows), caching what each returns; a failed crossing puts
+    /// and caches none of its rows. The crossing records, whatever its shape:
+    ///
+    /// * the rows that completed, plus the failing one on an error, as
+    ///   invocations (`udf_invocations`, `udf.invocations.{slug}`);
+    /// * every callback, in `udf_callbacks`;
+    /// * its time, once in `udf.latency_us.{slug}` and once in the
+    ///   `udf.latency_us.{slug}.{name}` that seeds the optimizer's costs;
+    /// * for a batch only, its rows (`udf.batch.rows.{slug}`, a value
+    ///   histogram in "µs" buckets) and one `udf.batch.crossings.{slug}`.
+    fn call(
+        &mut self,
+        udf: usize,
+        rows: Rows<'_>,
+        mut put: impl FnMut(usize, Value),
+    ) -> Result<()> {
+        let UdfSlot { udf, called } = &mut self.slots[udf];
+        let called = called.as_ref().expect("only a called slot crosses");
+        let memo = called.memo_name.as_deref().zip(self.memo.as_deref());
+        let misses = &mut self.misses;
+        misses.clear();
+        if let Some((name, cache)) = memo {
+            for i in 0..rows.len() {
+                let key = match rows {
+                    Rows::One(args) => MemoCache::key(name, args),
+                    Rows::Batch(b) => MemoCache::key(name, (0..b.arity()).map(|a| &b.column(a)[i])),
+                };
+                match cache.get(&key) {
+                    Some(v) => put(i, v),
+                    None => misses.push((i, key)),
+                }
+            }
+            if misses.is_empty() {
+                return Ok(());
+            }
+        }
+        let mut subset;
+        let rows = match rows {
+            Rows::Batch(batch) if memo.is_some() && misses.len() < batch.len() => {
+                subset = ValueBatch::with_capacity(batch.arity(), misses.len());
+                for &(i, _) in misses.iter() {
+                    subset.push_row_owned(batch.row(i))?;
+                }
+                Rows::Batch(&subset)
+            }
+            crossing => crossing,
+        };
+        let mut counting = CountingCallbacks {
+            inner: &mut *self.callbacks,
+            count: &mut self.stats.udf_callbacks,
+        };
+        // A one-row call's value; a batch's come back in the `Vec`.
+        let mut one = None;
+        let started = Instant::now();
+        let out = match rows {
+            Rows::One(args) => match udf.invoke(args, &mut counting) {
+                Ok(v) => {
+                    one = Some(v);
+                    Ok(Vec::new())
+                }
+                Err(e) => Err(BatchError::new(0, e)),
+            },
+            Rows::Batch(batch) => udf.invoke_batch(batch, &mut counting),
+        };
+        let elapsed = started.elapsed();
+        called.latency.observe(elapsed);
+        called.latency_named.observe(elapsed);
+        if let Rows::Batch(batch) = rows {
+            called.batch_rows.observe_us(batch.len() as u64);
+            called.batch_crossings.inc();
+        }
+        let completed = out.as_ref().map_or_else(|be| be.row + 1, |_| rows.len()) as u64;
+        self.stats.udf_invocations += completed;
+        called.invocations.add(completed);
+        let values = out.map_err(|be| be.error)?;
+        for (j, v) in one.into_iter().chain(values).enumerate() {
+            match memo {
+                None => put(j, v),
+                Some((_, cache)) => {
+                    let (i, key) = &mut misses[j];
+                    cache.insert(std::mem::take(key), v.clone());
+                    put(*i, v);
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The arguments of one call of a called slot: one row, for the per-tuple
+/// ABI ([`ScalarUdf::invoke`]), or a batch ([`ScalarUdf::invoke_batch`]).
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    One(&'a [Value]),
+    Batch(&'a ValueBatch),
+}
+
+impl Rows<'_> {
+    fn len(self) -> usize {
+        match self {
+            Rows::One(_) => 1,
+            Rows::Batch(batch) => batch.len(),
+        }
     }
 }
 
@@ -383,188 +481,25 @@ pub fn eval(e: &BExpr, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<Value> {
             for a in args {
                 vals.push(eval(a, tuple, ctx)?);
             }
+            let slot = &mut ctx.slots[*udf];
             // In-engine: the compiled function on the slot's own arena —
             // no crossing, no invocation counted, no memo or latency
             // sample.
-            let Some(metrics) = &ctx.udf_metrics[*udf] else {
-                return ctx.udfs[*udf].invoke(&vals, &mut *ctx.callbacks);
-            };
-            // Immutable UDFs consult the shared memo cache before paying
-            // for a crossing; a hit skips the invocation entirely.
-            let memo_key = if ctx.udf_memo[*udf] {
-                match &ctx.memo {
-                    Some(cache) => {
-                        let key = crate::memo::MemoCache::key(&ctx.udf_names[*udf], &vals);
-                        if let Some(v) = cache.get(&key) {
-                            return Ok(v);
-                        }
-                        Some(key)
-                    }
-                    None => None,
-                }
-            } else {
-                None
-            };
-            ctx.stats.udf_invocations += 1;
-            metrics.invocations.inc();
-            // Split the borrow: take the UDF box out, call, put it back,
-            // so the callback counter and the UDF can both borrow ctx.
-            let mut u = std::mem::replace(&mut ctx.udfs[*udf], Box::new(PoisonUdf));
-            let mut counting = CountingCallbacks {
-                inner: ctx.callbacks,
-                count: &mut ctx.stats.udf_callbacks,
-            };
-            let started = Instant::now();
-            let out = u.invoke(&vals, &mut counting);
-            let elapsed = started.elapsed();
-            metrics.latency.observe(elapsed);
-            metrics.latency_named.observe(elapsed);
-            ctx.udfs[*udf] = u;
-            let v = out?;
-            if let (Some(key), Some(cache)) = (memo_key, &ctx.memo) {
-                cache.insert(key, v.clone());
+            if slot.called.is_none() {
+                return slot.udf.invoke(&vals, &mut *ctx.callbacks);
             }
-            v
+            let mut out = Value::Null;
+            ctx.call(*udf, Rows::One(&vals), |_, v| out = v)?;
+            out
         }
     })
-}
-
-/// Placeholder left in the UDF slot during an invocation; reached only if
-/// a UDF recursively invokes the same query's UDF slot, which the engine
-/// does not support.
-struct PoisonUdf;
-
-impl ScalarUdf for PoisonUdf {
-    fn name(&self) -> &str {
-        "<in-flight>"
-    }
-    fn signature(&self) -> &jaguar_udf::UdfSignature {
-        unreachable!("poison udf has no signature")
-    }
-    fn invoke(&mut self, _: &[Value], _: &mut dyn CallbackHandler) -> Result<Value> {
-        Err(JaguarError::Execution(
-            "re-entrant UDF invocation is not supported".into(),
-        ))
-    }
-}
-
-/// Invoke one UDF slot over a whole batch — the batched mirror of
-/// `eval`'s `BExpr::Udf` arm, with the same stats and metrics the
-/// per-tuple path would have produced:
-///
-/// * success: `udf_invocations += rows`;
-/// * error at batch row `k`: `udf_invocations += k + 1` (rows before the
-///   failure completed, with their side effects intact).
-///
-/// Latency is observed once per crossing rather than once per row — that
-/// is the point of batching, and the new `udf.batch.rows` /
-/// `udf.batch.crossings` instruments record the amortisation.
-pub(crate) fn invoke_udf_batch(
-    udf: usize,
-    batch: &ValueBatch,
-    ctx: &mut ExecCtx<'_>,
-) -> BatchResult {
-    if batch.is_empty() {
-        return Ok(Vec::new());
-    }
-    // Memo split: serve per-row hits from the cache and cross the trust
-    // boundary only for the misses (possibly not at all).
-    if ctx.udf_memo[udf] {
-        if let Some(cache) = ctx.memo.clone() {
-            return invoke_udf_batch_memoized(udf, batch, &cache, ctx);
-        }
-    }
-    invoke_udf_batch_raw(udf, batch, ctx)
-}
-
-/// The batched crossing with the memo cache in front: hit rows never
-/// reach the backend; miss rows form a smaller batch whose results are
-/// inserted on success. A miss-batch error is remapped to the failing
-/// row's position in the original batch, so the surfaced error is the
-/// one the unmemoized path would raise (the failing row's own result is
-/// never a cache hit — it would not have erred otherwise).
-fn invoke_udf_batch_memoized(
-    udf: usize,
-    batch: &ValueBatch,
-    cache: &Arc<crate::memo::MemoCache>,
-    ctx: &mut ExecCtx<'_>,
-) -> BatchResult {
-    let n = batch.len();
-    let mut keys = Vec::with_capacity(n);
-    let mut out: Vec<Option<Value>> = Vec::with_capacity(n);
-    let mut miss = ValueBatch::with_capacity(batch.arity(), n);
-    let mut miss_rows: Vec<usize> = Vec::new();
-    for i in 0..n {
-        let args = batch.row(i);
-        let key = crate::memo::MemoCache::key(&ctx.udf_names[udf], &args);
-        match cache.get(&key) {
-            Some(v) => out.push(Some(v)),
-            None => {
-                miss.push_row_owned(args)
-                    .map_err(|error| jaguar_udf::BatchError { row: i, error })?;
-                miss_rows.push(i);
-                out.push(None);
-            }
-        }
-        keys.push(key);
-    }
-    if !miss_rows.is_empty() {
-        let values = match invoke_udf_batch_raw(udf, &miss, ctx) {
-            Ok(vs) => vs,
-            Err(mut be) => {
-                be.row = miss_rows[be.row];
-                return Err(be);
-            }
-        };
-        for (&slot, v) in miss_rows.iter().zip(values) {
-            cache.insert(std::mem::take(&mut keys[slot]), v.clone());
-            out[slot] = Some(v);
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|v| v.expect("all rows filled"))
-        .collect())
-}
-
-fn invoke_udf_batch_raw(udf: usize, batch: &ValueBatch, ctx: &mut ExecCtx<'_>) -> BatchResult {
-    if batch.is_empty() {
-        return Ok(Vec::new());
-    }
-    let metrics = ctx.udf_metrics[udf]
-        .as_ref()
-        .expect("a batched slot is a called one");
-    metrics.batch_rows.observe_us(batch.len() as u64);
-    metrics.batch_crossings.inc();
-    // Same borrow split as the per-tuple path: take the UDF box out so the
-    // callback counter and the UDF can both borrow ctx.
-    let mut u = std::mem::replace(&mut ctx.udfs[udf], Box::new(PoisonUdf));
-    let mut counting = CountingCallbacks {
-        inner: ctx.callbacks,
-        count: &mut ctx.stats.udf_callbacks,
-    };
-    let started = Instant::now();
-    let out = u.invoke_batch(batch, &mut counting);
-    let elapsed = started.elapsed();
-    metrics.latency.observe(elapsed);
-    metrics.latency_named.observe(elapsed);
-    ctx.udfs[udf] = u;
-    let completed = match &out {
-        Ok(values) => values.len() as u64,
-        // Rows before the failing one completed; the failing row counts as
-        // an invocation too, exactly as the per-tuple path would tally it.
-        Err(be) => be.row as u64 + 1,
-    };
-    ctx.stats.udf_invocations += completed;
-    metrics.invocations.add(completed);
-    out
 }
 
 /// A projection shape eligible for batched UDF invocation: exactly one
 /// top-level [`BExpr::Udf`] among the projection expressions.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchSpec {
-    /// Index into the plan's UDF list (and the context's parallel vecs).
+    /// Index into the plan's UDF list (and the context's slots).
     pub(crate) udf: usize,
     /// Which projection expression is the UDF call.
     pub(crate) expr_idx: usize,
@@ -680,9 +615,7 @@ impl ProjectionBatcher {
         for (i, e) in exprs.iter().enumerate() {
             if i == self.spec.expr_idx {
                 let BExpr::Udf { args, .. } = e else {
-                    return Err(JaguarError::Execution(
-                        "batch spec does not match projection".into(),
-                    ));
+                    unreachable!("`batch_spec` found the UDF call here")
                 };
                 for a in args {
                     row.push(eval(a, tuple, ctx)?);
@@ -697,27 +630,23 @@ impl ProjectionBatcher {
         Ok(())
     }
 
-    /// Invoke the UDF over the accumulated rows and return the completed
-    /// output tuples. On a mid-batch UDF error the batch error surfaces
-    /// directly — rows before the failure completed inside the UDF (their
-    /// side effects and stats are intact), but the statement fails with
-    /// exactly the error the per-tuple executor would raise.
+    /// Call the UDF over the accumulated rows and return the completed
+    /// output tuples. On a mid-batch UDF error that error surfaces — rows
+    /// before the failure completed inside the UDF (their side effects and
+    /// stats are intact), but the statement fails with exactly the error
+    /// the per-tuple executor would raise.
     pub(crate) fn flush(&mut self, ctx: &mut ExecCtx<'_>) -> Result<Vec<Tuple>> {
         if self.outs.is_empty() {
             return Ok(Vec::new());
         }
-        let outs = std::mem::replace(&mut self.outs, Vec::with_capacity(self.size));
-        let result = invoke_udf_batch(self.spec.udf, &self.args, ctx);
+        let mut outs = std::mem::replace(&mut self.outs, Vec::with_capacity(self.size));
+        let at = self.spec.expr_idx;
+        let called = ctx.call(self.spec.udf, Rows::Batch(&self.args), |i, v| {
+            outs[i][at] = v
+        });
         self.args.clear();
-        let values = result.map_err(|be| be.error)?;
-        Ok(outs
-            .into_iter()
-            .zip(values)
-            .map(|(mut out, v)| {
-                out[self.spec.expr_idx] = v;
-                Tuple::new(out)
-            })
-            .collect())
+        called?;
+        Ok(outs.into_iter().map(Tuple::new).collect())
     }
 }
 

@@ -231,7 +231,11 @@ impl MemoCache {
     /// Build the cache key for one invocation: the UDF name plus each
     /// argument in the tagged wire serialization (self-delimiting, so
     /// concatenation is unambiguous).
-    pub fn key(udf_name: &str, args: &[Value]) -> Vec<u8> {
+    pub fn key<'v>(
+        udf_name: &str,
+        args: impl IntoIterator<Item = &'v Value, IntoIter: ExactSizeIterator>,
+    ) -> Vec<u8> {
+        let args = args.into_iter();
         let mut k = Vec::with_capacity(udf_name.len() + 1 + args.len() * 12);
         k.extend_from_slice(udf_name.as_bytes());
         k.push(0);

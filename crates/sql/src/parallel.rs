@@ -24,14 +24,15 @@
 //! Cancellation invariant: the statement's [`CancelToken`] is attached
 //! to every worker's context, so a deadline or cancel mid-`Gather`
 //! stops all threads within a few tuples, and the first worker error
-//! aborts the rest of the team via a shared flag. Each worker still
-//! finishes the morsel it is on, and the statement fails with the error
-//! met in the lowest morsel: the one the serial scan would have met first.
+//! aborts the rest of the team via a shared flag. A worker reads the flag
+//! before it claims a morsel, never after, so every claimed morsel runs to
+//! its end or its first error, and the statement fails with the error met
+//! in the lowest morsel: the one the serial scan would have met first.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use crate::par::{morsel_pages_for, run_team, MorselDispenser};
+use crate::par::{morsel_pages_for, run_team, Morsel, MorselDispenser};
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
@@ -207,10 +208,7 @@ pub(crate) fn select(
         let mut sink = Sink::select(plan, ctx.batch_size());
         let (mut parts, mut report, mut at) = (Vec::new(), WorkerReport::default(), 0);
         let mut drain = || -> Result<()> {
-            while let Some(m) = dispenser.next() {
-                if abort.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Some(m) = claim(&dispenser, &abort) {
                 (at, report.morsels) = (m.index, report.morsels + 1);
                 let mut rows = open(m.start_page..m.end_page)?;
                 report.rows += fragment(&mut rows, &plan.predicates, &mut sink, &mut ctx)?;
@@ -258,6 +256,17 @@ pub(crate) fn select(
     done.stats.merge(&stats);
     done.reports = reports;
     Ok(done)
+}
+
+/// The next morsel for a worker, or `None` once the range is spent or the
+/// team has aborted. `abort` is read before the claim, never after it, so
+/// every claimed morsel runs to its end or its first error: a morsel below
+/// a failing one was claimed before it, and still runs.
+fn claim(dispenser: &MorselDispenser, abort: &AtomicBool) -> Option<Morsel> {
+    if abort.load(Ordering::Relaxed) {
+        return None;
+    }
+    dispenser.next()
 }
 
 /// A fragment's context: the plan's UDFs (checked out of the engine's
@@ -325,6 +334,16 @@ mod tests {
         };
         let plan = crate::plan::bind_select(&s, e.catalog(), None).unwrap();
         plan_parallel(e, &plan).ok()
+    }
+
+    #[test]
+    fn an_aborted_team_claims_no_morsel() {
+        let dispenser = MorselDispenser::new(1, 9, 2);
+        let abort = AtomicBool::new(true);
+        assert_eq!(claim(&dispenser, &abort), None);
+        abort.store(false, Ordering::Relaxed);
+        let first = claim(&dispenser, &abort).expect("the range is not spent");
+        assert_eq!(first.index, 0, "the aborted claim took a morsel");
     }
 
     #[test]

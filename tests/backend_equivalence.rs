@@ -9,6 +9,7 @@ use jaguar_udf::generic::{
     def_isolated, def_isolated_vm, def_native, def_native_bc, def_native_sfi, def_vm,
     GenericParams, IdentityCallbacks,
 };
+use jaguar_udf::Volatility::{self, Immutable, Stable};
 use jaguar_vm::ResourceLimits;
 
 fn worker_available() -> bool {
@@ -454,8 +455,11 @@ fn mid_batch_native_error_matches_per_tuple() {
 
 /// A JagScript UDF that traps mid-relation (`data[i]` out of range), run
 /// in-process (Design 3) or shipped to a worker (Design 4) depending on
-/// `isolated`. Volatility is declared Stable so the planner may batch it.
-fn trap_db(batch: usize, isolated: bool) -> Database {
+/// `isolated`. `Stable` and `Immutable` both let the planner batch it;
+/// `Immutable` also puts the memo cache in front of it. The body's loop never
+/// runs, but it keeps an `Immutable` `trapper` a called UDF: a straight-line
+/// body would run in-engine, where no memo is consulted.
+fn trap_db(batch: usize, isolated: bool, volatility: Volatility) -> Database {
     use jaguar_core::DataType;
     let db = Database::with_config(Config::default().with_dop(1).with_udf_batch_size(batch));
     db.execute("CREATE TABLE rel (id INT, bytearray BYTEARRAY)")
@@ -470,7 +474,7 @@ fn trap_db(batch: usize, isolated: bool) -> Database {
     }
     let module = jaguar_lang::compile(
         "trapper",
-        "fn main(data: bytes, i: i64) -> i64 { return data[i]; }",
+        "fn main(data: bytes, i: i64) -> i64 { while i < 0 { i = i + 1; } return data[i]; }",
     )
     .unwrap();
     let spec =
@@ -481,10 +485,7 @@ fn trap_db(batch: usize, isolated: bool) -> Database {
     } else {
         jaguar_udf::UdfImpl::Vm(spec)
     };
-    db.register_udf(
-        jaguar_udf::UdfDef::new("trapper", sig, imp)
-            .with_volatility(jaguar_udf::Volatility::Stable),
-    );
+    db.register_udf(jaguar_udf::UdfDef::new("trapper", sig, imp).with_volatility(volatility));
     db
 }
 
@@ -492,8 +493,8 @@ fn trap_db(batch: usize, isolated: bool) -> Database {
 /// traps. Batched execution must report the identical trap.
 #[test]
 fn mid_batch_vm_trap_matches_per_tuple() {
-    let per_tuple = trap_db(1, false);
-    let batched = trap_db(256, false);
+    let per_tuple = trap_db(1, false, Stable);
+    let batched = trap_db(256, false, Stable);
     let q = "SELECT trapper(bytearray, id) FROM rel";
     let e1 = per_tuple.execute(q).unwrap_err();
     let e2 = batched.execute(q).unwrap_err();
@@ -514,8 +515,8 @@ fn mid_batch_isolated_vm_trap_matches_per_tuple() {
     if !worker_available() {
         return;
     }
-    let per_tuple = trap_db(1, true);
-    let batched = trap_db(256, true);
+    let per_tuple = trap_db(1, true, Stable);
+    let batched = trap_db(256, true, Stable);
     let q = "SELECT trapper(bytearray, id) FROM rel";
     let e1 = per_tuple.execute(q).unwrap_err();
     let e2 = batched.execute(q).unwrap_err();
@@ -529,6 +530,43 @@ fn mid_batch_isolated_vm_trap_matches_per_tuple() {
         per_tuple.execute(q_ok).unwrap().rows,
         batched.execute(q_ok).unwrap().rows
     );
+}
+
+/// The memo's error case: with `trapper` `Immutable` and rows 0..7 warmed
+/// into the cache, the trapping statement serves those rows from the memo
+/// and crosses for the rest — one row at a time at batch 1, as one batch of
+/// the missed rows at batch 256. Both must report row 8's trap exactly as
+/// the unmemoized per-tuple statement does.
+fn memoized_trap_matches_per_tuple(isolated: bool) {
+    let q = "SELECT trapper(bytearray, id) FROM rel";
+    let q_ok = "SELECT trapper(bytearray, id) FROM rel WHERE id < 8";
+    let plain = trap_db(1, isolated, Stable).execute(q).unwrap_err();
+    for batch in [1, 256] {
+        let db = trap_db(batch, isolated, Immutable);
+        let warm = db.execute(q_ok).unwrap();
+        assert_eq!(warm.stats.udf_invocations, 8);
+        let served = db.execute(q_ok).unwrap();
+        assert_eq!(served.rows, warm.rows);
+        assert_eq!(served.stats.udf_invocations, 0, "the memo serves rows 0..7");
+        let e = db.execute(q).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            plain.to_string(),
+            "trap text diverged at batch {batch}"
+        );
+    }
+}
+
+#[test]
+fn memoized_trap_matches_per_tuple_vm() {
+    memoized_trap_matches_per_tuple(false);
+}
+
+#[test]
+fn memoized_trap_matches_per_tuple_isolated_vm() {
+    if worker_available() {
+        memoized_trap_matches_per_tuple(true);
+    }
 }
 
 /// A statement deadline that expires mid-batch must abort the query the

@@ -2,7 +2,7 @@
 //!
 //! A timing cannot gate in tier-1; an allocation count can, because it
 //! repeats exactly. This binary installs the counting allocator it shares
-//! with `scan_allocs.rs` and pins two things beside the compiled tier's
+//! with `scan_allocs.rs` and pins these beside the compiled tier's
 //! timing claim:
 //!
 //! * a batch of generic-UDF invocations allocates per *batch*, not per row:
@@ -15,14 +15,21 @@
 //!   registered;
 //! * verifying an uploaded module holds memory in proportion to the module,
 //!   not to its code times its stack depth: the verifier keeps stack types
-//!   at block entries only, within `STATE_BUDGET`.
+//!   at block entries only, within `STATE_BUDGET`;
+//! * what the executor allocates per row around a call of the generic UDF
+//!   at dop 1, batched, per tuple and served from the memo cache: the byte
+//!   array the scan decodes, the call's arguments, the output row and (for
+//!   a memoized slot) its cache key. The counts are pinned exactly, so an
+//!   allocation added per row on either side of the crossing fails here.
 
 use std::sync::Arc;
 
 use jaguar_common::error::JaguarError;
-use jaguar_core::{ByteArray, PermissionSet, ResourceLimits, ScalarUdf, Value};
+use jaguar_core::{
+    ByteArray, Config, Database, PermissionSet, ResourceLimits, ScalarUdf, Tuple, Value,
+};
 use jaguar_udf::generic::{self, GenericParams, IdentityCallbacks, GENERIC_CALLBACK};
-use jaguar_udf::{ValueBatch, VmUdf};
+use jaguar_udf::{ValueBatch, VmUdf, Volatility};
 use jaguar_vm::{ExecMode, FuncSig, Function, Insn, Module, Permission};
 
 #[path = "counting_alloc.rs"]
@@ -155,4 +162,58 @@ fn verifying_an_uploaded_module_is_bounded_in_memory() {
             }
         }
     }
+}
+
+/// A dop-1 database of `2 * ROWS` rows whose byte arrays repeat every 8
+/// rows, with the generic UDF under Design 3 declared `volatility` and
+/// called `batch` rows per crossing.
+fn generic_db(batch: usize, volatility: Volatility) -> Database {
+    let db = Database::with_config(Config::default().with_dop(1).with_udf_batch_size(batch));
+    db.execute("CREATE TABLE rel (id INT, bytearray BYTEARRAY)")
+        .unwrap();
+    let t = db.catalog().table("rel").unwrap();
+    for i in 0..2 * ROWS as i64 {
+        t.insert(Tuple::new(vec![
+            Value::Int(i),
+            Value::Bytes(ByteArray::patterned(100, i as u64 % 8)),
+        ]))
+        .unwrap();
+    }
+    db.register_udf(generic::def_vm(true, ResourceLimits::default()).with_volatility(volatility));
+    db
+}
+
+/// Allocations per row of the generic UDF's projection: what reading
+/// `2 * ROWS` rows costs over reading `ROWS`, each statement run once to
+/// warm up (and, for a memoized slot, to fill the cache), divided by
+/// `ROWS` and rounded, so a statement's fixed cost and its vectors'
+/// growth steps drop out.
+fn executor_allocations_per_row(db: &Database) -> u64 {
+    let run = |n: usize| {
+        let sql = format!("SELECT generic_vm(bytearray, 10, 1, 0) FROM rel WHERE id < {n}");
+        let (allocs, rows) = allocations(|| db.execute(&sql).unwrap().rows);
+        assert_eq!(rows.len(), n);
+        allocs
+    };
+    run(ROWS);
+    run(2 * ROWS);
+    let (few, many) = (run(ROWS), run(2 * ROWS));
+    (many - few + ROWS as u64 / 2) / ROWS as u64
+}
+
+#[test]
+fn the_executor_allocates_per_row_around_a_udf_call() {
+    // Batched and per tuple alike: the byte array the scan decodes, the
+    // argument vector and the output row.
+    let batched = executor_allocations_per_row(&generic_db(256, Volatility::Stable));
+    assert_eq!(batched, 3, "batched, Stable, 256 rows a crossing");
+    let per_tuple = executor_allocations_per_row(&generic_db(1, Volatility::Stable));
+    assert_eq!(per_tuple, 3, "per tuple, Stable");
+    // Every row a memo hit: three more, for the cache key a 100-byte array
+    // grows twice, batched or not: a batched lookup reads the key's values
+    // from the batch's columns in place.
+    let memo = executor_allocations_per_row(&generic_db(1, Volatility::Immutable));
+    assert_eq!(memo, 6, "per tuple, Immutable, every row a memo hit");
+    let memo_batched = executor_allocations_per_row(&generic_db(256, Volatility::Immutable));
+    assert_eq!(memo_batched, 6, "batched, Immutable, every row a memo hit");
 }
