@@ -47,7 +47,7 @@ pub struct Config {
     /// `pooled_executors` is on).
     pub pool_size: usize,
     /// Deadline in milliseconds for one UDF invocation through a pooled
-    /// worker; the IPC deadline watchdog kills the worker when it expires
+    /// worker; the worker is killed when a round trip fails past it
     /// (`ResourceLimit`). It applies to pooled workers only: a spawned
     /// per-query worker answers to `statement_timeout_ms` alone, as a
     /// pooled one does too when that budget is the tighter. `None` = no

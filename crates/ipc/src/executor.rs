@@ -5,11 +5,17 @@
 //! executors ... are created once per query (not once per function
 //! invocation)") and torn down when the query finishes; the per-invocation
 //! cost is the boundary crossing, not process creation.
+//!
+//! The worker's stdin and stdout are its half of a socket pair. A socket,
+//! unlike a pipe, times out its own reads and writes, so the thread waiting
+//! on a round trip enforces its deadline (`Timed`).
 
-use std::io::{BufReader, BufWriter};
+use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::os::fd::OwnedFd;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
-use std::sync::{Arc, Mutex, Weak};
+use std::process::{Child, Command, Stdio};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jaguar_common::error::{JaguarError, Result};
@@ -19,7 +25,6 @@ use jaguar_common::obs::Counter;
 use jaguar_common::Value;
 
 use crate::proto::{write_batch, CallbackHandler, Request, Response, PROTO_VERSION};
-use crate::watchdog::Deadline;
 
 /// How long `Drop` waits for an orderly exit after `Shutdown` before killing.
 const DROP_GRACE: Duration = Duration::from_millis(200);
@@ -66,55 +71,100 @@ pub fn find_worker_binary() -> Result<PathBuf> {
     )))
 }
 
-/// A running isolated executor (one per UDF per query, as in the paper —
-/// or checked out of a [`crate::pool`] warm pool and reused across queries).
-///
-/// The child handle lives behind an `Arc<Mutex<..>>` so a
-/// [`WorkerKillHandle`] on another thread (the [`crate::watchdog`]
-/// enforcing a round trip's deadline) can kill a hung worker while this
-/// thread is blocked on the pipe; the blocked read then observes EOF.
-pub struct WorkerProcess {
-    child: Arc<Mutex<Child>>,
-    input: BufReader<CountingReader<ChildStdout>>,
-    output: BufWriter<CountingWriter<ChildStdin>>,
-    /// Process-boundary crossings (requests sent to the worker) — the cost
-    /// the paper's Figures 4–8 attribute to isolated execution.
-    crossings: Arc<Counter>,
-    /// §4.2 callbacks answered mid-invoke.
-    callbacks: Arc<Counter>,
-    reaped: bool,
+/// The parent's half of a worker's socket. While a deadline is armed,
+/// every read and write first sets the socket's timeout to the time left
+/// and fails with `TimedOut` once none is left, so a round trip ends by its
+/// deadline however many syscalls it makes, and time spent between them
+/// (answering a callback) counts too.
+struct Timed {
+    sock: UnixStream,
+    /// The armed deadline, if any.
+    deadline: Option<Instant>,
+    /// The timeout this deadline has set on the socket, to clear on disarm.
+    set: Option<SetTimeout>,
 }
 
-/// Cross-thread kill switch for one [`WorkerProcess`].
-///
-/// Holds only a weak reference: once the process has been dropped or
-/// consumed by [`WorkerProcess::shutdown`], `kill` is a no-op.
-#[derive(Clone)]
-pub struct WorkerKillHandle {
-    child: Weak<Mutex<Child>>,
-}
+/// `UnixStream::set_read_timeout` or `set_write_timeout`.
+type SetTimeout = fn(&UnixStream, Option<Duration>) -> io::Result<()>;
 
-impl WorkerKillHandle {
-    /// Kill the worker if it is still running. Returns `true` if a kill was
-    /// actually delivered (the process existed and had not exited).
-    pub fn kill(&self) -> bool {
-        let Some(child) = self.child.upgrade() else {
-            return false;
+impl Timed {
+    fn new(sock: UnixStream) -> Timed {
+        Timed {
+            sock,
+            deadline: None,
+            set: None,
+        }
+    }
+
+    /// Fail every read and write from `at` on.
+    fn arm(&mut self, at: Instant) {
+        self.deadline = Some(at);
+    }
+
+    /// End the armed deadline and put the socket back to blocking, so no
+    /// timeout outlives its round trip.
+    fn disarm(&mut self) -> io::Result<()> {
+        self.deadline = None;
+        self.set.take().map_or(Ok(()), |set| set(&self.sock, None))
+    }
+
+    /// Run one syscall `op` with `set` putting the time left as its timeout.
+    fn timed<T>(
+        &mut self,
+        set: SetTimeout,
+        mut op: impl FnMut(&mut UnixStream) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let Some(at) = self.deadline else {
+            return op(&mut self.sock);
         };
-        let mut child = child.lock().unwrap_or_else(|p| p.into_inner());
-        match child.try_wait() {
-            Ok(Some(_)) => false,
-            _ => {
-                let delivered = child.kill().is_ok();
-                let _ = child.wait();
-                delivered
+        loop {
+            // Zero is no time left, never "no timeout".
+            let left = at.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            set(&self.sock, Some(left))?;
+            self.set = Some(set);
+            match op(&mut self.sock) {
+                // The timeout fired: look at the clock again.
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                done => return done,
             }
         }
     }
 }
 
-/// A [`WorkerProcess::guarded`] round trip outlived its deadline and the
-/// watchdog killed the worker.
+impl Read for Timed {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.timed(UnixStream::set_read_timeout, |s| s.read(buf))
+    }
+}
+
+impl Write for Timed {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.timed(UnixStream::set_write_timeout, |s| s.write(buf))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A running isolated executor (one per UDF per query, as in the paper —
+/// or checked out of a [`crate::pool`] warm pool and reused across queries).
+pub struct WorkerProcess {
+    child: Child,
+    input: BufReader<CountingReader<Timed>>,
+    output: BufWriter<CountingWriter<Timed>>,
+    /// Process-boundary crossings (requests sent to the worker) — the cost
+    /// the paper's Figures 4–8 attribute to isolated execution.
+    crossings: Arc<Counter>,
+    /// §4.2 callbacks answered mid-invoke.
+    callbacks: Arc<Counter>,
+}
+
+/// A [`WorkerProcess::guarded`] round trip outlived its deadline, and the
+/// worker was killed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Expired;
 
@@ -150,34 +200,28 @@ impl WorkerProcess {
                 "spawning {path:?}: injected spawn fault"
             )));
         }
-        let mut child = Command::new(path)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
+        let failed = |e| JaguarError::Worker(format!("spawning {path:?}: {e}"));
+        let (ours, child) = UnixStream::pair().map_err(failed)?;
+        let child_out = OwnedFd::from(child.try_clone().map_err(failed)?);
+        let writer = Timed::new(ours.try_clone().map_err(failed)?);
+        // The worker's stdin and stdout are both its half of the pair.
+        let child = Command::new(path)
+            .stdin(Stdio::from(OwnedFd::from(child)))
+            .stdout(Stdio::from(child_out))
             .stderr(Stdio::inherit())
             .spawn()
-            .map_err(|e| JaguarError::Worker(format!("spawning {path:?}: {e}")))?;
-        // Spawn-wiring failures degrade like any other worker error (the
-        // caller falls back per its policy) instead of panicking the query
-        // thread.
-        let stdin = child.stdin.take().ok_or_else(|| {
-            let _ = child.kill();
-            let _ = child.wait();
-            JaguarError::Worker(format!("worker {path:?} spawned without piped stdin"))
-        })?;
-        let stdout = child.stdout.take().ok_or_else(|| {
-            let _ = child.kill();
-            let _ = child.wait();
-            JaguarError::Worker(format!("worker {path:?} spawned without piped stdout"))
-        })?;
+            .map_err(failed)?;
         let reg = obs::global();
         reg.counter("ipc.workers_spawned").inc();
         let mut wp = WorkerProcess {
-            child: Arc::new(Mutex::new(child)),
-            input: BufReader::new(CountingReader::new(stdout, reg.counter("ipc.bytes_in"))),
-            output: BufWriter::new(CountingWriter::new(stdin, reg.counter("ipc.bytes_out"))),
+            child,
+            input: BufReader::new(CountingReader::new(
+                Timed::new(ours),
+                reg.counter("ipc.bytes_in"),
+            )),
+            output: BufWriter::new(CountingWriter::new(writer, reg.counter("ipc.bytes_out"))),
             crossings: reg.counter("ipc.crossings"),
             callbacks: reg.counter("ipc.callbacks"),
-            reaped: false,
         };
         let ready = wp
             .guarded(Some(MAINTENANCE_TIMEOUT), |wp| wp.read_response(0))
@@ -282,7 +326,7 @@ impl WorkerProcess {
 
     /// Invoke the loaded UDF once per row in one crossing (the vectorized
     /// ABI): `rows` rows of `arity` arguments, `arg(row, a)` being argument
-    /// `a` of row `row`, written into the pipe from wherever the caller
+    /// `a` of row `row`, written into the socket from wherever the caller
     /// holds them. Callbacks interleave with the rows.
     ///
     /// `Ok((values, None))` means every row completed; `Ok((values,
@@ -314,12 +358,11 @@ impl WorkerProcess {
         self.expect(Request::Reset, Response::ResetOk)
     }
 
-    /// Run one round trip `f` under a deadline: the [`watchdog`] kills this
-    /// worker if `f` has not returned within `timeout` (`None`: no
-    /// deadline, nothing armed). `Err(Expired)` means the deadline fired —
-    /// the worker is dead, and whatever `f` returned is moot.
-    ///
-    /// [`watchdog`]: crate::watchdog
+    /// Run one round trip `f` under a deadline: every socket read and
+    /// write `f` makes waits at most until `timeout` from now (`None`: no
+    /// deadline, nothing armed). `Err(Expired)` means `f` failed past its
+    /// deadline, and the worker was killed and reaped — whatever `f`
+    /// returned is moot.
     pub fn guarded<T>(
         &mut self,
         timeout: Option<Duration>,
@@ -328,42 +371,43 @@ impl WorkerProcess {
         let Some(timeout) = timeout else {
             return Ok(f(self));
         };
-        let deadline = Deadline::arm(Instant::now() + timeout, self.kill_handle());
+        let at = Instant::now() + timeout;
+        self.arm(at);
         let out = f(self);
-        if deadline.disarm() {
+        let disarmed = self.disarm();
+        if out.is_err() && Instant::now() >= at {
+            let _ = self.child.kill();
+            let _ = self.child.wait();
             return Err(Expired);
         }
-        Ok(out)
+        Ok(out.and_then(|v| disarmed.map(|()| v).map_err(Into::into)))
+    }
+
+    fn arm(&mut self, at: Instant) {
+        self.input.get_mut().get_mut().arm(at);
+        self.output.get_mut().get_mut().arm(at);
+    }
+
+    fn disarm(&mut self) -> io::Result<()> {
+        self.input.get_mut().get_mut().disarm()?;
+        self.output.get_mut().get_mut().disarm()
     }
 
     /// True while the child process has not exited.
     pub fn is_alive(&mut self) -> bool {
-        let mut child = self.child.lock().unwrap_or_else(|p| p.into_inner());
-        matches!(child.try_wait(), Ok(None))
+        matches!(self.child.try_wait(), Ok(None))
     }
 
     /// OS process id of the worker (stable for the worker's lifetime; used
     /// by tests to prove reuse).
     pub fn pid(&self) -> u32 {
-        self.child.lock().unwrap_or_else(|p| p.into_inner()).id()
-    }
-
-    /// A kill switch another thread can hold while this one talks to the
-    /// worker. See [`WorkerKillHandle`].
-    pub fn kill_handle(&self) -> WorkerKillHandle {
-        WorkerKillHandle {
-            child: Arc::downgrade(&self.child),
-        }
+        self.child.id()
     }
 
     /// Orderly shutdown; also awaited on drop.
     pub fn shutdown(mut self) -> Result<()> {
         let _ = Request::Shutdown.write(&mut self.output);
-        let status = {
-            let mut child = self.child.lock().unwrap_or_else(|p| p.into_inner());
-            child.wait()?
-        };
-        self.reaped = true;
+        let status = self.child.wait()?;
         if !status.success() {
             return Err(JaguarError::Worker(format!("worker exited with {status}")));
         }
@@ -372,28 +416,17 @@ impl WorkerProcess {
 }
 
 impl Drop for WorkerProcess {
+    /// A worker already reaped (shut down, or killed at a deadline) has
+    /// closed its half, so this finds the EOF at once.
     fn drop(&mut self) {
-        if self.reaped {
-            return;
-        }
+        // Bounded grace period so orderly shutdown gets a chance to happen
+        // before SIGKILL: the worker exits on `Shutdown`, closing its half.
+        self.arm(Instant::now() + DROP_GRACE);
         let _ = Request::Shutdown.write(&mut self.output);
-        // Bounded grace period so orderly shutdown actually gets a chance to
-        // happen before we resort to SIGKILL.
-        let deadline = Instant::now() + DROP_GRACE;
-        let mut child = self.child.lock().unwrap_or_else(|p| p.into_inner());
-        loop {
-            match child.try_wait() {
-                Ok(Some(_)) => return,
-                Ok(None) if Instant::now() < deadline => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                _ => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return;
-                }
-            }
+        if io::copy(&mut self.input, &mut io::sink()).is_err() {
+            let _ = self.child.kill();
         }
+        let _ = self.child.wait();
     }
 }
 
@@ -404,7 +437,7 @@ pub(crate) mod tests {
     /// Serializes every test that mutates `JAGUAR_WORKER_BIN`: the process
     /// environment is global, so parallel test threads would otherwise race
     /// on it and observe each other's overrides.
-    pub(crate) static ENV_LOCK: Mutex<()> = Mutex::new(());
+    pub(crate) static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]
     fn discovery_respects_env_override_errors() {
@@ -420,27 +453,6 @@ pub(crate) mod tests {
             None => std::env::remove_var(key),
         }
         assert!(e.to_string().contains("does not exist"), "{e}");
-    }
-
-    #[test]
-    fn kill_handle_is_noop_after_drop() {
-        // A handle whose worker is gone must not kill anything else.
-        let child = Arc::new(Mutex::new(
-            Command::new("true")
-                .stdin(Stdio::null())
-                .stdout(Stdio::null())
-                .spawn()
-                .expect("spawn /bin/true"),
-        ));
-        let handle = WorkerKillHandle {
-            child: Arc::downgrade(&child),
-        };
-        child.lock().unwrap().wait().unwrap();
-        // Process already exited: no kill delivered.
-        assert!(!handle.kill());
-        drop(child);
-        // Worker dropped entirely: upgrade fails, still a no-op.
-        assert!(!handle.kill());
     }
 
     #[test]
@@ -460,6 +472,69 @@ pub(crate) mod tests {
         let failed = batch_reply(3, ints(1), Some("boom".into())).unwrap();
         assert_eq!(failed, (ints(1), Some("boom".into())));
         assert!(batch_reply(0, vec![], None).is_ok());
+    }
+
+    /// A [`Timed`] over one half of a bare socket pair, and the other half.
+    fn timed_pair() -> (Timed, UnixStream) {
+        let (ours, peer) = UnixStream::pair().unwrap();
+        (Timed::new(ours), peer)
+    }
+
+    #[test]
+    fn timed_read_ends_at_the_deadline_however_the_peer_dribbles() {
+        // Every byte comes well inside the deadline; the read as a whole
+        // must still end at it.
+        let (mut timed, mut peer) = timed_pair();
+        let dribble = std::thread::spawn(move || {
+            for _ in 0..10 {
+                std::thread::sleep(Duration::from_millis(40));
+                if peer.write_all(&[7]).is_err() {
+                    return;
+                }
+            }
+        });
+        let start = Instant::now();
+        timed.arm(start + Duration::from_millis(100));
+        let e = timed.read_exact(&mut [0; 10]).unwrap_err();
+        let waited = start.elapsed();
+        assert_eq!(e.kind(), io::ErrorKind::TimedOut, "{e}");
+        assert!(waited < Duration::from_millis(300), "{waited:?}");
+        drop(timed);
+        dribble.join().unwrap();
+    }
+
+    #[test]
+    fn timed_write_ends_at_the_deadline_when_the_peer_never_reads() {
+        let (mut timed, _peer) = timed_pair();
+        // A deadline already reached fails at once; it is not "no timeout".
+        timed.arm(Instant::now());
+        let e = timed.write_all(&[1]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::TimedOut, "{e}");
+
+        let start = Instant::now();
+        timed.arm(start + Duration::from_millis(100));
+        let e = timed.write_all(&vec![0; 4 << 20]).unwrap_err();
+        let waited = start.elapsed();
+        assert_eq!(e.kind(), io::ErrorKind::TimedOut, "{e}");
+        assert!(waited < Duration::from_secs(1), "{waited:?}");
+    }
+
+    #[test]
+    fn timed_disarm_puts_the_socket_back_to_blocking() {
+        let (mut timed, mut peer) = timed_pair();
+        peer.write_all(&[1]).unwrap();
+        timed.arm(Instant::now() + Duration::from_millis(50));
+        timed.read_exact(&mut [0]).unwrap();
+        timed.disarm().unwrap();
+        let late = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(200));
+            peer.write_all(&[2]).unwrap();
+            peer
+        });
+        let mut byte = [0];
+        timed.read_exact(&mut byte).unwrap();
+        assert_eq!(byte, [2]);
+        late.join().unwrap();
     }
 
     #[test]

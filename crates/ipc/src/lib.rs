@@ -12,10 +12,10 @@
 //!
 //! **Substitution** (documented in DESIGN.md): std-only Rust has no SysV
 //! shared memory, so arguments and results cross the process boundary over
-//! the worker's stdin/stdout pipes instead. The qualitative cost structure
-//! is the same one Figures 5 and 8 measure: every crossing pays a context
-//! switch plus a copy proportional to the data size, and every *callback*
-//! pays a full extra round trip.
+//! a Unix socket pair instead: the worker's stdin and stdout are its half.
+//! The qualitative cost structure is the same one Figures 5 and 8 measure:
+//! every crossing pays a context switch plus a copy proportional to the
+//! data size, and every *callback* pays a full extra round trip.
 //!
 //! Pieces:
 //!
@@ -23,10 +23,9 @@
 //!   stream encoding from `jaguar-common`),
 //! * [`executor`] — the server side: spawn a worker per query, load a UDF
 //!   into it, invoke it a batch of rows at a time (a tuple is a batch of
-//!   one), answer its callbacks, reap it,
-//! * [`watchdog`] — the one deadline mechanism: a process-wide thread that
-//!   kills a worker whose guarded round trip (spawn handshake, invoke,
-//!   batch, reset) outlives its deadline,
+//!   one), answer its callbacks, reap it; a guarded round trip (spawn
+//!   handshake, invoke, batch, reset) times out its own socket reads and
+//!   writes, and kills the worker when it fails past its deadline,
 //! * [`pool`] — a warm pool of workers checked out per query instead of
 //!   spawned (an extension; the paper spawns per query); a checkout spawns
 //!   what the pool lacks, and no pool thread loops,
@@ -38,9 +37,8 @@
 pub mod executor;
 pub mod pool;
 pub mod proto;
-pub mod watchdog;
 pub mod worker;
 
-pub use executor::{find_worker_binary, Expired, WorkerKillHandle, WorkerProcess};
+pub use executor::{find_worker_binary, Expired, WorkerProcess};
 pub use proto::CallbackHandler;
 pub use worker::{NativeUdfFn, WorkerRegistry};

@@ -16,10 +16,10 @@
 //! * **Crashes are absorbed.** A worker that dies mid-query surfaces the
 //!   usual contained `Worker` error to that query and gives its slot back;
 //!   an idle worker found dead at checkout is discarded the same way.
-//! * **Hangs are bounded.** Every pipe round trip through a pooled worker
-//!   (invoke, and internally reset) is [guarded](WorkerProcess::guarded)
-//!   by the [`watchdog`](crate::watchdog), which kills the worker when the
-//!   deadline expires; a killed worker never re-enters the idle set.
+//! * **Hangs are bounded.** Every round trip through a pooled worker
+//!   (invoke, and internally reset) is [guarded](WorkerProcess::guarded):
+//!   its socket reads and writes time out at the deadline, and the worker
+//!   is killed; a killed worker never re-enters the idle set.
 //! * **Saturation pushes back.** When all workers are busy, checkouts queue
 //!   up to a bounded number of waiters and a bounded wait time; beyond
 //!   either bound the caller gets an error instead of unbounded queueing.
@@ -141,7 +141,7 @@ pub struct PoolStatsSnapshot {
     /// Workers discarded because they died (mid-query or while idle) or
     /// failed their check-in reset.
     pub crashes: u64,
-    /// Invocations whose worker the watchdog killed at a deadline.
+    /// Invocations whose worker was killed at a deadline.
     pub timeouts: u64,
     /// Checkouts that had to wait for a worker to come free.
     pub queue_waits: u64,
@@ -487,8 +487,9 @@ impl PooledWorker {
         self.inner.config.invoke_timeout
     }
 
-    /// Note that the watchdog killed this worker at a deadline: it counts
-    /// as a pool timeout, not a crash, and never re-enters the idle set.
+    /// Note that a guarded round trip killed this worker at a deadline: it
+    /// counts as a pool timeout, not a crash, and never re-enters the idle
+    /// set.
     pub fn expired(&mut self) {
         if !self.timed_out {
             self.timed_out = true;
@@ -635,10 +636,20 @@ mod tests {
     fn idle_worker_found_dead_is_replaced_at_checkout() {
         let Some(pool) = warm_pool(1) else { return };
         let w = pool.checkout().unwrap();
-        let (pid, kill) = (w.pid(), w.kill_handle());
+        let pid = w.pid();
         drop(w);
         let before = pool.stats();
-        assert!(kill.kill(), "the idle worker was running");
+        let killed = std::process::Command::new("kill")
+            .args(["-9", &pid.to_string()])
+            .status()
+            .unwrap();
+        assert!(killed.success(), "the idle worker was running");
+        // SIGKILL lands asynchronously: wait until the idle worker is gone.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.inner.lock().idle[0].worker.is_alive() {
+            assert!(Instant::now() < deadline, "the killed worker never exited");
+            std::thread::yield_now();
+        }
 
         let w = pool.checkout().unwrap();
         assert_ne!(w.pid(), pid);

@@ -273,9 +273,9 @@ impl Engine {
     /// Execute one SQL statement. Cancellation of the request's token
     /// (from another thread) or deadline expiry aborts the statement
     /// cooperatively: the executor notices within a few tuples, sandboxed
-    /// UDFs within a few thousand instructions, and isolated workers when
-    /// the IPC watchdog kills them at the deadline. Partial DML effects are sealed through
-    /// the WAL exactly like any other failed statement.
+    /// UDFs within a few thousand instructions, and isolated workers at their
+    /// first socket read or write past the deadline, which kills them. Partial
+    /// DML effects are sealed through the WAL exactly like any other failed statement.
     pub fn execute<'a>(&self, request: impl Into<Request<'a>>) -> Result<QueryResult> {
         self.run(request.into(), false)
     }

@@ -69,7 +69,7 @@ pub struct UdfResourceUsage {
 ///
 /// Instances are per-query (see [`crate::def::UdfDef::instantiate`]):
 /// `invoke` takes `&mut self` because isolated backends own a worker
-/// process whose pipes are inherently exclusive.
+/// process whose socket is inherently exclusive.
 pub trait ScalarUdf: Send {
     fn name(&self) -> &str;
 

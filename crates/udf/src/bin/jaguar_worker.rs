@@ -1,15 +1,15 @@
 //! The isolated UDF executor process (paper §4.1).
 //!
 //! The server spawns one of these per UDF per query (Design 2/4), or keeps
-//! a few warm in its worker pool, loads a UDF into it over stdin/stdout, and
-//! invokes it per tuple. The native UDF registry baked in here mirrors the
+//! a few warm in its worker pool, loads a UDF into it over stdin/stdout
+//! (both one half of a socket pair), and invokes it per tuple. The native UDF registry baked in here mirrors the
 //! C++ UDFs compiled into PREDATOR's remote executor.
 //!
-//! A UDF stuck inside this process is the server's to kill: the server's
-//! deadline watchdog kills the worker when a round trip outlives its
-//! statement budget or the pool's invoke timeout. Should the server itself
-//! die, a UDF that never returns to read the (now closed) pipe would
-//! outlive it; a watcher thread exits the worker once its parent changes.
+//! A UDF stuck inside this process is the server's to kill: the server
+//! times out its read of the reply and kills the worker when a round trip
+//! outlives its statement budget or the pool's invoke timeout. Should the
+//! server itself die, a UDF that never returns to read the (now closed)
+//! socket would outlive it; a watcher thread exits the worker once its parent changes.
 
 fn main() {
     #[cfg(unix)]

@@ -293,10 +293,10 @@ struct IsolatedUdf {
 impl IsolatedUdf {
     /// Run one invocation round trip under the earlier of two deadlines:
     /// the statement's remaining budget and, for a pooled worker, the
-    /// pool's invoke timeout. The watchdog kills a worker that overruns
-    /// it; a kill bound by the statement budget is a `Timeout`, one bound
-    /// by the pool timeout a `ResourceLimit`, and a killed pooled worker
-    /// is never checked back in.
+    /// pool's invoke timeout. A worker that overruns it is killed; a kill
+    /// bound by the statement budget is a `Timeout`, one bound by the pool
+    /// timeout a `ResourceLimit`, and a killed pooled worker is never
+    /// checked back in.
     fn guarded<T>(&mut self, f: impl FnOnce(&mut WorkerProcess) -> Result<T>) -> Result<T> {
         let statement = self.cancel.remaining();
         let pool = match &self.lease {
@@ -362,8 +362,8 @@ impl ScalarUdf for IsolatedUdf {
         if let Err(e) = self.cancel.check() {
             return Err(BatchError::before_any(e));
         }
-        // One deadline around the whole batch: the watchdog still kills a
-        // wedged worker in time, it just cannot say which row wedged.
+        // One deadline around the whole batch: it still kills a wedged
+        // worker in time, it just cannot say which row wedged.
         let out = self.guarded(|w| w.invoke_batch(valid, arity, arg, callbacks));
         finish_checked(out, bad)
     }

@@ -306,7 +306,7 @@ pub fn worker_registry() -> WorkerRegistry {
         .register("crash", |_args, _cb| {
             std::process::abort();
         })
-        // A deliberately hanging UDF: proves the deadline watchdog kills a
+        // A deliberately hanging UDF: proves a round trip's deadline kills a
         // wedged worker, spawned or pooled, instead of wedging the query.
         .register("hang", |_args, _cb| loop {
             std::thread::sleep(std::time::Duration::from_secs(3600));

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jaguar_core::{
-    Client, Config, DataType, Database, JaguarError, Request, UdfDef, UdfDesign, UdfImpl,
-    UdfSignature, Value, Volatility,
+    ByteArray, Client, Config, DataType, Database, JaguarError, Request, Tuple, UdfDef, UdfDesign,
+    UdfImpl, UdfSignature, Value, Volatility,
 };
 use jaguar_ipc::find_worker_binary;
 
@@ -165,6 +165,62 @@ fn statement_deadline_kills_hung_spawned_worker() {
 
     let r = db.execute("SELECT a FROM t").unwrap();
     assert_eq!(r.rows.len(), 1);
+}
+
+/// A round trip that spends its time in the engine's callbacks, not in
+/// the worker, still ends at the statement deadline: the Design-2 generic
+/// UDF makes 20 callbacks of 50 ms each (1 s in all) under a 300 ms
+/// budget. The worker is killed at the first socket operation after the
+/// deadline, and the next statement runs on a freshly spawned worker.
+#[test]
+fn statement_deadline_kills_a_worker_waiting_on_callbacks() {
+    if !worker_available() {
+        return;
+    }
+    let db = Database::with_config(
+        Config::default()
+            .with_pooled_executors(1)
+            .with_statement_timeout_ms(Some(300)),
+    );
+    db.execute("CREATE TABLE t (a INT, b BYTEARRAY)").unwrap();
+    db.catalog()
+        .table("t")
+        .unwrap()
+        .insert(Tuple::new(vec![
+            Value::Int(1),
+            Value::Bytes(ByteArray::patterned(16, 1)),
+        ]))
+        .unwrap();
+    db.register_udf(jaguar_udf::generic::def_isolated());
+    db.register_callback("cb", |args| {
+        std::thread::sleep(Duration::from_millis(50));
+        Ok(args[0].clone())
+    });
+    let pool = db.worker_pool().expect("pool attached");
+    assert!(pool.wait_ready(Duration::from_secs(10)));
+    let before = pool.stats();
+
+    let start = Instant::now();
+    let err = db
+        .execute("SELECT generic_ic(b, 0, 0, 20) FROM t")
+        .unwrap_err();
+    let elapsed = start.elapsed();
+    assert!(
+        matches!(err, JaguarError::Timeout(_)),
+        "a deadline passed inside callbacks must surface as a timeout, got: {err}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(700),
+        "the 300ms budget must end the statement well before its callbacks \
+         would (1s); took {elapsed:?}"
+    );
+    let killed = pool.stats();
+    assert_eq!(killed.timeouts, before.timeouts + 1, "{killed}");
+
+    let r = db.execute("SELECT generic_ic(b, 0, 0, 0) FROM t").unwrap();
+    assert_eq!(ints(&r), vec![0]);
+    let after = pool.stats();
+    assert_eq!(after.spawns, killed.spawns + 1, "a fresh worker: {after}");
 }
 
 /// Acceptance (b): a client cancels a long scan out-of-band; the query
