@@ -23,7 +23,9 @@
 //!   transient/permanent failure classifiers,
 //! * [`config`] — engine tunables,
 //! * [`obs`] — the observability kernel: log facade, metrics registry,
-//!   span timers, byte-counting I/O adapters,
+//!   span timers,
+//! * [`polled`] — the one reader every process boundary waits through:
+//!   it polls for the peer's next message for a moment, then blocks,
 //! * [`rng`] — a tiny deterministic generator used by workload builders so
 //!   experiments are reproducible byte-for-byte.
 
@@ -34,6 +36,7 @@ pub mod fault;
 pub mod fs;
 pub mod ids;
 pub mod obs;
+pub mod polled;
 pub mod retry;
 pub mod rng;
 pub mod schema;

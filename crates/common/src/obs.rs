@@ -14,15 +14,11 @@
 //!   touch atomics.
 //! * [`span`] — lightweight span timers that record a wall-clock duration
 //!   into a histogram when dropped.
-//! * [`io`] — byte-counting `Read`/`Write` adapters used by the IPC and
-//!   network layers to meter marshalled bytes without touching the framing
-//!   code.
 //!
 //! Everything here is `std`-only by design: the observability layer must
 //! never be the reason a build grows a dependency, and it must be usable
 //! from the innermost crates.
 
-pub mod io;
 pub mod log;
 pub mod metrics;
 pub mod span;

@@ -8,9 +8,11 @@
 //!
 //! The worker's stdin and stdout are its half of a socket pair. A socket,
 //! unlike a pipe, times out its own reads and writes, so the thread waiting
-//! on a round trip enforces its deadline (`Timed`).
+//! on a round trip enforces its deadline (`Timed`). Each request leaves in
+//! one write ([`Outbox`]), and each reply is polled for before it is
+//! blocked on ([`Polled`]), as the worker does at its end.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, Read, Write};
 use std::os::fd::OwnedFd;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -20,11 +22,12 @@ use std::time::{Duration, Instant};
 
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
-use jaguar_common::obs::io::{CountingReader, CountingWriter};
 use jaguar_common::obs::Counter;
+use jaguar_common::polled::{Pollable, Polled};
 use jaguar_common::Value;
+use jaguar_vm::ResourceLimits;
 
-use crate::proto::{write_batch, CallbackHandler, Request, Response, PROTO_VERSION};
+use crate::proto::{write_batch, CallbackHandler, Outbox, Request, Response, PROTO_VERSION};
 
 /// How long `Drop` waits for an orderly exit after `Shutdown` before killing.
 const DROP_GRACE: Duration = Duration::from_millis(200);
@@ -71,28 +74,36 @@ pub fn find_worker_binary() -> Result<PathBuf> {
     )))
 }
 
-/// The parent's half of a worker's socket. While a deadline is armed,
+/// The parent's half of a worker's socket, one direction of it: the bytes
+/// it moves count in `bytes`. While a deadline is armed,
 /// every read and write first sets the socket's timeout to the time left
 /// and fails with `TimedOut` once none is left, so a round trip ends by its
 /// deadline however many syscalls it makes, and time spent between them
 /// (answering a callback) counts too.
 struct Timed {
     sock: UnixStream,
+    bytes: Arc<Counter>,
     /// The armed deadline, if any.
     deadline: Option<Instant>,
     /// The timeout this deadline has set on the socket, to clear on disarm.
     set: Option<SetTimeout>,
+    /// Set while a poll holds the socket non-blocking: a `WouldBlock` is
+    /// then an empty socket, not a fired timeout, so reads go straight to
+    /// the socket.
+    polling: bool,
 }
 
 /// `UnixStream::set_read_timeout` or `set_write_timeout`.
 type SetTimeout = fn(&UnixStream, Option<Duration>) -> io::Result<()>;
 
 impl Timed {
-    fn new(sock: UnixStream) -> Timed {
+    fn new(sock: UnixStream, bytes: Arc<Counter>) -> Timed {
         Timed {
             sock,
+            bytes,
             deadline: None,
             set: None,
+            polling: false,
         }
     }
 
@@ -114,7 +125,7 @@ impl Timed {
         set: SetTimeout,
         mut op: impl FnMut(&mut UnixStream) -> io::Result<T>,
     ) -> io::Result<T> {
-        let Some(at) = self.deadline else {
+        let Some(at) = self.deadline.filter(|_| !self.polling) else {
             return op(&mut self.sock);
         };
         loop {
@@ -136,16 +147,28 @@ impl Timed {
 
 impl Read for Timed {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.timed(UnixStream::set_read_timeout, |s| s.read(buf))
+        let n = self.timed(UnixStream::set_read_timeout, |s| s.read(buf))?;
+        self.bytes.add(n as u64);
+        Ok(n)
     }
 }
 
 impl Write for Timed {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.timed(UnixStream::set_write_timeout, |s| s.write(buf))
+        let n = self.timed(UnixStream::set_write_timeout, |s| s.write(buf))?;
+        self.bytes.add(n as u64);
+        Ok(n)
     }
 
     fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl Pollable for Timed {
+    fn set_nonblocking(&mut self, on: bool) -> io::Result<()> {
+        self.sock.set_nonblocking(on)?;
+        self.polling = on;
         Ok(())
     }
 }
@@ -154,8 +177,8 @@ impl Write for Timed {
 /// or checked out of a [`crate::pool`] warm pool and reused across queries).
 pub struct WorkerProcess {
     child: Child,
-    input: BufReader<CountingReader<Timed>>,
-    output: BufWriter<CountingWriter<Timed>>,
+    input: Polled<Timed>,
+    output: Outbox<Timed>,
     /// Process-boundary crossings (requests sent to the worker) — the cost
     /// the paper's Figures 4–8 attribute to isolated execution.
     crossings: Arc<Counter>,
@@ -192,6 +215,12 @@ impl WorkerProcess {
     /// at most one second: a binary that never answers is killed and fails
     /// the spawn.
     pub fn spawn_at(path: &Path) -> Result<WorkerProcess> {
+        Self::spawn_command(Command::new(path))
+    }
+
+    /// [`WorkerProcess::spawn_at`] for a prepared command.
+    fn spawn_command(mut command: Command) -> Result<WorkerProcess> {
+        let path = PathBuf::from(command.get_program());
         // Chaos hook: simulate a transient spawn failure (fork pressure,
         // momentarily busy binary). The error shape matches a real spawn
         // error, so the retry classifier treats both identically.
@@ -203,9 +232,9 @@ impl WorkerProcess {
         let failed = |e| JaguarError::Worker(format!("spawning {path:?}: {e}"));
         let (ours, child) = UnixStream::pair().map_err(failed)?;
         let child_out = OwnedFd::from(child.try_clone().map_err(failed)?);
-        let writer = Timed::new(ours.try_clone().map_err(failed)?);
+        let writer = ours.try_clone().map_err(failed)?;
         // The worker's stdin and stdout are both its half of the pair.
-        let child = Command::new(path)
+        let child = command
             .stdin(Stdio::from(OwnedFd::from(child)))
             .stdout(Stdio::from(child_out))
             .stderr(Stdio::inherit())
@@ -215,11 +244,11 @@ impl WorkerProcess {
         reg.counter("ipc.workers_spawned").inc();
         let mut wp = WorkerProcess {
             child,
-            input: BufReader::new(CountingReader::new(
-                Timed::new(ours),
-                reg.counter("ipc.bytes_in"),
-            )),
-            output: BufWriter::new(CountingWriter::new(writer, reg.counter("ipc.bytes_out"))),
+            input: Polled::new(
+                Timed::new(ours, reg.counter("ipc.bytes_in")),
+                reg.counter("ipc.polled_replies"),
+            ),
+            output: Outbox::new(Timed::new(writer, reg.counter("ipc.bytes_out"))),
             crossings: reg.counter("ipc.crossings"),
             callbacks: reg.counter("ipc.callbacks"),
         };
@@ -248,7 +277,8 @@ impl WorkerProcess {
     }
 
     fn read_response(&mut self, batch_rows: usize) -> Result<Response> {
-        Response::read(&mut self.input, batch_rows).map_err(|e| match e {
+        let reply = self.input.read(|r| Response::read(r, batch_rows));
+        reply.map_err(|e| match e {
             // EOF here means the worker died — the crash-containment path.
             JaguarError::Io(ref io) if io.kind() == std::io::ErrorKind::UnexpectedEof => {
                 JaguarError::Worker("worker process died (crash contained by isolation)".into())
@@ -259,7 +289,7 @@ impl WorkerProcess {
 
     fn send(&mut self, request: Request) -> Result<()> {
         self.crossings.inc();
-        request.write(&mut self.output)
+        self.output.send(|frame| request.write(frame))
     }
 
     /// Send `request` and expect exactly `want` back.
@@ -296,21 +326,22 @@ impl WorkerProcess {
         self.expect(Request::LoadNative { name }, Response::Loaded)
     }
 
-    /// Ship a serialised, to-be-verified JSM module (Design 4).
+    /// Ship a serialised, to-be-verified JSM module (Design 4), to run
+    /// under `limits`.
     pub fn load_vm(
         &mut self,
         module: &[u8],
         function: &str,
         jit: bool,
-        fuel: Option<u64>,
-        memory: Option<usize>,
+        limits: ResourceLimits,
     ) -> Result<()> {
         let request = Request::LoadVm {
             module: module.to_vec(),
             function: function.to_string(),
             jit,
-            fuel: fuel.unwrap_or(0),
-            memory: memory.unwrap_or(0) as u64,
+            fuel: limits.fuel.unwrap_or(0),
+            memory: limits.memory.unwrap_or(0) as u64,
+            max_call_depth: limits.max_call_depth as u64,
         };
         self.expect(request, Response::Loaded)
     }
@@ -342,7 +373,8 @@ impl WorkerProcess {
         callbacks: &mut dyn CallbackHandler,
     ) -> BatchOutcome {
         self.crossings.inc();
-        write_batch(&mut self.output, rows, arity, arg)?;
+        self.output
+            .send(|frame| write_batch(frame, rows, arity, arg))?;
         match self.pump(rows, callbacks)? {
             Response::BatchReply { values, error } => batch_reply(rows, values, error),
             other => Err(JaguarError::Protocol(format!(
@@ -384,13 +416,13 @@ impl WorkerProcess {
     }
 
     fn arm(&mut self, at: Instant) {
-        self.input.get_mut().get_mut().arm(at);
-        self.output.get_mut().get_mut().arm(at);
+        self.input.get_mut().arm(at);
+        self.output.get_mut().arm(at);
     }
 
     fn disarm(&mut self) -> io::Result<()> {
-        self.input.get_mut().get_mut().disarm()?;
-        self.output.get_mut().get_mut().disarm()
+        self.input.get_mut().disarm()?;
+        self.output.get_mut().disarm()
     }
 
     /// True while the child process has not exited.
@@ -406,7 +438,7 @@ impl WorkerProcess {
 
     /// Orderly shutdown; also awaited on drop.
     pub fn shutdown(mut self) -> Result<()> {
-        let _ = Request::Shutdown.write(&mut self.output);
+        let _ = self.output.send(|frame| Request::Shutdown.write(frame));
         let status = self.child.wait()?;
         if !status.success() {
             return Err(JaguarError::Worker(format!("worker exited with {status}")));
@@ -422,8 +454,9 @@ impl Drop for WorkerProcess {
         // Bounded grace period so orderly shutdown gets a chance to happen
         // before SIGKILL: the worker exits on `Shutdown`, closing its half.
         self.arm(Instant::now() + DROP_GRACE);
-        let _ = Request::Shutdown.write(&mut self.output);
-        if io::copy(&mut self.input, &mut io::sink()).is_err() {
+        let _ = self.output.send(|frame| Request::Shutdown.write(frame));
+        let drained = self.input.read(|r| Ok(io::copy(r, &mut io::sink())?));
+        if drained.is_err() {
             let _ = self.child.kill();
         }
         let _ = self.child.wait();
@@ -477,7 +510,7 @@ pub(crate) mod tests {
     /// A [`Timed`] over one half of a bare socket pair, and the other half.
     fn timed_pair() -> (Timed, UnixStream) {
         let (ours, peer) = UnixStream::pair().unwrap();
-        (Timed::new(ours), peer)
+        (Timed::new(ours, Arc::default()), peer)
     }
 
     #[test]
@@ -535,6 +568,67 @@ pub(crate) mod tests {
         timed.read_exact(&mut byte).unwrap();
         assert_eq!(byte, [2]);
         late.join().unwrap();
+    }
+
+    #[test]
+    fn timed_read_while_polling_skips_the_deadline_loop() {
+        // Non-blocking, an empty socket fails a read at once: the deadline
+        // must not take that for a fired timeout and retry until it ends.
+        let (mut timed, _peer) = timed_pair();
+        let start = Instant::now();
+        timed.arm(start + Duration::from_millis(200));
+        timed.set_nonblocking(true).unwrap();
+        let e = timed.read(&mut [0]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::WouldBlock, "{e}");
+        assert!(start.elapsed() < Duration::from_millis(100));
+        timed.set_nonblocking(false).unwrap();
+        let e = timed.read(&mut [0]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::TimedOut, "{e}");
+    }
+
+    /// A worker played by `/bin/sh`: it says Ready, then runs `then`.
+    fn scripted_worker(then: &str) -> WorkerProcess {
+        let ready = format!("printf '\\201\\{PROTO_VERSION:03o}\\000\\000\\000'");
+        let mut command = Command::new("/bin/sh");
+        command.arg("-c").arg(format!("{ready}; {then}"));
+        WorkerProcess::spawn_command(command).unwrap()
+    }
+
+    #[test]
+    fn polled_reply_read_ends_at_the_deadline_and_kills_the_worker() {
+        // A worker that never answers, and one that dribbles a reply's
+        // bytes well inside the deadline: the round trip ends at it.
+        for then in [
+            "exec sleep 10",
+            "printf '\\210'; while :; do sleep 0.04; printf '\\000'; done",
+        ] {
+            let mut worker = scripted_worker(then);
+            let start = Instant::now();
+            let out = worker.guarded(Some(Duration::from_millis(100)), |w| {
+                w.invoke(&[Value::Int(1)], &mut crate::proto::NoCallbacks)
+            });
+            let waited = start.elapsed();
+            assert!(matches!(out, Err(Expired)), "{then}: {out:?}");
+            assert!(waited < Duration::from_millis(300), "{then}: {waited:?}");
+            assert!(!worker.is_alive(), "{then}: the worker was killed");
+        }
+    }
+
+    #[test]
+    fn eof_met_while_polling_reports_the_worker_died() {
+        let mut worker = scripted_worker("exit 0");
+        let start = Instant::now();
+        while worker.is_alive() {
+            assert!(start.elapsed() < Duration::from_secs(10), "never exited");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        // The worker's half is closed before the read starts, so the poll
+        // meets the EOF at its first look.
+        let e = worker.read_response(0).unwrap_err();
+        let JaguarError::Worker(m) = &e else {
+            panic!("expected a worker error, got {e}");
+        };
+        assert!(m.contains("worker process died"), "{m}");
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! a Unix socket pair instead: the worker's stdin and stdout are its half.
 //! The qualitative cost structure is the same one Figures 5 and 8 measure:
 //! every crossing pays a context switch plus a copy proportional to the
-//! data size, and every *callback* pays a full extra round trip.
+//! data size, and every *callback* pays a full extra round trip. Each
+//! message leaves in one write, and each end polls for the next message
+//! briefly before it blocks, where the paper's semaphore wait blocked.
 //!
 //! Pieces:
 //!

@@ -28,7 +28,7 @@ use jaguar_common::{ByteArray, DataType, Value};
 ///
 /// On the server side this is implemented by the query executor (it can
 /// reach the storage engine); inside the worker it is implemented by a
-/// proxy that forwards the request over the pipe.
+/// proxy that forwards the request over the worker's socket.
 pub trait CallbackHandler {
     fn callback(&mut self, name: &str, args: &[Value]) -> Result<Value>;
 }
@@ -51,15 +51,17 @@ pub enum Request {
     /// the analogue of the C++ UDF compiled into the remote executor).
     LoadNative { name: String },
     /// Ship a serialised JSM module to run under the worker's sandbox
-    /// (Design 4). `fuel`/`memory` of 0 mean unlimited.
+    /// (Design 4). `fuel`/`memory` of 0 mean unlimited; `max_call_depth`
+    /// is the spec's, as Design 3 runs it.
     LoadVm {
         module: Vec<u8>,
         function: String,
         jit: bool,
         fuel: u64,
         memory: u64,
+        max_call_depth: u64,
     },
-    /// Invoke the loaded UDF once per row of a batch, paying one pipe
+    /// Invoke the loaded UDF once per row of a batch, paying one socket
     /// round-trip for the whole batch (the vectorized ABI). The worker
     /// stops at the first failing row and reports its index via
     /// [`Response::BatchReply`]. The frame is written by [`write_batch`],
@@ -80,7 +82,7 @@ pub enum Request {
 /// message set or the UDF registry semantics; the parent refuses workers
 /// announcing a different version (a stale `jaguar-worker` binary next to
 /// a fresh server otherwise produces silent wrong answers).
-pub const PROTO_VERSION: u32 = 8;
+pub const PROTO_VERSION: u32 = 9;
 
 /// Most rows one `InvokeBatch` frame may carry. The engine never forms
 /// batches above `jaguar_udf::batch::MAX_BATCH` (1024); the cap leaves headroom
@@ -172,6 +174,37 @@ pub fn write_batch<'v>(
     }
     w.flush()?;
     Ok(())
+}
+
+/// One end's outgoing messages. Each is encoded whole into a buffer kept
+/// from message to message and leaves in one `write_all`: a frame written
+/// field by field, or through a buffer smaller than it, wakes its reader
+/// once per piece.
+pub struct Outbox<W> {
+    out: W,
+    frame: Vec<u8>,
+}
+
+impl<W: Write> Outbox<W> {
+    pub fn new(out: W) -> Outbox<W> {
+        Outbox {
+            out,
+            frame: Vec::new(),
+        }
+    }
+
+    /// The stream written to.
+    pub fn get_mut(&mut self) -> &mut W {
+        &mut self.out
+    }
+
+    /// Encode one message with `encode` and write it.
+    pub fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
+        self.frame.clear();
+        encode(&mut self.frame)?;
+        self.out.write_all(&self.frame)?;
+        Ok(())
+    }
 }
 
 /// One argument of a decoded [`BatchFrame`]: a scalar in place, or the
@@ -295,6 +328,7 @@ impl Request {
                 jit,
                 fuel,
                 memory,
+                max_call_depth,
             } => {
                 write_u8(w, REQ_LOAD_VM)?;
                 write_blob(w, module)?;
@@ -302,6 +336,7 @@ impl Request {
                 write_u8(w, *jit as u8)?;
                 write_u64(w, *fuel)?;
                 write_u64(w, *memory)?;
+                write_u64(w, *max_call_depth)?;
             }
             Request::InvokeBatch => {
                 let e = "an InvokeBatch frame is written by proto::write_batch";
@@ -329,6 +364,7 @@ impl Request {
                 jit: read_u8(r)? != 0,
                 fuel: read_u64(r)?,
                 memory: read_u64(r)?,
+                max_call_depth: read_u64(r)?,
             },
             REQ_INVOKE_BATCH => {
                 batch.read(r)?;
@@ -465,6 +501,7 @@ mod tests {
             jit: true,
             fuel: 0,
             memory: 1 << 20,
+            max_call_depth: 8,
         });
         roundtrip_req(Request::CallbackResult {
             value: Value::Float(2.5),
@@ -585,6 +622,75 @@ mod tests {
         want.extend(4u32.to_le_bytes());
         want.extend(b"boom");
         assert_eq!(reply, want);
+    }
+
+    /// Counts the `write` calls made on it.
+    #[derive(Default)]
+    struct Writes {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_request_leaves_in_one_write() {
+        // 256 rows of a 100-byte ByteArray and three ints: a 34 KiB frame.
+        let rows: Vec<Vec<Value>> = (0..256)
+            .map(|i| {
+                let data = Value::Bytes(ByteArray::patterned(100, i));
+                vec![data, Value::Int(10), Value::Int(i as i64), Value::Int(0)]
+            })
+            .collect();
+        let requests = [
+            Request::LoadNative { name: "g".into() },
+            Request::LoadVm {
+                module: vec![0x0A; 3000],
+                function: "main".into(),
+                jit: true,
+                fuel: 10,
+                memory: 0,
+                max_call_depth: 8,
+            },
+            Request::CallbackResult {
+                value: Value::Int(10),
+            },
+            Request::Reset,
+            Request::Shutdown,
+        ];
+        let mut outbox = Outbox::new(Writes::default());
+        outbox
+            .send(|frame| write_batch(frame, rows.len(), 4, |i, a| &rows[i][a]))
+            .unwrap();
+        let batch_len = outbox.get_mut().bytes.len();
+        assert!(batch_len > 34 << 10, "{batch_len}");
+        assert_eq!(outbox.get_mut().calls, 1);
+        for request in &requests {
+            outbox.send(|frame| request.write(frame)).unwrap();
+        }
+        assert_eq!(outbox.get_mut().calls, 1 + requests.len());
+        // The stream holds the messages whole and in order.
+        let mut r = &outbox.get_mut().bytes[..];
+        let mut frame = BatchFrame::default();
+        assert_eq!(
+            Request::read(&mut r, &mut frame).unwrap(),
+            Request::InvokeBatch
+        );
+        assert_eq!(frame.rows().len(), 256);
+        for request in requests {
+            assert_eq!(Request::read(&mut r, &mut frame).unwrap(), request);
+        }
+        assert!(r.is_empty());
     }
 
     #[test]

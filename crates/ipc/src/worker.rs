@@ -1,8 +1,9 @@
 //! The worker side of isolated UDF execution.
 //!
-//! A worker process runs [`serve`] over its stdin/stdout. The parent loads
-//! exactly one UDF into it (native, from the registry baked into the worker
-//! binary; or a sandboxed VM module shipped over the pipe) and then invokes
+//! A worker process runs [`serve`] over its stdin/stdout, both its half of
+//! a socket pair. The parent loads exactly one UDF into it (native, from the
+//! registry baked into the worker binary; or a sandboxed VM module shipped
+//! over the socket) and then invokes
 //! it one batch of rows at a time (a per-tuple call is a batch of one). A
 //! UDF's callbacks are proxied back to the parent as `CallbackRequest`
 //! messages.
@@ -11,15 +12,16 @@
 //! the worker process down, not the server — which is the entire point of
 //! Design 2. [`serve`] catches nothing.
 
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::Write;
 use std::sync::Arc;
 
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::polled::{Pollable, Polled};
 use jaguar_common::Value;
 use jaguar_vm::interp::{ExecMode, HostEnv, Interpreter, VmValue};
 use jaguar_vm::{Arena, Module, ResourceLimits, TierTally, VerifiedModule};
 
-use crate::proto::{Arg, BatchFrame, CallbackHandler, Request, Response, PROTO_VERSION};
+use crate::proto::{Arg, BatchFrame, CallbackHandler, Outbox, Request, Response, PROTO_VERSION};
 
 /// A native UDF as hosted by the worker: arguments in, callbacks available,
 /// one value out. Mirrors the shape of a C++ UDF compiled into PREDATOR's
@@ -74,24 +76,27 @@ enum Loaded {
     },
 }
 
-/// Proxies a UDF's callbacks over the pipe to the parent and waits for the
-/// answer — one full round trip per callback, which is precisely the cost
-/// Figure 8 shows dominating IC++.
-struct WireCallbacks<'a, R: Read, W: Write> {
-    input: &'a mut R,
-    output: &'a mut W,
+/// Proxies a UDF's callbacks over the socket to the parent and waits for
+/// the answer — one full round trip per callback, which is precisely the
+/// cost Figure 8 shows dominating IC++.
+struct WireCallbacks<'a, R, W> {
+    input: &'a mut Polled<R>,
+    output: &'a mut Outbox<W>,
 }
 
-impl<R: Read, W: Write> CallbackHandler for WireCallbacks<'_, R, W> {
+impl<R: Pollable, W: Write> CallbackHandler for WireCallbacks<'_, R, W> {
     fn callback(&mut self, name: &str, args: &[Value]) -> Result<Value> {
-        Response::CallbackRequest {
+        let request = Response::CallbackRequest {
             name: name.to_string(),
             args: args.to_vec(),
-        }
-        .write(self.output)?;
+        };
+        self.output.send(|frame| request.write(frame))?;
         // Only a CallbackResult is expected: a batch frame here is decoded
         // into a scratch frame, to keep the stream in step, and refused.
-        match Request::read(self.input, &mut BatchFrame::default())? {
+        let reply = self
+            .input
+            .read(|r| Request::read(r, &mut BatchFrame::default()));
+        match reply? {
             Request::CallbackResult { value } => Ok(value),
             other => Err(JaguarError::Protocol(format!(
                 "expected CallbackResult, got {other:?}"
@@ -102,11 +107,11 @@ impl<R: Read, W: Write> CallbackHandler for WireCallbacks<'_, R, W> {
 
 /// Adapts the wire callback channel into a VM [`HostEnv`] for Design 4:
 /// host calls from sandboxed code become callback round trips.
-struct VmWireHost<'a, R: Read, W: Write> {
+struct VmWireHost<'a, R, W> {
     cb: WireCallbacks<'a, R, W>,
 }
 
-impl<R: Read, W: Write> HostEnv for VmWireHost<'_, R, W> {
+impl<R: Pollable, W: Write> HostEnv for VmWireHost<'_, R, W> {
     fn host_call(
         &mut self,
         name: &str,
@@ -139,23 +144,23 @@ impl<R: Read, W: Write> HostEnv for VmWireHost<'_, R, W> {
 
 /// Run the worker protocol until `Shutdown` or EOF.
 ///
-/// `registry` holds the native UDFs this worker offers. Buffering is set up
-/// internally; pass the raw stdin/stdout (or any byte stream, e.g. an
-/// in-memory pipe in tests).
-pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) -> Result<()> {
-    let mut input = BufReader::new(input);
-    let mut output = BufWriter::new(output);
+/// `registry` holds the native UDFs this worker offers. Pass the raw halves
+/// of the socket (or in-memory streams in tests): every request is polled
+/// for before it is blocked on, and every response leaves in one write.
+pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegistry) -> Result<()> {
+    // A worker exports no metrics: its polls count nowhere.
+    let mut input = Polled::new(input, Arc::default());
+    let mut output = Outbox::new(output);
     let mut loaded = Loaded::Nothing;
     let mut module_cache: ModuleCache = None;
     let mut frame = BatchFrame::default();
-
-    Response::Ready {
+    let ready = Response::Ready {
         proto: PROTO_VERSION,
-    }
-    .write(&mut output)?;
+    };
+    output.send(|bytes| ready.write(bytes))?;
 
     loop {
-        let req = match Request::read(&mut input, &mut frame) {
+        let req = match input.read(|r| Request::read(r, &mut frame)) {
             Ok(r) => r,
             // Parent hung up (end of query / parent died): exit quietly.
             Err(JaguarError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
@@ -163,28 +168,25 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
             }
             Err(e) => return Err(e),
         };
-        match req {
+        let response = match req {
             Request::Shutdown => return Ok(()),
             Request::Reset => {
                 // Back to the just-started state: pooled reuse must not leak
                 // one query's UDF (or its interpreter state) into the next.
                 loaded = Loaded::Nothing;
-                Response::ResetOk.write(&mut output)?;
+                Response::ResetOk
             }
             Request::LoadNative { name } => match registry.get(&name) {
                 Some(f) => {
                     loaded = Loaded::Native(f);
-                    Response::Loaded.write(&mut output)?;
+                    Response::Loaded
                 }
-                None => {
-                    Response::Error {
-                        message: format!(
-                            "worker has no native udf '{name}' (available: {:?})",
-                            registry.names()
-                        ),
-                    }
-                    .write(&mut output)?;
-                }
+                None => Response::Error {
+                    message: format!(
+                        "worker has no native udf '{name}' (available: {:?})",
+                        registry.names()
+                    ),
+                },
             },
             Request::LoadVm {
                 module,
@@ -192,6 +194,7 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
                 jit,
                 fuel,
                 memory,
+                max_call_depth,
             } => match verified(&mut module_cache, module) {
                 Ok(verified) => {
                     let limits = ResourceLimits {
@@ -201,7 +204,7 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
                         } else {
                             Some(memory as usize)
                         },
-                        max_call_depth: 256,
+                        max_call_depth: max_call_depth.try_into().unwrap_or(usize::MAX),
                     };
                     let mode = if jit {
                         ExecMode::Jit
@@ -214,21 +217,15 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
                         arena: Arena::new(limits.memory),
                         vm_args: Vec::new(),
                     };
-                    Response::Loaded.write(&mut output)?;
+                    Response::Loaded
                 }
-                Err(e) => {
-                    Response::Error {
-                        message: e.to_string(),
-                    }
-                    .write(&mut output)?;
-                }
+                Err(e) => Response::Error {
+                    message: e.to_string(),
+                },
             },
-            Request::CallbackResult { .. } => {
-                Response::Error {
-                    message: "unexpected CallbackResult outside an invocation".into(),
-                }
-                .write(&mut output)?;
-            }
+            Request::CallbackResult { .. } => Response::Error {
+                message: "unexpected CallbackResult outside an invocation".into(),
+            },
             Request::InvokeBatch => {
                 let (values, error) =
                     invoke_loaded_batch(&mut loaded, &frame, &mut input, &mut output);
@@ -239,9 +236,10 @@ pub fn serve<R: Read, W: Write>(input: R, output: W, registry: &WorkerRegistry) 
                 if jaguar_common::fault::should_fail("ipc.worker.drop_mid_reply") {
                     std::process::abort();
                 }
-                Response::BatchReply { values, error }.write(&mut output)?;
+                Response::BatchReply { values, error }
             }
-        }
+        };
+        output.send(|bytes| response.write(bytes))?;
     }
 }
 
@@ -266,7 +264,7 @@ fn verified(cache: &mut ModuleCache, bytes: Vec<u8>) -> Result<Arc<VerifiedModul
 }
 
 /// Run the loaded UDF once per row of `frame`, inside the worker — the
-/// whole point of the vectorized ABI: the parent paid one pipe crossing
+/// whole point of the vectorized ABI: the parent paid one socket crossing
 /// for all of these rows. Stops at the first failing row; the reply
 /// carries the completed prefix, and the error's row index is the prefix
 /// length.
@@ -275,11 +273,11 @@ fn verified(cache: &mut ModuleCache, bytes: Vec<u8>) -> Result<Arc<VerifiedModul
 /// reuses the load's arena and argument vector, and a byte argument goes
 /// from the frame into the arena in one copy; the function is resolved and
 /// the tier counters published once per batch.
-fn invoke_loaded_batch<R: Read, W: Write>(
+fn invoke_loaded_batch<R: Pollable, W: Write>(
     loaded: &mut Loaded,
     frame: &BatchFrame,
-    input: &mut BufReader<R>,
-    output: &mut BufWriter<W>,
+    input: &mut Polled<R>,
+    output: &mut Outbox<W>,
 ) -> (Vec<Value>, Option<String>) {
     let mut values = Vec::with_capacity(frame.rows().len());
     let outcome = match loaded {
@@ -471,6 +469,7 @@ mod tests {
             jit: true,
             fuel,
             memory,
+            max_call_depth: 256,
         })
     }
 
@@ -509,6 +508,7 @@ mod tests {
                 jit: true,
                 fuel: 0,
                 memory: 0,
+                max_call_depth: 256,
             })],
             &WorkerRegistry::new(),
         );
@@ -760,6 +760,60 @@ mod tests {
         let first = verified(&mut cache, bytes.clone()).unwrap();
         let again = verified(&mut cache, bytes).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
+    }
+
+    /// Counts the `write` calls made on it.
+    #[derive(Default)]
+    struct Writes {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Every response leaves in one `write` call: the reply and the
+    /// callback request here carry `0x0A` bytes, where a line-buffered
+    /// stdout would split them.
+    #[test]
+    fn every_response_leaves_in_one_write() {
+        let input = [
+            req(Request::LoadNative { name: "add".into() }),
+            batch(&vec![vec![Value::Int(4), Value::Int(6)]; 300]),
+            req(Request::Reset),
+            req(Request::LoadNative {
+                name: "echo_callback".into(),
+            }),
+            batch(&[vec![Value::Int(10)]]),
+            req(Request::CallbackResult {
+                value: Value::Int(10),
+            }),
+            req(Request::LoadNative {
+                name: "missing".into(),
+            }),
+        ];
+        let mut out = Writes::default();
+        serve(Cursor::new(input.concat()), &mut out, &demo_registry()).unwrap();
+        let mut r = out.bytes.as_slice();
+        let mut responses = 0;
+        while !r.is_empty() {
+            Response::read(&mut r, crate::proto::MAX_BATCH_ROWS as usize).unwrap();
+            responses += 1;
+        }
+        // Ready, Loaded, the 300-row reply, ResetOk, Loaded, the callback
+        // request, its batch's reply, and the unknown UDF's Error.
+        assert_eq!(responses, 8);
+        assert_eq!(out.calls, responses);
+        assert!(out.bytes.contains(&0x0A));
     }
 
     #[test]

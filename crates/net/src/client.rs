@@ -17,6 +17,8 @@ use std::time::Duration;
 
 use jaguar_common::config::Config;
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::obs;
+use jaguar_common::polled::Polled;
 use jaguar_common::retry::{self, RetryPolicy};
 use jaguar_common::schema::Schema;
 use jaguar_common::{Tuple, Value};
@@ -25,7 +27,7 @@ use jaguar_udf::{ScalarUdf, UdfSignature, VmUdf};
 use jaguar_vm::interp::ExecMode;
 use jaguar_vm::{Module, ResourceLimits};
 
-use crate::wire::{ClientMsg, Polled, ServerMsg, WireSignature, WireStats};
+use crate::wire::{ClientMsg, ServerMsg, WireSignature, WireStats};
 
 /// A client-side result set.
 #[derive(Debug, Clone, PartialEq)]
@@ -89,7 +91,7 @@ static NEXT_QUERY_ID: AtomicU64 = AtomicU64::new(1);
 
 /// A connection to a Jaguar server.
 pub struct Client {
-    reader: Polled,
+    reader: Polled<TcpStream>,
     writer: BufWriter<TcpStream>,
     /// The first roundtrip that failed in transport or decoding. It may
     /// have left a late reply or the rest of a frame in the socket, so
@@ -140,7 +142,10 @@ impl Client {
         stream.set_write_timeout(options.write_timeout)?;
         let id_prefix = u64::from(stream.local_addr().map(|a| a.port()).unwrap_or(0)) << 48;
         Ok(Client {
-            reader: Polled::new(stream.try_clone()?, "net.polled_replies"),
+            reader: Polled::new(
+                stream.try_clone()?,
+                obs::global().counter("net.polled_replies"),
+            ),
             writer: BufWriter::new(stream),
             broken: None,
             server_addr,
@@ -506,10 +511,10 @@ mod tests {
     }
 
     /// The client waits for its reply through the session's reader: the
-    /// reply arrives whole whether it was polled for or blocked on, a
-    /// statement slower than two windows ends the polling, a pre-armed
-    /// poll still lets the read timeout fire, and a reply cut off mid-frame
-    /// is a clean error that breaks the connection for every later call.
+    /// reply arrives whole whether it came within the poll or after it, the
+    /// read timeout still fires behind the poll, and a reply cut off
+    /// mid-frame is a clean error that breaks the connection for every
+    /// later call.
     #[test]
     fn client_waits_for_its_reply_through_the_shared_reader() {
         let engine = Arc::new(Engine::in_memory(Config::default()));
@@ -538,30 +543,25 @@ mod tests {
             .unwrap();
         let replies = || obs::global().snapshot().counter("net.polled_replies");
 
-        // Blocked on or polled for, the same rows.
-        client.reader.poll = false;
-        let blocked = client.execute("SELECT a FROM t").unwrap();
+        // Every reply read polls, and reads the same rows.
         let before = replies();
-        client.reader.poll = true;
+        let blocked = client.execute("SELECT a FROM t").unwrap();
         let polled = client.execute("SELECT a FROM t").unwrap();
         assert_eq!(polled, blocked);
         assert_eq!(polled.rows.len(), 3);
-        assert!(replies() > before, "the read polled");
-        client.reader.poll = true;
+        assert!(replies() >= before + 2, "the reads polled");
         client.ping().unwrap();
 
-        // A statement slower than two windows is one to block on.
-        client.reader.poll = true;
+        // A statement slower than the window: the blocking read behind the
+        // poll delivers its reply.
         let slow = client.execute("SELECT spin(a) FROM t").unwrap();
         assert_eq!(slow.rows, blocked.rows);
-        assert!(!client.reader.poll, "a 1 ms statement ends the polling");
 
         // A reply cut off mid-frame: a clean decode error, then refusals
         // that name it. Armed while no other session can answer, since
         // the site takes the next reply any session writes.
         let mut cut_off = Client::connect_with(server.addr(), options).unwrap();
         fault::arm("net.server.drop_mid_response", 1);
-        cut_off.reader.poll = true;
         let cut = cut_off.execute("SELECT a FROM t").unwrap_err();
         fault::disarm("net.server.drop_mid_response");
         assert!(
@@ -576,9 +576,8 @@ mod tests {
         let mut fresh = Client::connect_with(server.addr(), options).unwrap();
         assert_eq!(fresh.execute("SELECT a FROM t").unwrap(), blocked);
 
-        // Polling, the read timeout still fires: the read behind the poll
-        // blocks for it instead of failing at once.
-        client.reader.poll = true;
+        // The read timeout still fires: the read behind the poll blocks
+        // for it instead of failing at once.
         let start = Instant::now();
         let timed_out = client.execute("SELECT gate(a) FROM t").unwrap_err();
         assert!(start.elapsed() >= Duration::from_millis(225), "{timed_out}");

@@ -32,13 +32,14 @@ use std::time::{Duration, Instant};
 
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::polled::Polled;
 use jaguar_common::{fault, obs};
 use jaguar_sql::{Engine, Request, SessionContext};
 use jaguar_udf::{UdfImpl, UdfSignature, Volatility};
 use jaguar_vm::Module;
 
 use crate::admission::{AdmissionGate, Permit, Shed};
-use crate::wire::{ClientMsg, Polled, ServerMsg, WireSignature, WireStats};
+use crate::wire::{ClientMsg, ServerMsg, WireSignature, WireStats};
 
 /// Log target for everything the server emits.
 const TARGET: &str = "jaguar-net";
@@ -292,9 +293,9 @@ fn serve_client(
     gate: &Arc<AdmissionGate>,
 ) -> Result<()> {
     stream.set_nodelay(true)?;
-    let mut inbox = Polled::new(stream.try_clone()?, "net.polled_reads");
-    let mut writer = std::io::BufWriter::new(stream);
     let reg = obs::global();
+    let mut inbox = Polled::new(stream.try_clone()?, reg.counter("net.polled_reads"));
+    let mut writer = std::io::BufWriter::new(stream);
     let m_requests = reg.counter("net.requests");
     let m_slow = reg.counter("net.slow_queries");
     let h_latency = reg.histogram("net.request_latency_us");

@@ -3,15 +3,11 @@
 //! One message per request, one per response, encoded with the §6.4
 //! stream primitives. UDF modules travel as opaque byte blobs — the
 //! server verifies them itself. Both ends wait for the other's next
-//! message through one `Polled` reader.
+//! message through one [`jaguar_common::polled::Polled`] reader.
 
-use std::io::{BufReader, ErrorKind, Read, Write};
-use std::net::TcpStream;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::io::{Read, Write};
 
 use jaguar_common::error::{JaguarError, Result};
-use jaguar_common::obs;
 use jaguar_common::schema::Schema;
 use jaguar_common::stream::{
     read_blob, read_schema, read_str, read_tuple, read_u32, read_u64, read_u8, write_blob,
@@ -412,143 +408,10 @@ impl ServerMsg {
     }
 }
 
-/// How long a reader polls its socket for the peer's next message before
-/// it blocks on it.
-const POLL_WINDOW: Duration = Duration::from_micros(100);
-
-/// A blocking wait this short had no wake-up worth saving in it.
-const CHEAP_WAIT: Duration = Duration::from_micros(20);
-
-/// A poll that needed no more yields than this was answered by a peer
-/// that ran *because* this end yielded: the two share a core.
-const SHARED_CORE_MISSES: u32 = 2;
-
-/// One end's incoming messages: a session's requests, a client's replies.
-/// A thread blocked in `recv` is woken by its peer's send, and what that
-/// costs is the scheduler's draw: next to nothing when client and session
-/// share a core, an inter-processor interrupt into an idle (on a guest:
-/// halted) core when they do not — over loopback a closed-loop client and
-/// its session then each wait tens of µs for a message that follows their
-/// own by a few, for as long as the placement lasts. So once a blocking
-/// wait was neither cheap nor long, the next message is polled for
-/// (non-blocking `peek`, the core yielded on every miss) for up to
-/// [`POLL_WINDOW`] before the blocking read, and the message finds this
-/// end awake. Polling goes on while it is what keeps this core awake for
-/// a peer on another one; it ends with the first message that took two
-/// windows to come (a peer that thinks or works) or that came after at
-/// most [`SHARED_CORE_MISSES`] yields (a peer on this core, which polling
-/// would only drive off it), and the read blocks at once, as it always did.
-///
-/// The socket's writer at this end is a `try_clone` of it and shares its
-/// `O_NONBLOCK`: a message is awaited only after this end's own one was
-/// flushed (every `write` here flushes), and blocking mode is back before
-/// the read, so no write ever meets a non-blocking socket. Socket errors
-/// and the read timeout are the blocking read's to raise.
-pub(crate) struct Polled {
-    reader: BufReader<TcpStream>,
-    pub(crate) poll: bool,
-    m_polled: Arc<obs::Counter>,
-}
-
-impl Polled {
-    /// Reads from `stream`, counting the reads that poll in `counter`.
-    pub(crate) fn new(stream: TcpStream, counter: &str) -> Polled {
-        Polled {
-            reader: BufReader::new(stream),
-            poll: false,
-            m_polled: obs::global().counter(counter),
-        }
-    }
-
-    /// The next message, as `decode` reads it. A socket error met while
-    /// polling is left for the blocking read to report.
-    pub(crate) fn read<T>(
-        &mut self,
-        decode: impl FnOnce(&mut BufReader<TcpStream>) -> Result<T>,
-    ) -> Result<T> {
-        let start = Instant::now();
-        let mut misses = 0;
-        let stream = self.reader.get_ref();
-        if self.poll && self.reader.buffer().is_empty() && stream.set_nonblocking(true).is_ok() {
-            self.m_polled.inc();
-            let mut byte = [0u8; 1];
-            while matches!(stream.peek(&mut byte), Err(e) if e.kind() == ErrorKind::WouldBlock)
-                && start.elapsed() < POLL_WINDOW
-            {
-                misses += 1;
-                std::thread::yield_now();
-            }
-            stream.set_nonblocking(false)?;
-        }
-        let msg = decode(&mut self.reader);
-        let waited = start.elapsed();
-        self.poll = waited < 2 * POLL_WINDOW
-            && if self.poll {
-                misses > SHARED_CORE_MISSES
-            } else {
-                waited >= CHEAP_WAIT
-            };
-        msg
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use jaguar_common::{ByteArray, Value};
-
-    /// Polled for or blocked on, a message arrives whole and the socket is
-    /// back in blocking mode; a message that was there already, one that
-    /// took more than two windows and a closed socket all end the polling.
-    #[test]
-    fn polled_delivers_alike_polling_or_blocking() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let mut far = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let near = listener.accept().unwrap().0;
-        let mut reader = Polled::new(near.try_clone().unwrap(), "net.polled_reads");
-        let next = |reader: &mut Polled| reader.read(ClientMsg::read);
-        let ping = |far: &mut TcpStream| ClientMsg::Ping.write(far).unwrap();
-        assert!(!reader.poll, "a reader starts by blocking");
-
-        // Blocking, the message sent before the read.
-        ping(&mut far);
-        assert_eq!(next(&mut reader).unwrap(), ClientMsg::Ping);
-
-        // Polling, the message there at the first look: no miss, so the
-        // wait was as cheap as a wait gets.
-        ping(&mut far);
-        reader.poll = true;
-        assert_eq!(next(&mut reader).unwrap(), ClientMsg::Ping);
-        assert!(!reader.poll);
-
-        // Polling, the message later than the window: the blocking read
-        // behind the poll delivers it.
-        reader.poll = true;
-        let late = std::thread::spawn(move || {
-            std::thread::sleep(30 * POLL_WINDOW);
-            ping(&mut far);
-            far
-        });
-        assert_eq!(next(&mut reader).unwrap(), ClientMsg::Ping);
-        assert!(!reader.poll, "a 3 ms wait is a peer that thinks");
-        let far = late.join().unwrap();
-
-        // Blocking mode: with nothing to read, a timed read takes its
-        // time-out to fail where a non-blocking one fails at once.
-        near.set_read_timeout(Some(Duration::from_millis(30)))
-            .unwrap();
-        let start = Instant::now();
-        assert!(next(&mut reader).is_err());
-        assert!(start.elapsed() >= Duration::from_millis(25));
-
-        drop(far);
-        reader.poll = true;
-        let eof = next(&mut reader).unwrap_err();
-        assert!(
-            matches!(&eof, JaguarError::Io(e) if e.kind() == ErrorKind::UnexpectedEof),
-            "{eof}"
-        );
-    }
 
     fn roundtrip_c(m: ClientMsg) {
         let mut buf = Vec::new();

@@ -2,14 +2,27 @@
 //!
 //! The server spawns one of these per UDF per query (Design 2/4), or keeps
 //! a few warm in its worker pool, loads a UDF into it over stdin/stdout
-//! (both one half of a socket pair), and invokes it per tuple. The native UDF registry baked in here mirrors the
-//! C++ UDFs compiled into PREDATOR's remote executor.
+//! (both one half of a socket pair), and invokes it one batch of rows at a
+//! time. The native UDF registry baked in here mirrors the C++ UDFs
+//! compiled into PREDATOR's remote executor.
+//!
+//! Both fds are read and written as the socket they are, unbuffered by
+//! `Stdin`/`Stdout`: a reply leaves in one write, which stdout's line
+//! buffering would split at every `0x0A` byte.
 //!
 //! A UDF stuck inside this process is the server's to kill: the server
 //! times out its read of the reply and kills the worker when a round trip
 //! outlives its statement budget or the pool's invoke timeout. Should the
 //! server itself die, a UDF that never returns to read the (now closed)
 //! socket would outlive it; a watcher thread exits the worker once its parent changes.
+
+use std::os::fd::{AsFd, BorrowedFd};
+use std::os::unix::net::UnixStream;
+
+/// The socket behind a standard fd, as a stream of its own.
+fn socket(fd: BorrowedFd<'_>) -> jaguar_common::Result<UnixStream> {
+    Ok(UnixStream::from(fd.try_clone_to_owned()?))
+}
 
 fn main() {
     #[cfg(unix)]
@@ -23,9 +36,11 @@ fn main() {
         });
     }
     let registry = jaguar_udf::worker_registry();
-    let stdin = std::io::stdin().lock();
-    let stdout = std::io::stdout().lock();
-    if let Err(e) = jaguar_ipc::worker::serve(stdin, stdout, &registry) {
+    let served = socket(std::io::stdin().as_fd()).and_then(|input| {
+        let output = socket(std::io::stdout().as_fd())?;
+        jaguar_ipc::worker::serve(input, output, &registry)
+    });
+    if let Err(e) = served {
         eprintln!("jaguar-worker: {e}");
         std::process::exit(1);
     }

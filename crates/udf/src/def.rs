@@ -16,7 +16,7 @@ use jaguar_vm::{PermissionSet, ResourceLimits, VerifiedModule};
 use crate::api::{ScalarUdf, UdfSignature};
 use crate::batch::{BatchError, BatchResult, ValueBatch};
 use crate::native::NativeUdf;
-use crate::vmexec::VmUdf;
+use crate::vmexec::{sql_result, VmUdf};
 
 /// Everything needed to run a UDF under the sandboxed VM.
 #[derive(Clone)]
@@ -244,22 +244,16 @@ impl UdfDef {
             UdfImpl::Native(n) => return Ok(Box::new(n.clone())),
             UdfImpl::Vm(spec) => return Ok(Box::new(self.vm_udf(spec)?)),
             UdfImpl::IsolatedNative { worker_fn } => &|w| w.load_native(worker_fn),
-            UdfImpl::IsolatedVm(spec) => &|w| {
-                let limits = spec.limits;
-                w.load_vm(
-                    &spec.module_bytes,
-                    &spec.function,
-                    spec.jit,
-                    limits.fuel,
-                    limits.memory,
-                )
-            },
+            UdfImpl::IsolatedVm(spec) => {
+                &|w| w.load_vm(&spec.module_bytes, &spec.function, spec.jit, spec.limits)
+            }
         };
         let mut lease = acquire_worker(pool)?;
         load(lease.worker())?;
         Ok(Box::new(IsolatedUdf {
             name: self.name.clone(),
             signature: self.signature.clone(),
+            vm: matches!(self.imp, UdfImpl::IsolatedVm(_)),
             lease,
             cancel: CancelToken::unbounded(),
         }))
@@ -286,11 +280,21 @@ impl Lease {
 struct IsolatedUdf {
     name: String,
     signature: UdfSignature,
+    /// Design 4: the worker returns what the VM returned.
+    vm: bool,
     lease: Lease,
     cancel: CancelToken,
 }
 
 impl IsolatedUdf {
+    /// A value the worker returned, as Design 3 returns it.
+    fn returned(&self, out: Value) -> Result<Value> {
+        if self.vm {
+            return sql_result(self.signature.ret, out);
+        }
+        Ok(out)
+    }
+
     /// Run one invocation round trip under the earlier of two deadlines:
     /// the statement's remaining budget and, for a pooled worker, the
     /// pool's invoke timeout. A worker that overruns it is killed; a kill
@@ -339,7 +343,8 @@ impl ScalarUdf for IsolatedUdf {
     fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
         self.cancel.check()?;
         self.signature.check_args(&self.name, args)?;
-        self.guarded(|w| w.invoke(args, callbacks))
+        let out = self.guarded(|w| w.invoke(args, callbacks))?;
+        self.returned(out)
     }
 
     /// Ship the rows before the first one failing the signature check,
@@ -365,7 +370,9 @@ impl ScalarUdf for IsolatedUdf {
         // One deadline around the whole batch: it still kills a wedged
         // worker in time, it just cannot say which row wedged.
         let out = self.guarded(|w| w.invoke_batch(valid, arity, arg, callbacks));
-        finish_checked(out, bad)
+        let rows = finish_checked(out, bad)?.into_iter().enumerate();
+        rows.map(|(row, v)| self.returned(v).map_err(|e| BatchError::new(row, e)))
+            .collect()
     }
 
     fn attach_cancel(&mut self, token: CancelToken) {

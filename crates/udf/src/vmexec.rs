@@ -44,6 +44,16 @@ pub fn vm_to_value(v: VmValue, arena: &Arena) -> Result<Value> {
     })
 }
 
+/// A VM result as a value of the UDF's SQL return type `ret`: a BOOL comes
+/// back from the VM as an i64, nonzero being true. Designs 3 and 4 both
+/// return through this.
+pub(crate) fn sql_result(ret: DataType, out: Value) -> Result<Value> {
+    if ret == DataType::Bool {
+        return Ok(Value::Bool(out.as_int()? != 0));
+    }
+    Ok(out)
+}
+
 /// Adapts a [`CallbackHandler`] into the VM's [`HostEnv`].
 pub struct CallbackHost<'a> {
     pub callbacks: &'a mut dyn CallbackHandler,
@@ -177,20 +187,13 @@ impl VmUdf {
         self.consumed.instructions += usage.instructions;
         self.consumed.bytes_allocated += self.arena.allocated() as u64;
         self.consumed.host_calls += usage.host_calls;
-        let out = match ret {
-            Some(v) => vm_to_value(v, &self.arena)?,
-            None => {
-                return Err(JaguarError::Udf(format!(
-                    "VM function '{}' returned no value",
-                    self.function
-                )))
-            }
-        };
-        // Return type fidelity: Bool SQL results come back as i64.
-        if self.signature.ret == DataType::Bool {
-            return Ok(Value::Bool(out.as_int()? != 0));
+        match ret {
+            Some(v) => sql_result(self.signature.ret, vm_to_value(v, &self.arena)?),
+            None => Err(JaguarError::Udf(format!(
+                "VM function '{}' returned no value",
+                self.function
+            ))),
         }
-        Ok(out)
     }
 }
 

@@ -925,3 +925,85 @@ fn inlined_trap_text_matches_local_vm() {
         );
     }
 }
+
+/// One row, `n = 50`, and the JagScript UDF `f` over it under `design`,
+/// registered `Stable` so that it is batched at `batch` rows and never
+/// inlined.
+fn one_row_db(
+    config: Config,
+    batch: usize,
+    design: jaguar_core::UdfDesign,
+    ret: jaguar_core::DataType,
+    src: &str,
+) -> Database {
+    use jaguar_core::DataType;
+    let db = Database::with_config(config.with_dop(1).with_udf_batch_size(batch));
+    db.execute("CREATE TABLE t (n INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (50)").unwrap();
+    let sig = jaguar_core::UdfSignature::new(vec![DataType::Int], ret);
+    db.register_jagscript_udf_with_volatility("f", sig, src, design, Stable)
+        .unwrap();
+    db
+}
+
+/// A BOOL UDF returns `Bool` under Design 4 as under Design 3, projected
+/// and as a predicate, per tuple and batched.
+#[test]
+fn isolated_vm_returns_bool_like_the_local_vm() {
+    use jaguar_core::{DataType, UdfDesign};
+    let src = "fn main(n: i64) -> i64 { if n > 10 { return 1; } return 0; }";
+    let mut designs = vec![UdfDesign::Sandboxed];
+    if worker_available() {
+        designs.push(UdfDesign::SandboxedIsolated);
+    }
+    for design in designs {
+        for batch in [1, 256] {
+            let db = one_row_db(
+                Config::default(),
+                batch,
+                design.clone(),
+                DataType::Bool,
+                src,
+            );
+            let projected = db.execute("SELECT f(n) FROM t").unwrap();
+            assert_eq!(
+                projected.rows,
+                vec![Tuple::new(vec![Value::Bool(true)])],
+                "{design:?} at batch {batch}"
+            );
+            let filtered = db.execute("SELECT n FROM t WHERE f(n)").unwrap();
+            assert_eq!(
+                filtered.rows,
+                vec![Tuple::new(vec![Value::Int(50)])],
+                "{design:?} at batch {batch}"
+            );
+        }
+    }
+}
+
+/// Design 4 runs under the configured `max_call_depth`, as Design 3 does:
+/// a UDF recursing 50 deep fails a limit of 8 with Design 3's error.
+#[test]
+fn isolated_vm_honours_max_call_depth() {
+    use jaguar_core::{DataType, UdfDesign};
+    let src = "fn main(n: i64) -> i64 { if n <= 0 { return 0; } return main(n - 1) + 1; }";
+    let shallow = Config {
+        max_call_depth: 8,
+        ..Config::default()
+    };
+    let limit = JaguarError::ResourceLimit("call depth limit 8 exceeded".into()).to_string();
+    let mut designs = vec![UdfDesign::Sandboxed];
+    if worker_available() {
+        designs.push(UdfDesign::SandboxedIsolated);
+    }
+    for design in designs {
+        for batch in [1, 256] {
+            let deep = one_row_db(Config::default(), batch, design.clone(), DataType::Int, src);
+            let rows = deep.execute("SELECT f(n) FROM t").unwrap().rows;
+            assert_eq!(rows, vec![Tuple::new(vec![Value::Int(50)])], "{design:?}");
+            let db = one_row_db(shallow.clone(), batch, design.clone(), DataType::Int, src);
+            let e = db.execute("SELECT f(n) FROM t").unwrap_err().to_string();
+            assert!(e.contains(&limit), "{design:?} at batch {batch}: {e}");
+        }
+    }
+}

@@ -3,7 +3,7 @@
 //! A timing cannot gate in tier-1; an allocation count can, because it
 //! repeats exactly. This binary installs the counting allocator it shares
 //! with `vm_allocs.rs` and pins that a batch of generic-UDF invocations
-//! allocates per *batch*, not per row, on both sides of the pipe:
+//! allocates per *batch*, not per row, on both sides of the socket:
 //!
 //! * the parent writes the batch frame straight from the `ValueBatch`
 //!   columns, without copying any row out of them;
@@ -64,6 +64,7 @@ fn an_isolated_batch_allocates_per_batch_in_the_worker() {
         jit: true,
         fuel: 0,
         memory: 0,
+        max_call_depth: 256,
     }
     .write(&mut load)
     .unwrap();
