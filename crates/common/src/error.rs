@@ -2,10 +2,17 @@
 //!
 //! One enum covers every layer so cross-crate plumbing (`storage` errors
 //! surfacing through `sql`, VM traps surfacing through `udf`) needs no
-//! conversion boilerplate beyond `From<io::Error>`.
+//! conversion boilerplate beyond `From<io::Error>`. An error crosses a
+//! process boundary as itself: [`JaguarError::write`] and
+//! [`JaguarError::read`] carry its class and payload.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::io;
+use std::io::{self, Read, Write};
+
+use crate::stream::{
+    read_i64, read_str, read_u64, read_u8, write_i64, write_str, write_u64, write_u8,
+};
 
 /// Convenience alias used across the workspace.
 pub type Result<T> = std::result::Result<T, JaguarError>;
@@ -65,9 +72,9 @@ pub enum VmTrap {
     /// Array index out of bounds: `index` vs `len`.
     Bounds { index: i64, len: usize },
     /// Operand stack underflow or overflow.
-    Stack(&'static str),
+    Stack(Cow<'static, str>),
     /// A value of the wrong type was found at runtime.
-    Type(&'static str),
+    Type(Cow<'static, str>),
     /// Integer division/remainder by zero.
     DivideByZero,
     /// Access to an undefined local slot.
@@ -152,7 +159,115 @@ impl From<VmTrap> for JaguarError {
     }
 }
 
+/// Errors are equal when they are of one class and carry the same payload,
+/// i.e. render the same `Debug` (an `Io` error: its kind and text).
+impl PartialEq for JaguarError {
+    fn eq(&self, other: &Self) -> bool {
+        format!("{self:?}") == format!("{other:?}")
+    }
+}
+
+/// The `io::ErrorKind`s an `Io` error crosses with; any other kind crosses
+/// as `Other`.
+#[rustfmt::skip]
+const IO_KINDS: [io::ErrorKind; 9] = {
+    use io::ErrorKind::*;
+    [Other, NotFound, PermissionDenied, BrokenPipe, WouldBlock, InvalidInput, InvalidData,
+     TimedOut, UnexpectedEof]
+};
+
+/// The classes that carry one text, and their class tags.
+macro_rules! text_classes {
+    ($($tag:literal => $class:ident),*) => {
+        fn text_class(e: &JaguarError) -> Option<(u8, &str)> {
+            match e {
+                $(JaguarError::$class(m) => Some(($tag, m)),)*
+                _ => None,
+            }
+        }
+
+        fn from_text_class(tag: u8, m: String) -> Option<JaguarError> {
+            match tag {
+                $($tag => Some(JaguarError::$class(m)),)*
+                _ => None,
+            }
+        }
+    };
+}
+
+text_classes!(
+    1 => Corruption, 2 => Storage, 3 => Catalog, 4 => Parse, 5 => Plan, 6 => Execution,
+    7 => Verification, 9 => ResourceLimit, 10 => SecurityViolation, 11 => Worker,
+    12 => Protocol, 13 => Compile, 14 => Udf, 15 => Cancelled, 16 => Timeout, 18 => Other
+);
+
 impl JaguarError {
+    /// Write this error as one record: its class (0 `Io`, 8 `VmTrap`, 17
+    /// `ServerBusy`, else a text class), a trap's or I/O error's kind, two
+    /// numbers and a text, each unused one zero or empty. [`JaguarError::read`]
+    /// gives back an error of the same class, `Display` and `Debug`.
+    pub fn write(&self, w: &mut impl Write) -> Result<()> {
+        let io_text;
+        let (class, kind, a, b, text): (u8, u8, i64, u64, &str) = match self {
+            JaguarError::Io(e) => {
+                io_text = e.to_string();
+                let kind = IO_KINDS.iter().position(|k| *k == e.kind());
+                (0, kind.unwrap_or(0) as u8, 0, 0, &io_text)
+            }
+            JaguarError::VmTrap(t) => match t {
+                VmTrap::Bounds { index, len } => (8, 0, *index, *len as u64, ""),
+                VmTrap::Stack(m) => (8, 1, 0, 0, m),
+                VmTrap::Type(m) => (8, 2, 0, 0, m),
+                VmTrap::DivideByZero => (8, 3, 0, 0, ""),
+                VmTrap::BadLocal(i) => (8, 4, 0, *i as u64, ""),
+                VmTrap::BadJump(t) => (8, 5, 0, *t as u64, ""),
+                VmTrap::BadCall(i) => (8, 6, 0, *i as u64, ""),
+                VmTrap::Explicit(c) => (8, 7, 0, *c as u64, ""),
+                VmTrap::Host(m) => (8, 8, 0, 0, m),
+            },
+            JaguarError::ServerBusy { retry_after_ms } => (17, 0, 0, *retry_after_ms, ""),
+            e => text_class(e)
+                .map(|(class, m)| (class, 0, 0, 0, m))
+                .expect("a text class"),
+        };
+        write_u8(w, class)?;
+        write_u8(w, kind)?;
+        write_i64(w, a)?;
+        write_u64(w, b)?;
+        write_str(w, text)
+    }
+
+    /// Read an error [`JaguarError::write`] wrote. A trap's numbers are
+    /// taken as written: a peer that garbles them garbles its own error.
+    pub fn read(r: &mut impl Read) -> Result<JaguarError> {
+        let (class, kind, a, b) = (read_u8(r)?, read_u8(r)?, read_i64(r)?, read_u64(r)?);
+        let text = read_str(r)?;
+        let unknown = |what| JaguarError::Protocol(format!("unknown {what} {class}/{kind}"));
+        Ok(match (class, kind) {
+            (0, _) => {
+                let kind = IO_KINDS.get(kind as usize).copied();
+                JaguarError::Io(io::Error::new(kind.unwrap_or(io::ErrorKind::Other), text))
+            }
+            (8, kind) => JaguarError::VmTrap(match kind {
+                0 => VmTrap::Bounds {
+                    index: a,
+                    len: b as usize,
+                },
+                1 => VmTrap::Stack(text.into()),
+                2 => VmTrap::Type(text.into()),
+                3 => VmTrap::DivideByZero,
+                4 => VmTrap::BadLocal(b as u16),
+                5 => VmTrap::BadJump(b as usize),
+                6 => VmTrap::BadCall(b as u32),
+                7 => VmTrap::Explicit(b as u32),
+                8 => VmTrap::Host(text),
+                _ => return Err(unknown("vm trap")),
+            }),
+            (17, _) => JaguarError::ServerBusy { retry_after_ms: b },
+            _ => from_text_class(class, text).ok_or_else(|| unknown("error class"))?,
+        })
+    }
+
     /// True if this error is a *containable* UDF failure: the server should
     /// abort the query but keep running (the security story of the paper).
     pub fn is_containable(&self) -> bool {
@@ -217,6 +332,79 @@ mod tests {
     fn io_source_is_preserved() {
         let e: JaguarError = io::Error::new(io::ErrorKind::NotFound, "gone").into();
         assert!(std::error::Error::source(&e).is_some());
+    }
+
+    /// Every class and every trap crosses as itself: same class, same
+    /// `Display`, same `Debug`.
+    #[test]
+    fn every_error_round_trips_through_its_encoding() {
+        let traps = [
+            VmTrap::Bounds { index: -7, len: 3 },
+            VmTrap::Stack("underflow".into()),
+            VmTrap::Type("expected i64".into()),
+            VmTrap::DivideByZero,
+            VmTrap::BadLocal(4),
+            VmTrap::BadJump(9),
+            VmTrap::BadCall(2),
+            VmTrap::Explicit(77),
+            VmTrap::Host("host 'cb' returned None".into()),
+        ];
+        let m = || String::from("some text");
+        let mut errors = vec![
+            JaguarError::Io(io::Error::new(io::ErrorKind::UnexpectedEof, "gone")),
+            JaguarError::Io(io::Error::other("odd")),
+            JaguarError::Corruption(m()),
+            JaguarError::Storage(m()),
+            JaguarError::Catalog(m()),
+            JaguarError::Parse(m()),
+            JaguarError::Plan(m()),
+            JaguarError::Execution(m()),
+            JaguarError::Verification(m()),
+            JaguarError::ResourceLimit(m()),
+            JaguarError::SecurityViolation(m()),
+            JaguarError::Worker(m()),
+            JaguarError::Protocol(m()),
+            JaguarError::Compile(m()),
+            JaguarError::Udf(m()),
+            JaguarError::Cancelled(m()),
+            JaguarError::Timeout(m()),
+            JaguarError::ServerBusy {
+                retry_after_ms: 250,
+            },
+            JaguarError::Other(m()),
+        ];
+        errors.extend(traps.into_iter().map(JaguarError::VmTrap));
+        let mut bytes = Vec::new();
+        for e in &errors {
+            e.write(&mut bytes).unwrap();
+        }
+        let mut r = bytes.as_slice();
+        for e in &errors {
+            let back = JaguarError::read(&mut r).unwrap();
+            assert_eq!(back.to_string(), e.to_string());
+            assert_eq!(format!("{back:?}"), format!("{e:?}"));
+            assert_eq!(&back, e);
+        }
+        assert!(r.is_empty());
+        // An OS error crosses with its kind and text.
+        let os = JaguarError::Io(io::Error::from_raw_os_error(2));
+        let mut one = Vec::new();
+        os.write(&mut one).unwrap();
+        let back = JaguarError::read(&mut one.as_slice()).unwrap();
+        assert_eq!(back.to_string(), os.to_string());
+        assert!(matches!(back, JaguarError::Io(e) if e.kind() == io::ErrorKind::NotFound));
+        // An unknown class or trap: refused.
+        let record = |class: u8, kind: u8, b: u64| {
+            let mut bytes = vec![class, kind];
+            bytes.extend([0; 8]);
+            bytes.extend(b.to_le_bytes());
+            bytes.extend([0; 4]);
+            bytes
+        };
+        for bad in [record(99, 0, 0), record(8, 99, 0)] {
+            let e = JaguarError::read(&mut bad.as_slice()).unwrap_err();
+            assert!(matches!(e, JaguarError::Protocol(_)), "{e}");
+        }
     }
 
     #[test]

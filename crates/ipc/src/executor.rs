@@ -25,7 +25,6 @@ use jaguar_common::obs;
 use jaguar_common::obs::Counter;
 use jaguar_common::polled::{Pollable, Polled};
 use jaguar_common::Value;
-use jaguar_vm::ResourceLimits;
 
 use crate::proto::{write_batch, CallbackHandler, Outbox, Request, Response, PROTO_VERSION};
 
@@ -194,7 +193,7 @@ pub struct Expired;
 /// Check a worker's reply to a batch of `rows` rows. The worker is the
 /// untrusted side: it must answer every row, or the rows before a failing
 /// one. Any other count is a protocol violation, not a result.
-fn batch_reply(rows: usize, values: Vec<Value>, error: Option<String>) -> BatchOutcome {
+fn batch_reply(rows: usize, values: Vec<Value>, error: Option<JaguarError>) -> BatchOutcome {
     match error {
         None if values.len() == rows => Ok((values, None)),
         Some(e) if values.len() < rows => Ok((values, Some(e))),
@@ -206,9 +205,9 @@ fn batch_reply(rows: usize, values: Vec<Value>, error: Option<String>) -> BatchO
     }
 }
 
-/// The values of a batch's completed rows, and the failing row's rendered
-/// error if one failed (see [`WorkerProcess::invoke_batch`]).
-type BatchOutcome = Result<(Vec<Value>, Option<String>)>;
+/// The values of a batch's completed rows, and the failing row's error if
+/// one failed (see [`WorkerProcess::invoke_batch`]).
+type BatchOutcome = Result<(Vec<Value>, Option<JaguarError>)>;
 
 impl WorkerProcess {
     /// Spawn a worker from an explicit binary path and wait for `Ready`,
@@ -297,7 +296,7 @@ impl WorkerProcess {
         self.send(request)?;
         match self.read_response(0)? {
             r if r == want => Ok(()),
-            Response::Error { message } => Err(JaguarError::Worker(message)),
+            Response::Error { error } => Err(error),
             other => Err(JaguarError::Protocol(format!(
                 "expected {want:?}, got {other:?}"
             ))),
@@ -311,39 +310,21 @@ impl WorkerProcess {
             match self.read_response(rows)? {
                 Response::CallbackRequest { name, args } => {
                     self.callbacks.inc();
-                    let value = callbacks.callback(&name, &args)?;
-                    self.send(Request::CallbackResult { value })?;
+                    // A failed callback fails the UDF's host call in the
+                    // worker, as it would in process.
+                    let result = callbacks.callback(&name, &args);
+                    self.send(Request::CallbackResult { result })?;
                 }
-                Response::Error { message } => return Err(JaguarError::Worker(message)),
+                Response::Error { error } => return Err(error),
                 reply => return Ok(reply),
             }
         }
     }
 
-    /// Select a native UDF baked into the worker binary (Design 2).
-    pub fn load_native(&mut self, name: &str) -> Result<()> {
-        let name = name.to_string();
-        self.expect(Request::LoadNative { name }, Response::Loaded)
-    }
-
-    /// Ship a serialised, to-be-verified JSM module (Design 4), to run
-    /// under `limits`.
-    pub fn load_vm(
-        &mut self,
-        module: &[u8],
-        function: &str,
-        jit: bool,
-        limits: ResourceLimits,
-    ) -> Result<()> {
-        let request = Request::LoadVm {
-            module: module.to_vec(),
-            function: function.to_string(),
-            jit,
-            fuel: limits.fuel.unwrap_or(0),
-            memory: limits.memory.unwrap_or(0) as u64,
-            max_call_depth: limits.max_call_depth as u64,
-        };
-        self.expect(request, Response::Loaded)
+    /// Load one UDF from its encoded `definition` (see [`Request::Load`]);
+    /// a refused load fails with the worker's error.
+    pub fn load(&mut self, definition: Vec<u8>) -> Result<()> {
+        self.expect(Request::Load { definition }, Response::Loaded)
     }
 
     /// Invoke the loaded UDF on one argument tuple, as a batch of one row.
@@ -351,7 +332,7 @@ impl WorkerProcess {
         match self.invoke_batch(1, args.len(), |_, a| &args[a], callbacks)? {
             // `batch_reply` let through exactly one value for the one row.
             (mut values, None) => Ok(values.swap_remove(0)),
-            (_, Some(message)) => Err(JaguarError::Worker(message)),
+            (_, Some(error)) => Err(error),
         }
     }
 
@@ -361,8 +342,8 @@ impl WorkerProcess {
     /// holds them. Callbacks interleave with the rows.
     ///
     /// `Ok((values, None))` means every row completed; `Ok((values,
-    /// Some(message)))` means row `values.len()` failed with the rendered
-    /// error (rows before it completed, with their side effects). `Err` is
+    /// Some(error)))` means row `values.len()` failed with `error` (rows
+    /// before it completed, with their side effects). `Err` is
     /// a transport-level failure (dead worker, protocol violation) with no
     /// row attribution.
     pub fn invoke_batch<'v>(
@@ -491,19 +472,20 @@ pub(crate) mod tests {
     #[test]
     fn batch_reply_must_answer_the_rows_sent() {
         let ints = |n: i64| (0..n).map(Value::Int).collect::<Vec<_>>();
-        let fails = |n, error: Option<&str>| {
-            let e = batch_reply(3, ints(n), error.map(String::from)).unwrap_err();
+        let boom = || Some(JaguarError::Udf("boom".into()));
+        let fails = |n, error: Option<JaguarError>| {
+            let e = batch_reply(3, ints(n), error).unwrap_err();
             assert!(matches!(e, JaguarError::Protocol(_)), "{e}");
         };
         // Short with no error would drop result rows; long would leave
         // values no row asked for; a failing row must be one that was sent.
         fails(2, None);
         fails(4, None);
-        fails(3, Some("boom"));
-        fails(4, Some("boom"));
+        fails(3, boom());
+        fails(4, boom());
         assert_eq!(batch_reply(3, ints(3), None).unwrap(), (ints(3), None));
-        let failed = batch_reply(3, ints(1), Some("boom".into())).unwrap();
-        assert_eq!(failed, (ints(1), Some("boom".into())));
+        let failed = batch_reply(3, ints(1), boom()).unwrap();
+        assert_eq!(failed, (ints(1), boom()));
         assert!(batch_reply(0, vec![], None).is_ok());
     }
 

@@ -19,10 +19,14 @@
 //! message leaves in one write, and each end polls for the next message
 //! briefly before it blocks, where the paper's semaphore wait blocked.
 //!
+//! This crate is the parent's side and knows nothing of what runs in the
+//! worker: a load carries a UDF definition `jaguar-udf` encodes, and its
+//! worker serve loop (`jaguar_udf::worker`) decodes and hosts.
+//!
 //! Pieces:
 //!
 //! * [`proto`] — the framed message protocol (built on the §6.4 value
-//!   stream encoding from `jaguar-common`),
+//!   stream encoding from `jaguar-common`; errors cross with their class),
 //! * [`executor`] — the server side: spawn a worker per query, load a UDF
 //!   into it, invoke it a batch of rows at a time (a tuple is a batch of
 //!   one), answer its callbacks, reap it; a guarded round trip (spawn
@@ -30,17 +34,11 @@
 //!   writes, and kills the worker when it fails past its deadline,
 //! * [`pool`] — a warm pool of workers checked out per query instead of
 //!   spawned (an extension; the paper spawns per query); a checkout spawns
-//!   what the pool lacks, and no pool thread loops,
-//! * [`worker`] — the worker side: a serve loop the `jaguar-worker` binary
-//!   runs, parameterised by a registry of native UDFs (the analogue of the
-//!   C++ UDFs compiled into PREDATOR's remote executor) and able to host
-//!   sandboxed VM modules for Design 4.
+//!   what the pool lacks, and no pool thread loops.
 
 pub mod executor;
 pub mod pool;
 pub mod proto;
-pub mod worker;
 
 pub use executor::{find_worker_binary, Expired, WorkerProcess};
 pub use proto::CallbackHandler;
-pub use worker::{NativeUdfFn, WorkerRegistry};

@@ -19,8 +19,8 @@ use std::ops::Range;
 
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::stream::{
-    append_blob, read_blob, read_f64, read_i64, read_str, read_u32, read_u64, read_u8, read_value,
-    write_blob, write_str, write_u32, write_u64, write_u8, write_value,
+    append_blob, read_blob, read_f64, read_i64, read_str, read_u32, read_u8, read_value,
+    write_blob, write_str, write_u32, write_u8, write_value,
 };
 use jaguar_common::{ByteArray, DataType, Value};
 
@@ -45,22 +45,13 @@ impl CallbackHandler for NoCallbacks {
 }
 
 /// Messages the parent sends to the worker.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Request {
-    /// Select a native UDF from the worker's built-in registry (Design 2 —
-    /// the analogue of the C++ UDF compiled into the remote executor).
-    LoadNative { name: String },
-    /// Ship a serialised JSM module to run under the worker's sandbox
-    /// (Design 4). `fuel`/`memory` of 0 mean unlimited; `max_call_depth`
-    /// is the spec's, as Design 3 runs it.
-    LoadVm {
-        module: Vec<u8>,
-        function: String,
-        jit: bool,
-        fuel: u64,
-        memory: u64,
-        max_call_depth: u64,
-    },
+    /// Load one UDF: `definition` is all of it — name, SQL signature, and
+    /// Design 2's registry entry or Design 4's module, limits and
+    /// permissions. `jaguar-udf` encodes it in the parent and decodes it in
+    /// the worker; this protocol only carries it.
+    Load { definition: Vec<u8> },
     /// Invoke the loaded UDF once per row of a batch, paying one socket
     /// round-trip for the whole batch (the vectorized ABI). The worker
     /// stops at the first failing row and reports its index via
@@ -68,8 +59,9 @@ pub enum Request {
     /// and [`Request::read`] decodes its rows into the caller's
     /// [`BatchFrame`].
     InvokeBatch,
-    /// Answer to an outstanding `CallbackRequest`.
-    CallbackResult { value: Value },
+    /// Answer to an outstanding `CallbackRequest`: the callback's value,
+    /// or the error it failed with.
+    CallbackResult { result: Result<Value> },
     /// Orderly shutdown (end of query — executors live for one query).
     Shutdown,
     /// Drop all loaded UDF state so the worker can serve a new query. The
@@ -82,7 +74,7 @@ pub enum Request {
 /// message set or the UDF registry semantics; the parent refuses workers
 /// announcing a different version (a stale `jaguar-worker` binary next to
 /// a fresh server otherwise produces silent wrong answers).
-pub const PROTO_VERSION: u32 = 9;
+pub const PROTO_VERSION: u32 = 10;
 
 /// Most rows one `InvokeBatch` frame may carry. The engine never forms
 /// batches above `jaguar_udf::batch::MAX_BATCH` (1024); the cap leaves headroom
@@ -91,31 +83,30 @@ pub const PROTO_VERSION: u32 = 9;
 pub const MAX_BATCH_ROWS: u32 = 4096;
 
 /// Messages the worker sends to the parent.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub enum Response {
     /// Worker has started and awaits requests; carries [`PROTO_VERSION`].
     Ready { proto: u32 },
-    /// A `Load*` request succeeded.
+    /// A `Load` request succeeded.
     Loaded,
     /// The result of an `InvokeBatch`: one value per completed row. When
     /// `error` is set, the failing row's index is `values.len()` (rows
-    /// before it completed, with their side effects) and the message is a
-    /// rendered `JaguarError`.
+    /// before it completed, with their side effects), and the error is the
+    /// row's, class and text.
     BatchReply {
         values: Vec<Value>,
-        error: Option<String>,
+        error: Option<JaguarError>,
     },
     /// The UDF needs the server (§4.2 callback). Parent must reply with
     /// `Request::CallbackResult`.
     CallbackRequest { name: String, args: Vec<Value> },
-    /// Anything failed. The message is a rendered `JaguarError`.
-    Error { message: String },
+    /// A request other than a batch failed, with this error.
+    Error { error: JaguarError },
     /// Answer to `Request::Reset`: loaded UDF state has been dropped.
     ResetOk,
 }
 
-const REQ_LOAD_NATIVE: u8 = 0x01;
-const REQ_LOAD_VM: u8 = 0x02;
+const REQ_LOAD: u8 = 0x09;
 const REQ_CALLBACK_RESULT: u8 = 0x04;
 const REQ_SHUTDOWN: u8 = 0x05;
 const REQ_RESET: u8 = 0x07;
@@ -172,7 +163,6 @@ pub fn write_batch<'v>(
             write_value(w, arg(row, a))?;
         }
     }
-    w.flush()?;
     Ok(())
 }
 
@@ -218,6 +208,20 @@ pub enum Arg {
     /// A VARCHAR body, checked to be UTF-8 when decoded.
     Str(Range<usize>),
     Bytes(Range<usize>),
+}
+
+impl Arg {
+    /// The SQL type of the argument; `None` for NULL.
+    pub fn data_type(&self) -> Option<DataType> {
+        Some(match self {
+            Arg::Null => return None,
+            Arg::Bool(_) => DataType::Bool,
+            Arg::Int(_) => DataType::Int,
+            Arg::Float(_) => DataType::Float,
+            Arg::Str(_) => DataType::Str,
+            Arg::Bytes(_) => DataType::Bytes,
+        })
+    }
 }
 
 /// An `InvokeBatch` frame as the worker decodes it, into buffers it keeps
@@ -318,38 +322,30 @@ impl BatchFrame {
 impl Request {
     pub fn write(&self, w: &mut impl Write) -> Result<()> {
         match self {
-            Request::LoadNative { name } => {
-                write_u8(w, REQ_LOAD_NATIVE)?;
-                write_str(w, name)?;
-            }
-            Request::LoadVm {
-                module,
-                function,
-                jit,
-                fuel,
-                memory,
-                max_call_depth,
-            } => {
-                write_u8(w, REQ_LOAD_VM)?;
-                write_blob(w, module)?;
-                write_str(w, function)?;
-                write_u8(w, *jit as u8)?;
-                write_u64(w, *fuel)?;
-                write_u64(w, *memory)?;
-                write_u64(w, *max_call_depth)?;
+            Request::Load { definition } => {
+                write_u8(w, REQ_LOAD)?;
+                write_blob(w, definition)?;
             }
             Request::InvokeBatch => {
                 let e = "an InvokeBatch frame is written by proto::write_batch";
                 return Err(JaguarError::Protocol(e.into()));
             }
-            Request::CallbackResult { value } => {
+            Request::CallbackResult { result } => {
                 write_u8(w, REQ_CALLBACK_RESULT)?;
-                write_value(w, value)?;
+                match result {
+                    Ok(value) => {
+                        write_u8(w, 0)?;
+                        write_value(w, value)?;
+                    }
+                    Err(e) => {
+                        write_u8(w, 1)?;
+                        e.write(w)?;
+                    }
+                }
             }
             Request::Shutdown => write_u8(w, REQ_SHUTDOWN)?,
             Request::Reset => write_u8(w, REQ_RESET)?,
         }
-        w.flush()?;
         Ok(())
     }
 
@@ -357,21 +353,18 @@ impl Request {
     /// which keeps its buffers from one batch to the next.
     pub fn read(r: &mut impl Read, batch: &mut BatchFrame) -> Result<Request> {
         Ok(match read_u8(r)? {
-            REQ_LOAD_NATIVE => Request::LoadNative { name: read_str(r)? },
-            REQ_LOAD_VM => Request::LoadVm {
-                module: read_blob(r)?,
-                function: read_str(r)?,
-                jit: read_u8(r)? != 0,
-                fuel: read_u64(r)?,
-                memory: read_u64(r)?,
-                max_call_depth: read_u64(r)?,
+            REQ_LOAD => Request::Load {
+                definition: read_blob(r)?,
             },
             REQ_INVOKE_BATCH => {
                 batch.read(r)?;
                 Request::InvokeBatch
             }
             REQ_CALLBACK_RESULT => Request::CallbackResult {
-                value: read_value(r)?,
+                result: match read_u8(r)? {
+                    0 => Ok(read_value(r)?),
+                    _ => Err(JaguarError::read(r)?),
+                },
             },
             REQ_SHUTDOWN => Request::Shutdown,
             REQ_RESET => Request::Reset,
@@ -396,9 +389,9 @@ impl Response {
                 write_u8(w, RSP_BATCH_REPLY)?;
                 write_values(w, values)?;
                 match error {
-                    Some(message) => {
+                    Some(e) => {
                         write_u8(w, 1)?;
-                        write_str(w, message)?;
+                        e.write(w)?;
                     }
                     None => write_u8(w, 0)?,
                 }
@@ -408,13 +401,12 @@ impl Response {
                 write_str(w, name)?;
                 write_values(w, args)?;
             }
-            Response::Error { message } => {
+            Response::Error { error } => {
                 write_u8(w, RSP_ERROR)?;
-                write_str(w, message)?;
+                error.write(w)?;
             }
             Response::ResetOk => write_u8(w, RSP_RESET_OK)?,
         }
-        w.flush()?;
         Ok(())
     }
 
@@ -432,7 +424,7 @@ impl Response {
                 let values = read_values(r, batch_rows, batch_rows)?;
                 let error = match read_u8(r)? {
                     0 => None,
-                    _ => Some(read_str(r)?),
+                    _ => Some(JaguarError::read(r)?),
                 };
                 Response::BatchReply { values, error }
             }
@@ -441,7 +433,7 @@ impl Response {
                 args: read_values(r, MAX_ARGS, 0)?,
             },
             RSP_ERROR => Response::Error {
-                message: read_str(r)?,
+                error: JaguarError::read(r)?,
             },
             RSP_RESET_OK => Response::ResetOk,
             other => {
@@ -456,6 +448,7 @@ impl Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jaguar_common::error::VmTrap;
 
     fn roundtrip_req(req: Request) {
         let mut buf = Vec::new();
@@ -492,19 +485,14 @@ mod tests {
 
     #[test]
     fn all_requests_roundtrip() {
-        roundtrip_req(Request::LoadNative {
-            name: "generic".into(),
-        });
-        roundtrip_req(Request::LoadVm {
-            module: vec![1, 2, 3],
-            function: "main".into(),
-            jit: true,
-            fuel: 0,
-            memory: 1 << 20,
-            max_call_depth: 8,
+        roundtrip_req(Request::Load {
+            definition: vec![1, 2, 3],
         });
         roundtrip_req(Request::CallbackResult {
-            value: Value::Float(2.5),
+            result: Ok(Value::Float(2.5)),
+        });
+        roundtrip_req(Request::CallbackResult {
+            result: Err(JaguarError::Udf("no such account".into())),
         });
         roundtrip_req(Request::Shutdown);
         roundtrip_req(Request::Reset);
@@ -543,7 +531,7 @@ mod tests {
             args: vec![Value::Int(3), Value::Int(4)],
         });
         roundtrip_rsp(Response::Error {
-            message: "kaboom".into(),
+            error: JaguarError::Verification("kaboom".into()),
         });
         roundtrip_rsp(Response::ResetOk);
         roundtrip_rsp(Response::BatchReply {
@@ -552,12 +540,12 @@ mod tests {
         });
         roundtrip_rsp(Response::BatchReply {
             values: vec![Value::Int(1)],
-            error: Some("udf 'f' blew up".into()),
+            error: Some(JaguarError::VmTrap(VmTrap::DivideByZero)),
         });
     }
 
-    /// The bytes of one mixed batch frame and of its reply, as protocol v6
-    /// wrote them. A codec change that moves a byte here changes the wire
+    /// The bytes of one mixed batch frame, as protocol v6 wrote them, and of
+    /// its reply, as protocol v10 writes them. A codec change that moves a byte here changes the wire
     /// format, and must bump `PROTO_VERSION` on purpose.
     #[test]
     fn batch_frame_and_reply_bytes_are_pinned() {
@@ -609,7 +597,7 @@ mod tests {
         let mut reply = Vec::new();
         Response::BatchReply {
             values: vec![Value::Int(5), Value::Null],
-            error: Some("boom".into()),
+            error: Some(JaguarError::Udf("boom".into())),
         }
         .write(&mut reply)
         .unwrap();
@@ -618,7 +606,8 @@ mod tests {
         want.push(2);
         want.extend(5i64.to_le_bytes());
         want.push(0);
-        want.push(1);
+        want.extend([1, 14, 0]); // an error: class Udf, no kind
+        want.extend([0; 16]); // its two numbers, unused
         want.extend(4u32.to_le_bytes());
         want.extend(b"boom");
         assert_eq!(reply, want);
@@ -653,17 +642,11 @@ mod tests {
             })
             .collect();
         let requests = [
-            Request::LoadNative { name: "g".into() },
-            Request::LoadVm {
-                module: vec![0x0A; 3000],
-                function: "main".into(),
-                jit: true,
-                fuel: 10,
-                memory: 0,
-                max_call_depth: 8,
+            Request::Load {
+                definition: vec![0x0A; 3000],
             },
             Request::CallbackResult {
-                value: Value::Int(10),
+                result: Ok(Value::Int(10)),
             },
             Request::Reset,
             Request::Shutdown,
@@ -704,6 +687,11 @@ mod tests {
         assert!(err.to_string().contains("unknown request tag"), "{err}");
         let err = Response::read(&mut [0x83u8, 0].as_slice(), 1).unwrap_err();
         assert!(err.to_string().contains("unknown response tag"), "{err}");
+        // Protocol v9's per-design loads are retired: one Load carries any.
+        for tag in [0x01u8, 0x02] {
+            let err = Request::read(&mut [tag].as_slice(), &mut frame).unwrap_err();
+            assert!(err.to_string().contains("unknown request tag"), "{err}");
+        }
         // Protocol v7's liveness probe is retired too.
         let err = Request::read(&mut [0x06u8].as_slice(), &mut frame).unwrap_err();
         assert!(err.to_string().contains("unknown request tag"), "{err}");
@@ -714,9 +702,9 @@ mod tests {
     #[test]
     fn hostile_declared_lengths_rejected() {
         let mut batch = BatchFrame::default();
-        // LoadVm whose module blob declares 1 GB: rejected by the declared
+        // A Load whose definition declares 1 GB: rejected by the declared
         // length cap before any allocation.
-        let mut frame = vec![0x02u8]; // REQ_LOAD_VM
+        let mut frame = vec![REQ_LOAD];
         frame.extend_from_slice(&(1u32 << 30).to_le_bytes());
         let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
         assert!(err.to_string().contains("exceeds limit"), "{err}");
@@ -814,16 +802,18 @@ mod tests {
     #[test]
     fn sequential_messages_on_one_stream() {
         let mut buf = Vec::new();
-        Request::LoadNative { name: "a".into() }
-            .write(&mut buf)
-            .unwrap();
+        Request::Load {
+            definition: b"a".to_vec(),
+        }
+        .write(&mut buf)
+        .unwrap();
         buf.extend(batch_bytes(&[vec![Value::Int(1)]]));
         Request::Shutdown.write(&mut buf).unwrap();
         let mut r = buf.as_slice();
         let mut frame = BatchFrame::default();
         assert!(matches!(
             Request::read(&mut r, &mut frame).unwrap(),
-            Request::LoadNative { .. }
+            Request::Load { .. }
         ));
         assert_eq!(
             Request::read(&mut r, &mut frame).unwrap(),

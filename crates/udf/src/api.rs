@@ -20,16 +20,17 @@ impl UdfSignature {
 
     /// Validate an argument tuple against this signature (NULLs conform).
     pub fn check_args(&self, name: &str, args: &[Value]) -> Result<()> {
-        self.check_args_with(name, args.len(), |a| &args[a])
+        self.check_types(name, args.len(), |a| args[a].data_type())
     }
 
-    /// [`UdfSignature::check_args`] on arguments `arg(0..arity)` wherever
-    /// the caller holds them, e.g. a row of a batch's columns.
-    pub fn check_args_with<'v>(
+    /// [`UdfSignature::check_args`] on arguments of types `type_of(0..arity)`
+    /// (`None` for NULL), wherever the caller holds them: a row of a
+    /// batch's columns, or of a worker's batch frame.
+    pub fn check_types(
         &self,
         name: &str,
         arity: usize,
-        arg: impl Fn(usize) -> &'v Value,
+        type_of: impl Fn(usize) -> Option<DataType>,
     ) -> Result<()> {
         if arity != self.params.len() {
             return Err(JaguarError::Udf(format!(
@@ -38,13 +39,12 @@ impl UdfSignature {
             )));
         }
         for (i, p) in self.params.iter().enumerate() {
-            let a = arg(i);
-            if !a.conforms_to(*p) {
+            if let Some(t) = type_of(i).filter(|t| t != p) {
                 return Err(JaguarError::Udf(format!(
                     "udf '{name}' argument {}: expected {}, got {}",
                     i + 1,
                     p.sql_name(),
-                    a.data_type().map(|t| t.sql_name()).unwrap_or("NULL")
+                    t.sql_name()
                 )));
             }
         }

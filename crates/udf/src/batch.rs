@@ -127,27 +127,19 @@ impl ValueBatch {
 
     /// Append one argument tuple (cloning the values).
     pub fn push_row(&mut self, args: &[Value]) -> Result<()> {
-        if args.len() != self.columns.len() {
-            return Err(JaguarError::Execution(format!(
-                "batch arity mismatch: batch has {} columns, row has {}",
-                self.columns.len(),
-                args.len()
-            )));
-        }
-        for (col, v) in self.columns.iter_mut().zip(args) {
-            col.push(v.clone());
-        }
-        self.rows += 1;
-        Ok(())
+        self.push(args.len(), args.iter().cloned())
     }
 
     /// Append one argument tuple, consuming it (no clone).
     pub fn push_row_owned(&mut self, args: Vec<Value>) -> Result<()> {
-        if args.len() != self.columns.len() {
+        self.push(args.len(), args)
+    }
+
+    fn push(&mut self, arity: usize, args: impl IntoIterator<Item = Value>) -> Result<()> {
+        if arity != self.columns.len() {
             return Err(JaguarError::Execution(format!(
-                "batch arity mismatch: batch has {} columns, row has {}",
+                "batch arity mismatch: batch has {} columns, row has {arity}",
                 self.columns.len(),
-                args.len()
             )));
         }
         for (col, v) in self.columns.iter_mut().zip(args) {
@@ -170,11 +162,6 @@ impl ValueBatch {
     /// Row `i` as a fresh argument vector.
     pub fn row(&self, i: usize) -> Vec<Value> {
         self.columns.iter().map(|c| c[i].clone()).collect()
-    }
-
-    /// All rows, row-major (wire encoding, tests).
-    pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        (0..self.rows).map(|i| self.row(i)).collect()
     }
 
     /// Borrow argument column `a`.
@@ -238,7 +225,7 @@ mod tests {
             vec![Value::Int(2), Value::Int(20)],
         ];
         let b = ValueBatch::from_rows(&rows).unwrap();
-        assert_eq!(b.to_rows(), rows);
+        assert_eq!((0..b.len()).map(|i| b.row(i)).collect::<Vec<_>>(), rows);
         let bad = vec![vec![Value::Int(1)], vec![Value::Int(2), Value::Int(3)]];
         assert!(ValueBatch::from_rows(&bad).is_err());
     }

@@ -1,20 +1,17 @@
 //! The isolated UDF executor process (paper §4.1).
 //!
 //! The server spawns one of these per UDF per query (Design 2/4), or keeps
-//! a few warm in its worker pool, loads a UDF into it over stdin/stdout
-//! (both one half of a socket pair), and invokes it one batch of rows at a
-//! time. The native UDF registry baked in here mirrors the C++ UDFs
-//! compiled into PREDATOR's remote executor.
+//! a few warm in its worker pool, and runs [`jaguar_udf::worker::serve`]
+//! over its stdin and stdout, both its half of a socket pair, read and
+//! written unbuffered: a reply leaves in one write, which stdout's line
+//! buffering would split at every `0x0A` byte. The native UDF registry
+//! baked in here mirrors the C++ UDFs compiled into PREDATOR's remote
+//! executor.
 //!
-//! Both fds are read and written as the socket they are, unbuffered by
-//! `Stdin`/`Stdout`: a reply leaves in one write, which stdout's line
-//! buffering would split at every `0x0A` byte.
-//!
-//! A UDF stuck inside this process is the server's to kill: the server
-//! times out its read of the reply and kills the worker when a round trip
-//! outlives its statement budget or the pool's invoke timeout. Should the
-//! server itself die, a UDF that never returns to read the (now closed)
-//! socket would outlive it; a watcher thread exits the worker once its parent changes.
+//! A UDF stuck inside this process is the server's to kill, at the deadline
+//! of its round trip. Should the server itself die, a UDF that never
+//! returns to read the closed socket would outlive it; a watcher thread
+//! exits the worker once its parent changes.
 
 use std::os::fd::{AsFd, BorrowedFd};
 use std::os::unix::net::UnixStream;
@@ -38,7 +35,7 @@ fn main() {
     let registry = jaguar_udf::worker_registry();
     let served = socket(std::io::stdin().as_fd()).and_then(|input| {
         let output = socket(std::io::stdout().as_fd())?;
-        jaguar_ipc::worker::serve(input, output, &registry)
+        jaguar_udf::worker::serve(input, output, &registry)
     });
     if let Err(e) = served {
         eprintln!("jaguar-worker: {e}");

@@ -6,17 +6,22 @@ use std::sync::Arc;
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::retry::{self, RetryPolicy};
-use jaguar_common::Value;
+use jaguar_common::stream::{
+    read_blob, read_str, read_u32, read_u64, read_u8, write_blob, write_str, write_u32, write_u64,
+    write_u8,
+};
+use jaguar_common::{DataType, Value};
 use jaguar_ipc::pool::{PooledWorker, WorkerPool};
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_ipc::{Expired, WorkerProcess};
 use jaguar_vm::interp::ExecMode;
-use jaguar_vm::{PermissionSet, ResourceLimits, VerifiedModule};
+use jaguar_vm::{Module, Permission, PermissionSet, ResourceLimits, VerifiedModule};
 
 use crate::api::{ScalarUdf, UdfSignature};
 use crate::batch::{BatchError, BatchResult, ValueBatch};
 use crate::native::NativeUdf;
-use crate::vmexec::{sql_result, VmUdf};
+use crate::vmexec::VmUdf;
+use crate::worker::{Hosted, WorkerRegistry};
 
 /// Everything needed to run a UDF under the sandboxed VM.
 #[derive(Clone)]
@@ -29,6 +34,62 @@ pub struct VmUdfSpec {
     pub limits: ResourceLimits,
     pub jit: bool,
     pub permissions: Option<Arc<PermissionSet>>,
+}
+
+/// The last module a worker verified, keyed by the bytes shipped: a pooled
+/// worker reloaded with the same module after a Reset skips verifying and
+/// compiling it again. A worker hosts one UDF at a time.
+pub(crate) type ModuleCache = Option<(Vec<u8>, Arc<VerifiedModule>)>;
+
+/// Verify (and so compile) `bytes`, or reuse the module verified from
+/// identical bytes last time.
+pub(crate) fn verified(cache: &mut ModuleCache, bytes: Vec<u8>) -> Result<Arc<VerifiedModule>> {
+    if let Some((cached, module)) = cache {
+        if *cached == bytes {
+            return Ok(Arc::clone(module));
+        }
+    }
+    let module = Arc::new(Module::from_bytes(&bytes)?.verify()?);
+    *cache = Some((bytes, Arc::clone(&module)));
+    Ok(module)
+}
+
+/// A load body's design tags, and the number an absent limit crosses as
+/// (a limit that large never binds).
+const LOAD_NATIVE: u8 = 1;
+const LOAD_VM: u8 = 2;
+const NO_LIMIT: u64 = u64::MAX;
+
+/// A permission's tag in a load body, and its one text (or none).
+fn grant_parts(grant: &Permission) -> (u8, &str) {
+    match grant {
+        Permission::Callback => (0, ""),
+        Permission::HostCall(name) => (1, name),
+        Permission::FileRead(prefix) => (2, prefix),
+        Permission::FileWrite(prefix) => (3, prefix),
+        Permission::SpawnThread => (4, ""),
+    }
+}
+
+fn grant_from(tag: u8, text: String) -> Result<Permission> {
+    let unknown = || JaguarError::Protocol(format!("unknown permission tag {tag}"));
+    Ok(match tag {
+        0 => Permission::Callback,
+        1 => Permission::HostCall(text),
+        2 => Permission::FileRead(text),
+        3 => Permission::FileWrite(text),
+        4 => Permission::SpawnThread,
+        _ => return Err(unknown()),
+    })
+}
+
+/// The engine a spec's `jit` flag selects.
+fn exec_mode(jit: bool) -> ExecMode {
+    if jit {
+        ExecMode::Jit
+    } else {
+        ExecMode::Baseline
+    }
 }
 
 /// The execution design chosen for a UDF (the paper's Table 1).
@@ -215,11 +276,7 @@ impl UdfDef {
             Arc::clone(&spec.module),
             spec.function.clone(),
             spec.limits,
-            if spec.jit {
-                ExecMode::Jit
-            } else {
-                ExecMode::Baseline
-            },
+            exec_mode(spec.jit),
             spec.permissions.clone(),
         )
     }
@@ -228,6 +285,95 @@ impl UdfDef {
     pub fn with_volatility(mut self, volatility: Volatility) -> UdfDef {
         self.volatility = volatility;
         self
+    }
+
+    /// The definition a worker loads to run this isolated UDF (see
+    /// `Request::Load`): its name and SQL signature, then Design 2's
+    /// registry entry, or Design 4's module, function and tier, its whole
+    /// `ResourceLimits`, and its permission set, principal and grants.
+    pub fn load_body(&self) -> Result<Vec<u8>> {
+        let w = &mut Vec::new();
+        write_str(w, &self.name)?;
+        let params: Vec<u8> = self.signature.params.iter().map(|t| t.tag()).collect();
+        write_blob(w, &params)?;
+        write_u8(w, self.signature.ret.tag())?;
+        let spec = match &self.imp {
+            UdfImpl::IsolatedNative { worker_fn } => {
+                write_u8(w, LOAD_NATIVE)?;
+                write_str(w, worker_fn)?;
+                return Ok(std::mem::take(w));
+            }
+            UdfImpl::IsolatedVm(spec) => spec,
+            UdfImpl::Native(_) | UdfImpl::Vm(_) => {
+                let e = format!("udf '{}' runs in process, not in a worker", self.name);
+                return Err(JaguarError::Udf(e));
+            }
+        };
+        write_u8(w, LOAD_VM)?;
+        write_blob(w, &spec.module_bytes)?;
+        write_str(w, &spec.function)?;
+        let limits = spec.limits;
+        for n in [
+            spec.jit as u64,
+            limits.fuel.unwrap_or(NO_LIMIT),
+            limits.memory.map_or(NO_LIMIT, |m| m as u64),
+            limits.max_call_depth as u64,
+        ] {
+            write_u64(w, n)?;
+        }
+        let perms = spec.permissions.as_deref();
+        write_str(w, perms.map_or("", PermissionSet::principal))?;
+        let grants = perms.map(PermissionSet::grants);
+        // A count of u32::MAX stands for no permission set at all.
+        write_u32(w, grants.map_or(u32::MAX, |g| g.len() as u32))?;
+        for (tag, text) in grants.into_iter().flatten().map(grant_parts) {
+            write_u8(w, tag)?;
+            write_str(w, text)?;
+        }
+        Ok(std::mem::take(w))
+    }
+
+    /// The UDF a worker runs a load body as: Design 2's as Design 1's over
+    /// `registry`'s function, Design 4's as Design 3's.
+    pub(crate) fn from_load_body(
+        mut r: &[u8],
+        registry: &WorkerRegistry,
+        cache: &mut ModuleCache,
+    ) -> Result<Hosted> {
+        let r = &mut r;
+        let name = read_str(r)?;
+        let params = read_blob(r)?.into_iter().map(DataType::from_tag);
+        let params = params.collect::<Result<Vec<_>>>()?;
+        let signature = UdfSignature::new(params, DataType::from_tag(read_u8(r)?)?);
+        if read_u8(r)? == LOAD_NATIVE {
+            let worker_fn = read_str(r)?;
+            let f = registry(&worker_fn).ok_or_else(|| {
+                JaguarError::Worker(format!("worker has no native udf '{worker_fn}'"))
+            })?;
+            return Ok(Hosted::Native(NativeUdf::new(name, signature, f)));
+        }
+        let module = verified(cache, read_blob(r)?)?;
+        let function = read_str(r)?;
+        let mut next = || read_u64(r).map(|n| (n != NO_LIMIT).then_some(n));
+        let (jit, fuel, memory, depth) = (next()?, next()?, next()?, next()?);
+        let limits = ResourceLimits {
+            fuel,
+            memory: memory.map(|m| m as usize),
+            max_call_depth: depth.map_or(usize::MAX, |d| d as usize),
+        };
+        let mode = exec_mode(jit == Some(1));
+        let mut set = PermissionSet::deny_all(read_str(r)?);
+        let perms = match read_u32(r)? {
+            u32::MAX => None,
+            grants => {
+                for _ in 0..grants {
+                    set = set.grant(grant_from(read_u8(r)?, read_str(r)?)?);
+                }
+                Some(Arc::new(set))
+            }
+        };
+        let udf = VmUdf::new(name, signature, module, function, limits, mode, perms)?;
+        Ok(Hosted::Vm(Box::new(udf)))
     }
 
     /// Create the per-query execution instance. For isolated designs this
@@ -240,20 +386,17 @@ impl UdfDef {
     /// executor from `pool` (a warm worker checked out for the query and
     /// returned at `finish`) instead of spawning a fresh process.
     pub fn instantiate_with(&self, pool: Option<&Arc<WorkerPool>>) -> Result<Box<dyn ScalarUdf>> {
-        let load: &dyn Fn(&mut WorkerProcess) -> Result<()> = match &self.imp {
+        match &self.imp {
             UdfImpl::Native(n) => return Ok(Box::new(n.clone())),
             UdfImpl::Vm(spec) => return Ok(Box::new(self.vm_udf(spec)?)),
-            UdfImpl::IsolatedNative { worker_fn } => &|w| w.load_native(worker_fn),
-            UdfImpl::IsolatedVm(spec) => {
-                &|w| w.load_vm(&spec.module_bytes, &spec.function, spec.jit, spec.limits)
-            }
-        };
+            UdfImpl::IsolatedNative { .. } | UdfImpl::IsolatedVm(_) => {}
+        }
+        let definition = self.load_body()?;
         let mut lease = acquire_worker(pool)?;
-        load(lease.worker())?;
+        lease.worker().load(definition)?;
         Ok(Box::new(IsolatedUdf {
             name: self.name.clone(),
             signature: self.signature.clone(),
-            vm: matches!(self.imp, UdfImpl::IsolatedVm(_)),
             lease,
             cancel: CancelToken::unbounded(),
         }))
@@ -276,25 +419,16 @@ impl Lease {
     }
 }
 
-/// A UDF running in a worker process (Designs 2 and 4).
+/// A UDF running in a worker process (Designs 2 and 4): the worker runs it
+/// as Design 1 or 3, and its values and row errors come back as those.
 struct IsolatedUdf {
     name: String,
     signature: UdfSignature,
-    /// Design 4: the worker returns what the VM returned.
-    vm: bool,
     lease: Lease,
     cancel: CancelToken,
 }
 
 impl IsolatedUdf {
-    /// A value the worker returned, as Design 3 returns it.
-    fn returned(&self, out: Value) -> Result<Value> {
-        if self.vm {
-            return sql_result(self.signature.ret, out);
-        }
-        Ok(out)
-    }
-
     /// Run one invocation round trip under the earlier of two deadlines:
     /// the statement's remaining budget and, for a pooled worker, the
     /// pool's invoke timeout. A worker that overruns it is killed; a kill
@@ -340,39 +474,33 @@ impl ScalarUdf for IsolatedUdf {
         &self.signature
     }
 
+    /// The hosted UDF checks the arguments against its signature, as in
+    /// process.
     fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
         self.cancel.check()?;
-        self.signature.check_args(&self.name, args)?;
-        let out = self.guarded(|w| w.invoke(args, callbacks))?;
-        self.returned(out)
+        self.guarded(|w| w.invoke(args, callbacks))
     }
 
-    /// Ship the rows before the first one failing the signature check,
-    /// straight from the batch's columns: as per tuple, they run (with
-    /// their side effects) before the check error surfaces at its row.
+    /// Ship the rows straight from the batch's columns. A row error comes
+    /// back at its row, after the rows before it ran with their side
+    /// effects; a transport failure (dead worker) has no row and is placed
+    /// before any.
     fn invoke_batch(
         &mut self,
         batch: &ValueBatch,
         callbacks: &mut dyn CallbackHandler,
     ) -> BatchResult {
-        let arity = batch.arity();
         let arg = |row: usize, a: usize| &batch.column(a)[row];
-        let bad = (0..batch.len()).find_map(|row| {
-            let checked = self
-                .signature
-                .check_args_with(&self.name, arity, |a| arg(row, a));
-            checked.err().map(|e| (row, e))
-        });
-        let valid = bad.as_ref().map_or(batch.len(), |(row, _)| *row);
         if let Err(e) = self.cancel.check() {
             return Err(BatchError::before_any(e));
         }
         // One deadline around the whole batch: it still kills a wedged
         // worker in time, it just cannot say which row wedged.
-        let out = self.guarded(|w| w.invoke_batch(valid, arity, arg, callbacks));
-        let rows = finish_checked(out, bad)?.into_iter().enumerate();
-        rows.map(|(row, v)| self.returned(v).map_err(|e| BatchError::new(row, e)))
-            .collect()
+        match self.guarded(|w| w.invoke_batch(batch.len(), batch.arity(), arg, callbacks)) {
+            Ok((values, None)) => Ok(values),
+            Ok((values, Some(e))) => Err(BatchError::new(values.len(), e)),
+            Err(e) => Err(BatchError::before_any(e)),
+        }
     }
 
     fn attach_cancel(&mut self, token: CancelToken) {
@@ -390,33 +518,9 @@ impl ScalarUdf for IsolatedUdf {
     }
 }
 
-/// Combine a worker's batch reply with a deferred signature-check error.
-///
-/// Precedence mirrors the per-tuple path: an error the worker hit while
-/// running the shipped prefix comes first (it happened at an earlier row);
-/// otherwise the deferred check error surfaces at its true row index. A
-/// worker row error carries its index as the completed-value count;
-/// transport-level failures (dead worker) have no row attribution and are
-/// positioned before any row.
-fn finish_checked(
-    out: Result<(Vec<Value>, Option<String>)>,
-    bad: Option<(usize, JaguarError)>,
-) -> BatchResult {
-    match out {
-        Ok((values, None)) => match bad {
-            None => Ok(values),
-            Some((row, e)) => Err(BatchError::new(row, e)),
-        },
-        Ok((values, Some(message))) => {
-            Err(BatchError::new(values.len(), JaguarError::Worker(message)))
-        }
-        Err(e) => Err(BatchError::before_any(e)),
-    }
-}
-
 /// Helper: build a [`VmUdfSpec`] from an unverified module.
 pub fn vm_spec(
-    module: jaguar_vm::Module,
+    module: Module,
     function: impl Into<String>,
     limits: ResourceLimits,
     jit: bool,

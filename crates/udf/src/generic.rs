@@ -36,13 +36,13 @@ use std::sync::Arc;
 use jaguar_common::error::Result;
 use jaguar_common::{DataType, Value};
 use jaguar_ipc::proto::CallbackHandler;
-use jaguar_ipc::worker::WorkerRegistry;
-use jaguar_vm::{PermissionSet, ResourceLimits};
+use jaguar_vm::{Permission, PermissionSet, ResourceLimits};
 
 use crate::api::UdfSignature;
-use crate::def::{vm_spec, UdfDef, UdfImpl, Volatility};
+use crate::def::{vm_spec, UdfDef, UdfImpl, VmUdfSpec, Volatility};
 use crate::native::NativeUdf;
 use crate::sfi::SfiRegion;
+use crate::worker::{WorkerFn, WorkerRegistry};
 
 /// Name of the callback the generic UDF issues.
 pub const GENERIC_CALLBACK: &str = "cb";
@@ -92,13 +92,15 @@ fn run_callbacks(mut acc: i64, n: i64, cb: &mut dyn CallbackHandler) -> Result<i
     Ok(acc)
 }
 
+/// Step 1, the data-independent multiply-accumulate loop.
+fn data_indep(n: i64) -> i64 {
+    (0..n).fold(0, |acc: i64, i| acc.wrapping_mul(31).wrapping_add(i))
+}
+
 /// Plain native variant (paper's "C++"): no per-access checks.
 pub fn generic_native(args: &[Value], cb: &mut dyn CallbackHandler) -> Result<Value> {
     let (data, n_indep, n_dep, n_cb) = unpack(args)?;
-    let mut acc: i64 = 0;
-    for i in 0..n_indep {
-        acc = acc.wrapping_mul(31).wrapping_add(i);
-    }
+    let mut acc = data_indep(n_indep);
     for _ in 0..n_dep {
         // Iterator form: the compiler elides bounds checks and may
         // vectorise — this is the optimized native baseline.
@@ -116,10 +118,7 @@ pub fn generic_native(args: &[Value], cb: &mut dyn CallbackHandler) -> Result<Va
 /// `if (j >= len) abort();` checks against opaque indices.
 pub fn generic_native_bc(args: &[Value], cb: &mut dyn CallbackHandler) -> Result<Value> {
     let (data, n_indep, n_dep, n_cb) = unpack(args)?;
-    let mut acc: i64 = 0;
-    for i in 0..n_indep {
-        acc = acc.wrapping_mul(31).wrapping_add(i);
-    }
+    let mut acc = data_indep(n_indep);
     for _ in 0..n_dep {
         let len = data.len();
         let mut j = 0usize;
@@ -147,10 +146,7 @@ pub fn generic_native_bc(args: &[Value], cb: &mut dyn CallbackHandler) -> Result
 pub fn generic_native_sfi(args: &[Value], cb: &mut dyn CallbackHandler) -> Result<Value> {
     let (data, n_indep, n_dep, n_cb) = unpack(args)?;
     let region = SfiRegion::from_data(data);
-    let mut acc: i64 = 0;
-    for i in 0..n_indep {
-        acc = acc.wrapping_mul(31).wrapping_add(i);
-    }
+    let mut acc = data_indep(n_indep);
     for _ in 0..n_dep {
         let len = region.len();
         let mut j = 0usize;
@@ -205,83 +201,65 @@ pub fn generic_module() -> jaguar_vm::Module {
 // UdfDefs for each design (used by the benchmark harness and tests)
 // ---------------------------------------------------------------------
 
+/// The generic UDF `name` under `imp`, `Stable` so that it batches.
+fn generic_def(name: &str, imp: UdfImpl) -> UdfDef {
+    UdfDef::new(name, generic_signature(), imp).with_volatility(Volatility::Stable)
+}
+
+/// The generic UDF `name` as the trusted native function `f` (Design 1).
+fn native_def<F>(name: &str, f: F) -> UdfDef
+where
+    F: Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync + 'static,
+{
+    generic_def(
+        name,
+        UdfImpl::Native(NativeUdf::new(name, generic_signature(), f)),
+    )
+}
+
 /// Design 1 definition ("C++").
 pub fn def_native() -> UdfDef {
-    UdfDef::new(
-        "generic",
-        generic_signature(),
-        UdfImpl::Native(NativeUdf::new(
-            "generic",
-            generic_signature(),
-            generic_native,
-        )),
-    )
-    .with_volatility(Volatility::Stable)
+    native_def("generic", generic_native)
 }
 
 /// Design 1 with explicit bounds checks ("BC-C++", §5.4).
 pub fn def_native_bc() -> UdfDef {
-    UdfDef::new(
-        "generic_bc",
-        generic_signature(),
-        UdfImpl::Native(NativeUdf::new(
-            "generic_bc",
-            generic_signature(),
-            generic_native_bc,
-        )),
-    )
-    .with_volatility(Volatility::Stable)
+    native_def("generic_bc", generic_native_bc)
 }
 
 /// Design 1 under software fault isolation (A1 ablation).
 pub fn def_native_sfi() -> UdfDef {
-    UdfDef::new(
-        "generic_sfi",
-        generic_signature(),
-        UdfImpl::Native(NativeUdf::new(
-            "generic_sfi",
-            generic_signature(),
-            generic_native_sfi,
-        )),
-    )
-    .with_volatility(Volatility::Stable)
+    native_def("generic_sfi", generic_native_sfi)
 }
 
 /// Design 2 definition ("IC++"): the worker binary's native `generic`.
 pub fn def_isolated() -> UdfDef {
-    UdfDef::new(
-        "generic_ic",
-        generic_signature(),
-        UdfImpl::IsolatedNative {
-            worker_fn: "generic".into(),
-        },
-    )
-    .with_volatility(Volatility::Stable)
+    let worker_fn = "generic".into();
+    generic_def("generic_ic", UdfImpl::IsolatedNative { worker_fn })
+}
+
+/// The generic UDF's bytecode spec for the UDF `name`, under a permission
+/// set granting its one callback and nothing else: Designs 3 and 4 run it
+/// under the same one.
+fn generic_vm_spec(name: &str, jit: bool, limits: ResourceLimits) -> VmUdfSpec {
+    let perms = PermissionSet::deny_all(name).grant(Permission::HostCall(GENERIC_CALLBACK.into()));
+    vm_spec(generic_module(), "main", limits, jit, Some(Arc::new(perms)))
+        .expect("builtin generic UDF must verify")
 }
 
 /// Design 3 definition ("JSM"/"JNI"): sandboxed bytecode in-process,
 /// compiled when `jit`, interpreted otherwise.
 pub fn def_vm(jit: bool, limits: ResourceLimits) -> UdfDef {
-    let perms = Arc::new(
-        PermissionSet::deny_all("generic_vm")
-            .grant(jaguar_vm::Permission::HostCall(GENERIC_CALLBACK.into())),
-    );
-    let spec = vm_spec(generic_module(), "main", limits, jit, Some(perms))
-        .expect("builtin generic UDF must verify");
-    UdfDef::new("generic_vm", generic_signature(), UdfImpl::Vm(spec))
-        .with_volatility(Volatility::Stable)
+    generic_def(
+        "generic_vm",
+        UdfImpl::Vm(generic_vm_spec("generic_vm", jit, limits)),
+    )
 }
 
 /// Design 4 definition: sandboxed bytecode in a worker process.
 pub fn def_isolated_vm(jit: bool, limits: ResourceLimits) -> UdfDef {
-    let spec = vm_spec(generic_module(), "main", limits, jit, None)
-        .expect("builtin generic UDF must verify");
-    UdfDef::new(
-        "generic_ivm",
-        generic_signature(),
-        UdfImpl::IsolatedVm(spec),
-    )
-    .with_volatility(Volatility::Stable)
+    let spec = generic_vm_spec("generic_ivm", jit, limits);
+    generic_def("generic_ivm", UdfImpl::IsolatedVm(spec))
 }
 
 /// Callback handler used by the experiments: returns its argument
@@ -297,30 +275,34 @@ impl CallbackHandler for IdentityCallbacks {
 /// The native UDFs compiled into the `jaguar-worker` binary — the
 /// counterpart of the C++ UDFs linked into PREDATOR's remote executor.
 pub fn worker_registry() -> WorkerRegistry {
-    WorkerRegistry::new()
-        .register("noop", |_args, _cb| Ok(Value::Int(0)))
-        .register("generic", generic_native)
-        .register("generic_bc", generic_native_bc)
-        .register("generic_sfi", generic_native_sfi)
-        // A deliberately crashing UDF: proves Design 2's crash containment.
-        .register("crash", |_args, _cb| {
-            std::process::abort();
-        })
-        // A deliberately hanging UDF: proves a round trip's deadline kills a
-        // wedged worker, spawned or pooled, instead of wedging the query.
-        .register("hang", |_args, _cb| loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        })
-        // Crashes only for positive arguments: lets containment tests
-        // crash the worker with one statement, then prove the next
-        // statement runs a benign one at once.
-        .register("crash_if_positive", |args, _cb| {
-            let v = args.first().map(|a| a.as_int()).transpose()?.unwrap_or(0);
-            if v > 0 {
-                std::process::abort();
-            }
-            Ok(Value::Int(v))
-        })
+    |name| {
+        let f: WorkerFn = match name {
+            "noop" => |_, _| Ok(Value::Int(0)),
+            "generic" => generic_native,
+            "generic_bc" => generic_native_bc,
+            "generic_sfi" => generic_native_sfi,
+            // A deliberately crashing UDF: proves Design 2's crash containment.
+            "crash" => |_, _| std::process::abort(),
+            // A deliberately hanging UDF: proves a round trip's deadline
+            // kills a wedged worker, spawned or pooled, instead of wedging
+            // the query.
+            "hang" => |_, _| loop {
+                std::thread::sleep(std::time::Duration::from_secs(3600));
+            },
+            // Crashes only for positive arguments: lets containment tests
+            // crash the worker with one statement, then prove the next
+            // statement runs a benign one at once.
+            "crash_if_positive" => |args, _| {
+                let v = args.first().map(|a| a.as_int()).transpose()?.unwrap_or(0);
+                if v > 0 {
+                    std::process::abort();
+                }
+                Ok(Value::Int(v))
+            },
+            _ => return None,
+        };
+        Some(f)
+    }
 }
 
 #[cfg(test)]
@@ -448,7 +430,7 @@ mod tests {
             "hang",
             "crash_if_positive",
         ] {
-            assert!(reg.get(name).is_some(), "{name} missing");
+            assert!(reg(name).is_some(), "{name} missing");
         }
     }
 

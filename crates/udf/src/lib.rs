@@ -16,6 +16,10 @@
 //! invokes it once per tuple. Callbacks (§4.2) flow through the
 //! [`CallbackHandler`] the executor supplies.
 //!
+//! An isolated design is its in-process design behind a socket: the
+//! [`worker`] serve loop hosts a Design 2 UDF as a [`NativeUdf`] and a
+//! Design 4 UDF as a [`VmUdf`], from the definition its load carries.
+//!
 //! [`generic`] implements the paper's four-parameter generic UDF
 //! (§5.1) in every variant the experiments need — plain native,
 //! bounds-checked native (§5.4), SFI-instrumented native (§2.3), and
@@ -29,6 +33,7 @@ pub mod generic;
 pub mod native;
 pub mod sfi;
 pub mod vmexec;
+pub mod worker;
 
 pub use api::{ScalarUdf, UdfResourceUsage, UdfSignature};
 pub use batch::{BatchError, BatchResult, ValueBatch};
@@ -37,3 +42,4 @@ pub use generic::{worker_registry, GenericParams};
 pub use jaguar_ipc::proto::CallbackHandler;
 pub use native::NativeUdf;
 pub use vmexec::VmUdf;
+pub use worker::WorkerRegistry;

@@ -44,16 +44,6 @@ pub fn vm_to_value(v: VmValue, arena: &Arena) -> Result<Value> {
     })
 }
 
-/// A VM result as a value of the UDF's SQL return type `ret`: a BOOL comes
-/// back from the VM as an i64, nonzero being true. Designs 3 and 4 both
-/// return through this.
-pub(crate) fn sql_result(ret: DataType, out: Value) -> Result<Value> {
-    if ret == DataType::Bool {
-        return Ok(Value::Bool(out.as_int()? != 0));
-    }
-    Ok(out)
-}
-
 /// Adapts a [`CallbackHandler`] into the VM's [`HostEnv`].
 pub struct CallbackHost<'a> {
     pub callbacks: &'a mut dyn CallbackHandler,
@@ -160,21 +150,23 @@ impl VmUdf {
         })
     }
 
-    /// One call, on arguments `arg(0..arity)` wherever the caller holds
-    /// them: check them against the signature (only a row that fails is
-    /// copied out, for its error), marshal them into the reset arena, run,
-    /// account, and marshal the result out.
-    fn call<'v>(
+    /// One call on `arity` arguments of types `type_of(a)`: check them
+    /// against the signature, have `marshal(a, arena)` put each into the
+    /// reset arena, run, account, and marshal the result out. The `Value`
+    /// paths below and a worker's batch frame all call this, so a byte
+    /// argument goes from the frame into the arena in one copy.
+    pub(crate) fn call_marshalled(
         &mut self,
         arity: usize,
-        arg: impl Fn(usize) -> &'v Value,
+        type_of: impl Fn(usize) -> Option<DataType>,
+        mut marshal: impl FnMut(usize, &mut Arena) -> Result<VmValue>,
         callbacks: &mut dyn CallbackHandler,
     ) -> Result<Value> {
-        self.signature.check_args_with(&self.name, arity, &arg)?;
+        self.signature.check_types(&self.name, arity, type_of)?;
         self.arena.reset();
         self.vm_args.clear();
         for a in 0..arity {
-            self.vm_args.push(value_to_vm(arg(a), &mut self.arena)?);
+            self.vm_args.push(marshal(a, &mut self.arena)?);
         }
         let (ret, usage) = self.interp.invoke_tallied(
             self.fidx,
@@ -188,7 +180,11 @@ impl VmUdf {
         self.consumed.bytes_allocated += self.arena.allocated() as u64;
         self.consumed.host_calls += usage.host_calls;
         match ret {
-            Some(v) => sql_result(self.signature.ret, vm_to_value(v, &self.arena)?),
+            // A BOOL comes back from the VM as an i64, nonzero being true.
+            Some(VmValue::I64(b)) if self.signature.ret == DataType::Bool => {
+                Ok(Value::Bool(b != 0))
+            }
+            Some(v) => vm_to_value(v, &self.arena),
             None => Err(JaguarError::Udf(format!(
                 "VM function '{}' returned no value",
                 self.function
@@ -218,7 +214,8 @@ impl ScalarUdf for VmUdf {
     }
 
     fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
-        self.call(args.len(), |a| &args[a], callbacks)
+        let marshal = |a, arena: &mut Arena| value_to_vm(&args[a], arena);
+        self.call_marshalled(args.len(), |a| args[a].data_type(), marshal, callbacks)
     }
 
     /// The vectorized entry point: one [`VmUdf::invoke`] per row, on the
@@ -232,7 +229,9 @@ impl ScalarUdf for VmUdf {
     ) -> BatchResult {
         let mut out = Vec::with_capacity(batch.len());
         for i in 0..batch.len() {
-            match self.call(batch.arity(), |a| &batch.column(a)[i], callbacks) {
+            let arg = |a: usize| &batch.column(a)[i];
+            let marshal = |a, arena: &mut Arena| value_to_vm(arg(a), arena);
+            match self.call_marshalled(batch.arity(), |a| arg(a).data_type(), marshal, callbacks) {
                 Ok(v) => out.push(v),
                 Err(e) => return Err(BatchError::new(i, e)),
             }

@@ -1,12 +1,10 @@
-//! The worker side of isolated UDF execution.
-//!
-//! A worker process runs [`serve`] over its stdin/stdout, both its half of
-//! a socket pair. The parent loads exactly one UDF into it (native, from the
-//! registry baked into the worker binary; or a sandboxed VM module shipped
-//! over the socket) and then invokes
-//! it one batch of rows at a time (a per-tuple call is a batch of one). A
-//! UDF's callbacks are proxied back to the parent as `CallbackRequest`
-//! messages.
+//! The worker side of isolated UDF execution: the serve loop the
+//! `jaguar-worker` binary runs. A worker hosts one UDF at a time as the
+//! in-process design it isolates, built from the definition a `Load`
+//! request carries ([`UdfDef::load_body`]): Design 2's as Design 1's
+//! [`NativeUdf`], Design 4's as Design 3's [`VmUdf`], under the spec's
+//! limits and permissions. Callbacks go to the parent as
+//! `CallbackRequest`s, and a row's error goes back as itself.
 //!
 //! The worker is deliberately *crashable*: a native UDF that panics takes
 //! the worker process down, not the server — which is the entire point of
@@ -18,62 +16,27 @@ use std::sync::Arc;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::polled::{Pollable, Polled};
 use jaguar_common::Value;
-use jaguar_vm::interp::{ExecMode, HostEnv, Interpreter, VmValue};
-use jaguar_vm::{Arena, Module, ResourceLimits, TierTally, VerifiedModule};
+use jaguar_ipc::proto::{
+    Arg, BatchFrame, CallbackHandler, Outbox, Request, Response, PROTO_VERSION,
+};
+use jaguar_vm::VmValue;
 
-use crate::proto::{Arg, BatchFrame, CallbackHandler, Outbox, Request, Response, PROTO_VERSION};
+use crate::api::ScalarUdf;
+use crate::def::{ModuleCache, UdfDef};
+use crate::native::NativeUdf;
+use crate::vmexec::{value_to_vm, VmUdf};
 
-/// A native UDF as hosted by the worker: arguments in, callbacks available,
-/// one value out. Mirrors the shape of a C++ UDF compiled into PREDATOR's
-/// remote executor.
-pub type NativeUdfFn =
-    Arc<dyn Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync>;
+/// A native UDF compiled into a worker binary.
+pub type WorkerFn = fn(&[Value], &mut dyn CallbackHandler) -> Result<Value>;
 
-/// The set of native UDFs compiled into this worker binary.
-#[derive(Default, Clone)]
-pub struct WorkerRegistry {
-    entries: Vec<(String, NativeUdfFn)>,
-}
+/// The native UDFs compiled into a worker binary, by name.
+pub type WorkerRegistry = fn(&str) -> Option<WorkerFn>;
 
-impl WorkerRegistry {
-    pub fn new() -> WorkerRegistry {
-        WorkerRegistry::default()
-    }
-
-    pub fn register(
-        mut self,
-        name: impl Into<String>,
-        f: impl Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync + 'static,
-    ) -> WorkerRegistry {
-        self.entries.push((name.into(), Arc::new(f)));
-        self
-    }
-
-    pub fn get(&self, name: &str) -> Option<NativeUdfFn> {
-        self.entries
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, f)| Arc::clone(f))
-    }
-
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|(n, _)| n.as_str()).collect()
-    }
-}
-
-/// What the worker currently has loaded.
-enum Loaded {
-    Nothing,
-    Native(NativeUdfFn),
-    /// A sandboxed module, with the arena and argument vector its rows
-    /// reuse: made at load under that load's limits, so a Reset or a
-    /// reload always starts a fresh arena.
-    Vm {
-        interp: Interpreter,
-        function: String,
-        arena: Arena,
-        vm_args: Vec<VmValue>,
-    },
+/// The UDF a worker hosts: Design 1's or Design 3's, in this process
+/// ([`UdfDef::from_load_body`]).
+pub(crate) enum Hosted {
+    Native(NativeUdf),
+    Vm(Box<VmUdf>),
 }
 
 /// Proxies a UDF's callbacks over the socket to the parent and waits for
@@ -97,48 +60,11 @@ impl<R: Pollable, W: Write> CallbackHandler for WireCallbacks<'_, R, W> {
             .input
             .read(|r| Request::read(r, &mut BatchFrame::default()));
         match reply? {
-            Request::CallbackResult { value } => Ok(value),
+            Request::CallbackResult { result } => result,
             other => Err(JaguarError::Protocol(format!(
                 "expected CallbackResult, got {other:?}"
             ))),
         }
-    }
-}
-
-/// Adapts the wire callback channel into a VM [`HostEnv`] for Design 4:
-/// host calls from sandboxed code become callback round trips.
-struct VmWireHost<'a, R, W> {
-    cb: WireCallbacks<'a, R, W>,
-}
-
-impl<R: Pollable, W: Write> HostEnv for VmWireHost<'_, R, W> {
-    fn host_call(
-        &mut self,
-        name: &str,
-        args: &[VmValue],
-        arena: &mut Arena,
-    ) -> Result<Option<VmValue>> {
-        let mut vals = Vec::with_capacity(args.len());
-        for a in args {
-            vals.push(match a {
-                VmValue::I64(v) => Value::Int(*v),
-                VmValue::F64(v) => Value::Float(*v),
-                VmValue::Bytes(r) => {
-                    Value::Bytes(jaguar_common::ByteArray::new(arena.get(*r)?.to_vec()))
-                }
-            });
-        }
-        let out = self.cb.callback(name, &vals)?;
-        Ok(Some(match out {
-            Value::Int(v) => VmValue::I64(v),
-            Value::Float(v) => VmValue::F64(v),
-            Value::Bytes(b) => VmValue::Bytes(arena.alloc_from(b.as_slice())?),
-            other => {
-                return Err(JaguarError::Protocol(format!(
-                    "callback returned unsupported type {other}"
-                )))
-            }
-        }))
     }
 }
 
@@ -151,9 +77,10 @@ pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegist
     // A worker exports no metrics: its polls count nowhere.
     let mut input = Polled::new(input, Arc::default());
     let mut output = Outbox::new(output);
-    let mut loaded = Loaded::Nothing;
-    let mut module_cache: ModuleCache = None;
+    let mut hosted = None;
+    let mut cache: ModuleCache = None;
     let mut frame = BatchFrame::default();
+    let mut args = Vec::new();
     let ready = Response::Ready {
         proto: PROTO_VERSION,
     };
@@ -173,62 +100,25 @@ pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegist
             Request::Reset => {
                 // Back to the just-started state: pooled reuse must not leak
                 // one query's UDF (or its interpreter state) into the next.
-                loaded = Loaded::Nothing;
+                hosted = None;
                 Response::ResetOk
             }
-            Request::LoadNative { name } => match registry.get(&name) {
-                Some(f) => {
-                    loaded = Loaded::Native(f);
-                    Response::Loaded
+            Request::Load { definition } => {
+                let loaded = UdfDef::from_load_body(&definition, registry, &mut cache);
+                match loaded.map(|udf| hosted = Some(udf)) {
+                    Ok(()) => Response::Loaded,
+                    Err(error) => Response::Error { error },
                 }
-                None => Response::Error {
-                    message: format!(
-                        "worker has no native udf '{name}' (available: {:?})",
-                        registry.names()
-                    ),
-                },
-            },
-            Request::LoadVm {
-                module,
-                function,
-                jit,
-                fuel,
-                memory,
-                max_call_depth,
-            } => match verified(&mut module_cache, module) {
-                Ok(verified) => {
-                    let limits = ResourceLimits {
-                        fuel: if fuel == 0 { None } else { Some(fuel) },
-                        memory: if memory == 0 {
-                            None
-                        } else {
-                            Some(memory as usize)
-                        },
-                        max_call_depth: max_call_depth.try_into().unwrap_or(usize::MAX),
-                    };
-                    let mode = if jit {
-                        ExecMode::Jit
-                    } else {
-                        ExecMode::Baseline
-                    };
-                    loaded = Loaded::Vm {
-                        interp: Interpreter::new(verified, limits, mode),
-                        function,
-                        arena: Arena::new(limits.memory),
-                        vm_args: Vec::new(),
-                    };
-                    Response::Loaded
-                }
-                Err(e) => Response::Error {
-                    message: e.to_string(),
-                },
-            },
+            }
             Request::CallbackResult { .. } => Response::Error {
-                message: "unexpected CallbackResult outside an invocation".into(),
+                error: JaguarError::Worker("CallbackResult outside an invocation".into()),
             },
             Request::InvokeBatch => {
-                let (values, error) =
-                    invoke_loaded_batch(&mut loaded, &frame, &mut input, &mut output);
+                let mut cb = WireCallbacks {
+                    input: &mut input,
+                    output: &mut output,
+                };
+                let (values, error) = run_batch(hosted.as_mut(), &frame, &mut args, &mut cb);
                 // Fault site: die after doing the work but before the
                 // reply — the parent sees EOF mid-protocol and must
                 // contain it as a worker failure, not corrupt state. One
@@ -243,93 +133,46 @@ pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegist
     }
 }
 
-/// The last module a worker verified, keyed by the shipped bytes. A pooled
-/// worker is Reset between queries but typically reloaded with the *same*
-/// module; reusing its `Arc<VerifiedModule>` skips re-verifying and
-/// re-compiling it on every checkout. One entry suffices: a worker hosts
-/// one UDF at a time.
-type ModuleCache = Option<(Vec<u8>, Arc<VerifiedModule>)>;
-
-/// Verify (and so compile) `bytes`, or reuse the module verified from
-/// identical bytes last time.
-fn verified(cache: &mut ModuleCache, bytes: Vec<u8>) -> Result<Arc<VerifiedModule>> {
-    if let Some((cached, module)) = cache {
-        if *cached == bytes {
-            return Ok(Arc::clone(module));
-        }
-    }
-    let module = Arc::new(Module::from_bytes(&bytes)?.verify()?);
-    *cache = Some((bytes, Arc::clone(&module)));
-    Ok(module)
-}
-
-/// Run the loaded UDF once per row of `frame`, inside the worker — the
+/// Run the hosted UDF once per row of `frame`, inside the worker — the
 /// whole point of the vectorized ABI: the parent paid one socket crossing
 /// for all of these rows. Stops at the first failing row; the reply
 /// carries the completed prefix, and the error's row index is the prefix
 /// length.
 ///
-/// A native UDF gets each row as `Value`s built from the frame. A VM row
-/// reuses the load's arena and argument vector, and a byte argument goes
-/// from the frame into the arena in one copy; the function is resolved and
-/// the tier counters published once per batch.
-fn invoke_loaded_batch<R: Pollable, W: Write>(
-    loaded: &mut Loaded,
+/// A native UDF gets each row as `Value`s built from the frame, in `args`.
+/// A VM UDF takes a byte argument from the frame into its arena in one
+/// copy, and every other argument as Design 3 does ([`value_to_vm`]).
+fn run_batch(
+    hosted: Option<&mut Hosted>,
     frame: &BatchFrame,
-    input: &mut Polled<R>,
-    output: &mut Outbox<W>,
-) -> (Vec<Value>, Option<String>) {
+    args: &mut Vec<Value>,
+    cb: &mut dyn CallbackHandler,
+) -> (Vec<Value>, Option<JaguarError>) {
     let mut values = Vec::with_capacity(frame.rows().len());
-    let outcome = match loaded {
-        Loaded::Nothing => Err(JaguarError::Worker("invoke before load".into())),
-        Loaded::Native(f) => {
-            let mut cb = WireCallbacks { input, output };
-            let mut args = Vec::new();
-            frame.rows().try_for_each(|row| {
+    let Some(udf) = hosted else {
+        let error = JaguarError::Worker("invoke before load".into());
+        return (values, Some(error));
+    };
+    let outcome = frame.rows().try_for_each(|row| {
+        values.push(match udf {
+            Hosted::Native(udf) => {
                 args.clear();
                 args.extend(row.iter().map(|a| frame.value(a)));
-                values.push(f(&args, &mut cb)?);
-                Ok(())
-            })
-        }
-        Loaded::Vm {
-            interp,
-            function,
-            arena,
-            vm_args,
-        } => interp.resolve(function).and_then(|fidx| {
-            let mut host = VmWireHost {
-                cb: WireCallbacks { input, output },
-            };
-            let mut tally = TierTally::default();
-            frame.rows().try_for_each(|row| {
-                arena.reset();
-                vm_args.clear();
-                for a in row {
-                    vm_args.push(match a {
-                        Arg::Int(v) => VmValue::I64(*v),
-                        Arg::Float(v) => VmValue::F64(*v),
-                        Arg::Bytes(r) => VmValue::Bytes(arena.alloc_from(frame.body(r))?),
-                        other => {
-                            let other = frame.value(other);
-                            let e = format!("unsupported VM argument type: {other}");
-                            return Err(JaguarError::Udf(e));
-                        }
-                    });
-                }
-                let (ret, _usage) =
-                    interp.invoke_tallied(fidx, function, vm_args, arena, &mut host, &mut tally)?;
-                values.push(match ret {
-                    None => Value::Null,
-                    Some(VmValue::I64(v)) => Value::Int(v),
-                    Some(VmValue::F64(v)) => Value::Float(v),
-                    Some(VmValue::Bytes(r)) => Value::Bytes(arena.get(r)?.into()),
-                });
-                Ok(())
-            })
-        }),
-    };
-    (values, outcome.err().map(|e| e.to_string()))
+                udf.invoke(args, cb)?
+            }
+            Hosted::Vm(udf) => udf.call_marshalled(
+                row.len(),
+                |a| row[a].data_type(),
+                |a, arena| match &row[a] {
+                    Arg::Bytes(body) => Ok(VmValue::Bytes(arena.alloc_from(frame.body(body))?)),
+                    other => value_to_vm(&frame.value(other), arena),
+                },
+                cb,
+            )?,
+        });
+        Ok(())
+    });
+    (values, outcome.err())
 }
 
 #[cfg(test)]
@@ -337,13 +180,25 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    use jaguar_common::DataType;
+    use jaguar_vm::ResourceLimits;
+
+    use crate::api::UdfSignature;
+    use crate::def::{verified, vm_spec, UdfImpl, VmUdfSpec};
+
     fn demo_registry() -> WorkerRegistry {
-        WorkerRegistry::new()
-            .register("add", |args, _cb| {
-                Ok(Value::Int(args[0].as_int()? + args[1].as_int()?))
-            })
-            .register("echo_callback", |args, cb| cb.callback("lookup", args))
+        |name| {
+            let f: WorkerFn = match name {
+                "add" => |args, _| Ok(Value::Int(args[0].as_int()? + args[1].as_int()?)),
+                "echo_callback" => |args, cb| cb.callback("lookup", args),
+                _ => return None,
+            };
+            Some(f)
+        }
     }
+
+    /// A registry of no native UDFs.
+    const NO_NATIVE: WorkerRegistry = |_| None;
 
     /// The tier counters are process-wide: every test here that runs VM
     /// code holds this guard, so the one that counts compiled calls sees
@@ -360,19 +215,57 @@ mod tests {
         buf
     }
 
+    /// The bytes of the load of `def`.
+    fn load(def: UdfDef) -> Vec<u8> {
+        let definition = def.load_body().unwrap();
+        req(Request::Load { definition })
+    }
+
+    /// The load of the registry's `name`, over `arity` INT arguments.
+    fn native(name: &str, arity: usize) -> Vec<u8> {
+        let sig = UdfSignature::new(vec![DataType::Int; arity], DataType::Int);
+        let worker_fn = name.into();
+        load(UdfDef::new(
+            name,
+            sig,
+            UdfImpl::IsolatedNative { worker_fn },
+        ))
+    }
+
+    /// The load of `spec`'s `main`, over `arity` INT arguments.
+    fn vm_def(spec: VmUdfSpec, arity: usize) -> Vec<u8> {
+        let sig = UdfSignature::new(vec![DataType::Int; arity], DataType::Int);
+        load(UdfDef::new("m", sig, UdfImpl::IsolatedVm(spec)))
+    }
+
+    /// The load of the assembled `src`, under `fuel` and `memory` and a
+    /// call depth of 256.
+    fn vm(src: &str, arity: usize, fuel: Option<u64>, memory: Option<usize>) -> Vec<u8> {
+        let limits = ResourceLimits {
+            fuel,
+            memory,
+            max_call_depth: 256,
+        };
+        let module = jaguar_vm::asm::assemble(src).unwrap();
+        vm_def(vm_spec(module, "main", limits, true, None).unwrap(), arity)
+    }
+
     /// The bytes of one batch frame over `rows`.
     fn batch(rows: &[Vec<Value>]) -> Vec<u8> {
         let arity = rows.first().map_or(0, Vec::len);
         let mut buf = Vec::new();
-        crate::proto::write_batch(&mut buf, rows.len(), arity, |i, a| &rows[i][a]).unwrap();
+        jaguar_ipc::proto::write_batch(&mut buf, rows.len(), arity, |i, a| &rows[i][a]).unwrap();
         buf
     }
 
     /// A batch reply.
-    fn reply(values: Vec<Value>, error: Option<&str>) -> Response {
-        Response::BatchReply {
-            values,
-            error: error.map(String::from),
+    fn reply(values: Vec<Value>, error: Option<JaguarError>) -> Response {
+        Response::BatchReply { values, error }
+    }
+
+    fn ready() -> Response {
+        Response::Ready {
+            proto: PROTO_VERSION,
         }
     }
 
@@ -384,7 +277,8 @@ mod tests {
         let mut rsp = Vec::new();
         let mut r = out.as_slice();
         while !r.is_empty() {
-            rsp.push(Response::read(&mut r, crate::proto::MAX_BATCH_ROWS as usize).unwrap());
+            let most = jaguar_ipc::proto::MAX_BATCH_ROWS as usize;
+            rsp.push(Response::read(&mut r, most).unwrap());
         }
         rsp
     }
@@ -393,7 +287,7 @@ mod tests {
     fn load_and_invoke_native() {
         let rsp = script(
             &[
-                req(Request::LoadNative { name: "add".into() }),
+                native("add", 2),
                 batch(&[vec![Value::Int(20), Value::Int(22)]]),
                 req(Request::Shutdown),
             ],
@@ -401,32 +295,28 @@ mod tests {
         );
         assert_eq!(
             rsp,
-            vec![
-                Response::Ready {
-                    proto: PROTO_VERSION
-                },
-                Response::Loaded,
-                reply(vec![Value::Int(42)], None),
-            ]
+            vec![ready(), Response::Loaded, reply(vec![Value::Int(42)], None)]
         );
     }
 
     #[test]
     fn unknown_native_is_error_response() {
-        let rsp = script(
-            &[req(Request::LoadNative {
-                name: "missing".into(),
-            })],
-            &demo_registry(),
+        let rsp = script(&[native("missing", 0)], &demo_registry());
+        let Response::Error { error } = &rsp[1] else {
+            panic!("expected an error, got {:?}", rsp[1]);
+        };
+        assert!(matches!(error, JaguarError::Worker(_)), "{error}");
+        assert!(
+            error.to_string().contains("no native udf 'missing'"),
+            "{error}"
         );
-        assert!(matches!(rsp[1], Response::Error { .. }));
     }
 
     #[test]
     fn invoke_before_load_is_error_response() {
         let rsp = script(&[batch(&[vec![]])], &demo_registry());
-        let message = JaguarError::Worker("invoke before load".into()).to_string();
-        assert_eq!(rsp[1], reply(vec![], Some(&message)));
+        let error = JaguarError::Worker("invoke before load".into());
+        assert_eq!(rsp[1], reply(vec![], Some(error)));
     }
 
     #[test]
@@ -434,13 +324,11 @@ mod tests {
         // The scripted input answers the callback inline.
         let rsp = script(
             &[
-                req(Request::LoadNative {
-                    name: "echo_callback".into(),
-                }),
+                native("echo_callback", 1),
                 batch(&[vec![Value::Int(7)]]),
                 // This CallbackResult is consumed *inside* the invoke.
                 req(Request::CallbackResult {
-                    value: Value::Int(77),
+                    result: Ok(Value::Int(77)),
                 }),
                 req(Request::Shutdown),
             ],
@@ -449,9 +337,7 @@ mod tests {
         assert_eq!(
             rsp,
             vec![
-                Response::Ready {
-                    proto: PROTO_VERSION
-                },
+                ready(),
                 Response::Loaded,
                 Response::CallbackRequest {
                     name: "lookup".into(),
@@ -462,15 +348,26 @@ mod tests {
         );
     }
 
-    fn load_vm(src: &str, fuel: u64, memory: u64) -> Vec<u8> {
-        req(Request::LoadVm {
-            module: jaguar_vm::asm::assemble(src).unwrap().to_bytes(),
-            function: "main".into(),
-            jit: true,
-            fuel,
-            memory,
-            max_call_depth: 256,
-        })
+    /// A callback the parent failed fails the host call that made it, and
+    /// so its row, with the callback's own error.
+    #[test]
+    fn a_failed_callback_fails_its_row_with_its_error() {
+        let failed = JaguarError::Udf("no such account".into());
+        let rsp = script(
+            &[
+                native("echo_callback", 1),
+                batch(&[vec![Value::Int(7)], vec![Value::Int(8)]]),
+                req(Request::CallbackResult {
+                    result: Ok(Value::Int(70)),
+                }),
+                req(Request::CallbackResult {
+                    result: Err(JaguarError::Udf("no such account".into())),
+                }),
+                req(Request::Shutdown),
+            ],
+            &demo_registry(),
+        );
+        assert_eq!(rsp[4], reply(vec![Value::Int(70)], Some(failed)));
     }
 
     const DOUBLE: &str =
@@ -481,38 +378,25 @@ mod tests {
         let _serial = vm_serial();
         let rsp = script(
             &[
-                load_vm(DOUBLE, 0, 0),
+                vm(DOUBLE, 1, None, None),
                 batch(&[vec![Value::Int(21)]]),
                 req(Request::Shutdown),
             ],
-            &WorkerRegistry::new(),
+            &NO_NATIVE,
         );
         assert_eq!(
             rsp,
-            vec![
-                Response::Ready {
-                    proto: PROTO_VERSION
-                },
-                Response::Loaded,
-                reply(vec![Value::Int(42)], None),
-            ]
+            vec![ready(), Response::Loaded, reply(vec![Value::Int(42)], None)]
         );
     }
 
     #[test]
     fn malformed_vm_module_rejected() {
-        let rsp = script(
-            &[req(Request::LoadVm {
-                module: b"garbage".to_vec(),
-                function: "main".into(),
-                jit: true,
-                fuel: 0,
-                memory: 0,
-                max_call_depth: 256,
-            })],
-            &WorkerRegistry::new(),
-        );
-        assert!(matches!(rsp[1], Response::Error { .. }));
+        let module = jaguar_vm::asm::assemble(DOUBLE).unwrap();
+        let mut spec = vm_spec(module, "main", ResourceLimits::default(), true, None).unwrap();
+        spec.module_bytes = Arc::new(b"garbage".to_vec());
+        let rsp = script(&[vm_def(spec, 1)], &NO_NATIVE);
+        assert!(matches!(rsp[1], Response::Error { .. }), "{:?}", rsp[1]);
     }
 
     #[test]
@@ -521,21 +405,38 @@ mod tests {
         let src = "module m\nfunc main() -> i64\nspin:\n  jmp spin\n  consti 0\n  ret\nend\n";
         let rsp = script(
             &[
-                load_vm(src, 1000, 0),
+                vm(src, 0, Some(1000), None),
                 batch(&[vec![]]),
                 req(Request::Shutdown),
             ],
-            &WorkerRegistry::new(),
+            &NO_NATIVE,
         );
         let Response::BatchReply {
             values,
-            error: Some(message),
+            error: Some(error @ JaguarError::ResourceLimit(_)),
         } = &rsp[2]
         else {
-            panic!("expected a failed row, got {:?}", rsp[2]);
+            panic!("expected a row out of fuel, got {:?}", rsp[2]);
         };
         assert!(values.is_empty());
-        assert!(message.contains("fuel"), "{message}");
+        assert!(error.to_string().contains("fuel"), "{error}");
+    }
+
+    /// The permission set crosses with the load: a host call it does not
+    /// grant is refused in the worker as in process, and audited there.
+    #[test]
+    fn the_loads_permissions_gate_host_calls() {
+        let _serial = vm_serial();
+        let src = "module m\nimport cb(i64) -> i64\nfunc main(i64) -> i64\n  load 0\n  hostcall 0\n  ret\nend\n";
+        let module = jaguar_vm::asm::assemble(src).unwrap();
+        let deny = Arc::new(jaguar_vm::PermissionSet::deny_all("g"));
+        let spec = vm_spec(module, "main", ResourceLimits::default(), true, Some(deny)).unwrap();
+        let rsp = script(
+            &[vm_def(spec, 1), batch(&[vec![Value::Int(1)]])],
+            &NO_NATIVE,
+        );
+        let denied = JaguarError::SecurityViolation("udf 'g' denied: hostcall(cb)".into());
+        assert_eq!(rsp[2], reply(vec![], Some(denied)));
     }
 
     /// The arena a batch runs in belongs to the load: after a Reset, a
@@ -549,27 +450,19 @@ mod tests {
         let rows = vec![vec![Value::Int(64 << 10)]; 4];
         let rsp = script(
             &[
-                load_vm(src, 0, 1 << 20),
+                vm(src, 1, None, Some(1 << 20)),
                 batch(&rows),
                 req(Request::Reset),
-                load_vm(src, 0, 16 << 10),
+                vm(src, 1, None, Some(16 << 10)),
                 batch(&rows),
                 req(Request::Shutdown),
             ],
-            &WorkerRegistry::new(),
+            &NO_NATIVE,
         );
         assert_eq!(rsp[2], reply(vec![Value::Int(64 << 10); 4], None));
         assert_eq!(rsp[3], Response::ResetOk);
-        let Response::BatchReply {
-            values,
-            error: Some(message),
-        } = &rsp[5]
-        else {
-            panic!("expected row 0 to fail, got {:?}", rsp[5]);
-        };
-        assert!(values.is_empty(), "row 0 fails");
         let limit = JaguarError::ResourceLimit("memory: 65536 bytes requested, limit 16384".into());
-        assert_eq!(message, &limit.to_string());
+        assert_eq!(rsp[5], reply(vec![], Some(limit)), "row 0 fails");
     }
 
     #[test]
@@ -579,13 +472,8 @@ mod tests {
         let mut out = Vec::new();
         let err = serve(Cursor::new(vec![0x06u8]), &mut out, &demo_registry()).unwrap_err();
         assert!(err.to_string().contains("unknown request tag"), "{err}");
-        let ready = Response::read(&mut out.as_slice(), 0).unwrap();
-        assert_eq!(
-            ready,
-            Response::Ready {
-                proto: PROTO_VERSION
-            }
-        );
+        let ready_bytes = Response::read(&mut out.as_slice(), 0).unwrap();
+        assert_eq!(ready_bytes, ready());
         assert_eq!(out.len(), 5, "nothing after Ready");
     }
 
@@ -593,7 +481,7 @@ mod tests {
     fn reset_drops_loaded_state() {
         let rsp = script(
             &[
-                req(Request::LoadNative { name: "add".into() }),
+                native("add", 2),
                 batch(&[vec![Value::Int(20), Value::Int(22)]]),
                 req(Request::Reset),
                 // After a reset the worker must behave exactly like a fresh
@@ -603,26 +491,19 @@ mod tests {
             ],
             &demo_registry(),
         );
-        assert_eq!(
-            rsp[0],
-            Response::Ready {
-                proto: PROTO_VERSION
-            }
-        );
+        assert_eq!(rsp[0], ready());
         assert_eq!(rsp[1], Response::Loaded);
         assert_eq!(rsp[2], reply(vec![Value::Int(42)], None));
         assert_eq!(rsp[3], Response::ResetOk);
-        let Response::BatchReply { error, .. } = &rsp[4] else {
-            panic!("expected BatchReply, got {:?}", rsp[4]);
-        };
-        assert!(error.as_deref().unwrap().contains("invoke before load"));
+        let error = JaguarError::Worker("invoke before load".into());
+        assert_eq!(rsp[4], reply(vec![], Some(error)));
     }
 
     #[test]
     fn batch_invoke_native() {
         let rsp = script(
             &[
-                req(Request::LoadNative { name: "add".into() }),
+                native("add", 2),
                 batch(&[
                     vec![Value::Int(1), Value::Int(2)],
                     vec![Value::Int(10), Value::Int(20)],
@@ -646,7 +527,7 @@ mod tests {
         // Row 1's Null argument makes `add` fail; rows before it complete.
         let rsp = script(
             &[
-                req(Request::LoadNative { name: "add".into() }),
+                native("add", 2),
                 batch(&[
                     vec![Value::Int(1), Value::Int(2)],
                     vec![Value::Null, Value::Int(20)],
@@ -667,16 +548,14 @@ mod tests {
     fn batch_callbacks_interleave() {
         let rsp = script(
             &[
-                req(Request::LoadNative {
-                    name: "echo_callback".into(),
-                }),
+                native("echo_callback", 1),
                 batch(&[vec![Value::Int(1)], vec![Value::Int(2)]]),
                 // Consumed inside the batch, one per row.
                 req(Request::CallbackResult {
-                    value: Value::Int(11),
+                    result: Ok(Value::Int(11)),
                 }),
                 req(Request::CallbackResult {
-                    value: Value::Int(22),
+                    result: Ok(Value::Int(22)),
                 }),
                 req(Request::Shutdown),
             ],
@@ -705,11 +584,8 @@ mod tests {
             &[batch(&[vec![Value::Int(1)], vec![Value::Int(2)]])],
             &demo_registry(),
         );
-        let Response::BatchReply { values, error } = &rsp[1] else {
-            panic!("expected BatchReply, got {:?}", rsp[1]);
-        };
-        assert!(values.is_empty());
-        assert!(error.as_deref().unwrap().contains("invoke before load"));
+        let error = JaguarError::Worker("invoke before load".into());
+        assert_eq!(rsp[1], reply(vec![], Some(error)));
     }
 
     #[test]
@@ -717,8 +593,12 @@ mod tests {
         let _serial = vm_serial();
         let rows: Vec<_> = (0..5).map(|i| vec![Value::Int(i)]).collect();
         let rsp = script(
-            &[load_vm(DOUBLE, 0, 0), batch(&rows), req(Request::Shutdown)],
-            &WorkerRegistry::new(),
+            &[
+                vm(DOUBLE, 1, None, None),
+                batch(&rows),
+                req(Request::Shutdown),
+            ],
+            &NO_NATIVE,
         );
         assert_eq!(
             rsp[2],
@@ -734,14 +614,14 @@ mod tests {
             .counter("vm.tier.compiled_hits");
         let rsp = script(
             &[
-                load_vm(DOUBLE, 0, 0),
+                vm(DOUBLE, 1, None, None),
                 batch(&[vec![Value::Int(1)]]),
                 req(Request::Reset),
-                load_vm(DOUBLE, 0, 0),
+                vm(DOUBLE, 1, None, None),
                 batch(&[vec![Value::Int(2)]]),
                 req(Request::Shutdown),
             ],
-            &WorkerRegistry::new(),
+            &NO_NATIVE,
         );
         assert_eq!(rsp[2], reply(vec![Value::Int(2)], None));
         assert_eq!(rsp[5], reply(vec![Value::Int(4)], None));
@@ -751,10 +631,10 @@ mod tests {
         assert_eq!(
             after - before,
             2,
-            "the first invocation after each LoadVm runs compiled"
+            "the first invocation after each load runs compiled"
         );
 
-        // An identical LoadVm after a Reset reuses the verified module.
+        // An identical load after a Reset reuses the verified module.
         let bytes = jaguar_vm::asm::assemble(DOUBLE).unwrap().to_bytes();
         let mut cache = None;
         let first = verified(&mut cache, bytes.clone()).unwrap();
@@ -787,26 +667,22 @@ mod tests {
     #[test]
     fn every_response_leaves_in_one_write() {
         let input = [
-            req(Request::LoadNative { name: "add".into() }),
+            native("add", 2),
             batch(&vec![vec![Value::Int(4), Value::Int(6)]; 300]),
             req(Request::Reset),
-            req(Request::LoadNative {
-                name: "echo_callback".into(),
-            }),
+            native("echo_callback", 1),
             batch(&[vec![Value::Int(10)]]),
             req(Request::CallbackResult {
-                value: Value::Int(10),
+                result: Ok(Value::Int(10)),
             }),
-            req(Request::LoadNative {
-                name: "missing".into(),
-            }),
+            native("missing", 1),
         ];
         let mut out = Writes::default();
         serve(Cursor::new(input.concat()), &mut out, &demo_registry()).unwrap();
         let mut r = out.bytes.as_slice();
         let mut responses = 0;
         while !r.is_empty() {
-            Response::read(&mut r, crate::proto::MAX_BATCH_ROWS as usize).unwrap();
+            Response::read(&mut r, jaguar_ipc::proto::MAX_BATCH_ROWS as usize).unwrap();
             responses += 1;
         }
         // Ready, Loaded, the 300-row reply, ResetOk, Loaded, the callback
@@ -819,11 +695,6 @@ mod tests {
     #[test]
     fn eof_terminates_cleanly() {
         let rsp = script(&[], &demo_registry());
-        assert_eq!(
-            rsp,
-            vec![Response::Ready {
-                proto: PROTO_VERSION
-            }]
-        );
+        assert_eq!(rsp, vec![ready()]);
     }
 }

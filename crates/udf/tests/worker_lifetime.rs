@@ -8,8 +8,10 @@
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use jaguar_common::DataType;
 use jaguar_ipc::proto::NoCallbacks;
 use jaguar_ipc::WorkerProcess;
+use jaguar_udf::{UdfDef, UdfImpl, UdfSignature};
 
 /// Marks the re-executed child.
 const ORPHAN_ENV: &str = "JAGUAR_ORPHAN_PARENT";
@@ -23,7 +25,12 @@ fn orphan_parent() {
     }
     let mut worker = WorkerProcess::spawn_at(Path::new(env!("CARGO_BIN_EXE_jaguar-worker")))
         .expect("spawning the worker");
-    worker.load_native("hang").expect("loading hang");
+    let worker_fn = "hang".into();
+    let sig = UdfSignature::new(vec![], DataType::Int);
+    let hang = UdfDef::new("hang", sig, UdfImpl::IsolatedNative { worker_fn });
+    worker
+        .load(hang.load_body().unwrap())
+        .expect("loading hang");
     let pid = worker.pid();
     std::thread::spawn(move || {
         let _ = worker.invoke(&[], &mut NoCallbacks);

@@ -144,7 +144,7 @@ impl Arena {
 /// Built only when needed: a lookup that succeeds constructs (and drops) no
 /// error value, which the compiled tier's loop entry would otherwise pay.
 fn dangling() -> JaguarError {
-    JaguarError::VmTrap(VmTrap::Type("dangling bytes reference"))
+    JaguarError::VmTrap(VmTrap::Type("dangling bytes reference".into()))
 }
 
 #[cfg(test)]

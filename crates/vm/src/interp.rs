@@ -54,7 +54,7 @@ impl VmValue {
     pub fn as_i64(self) -> Result<i64> {
         match self {
             VmValue::I64(v) => Ok(v),
-            _ => Err(VmTrap::Type("expected i64").into()),
+            _ => Err(VmTrap::Type("expected i64".into()).into()),
         }
     }
 
@@ -62,7 +62,7 @@ impl VmValue {
     pub fn as_f64(self) -> Result<f64> {
         match self {
             VmValue::F64(v) => Ok(v),
-            _ => Err(VmTrap::Type("expected f64").into()),
+            _ => Err(VmTrap::Type("expected f64".into()).into()),
         }
     }
 
@@ -70,7 +70,7 @@ impl VmValue {
     pub fn as_bytes(self) -> Result<BytesRef> {
         match self {
             VmValue::Bytes(r) => Ok(r),
-            _ => Err(VmTrap::Type("expected bytes").into()),
+            _ => Err(VmTrap::Type("expected bytes".into()).into()),
         }
     }
 }
@@ -203,20 +203,6 @@ impl Interpreter {
             .ok_or_else(|| JaguarError::Udf(format!("no function '{func}' in module")))
     }
 
-    /// Invoke `func` with `args` using a caller-provided arena (the caller
-    /// marshals byte-array arguments into the arena first — that copy is
-    /// the JNI-style argument mapping cost).
-    pub fn invoke_with_arena(
-        &self,
-        func: &str,
-        args: impl AsRef<[VmValue]>,
-        arena: &mut Arena,
-        host: &mut dyn HostEnv,
-    ) -> Result<(Option<VmValue>, ResourceUsage)> {
-        let fidx = self.resolve(func)?;
-        self.invoke_resolved(fidx, func, args, arena, host)
-    }
-
     /// Invoke an already-resolved function index. `func` is only used for
     /// error messages, which must stay identical to the per-tuple path's.
     /// `args` is only read: a batch passes one reused slice per row.
@@ -281,7 +267,8 @@ impl Interpreter {
                 ArgValue::Bytes(data) => VmValue::Bytes(arena.alloc_from(data)?),
             });
         }
-        let (ret, usage) = self.invoke_with_arena(func, vm_args, &mut arena, host)?;
+        let fidx = self.resolve(func)?;
+        let (ret, usage) = self.invoke_resolved(fidx, func, vm_args, &mut arena, host)?;
         Ok((ret, usage, arena))
     }
 
@@ -356,7 +343,7 @@ impl Interpreter {
             () => {
                 stack
                     .pop()
-                    .ok_or_else(|| JaguarError::VmTrap(VmTrap::Stack("underflow")))?
+                    .ok_or_else(|| JaguarError::VmTrap(VmTrap::Stack("underflow".into())))?
             };
         }
 
@@ -414,7 +401,7 @@ impl Interpreter {
                 Insn::Dup => {
                     let v = *stack
                         .last()
-                        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow")))?;
+                        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow".into())))?;
                     stack.push(v);
                 }
                 Insn::Swap => {
@@ -498,7 +485,7 @@ impl Interpreter {
                         .ok_or(JaguarError::VmTrap(VmTrap::BadCall(fidx)))?;
                     let argc = callee.sig.params.len();
                     if stack.len() < argc {
-                        return Err(JaguarError::VmTrap(VmTrap::Stack("underflow")));
+                        return Err(JaguarError::VmTrap(VmTrap::Stack("underflow".into())));
                     }
                     let args: Vec<VmValue> = stack.split_off(stack.len() - argc);
                     let base = stack.len();
@@ -519,7 +506,7 @@ impl Interpreter {
                     }
                     let argc = import.sig.params.len();
                     if stack.len() < argc {
-                        return Err(JaguarError::VmTrap(VmTrap::Stack("underflow")));
+                        return Err(JaguarError::VmTrap(VmTrap::Stack("underflow".into())));
                     }
                     let args: Vec<VmValue> = stack.split_off(stack.len() - argc);
                     usage.host_calls += 1;
@@ -600,11 +587,11 @@ pub enum ArgValue {
 fn binop_i(stack: &mut Vec<VmValue>, f: impl Fn(i64, i64) -> Result<i64>) -> Result<()> {
     let b = stack
         .pop()
-        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow")))?
+        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow".into())))?
         .as_i64()?;
     let a = stack
         .pop()
-        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow")))?
+        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow".into())))?
         .as_i64()?;
     stack.push(VmValue::I64(f(a, b)?));
     Ok(())
@@ -614,11 +601,11 @@ fn binop_i(stack: &mut Vec<VmValue>, f: impl Fn(i64, i64) -> Result<i64>) -> Res
 fn binop_f(stack: &mut Vec<VmValue>, f: impl Fn(f64, f64) -> f64) -> Result<()> {
     let b = stack
         .pop()
-        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow")))?
+        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow".into())))?
         .as_f64()?;
     let a = stack
         .pop()
-        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow")))?
+        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow".into())))?
         .as_f64()?;
     stack.push(VmValue::F64(f(a, b)));
     Ok(())
@@ -633,11 +620,11 @@ fn cmp_i(stack: &mut Vec<VmValue>, f: impl Fn(i64, i64) -> bool) -> Result<()> {
 fn cmp_f(stack: &mut Vec<VmValue>, f: impl Fn(f64, f64) -> bool) -> Result<()> {
     let b = stack
         .pop()
-        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow")))?
+        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow".into())))?
         .as_f64()?;
     let a = stack
         .pop()
-        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow")))?
+        .ok_or(JaguarError::VmTrap(VmTrap::Stack("underflow".into())))?
         .as_f64()?;
     stack.push(VmValue::I64(f(a, b) as i64));
     Ok(())

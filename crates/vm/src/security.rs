@@ -97,6 +97,11 @@ impl PermissionSet {
         &self.principal
     }
 
+    /// What the set grants, in the order granted.
+    pub fn grants(&self) -> &[Permission] {
+        &self.grants
+    }
+
     /// Check whether `requested` is covered by some grant. A denial is
     /// recorded in the audit log; an allowed check is counted.
     pub fn check(&self, requested: &Permission) -> Result<()> {

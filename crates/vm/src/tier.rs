@@ -2031,7 +2031,9 @@ pub(crate) fn run_compiled(
                 };
                 frame = caller;
                 if let Some(dst) = frame.ret_dst.take() {
-                    let v = v.ok_or(JaguarError::VmTrap(VmTrap::Type("call returned no value")))?;
+                    let v = v.ok_or(JaguarError::VmTrap(VmTrap::Type(
+                        "call returned no value".into(),
+                    )))?;
                     stack[frame.base + dst as usize] = v;
                 }
             }

@@ -509,7 +509,7 @@ fn mid_batch_vm_trap_matches_per_tuple() {
 
 /// Mid-batch sandbox trap, Design 4: the same module runs in a worker
 /// process; the trap crosses the IPC boundary with its row position and
-/// must read the same as the per-tuple reply.
+/// class, and must be Design 3's trap, per tuple and batched.
 #[test]
 fn mid_batch_isolated_vm_trap_matches_per_tuple() {
     if !worker_available() {
@@ -520,11 +520,13 @@ fn mid_batch_isolated_vm_trap_matches_per_tuple() {
     let q = "SELECT trapper(bytearray, id) FROM rel";
     let e1 = per_tuple.execute(q).unwrap_err();
     let e2 = batched.execute(q).unwrap_err();
-    assert!(
-        matches!(e1, JaguarError::Worker(_)),
-        "expected a worker-reported trap, got: {e1}"
+    let local = trap_db(1, false, Stable).execute(q).unwrap_err();
+    assert!(matches!(local, JaguarError::VmTrap(_)), "{local}");
+    assert_eq!(
+        e1, local,
+        "the trap's class or text diverged from Design 3's"
     );
-    assert_eq!(e1.to_string(), e2.to_string(), "trap text diverged");
+    assert_eq!(e1, e2, "trap diverged between per tuple and batched");
     let q_ok = "SELECT trapper(bytearray, id) FROM rel WHERE id < 8";
     assert_eq!(
         per_tuple.execute(q_ok).unwrap().rows,
@@ -991,7 +993,7 @@ fn isolated_vm_honours_max_call_depth() {
         max_call_depth: 8,
         ..Config::default()
     };
-    let limit = JaguarError::ResourceLimit("call depth limit 8 exceeded".into()).to_string();
+    let limit = JaguarError::ResourceLimit("call depth limit 8 exceeded".into());
     let mut designs = vec![UdfDesign::Sandboxed];
     if worker_available() {
         designs.push(UdfDesign::SandboxedIsolated);
@@ -1002,8 +1004,177 @@ fn isolated_vm_honours_max_call_depth() {
             let rows = deep.execute("SELECT f(n) FROM t").unwrap().rows;
             assert_eq!(rows, vec![Tuple::new(vec![Value::Int(50)])], "{design:?}");
             let db = one_row_db(shallow.clone(), batch, design.clone(), DataType::Int, src);
-            let e = db.execute("SELECT f(n) FROM t").unwrap_err().to_string();
-            assert!(e.contains(&limit), "{design:?} at batch {batch}: {e}");
+            let e = db.execute("SELECT f(n) FROM t").unwrap_err();
+            assert_eq!(e, limit, "{design:?} at batch {batch}");
+        }
+    }
+}
+
+/// One case of the Design 3 / Design 4 outcome matrix: the UDF `f`, the
+/// column it is applied to in `SELECT f(<column>) FROM t`, the limits the
+/// statement runs under, and what it must give.
+struct Outcome {
+    case: &'static str,
+    column: &'static str,
+    param: jaguar_core::DataType,
+    ret: jaguar_core::DataType,
+    src: &'static str,
+    config: Config,
+    /// Registered under a permission set that grants nothing, through the
+    /// library API, instead of the engine's import gate.
+    deny_all: bool,
+    want: Result<Value, JaguarError>,
+}
+
+/// `t` holds one row, `(n, b, z) = (50, TRUE, NULL)`, and `f` is the case's
+/// UDF under `design`, `Stable`, so that it is batched at `batch` rows and
+/// never inlined. The engine offers four callbacks: `echo` returns its
+/// argument, `yes` TRUE, `nothing` NULL, and `fails` fails.
+fn outcome_db(o: &Outcome, design: jaguar_core::UdfDesign, batch: usize) -> Database {
+    use jaguar_core::{UdfDef, UdfDesign, UdfImpl, UdfSignature};
+    let db = Database::with_config(o.config.clone().with_dop(1).with_udf_batch_size(batch));
+    db.execute("CREATE TABLE t (n INT, b BOOL, z INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (50, TRUE, NULL)").unwrap();
+    db.register_callback("echo", |args| Ok(args[0].clone()));
+    db.register_callback("yes", |_| Ok(Value::Bool(true)));
+    db.register_callback("nothing", |_| Ok(Value::Null));
+    db.register_callback("fails", |_| {
+        Err(JaguarError::Udf("the account is closed".into()))
+    });
+    let sig = UdfSignature::new(vec![o.param], o.ret);
+    if !o.deny_all {
+        db.register_jagscript_udf_with_volatility("f", sig, o.src, design, Stable)
+            .unwrap();
+        return db;
+    }
+    let module = jaguar_lang::compile("f", o.src).unwrap();
+    let deny = std::sync::Arc::new(jaguar_core::PermissionSet::deny_all("f"));
+    let limits = ResourceLimits::default();
+    let spec = jaguar_udf::def::vm_spec(module, "main", limits, true, Some(deny)).unwrap();
+    let imp = match design {
+        UdfDesign::SandboxedIsolated => UdfImpl::IsolatedVm(spec),
+        _ => UdfImpl::Vm(spec),
+    };
+    db.register_udf(UdfDef::new("f", sig, imp).with_volatility(Stable));
+    db
+}
+
+/// The outcome matrix: every return type, BOOL and NULL arguments, fuel,
+/// memory and call-depth exhaustion, a trap, a denied host call, and a
+/// callback that fails or returns BOOL or NULL. Each case gives the same
+/// value, or the same error class and text, under Design 3 and Design 4,
+/// per tuple and batched: a Design 4 UDF is Design 3's in a worker.
+#[test]
+fn design_4_outcomes_are_design_3_outcomes() {
+    use jaguar_core::{DataType, UdfDesign};
+    let (int, float, boolean, bytes) = (
+        DataType::Int,
+        DataType::Float,
+        DataType::Bool,
+        DataType::Bytes,
+    );
+    let case = |case, column, param, ret, src| Outcome {
+        case,
+        column,
+        param,
+        ret,
+        src,
+        config: Config::default(),
+        deny_all: false,
+        want: Ok(Value::Null),
+    };
+    let mut tagged = [0u8; 50];
+    tagged[0] = 7;
+    let recurse = "fn main(n: i64) -> i64 { if n <= 0 { return 0; } return main(n - 1) + 1; }";
+    let cases = [
+        Outcome {
+            want: Ok(Value::Int(100)),
+            ..case("INT", "n", int, int, "fn main(n: i64) -> i64 { return n * 2; }")
+        },
+        Outcome {
+            want: Ok(Value::Float(12.5)),
+            ..case("FLOAT", "n", int, float, "fn main(n: i64) -> f64 { return float(n) / 4.0; }")
+        },
+        Outcome {
+            want: Ok(Value::Bool(true)),
+            ..case("BOOL", "n", int, boolean, "fn main(n: i64) -> i64 { if n > 10 { return 1; } return 0; }")
+        },
+        Outcome {
+            want: Ok(Value::Bytes(ByteArray::from(&tagged[..]))),
+            ..case("BYTEARRAY", "n", int, bytes, "fn main(n: i64) -> bytes { let b: bytes = newbytes(n); b[0] = 7; return b; }")
+        },
+        Outcome {
+            want: Ok(Value::Int(2)),
+            ..case("a BOOL argument", "b", boolean, int, "fn main(b: i64) -> i64 { return b + 1; }")
+        },
+        Outcome {
+            want: Err(JaguarError::Udf("cannot pass NULL to a VM UDF".into())),
+            ..case("a NULL argument", "z", int, int, "fn main(z: i64) -> i64 { return z + 1; }")
+        },
+        Outcome {
+            config: Config {
+                default_fuel: Some(10_000),
+                ..Config::default()
+            },
+            want: Err(JaguarError::ResourceLimit("fuel exhausted after 10001 instructions".into())),
+            ..case("out of fuel", "n", int, int, "fn main(n: i64) -> i64 { let i: i64 = 0; while i < n * 1000000 { i = i + 1; } return i; }")
+        },
+        Outcome {
+            config: Config {
+                default_vm_memory: Some(1024),
+                ..Config::default()
+            },
+            want: Err(JaguarError::ResourceLimit("memory: 5000 bytes requested, limit 1024".into())),
+            ..case("out of memory", "n", int, int, "fn main(n: i64) -> i64 { let b: bytes = newbytes(n * 100); return len(b); }")
+        },
+        Outcome {
+            config: Config {
+                max_call_depth: 8,
+                ..Config::default()
+            },
+            want: Err(JaguarError::ResourceLimit("call depth limit 8 exceeded".into())),
+            ..case("too deep", "n", int, int, recurse)
+        },
+        Outcome {
+            want: Err(JaguarError::VmTrap(jaguar_core::VmTrap::DivideByZero)),
+            ..case("a trap", "n", int, int, "fn main(n: i64) -> i64 { return 10 / (n - 50); }")
+        },
+        Outcome {
+            deny_all: true,
+            want: Err(JaguarError::SecurityViolation("udf 'f' denied: hostcall(echo)".into())),
+            ..case("a denied host call", "n", int, int, "import echo(i64) -> i64; fn main(n: i64) -> i64 { return echo(n); }")
+        },
+        Outcome {
+            want: Err(JaguarError::Udf("the account is closed".into())),
+            ..case("a failed callback", "n", int, int, "import fails(i64) -> i64; fn main(n: i64) -> i64 { return fails(n); }")
+        },
+        Outcome {
+            want: Ok(Value::Int(2)),
+            ..case("a callback returning BOOL", "n", int, int, "import yes(i64) -> i64; fn main(n: i64) -> i64 { return yes(n) + 1; }")
+        },
+        Outcome {
+            want: Err(JaguarError::Udf("cannot pass NULL to a VM UDF".into())),
+            ..case("a callback returning NULL", "n", int, int, "import nothing(i64) -> i64; fn main(n: i64) -> i64 { return nothing(n); }")
+        },
+    ];
+    let mut designs = vec![UdfDesign::Sandboxed];
+    if worker_available() {
+        designs.push(UdfDesign::SandboxedIsolated);
+    }
+    for o in &cases {
+        for design in &designs {
+            for batch in [1, 256] {
+                let db = outcome_db(o, design.clone(), batch);
+                let q = format!("SELECT f({}) FROM t", o.column);
+                let got = db.execute(&q).map(|r| r.rows);
+                let want = o.want.as_ref().map(|v| vec![Tuple::new(vec![v.clone()])]);
+                let at = format!("{} under {design:?} at batch {batch}", o.case);
+                match (&got, want) {
+                    (Ok(rows), Ok(want)) => assert_eq!(rows, &want, "{at}"),
+                    (Err(e), Err(want)) => assert_eq!(e, want, "{at}"),
+                    (got, want) => panic!("{at}: {got:?}, expected {want:?}"),
+                }
+            }
         }
     }
 }

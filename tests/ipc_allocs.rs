@@ -14,10 +14,10 @@
 use std::io::Cursor;
 
 use jaguar_core::{ByteArray, ResourceLimits, Value};
+use jaguar_ipc::find_worker_binary;
 use jaguar_ipc::proto::{write_batch, Request, Response};
-use jaguar_ipc::{find_worker_binary, worker};
 use jaguar_udf::generic::{self, GenericParams, IdentityCallbacks};
-use jaguar_udf::ValueBatch;
+use jaguar_udf::{worker, ValueBatch};
 
 #[path = "counting_alloc.rs"]
 mod counting_alloc;
@@ -58,16 +58,15 @@ fn an_isolated_batch_allocates_per_batch_in_the_parent() {
 fn an_isolated_batch_allocates_per_batch_in_the_worker() {
     let rows = rows();
     let mut load = Vec::new();
-    Request::LoadVm {
-        module: generic::generic_module().to_bytes(),
-        function: "main".into(),
-        jit: true,
-        fuel: 0,
-        memory: 0,
+    let unlimited = ResourceLimits {
+        fuel: None,
+        memory: None,
         max_call_depth: 256,
-    }
-    .write(&mut load)
-    .unwrap();
+    };
+    let definition = generic::def_isolated_vm(true, unlimited)
+        .load_body()
+        .unwrap();
+    Request::Load { definition }.write(&mut load).unwrap();
     let mut frame = Vec::new();
     write_batch(&mut frame, ROWS, 4, |i, a| &rows[i][a]).unwrap();
     let registry = generic::worker_registry();

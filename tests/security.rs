@@ -119,6 +119,49 @@ fn worker_crash_contained_and_audited() {
     assert!(db.execute("SELECT a FROM t").is_ok(), "server must survive");
 }
 
+/// A VM UDF runs under its permission set wherever it runs. The generic
+/// UDF making one callback, under a spec registered through the library
+/// API that grants nothing, is refused in process (Design 3) and in a
+/// worker (Design 4), per tuple and batched, with one error.
+#[test]
+fn a_deny_all_spec_is_enforced_in_process_and_in_a_worker() {
+    use jaguar_core::{ByteArray, ResourceLimits, UdfDef, UdfImpl, ValueBatch};
+    use jaguar_udf::generic::{
+        generic_module, generic_signature, GenericParams, IdentityCallbacks,
+    };
+    let deny = std::sync::Arc::new(PermissionSet::deny_all("g"));
+    let limits = ResourceLimits::default();
+    let spec = jaguar_udf::def::vm_spec(generic_module(), "main", limits, true, Some(deny.clone()))
+        .unwrap();
+    let mut designs = vec![UdfImpl::Vm(spec.clone())];
+    if jaguar_ipc::find_worker_binary().is_ok() {
+        designs.push(UdfImpl::IsolatedVm(spec));
+    }
+    let one_callback = GenericParams {
+        callbacks: 1,
+        ..GenericParams::default()
+    };
+    let args = one_callback.args(ByteArray::zeroed(4));
+    let batch = ValueBatch::from_rows(&vec![args.clone(); 3]).unwrap();
+    let denied = || JaguarError::SecurityViolation("udf 'g' denied: hostcall(cb)".into());
+    for imp in designs {
+        let label = imp.design_label();
+        let mut udf = UdfDef::new("g", generic_signature(), imp)
+            .instantiate()
+            .unwrap();
+        let e = udf.invoke(&args, &mut IdentityCallbacks).unwrap_err();
+        assert_eq!(e, denied(), "{label}");
+        let e = udf
+            .invoke_batch(&batch, &mut IdentityCallbacks)
+            .unwrap_err();
+        assert_eq!((e.row, e.error), (0, denied()), "{label}");
+        udf.finish().unwrap();
+    }
+    // Design 3's two denials are audited in the spec's set; a worker
+    // audits Design 4's in the copy its load made.
+    assert_eq!(deny.violations().len(), 2);
+}
+
 #[test]
 fn permission_sets_enforce_least_privilege_with_audit_trail() {
     // Unit-style check at the permission layer: grants are exact, denials
