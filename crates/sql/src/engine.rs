@@ -25,11 +25,13 @@ use jaguar_vm::{Module, Permission, PermissionSet, ResourceLimits};
 use parking_lot::RwLock;
 
 use crate::ast::Statement;
-use crate::exec::{eval, fragment, ExecCtx, ExecStats, Profile, RowSource, Sink, Stage};
+use crate::exec::{eval, ExecCtx, ExecStats, Profile, Stage, Victims};
 use crate::label;
+use crate::parallel::Team;
 use crate::parser::parse;
 use crate::plan::{
-    bind_dml, bind_insert, bind_select, explain, values_literal, AccessPath, BoundDml, BoundSelect,
+    bind_dml, bind_insert, bind_select, explain, values_literal, AccessPath, BoundDml, BoundScan,
+    BoundSelect,
 };
 use crate::session::SessionContext;
 
@@ -460,7 +462,7 @@ impl Engine {
                 let done = crate::parallel::select(self, &plan, token, par.as_ref(), false)?;
                 Ok(QueryResult {
                     schema: Arc::clone(&plan.output_schema),
-                    rows: done.rows,
+                    rows: done.out,
                     affected: 0,
                     stats: done.stats,
                 })
@@ -492,16 +494,15 @@ impl Engine {
             }
         };
         let mut dml = bind_dml(table, predicate, set, &self.catalog, session)?;
-        let notes = crate::optimize::inline_pass(&mut dml.udfs);
-        dml.notes.extend(notes);
+        let notes = crate::optimize::inline_pass(&mut dml.scan.udfs);
+        dml.scan.notes.extend(notes);
         Ok(dml)
     }
 
     /// Execute a DELETE or an UPDATE. The statement finds its rows the way
-    /// a SELECT with the same WHERE clause would — one [`RowSource`] and
-    /// the same [`fragment`], every predicate re-checked on every row the
-    /// source produces — and collects its
-    /// victims (for UPDATE, with their replacement rows) before the first
+    /// a SELECT with the same WHERE clause would — on the same runner, as a
+    /// team of one — and collects its victims (for UPDATE, with their
+    /// replacement rows), releasing its UDF instances, before the first
     /// mutation, so it never meets its own writes: not on a heap page, and
     /// not through an index whose key it assigns. A victim a concurrent
     /// statement deleted in the meantime is gone, which is all this
@@ -513,48 +514,38 @@ impl Engine {
         session: Option<&SessionContext>,
     ) -> Result<QueryResult> {
         let dml = self.bind_dml_stmt(stmt, session)?;
-        let mut handler = EngineCallbacks { engine: self };
-        let pool = self.worker_pool();
-        let mut ctx = ExecCtx::for_udfs(&dml.udfs, &mut handler, pool.as_ref())?;
-        ctx.attach_cancel(token);
-        ctx.set_memo(self.opt.memo().cloned());
-        let scans = match dml.access {
+        let scans = match dml.scan.access {
             AccessPath::FullScan => "sql.dml.full_scans",
             _ => "sql.dml.index_scans",
         };
         obs::global().counter(scans).inc();
-        let mut rows = RowSource::open(
-            &dml.table,
-            &dml.access,
-            &dml.scan_cols,
-            1..u32::MAX,
-            &dml.pushed,
-        )?;
-        let mut sink = Sink::Victims {
+        let one = Team::One {
+            reads: true,
+            analyze: false,
+        };
+        let victims = |_| Victims {
             assignments: &dml.assignments,
             rids: Vec::new(),
         };
-        fragment(&mut rows, &dml.predicates, &mut sink, &mut ctx)?;
-        let Sink::Victims { rids: victims, .. } = sink else {
-            unreachable!("a victim sink stays one")
-        };
+        let ran = crate::parallel::run(self, &dml.scan, one, token, victims)?;
+        let table = &dml.scan.table;
         let mut affected = 0;
-        let applied = victims.into_iter().try_for_each(|(rid, new)| {
+        let applied = ran.out.rids.into_iter().try_for_each(|(rid, new)| {
             token.check()?;
             affected += u64::from(match new {
-                Some(row) => dml.table.update(rid, row)?,
-                None => dml.table.delete(rid)?,
+                Some(row) => table.update(rid, row)?,
+                None => table.delete(rid)?,
             });
             Ok(())
         });
         if let Err(e) = applied {
-            return Err(seal_partial_effects(&dml.table, e));
+            return Err(seal_partial_effects(table, e));
         }
-        dml.table.commit_durable()?;
+        table.commit_durable()?;
         self.catalog.maybe_checkpoint()?;
         let mut r = QueryResult::empty();
         r.affected = affected;
-        r.stats = ctx.finish()?;
+        r.stats = ran.stats;
         Ok(r)
     }
 
@@ -589,15 +580,7 @@ impl Engine {
                 let dml = self.bind_dml_stmt(dml, session)?;
                 let plan = crate::plan::explain_dml(&dml);
                 let mut lines: Vec<String> = plan.lines().map(str::to_string).collect();
-                let mut notes = dml.notes;
-                notes.extend(crate::plan::scan_notes(
-                    &dml.table,
-                    &dml.scan_cols,
-                    &dml.pushed,
-                ));
-                if !notes.is_empty() {
-                    lines.push(format!("-- plan notes: {}", notes.join("; ")));
-                }
+                lines.extend(self.plan_notes_line(&dml.scan, None));
                 return Ok(result(lines, ExecStats::default()));
             }
         };
@@ -611,9 +594,7 @@ impl Engine {
         .lines()
         .map(str::to_string)
         .collect();
-        if let Some(trailer) = self.plan_notes_line(&plan, &par_dec) {
-            lines.push(trailer);
-        }
+        lines.extend(self.plan_notes_line(&plan.scan, Some(&par_dec)));
         let mut stats = ExecStats::default();
         let tier_before = analyze.then(tier_counters);
         let memo_before = analyze.then(memo_counters);
@@ -645,7 +626,7 @@ impl Engine {
             }
             lines.push(format!(
                 "Total: {} row(s) in {} ({} scanned, {} UDF call(s), {} callback(s))",
-                done.rows.len(),
+                done.out.len(),
                 fmt_us(total_us),
                 stats.rows_scanned,
                 stats.udf_invocations,
@@ -679,27 +660,25 @@ impl Engine {
         Ok(result(lines, stats))
     }
 
-    /// The `-- plan notes:` trailer for EXPLAIN output: optimizer
-    /// decisions (in-engine verdicts, memo marks, reorder moves, batching
-    /// gate) plus the parallel planner's clamp/serial reason when the
-    /// configuration asked for parallelism. `None` when there is nothing
-    /// worth saying (plain queries stay trailer-free).
+    /// The `-- plan notes:` trailer for EXPLAIN output, a SELECT's or a
+    /// DML statement's: optimizer decisions (in-engine verdicts, memo
+    /// marks, reorder moves, batching gate), what the scan decodes and
+    /// judges, and — given a SELECT's parallel verdict `par_dec` — the
+    /// parallel planner's clamp/serial reason when the configuration asked
+    /// for parallelism. `None` when there is nothing worth saying (plain
+    /// queries stay trailer-free).
     fn plan_notes_line(
         &self,
-        plan: &BoundSelect,
-        par_dec: &std::result::Result<crate::parallel::ParallelDecision, &'static str>,
+        scan: &BoundScan,
+        par_dec: Option<&std::result::Result<crate::parallel::ParallelDecision, &'static str>>,
     ) -> Option<String> {
-        let mut notes = plan.notes.clone();
-        notes.extend(crate::plan::scan_notes(
-            &plan.table,
-            &plan.scan_cols,
-            &plan.pushed,
-        ));
+        let mut notes = scan.notes.clone();
+        notes.extend(crate::plan::scan_notes(scan));
         match par_dec {
-            Ok(dec) if dec.clamped => {
+            Some(Ok(dec)) if dec.clamped => {
                 notes.push("parallel: dop clamped to worker-pool size".to_string());
             }
-            Err(reason) if self.catalog.config().dop >= 2 => {
+            Some(Err(reason)) if self.catalog.config().dop >= 2 => {
                 notes.push(format!("parallel: serial ({reason})"));
             }
             _ => {}
@@ -790,9 +769,9 @@ fn render_profile(plan: &BoundSelect, profile: &Profile, scanned: u64) -> Vec<St
     for stage in [Scan, Filter, Aggregate, Project, Having, Sort, Limit] {
         below += profile.time[stage as usize];
         let label = match (stage, &plan.aggregate, plan.limit) {
-            (Scan, ..) => crate::plan::scan_label(&plan.table, &plan.access, &plan.scan_cols),
-            (Filter, ..) if !plan.predicates.is_empty() => {
-                format!("Filter ({} predicate(s))", plan.predicates.len())
+            (Scan, ..) => crate::plan::scan_label(&plan.scan),
+            (Filter, ..) if !plan.scan.predicates.is_empty() => {
+                format!("Filter ({} predicate(s))", plan.scan.predicates.len())
             }
             (Aggregate, Some(agg), _) => format!(
                 "Aggregate ({} group expr(s), {} aggregate(s)){}",

@@ -1,15 +1,15 @@
 //! Push-based execution: one fragment, one tail.
 //!
 //! Every statement reads its rows through one [`RowSource`], which lends
-//! each row to `fragment`: the residual predicates, then a `Sink` —
-//! projection (one UDF crossing per batch when the plan qualifies) and
-//! HAVING, a partial aggregation (fed records when it folds at the scan),
-//! or a DML statement's victim list. A SELECT then runs `tail`: aggregate
-//! finish, HAVING, ORDER BY, LIMIT.
-//! Serially that is one fragment over the whole access path; in parallel,
-//! one per morsel, gathered in scan order before the same tail (see
-//! `parallel`). UDF instances and the callback channel live in the
-//! per-query [`ExecCtx`], threaded through every stage.
+//! each row to `fragment`: the residual predicates, then a `Sink` — a
+//! SELECT's projection (one UDF crossing per batch when the plan
+//! qualifies) and HAVING or partial aggregation (fed records when it folds
+//! at the scan), or a DELETE's or an UPDATE's victim list. A SELECT then
+//! runs `tail`: aggregate finish, HAVING, ORDER BY, LIMIT.
+//! `parallel::run` runs the fragments: a team of one runs one over the
+//! whole access path, a `Gather` team one per morsel, and their outputs
+//! are gathered in scan order. UDF instances and the callback channel live
+//! in the per-fragment [`ExecCtx`], threaded through every stage.
 //!
 //! A UDF that crosses is called one way, per tuple from `eval` (the one-row
 //! case) or per batch from the projection's batcher: `ExecCtx::call`, the
@@ -29,7 +29,7 @@ use jaguar_common::ids::RecordId;
 use jaguar_common::obs;
 use jaguar_common::stream::{read_value, write_value, RecordView};
 use jaguar_common::value::compare;
-use jaguar_common::{ColumnSet, Tuple, Value};
+use jaguar_common::{Tuple, Value};
 use jaguar_ipc::pool::WorkerPool;
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_udf::ScalarUdf;
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use crate::ast::ArithOp;
 use crate::memo::MemoCache;
-use crate::plan::{AccessPath, AggFunc, AggregatePlan, BExpr, BoundSelect};
+use crate::plan::{AccessPath, AggFunc, AggregatePlan, BExpr, BoundScan, BoundSelect};
 
 /// Counters accumulated during one query execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -195,8 +195,9 @@ impl<'a> ExecCtx<'a> {
     }
 
     /// Tally one predicate evaluation (`matches_all`). Indices
-    /// beyond the armed fingerprint list are ignored, so contexts without
-    /// a probe (DML, post-gather) cost one bounds check.
+    /// beyond the armed fingerprint list are ignored, so a context without
+    /// a probe (the tail's, or a statement without UDFs) costs one bounds
+    /// check.
     #[inline]
     pub(crate) fn sel_record(&mut self, idx: usize, passed: bool) {
         if let Some(t) = self.sel.get_mut(idx) {
@@ -557,7 +558,7 @@ pub(crate) fn batch_spec(plan: &BoundSelect) -> std::result::Result<BatchSpec, &
         }
     }
     let spec = found.ok_or("no UDF in projection")?;
-    let slot = &plan.udfs[spec.udf];
+    let slot = &plan.scan.udfs[spec.udf];
     // An in-engine UDF crosses nothing, so there is nothing to amortize.
     if slot.in_engine {
         return Err("UDF inlined (no crossing to amortize)");
@@ -680,11 +681,12 @@ fn rejected_at_scan() -> &'static obs::Counter {
     COUNTER.get_or_init(|| obs::global().counter("sql.scan.rows_rejected_at_scan"))
 }
 
-/// The rows an [`AccessPath`] reaches, with their record ids: the one leaf
-/// under every `fragment` — a serial SELECT's heap or index scan, a
-/// morsel of a parallel one, and the victim collection of DELETE and
-/// UPDATE. It lends out the rows that pass the statement's `pushed`
-/// conjuncts (or `Scanned` records) and counts every row it visited in
+/// The rows a [`BoundScan`]'s access path reaches, with their record ids:
+/// the one leaf under every `fragment`, opened once per morsel by
+/// `parallel::run` — a team of one's whole heap or index scan, a `Gather`
+/// worker's page range — for a SELECT, a DELETE and an UPDATE alike. It
+/// lends out the rows that pass the scan's `pushed` conjuncts (or
+/// `Scanned` records) and counts every row it visited in
 /// `stats.rows_scanned` (a heap page's as the page is walked).
 pub enum RowSource {
     /// Sequential scan of (a page range of) the heap file.
@@ -700,18 +702,14 @@ pub enum RowSource {
 }
 
 impl RowSource {
-    /// Open `access` over `table`, decoding the columns in `cols` of the
-    /// rows that pass `pushed`. `pages` bounds a full scan (`1..u32::MAX`
-    /// is the whole table); the other paths are not carved into morsels.
-    pub(crate) fn open(
-        table: &Arc<Table>,
-        access: &AccessPath,
-        cols: &ColumnSet,
-        pages: Range<u32>,
-        pushed: &[BExpr],
-    ) -> Result<RowSource> {
-        let reader = table.reader(cols, scan_tests(pushed));
-        Ok(match access {
+    /// Open `scan`'s access path, decoding its `scan_cols` of the rows that
+    /// pass its `pushed` conjuncts. `pages` bounds a full scan
+    /// (`1..u32::MAX` is the whole table); the other paths are not carved
+    /// into morsels.
+    pub(crate) fn open(scan: &BoundScan, pages: Range<u32>) -> Result<RowSource> {
+        let table = &scan.table;
+        let reader = table.reader(&scan.scan_cols, scan_tests(&scan.pushed));
+        Ok(match &scan.access {
             AccessPath::FullScan => RowSource::Heap(table.rows(reader, pages)),
             AccessPath::IndexRange { index, lo, hi } => RowSource::Index {
                 table: Arc::clone(table),
@@ -793,7 +791,7 @@ pub(crate) enum Scanned<'r, 'a> {
 
 /// Evaluate cost-ordered predicates with short-circuit AND: a tuple
 /// rejected by a cheap predicate never reaches an expensive UDF. The one
-/// filter above the scan, for SELECT (serial and parallel) and DML alike.
+/// filter above the scan, for every statement that reads rows.
 fn matches_all(predicates: &[BExpr], tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<bool> {
     for (i, p) in predicates.iter().enumerate() {
         let passed = matches!(eval(p, tuple, ctx)?, Value::Bool(true));
@@ -848,8 +846,31 @@ impl Profile {
 }
 
 /// The end of a [`fragment`]: what happens to each row that passes the
-/// residual predicates.
-pub(crate) enum Sink<'p> {
+/// residual predicates. A fragment runs per morsel, and the runner lays the
+/// morsels' outputs end to end in scan order (see `parallel::run`): a
+/// SELECT's [`SelectSink`], a DELETE's or an UPDATE's [`Victims`].
+pub(crate) trait Sink: Send + Sized {
+    /// Take one row that passed the residual predicates; `false` stops
+    /// the scan.
+    fn push(&mut self, rid: RecordId, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<bool>;
+    /// The aggregation a record folds into at the scan, if the sink
+    /// aggregates.
+    fn folding(&mut self) -> Option<(&AggregatePlan, &mut GroupedAgg)> {
+        None
+    }
+    /// End a fragment's rows: cross the trust boundary once for the rows a
+    /// batcher holds.
+    fn flush(&mut self, _ctx: &mut ExecCtx<'_>) -> Result<()> {
+        Ok(())
+    }
+    /// The output so far, leaving this sink empty for the next morsel.
+    fn take(&mut self) -> Self;
+    /// Append a later morsel's output.
+    fn absorb(&mut self, part: Self) -> Result<()>;
+}
+
+/// A SELECT's sink, which its `tail` finishes.
+pub(crate) enum SelectSink<'p> {
     /// A SELECT without an aggregate: project each row — one UDF crossing
     /// per `batcher`-full of rows when the plan qualifies — keep it if
     /// HAVING holds, and stop the scan once `limit` rows are kept (a bare
@@ -865,24 +886,18 @@ pub(crate) enum Sink<'p> {
         plan: &'p AggregatePlan,
         agg: GroupedAgg,
     },
-    /// DELETE / UPDATE: each victim's record id and, for an UPDATE, the
-    /// row that replaces it.
-    Victims {
-        assignments: &'p [(usize, BExpr)],
-        rids: Vec<(RecordId, Option<Tuple>)>,
-    },
 }
 
-impl<'p> Sink<'p> {
+impl<'p> SelectSink<'p> {
     /// The sink of a SELECT's fragments; `batch_size` is the context's
     /// rows per UDF crossing.
-    pub(crate) fn select(plan: &'p BoundSelect, batch_size: usize) -> Sink<'p> {
+    pub(crate) fn new(plan: &'p BoundSelect, batch_size: usize) -> SelectSink<'p> {
         match &plan.aggregate {
-            Some(agg) => Sink::Groups {
+            Some(agg) => SelectSink::Groups {
                 plan: agg,
                 agg: GroupedAgg::default(),
             },
-            None => Sink::Rows {
+            None => SelectSink::Rows {
                 plan,
                 batcher: (batch_spec(plan).ok())
                     .filter(|_| batch_size > 1)
@@ -892,12 +907,12 @@ impl<'p> Sink<'p> {
             },
         }
     }
+}
 
-    /// Take one row that passed the residual predicates; `false` stops
-    /// the scan.
-    fn push(&mut self, rid: RecordId, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<bool> {
+impl Sink for SelectSink<'_> {
+    fn push(&mut self, _rid: RecordId, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<bool> {
         match self {
-            Sink::Rows {
+            SelectSink::Rows {
                 plan,
                 batcher: Some(b),
                 ..
@@ -908,7 +923,7 @@ impl<'p> Sink<'p> {
                     return Ok(true);
                 }
             }
-            Sink::Rows {
+            SelectSink::Rows {
                 plan,
                 batcher: None,
                 limit,
@@ -918,24 +933,9 @@ impl<'p> Sink<'p> {
                 keep(plan, row, rows, ctx)?;
                 return Ok(limit.is_none_or(|n| (rows.len() as u64) < n));
             }
-            Sink::Groups { plan, agg } => {
+            SelectSink::Groups { plan, agg } => {
                 agg.update(plan, tuple, ctx)?;
                 ctx.profile.lap(Stage::Aggregate, 0);
-                return Ok(true);
-            }
-            Sink::Victims { assignments, rids } => {
-                // UPDATE reads whole rows (`scan_cols` is all): the new row
-                // is the old one with the assigned positions replaced.
-                let new = if assignments.is_empty() {
-                    None
-                } else {
-                    let mut values = tuple.values().to_vec();
-                    for (idx, expr) in assignments.iter() {
-                        values[*idx] = eval(expr, tuple, ctx)?;
-                    }
-                    Some(Tuple::new(values))
-                };
-                rids.push((rid, new));
                 return Ok(true);
             }
         }
@@ -943,9 +943,15 @@ impl<'p> Sink<'p> {
         Ok(true)
     }
 
-    /// Cross the trust boundary once for the rows a batcher holds.
+    fn folding(&mut self) -> Option<(&AggregatePlan, &mut GroupedAgg)> {
+        match self {
+            SelectSink::Groups { plan, agg } => Some((*plan, agg)),
+            SelectSink::Rows { .. } => None,
+        }
+    }
+
     fn flush(&mut self, ctx: &mut ExecCtx<'_>) -> Result<()> {
-        if let Sink::Rows {
+        if let SelectSink::Rows {
             plan,
             batcher: Some(b),
             rows,
@@ -962,35 +968,70 @@ impl<'p> Sink<'p> {
         Ok(())
     }
 
-    /// The output so far, leaving this sink empty for the next morsel.
-    pub(crate) fn take(&mut self) -> Sink<'p> {
+    fn take(&mut self) -> Self {
         match self {
-            Sink::Rows {
+            SelectSink::Rows {
                 plan, limit, rows, ..
-            } => Sink::Rows {
+            } => SelectSink::Rows {
                 plan,
                 batcher: None,
                 limit: *limit,
                 rows: std::mem::take(rows),
             },
-            Sink::Groups { plan, agg } => Sink::Groups {
+            SelectSink::Groups { plan, agg } => SelectSink::Groups {
                 plan,
                 agg: std::mem::take(agg),
             },
-            Sink::Victims { .. } => unreachable!("DML runs one fragment"),
         }
     }
 
-    /// Append a later morsel's output: its rows after these, its groups
-    /// merged so that first-seen order stays scan order.
-    pub(crate) fn absorb(&mut self, part: Sink<'p>) -> Result<()> {
+    /// A later morsel's rows go after these; its groups merge so that
+    /// first-seen order stays scan order.
+    fn absorb(&mut self, part: Self) -> Result<()> {
         match (self, part) {
-            (Sink::Rows { rows, .. }, Sink::Rows { rows: more, .. }) => rows.extend(more),
-            (Sink::Groups { plan, agg }, Sink::Groups { agg: more, .. }) => {
+            (SelectSink::Rows { rows, .. }, SelectSink::Rows { rows: more, .. }) => {
+                rows.extend(more)
+            }
+            (SelectSink::Groups { plan, agg }, SelectSink::Groups { agg: more, .. }) => {
                 agg.merge(plan, more)?
             }
             _ => unreachable!("the morsels of one statement share a sink shape"),
         }
+        Ok(())
+    }
+}
+
+/// A DELETE's or an UPDATE's sink: each victim's record id and, for an
+/// UPDATE, the row that replaces it.
+pub(crate) struct Victims<'p> {
+    pub(crate) assignments: &'p [(usize, BExpr)],
+    pub(crate) rids: Vec<(RecordId, Option<Tuple>)>,
+}
+
+impl Sink for Victims<'_> {
+    fn push(&mut self, rid: RecordId, tuple: &Tuple, ctx: &mut ExecCtx<'_>) -> Result<bool> {
+        // UPDATE reads whole rows (`scan_cols` is all): the new row is the
+        // old one with the assigned positions replaced.
+        let new = if self.assignments.is_empty() {
+            None
+        } else {
+            let mut values = tuple.values().to_vec();
+            for (idx, expr) in self.assignments {
+                values[*idx] = eval(expr, tuple, ctx)?;
+            }
+            Some(Tuple::new(values))
+        };
+        self.rids.push((rid, new));
+        Ok(true)
+    }
+
+    fn take(&mut self) -> Self {
+        let rids = std::mem::take(&mut self.rids);
+        Victims { rids, ..*self }
+    }
+
+    fn absorb(&mut self, part: Self) -> Result<()> {
+        self.rids.extend(part.rids);
         Ok(())
     }
 }
@@ -1024,22 +1065,21 @@ fn keep(
     Ok(())
 }
 
-/// The scan-side pipeline of every statement — a serial SELECT's whole
-/// access path, one morsel of a parallel one, a DML statement's victim
-/// search: each row `rows` lends runs the residual `predicates` and, if it
-/// passes, goes into `sink`. The end of the input flushes a pending UDF
+/// The scan-side pipeline of every statement that reads rows, run once per
+/// morsel — a team of one's whole access path, or one page range of a
+/// `Gather` team's: each row `rows` lends runs the residual `predicates`
+/// and, if it passes, goes into `sink`. The end of the input flushes a pending UDF
 /// batch, and so does an error: those rows came before it, so the batch's
 /// own error wins. Returns how many rows passed.
 pub(crate) fn fragment(
     rows: &mut RowSource,
     predicates: &[BExpr],
-    sink: &mut Sink<'_>,
+    sink: &mut impl Sink,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<u64> {
     let mut passed = 0;
     // `plan::folds_at_scan`; an index source lends rows all the same.
-    let at_scan =
-        predicates.is_empty() && matches!(sink, Sink::Groups { plan, .. } if plan.folds());
+    let at_scan = predicates.is_empty() && sink.folding().is_some_and(|(plan, _)| plan.folds());
     let scanned = rows.for_each(ctx, at_scan, |row, ctx| {
         ctx.profile.lap(Stage::Scan, 1);
         let pass = match &row {
@@ -1051,14 +1091,14 @@ pub(crate) fn fragment(
             return Ok(true);
         }
         passed += 1;
-        match (row, &mut *sink) {
-            (Scanned::Row(rid, tuple), sink) => sink.push(rid, tuple, ctx),
-            (Scanned::Record(record), Sink::Groups { plan, agg, .. }) => {
+        match row {
+            Scanned::Row(rid, tuple) => sink.push(rid, tuple, ctx),
+            Scanned::Record(record) => {
+                let (plan, agg) = sink.folding().expect("only an aggregate folds at its scan");
                 agg.fold(plan, record)?;
                 ctx.profile.lap(Stage::Aggregate, 0);
                 Ok(true)
             }
-            _ => unreachable!("only an aggregate folds at its scan"),
         }
     });
     ctx.profile.lap(Stage::Scan, 0);
@@ -1066,21 +1106,20 @@ pub(crate) fn fragment(
     scanned.map(|()| passed)
 }
 
-/// Everything after the fragments, for a serial SELECT and a parallel
-/// gather alike: finish the aggregation and project its groups through
+/// Everything after a SELECT's gathered fragments, whatever team ran
+/// them: finish the aggregation and project its groups through
 /// HAVING (a row sink has done both for its own rows), then ORDER BY and
 /// LIMIT. No expression here calls a UDF — the binder's output scope
 /// refuses UDF calls in HAVING and ORDER BY — so any context runs it.
 pub(crate) fn tail(
     plan: &BoundSelect,
-    gathered: Sink<'_>,
+    gathered: SelectSink<'_>,
     ctx: &mut ExecCtx<'_>,
 ) -> Result<Vec<Tuple>> {
     let mut rows = match gathered {
-        Sink::Groups {
+        SelectSink::Groups {
             plan: agg_plan,
             agg,
-            ..
         } => {
             let groups = agg.finish(agg_plan)?;
             ctx.profile.lap(Stage::Aggregate, groups.len() as u64);
@@ -1092,8 +1131,7 @@ pub(crate) fn tail(
             }
             rows
         }
-        Sink::Rows { rows, .. } => rows,
-        Sink::Victims { .. } => unreachable!("DML has no tail"),
+        SelectSink::Rows { rows, .. } => rows,
     };
     if !plan.order_by.is_empty() {
         rows = sort_rows(rows, &plan.order_by, ctx)?;

@@ -2,7 +2,8 @@
 //!
 //! A deliberately focused SQL subset: exactly what the paper's workload
 //! needs (single-table SELECT with UDFs in the projection and WHERE
-//! clause, CREATE TABLE, INSERT, DROP), implemented end-to-end:
+//! clause, UPDATE and DELETE with UDFs in WHERE and SET, CREATE TABLE,
+//! CREATE INDEX, INSERT, DROP), implemented end-to-end:
 //!
 //! * [`lexer`] / [`parser`] → AST,
 //! * [`session`] / [`label`] — multi-tenant security: a [`SessionContext`]
@@ -23,12 +24,13 @@
 //! * [`exec`] — one push-based pipeline: a row source lends rows to a
 //!   fragment (residual filter → project / partial aggregate / DML
 //!   victims) and a tail (aggregate finish, HAVING, ORDER BY, LIMIT) ends
-//!   a SELECT, with per-query UDF instances and callback plumbing (§4.2),
-//! * [`parallel`] — SELECT execution, serially as a team of one or
-//!   morsel-driven: an eligible scan is carved into page-range morsels
-//!   drained by a team of worker threads whose results a `Gather` step
-//!   reassembles in serial order before the one tail, on the morsel
-//!   dispenser and worker teams of [`par`],
+//!   a SELECT, with per-fragment UDF instances and callback plumbing (§4.2),
+//! * [`parallel`] — the one runner of every statement that reads rows,
+//!   SELECT, UPDATE and DELETE: a team of one over the whole access path,
+//!   or, for an eligible SELECT, page-range morsels drained by a team of
+//!   worker threads; one gather step reassembles the fragments' outputs in
+//!   scan order before a SELECT's tail or a DML statement's writes, on the
+//!   morsel dispenser and worker teams of [`par`],
 //! * [`engine`] — the embeddable database engine and its sessions.
 //!
 //! The paper's benchmark query runs verbatim:

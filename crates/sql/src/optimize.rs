@@ -36,17 +36,17 @@ use jaguar_common::obs;
 
 use crate::engine::Engine;
 use crate::exec::{backend_slug, ExecCtx};
-use crate::plan::{describe, expr_has_pinned_udf, expr_udfs, BoundSelect, PlannedUdf};
+use crate::plan::{describe, expr_has_pinned_udf, expr_udfs, BoundScan, BoundSelect, PlannedUdf};
 
-/// Run all optimization passes over a bound SELECT (or the SELECT-shaped
-/// core of a DML statement). Mutates the plan in place; decision notes
-/// accumulate in `plan.notes` for EXPLAIN's `-- plan notes:` trailer.
+/// Run all optimization passes over a bound SELECT. Mutates the plan in
+/// place; decision notes accumulate in its scan's `notes` for EXPLAIN's
+/// `-- plan notes:` trailer.
 pub(crate) fn optimize_select(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
-    plan.reordered = vec![false; plan.predicates.len()];
-    let notes = inline_pass(&mut plan.udfs);
-    plan.notes.extend(notes);
-    reorder_pass(plan, opt);
-    memo_notes(plan, opt);
+    let scan = &mut plan.scan;
+    let notes = inline_pass(&mut scan.udfs);
+    scan.notes.extend(notes);
+    reorder_pass(scan, opt);
+    memo_notes(scan, opt);
     batch_note(plan);
 }
 
@@ -94,23 +94,23 @@ fn udf_cost_us(slot: &PlannedUdf) -> f64 {
 /// UDF-bearing ones (class 1) in a segment; ties (and class 0, whose
 /// bind-time cheap-first order is already right) break on bind position,
 /// so the pass is a no-op until ranks actually diverge.
-fn reorder_pass(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
-    if plan.predicates.len() < 2 {
+fn reorder_pass(scan: &mut BoundScan, opt: &Arc<crate::cost::OptState>) {
+    if scan.predicates.len() < 2 {
         return;
     }
-    let preds = std::mem::take(&mut plan.predicates);
+    let preds = std::mem::take(&mut scan.predicates);
     // (segment, class, rank, bind position, predicate)
     let mut keyed = Vec::with_capacity(preds.len());
     let mut seg = 0usize;
     for (i, p) in preds.into_iter().enumerate() {
-        let pinned = expr_has_pinned_udf(&p, &plan.udfs);
+        let pinned = expr_has_pinned_udf(&p, &scan.udfs);
         let mut uds = Vec::new();
         expr_udfs(&p, &mut uds);
         let (class, rank) = if uds.is_empty() {
             (0u8, 0.0f64)
         } else {
-            let cost: f64 = uds.iter().map(|&u| udf_cost_us(&plan.udfs[u])).sum();
-            let sel = opt.selectivity(&describe(&p, plan));
+            let cost: f64 = uds.iter().map(|&u| udf_cost_us(&scan.udfs[u])).sum();
+            let sel = opt.selectivity(&describe(&p, scan));
             (1u8, crate::cost::rank(cost, sel))
         };
         if pinned {
@@ -130,7 +130,7 @@ fn reorder_pass(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
             .then(a.3.cmp(&b.3))
     });
     let mut moved = 0u64;
-    plan.reordered = keyed
+    scan.reordered = keyed
         .iter()
         .enumerate()
         .map(|(new_pos, &(_, _, _, bind_pos, _))| {
@@ -139,19 +139,19 @@ fn reorder_pass(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
             m
         })
         .collect();
-    plan.predicates = keyed.into_iter().map(|(_, _, _, _, p)| p).collect();
+    scan.predicates = keyed.into_iter().map(|(_, _, _, _, p)| p).collect();
     if moved > 0 {
         obs::global().counter("opt.reordered").add(moved);
-        plan.notes
+        scan.notes
             .push(format!("reorder: moved {moved} predicate(s)"));
     }
 }
 
 /// Record which UDFs the executor will consult the memo cache for.
-fn memo_notes(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
+fn memo_notes(scan: &mut BoundScan, opt: &Arc<crate::cost::OptState>) {
     let enabled = opt.memo().is_some();
     let mut notes = Vec::new();
-    for u in &plan.udfs {
+    for u in &scan.udfs {
         if u.in_engine || !u.def.volatility.memoizable() {
             continue;
         }
@@ -161,40 +161,40 @@ fn memo_notes(plan: &mut BoundSelect, opt: &Arc<crate::cost::OptState>) {
             format!("memo {}: disabled (udf_memo_bytes=0)", u.def.name)
         });
     }
-    plan.notes.extend(notes);
+    scan.notes.extend(notes);
 }
 
 /// Note the batching gate's verdict for plans that involve UDFs at all
 /// (UDF-free plans stay note-free — there was never a crossing to
 /// amortize and the trailer would be noise).
 fn batch_note(plan: &mut BoundSelect) {
-    if plan.udfs.is_empty() {
+    if plan.scan.udfs.is_empty() {
         return;
     }
     let note = match crate::exec::batch_spec(plan) {
-        Ok(spec) => format!("batch: eligible ({})", plan.udfs[spec.udf].def.name),
+        Ok(spec) => format!("batch: eligible ({})", plan.scan.udfs[spec.udf].def.name),
         Err(reason) => format!("batch: per-tuple ({reason})"),
     };
-    plan.notes.push(note);
+    plan.scan.notes.push(note);
 }
 
 /// Wire a freshly built execution context to the engine's optimizer
 /// state: the shared memo cache and the per-predicate selectivity
-/// probe (fingerprints follow `plan.predicates` order, which is exactly
+/// probe (fingerprints follow `scan.predicates` order, which is exactly
 /// the order `matches_all` evaluates them in). Only a predicate
 /// that calls a UDF is probed: the reorder pass reads no other
 /// selectivity, and a tally per distinct `(id = 4711)` would grow the
 /// engine's state with every literal a client ever sent.
-pub(crate) fn install_opt(plan: &BoundSelect, engine: &Engine, ctx: &mut ExecCtx<'_>) {
+pub(crate) fn install_opt(scan: &BoundScan, engine: &Engine, ctx: &mut ExecCtx<'_>) {
     ctx.set_memo(engine.opt_state().memo().cloned());
-    if plan.udfs.is_empty() {
+    if scan.udfs.is_empty() {
         return;
     }
     let fingerprint = |p| {
         let mut called = Vec::new();
         expr_udfs(p, &mut called);
-        (!called.is_empty()).then(|| describe(p, plan))
+        (!called.is_empty()).then(|| describe(p, scan))
     };
-    let fps = plan.predicates.iter().map(fingerprint).collect();
+    let fps = scan.predicates.iter().map(fingerprint).collect();
     ctx.set_selectivity_probe(fps, Arc::clone(engine.opt_state()));
 }

@@ -1,25 +1,23 @@
-//! SELECT execution: one fragment per stretch of rows, then one tail.
+//! The one runner of every statement that reads rows: a SELECT, a DELETE
+//! and an UPDATE each run `fragment` over the morsels of their
+//! [`BoundScan`] (`run`), and one gather step lays the outputs end to end
+//! in morsel order, before a SELECT's `tail` or a DML statement's writes.
 //!
-//! Every SELECT runs `fragment` over its rows and `tail` over what the
-//! fragments produced. Serially that is a team of one: one fragment over
-//! the statement's whole access path, on the calling thread. An eligible
-//! query's heap scan is instead carved into page-range *morsels* (see
-//! [`crate::par::MorselDispenser`]) drained by a team of `Config::dop`
-//! worker threads. Each worker owns a full execution context — its own UDF
-//! instances, meaning its own VM for sandboxed designs and its own pool
-//! checkout (or spawned process) for isolated ones — and runs the fragment
-//! once per morsel it claims. The main thread then *gathers*: per-morsel
-//! outputs are reassembled in morsel-index order, so the parallel output
-//! is byte-identical to the serial scan order, and the tail (aggregate
-//! finish, HAVING, ORDER BY, LIMIT) runs exactly as it does serially.
+//! A team of one is the calling thread over one morsel, the whole access
+//! path. An eligible SELECT's heap scan is instead carved into page-range
+//! morsels ([`crate::par::MorselDispenser`]) drained by a `Gather` team of
+//! `Config::dop` threads, each with a full execution context of its own —
+//! its own UDF instances: its own VM for sandboxed designs, its own pool
+//! checkout (or spawned process) for isolated ones. Reassembled in morsel
+//! order, the parallel output is byte-identical to the serial scan order.
 //!
-//! What parallelizes: full-table scans of tables with at least
-//! `MIN_DATA_PAGES` data pages, with or without UDFs, aggregation,
-//! HAVING, ORDER BY, or LIMIT-after-ORDER-BY. What stays serial: DML,
-//! index and empty scans, tiny tables, bare-LIMIT queries (where the
-//! serial fragment stops the scan early instead), a FLOAT `SUM`/`AVG` (its
-//! per-morsel partial sums would round otherwise), and everything when
-//! `dop = 1`.
+//! What parallelizes: SELECTs over full-table scans of tables with at
+//! least `MIN_DATA_PAGES` data pages, with or without UDFs, aggregation,
+//! HAVING, ORDER BY, or LIMIT-after-ORDER-BY. What runs as a team of one:
+//! every DELETE and UPDATE, index and empty scans, tiny tables, bare-LIMIT
+//! queries (where the fragment stops the scan early instead), a FLOAT
+//! `SUM`/`AVG` (its per-morsel partial sums would round otherwise), and
+//! everything when `dop = 1`.
 //!
 //! Cancellation invariant: the statement's [`CancelToken`] is attached
 //! to every worker's context, so a deadline or cancel mid-`Gather`
@@ -39,8 +37,8 @@ use jaguar_common::obs;
 use jaguar_common::{DataType, Tuple};
 
 use crate::engine::{Engine, EngineCallbacks};
-use crate::exec::{fragment, tail, ExecCtx, ExecStats, Profile, RowSource, Sink};
-use crate::plan::{AccessPath, AggFunc, AggSpec, BoundSelect};
+use crate::exec::{fragment, tail, ExecCtx, ExecStats, Profile, RowSource, SelectSink, Sink};
+use crate::plan::{AccessPath, AggFunc, AggSpec, BoundScan, BoundSelect};
 
 /// Tables with fewer data pages than this never go parallel: the team
 /// setup (thread spawns, per-worker UDF instantiation) costs more than
@@ -75,8 +73,8 @@ pub struct WorkerReport {
 ///
 /// A query qualifies when `Config::dop ≥ 2`, the access path is a full
 /// scan, the table has at least `MIN_DATA_PAGES` data pages, and the
-/// query is not a bare LIMIT (no aggregate, no ORDER BY), where the
-/// serial fragment stops early instead of scanning everything. The dop
+/// query is not a bare LIMIT (no aggregate, no ORDER BY), where a team
+/// of one's fragment stops early instead of scanning everything. The dop
 /// is capped at half the data pages (each worker should see ≥ 2 pages)
 /// and — when any planned UDF draws a pool checkout per context — at
 /// the worker-pool size, so a thread team can never deadlock waiting on
@@ -90,7 +88,8 @@ pub(crate) fn plan_parallel(
     if config_dop < 2 {
         return Err("dop=1 in config");
     }
-    if !matches!(plan.access, AccessPath::FullScan) {
+    let scan = &plan.scan;
+    if !matches!(scan.access, AccessPath::FullScan) {
         return Err("not a full scan");
     }
     if plan.limit.is_some() && plan.aggregate.is_none() && plan.order_by.is_empty() {
@@ -102,7 +101,7 @@ pub(crate) fn plan_parallel(
     if (plan.aggregate.iter()).any(|agg| agg.aggs.iter().any(adds_floats)) {
         return Err("FLOAT SUM/AVG adds in scan order");
     }
-    let data_pages = plan.table.heap_pages().saturating_sub(1);
+    let data_pages = scan.table.heap_pages().saturating_sub(1);
     if data_pages < MIN_DATA_PAGES {
         return Err("table too small");
     }
@@ -111,18 +110,14 @@ pub(crate) fn plan_parallel(
     let mut clamped = false;
     // In-engine UDFs never draw a pool checkout, so they do not count
     // toward the clamp.
-    if plan
-        .udfs
-        .iter()
-        .any(|u| !u.in_engine && u.def.imp.needs_worker())
-    {
+    if (scan.udfs.iter()).any(|u| !u.in_engine && u.def.imp.needs_worker()) {
         if let Some(pool) = engine.worker_pool() {
             let cap = pool.capacity().max(1);
             if dop > cap {
                 obs::warn!(
                     target: "jaguar-par",
                     "clamping dop {dop} to worker-pool size {cap} for query over '{}'",
-                    plan.table.name()
+                    scan.table.name()
                 );
                 crate::par::metrics().dop_clamped.inc();
                 dop = cap;
@@ -141,77 +136,79 @@ pub(crate) fn plan_parallel(
     })
 }
 
-/// What a SELECT produced.
-pub(crate) struct Selected {
-    pub(crate) rows: Vec<Tuple>,
+/// Who reads a statement's rows.
+pub(crate) enum Team<'d> {
+    /// The calling thread, over the whole access path — or nothing, unless
+    /// `reads` — filling its per-stage profile if `analyze`.
+    One { reads: bool, analyze: bool },
+    /// `dop` threads over the scan's page-range morsels.
+    Gather(&'d ParallelDecision),
+}
+
+/// What a statement's fragments produced (the gathered sink `out`; a
+/// SELECT's rows), and how.
+pub(crate) struct Ran<T> {
+    pub(crate) out: T,
     pub(crate) stats: ExecStats,
-    /// One per worker of a parallel run; empty for a serial one.
+    /// One per worker of a `Gather` team; empty for a team of one.
     pub(crate) reports: Vec<WorkerReport>,
-    /// The per-stage numbers of an analyzed serial run.
+    /// The per-stage numbers of an analyzed team of one.
     pub(crate) profile: Profile,
 }
 
-/// Execute a bound SELECT — with a worker team when `par` says so, else
-/// serially — returning rows identical, in content and order, either way.
-/// `analyze` has a serial run fill its per-stage profile.
-pub(crate) fn select(
+/// Read `scan`'s rows, the one way every statement does: each worker of
+/// `team` runs `fragment` over each morsel it claims into a sink `sink`
+/// makes (given the context's rows per UDF crossing) and takes that
+/// morsel's output; then one gather step lays the outputs end to end in
+/// morsel order. A team of one runs on the calling thread: it spawns no
+/// thread, resolves no `par.*` metric, and its one output is moved whole
+/// into the gathered sink, not copied.
+pub(crate) fn run<S: Sink>(
     engine: &Engine,
-    plan: &BoundSelect,
+    scan: &BoundScan,
+    team: Team<'_>,
     token: &CancelToken,
-    par: Option<&ParallelDecision>,
-    analyze: bool,
-) -> Result<Selected> {
-    // The statement's rows over a page range: all of them serially, one
-    // morsel's in a team.
-    let open = |pages| {
-        RowSource::open(
-            &plan.table,
-            &plan.access,
-            &plan.scan_cols,
-            pages,
-            &plan.pushed,
-        )
-    };
-    let Some(dec) = par else {
-        let mut handler = EngineCallbacks { engine };
-        let mut ctx = fragment_ctx(engine, plan, &mut handler, token)?;
-        if analyze {
-            ctx.profile.start();
+    sink: impl Fn(usize) -> S + Sync,
+) -> Result<Ran<S>> {
+    // A `Gather` team's dispenser, and its metrics and fair share.
+    let (dispenser, gather) = match team {
+        Team::Gather(dec) => {
+            let metrics = crate::par::metrics();
+            metrics.queries.inc();
+            let pages = scan.table.heap_pages();
+            let dispenser = MorselDispenser::new(1, pages, dec.morsel_pages);
+            let fair_share = u64::from(dispenser.morsel_count()) / dec.dop as u64;
+            (Some(dispenser), Some((metrics, fair_share)))
         }
-        let mut sink = Sink::select(plan, ctx.batch_size());
-        // LIMIT 0 reads nothing.
-        if plan.limit != Some(0) {
-            fragment(
-                &mut open(1..u32::MAX)?,
-                &plan.predicates,
-                &mut sink,
-                &mut ctx,
-            )?;
-        }
-        let profile = std::mem::take(&mut ctx.profile);
-        let mut done = gather(engine, plan, token, sink, profile)?;
-        done.stats.merge(&ctx.finish()?);
-        return Ok(done);
+        Team::One { .. } => (None, None),
     };
-    let metrics = crate::par::metrics();
-    metrics.queries.inc();
-    let dispenser = MorselDispenser::new(1, plan.table.heap_pages(), dec.morsel_pages);
-    let fair_share = u64::from(dispenser.morsel_count()) / dec.dop as u64;
+    let whole = AtomicBool::new(matches!(team, Team::One { reads: true, .. }));
+    let next = |abort: &AtomicBool| match &dispenser {
+        Some(dispenser) => claim(dispenser, abort),
+        None => (whole.swap(false, Ordering::Relaxed)).then_some(Morsel {
+            index: 0,
+            start_page: 1,
+            end_page: u32::MAX,
+        }),
+    };
     let abort = AtomicBool::new(false);
     let failed = parking_lot::Mutex::new(None::<(u32, JaguarError)>);
 
-    let outs = run_team(dec.dop, |_worker| {
+    let work = |_worker| {
         let mut handler = EngineCallbacks { engine };
-        let mut ctx = fragment_ctx(engine, plan, &mut handler, token)
+        let mut ctx = fragment_ctx(engine, scan, &mut handler, token)
             .inspect_err(|_| abort.store(true, Ordering::Relaxed))?;
+        if matches!(team, Team::One { analyze: true, .. }) {
+            ctx.profile.start();
+        }
         let started = Instant::now();
-        let mut sink = Sink::select(plan, ctx.batch_size());
+        let mut sink = sink(ctx.batch_size());
         let (mut parts, mut report, mut at) = (Vec::new(), WorkerReport::default(), 0);
         let mut drain = || -> Result<()> {
-            while let Some(m) = claim(&dispenser, &abort) {
+            while let Some(m) = next(&abort) {
                 (at, report.morsels) = (m.index, report.morsels + 1);
-                let mut rows = open(m.start_page..m.end_page)?;
-                report.rows += fragment(&mut rows, &plan.predicates, &mut sink, &mut ctx)?;
+                let mut rows = RowSource::open(scan, m.start_page..m.end_page)?;
+                report.rows += fragment(&mut rows, &scan.predicates, &mut sink, &mut ctx)?;
                 parts.push((m.index, sink.take()));
             }
             Ok(())
@@ -228,34 +225,93 @@ pub(crate) fn select(
             return Err(JaguarError::Execution("parallel worker stopped".into()));
         }
         report.busy_us = started.elapsed().as_micros() as u64;
-        metrics.worker_busy.observe_us(report.busy_us);
-        Ok((parts, ctx.finish()?, report))
-    });
+        if let Some((metrics, _)) = &gather {
+            metrics.worker_busy.observe_us(report.busy_us);
+        }
+        let profile = std::mem::take(&mut ctx.profile);
+        Ok((parts, ctx.finish()?, report, profile))
+    };
+    let (one, many) = match team {
+        Team::One { .. } => (Some(work(0)), Vec::new()),
+        Team::Gather(dec) => (None, run_team(dec.dop, work)),
+    };
     if let Some((_, first)) = failed.into_inner() {
         return Err(first);
     }
 
     // Gather: merge stats and reports, account steal imbalance, and lay the
-    // morsels' outputs end to end in scan order.
+    // morsels' outputs end to end in scan order, the first one the base.
     let (mut stats, mut reports, mut parts) = (ExecStats::default(), Vec::new(), Vec::new());
-    for out in outs {
-        let (morsels, worker_stats, report) = out?;
+    let mut profile = Profile::default();
+    for out in one.into_iter().chain(many) {
+        let (morsels, worker_stats, report, worker_profile) = out?;
         stats.merge(&worker_stats);
-        metrics
-            .steals
-            .add(report.morsels.saturating_sub(fair_share));
-        parts.extend(morsels);
-        reports.push(report);
+        if let Some((metrics, fair_share)) = &gather {
+            metrics
+                .steals
+                .add(report.morsels.saturating_sub(*fair_share));
+            reports.push(report);
+        }
+        // A team of one's list is kept, not copied into a new one.
+        match parts.is_empty() {
+            true => parts = morsels,
+            false => parts.extend(morsels),
+        }
+        profile = worker_profile;
     }
     parts.sort_by_key(|(index, _)| *index);
-    let mut gathered = Sink::select(plan, 1);
-    for (_, part) in parts {
-        gathered.absorb(part)?;
+    let mut parts = parts.into_iter().map(|(_, part)| part);
+    let mut out = parts.next().unwrap_or_else(|| sink(1));
+    for part in parts {
+        out.absorb(part)?;
     }
-    let mut done = gather(engine, plan, token, gathered, Profile::default())?;
-    done.stats.merge(&stats);
-    done.reports = reports;
-    Ok(done)
+    Ok(Ran {
+        out,
+        stats,
+        reports,
+        profile,
+    })
+}
+
+/// Execute a bound SELECT — with a `Gather` team when `par` says so, else
+/// as a team of one — returning rows identical, in content and order,
+/// either way, and run its tail on the calling thread, in a UDF-free
+/// context of its own. `analyze` has a team of one fill its profile.
+pub(crate) fn select(
+    engine: &Engine,
+    plan: &BoundSelect,
+    token: &CancelToken,
+    par: Option<&ParallelDecision>,
+    analyze: bool,
+) -> Result<Ran<Vec<Tuple>>> {
+    let team = match par {
+        Some(dec) => Team::Gather(dec),
+        // LIMIT 0 reads nothing.
+        None => Team::One {
+            reads: plan.limit != Some(0),
+            analyze,
+        },
+    };
+    let sink = |batch| SelectSink::new(plan, batch);
+    let Ran {
+        out,
+        mut stats,
+        reports,
+        profile,
+    } = run(engine, &plan.scan, team, token, sink)?;
+    let mut handler = EngineCallbacks { engine };
+    let mut ctx = ExecCtx::for_udfs(&[], &mut handler, None)?;
+    ctx.attach_cancel(token);
+    ctx.profile = profile;
+    let out = tail(plan, out, &mut ctx)?;
+    let profile = std::mem::take(&mut ctx.profile);
+    stats.merge(&ctx.finish()?);
+    Ok(Ran {
+        out,
+        stats,
+        reports,
+        profile,
+    })
 }
 
 /// The next morsel for a worker, or `None` once the range is spent or the
@@ -269,43 +325,20 @@ fn claim(dispenser: &MorselDispenser, abort: &AtomicBool) -> Option<Morsel> {
     dispenser.next()
 }
 
-/// A fragment's context: the plan's UDFs (checked out of the engine's
+/// A fragment's context: the scan's UDFs (checked out of the engine's
 /// worker pool, if any), the statement's token, the configured UDF batch
 /// size and the optimizer's memo cache and selectivity probe.
 fn fragment_ctx<'a>(
     engine: &Engine,
-    plan: &BoundSelect,
+    scan: &BoundScan,
     handler: &'a mut EngineCallbacks<'_>,
     token: &CancelToken,
 ) -> Result<ExecCtx<'a>> {
-    let mut ctx = ExecCtx::for_udfs(&plan.udfs, handler, engine.worker_pool().as_ref())?;
+    let mut ctx = ExecCtx::for_udfs(&scan.udfs, handler, engine.worker_pool().as_ref())?;
     ctx.attach_cancel(token);
     ctx.set_udf_batch_size(engine.catalog().config().udf_batch_size);
-    crate::optimize::install_opt(plan, engine, &mut ctx);
+    crate::optimize::install_opt(scan, engine, &mut ctx);
     Ok(ctx)
-}
-
-/// Run the tail over the fragments' output on the calling thread, in a
-/// UDF-free context of its own, carrying on the fragments' `profile`.
-fn gather(
-    engine: &Engine,
-    plan: &BoundSelect,
-    token: &CancelToken,
-    gathered: Sink<'_>,
-    profile: Profile,
-) -> Result<Selected> {
-    let mut handler = EngineCallbacks { engine };
-    let mut ctx = ExecCtx::for_udfs(&[], &mut handler, None)?;
-    ctx.attach_cancel(token);
-    ctx.profile = profile;
-    let rows = tail(plan, gathered, &mut ctx)?;
-    let profile = std::mem::take(&mut ctx.profile);
-    Ok(Selected {
-        rows,
-        stats: ctx.finish()?,
-        reports: Vec::new(),
-        profile,
-    })
 }
 
 #[cfg(test)]

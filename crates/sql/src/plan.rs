@@ -266,16 +266,23 @@ fn respell(lit: &mut BExpr, other: &BExpr, schema: &Schema) {
     }
 }
 
-/// A bound, optimized single-table SELECT.
-pub struct BoundSelect {
+/// What a statement reads and how: its table, the access path and the
+/// columns decoded, the conjuncts judged at the scan and above it, and the
+/// statement's UDFs — everything a fragment over its rows needs. A SELECT,
+/// a DELETE and an UPDATE each hold one.
+pub struct BoundScan {
     pub table: Arc<Table>,
-    /// Access path chosen by the optimizer.
+    /// Access path chosen from the WHERE clause's conjuncts.
     pub access: AccessPath,
-    /// The table columns the statement reads above its scan — the residual
-    /// predicates (the row-label filter included), then group expressions
-    /// and aggregate arguments or the projections, UDF arguments inside any
-    /// of them. The scan decodes these and leaves NULL in every other
-    /// position; a column only `pushed` conjuncts read is not among them.
+    /// The table columns the statement reads above its scan. The scan
+    /// decodes these and leaves NULL in every other position; a column
+    /// only `pushed` conjuncts read is not among them. A SELECT's are its
+    /// residual predicates' (the row-label filter included), then group
+    /// expressions and aggregate arguments or the projections, UDF
+    /// arguments inside any of them; a DELETE's its residual predicates';
+    /// an UPDATE's every column — the row it writes is the fetched tuple
+    /// with the assigned positions replaced, and a NULL placeholder must
+    /// never be written back as data.
     pub scan_cols: ColumnSet,
     /// The leading conjuncts of the WHERE clause that the scan judges on
     /// the record's bytes (`pushable`), in execution order.
@@ -283,6 +290,26 @@ pub struct BoundSelect {
     /// The residual conjuncts, evaluated on the rows the scan produces, in
     /// execution order (cheap → expensive).
     pub predicates: Vec<BExpr>,
+    /// Parallel to `predicates` once a SELECT's reorder pass ran over two or
+    /// more (else empty): true when the pass moved the predicate relative
+    /// to its bind-time position.
+    pub reordered: Vec<bool>,
+    /// UDFs used anywhere in the statement, indexed by `BExpr::Udf::udf`.
+    pub udfs: Vec<PlannedUdf>,
+    /// Position in execution order (`pushed`, then `predicates`) of the
+    /// row-label filter the authorizer injected for this session, if any
+    /// (always 0: it is pinned into its own first segment, ahead of every
+    /// user predicate, and the reorder pass breaks class-0 ties by bind
+    /// position). EXPLAIN tags it `[labeled]`.
+    pub labeled: Option<usize>,
+    /// Optimizer decision notes (in-engine verdicts, memoization, reorder,
+    /// gating reasons) rendered by EXPLAIN's `-- plan notes:` trailer.
+    pub notes: Vec<String>,
+}
+
+/// A bound, optimized single-table SELECT.
+pub struct BoundSelect {
+    pub scan: BoundScan,
     /// Grouping/aggregation step, if this is an aggregate query. When
     /// present, `projections` reference the aggregate operator's output
     /// columns (groups first, then aggregates).
@@ -295,28 +322,14 @@ pub struct BoundSelect {
     /// ORDER BY keys over the output columns; `true` = descending.
     pub order_by: Vec<(BExpr, bool)>,
     pub limit: Option<u64>,
-    /// UDFs used anywhere in the plan, indexed by `BExpr::Udf::udf`.
-    pub udfs: Vec<PlannedUdf>,
-    /// Parallel to `predicates`: true when the cost/selectivity reorder
-    /// pass moved the predicate relative to its bind-time position.
-    pub reordered: Vec<bool>,
-    /// Position in execution order (`pushed`, then `predicates`) of the
-    /// row-label filter the authorizer injected for this session, if any
-    /// (always 0: it is pinned into its own first segment, ahead of every
-    /// user predicate, and the reorder pass breaks class-0 ties by bind
-    /// position). EXPLAIN tags it `[labeled]`.
-    pub labeled: Option<usize>,
-    /// Optimizer decision notes (in-engine verdicts, memoization, reorder,
-    /// gating reasons) rendered by EXPLAIN's `-- plan notes:` trailer.
-    pub notes: Vec<String>,
 }
 
 /// Does this SELECT fold each record that passes its pushed conjuncts from
 /// the record's bytes, with no row decoded or lent? EXPLAIN: `[at scan]`.
 pub(crate) fn folds_at_scan(plan: &BoundSelect) -> bool {
     (plan.aggregate.as_ref()).is_some_and(AggregatePlan::folds)
-        && matches!(plan.access, AccessPath::FullScan)
-        && plan.predicates.is_empty()
+        && matches!(plan.scan.access, AccessPath::FullScan)
+        && plan.scan.predicates.is_empty()
 }
 
 /// How EXPLAIN tags the aggregate of a plan that [`folds_at_scan`].
@@ -333,10 +346,11 @@ fn decoded_columns<'a>(table: &'a Table, cols: &ColumnSet) -> Option<Vec<&'a str
 
 /// The scan operator as EXPLAIN and EXPLAIN ANALYZE name it, with the
 /// columns it decodes: `SeqScan wide [grp, v]`, `IndexScan t [*] via t_id`.
-pub(crate) fn scan_label(table: &Table, access: &AccessPath, cols: &ColumnSet) -> String {
-    let name = table.name();
-    let cols = decoded_columns(table, cols).map_or("*".into(), |names| names.join(", "));
-    match access {
+pub(crate) fn scan_label(scan: &BoundScan) -> String {
+    let name = scan.table.name();
+    let cols = decoded_columns(&scan.table, &scan.scan_cols);
+    let cols = cols.map_or("*".into(), |names| names.join(", "));
+    match &scan.access {
         AccessPath::FullScan => format!("SeqScan {name} [{cols}]"),
         AccessPath::IndexRange { index, .. } => {
             format!("IndexScan {name} [{cols}] via {}", index.name)
@@ -347,27 +361,27 @@ pub(crate) fn scan_label(table: &Table, access: &AccessPath, cols: &ColumnSet) -
 
 /// The scan's EXPLAIN line: its label plus the rows, key range or verdict
 /// it covers — one rendering for SELECT and DML.
-fn scan_line(table: &Table, access: &AccessPath, cols: &ColumnSet) -> String {
-    let scan = scan_label(table, access, cols);
-    match access {
-        AccessPath::FullScan => format!("{scan} ({} rows)", table.row_count()),
+fn scan_line(scan: &BoundScan) -> String {
+    let label = scan_label(scan);
+    match &scan.access {
+        AccessPath::FullScan => format!("{label} ({} rows)", scan.table.row_count()),
         AccessPath::IndexRange { lo, hi, .. } => {
             let hi = hi.map_or_else(|| "∞".into(), |h| h.to_string());
-            format!("{scan} [{lo}, {hi})")
+            format!("{label} [{lo}, {hi})")
         }
-        AccessPath::Empty => format!("{scan} (predicate unsatisfiable)"),
+        AccessPath::Empty => format!("{label} (predicate unsatisfiable)"),
     }
 }
 
 /// Plan notes for a scan that skips columns or judges conjuncts itself.
-pub(crate) fn scan_notes(table: &Table, cols: &ColumnSet, pushed: &[BExpr]) -> Vec<String> {
+pub(crate) fn scan_notes(scan: &BoundScan) -> Vec<String> {
     let mut notes = Vec::new();
-    if let Some(some) = decoded_columns(table, cols) {
-        let (some, all) = (some.len(), table.schema().len());
+    if let Some(some) = decoded_columns(&scan.table, &scan.scan_cols) {
+        let (some, all) = (some.len(), scan.table.schema().len());
         notes.push(format!("scan decodes {some} of {all} columns"));
     }
-    if !pushed.is_empty() {
-        let k = pushed.len();
+    if !scan.pushed.is_empty() {
+        let k = scan.pushed.len();
         notes.push(format!("scan judges {k} conjunct(s) on record bytes"));
     }
     notes
@@ -381,7 +395,7 @@ pub fn bind_select(
     session: Option<&SessionContext>,
 ) -> Result<BoundSelect> {
     let mut binder = Binder::for_table(catalog, &stmt.table, stmt.alias.as_deref(), session)?;
-    let filter = bind_where(&mut binder, &stmt.predicate)?;
+    let mut scan = bind_where(&mut binder, &stmt.predicate)?;
 
     // Aggregate query?
     let is_aggregate = !stmt.group_by.is_empty()
@@ -460,9 +474,9 @@ pub fn bind_select(
         None => (&projections, &[]),
     };
     let args = aggs.iter().filter_map(|a| a.arg.as_ref());
-    let scan_cols = referenced_columns(
+    scan.scan_cols = referenced_columns(
         binder.table.schema(),
-        filter.predicates.iter().chain(inputs).chain(args),
+        scan.predicates.iter().chain(inputs).chain(args),
     );
 
     binder.output = Some(Arc::clone(&output_schema));
@@ -470,22 +484,15 @@ pub fn bind_select(
         .map(|h| binder.predicate(h, || "HAVING must be a boolean predicate".into()))
         .transpose()?;
     let order_by = bind_order_by(&mut binder, &stmt.order_by)?;
+    scan.udfs = binder.udfs;
     Ok(BoundSelect {
-        table: binder.table,
-        access: filter.access,
-        scan_cols,
-        pushed: filter.pushed,
-        predicates: filter.predicates,
+        scan,
         aggregate,
         projections,
         output_schema,
         having,
         order_by,
         limit: stmt.limit,
-        udfs: binder.udfs,
-        reordered: Vec::new(),
-        labeled: filter.labeled,
-        notes: filter.notes,
     })
 }
 
@@ -522,16 +529,6 @@ fn dedupe_names(fields: &mut [Field]) {
     }
 }
 
-/// A bound WHERE clause: how its rows are reached and which conjuncts are
-/// judged where (fields as [`BoundSelect`]'s).
-struct BoundWhere {
-    access: AccessPath,
-    pushed: Vec<BExpr>,
-    predicates: Vec<BExpr>,
-    labeled: Option<usize>,
-    notes: Vec<String>,
-}
-
 /// Can the scan judge this conjunct on a record's bytes? Only a comparison
 /// of a fixed-width column with a non-NULL literal, on either side: it
 /// reads tag + 8 (or 1) bytes, calls nothing, and decides with the very
@@ -561,26 +558,32 @@ fn pushable(e: &BExpr, schema: &Schema) -> bool {
 /// rows that one would have rejected or failed on. No later pass moves a
 /// conjunct into or out of the run: the reorder pass keeps UDF-free
 /// conjuncts in bind order, ahead of any that calls a UDF.
-fn bind_where(binder: &mut Binder<'_>, predicate: &Option<Expr>) -> Result<BoundWhere> {
-    let mut ranked: Vec<(u32, usize, bool, BExpr)> = Vec::new();
-    let mut notes = Vec::new();
+///
+/// The scan it returns decodes every column and has no UDFs: the statement
+/// sets its `scan_cols` and `udfs` once the rest of it is bound.
+fn bind_where(binder: &mut Binder<'_>, predicate: &Option<Expr>) -> Result<BoundScan> {
+    // Each conjunct in written order, with its segment and cost rank (see
+    // `order_conjuncts`).
+    let (mut ranked, mut segment, mut notes) = (Vec::new(), 0, Vec::new());
+    let labeled = binder.residual.is_some().then_some(0);
     if let Some(residual) = binder.residual.take() {
-        ranked.push((0, 0, true, residual));
+        ranked.push((1, 0, residual));
+        segment = 2;
         obs::global().counter(label::LABEL_REWRITES).inc();
         notes.push(format!(
             "label: row filter injected for principal '{}'",
             binder.principal
         ));
     }
-    let shift = ranked.len();
     if let Some(pred) = predicate {
         for (i, c) in pred.conjuncts().into_iter().enumerate() {
             let bound = binder.predicate(c, || {
                 format!("WHERE conjunct {} is not a boolean predicate", i + 1)
             })?;
             let cost = binder.cost_rank(&bound);
-            let pinned = expr_has_pinned_udf(&bound, &binder.udfs);
-            ranked.push((cost, i + shift, pinned, bound));
+            let pinned = usize::from(expr_has_pinned_udf(&bound, &binder.udfs));
+            ranked.push((segment + pinned, cost, bound));
+            segment += 2 * pinned;
         }
     }
     let mut pushed = order_conjuncts(ranked);
@@ -588,11 +591,15 @@ fn bind_where(binder: &mut Binder<'_>, predicate: &Option<Expr>) -> Result<Bound
     let schema = binder.table.schema();
     let run = pushed.iter().take_while(|p| pushable(p, schema));
     let predicates = pushed.split_off(run.count());
-    Ok(BoundWhere {
+    Ok(BoundScan {
+        table: Arc::clone(&binder.table),
         access,
+        scan_cols: ColumnSet::all(),
         pushed,
         predicates,
-        labeled: (shift > 0).then_some(0),
+        reordered: Vec::new(),
+        udfs: Vec::new(),
+        labeled,
         notes,
     })
 }
@@ -624,23 +631,13 @@ fn bind_order_by(binder: &mut Binder<'_>, keys: &[(Expr, bool)]) -> Result<Vec<(
 /// evaluation count and short-circuit exposure match the written query
 /// exactly (the planner guard shared with the batching gate).
 ///
-/// `ranked` must arrive in written order: `(cost, written_pos, pinned, expr)`.
-fn order_conjuncts(ranked: Vec<(u32, usize, bool, BExpr)>) -> Vec<BExpr> {
-    // Each pinned conjunct forms its own single-element segment; free
-    // conjuncts sort by (cost, position) within the segment between pins.
-    let mut grouped: Vec<(usize, u32, usize, BExpr)> = Vec::with_capacity(ranked.len());
-    let mut seg = 0usize;
-    for (cost, pos, pinned, e) in ranked {
-        if pinned {
-            seg += 1;
-            grouped.push((seg, cost, pos, e));
-            seg += 1;
-        } else {
-            grouped.push((seg, cost, pos, e));
-        }
-    }
-    grouped.sort_by_key(|(seg, cost, pos, _)| (*seg, *cost, *pos));
-    grouped.into_iter().map(|(_, _, _, e)| e).collect()
+/// `ranked` must arrive in written order, `(segment, cost, expr)`: each
+/// pinned conjunct forms its own single-element segment, and free
+/// conjuncts sort by cost within the segment between pins (a stable sort:
+/// equal costs keep their written order).
+fn order_conjuncts(mut ranked: Vec<(usize, u32, BExpr)>) -> Vec<BExpr> {
+    ranked.sort_by_key(|(segment, cost, _)| (*segment, *cost));
+    ranked.into_iter().map(|(_, _, e)| e).collect()
 }
 
 /// Visit `e` and every expression under it, UDF arguments included.
@@ -1155,29 +1152,13 @@ fn choose_access_path(table: &Table, predicates: &[BExpr]) -> AccessPath {
     AccessPath::IndexRange { index, lo, hi }
 }
 
-/// A bound DML predicate + assignments (DELETE/UPDATE).
+/// A bound DELETE or UPDATE: the rows it reaches, found exactly as a
+/// SELECT with the same WHERE clause finds them, and for UPDATE its
+/// assignments.
 pub struct BoundDml {
-    pub table: Arc<Table>,
-    /// How the statement reaches its rows: chosen exactly as for a SELECT
-    /// with the same WHERE clause, and every predicate is re-checked on
-    /// each row the path produces.
-    pub access: AccessPath,
-    /// The columns the statement's scan decodes: what the residual
-    /// predicates read for DELETE, every column for UPDATE — the row it
-    /// writes is the fetched tuple with the assigned positions replaced,
-    /// and a NULL placeholder must never be written back as data.
-    pub scan_cols: ColumnSet,
-    /// As [`BoundSelect::pushed`].
-    pub pushed: Vec<BExpr>,
-    /// The residual conjuncts, cost-ordered as in SELECT.
-    pub predicates: Vec<BExpr>,
+    pub scan: BoundScan,
     /// For UPDATE: (column index, value expression) pairs.
     pub assignments: Vec<(usize, BExpr)>,
-    pub udfs: Vec<PlannedUdf>,
-    /// As [`BoundSelect::labeled`].
-    pub labeled: Option<usize>,
-    /// As [`BoundSelect::notes`].
-    pub notes: Vec<String>,
 }
 
 /// Bind the predicate (and, for UPDATE, assignments) of a DML statement,
@@ -1193,7 +1174,7 @@ pub fn bind_dml(
     session: Option<&SessionContext>,
 ) -> Result<BoundDml> {
     let mut binder = Binder::for_table(catalog, table_name, None, session)?;
-    let filter = bind_where(&mut binder, predicate)?;
+    let mut scan = bind_where(&mut binder, predicate)?;
     let mut bound_assignments = Vec::with_capacity(assignments.len());
     for (col, expr) in assignments {
         let idx = binder.column(None, col)?;
@@ -1210,21 +1191,13 @@ pub fn bind_dml(
         }
         bound_assignments.push((idx, bound));
     }
-    let scan_cols = if bound_assignments.is_empty() {
-        referenced_columns(binder.table.schema(), &filter.predicates)
-    } else {
-        ColumnSet::all()
-    };
+    if bound_assignments.is_empty() {
+        scan.scan_cols = referenced_columns(binder.table.schema(), &scan.predicates);
+    }
+    scan.udfs = binder.udfs;
     Ok(BoundDml {
-        table: binder.table,
-        access: filter.access,
-        scan_cols,
-        pushed: filter.pushed,
-        predicates: filter.predicates,
+        scan,
         assignments: bound_assignments,
-        udfs: binder.udfs,
-        labeled: filter.labeled,
-        notes: filter.notes,
     })
 }
 
@@ -1319,7 +1292,9 @@ fn explain_inner(plan: &BoundSelect, gather_dop: Option<usize>) -> String {
         expr_udfs(p, &mut proj_udfs);
     }
     if !proj_udfs.is_empty() {
-        let exprs: Vec<String> = plan.projections.iter().map(|p| describe(p, plan)).collect();
+        let exprs: Vec<String> = (plan.projections.iter())
+            .map(|p| describe(p, &plan.scan))
+            .collect();
         let _ = write!(out, ": {}", exprs.join(", "));
     }
     let _ = writeln!(out);
@@ -1354,48 +1329,28 @@ fn explain_inner(plan: &BoundSelect, gather_dop: Option<usize>) -> String {
     } else {
         "  "
     };
-    write_filters(
-        &mut out,
-        frag,
-        (&plan.pushed, &plan.predicates),
-        plan.labeled,
-        &plan.reordered,
-        plan.table.schema(),
-        &plan.udfs,
-    );
-    let scan = scan_line(&plan.table, &plan.access, &plan.scan_cols);
-    let _ = writeln!(out, "{frag}{scan}");
+    write_filters(&mut out, frag, &plan.scan);
+    let _ = writeln!(out, "{frag}{}", scan_line(&plan.scan));
     out
 }
 
-/// One `Filter[i]` line per conjunct of a plan's WHERE clause in execution
-/// order — the `pushed` ones, which its scan judges, then the residual
-/// ones, checked on every row the scan produces (`reordered` is parallel to
-/// those) — tagged as EXPLAIN tags them.
-fn write_filters(
-    out: &mut String,
-    indent: &str,
-    (pushed, residual): (&[BExpr], &[BExpr]),
-    labeled: Option<usize>,
-    reordered: &[bool],
-    schema: &Schema,
-    udfs: &[PlannedUdf],
-) {
-    for (i, p) in pushed.iter().chain(residual).enumerate() {
+/// One `Filter[i]` line per conjunct of a scan's WHERE clause in execution
+/// order — the `pushed` ones, which the scan judges, then the residual
+/// ones, checked on every row the scan produces — tagged as EXPLAIN tags
+/// them.
+fn write_filters(out: &mut String, indent: &str, scan: &BoundScan) {
+    let pushed = scan.pushed.len();
+    for (i, p) in scan.pushed.iter().chain(&scan.predicates).enumerate() {
         let mut tag = String::new();
-        if labeled == Some(i) {
+        if scan.labeled == Some(i) {
             tag.push_str(" [labeled]");
         }
-        if i < pushed.len() {
+        if i < pushed {
             tag.push_str(" [at scan]");
-        } else if reordered.get(i - pushed.len()).copied().unwrap_or(false) {
+        } else if scan.reordered.get(i - pushed).copied().unwrap_or(false) {
             tag.push_str(" [reordered]");
         }
-        let _ = writeln!(
-            out,
-            "{indent}Filter[{i}]{tag} {}",
-            describe_in(p, schema, udfs)
-        );
+        let _ = writeln!(out, "{indent}Filter[{i}]{tag} {}", describe(p, scan));
     }
 }
 
@@ -1405,7 +1360,7 @@ fn write_filters(
 /// assigning only fixed-width columns rewrites each row where it lies;
 /// otherwise a row that outgrows its page is deleted and re-inserted.
 pub fn explain_dml(dml: &BoundDml) -> String {
-    let (table, schema) = (dml.table.name(), dml.table.schema());
+    let (table, schema) = (dml.scan.table.name(), dml.scan.table.schema());
     let fixed = |(col, _): &(usize, BExpr)| {
         let dtype = schema.field(*col).expect("bound column").dtype;
         !matches!(dtype, DataType::Str | DataType::Bytes)
@@ -1417,28 +1372,16 @@ pub fn explain_dml(dml: &BoundDml) -> String {
     } else {
         format!("Update {table} [in place if it fits]")
     };
-    let scan = scan_line(&dml.table, &dml.access, &dml.scan_cols);
-    let mut out = format!("{op} ← {scan}\n");
-    write_filters(
-        &mut out,
-        "  ",
-        (&dml.pushed, &dml.predicates),
-        dml.labeled,
-        &[],
-        schema,
-        &dml.udfs,
-    );
+    let mut out = format!("{op} ← {}\n", scan_line(&dml.scan));
+    write_filters(&mut out, "  ", &dml.scan);
     out
 }
 
-pub(crate) fn describe(e: &BExpr, plan: &BoundSelect) -> String {
-    describe_in(e, plan.table.schema(), &plan.udfs)
-}
-
-fn describe_in(e: &BExpr, schema: &Schema, udfs: &[PlannedUdf]) -> String {
-    let sub = |e: &BExpr| describe_in(e, schema, udfs);
+/// An expression over `scan`'s table as EXPLAIN spells it.
+pub(crate) fn describe(e: &BExpr, scan: &BoundScan) -> String {
+    let sub = |e: &BExpr| describe(e, scan);
     match e {
-        BExpr::Column(i) => schema
+        BExpr::Column(i) => (scan.table.schema())
             .field(*i)
             .map(|f| f.name.clone())
             .unwrap_or_else(|| format!("#{i}")),
@@ -1450,7 +1393,7 @@ fn describe_in(e: &BExpr, schema: &Schema, udfs: &[PlannedUdf]) -> String {
         BExpr::Neg(i) => format!("(-{})", sub(i)),
         BExpr::Arith { op, lhs, rhs, .. } => format!("({} {} {})", sub(lhs), op.symbol(), sub(rhs)),
         BExpr::Udf { udf, args } => {
-            let slot = &udfs[*udf];
+            let slot = &scan.udfs[*udf];
             let d = &slot.def;
             let tag = if slot.in_engine { " [inlined]" } else { "" };
             format!(
@@ -1530,8 +1473,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(plan.projections.len(), 3);
-        assert_eq!(plan.predicates.len(), 2);
-        assert_eq!(plan.udfs.len(), 1);
+        assert_eq!(plan.scan.predicates.len(), 2);
+        assert_eq!(plan.scan.udfs.len(), 1);
     }
 
     #[test]
@@ -1662,7 +1605,7 @@ mod tests {
             .with_attr("tenant", "tech")
             .with_attr("role", "member");
         let plan = bind_as(&cat, "SELECT id FROM stocks WHERE id < 10", Some(&sess)).unwrap();
-        assert_eq!(plan.labeled, Some(0));
+        assert_eq!(plan.scan.labeled, Some(0));
         let txt = explain(&plan);
         assert!(txt.contains("[labeled]"), "{txt}");
         let lab = txt.find("(type = 'tech')").expect("residual shown");
@@ -1673,7 +1616,7 @@ mod tests {
             .with_attr("tenant", "x")
             .with_attr("role", "admin");
         let plan = bind_as(&cat, "SELECT id FROM stocks", Some(&root)).unwrap();
-        assert_eq!(plan.labeled, None);
+        assert_eq!(plan.scan.labeled, None);
         // A session missing a referenced attribute is denied outright.
         let eve = SessionContext::new("eve");
         let Err(err) = bind_as(&cat, "SELECT id FROM stocks", Some(&eve)) else {

@@ -10,6 +10,7 @@
 //! four designs per case. A second test forces the interleaving the
 //! skip-vanished-row rule exists for.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 
 use jaguar_core::{ByteArray, Config, DataType, Database, Tuple, UdfSignature, Value, Volatility};
@@ -305,6 +306,79 @@ fn explain_names_the_row_source_of_a_dml_statement() {
             after.counter(counter) > before.counter(counter),
             "{counter}"
         );
+    }
+}
+
+/// A DELETE or an UPDATE scans the rows and calls the UDFs that its SELECT
+/// twin, `SELECT COUNT(*)` with the same WHERE clause, does — over a heap
+/// scan or an index range, whether that SELECT runs as a `Gather` team or
+/// as a team of one — and affects as many rows as the twin counts: the
+/// three read their rows on one runner, where DML is always a team of one.
+///
+/// Which team ran is read off the thread the UDF is called on (a `Gather`
+/// worker is a `jaguar-par-*` thread), not off `par.queries`: the `par.*`
+/// counters are process-wide, and this binary's other tests run `Gather`
+/// statements at the same time.
+#[test]
+fn a_dml_statement_scans_and_calls_what_its_select_twin_does() {
+    for (indexed, dop) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+        let db = Database::with_config(Config::default().with_dop(dop));
+        db.execute("CREATE TABLE t (id INT, k INT, name VARCHAR, blob BYTEARRAY)")
+            .unwrap();
+        let t = db.catalog().table("t").unwrap();
+        for i in 0..2_000 {
+            let row = Row {
+                id: Some(i),
+                k: Some(i % 5),
+                name: Some(1),
+                blob: 40,
+            };
+            t.insert(row.tuple(i as u64)).unwrap();
+        }
+        if indexed {
+            db.execute("CREATE INDEX t_id ON t (id)").unwrap();
+        }
+        let in_workers = std::sync::Arc::new(AtomicU64::new(0));
+        let counted = std::sync::Arc::clone(&in_workers);
+        db.register_native_udf_with_volatility(
+            "keep",
+            UdfSignature::new(vec![DataType::Int], DataType::Bool),
+            Volatility::Stable,
+            move |args, _| {
+                let thread = std::thread::current();
+                if thread.name().is_some_and(|n| n.starts_with("jaguar-par-")) {
+                    counted.fetch_add(1, Ordering::Relaxed);
+                }
+                Ok(Value::Bool(args[0].as_int()? % 3 != 1))
+            },
+        );
+        // Whether `sql` called `keep` on a `Gather` worker thread.
+        let run = |sql: &str| {
+            let before = in_workers.load(Ordering::Relaxed);
+            let r = db.execute(sql).unwrap();
+            (r, in_workers.load(Ordering::Relaxed) > before)
+        };
+        // One conjunct the scan judges, one UDF conjunct above it.
+        let predicate = "WHERE id >= 500 AND keep(id)";
+        for dml in [
+            format!("UPDATE t SET k = 7 {predicate}"),
+            format!("DELETE FROM t {predicate}"),
+        ] {
+            let (twin, gathered) = run(&format!("SELECT COUNT(*) FROM t {predicate}"));
+            assert_eq!(gathered, dop > 1 && !indexed, "{dml}: the twin's team");
+            let (r, gathered) = run(&dml);
+            assert!(!gathered, "{dml} ran a Gather team");
+            assert_eq!(
+                (r.affected, r.stats.rows_scanned, r.stats.udf_invocations),
+                (
+                    twin.int_column(0).unwrap()[0] as u64,
+                    twin.stats.rows_scanned,
+                    twin.stats.udf_invocations
+                ),
+                "{dml} at dop {dop}, indexed: {indexed}"
+            );
+            assert!(r.affected > 0 && r.stats.udf_invocations > r.affected);
+        }
     }
 }
 

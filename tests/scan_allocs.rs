@@ -17,7 +17,11 @@
 //! * a comparison with a VARCHAR allocates the string the decode builds
 //!   and nothing more: `eval` lends its operands;
 //! * a GROUP BY over a VARCHAR folds at the scan too, keyed by the
-//!   string's bytes where they lie: nothing per row.
+//!   string's bytes where they lie: nothing per row;
+//! * the point statements of the `oltp_mix` workload — an indexed SELECT,
+//!   an in-place UPDATE and a DELETE, on an on-disk table — allocate no
+//!   more per statement than they did when each ran its own serial
+//!   pipeline, before every statement ran as a team of one.
 //!
 //! Before records were decoded in place and pruned, the same scan made 6
 //! allocations per row (a copy of the record, the values, and the blob read
@@ -26,7 +30,7 @@
 //! page after page; now it makes 0.012 (none per row), and the GROUP BY
 //! over a VARCHAR 0.006 instead of 1.03.
 
-use jaguar_core::{ByteArray, ColumnSet, Config, Database, Tuple, Value};
+use jaguar_core::{ByteArray, ColumnSet, Config, Database, SyncMode, Tuple, Value};
 
 #[path = "counting_alloc.rs"]
 mod counting_alloc;
@@ -150,4 +154,66 @@ fn scan_and_aggregate_allocate_per_row_what_they_keep() {
          (every row passes), {no} (none does); string compare {compared}; \
          grouped by string {by_name}"
     );
+}
+
+/// What each point statement of `oltp_mix` allocated, repeating exactly
+/// after warm-up, when SELECT had a serial branch of its own and DML its
+/// own context, row source and fragment call: `(select, update, delete)`.
+const OLTP_STATEMENT: (u64, u64, u64) = (43, 47, 40);
+
+#[test]
+fn oltp_point_statements_allocate_no_more_as_a_team_of_one() {
+    let dir = std::env::temp_dir().join(format!("jaguar-allocs-oltp-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // The workload's configuration, at the dop of its 2-vCPU host.
+    let config = Config::default()
+        .with_sync_mode(SyncMode::Normal)
+        .with_dop(2);
+    let db = Database::open(&dir, config).unwrap();
+    db.execute("CREATE TABLE acct (id INT, bal INT, tag BYTEARRAY)")
+        .unwrap();
+    let acct = db.catalog().table("acct").unwrap();
+    for id in 0..1_000 {
+        acct.insert(Tuple::new(vec![
+            Value::Int(id),
+            Value::Int(id * 7 % 1_000),
+            Value::Bytes(ByteArray::patterned(16, id as u64)),
+        ]))
+        .unwrap();
+    }
+    acct.commit_durable().unwrap();
+    db.execute("CREATE INDEX acct_id ON acct (id)").unwrap();
+    db.checkpoint().unwrap();
+    let workers = db.metrics().counter("par.workers");
+    let mut counts = Vec::new();
+    for round in 0..6 {
+        let select = "SELECT bal FROM acct WHERE id = 500";
+        let (s, r) = allocations(|| db.execute(select).unwrap());
+        assert_eq!(r.rows.len(), 1);
+        let update = format!("UPDATE acct SET bal = {} WHERE id = 600", 100 + round);
+        let (u, r) = allocations(|| db.execute(&update).unwrap());
+        assert_eq!(r.affected, 1);
+        let delete = format!("DELETE FROM acct WHERE id = {}", 700 + round);
+        let (d, r) = allocations(|| db.execute(&delete).unwrap());
+        assert_eq!(r.affected, 1);
+        counts.push((s, u, d));
+    }
+    // The first rounds pay one-off set-up (metric handles, the log's and
+    // the free list's growth).
+    let steady = counts[3];
+    assert!(counts[3..].iter().all(|c| *c == steady), "{counts:?}");
+    let (s, u, d) = steady;
+    let (ps, pu, pd) = OLTP_STATEMENT;
+    assert!(
+        s <= ps && u <= pu && d <= pd,
+        "select {s} (was {ps}), update {u} (was {pu}), delete {d} (was {pd})"
+    );
+    assert_eq!(
+        db.metrics().counter("par.workers"),
+        workers,
+        "a team of one spawns no worker thread"
+    );
+    eprintln!("allocations per statement: select {s}, update {u}, delete {d}");
+    drop(db);
+    let _ = std::fs::remove_dir_all(&dir);
 }
