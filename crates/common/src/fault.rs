@@ -21,11 +21,14 @@
 //! | every hit      | `arm(name, ALWAYS)`                | `name`      |
 //! | probability p  | `arm_probabilistic(name, p, seed)` | —           |
 //! | N hits after K | `arm_after(name, k, n)`            | —           |
+//! | hold           | `arm_hold(name)`                   | —           |
 //!
 //! A fired site fails the one operation that consulted it ([`check`]
 //! builds its error); nothing retries it. Counted arming fails that many
 //! operations and then lets the next ones through; `ALWAYS` fails every
-//! one until [`disarm`]. Probabilistic triggers draw from a seeded
+//! one until [`disarm`]; a held site fails nothing, but parks every hit
+//! until then, holding one side of a race inside its window while a test
+//! sets up the other. Probabilistic triggers draw from a seeded
 //! [`SplitMix64`] stream so chaos runs stay reproducible.
 //!
 //! Cross-process arming uses `JAGUAR_FAULT_SITES=site.a,site.b=3` (comma-
@@ -36,7 +39,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Condvar, Mutex, OnceLock};
 
 use crate::obs;
 use crate::rng::SplitMix64;
@@ -67,6 +70,8 @@ enum Trigger {
     Probability { p: f64, rng: SplitMix64 },
     /// Let `skip` hits pass, then fire as `Count(count)`.
     After { skip: u32, count: u32 },
+    /// Park every hit until the site is disarmed, then let it pass.
+    Hold,
 }
 
 impl Trigger {
@@ -87,6 +92,7 @@ impl Trigger {
                 *skip -= 1;
                 false
             }
+            Trigger::Hold => false,
         }
     }
 }
@@ -150,9 +156,18 @@ pub fn arm_after(name: &str, skip: u32, count: u32) {
     install(name, Trigger::After { skip, count });
 }
 
+/// Arm a fault site to park every thread that hits it until [`disarm`].
+pub fn arm_hold(name: &str) {
+    install(name, Trigger::Hold);
+}
+
+/// Signalled by [`disarm`], waking the threads a held site parked.
+static DISARMED: Condvar = Condvar::new();
+
 /// Disarm a fault site (a no-op if it was not armed).
 pub fn disarm(name: &str) {
     sites().lock().unwrap().remove(name);
+    DISARMED.notify_all();
 }
 
 /// Should this hit of the named site inject its failure?
@@ -173,6 +188,9 @@ pub fn should_fail(name: &str) -> bool {
         return false;
     }
     let mut map = sites().lock().unwrap();
+    while let Some(Trigger::Hold) = map.get(name) {
+        map = DISARMED.wait(map).unwrap();
+    }
     let fire = match map.get_mut(name) {
         None => false,
         Some(t) => t.fire(),
@@ -261,6 +279,21 @@ mod tests {
         assert!(matches!(t, Trigger::Count(ALWAYS)));
         let (_, t) = parse_entry("a.site=3");
         assert!(matches!(t, Trigger::Count(3)));
+    }
+
+    #[test]
+    fn a_held_site_parks_its_thread_until_disarmed() {
+        arm_hold("test.site.held");
+        let (arrived, reached) = std::sync::mpsc::channel();
+        let parked = std::thread::spawn(move || {
+            arrived.send(should_fail("test.site.other")).unwrap();
+            should_fail("test.site.held")
+        });
+        assert!(!reached.recv().unwrap(), "another site passes");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(!parked.is_finished(), "parked until disarmed");
+        disarm("test.site.held");
+        assert!(!parked.join().unwrap(), "a held hit fails nothing");
     }
 
     #[test]

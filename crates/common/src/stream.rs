@@ -9,8 +9,8 @@
 //! > either site."
 //!
 //! This module is that protocol: every [`Value`] (and by extension every
-//! tuple and schema) can serialise itself onto any `io::Write` and be read
-//! back from any `io::Read`. The same encoding is used
+//! tuple and schema) can serialise itself onto any `io::Write`. The same
+//! encoding is used
 //!
 //! * by `jaguar-ipc` to marshal UDF arguments into the isolated worker
 //!   process (Design 2/4),
@@ -23,14 +23,14 @@
 //! pages alike. All integers are little-endian; lengths are `u32` (a single attribute
 //! value larger than 4 GiB is rejected rather than silently truncated).
 //!
-//! Real streams (the wire, the IPC pipe) are read through `impl Read`. A
-//! stored record is a byte slice in a page: a [`RecordView`] walks the same
-//! tagged tuple form in place, once, showing a scan the columns it judges
-//! and folds by their bytes, and [`decode_tuple`] builds only the columns
-//! its caller wants.
+//! Tagged values have one decoder, over a byte slice: a stream is read a
+//! whole message at a time ([`crate::polled::Polled`]) and decoded as one
+//! ([`next_value`], [`next_tuple`], [`whole`]). A stored record is a slice
+//! of its page: a [`RecordView`] walks it in place, once, showing a scan
+//! the columns it judges and folds by their bytes, and [`decode_tuple`]
+//! builds only the columns its caller wants.
 
 use std::io::{self, Read, Write};
-use std::ops::Range;
 
 use crate::error::{JaguarError, Result};
 use crate::schema::{Field, Schema};
@@ -45,9 +45,9 @@ const NULL_TAG: u8 = 0;
 /// (one of the denial-of-service vectors the paper worries about).
 pub const MAX_DECLARED_LEN: u32 = 256 * 1024 * 1024;
 
-/// How much of a declared blob length [`read_blob`] reserves before any
-/// byte of the body has arrived.
-const BLOB_RESERVE_CAP: usize = 64 * 1024;
+/// How much of a declared length [`read_blob`] (and a frame's reader,
+/// [`crate::polled::Polled`]) reserves before any byte has arrived.
+pub(crate) const BLOB_RESERVE_CAP: usize = 64 * 1024;
 
 #[inline]
 fn check_declared_len(len: u32) -> Result<()> {
@@ -157,26 +157,16 @@ pub fn write_blob(w: &mut impl Write, data: &[u8]) -> Result<()> {
 /// never by what it *claimed* it would send. A short frame is a decode
 /// error, not a hang or a panic.
 pub fn read_blob(r: &mut impl Read) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    append_blob(r, &mut buf)?;
-    Ok(buf)
-}
-
-/// [`read_blob`] onto the end of `buf`, returning the body's range in it:
-/// many bodies can share one reused buffer. The same caps apply, and `buf`
-/// grows only as bytes actually arrive.
-pub fn append_blob(r: &mut impl Read, buf: &mut Vec<u8>) -> Result<Range<usize>> {
     let len = read_u32(r)?;
     check_declared_len(len)?;
-    buf.reserve((len as usize).min(BLOB_RESERVE_CAP));
-    let start = buf.len();
-    let got = r.take(len as u64).read_to_end(buf)?;
-    if got as u64 != len as u64 {
+    let mut buf = Vec::with_capacity((len as usize).min(BLOB_RESERVE_CAP));
+    let got = r.take(len as u64).read_to_end(&mut buf)?;
+    if got != len as usize {
         return Err(JaguarError::Protocol(format!(
             "truncated blob: declared {len} bytes, stream ended after {got}"
         )));
     }
-    Ok(start..buf.len())
+    Ok(buf)
 }
 
 pub fn write_str(w: &mut impl Write, s: &str) -> Result<()> {
@@ -219,23 +209,28 @@ pub fn write_value(w: &mut impl Write, v: &Value) -> Result<()> {
     }
 }
 
-/// Read a value in its tagged form.
-pub fn read_value(r: &mut impl Read) -> Result<Value> {
-    let tag = read_u8(r)?;
-    if tag == NULL_TAG {
-        return Ok(Value::Null);
+/// One value in its tagged form off the front of `rec`, checked and built
+/// as a stored record's column is.
+pub fn next_value(rec: &mut &[u8]) -> Result<Value> {
+    let (ty, payload) = read_column(rec)?;
+    build_column(ty, payload)
+}
+
+/// Decode all of `body` with `decode`, refusing bytes it leaves and a field
+/// it finds cut short (the body is whole: the sender's error, not an EOF).
+pub fn whole<T>(mut body: &[u8], decode: impl FnOnce(&mut &[u8]) -> Result<T>) -> Result<T> {
+    let out = decode(&mut body).map_err(|e| match e {
+        JaguarError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
+            JaguarError::Protocol("a field runs past the end of its message".into())
+        }
+        e => e,
+    })?;
+    match body.len() {
+        0 => Ok(out),
+        n => Err(JaguarError::Protocol(format!(
+            "{n} trailing bytes after a message"
+        ))),
     }
-    Ok(match DataType::from_tag(tag)? {
-        DataType::Bool => match read_u8(r)? {
-            0 => Value::Bool(false),
-            1 => Value::Bool(true),
-            other => return Err(JaguarError::Protocol(format!("invalid bool byte {other}"))),
-        },
-        DataType::Int => Value::Int(read_i64(r)?),
-        DataType::Float => Value::Float(read_f64(r)?),
-        DataType::Str => Value::Str(read_str(r)?),
-        DataType::Bytes => Value::Bytes(ByteArray::new(read_blob(r)?)),
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -253,24 +248,25 @@ pub fn write_tuple(w: &mut impl Write, t: &Tuple) -> Result<()> {
     Ok(())
 }
 
-/// Read a tuple in tagged form.
-pub fn read_tuple(r: &mut impl Read) -> Result<Tuple> {
-    let n = read_u32(r)?;
+/// One tuple in tagged form off the front of `rec`.
+pub fn next_tuple(rec: &mut &[u8]) -> Result<Tuple> {
+    let n = read_u32(rec)?;
     check_arity(n)?;
     // The arity is untrusted even after the plausibility cap: reserve for
     // a realistic row only, and grow past that as values actually decode.
     let mut values = Vec::with_capacity(n.min(64) as usize);
     for _ in 0..n {
-        values.push(read_value(r)?);
+        values.push(next_value(rec)?);
     }
     Ok(Tuple::new(values))
 }
 
-/// One column read off the front of a stored record: its type (`None` for
-/// NULL) and its payload in place (1, 8 or a `Str`/`Bytes` body's bytes).
-/// Nothing is built, but a `Bool` byte is checked even when stepped over.
+/// One tagged value read off the front of `rec` (a stored record, a
+/// message): its type (`None` for NULL) and its payload in place (1, 8 or
+/// a `Str`/`Bytes` body's bytes). Nothing is built, but a `Bool` byte is
+/// checked even when stepped over.
 #[inline(always)]
-fn read_column<'a>(rec: &mut &'a [u8]) -> Result<(Option<DataType>, &'a [u8])> {
+pub fn read_column<'a>(rec: &mut &'a [u8]) -> Result<(Option<DataType>, &'a [u8])> {
     let Some((&tag, rest)) = rec.split_first() else {
         return Err(short_record());
     };
@@ -313,7 +309,7 @@ fn read_column<'a>(rec: &mut &'a [u8]) -> Result<(Option<DataType>, &'a [u8])> {
 /// The value of a column [`read_column`] read: a fixed-width one on the
 /// stack, a `Str`/`Bytes` body with one allocation.
 #[inline(always)]
-fn build_column(ty: Option<DataType>, payload: &[u8]) -> Result<Value> {
+pub fn build_column(ty: Option<DataType>, payload: &[u8]) -> Result<Value> {
     let word = || payload.try_into().map_err(|_| short_record());
     Ok(match ty {
         None => Value::Null,
@@ -340,7 +336,7 @@ fn short_record() -> JaguarError {
 /// The result has the stored arity; a column outside `cols` reads as
 /// `Value::Null`, its `Str`/`Bytes` body bounds-checked and stepped over
 /// (not copied, not UTF-8-checked). A wanted body costs one allocation.
-/// Validation and error kinds are [`read_tuple`]'s; in addition the record
+/// Validation and error kinds are [`next_tuple`]'s; in addition the record
 /// must end where the tuple does.
 pub fn decode_tuple(rec: &[u8], cols: &ColumnSet) -> Result<Tuple> {
     let mut values = Vec::new();
@@ -367,12 +363,7 @@ impl<'a> Column<'a> {
     /// The stored type (`None` for NULL) and the payload.
     #[inline(always)]
     fn parts(&self) -> Result<(Option<DataType>, &'a [u8])> {
-        let ty = match self.0[0] {
-            NULL_TAG => None,
-            tag => Some(DataType::from_tag(tag)?),
-        };
-        let blob = matches!(ty, Some(DataType::Str | DataType::Bytes));
-        Ok((ty, &self.0[if blob { 5 } else { 1 }..]))
+        read_column(&mut { self.0 })
     }
 
     /// The payload of an INT column; `None` for any other tag.
@@ -423,7 +414,7 @@ pub struct RecordView<'a> {
 }
 
 impl<'a> RecordView<'a> {
-    /// View `rec`, its arity checked as [`read_tuple`] checks it.
+    /// View `rec`, its arity checked as [`next_tuple`] checks it.
     #[inline]
     pub fn new(rec: &'a [u8]) -> Result<RecordView<'a>> {
         let Some((n, columns)) = rec.split_first_chunk() else {
@@ -574,31 +565,24 @@ pub fn read_schema(r: &mut impl Read) -> Result<Schema> {
     Schema::new(fields)
 }
 
-/// Serialise a value to a standalone buffer (tagged form).
-pub fn value_to_vec(v: &Value) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(16 + v.heap_size());
-    write_value(&mut buf, v).expect("writing to Vec cannot fail");
-    buf
-}
-
-/// Parse a value from a standalone buffer, requiring full consumption.
-pub fn value_from_slice(mut data: &[u8]) -> Result<Value> {
-    let v = read_value(&mut data)?;
-    if !data.is_empty() {
-        return Err(JaguarError::Protocol(format!(
-            "{} trailing bytes after value",
-            data.len()
-        )));
-    }
-    Ok(v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A value's tagged encoding.
+    fn value_to_vec(v: &Value) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_value(&mut buf, v).unwrap();
+        buf
+    }
+
     fn roundtrip_tagged(v: &Value) -> Value {
-        value_from_slice(&value_to_vec(v)).unwrap()
+        whole(&value_to_vec(v), next_value).unwrap()
+    }
+
+    /// The one decoder of a standalone tagged value.
+    fn value_from_slice(data: &[u8]) -> Result<Value> {
+        whole(data, next_value)
     }
 
     #[test]
@@ -639,7 +623,7 @@ mod tests {
         ]);
         let mut buf = Vec::new();
         write_tuple(&mut buf, &t).unwrap();
-        assert_eq!(read_tuple(&mut buf.as_slice()).unwrap(), t);
+        assert_eq!(whole(&buf, next_tuple).unwrap(), t);
     }
 
     #[test]
@@ -703,7 +687,7 @@ mod tests {
     fn implausible_arity_rejected() {
         let mut buf = Vec::new();
         write_u32(&mut buf, 1_000_000).unwrap();
-        assert!(read_tuple(&mut buf.as_slice()).is_err());
+        assert!(next_tuple(&mut buf.as_slice()).is_err());
     }
 
     #[test]
@@ -762,14 +746,35 @@ mod tests {
                 decode_tuple(&[1, 0], cols),
                 Err(JaguarError::Io(_))
             ));
+            assert!(matches!(
+                next_tuple(&mut &[1, 0][..]),
+                Err(JaguarError::Io(_))
+            ));
             let mut trailing = encode(&Tuple::new(vec![Value::Int(5)]));
             trailing.push(0);
             assert!(err(&trailing, cols).contains("1 trailing bytes"));
+        }
+        // The one decoder of a tuple in a message rejects each alike.
+        let mut trailing = encode(&Tuple::new(vec![Value::Int(5)]));
+        trailing.push(0);
+        let arity = 1_000_000u32.to_le_bytes();
+        for (rec, text) in [
+            (&bad_bool[..], "invalid bool byte 7"),
+            (&bad_tag, "unknown type tag 200"),
+            (&huge, "exceeds limit"),
+            (&short, "truncated blob: declared 1024"),
+            (&arity, "implausible tuple arity"),
+            (&trailing, "1 trailing bytes"),
+        ] {
+            let e = whole(rec, next_tuple).unwrap_err().to_string();
+            assert!(e.contains(text), "{e}");
         }
         // A string is UTF-8-checked only if it is wanted.
         let mut bad_str = record(&[DataType::Str.tag()]);
         write_blob(&mut bad_str, &[0xff, 0xfe]).unwrap();
         assert!(err(&bad_str, &all).contains("invalid utf-8"));
+        let e = whole(&bad_str, next_tuple).unwrap_err();
+        assert!(e.to_string().contains("invalid utf-8"), "{e}");
         assert_eq!(
             decode_tuple(&bad_str, &none).unwrap().values(),
             [Value::Null]
@@ -851,7 +856,7 @@ mod tests {
         proptest! {
             /// Pruning never changes a value it keeps: the pruned decode is
             /// the full decode with the unwanted columns nulled, and the
-            /// full decode is `read_tuple`'s. (Compared as re-encoded
+            /// full decode is `next_tuple`'s. (Compared as re-encoded
             /// bytes: NaN is not equal to itself.)
             #[test]
             fn pruned_decode_is_full_decode_with_unwanted_nulled(case in arb_case()) {
@@ -859,7 +864,7 @@ mod tests {
                 let record = encode(&tuple);
                 let full = decode_tuple(&record, &ColumnSet::all()).unwrap();
                 prop_assert_eq!(encode(&full), record.clone());
-                let streamed = read_tuple(&mut record.as_slice()).unwrap();
+                let streamed = whole(&record, next_tuple).unwrap();
                 prop_assert_eq!(encode(&streamed), record.clone());
                 let nulled: Vec<Value> = (full.values().iter().enumerate())
                     .map(|(i, v)| if cols.contains(i) { v.clone() } else { Value::Null })

@@ -8,9 +8,9 @@
 //!
 //! The worker's stdin and stdout are its half of a socket pair. A socket,
 //! unlike a pipe, times out its own reads and writes, so the thread waiting
-//! on a round trip enforces its deadline (`Timed`). Each request leaves in
-//! one write ([`Outbox`]), and each reply is polled for before it is
-//! blocked on ([`Polled`]), as the worker does at its end.
+//! on a round trip enforces its deadline (`Timed`). Each request is one
+//! frame in one write ([`Outbox`]); each reply is polled for, then blocked
+//! on, and read whole ([`Polled`]), as the worker does at its end.
 
 use std::io::{self, Read, Write};
 use std::os::fd::OwnedFd;
@@ -23,10 +23,10 @@ use std::time::{Duration, Instant};
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::obs::Counter;
-use jaguar_common::polled::{Pollable, Polled};
+use jaguar_common::polled::{Outbox, Pollable, Polled};
 use jaguar_common::Value;
 
-use crate::proto::{write_batch, CallbackHandler, Outbox, Request, Response, PROTO_VERSION};
+use crate::proto::{write_batch, CallbackHandler, Request, Response, PROTO_VERSION};
 
 /// How long `Drop` waits for an orderly exit after `Shutdown` before killing.
 const DROP_GRACE: Duration = Duration::from_millis(200);
@@ -436,7 +436,7 @@ impl Drop for WorkerProcess {
         // before SIGKILL: the worker exits on `Shutdown`, closing its half.
         self.arm(Instant::now() + DROP_GRACE);
         let _ = self.output.send(|frame| Request::Shutdown.write(frame));
-        let drained = self.input.read(|r| Ok(io::copy(r, &mut io::sink())?));
+        let drained = io::copy(self.input.get_mut(), &mut io::sink());
         if drained.is_err() {
             let _ = self.child.kill();
         }
@@ -570,7 +570,8 @@ pub(crate) mod tests {
 
     /// A worker played by `/bin/sh`: it says Ready, then runs `then`.
     fn scripted_worker(then: &str) -> WorkerProcess {
-        let ready = format!("printf '\\201\\{PROTO_VERSION:03o}\\000\\000\\000'");
+        let ready =
+            format!("printf '\\005\\000\\000\\000\\201\\{PROTO_VERSION:03o}\\000\\000\\000'");
         let mut command = Command::new("/bin/sh");
         command.arg("-c").arg(format!("{ready}; {then}"));
         WorkerProcess::spawn_command(command).unwrap()
@@ -582,7 +583,7 @@ pub(crate) mod tests {
         // bytes well inside the deadline: the round trip ends at it.
         for then in [
             "exec sleep 10",
-            "printf '\\210'; while :; do sleep 0.04; printf '\\000'; done",
+            "printf '\\377\\000\\000\\000\\210'; while :; do sleep 0.04; printf '\\000'; done",
         ] {
             let mut worker = scripted_worker(then);
             let start = Instant::now();

@@ -1,7 +1,8 @@
 //! The parent↔worker wire protocol.
 //!
-//! Every message is a tag byte followed by tag-specific fields encoded with
-//! the `jaguar-common` stream primitives. The protocol is strictly
+//! Every message is one frame ([`jaguar_common::polled`]): a tag byte
+//! followed by tag-specific fields encoded with the `jaguar-common` stream
+//! primitives. The protocol is strictly
 //! request/response from the parent's point of view, with one twist: while
 //! an invocation batch is outstanding, the worker may interleave any number
 //! of `CallbackRequest`s (the §4.2 callback channel), each of which the
@@ -10,19 +11,21 @@
 //!
 //! Every invocation is a batch frame, a per-tuple one a batch of one row.
 //! The parent writes the frame straight from the arguments where it holds
-//! them ([`write_batch`]); the worker decodes it into one reused
-//! [`BatchFrame`]. That write is the one copy of the arguments a crossing
-//! makes — the paper's copy into shared memory.
+//! them ([`write_batch`]); the worker reads it whole into one reused
+//! [`BatchFrame`] and reads every argument where it lies there. That write
+//! is the one copy of the arguments a crossing makes — the paper's copy
+//! into shared memory.
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::ops::Range;
 
 use jaguar_common::error::{JaguarError, Result};
+use jaguar_common::polled::{Pollable, Polled};
 use jaguar_common::stream::{
-    append_blob, read_blob, read_f64, read_i64, read_str, read_u32, read_u8, read_value,
+    build_column, next_value, read_blob, read_column, read_str, read_u32, read_u8, whole,
     write_blob, write_str, write_u32, write_u8, write_value,
 };
-use jaguar_common::{ByteArray, DataType, Value};
+use jaguar_common::{DataType, Value};
 
 /// Answers callbacks a UDF makes to the database server.
 ///
@@ -56,8 +59,7 @@ pub enum Request {
     /// round-trip for the whole batch (the vectorized ABI). The worker
     /// stops at the first failing row and reports its index via
     /// [`Response::BatchReply`]. The frame is written by [`write_batch`],
-    /// and [`Request::read`] decodes its rows into the caller's
-    /// [`BatchFrame`].
+    /// and [`Request::read`] reads it into the caller's [`BatchFrame`].
     InvokeBatch,
     /// Answer to an outstanding `CallbackRequest`: the callback's value,
     /// or the error it failed with.
@@ -74,7 +76,7 @@ pub enum Request {
 /// message set or the UDF registry semantics; the parent refuses workers
 /// announcing a different version (a stale `jaguar-worker` binary next to
 /// a fresh server otherwise produces silent wrong answers).
-pub const PROTO_VERSION: u32 = 10;
+pub const PROTO_VERSION: u32 = 11;
 
 /// Most rows one `InvokeBatch` frame may carry. The engine never forms
 /// batches above `jaguar_udf::batch::MAX_BATCH` (1024); the cap leaves headroom
@@ -133,7 +135,7 @@ const MAX_ARGS: usize = 65_535;
 /// The count is untrusted (it crosses the process boundary): the vector is
 /// reserved at `reserve`, a size the reader chose, and grows past it only
 /// as values actually decode.
-fn read_values(r: &mut impl Read, most: usize, reserve: usize) -> Result<Vec<Value>> {
+fn next_values(r: &mut &[u8], most: usize, reserve: usize) -> Result<Vec<Value>> {
     let n = read_u32(r)?;
     if n as usize > most {
         let e = format!("implausible value count {n} (at most {most})");
@@ -141,7 +143,7 @@ fn read_values(r: &mut impl Read, most: usize, reserve: usize) -> Result<Vec<Val
     }
     let mut out = Vec::with_capacity(reserve);
     for _ in 0..n {
-        out.push(read_value(r)?);
+        out.push(next_value(r)?);
     }
     Ok(out)
 }
@@ -166,84 +168,34 @@ pub fn write_batch<'v>(
     Ok(())
 }
 
-/// One end's outgoing messages. Each is encoded whole into a buffer kept
-/// from message to message and leaves in one `write_all`: a frame written
-/// field by field, or through a buffer smaller than it, wakes its reader
-/// once per piece.
-pub struct Outbox<W> {
-    out: W,
-    frame: Vec<u8>,
-}
-
-impl<W: Write> Outbox<W> {
-    pub fn new(out: W) -> Outbox<W> {
-        Outbox {
-            out,
-            frame: Vec::new(),
-        }
-    }
-
-    /// The stream written to.
-    pub fn get_mut(&mut self) -> &mut W {
-        &mut self.out
-    }
-
-    /// Encode one message with `encode` and write it.
-    pub fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<()> {
-        self.frame.clear();
-        encode(&mut self.frame)?;
-        self.out.write_all(&self.frame)?;
-        Ok(())
-    }
-}
-
-/// One argument of a decoded [`BatchFrame`]: a scalar in place, or the
-/// range of a string or byte body in the frame's one byte buffer.
+/// One argument of a [`BatchFrame`]: its SQL type (`None` for NULL) and
+/// where its payload lies in the frame.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Arg {
-    Null,
-    Bool(bool),
-    Int(i64),
-    Float(f64),
-    /// A VARCHAR body, checked to be UTF-8 when decoded.
-    Str(Range<usize>),
-    Bytes(Range<usize>),
+pub struct Arg {
+    pub ty: Option<DataType>,
+    payload: Range<usize>,
 }
 
-impl Arg {
-    /// The SQL type of the argument; `None` for NULL.
-    pub fn data_type(&self) -> Option<DataType> {
-        Some(match self {
-            Arg::Null => return None,
-            Arg::Bool(_) => DataType::Bool,
-            Arg::Int(_) => DataType::Int,
-            Arg::Float(_) => DataType::Float,
-            Arg::Str(_) => DataType::Str,
-            Arg::Bytes(_) => DataType::Bytes,
-        })
-    }
-}
-
-/// An `InvokeBatch` frame as the worker decodes it, into buffers it keeps
-/// from batch to batch: every string and byte body in one `Vec<u8>`, every
-/// argument a small [`Arg`], and where each row ends. Decoding a batch
-/// allocates nothing once the buffers have grown to the batch size.
+/// The last request a worker read, whole, in buffers it keeps: the body,
+/// and for an `InvokeBatch` each argument's [`Arg`] and each row's end.
+/// Reading a batch allocates nothing once they have grown to its size.
 #[derive(Debug, Default)]
 pub struct BatchFrame {
-    bytes: Vec<u8>,
+    body: Vec<u8>,
     args: Vec<Arg>,
     row_ends: Vec<usize>,
 }
 
 impl BatchFrame {
-    /// Decode the body of an `InvokeBatch` frame (what follows its tag),
-    /// replacing the frame's rows. The row and argument counts and every
-    /// declared length are untrusted: each is capped, and the buffers grow
-    /// only as rows, arguments and bytes actually arrive.
-    fn read(&mut self, r: &mut impl Read) -> Result<()> {
-        self.bytes.clear();
-        self.args.clear();
-        self.row_ends.clear();
+    /// Locate the rows of an `InvokeBatch` body, `r` the tail after its tag.
+    /// The untrusted counts are capped, the lists grow only as arguments
+    /// decode, and a VARCHAR is checked to be UTF-8 before any row runs.
+    fn locate(
+        body: &[u8],
+        r: &mut &[u8],
+        args: &mut Vec<Arg>,
+        row_ends: &mut Vec<usize>,
+    ) -> Result<()> {
         let n = read_u32(r)?;
         if n > MAX_BATCH_ROWS {
             return Err(JaguarError::Protocol(format!(
@@ -257,38 +209,20 @@ impl BatchFrame {
                 return Err(JaguarError::Protocol(e));
             }
             for _ in 0..arity {
-                let arg = self.read_arg(r)?;
-                self.args.push(arg);
+                let (ty, payload) = read_column(r)?;
+                if ty == Some(DataType::Str) {
+                    std::str::from_utf8(payload)
+                        .map_err(|_| JaguarError::Protocol("invalid utf-8 string".into()))?;
+                }
+                let end = body.len() - r.len();
+                args.push(Arg {
+                    ty,
+                    payload: end - payload.len()..end,
+                });
             }
-            self.row_ends.push(self.args.len());
+            row_ends.push(args.len());
         }
         Ok(())
-    }
-
-    /// One tagged value, in the form `jaguar_common::stream::write_value`
-    /// writes it.
-    fn read_arg(&mut self, r: &mut impl Read) -> Result<Arg> {
-        let tag = read_u8(r)?;
-        if tag == 0 {
-            return Ok(Arg::Null);
-        }
-        Ok(match DataType::from_tag(tag)? {
-            DataType::Bool => match read_u8(r)? {
-                0 => Arg::Bool(false),
-                1 => Arg::Bool(true),
-                other => return Err(JaguarError::Protocol(format!("invalid bool byte {other}"))),
-            },
-            DataType::Int => Arg::Int(read_i64(r)?),
-            DataType::Float => Arg::Float(read_f64(r)?),
-            DataType::Str => {
-                let body = append_blob(r, &mut self.bytes)?;
-                if std::str::from_utf8(&self.bytes[body.clone()]).is_err() {
-                    return Err(JaguarError::Protocol("invalid utf-8 string".into()));
-                }
-                Arg::Str(body)
-            }
-            DataType::Bytes => Arg::Bytes(append_blob(r, &mut self.bytes)?),
-        })
     }
 
     /// The arguments of each row, in order.
@@ -301,21 +235,14 @@ impl BatchFrame {
         })
     }
 
-    /// The body a [`Arg::Str`] or [`Arg::Bytes`] names.
-    pub fn body(&self, range: &Range<usize>) -> &[u8] {
-        &self.bytes[range.clone()]
+    /// The payload of `arg` where it lies in the frame.
+    pub fn body(&self, arg: &Arg) -> &[u8] {
+        &self.body[arg.payload.clone()]
     }
 
     /// `arg` as an owned SQL value (copying its body out, if it has one).
     pub fn value(&self, arg: &Arg) -> Value {
-        match arg {
-            Arg::Null => Value::Null,
-            Arg::Bool(b) => Value::Bool(*b),
-            Arg::Int(i) => Value::Int(*i),
-            Arg::Float(x) => Value::Float(*x),
-            Arg::Str(r) => Value::Str(String::from_utf8_lossy(self.body(r)).into_owned()),
-            Arg::Bytes(r) => Value::Bytes(ByteArray::from(self.body(r))),
-        }
+        build_column(arg.ty, self.body(arg)).expect("a located argument builds")
     }
 }
 
@@ -349,30 +276,36 @@ impl Request {
         Ok(())
     }
 
-    /// Read the next request. An `InvokeBatch` is decoded into `batch`,
-    /// which keeps its buffers from one batch to the next.
-    pub fn read(r: &mut impl Read, batch: &mut BatchFrame) -> Result<Request> {
-        Ok(match read_u8(r)? {
-            REQ_LOAD => Request::Load {
-                definition: read_blob(r)?,
-            },
-            REQ_INVOKE_BATCH => {
-                batch.read(r)?;
-                Request::InvokeBatch
-            }
-            REQ_CALLBACK_RESULT => Request::CallbackResult {
-                result: match read_u8(r)? {
-                    0 => Ok(read_value(r)?),
-                    _ => Err(JaguarError::read(r)?),
+    /// Read the next request whole into `batch`, replacing what it held,
+    /// and decode it. An `InvokeBatch`'s arguments stay where they lie in
+    /// `batch`'s buffer.
+    pub fn read<S: Pollable>(input: &mut Polled<S>, batch: &mut BatchFrame) -> Result<Request> {
+        batch.args.clear();
+        batch.row_ends.clear();
+        input.read_into(&mut batch.body)?;
+        whole(&batch.body, |r| {
+            Ok(match read_u8(r)? {
+                REQ_LOAD => Request::Load {
+                    definition: read_blob(r)?,
                 },
-            },
-            REQ_SHUTDOWN => Request::Shutdown,
-            REQ_RESET => Request::Reset,
-            other => {
-                return Err(JaguarError::Protocol(format!(
-                    "unknown request tag {other:#04x}"
-                )))
-            }
+                REQ_INVOKE_BATCH => {
+                    BatchFrame::locate(&batch.body, r, &mut batch.args, &mut batch.row_ends)?;
+                    Request::InvokeBatch
+                }
+                REQ_CALLBACK_RESULT => Request::CallbackResult {
+                    result: match read_u8(r)? {
+                        0 => Ok(next_value(r)?),
+                        _ => Err(JaguarError::read(r)?),
+                    },
+                },
+                REQ_SHUTDOWN => Request::Shutdown,
+                REQ_RESET => Request::Reset,
+                other => {
+                    return Err(JaguarError::Protocol(format!(
+                        "unknown request tag {other:#04x}"
+                    )))
+                }
+            })
         })
     }
 }
@@ -410,18 +343,18 @@ impl Response {
         Ok(())
     }
 
-    /// Read the next response. `batch_rows` is the row count of the batch
-    /// the reader has outstanding (0 if none): a `BatchReply` may carry at
-    /// most that many values, and its vector is reserved at that size,
-    /// never at the count the worker claims.
-    pub fn read(r: &mut impl Read, batch_rows: usize) -> Result<Response> {
+    /// Decode a response's body. `batch_rows` is the row count of the
+    /// batch the reader has outstanding (0 if none): a `BatchReply` may
+    /// carry at most that many values, and its vector is reserved at that
+    /// size, never at the count the worker claims.
+    pub fn read(r: &mut &[u8], batch_rows: usize) -> Result<Response> {
         Ok(match read_u8(r)? {
             RSP_READY => Response::Ready {
                 proto: read_u32(r)?,
             },
             RSP_LOADED => Response::Loaded,
             RSP_BATCH_REPLY => {
-                let values = read_values(r, batch_rows, batch_rows)?;
+                let values = next_values(r, batch_rows, batch_rows)?;
                 let error = match read_u8(r)? {
                     0 => None,
                     _ => Some(JaguarError::read(r)?),
@@ -430,7 +363,7 @@ impl Response {
             }
             RSP_CALLBACK_REQUEST => Response::CallbackRequest {
                 name: read_str(r)?,
-                args: read_values(r, MAX_ARGS, 0)?,
+                args: next_values(r, MAX_ARGS, 0)?,
             },
             RSP_ERROR => Response::Error {
                 error: JaguarError::read(r)?,
@@ -449,38 +382,124 @@ impl Response {
 mod tests {
     use super::*;
     use jaguar_common::error::VmTrap;
+    use jaguar_common::polled::Outbox;
+    use jaguar_common::ByteArray;
+    use std::io::Cursor;
+    use std::sync::Arc;
+
+    /// The body of one message, as `encode` writes it.
+    fn body(encode: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode(&mut buf).unwrap();
+        buf
+    }
+
+    /// The frames of `bodies`, as an outbox writes them.
+    fn frames(bodies: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = Outbox::new(Vec::new());
+        for b in bodies {
+            out.send(|f| {
+                f.extend_from_slice(b);
+                Ok(())
+            })
+            .unwrap();
+        }
+        std::mem::take(out.get_mut())
+    }
+
+    /// A reader over `bytes`.
+    fn polled(bytes: Vec<u8>) -> Polled<Cursor<Vec<u8>>> {
+        Polled::new(Cursor::new(bytes), Arc::default())
+    }
+
+    /// The request whose body is `body`, read into `frame`.
+    fn read_req(body: &[u8], frame: &mut BatchFrame) -> Result<Request> {
+        Request::read(&mut polled(frames(&[body.to_vec()])), frame)
+    }
+
+    /// The response whose body is `body`, `rows` rows outstanding.
+    fn read_rsp(body: &[u8], rows: usize) -> Result<Response> {
+        polled(frames(&[body.to_vec()])).read(|r| Response::read(r, rows))
+    }
 
     fn roundtrip_req(req: Request) {
-        let mut buf = Vec::new();
-        req.write(&mut buf).unwrap();
-        let back = Request::read(&mut buf.as_slice(), &mut BatchFrame::default()).unwrap();
+        let back = read_req(&body(|b| req.write(b)), &mut BatchFrame::default()).unwrap();
         assert_eq!(back, req);
     }
 
     fn roundtrip_rsp(rsp: Response) {
-        let mut buf = Vec::new();
-        rsp.write(&mut buf).unwrap();
-        let back = Response::read(&mut buf.as_slice(), 2).unwrap();
-        assert_eq!(back, rsp);
+        assert_eq!(read_rsp(&body(|b| rsp.write(b)), 2).unwrap(), rsp);
     }
 
-    /// A batch frame of `rows`, as the parent writes it.
+    /// The body of a batch frame of `rows`, as the parent writes it.
     fn batch_bytes(rows: &[Vec<Value>]) -> Vec<u8> {
         let arity = rows.first().map_or(0, Vec::len);
-        let mut buf = Vec::new();
-        write_batch(&mut buf, rows.len(), arity, |i, a| &rows[i][a]).unwrap();
-        buf
+        body(|b| write_batch(b, rows.len(), arity, |i, a| &rows[i][a]))
     }
 
-    /// Decode a batch frame back into rows of values.
-    fn decode_batch(bytes: &[u8]) -> Result<Vec<Vec<Value>>> {
-        let mut frame = BatchFrame::default();
-        let req = Request::read(&mut &bytes[..], &mut frame)?;
-        assert_eq!(req, Request::InvokeBatch);
-        Ok(frame
+    /// The rows of a frame, as values.
+    fn values(frame: &BatchFrame) -> Vec<Vec<Value>> {
+        frame
             .rows()
             .map(|row| row.iter().map(|a| frame.value(a)).collect())
-            .collect())
+            .collect()
+    }
+
+    /// Decode a batch frame's body back into rows of values.
+    fn decode_batch(bytes: &[u8]) -> Result<Vec<Vec<Value>>> {
+        let mut frame = BatchFrame::default();
+        let req = read_req(bytes, &mut frame)?;
+        assert_eq!(req, Request::InvokeBatch);
+        Ok(values(&frame))
+    }
+
+    /// One of every request, a batch among them.
+    fn every_request() -> Vec<Vec<u8>> {
+        let requests = [
+            Request::Load {
+                definition: vec![1, 2, 3],
+            },
+            Request::CallbackResult {
+                result: Ok(Value::Float(2.5)),
+            },
+            Request::CallbackResult {
+                result: Err(JaguarError::Udf("no such account".into())),
+            },
+            Request::Shutdown,
+            Request::Reset,
+        ];
+        let mut bodies: Vec<Vec<u8>> = requests.iter().map(|r| body(|b| r.write(b))).collect();
+        bodies.push(batch_bytes(&[
+            vec![Value::Int(1), Value::Bytes(ByteArray::patterned(16, 1))],
+            vec![Value::Str("é".into()), Value::Null],
+        ]));
+        bodies
+    }
+
+    /// One of every response.
+    fn every_response() -> Vec<Response> {
+        vec![
+            Response::Ready {
+                proto: PROTO_VERSION,
+            },
+            Response::Loaded,
+            Response::CallbackRequest {
+                name: "clip".into(),
+                args: vec![Value::Int(3), Value::Int(4)],
+            },
+            Response::Error {
+                error: JaguarError::Verification("kaboom".into()),
+            },
+            Response::ResetOk,
+            Response::BatchReply {
+                values: vec![Value::Int(1), Value::Int(2)],
+                error: None,
+            },
+            Response::BatchReply {
+                values: vec![Value::Int(1)],
+                error: Some(JaguarError::VmTrap(VmTrap::DivideByZero)),
+            },
+        ]
     }
 
     #[test]
@@ -510,43 +529,29 @@ mod tests {
         ] {
             assert_eq!(decode_batch(&batch_bytes(&rows)).unwrap(), rows);
         }
-        // A reused frame holds only the latest batch.
+        // A reused frame holds only the latest request's rows.
         let mut frame = BatchFrame::default();
         for rows in [vec![vec![Value::Str("ab".into())]; 3], vec![vec![]]] {
-            Request::read(&mut batch_bytes(&rows).as_slice(), &mut frame).unwrap();
+            read_req(&batch_bytes(&rows), &mut frame).unwrap();
             assert_eq!(frame.rows().len(), rows.len());
         }
         assert!(frame.rows().all(<[Arg]>::is_empty));
+        read_req(&body(|b| Request::Reset.write(b)), &mut frame).unwrap();
+        assert_eq!(frame.rows().len(), 0);
         assert!(Request::InvokeBatch.write(&mut Vec::new()).is_err());
     }
 
     #[test]
     fn all_responses_roundtrip() {
-        roundtrip_rsp(Response::Ready {
-            proto: PROTO_VERSION,
-        });
-        roundtrip_rsp(Response::Loaded);
-        roundtrip_rsp(Response::CallbackRequest {
-            name: "clip".into(),
-            args: vec![Value::Int(3), Value::Int(4)],
-        });
-        roundtrip_rsp(Response::Error {
-            error: JaguarError::Verification("kaboom".into()),
-        });
-        roundtrip_rsp(Response::ResetOk);
-        roundtrip_rsp(Response::BatchReply {
-            values: vec![Value::Int(1), Value::Int(2)],
-            error: None,
-        });
-        roundtrip_rsp(Response::BatchReply {
-            values: vec![Value::Int(1)],
-            error: Some(JaguarError::VmTrap(VmTrap::DivideByZero)),
-        });
+        for rsp in every_response() {
+            roundtrip_rsp(rsp);
+        }
     }
 
-    /// The bytes of one mixed batch frame, as protocol v6 wrote them, and of
-    /// its reply, as protocol v10 writes them. A codec change that moves a byte here changes the wire
-    /// format, and must bump `PROTO_VERSION` on purpose.
+    /// The body bytes of one mixed batch frame, as protocol v6 wrote them,
+    /// and of its reply, as protocol v10 writes them, each behind its
+    /// frame's length since v11. A codec change that moves a byte here
+    /// changes the wire format, and must bump `PROTO_VERSION` on purpose.
     #[test]
     fn batch_frame_and_reply_bytes_are_pinned() {
         let rows = vec![
@@ -593,14 +598,17 @@ mod tests {
         want.extend([1, 0]); // BOOL false
         assert_eq!(batch_bytes(&rows), want);
         assert_eq!(decode_batch(&want).unwrap(), rows);
+        let framed = frames(&[want.clone()]);
+        assert_eq!(framed[..4], (want.len() as u32).to_le_bytes());
+        assert_eq!(framed[4..], want);
 
-        let mut reply = Vec::new();
-        Response::BatchReply {
-            values: vec![Value::Int(5), Value::Null],
-            error: Some(JaguarError::Udf("boom".into())),
-        }
-        .write(&mut reply)
-        .unwrap();
+        let reply = body(|b| {
+            Response::BatchReply {
+                values: vec![Value::Int(5), Value::Null],
+                error: Some(JaguarError::Udf("boom".into())),
+            }
+            .write(b)
+        });
         let mut want = vec![0x88];
         want.extend(2u32.to_le_bytes());
         want.push(2);
@@ -663,39 +671,78 @@ mod tests {
         }
         assert_eq!(outbox.get_mut().calls, 1 + requests.len());
         // The stream holds the messages whole and in order.
-        let mut r = &outbox.get_mut().bytes[..];
+        let mut input = polled(std::mem::take(&mut outbox.get_mut().bytes));
         let mut frame = BatchFrame::default();
         assert_eq!(
-            Request::read(&mut r, &mut frame).unwrap(),
+            Request::read(&mut input, &mut frame).unwrap(),
             Request::InvokeBatch
         );
-        assert_eq!(frame.rows().len(), 256);
+        assert_eq!(values(&frame), rows);
         for request in requests {
-            assert_eq!(Request::read(&mut r, &mut frame).unwrap(), request);
+            assert_eq!(Request::read(&mut input, &mut frame).unwrap(), request);
         }
-        assert!(r.is_empty());
+        let eof = Request::read(&mut input, &mut frame).unwrap_err();
+        assert!(matches!(eof, JaguarError::Io(_)), "{eof}");
+    }
+
+    /// Every strict prefix of every message's frame is refused — never a
+    /// panic, a hang or a decoded message — and so is every message with
+    /// one byte more in its body than its decoder reads.
+    #[test]
+    fn every_cut_or_padded_frame_is_refused_at_both_ends() {
+        let mut frame = BatchFrame::default();
+        for request in every_request() {
+            let framed = frames(std::slice::from_ref(&request));
+            for cut in 0..framed.len() {
+                let mut input = polled(framed[..cut].to_vec());
+                assert!(
+                    Request::read(&mut input, &mut frame).is_err(),
+                    "cut at {cut}"
+                );
+            }
+            let padded = [&request[..], &[0]].concat();
+            let e = read_req(&padded, &mut frame).unwrap_err();
+            assert!(
+                matches!(&e, JaguarError::Protocol(m) if m.contains("1 trailing")),
+                "{e}"
+            );
+        }
+        for response in every_response() {
+            let bytes = body(|b| response.write(b));
+            let framed = frames(std::slice::from_ref(&bytes));
+            for cut in 0..framed.len() {
+                let got = polled(framed[..cut].to_vec()).read(|r| Response::read(r, 2));
+                assert!(got.is_err(), "cut at {cut}: {got:?}");
+            }
+            let padded = [&bytes[..], &[0]].concat();
+            let e = read_rsp(&padded, 2).unwrap_err();
+            assert!(
+                matches!(&e, JaguarError::Protocol(m) if m.contains("1 trailing")),
+                "{e}"
+            );
+        }
     }
 
     #[test]
     fn unknown_tags_rejected() {
         let mut frame = BatchFrame::default();
-        assert!(Request::read(&mut [0xEEu8].as_slice(), &mut frame).is_err());
-        assert!(Response::read(&mut [0x00u8].as_slice(), 0).is_err());
+        assert!(read_req(&[0xEE], &mut frame).is_err());
+        assert!(read_rsp(&[0x00], 0).is_err());
         // Protocol v6's per-tuple request and reply tags are retired: a
         // per-tuple call is a one-row batch.
-        let err = Request::read(&mut [0x03u8, 0, 0, 0, 0].as_slice(), &mut frame).unwrap_err();
+        let err = read_req(&[0x03, 0, 0, 0, 0], &mut frame).unwrap_err();
         assert!(err.to_string().contains("unknown request tag"), "{err}");
-        let err = Response::read(&mut [0x83u8, 0].as_slice(), 1).unwrap_err();
+        let err = read_rsp(&[0x83, 0], 1).unwrap_err();
         assert!(err.to_string().contains("unknown response tag"), "{err}");
         // Protocol v9's per-design loads are retired: one Load carries any.
         for tag in [0x01u8, 0x02] {
-            let err = Request::read(&mut [tag].as_slice(), &mut frame).unwrap_err();
+            let err = read_req(&[tag], &mut frame).unwrap_err();
             assert!(err.to_string().contains("unknown request tag"), "{err}");
         }
         // Protocol v7's liveness probe is retired too.
-        let err = Request::read(&mut [0x06u8].as_slice(), &mut frame).unwrap_err();
+        let err = read_req(&[0x06], &mut frame).unwrap_err();
         assert!(err.to_string().contains("unknown request tag"), "{err}");
-        let err = Response::read(&mut [0x86u8].as_slice(), 0).unwrap_err();
+        let err = read_rsp(&[0x86], 0).unwrap_err();
         assert!(err.to_string().contains("unknown response tag"), "{err}");
     }
 
@@ -706,27 +753,28 @@ mod tests {
         // length cap before any allocation.
         let mut frame = vec![REQ_LOAD];
         frame.extend_from_slice(&(1u32 << 30).to_le_bytes());
-        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
+        let err = read_req(&frame, &mut batch).unwrap_err();
         assert!(err.to_string().contains("exceeds limit"), "{err}");
 
         // A one-row batch declaring u32::MAX arguments: rejected by the arg
         // cap.
         let mut frame = vec![0x08u8, 1, 0, 0, 0]; // REQ_INVOKE_BATCH, 1 row
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
+        let err = read_req(&frame, &mut batch).unwrap_err();
         assert!(err.to_string().contains("implausible arg count"), "{err}");
 
-        // A plausible arg count with no payload behind it: decode error on
-        // EOF, memory bounded by what actually arrived.
+        // A plausible arg count with no payload behind it: a decode error
+        // at the end of the body, the lists bounded by what arrived.
         let mut frame = vec![0x08u8, 1, 0, 0, 0];
         frame.extend_from_slice(&60_000u32.to_le_bytes());
-        assert!(Request::read(&mut frame.as_slice(), &mut batch).is_err());
+        assert!(read_req(&frame, &mut batch).is_err());
+        assert!(batch.args.capacity() < 64, "{}", batch.args.capacity());
 
         // A byte argument declaring 1 GB: the declared length cap again,
-        // now on the batch frame's shared buffer.
+        // now in the batch frame's own buffer.
         let mut frame = vec![0x08u8, 1, 0, 0, 0, 1, 0, 0, 0, 5];
         frame.extend_from_slice(&(1u32 << 30).to_le_bytes());
-        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
+        let err = read_req(&frame, &mut batch).unwrap_err();
         assert!(err.to_string().contains("exceeds limit"), "{err}");
     }
 
@@ -737,7 +785,7 @@ mod tests {
         // before any allocation.
         let mut frame = vec![0x08u8]; // REQ_INVOKE_BATCH
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
+        let err = read_req(&frame, &mut batch).unwrap_err();
         assert!(
             err.to_string().contains("implausible batch row count"),
             "{err}"
@@ -746,20 +794,20 @@ mod tests {
         // A row count just over the cap is also rejected.
         let mut frame = vec![0x08u8];
         frame.extend_from_slice(&(MAX_BATCH_ROWS + 1).to_le_bytes());
-        assert!(Request::read(&mut frame.as_slice(), &mut batch).is_err());
+        assert!(read_req(&frame, &mut batch).is_err());
 
-        // A plausible row count with no payload: EOF during decode, memory
-        // bounded by what actually arrived.
+        // A plausible row count with no payload: the body ends during
+        // decode, memory bounded by what actually arrived.
         let mut frame = vec![0x08u8];
         frame.extend_from_slice(&1024u32.to_le_bytes());
-        assert!(Request::read(&mut frame.as_slice(), &mut batch).is_err());
+        assert!(read_req(&frame, &mut batch).is_err());
 
         // A row inside the batch declaring an implausible arg count is
         // caught by the per-row value cap.
         let mut frame = vec![0x08u8];
         frame.extend_from_slice(&1u32.to_le_bytes());
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
+        let err = read_req(&frame, &mut batch).unwrap_err();
         assert!(err.to_string().contains("implausible arg count"), "{err}");
 
         // A truncated byte body, an invalid bool byte and a VARCHAR that is
@@ -767,7 +815,7 @@ mod tests {
         let one_arg = |arg: &[u8]| {
             let mut frame = vec![0x08u8, 1, 0, 0, 0, 1, 0, 0, 0];
             frame.extend_from_slice(arg);
-            Request::read(&mut frame.as_slice(), &mut BatchFrame::default()).unwrap_err()
+            read_req(&frame, &mut BatchFrame::default()).unwrap_err()
         };
         for (arg, text) in [
             (&[5u8, 4, 0, 0, 0, 1, 2][..], "truncated blob"),
@@ -785,10 +833,10 @@ mod tests {
         let mut frame = vec![0x88u8]; // RSP_BATCH_REPLY
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
         let rows = MAX_BATCH_ROWS as usize;
-        assert!(Response::read(&mut frame.as_slice(), rows).is_err());
+        assert!(read_rsp(&frame, rows).is_err());
         let mut frame = vec![0x88u8];
         frame.extend_from_slice(&3u32.to_le_bytes());
-        let err = Response::read(&mut frame.as_slice(), 2).unwrap_err();
+        let err = read_rsp(&frame, 2).unwrap_err();
         assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
     }
 
@@ -796,34 +844,38 @@ mod tests {
     fn truncated_message_is_error() {
         let buf = batch_bytes(&[vec![Value::Int(5)]]);
         let mut frame = BatchFrame::default();
-        assert!(Request::read(&mut buf[..buf.len() - 2].as_ref(), &mut frame).is_err());
+        assert!(read_req(&buf[..buf.len() - 2], &mut frame).is_err());
     }
 
     #[test]
     fn sequential_messages_on_one_stream() {
-        let mut buf = Vec::new();
-        Request::Load {
-            definition: b"a".to_vec(),
-        }
-        .write(&mut buf)
-        .unwrap();
-        buf.extend(batch_bytes(&[vec![Value::Int(1)]]));
-        Request::Shutdown.write(&mut buf).unwrap();
-        let mut r = buf.as_slice();
+        let load = body(|b| {
+            Request::Load {
+                definition: b"a".to_vec(),
+            }
+            .write(b)
+        });
+        let shutdown = body(|b| Request::Shutdown.write(b));
+        let mut input = polled(frames(&[
+            load,
+            batch_bytes(&[vec![Value::Int(1)]]),
+            shutdown,
+        ]));
         let mut frame = BatchFrame::default();
         assert!(matches!(
-            Request::read(&mut r, &mut frame).unwrap(),
+            Request::read(&mut input, &mut frame).unwrap(),
             Request::Load { .. }
         ));
         assert_eq!(
-            Request::read(&mut r, &mut frame).unwrap(),
+            Request::read(&mut input, &mut frame).unwrap(),
             Request::InvokeBatch
         );
-        assert!(frame.rows().eq([&[Arg::Int(1)][..]]));
+        assert_eq!(values(&frame), [[Value::Int(1)]]);
+        assert_eq!(frame.rows().next().unwrap()[0].ty, Some(DataType::Int));
         assert_eq!(
-            Request::read(&mut r, &mut frame).unwrap(),
+            Request::read(&mut input, &mut frame).unwrap(),
             Request::Shutdown
         );
-        assert!(r.is_empty());
+        assert!(Request::read(&mut input, &mut frame).is_err());
     }
 }

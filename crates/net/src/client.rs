@@ -9,7 +9,6 @@
 //!   client — "this allows UDF code to be run without change at either
 //!   site" (§6.4).
 
-use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -18,7 +17,7 @@ use std::time::Duration;
 use jaguar_common::config::Config;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
-use jaguar_common::polled::Polled;
+use jaguar_common::polled::{Outbox, Polled};
 use jaguar_common::retry::{self, RetryPolicy};
 use jaguar_common::schema::Schema;
 use jaguar_common::{Tuple, Value};
@@ -92,7 +91,7 @@ static NEXT_QUERY_ID: AtomicU64 = AtomicU64::new(1);
 /// A connection to a Jaguar server.
 pub struct Client {
     reader: Polled<TcpStream>,
-    writer: BufWriter<TcpStream>,
+    writer: Outbox<TcpStream>,
     /// The first roundtrip that failed in transport or decoding. It may
     /// have left a late reply or the rest of a frame in the socket, so
     /// every later reply read here could be some other statement's.
@@ -146,7 +145,7 @@ impl Client {
                 stream.try_clone()?,
                 obs::global().counter("net.polled_replies"),
             ),
-            writer: BufWriter::new(stream),
+            writer: Outbox::new(stream),
             broken: None,
             server_addr,
             options,
@@ -165,8 +164,8 @@ impl Client {
                 "connection out of step since an earlier failure ({first}); reconnect"
             )));
         }
-        let reply = msg
-            .write(&mut self.writer)
+        let sent = self.writer.send(|frame| msg.write(frame));
+        let reply = sent
             .and_then(|()| self.reader.read(ServerMsg::read))
             .inspect_err(|e| self.broken = Some(e.to_string()))?;
         match &reply {
@@ -382,7 +381,7 @@ impl Client {
 
     /// Orderly disconnect.
     pub fn quit(mut self) -> Result<()> {
-        ClientMsg::Quit.write(&mut self.writer)
+        self.writer.send(|frame| ClientMsg::Quit.write(frame))
     }
 }
 
@@ -406,16 +405,10 @@ impl CancelHandle {
         if query_id == 0 {
             return Ok(false);
         }
-        let stream = TcpStream::connect_timeout(&self.server_addr, self.options.connect_timeout)?;
-        stream.set_nodelay(true)?;
-        stream.set_read_timeout(self.options.read_timeout)?;
-        stream.set_write_timeout(self.options.write_timeout)?;
-        let mut writer = BufWriter::new(stream.try_clone()?);
-        let mut reader = BufReader::new(stream);
-        ClientMsg::Cancel { query_id }.write(&mut writer)?;
-        match ServerMsg::read(&mut reader)? {
+        let mut client = Client::connect_with(self.server_addr, self.options.no_retry())?;
+        match client.roundtrip(&ClientMsg::Cancel { query_id })? {
             ServerMsg::CancelAck { found } => {
-                let _ = ClientMsg::Quit.write(&mut writer);
+                let _ = client.quit();
                 Ok(found)
             }
             other => Err(JaguarError::Protocol(format!(

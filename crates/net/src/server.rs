@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 
 use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
-use jaguar_common::polled::Polled;
+use jaguar_common::polled::{Outbox, Polled};
 use jaguar_common::{fault, obs};
 use jaguar_sql::{Engine, Request, SessionContext};
 use jaguar_udf::{UdfImpl, UdfSignature, Volatility};
@@ -271,8 +271,8 @@ fn reap_finished(slots: &mut Vec<ClientSlot>) {
 /// Tell a flood-capped client the server is busy, then drop the
 /// connection. Still a retryable `Busy` frame, not an opaque error.
 fn refuse_busy(stream: TcpStream, retry_after_ms: u64) {
-    let mut writer = std::io::BufWriter::new(stream);
-    let _ = ServerMsg::Busy { retry_after_ms }.write(&mut writer);
+    let busy = ServerMsg::Busy { retry_after_ms };
+    let _ = Outbox::new(stream).send(|frame| busy.write(frame));
 }
 
 /// Does this message need an admission permit? Execution and UDF
@@ -295,7 +295,7 @@ fn serve_client(
     stream.set_nodelay(true)?;
     let reg = obs::global();
     let mut inbox = Polled::new(stream.try_clone()?, reg.counter("net.polled_reads"));
-    let mut writer = std::io::BufWriter::new(stream);
+    let mut writer = Outbox::new(stream);
     let m_requests = reg.counter("net.requests");
     let m_slow = reg.counter("net.slow_queries");
     let h_latency = reg.histogram("net.request_latency_us");
@@ -327,7 +327,7 @@ fn serve_client(
                         target: TARGET,
                         "shedding request at admission ({shed:?}); hinting retry in {retry_after_ms} ms"
                     );
-                    ServerMsg::Busy { retry_after_ms }.write(&mut writer)?;
+                    writer.send(|frame| ServerMsg::Busy { retry_after_ms }.write(frame))?;
                     if shed == Shed::Closed {
                         return Ok(()); // server stopping: drain and go
                     }
@@ -370,15 +370,15 @@ fn serve_client(
                     // Encode the response, send only half of it, and drop
                     // the connection — the client must surface a clean
                     // decode error, never a hang or a garbage result.
-                    let mut frame = Vec::new();
-                    r.write(&mut frame)?;
-                    writer.write_all(&frame[..frame.len() / 2])?;
-                    writer.flush()?;
+                    let mut cut = Outbox::new(Vec::new());
+                    cut.send(|frame| r.write(frame))?;
+                    let frame = cut.get_mut();
+                    writer.get_mut().write_all(&frame[..frame.len() / 2])?;
                     return Err(JaguarError::Protocol(
                         "fault injected: connection dropped mid-response".into(),
                     ));
                 }
-                r.write(&mut writer)?
+                writer.send(|frame| r.write(frame))?
             }
             None => return Ok(()), // Quit
         }

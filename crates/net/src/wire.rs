@@ -2,15 +2,16 @@
 //!
 //! One message per request, one per response, encoded with the §6.4
 //! stream primitives. UDF modules travel as opaque byte blobs — the
-//! server verifies them itself. Both ends wait for the other's next
-//! message through one [`jaguar_common::polled::Polled`] reader.
+//! server verifies them itself. Each message is one frame: both ends send
+//! through a [`jaguar_common::polled::Outbox`], and wait for the other's
+//! next message, read whole, through a [`jaguar_common::polled::Polled`].
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::schema::Schema;
 use jaguar_common::stream::{
-    read_blob, read_schema, read_str, read_tuple, read_u32, read_u64, read_u8, write_blob,
+    next_tuple, read_blob, read_schema, read_str, read_u32, read_u64, read_u8, write_blob,
     write_schema, write_str, write_tuple, write_u32, write_u64, write_u8,
 };
 use jaguar_common::{DataType, Tuple};
@@ -44,7 +45,7 @@ impl WireSignature {
         write_u8(w, self.ret.tag())
     }
 
-    fn read(r: &mut impl Read) -> Result<WireSignature> {
+    fn read(r: &mut &[u8]) -> Result<WireSignature> {
         let n = read_u8(r)?;
         if n > MAX_WIRE_PARAMS {
             return Err(JaguarError::Protocol(format!(
@@ -221,11 +222,10 @@ impl ClientMsg {
             ClientMsg::Ping => write_u8(w, C_PING)?,
             ClientMsg::Quit => write_u8(w, C_QUIT)?,
         }
-        w.flush()?;
         Ok(())
     }
 
-    pub fn read(r: &mut impl Read) -> Result<ClientMsg> {
+    pub fn read(r: &mut &[u8]) -> Result<ClientMsg> {
         Ok(match read_u8(r)? {
             C_HELLO => {
                 let principal = read_str(r)?;
@@ -332,11 +332,10 @@ impl ServerMsg {
                 write_str(w, message)?;
             }
         }
-        w.flush()?;
         Ok(())
     }
 
-    pub fn read(r: &mut impl Read) -> Result<ServerMsg> {
+    pub fn read(r: &mut &[u8]) -> Result<ServerMsg> {
         Ok(match read_u8(r)? {
             S_RESULT => {
                 let schema = read_schema(r)?;
@@ -356,7 +355,7 @@ impl ServerMsg {
                 // Grow as rows actually decode; the count prefix is untrusted.
                 let mut rows = Vec::new();
                 for _ in 0..n {
-                    rows.push(read_tuple(r)?);
+                    rows.push(next_tuple(r)?);
                 }
                 ServerMsg::Result {
                     schema,
@@ -411,111 +410,137 @@ impl ServerMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jaguar_common::polled::{Outbox, Polled};
+    use jaguar_common::stream::whole;
     use jaguar_common::{ByteArray, Value};
+    use std::io::Cursor;
+    use std::sync::Arc;
+
+    /// The frame of one message whose body `encode` writes.
+    fn framed(encode: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Vec<u8> {
+        let mut out = Outbox::new(Vec::new());
+        out.send(encode).unwrap();
+        std::mem::take(out.get_mut())
+    }
+
+    /// The one message framed in `bytes`, as `decode` reads its body.
+    fn read_frame<T>(bytes: &[u8], decode: fn(&mut &[u8]) -> Result<T>) -> Result<T> {
+        Polled::new(Cursor::new(bytes), Arc::default()).read(decode)
+    }
 
     fn roundtrip_c(m: ClientMsg) {
-        let mut buf = Vec::new();
-        m.write(&mut buf).unwrap();
-        assert_eq!(ClientMsg::read(&mut buf.as_slice()).unwrap(), m);
+        let bytes = framed(|b| m.write(b));
+        assert_eq!(read_frame(&bytes, ClientMsg::read).unwrap(), m);
     }
 
     fn roundtrip_s(m: ServerMsg) {
-        let mut buf = Vec::new();
-        m.write(&mut buf).unwrap();
-        assert_eq!(ServerMsg::read(&mut buf.as_slice()).unwrap(), m);
+        let bytes = framed(|b| m.write(b));
+        assert_eq!(read_frame(&bytes, ServerMsg::read).unwrap(), m);
+    }
+
+    fn every_client_msg() -> Vec<ClientMsg> {
+        vec![
+            ClientMsg::Hello {
+                principal: "alice".into(),
+                attributes: vec![
+                    ("tenant".into(), "tech".into()),
+                    ("role".into(), "member".into()),
+                ],
+            },
+            ClientMsg::Hello {
+                principal: "bob".into(),
+                attributes: vec![],
+            },
+            ClientMsg::Execute {
+                sql: "SELECT 1".into(),
+                query_id: 42,
+            },
+            ClientMsg::Cancel { query_id: 42 },
+            ClientMsg::RegisterUdf {
+                name: "investval".into(),
+                signature: WireSignature {
+                    params: vec![DataType::Bytes],
+                    ret: DataType::Int,
+                },
+                module: vec![1, 2, 3],
+                function: "main".into(),
+                isolated: true,
+            },
+            ClientMsg::FetchUdf {
+                name: "investval".into(),
+            },
+            ClientMsg::Metrics,
+            ClientMsg::Ping,
+            ClientMsg::Quit,
+        ]
+    }
+
+    fn every_server_msg() -> Vec<ServerMsg> {
+        vec![
+            ServerMsg::Result {
+                schema: Schema::of(&[("a", DataType::Int), ("b", DataType::Bytes)]),
+                rows: vec![
+                    Tuple::new(vec![Value::Int(1), Value::Bytes(ByteArray::zeroed(5))]),
+                    Tuple::new(vec![Value::Null, Value::Null]),
+                ],
+                affected: 2,
+                stats: WireStats {
+                    rows_scanned: 10,
+                    rows_emitted: 2,
+                    udf_invocations: 4,
+                    udf_callbacks: 1,
+                    vm_instructions: 999,
+                    vm_bytes_allocated: 1024,
+                },
+            },
+            ServerMsg::Registered,
+            ServerMsg::HelloAck,
+            ServerMsg::Module {
+                signature: WireSignature {
+                    params: vec![],
+                    ret: DataType::Int,
+                },
+                module: vec![9],
+                function: "main".into(),
+            },
+            ServerMsg::Metrics {
+                counters: vec![
+                    ("udf.invocations.jsm".into(), 7),
+                    ("ipc.crossings".into(), 3),
+                ],
+                text: "counter udf.invocations.jsm 7\n".into(),
+            },
+            ServerMsg::Pong,
+            ServerMsg::CancelAck { found: true },
+            ServerMsg::CancelAck { found: false },
+            ServerMsg::Busy { retry_after_ms: 0 },
+            ServerMsg::Busy {
+                retry_after_ms: 1_500,
+            },
+            ServerMsg::Error {
+                message: "boom".into(),
+            },
+        ]
     }
 
     #[test]
     fn client_messages_roundtrip() {
-        roundtrip_c(ClientMsg::Hello {
-            principal: "alice".into(),
-            attributes: vec![
-                ("tenant".into(), "tech".into()),
-                ("role".into(), "member".into()),
-            ],
-        });
-        roundtrip_c(ClientMsg::Hello {
-            principal: "bob".into(),
-            attributes: vec![],
-        });
-        roundtrip_c(ClientMsg::Execute {
-            sql: "SELECT 1".into(),
-            query_id: 42,
-        });
-        roundtrip_c(ClientMsg::Cancel { query_id: 42 });
-        roundtrip_c(ClientMsg::RegisterUdf {
-            name: "investval".into(),
-            signature: WireSignature {
-                params: vec![DataType::Bytes],
-                ret: DataType::Int,
-            },
-            module: vec![1, 2, 3],
-            function: "main".into(),
-            isolated: true,
-        });
-        roundtrip_c(ClientMsg::FetchUdf {
-            name: "investval".into(),
-        });
-        roundtrip_c(ClientMsg::Metrics);
-        roundtrip_c(ClientMsg::Ping);
-        roundtrip_c(ClientMsg::Quit);
+        every_client_msg().into_iter().for_each(roundtrip_c);
     }
 
     #[test]
     fn server_messages_roundtrip() {
-        roundtrip_s(ServerMsg::Result {
-            schema: Schema::of(&[("a", DataType::Int), ("b", DataType::Bytes)]),
-            rows: vec![
-                Tuple::new(vec![Value::Int(1), Value::Bytes(ByteArray::zeroed(5))]),
-                Tuple::new(vec![Value::Null, Value::Null]),
-            ],
-            affected: 2,
-            stats: WireStats {
-                rows_scanned: 10,
-                rows_emitted: 2,
-                udf_invocations: 4,
-                udf_callbacks: 1,
-                vm_instructions: 999,
-                vm_bytes_allocated: 1024,
-            },
-        });
-        roundtrip_s(ServerMsg::Registered);
-        roundtrip_s(ServerMsg::HelloAck);
-        roundtrip_s(ServerMsg::Module {
-            signature: WireSignature {
-                params: vec![],
-                ret: DataType::Int,
-            },
-            module: vec![9],
-            function: "main".into(),
-        });
-        roundtrip_s(ServerMsg::Metrics {
-            counters: vec![
-                ("udf.invocations.jsm".into(), 7),
-                ("ipc.crossings".into(), 3),
-            ],
-            text: "counter udf.invocations.jsm 7\n".into(),
-        });
-        roundtrip_s(ServerMsg::Pong);
-        roundtrip_s(ServerMsg::CancelAck { found: true });
-        roundtrip_s(ServerMsg::CancelAck { found: false });
-        roundtrip_s(ServerMsg::Busy { retry_after_ms: 0 });
-        roundtrip_s(ServerMsg::Busy {
-            retry_after_ms: 1_500,
-        });
-        roundtrip_s(ServerMsg::Error {
-            message: "boom".into(),
-        });
+        every_server_msg().into_iter().for_each(roundtrip_s);
     }
 
     #[test]
     fn unknown_tags_rejected() {
-        assert!(ClientMsg::read(&mut [0xFFu8].as_slice()).is_err());
-        assert!(ServerMsg::read(&mut [0x00u8].as_slice()).is_err());
+        assert!(whole(&[0xFF], ClientMsg::read).is_err());
+        assert!(whole(&[0x00], ServerMsg::read).is_err());
         // The retired EXPLAIN request and plan reply tags: EXPLAIN is an
         // `Execute` like any statement.
-        assert!(ClientMsg::read(&mut [0x02u8, 0, 0, 0, 0].as_slice()).is_err());
-        assert!(ServerMsg::read(&mut [0x82u8, 0, 0, 0, 0].as_slice()).is_err());
+        assert!(whole(&[0x02, 0, 0, 0, 0], ClientMsg::read).is_err());
+        assert!(whole(&[0x82, 0, 0, 0, 0], ServerMsg::read).is_err());
     }
 
     #[test]
@@ -524,7 +549,7 @@ mod tests {
         // before any gigabyte-sized buffer exists.
         let mut frame = vec![0x01u8];
         frame.extend_from_slice(&(1u32 << 30).to_le_bytes());
-        let err = ClientMsg::read(&mut frame.as_slice()).unwrap_err();
+        let err = whole(&frame, ClientMsg::read).unwrap_err();
         assert!(err.to_string().contains("exceeds limit"), "{err}");
 
         // Signature declaring 255 parameters.
@@ -532,7 +557,7 @@ mod tests {
         frame.extend_from_slice(&4u32.to_le_bytes());
         frame.extend_from_slice(b"name");
         frame.push(255); // param count
-        let err = ClientMsg::read(&mut frame.as_slice()).unwrap_err();
+        let err = whole(&frame, ClientMsg::read).unwrap_err();
         assert!(err.to_string().contains("parameter count"), "{err}");
 
         // Hello frame declaring u32::MAX session attributes.
@@ -540,7 +565,7 @@ mod tests {
         frame.extend_from_slice(&5u32.to_le_bytes());
         frame.extend_from_slice(b"alice");
         frame.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = ClientMsg::read(&mut frame.as_slice()).unwrap_err();
+        let err = whole(&frame, ClientMsg::read).unwrap_err();
         assert!(err.to_string().contains("attribute count"), "{err}");
 
         // Result frame declaring u32::MAX rows.
@@ -548,13 +573,13 @@ mod tests {
         frame.extend_from_slice(&0u32.to_le_bytes()); // empty schema
         frame.extend_from_slice(&[0u8; 7 * 8]); // affected + 6 stats
         frame.extend_from_slice(&u32::MAX.to_le_bytes()); // row count
-        let err = ServerMsg::read(&mut frame.as_slice()).unwrap_err();
+        let err = whole(&frame, ServerMsg::read).unwrap_err();
         assert!(err.to_string().contains("implausible row count"), "{err}");
     }
 
     #[test]
     fn truncated_frames_are_decode_errors() {
-        // A frame that declares more payload than it carries must produce
+        // A body that declares more payload than it carries must produce
         // an error, not a hang or a partial message.
         let mut buf = Vec::new();
         ClientMsg::Execute {
@@ -565,9 +590,42 @@ mod tests {
         .unwrap();
         for cut in 1..buf.len() {
             assert!(
-                ClientMsg::read(&mut &buf[..cut]).is_err(),
+                whole(&buf[..cut], ClientMsg::read).is_err(),
                 "truncation at {cut} decoded successfully"
             );
+        }
+    }
+
+    /// Every strict prefix of every message's frame, either way, is
+    /// refused — never a panic, a hang or a decoded message — and so is a
+    /// message with one byte more in its body than its decoder reads.
+    #[test]
+    fn every_cut_or_padded_frame_is_refused_both_ways() {
+        fn check<T: std::fmt::Debug>(body: Vec<u8>, decode: fn(&mut &[u8]) -> Result<T>) {
+            let bytes = framed(|b| {
+                b.extend_from_slice(&body);
+                Ok(())
+            });
+            for cut in 0..bytes.len() {
+                let got = read_frame(&bytes[..cut], decode);
+                assert!(got.is_err(), "cut at {cut}: {got:?}");
+            }
+            let padded = framed(|b| {
+                b.extend_from_slice(&body);
+                b.push(0);
+                Ok(())
+            });
+            let e = read_frame(&padded, decode).unwrap_err();
+            assert!(
+                matches!(&e, JaguarError::Protocol(m) if m.contains("1 trailing")),
+                "{e}"
+            );
+        }
+        for m in every_client_msg() {
+            check(framed(|b| m.write(b))[4..].to_vec(), ClientMsg::read);
+        }
+        for m in every_server_msg() {
+            check(framed(|b| m.write(b))[4..].to_vec(), ServerMsg::read);
         }
     }
 }

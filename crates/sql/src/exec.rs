@@ -27,7 +27,7 @@ use jaguar_common::cancel::CancelToken;
 use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::ids::RecordId;
 use jaguar_common::obs;
-use jaguar_common::stream::{read_value, write_value, RecordView};
+use jaguar_common::stream::{next_value, write_value, RecordView};
 use jaguar_common::value::compare;
 use jaguar_common::{Tuple, Value};
 use jaguar_ipc::pool::WorkerPool;
@@ -1479,7 +1479,7 @@ impl GroupedAgg {
             .map(|_| {
                 let mut values = Vec::with_capacity(plan.group_exprs.len() + plan.aggs.len());
                 for _ in &plan.group_exprs {
-                    values.push(read_value(&mut keys)?);
+                    values.push(next_value(&mut keys)?);
                 }
                 values.extend(accs.by_ref().take(plan.aggs.len()).map(AccState::finish));
                 Ok(Tuple::new(values))
@@ -1729,7 +1729,8 @@ mod tests {
         for (name, key) in families {
             let mut home = vec![false; 4096];
             for i in 0..4096 {
-                let encoded = jaguar_common::stream::value_to_vec(&key(i));
+                let mut encoded = Vec::new();
+                write_value(&mut encoded, &key(i)).unwrap();
                 home[GroupIndex::home(key_hash(&encoded), 4096)] = true;
             }
             let covered = home.iter().filter(|h| **h).count();

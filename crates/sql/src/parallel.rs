@@ -74,7 +74,8 @@ pub struct WorkerReport {
 /// A query qualifies when `Config::dop ≥ 2`, the access path is a full
 /// scan, the table has at least `MIN_DATA_PAGES` data pages, and the
 /// query is not a bare LIMIT (no aggregate, no ORDER BY), where a team
-/// of one's fragment stops early instead of scanning everything. The dop
+/// of one's fragment stops early instead of scanning everything (or,
+/// for `LIMIT 0`, reads nothing). The dop
 /// is capped at half the data pages (each worker should see ≥ 2 pages)
 /// and — when any planned UDF draws a pool checkout per context — at
 /// the worker-pool size, so a thread team can never deadlock waiting on
@@ -91,6 +92,9 @@ pub(crate) fn plan_parallel(
     let scan = &plan.scan;
     if !matches!(scan.access, AccessPath::FullScan) {
         return Err("not a full scan");
+    }
+    if plan.limit == Some(0) {
+        return Err("LIMIT 0 reads nothing");
     }
     if plan.limit.is_some() && plan.aggregate.is_none() && plan.order_by.is_empty() {
         return Err("bare LIMIT short-circuits serially");

@@ -12,6 +12,7 @@
 //! in, a read that fails for good, and eviction beside loads in flight.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use jaguar_common::ids::PageId;
 use jaguar_common::{fault, obs};
@@ -108,8 +109,9 @@ fn marked_pages(pages: u8, size: usize) -> (Arc<DiskManager>, Vec<PageId>) {
 /// (a) A fetch of a page whose load is in flight waits for the loader and
 /// sees the page's verified bytes — never the zeros of a fresh frame or
 /// the victim's old page, which the one frame holds until the read lands.
-/// The pages are 8 MiB, so the loader's copy and checksum take
-/// milliseconds: the window the second fetch has to meet.
+/// The loader is held inside its loading window — at the read's fault
+/// site — until the second fetch has pinned the frame and found it
+/// loading, so the two always meet.
 #[test]
 fn loading_frame_shows_a_concurrent_fetch_only_verified_bytes() {
     let _g = serial();
@@ -117,28 +119,40 @@ fn loading_frame_shows_a_concurrent_fetch_only_verified_bytes() {
     let (page, victim) = (ids[0], ids[1]);
     let pool = Arc::new(BufferPool::new(disk, 1));
     let waits = obs::global().counter("storage.bufferpool.load_waits");
-    for _ in 0..50 {
-        drop(pool.fetch(victim).unwrap());
-        let (waited, missed) = (waits.get(), pool.stats().misses);
-        let loader = {
-            let pool = Arc::clone(&pool);
-            std::thread::spawn(move || pool.fetch(page).map(|h| h.read()[100]))
-        };
-        // The miss is counted under the pool mutex that the loader holds
-        // until the page is mapped and marked loading.
-        while pool.stats().misses == missed {
-            std::hint::spin_loop();
-        }
-        let handle = pool.fetch(page).unwrap();
-        assert_eq!(handle.read()[100], 1, "the page's own bytes");
-        verify_checksum(&handle.read()).unwrap();
-        drop(handle);
-        assert_eq!(loader.join().unwrap().unwrap(), 1);
-        if waits.get() > waited {
-            return;
-        }
+    drop(pool.fetch(victim).unwrap());
+    let (waited, missed) = (waits.get(), pool.stats().misses);
+    fault::arm_hold("storage.disk.read");
+    let loader = {
+        let pool = Arc::clone(&pool);
+        std::thread::spawn(move || pool.fetch(page).map(|h| h.read()[100]))
+    };
+    // The miss is counted under the pool mutex that the loader holds
+    // until the page is mapped and marked loading; then it parks, inside
+    // its window, until the site is disarmed.
+    while pool.stats().misses == missed {
+        std::thread::yield_now();
     }
-    panic!("no fetch met the frame while it was loading");
+    let fetch = {
+        let pool = Arc::clone(&pool);
+        std::thread::spawn(move || {
+            let handle = pool.fetch(page).unwrap();
+            let bytes = handle.read();
+            (bytes[100], verify_checksum(&bytes).is_ok())
+        })
+    };
+    // The fetch has met the frame once it counts a wait; one that returns
+    // first did not wait for the load, and one that blocks elsewhere ends
+    // the look at the deadline.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while waits.get() == waited && !fetch.is_finished() && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    fault::disarm("storage.disk.read");
+    let (byte, verified) = fetch.join().unwrap();
+    assert_eq!(byte, 1, "the page's own bytes");
+    assert!(verified, "the page's checksum holds");
+    assert_eq!(loader.join().unwrap().unwrap(), 1);
+    assert!(waits.get() > waited, "the fetch waited on the load");
 }
 
 /// (b) A read that fails for good fails the loader and every fetch that

@@ -394,11 +394,16 @@ impl UdfDef {
         let definition = self.load_body()?;
         let mut lease = acquire_worker(pool)?;
         lease.worker().load(definition)?;
+        let permissions = match &self.imp {
+            UdfImpl::IsolatedVm(spec) => spec.permissions.clone(),
+            _ => None,
+        };
         Ok(Box::new(IsolatedUdf {
             name: self.name.clone(),
             signature: self.signature.clone(),
             lease,
             cancel: CancelToken::unbounded(),
+            permissions,
         }))
     }
 }
@@ -426,6 +431,8 @@ struct IsolatedUdf {
     signature: UdfSignature,
     lease: Lease,
     cancel: CancelToken,
+    /// Design 4's permission set, which audits its worker copy's denials.
+    permissions: Option<Arc<PermissionSet>>,
 }
 
 impl IsolatedUdf {
@@ -478,7 +485,8 @@ impl ScalarUdf for IsolatedUdf {
     /// process.
     fn invoke(&mut self, args: &[Value], callbacks: &mut dyn CallbackHandler) -> Result<Value> {
         self.cancel.check()?;
-        self.guarded(|w| w.invoke(args, callbacks))
+        let out = self.guarded(|w| w.invoke(args, callbacks));
+        out.inspect_err(|e| self.permissions.iter().for_each(|p| p.audit(e)))
     }
 
     /// Ship the rows straight from the batch's columns. A row error comes
@@ -498,7 +506,10 @@ impl ScalarUdf for IsolatedUdf {
         // worker in time, it just cannot say which row wedged.
         match self.guarded(|w| w.invoke_batch(batch.len(), batch.arity(), arg, callbacks)) {
             Ok((values, None)) => Ok(values),
-            Ok((values, Some(e))) => Err(BatchError::new(values.len(), e)),
+            Ok((values, Some(e))) => {
+                self.permissions.iter().for_each(|p| p.audit(&e));
+                Err(BatchError::new(values.len(), e))
+            }
             Err(e) => Err(BatchError::before_any(e)),
         }
     }

@@ -14,11 +14,9 @@ use std::io::Write;
 use std::sync::Arc;
 
 use jaguar_common::error::{JaguarError, Result};
-use jaguar_common::polled::{Pollable, Polled};
-use jaguar_common::Value;
-use jaguar_ipc::proto::{
-    Arg, BatchFrame, CallbackHandler, Outbox, Request, Response, PROTO_VERSION,
-};
+use jaguar_common::polled::{Outbox, Pollable, Polled};
+use jaguar_common::{DataType, Value};
+use jaguar_ipc::proto::{BatchFrame, CallbackHandler, Request, Response, PROTO_VERSION};
 use jaguar_vm::VmValue;
 
 use crate::api::ScalarUdf;
@@ -54,12 +52,8 @@ impl<R: Pollable, W: Write> CallbackHandler for WireCallbacks<'_, R, W> {
             args: args.to_vec(),
         };
         self.output.send(|frame| request.write(frame))?;
-        // Only a CallbackResult is expected: a batch frame here is decoded
-        // into a scratch frame, to keep the stream in step, and refused.
-        let reply = self
-            .input
-            .read(|r| Request::read(r, &mut BatchFrame::default()));
-        match reply? {
+        // Only a CallbackResult is expected, read into a frame of its own.
+        match Request::read(self.input, &mut BatchFrame::default())? {
             Request::CallbackResult { result } => result,
             other => Err(JaguarError::Protocol(format!(
                 "expected CallbackResult, got {other:?}"
@@ -72,7 +66,7 @@ impl<R: Pollable, W: Write> CallbackHandler for WireCallbacks<'_, R, W> {
 ///
 /// `registry` holds the native UDFs this worker offers. Pass the raw halves
 /// of the socket (or in-memory streams in tests): every request is polled
-/// for before it is blocked on, and every response leaves in one write.
+/// for before it is blocked on, and every message is one frame.
 pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegistry) -> Result<()> {
     // A worker exports no metrics: its polls count nowhere.
     let mut input = Polled::new(input, Arc::default());
@@ -87,7 +81,7 @@ pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegist
     output.send(|bytes| ready.write(bytes))?;
 
     loop {
-        let req = match input.read(|r| Request::read(r, &mut frame)) {
+        let req = match Request::read(&mut input, &mut frame) {
             Ok(r) => r,
             // Parent hung up (end of query / parent died): exit quietly.
             Err(JaguarError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
@@ -162,10 +156,12 @@ fn run_batch(
             }
             Hosted::Vm(udf) => udf.call_marshalled(
                 row.len(),
-                |a| row[a].data_type(),
-                |a, arena| match &row[a] {
-                    Arg::Bytes(body) => Ok(VmValue::Bytes(arena.alloc_from(frame.body(body))?)),
-                    other => value_to_vm(&frame.value(other), arena),
+                |a| row[a].ty,
+                |a, arena| match row[a].ty {
+                    Some(DataType::Bytes) => {
+                        Ok(VmValue::Bytes(arena.alloc_from(frame.body(&row[a]))?))
+                    }
+                    _ => value_to_vm(&frame.value(&row[a]), arena),
                 },
                 cb,
             )?,
@@ -208,11 +204,32 @@ mod tests {
         LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The bytes of one request.
+    /// The frame of one message whose body `encode` writes.
+    fn framed(encode: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Vec<u8> {
+        let mut out = Outbox::new(Vec::new());
+        out.send(encode).unwrap();
+        std::mem::take(out.get_mut())
+    }
+
+    /// The frame of one request.
     fn req(request: Request) -> Vec<u8> {
-        let mut buf = Vec::new();
-        request.write(&mut buf).unwrap();
-        buf
+        framed(|b| request.write(b))
+    }
+
+    /// Every response framed in `out`, in order.
+    fn responses(out: Vec<u8>) -> Vec<Response> {
+        let mut input = Polled::new(Cursor::new(out), Arc::default());
+        let most = jaguar_ipc::proto::MAX_BATCH_ROWS as usize;
+        let mut rsp = Vec::new();
+        loop {
+            match input.read(|r| Response::read(r, most)) {
+                Ok(r) => rsp.push(r),
+                Err(JaguarError::Io(e)) if e.kind() == std::io::ErrorKind::UnexpectedEof => {
+                    return rsp
+                }
+                Err(e) => panic!("{e}"),
+            }
+        }
     }
 
     /// The bytes of the load of `def`.
@@ -250,12 +267,10 @@ mod tests {
         vm_def(vm_spec(module, "main", limits, true, None).unwrap(), arity)
     }
 
-    /// The bytes of one batch frame over `rows`.
+    /// The frame of one batch over `rows`.
     fn batch(rows: &[Vec<Value>]) -> Vec<u8> {
         let arity = rows.first().map_or(0, Vec::len);
-        let mut buf = Vec::new();
-        jaguar_ipc::proto::write_batch(&mut buf, rows.len(), arity, |i, a| &rows[i][a]).unwrap();
-        buf
+        framed(|b| jaguar_ipc::proto::write_batch(b, rows.len(), arity, |i, a| &rows[i][a]))
     }
 
     /// A batch reply.
@@ -274,13 +289,7 @@ mod tests {
     fn script(messages: &[Vec<u8>], registry: &WorkerRegistry) -> Vec<Response> {
         let mut out = Vec::new();
         serve(Cursor::new(messages.concat()), &mut out, registry).unwrap();
-        let mut rsp = Vec::new();
-        let mut r = out.as_slice();
-        while !r.is_empty() {
-            let most = jaguar_ipc::proto::MAX_BATCH_ROWS as usize;
-            rsp.push(Response::read(&mut r, most).unwrap());
-        }
-        rsp
+        responses(out)
     }
 
     #[test]
@@ -470,11 +479,40 @@ mod tests {
         // Protocol v7's `Ping` (tag 0x06): the worker answers nothing and
         // stops serving with a protocol error.
         let mut out = Vec::new();
-        let err = serve(Cursor::new(vec![0x06u8]), &mut out, &demo_registry()).unwrap_err();
+        let ping = framed(|b| {
+            b.push(0x06);
+            Ok(())
+        });
+        let err = serve(Cursor::new(ping), &mut out, &demo_registry()).unwrap_err();
         assert!(err.to_string().contains("unknown request tag"), "{err}");
-        let ready_bytes = Response::read(&mut out.as_slice(), 0).unwrap();
-        assert_eq!(ready_bytes, ready());
-        assert_eq!(out.len(), 5, "nothing after Ready");
+        assert_eq!(out.len(), 9, "nothing after Ready");
+        assert_eq!(responses(out), [ready()]);
+    }
+
+    /// A request cut short at any byte is the parent hanging up, and one
+    /// with a byte more than its decoder reads is refused: either way the
+    /// worker answers nothing after Ready and runs no row.
+    #[test]
+    fn a_cut_or_padded_request_is_answered_with_nothing() {
+        let frame = batch(&[vec![Value::Int(20), Value::Int(22)]]);
+        let load = native("add", 2);
+        for cut in 0..frame.len() {
+            let input = [&load[..], &frame[..cut]].concat();
+            let mut out = Vec::new();
+            serve(Cursor::new(input), &mut out, &demo_registry()).unwrap();
+            assert_eq!(responses(out), [ready(), Response::Loaded], "cut at {cut}");
+        }
+        let mut padded = frame.clone();
+        padded[0] += 1;
+        padded.push(0);
+        let mut out = Vec::new();
+        let input = Cursor::new([load, padded].concat());
+        let err = serve(input, &mut out, &demo_registry()).unwrap_err();
+        assert!(
+            matches!(&err, JaguarError::Protocol(m) if m.contains("1 trailing")),
+            "{err}"
+        );
+        assert_eq!(responses(out), [ready(), Response::Loaded]);
     }
 
     #[test]
@@ -679,17 +717,11 @@ mod tests {
         ];
         let mut out = Writes::default();
         serve(Cursor::new(input.concat()), &mut out, &demo_registry()).unwrap();
-        let mut r = out.bytes.as_slice();
-        let mut responses = 0;
-        while !r.is_empty() {
-            Response::read(&mut r, jaguar_ipc::proto::MAX_BATCH_ROWS as usize).unwrap();
-            responses += 1;
-        }
+        assert!(out.bytes.contains(&0x0A));
         // Ready, Loaded, the 300-row reply, ResetOk, Loaded, the callback
         // request, its batch's reply, and the unknown UDF's Error.
-        assert_eq!(responses, 8);
-        assert_eq!(out.calls, responses);
-        assert!(out.bytes.contains(&0x0A));
+        assert_eq!(responses(out.bytes).len(), 8);
+        assert_eq!(out.calls, 8);
     }
 
     #[test]

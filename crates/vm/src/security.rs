@@ -137,6 +137,17 @@ impl PermissionSet {
         Err(JaguarError::SecurityViolation(message))
     }
 
+    /// Audit a denial a copy of this set made in the worker hosting the
+    /// UDF, from the error it raised; any other error records nothing.
+    pub fn audit(&self, error: &JaguarError) {
+        let JaguarError::SecurityViolation(m) = error else {
+            return;
+        };
+        if let Some(a) = m.strip_prefix(&format!("udf '{}' denied: ", self.principal)) {
+            let _ = self.decide(false, || a.into());
+        }
+    }
+
     /// How many checks were allowed since the set was built.
     pub fn allowed_checks(&self) -> u64 {
         self.allowed.load(Ordering::Relaxed)
@@ -211,6 +222,21 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log[0].principal, "investval");
         assert_eq!(log[0].action, "spawn-thread");
+    }
+
+    /// A denial a copy of the set made elsewhere is audited as one made
+    /// here; an error that is no denial by this principal is not.
+    #[test]
+    fn a_copys_denial_is_audited_as_the_sets_own() {
+        let here = PermissionSet::deny_all("g");
+        let copy = PermissionSet::deny_all("g");
+        let denied = copy.check_host_call("cb").unwrap_err();
+        here.audit(&denied);
+        here.audit(&JaguarError::Udf("udf 'g' denied: hostcall(cb)".into()));
+        let other = PermissionSet::deny_all("h").check_host_call("cb");
+        here.audit(&other.unwrap_err());
+        assert_eq!(here.violations(), copy.violations());
+        assert_eq!(here.allowed_checks(), 0);
     }
 
     #[test]

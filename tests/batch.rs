@@ -170,31 +170,46 @@ fn trusted_native_stays_per_tuple() {
 /// reply).
 #[test]
 fn hostile_batch_frames_are_rejected() {
+    use jaguar_common::polled::{Outbox, Polled};
     use jaguar_ipc::proto::{BatchFrame, Request, Response, MAX_BATCH_ROWS};
     let mut batch = BatchFrame::default();
+    // Each body arrives as one frame, as the parent or the worker sends it.
+    let polled = |body: &[u8]| {
+        let mut out = Outbox::new(Vec::new());
+        out.send(|f| {
+            f.extend_from_slice(body);
+            Ok(())
+        })
+        .unwrap();
+        let bytes = std::mem::take(out.get_mut());
+        Polled::new(std::io::Cursor::new(bytes), std::sync::Arc::default())
+    };
 
     // An InvokeBatch frame declaring one row more than the wire cap.
     let mut frame = vec![0x08u8];
     frame.extend_from_slice(&(MAX_BATCH_ROWS + 1).to_le_bytes());
-    let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
+    let err = Request::read(&mut polled(&frame), &mut batch).unwrap_err();
     assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
 
     // ...and one declaring u32::MAX rows (allocation-bomb attempt).
     let mut frame = vec![0x08u8];
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
-    let err = Request::read(&mut frame.as_slice(), &mut batch).unwrap_err();
+    let err = Request::read(&mut polled(&frame), &mut batch).unwrap_err();
     assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
 
     // A truncated frame claiming the cap exactly but carrying no rows:
-    // decoding must fail cleanly (EOF), not hang or pre-allocate 4096 rows.
+    // decoding must fail cleanly, not hang or pre-allocate 4096 rows.
     let mut frame = vec![0x08u8];
     frame.extend_from_slice(&MAX_BATCH_ROWS.to_le_bytes());
-    assert!(Request::read(&mut frame.as_slice(), &mut batch).is_err());
+    assert!(Request::read(&mut polled(&frame), &mut batch).is_err());
 
     // A BatchReply from a compromised worker declaring u32::MAX values.
     let mut frame = vec![0x88u8];
     frame.extend_from_slice(&u32::MAX.to_le_bytes());
-    let err = Response::read(&mut frame.as_slice(), MAX_BATCH_ROWS as usize).unwrap_err();
+    let rows = MAX_BATCH_ROWS as usize;
+    let err = polled(&frame)
+        .read(|r| Response::read(r, rows))
+        .unwrap_err();
     assert!(matches!(err, JaguarError::Protocol(_)), "{err}");
 }
 

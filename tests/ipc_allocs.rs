@@ -7,12 +7,14 @@
 //!
 //! * the parent writes the batch frame straight from the `ValueBatch`
 //!   columns, without copying any row out of them;
-//! * the worker decodes the frame into buffers it keeps from batch to
-//!   batch, and runs every row in the arena and argument vector of its
-//!   load.
+//! * the worker reads the frame whole into buffers it keeps from batch to
+//!   batch, reads every argument where it lies there, and runs every row
+//!   in the arena and argument vector of its load.
 
 use std::io::Cursor;
+use std::sync::Arc;
 
+use jaguar_common::polled::{Outbox, Polled};
 use jaguar_core::{ByteArray, ResourceLimits, Value};
 use jaguar_ipc::find_worker_binary;
 use jaguar_ipc::proto::{write_batch, Request, Response};
@@ -66,9 +68,12 @@ fn an_isolated_batch_allocates_per_batch_in_the_worker() {
     let definition = generic::def_isolated_vm(true, unlimited)
         .load_body()
         .unwrap();
-    Request::Load { definition }.write(&mut load).unwrap();
+    let mut out = Outbox::new(&mut load);
+    out.send(|f| Request::Load { definition }.write(f)).unwrap();
     let mut frame = Vec::new();
-    write_batch(&mut frame, ROWS, 4, |i, a| &rows[i][a]).unwrap();
+    let mut out = Outbox::new(&mut frame);
+    out.send(|f| write_batch(f, ROWS, 4, |i, a| &rows[i][a]))
+        .unwrap();
     let registry = generic::worker_registry();
 
     // Allocations of a worker serving one load and then `batches` batches,
@@ -79,12 +84,12 @@ fn an_isolated_batch_allocates_per_batch_in_the_worker() {
         let (allocs, served) =
             allocations(|| worker::serve(Cursor::new(input), &mut output, &registry));
         served.unwrap();
-        let mut replies = output.as_slice();
+        let mut replies = Polled::new(Cursor::new(output), Arc::default());
         for _ in 0..2 {
-            Response::read(&mut replies, 0).unwrap(); // Ready, Loaded
+            replies.read(|r| Response::read(r, 0)).unwrap(); // Ready, Loaded
         }
         for _ in 0..batches {
-            let reply = Response::read(&mut replies, ROWS).unwrap();
+            let reply = replies.read(|r| Response::read(r, ROWS)).unwrap();
             let want = Response::BatchReply {
                 values: vec![Value::Int(0); ROWS],
                 error: None,

@@ -334,3 +334,28 @@ fn sum_and_avg_are_bit_identical_at_every_dop() {
         }
     }
 }
+
+/// `LIMIT 0` reads nothing at any dop: the plan stays a team of one, which
+/// skips its scan, so no row is read and a WHERE UDF is never called —
+/// with an aggregate or an ORDER BY, which a `Gather` team would read
+/// every row for, too.
+#[test]
+fn limit_zero_reads_nothing_at_any_dop() {
+    for dop in [1, 4] {
+        let db = db_with_rows(Config::default().with_dop(dop), 2000);
+        db.register_udf(generic::def_native());
+        for sql in [
+            "SELECT COUNT(*) FROM rel WHERE generic(bytearray, 10, 0, 0) >= 0 LIMIT 0",
+            "SELECT id FROM rel WHERE generic(bytearray, 10, 0, 0) >= 0 ORDER BY id LIMIT 0",
+        ] {
+            let r = db.execute(sql).unwrap();
+            assert!(r.rows.is_empty(), "dop {dop}: {sql}");
+            assert_eq!(r.stats.rows_scanned, 0, "dop {dop}: {sql}");
+            assert_eq!(r.stats.udf_invocations, 0, "dop {dop}: {sql}");
+            let plan = db.explain(sql).unwrap();
+            assert!(!plan.contains("Gather"), "dop {dop}: {plan}");
+            let gated = plan.contains("parallel: serial (LIMIT 0 reads nothing)");
+            assert_eq!(gated, dop > 1, "dop {dop}: {plan}");
+        }
+    }
+}

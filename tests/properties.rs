@@ -1,6 +1,7 @@
 //! Property-based tests over the core invariants:
 //!
-//! * the §6.4 value stream is lossless for arbitrary values,
+//! * the §6.4 value stream is lossless for arbitrary values, read back by
+//!   the one slice decoder,
 //! * slotted pages and heap files never corrupt under random workloads
 //!   (checked against an in-memory model),
 //! * the bytecode verifier is *total* on arbitrary input bytes — it
@@ -12,6 +13,7 @@
 
 use proptest::prelude::*;
 
+use jaguar_common::stream;
 use jaguar_core::{ByteArray, Value};
 
 // ---------------------------------------------------------------------
@@ -33,8 +35,9 @@ fn arb_value() -> impl Strategy<Value = Value> {
 proptest! {
     #[test]
     fn value_stream_roundtrips(v in arb_value()) {
-        let bytes = jaguar_common::stream::value_to_vec(&v);
-        let back = jaguar_common::stream::value_from_slice(&bytes).unwrap();
+        let mut bytes = Vec::new();
+        stream::write_value(&mut bytes, &v).unwrap();
+        let back = stream::whole(&bytes, stream::next_value).unwrap();
         match (&v, &back) {
             // NaN != NaN; compare bit patterns for floats.
             (Value::Float(a), Value::Float(b)) => {
@@ -55,8 +58,8 @@ proptest! {
             .collect();
         let t = jaguar_common::Tuple::new(nan_free);
         let mut buf = Vec::new();
-        jaguar_common::stream::write_tuple(&mut buf, &t).unwrap();
-        let back = jaguar_common::stream::read_tuple(&mut buf.as_slice()).unwrap();
+        stream::write_tuple(&mut buf, &t).unwrap();
+        let back = stream::whole(&buf, stream::next_tuple).unwrap();
         prop_assert_eq!(back, t);
     }
 
@@ -64,7 +67,7 @@ proptest! {
     /// never panic, never allocate absurd amounts.
     #[test]
     fn value_decoder_is_total(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let _ = jaguar_common::stream::value_from_slice(&bytes);
+        let _ = stream::whole(&bytes, stream::next_value);
     }
 }
 
