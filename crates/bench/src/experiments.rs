@@ -21,7 +21,6 @@ use jaguar_udf::generic::{
     def_isolated, def_isolated_vm, def_native, def_native_bc, def_native_sfi, def_vm,
     generic_signature, GenericParams, IdentityCallbacks,
 };
-use jaguar_udf::NativeUdf;
 use jaguar_vm::ResourceLimits;
 
 use crate::report::{Cell, Table};
@@ -140,7 +139,7 @@ impl Design {
     }
 
     fn needs_worker(self) -> bool {
-        matches!(self, Design::ICpp | Design::IJsm)
+        def_for(self).imp.design().needs_worker()
     }
 }
 
@@ -174,12 +173,8 @@ pub fn def_for(design: Design) -> UdfDef {
 
 /// A trivial integrated native UDF "that does no work" (Figure 4's probe).
 pub fn def_noop() -> UdfDef {
-    let sig = generic_signature();
-    UdfDef::new(
-        "udf",
-        sig.clone(),
-        UdfImpl::Native(NativeUdf::new("noop", sig, |_args, _cb| Ok(Value::Int(0)))),
-    )
+    let imp = UdfImpl::closure(|_args, _cb| Ok(Value::Int(0)));
+    UdfDef::new("udf", generic_signature(), imp)
 }
 
 /// One timed statement of a round.
@@ -577,37 +572,22 @@ impl ExperimentCtx {
             "Table 1 — design space for server-side UDFs (measured per-invocation overhead)",
             &["design", "language", "process", "safety", "per invocation"],
         );
-        let rows: [(Design, u8, &str, &str, &str); 4] = [
-            (Design::Cpp, 1, "native", "same", "none (trusted)"),
-            (
-                Design::ICpp,
-                2,
-                "native",
-                "isolated",
-                "crash/memory containment",
-            ),
-            (
-                Design::Jsm,
-                3,
-                "portable bytecode",
-                "same",
-                "verified + bounds + fuel + security mgr",
-            ),
-            (
-                Design::IJsm,
-                4,
-                "portable bytecode",
-                "isolated",
-                "all of the above + process",
-            ),
+        let rows = [
+            (Design::Cpp, "none (trusted)"),
+            (Design::ICpp, "crash/memory containment"),
+            (Design::Jsm, "verified + bounds + fuel + security mgr"),
+            (Design::IJsm, "all of the above + process"),
         ];
         let designs = rows.map(|r| r.0);
         let p = self.paired("table1", &benchmark_query(100, card, 0, 0, 0), &designs)?;
-        for (i, (d, number, lang, proc, safety)) in rows.into_iter().enumerate() {
+        for (i, (d, safety)) in rows.into_iter().enumerate() {
+            // The number, language and process are the design's pair.
+            let cell = def_for(d).imp.design();
+            let process = ["same", "isolated"][usize::from(cell.needs_worker())];
             t.row(vec![
-                Cell::text(format!("Design {number} ({})", d.label())),
-                lang.into(),
-                proc.into(),
+                Cell::text(format!("Design {} ({})", cell.number(), cell.label())),
+                ["native", "portable bytecode"][usize::from(cell.bytecode)].into(),
+                process.into(),
                 safety.into(),
                 series(
                     &p.net(i)
@@ -1264,7 +1244,7 @@ impl ExperimentCtx {
                         if a < b { return a * 3 + b; }
                         return a - b;
                     }",
-                    design.clone(),
+                    design,
                     [Volatility::Stable, Volatility::Immutable][variant],
                 )
             };

@@ -63,17 +63,13 @@ impl UdfCatalog {
 mod tests {
     use super::*;
     use jaguar_common::{DataType, Value};
-    use jaguar_udf::{NativeUdf, UdfImpl, UdfSignature, Volatility};
+    use jaguar_udf::{UdfImpl, UdfSignature, Volatility};
 
     fn def(name: &str) -> UdfDef {
         UdfDef::new(
             name,
             UdfSignature::new(vec![], DataType::Int),
-            UdfImpl::Native(NativeUdf::new(
-                name,
-                UdfSignature::new(vec![], DataType::Int),
-                |_, _| Ok(Value::Int(1)),
-            )),
+            UdfImpl::closure(|_, _| Ok(Value::Int(1))),
         )
     }
 

@@ -3,14 +3,14 @@
 //! Jaguar-RS is a from-scratch Rust reproduction of *Secure and Portable
 //! Database Extensibility* (Godfrey, Mayr, Seshadri, von Eicken — SIGMOD
 //! 1998): an extensible relational engine whose user-defined functions can
-//! run under any point of the paper's design space —
+//! run under any point of the paper's design space, a body in a [`Placement`]:
 //!
-//! | Design | [`UdfDesign`] variant | Trust model |
-//! |---|---|---|
-//! | 1, "C++"  | [`UdfDesign::TrustedNative`]  | full server authority |
-//! | 2, "IC++" | [`UdfDesign::IsolatedNative`] | separate process |
-//! | 3, "JNI"  | [`UdfDesign::Sandboxed`]      | verified bytecode + security manager + resource limits |
-//! | 4         | [`UdfDesign::SandboxedIsolated`] | both |
+//! | Design | body × placement | Registered with | Trust model |
+//! |---|---|---|---|
+//! | 1, "C++"  | native × server   | [`Database::register_native_udf`], [`UdfImpl::registered`] | full server authority |
+//! | 2, "IC++" | native × worker   | [`UdfImpl::registered`] | separate process |
+//! | 3, "JNI"  | bytecode × server | `UdfDesign::Sandboxed` | verified bytecode + security manager + resource limits |
+//! | 4         | bytecode × worker | `UdfDesign::SandboxedIsolated` | both |
 //!
 //! ## Quickstart
 //!
@@ -58,27 +58,17 @@ pub use jaguar_net::{CancelHandle, Client, ClientOptions, Server};
 pub use jaguar_sql::SessionContext;
 pub use jaguar_sql::{ExecStats, QueryResult, Request};
 pub use jaguar_udf::{
-    BatchError, BatchResult, CallbackHandler, NativeUdf, ScalarUdf, UdfDef, UdfImpl, UdfSignature,
-    ValueBatch, Volatility,
+    BatchError, BatchResult, CallbackHandler, NativeUdf, Placement, ScalarUdf, UdfDef, UdfImpl,
+    UdfSignature, ValueBatch, Volatility,
 };
 pub use jaguar_vm::{Permission, PermissionSet, ResourceLimits};
 /// Write-ahead log internals: crash points for the recovery harness
 /// ([`wal::fault`]), the log reader ([`wal::record`]), recovery statistics.
 pub use jaguar_wal as wal;
 
-/// Which execution design a registered UDF runs under (paper Table 1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum UdfDesign {
-    /// Design 1: trusted native code in the server process.
-    TrustedNative,
-    /// Design 2: native code in a per-query worker process. The string
-    /// names the function in the worker binary's registry.
-    IsolatedNative(String),
-    /// Design 3: verified bytecode, sandboxed, in-process.
-    Sandboxed,
-    /// Design 4: verified bytecode in a per-query worker process.
-    SandboxedIsolated,
-}
+/// Where a JagScript UDF's verified bytecode runs: `Sandboxed` in the
+/// server (Design 3), `SandboxedIsolated` in a worker (Design 4).
+pub type UdfDesign = Placement;
 
 /// An embedded Jaguar database.
 pub struct Database {
@@ -249,12 +239,9 @@ impl Database {
         self.catalog().udfs().register(def);
     }
 
-    /// Register a trusted native UDF (Design 1). Defaults to
-    /// [`Volatility::Volatile`] — the safe assumption for an arbitrary
-    /// closure — which pins the UDF's written position in WHERE clauses
-    /// and excludes it from batching and memoization. Declare a purer
-    /// class via [`Database::register_native_udf_with_volatility`] to opt
-    /// into those optimizations.
+    /// Register a trusted native closure (Design 1) as
+    /// [`Volatility::Volatile`], the safe assumption for an arbitrary one;
+    /// [`Database::register_native_udf_with_volatility`] declares a purer class.
     pub fn register_native_udf(
         &self,
         name: &str,
@@ -274,10 +261,8 @@ impl Database {
         volatility: Volatility,
         f: impl Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync + 'static,
     ) {
-        let native = jaguar_udf::NativeUdf::new(name, signature.clone(), f);
-        self.register_udf(
-            UdfDef::new(name, signature, UdfImpl::Native(native)).with_volatility(volatility),
-        );
+        let def = UdfDef::new(name, signature, UdfImpl::closure(f));
+        self.register_udf(def.with_volatility(volatility));
     }
 
     /// Compile JagScript source and register it under the given design.
@@ -320,8 +305,8 @@ impl Database {
     }
 
     /// Register an already-compiled (unverified) module's `main` as a UDF
-    /// with an explicit volatility class. The sandboxed designs go through
-    /// the engine's one import gate ([`Engine::register_sandboxed_udf`]).
+    /// with an explicit volatility class, through the engine's one import
+    /// gate ([`Engine::register_sandboxed_udf`]).
     pub fn register_module_udf_with_volatility(
         &self,
         name: &str,
@@ -330,21 +315,7 @@ impl Database {
         design: UdfDesign,
         volatility: Volatility,
     ) -> Result<()> {
-        match design {
-            UdfDesign::TrustedNative => Err(JaguarError::Udf(
-                "TrustedNative needs a Rust closure; use register_native_udf".into(),
-            )),
-            UdfDesign::IsolatedNative(worker_fn) => {
-                let imp = UdfImpl::IsolatedNative { worker_fn };
-                self.register_udf(UdfDef::new(name, signature, imp).with_volatility(volatility));
-                Ok(())
-            }
-            UdfDesign::Sandboxed | UdfDesign::SandboxedIsolated => {
-                let isolated = design == UdfDesign::SandboxedIsolated;
-                (self.engine)
-                    .register_sandboxed_udf(name, signature, module, "main", isolated, volatility)
-            }
-        }
+        (self.engine).register_sandboxed_udf(name, signature, module, "main", design, volatility)
     }
 
     /// Register (or replace) a named server-side callback (§4.2).

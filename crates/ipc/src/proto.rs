@@ -330,9 +330,7 @@ impl Response {
                 }
             }
             Response::CallbackRequest { name, args } => {
-                write_u8(w, RSP_CALLBACK_REQUEST)?;
-                write_str(w, name)?;
-                write_values(w, args)?;
+                Response::write_callback_request(w, name, args)?
             }
             Response::Error { error } => {
                 write_u8(w, RSP_ERROR)?;
@@ -341,6 +339,13 @@ impl Response {
             Response::ResetOk => write_u8(w, RSP_RESET_OK)?,
         }
         Ok(())
+    }
+
+    /// A `CallbackRequest` written from borrowed parts, copying nothing.
+    pub fn write_callback_request(w: &mut impl Write, name: &str, args: &[Value]) -> Result<()> {
+        write_u8(w, RSP_CALLBACK_REQUEST)?;
+        write_str(w, name)?;
+        write_values(w, args)
     }
 
     /// Decode a response's body. `batch_rows` is the row count of the

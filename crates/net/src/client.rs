@@ -22,6 +22,7 @@ use jaguar_common::retry::{self, RetryPolicy};
 use jaguar_common::schema::Schema;
 use jaguar_common::{Tuple, Value};
 use jaguar_ipc::proto::{CallbackHandler, NoCallbacks};
+use jaguar_udf::Placement;
 use jaguar_udf::{ScalarUdf, UdfSignature, VmUdf};
 use jaguar_vm::interp::ExecMode;
 use jaguar_vm::{Module, ResourceLimits};
@@ -304,7 +305,7 @@ impl Client {
         signature: &UdfSignature,
         module_bytes: &[u8],
         function: &str,
-        isolated: bool,
+        placement: Placement,
     ) -> Result<()> {
         match self.roundtrip_admitted(&ClientMsg::RegisterUdf {
             name: name.into(),
@@ -314,7 +315,7 @@ impl Client {
             },
             module: module_bytes.to_vec(),
             function: function.into(),
-            isolated,
+            placement,
         })? {
             ServerMsg::Registered => Ok(()),
             other => Err(JaguarError::Protocol(format!(
@@ -348,7 +349,7 @@ impl Client {
             )?;
             local.invoke(args, &mut NoCallbacks)?;
         }
-        self.register_udf(name, signature, &bytes, "main", false)
+        self.register_udf(name, signature, &bytes, "main", Placement::Server)
     }
 
     /// Download a registered UDF and instantiate it for **client-side**
@@ -487,7 +488,7 @@ mod tests {
 
     use jaguar_common::{fault, obs, DataType};
     use jaguar_sql::Engine;
-    use jaguar_udf::{NativeUdf, UdfDef, UdfImpl, Volatility};
+    use jaguar_udf::{UdfDef, UdfImpl, Volatility};
 
     use super::*;
     use crate::Server;
@@ -498,7 +499,7 @@ mod tests {
         f: impl Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync + 'static,
     ) {
         let sig = UdfSignature::new(vec![DataType::Int], DataType::Int);
-        let imp = UdfImpl::Native(NativeUdf::new(name, sig.clone(), f));
+        let imp = UdfImpl::closure(f);
         let def = UdfDef::new(name, sig, imp).with_volatility(Volatility::Volatile);
         engine.catalog().udfs().register(def);
     }

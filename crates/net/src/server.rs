@@ -35,7 +35,7 @@ use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::polled::{Outbox, Polled};
 use jaguar_common::{fault, obs};
 use jaguar_sql::{Engine, Request, SessionContext};
-use jaguar_udf::{UdfImpl, UdfSignature, Volatility};
+use jaguar_udf::{Body, UdfSignature, Volatility};
 use jaguar_vm::Module;
 
 use crate::admission::{AdmissionGate, Permit, Shed};
@@ -503,7 +503,7 @@ fn handle(
             signature,
             module,
             function,
-            isolated,
+            placement,
         } => {
             // Decoded here, then verified by the engine's import gate: the
             // client toolchain is untrusted.
@@ -514,7 +514,7 @@ fn handle(
                     signature,
                     module,
                     &function,
-                    isolated,
+                    placement,
                     Volatility::Volatile,
                 )
             });
@@ -561,19 +561,19 @@ fn execute_tracked(
 
 fn fetch_udf(engine: &Engine, name: &str) -> Result<ServerMsg> {
     let def = engine.catalog().udfs().get(name)?;
-    match &def.imp {
-        UdfImpl::Vm(spec) | UdfImpl::IsolatedVm(spec) => Ok(ServerMsg::Module {
-            signature: WireSignature {
-                params: def.signature.params.clone(),
-                ret: def.signature.ret,
-            },
-            module: (*spec.module_bytes).clone(),
-            function: spec.function.clone(),
-        }),
-        _ => Err(JaguarError::Udf(format!(
+    let Body::Bytecode(spec) = def.imp.body() else {
+        return Err(JaguarError::Udf(format!(
             "udf '{name}' is native server code and cannot migrate to a client"
-        ))),
-    }
+        )));
+    };
+    Ok(ServerMsg::Module {
+        signature: WireSignature {
+            params: def.signature.params.clone(),
+            ret: def.signature.ret,
+        },
+        module: (*spec.module_bytes).clone(),
+        function: spec.function.clone(),
+    })
 }
 
 #[cfg(test)]

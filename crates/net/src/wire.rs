@@ -15,6 +15,7 @@ use jaguar_common::stream::{
     write_schema, write_str, write_tuple, write_u32, write_u64, write_u8,
 };
 use jaguar_common::{DataType, Tuple};
+use jaguar_udf::Placement;
 
 /// Most parameters any wire-registered UDF may declare. Far above anything
 /// the engine supports, but low enough that a hostile count prefix cannot
@@ -93,14 +94,14 @@ pub enum ClientMsg {
     /// necessarily sent on a *different* connection, since the submitting
     /// one is blocked awaiting its result (the Postgres cancel model).
     Cancel { query_id: u64 },
-    /// Register a UDF from a compiled module. The server verifies the
-    /// module; `isolated` selects Design 4 instead of Design 3.
+    /// Register a UDF from a compiled module, which the server verifies, in
+    /// `placement`: one byte, nonzero for a worker (Design 4).
     RegisterUdf {
         name: String,
         signature: WireSignature,
         module: Vec<u8>,
         function: String,
-        isolated: bool,
+        placement: Placement,
     },
     /// Download a previously registered VM UDF for client-side execution.
     FetchUdf { name: String },
@@ -205,14 +206,14 @@ impl ClientMsg {
                 signature,
                 module,
                 function,
-                isolated,
+                placement,
             } => {
                 write_u8(w, C_REGISTER)?;
                 write_str(w, name)?;
                 signature.write(w)?;
                 write_blob(w, module)?;
                 write_str(w, function)?;
-                write_u8(w, *isolated as u8)?;
+                write_u8(w, u8::from(*placement == Placement::Worker))?;
             }
             ClientMsg::FetchUdf { name } => {
                 write_u8(w, C_FETCH)?;
@@ -259,7 +260,10 @@ impl ClientMsg {
                 signature: WireSignature::read(r)?,
                 module: read_blob(r)?,
                 function: read_str(r)?,
-                isolated: read_u8(r)? != 0,
+                placement: match read_u8(r)? {
+                    0 => Placement::Server,
+                    _ => Placement::Worker,
+                },
             },
             C_FETCH => ClientMsg::FetchUdf { name: read_str(r)? },
             C_METRICS => ClientMsg::Metrics,
@@ -464,7 +468,7 @@ mod tests {
                 },
                 module: vec![1, 2, 3],
                 function: "main".into(),
-                isolated: true,
+                placement: Placement::Worker,
             },
             ClientMsg::FetchUdf {
                 name: "investval".into(),

@@ -8,8 +8,8 @@
 //!
 //! Costs are seeded from the per-`(udf, backend)` latency histograms —
 //! `udf.latency_us.{slug}.{name}` — recorded by the executor on every
-//! real invocation, with a static per-design constant as the cold-start
-//! fallback (ordered like the paper's Table 1: native < in-process VM <
+//! real invocation, with the design's cold-start cost as the fallback
+//! (`jaguar_udf::Design::cold_start_us`: native < in-process VM <
 //! isolated). Selectivities are observed per predicate fingerprint by
 //! the serial Filter operator and folded into the engine's [`OptState`]
 //! when a statement finishes; until `MIN_SEL_SAMPLES` rows have been
@@ -22,12 +22,6 @@ use jaguar_common::obs;
 use parking_lot::RwLock;
 
 use crate::memo::MemoCache;
-
-/// Static cold-start cost (µs) per backend slug, cheapest first:
-/// `cpp` (free crossing), `jsm` (in-process VM), `icpp` / `ijsm`
-/// (process isolation). Unknown slugs rank alongside the isolated ones.
-pub const STATIC_COST_US: &[(&str, f64)] =
-    &[("cpp", 1.0), ("jsm", 25.0), ("icpp", 50.0), ("ijsm", 75.0)];
 
 /// Selectivity observations below this many evaluated rows are ignored.
 pub const MIN_SEL_SAMPLES: u64 = 64;
@@ -47,15 +41,6 @@ pub fn observed_cost_us(udf_name: &str, slug: &str) -> Option<f64> {
     // Sub-µs natives round to 0 mean; floor at the first bucket so a
     // measured cost never ranks below the free-predicate baseline.
     Some((snap.sum_us as f64 / snap.count as f64).max(1.0))
-}
-
-/// Cold-start cost for a backend slug (see [`STATIC_COST_US`]).
-pub fn static_cost_us(slug: &str) -> f64 {
-    STATIC_COST_US
-        .iter()
-        .find(|(s, _)| *s == slug)
-        .map(|(_, c)| *c)
-        .unwrap_or(75.0)
 }
 
 /// The reorder rank: ascending = evaluation order. `sel` is the
@@ -142,10 +127,20 @@ mod tests {
 
     #[test]
     fn static_costs_follow_the_paper_ordering() {
-        assert!(static_cost_us("cpp") < static_cost_us("jsm"));
-        assert!(static_cost_us("jsm") < static_cost_us("icpp"));
-        assert!(static_cost_us("icpp") < static_cost_us("ijsm"));
-        assert_eq!(static_cost_us("mystery"), 75.0);
+        use jaguar_udf::{Design, Placement};
+        let cost = |bytecode, placement| {
+            Design {
+                bytecode,
+                placement,
+            }
+            .cold_start_us()
+        };
+        let (server, worker) = (Placement::Server, Placement::Worker);
+        assert!(cost(false, server) < cost(true, server));
+        assert!(cost(true, server) < cost(false, worker));
+        assert!(cost(false, worker) < cost(true, worker));
+        // A UDF that has never run ranks by its design's cold-start cost.
+        assert_eq!(observed_cost_us("opt_cost_never_ran", "ijsm"), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use jaguar_common::schema::{Schema, SchemaRef};
 use jaguar_common::{Tuple, Value};
 use jaguar_ipc::pool::WorkerPool;
 use jaguar_ipc::proto::CallbackHandler;
-use jaguar_udf::{UdfDef, UdfImpl, UdfSignature, Volatility};
+use jaguar_udf::{Placement, UdfDef, UdfImpl, UdfSignature, Volatility};
 use jaguar_vm::{Module, Permission, PermissionSet, ResourceLimits};
 use parking_lot::RwLock;
 
@@ -187,8 +187,8 @@ impl Engine {
             .insert(name.to_ascii_lowercase(), Arc::new(f));
     }
 
-    /// Register a sandboxed UDF (Design 3, or Design 4 when `isolated`)
-    /// from a decoded, not yet verified module. This is the one import
+    /// Register a sandboxed UDF (Design 3 in the server, Design 4 in a
+    /// worker) from a decoded, not yet verified module. This is the one import
     /// gate (§6.1): every host import must name a callback this engine
     /// offers, or the module is rejected before any of its code runs; the
     /// UDF is granted exactly its imports (least privilege) and the
@@ -200,7 +200,7 @@ impl Engine {
         signature: UdfSignature,
         module: Module,
         function: &str,
-        isolated: bool,
+        placement: Placement,
         volatility: Volatility,
     ) -> Result<()> {
         let mut perms = PermissionSet::deny_all(name);
@@ -224,11 +224,7 @@ impl Engine {
             max_call_depth: config.max_call_depth,
         };
         let spec = jaguar_udf::def::vm_spec(module, function, limits, true, Some(Arc::new(perms)))?;
-        let imp = if isolated {
-            UdfImpl::IsolatedVm(spec)
-        } else {
-            UdfImpl::Vm(spec)
-        };
+        let imp = UdfImpl::bytecode(spec, placement);
         let def = UdfDef::new(name, signature, imp).with_volatility(volatility);
         self.catalog.udfs().register(def);
         Ok(())
@@ -821,7 +817,7 @@ fn fmt_us(us: u64) -> String {
 mod tests {
     use super::*;
     use jaguar_common::{ByteArray, DataType};
-    use jaguar_udf::{NativeUdf, UdfDef, UdfImpl, UdfSignature, Volatility};
+    use jaguar_udf::{UdfDef, UdfImpl, UdfSignature, Volatility};
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn engine_with_data() -> Engine {
@@ -934,10 +930,10 @@ mod tests {
             UdfDef::new(
                 "expensive",
                 sig.clone(),
-                UdfImpl::Native(NativeUdf::new("expensive", sig, move |args, _| {
+                UdfImpl::closure(move |args, _| {
                     c2.fetch_add(1, Ordering::Relaxed);
                     Ok(Value::Bool(args[0].as_int()? % 2 == 1))
-                })),
+                }),
             )
             .with_volatility(Volatility::Stable),
         );
@@ -980,9 +976,7 @@ mod tests {
         e.catalog().udfs().register(UdfDef::new(
             "with_cb",
             sig.clone(),
-            UdfImpl::Native(NativeUdf::new("with_cb", sig, |args, cb| {
-                cb.callback("lookup", args)
-            })),
+            UdfImpl::closure(|args, cb| cb.callback("lookup", args)),
         ));
         let r = e.execute("SELECT with_cb(id) FROM r WHERE id = 2").unwrap();
         assert_eq!(r.rows[0].get(0).unwrap(), &Value::Int(200));
@@ -996,9 +990,7 @@ mod tests {
         e.catalog().udfs().register(UdfDef::new(
             "rogue",
             sig.clone(),
-            UdfImpl::Native(NativeUdf::new("rogue", sig, |_, cb| {
-                cb.callback("format_disk", &[])
-            })),
+            UdfImpl::closure(|_, cb| cb.callback("format_disk", &[])),
         ));
         let err = e.execute("SELECT rogue() FROM r").unwrap_err();
         assert!(err.to_string().contains("format_disk"), "{err}");
@@ -1413,7 +1405,7 @@ mod tests {
         e.catalog().udfs().register(UdfDef::new(
             "meterme",
             UdfSignature::new(vec![DataType::Bytes], DataType::Int),
-            UdfImpl::Vm(spec),
+            UdfImpl::bytecode(spec, Placement::Server),
         ));
         let r = e.execute("SELECT meterme(b) FROM t").unwrap();
         assert!(r.stats.vm_instructions > 0, "{:?}", r.stats);

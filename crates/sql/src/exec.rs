@@ -29,7 +29,7 @@ use jaguar_common::ids::RecordId;
 use jaguar_common::obs;
 use jaguar_common::stream::{next_value, write_value, RecordView};
 use jaguar_common::value::compare;
-use jaguar_common::{Tuple, Value};
+use jaguar_common::{DataType, Tuple, Value};
 use jaguar_ipc::pool::WorkerPool;
 use jaguar_ipc::proto::CallbackHandler;
 use jaguar_udf::ScalarUdf;
@@ -91,18 +91,6 @@ struct Called {
     batch_crossings: Arc<obs::Counter>,
 }
 
-/// Metric-name suffix for a UDF execution design (the paper's four
-/// designs, as reported by `UdfImpl::design_label`).
-pub(crate) fn backend_slug(design_label: &str) -> &'static str {
-    match design_label {
-        "C++" => "cpp",
-        "IC++" => "icpp",
-        "JSM" => "jsm",
-        "IJSM" => "ijsm",
-        _ => "other",
-    }
-}
-
 /// Deadline (`Instant::now()`) checks are this many times rarer than the
 /// per-tuple cancellation-flag check — the flag is one atomic load, the
 /// deadline a syscall on some platforms.
@@ -148,7 +136,7 @@ impl<'a> ExecCtx<'a> {
     ) -> Result<ExecCtx<'a>> {
         let reg = obs::global();
         let slot = |u: &crate::plan::PlannedUdf| {
-            let slug = backend_slug(u.def.imp.design_label());
+            let slug = u.def.imp.design().slug();
             let called = (!u.in_engine).then(|| Called {
                 memo_name: u.def.volatility.memoizable().then(|| u.def.name.clone()),
                 invocations: reg.counter(&format!("udf.invocations.{slug}")),
@@ -272,7 +260,9 @@ impl<'a> ExecCtx<'a> {
     /// one-row case) or batched. A memoized slot serves its hits from the
     /// cache and crosses only for the misses (all of `rows`, or a batch of
     /// the missed rows), caching what each returns; a failed crossing puts
-    /// and caches none of its rows. The crossing records, whatever its shape:
+    /// and caches none of its rows. Every value is checked against the
+    /// declared type (NULL conforms) before it is cached or put, whichever
+    /// process computed it. The crossing records, whatever its shape:
     ///
     /// * the rows that completed, plus the failing one on an error, as
     ///   invocations (`udf_invocations`, `udf.invocations.{slug}`);
@@ -346,7 +336,17 @@ impl<'a> ExecCtx<'a> {
         self.stats.udf_invocations += completed;
         called.invocations.add(completed);
         let values = out.map_err(|be| be.error)?;
+        let ret = udf.signature().ret;
         for (j, v) in one.into_iter().chain(values).enumerate() {
+            if !v.conforms_to(ret) {
+                let row = Tuple::new(match rows {
+                    Rows::One(args) => args.to_vec(),
+                    Rows::Batch(batch) => batch.row(j),
+                });
+                let (name, got) = (udf.name(), v.data_type().map_or("NULL", DataType::sql_name));
+                let e = format!("udf '{name}' returned {got} for row {row}, declared {ret}");
+                return Err(JaguarError::Udf(e));
+            }
             match memo {
                 None => put(j, v),
                 Some((_, cache)) => {
@@ -570,7 +570,7 @@ pub(crate) fn batch_spec(plan: &BoundSelect) -> std::result::Result<BatchSpec, &
     // Per-backend policy: batching amortizes a boundary crossing; a
     // design whose crossing is free (trusted native) only pays the
     // ValueBatch accumulation and gets nothing back.
-    if def.imp.crossing_is_free() {
+    if def.imp.design().crossing_is_free() {
         return Err("trusted native crossing is free");
     }
     Ok(spec)

@@ -6,8 +6,8 @@
 //! produce the same result *forever*, so a cached result is valid
 //! across statements, engines, and backends — which is also why the
 //! key does not include the trust design: all four designs are
-//! byte-identical by contract, so a hit produced under `Vm` may serve
-//! a query running `IsolatedVm`. Errors are never cached (a trap is
+//! byte-identical by contract, so a hit produced under Design 3 may
+//! serve a query running Design 4. Errors are never cached (a trap is
 //! re-raised by re-invoking, keeping error text on the normal path).
 //!
 //! Layout: one slab of slots. A slot holds the only copy of its key, the

@@ -33,9 +33,10 @@
 use std::sync::Arc;
 
 use jaguar_common::obs;
+use jaguar_udf::Design;
 
 use crate::engine::Engine;
-use crate::exec::{backend_slug, ExecCtx};
+use crate::exec::ExecCtx;
 use crate::plan::{describe, expr_has_pinned_udf, expr_udfs, BoundScan, BoundSelect, PlannedUdf};
 
 /// Run all optimization passes over a bound SELECT. Mutates the plan in
@@ -74,18 +75,16 @@ pub(crate) fn inline_pass(udfs: &mut [PlannedUdf]) -> Vec<String> {
     notes
 }
 
-/// Estimated per-invocation cost (µs) for ranking. Observed per-UDF
-/// latency wins once the named histogram has samples; before warm-up a
-/// static per-design prior keeps the ordering deterministic (priors are
-/// monotone in crossing weight: cpp < jsm < icpp < ijsm). An in-engine
-/// UDF crosses nothing, so it is costed as a trusted-native call.
+/// Estimated per-invocation cost (µs) for ranking: the UDF's observed
+/// latency once it has samples, before that its design's cold-start cost.
+/// An in-engine UDF crosses nothing, so it costs a trusted-native call.
 fn udf_cost_us(slot: &PlannedUdf) -> f64 {
     if slot.in_engine {
-        return crate::cost::static_cost_us("cpp");
+        return Design::NATIVE_IN_SERVER.cold_start_us();
     }
-    let slug = backend_slug(slot.def.imp.design_label());
-    crate::cost::observed_cost_us(&slot.def.name, slug)
-        .unwrap_or_else(|| crate::cost::static_cost_us(slug))
+    let design = slot.def.imp.design();
+    crate::cost::observed_cost_us(&slot.def.name, design.slug())
+        .unwrap_or_else(|| design.cold_start_us())
 }
 
 /// Re-rank conjuncts within their volatile-fenced segments by

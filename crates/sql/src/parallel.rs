@@ -114,7 +114,7 @@ pub(crate) fn plan_parallel(
     let mut clamped = false;
     // In-engine UDFs never draw a pool checkout, so they do not count
     // toward the clamp.
-    if (scan.udfs.iter()).any(|u| !u.in_engine && u.def.imp.needs_worker()) {
+    if (scan.udfs.iter()).any(|u| !u.in_engine && u.def.imp.design().needs_worker()) {
         if let Some(pool) = engine.worker_pool() {
             let cap = pool.capacity().max(1);
             if dop > cap {

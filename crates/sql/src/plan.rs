@@ -35,7 +35,7 @@ use jaguar_common::error::{JaguarError, Result};
 use jaguar_common::obs;
 use jaguar_common::schema::{Field, Schema, SchemaRef};
 use jaguar_common::{ByteArray, ColumnSet, DataType, Value};
-use jaguar_udf::{UdfDef, UdfImpl};
+use jaguar_udf::UdfDef;
 
 use crate::ast::{ArithOp, CmpOp, Expr, SelectItem, SelectStmt};
 use crate::label::{self, Decision};
@@ -1039,8 +1039,7 @@ impl<'a> Binder<'a> {
     }
 
     /// Cost rank for predicate ordering: 0 = plain column/literal work,
-    /// then UDFs by design (in-process native < sandboxed VM < isolated
-    /// process < isolated VM). The dominant term wins.
+    /// then UDFs by their design's cold-start cost. The dominant term wins.
     fn cost_rank(&self, e: &BExpr) -> u32 {
         match e {
             BExpr::Column(_) | BExpr::Literal(_) => 0,
@@ -1050,12 +1049,7 @@ impl<'a> Binder<'a> {
             | BExpr::Arith { lhs: l, rhs: r, .. } => self.cost_rank(l).max(self.cost_rank(r)),
             BExpr::Not(inner) | BExpr::Neg(inner) => self.cost_rank(inner),
             BExpr::Udf { udf, args } => {
-                let own = match self.udfs[*udf].def.imp {
-                    UdfImpl::Native(_) => 1,
-                    UdfImpl::Vm(_) => 2,
-                    UdfImpl::IsolatedNative { .. } => 3,
-                    UdfImpl::IsolatedVm(_) => 4,
-                };
+                let own = self.udfs[*udf].def.imp.design().cold_start_us() as u32;
                 args.iter()
                     .map(|a| self.cost_rank(a))
                     .max()
@@ -1399,7 +1393,7 @@ pub(crate) fn describe(e: &BExpr, scan: &BoundScan) -> String {
             format!(
                 "{}[{}]({}){tag}",
                 d.name,
-                d.imp.design_label(),
+                d.imp.design().label(),
                 args.iter().map(sub).collect::<Vec<_>>().join(", ")
             )
         }
@@ -1412,7 +1406,7 @@ mod tests {
     use crate::parser::parse;
     use jaguar_common::config::Config;
     use jaguar_common::Tuple;
-    use jaguar_udf::{NativeUdf, UdfSignature, Volatility};
+    use jaguar_udf::{UdfImpl, UdfSignature, Volatility};
 
     fn setup() -> Catalog {
         let cat = Catalog::in_memory(Config::default());
@@ -1437,7 +1431,7 @@ mod tests {
             UdfDef::new(
                 "investval",
                 sig.clone(),
-                UdfImpl::Native(NativeUdf::new("investval", sig, |_, _| Ok(Value::Int(7)))),
+                UdfImpl::closure(|_, _| Ok(Value::Int(7))),
             )
             .with_volatility(Volatility::Stable),
         );
@@ -1446,7 +1440,7 @@ mod tests {
             UdfDef::new(
                 "sideeffect",
                 vsig.clone(),
-                UdfImpl::Native(NativeUdf::new("sideeffect", vsig, |a, _| Ok(a[0].clone()))),
+                UdfImpl::closure(|a, _| Ok(a[0].clone())),
             )
             .with_volatility(Volatility::Volatile),
         );
@@ -1665,7 +1659,7 @@ mod tests {
         e.catalog().udfs().register(UdfDef::new(
             "upper",
             sig.clone(),
-            UdfImpl::Native(NativeUdf::new("upper", sig, |a, _| Ok(a[0].clone()))),
+            UdfImpl::closure(|a, _| Ok(a[0].clone())),
         ));
         e
     }

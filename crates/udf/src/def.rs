@@ -19,7 +19,8 @@ use jaguar_vm::{Module, Permission, PermissionSet, ResourceLimits, VerifiedModul
 
 use crate::api::{ScalarUdf, UdfSignature};
 use crate::batch::{BatchError, BatchResult, ValueBatch};
-use crate::native::NativeUdf;
+use crate::generic::worker_registry;
+use crate::native::{NativeFn, NativeUdf};
 use crate::vmexec::VmUdf;
 use crate::worker::{Hosted, WorkerRegistry};
 
@@ -27,7 +28,7 @@ use crate::worker::{Hosted, WorkerRegistry};
 #[derive(Clone)]
 pub struct VmUdfSpec {
     /// The verified module (kept verified so instantiation is cheap; the
-    /// raw bytes are retained for Design 4 shipping).
+    /// raw bytes are retained to ship to a worker or a client).
     pub module: Arc<VerifiedModule>,
     pub module_bytes: Arc<Vec<u8>>,
     pub function: String,
@@ -39,23 +40,20 @@ pub struct VmUdfSpec {
 /// The last module a worker verified, keyed by the bytes shipped: a pooled
 /// worker reloaded with the same module after a Reset skips verifying and
 /// compiling it again. A worker hosts one UDF at a time.
-pub(crate) type ModuleCache = Option<(Vec<u8>, Arc<VerifiedModule>)>;
+pub(crate) type ModuleCache = Option<Verified>;
+type Verified = (Arc<Vec<u8>>, Arc<VerifiedModule>);
 
-/// Verify (and so compile) `bytes`, or reuse the module verified from
-/// identical bytes last time.
-pub(crate) fn verified(cache: &mut ModuleCache, bytes: Vec<u8>) -> Result<Arc<VerifiedModule>> {
-    if let Some((cached, module)) = cache {
-        if *cached == bytes {
-            return Ok(Arc::clone(module));
-        }
+/// Verify (and so compile) `bytes`, or reuse what identical bytes gave.
+pub(crate) fn verified(cache: &mut ModuleCache, bytes: Vec<u8>) -> Result<Verified> {
+    if let Some(hit) = cache.as_ref().filter(|(cached, _)| **cached == bytes) {
+        return Ok(hit.clone());
     }
     let module = Arc::new(Module::from_bytes(&bytes)?.verify()?);
-    *cache = Some((bytes, Arc::clone(&module)));
-    Ok(module)
+    Ok(cache.insert((Arc::new(bytes), module)).clone())
 }
 
-/// A load body's design tags, and the number an absent limit crosses as
-/// (a limit that large never binds).
+/// A load body's tags for a native and a bytecode body, and the number an
+/// absent limit crosses as (a limit that large never binds).
 const LOAD_NATIVE: u8 = 1;
 const LOAD_VM: u8 = 2;
 const NO_LIMIT: u64 = u64::MAX;
@@ -83,61 +81,119 @@ fn grant_from(tag: u8, text: String) -> Result<Permission> {
     })
 }
 
-/// The engine a spec's `jit` flag selects.
-fn exec_mode(jit: bool) -> ExecMode {
-    if jit {
-        ExecMode::Jit
-    } else {
-        ExecMode::Baseline
+/// What a UDF runs: the first axis of the paper's Table 1.
+#[derive(Clone)]
+pub enum Body {
+    Native(Native),
+    Bytecode(VmUdfSpec),
+}
+
+/// Native code: an entry of the registry the server and the worker binary
+/// both link ([`crate::worker_registry`]), as PREDATOR linked the same C++
+/// into both, or a closure, which only the server has.
+#[derive(Clone)]
+pub enum Native {
+    Registered(String),
+    Closure(Arc<NativeFn>),
+}
+
+/// Where a UDF runs: the second axis of Table 1. `jaguar_core::UdfDesign`
+/// names the two for a bytecode body `Sandboxed` and `SandboxedIsolated`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Placement {
+    Server,
+    Worker,
+}
+
+#[allow(non_upper_case_globals)]
+impl Placement {
+    pub const Sandboxed: Placement = Placement::Server;
+    pub const SandboxedIsolated: Placement = Placement::Worker;
+}
+
+/// One cell of Table 1, from which everything design-shaped is derived.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Design {
+    pub bytecode: bool,
+    pub placement: Placement,
+}
+
+impl Design {
+    /// Design 1: also what any call that crosses nothing costs.
+    pub const NATIVE_IN_SERVER: Design = Design {
+        bytecode: false,
+        placement: Placement::Server,
+    };
+
+    /// The number in Table 1: native before bytecode, server before worker.
+    pub fn number(self) -> usize {
+        1 + 2 * usize::from(self.bytecode) + usize::from(self.needs_worker())
+    }
+
+    pub fn label(self) -> &'static str {
+        ["C++", "IC++", "JSM", "IJSM"][self.number() - 1]
+    }
+
+    /// The suffix of the design's `udf.*` metric names.
+    pub fn slug(self) -> &'static str {
+        ["cpp", "icpp", "jsm", "ijsm"][self.number() - 1]
+    }
+
+    /// The cost (µs) a UDF ranks by until it has run: a crossing costs
+    /// more than the VM, cpp < jsm < icpp < ijsm.
+    pub fn cold_start_us(self) -> f64 {
+        [1.0, 50.0, 25.0, 75.0][self.number() - 1]
+    }
+
+    /// Each execution context checks a worker out of the pool, so the
+    /// parallel planner clamps the dop to the pool size.
+    pub fn needs_worker(self) -> bool {
+        self.placement == Placement::Worker
+    }
+
+    /// A call costs a function call: batching has nothing to amortize
+    /// (Design 1 measured ~7% slower batched), so it stays per tuple.
+    pub fn crossing_is_free(self) -> bool {
+        self == Design::NATIVE_IN_SERVER
     }
 }
 
-/// The execution design chosen for a UDF (the paper's Table 1).
+/// A UDF's body in its placement. A closure can only be built in the
+/// server, so no worker is ever asked for code it does not have.
 #[derive(Clone)]
-pub enum UdfImpl {
-    /// Design 1 ("C++"): trusted closure in the server process.
-    Native(NativeUdf),
-    /// Design 2 ("IC++"): native code in a per-query worker process.
-    /// `worker_fn` names an entry in the worker binary's registry.
-    IsolatedNative { worker_fn: String },
-    /// Design 3 ("JNI"): verified bytecode in the server process.
-    Vm(VmUdfSpec),
-    /// Design 4: verified bytecode in a per-query worker process.
-    IsolatedVm(VmUdfSpec),
-}
+pub struct UdfImpl(Body, Placement);
 
 impl UdfImpl {
-    /// Short label used in plans and reports (paper terminology).
-    pub fn design_label(&self) -> &'static str {
-        match self {
-            UdfImpl::Native(_) => "C++",
-            UdfImpl::IsolatedNative { .. } => "IC++",
-            UdfImpl::Vm(_) => "JSM",
-            UdfImpl::IsolatedVm(_) => "IJSM",
-        }
-    }
-
-    /// Whether this design runs in a separate worker process — and so
-    /// draws one checkout per execution context from the worker pool when
-    /// one is attached. The parallel planner clamps a query's dop to the
-    /// pool size when any of its UDFs answers true, so a thread team can
-    /// never deadlock on its own checkouts.
-    pub fn needs_worker(&self) -> bool {
-        matches!(
-            self,
-            UdfImpl::IsolatedNative { .. } | UdfImpl::IsolatedVm(_)
+    /// A native closure, in the server (Design 1).
+    pub fn closure(
+        f: impl Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync + 'static,
+    ) -> UdfImpl {
+        UdfImpl(
+            Body::Native(Native::Closure(Arc::new(f))),
+            Placement::Server,
         )
     }
 
-    /// Whether invoking this design costs no more than a plain function
-    /// call — no process crossing, no interpreter entry. Batching exists
-    /// to amortize a per-invocation boundary cost; when the crossing is
-    /// free there is nothing to amortize and accumulating a `ValueBatch`
-    /// is pure overhead (BENCH_batch measured the trusted-native design
-    /// *slowing down* ~7% under batching), so the planner keeps these on
-    /// the per-tuple path.
-    pub fn crossing_is_free(&self) -> bool {
-        matches!(self, UdfImpl::Native(_))
+    /// The registry's native `entry` in `placement` (Design 1 or 2).
+    pub fn registered(entry: impl Into<String>, placement: Placement) -> UdfImpl {
+        UdfImpl(Body::Native(Native::Registered(entry.into())), placement)
+    }
+
+    /// Verified bytecode in `placement` (Design 3 or 4).
+    pub fn bytecode(spec: VmUdfSpec, placement: Placement) -> UdfImpl {
+        UdfImpl(Body::Bytecode(spec), placement)
+    }
+
+    pub fn body(&self) -> &Body {
+        &self.0
+    }
+
+    pub fn design(&self) -> Design {
+        let bytecode = matches!(self.0, Body::Bytecode(_));
+        Design {
+            bytecode,
+            placement: self.1,
+        }
     }
 }
 
@@ -197,33 +253,25 @@ pub struct UdfDef {
     pub volatility: Volatility,
 }
 
-/// Retry budget for *acquiring* an isolated executor — a pool checkout or
-/// a process spawn, strictly before any UDF code runs. Transient spawn
-/// failures (EAGAIN under fork pressure, a momentarily-busy binary) are
-/// worth a short backoff; pool-saturation timeouts are not retried (the
-/// checkout already waited its configured budget, and doubling it here
-/// would just deepen the overload). Nothing in this path is an
-/// invocation: invoke failures pass through untouched and fail their
-/// statement.
-fn acquire_retry() -> RetryPolicy {
-    RetryPolicy {
+/// Get a worker for one query: a checkout from `pool`, or a spawn. This
+/// retries *acquiring* it, strictly before any UDF code runs: transient
+/// spawn failures (EAGAIN under fork pressure, a momentarily-busy binary)
+/// are worth a short backoff; pool-saturation timeouts are not retried
+/// (the checkout already waited its configured budget, and doubling it
+/// would just deepen the overload). Invoke failures are never retried.
+fn acquire_worker(pool: Option<&Arc<WorkerPool>>) -> Result<Lease> {
+    let retry = RetryPolicy {
         max_attempts: 3,
         base_delay_ms: 5,
         max_delay_ms: 200,
         ..RetryPolicy::default()
-    }
-}
-
-/// Get a worker for one query: a checkout from `pool`, or a spawn.
-fn acquire_worker(pool: Option<&Arc<WorkerPool>>) -> Result<Lease> {
+    };
     let transient = retry::is_transient_worker_acquire;
     match pool {
-        Some(pool) => acquire_retry()
-            .run("udf.pool.checkout", transient, || pool.checkout())
-            .map(Lease::Pooled),
-        None => acquire_retry()
-            .run("udf.worker.spawn", transient, WorkerProcess::spawn)
-            .map(Lease::Owned),
+        Some(pool) => {
+            (retry.run("udf.pool.checkout", transient, || pool.checkout())).map(Lease::Pooled)
+        }
+        None => (retry.run("udf.worker.spawn", transient, WorkerProcess::spawn)).map(Lease::Owned),
     }
 }
 
@@ -241,11 +289,11 @@ impl UdfDef {
     /// [`UdfDef::instantiate_in_engine`]): `Some(true)` for an `Immutable`
     /// one whose function the verifier found straight-line
     /// ([`jaguar_vm::Cfg::straight_line`]), which depends on its
-    /// arguments alone. `None` for native designs and for declarations
+    /// arguments alone. `None` for native bodies and for declarations
     /// entitled to notice an elided backend — worker, invocation counts,
     /// connection state.
     pub fn runs_in_engine(&self) -> Option<bool> {
-        let (UdfImpl::Vm(spec) | UdfImpl::IsolatedVm(spec)) = &self.imp else {
+        let Body::Bytecode(spec) = &self.imp.0 else {
             return None;
         };
         if !self.volatility.memoizable() {
@@ -255,30 +303,14 @@ impl UdfDef {
         Some(spec.module.cfg(fidx).straight_line)
     }
 
-    /// The in-engine instance of a JagScript UDF: a Design-3 [`VmUdf`]
-    /// built from its spec even when it is registered under Design 4, so it
-    /// never checks out or spawns a worker, and its values, fuel, traps and
-    /// error text are Design 3's.
+    /// The in-engine instance of a JagScript UDF: its bytecode in the server
+    /// even when placed in a worker, with Design 3's values, fuel and errors.
     pub fn instantiate_in_engine(&self) -> Result<Box<dyn ScalarUdf>> {
-        match &self.imp {
-            UdfImpl::Vm(spec) | UdfImpl::IsolatedVm(spec) => Ok(Box::new(self.vm_udf(spec)?)),
-            _ => Err(JaguarError::Udf(format!(
-                "udf '{}' has no bytecode to run in-engine",
-                self.name
-            ))),
-        }
-    }
-
-    fn vm_udf(&self, spec: &VmUdfSpec) -> Result<VmUdf> {
-        VmUdf::new(
-            self.name.clone(),
-            self.signature.clone(),
-            Arc::clone(&spec.module),
-            spec.function.clone(),
-            spec.limits,
-            exec_mode(spec.jit),
-            spec.permissions.clone(),
-        )
+        let Body::Bytecode(_) = &self.imp.0 else {
+            let e = format!("udf '{}' has no bytecode to run in-engine", self.name);
+            return Err(JaguarError::Udf(e));
+        };
+        self.in_process()
     }
 
     /// Declare the UDF's volatility class (see [`Volatility`]).
@@ -287,9 +319,9 @@ impl UdfDef {
         self
     }
 
-    /// The definition a worker loads to run this isolated UDF (see
-    /// `Request::Load`): its name and SQL signature, then Design 2's
-    /// registry entry, or Design 4's module, function and tier, its whole
+    /// The definition a worker loads to run this UDF (see `Request::Load`):
+    /// its name and SQL signature, then a native body's registry entry, or
+    /// a bytecode body's module, function and tier, its whole
     /// `ResourceLimits`, and its permission set, principal and grants.
     pub fn load_body(&self) -> Result<Vec<u8>> {
         let w = &mut Vec::new();
@@ -297,17 +329,17 @@ impl UdfDef {
         let params: Vec<u8> = self.signature.params.iter().map(|t| t.tag()).collect();
         write_blob(w, &params)?;
         write_u8(w, self.signature.ret.tag())?;
-        let spec = match &self.imp {
-            UdfImpl::IsolatedNative { worker_fn } => {
+        let spec = match &self.imp.0 {
+            Body::Native(Native::Registered(entry)) => {
                 write_u8(w, LOAD_NATIVE)?;
-                write_str(w, worker_fn)?;
+                write_str(w, entry)?;
                 return Ok(std::mem::take(w));
             }
-            UdfImpl::IsolatedVm(spec) => spec,
-            UdfImpl::Native(_) | UdfImpl::Vm(_) => {
-                let e = format!("udf '{}' runs in process, not in a worker", self.name);
+            Body::Native(Native::Closure(_)) => {
+                let e = format!("udf '{}' is a closure, which no worker has", self.name);
                 return Err(JaguarError::Udf(e));
             }
+            Body::Bytecode(spec) => spec,
         };
         write_u8(w, LOAD_VM)?;
         write_blob(w, &spec.module_bytes)?;
@@ -333,26 +365,18 @@ impl UdfDef {
         Ok(std::mem::take(w))
     }
 
-    /// The UDF a worker runs a load body as: Design 2's as Design 1's over
-    /// `registry`'s function, Design 4's as Design 3's.
-    pub(crate) fn from_load_body(
-        mut r: &[u8],
-        registry: &WorkerRegistry,
-        cache: &mut ModuleCache,
-    ) -> Result<Hosted> {
+    /// The UDF a load body defines, placed in the process that decodes it.
+    pub(crate) fn from_load_body(mut r: &[u8], cache: &mut ModuleCache) -> Result<UdfDef> {
         let r = &mut r;
         let name = read_str(r)?;
         let params = read_blob(r)?.into_iter().map(DataType::from_tag);
         let params = params.collect::<Result<Vec<_>>>()?;
         let signature = UdfSignature::new(params, DataType::from_tag(read_u8(r)?)?);
+        let here = |body| UdfDef::new(name, signature, UdfImpl(body, Placement::Server));
         if read_u8(r)? == LOAD_NATIVE {
-            let worker_fn = read_str(r)?;
-            let f = registry(&worker_fn).ok_or_else(|| {
-                JaguarError::Worker(format!("worker has no native udf '{worker_fn}'"))
-            })?;
-            return Ok(Hosted::Native(NativeUdf::new(name, signature, f)));
+            return Ok(here(Body::Native(Native::Registered(read_str(r)?))));
         }
-        let module = verified(cache, read_blob(r)?)?;
+        let (module_bytes, module) = verified(cache, read_blob(r)?)?;
         let function = read_str(r)?;
         let mut next = || read_u64(r).map(|n| (n != NO_LIMIT).then_some(n));
         let (jit, fuel, memory, depth) = (next()?, next()?, next()?, next()?);
@@ -361,9 +385,8 @@ impl UdfDef {
             memory: memory.map(|m| m as usize),
             max_call_depth: depth.map_or(usize::MAX, |d| d as usize),
         };
-        let mode = exec_mode(jit == Some(1));
         let mut set = PermissionSet::deny_all(read_str(r)?);
-        let perms = match read_u32(r)? {
+        let permissions = match read_u32(r)? {
             u32::MAX => None,
             grants => {
                 for _ in 0..grants {
@@ -372,39 +395,75 @@ impl UdfDef {
                 Some(Arc::new(set))
             }
         };
-        let udf = VmUdf::new(name, signature, module, function, limits, mode, perms)?;
-        Ok(Hosted::Vm(Box::new(udf)))
+        Ok(here(Body::Bytecode(VmUdfSpec {
+            module,
+            module_bytes,
+            function,
+            limits,
+            jit: jit == Some(1),
+            permissions,
+        })))
     }
 
-    /// Create the per-query execution instance. For isolated designs this
-    /// spawns the worker process (the paper's per-query remote executor).
+    /// This UDF's body run in this process, by the server or by a worker: a
+    /// [`NativeUdf`] (a registered body's from `registry`) or a [`VmUdf`].
+    pub(crate) fn host(&self, registry: &WorkerRegistry) -> Result<Hosted> {
+        let (name, signature) = (self.name.clone(), self.signature.clone());
+        let f: Arc<NativeFn> = match &self.imp.0 {
+            Body::Bytecode(spec) => {
+                let mode = [ExecMode::Baseline, ExecMode::Jit][usize::from(spec.jit)];
+                let (module, function) = (Arc::clone(&spec.module), spec.function.clone());
+                let perms = spec.permissions.clone();
+                let udf = VmUdf::new(name, signature, module, function, spec.limits, mode, perms)?;
+                return Ok(Hosted::Vm(Box::new(udf)));
+            }
+            Body::Native(Native::Closure(f)) => Arc::clone(f),
+            Body::Native(Native::Registered(entry)) => {
+                Arc::new(registry(entry).ok_or_else(|| {
+                    JaguarError::Worker(format!("the registry has no native udf '{entry}'"))
+                })?)
+            }
+        };
+        Ok(Hosted::Native(NativeUdf::shared(name, signature, f)))
+    }
+
+    /// [`UdfDef::host`] in the server, over the registry the worker shares.
+    fn in_process(&self) -> Result<Box<dyn ScalarUdf>> {
+        Ok(match self.host(&worker_registry())? {
+            Hosted::Native(udf) => Box::new(udf),
+            Hosted::Vm(udf) => udf,
+        })
+    }
+
+    /// Create the per-query execution instance. A UDF placed in a worker
+    /// spawns one (the paper's per-query remote executor).
     pub fn instantiate(&self) -> Result<Box<dyn ScalarUdf>> {
         self.instantiate_with(None)
     }
 
-    /// Like [`UdfDef::instantiate`], but isolated designs acquire their
-    /// executor from `pool` (a warm worker checked out for the query and
+    /// Like [`UdfDef::instantiate`], but a UDF placed in a worker acquires
+    /// it from `pool` (a warm worker checked out for the query and
     /// returned at `finish`) instead of spawning a fresh process.
     pub fn instantiate_with(&self, pool: Option<&Arc<WorkerPool>>) -> Result<Box<dyn ScalarUdf>> {
-        match &self.imp {
-            UdfImpl::Native(n) => return Ok(Box::new(n.clone())),
-            UdfImpl::Vm(spec) => return Ok(Box::new(self.vm_udf(spec)?)),
-            UdfImpl::IsolatedNative { .. } | UdfImpl::IsolatedVm(_) => {}
+        match self.imp.1 {
+            Placement::Server => self.in_process(),
+            Placement::Worker => {
+                let definition = self.load_body()?;
+                let mut lease = acquire_worker(pool)?;
+                lease.worker().load(definition)?;
+                let permissions = match &self.imp.0 {
+                    Body::Bytecode(spec) => spec.permissions.clone(),
+                    Body::Native(_) => None,
+                };
+                Ok(Box::new(IsolatedUdf {
+                    name: self.name.clone(),
+                    signature: self.signature.clone(),
+                    lease,
+                    cancel: CancelToken::unbounded(),
+                    permissions,
+                }))
+            }
         }
-        let definition = self.load_body()?;
-        let mut lease = acquire_worker(pool)?;
-        lease.worker().load(definition)?;
-        let permissions = match &self.imp {
-            UdfImpl::IsolatedVm(spec) => spec.permissions.clone(),
-            _ => None,
-        };
-        Ok(Box::new(IsolatedUdf {
-            name: self.name.clone(),
-            signature: self.signature.clone(),
-            lease,
-            cancel: CancelToken::unbounded(),
-            permissions,
-        }))
     }
 }
 
@@ -424,14 +483,14 @@ impl Lease {
     }
 }
 
-/// A UDF running in a worker process (Designs 2 and 4): the worker runs it
-/// as Design 1 or 3, and its values and row errors come back as those.
+/// A UDF placed in a worker (Designs 2 and 4): the worker hosts its body as
+/// the server would, and its values and row errors come back as those.
 struct IsolatedUdf {
     name: String,
     signature: UdfSignature,
     lease: Lease,
     cancel: CancelToken,
-    /// Design 4's permission set, which audits its worker copy's denials.
+    /// A bytecode body's permission set, auditing its worker copy's denials.
     permissions: Option<Arc<PermissionSet>>,
 }
 
@@ -560,18 +619,14 @@ mod tests {
         let def = UdfDef::new(
             "inc",
             UdfSignature::new(vec![DataType::Int], DataType::Int),
-            UdfImpl::Native(NativeUdf::new(
-                "inc",
-                UdfSignature::new(vec![DataType::Int], DataType::Int),
-                |args, _| Ok(Value::Int(args[0].as_int()? + 1)),
-            )),
+            UdfImpl::closure(|args, _| Ok(Value::Int(args[0].as_int()? + 1))),
         );
         let mut u = def.instantiate().unwrap();
         assert_eq!(
             u.invoke(&[Value::Int(41)], &mut NoCallbacks).unwrap(),
             Value::Int(42)
         );
-        assert_eq!(def.imp.design_label(), "C++");
+        assert_eq!(def.imp.design().label(), "C++");
     }
 
     #[test]
@@ -581,14 +636,14 @@ mod tests {
         let def = UdfDef::new(
             "square",
             UdfSignature::new(vec![DataType::Int], DataType::Int),
-            UdfImpl::Vm(spec),
+            UdfImpl::bytecode(spec, Placement::Server),
         );
         let mut u = def.instantiate().unwrap();
         assert_eq!(
             u.invoke(&[Value::Int(7)], &mut NoCallbacks).unwrap(),
             Value::Int(49)
         );
-        assert_eq!(def.imp.design_label(), "JSM");
+        assert_eq!(def.imp.design().label(), "JSM");
     }
 
     #[test]
@@ -597,7 +652,8 @@ mod tests {
             let module = jaguar_lang::compile("m", src).unwrap();
             let spec = vm_spec(module, "main", ResourceLimits::default(), true, None).unwrap();
             let sig = UdfSignature::new(vec![DataType::Int], DataType::Int);
-            UdfDef::new("f", sig, UdfImpl::IsolatedVm(spec)).with_volatility(volatility)
+            let imp = UdfImpl::bytecode(spec, Placement::Worker);
+            UdfDef::new("f", sig, imp).with_volatility(volatility)
         };
         let straight = "fn main(x: i64) -> i64 {
             let b: bytes = newbytes(2); b[1] = x; return b[1] + len(b);
@@ -615,7 +671,7 @@ mod tests {
             let verdict = def(src, Volatility::Immutable).runs_in_engine();
             assert_eq!(verdict, Some(false), "{src}");
         }
-        // Registered under Design 4, the in-engine instance is a Design-3 VM.
+        // Placed in a worker, the in-engine instance is a Design-3 VM.
         let mut u = def(straight, Volatility::Immutable)
             .instantiate_in_engine()
             .unwrap();
@@ -626,14 +682,73 @@ mod tests {
         assert!(u.consumed().unwrap().instructions > 0);
     }
 
+    /// Table 1 is a product: each (body, placement) pair derives its
+    /// number, label, metric slug, worker and batching policy, and
+    /// cold-start cost.
     #[test]
     fn labels() {
-        assert_eq!(
-            UdfImpl::IsolatedNative {
-                worker_fn: "x".into()
-            }
-            .design_label(),
-            "IC++"
-        );
+        let module = jaguar_lang::compile("m", "fn main(x: i64) -> i64 { return x; }").unwrap();
+        let spec = vm_spec(module, "main", ResourceLimits::default(), true, None).unwrap();
+        let (server, worker) = (Placement::Server, Placement::Worker);
+        let matrix = [
+            (
+                UdfImpl::registered("noop", server),
+                1,
+                "C++",
+                "cpp",
+                false,
+                true,
+            ),
+            (
+                UdfImpl::registered("noop", worker),
+                2,
+                "IC++",
+                "icpp",
+                true,
+                false,
+            ),
+            (
+                UdfImpl::bytecode(spec.clone(), server),
+                3,
+                "JSM",
+                "jsm",
+                false,
+                false,
+            ),
+            (
+                UdfImpl::bytecode(spec, worker),
+                4,
+                "IJSM",
+                "ijsm",
+                true,
+                false,
+            ),
+        ];
+        for (imp, number, label, slug, needs_worker, free) in &matrix {
+            let d = imp.design();
+            assert_eq!((d.number(), d.label(), d.slug()), (*number, *label, *slug));
+            assert_eq!(d.needs_worker(), *needs_worker, "{label}");
+            assert_eq!(d.crossing_is_free(), *free, "{label}");
+        }
+        let cost = |number: usize| matrix[number - 1].0.design().cold_start_us();
+        assert!(cost(1) < cost(3) && cost(3) < cost(2) && cost(2) < cost(4));
+
+        // A closure can only be built in the server, and no worker can
+        // load it.
+        let sig = UdfSignature::new(vec![], DataType::Int);
+        let closure = UdfImpl::closure(|_, _| Ok(Value::Int(0)));
+        assert_eq!(closure.design(), matrix[0].0.design());
+        let e = UdfDef::new("c", sig, closure).load_body().unwrap_err();
+        assert!(e.to_string().contains("closure"), "{e}");
+
+        // Designs 1 and 2 of the generic UDF are one body in two places.
+        let (native, isolated) = (crate::generic::def_native(), crate::generic::def_isolated());
+        let entry = |def: &UdfDef| match def.imp.body() {
+            Body::Native(Native::Registered(entry)) => entry.clone(),
+            _ => panic!("{} is not a registered native body", def.name),
+        };
+        assert_eq!(entry(&native), entry(&isolated));
+        assert_eq!(native.imp.design().placement, server);
+        assert_eq!(isolated.imp.design().placement, worker);
     }
 }

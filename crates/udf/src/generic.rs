@@ -39,8 +39,7 @@ use jaguar_ipc::proto::CallbackHandler;
 use jaguar_vm::{Permission, PermissionSet, ResourceLimits};
 
 use crate::api::UdfSignature;
-use crate::def::{vm_spec, UdfDef, UdfImpl, VmUdfSpec, Volatility};
-use crate::native::NativeUdf;
+use crate::def::{vm_spec, Placement, UdfDef, UdfImpl, VmUdfSpec, Volatility};
 use crate::sfi::SfiRegion;
 use crate::worker::{WorkerFn, WorkerRegistry};
 
@@ -206,36 +205,27 @@ fn generic_def(name: &str, imp: UdfImpl) -> UdfDef {
     UdfDef::new(name, generic_signature(), imp).with_volatility(Volatility::Stable)
 }
 
-/// The generic UDF `name` as the trusted native function `f` (Design 1).
-fn native_def<F>(name: &str, f: F) -> UdfDef
-where
-    F: Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync + 'static,
-{
-    generic_def(
-        name,
-        UdfImpl::Native(NativeUdf::new(name, generic_signature(), f)),
-    )
-}
-
-/// Design 1 definition ("C++").
+/// Design 1 definition ("C++"): the registry's `generic` in the server.
 pub fn def_native() -> UdfDef {
-    native_def("generic", generic_native)
+    generic_def("generic", UdfImpl::registered("generic", Placement::Server))
 }
 
 /// Design 1 with explicit bounds checks ("BC-C++", §5.4).
 pub fn def_native_bc() -> UdfDef {
-    native_def("generic_bc", generic_native_bc)
+    let imp = UdfImpl::registered("generic_bc", Placement::Server);
+    generic_def("generic_bc", imp)
 }
 
 /// Design 1 under software fault isolation (A1 ablation).
 pub fn def_native_sfi() -> UdfDef {
-    native_def("generic_sfi", generic_native_sfi)
+    let imp = UdfImpl::registered("generic_sfi", Placement::Server);
+    generic_def("generic_sfi", imp)
 }
 
-/// Design 2 definition ("IC++"): the worker binary's native `generic`.
+/// Design 2 definition ("IC++"): [`def_native`]'s body in a worker.
 pub fn def_isolated() -> UdfDef {
-    let worker_fn = "generic".into();
-    generic_def("generic_ic", UdfImpl::IsolatedNative { worker_fn })
+    let imp = UdfImpl::registered("generic", Placement::Worker);
+    generic_def("generic_ic", imp)
 }
 
 /// The generic UDF's bytecode spec for the UDF `name`, under a permission
@@ -250,16 +240,14 @@ fn generic_vm_spec(name: &str, jit: bool, limits: ResourceLimits) -> VmUdfSpec {
 /// Design 3 definition ("JSM"/"JNI"): sandboxed bytecode in-process,
 /// compiled when `jit`, interpreted otherwise.
 pub fn def_vm(jit: bool, limits: ResourceLimits) -> UdfDef {
-    generic_def(
-        "generic_vm",
-        UdfImpl::Vm(generic_vm_spec("generic_vm", jit, limits)),
-    )
+    let spec = generic_vm_spec("generic_vm", jit, limits);
+    generic_def("generic_vm", UdfImpl::bytecode(spec, Placement::Server))
 }
 
-/// Design 4 definition: sandboxed bytecode in a worker process.
+/// Design 4 definition: [`def_vm`]'s body in a worker process.
 pub fn def_isolated_vm(jit: bool, limits: ResourceLimits) -> UdfDef {
     let spec = generic_vm_spec("generic_ivm", jit, limits);
-    generic_def("generic_ivm", UdfImpl::IsolatedVm(spec))
+    generic_def("generic_ivm", UdfImpl::bytecode(spec, Placement::Worker))
 }
 
 /// Callback handler used by the experiments: returns its argument
@@ -272,8 +260,9 @@ impl CallbackHandler for IdentityCallbacks {
     }
 }
 
-/// The native UDFs compiled into the `jaguar-worker` binary — the
-/// counterpart of the C++ UDFs linked into PREDATOR's remote executor.
+/// The native UDFs linked into the server and the `jaguar-worker` binary
+/// alike — the counterpart of the C++ UDFs PREDATOR linked into its server
+/// and its remote executor. A registered native body runs in either.
 pub fn worker_registry() -> WorkerRegistry {
     |name| {
         let f: WorkerFn = match name {
@@ -289,6 +278,10 @@ pub fn worker_registry() -> WorkerRegistry {
             "hang" => |_, _| loop {
                 std::thread::sleep(std::time::Duration::from_secs(3600));
             },
+            // Returns INT under whatever signature it is registered with:
+            // proves the parent checks every value a UDF returns, wherever
+            // it ran, against its declared type.
+            "liar" => |_, _| Ok(Value::Int(0)),
             // Crashes only for positive arguments: lets containment tests
             // crash the worker with one statement, then prove the next
             // statement runs a benign one at once.
@@ -429,6 +422,7 @@ mod tests {
             "crash",
             "hang",
             "crash_if_positive",
+            "liar",
         ] {
             assert!(reg(name).is_some(), "{name} missing");
         }

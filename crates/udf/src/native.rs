@@ -1,4 +1,4 @@
-//! Design 1: native UDFs executed inside the server process.
+//! Native UDFs run in process: Design 1, and Design 2 inside its worker.
 //!
 //! "Clearly, Design 1 will have the best performance of all the options
 //! since it essentially corresponds to hard-coding the UDF into the
@@ -34,11 +34,12 @@ impl NativeUdf {
         signature: UdfSignature,
         f: impl Fn(&[Value], &mut dyn CallbackHandler) -> Result<Value> + Send + Sync + 'static,
     ) -> NativeUdf {
-        NativeUdf {
-            name: name.into(),
-            signature,
-            f: Arc::new(f),
-        }
+        NativeUdf::shared(name.into(), signature, Arc::new(f))
+    }
+
+    /// A native UDF over a function other instances share.
+    pub(crate) fn shared(name: String, signature: UdfSignature, f: Arc<NativeFn>) -> NativeUdf {
+        NativeUdf { name, signature, f }
     }
 }
 

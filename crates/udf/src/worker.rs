@@ -1,8 +1,8 @@
 //! The worker side of isolated UDF execution: the serve loop the
-//! `jaguar-worker` binary runs. A worker hosts one UDF at a time as the
-//! in-process design it isolates, built from the definition a `Load`
-//! request carries ([`UdfDef::load_body`]): Design 2's as Design 1's
-//! [`NativeUdf`], Design 4's as Design 3's [`VmUdf`], under the spec's
+//! `jaguar-worker` binary runs. A worker hosts one UDF at a time, decoded
+//! from the definition a `Load` request carries ([`UdfDef::load_body`]),
+//! as the server hosts one placed there (`UdfDef::host`): a native body
+//! as a [`NativeUdf`], a bytecode body as a [`VmUdf`] under the spec's
 //! limits and permissions. Callbacks go to the parent as
 //! `CallbackRequest`s, and a row's error goes back as itself.
 //!
@@ -30,8 +30,7 @@ pub type WorkerFn = fn(&[Value], &mut dyn CallbackHandler) -> Result<Value>;
 /// The native UDFs compiled into a worker binary, by name.
 pub type WorkerRegistry = fn(&str) -> Option<WorkerFn>;
 
-/// The UDF a worker hosts: Design 1's or Design 3's, in this process
-/// ([`UdfDef::from_load_body`]).
+/// A UDF's body in this process, as Design 1 or 3 ([`UdfDef::host`]).
 pub(crate) enum Hosted {
     Native(NativeUdf),
     Vm(Box<VmUdf>),
@@ -43,17 +42,15 @@ pub(crate) enum Hosted {
 struct WireCallbacks<'a, R, W> {
     input: &'a mut Polled<R>,
     output: &'a mut Outbox<W>,
+    /// Each answer's frame: the batch's still holds the running rows.
+    answer: &'a mut BatchFrame,
 }
 
 impl<R: Pollable, W: Write> CallbackHandler for WireCallbacks<'_, R, W> {
     fn callback(&mut self, name: &str, args: &[Value]) -> Result<Value> {
-        let request = Response::CallbackRequest {
-            name: name.to_string(),
-            args: args.to_vec(),
-        };
-        self.output.send(|frame| request.write(frame))?;
-        // Only a CallbackResult is expected, read into a frame of its own.
-        match Request::read(self.input, &mut BatchFrame::default())? {
+        (self.output).send(|frame| Response::write_callback_request(frame, name, args))?;
+        // Only a CallbackResult is expected.
+        match Request::read(self.input, self.answer)? {
             Request::CallbackResult { result } => result,
             other => Err(JaguarError::Protocol(format!(
                 "expected CallbackResult, got {other:?}"
@@ -74,6 +71,7 @@ pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegist
     let mut hosted = None;
     let mut cache: ModuleCache = None;
     let mut frame = BatchFrame::default();
+    let mut answer = BatchFrame::default();
     let mut args = Vec::new();
     let ready = Response::Ready {
         proto: PROTO_VERSION,
@@ -98,7 +96,8 @@ pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegist
                 Response::ResetOk
             }
             Request::Load { definition } => {
-                let loaded = UdfDef::from_load_body(&definition, registry, &mut cache);
+                let loaded = UdfDef::from_load_body(&definition, &mut cache)
+                    .and_then(|def| def.host(registry));
                 match loaded.map(|udf| hosted = Some(udf)) {
                     Ok(()) => Response::Loaded,
                     Err(error) => Response::Error { error },
@@ -111,6 +110,7 @@ pub fn serve<R: Pollable, W: Write>(input: R, output: W, registry: &WorkerRegist
                 let mut cb = WireCallbacks {
                     input: &mut input,
                     output: &mut output,
+                    answer: &mut answer,
                 };
                 let (values, error) = run_batch(hosted.as_mut(), &frame, &mut args, &mut cb);
                 // Fault site: die after doing the work but before the
@@ -180,7 +180,7 @@ mod tests {
     use jaguar_vm::ResourceLimits;
 
     use crate::api::UdfSignature;
-    use crate::def::{verified, vm_spec, UdfImpl, VmUdfSpec};
+    use crate::def::{verified, vm_spec, Placement, UdfImpl, VmUdfSpec};
 
     fn demo_registry() -> WorkerRegistry {
         |name| {
@@ -241,18 +241,21 @@ mod tests {
     /// The load of the registry's `name`, over `arity` INT arguments.
     fn native(name: &str, arity: usize) -> Vec<u8> {
         let sig = UdfSignature::new(vec![DataType::Int; arity], DataType::Int);
-        let worker_fn = name.into();
         load(UdfDef::new(
             name,
             sig,
-            UdfImpl::IsolatedNative { worker_fn },
+            UdfImpl::registered(name, Placement::Worker),
         ))
     }
 
     /// The load of `spec`'s `main`, over `arity` INT arguments.
     fn vm_def(spec: VmUdfSpec, arity: usize) -> Vec<u8> {
         let sig = UdfSignature::new(vec![DataType::Int; arity], DataType::Int);
-        load(UdfDef::new("m", sig, UdfImpl::IsolatedVm(spec)))
+        load(UdfDef::new(
+            "m",
+            sig,
+            UdfImpl::bytecode(spec, Placement::Worker),
+        ))
     }
 
     /// The load of the assembled `src`, under `fuel` and `memory` and a
@@ -677,7 +680,7 @@ mod tests {
         let mut cache = None;
         let first = verified(&mut cache, bytes.clone()).unwrap();
         let again = verified(&mut cache, bytes).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
+        assert!(Arc::ptr_eq(&first.1, &again.1));
     }
 
     /// Counts the `write` calls made on it.

@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 use jaguar_common::DataType;
 use jaguar_ipc::proto::NoCallbacks;
 use jaguar_ipc::WorkerProcess;
-use jaguar_udf::{UdfDef, UdfImpl, UdfSignature};
+use jaguar_udf::{Placement, UdfDef, UdfImpl, UdfSignature};
 
 /// Marks the re-executed child.
 const ORPHAN_ENV: &str = "JAGUAR_ORPHAN_PARENT";
@@ -25,9 +25,8 @@ fn orphan_parent() {
     }
     let mut worker = WorkerProcess::spawn_at(Path::new(env!("CARGO_BIN_EXE_jaguar-worker")))
         .expect("spawning the worker");
-    let worker_fn = "hang".into();
     let sig = UdfSignature::new(vec![], DataType::Int);
-    let hang = UdfDef::new("hang", sig, UdfImpl::IsolatedNative { worker_fn });
+    let hang = UdfDef::new("hang", sig, UdfImpl::registered("hang", Placement::Worker));
     worker
         .load(hang.load_body().unwrap())
         .expect("loading hang");

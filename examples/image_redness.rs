@@ -85,11 +85,7 @@ fn main() -> jaguar_core::Result<()> {
     db.register_udf(UdfDef::new(
         "redness",
         sig.clone(),
-        UdfImpl::Native(jaguar_udf::NativeUdf::new(
-            "redness",
-            sig.clone(),
-            redness_native,
-        )),
+        UdfImpl::closure(redness_native),
     ));
     let t = Instant::now();
     let native = db.execute(query)?;

@@ -75,9 +75,7 @@ fn main() -> jaguar_core::Result<()> {
     db.register_udf(jaguar_core::UdfDef::new(
         "crashy",
         sig.clone(),
-        jaguar_core::UdfImpl::IsolatedNative {
-            worker_fn: "crash".into(),
-        },
+        jaguar_core::UdfImpl::registered("crash", jaguar_core::Placement::Worker),
     ));
     match db.execute("SELECT crashy() FROM t") {
         Err(e) => println!("worker process abort   → contained: {e}"),

@@ -412,7 +412,7 @@ fn edgy_db(batch: usize, calls: std::sync::Arc<std::sync::atomic::AtomicU64>) ->
         t.insert(Tuple::new(vec![Value::Int(i)])).unwrap();
     }
     let sig = jaguar_udf::UdfSignature::new(vec![DataType::Int], DataType::Int);
-    let native = jaguar_udf::NativeUdf::new("edgy", sig.clone(), move |args, _| {
+    let native = jaguar_udf::UdfImpl::closure(move |args, _| {
         calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
         let v = args[0].as_int()?;
         if v == 137 {
@@ -421,7 +421,7 @@ fn edgy_db(batch: usize, calls: std::sync::Arc<std::sync::atomic::AtomicU64>) ->
         Ok(Value::Int(v * 2))
     });
     db.register_udf(
-        jaguar_udf::UdfDef::new("edgy", sig, jaguar_udf::UdfImpl::Native(native))
+        jaguar_udf::UdfDef::new("edgy", sig, native)
             .with_volatility(jaguar_udf::Volatility::Stable),
     );
     db
@@ -453,6 +453,36 @@ fn mid_batch_native_error_matches_per_tuple() {
     );
 }
 
+/// The server checks every value a UDF returns against its declared type,
+/// wherever the UDF ran: the registry's `liar` returns INT under a VARCHAR
+/// signature, and its first row fails with one error in the server
+/// (Design 1) and in a worker (Design 2), per tuple and batched. The worker
+/// is not trusted to check its own values.
+#[test]
+fn a_udf_returning_the_wrong_type_fails_its_row_in_the_server_and_in_a_worker() {
+    use jaguar_core::DataType;
+    use jaguar_udf::{Placement, UdfDef, UdfImpl, UdfSignature};
+    let mut placements = vec![Placement::Server];
+    if worker_available() {
+        placements.push(Placement::Worker);
+    }
+    let want = JaguarError::Udf("udf 'liar' returned INT for row [7], declared VARCHAR".into());
+    for placement in placements {
+        for batch in [1, 256] {
+            let config = Config::default().with_dop(1).with_udf_batch_size(batch);
+            let db = Database::with_config(config);
+            db.execute("CREATE TABLE t (a INT)").unwrap();
+            db.execute("INSERT INTO t VALUES (7), (8), (9)").unwrap();
+            let sig = UdfSignature::new(vec![DataType::Int], DataType::Str);
+            let imp = UdfImpl::registered("liar", placement);
+            db.register_udf(UdfDef::new("liar", sig, imp).with_volatility(Stable));
+            let e = db.execute("SELECT liar(a) FROM t").unwrap_err();
+            assert_eq!(e, want, "{placement:?} at batch {batch}");
+            assert_eq!(db.execute("SELECT a FROM t").unwrap().rows.len(), 3);
+        }
+    }
+}
+
 /// A JagScript UDF that traps mid-relation (`data[i]` out of range), run
 /// in-process (Design 3) or shipped to a worker (Design 4) depending on
 /// `isolated`. `Stable` and `Immutable` both let the planner batch it;
@@ -480,11 +510,11 @@ fn trap_db(batch: usize, isolated: bool, volatility: Volatility) -> Database {
     let spec =
         jaguar_udf::def::vm_spec(module, "main", ResourceLimits::default(), true, None).unwrap();
     let sig = jaguar_udf::UdfSignature::new(vec![DataType::Bytes, DataType::Int], DataType::Int);
-    let imp = if isolated {
-        jaguar_udf::UdfImpl::IsolatedVm(spec)
-    } else {
-        jaguar_udf::UdfImpl::Vm(spec)
+    let placement = match isolated {
+        true => jaguar_udf::Placement::Worker,
+        false => jaguar_udf::Placement::Server,
     };
+    let imp = jaguar_udf::UdfImpl::bytecode(spec, placement);
     db.register_udf(jaguar_udf::UdfDef::new("trapper", sig, imp).with_volatility(volatility));
     db
 }
@@ -856,13 +886,13 @@ fn inlined_udf_matches_called_across_vm_designs() {
         }
         for dop in [1usize, 4] {
             let inlined = straightline_db(
-                design.clone(),
+                design,
                 jaguar_udf::Volatility::Immutable,
                 dop,
                 STRAIGHTLINE_SRC,
             );
             let called = straightline_db(
-                design.clone(),
+                design,
                 jaguar_udf::Volatility::Stable,
                 dop,
                 STRAIGHTLINE_SRC,
@@ -911,12 +941,7 @@ fn inlined_trap_text_matches_local_vm() {
         designs.push(jaguar_core::UdfDesign::SandboxedIsolated);
     }
     for design in designs {
-        let inlined = straightline_db(
-            design.clone(),
-            jaguar_udf::Volatility::Immutable,
-            1,
-            trap_src,
-        );
+        let inlined = straightline_db(design, jaguar_udf::Volatility::Immutable, 1, trap_src);
         let got = inlined
             .execute("SELECT poly(a, b) FROM t")
             .unwrap_err()
@@ -960,13 +985,7 @@ fn isolated_vm_returns_bool_like_the_local_vm() {
     }
     for design in designs {
         for batch in [1, 256] {
-            let db = one_row_db(
-                Config::default(),
-                batch,
-                design.clone(),
-                DataType::Bool,
-                src,
-            );
+            let db = one_row_db(Config::default(), batch, design, DataType::Bool, src);
             let projected = db.execute("SELECT f(n) FROM t").unwrap();
             assert_eq!(
                 projected.rows,
@@ -1000,10 +1019,10 @@ fn isolated_vm_honours_max_call_depth() {
     }
     for design in designs {
         for batch in [1, 256] {
-            let deep = one_row_db(Config::default(), batch, design.clone(), DataType::Int, src);
+            let deep = one_row_db(Config::default(), batch, design, DataType::Int, src);
             let rows = deep.execute("SELECT f(n) FROM t").unwrap().rows;
             assert_eq!(rows, vec![Tuple::new(vec![Value::Int(50)])], "{design:?}");
-            let db = one_row_db(shallow.clone(), batch, design.clone(), DataType::Int, src);
+            let db = one_row_db(shallow.clone(), batch, design, DataType::Int, src);
             let e = db.execute("SELECT f(n) FROM t").unwrap_err();
             assert_eq!(e, limit, "{design:?} at batch {batch}");
         }
@@ -1031,7 +1050,7 @@ struct Outcome {
 /// never inlined. The engine offers four callbacks: `echo` returns its
 /// argument, `yes` TRUE, `nothing` NULL, and `fails` fails.
 fn outcome_db(o: &Outcome, design: jaguar_core::UdfDesign, batch: usize) -> Database {
-    use jaguar_core::{UdfDef, UdfDesign, UdfImpl, UdfSignature};
+    use jaguar_core::{UdfDef, UdfImpl, UdfSignature};
     let db = Database::with_config(o.config.clone().with_dop(1).with_udf_batch_size(batch));
     db.execute("CREATE TABLE t (n INT, b BOOL, z INT)").unwrap();
     db.execute("INSERT INTO t VALUES (50, TRUE, NULL)").unwrap();
@@ -1051,10 +1070,7 @@ fn outcome_db(o: &Outcome, design: jaguar_core::UdfDesign, batch: usize) -> Data
     let deny = std::sync::Arc::new(jaguar_core::PermissionSet::deny_all("f"));
     let limits = ResourceLimits::default();
     let spec = jaguar_udf::def::vm_spec(module, "main", limits, true, Some(deny)).unwrap();
-    let imp = match design {
-        UdfDesign::SandboxedIsolated => UdfImpl::IsolatedVm(spec),
-        _ => UdfImpl::Vm(spec),
-    };
+    let imp = UdfImpl::bytecode(spec, design);
     db.register_udf(UdfDef::new("f", sig, imp).with_volatility(Stable));
     db
 }
@@ -1164,7 +1180,7 @@ fn design_4_outcomes_are_design_3_outcomes() {
     for o in &cases {
         for design in &designs {
             for batch in [1, 256] {
-                let db = outcome_db(o, design.clone(), batch);
+                let db = outcome_db(o, *design, batch);
                 let q = format!("SELECT f({}) FROM t", o.column);
                 let got = db.execute(&q).map(|r| r.rows);
                 let want = o.want.as_ref().map(|v| vec![Tuple::new(vec![v.clone()])]);

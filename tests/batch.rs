@@ -7,7 +7,7 @@ use std::time::Duration;
 use jaguar_core::{obs, ByteArray, Config, DataType, Database, JaguarError, Request, Tuple, Value};
 use jaguar_ipc::find_worker_binary;
 use jaguar_udf::generic::def_vm;
-use jaguar_udf::{NativeUdf, UdfDef, UdfImpl, UdfSignature, Volatility};
+use jaguar_udf::{Placement, UdfDef, UdfImpl, UdfSignature, Volatility};
 use jaguar_vm::ResourceLimits;
 
 fn worker_available() -> bool {
@@ -41,7 +41,10 @@ fn dbl_db(batch: usize, volatility: Volatility, rows: usize) -> Database {
     let module = jaguar_lang::compile("dbl", "fn main(x: i64) -> i64 { return x * 2; }").unwrap();
     let spec = jaguar_udf::def::vm_spec(module, "main", ResourceLimits::default(), true, None)
         .expect("dbl module must verify");
-    db.register_udf(UdfDef::new("dbl", sig, UdfImpl::Vm(spec)).with_volatility(volatility));
+    db.register_udf(
+        UdfDef::new("dbl", sig, UdfImpl::bytecode(spec, Placement::Server))
+            .with_volatility(volatility),
+    );
     db
 }
 
@@ -143,12 +146,8 @@ fn trusted_native_stays_per_tuple() {
         t.insert(Tuple::new(vec![Value::Int(i)])).unwrap();
     }
     let sig = UdfSignature::new(vec![DataType::Int], DataType::Int);
-    let native = NativeUdf::new("ndbl", sig.clone(), |args, _| {
-        Ok(Value::Int(args[0].as_int()? * 2))
-    });
-    db.register_udf(
-        UdfDef::new("ndbl", sig, UdfImpl::Native(native)).with_volatility(Volatility::Stable),
-    );
+    let native = UdfImpl::closure(|args, _| Ok(Value::Int(args[0].as_int()? * 2)));
+    db.register_udf(UdfDef::new("ndbl", sig, native).with_volatility(Volatility::Stable));
     let before = crossings("cpp");
     let rows = db.execute("SELECT ndbl(id) FROM t").unwrap().rows;
     assert_eq!(
@@ -239,9 +238,7 @@ fn whole_batch_crash_fails_only_its_own_statement() {
         UdfDef::new(
             "wcrash",
             sig,
-            UdfImpl::IsolatedNative {
-                worker_fn: "crash_if_positive".to_string(),
-            },
+            UdfImpl::registered("crash_if_positive", Placement::Worker),
         )
         .with_volatility(Volatility::Stable),
     );

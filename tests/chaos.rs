@@ -10,8 +10,8 @@ use std::time::{Duration, Instant};
 
 use jaguar_common::fault;
 use jaguar_core::{
-    Client, ClientOptions, Config, DataType, Database, JaguarError, SyncMode, UdfDef, UdfImpl,
-    UdfSignature, Value, Volatility,
+    Client, ClientOptions, Config, DataType, Database, JaguarError, Placement, SyncMode, UdfDef,
+    UdfImpl, UdfSignature, Value, Volatility,
 };
 use jaguar_ipc::find_worker_binary;
 
@@ -41,9 +41,7 @@ fn worker_death_mid_reply_is_contained_and_recovered() {
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "noop".to_string(),
-        },
+        UdfImpl::registered("noop", Placement::Worker),
     ));
     let pool = db.worker_pool().expect("pool attached");
     assert!(pool.wait_ready(Duration::from_secs(10)));

@@ -2,8 +2,8 @@
 //! directions (paper §2.1 and §6.4).
 
 use jaguar_core::{
-    ByteArray, Client, DataType, Database, JaguarError, Request, SessionContext, UdfDesign,
-    UdfSignature, Value, Volatility,
+    ByteArray, Client, DataType, Database, JaguarError, Placement, Request, SessionContext,
+    UdfDesign, UdfSignature, Value, Volatility,
 };
 
 fn server_db() -> Database {
@@ -122,7 +122,7 @@ fn malicious_upload_rejected_by_server_side_verification() {
         m.to_bytes()
     };
     let err = client
-        .register_udf("evil", &sig, &evil, "main", false)
+        .register_udf("evil", &sig, &evil, "main", Placement::Server)
         .expect_err("unverifiable bytecode must be rejected");
     assert!(err.to_string().contains("underflow"), "{err}");
 
@@ -133,7 +133,13 @@ fn malicious_upload_rejected_by_server_side_verification() {
     )
     .unwrap();
     let err = client
-        .register_udf("sneaky", &sig, &module.to_bytes(), "main", false)
+        .register_udf(
+            "sneaky",
+            &sig,
+            &module.to_bytes(),
+            "main",
+            Placement::Server,
+        )
         .expect_err("unoffered import must be rejected");
     assert!(err.to_string().contains("does not offer"), "{err}");
 }
@@ -175,10 +181,7 @@ fn both_front_doors_refuse_an_unoffered_import_alike() {
         "import read_secret(i64) -> i64; fn main() -> i64 { return read_secret(0); }",
     )
     .unwrap();
-    for (design, isolated) in [
-        (UdfDesign::Sandboxed, false),
-        (UdfDesign::SandboxedIsolated, true),
-    ] {
+    for design in [UdfDesign::Sandboxed, UdfDesign::SandboxedIsolated] {
         let embedded = db
             .register_module_udf_with_volatility(
                 "sneaky",
@@ -193,7 +196,7 @@ fn both_front_doors_refuse_an_unoffered_import_alike() {
             "{embedded}"
         );
         let wire = client
-            .register_udf("sneaky", &sig, &module.to_bytes(), "main", isolated)
+            .register_udf("sneaky", &sig, &module.to_bytes(), "main", design)
             .unwrap_err();
         assert_eq!(
             wire.to_string(),

@@ -5,7 +5,9 @@
 
 use std::time::Duration;
 
-use jaguar_core::{Config, DataType, Database, JaguarError, UdfDef, UdfImpl, UdfSignature, Value};
+use jaguar_core::{
+    Config, DataType, Database, JaguarError, Placement, UdfDef, UdfImpl, UdfSignature, Value,
+};
 use jaguar_ipc::find_worker_binary;
 
 fn worker_available() -> bool {
@@ -26,9 +28,7 @@ fn pooled_db(config: Config, udf: &str, worker_fn: &str, params: Vec<DataType>) 
     db.register_udf(UdfDef::new(
         udf,
         UdfSignature::new(params, DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: worker_fn.to_string(),
-        },
+        UdfImpl::registered(worker_fn, Placement::Worker),
     ));
     db
 }
@@ -101,9 +101,7 @@ fn hung_worker_is_killed_and_replaced() {
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "noop".to_string(),
-        },
+        UdfImpl::registered("noop", Placement::Worker),
     ));
     let r = db.execute("SELECT wnoop(a) FROM t").unwrap();
     assert_eq!(r.rows.len(), 3);
@@ -144,9 +142,7 @@ fn crashed_worker_is_contained_and_pool_recovers() {
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "noop".to_string(),
-        },
+        UdfImpl::registered("noop", Placement::Worker),
     ));
     let r = db.execute("SELECT wnoop(a) FROM t").unwrap();
     assert_eq!(r.rows.len(), 3);
@@ -171,9 +167,7 @@ fn saturated_pool_times_out_checkout_and_recovers() {
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "noop".to_string(),
-        },
+        UdfImpl::registered("noop", Placement::Worker),
     ));
     let pool = db.worker_pool().expect("pool attached");
     assert!(pool.wait_ready(Duration::from_secs(10)));
@@ -231,9 +225,7 @@ fn pool_survives_mixed_success_and_crash_sequence() {
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "noop".to_string(),
-        },
+        UdfImpl::registered("noop", Placement::Worker),
     ));
     let pool = db.worker_pool().expect("pool attached");
     assert!(pool.wait_ready(Duration::from_secs(10)));

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use jaguar_core::{
-    ByteArray, Client, Config, DataType, Database, JaguarError, Request, Tuple, UdfDef, UdfDesign,
-    UdfImpl, UdfSignature, Value, Volatility,
+    ByteArray, Client, Config, DataType, Database, JaguarError, Placement, Request, Tuple, UdfDef,
+    UdfDesign, UdfImpl, UdfSignature, Value, Volatility,
 };
 use jaguar_ipc::find_worker_binary;
 
@@ -94,9 +94,7 @@ fn statement_deadline_kills_hung_pooled_worker() {
     db.register_udf(UdfDef::new(
         "whang",
         UdfSignature::new(vec![], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "hang".to_string(),
-        },
+        UdfImpl::registered("hang", Placement::Worker),
     ));
     let pool = db.worker_pool().expect("pool attached");
     assert!(pool.wait_ready(Duration::from_secs(10)));
@@ -118,9 +116,7 @@ fn statement_deadline_kills_hung_pooled_worker() {
     db.register_udf(UdfDef::new(
         "wnoop",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "noop".to_string(),
-        },
+        UdfImpl::registered("noop", Placement::Worker),
     ));
     let r = db.execute("SELECT wnoop(a) FROM t").unwrap();
     assert_eq!(r.rows.len(), 1);
@@ -144,9 +140,7 @@ fn statement_deadline_kills_hung_spawned_worker() {
     db.register_udf(UdfDef::new(
         "whang",
         UdfSignature::new(vec![], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "hang".to_string(),
-        },
+        UdfImpl::registered("hang", Placement::Worker),
     ));
 
     let (tx, rx) = std::sync::mpsc::channel();
@@ -365,9 +359,7 @@ fn crashing_udf_fails_only_its_own_statement() {
     db.register_udf(UdfDef::new(
         "wflaky",
         UdfSignature::new(vec![DataType::Int], DataType::Int),
-        UdfImpl::IsolatedNative {
-            worker_fn: "crash_if_positive".to_string(),
-        },
+        UdfImpl::registered("crash_if_positive", Placement::Worker),
     ));
     let pool = db.worker_pool().expect("pool attached");
     assert!(pool.wait_ready(Duration::from_secs(10)));
@@ -420,7 +412,7 @@ fn udf_own_error_never_changes_a_later_statement() {
                 x = x * 3 - a; x = x * x + 7; x = x - a * 5; x = x * 2 + a;
                 return x;
             }",
-            design.clone(),
+            design,
             Volatility::Stable,
         )
         .unwrap();

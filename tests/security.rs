@@ -5,7 +5,8 @@
 //! DBMS performance (i.e. denial of service)".
 
 use jaguar_core::{
-    Config, DataType, Database, JaguarError, Permission, PermissionSet, UdfDesign, UdfSignature,
+    Config, DataType, Database, JaguarError, Permission, PermissionSet, Placement, UdfDesign,
+    UdfSignature,
 };
 
 fn db_with_row() -> Database {
@@ -110,9 +111,7 @@ fn worker_crash_contained_and_audited() {
     db.register_udf(jaguar_core::UdfDef::new(
         "crashy",
         UdfSignature::new(vec![], DataType::Int),
-        jaguar_core::UdfImpl::IsolatedNative {
-            worker_fn: "crash".into(),
-        },
+        jaguar_core::UdfImpl::registered("crash", Placement::Worker),
     ));
     let e = db.execute("SELECT crashy() FROM t").unwrap_err();
     assert!(matches!(e, JaguarError::Worker(_)), "{e}");
@@ -133,9 +132,9 @@ fn a_deny_all_spec_is_enforced_in_process_and_in_a_worker() {
     let limits = ResourceLimits::default();
     let spec = jaguar_udf::def::vm_spec(generic_module(), "main", limits, true, Some(deny.clone()))
         .unwrap();
-    let mut designs = vec![UdfImpl::Vm(spec.clone())];
+    let mut designs = vec![UdfImpl::bytecode(spec.clone(), Placement::Server)];
     if jaguar_ipc::find_worker_binary().is_ok() {
-        designs.push(UdfImpl::IsolatedVm(spec));
+        designs.push(UdfImpl::bytecode(spec, Placement::Worker));
     }
     let one_callback = GenericParams {
         callbacks: 1,
@@ -146,7 +145,7 @@ fn a_deny_all_spec_is_enforced_in_process_and_in_a_worker() {
     let denied = || JaguarError::SecurityViolation("udf 'g' denied: hostcall(cb)".into());
     let runs = designs.len();
     for imp in designs {
-        let label = imp.design_label();
+        let label = imp.design().label();
         let mut udf = UdfDef::new("g", generic_signature(), imp)
             .instantiate()
             .unwrap();
